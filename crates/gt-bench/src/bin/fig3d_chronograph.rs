@@ -84,7 +84,7 @@ fn main() {
         .set("workers", workers)
         // A coarse push threshold keeps share traffic at a realistic
         // handful per mutation; the reseed fraction still forces
-        // continuous recomputation (see the epsilon ablation bench).
+        // continuous recomputation (DESIGN.md §5, "Push threshold ε").
         .set("epsilon", 0.05)
         .set("reseed", 0.3)
         // Per-message costs chosen so 4 workers saturate at the doubled

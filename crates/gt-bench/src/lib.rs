@@ -15,8 +15,9 @@
 //! | `fig3d_chronograph` | Fig. 3d — stacked engine time series + rank error |
 //! | `table1_computations` | Table 1 — the computation catalogue, executed |
 //!
-//! Criterion microbenchmarks (`cargo bench`) cover the performance-
-//! critical components and the ablations called out in `DESIGN.md`.
+//! The performance-critical components and the ablations called out in
+//! `DESIGN.md` are measured by the committed trajectory ([`trajectory`])
+//! and by the per-layer ladder of the end-to-end benchmark (`benchmark/`).
 
 use std::time::Duration;
 

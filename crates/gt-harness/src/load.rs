@@ -28,7 +28,6 @@
 //! ignored here.
 
 use std::io;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -109,9 +108,8 @@ pub fn run_load_sut_experiment_with_timeout(
     let mut sut = registry.start(name, options)?;
     plan.level = wire_sut(&mut sut, plan.level, &mut plan.loggers, &clock);
 
-    let stop = Arc::new(AtomicBool::new(false));
     let sysmon = spawn_sysmon(plan.level, &plan.sysmon, &clock, None);
-    let sampler = spawn_sampler(plan.loggers, plan.sampling_interval, Arc::clone(&stop));
+    let sampler = spawn_sampler(plan.loggers, plan.sampling_interval);
 
     // The connector factory runs on the listener's accept thread, so the
     // platform moves into a shared cell for the duration of the run and
@@ -129,7 +127,6 @@ pub fn run_load_sut_experiment_with_timeout(
     });
     let result = run_load(&plan.stream, &load_plan, factory, Arc::clone(&clock));
 
-    stop.store(true, Ordering::Relaxed);
     let sampled = join_sampler(sampler, &clock);
     let resource = sysmon_records(sysmon, &plan.sysmon, &clock);
 

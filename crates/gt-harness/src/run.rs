@@ -240,39 +240,50 @@ pub struct RunOutcome {
     pub status: RunStatus,
 }
 
-/// Spawns the background thread that drives all loggers until `stop` is
-/// raised, finishing with one final sample so the log covers the run end.
+/// The running sampler thread and the flag that ends it.
+pub(crate) struct Sampler {
+    stop: Arc<AtomicBool>,
+    thread: JoinHandle<Vec<MetricRecord>>,
+}
+
+/// Spawns the background thread that drives all loggers every `interval`
+/// until [`join_sampler`] stops it, finishing with one final sample so
+/// the log covers the run end.
 pub(crate) fn spawn_sampler(
     mut loggers: Vec<Box<dyn MetricsLogger>>,
     interval: Duration,
-    stop: Arc<AtomicBool>,
-) -> JoinHandle<Vec<MetricRecord>> {
-    std::thread::Builder::new()
+) -> Sampler {
+    let stop = Arc::new(AtomicBool::new(false));
+    let stopped = Arc::clone(&stop);
+    let thread = std::thread::Builder::new()
         .name("gt-harness-sampler".into())
         .spawn(move || {
             let mut records = Vec::new();
-            while !stop.load(Ordering::Relaxed) {
+            while !stopped.load(Ordering::Acquire) {
                 for logger in &mut loggers {
                     records.extend(logger.sample());
                 }
-                std::thread::sleep(interval);
+                // Parked, not asleep: `join_sampler` ends the wait at
+                // once instead of after up to a whole interval, which
+                // every measured run window would otherwise include.
+                std::thread::park_timeout(interval);
             }
             for logger in &mut loggers {
                 records.extend(logger.sample());
             }
             records
         })
-        .expect("spawn sampler")
+        .expect("spawn sampler");
+    Sampler { stop, thread }
 }
 
-/// Joins the sampler thread, degrading gracefully: a panicked logger
-/// must not poison the whole run, so the lost series is replaced by one
-/// typed degradation record (source `harness`) explaining the gap.
-pub(crate) fn join_sampler(
-    sampler: JoinHandle<Vec<MetricRecord>>,
-    clock: &Arc<dyn Clock>,
-) -> Vec<MetricRecord> {
-    sampler.join().unwrap_or_else(|_| {
+/// Stops and joins the sampler thread, degrading gracefully: a panicked
+/// logger must not poison the whole run, so the lost series is replaced
+/// by one typed degradation record (source `harness`) explaining the gap.
+pub(crate) fn join_sampler(sampler: Sampler, clock: &Arc<dyn Clock>) -> Vec<MetricRecord> {
+    sampler.stop.store(true, Ordering::Release);
+    sampler.thread.thread().unpark();
+    sampler.thread.join().unwrap_or_else(|_| {
         vec![MetricRecord::text(
             clock.now_micros(),
             "harness",
@@ -326,9 +337,8 @@ pub fn run_experiment_with_clock<S: EventSink + ?Sized>(
     sink: &mut S,
     clock: Arc<dyn Clock>,
 ) -> std::io::Result<RunOutcome> {
-    let stop = Arc::new(AtomicBool::new(false));
     let sysmon = spawn_sysmon(plan.level, &plan.sysmon, &clock, None);
-    let sampler = spawn_sampler(plan.loggers, plan.sampling_interval, Arc::clone(&stop));
+    let sampler = spawn_sampler(plan.loggers, plan.sampling_interval);
 
     let abort = Arc::new(AtomicBool::new(false));
     let progress = Counter::default();
@@ -362,7 +372,6 @@ pub fn run_experiment_with_clock<S: EventSink + ?Sized>(
         None => replayer.replay_stream(&plan.stream, sink),
     };
 
-    stop.store(true, Ordering::Relaxed);
     let sampled = join_sampler(sampler, &clock);
     let resource = sysmon_records(sysmon, &plan.sysmon, &clock);
     let (status, abort_records) = finish_watchdog(watchdog, &clock);
@@ -549,8 +558,6 @@ pub fn run_file_experiment_with_clock<S: EventSink + ?Sized>(
     sink: &mut S,
     clock: Arc<dyn Clock>,
 ) -> Result<FileRunOutcome, ReplayError> {
-    let stop = Arc::new(AtomicBool::new(false));
-
     let hub = MetricsHub::new();
     let sysmon = spawn_sysmon(plan.level, &plan.sysmon, &clock, Some(&hub));
     let mut loggers = plan.loggers;
@@ -559,7 +566,7 @@ pub fn run_file_experiment_with_clock<S: EventSink + ?Sized>(
         Arc::clone(&clock),
         "pipeline",
     )));
-    let sampler = spawn_sampler(loggers, plan.sampling_interval, Arc::clone(&stop));
+    let sampler = spawn_sampler(loggers, plan.sampling_interval);
 
     let abort = Arc::new(AtomicBool::new(false));
     // The session's replayer counts emitted graph events into the
@@ -594,7 +601,6 @@ pub fn run_file_experiment_with_clock<S: EventSink + ?Sized>(
         None => session.run(&plan.path, sink),
     };
 
-    stop.store(true, Ordering::Relaxed);
     let sampled = join_sampler(sampler, &clock);
     let resource = sysmon_records(sysmon, &plan.sysmon, &clock);
     let (status, abort_records) = finish_watchdog(watchdog, &clock);
@@ -646,6 +652,20 @@ mod tests {
             .collect();
         s.push(StreamEntry::marker("stream-end"));
         s
+    }
+
+    #[test]
+    fn sampler_stops_promptly_and_still_takes_the_final_sample() {
+        let clock: Arc<dyn Clock> = Arc::new(ManualClock::new());
+        let probe = GaugeSampler::new(Arc::clone(&clock), "probe", "answer", || Some(42.0));
+        let sampler = spawn_sampler(vec![Box::new(probe)], Duration::from_millis(500));
+        // Long enough for the first sample, far shorter than the interval.
+        std::thread::sleep(Duration::from_millis(50));
+        let stopping = std::time::Instant::now();
+        let records = join_sampler(sampler, &clock);
+        let took = stopping.elapsed();
+        assert!(took < Duration::from_millis(50), "stop-to-joined {took:?}");
+        assert_eq!(records.len(), 2, "the first and the final sample");
     }
 
     #[test]

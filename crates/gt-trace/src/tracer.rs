@@ -593,7 +593,7 @@ mod tests {
 
     // Wall-clock overhead guard: run by the dedicated CI timing job
     // (`cargo test --release -- --ignored`). The precise < 5% ingest
-    // budget is measured by the `ingest/tracing` criterion rows; this
+    // budget is measured by the benchmark's `trace_overhead_frac`; this
     // assertion is deliberately generous so shared runners don't flake.
     #[test]
     #[ignore = "wall-clock timing; run via the CI timing job"]

@@ -22,10 +22,10 @@
 //! to). Comparisons against exact PageRank therefore normalize both
 //! vectors first.
 
-use std::collections::HashMap;
-
 use gt_core::prelude::*;
 use gt_graph::HybridAdjacency;
+
+use crate::program::{Partition, VertexMap};
 
 /// Per-vertex rank state plus local out-adjacency at the owning worker.
 #[derive(Debug, Clone, Default)]
@@ -65,52 +65,75 @@ impl Default for RankParams {
     }
 }
 
-/// One worker's partition of the rank computation.
+/// One worker's partition of the rank computation. The computational
+/// message ([`Partition::Msg`]) is the transferred rank mass; a pending
+/// share is a `(receiving vertex, mass)` pair in the engine's outbox.
 #[derive(Debug, Default)]
 pub struct RankPartition {
     /// Vertex states owned by this worker.
-    pub vertices: HashMap<VertexId, VertexState>,
-    params: RankParamsInner,
-}
-
-#[derive(Debug, Clone, Copy, Default)]
-struct RankParamsInner(RankParams);
-
-/// A pending outbound share produced by a push.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Share {
-    /// Receiving vertex.
-    pub target: VertexId,
-    /// Mass transferred.
-    pub mass: f64,
+    pub vertices: VertexMap<VertexState>,
+    params: RankParams,
 }
 
 impl RankPartition {
     /// A partition with the given parameters.
     pub fn new(params: RankParams) -> Self {
         RankPartition {
-            vertices: HashMap::new(),
-            params: RankParamsInner(params),
+            vertices: VertexMap::default(),
+            params,
         }
     }
 
-    fn params(&self) -> RankParams {
-        self.params.0
+    /// Moves a fraction of settled mass back into the residual so it
+    /// re-propagates through changed topology.
+    fn reseed(state: &mut VertexState, reseed: f64) {
+        let moved = state.p * reseed;
+        state.p -= moved;
+        state.res += moved;
     }
 
-    /// Handles a locally-owned graph event; returns the shares to route.
-    /// Events referencing unknown local vertices are ignored (lenient).
-    pub fn apply_event(&mut self, event: &GraphEvent, out: &mut Vec<Share>) {
-        let mut dirty = Vec::new();
-        self.apply_event_deferred(event, &mut dirty);
-        self.flush_dirty(&dirty, out);
+    /// Pushes if the residual crosses ε; appends outbound shares.
+    fn maybe_push(&mut self, id: VertexId, out: &mut Vec<(VertexId, f64)>) {
+        let params = self.params;
+        let Some(state) = self.vertices.get_mut(&id) else {
+            return;
+        };
+        if state.res < params.epsilon {
+            return;
+        }
+        let res = state.res;
+        state.res = 0.0;
+        if state.out.is_empty() {
+            // Dangling: absorb everything.
+            state.p += res;
+            return;
+        }
+        state.p += params.alpha * res;
+        let share = (1.0 - params.alpha) * res / state.out.len() as f64;
+        out.extend(state.out.keys().map(|target| (target, share)));
     }
 
-    /// Like [`Self::apply_event`], but defers pushing: affected vertices
-    /// are appended to `dirty` instead. Workers use this to coalesce the
-    /// pushes of a whole mailbox batch — fan-in at hubs then triggers one
-    /// push instead of one per message.
-    pub fn apply_event_deferred(&mut self, event: &GraphEvent, dirty: &mut Vec<VertexId>) {
+    /// Current `(id, p)` pairs of this partition.
+    pub fn ranks(&self) -> Vec<(VertexId, f64)> {
+        self.vertices.iter().map(|(id, s)| (*id, s.p)).collect()
+    }
+
+    /// Total residual mass still parked locally (unconverged work).
+    pub fn residual_mass(&self) -> f64 {
+        self.vertices.values().map(|s| s.res).sum()
+    }
+}
+
+impl Partition for RankPartition {
+    /// The transferred rank mass.
+    type Msg = f64;
+
+    /// Handles a locally-owned graph event, deferring the pushes: workers
+    /// coalesce the pushes of a whole round — fan-in at hubs then
+    /// triggers one push instead of one per message. Events referencing
+    /// unknown local vertices are ignored (lenient).
+    fn apply_event_deferred(&mut self, event: &GraphEvent, dirty: &mut Vec<VertexId>) {
+        let reseed = self.params.reseed;
         match event {
             GraphEvent::AddVertex { id, .. } => {
                 let state = self.vertices.entry(*id).or_default();
@@ -131,7 +154,7 @@ impl RankPartition {
                     return;
                 };
                 if state.out.insert(id.dst, ()).is_none() {
-                    self.reseed(id.src);
+                    Self::reseed(state, reseed);
                     dirty.push(id.src);
                 }
             }
@@ -140,7 +163,7 @@ impl RankPartition {
                     return;
                 };
                 if state.out.remove(id.dst).is_some() {
-                    self.reseed(id.src);
+                    Self::reseed(state, reseed);
                     dirty.push(id.src);
                 }
             }
@@ -148,122 +171,34 @@ impl RankPartition {
         }
     }
 
-    /// Strips a removed (possibly remote) vertex from local out-lists —
-    /// the broadcast half of vertex removal.
-    pub fn purge_edges_to(&mut self, removed: VertexId, out: &mut Vec<Share>) {
-        let affected: Vec<VertexId> = self
-            .vertices
-            .iter()
-            .filter(|(_, s)| s.out.contains(removed))
-            .map(|(id, _)| *id)
-            .collect();
-        for id in &affected {
-            if let Some(state) = self.vertices.get_mut(id) {
-                state.out.remove(removed);
-            }
-            self.reseed(*id);
-        }
-        self.flush_dirty(&affected, out);
-    }
-
-    /// Handles an incoming share; returns follow-up shares.
-    pub fn receive_share(&mut self, share: Share, out: &mut Vec<Share>) {
-        let mut dirty = Vec::new();
-        self.receive_share_deferred(share, &mut dirty);
-        self.flush_dirty(&dirty, out);
-    }
-
-    /// Deferred variant of [`Self::receive_share`].
-    pub fn receive_share_deferred(&mut self, share: Share, dirty: &mut Vec<VertexId>) {
-        let Some(state) = self.vertices.get_mut(&share.target) else {
+    fn receive_deferred(&mut self, target: VertexId, mass: f64, dirty: &mut Vec<VertexId>) {
+        let Some(state) = self.vertices.get_mut(&target) else {
             return; // target vanished; drop the mass
         };
-        state.res += share.mass;
-        dirty.push(share.target);
+        state.res += mass;
+        dirty.push(target);
     }
 
     /// Pushes every dirty vertex whose residual crosses ε. Duplicates in
     /// `dirty` are harmless (the second push sees a zero residual).
-    pub fn flush_dirty(&mut self, dirty: &[VertexId], out: &mut Vec<Share>) {
+    fn flush_dirty(&mut self, dirty: &[VertexId], out: &mut Vec<(VertexId, f64)>) {
         for id in dirty {
             self.maybe_push(*id, out);
         }
     }
 
-    /// Moves a fraction of settled mass back into the residual so it
-    /// re-propagates through changed topology.
-    fn reseed(&mut self, id: VertexId) {
-        let reseed = self.params().reseed;
-        if let Some(state) = self.vertices.get_mut(&id) {
-            let moved = state.p * reseed;
-            state.p -= moved;
-            state.res += moved;
-        }
-    }
-
-    /// Pushes if the residual crosses ε; appends outbound shares.
-    fn maybe_push(&mut self, id: VertexId, out: &mut Vec<Share>) {
-        let params = self.params();
-        let Some(state) = self.vertices.get_mut(&id) else {
-            return;
-        };
-        if state.res < params.epsilon {
-            return;
-        }
-        let res = state.res;
-        state.res = 0.0;
-        if state.out.is_empty() {
-            // Dangling: absorb everything.
-            state.p += res;
-            return;
-        }
-        state.p += params.alpha * res;
-        let share = (1.0 - params.alpha) * res / state.out.len() as f64;
-        for target in state.out.keys() {
-            out.push(Share {
-                target,
-                mass: share,
-            });
-        }
-    }
-
-    /// Current `(id, p)` pairs of this partition.
-    pub fn ranks(&self) -> Vec<(VertexId, f64)> {
-        self.vertices.iter().map(|(id, s)| (*id, s.p)).collect()
-    }
-
-    fn convert_out(shares: Vec<Share>, out: &mut Vec<(VertexId, f64)>) {
-        out.extend(shares.into_iter().map(|s| (s.target, s.mass)));
-    }
-
-    /// Total residual mass still parked locally (unconverged work).
-    pub fn residual_mass(&self) -> f64 {
-        self.vertices.values().map(|s| s.res).sum()
-    }
-}
-
-impl crate::program::Partition for RankPartition {
-    /// The transferred rank mass.
-    type Msg = f64;
-
-    fn apply_event_deferred(&mut self, event: &GraphEvent, dirty: &mut Vec<VertexId>) {
-        RankPartition::apply_event_deferred(self, event, dirty);
-    }
-
-    fn receive_deferred(&mut self, target: VertexId, msg: f64, dirty: &mut Vec<VertexId>) {
-        RankPartition::receive_share_deferred(self, Share { target, mass: msg }, dirty);
-    }
-
-    fn flush_dirty(&mut self, dirty: &[VertexId], out: &mut Vec<(VertexId, f64)>) {
-        let mut shares = Vec::new();
-        RankPartition::flush_dirty(self, dirty, &mut shares);
-        Self::convert_out(shares, out);
-    }
-
+    /// Strips a removed (possibly remote) vertex from local out-lists —
+    /// the broadcast half of vertex removal.
     fn purge(&mut self, removed: VertexId, out: &mut Vec<(VertexId, f64)>) {
-        let mut shares = Vec::new();
-        RankPartition::purge_edges_to(self, removed, &mut shares);
-        Self::convert_out(shares, out);
+        let reseed = self.params.reseed;
+        let mut affected = Vec::new();
+        for (id, state) in &mut self.vertices {
+            if state.out.remove(removed).is_some() {
+                Self::reseed(state, reseed);
+                affected.push(*id);
+            }
+        }
+        self.flush_dirty(&affected, out);
     }
 
     fn summary(&self) -> Vec<(VertexId, f64)> {
@@ -288,14 +223,15 @@ impl crate::program::Partition for RankPartition {
 mod tests {
     use super::*;
 
-    /// Single-partition harness: routes shares back into the same
-    /// partition until quiescent.
-    fn run_to_fixpoint(partition: &mut RankPartition, mut pending: Vec<Share>) {
+    /// Single-partition harness mirroring the engine loop: routes shares
+    /// back into the same partition until quiescent.
+    fn run_to_fixpoint(partition: &mut RankPartition, mut pending: Vec<(VertexId, f64)>) {
+        let mut dirty = Vec::new();
         let mut budget = 1_000_000;
-        while let Some(share) = pending.pop() {
-            let mut out = Vec::new();
-            partition.receive_share(share, &mut out);
-            pending.extend(out);
+        while let Some((target, mass)) = pending.pop() {
+            partition.receive_deferred(target, mass, &mut dirty);
+            partition.flush_dirty(&dirty, &mut pending);
+            dirty.clear();
             budget -= 1;
             assert!(budget > 0, "push cascade did not terminate");
         }
@@ -303,10 +239,11 @@ mod tests {
 
     fn feed(partition: &mut RankPartition, events: &[GraphEvent]) {
         let mut pending = Vec::new();
+        let mut dirty = Vec::new();
         for e in events {
-            let mut out = Vec::new();
-            partition.apply_event(e, &mut out);
-            pending.extend(out);
+            partition.apply_event_deferred(e, &mut dirty);
+            partition.flush_dirty(&dirty, &mut pending);
+            dirty.clear();
         }
         run_to_fixpoint(partition, pending);
     }
@@ -394,12 +331,12 @@ mod tests {
     fn vertex_removal_drops_mass_and_purge_strips_edges() {
         let mut partition = RankPartition::new(RankParams::default());
         feed(&mut partition, &[add_v(0), add_v(1), add_e(0, 1)]);
-        partition.apply_event(
-            &GraphEvent::RemoveVertex { id: VertexId(1) },
-            &mut Vec::new(),
+        feed(
+            &mut partition,
+            &[GraphEvent::RemoveVertex { id: VertexId(1) }],
         );
         let mut out = Vec::new();
-        partition.purge_edges_to(VertexId(1), &mut out);
+        partition.purge(VertexId(1), &mut out);
         run_to_fixpoint(&mut partition, out);
         assert!(!partition.vertices.contains_key(&VertexId(1)));
         assert!(partition
@@ -411,15 +348,9 @@ mod tests {
     #[test]
     fn shares_to_unknown_targets_are_dropped() {
         let mut partition = RankPartition::new(RankParams::default());
-        let mut out = Vec::new();
-        partition.receive_share(
-            Share {
-                target: VertexId(99),
-                mass: 1.0,
-            },
-            &mut out,
-        );
-        assert!(out.is_empty());
+        let mut dirty = Vec::new();
+        partition.receive_deferred(VertexId(99), 1.0, &mut dirty);
+        assert!(dirty.is_empty());
         assert!(partition.ranks().is_empty());
     }
 

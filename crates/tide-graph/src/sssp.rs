@@ -18,12 +18,10 @@
 //! documented trade-off, not an oversight — trimming-based repair is the
 //! subject of dedicated systems (KickStarter).
 
-use std::collections::HashMap;
-
 use gt_core::prelude::*;
 use gt_graph::HybridAdjacency;
 
-use crate::program::Partition;
+use crate::program::{Partition, VertexMap};
 
 /// A distance offer: the proposing path length.
 pub type DistanceOffer = f64;
@@ -38,7 +36,7 @@ struct VState {
 #[derive(Debug, Clone)]
 pub struct DistancePartition {
     source: VertexId,
-    vertices: HashMap<VertexId, VState>,
+    vertices: VertexMap<VState>,
     stale_hazards: u64,
 }
 
@@ -47,7 +45,7 @@ impl DistancePartition {
     pub fn new(source: VertexId) -> Self {
         DistancePartition {
             source,
-            vertices: HashMap::new(),
+            vertices: VertexMap::default(),
             stale_hazards: 0,
         }
     }

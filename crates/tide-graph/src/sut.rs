@@ -32,12 +32,12 @@ pub const SHARDED_SUT_NAME: &str = "tide-graph-sharded";
 /// | `workers` | worker threads | 4 |
 /// | `shards` | alias for `workers` (typed: 1..=[`gt_sut::MAX_SHARDS`]); takes precedence | — |
 /// | `alpha` | teleport probability of the rank program | 0.15 |
-/// | `epsilon` | push threshold of the rank program | 1e-4 |
-/// | `reseed` | re-seeded mass fraction on topology change | 1.0 |
+/// | `epsilon` | push threshold of the rank program | 1e-3 |
+/// | `reseed` | re-seeded mass fraction on topology change | 0.5 |
 /// | `event_cost_us` | simulated cost per mutation event, µs | 0 |
-/// | `share_cost_us` | simulated cost per computational message, µs | 0 |
+/// | `share_cost_us` | simulated cost per computational message (per share, not per batch), µs | 0 |
 /// | `board_refresh_every` | result-board publish period (messages) | 256 |
-/// | `drain_batch` | mailbox messages drained per round | 64 |
+/// | `drain_batch` | items processed per round (an event, purge or marker is one item; a received share batch counts each share) | 64 |
 /// | `supervised` | retain events so crashed workers can be restarted (`1` = on) | 0 |
 /// | `digest` | capture a [`StateDigest`] at shutdown (`1` = on) | 0 |
 pub struct TideGraphSut {
