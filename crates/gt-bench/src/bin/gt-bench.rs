@@ -6,7 +6,8 @@
 //!
 //! Measures the §4.2 parse path (borrowed vs owned) and the graph-event
 //! ingest path (hybrid-adjacency `EvolvingGraph` and the store's
-//! `PartitionState`) with a counting global allocator, then writes
+//! `PartitionState`, the latter also under the paper's Table 3 mix with
+//! its vertex removals) with a counting global allocator, then writes
 //! `BENCH_parse.json` and `BENCH_ingest.json` into `--out` (default: the
 //! current directory — run from the repo root so the files land next to
 //! the sources and get committed).
@@ -23,6 +24,7 @@ use gt_bench::trajectory::{self, measure, BenchRecord, CountingAlloc};
 use gt_core::format::{entry_to_line, parse_line, parse_line_ref};
 use gt_core::prelude::*;
 use gt_graph::EvolvingGraph;
+use gt_workloads::Table3Workload;
 use std::hint::black_box;
 use tide_store::PartitionState;
 
@@ -136,8 +138,31 @@ fn parse_suites(lines: &[String], rounds: u32) -> Vec<BenchRecord> {
     ]
 }
 
+/// One round of the store's shard apply: a fresh partition fed shared
+/// handles, as the shard threads receive them.
+fn apply_to_partition(events: &[SharedGraphEvent]) {
+    let mut state = PartitionState::new();
+    for event in events {
+        state.apply(black_box(event));
+    }
+    black_box(state.edge_count());
+}
+
 fn ingest_suites(events: &[GraphEvent], rounds: u32) -> Vec<BenchRecord> {
     let n = events.len() as u64;
+    // The shared handles are built here, outside the timed closures: on
+    // the real path the replayer allocates them, not the shard.
+    let share = |event: &GraphEvent| SharedGraphEvent::new(event.clone());
+    let shared: Vec<SharedGraphEvent> = events.iter().map(share).collect();
+    // The paper's Table 3 mix (35 % update-vertex, 35 % add-edge, 15 %
+    // remove-edge, 10 % add-vertex, 5 % remove-vertex) over a hub-forming
+    // bootstrap: the stream shape whose vertex removals `sample_events`
+    // lacks.
+    let mixed: Vec<SharedGraphEvent> = Table3Workload::small(events.len(), 7)
+        .generate()
+        .graph_events()
+        .map(share)
+        .collect();
     vec![
         measure("ingest/evolving-graph", n, rounds, || {
             let mut graph = EvolvingGraph::new();
@@ -147,12 +172,14 @@ fn ingest_suites(events: &[GraphEvent], rounds: u32) -> Vec<BenchRecord> {
             black_box(graph.vertex_count());
         }),
         measure("ingest/partition-state", n, rounds, || {
-            let mut state = PartitionState::new();
-            for event in events {
-                state.apply(black_box(event));
-            }
-            black_box(state.edge_count());
+            apply_to_partition(&shared)
         }),
+        measure(
+            "ingest/partition-state-mixed",
+            mixed.len() as u64,
+            rounds,
+            || apply_to_partition(&mixed),
+        ),
     ]
 }
 

@@ -27,15 +27,17 @@
 
 pub mod connector;
 pub mod partition;
+pub mod shard;
 pub mod sharded;
 pub mod store;
 pub mod sut;
 
 pub use connector::{BatchingConnector, StoreFrontend};
 pub use partition::PartitionState;
-pub use sharded::{ShardedClient, ShardedStats, ShardedStore, ShardedSupervisor};
+pub use shard::StoreSupervisor;
+pub use sharded::{ShardedClient, ShardedStats, ShardedStore};
 pub use store::{
-    shard_for, shard_for_key, StoreClient, StoreClosed, StoreConfig, StoreStats, StoreSupervisor,
-    TideStore, Transaction,
+    shard_for, shard_for_key, StoreClient, StoreClosed, StoreConfig, StoreStats, TideStore,
+    Transaction,
 };
 pub use sut::TideStoreSut;

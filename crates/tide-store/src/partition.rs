@@ -6,11 +6,22 @@
 //! cannot be checked locally; the merged commit-log reconstruction at
 //! shutdown is authoritative for consistency.
 //!
-//! Edge state is held per source vertex in a degree-adaptive
+//! State is held as the [`SharedGraphEvent`] that last set it, never as a
+//! copy of its payload: the shard log keeps every applied event alive for
+//! the whole run anyway, so a handle retains nothing extra, costs no
+//! allocation per event, and keeps an inline adjacency slot at 16 bytes.
+//!
+//! Edges are held per source vertex in a degree-adaptive
 //! [`HybridAdjacency`] (gt-graph): the common small-degree case stays in
-//! an inline sorted array, hubs promote to a map. The serial store's
-//! shard threads and `sharded.rs`'s per-shard workers both build on this
-//! type, so the two code paths cannot drift apart.
+//! an inline sorted array, hubs promote to a map. A reverse index of the
+//! same shape (destination → sources) makes removing a vertex cost its own
+//! degree instead of a walk over every adjacency list in the partition.
+//! The index is *partition-local*: edges are routed by source, so it lists
+//! only the sources this shard holds — an edge into the removed vertex
+//! from another shard's source survives here exactly as it did under the
+//! walk, and is dropped by the shutdown reconstruction.
+//!
+//! Both runtimes' shard threads (`shard.rs`) build on this type.
 
 use std::collections::HashMap;
 
@@ -20,9 +31,14 @@ use gt_graph::HybridAdjacency;
 /// The vertex and edge state held by one shard worker.
 #[derive(Debug, Default)]
 pub struct PartitionState {
-    vertices: HashMap<VertexId, State>,
-    /// Outgoing adjacency with per-edge state, keyed by source vertex.
-    out: HashMap<VertexId, HybridAdjacency<State>>,
+    /// The event that last set each vertex's state.
+    vertices: HashMap<VertexId, SharedGraphEvent>,
+    /// Outgoing adjacency keyed by source vertex; the payload is the event
+    /// that last set the edge's state.
+    out: HashMap<VertexId, HybridAdjacency<SharedGraphEvent>>,
+    /// Reverse index: destination → the sources in `out` with an edge to
+    /// it. `(src, dst) ∈ out ⇔ src ∈ incoming[dst]`; no empty lists.
+    incoming: HashMap<VertexId, HybridAdjacency<()>>,
     edge_count: usize,
 }
 
@@ -43,46 +59,41 @@ impl PartitionState {
     }
 
     /// Applies one graph event leniently (unknown entities are upserted
-    /// or ignored, never an error — see the module docs).
-    pub fn apply(&mut self, event: &GraphEvent) {
-        match event {
-            GraphEvent::AddVertex { id, state } | GraphEvent::UpdateVertex { id, state } => {
-                self.vertices.insert(*id, state.clone());
+    /// or ignored, never an error — see the module docs). Stateful events
+    /// are kept by handle; the payload is not copied.
+    pub fn apply(&mut self, event: &SharedGraphEvent) {
+        match event.event() {
+            GraphEvent::AddVertex { id, .. } | GraphEvent::UpdateVertex { id, .. } => {
+                self.vertices.insert(*id, event.clone());
             }
             GraphEvent::RemoveVertex { id } => {
                 self.vertices.remove(id);
                 if let Some(adj) = self.out.remove(id) {
                     self.edge_count -= adj.len();
-                }
-                // Reverse side: drop edges pointing at the removed vertex.
-                let mut dropped = 0;
-                self.out.retain(|_, adj| {
-                    if adj.remove(*id).is_some() {
-                        dropped += 1;
+                    for dst in adj.keys() {
+                        unlink(&mut self.incoming, dst, *id);
                     }
-                    !adj.is_empty()
-                });
-                self.edge_count -= dropped;
+                }
+                // A self-loop left with the out-list above, so every
+                // source still listed here has a live out-list.
+                if let Some(sources) = self.incoming.remove(id) {
+                    self.edge_count -= sources.len();
+                    for src in sources.keys() {
+                        unlink(&mut self.out, src, *id);
+                    }
+                }
             }
-            GraphEvent::AddEdge { id, state } | GraphEvent::UpdateEdge { id, state } => {
-                if self
-                    .out
-                    .entry(id.src)
-                    .or_default()
-                    .insert(id.dst, state.clone())
-                    .is_none()
-                {
+            GraphEvent::AddEdge { id, .. } | GraphEvent::UpdateEdge { id, .. } => {
+                let adj = self.out.entry(id.src).or_default();
+                if adj.insert(id.dst, event.clone()).is_none() {
                     self.edge_count += 1;
+                    self.incoming.entry(id.dst).or_default().insert(id.src, ());
                 }
             }
             GraphEvent::RemoveEdge { id } => {
-                if let Some(adj) = self.out.get_mut(&id.src) {
-                    if adj.remove(id.dst).is_some() {
-                        self.edge_count -= 1;
-                    }
-                    if adj.is_empty() {
-                        self.out.remove(&id.src);
-                    }
+                if unlink(&mut self.out, id.src, id.dst) {
+                    self.edge_count -= 1;
+                    unlink(&mut self.incoming, id.dst, id.src);
                 }
             }
         }
@@ -90,7 +101,7 @@ impl PartitionState {
 
     /// The state of a vertex, cloned for a reply channel.
     pub fn read_vertex(&self, id: VertexId) -> Option<State> {
-        self.vertices.get(&id).cloned()
+        self.vertices.get(&id).and_then(carried_state)
     }
 
     /// The state of an edge, cloned for a reply channel.
@@ -98,7 +109,35 @@ impl PartitionState {
         self.out
             .get(&id.src)
             .and_then(|adj| adj.get(id.dst))
-            .cloned()
+            .and_then(carried_state)
+    }
+}
+
+/// Removes `neighbor` from `key`'s list, dropping the list once empty.
+/// Returns whether the entry existed.
+fn unlink<T>(
+    lists: &mut HashMap<VertexId, HybridAdjacency<T>>,
+    key: VertexId,
+    neighbor: VertexId,
+) -> bool {
+    let Some(adj) = lists.get_mut(&key) else {
+        return false;
+    };
+    let removed = adj.remove(neighbor).is_some();
+    if adj.is_empty() {
+        lists.remove(&key);
+    }
+    removed
+}
+
+/// The state a stored event set (only stateful events are stored).
+fn carried_state(event: &SharedGraphEvent) -> Option<State> {
+    match event.event() {
+        GraphEvent::AddVertex { state, .. }
+        | GraphEvent::UpdateVertex { state, .. }
+        | GraphEvent::AddEdge { state, .. }
+        | GraphEvent::UpdateEdge { state, .. } => Some(state.clone()),
+        GraphEvent::RemoveVertex { .. } | GraphEvent::RemoveEdge { .. } => None,
     }
 }
 
@@ -106,11 +145,15 @@ impl PartitionState {
 mod tests {
     use super::*;
 
+    fn shared(event: GraphEvent) -> SharedGraphEvent {
+        SharedGraphEvent::new(event)
+    }
+
     fn add_edge(state: &mut PartitionState, src: u64, dst: u64, s: &str) {
-        state.apply(&GraphEvent::AddEdge {
+        state.apply(&shared(GraphEvent::AddEdge {
             id: EdgeId::from((src, dst)),
             state: State::new(s),
-        });
+        }));
     }
 
     #[test]
@@ -118,19 +161,19 @@ mod tests {
         let mut p = PartitionState::new();
         // Edges may arrive before their endpoints — kept verbatim.
         add_edge(&mut p, 1, 2, "w=1");
-        p.apply(&GraphEvent::AddVertex {
+        p.apply(&shared(GraphEvent::AddVertex {
             id: VertexId(1),
             state: State::new("v"),
-        });
+        }));
         assert_eq!(p.read_vertex(VertexId(1)).unwrap().as_str(), "v");
         assert_eq!(p.read_edge(EdgeId::from((1, 2))).unwrap().as_str(), "w=1");
         assert_eq!(p.read_edge(EdgeId::from((2, 1))), None);
         assert_eq!(p.edge_count(), 1);
         // UpdateEdge overwrites in place without changing the count.
-        p.apply(&GraphEvent::UpdateEdge {
+        p.apply(&shared(GraphEvent::UpdateEdge {
             id: EdgeId::from((1, 2)),
             state: State::new("w=2"),
-        });
+        }));
         assert_eq!(p.read_edge(EdgeId::from((1, 2))).unwrap().as_str(), "w=2");
         assert_eq!(p.edge_count(), 1);
     }
@@ -141,7 +184,7 @@ mod tests {
         add_edge(&mut p, 1, 2, "");
         add_edge(&mut p, 2, 1, "");
         add_edge(&mut p, 2, 3, "");
-        p.apply(&GraphEvent::RemoveVertex { id: VertexId(1) });
+        p.apply(&shared(GraphEvent::RemoveVertex { id: VertexId(1) }));
         assert_eq!(p.read_edge(EdgeId::from((1, 2))), None);
         assert_eq!(p.read_edge(EdgeId::from((2, 1))), None);
         assert!(p.read_edge(EdgeId::from((2, 3))).is_some());
@@ -152,12 +195,11 @@ mod tests {
     fn remove_edge_is_idempotent() {
         let mut p = PartitionState::new();
         add_edge(&mut p, 1, 2, "");
-        p.apply(&GraphEvent::RemoveEdge {
-            id: EdgeId::from((1, 2)),
-        });
-        p.apply(&GraphEvent::RemoveEdge {
-            id: EdgeId::from((1, 2)),
-        });
+        for _ in 0..2 {
+            p.apply(&shared(GraphEvent::RemoveEdge {
+                id: EdgeId::from((1, 2)),
+            }));
+        }
         assert_eq!(p.edge_count(), 0);
         assert_eq!(p.read_edge(EdgeId::from((1, 2))), None);
     }
@@ -172,7 +214,173 @@ mod tests {
         }
         assert_eq!(p.edge_count(), 63);
         assert_eq!(p.read_edge(EdgeId::from((7, 42))).unwrap().as_str(), "x");
-        p.apply(&GraphEvent::RemoveVertex { id: VertexId(7) });
+        p.apply(&shared(GraphEvent::RemoveVertex { id: VertexId(7) }));
         assert_eq!(p.edge_count(), 0);
+    }
+
+    /// The reference the indexed state is compared against: cloned
+    /// payloads, no reverse index, and a `RemoveVertex` that walks every
+    /// adjacency list.
+    #[derive(Default)]
+    struct ScanState {
+        vertices: HashMap<VertexId, State>,
+        out: HashMap<VertexId, HybridAdjacency<State>>,
+        edge_count: usize,
+    }
+
+    impl ScanState {
+        fn apply(&mut self, event: &GraphEvent) {
+            match event {
+                GraphEvent::AddVertex { id, state } | GraphEvent::UpdateVertex { id, state } => {
+                    self.vertices.insert(*id, state.clone());
+                }
+                GraphEvent::RemoveVertex { id } => {
+                    self.vertices.remove(id);
+                    if let Some(adj) = self.out.remove(id) {
+                        self.edge_count -= adj.len();
+                    }
+                    let mut dropped = 0;
+                    self.out.retain(|_, adj| {
+                        if adj.remove(*id).is_some() {
+                            dropped += 1;
+                        }
+                        !adj.is_empty()
+                    });
+                    self.edge_count -= dropped;
+                }
+                GraphEvent::AddEdge { id, state } | GraphEvent::UpdateEdge { id, state } => {
+                    let adj = self.out.entry(id.src).or_default();
+                    if adj.insert(id.dst, state.clone()).is_none() {
+                        self.edge_count += 1;
+                    }
+                }
+                GraphEvent::RemoveEdge { id } => {
+                    if let Some(adj) = self.out.get_mut(&id.src) {
+                        if adj.remove(id.dst).is_some() {
+                            self.edge_count -= 1;
+                        }
+                        if adj.is_empty() {
+                            self.out.remove(&id.src);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// `(src, dst) ∈ out ⇔ src ∈ incoming[dst]`, `edge_count` is the
+    /// number of such pairs, and neither side keeps an empty list.
+    fn check_index(p: &PartitionState) {
+        let mut edges = 0;
+        for (src, adj) in &p.out {
+            assert!(!adj.is_empty(), "empty out-list left for {src:?}");
+            for dst in adj.keys() {
+                edges += 1;
+                let listed = p.incoming.get(&dst).is_some_and(|s| s.contains(*src));
+                assert!(listed, "{src:?} -> {dst:?} missing from the in-list");
+            }
+        }
+        assert_eq!(edges, p.edge_count);
+        let mut listed = 0;
+        for (dst, sources) in &p.incoming {
+            assert!(!sources.is_empty(), "empty in-list left for {dst:?}");
+            listed += sources.len();
+        }
+        assert_eq!(listed, edges, "in-lists hold an edge the out-lists lack");
+    }
+
+    /// A seeded mixed stream over `vertices` ids. Vertex 0 is pushed well
+    /// past `INLINE_CAP` in both directions (a hub source and a hub
+    /// destination); the other vertices stay mostly inline. Includes
+    /// self-loops, duplicate adds, updates and removals of missing
+    /// entities, and removed vertices that are later re-added.
+    fn mixed_stream(seed: u64, vertices: u64, len: usize) -> Vec<GraphEvent> {
+        let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move || {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            x >> 33
+        };
+        (0..len)
+            .map(|i| {
+                let a = VertexId(next() % vertices);
+                let b = VertexId(next() % vertices);
+                let hub = VertexId(0);
+                let state = State::new(format!("s{i}"));
+                match next() % 128 {
+                    0..=31 => GraphEvent::AddEdge {
+                        id: EdgeId::new(a, b),
+                        state,
+                    },
+                    32..=47 => GraphEvent::AddEdge {
+                        id: EdgeId::new(hub, b),
+                        state,
+                    },
+                    48..=63 => GraphEvent::AddEdge {
+                        id: EdgeId::new(a, hub),
+                        state,
+                    },
+                    64..=69 => GraphEvent::AddEdge {
+                        id: EdgeId::new(a, a),
+                        state,
+                    },
+                    70..=81 => GraphEvent::UpdateEdge {
+                        id: EdgeId::new(a, b),
+                        state,
+                    },
+                    82..=97 => GraphEvent::RemoveEdge {
+                        id: EdgeId::new(a, b),
+                    },
+                    98..=109 => GraphEvent::AddVertex { id: a, state },
+                    110..=115 => GraphEvent::UpdateVertex { id: a, state },
+                    // Any vertex but the hub, so the hub has time to grow.
+                    116..=126 => GraphEvent::RemoveVertex {
+                        id: VertexId(1 + a.0 % (vertices - 1)),
+                    },
+                    _ => GraphEvent::RemoveVertex { id: hub },
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn indexed_state_matches_the_scanning_reference_after_every_event() {
+        let mut hub_promoted = false;
+        for seed in 0..24u64 {
+            // Few vertices → dense lists and frequent hits on existing
+            // edges; more vertices → mostly inline lists around the hub.
+            let vertices = if seed % 2 == 0 { 12 } else { 32 };
+            let mut indexed = PartitionState::new();
+            let mut reference = ScanState::default();
+            for (i, event) in mixed_stream(seed, vertices, 400).into_iter().enumerate() {
+                reference.apply(&event);
+                indexed.apply(&shared(event.clone()));
+                let at = format!("seed {seed}, event {i} ({event:?})");
+                assert_eq!(indexed.vertex_count(), reference.vertices.len(), "{at}");
+                assert_eq!(indexed.edge_count(), reference.edge_count, "{at}");
+                check_index(&indexed);
+                for v in (0..vertices).map(VertexId) {
+                    assert_eq!(
+                        indexed.read_vertex(v),
+                        reference.vertices.get(&v).cloned(),
+                        "{at}"
+                    );
+                    for w in (0..vertices).map(VertexId) {
+                        let expected = reference.out.get(&v).and_then(|adj| adj.get(w));
+                        assert_eq!(
+                            indexed.read_edge(EdgeId::new(v, w)),
+                            expected.cloned(),
+                            "{at}"
+                        );
+                    }
+                }
+                let hub_in = indexed.incoming.get(&VertexId(0));
+                let hub_out = indexed.out.get(&VertexId(0));
+                hub_promoted |= hub_in.is_some_and(|l| !l.is_inline())
+                    && hub_out.is_some_and(|l| !l.is_inline());
+            }
+        }
+        assert!(hub_promoted, "no stream pushed the hub past INLINE_CAP");
     }
 }

@@ -33,129 +33,38 @@
 //! shard crashes, and log entries below the cut are exactly the events
 //! submitted before the marker.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, Receiver, Sender};
+use crossbeam::channel::{bounded, Sender};
 use gt_core::prelude::*;
-use gt_graph::{ApplyPolicy, EvolvingGraph};
 use gt_metrics::hub::Counter;
 use gt_metrics::MetricsHub;
 use gt_sut::WorkerSupervisor;
-use gt_trace::{Probe, Stage, TracerCell};
-use parking_lot::{Mutex, RwLock};
+use gt_trace::TracerCell;
+use parking_lot::Mutex;
 
-use crate::store::{busy_work, shard_for, shard_for_key, StoreConfig, StoreStats, Transaction};
+use crate::shard::{ShardLog, ShardMsg, ShardPool, StoreSupervisor};
+use crate::store::{shard_for, shard_for_key, StoreClosed, StoreConfig, StoreStats, Transaction};
 
-/// A shard's committed write log: `(sequence number, event)` pairs in
-/// apply order.
-type ShardLog = Vec<(u64, SharedGraphEvent)>;
-
-/// What a shard thread returns: its slot and its log (empty for a crash).
-type ShardExit = (usize, ShardLog);
-
-/// Shared per-shard marker sightings: `(interned name, shard)` in
-/// processing order.
-type MarkerSightings = Arc<Mutex<Vec<(Arc<str>, usize)>>>;
-
-/// Work delivered to a shard's sequencer queue.
-enum ShardJob {
-    /// One transaction's slice for this shard, already sequence-stamped
-    /// by the router. The shard pays the ordering cost once per batch —
-    /// the "batched per-shard sequencer".
-    Batch(Vec<(u64, SharedGraphEvent)>),
-    /// A broadcast watermark; the optional channel acknowledges receipt
-    /// (the marker barrier). The name is interned: the per-shard fan-out
-    /// bumps a refcount instead of cloning a `String` per queue.
-    Marker(Arc<str>, Option<Sender<()>>),
-    ReadVertex(VertexId, Sender<Option<State>>),
-    ReadEdge(EdgeId, Sender<Option<State>>),
-    /// A simulated shard kill: discard state and log and exit.
-    Crash,
-    Stop,
-}
-
-/// The shard fabric: current senders (swapped on restart) + liveness.
-struct Fabric {
-    /// Write-locked only while a restart swaps a sender — which also
-    /// excludes the router, so recovery never interleaves with routing.
-    txs: RwLock<Vec<Sender<ShardJob>>>,
-    alive: Vec<AtomicBool>,
-}
-
-/// Fault/recovery counters registered on the store's hub under the same
-/// names the serial store uses, plus `store.marker_skips` for markers a
-/// dead shard never saw.
-#[derive(Clone)]
-struct Counters {
-    tx: Counter,
-    events: Counter,
-    crashes: Counter,
-    restarts: Counter,
-    events_lost: Counter,
-    events_replayed: Counter,
-    marker_skips: Counter,
-}
-
-impl Counters {
-    fn register(hub: &MetricsHub) -> Self {
-        Counters {
-            tx: hub.counter("store.tx"),
-            events: hub.counter("store.events"),
-            crashes: hub.counter("store.crashes"),
-            restarts: hub.counter("store.restarts"),
-            events_lost: hub.counter("store.events_lost"),
-            events_replayed: hub.counter("store.events_replayed"),
-            marker_skips: hub.counter("store.marker_skips"),
-        }
-    }
-}
-
-/// Shared internals of the sharded runtime.
+/// Shared internals of the sharded runtime: the shard pool plus the
+/// router's state.
 struct ShardedCore {
-    fabric: Arc<Fabric>,
-    handles: Mutex<Vec<JoinHandle<ShardExit>>>,
-    /// `(sequence, event)` — populated only in supervised mode.
-    retained: Mutex<Vec<(u64, SharedGraphEvent)>>,
+    /// The shards pay `timestamper_cost_per_tx` once per received batch —
+    /// the "batched per-shard sequencer".
+    pool: Arc<ShardPool>,
     /// The router's global event sequence: assigned at submit time,
     /// before any queue send, so it is crash-safe and (with a single
     /// connector) equals the serial store's commit order.
     global_seq: AtomicU64,
     /// Marker cuts in submission order: `(name, sequence at the cut)`.
     cuts: Mutex<Vec<(String, u64)>>,
-    /// Per-shard marker sightings: `(name, shard)` in processing order —
-    /// the shard contract's "exactly once per shard" witness.
-    shard_markers: MarkerSightings,
-    config: StoreConfig,
-    hub: MetricsHub,
-    tracer_cell: TracerCell,
-    /// Set by shutdown; blocks further restarts and submits.
-    stopping: AtomicBool,
-    counters: Counters,
-}
-
-impl ShardedCore {
-    fn spawn_shard(&self, shard_id: usize, rx: Receiver<ShardJob>) -> JoinHandle<ShardExit> {
-        let busy = self.hub.counter(&format!("shard-{shard_id}.busy_micros"));
-        let applied = self.hub.counter(&format!("shard-{shard_id}.events"));
-        let seq_cost = self.config.timestamper_cost_per_tx;
-        let write_cost = self.config.shard_cost_per_event;
-        let cell = self.tracer_cell.clone();
-        let fabric = Arc::clone(&self.fabric);
-        let crashes = self.counters.crashes.clone();
-        let markers = Arc::clone(&self.shard_markers);
-        std::thread::Builder::new()
-            .name(format!("tide-store-seq-{shard_id}"))
-            .spawn(move || {
-                shard_loop(
-                    shard_id, rx, seq_cost, write_cost, busy, applied, cell, fabric, crashes,
-                    markers,
-                )
-            })
-            .expect("spawn shard sequencer")
-    }
+    /// `store.tx` / `store.events`, as in the serial store.
+    tx: Counter,
+    events: Counter,
+    /// `store.marker_skips`: markers a dead shard never saw.
+    marker_skips: Counter,
 }
 
 /// The running sharded store.
@@ -164,8 +73,8 @@ pub struct ShardedStore {
 }
 
 /// A router client handle; cloneable. Each submit routes the
-/// transaction's events to their owner shards under the fabric's read
-/// lock, stamping each with the next global sequence number.
+/// transaction's events to their owner shards under the pool's routing
+/// guard, stamping each with the next global sequence number.
 #[derive(Clone)]
 pub struct ShardedClient {
     core: Arc<ShardedCore>,
@@ -177,39 +86,18 @@ impl ShardedStore {
     /// per *shard batch* by the owning shard's sequencer;
     /// `config.shard_cost_per_event` per event as in the serial store.
     /// Metrics are registered on `hub` under the serial store's names
-    /// (`store.tx`, `store.events`, `shard-N.busy_micros`, …).
+    /// (`store.tx`, `store.events`, `shard-N.busy_micros`, …) plus
+    /// `store.marker_skips`.
     pub fn start(config: StoreConfig, hub: &MetricsHub) -> Self {
-        assert!(config.shards >= 1, "at least one shard required");
-        let mut txs: Vec<Sender<ShardJob>> = Vec::with_capacity(config.shards);
-        let mut rxs: Vec<Receiver<ShardJob>> = Vec::with_capacity(config.shards);
-        for _ in 0..config.shards {
-            let (tx, rx) = bounded::<ShardJob>(config.queue_capacity);
-            txs.push(tx);
-            rxs.push(rx);
-        }
-        let fabric = Arc::new(Fabric {
-            txs: RwLock::new(txs),
-            alive: (0..config.shards).map(|_| AtomicBool::new(true)).collect(),
-        });
+        let batch_cost = config.timestamper_cost_per_tx;
         let core = Arc::new(ShardedCore {
-            fabric,
-            handles: Mutex::new(Vec::with_capacity(config.shards)),
-            retained: Mutex::new(Vec::new()),
+            pool: ShardPool::start(config, batch_cost, hub),
             global_seq: AtomicU64::new(0),
             cuts: Mutex::new(Vec::new()),
-            shard_markers: Arc::new(Mutex::new(Vec::new())),
-            config,
-            hub: hub.clone(),
-            tracer_cell: TracerCell::new(),
-            stopping: AtomicBool::new(false),
-            counters: Counters::register(hub),
+            tx: hub.counter("store.tx"),
+            events: hub.counter("store.events"),
+            marker_skips: hub.counter("store.marker_skips"),
         });
-        {
-            let mut handles = core.handles.lock();
-            for (shard_id, rx) in rxs.into_iter().enumerate() {
-                handles.push(core.spawn_shard(shard_id, rx));
-            }
-        }
         ShardedStore { core }
     }
 
@@ -223,14 +111,12 @@ impl ShardedStore {
     /// The tracer slot shared with the shard threads (apply stamps are
     /// keyed by global sequence number, as in the serial store).
     pub fn tracer_cell(&self) -> &TracerCell {
-        &self.core.tracer_cell
+        &self.core.pool.tracer_cell
     }
 
     /// The store's crash/restart control surface, for chaos runs.
     pub fn supervisor(&self) -> Arc<dyn WorkerSupervisor> {
-        Arc::new(ShardedSupervisor {
-            core: Arc::clone(&self.core),
-        })
+        Arc::new(StoreSupervisor(Arc::clone(&self.core.pool)))
     }
 
     /// Events routed (sequenced) so far.
@@ -238,43 +124,18 @@ impl ShardedStore {
         self.core.global_seq.load(Ordering::SeqCst)
     }
 
-    /// Sum of the live shards' queue lengths.
-    pub fn total_queue_len(&self) -> usize {
-        let txs = self.core.fabric.txs.read();
-        txs.iter()
-            .enumerate()
-            .filter(|(s, _)| self.core.fabric.alive[*s].load(Ordering::SeqCst))
-            .map(|(_, tx)| tx.len())
-            .sum()
-    }
-
-    /// Blocks until all live shard queues are empty and the applied-event
-    /// count is stable across two polls, or the timeout elapses.
+    /// Blocks until every live shard has applied every event routed to it
+    /// before the call, or the timeout elapses (routing happens on the
+    /// submitting thread, so there is no ingestion stage to wait for).
     pub fn quiesce(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        let mut last_applied = u64::MAX;
-        loop {
-            let queue = self.total_queue_len();
-            let applied: u64 = (0..self.core.config.shards)
-                .map(|s| self.core.hub.counter(&format!("shard-{s}.events")).get())
-                .sum();
-            if queue == 0 && applied == last_applied {
-                return true;
-            }
-            last_applied = applied;
-            if Instant::now() > deadline {
-                return false;
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
+        self.core.pool.quiesce(timeout, || true)
     }
 
     /// Per-shard marker sightings so far: `(name, shard)` in processing
     /// order.
     pub fn shard_markers(&self) -> Vec<(String, usize)> {
-        self.core
-            .shard_markers
-            .lock()
+        let sightings = self.core.pool.shard_markers.lock();
+        sightings
             .iter()
             .map(|(name, shard)| (name.to_string(), *shard))
             .collect()
@@ -284,58 +145,20 @@ impl ShardedStore {
     /// global sequence number into the committed graph — the same
     /// reconstruction the serial store performs over commit timestamps.
     pub fn shutdown(self) -> ShardedStats {
-        self.core.stopping.store(true, Ordering::SeqCst);
-        {
-            let txs = self.core.fabric.txs.read();
-            for tx in txs.iter() {
-                let _ = tx.send(ShardJob::Stop);
-            }
+        let core = &self.core;
+        let logs = core.pool.join();
+        // A restarted slot appends to its dead thread's (empty) list,
+        // which keeps the rebuilt order.
+        let mut per_shard_seqs: Vec<Vec<u64>> = vec![Vec::new(); core.pool.config.shards];
+        for (shard, log) in &logs {
+            per_shard_seqs[*shard].extend(log.iter().map(|(seq, _)| *seq));
         }
-        let handles: Vec<JoinHandle<ShardExit>> = {
-            let mut guard = self.core.handles.lock();
-            guard.drain(..).collect()
-        };
-        let mut per_shard_seqs: Vec<Vec<u64>> = vec![Vec::new(); self.core.config.shards];
-        let mut all: Vec<(u64, SharedGraphEvent)> = Vec::new();
-        for handle in handles {
-            match handle.join() {
-                Ok((shard_id, log)) => {
-                    // A restarted slot joins twice (dead thread first, with
-                    // an empty log); appending keeps the rebuilt order.
-                    per_shard_seqs[shard_id].extend(log.iter().map(|(seq, _)| *seq));
-                    all.extend(log);
-                }
-                Err(_) => self.core.counters.crashes.inc(),
-            }
-        }
-        all.sort_by_key(|(seq, _)| *seq);
-        let mut graph = EvolvingGraph::new();
-        let mut events = 0u64;
-        for (_, event) in &all {
-            let _ = graph.apply_with(event.event(), ApplyPolicy::Lenient);
-            events += 1;
-        }
+        let cuts = std::mem::take(&mut *core.cuts.lock());
         ShardedStats {
-            store: StoreStats {
-                transactions: self.core.counters.tx.get(),
-                events,
-                graph,
-                crashes: self.core.counters.crashes.get(),
-                restarts: self.core.counters.restarts.get(),
-                events_lost: self.core.counters.events_lost.get(),
-                events_replayed: self.core.counters.events_replayed.get(),
-                markers: std::mem::take(&mut *self.core.cuts.lock()),
-                log: all,
-            },
+            store: core.pool.stats(core.tx.get(), cuts, logs),
             per_shard_seqs,
-            shard_markers: self
-                .core
-                .shard_markers
-                .lock()
-                .drain(..)
-                .map(|(name, shard)| (name.to_string(), shard))
-                .collect(),
-            marker_skips: self.core.counters.marker_skips.get(),
+            shard_markers: self.shard_markers(),
+            marker_skips: core.marker_skips.get(),
         }
     }
 }
@@ -364,23 +187,20 @@ impl ShardedClient {
     /// shard's queue is full (per-shard backpressure); events owed to a
     /// dead shard are counted lost, exactly like the serial store.
     pub fn submit(&self, transaction: Transaction) -> Result<(), Transaction> {
-        if self.core.stopping.load(Ordering::SeqCst) {
+        let pool = &self.core.pool;
+        if pool.stopping.load(Ordering::SeqCst) {
             return Err(transaction);
         }
-        // Holding the read lock across sequencing *and* delivery means a
-        // restart (write lock) can never observe a half-routed
-        // transaction, and the retained log never misses an in-flight
-        // event.
-        let txs = self.core.fabric.txs.read();
-        let shards = txs.len() as u64;
-        let supervised = self.core.config.supervised;
-        let mut slices: Vec<Vec<(u64, SharedGraphEvent)>> = vec![Vec::new(); txs.len()];
+        let routes = pool.routes();
+        let shards = routes.len();
+        let supervised = pool.config.supervised;
+        let mut slices: Vec<ShardLog> = vec![Vec::new(); shards];
         for event in transaction.events {
             let seq = self.core.global_seq.fetch_add(1, Ordering::SeqCst);
             if supervised {
-                self.core.retained.lock().push((seq, event.clone()));
+                pool.retained.lock().push((seq, event.clone()));
             }
-            let shard = shard_for(event.event(), shards) as usize;
+            let shard = shard_for(event.event(), shards as u64) as usize;
             slices[shard].push((seq, event));
         }
         for (shard, slice) in slices.into_iter().enumerate() {
@@ -388,13 +208,13 @@ impl ShardedClient {
                 continue;
             }
             let n = slice.len() as u64;
-            if txs[shard].send(ShardJob::Batch(slice)).is_err() {
-                self.core.counters.events_lost.add(n);
+            if pool.post(&routes, shard, slice) {
+                self.core.events.add(n);
             } else {
-                self.core.counters.events.add(n);
+                pool.counters.events_lost.add(n);
             }
         }
-        self.core.counters.tx.inc();
+        self.core.tx.inc();
         Ok(())
     }
 
@@ -410,7 +230,7 @@ impl ShardedClient {
     /// shard that received the marker has processed it — the marker
     /// barrier. Returns the number of acknowledgements received.
     pub fn marker_barrier(&self, name: &str, timeout: Duration) -> usize {
-        let (ack_tx, ack_rx) = bounded::<()>(self.core.config.shards);
+        let (ack_tx, ack_rx) = bounded::<()>(self.core.pool.config.shards);
         let sent = self.marker_with(name, Some(ack_tx));
         let deadline = Instant::now() + timeout;
         let mut acked = 0usize;
@@ -431,178 +251,45 @@ impl ShardedClient {
         self.core.cuts.lock().push((name.to_owned(), cut));
         // Intern once; the per-shard fan-out clones refcounts, not Strings.
         let name = gt_core::intern::intern(name);
-        let txs = self.core.fabric.txs.read();
         let mut reached = 0usize;
-        for tx in txs.iter() {
+        for tx in self.core.pool.routes().iter() {
             if tx
-                .send(ShardJob::Marker(Arc::clone(&name), ack.clone()))
+                .send(ShardMsg::Marker(Arc::clone(&name), ack.clone()))
                 .is_ok()
             {
                 reached += 1;
             } else {
-                self.core.counters.marker_skips.inc();
+                self.core.marker_skips.inc();
             }
         }
         reached
     }
 
-    /// Reads a vertex's current state from its owner shard, ordered
-    /// behind every write this client routed to that shard before.
-    pub fn read_vertex(&self, id: VertexId) -> Result<Option<State>, crate::store::StoreClosed> {
+    /// Sends a read to the owner of `key` and waits for the reply.
+    fn read(
+        &self,
+        key: u64,
+        msg: impl FnOnce(Sender<Option<State>>) -> ShardMsg,
+    ) -> Result<Option<State>, StoreClosed> {
         let (reply_tx, reply_rx) = bounded(1);
         {
-            let txs = self.core.fabric.txs.read();
-            let shard = shard_for_key(id.0, txs.len() as u64) as usize;
-            txs[shard]
-                .send(ShardJob::ReadVertex(id, reply_tx))
-                .map_err(|_| crate::store::StoreClosed)?;
+            let routes = self.core.pool.routes();
+            let shard = shard_for_key(key, routes.len() as u64) as usize;
+            routes[shard].send(msg(reply_tx)).map_err(|_| StoreClosed)?;
         }
-        reply_rx.recv().map_err(|_| crate::store::StoreClosed)
+        reply_rx.recv().map_err(|_| StoreClosed)
+    }
+
+    /// Reads a vertex's current state from its owner shard, ordered
+    /// behind every write this client routed to that shard before.
+    pub fn read_vertex(&self, id: VertexId) -> Result<Option<State>, StoreClosed> {
+        self.read(id.0, |reply| ShardMsg::ReadVertex(id, reply))
     }
 
     /// Reads an edge's current state from the shard owning its source.
-    pub fn read_edge(&self, id: EdgeId) -> Result<Option<State>, crate::store::StoreClosed> {
-        let (reply_tx, reply_rx) = bounded(1);
-        {
-            let txs = self.core.fabric.txs.read();
-            let shard = shard_for_key(id.src.0, txs.len() as u64) as usize;
-            txs[shard]
-                .send(ShardJob::ReadEdge(id, reply_tx))
-                .map_err(|_| crate::store::StoreClosed)?;
-        }
-        reply_rx.recv().map_err(|_| crate::store::StoreClosed)
+    pub fn read_edge(&self, id: EdgeId) -> Result<Option<State>, StoreClosed> {
+        self.read(id.src.0, |reply| ShardMsg::ReadEdge(id, reply))
     }
-}
-
-/// The sharded store's [`WorkerSupervisor`]: kills and resurrects
-/// individual shard sequencers.
-pub struct ShardedSupervisor {
-    core: Arc<ShardedCore>,
-}
-
-impl WorkerSupervisor for ShardedSupervisor {
-    fn worker_count(&self) -> usize {
-        self.core.config.shards
-    }
-
-    fn inject_crash(&self, worker: usize) -> bool {
-        if worker >= self.core.config.shards
-            || self.core.stopping.load(Ordering::SeqCst)
-            || !self.core.fabric.alive[worker].load(Ordering::SeqCst)
-        {
-            return false;
-        }
-        let txs = self.core.fabric.txs.read();
-        txs[worker].send(ShardJob::Crash).is_ok()
-    }
-
-    /// Restarts a crashed shard (supervised mode only): with routing
-    /// write-locked out, spawns a fresh sequencer and replays its share
-    /// of the retained log — sorted by sequence number, so the rebuilt
-    /// shard log keeps the per-partition total order.
-    fn restart_worker(&self, worker: usize) -> bool {
-        let config = &self.core.config;
-        if worker >= config.shards || !config.supervised {
-            return false;
-        }
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while self.core.fabric.alive[worker].load(Ordering::SeqCst) {
-            if Instant::now() > deadline || self.core.stopping.load(Ordering::SeqCst) {
-                return false;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-
-        let mut txs = self.core.fabric.txs.write();
-        if self.core.stopping.load(Ordering::SeqCst) {
-            return false;
-        }
-        let (tx, rx) = bounded::<ShardJob>(config.queue_capacity);
-        // Spawn first so the bounded queue drains while replay fills it.
-        let handle = self.core.spawn_shard(worker, rx);
-        let shards = config.shards as u64;
-        let mut replay: Vec<(u64, SharedGraphEvent)> = {
-            let retained = self.core.retained.lock();
-            retained
-                .iter()
-                .filter(|(_, event)| shard_for(event.event(), shards) == worker as u64)
-                .cloned()
-                .collect()
-        };
-        replay.sort_by_key(|(seq, _)| *seq);
-        let replayed = replay.len() as u64;
-        for chunk in replay.chunks(64) {
-            let _ = tx.send(ShardJob::Batch(chunk.to_vec()));
-        }
-        txs[worker] = tx;
-        self.core.fabric.alive[worker].store(true, Ordering::SeqCst);
-        self.core.handles.lock().push(handle);
-        self.core.counters.restarts.inc();
-        self.core.counters.events_replayed.add(replayed);
-        true
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn shard_loop(
-    shard_id: usize,
-    rx: Receiver<ShardJob>,
-    seq_cost: Duration,
-    write_cost: Duration,
-    busy: Counter,
-    applied: Counter,
-    tracer_cell: TracerCell,
-    fabric: Arc<Fabric>,
-    crashes: Counter,
-    markers: MarkerSightings,
-) -> ShardExit {
-    let mut log: ShardLog = Vec::new();
-    let mut trace_probe: Option<Probe> = None;
-    // Partition-local read state (hybrid adjacency, lenient apply — see
-    // `partition.rs`; the merged reconstruction at shutdown is
-    // authoritative).
-    let mut state = crate::partition::PartitionState::new();
-    while let Ok(job) = rx.recv() {
-        match job {
-            ShardJob::Batch(batch) => {
-                let start = Instant::now();
-                // The per-shard sequencer: ordering cost once per batch.
-                busy_work(seq_cost);
-                for (seq, event) in batch {
-                    busy_work(write_cost);
-                    state.apply(event.event());
-                    log.push((seq, event));
-                    applied.inc();
-                    if trace_probe.is_none() {
-                        trace_probe = tracer_cell.probe(Stage::EngineApply);
-                    }
-                    if let Some(probe) = &trace_probe {
-                        probe.stamp_seq(seq);
-                    }
-                }
-                busy.add(start.elapsed().as_micros() as u64);
-            }
-            ShardJob::Marker(name, ack) => {
-                markers.lock().push((name, shard_id));
-                if let Some(ack) = ack {
-                    let _ = ack.send(());
-                }
-            }
-            ShardJob::ReadVertex(id, reply) => {
-                let _ = reply.send(state.read_vertex(id));
-            }
-            ShardJob::ReadEdge(id, reply) => {
-                let _ = reply.send(state.read_edge(id));
-            }
-            ShardJob::Crash => {
-                fabric.alive[shard_id].store(false, Ordering::SeqCst);
-                crashes.inc();
-                return (shard_id, Vec::new());
-            }
-            ShardJob::Stop => break,
-        }
-    }
-    (shard_id, log)
 }
 
 #[cfg(test)]

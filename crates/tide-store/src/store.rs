@@ -1,33 +1,42 @@
 //! The store runtime: client → timestamper → shards.
 //!
+//! A transaction's events travel as [`SharedGraphEvent`] handles from the
+//! connector through the timestamper into the shard logs *and* the shard
+//! state — no per-event payload copies anywhere on the path. The
+//! timestamper hands each shard its share of a transaction as one queue
+//! message (see [`crate::shard`] for the shard side, which the sharded
+//! runtime shares).
+//!
 //! # Crash containment and supervised recovery
 //!
-//! Shards are *crash-containable*: a [`ShardMsg::Crash`] delivered through
+//! Shards are *crash-containable*: a crash message delivered through
 //! the store's [`gt_sut::WorkerSupervisor`] (see [`TideStore::supervisor`])
 //! makes the shard discard its state and log and exit, like a killed
 //! process. The timestamper keeps sequencing — events routed to a dead
-//! shard are counted as lost (`store.events_lost`) instead of silently
-//! ending the run (which is what the old early-return did), reads routed
-//! to a dead shard fail with [`StoreClosed`] rather than hanging, and
-//! shutdown joins dead shards tolerantly. In *supervised* mode
+//! shard, and the backlog a dying shard abandons, are counted as lost
+//! (`store.events_lost`, by event) instead of silently ending the run,
+//! reads routed to a dead shard fail with [`StoreClosed`] rather than
+//! hanging, and shutdown joins dead shards tolerantly. In *supervised* mode
 //! ([`StoreConfig::supervised`]) the timestamper additionally retains
 //! every committed `(timestamp, event)` pair, so a crashed shard can be
 //! restarted and rebuilt by replaying its share of the retained log with
 //! the original timestamps.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, Receiver, Sender};
 use gt_core::prelude::*;
-use gt_graph::{ApplyPolicy, EvolvingGraph};
+use gt_graph::EvolvingGraph;
 use gt_metrics::hub::{Counter, Gauge};
 use gt_metrics::MetricsHub;
 use gt_sut::WorkerSupervisor;
-use gt_trace::{Probe, Stage, TracerCell};
-use parking_lot::{Mutex, RwLock};
+use gt_trace::TracerCell;
+use parking_lot::Mutex;
+
+use crate::shard::{busy_work, ShardLog, ShardMsg, ShardPool, StoreSupervisor};
 
 /// Store configuration.
 ///
@@ -44,8 +53,10 @@ pub struct StoreConfig {
     pub timestamper_cost_per_tx: Duration,
     /// Simulated write cost per event at a shard.
     pub shard_cost_per_event: Duration,
-    /// Capacity of the client→timestamper and timestamper→shard queues;
-    /// full queues backpressure the sender (the paper's "backthrottling").
+    /// Capacity of the client→timestamper queue (in transactions) and of
+    /// each timestamper→shard queue (in transaction shares: one slot holds
+    /// the events of one transaction owed to that shard); full queues
+    /// backpressure the sender (the paper's "backthrottling").
     pub queue_capacity: usize,
     /// Retain every committed `(timestamp, event)` pair so crashed shards
     /// can be restarted with their state rebuilt by replay (the
@@ -71,7 +82,8 @@ impl Default for StoreConfig {
 ///
 /// Events are carried as [`SharedGraphEvent`] handles: a transaction built
 /// from the batched connector path shares the replayer's allocations all
-/// the way into the shard logs — no per-event payload copies.
+/// the way into the shard logs and the shard state — no per-event payload
+/// copies.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Transaction {
     /// The events of the transaction, applied in order.
@@ -116,28 +128,37 @@ enum ClientMsg {
 #[derive(Clone)]
 pub struct StoreClient {
     tx: Sender<ClientMsg>,
+    /// Transactions submitted but not yet routed to their shards; advanced
+    /// before the send so [`TideStore::quiesce`] never sees the ingestion
+    /// stage idle with a transaction inside it.
+    unsequenced: Arc<AtomicU64>,
 }
 
 impl StoreClient {
     /// Submits a transaction, blocking while the ingestion queue is full.
     /// Errors when the store has shut down.
     pub fn submit(&self, transaction: Transaction) -> Result<(), Transaction> {
+        self.unsequenced.fetch_add(1, Ordering::SeqCst);
         self.tx
             .send(ClientMsg::Tx(transaction))
-            .map_err(|e| match e.0 {
-                ClientMsg::Tx(tx) => tx,
-                _ => unreachable!("clients only send transactions"),
-            })
+            .map_err(|e| self.refused(e.0))
     }
 
     /// Non-blocking submit; returns the transaction back on a full queue.
     pub fn try_submit(&self, transaction: Transaction) -> Result<(), Transaction> {
+        self.unsequenced.fetch_add(1, Ordering::SeqCst);
         self.tx
             .try_send(ClientMsg::Tx(transaction))
-            .map_err(|e| match e.into_inner() {
-                ClientMsg::Tx(tx) => tx,
-                _ => unreachable!("clients only send transactions"),
-            })
+            .map_err(|e| self.refused(e.into_inner()))
+    }
+
+    /// Takes a transaction the ingestion queue refused off the account.
+    fn refused(&self, msg: ClientMsg) -> Transaction {
+        self.unsequenced.fetch_sub(1, Ordering::SeqCst);
+        match msg {
+            ClientMsg::Tx(tx) => tx,
+            _ => unreachable!("clients only send transactions"),
+        }
     }
 
     /// Reads a vertex's current state as a transaction: the read is
@@ -192,7 +213,9 @@ pub struct StoreStats {
     /// Transactions committed.
     pub transactions: u64,
     /// Events applied across all shards (merged log entries; a crashed,
-    /// un-restarted shard's events are missing here).
+    /// un-restarted shard's events are missing here). Counted by event:
+    /// a transaction's share that a dead shard refused or abandoned adds
+    /// its length to `events_lost`, not one per queue message.
     pub events: u64,
     /// The reconstructed graph (all shard logs merged in timestamp order).
     pub graph: EvolvingGraph,
@@ -200,7 +223,8 @@ pub struct StoreStats {
     pub crashes: u64,
     /// Supervised shard restarts.
     pub restarts: u64,
-    /// Events that could not be delivered because their shard was dead.
+    /// Events that could not be delivered because their shard was dead,
+    /// plus those a crashing shard left unapplied on its queue.
     pub events_lost: u64,
     /// Events re-enqueued from the retained log on restarts.
     pub events_replayed: u64,
@@ -214,110 +238,17 @@ pub struct StoreStats {
     pub log: Vec<(u64, SharedGraphEvent)>,
 }
 
-enum ShardMsg {
-    Apply(u64, SharedGraphEvent),
-    ReadVertex(VertexId, Sender<Option<State>>),
-    ReadEdge(EdgeId, Sender<Option<State>>),
-    /// A simulated shard kill: discard state and log and exit immediately,
-    /// as if the process died. Queued like any message, so the crash lands
-    /// at a deterministic position in the shard's message stream.
-    Crash,
-    Stop,
-}
-
-/// A shard's committed write log: `(timestamp, event)` pairs.
-type ShardLog = Vec<(u64, SharedGraphEvent)>;
-
-/// The retained commit log for supervised replay.
-type Retained = Arc<Mutex<Vec<(u64, SharedGraphEvent)>>>;
-
-/// The shard fabric shared by the timestamper, the shards themselves, and
-/// the supervisor: the current sender of every shard slot (swapped on
-/// restart, hence the lock) plus a liveness flag per slot.
-struct ShardFabric {
-    /// Write-locked only while a restart swaps a sender — which also
-    /// excludes the timestamper's routing, so recovery never interleaves
-    /// with the commit order.
-    txs: RwLock<Vec<Sender<ShardMsg>>>,
-    alive: Vec<AtomicBool>,
-}
-
-/// Counters describing fault/recovery activity, registered on the store's
-/// hub (`store.crashes`, `store.restarts`, `store.events_lost`,
-/// `store.events_replayed`).
-#[derive(Clone)]
-struct FaultCounters {
-    crashes: Counter,
-    restarts: Counter,
-    events_lost: Counter,
-    events_replayed: Counter,
-}
-
-impl FaultCounters {
-    fn register(hub: &MetricsHub) -> Self {
-        FaultCounters {
-            crashes: hub.counter("store.crashes"),
-            restarts: hub.counter("store.restarts"),
-            events_lost: hub.counter("store.events_lost"),
-            events_replayed: hub.counter("store.events_replayed"),
-        }
-    }
-}
-
-/// Everything a supervisor needs to kill and resurrect shards; shared
-/// between the [`TideStore`] handle and [`StoreSupervisor`] clones.
-struct StoreCore {
-    fabric: Arc<ShardFabric>,
-    handles: Mutex<Vec<JoinHandle<ShardLog>>>,
-    retained: Retained,
-    config: StoreConfig,
-    hub: MetricsHub,
-    tracer_cell: TracerCell,
-    /// Set by shutdown; blocks further restarts.
-    stopping: AtomicBool,
-    counters: FaultCounters,
-}
-
-impl StoreCore {
-    /// Spawns (or respawns) the shard for a slot, consuming the receiver
-    /// side of its fresh queue. Hub metrics are looked up by name, so a
-    /// restarted shard keeps accumulating on the same series.
-    fn spawn_shard(&self, shard_id: usize, rx: Receiver<ShardMsg>) -> JoinHandle<ShardLog> {
-        let busy = self.hub.counter(&format!("shard-{shard_id}.busy_micros"));
-        let applied = self.hub.counter(&format!("shard-{shard_id}.events"));
-        let cost = self.config.shard_cost_per_event;
-        let cell = self.tracer_cell.clone();
-        let fabric = Arc::clone(&self.fabric);
-        let crashes = self.counters.crashes.clone();
-        std::thread::Builder::new()
-            .name(format!("tide-store-shard-{shard_id}"))
-            .spawn(move || shard_loop(shard_id, rx, cost, busy, applied, cell, fabric, crashes))
-            .expect("spawn shard")
-    }
-}
-
 /// The running store.
 pub struct TideStore {
     client_tx: Option<Sender<ClientMsg>>,
+    /// Shared with every [`StoreClient`] and the timestamper.
+    unsequenced: Arc<AtomicU64>,
     timestamper: Option<JoinHandle<u64>>,
-    core: Arc<StoreCore>,
+    pool: Arc<ShardPool>,
     events_counter: Counter,
     tx_counter: Counter,
     /// Marker cuts recorded by the timestamper: `(name, commit ts)`.
     marker_cuts: Arc<Mutex<Vec<(String, u64)>>>,
-}
-
-/// Burns CPU for the given duration (simulated component work). Spinning —
-/// not sleeping — so the busy time is real CPU time that a Level-0
-/// process sampler can observe.
-pub(crate) fn busy_work(cost: Duration) {
-    if cost.is_zero() {
-        return;
-    }
-    let end = Instant::now() + cost;
-    while Instant::now() < end {
-        std::hint::spin_loop();
-    }
 }
 
 impl TideStore {
@@ -331,71 +262,34 @@ impl TideStore {
     /// * `store.crashes` / `store.restarts` / `store.events_lost` /
     ///   `store.events_replayed` — fault and recovery activity.
     pub fn start(config: StoreConfig, hub: &MetricsHub) -> Self {
-        assert!(config.shards >= 1, "at least one shard required");
         let (client_tx, client_rx) = bounded::<ClientMsg>(config.queue_capacity);
-        let tracer_cell = TracerCell::new();
-
-        let mut shard_txs: Vec<Sender<ShardMsg>> = Vec::with_capacity(config.shards);
-        let mut shard_rxs: Vec<Receiver<ShardMsg>> = Vec::with_capacity(config.shards);
-        for _ in 0..config.shards {
-            let (tx, rx) = bounded::<ShardMsg>(config.queue_capacity);
-            shard_txs.push(tx);
-            shard_rxs.push(rx);
-        }
-        let fabric = Arc::new(ShardFabric {
-            txs: RwLock::new(shard_txs),
-            alive: (0..config.shards).map(|_| AtomicBool::new(true)).collect(),
-        });
-        let core = Arc::new(StoreCore {
-            fabric: Arc::clone(&fabric),
-            handles: Mutex::new(Vec::with_capacity(config.shards)),
-            retained: Arc::new(Mutex::new(Vec::new())),
-            config: config.clone(),
-            hub: hub.clone(),
-            tracer_cell: tracer_cell.clone(),
-            stopping: AtomicBool::new(false),
-            counters: FaultCounters::register(hub),
-        });
-        {
-            let mut handles = core.handles.lock();
-            for (shard_id, rx) in shard_rxs.into_iter().enumerate() {
-                handles.push(core.spawn_shard(shard_id, rx));
-            }
-        }
-
+        // The timestamper pays for ordering; its shards pay per event only.
+        let pool = ShardPool::start(config.clone(), Duration::ZERO, hub);
         let events_counter = hub.counter("store.events");
         let tx_counter = hub.counter("store.tx");
-        let ts_busy = hub.counter("timestamper.busy_micros");
-        let ts_queue = hub.gauge("timestamper.queue");
-        let ts_cost = config.timestamper_cost_per_tx;
-        let events_counter_t = events_counter.clone();
-        let tx_counter_t = tx_counter.clone();
-        let retained = config.supervised.then(|| Arc::clone(&core.retained));
-        let events_lost = core.counters.events_lost.clone();
+        let unsequenced = Arc::new(AtomicU64::new(0));
         let marker_cuts: Arc<Mutex<Vec<(String, u64)>>> = Arc::new(Mutex::new(Vec::new()));
-        let marker_cuts_t = Arc::clone(&marker_cuts);
+        let timestamper = Timestamper {
+            client_rx,
+            pool: Arc::clone(&pool),
+            cost: config.timestamper_cost_per_tx,
+            busy: hub.counter("timestamper.busy_micros"),
+            queue: hub.gauge("timestamper.queue"),
+            unsequenced: Arc::clone(&unsequenced),
+            tx_counter: tx_counter.clone(),
+            events_counter: events_counter.clone(),
+            marker_cuts: Arc::clone(&marker_cuts),
+        };
         let timestamper = std::thread::Builder::new()
             .name("tide-store-timestamper".into())
-            .spawn(move || {
-                timestamper_loop(
-                    client_rx,
-                    fabric,
-                    retained,
-                    ts_cost,
-                    ts_busy,
-                    ts_queue,
-                    tx_counter_t,
-                    events_counter_t,
-                    events_lost,
-                    marker_cuts_t,
-                )
-            })
+            .spawn(move || timestamper.run())
             .expect("spawn timestamper");
 
         TideStore {
             client_tx: Some(client_tx),
+            unsequenced,
             timestamper: Some(timestamper),
-            core,
+            pool,
             events_counter,
             tx_counter,
             marker_cuts,
@@ -404,20 +298,19 @@ impl TideStore {
 
     /// The tracer slot shared with the shard threads. Installing a
     /// [`gt_trace::Tracer`] here makes every shard stamp applied events
-    /// at [`Stage::EngineApply`], keyed by their global commit timestamp
-    /// — which equals the event's global stream position, so the stamps
-    /// match the replayer-side stages without any event metadata.
+    /// at [`gt_trace::Stage::EngineApply`], keyed by their global commit
+    /// timestamp — which equals the event's global stream position, so
+    /// the stamps match the replayer-side stages without any event
+    /// metadata.
     pub fn tracer_cell(&self) -> &TracerCell {
-        &self.core.tracer_cell
+        &self.pool.tracer_cell
     }
 
     /// The store's crash/restart control surface, for chaos runs. The
     /// handle shares the store's internals (not the store itself), so it
     /// stays valid until shutdown.
     pub fn supervisor(&self) -> Arc<dyn WorkerSupervisor> {
-        Arc::new(StoreSupervisor {
-            core: Arc::clone(&self.core),
-        })
+        Arc::new(StoreSupervisor(Arc::clone(&self.pool)))
     }
 
     /// A new client handle.
@@ -428,6 +321,7 @@ impl TideStore {
                 .as_ref()
                 .expect("store not shut down")
                 .clone(),
+            unsequenced: Arc::clone(&self.unsequenced),
         }
     }
 
@@ -441,6 +335,16 @@ impl TideStore {
         self.tx_counter.get()
     }
 
+    /// Blocks until every transaction submitted before the call has been
+    /// *applied* — the ingestion queue is empty, the timestamper is
+    /// between transactions, and every live shard has applied every event
+    /// enqueued to it — or the timeout elapses. A dead shard's backlog is
+    /// lost, not pending, so it does not hold the wait.
+    pub fn quiesce(&self, timeout: Duration) -> bool {
+        self.pool
+            .quiesce(timeout, || self.unsequenced.load(Ordering::SeqCst) == 0)
+    }
+
     /// Stops ingestion, drains all queues, joins all threads, and
     /// reconstructs the committed graph from the shard logs.
     ///
@@ -451,7 +355,7 @@ impl TideStore {
     /// and a shard that *panicked* is contained and counted as a crash
     /// instead of poisoning the run.
     pub fn shutdown(mut self) -> StoreStats {
-        self.core.stopping.store(true, Ordering::SeqCst);
+        self.pool.stopping.store(true, Ordering::SeqCst);
         let client_tx = self.client_tx.take().expect("not yet shut down");
         // A sentinel (not channel disconnect) ends the timestamper, so
         // shutdown completes even while client clones are still alive.
@@ -463,269 +367,128 @@ impl TideStore {
             // live-counter value standing in for the return.
             Err(_) => self.tx_counter.get(),
         };
-        // The timestamper sends Stop on its normal exit; repeat here so a
-        // panicked timestamper cannot leave the shards running (the
-        // duplicate is harmless — a stopped shard's channel rejects it).
-        {
-            let txs = self.core.fabric.txs.read();
-            for tx in txs.iter() {
-                let _ = tx.send(ShardMsg::Stop);
-            }
-        }
-        let handles: Vec<JoinHandle<ShardLog>> = {
-            let mut guard = self.core.handles.lock();
-            guard.drain(..).collect()
-        };
-        let mut all: Vec<(u64, SharedGraphEvent)> = Vec::new();
-        for handle in handles {
-            match handle.join() {
-                Ok(log) => all.extend(log),
-                // Contained panic: the run survives, the death is counted.
-                Err(_) => self.core.counters.crashes.inc(),
-            }
-        }
-        all.sort_by_key(|(ts, _)| *ts);
-        let mut graph = EvolvingGraph::new();
-        let mut events = 0u64;
-        for (_, event) in &all {
-            let _ = graph.apply_with(event.event(), ApplyPolicy::Lenient);
-            events += 1;
-        }
-        StoreStats {
-            transactions,
-            events,
-            graph,
-            crashes: self.core.counters.crashes.get(),
-            restarts: self.core.counters.restarts.get(),
-            events_lost: self.core.counters.events_lost.get(),
-            events_replayed: self.core.counters.events_replayed.get(),
-            markers: std::mem::take(&mut *self.marker_cuts.lock()),
-            log: all,
-        }
+        // The timestamper stops the shards on its normal exit; the pool
+        // repeats it, so a panicked timestamper cannot leave them running
+        // (the duplicate is harmless — a stopped shard's channel rejects
+        // it).
+        let markers = std::mem::take(&mut *self.marker_cuts.lock());
+        self.pool.stats(transactions, markers, self.pool.join())
     }
 }
 
-/// The store's [`WorkerSupervisor`]: kills and resurrects individual
-/// shards. Obtained from [`TideStore::supervisor`].
-pub struct StoreSupervisor {
-    core: Arc<StoreCore>,
-}
-
-impl WorkerSupervisor for StoreSupervisor {
-    fn worker_count(&self) -> usize {
-        self.core.config.shards
-    }
-
-    /// Enqueues a crash on the shard's queue. The kill lands behind the
-    /// shard's current backlog — a deterministic position in its message
-    /// stream — and the shard then discards its state and log and exits.
-    fn inject_crash(&self, worker: usize) -> bool {
-        if worker >= self.core.config.shards
-            || self.core.stopping.load(Ordering::SeqCst)
-            || !self.core.fabric.alive[worker].load(Ordering::SeqCst)
-        {
-            return false;
-        }
-        let txs = self.core.fabric.txs.read();
-        txs[worker].send(ShardMsg::Crash).is_ok()
-    }
-
-    /// Restarts a crashed shard (supervised mode only): waits briefly for
-    /// the crash to land, then — with the timestamper's routing
-    /// write-locked out — spawns a fresh shard and replays its share of
-    /// the retained commit log (original timestamps) into its new queue.
-    fn restart_worker(&self, worker: usize) -> bool {
-        let config = &self.core.config;
-        if worker >= config.shards || !config.supervised {
-            return false;
-        }
-        // The crash message travels through the shard's backlog; give it
-        // time to land before declaring the restart impossible.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while self.core.fabric.alive[worker].load(Ordering::SeqCst) {
-            if Instant::now() > deadline || self.core.stopping.load(Ordering::SeqCst) {
-                return false;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-
-        let mut txs = self.core.fabric.txs.write();
-        if self.core.stopping.load(Ordering::SeqCst) {
-            return false;
-        }
-        let (tx, rx) = bounded::<ShardMsg>(config.queue_capacity);
-        // Spawn first so the bounded queue drains while replay fills it.
-        let handle = self.core.spawn_shard(worker, rx);
-        let shards = config.shards as u64;
-        let mut replayed = 0u64;
-        {
-            let retained = self.core.retained.lock();
-            for (ts, event) in retained.iter() {
-                if shard_for(event.event(), shards) == worker as u64 {
-                    let _ = tx.send(ShardMsg::Apply(*ts, event.clone()));
-                    replayed += 1;
-                }
-            }
-        }
-        txs[worker] = tx;
-        self.core.fabric.alive[worker].store(true, Ordering::SeqCst);
-        self.core.handles.lock().push(handle);
-        self.core.counters.restarts.inc();
-        self.core.counters.events_replayed.add(replayed);
-        true
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn timestamper_loop(
+/// The timestamper thread's state: the ingestion queue, the shard pool
+/// and the counters it advances.
+struct Timestamper {
     client_rx: Receiver<ClientMsg>,
-    fabric: Arc<ShardFabric>,
-    retained: Option<Retained>,
+    pool: Arc<ShardPool>,
     cost: Duration,
     busy: Counter,
     queue: Gauge,
+    unsequenced: Arc<AtomicU64>,
     tx_counter: Counter,
     events_counter: Counter,
-    events_lost: Counter,
     marker_cuts: Arc<Mutex<Vec<(String, u64)>>>,
-) -> u64 {
-    let shards = {
-        let txs = fabric.txs.read();
-        txs.len() as u64
-    };
-    let mut next_ts = 0u64;
-    let mut committed = 0u64;
-    while let Ok(msg) = client_rx.recv() {
-        let transaction = match msg {
-            ClientMsg::Tx(tx) => tx,
-            ClientMsg::Marker(name) => {
-                // The cut: every event sequenced before this marker has a
-                // timestamp below `next_ts`. Markers are control traffic —
-                // they pay no ordering cost.
-                marker_cuts.lock().push((name, next_ts));
-                continue;
-            }
-            ClientMsg::ReadVertex(id, reply) => {
-                // Reads pay the ordering cost like any transaction.
-                let start = Instant::now();
-                busy_work(cost);
-                busy.add(start.elapsed().as_micros() as u64);
-                let shard = shard_for_key(id.0, shards);
-                let txs = fabric.txs.read();
-                // A dead shard's queue rejects the send; dropping the
-                // reply sender turns the client's wait into StoreClosed
-                // instead of a hang.
-                let _ = txs[shard as usize].send(ShardMsg::ReadVertex(id, reply));
-                continue;
-            }
-            ClientMsg::ReadEdge(id, reply) => {
-                let start = Instant::now();
-                busy_work(cost);
-                busy.add(start.elapsed().as_micros() as u64);
-                let shard = shard_for_key(id.src.0, shards);
-                let txs = fabric.txs.read();
-                let _ = txs[shard as usize].send(ShardMsg::ReadEdge(id, reply));
-                continue;
-            }
-            ClientMsg::Shutdown => break,
-        };
-        queue.set(client_rx.len() as i64);
-        // Global ordering: the serial, per-transaction cost.
-        let start = Instant::now();
-        busy_work(cost);
-        busy.add(start.elapsed().as_micros() as u64);
-
-        for event in transaction.events {
-            let ts = next_ts;
-            next_ts += 1;
-            let shard = shard_for(event.event(), shards);
-            // Retain + route under one read lock: a restart (write lock)
-            // can then never snapshot the retained log with this event's
-            // delivery still in flight, which would replay it twice.
-            let txs = fabric.txs.read();
-            if let Some(retained) = &retained {
-                retained.lock().push((ts, event.clone()));
-            }
-            // Blocking send: full shard queues backpressure the
-            // timestamper, which in turn backpressures clients. A dead
-            // shard's queue fails fast instead — the event is counted
-            // lost and sequencing continues (a dead partition must not
-            // end the whole store).
-            if txs[shard as usize]
-                .send(ShardMsg::Apply(ts, event))
-                .is_err()
-            {
-                events_lost.inc();
-            } else {
-                events_counter.inc();
-            }
-        }
-        committed += 1;
-        tx_counter.inc();
-    }
-    let txs = fabric.txs.read();
-    for tx in txs.iter() {
-        let _ = tx.send(ShardMsg::Stop);
-    }
-    committed
 }
 
-#[allow(clippy::too_many_arguments)]
-fn shard_loop(
-    shard_id: usize,
-    rx: Receiver<ShardMsg>,
-    cost: Duration,
-    busy: Counter,
-    applied: Counter,
-    tracer_cell: TracerCell,
-    fabric: Arc<ShardFabric>,
-    crashes: Counter,
-) -> ShardLog {
-    let mut log: ShardLog = Vec::new();
-    // Lazily acquired apply tracepoint: the thread outlives tracer
-    // installation, so it polls the cell (one atomic load while empty).
-    let mut trace_probe: Option<Probe> = None;
-    // Partition-local state for reads (hybrid adjacency, lenient apply —
-    // see `partition.rs` for the semantics).
-    let mut state = crate::partition::PartitionState::new();
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            ShardMsg::Apply(ts, event) => {
-                let start = Instant::now();
-                busy_work(cost);
-                busy.add(start.elapsed().as_micros() as u64);
-                state.apply(event.event());
-                log.push((ts, event));
-                applied.inc();
-                if trace_probe.is_none() {
-                    trace_probe = tracer_cell.probe(Stage::EngineApply);
-                }
-                if let Some(probe) = &trace_probe {
-                    // The commit timestamp is the event's global stream
-                    // position: shards apply out of order, so the stamp
-                    // carries it explicitly.
-                    probe.stamp_seq(ts);
-                }
-            }
-            ShardMsg::ReadVertex(id, reply) => {
-                let _ = reply.send(state.read_vertex(id));
-            }
-            ShardMsg::ReadEdge(id, reply) => {
-                let _ = reply.send(state.read_edge(id));
-            }
-            ShardMsg::Crash => {
-                // Die like a killed process: state and log abandoned,
-                // queued messages dropped with the receiver. The alive
-                // flag tells the timestamper (and a waiting supervisor)
-                // that this partition is vacant.
-                fabric.alive[shard_id].store(false, Ordering::SeqCst);
-                crashes.inc();
-                return Vec::new();
-            }
-            ShardMsg::Stop => break,
+impl Timestamper {
+    /// Pays the serial ordering cost of one transaction (or read).
+    fn order(&self) {
+        if !self.cost.is_zero() {
+            let start = Instant::now();
+            busy_work(self.cost);
+            self.busy.add(start.elapsed().as_micros() as u64);
         }
     }
-    log
+
+    /// Routes one read to the owner of `key`, at the ordering cost of a
+    /// transaction. A dead shard's queue rejects the send; dropping the
+    /// reply sender with it turns the client's wait into `StoreClosed`
+    /// instead of a hang.
+    fn read(&self, key: u64, msg: ShardMsg) {
+        self.order();
+        let shard = shard_for_key(key, self.pool.config.shards as u64);
+        let _ = self.pool.routes()[shard as usize].send(msg);
+    }
+
+    /// Sequences client traffic until the shutdown sentinel, then stops
+    /// the shards. Returns the number of transactions committed.
+    fn run(self) -> u64 {
+        let pool = &*self.pool;
+        let shards = pool.config.shards;
+        let mut next_ts = 0u64;
+        let mut committed = 0u64;
+        // Routing scratch, reused across transactions: each event's owner
+        // shard, the events owed to each shard, and the batch being filled
+        // for it (taken by the send, so empty between transactions).
+        let mut owners: Vec<usize> = Vec::new();
+        let mut counts = vec![0usize; shards];
+        let mut parts: Vec<ShardLog> = (0..shards).map(|_| Vec::new()).collect();
+        while let Ok(msg) = self.client_rx.recv() {
+            let transaction = match msg {
+                ClientMsg::Tx(tx) => tx,
+                ClientMsg::Marker(name) => {
+                    // The cut: every event sequenced before this marker has a
+                    // timestamp below `next_ts`. Markers are control traffic —
+                    // they pay no ordering cost.
+                    self.marker_cuts.lock().push((name, next_ts));
+                    continue;
+                }
+                ClientMsg::ReadVertex(id, reply) => {
+                    self.read(id.0, ShardMsg::ReadVertex(id, reply));
+                    continue;
+                }
+                ClientMsg::ReadEdge(id, reply) => {
+                    self.read(id.src.0, ShardMsg::ReadEdge(id, reply));
+                    continue;
+                }
+                ClientMsg::Shutdown => break,
+            };
+            self.queue.set(self.client_rx.len() as i64);
+            // Global ordering: the serial, per-transaction cost.
+            self.order();
+
+            // Count, then fit: one exactly-sized batch per owner shard.
+            owners.clear();
+            for event in &transaction.events {
+                let shard = shard_for(event.event(), shards as u64) as usize;
+                owners.push(shard);
+                counts[shard] += 1;
+            }
+            for (part, count) in parts.iter_mut().zip(&mut counts) {
+                part.reserve_exact(std::mem::take(count));
+            }
+            let routes = pool.routes();
+            let mut retained = pool.config.supervised.then(|| pool.retained.lock());
+            for (event, &shard) in transaction.events.into_iter().zip(&owners) {
+                if let Some(retained) = &mut retained {
+                    retained.push((next_ts, event.clone()));
+                }
+                parts[shard].push((next_ts, event));
+                next_ts += 1;
+            }
+            drop(retained);
+            for (shard, part) in parts.iter_mut().enumerate() {
+                if part.is_empty() {
+                    continue;
+                }
+                // A dead shard fails fast — its share is counted lost and
+                // sequencing continues (a dead partition must not end the
+                // whole store).
+                let events = part.len() as u64;
+                if pool.post(&routes, shard, std::mem::take(part)) {
+                    self.events_counter.add(events);
+                } else {
+                    pool.counters.events_lost.add(events);
+                }
+            }
+            drop(routes);
+            committed += 1;
+            self.tx_counter.inc();
+            self.unsequenced.fetch_sub(1, Ordering::SeqCst);
+        }
+        pool.stop_all();
+        committed
+    }
 }
 
 /// Routing: vertex events go to the owner of the vertex, edge events to
@@ -1077,6 +840,83 @@ mod tests {
         assert!(stats.graph.vertex_count() >= survivor_second_wave);
         // And the dead shard's state is gone from the reconstruction.
         assert!(stats.graph.vertex_count() < 100);
+    }
+
+    #[test]
+    fn a_crashed_shards_abandoned_backlog_is_counted_lost_by_event() {
+        let hub = MetricsHub::new();
+        let store = TideStore::start(
+            StoreConfig {
+                shard_cost_per_event: Duration::from_millis(1),
+                ..fast_config()
+            },
+            &hub,
+        );
+        let client = store.client();
+        // The first wave keeps both shards busy for ~20 ms, so the second
+        // wave queues up *behind* the crash and is abandoned with it.
+        for chunk in vertex_events(40).chunks(4) {
+            client
+                .submit(Transaction::from_events(chunk.iter().cloned()))
+                .unwrap();
+        }
+        // Routed (microseconds), not yet applied (milliseconds): the crash
+        // lands behind the whole first wave.
+        while store.transactions_committed() < 10 {
+            std::thread::yield_now();
+        }
+        let supervisor = store.supervisor();
+        assert!(supervisor.inject_crash(0));
+        let second: Vec<GraphEvent> = (100..140u64)
+            .map(|i| GraphEvent::AddVertex {
+                id: VertexId(i),
+                state: State::empty(),
+            })
+            .collect();
+        for chunk in second.chunks(4) {
+            client
+                .submit(Transaction::from_events(chunk.iter().cloned()))
+                .unwrap();
+        }
+        wait_dead(&supervisor, 0);
+        // The dead shard's backlog is lost, not pending: only the
+        // survivor's share holds the wait.
+        assert!(store.quiesce(Duration::from_secs(10)));
+        let stats = store.shutdown();
+        let owed_to_dead = (100..140u64).filter(|&i| shard_of(i, 2) == 0).count() as u64;
+        assert!(owed_to_dead > 4, "second wave missed the dead shard");
+        assert_eq!(stats.events_lost, owed_to_dead);
+        // The survivor applied its whole share; the dead shard's log (its
+        // share of the first wave) died with it.
+        let survivor = (0..40u64).chain(100..140).filter(|&i| shard_of(i, 2) == 1);
+        assert_eq!(stats.events, survivor.count() as u64);
+    }
+
+    #[test]
+    fn quiesce_waits_for_the_shards_to_apply() {
+        let hub = MetricsHub::new();
+        let store = TideStore::start(
+            StoreConfig {
+                shard_cost_per_event: Duration::from_millis(2),
+                ..fast_config()
+            },
+            &hub,
+        );
+        let client = store.client();
+        for chunk in vertex_events(40).chunks(5) {
+            client
+                .submit(Transaction::from_events(chunk.iter().cloned()))
+                .unwrap();
+        }
+        let applied = || hub.counter("shard-0.events").get() + hub.counter("shard-1.events").get();
+        // ~40 ms of shard work is queued: a timeout shorter than that
+        // reports "not drained" instead of pretending.
+        assert!(!store.quiesce(Duration::from_millis(1)));
+        assert!(applied() < 40);
+        assert!(store.quiesce(Duration::from_secs(10)));
+        assert_eq!(applied(), 40);
+        assert_eq!(hub.counter("store.events").get(), 40);
+        store.shutdown();
     }
 
     #[test]

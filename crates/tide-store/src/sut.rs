@@ -50,10 +50,14 @@ enum StoreRuntime {
 /// | `shards` | shard worker threads (typed: 1..=[`gt_sut::MAX_SHARDS`]) | 2 serial / 4 sharded |
 /// | `timestamper_cost_us` | ordering cost per transaction (serial) or per shard batch (sharded), µs | 800 |
 /// | `shard_cost_us` | write cost per event, µs | 20 |
-/// | `queue_capacity` | bounded queue capacity | 256 |
+/// | `queue_capacity` | bounded queue capacity: transactions on the ingestion queue, one transaction's share (serial) or one routed batch (sharded) per shard-queue slot | 256 |
 /// | `batch_size` | events per transaction in the connector | 10 |
 /// | `supervised` | retain commits so crashed shards can be restarted (`1` = on) | 0 |
 /// | `digest` | capture a [`StateDigest`] at shutdown (`1` = on) | 0 |
+///
+/// [`SystemUnderTest::quiesce`] returns once everything written to a
+/// connector has been *applied* by its shard (or the timeout elapsed), not
+/// merely queued; what a crashed shard abandoned counts as lost instead.
 pub struct TideStoreSut {
     runtime: Option<StoreRuntime>,
     hub: MetricsHub,
@@ -307,10 +311,10 @@ impl SystemUnderTest for TideStoreSut {
     }
 
     fn quiesce(&mut self, timeout: Duration) -> bool {
+        // "Quiesced" means applied, in both runtimes: a measurement
+        // window that closes here has nothing left in flight.
         match self.runtime() {
-            // Serial shutdown drains every queue before joining; no
-            // separate drain phase needed.
-            StoreRuntime::Serial(_) => true,
+            StoreRuntime::Serial(store) => store.quiesce(timeout),
             StoreRuntime::Sharded(store) => store.quiesce(timeout),
         }
     }
@@ -402,6 +406,36 @@ mod tests {
         assert_eq!(report.get("events"), Some(42.0));
         assert_eq!(report.get("vertices"), Some(42.0));
         assert_eq!(report.get("shards"), Some(4.0));
+    }
+
+    /// `quiesce` must not return while the ingestion queue or a shard
+    /// queue still holds events: the harness closes its measurement
+    /// window on it.
+    #[test]
+    fn serial_quiesce_means_applied_not_queued() {
+        let options = SutOptions::new()
+            .set("timestamper_cost_us", 0)
+            .set("shard_cost_us", 2_000)
+            .set("batch_size", 5);
+        let mut sut = TideStoreSut::start(&options).unwrap();
+        let mut connector = sut.connector().unwrap();
+        for i in 0..40u64 {
+            connector
+                .send(&StreamEntry::graph(GraphEvent::AddVertex {
+                    id: VertexId(i),
+                    state: State::empty(),
+                }))
+                .unwrap();
+        }
+        connector.close().unwrap();
+        drop(connector);
+        // 40 events at 2 ms each over 2 shards: ~40 ms still queued here.
+        assert!(sut.quiesce(Duration::from_secs(10)));
+        let hub = sut.hub().unwrap();
+        let applied = hub.counter("shard-0.events").get() + hub.counter("shard-1.events").get();
+        assert_eq!(applied, hub.counter("store.events").get());
+        assert_eq!(applied, 40);
+        Box::new(sut).shutdown();
     }
 
     #[test]
