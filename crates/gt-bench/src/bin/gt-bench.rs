@@ -4,26 +4,33 @@
 //! gt-bench trajectory [--smoke] [--check] [--out DIR]
 //! ```
 //!
-//! Measures the §4.2 parse path (borrowed vs owned) and the graph-event
+//! Measures the §4.2 parse path (borrowed vs owned), the graph-event
 //! ingest path (hybrid-adjacency `EvolvingGraph` and the store's
 //! `PartitionState`, the latter also under the paper's Table 3 mix with
-//! its vertex removals) with a counting global allocator, then writes
-//! `BENCH_parse.json` and `BENCH_ingest.json` into `--out` (default: the
-//! current directory — run from the repo root so the files land next to
-//! the sources and get committed).
+//! its vertex removals) and the load layer's client side (one open-loop
+//! client at an unbounded rate into a counting sink, and the stream
+//! partitioner) with a counting global allocator, then writes
+//! `BENCH_parse.json`, `BENCH_ingest.json` and `BENCH_load.json` into
+//! `--out` (default: the current directory — run from the repo root so
+//! the files land next to the sources and get committed).
 //!
 //! * `--smoke` shrinks event counts and rounds for CI.
 //! * `--check` compares against the committed files first and exits
 //!   non-zero if any suite's median ns/event regressed by more than 15%
 //!   or its allocations-per-event counter grew.
 
+use std::io;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::sync::Arc;
 
 use gt_bench::trajectory::{self, measure, BenchRecord, CountingAlloc};
 use gt_core::format::{entry_to_line, parse_line, parse_line_ref};
 use gt_core::prelude::*;
 use gt_graph::EvolvingGraph;
+use gt_load::{run_client, ClientConfig, LoopModel, SeededPartitioner};
+use gt_metrics::{Clock, WallClock};
+use gt_replayer::EventSink;
 use gt_workloads::Table3Workload;
 use std::hint::black_box;
 use tide_store::PartitionState;
@@ -183,6 +190,47 @@ fn ingest_suites(events: &[GraphEvent], rounds: u32) -> Vec<BenchRecord> {
     ]
 }
 
+/// A sink that only counts: what is left is the client's own cost.
+struct CountingSink(u64);
+
+impl EventSink for CountingSink {
+    fn send(&mut self, entry: &StreamEntry) -> io::Result<()> {
+        black_box(entry);
+        self.0 += 1;
+        Ok(())
+    }
+}
+
+/// Offered rate of the unpaced client, events/s: every arrival is due at
+/// once, so the client never waits.
+const UNPACED_RATE: f64 = 1e9;
+
+/// Substreams `load/partition-split` splits into.
+const SPLIT_PARTITIONS: usize = 2;
+
+fn load_suites(events: &[GraphEvent], rounds: u32) -> Vec<BenchRecord> {
+    let n = events.len() as u64;
+    let graph = |event: &GraphEvent| StreamEntry::graph(event.clone());
+    let stream = GraphStream::from_entries(events.iter().map(graph).collect());
+    let config = ClientConfig::new("bench", LoopModel::Open, UNPACED_RATE, 7);
+    let clock: Arc<dyn Clock> = Arc::new(WallClock::start());
+    vec![
+        // Schedule, burst loop, per-event `send`, sojourn stamps: the
+        // whole of `run_client` short of the socket.
+        measure("load/client-open-unpaced", n, rounds, || {
+            let sink = Box::new(CountingSink(0));
+            let report = run_client(stream.entries(), &config, sink, Arc::clone(&clock))
+                .expect("a counting sink cannot fail");
+            assert_eq!(report.sent, n);
+            black_box(report);
+        }),
+        measure("load/partition-split", n, rounds, || {
+            let parts = SeededPartitioner::new(SPLIT_PARTITIONS, 7).split(black_box(&stream));
+            black_box(parts);
+        }),
+    ]
+}
+
 fn load_previous(path: &Path) -> Vec<BenchRecord> {
     match std::fs::read_to_string(path) {
         Ok(text) => trajectory::from_json(&text),
@@ -205,6 +253,7 @@ fn run(args: Args) -> Result<(), String> {
     for (area, fresh) in [
         ("parse", parse_suites(&lines, rounds)),
         ("ingest", ingest_suites(&events, rounds)),
+        ("load", load_suites(&events, rounds)),
     ] {
         let path = args.out.join(format!("BENCH_{area}.json"));
         println!("[{area}] ({} events x {rounds} rounds)", events_n);

@@ -1,10 +1,11 @@
-//! Persistent performance trajectory for the ingest hot path.
+//! Persistent performance trajectory for the hot paths.
 //!
-//! `gt-bench trajectory` measures the two paths this repo keeps
-//! re-optimising — §4.2 CSV parsing and graph-event ingest — and writes
-//! the results to `BENCH_parse.json` / `BENCH_ingest.json` at the repo
-//! root. The files are committed, so every PR that touches the hot path
-//! leaves a measured before/after trail instead of a claim in prose.
+//! `gt-bench trajectory` measures the paths this repo keeps
+//! re-optimising — §4.2 CSV parsing, graph-event ingest and the load
+//! client — and writes the results to `BENCH_parse.json` /
+//! `BENCH_ingest.json` / `BENCH_load.json` at the repo root. The files
+//! are committed, so every PR that touches a hot path leaves a measured
+//! before/after trail instead of a claim in prose.
 //!
 //! Each run prints a delta against the previous committed numbers; with
 //! `--check` a >15% median-ns/event regression in any suite fails the
@@ -116,8 +117,8 @@ fn median(samples: &mut [f64]) -> f64 {
     }
 }
 
-/// Serializes one trajectory area (`parse`, `ingest`) to the committed
-/// JSON format: one suite object per line, fixed key order.
+/// Serializes one trajectory area (`parse`, `ingest`, `load`) to the
+/// committed JSON format: one suite object per line, fixed key order.
 pub fn to_json(area: &str, records: &[BenchRecord]) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "{{");

@@ -208,6 +208,7 @@ pub fn load_records(load: &LoadOutcome, plan: &LoadPlan, t_end: u64) -> Vec<Metr
         .map(|(name, t)| MetricRecord::text(*t, LOAD_SOURCE, "marker", name.clone()))
         .collect();
     for class in plan.class_names() {
+        let sojourn_metric = format!("sojourn_us.{class}");
         let mut arrivals: Vec<u64> = Vec::new();
         let mut completions: Vec<u64> = Vec::new();
         for client in load.class_reports(class) {
@@ -222,7 +223,7 @@ pub fn load_records(load: &LoadOutcome, plan: &LoadPlan, t_end: u64) -> Vec<Metr
                 records.push(MetricRecord::float(
                     t,
                     LOAD_SOURCE,
-                    &format!("sojourn_us.{class}"),
+                    &sojourn_metric,
                     sojourn as f64,
                 ));
             }

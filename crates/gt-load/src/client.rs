@@ -1,30 +1,28 @@
 //! One load client driving one connection under an explicit loop model.
 //!
 //! A client owns a substream and an [`EventSink`] (normally a
-//! [`gt_replayer::TcpSink`] into the SUT-side listener). How it couples
-//! arrivals to sink progress is the [`LoopModel`]:
+//! [`gt_replayer::TcpSink`] into the SUT-side listener) and runs on the
+//! thread that calls [`run_client`] — it starts none of its own. How it
+//! couples arrivals to sink progress is the [`LoopModel`]:
 //!
-//! * **open**: a generator thread emits graph events into an unbounded
-//!   queue exactly on the precomputed [`ArrivalSchedule`]; a writer
-//!   thread drains the queue into the sink in bursts. A stalled sink
-//!   grows the queue (counted backlog) but never slows the generator —
-//!   each event's *sojourn* latency (write completion minus scheduled
-//!   arrival) then charges the stall to the SUT.
-//! * **closed**: one thread sends, flushes (the "ack"), then waits out
-//!   the schedule's think time before the next send. A stalled sink
-//!   stalls the client — offered load collapses, which is exactly the
-//!   coordinated omission the open-loop model exists to expose.
-//! * **partial open**: open-loop behaviour until the backlog reaches a
-//!   window, then the generator stalls (schedule slips) until the writer
-//!   catches up.
+//! * **open**: arrivals are the precomputed [`ArrivalSchedule`], a pure
+//!   function of the plan, so nothing has to "generate" them: the loop
+//!   reads the clock, writes every event whose arrival has passed (in
+//!   bursts), flushes, and charges each event `completion − scheduled
+//!   arrival` as its *sojourn*. A stalled sink delays the loop but not
+//!   the schedule: events that fell due meanwhile are the counted
+//!   backlog, and their sojourn charges the stall to the SUT.
+//! * **closed**: send, flush (the "ack"), then wait out the schedule's
+//!   think time before the next send. A stalled sink stalls the client —
+//!   offered load collapses, which is exactly the coordinated omission
+//!   the open-loop model exists to expose.
+//! * **partial open**: open loop until `window` events are outstanding;
+//!   event `i` then arrives at `max(target_i, done_{i−window})`, so the
+//!   schedule slips to the completion of its window predecessor.
 
 use std::io;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread;
-use std::time::Duration;
 
-use crossbeam::channel::{self, Receiver, Sender};
 use gt_core::prelude::*;
 use gt_metrics::Clock;
 use gt_replayer::pattern::RatePattern;
@@ -33,11 +31,7 @@ use gt_replayer::EventSink;
 use crate::model::LoopModel;
 use crate::schedule::ArrivalSchedule;
 
-/// Below this remaining wait the client spins instead of sleeping, for
-/// microsecond-accurate arrivals (the replayer's hybrid pacing idiom).
-const SPIN_THRESHOLD_MICROS: u64 = 1_000;
-
-/// Maximum events a writer burst drains before flushing and stamping
+/// Maximum events one burst writes before flushing and stamping
 /// completions — bounds both syscall rate and ack granularity.
 const WRITE_BURST: usize = 256;
 
@@ -108,15 +102,18 @@ pub struct ClientReport {
     pub class: String,
     /// The model the client ran.
     pub model: LoopModel,
-    /// Graph events the generator emitted (offered load).
+    /// Graph events whose arrival fell due (offered load).
     pub offered: u64,
     /// Graph events whose write into the sink completed.
     pub sent: u64,
-    /// Largest client-side queue of emitted-but-unwritten events.
+    /// Largest number of arrived-but-unwritten events seen at a clock
+    /// reading.
     pub backlog_peak: u64,
-    /// The arrival schedule the generator emitted, microsecond offsets
-    /// from client start — the coordinated-omission guard compares this
-    /// across sink behaviours.
+    /// The arrivals the client offered, microsecond offsets from client
+    /// start: in open loop the precomputed schedule itself, whatever the
+    /// sink did (the coordinated-omission guard compares this across sink
+    /// behaviours); slipped arrivals in partial-open, send times in
+    /// closed loop.
     pub schedule_micros: Vec<u64>,
     /// Per-event `(completion t_micros on the run clock, sojourn_micros)`
     /// samples; sojourn is write completion minus scheduled arrival.
@@ -147,166 +144,12 @@ impl ClientReport {
     }
 }
 
-/// Sleeps (then spins) until the run clock reaches `target_micros`.
-fn wait_until(clock: &dyn Clock, target_micros: u64) {
-    loop {
-        let now = clock.now_micros();
-        if now >= target_micros {
-            return;
-        }
-        let remaining = target_micros - now;
-        if remaining > SPIN_THRESHOLD_MICROS {
-            thread::sleep(Duration::from_micros(remaining - SPIN_THRESHOLD_MICROS / 2));
-        } else {
-            std::hint::spin_loop();
-            thread::yield_now();
-        }
-    }
-}
-
-/// One queued item: the entry plus, for graph events, its scheduled
-/// arrival on the run clock (markers and control events carry `None`).
-struct QueuedItem {
-    entry: SharedEntry,
-    scheduled_micros: Option<u64>,
-}
-
-/// Shared generator/writer counters for backlog accounting.
-#[derive(Default)]
-struct Counters {
-    offered: AtomicU64,
-    sent: AtomicU64,
-    backlog_peak: AtomicU64,
-}
-
-impl Counters {
-    fn note_backlog(&self) {
-        let backlog = self
-            .offered
-            .load(Ordering::Relaxed)
-            .saturating_sub(self.sent.load(Ordering::Relaxed));
-        self.backlog_peak.fetch_max(backlog, Ordering::Relaxed);
-    }
-}
-
-/// Drains the queue into the sink in bursts, stamping completions.
-fn writer_loop(
-    rx: Receiver<QueuedItem>,
-    mut sink: Box<dyn EventSink + Send>,
-    clock: Arc<dyn Clock>,
-    counters: Arc<Counters>,
-) -> io::Result<Vec<(u64, u64)>> {
-    let mut sojourn = Vec::new();
-    let mut burst: Vec<QueuedItem> = Vec::with_capacity(WRITE_BURST);
-    let mut batch: Vec<SharedEntry> = Vec::with_capacity(WRITE_BURST);
-    while let Ok(first) = rx.recv() {
-        burst.push(first);
-        while burst.len() < WRITE_BURST {
-            match rx.try_recv() {
-                Ok(item) => burst.push(item),
-                Err(_) => break,
-            }
-        }
-        // Deliver the burst: contiguous graph events go through the
-        // batched path; markers and control events force a flush so the
-        // sink sees the same ordering contract the replayer guarantees.
-        for item in &burst {
-            match &*item.entry {
-                StreamEntry::Graph(_) => batch.push(SharedEntry::clone(&item.entry)),
-                _ => {
-                    if !batch.is_empty() {
-                        sink.send_batch(&batch)?;
-                        batch.clear();
-                    }
-                    sink.flush()?;
-                    sink.send(&item.entry)?;
-                    sink.flush()?;
-                }
-            }
-        }
-        if !batch.is_empty() {
-            sink.send_batch(&batch)?;
-            batch.clear();
-        }
-        sink.flush()?;
-        // The flush completed: every graph event of the burst is now in
-        // the socket. Stamp completions and sojourns.
-        let now = clock.now_micros();
-        let mut written = 0;
-        for item in burst.drain(..) {
-            if let Some(scheduled) = item.scheduled_micros {
-                sojourn.push((now, now.saturating_sub(scheduled)));
-                written += 1;
-            }
-        }
-        counters.sent.fetch_add(written, Ordering::Relaxed);
-    }
-    sink.close()?;
-    Ok(sojourn)
-}
-
-/// Emits entries into the queue per the schedule (open / partial-open).
-#[allow(clippy::too_many_arguments)]
-fn generator_loop(
-    entries: &[StreamEntry],
-    schedule: &ArrivalSchedule,
-    window: Option<usize>,
-    tx: Sender<QueuedItem>,
-    clock: &dyn Clock,
-    counters: &Counters,
-    t0: u64,
-    emitted_schedule: &mut Vec<u64>,
-) {
-    let mut next_event = 0usize;
-    for entry in entries {
-        let scheduled = match entry {
-            StreamEntry::Graph(_) => {
-                let target = t0 + schedule.offsets_micros()[next_event];
-                next_event += 1;
-                wait_until(clock, target);
-                // Partial open: stall the generator while the backlog is
-                // at the window; the schedule slips to admission time.
-                if let Some(window) = window {
-                    loop {
-                        let backlog = counters
-                            .offered
-                            .load(Ordering::Relaxed)
-                            .saturating_sub(counters.sent.load(Ordering::Relaxed));
-                        if (backlog as usize) < window {
-                            break;
-                        }
-                        thread::sleep(Duration::from_micros(200));
-                    }
-                }
-                let arrival = match window {
-                    None => target,
-                    Some(_) => target.max(clock.now_micros()),
-                };
-                emitted_schedule.push(arrival - t0);
-                counters.offered.fetch_add(1, Ordering::Relaxed);
-                Some(arrival)
-            }
-            _ => None,
-        };
-        let item = QueuedItem {
-            entry: SharedEntry::new(entry.clone()),
-            scheduled_micros: scheduled,
-        };
-        if tx.send(item).is_err() {
-            // Writer died (sink error); stop offering. The writer's
-            // error is what the client returns.
-            return;
-        }
-        counters.note_backlog();
-    }
-}
-
 /// Runs one client to completion: emits `entries` into `sink` under the
 /// configured loop model, measuring against `clock`.
 ///
 /// Graph events are paced by the client's [`ArrivalSchedule`]; markers
 /// and control events ride along in stream position. The returned report
-/// carries the emitted schedule (for the coordinated-omission guard) and
+/// carries the offered schedule (for the coordinated-omission guard) and
 /// per-event sojourn samples.
 pub fn run_client(
     entries: &[StreamEntry],
@@ -317,53 +160,89 @@ pub fn run_client(
     let events = entries.iter().filter(|e| e.is_graph()).count();
     let schedule = config.schedule(events);
     match config.model {
-        LoopModel::Open => run_decoupled(entries, config, &schedule, None, sink, clock),
+        LoopModel::Open => run_scheduled(entries, config, schedule, None, sink, clock),
+        // A zero window could never admit an event; treat it as one.
         LoopModel::PartialOpen { window } => {
-            run_decoupled(entries, config, &schedule, Some(window), sink, clock)
+            run_scheduled(entries, config, schedule, Some(window.max(1)), sink, clock)
         }
         LoopModel::Closed => run_closed(entries, config, &schedule, sink, clock),
     }
 }
 
-fn run_decoupled(
+/// Open and partial-open (`window`) loop: each turn reads the clock,
+/// writes the graph events that have arrived by then as one burst, and
+/// stamps them after the flush; with nothing arrived it waits for the
+/// next arrival. Markers and control entries go out in stream position,
+/// alone between two flushes.
+fn run_scheduled(
     entries: &[StreamEntry],
     config: &ClientConfig,
-    schedule: &ArrivalSchedule,
+    schedule: ArrivalSchedule,
     window: Option<usize>,
     mut sink: Box<dyn EventSink + Send>,
     clock: Arc<dyn Clock>,
 ) -> io::Result<ClientReport> {
     sink.open()?;
-    let counters = Arc::new(Counters::default());
-    let (tx, rx) = channel::unbounded();
-    let writer = {
-        let clock = Arc::clone(&clock);
-        let counters = Arc::clone(&counters);
-        thread::spawn(move || writer_loop(rx, sink, clock, counters))
-    };
     let t0 = clock.now_micros();
-    let mut emitted_schedule = Vec::with_capacity(schedule.len());
-    generator_loop(
-        entries,
-        schedule,
-        window,
-        tx,
-        clock.as_ref(),
-        &counters,
-        t0,
-        &mut emitted_schedule,
-    );
-    let sojourn = writer
-        .join()
-        .map_err(|_| io::Error::other("load client writer thread panicked"))??;
+    // Arrival offsets from `t0`, by event index. Open loop only reads
+    // them; partial-open raises an entry when its window predecessor
+    // completed after the event's target.
+    let mut arrivals = schedule.into_offsets_micros();
+    let events = arrivals.len();
+    // One `(completion, sojourn)` per written event, so its length is
+    // also the index of the next event to write.
+    let mut sojourn: Vec<(u64, u64)> = Vec::with_capacity(events);
+    let mut pos = 0; // next entry of the substream
+    let mut due = 0; // events whose target has passed
+    let mut backlog_peak = 0;
+    while let Some(entry) = entries.get(pos) {
+        if !entry.is_graph() {
+            sink.flush()?;
+            sink.send(entry)?;
+            sink.flush()?;
+            pos += 1;
+            continue;
+        }
+        let first = sojourn.len();
+        let now = clock.now_micros();
+        due += arrivals[due..].partition_point(|&offset| t0 + offset <= now);
+        // Partial open: event `i` cannot arrive before event `i − window`
+        // completed, and nothing past `first` has.
+        let arrived = window.map_or(due, |window| due.min(first + window));
+        backlog_peak = backlog_peak.max(arrived - first);
+        if arrived == first {
+            clock.wait_until(t0 + arrivals[first]);
+            continue;
+        }
+        let burst_end = arrived.min(first + WRITE_BURST);
+        let mut next = first;
+        while next < burst_end {
+            match entries.get(pos) {
+                Some(entry) if entry.is_graph() => sink.send(entry)?,
+                _ => break,
+            }
+            next += 1;
+            pos += 1;
+        }
+        sink.flush()?;
+        // The flush completed: every event of the burst is in the sink.
+        let done = clock.now_micros();
+        for (i, arrival) in (first..next).zip(&mut arrivals[first..next]) {
+            if let Some(predecessor) = window.and_then(|window| i.checked_sub(window)) {
+                *arrival = (*arrival).max(sojourn[predecessor].0.saturating_sub(t0));
+            }
+            sojourn.push((done, done.saturating_sub(t0 + *arrival)));
+        }
+    }
+    sink.close()?;
     let finished = clock.now_micros();
     Ok(ClientReport {
         class: config.class.clone(),
         model: config.model,
-        offered: counters.offered.load(Ordering::Relaxed),
-        sent: counters.sent.load(Ordering::Relaxed),
-        backlog_peak: counters.backlog_peak.load(Ordering::Relaxed),
-        schedule_micros: emitted_schedule,
+        offered: events as u64,
+        sent: sojourn.len() as u64,
+        backlog_peak: backlog_peak as u64,
+        schedule_micros: arrivals,
         sojourn,
         started_micros: t0,
         finished_micros: finished,
@@ -389,7 +268,7 @@ fn run_closed(
             StreamEntry::Graph(_) => {
                 // Think time: the schedule's inter-arrival gap, measured
                 // from the previous completion (send-after-ack).
-                wait_until(clock.as_ref(), earliest_send);
+                clock.wait_until(earliest_send);
                 let sent_at = clock.now_micros();
                 emitted_schedule.push(sent_at - t0);
                 sink.send(entry)?;
@@ -436,8 +315,10 @@ fn gap_micros(schedule: &ArrivalSchedule, index: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gt_metrics::WallClock;
+    use gt_metrics::{ManualClock, WallClock};
     use std::sync::Mutex;
+    use std::thread;
+    use std::time::Duration;
 
     /// A sink recording entries, optionally stalling on the Nth flush.
     struct TestSink {
@@ -476,13 +357,6 @@ mod tests {
                 }
             }
             self.entries.lock().unwrap().push(entry.clone());
-            Ok(())
-        }
-
-        fn send_batch(&mut self, batch: &[SharedEntry]) -> io::Result<()> {
-            for entry in batch {
-                self.send(entry)?;
-            }
             Ok(())
         }
     }
@@ -576,7 +450,7 @@ mod tests {
         );
         assert_eq!(report.offered, 300);
         assert!(
-            report.backlog_peak <= 16 + WRITE_BURST as u64,
+            report.backlog_peak <= 16,
             "window must bound the backlog, saw {}",
             report.backlog_peak
         );
@@ -595,5 +469,238 @@ mod tests {
         let err =
             run_client(&stream_entries(50), &config, Box::new(FailingSink), clock).unwrap_err();
         assert_eq!(err.to_string(), "boom");
+    }
+
+    // --- The client in virtual time: a `ManualClock` that waits by
+    // jumping, and a sink whose flushes cost scripted virtual time. Every
+    // value below is exact; nothing sleeps.
+
+    /// What a [`ScriptedSink`] saw, in call order.
+    #[derive(Debug, Clone, PartialEq)]
+    enum Op {
+        Send(StreamEntry),
+        Flush,
+    }
+
+    /// A sink on a [`ManualClock`]: a flush that has graph events to push
+    /// advances the clock by `flush_micros` (`stall_micros` instead for the
+    /// flush carrying graph event number `stall_at`, 1-based); `fail_at`
+    /// makes the send of that graph event fail.
+    struct ScriptedSink {
+        clock: ManualClock,
+        ops: Arc<Mutex<Vec<Op>>>,
+        flush_micros: u64,
+        stall_at: u64,
+        stall_micros: u64,
+        fail_at: u64,
+        sent: u64,
+        flushed: u64,
+    }
+
+    impl ScriptedSink {
+        fn new(clock: &ManualClock, flush_micros: u64) -> Self {
+            ScriptedSink {
+                clock: clock.clone(),
+                ops: Arc::new(Mutex::new(Vec::new())),
+                flush_micros,
+                stall_at: 0,
+                stall_micros: 0,
+                fail_at: 0,
+                sent: 0,
+                flushed: 0,
+            }
+        }
+    }
+
+    impl EventSink for ScriptedSink {
+        fn send(&mut self, entry: &StreamEntry) -> io::Result<()> {
+            if entry.is_graph() {
+                self.sent += 1;
+                if self.sent == self.fail_at {
+                    return Err(io::Error::other("scripted failure"));
+                }
+            }
+            self.ops.lock().unwrap().push(Op::Send(entry.clone()));
+            Ok(())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            self.ops.lock().unwrap().push(Op::Flush);
+            if self.sent > self.flushed {
+                let stalls = (self.flushed + 1..=self.sent).contains(&self.stall_at);
+                self.clock.advance_micros(if stalls {
+                    self.stall_micros
+                } else {
+                    self.flush_micros
+                });
+                self.flushed = self.sent;
+            }
+            Ok(())
+        }
+    }
+
+    /// A uniform 1 000 events/s client: event `i` (0-based) is due at
+    /// `(i + 1)` ms.
+    fn uniform_config(model: LoopModel) -> ClientConfig {
+        let mut config = ClientConfig::new("virtual", model, 1_000.0, 0);
+        config.poisson = false;
+        config
+    }
+
+    fn graph_entries(n: u64) -> Vec<StreamEntry> {
+        stream_entries(n)
+            .into_iter()
+            .filter(StreamEntry::is_graph)
+            .collect()
+    }
+
+    #[test]
+    fn virtual_open_loop_charges_a_scripted_stall_exactly() {
+        let manual = ManualClock::new();
+        let mut sink = ScriptedSink::new(&manual, 10);
+        sink.stall_at = 50;
+        sink.stall_micros = 200_000;
+        let config = uniform_config(LoopModel::Open);
+        let report = run_client(
+            &graph_entries(300),
+            &config,
+            Box::new(sink),
+            Arc::new(manual),
+        )
+        .unwrap();
+
+        assert_eq!(report.offered, 300, "offered is the schedule, stall or not");
+        assert_eq!(report.sent, 300);
+        assert_eq!(
+            report.schedule_micros.as_slice(),
+            config.schedule(300).offsets_micros()
+        );
+        // Events 1..=49 go out alone, on time, each flush costing 10 us.
+        // Event 50's flush takes 200 ms: it completes at 250 000. Events
+        // 51..=250 fell due meanwhile and leave as one burst completing at
+        // 250 010, each charged its whole wait; 251.. are on time again.
+        let expected: Vec<(u64, u64)> = (1..=300u64)
+            .map(|i| match i {
+                1..=49 => (i * 1_000 + 10, 10),
+                50 => (250_000, 200_000),
+                51..=250 => (250_010, 250_010 - i * 1_000),
+                _ => (i * 1_000 + 10, 10),
+            })
+            .collect();
+        assert_eq!(report.sojourn, expected);
+        assert_eq!(report.backlog_peak, 200, "the events due during the stall");
+        assert_eq!(report.finished_micros, 300_010);
+    }
+
+    #[test]
+    fn virtual_partial_open_slips_arrivals_to_the_window_predecessor() {
+        const WINDOW: usize = 8;
+        let manual = ManualClock::new();
+        let mut sink = ScriptedSink::new(&manual, 10);
+        sink.stall_at = 20;
+        sink.stall_micros = 100_000;
+        let config = uniform_config(LoopModel::PartialOpen { window: WINDOW });
+        let report = run_client(
+            &graph_entries(200),
+            &config,
+            Box::new(sink),
+            Arc::new(manual),
+        )
+        .unwrap();
+
+        assert_eq!(report.offered, 200);
+        assert_eq!(report.sent, 200);
+        assert!(report.backlog_peak <= WINDOW as u64);
+        assert_eq!(report.backlog_peak, WINDOW as u64, "the stall fills it");
+        let targets = config.schedule(200);
+        let targets = targets.offsets_micros();
+        let mut slipped = 0;
+        for (i, &target) in targets.iter().enumerate() {
+            // arrival_i = max(target_i, done_{i-W}), on the client's clock
+            // (which started at 0), and sojourn_i = done_i - arrival_i.
+            let arrival = match i.checked_sub(WINDOW) {
+                Some(predecessor) => target.max(report.sojourn[predecessor].0),
+                None => target,
+            };
+            assert_eq!(report.schedule_micros[i], arrival, "event {i}");
+            assert_eq!(report.sojourn[i].1, report.sojourn[i].0 - arrival);
+            slipped += usize::from(arrival > target);
+        }
+        // 100 ms of stall at 1 event/ms: about a hundred arrivals slip,
+        // and the tail is back on the precomputed schedule.
+        assert!((90..=110).contains(&slipped), "{slipped} arrivals slipped");
+        assert_eq!(report.schedule_micros[199], targets[199]);
+    }
+
+    #[test]
+    fn virtual_markers_keep_stream_position_between_two_flushes() {
+        let manual = ManualClock::new();
+        let mut entries = stream_entries(6);
+        entries.insert(4, StreamEntry::marker("mid"));
+        // A 3.5 ms stall on the first event makes 2..=4 fall due together:
+        // the burst must still end at "mid", not run through it.
+        let mut sink = ScriptedSink::new(&manual, 10);
+        sink.stall_at = 1;
+        sink.stall_micros = 3_500;
+        let ops = Arc::clone(&sink.ops);
+        run_client(
+            &entries,
+            &uniform_config(LoopModel::Open),
+            Box::new(sink),
+            Arc::new(manual),
+        )
+        .unwrap();
+
+        // One letter per sink call: `e` an event, `m` a marker, `F` a flush
+        // (the last one is `close`). Events 2 and 3 share a burst that ends
+        // at "mid"; event 4, due as well, waits behind the marker.
+        let calls: String = ops
+            .lock()
+            .unwrap()
+            .iter()
+            .map(|op| match op {
+                Op::Send(entry) if entry.is_graph() => 'e',
+                Op::Send(_) => 'm',
+                Op::Flush => 'F',
+            })
+            .collect();
+        assert_eq!(calls, "FmFeFeeFFmFeFeFeFFmFF");
+        let sent: Vec<StreamEntry> = ops
+            .lock()
+            .unwrap()
+            .iter()
+            .filter_map(|op| match op {
+                Op::Send(entry) => Some(entry.clone()),
+                Op::Flush => None,
+            })
+            .collect();
+        assert_eq!(sent, entries, "stream order");
+    }
+
+    #[test]
+    fn virtual_sink_error_mid_burst_is_the_clients_error() {
+        let manual = ManualClock::new();
+        let mut sink = ScriptedSink::new(&manual, 10);
+        // Event 1's flush stalls 5 ms, so events 2..=6 form one burst;
+        // its third send fails.
+        sink.stall_at = 1;
+        sink.stall_micros = 5_500;
+        sink.fail_at = 4;
+        let ops = Arc::clone(&sink.ops);
+        let err = run_client(
+            &graph_entries(20),
+            &uniform_config(LoopModel::Open),
+            Box::new(sink),
+            Arc::new(manual),
+        )
+        .unwrap_err();
+        assert_eq!(err.to_string(), "scripted failure");
+        let sends = ops
+            .lock()
+            .unwrap()
+            .iter()
+            .filter(|op| matches!(op, Op::Send(_)))
+            .count();
+        assert_eq!(sends, 3, "nothing is sent past the failure");
     }
 }

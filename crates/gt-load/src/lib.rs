@@ -21,8 +21,9 @@
 //!   from its scheduled arrival, so stalls surface as tail latency.
 //! * **closed loop** — the next event is sent only after the previous
 //!   write completed (send-after-ack); offered load adapts to the SUT.
-//! * **partial open loop** — open-loop arrivals, but the generator blocks
-//!   once the un-acked backlog reaches a window, bounding client memory.
+//! * **partial open loop** — open-loop arrivals, but an event cannot
+//!   arrive before the event a window ahead of it completed, bounding
+//!   the outstanding backlog.
 //!
 //! Modules:
 //!

@@ -493,6 +493,38 @@ fn reader_loop(
     }
 }
 
+/// What a reader has parsed but not yet handed on: the graph events
+/// waiting for the connector, and the entries not yet added to the shared
+/// totals (one atomic add per delivery instead of one per event).
+struct Pending {
+    batch: Vec<SharedEntry>,
+    entries: u64,
+}
+
+impl Pending {
+    /// Hands the batch to the connector and settles the counts.
+    fn deliver(
+        &mut self,
+        sink: &mut Box<dyn EventSink + Send>,
+        totals: &Totals,
+    ) -> Result<(), ReadAbort> {
+        if self.entries == 0 {
+            return Ok(()); // and so no batch either: every push counts an entry
+        }
+        totals.entries.fetch_add(self.entries, Ordering::Relaxed);
+        self.entries = 0;
+        if self.batch.is_empty() {
+            return Ok(());
+        }
+        totals
+            .graph_events
+            .fetch_add(self.batch.len() as u64, Ordering::Relaxed);
+        let sent = sink.send_batch(&self.batch).map_err(ReadAbort::Sink);
+        self.batch.clear();
+        sent
+    }
+}
+
 fn read_connection(
     conn: usize,
     stream: TcpStream,
@@ -506,7 +538,10 @@ fn read_connection(
         .set_read_timeout(Some(config.read_timeout))
         .map_err(ReadAbort::Stream)?;
     let mut reader = BufReader::new(stream);
-    let mut batch: Vec<SharedEntry> = Vec::with_capacity(READER_BATCH);
+    let mut pending = Pending {
+        batch: Vec::with_capacity(READER_BATCH),
+        entries: 0,
+    };
     // One reused line buffer per connection instead of `BufRead::lines`'s
     // fresh `String` per line — under `--clients M` the fan-in side would
     // otherwise allocate per event per connection.
@@ -516,6 +551,18 @@ fn read_connection(
     let mut idle = Duration::ZERO;
     let mut stall_counted = false;
     loop {
+        // Nothing buffered means the next read may block for as long as
+        // the client stays quiet: the platform gets what has arrived first.
+        // A buffer that ends mid-line is not caught here (`read_line` takes
+        // the head and blocks for the tail), so events ahead of a
+        // half-received line wait for the tail or, at most, one
+        // `read_timeout`: the timeout arm comes back here with the buffer
+        // drained. Scanning for a '\n' before every read would close that
+        // gap, at a measurable cost on the firehose, for a sender that stops
+        // mid-line — which `gt-load`'s clients, flushing whole lines, never do.
+        if reader.buffer().is_empty() {
+            pending.deliver(sink, totals)?;
+        }
         match reader.read_line(&mut line) {
             Ok(0) => break,
             Ok(_) => {
@@ -549,7 +596,11 @@ fn read_connection(
                 continue;
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(ReadAbort::Stream(e)),
+            Err(e) => {
+                // What was parsed before the connection broke still counts.
+                pending.deliver(sink, totals)?;
+                return Err(ReadAbort::Stream(e));
+            }
         }
         let trimmed = line.trim_end_matches(['\n', '\r']);
         let entry = match parse_line(trimmed) {
@@ -565,51 +616,28 @@ fn read_connection(
             }
         };
         line.clear();
-        totals.entries.fetch_add(1, Ordering::Relaxed);
+        pending.entries += 1;
         match &entry {
             StreamEntry::Graph(_) => {
-                batch.push(SharedEntry::new(entry));
-                if batch.len() >= READER_BATCH {
-                    totals
-                        .graph_events
-                        .fetch_add(batch.len() as u64, Ordering::Relaxed);
-                    sink.send_batch(&batch).map_err(ReadAbort::Sink)?;
-                    batch.clear();
+                pending.batch.push(SharedEntry::new(entry));
+                if pending.batch.len() >= READER_BATCH {
+                    pending.deliver(sink, totals)?;
                 }
             }
             StreamEntry::Marker(name) => {
-                if !batch.is_empty() {
-                    totals
-                        .graph_events
-                        .fetch_add(batch.len() as u64, Ordering::Relaxed);
-                    sink.send_batch(&batch).map_err(ReadAbort::Sink)?;
-                    batch.clear();
-                }
+                pending.deliver(sink, totals)?;
                 sink.flush().map_err(ReadAbort::Sink)?;
-                let name = name.clone();
-                barrier.arrive(conn, &name).map_err(ReadAbort::Sink)?;
+                barrier.arrive(conn, name).map_err(ReadAbort::Sink)?;
             }
             StreamEntry::Control(_) => {
                 // Control events are per-connection pacing hints; forward
                 // them in position on this connection's connector.
-                if !batch.is_empty() {
-                    totals
-                        .graph_events
-                        .fetch_add(batch.len() as u64, Ordering::Relaxed);
-                    sink.send_batch(&batch).map_err(ReadAbort::Sink)?;
-                    batch.clear();
-                }
+                pending.deliver(sink, totals)?;
                 sink.send(&entry).map_err(ReadAbort::Sink)?;
             }
         }
     }
-    if !batch.is_empty() {
-        totals
-            .graph_events
-            .fetch_add(batch.len() as u64, Ordering::Relaxed);
-        sink.send_batch(&batch).map_err(ReadAbort::Sink)?;
-        batch.clear();
-    }
+    pending.deliver(sink, totals)?;
     sink.flush().map_err(ReadAbort::Sink)
 }
 
@@ -727,6 +755,8 @@ mod tests {
         let report = handle.join().unwrap();
         assert_eq!(report.connections, 3);
         assert_eq!(report.graph_events, 60);
+        assert_eq!(report.entries, 66, "60 events and 3 x 2 markers");
+        assert_eq!(report.parse_errors, 0);
         assert_eq!(report.marker_violations, 0);
         assert_eq!(
             report
@@ -796,6 +826,110 @@ mod tests {
         let report = handle.join().unwrap();
         assert_eq!(report.markers.len(), 1);
         assert_eq!(report.marker_violations, 0);
+        assert_eq!(report.graph_events, 1);
+        assert_eq!(report.entries, 2);
+    }
+
+    /// A connector forwarding each graph event into a channel.
+    struct Forward(std::sync::mpsc::Sender<StreamEntry>);
+    impl EventSink for Forward {
+        fn send(&mut self, entry: &StreamEntry) -> io::Result<()> {
+            if entry.is_graph() {
+                self.0.send(entry.clone()).ok();
+            }
+            Ok(())
+        }
+    }
+
+    // Regression: a reader used to hold its batch until it had 64 events
+    // or a marker, and a read timeout just went back to reading — on a
+    // slow connection the platform saw nothing until EOF. Every event must
+    // reach the connector while the client is quiet, before the next one
+    // is even written.
+    #[test]
+    fn a_quiet_connection_does_not_park_events_in_the_reader() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let listener = LoadListener::bind().unwrap();
+        let addr = listener.local_addr().unwrap();
+        let clock: Arc<dyn Clock> = Arc::new(WallClock::start());
+        let config = ListenerConfig {
+            read_timeout: Duration::from_millis(10),
+            ..ListenerConfig::default()
+        };
+        let handle = listener
+            .start_with_config(
+                1,
+                Box::new(move || Ok(Box::new(Forward(tx.clone())) as Box<dyn EventSink + Send>)),
+                clock,
+                config,
+            )
+            .unwrap();
+
+        let mut stream = TcpStream::connect(addr).unwrap();
+        for i in 0..10 {
+            let event = StreamEntry::graph(GraphEvent::AddVertex {
+                id: VertexId(i),
+                state: State::empty(),
+            });
+            write_lines(&mut stream, std::slice::from_ref(&event));
+            let delivered = rx
+                .recv_timeout(Duration::from_secs(2))
+                .unwrap_or_else(|_| panic!("event {i} is parked in the reader"));
+            assert_eq!(delivered, event);
+        }
+        drop(stream);
+        let report = handle.join().unwrap();
+        assert_eq!(report.graph_events, 10);
+        assert_eq!(report.entries, 10);
+    }
+
+    // The bound when the read buffer ends mid-line: a whole event followed
+    // by the head of the next one arrives in one segment and the sender
+    // goes quiet. The whole event is delivered by the timeout arm, one
+    // `read_timeout` later, without waiting for the tail.
+    #[test]
+    fn a_half_received_line_holds_the_events_before_it_one_read_timeout_at_most() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let listener = LoadListener::bind().unwrap();
+        let addr = listener.local_addr().unwrap();
+        let clock: Arc<dyn Clock> = Arc::new(WallClock::start());
+        let config = ListenerConfig {
+            read_timeout: Duration::from_millis(20),
+            ..ListenerConfig::default()
+        };
+        let handle = listener
+            .start_with_config(
+                1,
+                Box::new(move || Ok(Box::new(Forward(tx.clone())) as Box<dyn EventSink + Send>)),
+                clock,
+                config,
+            )
+            .unwrap();
+
+        let events: Vec<StreamEntry> = (0..2)
+            .map(|i| {
+                StreamEntry::graph(GraphEvent::AddVertex {
+                    id: VertexId(i),
+                    state: State::empty(),
+                })
+            })
+            .collect();
+        let second = entry_to_line(&events[1]);
+        let (head, tail) = second.split_at(second.len() / 2);
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .write_all(format!("{}\n{head}", entry_to_line(&events[0])).as_bytes())
+            .unwrap();
+        let delivered = rx
+            .recv_timeout(Duration::from_secs(2))
+            .expect("the whole event is parked until the half-received one completes");
+        assert_eq!(delivered, events[0]);
+        stream.write_all(format!("{tail}\n").as_bytes()).unwrap();
+        drop(stream);
+        let report = handle.join().unwrap();
+        assert_eq!(rx.recv().unwrap(), events[1]);
+        assert_eq!(report.graph_events, 2);
+        assert_eq!(report.entries, 2);
     }
 
     // Regression: a connection that dies before reaching a marker used to
@@ -926,6 +1060,8 @@ mod tests {
         let report = handle.join().unwrap();
         drop(idle);
         assert_eq!(report.markers.len(), 1);
+        assert_eq!(report.graph_events, 1);
+        assert_eq!(report.entries, 2);
         assert_eq!(report.connections_lost, 1);
         assert!(report.reader_stalls >= 1, "stall episode counted");
         assert!(report

@@ -13,17 +13,17 @@ use std::str::FromStr;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LoopModel {
     /// Arrivals follow the precomputed schedule regardless of SUT
-    /// progress; un-acked events queue client-side as counted backlog.
+    /// progress; events that fell due but are not yet written are the
+    /// counted backlog.
     Open,
     /// The next event is sent only after the previous write completed
     /// (send-after-ack); the schedule supplies think time between sends.
     Closed,
-    /// Open-loop arrivals, but the generator stalls once the un-acked
-    /// backlog reaches `window` events, bounding client memory at the
-    /// cost of schedule slip under sustained overload.
+    /// Open-loop arrivals, but event `i` arrives no earlier than the
+    /// completion of event `i − window`: at most `window` events are
+    /// outstanding, at the cost of schedule slip under sustained overload.
     PartialOpen {
-        /// Maximum un-acked events queued client-side before the
-        /// generator stalls.
+        /// Maximum arrived-but-unwritten events before arrivals slip.
         window: usize,
     },
 }

@@ -135,7 +135,9 @@ pub fn run_load(
             "load plan has no connections",
         ));
     }
-    let substreams = SeededPartitioner::new(total, plan.seed).split(stream);
+    let mut substreams = SeededPartitioner::new(total, plan.seed)
+        .split(stream)
+        .into_iter();
     let listener = LoadListener::bind()?;
     let addr = listener.local_addr()?;
     let handle = listener.start(total, connect, Arc::clone(&clock))?;
@@ -156,7 +158,10 @@ pub fn run_load(
     let mut conn = 0usize;
     for class in &plan.classes {
         for _ in 0..class.connections {
-            let entries = substreams[conn].entries().to_vec();
+            // Each client thread owns its substream: moved, not copied.
+            let substream = substreams
+                .next()
+                .expect("the partitioner yields one substream per connection");
             let config = ClientConfig::new(
                 class.name.clone(),
                 class.model,
@@ -171,7 +176,7 @@ pub fn run_load(
                     .name(format!("gt-load-client-{conn}"))
                     .spawn(move || -> io::Result<ClientReport> {
                         let sink = connect_with_retry(dial_addr, write_timeout)?;
-                        run_client(&entries, &config, Box::new(sink), clock)
+                        run_client(substream.entries(), &config, Box::new(sink), clock)
                     })?,
             ));
             conn += 1;

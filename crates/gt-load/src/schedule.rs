@@ -94,6 +94,11 @@ impl ArrivalSchedule {
         &self.offsets
     }
 
+    /// Consumes the schedule, yielding its offsets without a copy.
+    pub fn into_offsets_micros(self) -> Vec<u64> {
+        self.offsets
+    }
+
     /// Number of scheduled arrivals.
     pub fn len(&self) -> usize {
         self.offsets.len()

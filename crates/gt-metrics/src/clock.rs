@@ -8,7 +8,13 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::thread;
+use std::time::{Duration, Instant};
+
+/// Below this remaining wait [`Clock::wait_until`] spins instead of
+/// sleeping, for microsecond-accurate wake-ups (the replayer's hybrid
+/// pacing idiom).
+const SPIN_THRESHOLD_MICROS: u64 = 1_000;
 
 /// A source of run-relative time.
 pub trait Clock: Send + Sync {
@@ -18,6 +24,25 @@ pub trait Clock: Send + Sync {
     /// Seconds since run start.
     fn now_secs(&self) -> f64 {
         self.now_micros() as f64 / 1e6
+    }
+
+    /// Blocks until the clock reads at least `target_micros`: sleeps while
+    /// the remaining wait is long, then spins. Simulated clocks override
+    /// this to advance themselves instead of waiting.
+    fn wait_until(&self, target_micros: u64) {
+        loop {
+            let now = self.now_micros();
+            if now >= target_micros {
+                return;
+            }
+            let remaining = target_micros - now;
+            if remaining > SPIN_THRESHOLD_MICROS {
+                thread::sleep(Duration::from_micros(remaining - SPIN_THRESHOLD_MICROS / 2));
+            } else {
+                std::hint::spin_loop();
+                thread::yield_now();
+            }
+        }
     }
 }
 
@@ -75,6 +100,12 @@ impl Clock for ManualClock {
     fn now_micros(&self) -> u64 {
         self.micros.load(Ordering::SeqCst)
     }
+
+    /// Jumps to `target_micros` (never backwards): in virtual time a wait
+    /// costs nothing but the time itself.
+    fn wait_until(&self, target_micros: u64) {
+        self.micros.fetch_max(target_micros, Ordering::SeqCst);
+    }
 }
 
 #[cfg(test)]
@@ -100,6 +131,23 @@ mod tests {
         assert!((clock.now_secs() - 1.5005).abs() < 1e-9);
         clock.set_micros(10);
         assert_eq!(clock.now_micros(), 10);
+    }
+
+    #[test]
+    fn manual_clock_wait_jumps_forward_only() {
+        let clock = ManualClock::new();
+        clock.wait_until(700);
+        assert_eq!(clock.now_micros(), 700);
+        clock.wait_until(300);
+        assert_eq!(clock.now_micros(), 700, "a wait never rewinds the clock");
+    }
+
+    #[test]
+    fn wall_clock_wait_reaches_the_target() {
+        let clock = WallClock::start();
+        let target = clock.now_micros() + 1_500;
+        clock.wait_until(target);
+        assert!(clock.now_micros() >= target);
     }
 
     #[test]
