@@ -7,7 +7,8 @@
 //! Measures the §4.2 parse path (borrowed vs owned), the graph-event
 //! ingest path (hybrid-adjacency `EvolvingGraph` and the store's
 //! `PartitionState`, the latter also under the paper's Table 3 mix with
-//! its vertex removals) and the load layer's client side (one open-loop
+//! its vertex removals; plus the rank engine's result-board publish) and
+//! the load layer's client side (one open-loop
 //! client at an unbounded rate into a counting sink, and the stream
 //! partitioner) with a counting global allocator, then writes
 //! `BENCH_parse.json`, `BENCH_ingest.json` and `BENCH_load.json` into
@@ -33,6 +34,9 @@ use gt_metrics::{Clock, WallClock};
 use gt_replayer::EventSink;
 use gt_workloads::Table3Workload;
 use std::hint::black_box;
+use tide_graph::board::{ResultBoard, Snapshot};
+use tide_graph::rank::RankPartition;
+use tide_graph::Partition;
 use tide_store::PartitionState;
 
 #[global_allocator]
@@ -155,6 +159,43 @@ fn apply_to_partition(events: &[SharedGraphEvent]) {
     black_box(state.edge_count());
 }
 
+/// Vertices in the partition `ingest/rank-board-publish` publishes.
+const BOARD_VERTICES: u64 = 1_000;
+
+/// Publishes per round of `ingest/rank-board-publish` (its events), and
+/// how many of them pass between two reads of the slot.
+const BOARD_PUBLISHES: u64 = 10_000;
+const BOARD_READ_EVERY: u64 = 1_000;
+
+/// One `tide-graph` worker's side of the result board: its partition's
+/// summary, published over and over, with a reader copying the slot out
+/// now and then. Both buffers are recycled, so a round allocates nothing.
+fn board_publish_suite(rounds: u32) -> BenchRecord {
+    let mut partition = RankPartition::default();
+    let mut dirty = Vec::new();
+    for id in 0..BOARD_VERTICES {
+        let vertex = GraphEvent::AddVertex {
+            id: VertexId(id),
+            state: State::empty(),
+        };
+        partition.apply_event_deferred(&vertex, &mut dirty);
+    }
+    let board = ResultBoard::new(1);
+    let (mut scratch, mut copy) = (Snapshot::new(), Snapshot::new());
+    measure("ingest/rank-board-publish", BOARD_PUBLISHES, rounds, || {
+        for publish in 1..=BOARD_PUBLISHES {
+            scratch.clear();
+            partition.summary_into(&mut scratch);
+            board.publish(0, &mut scratch);
+            if publish % BOARD_READ_EVERY == 0 {
+                copy.clear();
+                board.read_slot(0, &mut copy);
+                black_box(copy.len());
+            }
+        }
+    })
+}
+
 fn ingest_suites(events: &[GraphEvent], rounds: u32) -> Vec<BenchRecord> {
     let n = events.len() as u64;
     // The shared handles are built here, outside the timed closures: on
@@ -187,6 +228,7 @@ fn ingest_suites(events: &[GraphEvent], rounds: u32) -> Vec<BenchRecord> {
             rounds,
             || apply_to_partition(&mixed),
         ),
+        board_publish_suite(rounds),
     ]
 }
 

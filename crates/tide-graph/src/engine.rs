@@ -45,6 +45,7 @@ use gt_sut::{Adjacency, StateDigest, WindowDigest, WorkerSupervisor};
 use gt_trace::{Probe, Stage, TracerCell};
 use parking_lot::{Mutex, RwLock};
 
+use crate::board::{ResultBoard, Snapshot};
 use crate::program::{Partition, VERTEX_HASH_MULTIPLIER};
 use crate::rank::{RankParams, RankPartition};
 
@@ -60,9 +61,10 @@ pub struct EngineConfig {
     pub event_cost: Duration,
     /// Simulated processing cost per computational (share) message.
     pub share_cost: Duration,
-    /// Workers refresh the shared result board every this many processed
-    /// messages (the Level-2 "periodically dump intermediate results"
-    /// instrumentation).
+    /// Workers republish their slot of the result board every this many
+    /// processed items (the Level-2 "periodically dump intermediate
+    /// results" instrumentation). A publish copies the partition's whole
+    /// summary: O(vertices held) on the worker, nothing shared.
     pub board_refresh_every: u64,
     /// Items a worker processes per round — every event, purge, marker
     /// and *each share of a received batch* counts one. Pushes of a whole
@@ -162,11 +164,6 @@ impl<M> Msg<M> {
         }
     }
 }
-
-/// The shared result board: workers periodically publish their
-/// partition's current values; the harness reads it without queueing
-/// behind backlog.
-type ResultBoard = Arc<Mutex<BTreeMap<VertexId, f64>>>;
 
 /// Processed watermarks: `(marker name, worker id, micros since engine
 /// start)`. Names stay interned in the log; the public accessor converts.
@@ -281,7 +278,7 @@ struct EngineCore<P: Partition> {
     /// `(ingest seq, event)` — populated only in supervised mode.
     retained: Mutex<Vec<(u64, SharedGraphEvent)>>,
     factory: Box<dyn Fn(usize) -> P + Send + Sync>,
-    board: ResultBoard,
+    board: Arc<ResultBoard>,
     markers: MarkerLog,
     snapshots: SnapshotLog,
     started: Instant,
@@ -416,7 +413,7 @@ impl<P: Partition> Engine<P> {
             handles: Mutex::new(Vec::with_capacity(workers)),
             retained: Mutex::new(Vec::new()),
             factory: Box::new(factory),
-            board: Arc::new(Mutex::new(BTreeMap::new())),
+            board: Arc::new(ResultBoard::new(workers)),
             markers: Arc::new(Mutex::new(Vec::new())),
             snapshots: Arc::new(Mutex::new(Vec::new())),
             started: Instant::now(),
@@ -576,13 +573,16 @@ impl<P: Partition> Engine<P> {
     /// A snapshot of the result board (the periodically dumped
     /// intermediate results), normalized to sum to 1.
     pub fn board_ranks(&self) -> BTreeMap<VertexId, f64> {
-        let board = self.core.board.lock().clone();
-        normalize(board)
+        normalize(self.board_values())
     }
 
-    /// A raw (unnormalized) snapshot of the result board.
+    /// A raw (unnormalized) snapshot of the result board: every worker's
+    /// last published summary. Each worker's part is that worker's state
+    /// at one instant; different workers' parts are from different
+    /// instants. Once [`quiesce`](Engine::quiesce) has returned, every
+    /// publish that was due is in it.
     pub fn board_values(&self) -> BTreeMap<VertexId, f64> {
-        self.core.board.lock().clone()
+        self.core.board.values()
     }
 
     /// Blocks until every live worker has processed every item ever
@@ -636,15 +636,13 @@ impl<P: Partition> Engine<P> {
             let mut guard = self.core.handles.lock();
             guard.drain(..).collect()
         };
-        let mut ranks = BTreeMap::new();
+        let mut ranks = Snapshot::new();
         let mut final_adjacency: Adjacency = Vec::new();
         let digest_on = self.core.config.digest;
         for handle in handles {
             match handle.join() {
                 Ok(Some(partition)) => {
-                    for (id, p) in partition.summary() {
-                        ranks.insert(id, p);
-                    }
+                    partition.summary_into(&mut ranks);
                     if digest_on {
                         final_adjacency.extend(partition.structure());
                     }
@@ -694,7 +692,7 @@ impl<P: Partition> Engine<P> {
         EngineStats {
             events,
             shares,
-            ranks,
+            ranks: ranks.into_iter().collect(),
             crashes: self.core.counters.crashes.get(),
             restarts: self.core.counters.restarts.get(),
             events_lost: self.core.counters.events_lost.get(),
@@ -810,7 +808,7 @@ struct WorkerCtx<M> {
     worker_id: usize,
     rx: Receiver<Msg<M>>,
     mailboxes: Arc<Mailboxes<M>>,
-    board: ResultBoard,
+    board: Arc<ResultBoard>,
     markers: MarkerLog,
     snapshots: SnapshotLog,
     started: Instant,
@@ -889,6 +887,14 @@ fn worker_loop<P: Partition>(ctx: WorkerCtx<P::Msg>, mut partition: P) -> Option
     let mut counts = vec![0usize; workers];
     let mut parts: Vec<Batch<P::Msg>> = (0..workers).map(|_| Vec::new()).collect();
     let mut spare = SpareBatches::new(drain_batch);
+    // The board buffer this worker fills next: after a publish, the one
+    // its slot held before.
+    let mut snapshot = Snapshot::new();
+    let mut publish = |partition: &P| {
+        snapshot.clear();
+        partition.summary_into(&mut snapshot);
+        ctx.board.publish(ctx.worker_id, &mut snapshot);
+    };
     let mut running = true;
     // Lazily acquired apply tracepoint: the thread outlives tracer
     // installation, so it polls the cell (one atomic load while empty).
@@ -973,8 +979,9 @@ fn worker_loop<P: Partition>(ctx: WorkerCtx<P::Msg>, mut partition: P) -> Option
                     }
                 }
                 Msg::Crash => {
-                    // Die like a killed process: no final board publish,
-                    // no summary, queued messages abandoned. The alive
+                    // Die like a killed process: no final board publish
+                    // (the slot keeps the last snapshot), no summary,
+                    // queued messages abandoned. The alive
                     // flag tells the rest of the engine (and a waiting
                     // supervisor) that this slot is vacant. Swapping in a
                     // sender whose receiver is already gone, under the
@@ -1040,26 +1047,22 @@ fn worker_loop<P: Partition>(ctx: WorkerCtx<P::Msg>, mut partition: P) -> Option
                 ctx.events_lost.add(lost);
             }
         }
+        // A refresh this round makes due goes out before the round is
+        // accounted, so whoever sees the account settled (`quiesce`) also
+        // sees the board it implies. (Only this worker advances
+        // `processed`, so the load is what `fetch_add` will return.)
+        let round = items as u64;
+        let processed = slot.processed.load(Ordering::SeqCst) + round;
+        if processed % ctx.config.board_refresh_every.max(1) < round {
+            publish(&partition);
+        }
         // Only now is the round done: what it produced is already on its
         // destinations' accounts (see `Slot`).
-        let round = items as u64;
-        let processed = slot.processed.fetch_add(round, Ordering::SeqCst) + round;
+        slot.processed.fetch_add(round, Ordering::SeqCst);
         ctx.queue_gauge.set(slot.backlog() as i64);
-
-        if processed % ctx.config.board_refresh_every.max(1) < round {
-            let mut board = ctx.board.lock();
-            for (id, p) in partition.summary() {
-                board.insert(id, p);
-            }
-        }
     }
     // Final board publish so late readers see the end state.
-    {
-        let mut board = ctx.board.lock();
-        for (id, p) in partition.summary() {
-            board.insert(id, p);
-        }
-    }
+    publish(&partition);
     Some(partition)
 }
 
@@ -1247,6 +1250,111 @@ mod tests {
         let total: f64 = board.values().sum();
         assert!((total - 1.0).abs() < 1e-9);
         engine.shutdown();
+    }
+
+    /// 1 000 vertices, each arriving with its one out-edge, to one of the
+    /// five vertices before it (vertex 0's is a self-loop, which the
+    /// program ignores): 2 000 events whose mass travels down a long
+    /// braid, some forty hops a seed, across every pair of workers. One
+    /// out-edge, whose target's `AddVertex` is queued ahead of any share
+    /// it can receive: with `reseed = 1.0` the fixpoint does not depend
+    /// on the interleaving.
+    fn growing_graph() -> Vec<GraphEvent> {
+        let target = |i: u64| i.saturating_sub(1 + (i * 7) % i.clamp(1, 5));
+        (0..1_000u64)
+            .flat_map(|i| [add_v(i), add_e(i, target(i))])
+            .collect()
+    }
+
+    /// Ingests [`growing_graph`] — optionally with a thread reading the
+    /// board as fast as it can, checking every slot copy it takes — and
+    /// returns the final ranks.
+    fn ingest_growing_graph(rank: RankParams, read_board: bool) -> BTreeMap<VertexId, f64> {
+        const WORKERS: usize = 4;
+        let hub = MetricsHub::new();
+        let config = EngineConfig {
+            workers: WORKERS,
+            rank,
+            board_refresh_every: 16,
+            ..Default::default()
+        };
+        let engine = TideGraph::start(config, &hub);
+        // Counted before the vertex is ingested: never behind the engine.
+        let seeded = AtomicU64::new(0);
+        let done = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            let reader = scope.spawn(|| {
+                let mut snapshots = 0u64;
+                let mut part = Snapshot::new();
+                while read_board && !done.load(Ordering::SeqCst) {
+                    let mut total = 0.0;
+                    for worker in 0..WORKERS {
+                        part.clear();
+                        engine.core.board.read_slot(worker, &mut part);
+                        let ids: std::collections::BTreeSet<VertexId> =
+                            part.iter().map(|(id, _)| *id).collect();
+                        assert_eq!(ids.len(), part.len(), "a vertex twice in one slot");
+                        for (id, p) in &part {
+                            assert_eq!(owner(*id, WORKERS), worker, "{id} in a foreign slot");
+                            assert!(p.is_finite() && *p >= 0.0, "{id}: {p}");
+                        }
+                        total += part.iter().map(|(_, p)| p).sum::<f64>();
+                    }
+                    // Slots are from different instants, so mass that moved
+                    // between two workers in between could count twice —
+                    // but only if some vertex's `p` ever shrank, and with
+                    // `reseed = 0` none does: the sum of the slots is then
+                    // at most the engine's settled mass *now*.
+                    if rank.reseed == 0.0 {
+                        let limit = seeded.load(Ordering::SeqCst) as f64;
+                        assert!(total <= limit + 1e-9, "{total} settled of {limit} seeded");
+                    }
+                    snapshots += 1;
+                }
+                snapshots
+            });
+            for event in growing_graph() {
+                if matches!(event, GraphEvent::AddVertex { .. }) {
+                    seeded.fetch_add(1, Ordering::SeqCst);
+                }
+                engine.ingest(event);
+            }
+            let quiesced = engine.quiesce(Duration::from_secs(120));
+            done.store(true, Ordering::SeqCst);
+            let snapshots = reader.join().expect("a board invariant failed");
+            assert!(quiesced, "the engine must settle with a reader attached");
+            assert!(!read_board || snapshots > 0);
+        });
+        engine.shutdown().ranks
+    }
+
+    #[test]
+    fn concurrent_reader_sees_whole_slots_and_changes_nothing() {
+        // Monotone `p`: the mass bound on a multi-instant read is exact.
+        let monotone = RankParams {
+            epsilon: 1e-6,
+            reseed: 0.0,
+            ..Default::default()
+        };
+        let ranks = ingest_growing_graph(monotone, true);
+        assert_eq!(ranks.len(), 1_000);
+
+        // Order-independent fixpoint: with and without a reader the run
+        // ends in the same place, up to what stays parked below ε.
+        let exact = RankParams {
+            reseed: 1.0,
+            ..monotone
+        };
+        let watched = ingest_growing_graph(exact, true);
+        let alone = ingest_growing_graph(exact, false);
+        assert_eq!(watched.len(), alone.len());
+        for (id, p) in &alone {
+            assert!(
+                (watched[id] - p).abs() < 1e-3,
+                "{id}: {} vs {p}",
+                watched[id]
+            );
+        }
     }
 
     #[test]

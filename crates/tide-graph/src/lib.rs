@@ -27,8 +27,9 @@
 //!   stream quiesces,
 //! * Level-2 instrumentation: per-worker queue-length gauges, operation
 //!   counters, busy-time accounting, watermark latency timestamps, and a
-//!   shared *result board* the workers update in-source so the harness
-//!   can sample intermediate results without queueing behind the backlog.
+//!   *result board* ([`board`]) each worker republishes its slot of
+//!   in-source so the harness can sample intermediate results without
+//!   queueing behind the backlog.
 //!
 //! The engine is **programmable** like its archetype: the worker runtime
 //! ([`Engine`]) is generic over a vertex program ([`Partition`]). Two
@@ -36,6 +37,7 @@
 //! `Engine<RankPartition>`) and online single-source shortest distances
 //! ([`SsspEngine`]), Table 1's "distributed routing algorithms".
 
+pub mod board;
 pub mod connector;
 pub mod engine;
 pub mod program;

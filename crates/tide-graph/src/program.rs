@@ -80,9 +80,10 @@ pub trait Partition: Send + 'static {
     /// strip local references to `removed`, appending repair messages.
     fn purge(&mut self, removed: VertexId, out: &mut Vec<(VertexId, Self::Msg)>);
 
-    /// The current per-vertex result values this partition owns — what
-    /// the engine publishes on the shared result board.
-    fn summary(&self) -> Vec<(VertexId, f64)>;
+    /// Appends the current result value of every vertex this partition
+    /// owns — what the engine publishes on the result board, into a
+    /// buffer the caller recycles from one publish to the next.
+    fn summary_into(&self, out: &mut Vec<(VertexId, f64)>);
 
     /// The partition's current local out-topology, as `(vertex id,
     /// [(target id, weight bits)])` — the raw material of a

@@ -113,11 +113,6 @@ impl RankPartition {
         out.extend(state.out.keys().map(|target| (target, share)));
     }
 
-    /// Current `(id, p)` pairs of this partition.
-    pub fn ranks(&self) -> Vec<(VertexId, f64)> {
-        self.vertices.iter().map(|(id, s)| (*id, s.p)).collect()
-    }
-
     /// Total residual mass still parked locally (unconverged work).
     pub fn residual_mass(&self) -> f64 {
         self.vertices.values().map(|s| s.res).sum()
@@ -201,8 +196,9 @@ impl Partition for RankPartition {
         self.flush_dirty(&affected, out);
     }
 
-    fn summary(&self) -> Vec<(VertexId, f64)> {
-        self.ranks()
+    /// The settled mass `p` of every vertex held here.
+    fn summary_into(&self, out: &mut Vec<(VertexId, f64)>) {
+        out.extend(self.vertices.iter().map(|(id, s)| (*id, s.p)));
     }
 
     fn structure(&self) -> Vec<(u64, Vec<(u64, u64)>)> {
@@ -262,8 +258,14 @@ mod tests {
         }
     }
 
+    fn ranks(partition: &RankPartition) -> Vec<(VertexId, f64)> {
+        let mut ranks = Vec::new();
+        partition.summary_into(&mut ranks);
+        ranks
+    }
+
     fn normalized(partition: &RankPartition) -> std::collections::BTreeMap<VertexId, f64> {
-        let ranks = partition.ranks();
+        let ranks = ranks(partition);
         let total: f64 = ranks.iter().map(|(_, p)| p).sum();
         ranks.into_iter().map(|(id, p)| (id, p / total)).collect()
     }
@@ -351,7 +353,7 @@ mod tests {
         let mut dirty = Vec::new();
         partition.receive_deferred(VertexId(99), 1.0, &mut dirty);
         assert!(dirty.is_empty());
-        assert!(partition.ranks().is_empty());
+        assert!(ranks(&partition).is_empty());
     }
 
     #[test]

@@ -174,11 +174,9 @@ impl Partition for DistancePartition {
     }
 
     /// Distances as the board values; unreached vertices report infinity.
-    fn summary(&self) -> Vec<(VertexId, f64)> {
-        self.vertices
-            .iter()
-            .map(|(id, s)| (*id, s.dist.unwrap_or(f64::INFINITY)))
-            .collect()
+    fn summary_into(&self, out: &mut Vec<(VertexId, f64)>) {
+        let states = self.vertices.iter();
+        out.extend(states.map(|(id, s)| (*id, s.dist.unwrap_or(f64::INFINITY))));
     }
 
     fn structure(&self) -> Vec<(u64, Vec<(u64, u64)>)> {
@@ -275,7 +273,8 @@ mod tests {
         run_events(&mut p, &[add_v(0), add_v(9)]);
         assert_eq!(p.distance(VertexId(9)), None);
         // Summary reports them as infinity.
-        let summary = Partition::summary(&p);
+        let mut summary = Vec::new();
+        p.summary_into(&mut summary);
         let nine = summary.iter().find(|(id, _)| *id == VertexId(9)).unwrap();
         assert!(nine.1.is_infinite());
     }

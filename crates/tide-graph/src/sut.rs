@@ -36,7 +36,7 @@ pub const SHARDED_SUT_NAME: &str = "tide-graph-sharded";
 /// | `reseed` | re-seeded mass fraction on topology change | 0.5 |
 /// | `event_cost_us` | simulated cost per mutation event, µs | 0 |
 /// | `share_cost_us` | simulated cost per computational message (per share, not per batch), µs | 0 |
-/// | `board_refresh_every` | result-board publish period (messages) | 256 |
+/// | `board_refresh_every` | result-board publish period, in items; each publish costs the worker one copy of its partition's `(vertex, value)` list and a buffer swap — no allocation, no lock shared with another worker | 256 |
 /// | `drain_batch` | items processed per round (an event, purge or marker is one item; a received share batch counts each share) | 64 |
 /// | `supervised` | retain events so crashed workers can be restarted (`1` = on) | 0 |
 /// | `digest` | capture a [`StateDigest`] at shutdown (`1` = on) | 0 |
