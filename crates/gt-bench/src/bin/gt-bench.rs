@@ -9,8 +9,9 @@
 //! `PartitionState`, the latter also under the paper's Table 3 mix with
 //! its vertex removals; plus the rank engine's result-board publish) and
 //! the load layer's client side (one open-loop
-//! client at an unbounded rate into a counting sink, and the stream
-//! partitioner) with a counting global allocator, then writes
+//! client at an unbounded rate into a counting sink, the stream
+//! partitioner, and the replayer's whole file → reader → emitter session
+//! at an unbounded rate) with a counting global allocator, then writes
 //! `BENCH_parse.json`, `BENCH_ingest.json` and `BENCH_load.json` into
 //! `--out` (default: the current directory — run from the repo root so
 //! the files land next to the sources and get committed).
@@ -31,8 +32,8 @@ use gt_core::prelude::*;
 use gt_graph::EvolvingGraph;
 use gt_load::{run_client, ClientConfig, LoopModel, SeededPartitioner};
 use gt_metrics::{Clock, WallClock};
-use gt_replayer::EventSink;
-use gt_workloads::Table3Workload;
+use gt_replayer::{EventSink, ReplaySession, ReplaySessionConfig, ReplayerConfig};
+use gt_workloads::{SnbWorkload, Table3Workload};
 use std::hint::black_box;
 use tide_graph::board::{ResultBoard, Snapshot};
 use tide_graph::rank::RankPartition;
@@ -270,7 +271,44 @@ fn load_suites(events: &[GraphEvent], rounds: u32) -> Vec<BenchRecord> {
             let parts = SeededPartitioner::new(SPLIT_PARTITIONS, 7).split(black_box(&stream));
             black_box(parts);
         }),
+        session_suite(n, rounds),
     ]
+}
+
+/// The replayer's ceiling: an SNB stream file of `n` entries (persons and
+/// `knows` edges at Table 4's ratio, no markers — event = entry) through
+/// `ReplaySession` at its default `buffer`, never waiting on the pacer,
+/// into a counting sink. What is left is read + parse + the
+/// reader→emitter hand-off + the emit loop.
+fn session_suite(n: u64, rounds: u32) -> BenchRecord {
+    let persons = n / 19;
+    let workload = SnbWorkload {
+        persons,
+        connections: n - persons,
+        seed: 7,
+    };
+    let path = std::env::temp_dir().join(format!("gt-bench-session-{}.csv", std::process::id()));
+    workload
+        .generate()
+        .write_to_file(&path)
+        .expect("writing the session suite's stream file");
+    let config = ReplaySessionConfig {
+        replayer: ReplayerConfig {
+            target_rate: UNPACED_RATE,
+            ..ReplayerConfig::default()
+        },
+        ..ReplaySessionConfig::default()
+    };
+    let record = measure("load/session-unpaced", n, rounds, || {
+        let mut sink = CountingSink(0);
+        let report = ReplaySession::new(config.clone())
+            .run(&path, &mut sink)
+            .expect("a counting sink cannot fail");
+        assert_eq!((report.entries_read, sink.0), (n, n));
+        black_box(report);
+    });
+    std::fs::remove_file(&path).ok();
+    record
 }
 
 fn load_previous(path: &Path) -> Vec<BenchRecord> {

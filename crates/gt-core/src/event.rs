@@ -244,9 +244,12 @@ impl From<GraphEvent> for StreamEntry {
 /// A stream entry with shared ownership.
 ///
 /// This is the unit of the batched ingest path (replayer → connector →
-/// platform): the replayer allocates each entry once, and every hand-off
-/// downstream — batch dispatch, shard routing, worker mailboxes — clones the
-/// `Arc`, never the payload.
+/// platform): the replayer's reader allocates the `Arc` once per entry —
+/// and nothing else, unless a state payload exceeds
+/// [`State::INLINE_CAP`](crate::State::INLINE_CAP) — hands entries to the
+/// emitter a chunk at a time, and every hand-off downstream — batch
+/// dispatch, shard routing, worker mailboxes — clones the `Arc`, never the
+/// payload.
 pub type SharedEntry = std::sync::Arc<StreamEntry>;
 
 /// A shared-ownership handle that is guaranteed to wrap a

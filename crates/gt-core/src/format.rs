@@ -98,7 +98,7 @@ pub fn entry_to_line(entry: &StreamEntry) -> String {
 ///
 /// Mirror of [`GraphEvent`] produced by [`parse_line_ref`]: the shape and
 /// ids are fully parsed, but the user-defined state string is a `&str`
-/// slice of the line — nothing is allocated until the entry crosses an
+/// slice of the line — nothing is copied until the entry crosses an
 /// ownership boundary via [`GraphEventRef::to_event`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum GraphEventRef<'a> {
@@ -155,7 +155,8 @@ impl GraphEventRef<'_> {
         }
     }
 
-    /// Converts into an owned [`GraphEvent`], allocating the state string.
+    /// Converts into an owned [`GraphEvent`]. Copies the state payload;
+    /// allocates only when it is longer than [`State::INLINE_CAP`].
     pub fn to_event(&self) -> GraphEvent {
         match *self {
             GraphEventRef::AddVertex { id, state } => GraphEvent::AddVertex {
@@ -182,7 +183,7 @@ impl GraphEventRef<'_> {
 
 /// A parsed stream entry that borrows its text payloads from the line.
 ///
-/// This is the zero-allocation half of the parse path: [`parse_line_ref`]
+/// This is the borrowed half of the parse path: [`parse_line_ref`]
 /// produces it without touching the heap; owned conversion happens once,
 /// at the channel boundary, via [`StreamEntryRef::to_entry`].
 #[derive(Debug, Clone, PartialEq)]
@@ -196,7 +197,8 @@ pub enum StreamEntryRef<'a> {
 }
 
 impl StreamEntryRef<'_> {
-    /// Converts into an owned [`StreamEntry`], allocating any payloads.
+    /// Converts into an owned [`StreamEntry`]: marker names and state
+    /// payloads longer than [`State::INLINE_CAP`] allocate, nothing else.
     pub fn to_entry(&self) -> StreamEntry {
         match self {
             StreamEntryRef::Graph(event) => StreamEntry::Graph(event.to_event()),
@@ -268,9 +270,12 @@ pub fn parse_line_ref(line: &str) -> Result<Option<StreamEntryRef<'_>>, ParseErr
 
 /// Parses one line of the stream format into an owned entry.
 ///
-/// Thin wrapper over [`parse_line_ref`] that pays the payload allocations;
-/// hot paths that can hold on to the line should prefer the borrowed form.
-/// Returns `Ok(None)` for blank lines and `#` comments.
+/// Thin wrapper over [`parse_line_ref`] that copies what the line lent.
+/// A graph event whose payload fits [`State::INLINE_CAP`] bytes — every
+/// built-in workload's — costs no allocation; a longer payload costs one,
+/// and so does a marker's name. (Sharing the entry afterwards, as the
+/// replayer does, adds the `Arc`.) Returns `Ok(None)` for blank lines and
+/// `#` comments.
 pub fn parse_line(line: &str) -> Result<Option<StreamEntry>, ParseError> {
     Ok(parse_line_ref(line)?.map(|entry| entry.to_entry()))
 }

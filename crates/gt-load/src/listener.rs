@@ -403,7 +403,7 @@ fn accept_loop(
     config: ListenerConfig,
 ) -> io::Result<ListenerReport> {
     let mut readers = Vec::with_capacity(expected);
-    while readers.len() < expected && !stop.load(Ordering::Relaxed) {
+    while readers.len() < expected {
         match listener.accept() {
             Ok((stream, _peer)) => {
                 stream.set_nodelay(true).ok();
@@ -420,6 +420,15 @@ fn accept_loop(
                 );
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                // `stop` ends the wait for connections that never come,
+                // not the admission of those already here: a client that
+                // connected, wrote its whole substream into the socket
+                // buffers and hung up before this thread first ran is in
+                // the backlog, and is admitted before the flag is looked
+                // at.
+                if stop.load(Ordering::Relaxed) {
+                    break;
+                }
                 thread::sleep(Duration::from_millis(1));
             }
             Err(e) => return Err(e),
@@ -648,7 +657,8 @@ pub struct ListenerHandle {
 }
 
 impl ListenerHandle {
-    /// Asks the accept loop to stop admitting new connections.
+    /// Asks the accept loop to stop waiting for connections that have not
+    /// arrived; those already in the backlog are still admitted.
     pub fn stop(&self) {
         self.stop.store(true, Ordering::Relaxed);
     }
@@ -698,6 +708,51 @@ mod tests {
             stream.write_all(line.as_bytes()).unwrap();
         }
         stream.flush().unwrap();
+    }
+
+    /// Clients small enough to fit the socket buffers can connect, write
+    /// everything and hang up before the accept thread has run once; the
+    /// runner then calls `stop()` at once. They were in the backlog before
+    /// the flag was raised, so they must be admitted and read all the same.
+    #[test]
+    fn stop_admits_connections_already_in_the_backlog() {
+        let log = Arc::new(StdMutex::new(Vec::new()));
+        let listener = LoadListener::bind().unwrap();
+        let addr = listener.local_addr().unwrap();
+        // Connected, written and closed before the listener even starts.
+        for i in 0..2u64 {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            let entries: Vec<StreamEntry> = (0..10)
+                .map(|k| {
+                    StreamEntry::graph(GraphEvent::AddVertex {
+                        id: VertexId(i * 100 + k),
+                        state: State::empty(),
+                    })
+                })
+                .chain([StreamEntry::marker("end")])
+                .collect();
+            write_lines(&mut stream, &entries);
+        }
+        let clock: Arc<dyn Clock> = Arc::new(WallClock::start());
+        let factory_log = Arc::clone(&log);
+        let handle = listener
+            .start(
+                2,
+                Box::new(move || {
+                    Ok(Box::new(SharedCollect {
+                        log: Arc::clone(&factory_log),
+                        tag: 0,
+                    }) as Box<dyn EventSink + Send>)
+                }),
+                clock,
+            )
+            .unwrap();
+        handle.stop();
+        let report = handle.join().unwrap();
+        assert_eq!(report.connections, 2);
+        assert_eq!(report.graph_events, 20);
+        assert_eq!(report.markers.len(), 1);
+        assert_eq!(report.connections_lost, 0);
     }
 
     #[test]

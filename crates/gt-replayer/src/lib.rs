@@ -17,7 +17,7 @@
 //!   control events, timestamps `MARKER` events against the run clock, and
 //!   reports achieved ingress rates (§4.3 "Streaming Metrics").
 //! * [`reader`] — the decoupled file-reader thread feeding the replayer
-//!   through a bounded channel.
+//!   through a bounded channel, a chunk of entries at a time.
 //! * [`mmap`] — the memory-mapped twin of the reader thread: borrowed
 //!   parsing straight out of the page cache, for multi-GB replays.
 //! * [`session`] — the composed file→parse→pace→sink pipeline with
@@ -41,7 +41,7 @@ pub use errors::ReplayError;
 pub use mmap::{spawn_mmap_reader, MmapFile};
 pub use pacing::{Pacer, PacerCore, Schedule};
 pub use pattern::{CompiledPattern, RatePattern};
-pub use reader::spawn_file_reader;
+pub use reader::{spawn_file_reader, EntryReceiver};
 pub use reconnect::{ReconnectPolicy, ReconnectingTcpSink};
 pub use replayer::{ReplayReport, Replayer, ReplayerConfig};
 pub use session::{ReplaySession, ReplaySessionConfig, SessionReport};

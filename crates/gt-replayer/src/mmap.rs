@@ -2,11 +2,13 @@
 //!
 //! For multi-GB replays the buffered reader's copy-into-a-line-buffer step
 //! is measurable. This module maps the stream file read-only into the
-//! address space instead: lines are parsed as borrowed `&str` slices of
-//! the mapping via [`gt_core::format::parse_line_ref`], and the only
-//! per-event heap traffic left is the owned conversion at the channel
-//! boundary ([`SharedEntry`]) — the same boundary the buffered path uses,
-//! so downstream consumers cannot tell the sources apart.
+//! address space instead and runs the reader body of [`crate::reader`]
+//! over the mapping: lines are validated and parsed one at a time as
+//! borrowed slices of it (so replay starts with the first page, not after
+//! a pass over the file), and the only per-event heap traffic left is the
+//! owned conversion at the channel boundary ([`SharedEntry`]) — the same
+//! boundary the buffered path uses, so downstream consumers cannot tell
+//! the sources apart.
 //!
 //! The mapping is done with a direct `mmap(2)` FFI call (std already links
 //! libc on unix; no new dependency). On non-unix targets, or if the map
@@ -18,9 +20,9 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::thread::JoinHandle;
 
-use crossbeam::channel::{bounded, Receiver};
-use gt_core::format::parse_line_ref;
 use gt_core::prelude::*;
+
+use crate::reader::{read_entries, spawn_reader, EntryReceiver};
 
 #[cfg(all(unix, target_pointer_width = "64"))]
 mod sys {
@@ -137,41 +139,20 @@ impl Drop for MmapFile {
 }
 
 /// Spawns a reader thread over a memory-mapped stream file: the mmap'd
-/// twin of [`crate::reader::spawn_file_reader`], with identical channel
-/// semantics (entries as [`SharedEntry`] handles, thread ends at EOF, on
-/// the first parse error, or when the receiver hangs up).
+/// twin of [`crate::reader::spawn_file_reader`], running the same reader
+/// body over the mapping — same receiver, same chunked hand-off, lines
+/// validated and parsed one at a time as the pages are touched, thread
+/// ends at EOF, on the first bad line, or when the receiver hangs up.
 pub fn spawn_mmap_reader(
     path: impl Into<PathBuf>,
     buffer: usize,
-) -> (Receiver<SharedEntry>, JoinHandle<Result<u64, CoreError>>) {
+) -> (EntryReceiver, JoinHandle<Result<u64, CoreError>>) {
     let path = path.into();
-    let (tx, rx) = bounded(buffer.max(1));
-    let handle = std::thread::Builder::new()
-        .name("gt-mmap-reader".into())
-        .spawn(move || -> Result<u64, CoreError> {
-            let map = MmapFile::open(&path)?;
-            let text = std::str::from_utf8(map.as_bytes()).map_err(|e| {
-                CoreError::Io(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("stream file is not valid UTF-8: {e}"),
-                ))
-            })?;
-            let mut count = 0u64;
-            for (i, line) in text.lines().enumerate() {
-                // Borrowed parse over the mapping; the owned conversion at
-                // `to_entry` is the single allocation per event.
-                let Some(entry) = parse_line_ref(line).map_err(|e| e.at_line(i + 1))? else {
-                    continue;
-                };
-                count += 1;
-                if tx.send(SharedEntry::new(entry.to_entry())).is_err() {
-                    break; // emitter hung up (e.g. replay aborted)
-                }
-            }
-            Ok(count)
-        })
-        .expect("spawning mmap reader thread");
-    (rx, handle)
+    spawn_reader("gt-mmap-reader", buffer, move |tx| {
+        let map = MmapFile::open(&path)?;
+        // A byte slice is its own `BufRead`: one buffer, the whole file.
+        read_entries(map.as_bytes(), tx)
+    })
 }
 
 #[cfg(test)]
@@ -264,6 +245,34 @@ mod tests {
         assert_eq!(
             mmap_handle.join().unwrap().unwrap(),
             file_handle.join().unwrap().unwrap()
+        );
+        std::fs::remove_file(path).ok();
+    }
+
+    /// ... including on a file that goes bad: both deliver the valid
+    /// prefix, then report the error.
+    #[test]
+    fn invalid_utf8_in_the_last_line_ends_both_sources_alike() {
+        let mut content: Vec<u8> = (0..1_000)
+            .flat_map(|i| format!("ADD_VERTEX,{i},state={i}\n").into_bytes())
+            .collect();
+        content.extend_from_slice(b"ADD_VERTEX,1000,\xff\xfe\n");
+        let dir = std::env::temp_dir().join("gt-replayer-mmap-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("bad-last-line.csv");
+        std::fs::write(&path, &content).unwrap();
+
+        let (mmap_rx, mmap_handle) = spawn_mmap_reader(&path, 64);
+        let (file_rx, file_handle) = crate::reader::spawn_file_reader(&path, 64);
+        let via_mmap: Vec<SharedEntry> = mmap_rx.iter().collect();
+        let via_file: Vec<SharedEntry> = file_rx.iter().collect();
+        assert_eq!(via_mmap.len(), 1_000);
+        assert_eq!(via_mmap, via_file);
+        let mmap_err = mmap_handle.join().unwrap().unwrap_err();
+        assert!(file_handle.join().unwrap().is_err());
+        assert!(
+            mmap_err.to_string().contains("line 1001"),
+            "got: {mmap_err}"
         );
         std::fs::remove_file(path).ok();
     }

@@ -5,44 +5,234 @@
 //! throughput" (§5.1). The reader parses the stream file on its own thread
 //! and feeds the emitter through a bounded channel, so disk latency never
 //! stalls emission as long as the buffer holds.
+//!
+//! Entries cross that channel in **chunks**: the reader collects parsed
+//! entries into a `Vec` of at most `min(256, buffer)` and hands it over
+//! when it is full, at end of input or on an error, and whenever it has
+//! parsed everything its source has delivered so far — so a source that
+//! trickles never parks an event behind an unfilled chunk. One channel
+//! operation per chunk, not per entry, is what keeps the hand-off cheaper
+//! than the work on either side of it. The channel has `buffer /
+//! chunk_len` slots, so `buffer` remains a bound in *entries*, and an
+//! entry-exact account of what is queued travels with the receiver
+//! ([`EntryReceiver::queued`]).
 
+use std::io::{self, BufRead};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicI64, Ordering};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use crossbeam::channel::{bounded, Receiver};
+use crossbeam::channel::{bounded, Receiver, Sender};
 use gt_core::prelude::*;
 
-/// Default channel capacity between reader and emitter.
+/// Default capacity, in entries, of the channel between reader and emitter.
 pub const DEFAULT_BUFFER: usize = 64 * 1024;
+
+/// Most entries handed over in one channel operation.
+const MAX_CHUNK: usize = 256;
+
+/// The receiving end of a reader thread: entries in file order, received a
+/// chunk at a time.
+pub struct EntryReceiver {
+    rx: Receiver<Vec<SharedEntry>>,
+    queued: Arc<AtomicI64>,
+}
+
+impl EntryReceiver {
+    /// Blocks for the next chunk of entries (never empty); `None` once the
+    /// reader is done and the channel is drained.
+    pub fn recv_chunk(&self) -> Option<Vec<SharedEntry>> {
+        let chunk = self.rx.recv().ok()?;
+        self.queued.fetch_sub(chunk.len() as i64, Ordering::Relaxed);
+        Some(chunk)
+    }
+
+    /// Entries sitting in the channel right now. (A chunk in the reader's
+    /// or the consumer's hand is not queued.) Each end books its chunk
+    /// after its channel operation, so to the thread that calls
+    /// [`EntryReceiver::recv_chunk`] this never exceeds the `buffer` the
+    /// reader was spawned with — it can lag a chunk the reader has sent
+    /// but not booked yet.
+    pub fn queued(&self) -> usize {
+        // A take can be booked before the matching put.
+        self.queued.load(Ordering::Relaxed).max(0) as usize
+    }
+
+    /// Iterates the entries in file order, blocking like
+    /// [`EntryReceiver::recv_chunk`], until the reader is done. The
+    /// iterator holds the chunk it is working through: dropping it
+    /// mid-chunk drops the rest of that chunk.
+    pub fn iter(&self) -> impl Iterator<Item = SharedEntry> + '_ {
+        std::iter::from_fn(|| self.recv_chunk()).flatten()
+    }
+}
+
+/// The reader's end: collects entries and sends them a chunk at a time.
+pub(crate) struct ChunkSender {
+    tx: Sender<Vec<SharedEntry>>,
+    queued: Arc<AtomicI64>,
+    chunk: Vec<SharedEntry>,
+    chunk_len: usize,
+}
+
+/// A reader→emitter channel that holds at most `buffer` entries.
+pub(crate) fn entry_channel(buffer: usize) -> (ChunkSender, EntryReceiver) {
+    let chunk_len = buffer.clamp(1, MAX_CHUNK);
+    let (tx, rx) = bounded((buffer / chunk_len).max(1));
+    let queued = Arc::new(AtomicI64::new(0));
+    let sender = ChunkSender {
+        tx,
+        queued: Arc::clone(&queued),
+        chunk: Vec::with_capacity(chunk_len),
+        chunk_len,
+    };
+    (sender, EntryReceiver { rx, queued })
+}
+
+impl ChunkSender {
+    /// Adds one entry, handing the chunk over if that fills it. `false`
+    /// once the receiver is gone.
+    fn push(&mut self, entry: StreamEntry) -> bool {
+        self.chunk.push(SharedEntry::new(entry));
+        self.chunk.len() < self.chunk_len || self.flush()
+    }
+
+    /// Hands over whatever has collected. `false` once the receiver is
+    /// gone.
+    fn flush(&mut self) -> bool {
+        if self.chunk.is_empty() {
+            return true;
+        }
+        let len = self.chunk.len() as i64;
+        let chunk = std::mem::replace(&mut self.chunk, Vec::with_capacity(self.chunk_len));
+        let sent = self.tx.send(chunk).is_ok();
+        if sent {
+            self.queued.fetch_add(len, Ordering::Relaxed);
+        }
+        sent
+    }
+}
 
 /// Spawns a reader thread over a stream file. Entries arrive through the
 /// returned receiver as [`SharedEntry`] handles — allocated once on the
 /// reader thread, then only `Arc`-cloned along the batched ingest path.
-/// The thread ends at EOF or on the first parse error (reported through
-/// the second channel).
+/// The thread ends at EOF, on the first bad line (the entries before it
+/// are still delivered; the error is the thread's result), or when the
+/// receiver is dropped.
 pub fn spawn_file_reader(
     path: impl Into<PathBuf>,
     buffer: usize,
-) -> (Receiver<SharedEntry>, JoinHandle<Result<u64, CoreError>>) {
+) -> (EntryReceiver, JoinHandle<Result<u64, CoreError>>) {
     let path = path.into();
-    let (tx, rx) = bounded(buffer.max(1));
+    spawn_reader("gt-stream-reader", buffer, move |tx| {
+        let file = std::fs::File::open(&path)?;
+        read_entries(io::BufReader::with_capacity(256 * 1024, file), tx)
+    })
+}
+
+/// Runs `body` with the sending end of a fresh [`entry_channel`] on a new
+/// thread called `name`.
+pub(crate) fn spawn_reader(
+    name: &str,
+    buffer: usize,
+    body: impl FnOnce(ChunkSender) -> Result<u64, CoreError> + Send + 'static,
+) -> (EntryReceiver, JoinHandle<Result<u64, CoreError>>) {
+    let (tx, rx) = entry_channel(buffer);
     let handle = std::thread::Builder::new()
-        .name("gt-stream-reader".into())
-        .spawn(move || -> Result<u64, CoreError> {
-            let file = std::fs::File::open(&path)?;
-            let reader = StreamReader::new(std::io::BufReader::with_capacity(256 * 1024, file));
-            let mut count = 0u64;
-            for entry in reader {
-                let entry = entry?;
-                count += 1;
-                if tx.send(SharedEntry::new(entry)).is_err() {
-                    break; // emitter hung up (e.g. replay aborted)
-                }
-            }
-            Ok(count)
-        })
+        .name(name.into())
+        .spawn(move || body(tx))
         .expect("spawning reader thread");
     (rx, handle)
+}
+
+/// The reader body: parses `source` line by line into `tx` and returns the
+/// number of entries parsed. Lines are parsed in place, out of the
+/// source's own buffer; each time that buffer is used up the collected
+/// entries are handed over before the next (possibly blocking) read.
+/// ([`StreamReader`] goes through `read_line` and so cannot tell when that
+/// is; line rules — numbering, `\r`, blanks, comments — are the same.)
+pub(crate) fn read_entries(mut source: impl BufRead, tx: ChunkSender) -> Result<u64, CoreError> {
+    let mut lines = Lines {
+        tx,
+        line_no: 0,
+        entries: 0,
+    };
+    let result = lines.pump(&mut source);
+    // On an error too: the valid prefix is delivered before it is reported.
+    lines.tx.flush();
+    result.map(|()| lines.entries)
+}
+
+struct Lines {
+    tx: ChunkSender,
+    line_no: usize,
+    entries: u64,
+}
+
+impl Lines {
+    /// Feeds every line of `source`. Returns early, with `Ok`, when the
+    /// receiver is gone.
+    fn pump(&mut self, source: &mut impl BufRead) -> Result<(), CoreError> {
+        // A line the end of the source's buffer cut in two.
+        let mut cut: Vec<u8> = Vec::new();
+        loop {
+            let buf = match source.fill_buf() {
+                Ok(buf) => buf,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e.into()),
+            };
+            if buf.is_empty() {
+                break;
+            }
+            let used = buf.len();
+            for piece in buf.split_inclusive(|&b| b == b'\n') {
+                let Some(line) = piece.strip_suffix(b"\n") else {
+                    cut.extend_from_slice(piece); // the last piece
+                    continue;
+                };
+                let line = if cut.is_empty() {
+                    line
+                } else {
+                    cut.extend_from_slice(line);
+                    &cut
+                };
+                let more = self.line(line)?;
+                cut.clear();
+                if !more {
+                    return Ok(());
+                }
+            }
+            source.consume(used);
+            if !self.tx.flush() {
+                return Ok(());
+            }
+        }
+        if !cut.is_empty() {
+            self.line(&cut)?; // last line, no newline
+        }
+        Ok(())
+    }
+
+    /// Parses one line (without its `\n`). `Ok(false)` once the receiver
+    /// is gone.
+    fn line(&mut self, line: &[u8]) -> Result<bool, CoreError> {
+        self.line_no += 1;
+        let text = std::str::from_utf8(line).map_err(|e| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("line {} is not valid UTF-8: {e}", self.line_no),
+            )
+        })?;
+        let text = text.trim_end_matches('\r');
+        match parse_line_ref(text).map_err(|e| e.at_line(self.line_no))? {
+            Some(entry) => {
+                self.entries += 1;
+                Ok(self.tx.push(entry.to_entry()))
+            }
+            None => Ok(true),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -102,5 +292,73 @@ mod tests {
         // The reader notices the closed channel and exits cleanly.
         assert!(handle.join().unwrap().is_ok());
         std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn lines_cut_by_the_read_buffer_and_odd_endings_parse() {
+        // A 16-byte buffer cuts nearly every line; CRLF, a comment, a blank
+        // line and a last line without newline ride along.
+        let text = "ADD_VERTEX,1,state=one\r\n# note\n\nADD_EDGE,1-2,w\nMARKER,end,";
+        let (tx, rx) = entry_channel(4);
+        let source = io::BufReader::with_capacity(16, text.as_bytes());
+        let reader = std::thread::spawn(move || read_entries(source, tx));
+        let got: Vec<StreamEntry> = rx.iter().map(|e| (*e).clone()).collect();
+        assert_eq!(reader.join().unwrap().unwrap(), 3);
+        let want = GraphStream::parse_csv(text).unwrap();
+        assert_eq!(got, want.entries());
+    }
+
+    /// Yields one scripted line per `read` call, and only once the test
+    /// has released it.
+    struct ScriptedSource {
+        lines: std::vec::IntoIter<String>,
+        release: Receiver<()>,
+    }
+
+    impl io::Read for ScriptedSource {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            if self.release.recv().is_err() {
+                return Ok(0);
+            }
+            let Some(line) = self.lines.next() else {
+                return Ok(0);
+            };
+            out[..line.len()].copy_from_slice(line.as_bytes());
+            Ok(line.len())
+        }
+    }
+
+    #[test]
+    fn slow_source_is_not_parked_behind_an_unfilled_chunk() {
+        let lines: Vec<String> = (0..20).map(|i| format!("ADD_VERTEX,{i},\n")).collect();
+        let (release, gate) = bounded(0);
+        let source = ScriptedSource {
+            lines: lines.clone().into_iter(),
+            release: gate,
+        };
+        // Room for a whole 256-entry chunk: only the drained-buffer rule
+        // can hand these over one by one.
+        let (tx, rx) = entry_channel(DEFAULT_BUFFER);
+        let reader = std::thread::spawn(move || read_entries(io::BufReader::new(source), tx));
+        // Forwarded through a channel with a timed receive, so that an
+        // entry held back fails the test instead of hanging it.
+        let (forward, arrivals) = bounded(0);
+        let forwarder = std::thread::spawn(move || {
+            while let Some(chunk) = rx.recv_chunk() {
+                forward.send(chunk).unwrap();
+            }
+        });
+        for line in &lines {
+            release.send(()).unwrap();
+            // The next line is not released before this one has arrived.
+            let chunk = arrivals
+                .recv_timeout(std::time::Duration::from_secs(10))
+                .expect("entry parked behind an unfilled chunk");
+            assert_eq!(chunk.len(), 1);
+            assert_eq!(gt_core::format::entry_to_line(&chunk[0]) + "\n", *line);
+        }
+        drop(release); // end of input
+        forwarder.join().unwrap();
+        assert_eq!(reader.join().unwrap().unwrap(), 20);
     }
 }

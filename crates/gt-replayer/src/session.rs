@@ -5,14 +5,18 @@
 //! and the pacing [`crate::Replayer`] into the multi-threaded design of
 //! §5.1 — the stream is parsed on one thread and emitted on another, so
 //! a stream of any length replays in bounded memory (the channel holds at
-//! most `buffer` entries; the file is never materialized).
+//! most `buffer` entries; the file is never materialized). Entries cross
+//! the channel a chunk at a time ([`crate::reader`]): the emitter pays
+//! one channel operation, one stall measurement and one queue-depth
+//! sample per chunk, and the trace stamp, abort check, pacer poll and
+//! deadline-miss sample per event.
 //!
 //! Every stage is instrumented through a [`MetricsHub`]:
 //!
 //! | metric | type | meaning |
 //! |---|---|---|
 //! | `ingress_events` | counter | graph events emitted |
-//! | `queue_depth` | gauge | reader→emitter channel occupancy |
+//! | `queue_depth` | gauge | entries in the reader→emitter channel, sampled at each chunk taken |
 //! | `reader_stall_micros` | counter | emitter time blocked on an empty channel (reader too slow) |
 //! | `sink_stall_micros` | counter | emitter time blocked in `send`/`flush` (consumer too slow) |
 //! | `emit_latency_micros` | histogram | per-event deadline miss |
@@ -26,14 +30,13 @@ use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use crossbeam::channel::Receiver;
 use gt_core::prelude::*;
 use gt_metrics::hub::{Counter, Gauge};
 use gt_metrics::{Clock, HistogramSnapshot, MetricsHub, WallClock};
 use gt_trace::{Probe, Stage, Tracer};
 
 use crate::errors::ReplayError;
-use crate::reader::{spawn_file_reader, DEFAULT_BUFFER};
+use crate::reader::{spawn_file_reader, EntryReceiver, DEFAULT_BUFFER};
 use crate::replayer::{ReplayReport, Replayer, ReplayerConfig};
 use crate::sink::{EventSink, SinkEvent};
 
@@ -44,7 +47,10 @@ pub struct ReplaySessionConfig {
     pub replayer: ReplayerConfig,
     /// Capacity of the reader→emitter channel, in entries. This is the
     /// pipeline's only buffering — it bounds both memory use and how far
-    /// the reader can run ahead.
+    /// the reader can run ahead. The bound is met in chunks of
+    /// `min(256, buffer)` entries: the channel has `buffer / chunk` slots,
+    /// and besides what it holds only the one chunk in the reader's hand
+    /// and the one in the emitter's exist.
     pub buffer: usize,
     /// Read the stream file through a memory mapping
     /// ([`crate::mmap::spawn_mmap_reader`]) instead of the buffered
@@ -162,6 +168,7 @@ impl ReplaySession {
         let max_queue_depth = Arc::new(AtomicI64::new(0));
         let entries = InstrumentedRx {
             rx,
+            chunk: Vec::new().into_iter(),
             queue_depth: self.hub.gauge("queue_depth"),
             reader_stall: self.hub.counter("reader_stall_micros"),
             max_depth: Arc::clone(&max_queue_depth),
@@ -210,39 +217,56 @@ impl ReplaySession {
     }
 }
 
-/// The reader→emitter channel, instrumented: time blocked on `recv` is
-/// reader stall; occupancy after each take feeds the queue-depth gauge.
+/// The reader→emitter channel, instrumented. Per chunk: time blocked on
+/// the channel is reader stall, and the entries queued before and after
+/// the take feed the queue-depth gauge and its maximum. Per event: the
+/// trace stamp.
 struct InstrumentedRx {
-    rx: Receiver<SharedEntry>,
+    rx: EntryReceiver,
+    chunk: std::vec::IntoIter<SharedEntry>,
     queue_depth: Gauge,
     reader_stall: Counter,
     max_depth: Arc<AtomicI64>,
     trace_probe: Option<Probe>,
 }
 
+impl InstrumentedRx {
+    fn next_chunk(&mut self) -> Option<Vec<SharedEntry>> {
+        // Sample occupancy before taking as well as after: a reader parked
+        // on a full channel refills the freed slot only after the take, so
+        // the post-take depth alone never observes the capacity-pinned
+        // state.
+        self.max_depth
+            .fetch_max(self.rx.queued() as i64, Ordering::Relaxed);
+        let start = Instant::now();
+        let chunk = self.rx.recv_chunk();
+        self.reader_stall.add(start.elapsed().as_micros() as u64);
+        let depth = self.rx.queued() as i64;
+        self.queue_depth.set(depth);
+        self.max_depth.fetch_max(depth, Ordering::Relaxed);
+        chunk
+    }
+}
+
 impl Iterator for InstrumentedRx {
     type Item = SharedEntry;
 
     fn next(&mut self) -> Option<SharedEntry> {
-        // Sample occupancy before taking as well as after: a batching
-        // emitter drains a full channel so fast that the post-pop length
-        // alone never observes the capacity-pinned state.
-        self.max_depth
-            .fetch_max(self.rx.len() as i64, Ordering::Relaxed);
-        let start = Instant::now();
-        let item = self.rx.recv().ok();
-        self.reader_stall.add(start.elapsed().as_micros() as u64);
-        let depth = self.rx.len() as i64;
-        self.queue_depth.set(depth);
-        self.max_depth.fetch_max(depth, Ordering::Relaxed);
+        let entry = match self.chunk.next() {
+            Some(entry) => entry,
+            None => {
+                self.chunk = self.next_chunk()?.into_iter();
+                self.chunk.next()? // chunks are never empty
+            }
+        };
         // Only graph events advance the trace sequence — every stage must
         // count the same stream positions for seq-based matching to hold.
-        if let (Some(probe), Some(entry)) = (&self.trace_probe, &item) {
-            if entry.as_ref().is_graph() {
+        if let Some(probe) = &self.trace_probe {
+            if entry.is_graph() {
                 probe.stamp();
             }
         }
-        item
+        Some(entry)
     }
 }
 
@@ -430,6 +454,29 @@ mod tests {
         assert!(histograms
             .iter()
             .any(|(name, snap)| name == "emit_latency_micros" && snap.count == 1_000));
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn buffer_is_an_entry_bound_at_every_size() {
+        // In order, exactly once, and never more than `buffer` entries
+        // queued — whether `buffer` is below, at or above the chunk size.
+        // (`slow_consumer_backpressure_fills_queue` pins the other side:
+        // a slow sink finds exactly `buffer` queued.)
+        let path = temp_stream_file("entry-bound", 5_000);
+        let want = GraphStream::read_from_file(&path).unwrap();
+        for buffer in [1, 7, 64, 1_000] {
+            let session = ReplaySession::new(fast_config(buffer));
+            let mut sink = CollectSink::new();
+            let report = session.run(&path, &mut sink).unwrap();
+            assert_eq!(report.entries_read, 5_001);
+            assert_eq!(sink.entries, want.entries(), "buffer {buffer}");
+            assert!(
+                report.max_queue_depth <= buffer as i64,
+                "buffer {buffer}: {} queued",
+                report.max_queue_depth
+            );
+        }
         std::fs::remove_file(path).ok();
     }
 }
