@@ -5,13 +5,14 @@
 //! ```
 //!
 //! Measures the §4.2 parse path (borrowed vs owned), the graph-event
-//! ingest path (hybrid-adjacency `EvolvingGraph` and the store's
-//! `PartitionState`, the latter also under the paper's Table 3 mix with
-//! its vertex removals; plus the rank engine's result-board publish) and
+//! ingest path (the reference `EvolvingGraph` and the store's
+//! `PartitionState`, each also under the paper's Table 3 mix with its
+//! vertex removals; plus the rank engine's result-board publish) and
 //! the load layer's client side (one open-loop
 //! client at an unbounded rate into a counting sink, the stream
-//! partitioner, and the replayer's whole file → reader → emitter session
-//! at an unbounded rate) with a counting global allocator, then writes
+//! partitioner, the replayer's whole file → reader → emitter session
+//! at an unbounded rate, and the fold of a finished load run into its
+//! result log) with a counting global allocator, then writes
 //! `BENCH_parse.json`, `BENCH_ingest.json` and `BENCH_load.json` into
 //! `--out` (default: the current directory — run from the repo root so
 //! the files land next to the sources and get committed).
@@ -30,8 +31,13 @@ use gt_bench::trajectory::{self, measure, BenchRecord, CountingAlloc};
 use gt_core::format::{entry_to_line, parse_line, parse_line_ref};
 use gt_core::prelude::*;
 use gt_graph::EvolvingGraph;
-use gt_load::{run_client, ClientConfig, LoopModel, SeededPartitioner};
-use gt_metrics::{Clock, WallClock};
+use gt_harness::sut::report_records;
+use gt_harness::{load_records, LoadPlan, SutReport};
+use gt_load::{
+    run_client, ClientConfig, ClientReport, ListenerReport, LoadOutcome, LoopModel,
+    SeededPartitioner,
+};
+use gt_metrics::{Clock, LogCollector, WallClock};
 use gt_replayer::{EventSink, ReplaySession, ReplaySessionConfig, ReplayerConfig};
 use gt_workloads::{SnbWorkload, Table3Workload};
 use std::hint::black_box;
@@ -160,6 +166,17 @@ fn apply_to_partition(events: &[SharedGraphEvent]) {
     black_box(state.edge_count());
 }
 
+/// One round of the reference graph: strict apply, endpoints checked and
+/// states cloned — what the generator's shadow graph, the store's
+/// commit-log reconstruction and the differential oracle run per event.
+fn apply_to_graph(events: &[GraphEvent]) {
+    let mut graph = EvolvingGraph::new();
+    for event in events {
+        let _ = black_box(graph.apply(black_box(event)));
+    }
+    black_box(graph.vertex_count());
+}
+
 /// Vertices in the partition `ingest/rank-board-publish` publishes.
 const BOARD_VERTICES: u64 = 1_000;
 
@@ -207,28 +224,26 @@ fn ingest_suites(events: &[GraphEvent], rounds: u32) -> Vec<BenchRecord> {
     // remove-edge, 10 % add-vertex, 5 % remove-vertex) over a hub-forming
     // bootstrap: the stream shape whose vertex removals `sample_events`
     // lacks.
-    let mixed: Vec<SharedGraphEvent> = Table3Workload::small(events.len(), 7)
+    let mixed: Vec<GraphEvent> = Table3Workload::small(events.len(), 7)
         .generate()
         .graph_events()
-        .map(share)
+        .cloned()
         .collect();
+    let mixed_shared: Vec<SharedGraphEvent> = mixed.iter().map(share).collect();
+    let mixed_n = mixed.len() as u64;
     vec![
         measure("ingest/evolving-graph", n, rounds, || {
-            let mut graph = EvolvingGraph::new();
-            for event in events {
-                let _ = black_box(graph.apply(black_box(event)));
-            }
-            black_box(graph.vertex_count());
+            apply_to_graph(events)
+        }),
+        measure("ingest/evolving-graph-mixed", mixed_n, rounds, || {
+            apply_to_graph(&mixed)
         }),
         measure("ingest/partition-state", n, rounds, || {
             apply_to_partition(&shared)
         }),
-        measure(
-            "ingest/partition-state-mixed",
-            mixed.len() as u64,
-            rounds,
-            || apply_to_partition(&mixed),
-        ),
+        measure("ingest/partition-state-mixed", mixed_n, rounds, || {
+            apply_to_partition(&mixed_shared)
+        }),
         board_publish_suite(rounds),
     ]
 }
@@ -272,7 +287,55 @@ fn load_suites(events: &[GraphEvent], rounds: u32) -> Vec<BenchRecord> {
             black_box(parts);
         }),
         session_suite(n, rounds),
+        fold_records_suite(n, rounds),
     ]
+}
+
+/// What the harness does with a finished load run after `quiesce`: `n`
+/// sojourn samples from two clients (interleaved in time, so the sort
+/// has merging to do) become records, join the platform's report in the
+/// collector, and come out as one sorted result log. Event = sample.
+fn fold_records_suite(n: u64, rounds: u32) -> BenchRecord {
+    const SPACING_MICROS: u64 = 20;
+    let per_client = n / 2;
+    let client = |index: u64| ClientReport {
+        class: "main".to_owned(),
+        model: LoopModel::Open,
+        offered: per_client,
+        sent: per_client,
+        backlog_peak: 0,
+        schedule_micros: (0..per_client).map(|i| i * SPACING_MICROS).collect(),
+        sojourn: (0..per_client)
+            .map(|i| (i * SPACING_MICROS + 7 * index + 3, 3 + i % 97))
+            .collect(),
+        started_micros: 0,
+        finished_micros: per_client * SPACING_MICROS,
+    };
+    let t_end = per_client * SPACING_MICROS + 10;
+    let outcome = LoadOutcome {
+        clients: vec![client(0), client(1)],
+        client_failures: Vec::new(),
+        listener: ListenerReport {
+            connections: 2,
+            entries: n,
+            graph_events: n,
+            markers: vec![("stream-end".to_owned(), t_end)],
+            ..ListenerReport::default()
+        },
+        netem: None,
+    };
+    let plan = LoadPlan::single(2, UNPACED_RATE, LoopModel::Open, 7);
+    let report = SutReport::new("tide-store")
+        .with("events", n as f64)
+        .with("vertices", 1.0)
+        .with("edges", 2.0);
+    measure("load/fold-records", 2 * per_client, rounds, || {
+        let mut collector = LogCollector::new();
+        collector
+            .add_records(load_records(&outcome, &plan, t_end))
+            .add_records(report_records(&report, t_end));
+        black_box(collector.collect());
+    })
 }
 
 /// The replayer's ceiling: an SNB stream file of `n` entries (persons and

@@ -36,6 +36,7 @@
 pub mod error;
 pub mod event;
 pub mod format;
+pub mod hash;
 pub mod ids;
 pub mod intern;
 pub mod state;
@@ -44,6 +45,7 @@ pub mod stream;
 pub use error::{CoreError, ParseError};
 pub use event::{ControlEvent, EventKind, GraphEvent, SharedEntry, SharedGraphEvent, StreamEntry};
 pub use format::{parse_line, parse_line_ref, write_line, GraphEventRef, StreamEntryRef};
+pub use hash::{VertexBuildHasher, VertexHasher, VertexMap, VERTEX_HASH_MULTIPLIER};
 pub use ids::{EdgeId, VertexId};
 pub use intern::Interner;
 pub use state::State;

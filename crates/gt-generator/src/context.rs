@@ -4,6 +4,7 @@
 use std::collections::HashMap;
 
 use gt_core::prelude::*;
+use gt_core::{VertexBuildHasher, VertexMap};
 use gt_graph::{ApplyError, EvolvingGraph};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -65,9 +66,11 @@ pub struct GenContext {
     /// Deterministic RNG for all selection randomness.
     pub rng: StdRng,
     vertices: Vec<VertexId>,
-    vertex_pos: HashMap<VertexId, usize>,
+    /// Position maps: point lookups only, never iterated — their hash
+    /// order cannot reach the stream.
+    vertex_pos: VertexMap<usize>,
     edges: Vec<EdgeId>,
-    edge_pos: HashMap<EdgeId, usize>,
+    edge_pos: HashMap<EdgeId, usize, VertexBuildHasher>,
     next_id: u64,
     /// Free-form numeric registers for custom models (Listing 1 lets the
     /// user thread arbitrary context; custom [`crate::EvolutionModel`]s own
@@ -82,9 +85,9 @@ impl GenContext {
             graph: EvolvingGraph::new(),
             rng: StdRng::seed_from_u64(seed),
             vertices: Vec::new(),
-            vertex_pos: HashMap::new(),
+            vertex_pos: VertexMap::default(),
             edges: Vec::new(),
-            edge_pos: HashMap::new(),
+            edge_pos: HashMap::default(),
             next_id: 0,
             registers: HashMap::new(),
         }

@@ -1,16 +1,28 @@
 //! The evolving property graph.
 //!
-//! Storage is ordered so that iteration order — and with it every
-//! downstream computation and simulated experiment — is fully
-//! deterministic for a given event sequence. The vertex index is a
-//! `BTreeMap`; per-vertex adjacency is a degree-adaptive
-//! [`HybridAdjacency`] (inline sorted array for the small-degree common
-//! case, map for hubs) that preserves the same ascending iteration order
-//! in both representations.
+//! Storage is split by what each access needs (DESIGN.md §12,
+//! "`EvolvingGraph`: slab, hash index, ordered ids"):
+//!
+//! * vertex payloads — state, out- and in-adjacency, ~430 bytes — live in
+//!   a dense **slab** (`Vec` of slots plus a free list), so a payload is
+//!   never moved by a neighbour's insert and growth is one `realloc`;
+//! * point lookups (`apply_with`, `has_edge`, `degree`, …) go through a
+//!   **hash index** `VertexId → slot` behind [`gt_core::VertexHasher`];
+//! * iteration goes through an **ordered index** of the live ids, touched
+//!   only when a vertex is added or removed. `vertices()`,
+//!   `vertices_with_state()` and `edges()` therefore run in ascending id
+//!   order exactly as before, and every downstream computation and
+//!   simulated experiment stays deterministic for a given event sequence.
+//!
+//! Per-vertex adjacency is a degree-adaptive [`HybridAdjacency`] (inline
+//! sorted array for the small-degree common case, map for hubs) that
+//! iterates ascending in both representations.
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 
 use gt_core::prelude::*;
+use gt_core::VertexMap;
 
 use crate::apply::{Applied, ApplyError, ApplyPolicy};
 use crate::hybrid::HybridAdjacency;
@@ -25,13 +37,41 @@ struct VertexData {
     inc: HybridAdjacency<()>,
 }
 
+/// Position of a vertex payload in the slab.
+type Slot = u32;
+
 /// A directed, stateful graph that evolves by applying stream events.
-#[derive(Debug, Clone, PartialEq, Default)]
+///
+/// Equality is structural: two graphs holding the same vertices, states,
+/// edges and counters are equal whatever slab slots their histories left
+/// the payloads in.
+#[derive(Debug, Clone, Default)]
 pub struct EvolvingGraph {
-    vertices: BTreeMap<VertexId, VertexData>,
+    /// Vertex payloads; `None` marks a slot on the free list.
+    slab: Vec<Option<VertexData>>,
+    /// Vacated slots, reused (last out first) before the slab grows.
+    free: Vec<Slot>,
+    /// Point lookups: one hash, no order.
+    index: VertexMap<Slot>,
+    /// The live ids in ascending order with their slots, so iteration
+    /// neither sorts nor hashes. Written on vertex add/remove only.
+    ordered: BTreeMap<VertexId, Slot>,
     edge_count: usize,
     /// Total graph events successfully applied (mutating or not).
     applied_events: u64,
+}
+
+impl PartialEq for EvolvingGraph {
+    fn eq(&self, other: &Self) -> bool {
+        self.edge_count == other.edge_count
+            && self.applied_events == other.applied_events
+            && self.ordered.len() == other.ordered.len()
+            && self
+                .ordered
+                .iter()
+                .zip(&other.ordered)
+                .all(|((a, &sa), (b, &sb))| a == b && self.at(sa) == other.at(sb))
+    }
 }
 
 impl EvolvingGraph {
@@ -49,9 +89,27 @@ impl EvolvingGraph {
         Ok(g)
     }
 
+    /// The payload in a slot an index handed out.
+    fn at(&self, slot: Slot) -> &VertexData {
+        self.slab[slot as usize]
+            .as_ref()
+            .expect("an indexed slot is live")
+    }
+
+    fn at_mut(&mut self, slot: Slot) -> &mut VertexData {
+        self.slab[slot as usize]
+            .as_mut()
+            .expect("an indexed slot is live")
+    }
+
+    /// Point lookup: one hash, then the slab.
+    fn vertex(&self, id: VertexId) -> Option<&VertexData> {
+        self.index.get(&id).map(|&slot| self.at(slot))
+    }
+
     /// Number of vertices.
     pub fn vertex_count(&self) -> usize {
-        self.vertices.len()
+        self.index.len()
     }
 
     /// Number of directed edges.
@@ -66,56 +124,57 @@ impl EvolvingGraph {
 
     /// Whether the vertex exists.
     pub fn has_vertex(&self, id: VertexId) -> bool {
-        self.vertices.contains_key(&id)
+        self.index.contains_key(&id)
     }
 
     /// Whether the directed edge exists.
     pub fn has_edge(&self, id: EdgeId) -> bool {
-        self.vertices
-            .get(&id.src)
-            .is_some_and(|v| v.out.contains(id.dst))
+        self.vertex(id.src).is_some_and(|v| v.out.contains(id.dst))
     }
 
     /// The state of a vertex, if it exists.
     pub fn vertex_state(&self, id: VertexId) -> Option<&State> {
-        self.vertices.get(&id).map(|v| &v.state)
+        self.vertex(id).map(|v| &v.state)
     }
 
     /// The state of an edge, if it exists.
     pub fn edge_state(&self, id: EdgeId) -> Option<&State> {
-        self.vertices.get(&id.src).and_then(|v| v.out.get(id.dst))
+        self.vertex(id.src).and_then(|v| v.out.get(id.dst))
     }
 
     /// Out-degree of a vertex (`None` if it does not exist).
     pub fn out_degree(&self, id: VertexId) -> Option<usize> {
-        self.vertices.get(&id).map(|v| v.out.len())
+        self.vertex(id).map(|v| v.out.len())
     }
 
     /// In-degree of a vertex (`None` if it does not exist).
     pub fn in_degree(&self, id: VertexId) -> Option<usize> {
-        self.vertices.get(&id).map(|v| v.inc.len())
+        self.vertex(id).map(|v| v.inc.len())
     }
 
     /// Total degree (in + out), `None` if the vertex does not exist.
     pub fn degree(&self, id: VertexId) -> Option<usize> {
-        self.vertices.get(&id).map(|v| v.out.len() + v.inc.len())
+        self.vertex(id).map(|v| v.out.len() + v.inc.len())
     }
 
     /// Iterates over all vertex ids in ascending order.
     pub fn vertices(&self) -> impl Iterator<Item = VertexId> + '_ {
-        self.vertices.keys().copied()
+        self.ordered.keys().copied()
     }
 
     /// Iterates over `(id, state)` for all vertices in ascending id order.
     pub fn vertices_with_state(&self) -> impl Iterator<Item = (VertexId, &State)> {
-        self.vertices.iter().map(|(id, v)| (*id, &v.state))
+        self.ordered
+            .iter()
+            .map(|(id, &slot)| (*id, &self.at(slot).state))
     }
 
     /// Iterates over all directed edges `(edge, state)` in deterministic
     /// (src, dst) order.
     pub fn edges(&self) -> impl Iterator<Item = (EdgeId, &State)> {
-        self.vertices.iter().flat_map(|(src, v)| {
-            v.out
+        self.ordered.iter().flat_map(|(src, &slot)| {
+            self.at(slot)
+                .out
                 .iter()
                 .map(move |(dst, s)| (EdgeId::new(*src, dst), s))
         })
@@ -123,31 +182,22 @@ impl EvolvingGraph {
 
     /// Out-neighbors of a vertex in ascending order (empty if missing).
     pub fn out_neighbors(&self, id: VertexId) -> impl Iterator<Item = VertexId> + '_ {
-        self.vertices
-            .get(&id)
-            .into_iter()
-            .flat_map(|v| v.out.keys())
+        self.vertex(id).into_iter().flat_map(|v| v.out.keys())
     }
 
     /// Out-neighbors with edge state.
     pub fn out_edges(&self, id: VertexId) -> impl Iterator<Item = (VertexId, &State)> {
-        self.vertices
-            .get(&id)
-            .into_iter()
-            .flat_map(|v| v.out.iter())
+        self.vertex(id).into_iter().flat_map(|v| v.out.iter())
     }
 
     /// In-neighbors of a vertex in ascending order (empty if missing).
     pub fn in_neighbors(&self, id: VertexId) -> impl Iterator<Item = VertexId> + '_ {
-        self.vertices
-            .get(&id)
-            .into_iter()
-            .flat_map(|v| v.inc.keys())
+        self.vertex(id).into_iter().flat_map(|v| v.inc.keys())
     }
 
     /// All neighbors, ignoring direction, deduplicated, ascending.
     pub fn undirected_neighbors(&self, id: VertexId) -> Vec<VertexId> {
-        let Some(v) = self.vertices.get(&id) else {
+        let Some(v) = self.vertex(id) else {
             return Vec::new();
         };
         let mut all: BTreeSet<VertexId> = v.out.keys().collect();
@@ -161,130 +211,109 @@ impl EvolvingGraph {
     }
 
     /// Applies one event under the given policy.
+    ///
+    /// Each endpoint is resolved to its slot once and an edge event
+    /// searches its source's out-list once.
     pub fn apply_with(
         &mut self,
         event: &GraphEvent,
         policy: ApplyPolicy,
     ) -> Result<Applied, ApplyError> {
         let lenient = policy == ApplyPolicy::Lenient;
+        // What a violated precondition comes to under the policy.
+        let violated = |error: ApplyError| {
+            if lenient {
+                Ok(Applied::noop())
+            } else {
+                Err(error)
+            }
+        };
         let outcome = match event {
-            GraphEvent::AddVertex { id, state } => {
-                if self.vertices.contains_key(id) {
-                    if lenient {
-                        Applied::noop()
-                    } else {
-                        return Err(ApplyError::VertexExists(*id));
-                    }
-                } else {
-                    self.vertices.insert(
-                        *id,
-                        VertexData {
-                            state: state.clone(),
-                            ..VertexData::default()
-                        },
-                    );
+            GraphEvent::AddVertex { id, state } => match self.index.entry(*id) {
+                Entry::Occupied(_) => violated(ApplyError::VertexExists(*id))?,
+                Entry::Vacant(entry) => {
+                    let data = Some(VertexData {
+                        state: state.clone(),
+                        ..VertexData::default()
+                    });
+                    let slot = match self.free.pop() {
+                        Some(slot) => {
+                            self.slab[slot as usize] = data;
+                            slot
+                        }
+                        None => {
+                            let slot = Slot::try_from(self.slab.len())
+                                .expect("fewer than 2^32 vertices were ever live at once");
+                            self.slab.push(data);
+                            slot
+                        }
+                    };
+                    entry.insert(slot);
+                    self.ordered.insert(*id, slot);
                     Applied::mutated()
                 }
-            }
-            GraphEvent::RemoveVertex { id } => {
-                if !self.vertices.contains_key(id) {
-                    if lenient {
-                        Applied::noop()
-                    } else {
-                        return Err(ApplyError::MissingVertex(*id));
-                    }
-                } else {
-                    let cascaded = self.remove_vertex_cascading(*id);
-                    Applied {
-                        mutated: true,
-                        cascaded_edge_removals: cascaded,
-                    }
-                }
-            }
-            GraphEvent::UpdateVertex { id, state } => match self.vertices.get_mut(id) {
-                Some(v) => {
-                    v.state = state.clone();
+            },
+            GraphEvent::RemoveVertex { id } => match self.index.remove(id) {
+                Some(slot) => Applied {
+                    mutated: true,
+                    cascaded_edge_removals: self.remove_vertex_cascading(*id, slot),
+                },
+                None => violated(ApplyError::MissingVertex(*id))?,
+            },
+            GraphEvent::UpdateVertex { id, state } => match self.index.get(id) {
+                Some(&slot) => {
+                    self.at_mut(slot).state = state.clone();
                     Applied::mutated()
                 }
-                None if lenient => Applied::noop(),
-                None => return Err(ApplyError::MissingVertex(*id)),
+                None => violated(ApplyError::MissingVertex(*id))?,
             },
             GraphEvent::AddEdge { id, state } => {
                 if id.is_self_loop() {
                     return Err(ApplyError::SelfLoop(id.src));
                 }
-                if !self.vertices.contains_key(&id.src) {
-                    if lenient {
-                        return Ok(Applied::noop());
+                match (self.index.get(&id.src), self.index.get(&id.dst)) {
+                    // An edge dropped for a missing endpoint is the one
+                    // lenient no-op that is not counted as applied.
+                    (None, _) => return violated(ApplyError::MissingVertex(id.src)),
+                    (_, None) => return violated(ApplyError::MissingVertex(id.dst)),
+                    (Some(&src), Some(&dst)) => {
+                        let out = &mut self.at_mut(src).out;
+                        if out.insert_if_absent(id.dst, || state.clone()) {
+                            self.at_mut(dst).inc.insert(id.src, ());
+                            self.edge_count += 1;
+                            Applied::mutated()
+                        } else {
+                            violated(ApplyError::EdgeExists(*id))?
+                        }
                     }
-                    return Err(ApplyError::MissingVertex(id.src));
-                }
-                if !self.vertices.contains_key(&id.dst) {
-                    if lenient {
-                        return Ok(Applied::noop());
-                    }
-                    return Err(ApplyError::MissingVertex(id.dst));
-                }
-                if self.has_edge(*id) {
-                    if lenient {
-                        Applied::noop()
-                    } else {
-                        return Err(ApplyError::EdgeExists(*id));
-                    }
-                } else {
-                    self.vertices
-                        .get_mut(&id.src)
-                        .expect("src checked above")
-                        .out
-                        .insert(id.dst, state.clone());
-                    self.vertices
-                        .get_mut(&id.dst)
-                        .expect("dst checked above")
-                        .inc
-                        .insert(id.src, ());
-                    self.edge_count += 1;
-                    Applied::mutated()
                 }
             }
             GraphEvent::RemoveEdge { id } => {
-                if !self.has_edge(*id) {
-                    if lenient {
-                        Applied::noop()
-                    } else {
-                        return Err(ApplyError::MissingEdge(*id));
+                let removed = match self.index.get(&id.src) {
+                    Some(&src) => self.at_mut(src).out.remove(id.dst),
+                    None => None,
+                };
+                match removed {
+                    Some(_) => {
+                        let dst = self.index[&id.dst];
+                        self.at_mut(dst).inc.remove(id.src);
+                        self.edge_count -= 1;
+                        Applied::mutated()
                     }
-                } else {
-                    self.vertices
-                        .get_mut(&id.src)
-                        .expect("edge exists")
-                        .out
-                        .remove(id.dst);
-                    self.vertices
-                        .get_mut(&id.dst)
-                        .expect("edge exists")
-                        .inc
-                        .remove(id.src);
-                    self.edge_count -= 1;
-                    Applied::mutated()
+                    None => violated(ApplyError::MissingEdge(*id))?,
                 }
             }
             GraphEvent::UpdateEdge { id, state } => {
-                let exists = self.has_edge(*id);
-                if !exists {
-                    if lenient {
-                        Applied::noop()
-                    } else {
-                        return Err(ApplyError::MissingEdge(*id));
+                let edge_state = match self.index.get(&id.src) {
+                    Some(&src) => self.at_mut(src).out.get_mut(id.dst),
+                    None => None,
+                };
+                match edge_state {
+                    Some(edge_state) => {
+                        *edge_state = state.clone();
+                        Applied::mutated()
                     }
-                } else {
-                    *self
-                        .vertices
-                        .get_mut(&id.src)
-                        .expect("edge exists")
-                        .out
-                        .get_mut(id.dst)
-                        .expect("edge exists") = state.clone();
-                    Applied::mutated()
+                    None => violated(ApplyError::MissingEdge(*id))?,
                 }
             }
         };
@@ -292,23 +321,23 @@ impl EvolvingGraph {
         Ok(outcome)
     }
 
-    /// Removes a vertex together with all incident edges; returns how many
-    /// edges were removed.
-    fn remove_vertex_cascading(&mut self, id: VertexId) -> usize {
-        let data = self.vertices.remove(&id).expect("caller checked existence");
-        let mut removed = 0;
+    /// Vacates the slot of a vertex already taken out of the hash index,
+    /// together with all incident edges; returns how many edges went.
+    fn remove_vertex_cascading(&mut self, id: VertexId, slot: Slot) -> usize {
+        let data = self.slab[slot as usize]
+            .take()
+            .expect("an indexed slot is live");
+        self.free.push(slot);
+        self.ordered.remove(&id);
         for dst in data.out.keys() {
-            if let Some(v) = self.vertices.get_mut(&dst) {
-                v.inc.remove(id);
-                removed += 1;
-            }
+            let dst = self.index[&dst];
+            self.at_mut(dst).inc.remove(id);
         }
         for src in data.inc.keys() {
-            if let Some(v) = self.vertices.get_mut(&src) {
-                v.out.remove(id);
-                removed += 1;
-            }
+            let src = self.index[&src];
+            self.at_mut(src).out.remove(id);
         }
+        let removed = data.out.len() + data.inc.len();
         self.edge_count -= removed;
         removed
     }
@@ -319,15 +348,53 @@ impl EvolvingGraph {
         self.clone()
     }
 
-    /// Checks internal consistency: the reverse index mirrors the forward
-    /// adjacency and the edge count matches. Intended for tests and
-    /// debugging; O(V + E).
+    /// Checks internal consistency: hash index, ordered index, slab and
+    /// free list describe the same vertex set, the reverse index mirrors
+    /// the forward adjacency and the edge count matches. Intended for
+    /// tests and debugging; O(V + E).
     pub fn check_invariants(&self) -> Result<(), String> {
+        if self.ordered.len() != self.index.len() {
+            return Err(format!(
+                "ordered index holds {} ids, hash index {}",
+                self.ordered.len(),
+                self.index.len()
+            ));
+        }
+        // Every slot is claimed exactly once — a live payload by one id, a
+        // vacant slot by one free-list entry.
+        let mut claims = vec![0usize; self.slab.len()];
+        for &slot in self.ordered.values().chain(&self.free) {
+            match claims.get_mut(slot as usize) {
+                Some(count) => *count += 1,
+                None => return Err(format!("slot {slot} is past the slab's end")),
+            }
+        }
+        if let Some(slot) = claims.iter().position(|&count| count != 1) {
+            let count = claims[slot];
+            return Err(format!(
+                "slot {slot} is claimed {count} times by the ids and the free list"
+            ));
+        }
+        for (id, &slot) in &self.ordered {
+            if self.index.get(id) != Some(&slot) {
+                return Err(format!("vertex {id}: ordered and hash index disagree"));
+            }
+            if self.slab[slot as usize].is_none() {
+                return Err(format!("vertex {id} is indexed at vacant slot {slot}"));
+            }
+        }
+        for &slot in &self.free {
+            if self.slab[slot as usize].is_some() {
+                return Err(format!("free slot {slot} still holds a payload"));
+            }
+        }
+
         let mut forward = 0usize;
-        for (src, v) in &self.vertices {
+        for (src, &slot) in &self.ordered {
+            let v = self.at(slot);
             for dst in v.out.keys() {
                 forward += 1;
-                let Some(d) = self.vertices.get(&dst) else {
+                let Some(d) = self.vertex(dst) else {
                     return Err(format!("edge {src}-{dst} points at missing vertex"));
                 };
                 if !d.inc.contains(*src) {
@@ -335,7 +402,7 @@ impl EvolvingGraph {
                 }
             }
             for src2 in v.inc.keys() {
-                let Some(s) = self.vertices.get(&src2) else {
+                let Some(s) = self.vertex(src2) else {
                     return Err(format!("reverse edge {src2}->{src} from missing vertex"));
                 };
                 if !s.out.contains(*src) {

@@ -25,7 +25,7 @@
 //! the `StateDigest` canonicalization of the differential oracle) is
 //! independent of which representation a vertex happens to be in.
 
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::fmt;
 
 use gt_core::prelude::VertexId;
@@ -124,41 +124,64 @@ impl<T> HybridAdjacency<T> {
     /// when the insert would overflow the inline array.
     pub fn insert(&mut self, id: VertexId, value: T) -> Option<T> {
         match &mut self.repr {
-            Repr::Inline { len, slots } => {
-                // Sorted position (first slot with key >= id).
-                let mut pos = 0;
-                while pos < *len {
-                    let (k, _) = slots[pos].as_ref().expect("slot below len is occupied");
-                    match (*k).cmp(&id) {
-                        std::cmp::Ordering::Less => pos += 1,
-                        std::cmp::Ordering::Equal => {
-                            let (_, old) = slots[pos].replace((id, value)).expect("occupied");
-                            return Some(old);
-                        }
-                        std::cmp::Ordering::Greater => break,
-                    }
+            Repr::Inline { len, slots } => match inline_position(&slots[..*len], id) {
+                Ok(pos) => {
+                    let (_, old) = slots[pos].replace((id, value)).expect("occupied");
+                    Some(old)
                 }
-                if *len < INLINE_CAP {
-                    // Shift the tail one slot right, insert in order.
-                    for j in (pos..*len).rev() {
-                        slots[j + 1] = slots[j].take();
-                    }
-                    slots[pos] = Some((id, value));
-                    *len += 1;
-                    None
-                } else {
-                    // Promote: drain the inline array into a map.
-                    let mut map = BTreeMap::new();
-                    for slot in slots.iter_mut() {
-                        let (k, v) = slot.take().expect("full inline array");
-                        map.insert(k, v);
-                    }
-                    map.insert(id, value);
-                    self.repr = Repr::Hub(map);
+                Err(pos) => {
+                    self.insert_new_inline(pos, id, value);
                     None
                 }
-            }
+            },
             Repr::Hub(map) => map.insert(id, value),
+        }
+    }
+
+    /// Inserts `value()` for neighbor `id` only if `id` is absent, and
+    /// says whether it did — one search where `contains` + `insert` takes
+    /// two, and no payload is built for a neighbor that is already there.
+    pub fn insert_if_absent(&mut self, id: VertexId, value: impl FnOnce() -> T) -> bool {
+        match &mut self.repr {
+            Repr::Inline { len, slots } => match inline_position(&slots[..*len], id) {
+                Ok(_) => false,
+                Err(pos) => {
+                    self.insert_new_inline(pos, id, value());
+                    true
+                }
+            },
+            Repr::Hub(map) => match map.entry(id) {
+                Entry::Vacant(slot) => {
+                    slot.insert(value());
+                    true
+                }
+                Entry::Occupied(_) => false,
+            },
+        }
+    }
+
+    /// Puts an absent `id` at its sorted position `pos` of the inline
+    /// array, promoting to a hub when the array is full.
+    fn insert_new_inline(&mut self, pos: usize, id: VertexId, value: T) {
+        let Repr::Inline { len, slots } = &mut self.repr else {
+            unreachable!("caller matched the inline representation");
+        };
+        if *len < INLINE_CAP {
+            // Shift the tail one slot right, insert in order.
+            for j in (pos..*len).rev() {
+                slots[j + 1] = slots[j].take();
+            }
+            slots[pos] = Some((id, value));
+            *len += 1;
+        } else {
+            // Promote: drain the inline array into a map.
+            let mut map = BTreeMap::new();
+            for slot in slots.iter_mut() {
+                let (k, v) = slot.take().expect("full inline array");
+                map.insert(k, v);
+            }
+            map.insert(id, value);
+            self.repr = Repr::Hub(map);
         }
     }
 
@@ -219,6 +242,20 @@ impl<T> HybridAdjacency<T> {
     pub fn values(&self) -> impl Iterator<Item = &T> {
         self.iter().map(|(_, v)| v)
     }
+}
+
+/// Where `id` sits in a sorted inline array (`Ok`), or where it would go
+/// (`Err`: the first slot holding a larger id).
+fn inline_position<T>(occupied: &[Option<(VertexId, T)>], id: VertexId) -> Result<usize, usize> {
+    for (pos, slot) in occupied.iter().enumerate() {
+        let (k, _) = slot.as_ref().expect("slot below len is occupied");
+        match (*k).cmp(&id) {
+            std::cmp::Ordering::Less => {}
+            std::cmp::Ordering::Equal => return Ok(pos),
+            std::cmp::Ordering::Greater => return Err(pos),
+        }
+    }
+    Err(occupied.len())
 }
 
 /// Ascending-order iterator over a [`HybridAdjacency`].
@@ -316,6 +353,26 @@ mod tests {
         assert_eq!(adj.get(VertexId(1)), Some(&11));
         *adj.get_mut(VertexId(1)).unwrap() = 12;
         assert_eq!(adj.get(VertexId(1)), Some(&12));
+    }
+
+    #[test]
+    fn insert_if_absent_never_replaces_and_builds_no_payload_for_a_present_id() {
+        for n in [3u64, 20] {
+            let mut adj: HybridAdjacency<u32> = (0..n).map(|i| (VertexId(2 * i), 0)).collect();
+            assert_eq!(adj.is_inline(), n == 3);
+            assert!(!adj.insert_if_absent(VertexId(2), || panic!("2 is present")));
+            assert!(adj.insert_if_absent(VertexId(3), || 33));
+            assert!(!adj.insert_if_absent(VertexId(3), || 34));
+            assert_eq!(adj.get(VertexId(3)), Some(&33));
+            assert_eq!(adj.len(), n as usize + 1);
+            assert!(adj.keys().map(|k| k.0).is_sorted());
+        }
+        // The ninth distinct neighbor promotes, exactly as `insert` does.
+        let mut adj: HybridAdjacency<u32> = (0..8u64).map(|i| (VertexId(i), 0)).collect();
+        assert!(adj.is_inline());
+        assert!(adj.insert_if_absent(VertexId(99), || 1));
+        assert!(!adj.is_inline());
+        assert_eq!(adj.len(), 9);
     }
 
     #[test]

@@ -17,7 +17,7 @@ use std::process::ExitCode;
 
 use gt_analysis::{cross_correlation, Quantiles, Summary};
 use gt_harness::{aggregate_records, render_matrix_table, JournalRecord};
-use gt_metrics::ResultLog;
+use gt_metrics::{Name, ResultLog};
 
 /// Human-readable byte count (binary units, matching `top`/`htop`).
 fn fmt_bytes(bytes: f64) -> String {
@@ -34,7 +34,7 @@ fn fmt_bytes(bytes: f64) -> String {
 /// Prints the Level-0 resource summary for every source that carries a
 /// process-monitor series (peak RSS, mean/max CPU%, totals).
 fn print_resource_summary(log: &ResultLog) -> bool {
-    let mut sources: Vec<String> = log
+    let mut sources: Vec<Name> = log
         .records()
         .iter()
         .filter(|r| r.metric == "cpu_percent" || r.metric == "rss_bytes")
@@ -237,7 +237,7 @@ fn run() -> Result<(), String> {
 
     if !did_something {
         // Default report: every (source, metric) pair plus markers.
-        let mut pairs: Vec<(String, String)> = log
+        let mut pairs: Vec<(Name, Name)> = log
             .records()
             .iter()
             .filter(|r| r.value.as_f64().is_some())

@@ -32,12 +32,12 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use gt_load::{run_load, ConnectorFactory, LoadOutcome, LoadPlan};
-use gt_metrics::{Clock, LogCollector, MetricRecord, ResultLog, WallClock};
+use gt_metrics::{Clock, LogCollector, MetricRecord, MetricValue, Name, ResultLog, WallClock};
 use gt_netem::NETEM_SOURCE;
 use gt_sut::{StateDigest, SutOptions, SutRegistry, SutReport, SystemUnderTest};
 
 use crate::run::{join_sampler, spawn_sampler, spawn_sysmon, sysmon_records, FileRunPlan, RunPlan};
-use crate::sut::{fold_report, wire_sut, SutRunError, DEFAULT_QUIESCE_TIMEOUT};
+use crate::sut::{report_records, wire_sut, SutRunError, DEFAULT_QUIESCE_TIMEOUT};
 
 /// The result-log source under which load records are filed. Matches
 /// `gt_analysis::LOAD_SOURCE`.
@@ -139,12 +139,15 @@ pub fn run_load_sut_experiment_with_timeout(
     let (report, digest) = sut.shutdown_digest();
     let load = result?;
 
+    // Everything goes to the collector first: its `collect()` is the one
+    // sort of the run's records.
     let mut collector = LogCollector::new();
     collector
         .add_records(sampled)
         .add_records(resource)
-        .add_records(load_records(&load, &load_plan, clock.now_micros()));
-    let log = fold_report(&collector.collect(), &report, clock.now_micros());
+        .add_records(load_records(&load, &load_plan, clock.now_micros()))
+        .add_records(report_records(&report, clock.now_micros()));
+    let log = collector.collect();
     Ok(LoadSutRunOutcome {
         load,
         log,
@@ -179,7 +182,7 @@ pub fn run_load_file_sut_experiment(
 /// One-second rate buckets over `times`, zero-filled across the span so
 /// stall windows read as dips rather than gaps. Records land at bucket
 /// midpoints.
-fn rate_records(times: &[u64], metric: &str) -> Vec<MetricRecord> {
+fn rate_records(times: &[u64], source: &Name, metric: &str) -> Vec<MetricRecord> {
     let (Some(&min), Some(&max)) = (times.iter().min(), times.iter().max()) else {
         return Vec::new();
     };
@@ -188,19 +191,23 @@ fn rate_records(times: &[u64], metric: &str) -> Vec<MetricRecord> {
     for &t in times {
         counts[(t / 1_000_000 - first) as usize] += 1;
     }
+    let metric = Name::from(metric);
     counts
         .iter()
         .enumerate()
         .map(|(i, &n)| {
             let midpoint = (first + i as u64) * 1_000_000 + 500_000;
-            MetricRecord::float(midpoint, LOAD_SOURCE, metric, n as f64)
+            let value = MetricValue::Float(n as f64);
+            MetricRecord::new(midpoint, source.clone(), metric.clone(), value)
         })
         .collect()
 }
 
 /// Folds a finished load run into result-log records (see module docs
-/// for the conventions).
+/// for the conventions). Per-event series carry one shared [`Name`] pair,
+/// so a sample costs its 72-byte record and no allocation.
 pub fn load_records(load: &LoadOutcome, plan: &LoadPlan, t_end: u64) -> Vec<MetricRecord> {
+    let source = Name::from(LOAD_SOURCE);
     let mut records: Vec<MetricRecord> = load
         .listener
         .markers
@@ -208,7 +215,7 @@ pub fn load_records(load: &LoadOutcome, plan: &LoadPlan, t_end: u64) -> Vec<Metr
         .map(|(name, t)| MetricRecord::text(*t, LOAD_SOURCE, "marker", name.clone()))
         .collect();
     for class in plan.class_names() {
-        let sojourn_metric = format!("sojourn_us.{class}");
+        let sojourn_metric = Name::from(format!("sojourn_us.{class}"));
         let mut arrivals: Vec<u64> = Vec::new();
         let mut completions: Vec<u64> = Vec::new();
         for client in load.class_reports(class) {
@@ -218,21 +225,18 @@ pub fn load_records(load: &LoadOutcome, plan: &LoadPlan, t_end: u64) -> Vec<Metr
                     .iter()
                     .map(|&offset| client.started_micros + offset),
             );
-            for &(t, sojourn) in &client.sojourn {
-                completions.push(t);
-                records.push(MetricRecord::float(
-                    t,
-                    LOAD_SOURCE,
-                    &sojourn_metric,
-                    sojourn as f64,
-                ));
-            }
+            completions.extend(client.sojourn.iter().map(|&(t, _)| t));
+            records.extend(client.sojourn.iter().map(|&(t, sojourn)| {
+                let value = MetricValue::Float(sojourn as f64);
+                MetricRecord::new(t, source.clone(), sojourn_metric.clone(), value)
+            }));
         }
-        records.extend(rate_records(&arrivals, &format!("offered_rate.{class}")));
-        records.extend(rate_records(
-            &completions,
-            &format!("achieved_rate.{class}"),
-        ));
+        let (offered, achieved) = (
+            format!("offered_rate.{class}"),
+            format!("achieved_rate.{class}"),
+        );
+        records.extend(rate_records(&arrivals, &source, &offered));
+        records.extend(rate_records(&completions, &source, &achieved));
     }
     for (metric, value) in [
         ("offered_total", load.offered() as f64),
@@ -428,7 +432,7 @@ mod tests {
         // Arrivals in seconds 0 and 3 only: the bucketed series must carry
         // explicit zeros for seconds 1 and 2 (a dip, not a gap).
         let times = [100_000, 200_000, 3_200_000];
-        let records = rate_records(&times, "offered_rate.x");
+        let records = rate_records(&times, &LOAD_SOURCE.into(), "offered_rate.x");
         let values: Vec<f64> = records.iter().map(|r| r.value.as_f64().unwrap()).collect();
         assert_eq!(values, vec![2.0, 0.0, 0.0, 1.0]);
     }

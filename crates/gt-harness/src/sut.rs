@@ -25,7 +25,9 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use gt_metrics::{Clock, HubSampler, MetricRecord, MetricsHub, ResultLog, WallClock};
+use gt_metrics::{
+    Clock, HubSampler, MetricRecord, MetricValue, MetricsHub, Name, ResultLog, WallClock,
+};
 use gt_netem::{NetemPlan, NETEM_SOURCE};
 use gt_replayer::{EventSink, ReplayError};
 use gt_sut::{StateDigest, SutError, SutOptions, SutRegistry, SutReport, SystemUnderTest};
@@ -152,30 +154,34 @@ fn wire_tracer(
     Some(tracer)
 }
 
-/// Folds the platform's final report into a log as `float` records under
-/// the platform's name, timestamped at `t_micros`.
-pub(crate) fn fold_report(log: &ResultLog, report: &SutReport, t_micros: u64) -> ResultLog {
-    let mut records: Vec<MetricRecord> = log.records().to_vec();
-    for (metric, value) in &report.summary {
-        records.push(MetricRecord::float(t_micros, &report.name, metric, *value));
-    }
-    ResultLog::from_records(records)
+/// The platform's final report as `float` records under the platform's
+/// name, timestamped at `t_micros`.
+pub fn report_records(report: &SutReport, t_micros: u64) -> Vec<MetricRecord> {
+    let source = Name::from(report.name.as_str());
+    let record = |(metric, value): &(String, f64)| {
+        let value = MetricValue::Float(*value);
+        MetricRecord::new(t_micros, source.clone(), metric.as_str().into(), value)
+    };
+    report.summary.iter().map(record).collect()
 }
 
-/// Stops the tracer and folds its matched stage-pair latency records
-/// into the log (they carry their own emit-time timestamps, so they
-/// interleave chronologically with the sampled series).
-fn fold_trace(log: ResultLog, tracer: Option<Tracer>) -> ResultLog {
-    let Some(tracer) = tracer else {
-        return log;
-    };
-    let trace = tracer.stop();
-    if trace.records.is_empty() {
-        return log;
+/// Everything the run's end adds to the log, in the order it is folded:
+/// the platform's report, the tracer's matched stage-pair latency records
+/// (stopping the tracer; they carry their own emit-time timestamps, so
+/// they interleave chronologically with the sampled series), then the
+/// netem front's records.
+fn closing_records(
+    report: &SutReport,
+    t_micros: u64,
+    tracer: Option<Tracer>,
+    netem_records: Vec<MetricRecord>,
+) -> Vec<MetricRecord> {
+    let mut records = report_records(report, t_micros);
+    if let Some(tracer) = tracer {
+        records.extend(tracer.stop().records);
     }
-    let mut records: Vec<MetricRecord> = log.records().to_vec();
-    records.extend(trace.records);
-    ResultLog::from_records(records)
+    records.extend(netem_records);
+    records
 }
 
 /// Arms a chaos plan with the platform's own crash/restart surface when
@@ -232,12 +238,13 @@ fn run_with_netem_front<O>(
     (result, records)
 }
 
-/// Folds extra records into a log, re-sorting chronologically.
+/// Folds extra records into a log: the log's records move, the extras are
+/// appended, and one stable sort restores chronological order.
 pub(crate) fn fold_records(log: ResultLog, extra: Vec<MetricRecord>) -> ResultLog {
     if extra.is_empty() {
         return log;
     }
-    let mut records: Vec<MetricRecord> = log.records().to_vec();
+    let mut records = log.into_records();
     records.extend(extra);
     ResultLog::from_records(records)
 }
@@ -295,9 +302,8 @@ pub fn run_sut_experiment_with_timeout(
             return Err(e);
         }
     };
-    run.log = fold_report(&run.log, &report, clock.now_micros());
-    run.log = fold_trace(run.log, tracer);
-    run.log = fold_records(run.log, netem_records);
+    let closing = closing_records(&report, clock.now_micros(), tracer, netem_records);
+    run.log = fold_records(run.log, closing);
     Ok(SutRunOutcome {
         run,
         report,
@@ -353,9 +359,8 @@ pub fn run_file_sut_experiment_with_timeout(
             return Err(e);
         }
     };
-    run.log = fold_report(&run.log, &report, clock.now_micros());
-    run.log = fold_trace(run.log, tracer);
-    run.log = fold_records(run.log, netem_records);
+    let closing = closing_records(&report, clock.now_micros(), tracer, netem_records);
+    run.log = fold_records(run.log, closing);
     Ok(SutRunOutcome {
         run,
         report,

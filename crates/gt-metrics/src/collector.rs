@@ -20,7 +20,7 @@ impl LogCollector {
 
     /// Adds all records of a log.
     pub fn add_log(&mut self, log: ResultLog) -> &mut Self {
-        self.merged.extend(log.records().iter().cloned());
+        self.merged.extend(log.into_records());
         self
     }
 

@@ -5,7 +5,7 @@
 //! The measurement side of the GraphTides test harness (paper §4.3):
 //!
 //! * [`record`] — timestamped metric records and the line format of the
-//!   result log,
+//!   result log ([`name`]: the shared series names they carry),
 //! * [`hub`] — a shared registry of named counters and gauges; systems
 //!   under test expose Level-1/Level-2 internals through it, loggers
 //!   snapshot it,
@@ -25,10 +25,12 @@ pub mod clock;
 pub mod collector;
 pub mod hub;
 pub mod logger;
+pub mod name;
 pub mod record;
 
 pub use clock::{Clock, ManualClock, WallClock};
 pub use collector::LogCollector;
 pub use hub::{Histogram, HistogramSnapshot, MetricsHub};
 pub use logger::{GaugeSampler, HubSampler, MetricsLogger, ProcessSampler};
+pub use name::{Name, NameTable};
 pub use record::{MetricRecord, MetricValue, ResultLog};

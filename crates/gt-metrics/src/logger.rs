@@ -10,7 +10,8 @@ use std::sync::Arc;
 
 use crate::clock::Clock;
 use crate::hub::MetricsHub;
-use crate::record::MetricRecord;
+use crate::name::{Name, NameTable};
+use crate::record::{MetricRecord, MetricValue};
 
 /// A periodic metric probe.
 pub trait MetricsLogger: Send {
@@ -26,7 +27,9 @@ pub trait MetricsLogger: Send {
 pub struct HubSampler {
     hub: MetricsHub,
     clock: Arc<dyn Clock>,
-    source: String,
+    source: Name,
+    /// One shared name per series sampled so far.
+    names: NameTable,
     /// Previous counter values, for emitting per-interval deltas alongside
     /// totals.
     last_counters: Vec<(String, u64)>,
@@ -38,7 +41,8 @@ impl HubSampler {
         HubSampler {
             hub,
             clock,
-            source: source.to_owned(),
+            source: source.into(),
+            names: NameTable::default(),
             last_counters: Vec::new(),
         }
     }
@@ -47,53 +51,42 @@ impl HubSampler {
 impl MetricsLogger for HubSampler {
     fn sample(&mut self) -> Vec<MetricRecord> {
         let now = self.clock.now_micros();
+        let (source, names) = (&self.source, &self.names);
         let mut records = Vec::new();
+        let mut push = |metric: &str, value: MetricValue| {
+            records.push(MetricRecord::new(
+                now,
+                source.clone(),
+                names.get(metric),
+                value,
+            ));
+        };
         let counters = self.hub.counter_values();
         for (name, value) in &counters {
-            records.push(MetricRecord::int(now, &self.source, name, *value as i64));
+            push(name, MetricValue::Int(*value as i64));
             // Delta since last sample, for rate-style analysis.
             if let Some((_, prev)) = self.last_counters.iter().find(|(n, _)| n == name) {
-                records.push(MetricRecord::int(
-                    now,
-                    &self.source,
-                    &format!("{name}.delta"),
-                    value.saturating_sub(*prev) as i64,
-                ));
+                let delta = value.saturating_sub(*prev) as i64;
+                push(&format!("{name}.delta"), MetricValue::Int(delta));
             }
         }
-        self.last_counters = counters;
         for (name, value) in self.hub.gauge_values() {
-            records.push(MetricRecord::int(now, &self.source, &name, value));
+            push(&name, MetricValue::Int(value));
         }
         for (name, snap) in self.hub.histogram_values() {
             if snap.count == 0 {
                 continue;
             }
-            records.push(MetricRecord::int(
-                now,
-                &self.source,
+            let p99 = snap.quantile_upper_bound(0.99) as i64;
+            push(
                 &format!("{name}.count"),
-                snap.count as i64,
-            ));
-            records.push(MetricRecord::float(
-                now,
-                &self.source,
-                &format!("{name}.mean"),
-                snap.mean(),
-            ));
-            records.push(MetricRecord::int(
-                now,
-                &self.source,
-                &format!("{name}.p99"),
-                snap.quantile_upper_bound(0.99) as i64,
-            ));
-            records.push(MetricRecord::int(
-                now,
-                &self.source,
-                &format!("{name}.max"),
-                snap.max as i64,
-            ));
+                MetricValue::Int(snap.count as i64),
+            );
+            push(&format!("{name}.mean"), MetricValue::Float(snap.mean()));
+            push(&format!("{name}.p99"), MetricValue::Int(p99));
+            push(&format!("{name}.max"), MetricValue::Int(snap.max as i64));
         }
+        self.last_counters = counters;
         records
     }
 

@@ -5,10 +5,13 @@
 //! record per line: `T_MICROS,SOURCE,METRIC,VALUE` — deliberately the same
 //! comma-separated, stream-friendly shape as the graph stream format.
 
+use std::collections::BTreeSet;
 use std::fmt;
 use std::str::FromStr;
 
 use serde::{Deserialize, Serialize};
+
+use crate::name::{Name, NameTable};
 
 /// A metric value: numeric or free text (e.g. a marker name).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -48,42 +51,54 @@ pub struct MetricRecord {
     /// Microseconds since run start.
     pub t_micros: u64,
     /// Which logger/component produced the record (e.g. `worker-2`).
-    pub source: String,
+    pub source: Name,
     /// Metric name (e.g. `queue_length`).
-    pub metric: String,
+    pub metric: Name,
     /// The measured value.
     pub value: MetricValue,
 }
 
 impl MetricRecord {
-    /// Builds a float record.
-    pub fn float(t_micros: u64, source: &str, metric: &str, value: f64) -> Self {
+    /// Builds a record from names the caller already holds — the
+    /// constructor for anything that emits a series: build the two
+    /// [`Name`]s once, clone them per sample.
+    pub fn new(t_micros: u64, source: Name, metric: Name, value: MetricValue) -> Self {
         MetricRecord {
             t_micros,
-            source: source.to_owned(),
-            metric: metric.to_owned(),
-            value: MetricValue::Float(value),
+            source,
+            metric,
+            value,
         }
     }
 
-    /// Builds an integer record.
-    pub fn int(t_micros: u64, source: &str, metric: &str, value: i64) -> Self {
-        MetricRecord {
+    /// Builds a float record (allocates both names; see [`Self::new`]).
+    pub fn float(t_micros: u64, source: &str, metric: &str, value: f64) -> Self {
+        Self::new(
             t_micros,
-            source: source.to_owned(),
-            metric: metric.to_owned(),
-            value: MetricValue::Int(value),
-        }
+            source.into(),
+            metric.into(),
+            MetricValue::Float(value),
+        )
+    }
+
+    /// Builds an integer record (allocates both names; see [`Self::new`]).
+    pub fn int(t_micros: u64, source: &str, metric: &str, value: i64) -> Self {
+        Self::new(
+            t_micros,
+            source.into(),
+            metric.into(),
+            MetricValue::Int(value),
+        )
     }
 
     /// Builds a text record (markers, statuses).
     pub fn text(t_micros: u64, source: &str, metric: &str, value: impl Into<String>) -> Self {
-        MetricRecord {
+        Self::new(
             t_micros,
-            source: source.to_owned(),
-            metric: metric.to_owned(),
-            value: MetricValue::Text(value.into()),
-        }
+            source.into(),
+            metric.into(),
+            MetricValue::Text(value.into()),
+        )
     }
 
     /// Timestamp in seconds.
@@ -104,31 +119,32 @@ impl FromStr for MetricRecord {
     type Err = String;
 
     fn from_str(line: &str) -> Result<Self, Self::Err> {
-        let mut parts = line.splitn(4, ',');
-        let t = parts
-            .next()
-            .ok_or("missing timestamp")?
-            .trim()
-            .parse::<u64>()
-            .map_err(|e| format!("bad timestamp: {e}"))?;
-        let source = parts.next().ok_or("missing source")?.to_owned();
-        let metric = parts.next().ok_or("missing metric")?.to_owned();
-        let raw = parts.next().ok_or("missing value")?;
-        // Integers parse as Int, other numerics as Float, rest as Text.
-        let value = if let Ok(i) = raw.trim().parse::<i64>() {
-            MetricValue::Int(i)
-        } else if let Ok(f) = raw.trim().parse::<f64>() {
-            MetricValue::Float(f)
-        } else {
-            MetricValue::Text(raw.to_owned())
-        };
-        Ok(MetricRecord {
-            t_micros: t,
-            source,
-            metric,
-            value,
-        })
+        parse_record(line, &NameTable::default())
     }
+}
+
+/// Parses one log line, taking its names from `names` so that a whole
+/// log's records share one allocation per distinct source and metric.
+fn parse_record(line: &str, names: &NameTable) -> Result<MetricRecord, String> {
+    let mut parts = line.splitn(4, ',');
+    let t = parts
+        .next()
+        .ok_or("missing timestamp")?
+        .trim()
+        .parse::<u64>()
+        .map_err(|e| format!("bad timestamp: {e}"))?;
+    let source = names.get(parts.next().ok_or("missing source")?);
+    let metric = names.get(parts.next().ok_or("missing metric")?);
+    let raw = parts.next().ok_or("missing value")?;
+    // Integers parse as Int, other numerics as Float, rest as Text.
+    let value = if let Ok(i) = raw.trim().parse::<i64>() {
+        MetricValue::Int(i)
+    } else if let Ok(f) = raw.trim().parse::<f64>() {
+        MetricValue::Float(f)
+    } else {
+        MetricValue::Text(raw.to_owned())
+    };
+    Ok(MetricRecord::new(t, source, metric, value))
 }
 
 /// A chronologically sorted sequence of metric records — the output of an
@@ -144,9 +160,8 @@ impl ResultLog {
         Self::default()
     }
 
-    /// Builds a log, sorting by timestamp. Equal timestamps keep their
-    /// input order — see [`Self::sort`] for why this is guaranteed
-    /// explicitly rather than left to sort-stability.
+    /// Builds a log, sorting by timestamp in place. Equal timestamps
+    /// keep their input order (see [`Self::sort`]).
     pub fn from_records(records: Vec<MetricRecord>) -> Self {
         let mut log = ResultLog { records };
         log.sort();
@@ -156,6 +171,12 @@ impl ResultLog {
     /// The records in chronological order.
     pub fn records(&self) -> &[MetricRecord] {
         &self.records
+    }
+
+    /// Gives the records up, in chronological order — how a log is merged
+    /// into another without copying a record.
+    pub fn into_records(self) -> Vec<MetricRecord> {
+        self.records
     }
 
     /// Number of records.
@@ -178,18 +199,12 @@ impl ResultLog {
     ///
     /// Records sharing a microsecond timestamp — routine when a sampler
     /// emits a whole batch per tick, or when merged logger threads race —
-    /// keep their current relative order. The tie-break is an explicit
-    /// insertion index rather than a reliance on sort stability, so the
-    /// exported series order is a documented invariant of the format, not
-    /// an accident of the sort algorithm: serialize → parse → serialize
-    /// is byte-identical.
+    /// keep their current relative order. That is the contract of the
+    /// stable sort used here (`sort_by_key`), which moves records in place
+    /// and copies none; it makes the exported series order an invariant
+    /// of the format: serialize → parse → serialize is byte-identical.
     pub fn sort(&mut self) {
-        let mut indexed: Vec<(usize, MetricRecord)> = std::mem::take(&mut self.records)
-            .into_iter()
-            .enumerate()
-            .collect();
-        indexed.sort_unstable_by(|(ia, a), (ib, b)| a.t_micros.cmp(&b.t_micros).then(ia.cmp(ib)));
-        self.records = indexed.into_iter().map(|(_, r)| r).collect();
+        self.records.sort_by_key(|r| r.t_micros);
     }
 
     /// All records for one `(source, metric)` pair as a time series of
@@ -209,10 +224,8 @@ impl ResultLog {
 
     /// The distinct sources in the log, sorted.
     pub fn sources(&self) -> Vec<String> {
-        let mut out: Vec<String> = self.records.iter().map(|r| r.source.clone()).collect();
-        out.sort();
-        out.dedup();
-        out
+        let distinct: BTreeSet<&str> = self.records.iter().map(|r| r.source.as_str()).collect();
+        distinct.into_iter().map(str::to_owned).collect()
     }
 
     /// The first marker record with the given name, if any (markers are
@@ -255,14 +268,12 @@ impl ResultLog {
     /// Parses a log from text, sorting chronologically.
     pub fn parse(text: &str) -> Result<Self, String> {
         let mut records = Vec::new();
+        let names = NameTable::default();
         for (i, line) in text.lines().enumerate() {
             if line.trim().is_empty() || line.starts_with('#') {
                 continue;
             }
-            records.push(
-                line.parse::<MetricRecord>()
-                    .map_err(|e| format!("line {}: {e}", i + 1))?,
-            );
+            records.push(parse_record(line, &names).map_err(|e| format!("line {}: {e}", i + 1))?);
         }
         Ok(ResultLog::from_records(records))
     }

@@ -514,9 +514,36 @@ mod tests {
         assert_eq!(counter.get(), 30);
     }
 
+    /// Integrates a report's rate series over each bucket's own width —
+    /// full buckets except the final one, which ends at the run's end but
+    /// is never narrower than the report's 1 µs floor — after checking
+    /// that no bucket starts past that end.
+    fn series_total(report: &ReplayReport, bucket_secs: f64) -> f64 {
+        let end_secs = report.duration_micros as f64 / 1e6;
+        let last = report.rate_series.len() - 1;
+        let (last_start, _) = report.rate_series[last];
+        assert!(
+            last_start <= end_secs,
+            "bucket at {last_start} s, run ended at {end_secs} s"
+        );
+        let width = |i: usize, start: f64| {
+            if i == last {
+                (end_secs - start).max(1e-6)
+            } else {
+                bucket_secs
+            }
+        };
+        let series = report.rate_series.iter().enumerate();
+        series
+            .map(|(i, &(start, rate))| rate * width(i, start))
+            .sum()
+    }
+
     #[test]
     fn rate_series_covers_run() {
-        let stream = vertices(2_000);
+        // 1 900 events at 20 000/s end mid-bucket (95 ms into 50 ms
+        // buckets); the boundary case has its own test below.
+        let stream = vertices(1_900);
         let replayer = Replayer::new(ReplayerConfig {
             target_rate: 20_000.0,
             rate_bucket_secs: 0.05,
@@ -524,20 +551,52 @@ mod tests {
         });
         let mut sink = CollectSink::new();
         let report = replayer.replay_stream(&stream, &mut sink).unwrap();
-        // Integrate rate over actual bucket widths: full buckets except
-        // the final one, which ends at the run's end.
-        let end_secs = report.duration_micros as f64 / 1e6;
-        let last = report.rate_series.len() - 1;
-        let total: f64 = report
-            .rate_series
-            .iter()
-            .enumerate()
-            .map(|(i, &(start, rate))| {
-                let width = if i == last { end_secs - start } else { 0.05 };
-                rate * width
-            })
-            .sum();
-        assert!((total - 2_000.0).abs() < 1.0, "series total {total}");
+        let total = series_total(&report, 0.05);
+        assert!((total - 1_900.0).abs() < 1e-3, "series total {total}");
+    }
+
+    /// A sink on whose clock every event costs a fixed time.
+    struct TickingSink {
+        clock: Arc<gt_metrics::ManualClock>,
+        micros_per_event: u64,
+    }
+
+    impl EventSink for TickingSink {
+        fn send(&mut self, _entry: &StreamEntry) -> io::Result<()> {
+            self.clock.advance_micros(self.micros_per_event);
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_run_ending_on_a_bucket_boundary_keeps_every_event_in_the_series() {
+        // 2 000 events × 50 µs end the run at exactly 100 000 µs: the last
+        // flush and `duration_micros` share the microsecond that opens
+        // bucket 2 of 50 ms, however the events were batched. That bucket
+        // has no width of its own; the report gives it its 1 µs floor
+        // rather than dropping what was booked there.
+        let clock = Arc::new(gt_metrics::ManualClock::new());
+        let replayer = Replayer::new(ReplayerConfig {
+            target_rate: 1e9,
+            rate_bucket_secs: 0.05,
+            ..Default::default()
+        })
+        .with_clock(clock.clone());
+        let mut sink = TickingSink {
+            clock,
+            micros_per_event: 50,
+        };
+        let report = replayer.replay_stream(&vertices(2_000), &mut sink).unwrap();
+        assert_eq!(report.graph_events, 2_000);
+        assert_eq!(report.duration_micros, 100_000);
+        let &(last_start, last_rate) = report.rate_series.last().unwrap();
+        assert_eq!((report.rate_series.len(), last_start), (3, 0.1));
+        assert!(
+            last_rate * 1e-6 >= 1.0,
+            "final bucket holds {last_rate} × 1 µs"
+        );
+        let total = series_total(&report, 0.05);
+        assert!((total - 2_000.0).abs() < 1e-3, "series total {total}");
     }
 
     #[test]

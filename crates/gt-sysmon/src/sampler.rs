@@ -7,7 +7,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use gt_metrics::hub::Gauge;
-use gt_metrics::{Clock, MetricRecord, MetricsHub};
+use gt_metrics::{Clock, MetricRecord, MetricValue, MetricsHub, Name, NameTable};
 
 use crate::parse::{
     derive, parse_host_stat, parse_pid_io, parse_pid_stat, parse_pid_status, Sample,
@@ -88,6 +88,7 @@ impl HubGauges {
 /// a manual clock and a fake `/proc`.
 pub struct SysmonSampler {
     config: SamplerConfig,
+    series: Series,
     source: Box<dyn ProcSource>,
     clock: Arc<dyn Clock>,
     prev: Option<Sample>,
@@ -111,6 +112,10 @@ impl SysmonSampler {
         clock: Arc<dyn Clock>,
     ) -> Self {
         SysmonSampler {
+            series: Series {
+                source: config.source.as_str().into(),
+                metrics: NameTable::default(),
+            },
             config,
             source,
             clock,
@@ -168,7 +173,7 @@ impl SysmonSampler {
     /// tick, once a delta exists.
     pub fn tick(&mut self) -> Result<Vec<MetricRecord>, SysmonError> {
         let curr = self.read_sample()?;
-        let src = self.config.source.as_str();
+        let series = &self.series;
         let mut records = Vec::with_capacity(10);
 
         match self.prev {
@@ -185,25 +190,27 @@ impl SysmonSampler {
                         // proc restart): this instant's rates are clamped
                         // to zero, so mark the series as degraded instead
                         // of letting the zeros masquerade as idleness.
-                        records.push(MetricRecord::text(t, src, "degradation", "counter_reset"));
+                        let reset = MetricValue::Text("counter_reset".into());
+                        records.push(series.record(t, "degradation", reset));
                     }
-                    records.push(MetricRecord::float(t, src, "cpu_percent", d.cpu_percent));
-                    records.push(MetricRecord::float(
-                        t,
-                        src,
-                        "cpu_user_percent",
-                        d.cpu_user_percent,
-                    ));
-                    records.push(MetricRecord::float(
-                        t,
-                        src,
-                        "cpu_sys_percent",
-                        d.cpu_sys_percent,
-                    ));
+                    records.push(series.float(t, "cpu_percent", d.cpu_percent));
+                    records.push(series.float(t, "cpu_user_percent", d.cpu_user_percent));
+                    records.push(series.float(t, "cpu_sys_percent", d.cpu_sys_percent));
                     if let Some(host) = d.host_cpu_percent {
-                        records.push(MetricRecord::float(t, src, "host_cpu_percent", host));
+                        records.push(series.float(t, "host_cpu_percent", host));
                     }
-                    self.push_instantaneous(&mut records, t, &d);
+                    records.push(series.int(t, "rss_bytes", d.rss_bytes));
+                    records.push(series.int(t, "threads", d.threads));
+                    for (metric, value) in [
+                        ("io_read_bytes", d.read_bytes),
+                        ("io_write_bytes", d.write_bytes),
+                        ("ctx_voluntary", d.voluntary_ctxt_switches),
+                        ("ctx_involuntary", d.nonvoluntary_ctxt_switches),
+                    ] {
+                        if let Some(value) = value {
+                            records.push(series.int(t, metric, value));
+                        }
+                    }
                     if let Some(g) = &self.gauges {
                         g.cpu_percent.set(d.cpu_percent.round() as i64);
                         g.rss_bytes.set(d.rss_bytes as i64);
@@ -222,18 +229,8 @@ impl SysmonSampler {
                     .status
                     .and_then(|s| s.threads)
                     .unwrap_or(curr.stat.num_threads);
-                records.push(MetricRecord::int(
-                    curr.t_micros,
-                    src,
-                    "rss_bytes",
-                    rss as i64,
-                ));
-                records.push(MetricRecord::int(
-                    curr.t_micros,
-                    src,
-                    "threads",
-                    threads as i64,
-                ));
+                records.push(series.int(curr.t_micros, "rss_bytes", rss));
+                records.push(series.int(curr.t_micros, "threads", threads));
                 if let Some(g) = &self.gauges {
                     g.rss_bytes.set(rss as i64);
                     g.threads.set(threads as i64);
@@ -243,28 +240,26 @@ impl SysmonSampler {
         self.prev = Some(curr);
         Ok(records)
     }
+}
 
-    fn push_instantaneous(
-        &self,
-        records: &mut Vec<MetricRecord>,
-        t: u64,
-        d: &crate::parse::Derived,
-    ) {
-        let src = self.config.source.as_str();
-        records.push(MetricRecord::int(t, src, "rss_bytes", d.rss_bytes as i64));
-        records.push(MetricRecord::int(t, src, "threads", d.threads as i64));
-        if let Some(v) = d.read_bytes {
-            records.push(MetricRecord::int(t, src, "io_read_bytes", v as i64));
-        }
-        if let Some(v) = d.write_bytes {
-            records.push(MetricRecord::int(t, src, "io_write_bytes", v as i64));
-        }
-        if let Some(v) = d.voluntary_ctxt_switches {
-            records.push(MetricRecord::int(t, src, "ctx_voluntary", v as i64));
-        }
-        if let Some(v) = d.nonvoluntary_ctxt_switches {
-            records.push(MetricRecord::int(t, src, "ctx_involuntary", v as i64));
-        }
+/// The monitor's record builder: its source and one shared name per
+/// metric, so a tick allocates no names after the first.
+struct Series {
+    source: Name,
+    metrics: NameTable,
+}
+
+impl Series {
+    fn record(&self, t: u64, metric: &str, value: MetricValue) -> MetricRecord {
+        MetricRecord::new(t, self.source.clone(), self.metrics.get(metric), value)
+    }
+
+    fn float(&self, t: u64, metric: &str, value: f64) -> MetricRecord {
+        self.record(t, metric, MetricValue::Float(value))
+    }
+
+    fn int(&self, t: u64, metric: &str, value: u64) -> MetricRecord {
+        self.record(t, metric, MetricValue::Int(value as i64))
     }
 }
 

@@ -39,6 +39,7 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use gt_core::prelude::*;
+use gt_core::VERTEX_HASH_MULTIPLIER;
 use gt_metrics::hub::{Counter, Gauge};
 use gt_metrics::MetricsHub;
 use gt_sut::{Adjacency, StateDigest, WindowDigest, WorkerSupervisor};
@@ -46,7 +47,7 @@ use gt_trace::{Probe, Stage, TracerCell};
 use parking_lot::{Mutex, RwLock};
 
 use crate::board::{ResultBoard, Snapshot};
-use crate::program::{Partition, VERTEX_HASH_MULTIPLIER};
+use crate::program::Partition;
 use crate::rank::{RankParams, RankPartition};
 
 /// Engine configuration.

@@ -14,44 +14,12 @@
 //!   distances, Table 1's "distributed routing algorithms" example of a
 //!   converging computation.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-
 use gt_core::prelude::*;
 
-/// The multiplier (2^64 / φ) that spreads vertex ids — shared by the
-/// engine's `owner()` routing and the partitions' vertex maps.
-pub(crate) const VERTEX_HASH_MULTIPLIER: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// A partition's vertex map: a `HashMap` keyed by [`VertexId`] behind one
-/// multiply instead of SipHash. Every share delivery is a lookup here,
-/// and vertex ids need spreading, not DoS resistance.
-pub type VertexMap<V> = HashMap<VertexId, V, BuildHasherDefault<VertexHasher>>;
-
-/// The [`VertexMap`] hasher. The high half of the product is folded onto
-/// the low half because the table indexes with the low bits, where a
-/// bare product only reflects the low bits of the id.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct VertexHasher(u64);
-
-impl Hasher for VertexHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write_u64(&mut self, id: u64) {
-        let h = (self.0 ^ id).wrapping_mul(VERTEX_HASH_MULTIPLIER);
-        self.0 = h ^ (h >> 32);
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.write_u64(u64::from_le_bytes(word));
-        }
-    }
-}
+/// A partition's vertex map and its hasher (every share delivery is a
+/// lookup here). They live in `gt-core` so `gt-graph` and the generator
+/// hash ids the same way; `owner()` shares the multiplier.
+pub use gt_core::{VertexHasher, VertexMap};
 
 /// One worker's share of a vertex-centric computation.
 ///
