@@ -10,7 +10,7 @@
 use std::io::{BufRead, BufReader};
 use std::net::TcpListener;
 
-use gt_harness::{run_file_experiment, FileRunPlan};
+use gt_harness::{run, RunPlan, Target};
 use gt_replayer::ReconnectingTcpSink;
 
 fn main() {
@@ -38,12 +38,12 @@ fn main() {
     });
 
     // 3. Replay the file through the pipeline at 200k events/s.
-    let plan = FileRunPlan::new(&path, 200_000.0).with_buffer(4_096);
+    let plan = RunPlan::new(&path, 200_000.0).with_buffer(4_096);
     let mut sink = ReconnectingTcpSink::connect(addr).expect("connect");
-    let outcome = run_file_experiment(plan, &mut sink).expect("replay");
+    let outcome = run(plan, Target::Sink(&mut sink)).expect("replay");
     drop(sink);
 
-    let report = &outcome.report;
+    let report = outcome.session();
     println!("graph events:    {}", report.replay.graph_events);
     println!("entries read:    {}", report.entries_read);
     println!(

@@ -39,8 +39,7 @@ use gt_graph::{ApplyPolicy, CsrSnapshot, EvolvingGraph};
 use gt_sut::{Adjacency, StateDigest, SutOptions, SutRegistry, SutReport};
 
 use crate::levels::EvaluationLevel;
-use crate::run::RunPlan;
-use crate::sut::{run_sut_experiment_with_timeout, SutRunError, DEFAULT_QUIESCE_TIMEOUT};
+use crate::run::{run, RunError, RunPlan, Target};
 
 /// The reference computations over one digested window (or the final
 /// state), with float results serialized to bits for exact comparison.
@@ -211,35 +210,28 @@ fn diff_computations(
 /// then compares digests and per-window reference computations.
 ///
 /// The stream is fed through a **single** connector on each side, so the
-/// submission order the digests are defined over is identical. Chaos,
-/// faults, and custom loggers can ride along via `configure`-style edits
-/// on the returned plans of the lower-level runners; this entry point is
-/// the clean A/B.
+/// submission order the digests are defined over is identical. This is
+/// the clean A/B; a caller that wants chaos or custom loggers along
+/// builds its own [`RunPlan`]s with `digest=1` and compares the digests.
 pub fn run_differential(
     stream: &GraphStream,
     target_rate: f64,
     registry: &SutRegistry,
     baseline: (&str, &SutOptions),
     candidate: (&str, &SutOptions),
-) -> Result<DifferentialOutcome, SutRunError> {
-    let run = |name: &str, options: &SutOptions| -> Result<(SutReport, StateDigest), SutRunError> {
+) -> Result<DifferentialOutcome, RunError> {
+    let run = |name: &str, options: &SutOptions| -> Result<(SutReport, StateDigest), RunError> {
         let options = options.clone().set("digest", 1);
         let mut plan = RunPlan::new(stream.clone(), target_rate).at_level(EvaluationLevel::Level0);
         plan.sysmon = None; // black-box resource samples are noise here
-        let outcome = run_sut_experiment_with_timeout(
-            plan,
-            registry,
-            name,
-            &options,
-            DEFAULT_QUIESCE_TIMEOUT,
-        )?;
+        let outcome = run(plan, Target::Sut(registry, name, &options))?;
         let digest = outcome.digest.ok_or_else(|| {
-            SutRunError::from(std::io::Error::new(
+            RunError::from(std::io::Error::new(
                 std::io::ErrorKind::InvalidData,
                 format!("platform {name:?} returned no digest despite digest=1"),
             ))
         })?;
-        Ok((outcome.report, digest))
+        Ok((outcome.report.expect("a registry target reports"), digest))
     };
     let (baseline_report, baseline_digest) = run(baseline.0, baseline.1)?;
     let (candidate_report, candidate_digest) = run(candidate.0, candidate.1)?;

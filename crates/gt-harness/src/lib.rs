@@ -22,11 +22,17 @@
 //!   Popper-style re-execution.
 //! * [`levels`] — the three evaluation levels (L0 black box, L1 native
 //!   metrics, L2 in-source instrumentation).
-//! * [`run`] — the run loop: replay on the driver thread, sample loggers
-//!   on a background thread, merge logs.
-//! * [`load`] — the multi-client load mode: fan the stream across N
-//!   concurrent TCP clients (open/closed/partial-open loop per class)
-//!   into one platform connector per connection.
+//! * [`run`](mod@run) — the run path: one [`RunPlan`] (source, front,
+//!   observers) driven into one [`Target`] by one [`run()`], returning
+//!   one [`RunOutcome`]; replay on the driver thread, loggers sampled on
+//!   a background thread, every record collected once.
+//! * [`sut`] — what `run` does to a platform started from a registry:
+//!   level clamp, native-metrics and tracer wiring, the closing report.
+//! * [`load`] — the load front: the stream fanned across N concurrent
+//!   TCP clients (open/closed/partial-open loop per class) into one
+//!   platform connector per connection, and its log records.
+//! * [`netem`] — the netem front: a TCP hop in front of the platform
+//!   connector that the fault proxy can break.
 //! * [`differential`] — the serial-vs-sharded differential harness:
 //!   replay the same seeded stream through a `shards=1` baseline and a
 //!   `shards=N` candidate and assert bit-identical digests and
@@ -41,6 +47,8 @@
 //!   hanging the harness.
 
 pub mod differential;
+#[doc(hidden)]
+pub mod forward;
 pub mod levels;
 pub mod load;
 pub mod netem;
@@ -56,11 +64,10 @@ pub use differential::{
     graph_from_adjacency, run_differential, window_computations, DifferentialOutcome,
     WindowComputation,
 };
+#[doc(hidden)]
+pub use forward::{run_file_sut_experiment, run_load_file_sut_experiment, FileRunPlan};
 pub use levels::EvaluationLevel;
-pub use load::{
-    load_records, run_load_file_sut_experiment, run_load_sut_experiment,
-    run_load_sut_experiment_with_timeout, LoadSutRunOutcome, LOAD_SOURCE,
-};
+pub use load::{load_records, LOAD_SOURCE};
 pub use netem::{sink_records, start_netem_front, NetemFront, NetemFrontReport};
 pub use orchestrator::{
     aggregate_records, cell_id, render_matrix_table, run_matrix, run_matrix_with_progress,
@@ -68,15 +75,9 @@ pub use orchestrator::{
     MatrixProgress, MetricAggregate, ScenarioMatrix,
 };
 pub use repeat::{compare_metric, repeat_runs, repeat_status_runs, RepeatOutcome};
-pub use run::{
-    run_experiment, run_experiment_with_clock, run_file_experiment, run_file_experiment_with_clock,
-    ChaosPlan, FileRunOutcome, FileRunPlan, RunOutcome, RunPlan,
-};
+pub use run::{run, ChaosPlan, Driver, RunError, RunOutcome, RunPlan, Source, Target};
 pub use spec::ExperimentSpec;
-pub use sut::{
-    run_file_sut_experiment, run_file_sut_experiment_with_timeout, run_sut_experiment,
-    run_sut_experiment_with_timeout, SutRunError, SutRunOutcome, DEFAULT_QUIESCE_TIMEOUT,
-};
+pub use sut::DEFAULT_QUIESCE_TIMEOUT;
 pub use sweep::{Assignment, Factor, FactorSpace};
 pub use watchdog::{AbortReason, RunStatus, WatchdogConfig};
 

@@ -1,15 +1,15 @@
-//! The load-mode SUT runner: one multi-client traffic run against a
+//! The load front: one multi-client traffic run against a
 //! registry-selected platform.
 //!
-//! Where [`crate::sut::run_sut_experiment`] replays the stream through a
-//! *single* platform connector, this runner hands the stream to the
-//! `gt-load` layer: a seeded partitioner splits it into one substream per
+//! Where a direct run replays the stream through a *single* platform
+//! connector, a plan with a [`LoadPlan`] hands the stream to the `gt-load`
+//! layer: a seeded partitioner splits it into one substream per
 //! connection, hundreds of concurrent TCP clients pace their own arrival
 //! schedules (open, closed, or partial-open loop per class), and the
 //! multi-connection listener feeds one platform connector per accepted
 //! connection — markers stay totally ordered across all of them.
 //!
-//! The client reports are folded into the merged [`ResultLog`] under the
+//! The client reports are folded into the merged result log under the
 //! [`LOAD_SOURCE`] source using the conventions `gt-analysis::load`
 //! consumes:
 //!
@@ -23,99 +23,40 @@
 //! * run summary floats (`offered_total`, `sent_total`, `achieved_ratio`,
 //!   `marker_violations`, `parse_errors`, `connections`).
 //!
-//! Load mode runs at up to Level 1 (native hub sampling); the Level-2
-//! tracer and chaos/watchdog plan fields are single-sink concerns and are
-//! ignored here.
+//! A load front runs at up to Level 1 (native hub sampling; a Level 2
+//! request is clamped). Chaos, the watchdog and a replay tracer act on a
+//! single replayer and its single sink, which this front does not have:
+//! [`crate::RunPlan::check`] refuses them here.
 
-use std::io;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
+use gt_core::GraphStream;
 use gt_load::{run_load, ConnectorFactory, LoadOutcome, LoadPlan};
-use gt_metrics::{Clock, LogCollector, MetricRecord, MetricValue, Name, ResultLog, WallClock};
+use gt_metrics::{Clock, MetricRecord, MetricValue, Name};
 use gt_netem::NETEM_SOURCE;
-use gt_sut::{StateDigest, SutOptions, SutRegistry, SutReport, SystemUnderTest};
+use gt_sut::SystemUnderTest;
 
-use crate::run::{join_sampler, spawn_sampler, spawn_sysmon, sysmon_records, FileRunPlan, RunPlan};
-use crate::sut::{report_records, wire_sut, SutRunError, DEFAULT_QUIESCE_TIMEOUT};
+use crate::run::RunError;
 
 /// The result-log source under which load records are filed. Matches
 /// `gt_analysis::LOAD_SOURCE`.
 pub const LOAD_SOURCE: &str = "load";
 
-/// The outputs of one load-mode run.
-#[derive(Debug)]
-pub struct LoadSutRunOutcome {
-    /// Both sides' raw reports: per-client counts/sojourns and the
-    /// listener's marker log.
-    pub load: LoadOutcome,
-    /// The merged result log: sampled series, resource monitor, the
-    /// platform's final report, and the load records described in the
-    /// module docs.
-    pub log: ResultLog,
-    /// The platform's final report (also folded into the log).
-    pub report: SutReport,
-    /// Whether the platform drained within the quiesce timeout.
-    pub quiesced: bool,
-    /// The platform's final-state digest (only with the `digest=1`
-    /// option). Note: multi-connection runs merge substreams in a
-    /// nondeterministic order, so digests from load mode are only
-    /// comparable across runs for order-insensitive streams (e.g.
-    /// add-only).
-    pub digest: Option<StateDigest>,
-}
-
-/// Runs `plan` (which must carry a [`LoadPlan`]) against the platform
-/// registered under `name`, with the default quiesce timeout.
-pub fn run_load_sut_experiment(
-    plan: RunPlan,
-    registry: &SutRegistry,
-    name: &str,
-    options: &SutOptions,
-) -> Result<LoadSutRunOutcome, SutRunError> {
-    run_load_sut_experiment_with_timeout(plan, registry, name, options, DEFAULT_QUIESCE_TIMEOUT)
-}
-
-/// [`run_load_sut_experiment`] with an explicit quiesce timeout.
+/// Runs the load layer against a started platform: its listener builds
+/// one platform connector per accepted connection (plus one control
+/// connector for marker forwarding).
 ///
-/// Wiring: start the platform, clamp the level and register the L1 hub
-/// sampler, spawn the Level-0 resource monitor and the sampling thread,
-/// then run the load layer with a connector factory that builds one
-/// platform connector per accepted connection (plus one control connector
-/// for marker forwarding). Afterwards the platform drains and shuts down,
-/// and everything is merged into one chronologically sorted log.
-pub fn run_load_sut_experiment_with_timeout(
-    mut plan: RunPlan,
-    registry: &SutRegistry,
-    name: &str,
-    options: &SutOptions,
-    quiesce_timeout: Duration,
-) -> Result<LoadSutRunOutcome, SutRunError> {
-    let mut load_plan = plan.load.take().ok_or_else(|| {
-        SutRunError::from(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "run plan has no load layer (RunPlan::with_load)",
-        ))
-    })?;
-    // A netem plan on the run plan routes the whole client fleet through
-    // the fault proxy (the load runner stands it up); one already set on
-    // the load plan itself wins.
-    if load_plan.netem.is_none() {
-        load_plan.netem = plan.netem.take();
-    }
-
-    let clock: Arc<dyn Clock> = Arc::new(WallClock::start());
-    let mut sut = registry.start(name, options)?;
-    plan.level = wire_sut(&mut sut, plan.level, &mut plan.loggers, &clock);
-
-    let sysmon = spawn_sysmon(plan.level, &plan.sysmon, &clock, None);
-    let sampler = spawn_sampler(plan.loggers, plan.sampling_interval);
-
-    // The connector factory runs on the listener's accept thread, so the
-    // platform moves into a shared cell for the duration of the run and
-    // is taken back out for quiesce/shutdown once all connections are
-    // joined (run_load joins the listener before returning).
-    let sut_cell: Arc<Mutex<Option<Box<dyn SystemUnderTest>>>> = Arc::new(Mutex::new(Some(sut)));
+/// The connector factory runs on the listener's accept thread, so the
+/// platform moves into a shared cell for the duration and is put back
+/// once all connections are joined (`run_load` joins the listener before
+/// returning).
+pub(crate) fn drive_clients(
+    stream: &GraphStream,
+    plan: &LoadPlan,
+    sut: &mut Option<Box<dyn SystemUnderTest>>,
+    clock: &Arc<dyn Clock>,
+) -> Result<LoadOutcome, RunError> {
+    let sut_cell = Arc::new(Mutex::new(sut.take()));
     let factory_cell = Arc::clone(&sut_cell);
     let factory: ConnectorFactory = Box::new(move || {
         factory_cell
@@ -125,58 +66,9 @@ pub fn run_load_sut_experiment_with_timeout(
             .expect("platform present during run")
             .connector()
     });
-    let result = run_load(&plan.stream, &load_plan, factory, Arc::clone(&clock));
-
-    let sampled = join_sampler(sampler, &clock);
-    let resource = sysmon_records(sysmon, &plan.sysmon, &clock);
-
-    let mut sut = sut_cell
-        .lock()
-        .expect("sut cell lock")
-        .take()
-        .expect("platform present after run");
-    let quiesced = sut.quiesce(quiesce_timeout);
-    let (report, digest) = sut.shutdown_digest();
-    let load = result?;
-
-    // Everything goes to the collector first: its `collect()` is the one
-    // sort of the run's records.
-    let mut collector = LogCollector::new();
-    collector
-        .add_records(sampled)
-        .add_records(resource)
-        .add_records(load_records(&load, &load_plan, clock.now_micros()))
-        .add_records(report_records(&report, clock.now_micros()));
-    let log = collector.collect();
-    Ok(LoadSutRunOutcome {
-        load,
-        log,
-        report,
-        quiesced,
-        digest,
-    })
-}
-
-/// The file-backed variant: materializes the stream file (substream
-/// partitioning needs the whole stream up front, unlike the single-sink
-/// streaming pipeline) and delegates to [`run_load_sut_experiment`].
-pub fn run_load_file_sut_experiment(
-    plan: FileRunPlan,
-    registry: &SutRegistry,
-    name: &str,
-    options: &SutOptions,
-) -> Result<LoadSutRunOutcome, SutRunError> {
-    let stream = gt_core::GraphStream::read_from_file(&plan.path).map_err(|e| {
-        SutRunError::from(io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
-    })?;
-    let mut run_plan = RunPlan::new(stream, plan.session.replayer.target_rate);
-    run_plan.loggers = plan.loggers;
-    run_plan.sampling_interval = plan.sampling_interval;
-    run_plan.level = plan.level;
-    run_plan.sysmon = plan.sysmon;
-    run_plan.load = plan.load;
-    run_plan.netem = plan.netem;
-    run_load_sut_experiment(run_plan, registry, name, options)
+    let result = run_load(stream, plan, factory, Arc::clone(clock));
+    *sut = sut_cell.lock().expect("sut cell lock").take();
+    Ok(result?)
 }
 
 /// One-second rate buckets over `times`, zero-filled across the span so
@@ -293,9 +185,10 @@ pub fn load_records(load: &LoadOutcome, plan: &LoadPlan, t_end: u64) -> Vec<Metr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run::{run, RunPlan, Target};
     use gt_core::prelude::*;
     use gt_load::LoopModel;
-    use gt_sut::SutRegistry;
+    use gt_sut::{SutOptions, SutRegistry};
 
     fn registry() -> SutRegistry {
         let mut registry = SutRegistry::new();
@@ -330,14 +223,14 @@ mod tests {
             3,
         ));
         plan.sysmon = None;
-        let outcome = run_load_sut_experiment(plan, &registry(), "tide-store", &options).unwrap();
+        let outcome = run(plan, Target::Sut(&registry(), "tide-store", &options)).unwrap();
 
         assert!(outcome.quiesced);
         // Every event reached the platform exactly once across 8 clients.
-        assert_eq!(outcome.report.get("events"), Some(800.0));
-        assert_eq!(outcome.load.offered(), 800);
-        assert_eq!(outcome.load.listener.connections, 8);
-        assert_eq!(outcome.load.listener.marker_violations, 0);
+        assert_eq!(outcome.sut_report().get("events"), Some(800.0));
+        assert_eq!(outcome.load().offered(), 800);
+        assert_eq!(outcome.load().listener.connections, 8);
+        assert_eq!(outcome.load().listener.marker_violations, 0);
         // The marker crossed the multi-connection boundary exactly once.
         assert!(outcome.log.marker("stream-end").is_some());
         // The analysis-facing series are present and consistent.
@@ -368,13 +261,13 @@ mod tests {
             .with_load(LoadPlan::single(6, 1_200.0, LoopModel::Open, 3))
             .with_netem(netem);
         plan.sysmon = None;
-        let outcome = run_load_sut_experiment(plan, &registry(), "tide-store", &options).unwrap();
+        let outcome = run(plan, Target::Sut(&registry(), "tide-store", &options)).unwrap();
 
         // TCP backpressure rides the partition out: every event arrives.
-        assert_eq!(outcome.report.get("events"), Some(1_200.0));
-        assert_eq!(outcome.load.listener.marker_violations, 0);
-        assert!(outcome.load.client_failures.is_empty());
-        let netem_report = outcome.load.netem.as_ref().expect("netem report");
+        assert_eq!(outcome.sut_report().get("events"), Some(1_200.0));
+        assert_eq!(outcome.load().listener.marker_violations, 0);
+        assert!(outcome.load().client_failures.is_empty());
+        let netem_report = outcome.load().netem.as_ref().expect("netem report");
         assert_eq!(netem_report.connections, 6);
         assert_eq!(
             journal.signature(),
@@ -398,8 +291,13 @@ mod tests {
     #[test]
     fn load_run_without_plan_is_rejected() {
         let plan = RunPlan::new(stream(10), 1000.0);
-        let err = run_load_sut_experiment(plan, &registry(), "tide-store", &SutOptions::new())
-            .unwrap_err();
+        let err = crate::forward::run_load_file_sut_experiment(
+            plan,
+            &registry(),
+            "tide-store",
+            &SutOptions::new(),
+        )
+        .unwrap_err();
         assert!(err.to_string().contains("no load layer"));
     }
 
@@ -416,13 +314,12 @@ mod tests {
         std::fs::write(&path, content).unwrap();
 
         let options = SutOptions::new().set("workers", 2);
-        let mut plan = FileRunPlan::new(&path, 0.0);
+        let mut plan = RunPlan::new(&path, 0.0);
         plan.load = Some(LoadPlan::single(4, 80_000.0, LoopModel::Closed, 7));
         plan.sysmon = None;
-        let outcome =
-            run_load_file_sut_experiment(plan, &registry(), "tide-graph", &options).unwrap();
-        assert_eq!(outcome.report.get("events"), Some(400.0));
-        assert_eq!(outcome.load.listener.connections, 4);
+        let outcome = run(plan, Target::Sut(&registry(), "tide-graph", &options)).unwrap();
+        assert_eq!(outcome.sut_report().get("events"), Some(400.0));
+        assert_eq!(outcome.load().listener.connections, 4);
         assert!(outcome.log.marker("stream-end").is_some());
         std::fs::remove_file(path).ok();
     }

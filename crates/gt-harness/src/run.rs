@@ -1,11 +1,28 @@
-//! The experiment run loop.
+//! The run path: one plan, one target, one [`run`].
 //!
-//! One run = one replay of one stream into one system under test, with
-//! metric loggers sampling concurrently on a background thread, and all
-//! outputs merged into a single chronologically sorted [`ResultLog`]
-//! (Figure 2's data path).
+//! One run = one stream driven into one target, with metric loggers
+//! sampling concurrently on a background thread, and all outputs merged
+//! into a single chronologically sorted [`ResultLog`] (Figure 2's data
+//! path). A run is described along four independent axes:
+//!
+//! * **source** ([`Source`]) — an in-memory [`GraphStream`] or a stream
+//!   file;
+//! * **target** ([`Target`]) — a caller-owned sink, or a platform started
+//!   by name from a [`SutRegistry`];
+//! * **front** — how entries reach the target: directly (the default),
+//!   through the `gt-load` client fleet ([`RunPlan::load`]), or over a TCP
+//!   hop the fault proxy can break ([`RunPlan::netem`]);
+//! * **observers** — evaluation level, resource monitor, loggers, tracer,
+//!   watchdog, chaos.
+//!
+//! [`run`] fixes the order every combination goes through: start and wire
+//! the platform, open the front, start the observers, drive, stop the
+//! observers, close the front, wait for the platform to drain, release
+//! the stream, shut the platform down, and collect every record once.
+//! Combinations it cannot honour are rejected up front by
+//! [`RunPlan::check`] with [`RunError::InvalidInput`].
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -13,19 +30,25 @@ use std::time::Duration;
 
 use gt_chaos::{ChaosJournal, ChaosSink, FaultSchedule};
 use gt_core::prelude::*;
-use gt_metrics::hub::Counter;
+use gt_load::{LoadOutcome, LoadPlan};
 use gt_metrics::{
     Clock, HubSampler, LogCollector, MetricRecord, MetricsHub, MetricsLogger, ResultLog, WallClock,
 };
+use gt_netem::{NetemPlan, NETEM_SOURCE};
 use gt_replayer::{
-    EventSink, ReplayError, ReplayReport, ReplaySession, ReplaySessionConfig, Replayer,
-    ReplayerConfig, SessionReport, SinkEventKind,
+    EventSink, ReconnectingTcpSink, ReplayError, ReplayReport, ReplaySession, ReplaySessionConfig,
+    Replayer, ReplayerConfig, SessionReport, SinkEventKind,
 };
-use gt_sut::WorkerSupervisor;
+use gt_sut::{
+    StateDigest, SutError, SutOptions, SutRegistry, SutReport, SystemUnderTest, WorkerSupervisor,
+};
 use gt_sysmon::SamplerConfig;
 use gt_trace::{Stage, Tracer};
 
 use crate::levels::EvaluationLevel;
+use crate::load::{drive_clients, load_records};
+use crate::netem::{sink_records, start_netem_front, NetemFront};
+use crate::sut::{report_records, wire, DEFAULT_QUIESCE_TIMEOUT};
 use crate::watchdog::{spawn_watchdog, RunStatus, WatchdogConfig, WatchdogHandle};
 
 /// Live chaos for one run: a deterministic fault schedule, the journal it
@@ -39,7 +62,7 @@ pub struct ChaosPlan {
     pub schedule: FaultSchedule,
     /// Where fault/recovery events are journaled.
     pub journal: ChaosJournal,
-    /// The platform's crash/restart surface. The SUT runner fills this
+    /// The platform's crash/restart surface. A registry target fills this
     /// from [`gt_sut::SystemUnderTest::supervisor`] when left `None`.
     pub supervisor: Option<Arc<dyn WorkerSupervisor>>,
 }
@@ -62,58 +85,106 @@ impl ChaosPlan {
     }
 }
 
-/// Everything a single run needs besides the system under test.
+/// Where a run's stream comes from.
+#[derive(Debug)]
+pub enum Source {
+    /// An in-memory stream, paced by [`Replayer::replay_stream`].
+    Memory(GraphStream),
+    /// A stream file, parsed on a dedicated reader thread and never fully
+    /// materialised ([`ReplaySession`]). A load front is the exception:
+    /// partitioning needs the whole stream, so [`run`] reads the file
+    /// once before the platform starts.
+    File(PathBuf),
+}
+
+impl From<GraphStream> for Source {
+    fn from(stream: GraphStream) -> Self {
+        Source::Memory(stream)
+    }
+}
+
+impl<P: AsRef<Path> + ?Sized> From<&P> for Source {
+    fn from(path: &P) -> Self {
+        Source::File(path.as_ref().to_owned())
+    }
+}
+
+/// What a run drives its stream into.
+pub enum Target<'a> {
+    /// A caller-owned sink. Nothing is started, drained or shut down, and
+    /// the outcome carries no platform report.
+    Sink(&'a mut dyn EventSink),
+    /// The platform registered under a name, started with these options.
+    /// The plan's `level` is *requested* access: the effective level is
+    /// `min(plan.level, platform level)`, Level 1 adds the platform's
+    /// native metrics hub to the sampled loggers, and Level 2 installs a
+    /// tracer at its tracepoints. After the stream the platform is
+    /// drained ([`RunPlan::quiesce_timeout`]) and shut down; its closing
+    /// report lands in the outcome and in the log.
+    Sut(&'a SutRegistry, &'a str, &'a SutOptions),
+}
+
+/// Everything a single run needs besides its target.
 pub struct RunPlan {
-    /// The stream to replay.
-    pub stream: GraphStream,
-    /// Replayer configuration (target rate, pause handling).
-    pub replayer: ReplayerConfig,
-    /// Metric loggers sampled during the run.
+    /// The stream to drive.
+    pub source: Source,
+    /// Replay configuration: pacing (`session.replayer`) for both
+    /// sources, reader buffering for a file source. A load front ignores
+    /// the pacing — each client paces its own arrival schedule.
+    pub session: ReplaySessionConfig,
+    /// Metric loggers sampled during the run (a file source's pipeline
+    /// stage metrics are sampled automatically, under `pipeline`).
     pub loggers: Vec<Box<dyn MetricsLogger>>,
     /// Sampling interval for the logger thread.
     pub sampling_interval: Duration,
-    /// The access level granted by the system under test. Level-0
-    /// (black-box `/proc` observation) is included in every level, so the
-    /// resource monitor runs unless [`Self::sysmon`] is `None`.
+    /// The access level requested. Level-0 (black-box `/proc`
+    /// observation) is included in every level, so the resource monitor
+    /// runs unless [`Self::sysmon`] is `None`. A load front has no single
+    /// replayer to trace: Level 2 there is clamped to Level 1.
     pub level: EvaluationLevel,
     /// Level-0 resource monitor configuration; `None` disables it.
     pub sysmon: Option<SamplerConfig>,
-    /// Level-2 event tracer. When set, the replayer stamps a
-    /// [`Stage::PacedEmit`] tracepoint for every sampled graph event it
-    /// emits, so emit→connector→apply latencies can be broken down per
-    /// stage. The caller keeps a clone and calls [`Tracer::stop`] after
-    /// the run to collect the matched stage-pair records.
+    /// Level-2 event tracer for the replay side: sampled graph events are
+    /// stamped at [`Stage::PacedEmit`] (and, from a file source, at the
+    /// reader and sink stages too). The caller keeps a clone and calls
+    /// [`Tracer::stop`] after the run. A registry target at Level 2
+    /// starts, installs and stops its own tracer instead.
     pub tracer: Option<Tracer>,
-    /// Experiment watchdog; `None` runs unguarded. When set, the replayer
-    /// carries the watchdog's abort flag and the outcome's
-    /// [`RunOutcome::status`] reports whether the run was cut short.
+    /// Experiment watchdog; `None` runs unguarded. When set, the replay
+    /// carries the watchdog's abort flag and [`RunOutcome::status`]
+    /// reports whether the run was cut short.
     pub watchdog: Option<WatchdogConfig>,
     /// Live fault injection; `None` runs clean. When set, the sink is
     /// wrapped in a [`ChaosSink`] and the journal's fault/recovery events
     /// land in the merged log under the `chaos` source.
     pub chaos: Option<ChaosPlan>,
-    /// Multi-client traffic layer; `None` replays single-sink. When set,
-    /// the SUT runner ([`crate::load::run_load_sut_experiment`]) fans the
-    /// stream across `load.total_connections()` concurrent TCP clients
-    /// instead of the single replayer sink, and the plan's `replayer`
-    /// pacing is ignored (each client paces its own arrival schedule).
-    pub load: Option<gt_load::LoadPlan>,
+    /// Multi-client front; `None` drives one sink. When set, the stream
+    /// is split across `load.total_connections()` concurrent TCP clients,
+    /// each into a platform connector of its own (see [`crate::load`]).
+    pub load: Option<LoadPlan>,
     /// Deterministic network fault injection; `None` runs on a clean
-    /// path. Honored by the SUT runners: single-sink runs get a TCP hop
-    /// through a [`gt_netem::NetemProxy`] (see [`crate::netem`]), and
-    /// load runs route every client through the proxy. The bare
-    /// [`run_experiment`] has no TCP path and ignores this field.
-    pub netem: Option<gt_netem::NetemPlan>,
+    /// path. A single-sink run gets a TCP hop through a
+    /// [`gt_netem::NetemProxy`] in front of the platform connector (see
+    /// [`crate::netem`]); a load front routes every client through it.
+    pub netem: Option<NetemPlan>,
+    /// How long a registry target may take to drain its backlog after the
+    /// stream ends. A platform still busy then yields `quiesced == false`
+    /// while its partial report and sampled metrics are kept as usual.
+    pub quiesce_timeout: Duration,
 }
 
 impl RunPlan {
-    /// A plan with the given stream and target rate, no loggers, at
-    /// Level 0 with the default resource monitor and no tracer.
-    pub fn new(stream: GraphStream, target_rate: f64) -> Self {
+    /// A plan driving `source` (a [`GraphStream`] or a path to a stream
+    /// file) at `target_rate`: no loggers, Level 0 with the default
+    /// resource monitor, direct front, nothing injected.
+    pub fn new(source: impl Into<Source>, target_rate: f64) -> Self {
         RunPlan {
-            stream,
-            replayer: ReplayerConfig {
-                target_rate,
+            source: source.into(),
+            session: ReplaySessionConfig {
+                replayer: ReplayerConfig {
+                    target_rate,
+                    ..Default::default()
+                },
                 ..Default::default()
             },
             loggers: Vec::new(),
@@ -125,6 +196,7 @@ impl RunPlan {
             chaos: None,
             load: None,
             netem: None,
+            quiesce_timeout: DEFAULT_QUIESCE_TIMEOUT,
         }
     }
 
@@ -137,8 +209,16 @@ impl RunPlan {
 
     /// Attaches a multi-client load plan (builder style).
     #[must_use]
-    pub fn with_load(mut self, load: gt_load::LoadPlan) -> Self {
+    pub fn with_load(mut self, load: LoadPlan) -> Self {
         self.load = Some(load);
+        self
+    }
+
+    /// Sets the reader→emitter channel capacity of a file source
+    /// (builder style).
+    #[must_use]
+    pub fn with_buffer(mut self, entries: usize) -> Self {
+        self.session.buffer = entries;
         self
     }
 
@@ -153,13 +233,6 @@ impl RunPlan {
     #[must_use]
     pub fn with_sysmon(mut self, config: SamplerConfig) -> Self {
         self.sysmon = Some(config);
-        self
-    }
-
-    /// Attaches a Level-2 event tracer (builder style).
-    #[must_use]
-    pub fn with_tracer(mut self, tracer: &Tracer) -> Self {
-        self.tracer = Some(tracer.clone());
         self
     }
 
@@ -179,15 +252,207 @@ impl RunPlan {
 
     /// Arms deterministic network fault injection (builder style).
     #[must_use]
-    pub fn with_netem(mut self, netem: gt_netem::NetemPlan) -> Self {
+    pub fn with_netem(mut self, netem: NetemPlan) -> Self {
         self.netem = Some(netem);
         self
+    }
+
+    /// Rejects a combination [`run`] cannot honour, naming the field —
+    /// nothing a plan asks for is dropped silently. `run` calls this
+    /// first; callers planning many runs call it to fail before the
+    /// first one starts.
+    pub fn check(&self, target: &Target<'_>) -> Result<(), RunError> {
+        let bare = matches!(target, Target::Sink(_));
+        let load = self.load.as_ref();
+        let rules = [
+            (
+                bare && load.is_some(),
+                "load",
+                "needs a platform to build one connector per client; the target is a bare sink",
+            ),
+            (
+                bare && self.netem.is_some(),
+                "netem",
+                "needs a platform connector to put the TCP hop in front of; the target is a bare sink",
+            ),
+            (
+                load.is_some() && self.chaos.is_some(),
+                "chaos",
+                "is injected at a single sink; a load front has one connector per client",
+            ),
+            (
+                load.is_some() && self.watchdog.is_some(),
+                "watchdog",
+                "watches a single replayer's ingress; a load front's clients pace themselves",
+            ),
+            (
+                load.is_some() && self.tracer.is_some(),
+                "tracer",
+                "stamps a single replayer's emits; a load front has none",
+            ),
+            (
+                load.is_some_and(|load| load.netem.is_some()) && self.netem.is_some(),
+                "netem",
+                "is set on the run plan and on its load plan; set one",
+            ),
+        ];
+        match rules.into_iter().find(|(broken, ..)| *broken) {
+            Some((_, field, reason)) => Err(RunError::InvalidInput { field, reason }),
+            None => Ok(()),
+        }
+    }
+}
+
+/// What can go wrong in a run.
+#[derive(Debug)]
+pub enum RunError {
+    /// The plan asks for a combination the run path cannot honour (see
+    /// [`RunPlan::check`]).
+    InvalidInput {
+        /// The plan field that cannot be honoured.
+        field: &'static str,
+        /// Why not.
+        reason: &'static str,
+    },
+    /// Unknown platform name, or the platform failed to start.
+    Sut(SutError),
+    /// The drive itself failed (sink error, unreadable or malformed
+    /// stream file, a front that could not be opened, …).
+    Replay(ReplayError),
+}
+
+impl std::fmt::Display for RunError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RunError::InvalidInput { field, reason } => {
+                write!(f, "invalid run plan: `{field}` {reason}")
+            }
+            RunError::Sut(e) => write!(f, "system under test: {e}"),
+            RunError::Replay(e) => write!(f, "replay: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for RunError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            RunError::InvalidInput { .. } => None,
+            RunError::Sut(e) => Some(e),
+            RunError::Replay(e) => Some(e),
+        }
+    }
+}
+
+impl From<SutError> for RunError {
+    fn from(e: SutError) -> Self {
+        RunError::Sut(e)
+    }
+}
+
+impl From<ReplayError> for RunError {
+    fn from(e: ReplayError) -> Self {
+        RunError::Replay(e)
+    }
+}
+
+impl From<std::io::Error> for RunError {
+    fn from(e: std::io::Error) -> Self {
+        RunError::Replay(ReplayError::from_sink_error(e))
+    }
+}
+
+/// What drove a run, with that driver's own report.
+#[derive(Debug)]
+#[allow(clippy::large_enum_variant)] // one per run, never stored in bulk
+pub enum Driver {
+    /// The in-memory replayer.
+    Replay(ReplayReport),
+    /// The file pipeline: the replayer's report plus per-stage health.
+    Session(SessionReport),
+    /// The client fleet: per-client counts and sojourns, and the
+    /// listener's marker log.
+    Load(LoadOutcome),
+}
+
+/// The outputs of one run.
+#[derive(Debug)]
+pub struct RunOutcome {
+    /// The merged result log, sorted once: logger and resource samples,
+    /// the driver's records (replayer markers and ingress rate, sink
+    /// disconnect/reconnect events, or the load records of
+    /// [`crate::load`]), chaos and netem journals, the platform's closing
+    /// report and the tracer's stage-pair latencies.
+    pub log: ResultLog,
+    /// Whether the run completed or the watchdog aborted it. An abort is
+    /// also recorded in the log (source `watchdog`, metric `abort`).
+    pub status: RunStatus,
+    /// What drove the run.
+    pub driver: Driver,
+    /// The platform's closing report (also in the log, under the
+    /// platform's name); `None` for a bare sink.
+    pub report: Option<SutReport>,
+    /// Whether the platform drained within the quiesce timeout. A `false`
+    /// here is itself a finding — the paper's Figure 3d system keeps
+    /// computing long after the stream has ended. A bare sink has no
+    /// backlog the harness could wait on and reports `true`.
+    pub quiesced: bool,
+    /// The platform's final-state digest, present only when the platform
+    /// was started with its `digest=1` option — the raw material of the
+    /// serial-vs-sharded differential harness ([`crate::differential`]).
+    /// A load front merges substreams in a nondeterministic order, so its
+    /// digests only compare across runs for order-insensitive streams.
+    pub digest: Option<StateDigest>,
+}
+
+impl RunOutcome {
+    /// The replayer's streaming metrics, from either source.
+    ///
+    /// # Panics
+    /// When a load front drove the run: there was no replayer.
+    pub fn replay(&self) -> &ReplayReport {
+        match &self.driver {
+            Driver::Replay(report) => report,
+            Driver::Session(report) => &report.replay,
+            Driver::Load(_) => panic!("a load front has no replay report"),
+        }
+    }
+
+    /// The file pipeline's report.
+    ///
+    /// # Panics
+    /// When the source was not a file replayed through one sink.
+    pub fn session(&self) -> &SessionReport {
+        match &self.driver {
+            Driver::Session(report) => report,
+            _ => panic!("only a file source replayed into one sink has a session report"),
+        }
+    }
+
+    /// Both sides' raw reports of the client fleet.
+    ///
+    /// # Panics
+    /// When the plan carried no load front.
+    pub fn load(&self) -> &LoadOutcome {
+        match &self.driver {
+            Driver::Load(load) => load,
+            _ => panic!("the run had no load front"),
+        }
+    }
+
+    /// The platform's closing report.
+    ///
+    /// # Panics
+    /// When the target was a bare sink.
+    pub fn sut_report(&self) -> &SutReport {
+        self.report
+            .as_ref()
+            .expect("a bare sink has no platform report")
     }
 }
 
 /// Spawns the Level-0 monitor when the plan's level grants black-box
 /// process access and a sampler is configured.
-pub(crate) fn spawn_sysmon(
+fn spawn_sysmon(
     level: EvaluationLevel,
     config: &Option<SamplerConfig>,
     clock: &Arc<dyn Clock>,
@@ -203,7 +468,7 @@ pub(crate) fn spawn_sysmon(
 /// Stops the monitor and converts its outcome into records: the sampled
 /// resource series, plus one text record when observation failed (so a
 /// log from a non-Linux host says *why* the series is empty).
-pub(crate) fn sysmon_records(
+fn sysmon_records(
     handle: Option<gt_sysmon::SysmonHandle>,
     config: &Option<SamplerConfig>,
     clock: &Arc<dyn Clock>,
@@ -227,21 +492,8 @@ pub(crate) fn sysmon_records(
     records
 }
 
-/// The outputs of one run.
-#[derive(Debug)]
-pub struct RunOutcome {
-    /// Streaming metrics from the replayer.
-    pub report: ReplayReport,
-    /// The merged result log: logger samples plus replayer marker
-    /// records (source `replayer`, metric `marker`).
-    pub log: ResultLog,
-    /// Whether the run completed or the watchdog aborted it. An abort is
-    /// also recorded in the log (source `watchdog`, metric `abort`).
-    pub status: RunStatus,
-}
-
 /// The running sampler thread and the flag that ends it.
-pub(crate) struct Sampler {
+struct Sampler {
     stop: Arc<AtomicBool>,
     thread: JoinHandle<Vec<MetricRecord>>,
 }
@@ -249,10 +501,7 @@ pub(crate) struct Sampler {
 /// Spawns the background thread that drives all loggers every `interval`
 /// until [`join_sampler`] stops it, finishing with one final sample so
 /// the log covers the run end.
-pub(crate) fn spawn_sampler(
-    mut loggers: Vec<Box<dyn MetricsLogger>>,
-    interval: Duration,
-) -> Sampler {
+fn spawn_sampler(mut loggers: Vec<Box<dyn MetricsLogger>>, interval: Duration) -> Sampler {
     let stop = Arc::new(AtomicBool::new(false));
     let stopped = Arc::clone(&stop);
     let thread = std::thread::Builder::new()
@@ -280,7 +529,7 @@ pub(crate) fn spawn_sampler(
 /// Stops and joins the sampler thread, degrading gracefully: a panicked
 /// logger must not poison the whole run, so the lost series is replaced
 /// by one typed degradation record (source `harness`) explaining the gap.
-pub(crate) fn join_sampler(sampler: Sampler, clock: &Arc<dyn Clock>) -> Vec<MetricRecord> {
+fn join_sampler(sampler: Sampler, clock: &Arc<dyn Clock>) -> Vec<MetricRecord> {
     sampler.stop.store(true, Ordering::Release);
     sampler.thread.thread().unpark();
     sampler.thread.join().unwrap_or_else(|_| {
@@ -295,7 +544,7 @@ pub(crate) fn join_sampler(sampler: Sampler, clock: &Arc<dyn Clock>) -> Vec<Metr
 
 /// Stops the watchdog (if armed) and converts its verdict into a run
 /// status plus the abort record for the merged log.
-pub(crate) fn finish_watchdog(
+fn finish_watchdog(
     watchdog: Option<WatchdogHandle>,
     clock: &Arc<dyn Clock>,
 ) -> (RunStatus, Vec<MetricRecord>) {
@@ -319,319 +568,269 @@ fn replay_records(report: &ReplayReport) -> Vec<MetricRecord> {
     records
 }
 
-/// Executes one run: replays `plan.stream` into `sink` while sampling all
-/// loggers every `plan.sampling_interval` on a background thread.
-///
-/// The shared run clock is created here; marker timestamps and logger
-/// sample timestamps are directly comparable.
-pub fn run_experiment<S: EventSink>(plan: RunPlan, sink: &mut S) -> std::io::Result<RunOutcome> {
-    run_experiment_with_clock(plan, sink, Arc::new(WallClock::start()))
+/// The driver's own records: replayer markers and ingress rate, plus the
+/// file pipeline's sink disconnect/reconnect events under `sink`, or the
+/// client fleet's records (see [`crate::load`]).
+fn driver_records(driver: &Driver, load: Option<&LoadPlan>, t_end: u64) -> Vec<MetricRecord> {
+    match (driver, load) {
+        (Driver::Replay(report), _) => replay_records(report),
+        (Driver::Session(report), _) => {
+            let mut records = replay_records(&report.replay);
+            records.extend(report.sink_events.iter().map(|e| {
+                let metric = match e.kind {
+                    SinkEventKind::Disconnected { .. } => "disconnect",
+                    SinkEventKind::Reconnected { .. } => "reconnect",
+                };
+                MetricRecord::text(e.t_micros, "sink", metric, e.detail.clone())
+            }));
+            records
+        }
+        (Driver::Load(outcome), Some(plan)) => load_records(outcome, plan, t_end),
+        (Driver::Load(_), None) => unreachable!("only a load plan yields a load driver"),
+    }
 }
 
-/// [`run_experiment`] against a caller-supplied clock, so records produced
-/// *outside* the run (e.g. a system under test's final report) can share
-/// its timeline. This is the primitive the SUT runner
-/// ([`crate::sut::run_sut_experiment`]) builds on.
-pub fn run_experiment_with_clock<S: EventSink + ?Sized>(
-    plan: RunPlan,
-    sink: &mut S,
-    clock: Arc<dyn Clock>,
-) -> std::io::Result<RunOutcome> {
-    let sysmon = spawn_sysmon(plan.level, &plan.sysmon, &clock, None);
-    let sampler = spawn_sampler(plan.loggers, plan.sampling_interval);
+/// The open path from the driver to the target.
+#[allow(clippy::large_enum_variant)] // one per run, never stored in bulk
+enum Front<'a> {
+    /// The caller's own sink.
+    Sink(&'a mut dyn EventSink),
+    /// The platform's connector, in process.
+    Connector(Box<dyn EventSink + Send>),
+    /// A TCP hop the fault proxy can break: reconnecting sink → proxy →
+    /// bridge → the platform's connector (see [`crate::netem`]).
+    Netem(ReconnectingTcpSink, NetemFront, ChaosJournal),
+    /// One TCP client per connection, each into a platform connector the
+    /// load layer's listener builds on accept.
+    Clients,
+}
 
-    let abort = Arc::new(AtomicBool::new(false));
-    let progress = Counter::default();
-    let watchdog = plan
-        .watchdog
-        .clone()
-        .map(|config| spawn_watchdog(config, progress.clone(), Arc::clone(&abort)));
+impl Front<'_> {
+    /// Builds the single platform connector, behind the netem hop when
+    /// the plan carries a schedule.
+    fn connect(
+        sut: &mut dyn SystemUnderTest,
+        netem: Option<NetemPlan>,
+        clock: &Arc<dyn Clock>,
+    ) -> Result<Self, RunError> {
+        let connector = sut.connector()?;
+        let Some(netem) = netem else {
+            return Ok(Front::Connector(connector));
+        };
+        let (sink, front) = start_netem_front(&netem, connector, Arc::clone(clock))?;
+        Ok(Front::Netem(sink, front, netem.journal))
+    }
 
-    let mut replayer = Replayer::new(plan.replayer).with_clock(Arc::clone(&clock));
-    if watchdog.is_some() {
-        replayer = replayer
-            .with_abort_flag(Arc::clone(&abort))
-            .with_ingress_counter(progress);
+    /// The one sink a replay writes to; `None` for the client fleet.
+    fn sink(&mut self) -> Option<&mut dyn EventSink> {
+        match self {
+            Front::Sink(sink) => Some(&mut **sink),
+            Front::Connector(connector) => Some(&mut **connector),
+            Front::Netem(sink, ..) => Some(sink),
+            Front::Clients => None,
+        }
     }
-    if let Some(tracer) = &plan.tracer {
-        replayer = replayer.with_trace_probe(tracer.probe(Stage::PacedEmit));
+
+    /// Closes the path, so the platform sees end-of-stream before it is
+    /// asked to drain: the connector is dropped — directly, or by the
+    /// bridge thread joining. Returns the netem hop's records: the sink's
+    /// per-cause disconnect counts, the proxy's and bridge's counters,
+    /// and the fault journal under the `netem` source.
+    fn close(self, clock: &Arc<dyn Clock>) -> Result<Vec<MetricRecord>, RunError> {
+        let Front::Netem(sink, front, journal) = self else {
+            return Ok(Vec::new());
+        };
+        let mut records = sink_records(&sink, clock.now_micros());
+        // Dropping the sink closes the client socket; the in-flight proxy
+        // connection drains to EOF before the front honors its stop flag.
+        drop(sink);
+        records.extend(front.finish()?.records(clock.now_micros()));
+        records.extend(journal.records_with_source(NETEM_SOURCE));
+        Ok(records)
     }
-    let result = match &plan.chaos {
+}
+
+/// What the replay side of a run shares with the run's observers.
+struct Shared<'a> {
+    clock: &'a Arc<dyn Clock>,
+    /// Where a file pipeline publishes its stage metrics, and where the
+    /// replayer keeps the ingress counter the watchdog watches.
+    hub: &'a MetricsHub,
+    /// The watchdog's abort flag, when one is armed.
+    abort: Option<&'a Arc<AtomicBool>>,
+    tracer: Option<&'a Tracer>,
+}
+
+/// Paces `source` into `sink` — through the chaos sink when the plan
+/// injects live faults. This `match` is the whole source axis.
+fn replay(
+    source: &Source,
+    session: ReplaySessionConfig,
+    sink: &mut dyn EventSink,
+    chaos: Option<&ChaosPlan>,
+    shared: &Shared<'_>,
+) -> Result<Driver, RunError> {
+    let clock = || Arc::clone(shared.clock);
+    let mut chaos_sink;
+    let sink: &mut dyn EventSink = match chaos {
         Some(chaos) => {
-            let mut chaos_sink = ChaosSink::new(
-                &mut *sink,
-                &chaos.schedule,
-                chaos.journal.clone(),
-                Arc::clone(&clock),
-            );
+            chaos_sink = ChaosSink::new(sink, &chaos.schedule, chaos.journal.clone(), clock());
             if let Some(supervisor) = &chaos.supervisor {
                 chaos_sink = chaos_sink.with_supervisor(Arc::clone(supervisor));
             }
-            replayer.replay_stream(&plan.stream, &mut chaos_sink)
+            &mut chaos_sink
         }
-        None => replayer.replay_stream(&plan.stream, sink),
+        None => sink,
+    };
+    match source {
+        Source::Memory(stream) => {
+            let mut replayer = Replayer::new(session.replayer).with_clock(clock());
+            if let Some(abort) = shared.abort {
+                replayer = replayer
+                    .with_abort_flag(Arc::clone(abort))
+                    .with_ingress_counter(shared.hub.counter("ingress_events"));
+            }
+            if let Some(tracer) = shared.tracer {
+                replayer = replayer.with_trace_probe(tracer.probe(Stage::PacedEmit));
+            }
+            Ok(Driver::Replay(replayer.replay_stream(stream, sink)?))
+        }
+        Source::File(path) => {
+            let mut session = ReplaySession::new(session)
+                .with_clock(clock())
+                .with_hub(shared.hub.clone());
+            if let Some(abort) = shared.abort {
+                session = session.with_abort_flag(Arc::clone(abort));
+            }
+            if let Some(tracer) = shared.tracer {
+                session = session.with_tracer(tracer);
+            }
+            Ok(Driver::Session(session.run(path, sink)?))
+        }
+    }
+}
+
+/// Executes one run: drives `plan.source` into `target` through the
+/// plan's front while the plan's observers watch, and merges everything
+/// they recorded into one log. See the module docs for the fixed order
+/// and [`RunPlan::check`] for the combinations that are refused.
+///
+/// Marker, sample and report timestamps share one run clock, created
+/// here. Once a registry target has started there is one way out:
+/// whatever fails, the platform is drained and shut down, and a tracer
+/// the run started is stopped, before the error is returned.
+pub fn run(plan: RunPlan, target: Target<'_>) -> Result<RunOutcome, RunError> {
+    plan.check(&target)?;
+    let RunPlan {
+        mut source,
+        session,
+        mut loggers,
+        sampling_interval,
+        mut level,
+        sysmon,
+        mut tracer,
+        watchdog,
+        mut chaos,
+        mut load,
+        mut netem,
+        quiesce_timeout,
+    } = plan;
+    if let Some(load) = &mut load {
+        // The clients dial through the fault proxy; the load runner
+        // stands it up.
+        load.netem = load.netem.take().or(netem.take());
+        level = level.min(EvaluationLevel::Level1);
+        if let Source::File(path) = &source {
+            let stream = GraphStream::read_from_file(path).map_err(ReplayError::Source)?;
+            source = Source::Memory(stream);
+        }
+    }
+
+    let clock: Arc<dyn Clock> = Arc::new(WallClock::start());
+    let mut own_tracer = None;
+    let (mut sut, front) = match target {
+        Target::Sink(sink) => (None, Ok(Front::Sink(sink))),
+        Target::Sut(registry, name, options) => {
+            let mut sut = registry.start(name, options)?;
+            (level, own_tracer) = wire(sut.as_mut(), level, &mut loggers, &mut chaos, &clock);
+            tracer = own_tracer.clone().or(tracer);
+            let front = match &load {
+                Some(_) => Ok(Front::Clients),
+                None => Front::connect(sut.as_mut(), netem, &clock),
+            };
+            (Some(sut), front)
+        }
     };
 
-    let sampled = join_sampler(sampler, &clock);
-    let resource = sysmon_records(sysmon, &plan.sysmon, &clock);
-    let (status, abort_records) = finish_watchdog(watchdog, &clock);
-    let report = result?;
-
-    let mut collector = LogCollector::new();
-    collector
-        .add_records(sampled)
-        .add_records(resource)
-        .add_records(replay_records(&report))
-        .add_records(abort_records);
-    if let Some(chaos) = &plan.chaos {
-        collector.add_records(chaos.journal.records());
-    }
-    Ok(RunOutcome {
-        report,
-        log: collector.collect(),
-        status,
-    })
-}
-
-/// A run driven by the file-backed streaming pipeline instead of an
-/// in-memory stream: the stream file is parsed on a dedicated reader
-/// thread and never fully materialized.
-pub struct FileRunPlan {
-    /// Path of the stream file to replay.
-    pub path: PathBuf,
-    /// Pipeline configuration (pacing, channel capacity).
-    pub session: ReplaySessionConfig,
-    /// Metric loggers sampled during the run (the pipeline's own stage
-    /// metrics are sampled automatically).
-    pub loggers: Vec<Box<dyn MetricsLogger>>,
-    /// Sampling interval for the logger thread.
-    pub sampling_interval: Duration,
-    /// The access level granted by the system under test. Level-0
-    /// (black-box `/proc` observation) is included in every level, so the
-    /// resource monitor runs unless [`Self::sysmon`] is `None`.
-    pub level: EvaluationLevel,
-    /// Level-0 resource monitor configuration; `None` disables it.
-    pub sysmon: Option<SamplerConfig>,
-    /// Level-2 event tracer. When set, the pipeline stamps
-    /// [`Stage::ReaderDequeue`], [`Stage::PacedEmit`] and
-    /// [`Stage::SinkWrite`] tracepoints for sampled graph events, so the
-    /// replay pipeline's internal latencies can be broken down per stage.
-    pub tracer: Option<Tracer>,
-    /// Experiment watchdog; `None` runs unguarded. When set, the session
-    /// carries the watchdog's abort flag and the outcome's
-    /// [`FileRunOutcome::status`] reports whether the run was cut short.
-    pub watchdog: Option<WatchdogConfig>,
-    /// Live fault injection; `None` runs clean. When set, the sink is
-    /// wrapped in a [`ChaosSink`] and the journal's fault/recovery events
-    /// land in the merged log under the `chaos` source.
-    pub chaos: Option<ChaosPlan>,
-    /// Multi-client traffic layer; `None` replays single-sink. The load
-    /// path materializes the stream file first (substream partitioning
-    /// needs the whole stream), so a file plan with load behaves like the
-    /// in-memory path — see [`crate::load::run_load_file_sut_experiment`].
-    pub load: Option<gt_load::LoadPlan>,
-    /// Deterministic network fault injection; `None` runs on a clean
-    /// path. Honored by the SUT runners (see [`RunPlan::netem`]).
-    pub netem: Option<gt_netem::NetemPlan>,
-}
-
-impl FileRunPlan {
-    /// A plan replaying `path` at `target_rate`, no extra loggers, at
-    /// Level 0 with the default resource monitor and no tracer.
-    pub fn new(path: impl Into<PathBuf>, target_rate: f64) -> Self {
-        FileRunPlan {
-            path: path.into(),
-            session: ReplaySessionConfig {
-                replayer: ReplayerConfig {
-                    target_rate,
-                    ..Default::default()
-                },
-                ..Default::default()
-            },
-            loggers: Vec::new(),
-            sampling_interval: Duration::from_millis(100),
-            level: EvaluationLevel::Level0,
-            sysmon: Some(SamplerConfig::default()),
-            tracer: None,
-            watchdog: None,
-            chaos: None,
-            load: None,
-            netem: None,
-        }
-    }
-
-    /// Adds a logger (builder style).
-    #[must_use]
-    pub fn with_logger(mut self, logger: Box<dyn MetricsLogger>) -> Self {
-        self.loggers.push(logger);
-        self
-    }
-
-    /// Attaches a multi-client load plan (builder style).
-    #[must_use]
-    pub fn with_load(mut self, load: gt_load::LoadPlan) -> Self {
-        self.load = Some(load);
-        self
-    }
-
-    /// Arms deterministic network fault injection (builder style).
-    #[must_use]
-    pub fn with_netem(mut self, netem: gt_netem::NetemPlan) -> Self {
-        self.netem = Some(netem);
-        self
-    }
-
-    /// Sets the reader→emitter channel capacity (builder style).
-    #[must_use]
-    pub fn with_buffer(mut self, entries: usize) -> Self {
-        self.session.buffer = entries;
-        self
-    }
-
-    /// Sets the evaluation level (builder style).
-    #[must_use]
-    pub fn at_level(mut self, level: EvaluationLevel) -> Self {
-        self.level = level;
-        self
-    }
-
-    /// Replaces the Level-0 monitor configuration (builder style).
-    #[must_use]
-    pub fn with_sysmon(mut self, config: SamplerConfig) -> Self {
-        self.sysmon = Some(config);
-        self
-    }
-
-    /// Attaches a Level-2 event tracer (builder style).
-    #[must_use]
-    pub fn with_tracer(mut self, tracer: &Tracer) -> Self {
-        self.tracer = Some(tracer.clone());
-        self
-    }
-
-    /// Arms the experiment watchdog (builder style).
-    #[must_use]
-    pub fn with_watchdog(mut self, config: WatchdogConfig) -> Self {
-        self.watchdog = Some(config);
-        self
-    }
-
-    /// Arms live chaos injection (builder style).
-    #[must_use]
-    pub fn with_chaos(mut self, chaos: ChaosPlan) -> Self {
-        self.chaos = Some(chaos);
-        self
-    }
-}
-
-/// The outputs of one file-backed run.
-#[derive(Debug)]
-pub struct FileRunOutcome {
-    /// Streaming metrics plus per-stage pipeline health.
-    pub report: SessionReport,
-    /// The merged result log: logger samples, pipeline stage samples,
-    /// replayer markers, ingress-rate series, and sink
-    /// disconnect/reconnect events.
-    pub log: ResultLog,
-    /// Whether the run completed or the watchdog aborted it. An abort is
-    /// also recorded in the log (source `watchdog`, metric `abort`).
-    pub status: RunStatus,
-}
-
-/// Executes one file-backed run through [`ReplaySession`]: parses and
-/// paces `plan.path` into `sink` while a background thread samples the
-/// pipeline's stage metrics (queue depth, stalls, emit latency) and any
-/// extra loggers. Sink disconnect/reconnect events land in the merged log
-/// under source `sink`.
-pub fn run_file_experiment<S: EventSink>(
-    plan: FileRunPlan,
-    sink: &mut S,
-) -> Result<FileRunOutcome, ReplayError> {
-    run_file_experiment_with_clock(plan, sink, Arc::new(WallClock::start()))
-}
-
-/// [`run_file_experiment`] against a caller-supplied clock — the
-/// file-backed primitive of the SUT runner
-/// ([`crate::sut::run_file_sut_experiment`]).
-pub fn run_file_experiment_with_clock<S: EventSink + ?Sized>(
-    plan: FileRunPlan,
-    sink: &mut S,
-    clock: Arc<dyn Clock>,
-) -> Result<FileRunOutcome, ReplayError> {
     let hub = MetricsHub::new();
-    let sysmon = spawn_sysmon(plan.level, &plan.sysmon, &clock, Some(&hub));
-    let mut loggers = plan.loggers;
-    loggers.push(Box::new(HubSampler::new(
-        hub.clone(),
-        Arc::clone(&clock),
-        "pipeline",
-    )));
-    let sampler = spawn_sampler(loggers, plan.sampling_interval);
-
+    let pipeline = matches!(source, Source::File(_));
+    if pipeline {
+        let stages = HubSampler::new(hub.clone(), Arc::clone(&clock), "pipeline");
+        loggers.push(Box::new(stages));
+    }
+    let monitor = spawn_sysmon(level, &sysmon, &clock, pipeline.then_some(&hub));
+    let sampler = spawn_sampler(loggers, sampling_interval);
     let abort = Arc::new(AtomicBool::new(false));
-    // The session's replayer counts emitted graph events into the
-    // pipeline hub; the watchdog watches the very same counter.
-    let watchdog = plan
-        .watchdog
-        .clone()
+    let watchdog = watchdog
         .map(|config| spawn_watchdog(config, hub.counter("ingress_events"), Arc::clone(&abort)));
 
-    let mut session = ReplaySession::new(plan.session)
-        .with_clock(Arc::clone(&clock))
-        .with_hub(hub);
-    if watchdog.is_some() {
-        session = session.with_abort_flag(Arc::clone(&abort));
-    }
-    if let Some(tracer) = &plan.tracer {
-        session = session.with_tracer(tracer);
-    }
-    let result = match &plan.chaos {
-        Some(chaos) => {
-            let mut chaos_sink = ChaosSink::new(
-                &mut *sink,
-                &chaos.schedule,
-                chaos.journal.clone(),
-                Arc::clone(&clock),
-            );
-            if let Some(supervisor) = &chaos.supervisor {
-                chaos_sink = chaos_sink.with_supervisor(Arc::clone(supervisor));
+    let driven = front.map(|mut front| {
+        let shared = Shared {
+            clock: &clock,
+            hub: &hub,
+            abort: watchdog.as_ref().map(|_| &abort),
+            tracer: tracer.as_ref(),
+        };
+        let driven = match (front.sink(), &source, &load) {
+            (Some(sink), source, _) => replay(source, session, sink, chaos.as_ref(), &shared),
+            (None, Source::Memory(stream), Some(load)) => {
+                drive_clients(stream, load, &mut sut, &clock).map(Driver::Load)
             }
-            session.run(&plan.path, &mut chaos_sink)
-        }
-        None => session.run(&plan.path, sink),
-    };
+            (None, ..) => unreachable!("a load front has a load plan and a stream in memory"),
+        };
+        (driven, front)
+    });
 
     let sampled = join_sampler(sampler, &clock);
-    let resource = sysmon_records(sysmon, &plan.sysmon, &clock);
+    let resource = sysmon_records(monitor, &sysmon, &clock);
     let (status, abort_records) = finish_watchdog(watchdog, &clock);
-    let report = result?;
+    let driven = driven.and_then(|(driven, front)| {
+        let closed = front.close(&clock);
+        Ok((driven?, closed?))
+    });
+    let quiesced = sut.as_mut().is_none_or(|sut| sut.quiesce(quiesce_timeout));
 
-    let sink_records: Vec<MetricRecord> = report
-        .sink_events
-        .iter()
-        .map(|e| {
-            let metric = match e.kind {
-                SinkEventKind::Disconnected { .. } => "disconnect",
-                SinkEventKind::Reconnected { .. } => "reconnect",
-            };
-            MetricRecord::text(e.t_micros, "sink", metric, e.detail.clone())
-        })
-        .collect();
+    // The window is over. The stream goes first, so the platform's
+    // shutdown and the record collect do not peak on top of it.
+    drop(source);
+    let (report, digest) = match sut.map(SystemUnderTest::shutdown_digest) {
+        Some((report, digest)) => (Some(report), digest),
+        None => (None, None),
+    };
+    let t_closed = clock.now_micros();
+    let traced = own_tracer.map_or_else(Vec::new, |tracer| tracer.stop().records);
+    let (driver, front_records) = driven?;
 
     let mut collector = LogCollector::new();
     collector
         .add_records(sampled)
         .add_records(resource)
-        .add_records(replay_records(&report.replay))
-        .add_records(sink_records)
+        .add_records(driver_records(&driver, load.as_ref(), clock.now_micros()))
         .add_records(abort_records);
-    if let Some(chaos) = &plan.chaos {
+    if let Some(chaos) = &chaos {
         collector.add_records(chaos.journal.records());
     }
-    Ok(FileRunOutcome {
-        report,
+    if let Some(report) = &report {
+        collector.add_records(report_records(report, t_closed));
+    }
+    collector.add_records(traced).add_records(front_records);
+    Ok(RunOutcome {
         log: collector.collect(),
         status,
+        driver,
+        report,
+        quiesced,
+        digest,
     })
 }
 
@@ -679,9 +878,9 @@ mod tests {
             || Some(42.0),
         )));
         let mut sink = CollectSink::new();
-        let outcome = run_experiment(plan, &mut sink).unwrap();
+        let outcome = run(plan, Target::Sink(&mut sink)).unwrap();
 
-        assert_eq!(outcome.report.graph_events, 2_000);
+        assert_eq!(outcome.replay().graph_events, 2_000);
         assert!(outcome.log.marker("stream-end").is_some());
         // The probe sampled at least twice (startup + final flush).
         assert!(outcome.log.series("probe", "answer").len() >= 2);
@@ -706,13 +905,13 @@ mod tests {
         content.push_str("MARKER,stream-end,\n");
         std::fs::write(&path, content).unwrap();
 
-        let plan = FileRunPlan::new(&path, 100_000.0).with_buffer(256);
+        let plan = RunPlan::new(&path, 100_000.0).with_buffer(256);
         let mut sink = CollectSink::new();
-        let outcome = run_file_experiment(plan, &mut sink).unwrap();
+        let outcome = run(plan, Target::Sink(&mut sink)).unwrap();
 
-        assert_eq!(outcome.report.replay.graph_events, 3_000);
-        assert_eq!(outcome.report.entries_read, 3_001);
-        assert_eq!(outcome.report.emit_latency.count, 3_000);
+        assert_eq!(outcome.replay().graph_events, 3_000);
+        assert_eq!(outcome.session().entries_read, 3_001);
+        assert_eq!(outcome.session().emit_latency.count, 3_000);
         assert!(outcome.log.marker("stream-end").is_some());
         assert!(!outcome.log.series("replayer", "ingress_rate").is_empty());
         // The auto-registered pipeline sampler recorded stage metrics.
@@ -727,13 +926,74 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("broken.csv");
         std::fs::write(&path, "ADD_VERTEX,1,\nBOGUS\n").unwrap();
-        let plan = FileRunPlan::new(&path, 100_000.0);
+        let plan = RunPlan::new(&path, 100_000.0);
         let mut sink = CollectSink::new();
         assert!(matches!(
-            run_file_experiment(plan, &mut sink),
-            Err(ReplayError::Source(_))
+            run(plan, Target::Sink(&mut sink)),
+            Err(RunError::Replay(ReplayError::Source(_)))
         ));
+        // The same error on every front: through a platform's single
+        // connector, and from the load front's up-front read of the file.
+        let mut registry = SutRegistry::new();
+        tide_store::sut::register(&mut registry);
+        let options = SutOptions::new();
+        let load = LoadPlan::single(2, 100_000.0, gt_load::LoopModel::Open, 1);
+        for plan in [
+            RunPlan::new(&path, 100_000.0),
+            RunPlan::new(&path, 100_000.0).with_load(load),
+        ] {
+            assert!(matches!(
+                run(plan, Target::Sut(&registry, "tide-store", &options)),
+                Err(RunError::Replay(ReplayError::Source(_)))
+            ));
+        }
         std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn a_combination_the_run_path_cannot_honour_is_refused_by_field() {
+        use gt_netem::NetemSchedule;
+        let registry = SutRegistry::new();
+        let options = SutOptions::new();
+        let load = || LoadPlan::single(2, 1_000.0, gt_load::LoopModel::Open, 1);
+        let netem = || NetemPlan::new(NetemSchedule::parse("delay@0ms,ms=1", 1).unwrap());
+        let chaos = || ChaosPlan::new(FaultSchedule::parse("stall@1,ms=1", 1).unwrap());
+        let plan = || RunPlan::new(stream(10), 1_000.0);
+        let refused = |plan: RunPlan, bare: bool| {
+            let mut sink = CollectSink::new();
+            let target = if bare {
+                Target::Sink(&mut sink)
+            } else {
+                Target::Sut(&registry, "never-started", &options)
+            };
+            match run(plan, target) {
+                Err(RunError::InvalidInput { field, .. }) => field,
+                other => panic!("expected a refused plan, got {other:?}"),
+            }
+        };
+        // A bare sink has no platform to stand a TCP front before.
+        assert_eq!(refused(plan().with_load(load()), true), "load");
+        assert_eq!(refused(plan().with_netem(netem()), true), "netem");
+        // A load front has no single sink, replayer or connector.
+        let loaded = || plan().with_load(load());
+        assert_eq!(refused(loaded().with_chaos(chaos()), false), "chaos");
+        let guarded = loaded().with_watchdog(WatchdogConfig::default());
+        assert_eq!(refused(guarded, false), "watchdog");
+        let mut traced = loaded();
+        let clock: Arc<dyn Clock> = Arc::new(gt_metrics::ManualClock::new());
+        let tracer = Tracer::new(Default::default(), clock, &MetricsHub::new());
+        traced.tracer = Some(tracer.clone());
+        assert_eq!(refused(traced, false), "tracer");
+        tracer.stop();
+        let mut twice = loaded().with_netem(netem());
+        twice.load.as_mut().unwrap().netem = Some(netem());
+        assert_eq!(refused(twice, false), "netem");
+        // Refused plans name the field in their message too.
+        let error = run(
+            loaded().with_chaos(chaos()),
+            Target::Sut(&registry, "x", &options),
+        );
+        assert!(error.unwrap_err().to_string().contains("`chaos`"));
     }
 
     /// True when the live `/proc` interface the monitor needs exists
@@ -748,7 +1008,7 @@ mod tests {
             .with_sysmon(SamplerConfig::default().every(Duration::from_millis(5)));
         assert_eq!(plan.level, EvaluationLevel::Level0);
         let mut sink = CollectSink::new();
-        let outcome = run_experiment(plan, &mut sink).unwrap();
+        let outcome = run(plan, Target::Sink(&mut sink)).unwrap();
         if proc_available() {
             assert!(!outcome.log.series("sysmon", "rss_bytes").is_empty());
             // cpu_percent needs two ticks; the 5 ms cadence plus the
@@ -776,11 +1036,11 @@ mod tests {
         }
         std::fs::write(&path, content).unwrap();
 
-        let plan = FileRunPlan::new(&path, 100_000.0)
+        let plan = RunPlan::new(&path, 100_000.0)
             .at_level(EvaluationLevel::Level0)
             .with_sysmon(SamplerConfig::default().every(Duration::from_millis(5)));
         let mut sink = CollectSink::new();
-        let outcome = run_file_experiment(plan, &mut sink).unwrap();
+        let outcome = run(plan, Target::Sink(&mut sink)).unwrap();
         if proc_available() {
             assert!(!outcome.log.series("sysmon", "cpu_percent").is_empty());
             assert!(!outcome.log.series("sysmon", "rss_bytes").is_empty());
@@ -799,7 +1059,7 @@ mod tests {
         let mut plan = RunPlan::new(stream(200), 100_000.0);
         plan.sysmon = None;
         let mut sink = CollectSink::new();
-        let outcome = run_experiment(plan, &mut sink).unwrap();
+        let outcome = run(plan, Target::Sink(&mut sink)).unwrap();
         assert!(outcome.log.records().iter().all(|r| r.source != "sysmon"));
     }
 
@@ -809,8 +1069,8 @@ mod tests {
         s.push(StreamEntry::marker("late"));
         let plan = RunPlan::new(s, 100_000.0);
         let mut sink = CollectSink::new();
-        let outcome = run_experiment(plan, &mut sink).unwrap();
-        let markers = &outcome.report.markers;
+        let outcome = run(plan, Target::Sink(&mut sink)).unwrap();
+        let markers = &outcome.replay().markers;
         assert_eq!(markers.len(), 2);
         assert!(markers[0].1 <= markers[1].1);
     }
@@ -819,9 +1079,9 @@ mod tests {
     fn unguarded_run_completes() {
         let plan = RunPlan::new(stream(100), 200_000.0);
         let mut sink = CollectSink::new();
-        let outcome = run_experiment(plan, &mut sink).unwrap();
+        let outcome = run(plan, Target::Sink(&mut sink)).unwrap();
         assert_eq!(outcome.status, crate::watchdog::RunStatus::Completed);
-        assert!(!outcome.report.aborted);
+        assert!(!outcome.replay().aborted);
         assert!(outcome.log.records().iter().all(|r| r.source != "watchdog"));
     }
 
@@ -854,12 +1114,12 @@ mod tests {
 
         let started = std::time::Instant::now();
         let mut sink = CollectSink::new();
-        let outcome = run_experiment(plan, &mut sink).unwrap();
+        let outcome = run(plan, Target::Sink(&mut sink)).unwrap();
         assert!(
             started.elapsed() < Duration::from_secs(10),
             "watchdog failed to cut the pause short"
         );
-        assert!(outcome.report.aborted);
+        assert!(outcome.replay().aborted);
         match &outcome.status {
             RunStatus::Aborted(AbortReason::Stalled {
                 events_delivered, ..
@@ -867,7 +1127,7 @@ mod tests {
             other => panic!("expected a stall abort, got {other:?}"),
         }
         // Everything before the stall was salvaged...
-        assert_eq!(outcome.report.graph_events, 50);
+        assert_eq!(outcome.replay().graph_events, 50);
         // ...and the abort itself is a typed record in the merged log.
         assert!(outcome
             .log
@@ -889,14 +1149,14 @@ mod tests {
         plan.sysmon = None;
         let started = std::time::Instant::now();
         let mut sink = CollectSink::new();
-        let outcome = run_experiment(plan, &mut sink).unwrap();
+        let outcome = run(plan, Target::Sink(&mut sink)).unwrap();
         assert!(started.elapsed() < Duration::from_secs(10));
-        assert!(outcome.report.aborted);
+        assert!(outcome.replay().aborted);
         assert!(matches!(
             outcome.status,
             RunStatus::Aborted(AbortReason::DeadlineExceeded { .. })
         ));
-        assert!(outcome.report.graph_events < 10_000);
+        assert!(outcome.replay().graph_events < 10_000);
     }
 
     #[test]
@@ -908,9 +1168,9 @@ mod tests {
         let mut plan = RunPlan::new(stream(100), 500_000.0).with_chaos(chaos);
         plan.sysmon = None;
         let mut sink = CollectSink::new();
-        let outcome = run_experiment(plan, &mut sink).unwrap();
+        let outcome = run(plan, Target::Sink(&mut sink)).unwrap();
         // The replayer emitted all 100; 5 were lost downstream of it.
-        assert_eq!(outcome.report.graph_events, 100);
+        assert_eq!(outcome.replay().graph_events, 100);
         let delivered = sink
             .entries
             .iter()
@@ -952,9 +1212,9 @@ mod tests {
         let mut plan = RunPlan::new(stream(200), 200_000.0).with_logger(Box::new(PanickingLogger));
         plan.sysmon = None;
         let mut sink = CollectSink::new();
-        let outcome = run_experiment(plan, &mut sink).unwrap();
+        let outcome = run(plan, Target::Sink(&mut sink)).unwrap();
         // The run itself is unharmed...
-        assert_eq!(outcome.report.graph_events, 200);
+        assert_eq!(outcome.replay().graph_events, 200);
         assert_eq!(outcome.status, crate::watchdog::RunStatus::Completed);
         // ...and the lost series is explained by a typed degradation
         // record instead of a harness panic.
@@ -976,13 +1236,13 @@ mod tests {
         std::fs::write(&path, content).unwrap();
 
         let chaos = ChaosPlan::new(FaultSchedule::parse("disconnect@100,lose=50", 1).unwrap());
-        let plan = FileRunPlan::new(&path, 400_000.0)
+        let plan = RunPlan::new(&path, 400_000.0)
             .with_watchdog(crate::watchdog::WatchdogConfig::default())
             .with_chaos(chaos);
         let mut sink = CollectSink::new();
-        let outcome = run_file_experiment(plan, &mut sink).unwrap();
+        let outcome = run(plan, Target::Sink(&mut sink)).unwrap();
         assert_eq!(outcome.status, crate::watchdog::RunStatus::Completed);
-        assert_eq!(outcome.report.replay.graph_events, 2_000);
+        assert_eq!(outcome.replay().graph_events, 2_000);
         let delivered = sink
             .entries
             .iter()

@@ -9,8 +9,8 @@ use gt_core::prelude::*;
 use gt_harness::run::ChaosPlan;
 use gt_harness::watchdog::WatchdogConfig;
 use gt_harness::{
-    run_sut_experiment, EvaluationLevel, FaultSchedule, RunPlan, RunStatus, SutOptions,
-    SutRegistry, CHAOS_SOURCE,
+    run, EvaluationLevel, FaultSchedule, RunPlan, RunStatus, SutOptions, SutRegistry, Target,
+    CHAOS_SOURCE,
 };
 
 fn registry() -> SutRegistry {
@@ -64,15 +64,15 @@ fn killing_a_worker_mid_stream_never_hangs_either_platform() {
             );
 
         let started = Instant::now();
-        let outcome = run_sut_experiment(plan, &registry(), name, &options)
+        let outcome = run(plan, Target::Sut(&registry(), name, &options))
             .unwrap_or_else(|e| panic!("{name}: chaos run failed: {e}"));
         assert!(
             started.elapsed() < Duration::from_secs(60),
             "{name}: run exceeded the watchdog deadline"
         );
-        assert_eq!(outcome.run.status, RunStatus::Completed, "{name}");
+        assert_eq!(outcome.status, RunStatus::Completed, "{name}");
 
-        let log = &outcome.run.log;
+        let log = &outcome.log;
         assert!(
             log.records()
                 .iter()
@@ -93,8 +93,8 @@ fn killing_a_worker_mid_stream_never_hangs_either_platform() {
             ],
             "{name}"
         );
-        assert_eq!(outcome.report.get("crashes"), Some(1.0), "{name}");
-        assert_eq!(outcome.report.get("restarts"), Some(1.0), "{name}");
+        assert_eq!(outcome.sut_report().get("crashes"), Some(1.0), "{name}");
+        assert_eq!(outcome.sut_report().get("restarts"), Some(1.0), "{name}");
         assert!(log.marker("stream-end").is_some(), "{name}");
     }
 }
@@ -117,7 +117,7 @@ fn identical_schedule_and_seed_yield_identical_fault_sequences() {
             .set("shard_cost_us", 0)
             .set("supervised", 1);
         let plan = RunPlan::new(stream(800), 400_000.0).with_chaos(chaos);
-        run_sut_experiment(plan, &registry(), "tide-store", &options).unwrap();
+        run(plan, Target::Sut(&registry(), "tide-store", &options)).unwrap();
         journal.signature()
     };
     let first = run_once();
@@ -139,11 +139,11 @@ fn unrepaired_crash_degrades_without_hanging() {
         .with_chaos(chaos)
         .with_watchdog(WatchdogConfig::default().with_deadline(Duration::from_secs(60)));
     let started = Instant::now();
-    let outcome = run_sut_experiment(plan, &registry(), "tide-store", &options).unwrap();
+    let outcome = run(plan, Target::Sut(&registry(), "tide-store", &options)).unwrap();
     assert!(started.elapsed() < Duration::from_secs(60));
-    assert_eq!(outcome.report.get("crashes"), Some(1.0));
-    assert_eq!(outcome.report.get("restarts"), Some(0.0));
-    let lost = outcome.report.get("events_lost").unwrap_or(0.0);
+    assert_eq!(outcome.sut_report().get("crashes"), Some(1.0));
+    assert_eq!(outcome.sut_report().get("restarts"), Some(0.0));
+    let lost = outcome.sut_report().get("events_lost").unwrap_or(0.0);
     assert!(lost > 0.0, "dead shard should have lost events, got {lost}");
 }
 
@@ -169,9 +169,9 @@ fn watchdog_stall_detection_holds_at_wall_clock_scale() {
     plan.sysmon = None;
     let mut sink = gt_replayer::CollectSink::new();
     let started = Instant::now();
-    let outcome = gt_harness::run_experiment(plan, &mut sink).unwrap();
+    let outcome = run(plan, Target::Sink(&mut sink)).unwrap();
     let elapsed = started.elapsed();
-    assert!(outcome.report.aborted);
+    assert!(outcome.replay().aborted);
     assert!(outcome.status.is_aborted());
     assert!(
         elapsed >= Duration::from_secs(2),
@@ -181,6 +181,6 @@ fn watchdog_stall_detection_holds_at_wall_clock_scale() {
         elapsed < Duration::from_secs(30),
         "stall detection took too long: {elapsed:?}"
     );
-    assert_eq!(outcome.report.graph_events, 500);
+    assert_eq!(outcome.replay().graph_events, 500);
     assert!(outcome.log.marker("unreachable").is_none());
 }

@@ -7,7 +7,7 @@ use std::io::{BufRead, BufReader};
 use std::net::{SocketAddr, TcpListener};
 use std::time::Duration;
 
-use gt_harness::{run_file_experiment, FileRunPlan};
+use gt_harness::{run, RunPlan, Target};
 use gt_replayer::{ReconnectPolicy, ReconnectingTcpSink};
 
 fn rebind(addr: SocketAddr) -> TcpListener {
@@ -51,7 +51,7 @@ fn listener_restart_lands_in_result_log() {
         BufReader::new(stream).lines().count()
     });
 
-    let plan = FileRunPlan::new(&path, 150_000.0).with_buffer(512);
+    let plan = RunPlan::new(&path, 150_000.0).with_buffer(512);
     let mut sink = ReconnectingTcpSink::connect(addr)
         .unwrap()
         .with_policy(ReconnectPolicy {
@@ -62,11 +62,11 @@ fn listener_restart_lands_in_result_log() {
             ..Default::default()
         })
         .with_flush_every(64);
-    let outcome = run_file_experiment(plan, &mut sink).unwrap();
+    let outcome = run(plan, Target::Sink(&mut sink)).unwrap();
     drop(sink);
 
-    assert_eq!(outcome.report.replay.graph_events, 30_000);
-    assert!(outcome.report.sink_events.len() >= 2);
+    assert_eq!(outcome.replay().graph_events, 30_000);
+    assert!(outcome.session().sink_events.len() >= 2);
 
     // The outage is visible in the merged result log, next to the
     // replayer's own series.

@@ -11,7 +11,7 @@
 use std::time::{Duration, Instant};
 
 use gt_core::prelude::*;
-use gt_harness::{run_sut_experiment, EvaluationLevel, RunPlan, SutOptions, SutRegistry};
+use gt_harness::{run, EvaluationLevel, RunPlan, SutOptions, SutRegistry, Target};
 
 fn registry() -> SutRegistry {
     let mut registry = SutRegistry::new();
@@ -37,10 +37,14 @@ fn saturated_rate(sut: &str, options: &SutOptions, events: u64) -> f64 {
     let mut plan = RunPlan::new(vertices(events), 10_000_000.0).at_level(EvaluationLevel::Level0);
     plan.sysmon = None;
     let started = Instant::now();
-    let outcome = run_sut_experiment(plan, &registry(), sut, options).unwrap();
+    let outcome = run(plan, Target::Sut(&registry(), sut, options)).unwrap();
     let elapsed = started.elapsed();
     assert!(outcome.quiesced, "{sut} failed to quiesce");
-    assert_eq!(outcome.report.get("events"), Some(events as f64), "{sut}");
+    assert_eq!(
+        outcome.sut_report().get("events"),
+        Some(events as f64),
+        "{sut}"
+    );
     events as f64 / elapsed.as_secs_f64()
 }
 

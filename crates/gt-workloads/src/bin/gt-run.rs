@@ -64,8 +64,10 @@
 //! unless final graph state and per-marker-window computation results
 //! are bit-identical.
 
+use std::fmt::Display;
 use std::path::Path;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::Duration;
 
 use gt_analysis::{
@@ -74,34 +76,46 @@ use gt_analysis::{
 };
 use gt_faults::{parse_pipeline, FaultInjector};
 use gt_harness::{
-    cell_id, render_matrix_table, run_differential, run_file_sut_experiment,
-    run_load_file_sut_experiment, run_matrix_with_progress, Assignment, CellRunResult, ChaosPlan,
-    EvaluationLevel, FaultSchedule, FileRunPlan, LoadPlan, LoadSutRunOutcome, LoopModel, NetemPlan,
-    NetemSchedule, RatePattern, RunStatus, ScenarioMatrix, SutOptions, SutRegistry, WatchdogConfig,
-    NETEM_SOURCE,
+    cell_id, render_matrix_table, run, run_differential, run_matrix_with_progress, Assignment,
+    CellRunResult, ChaosPlan, EvaluationLevel, FaultSchedule, LoadPlan, LoopModel, NetemPlan,
+    NetemSchedule, RatePattern, RunOutcome, RunPlan, RunStatus, ScenarioMatrix, SutOptions,
+    SutRegistry, Target, WatchdogConfig, NETEM_SOURCE,
 };
 
 /// Throughput fraction of the pre-fault baseline that counts as
 /// "recovered" in the summary table.
 const RECOVERY_FRACTION: f64 = 0.9;
 
-struct Args {
-    path: String,
+/// What one run is made of, whether flags or a matrix cell's factor
+/// assignment said so. [`lower`] turns it into the harness's plan.
+#[derive(Clone)]
+struct RunSpec {
+    stream: String,
     sut: String,
-    rate: f64,
     options: SutOptions,
-    faults: Option<String>,
-    chaos: Option<String>,
-    netem: Option<String>,
-    fault_seed: u64,
-    clients: Option<usize>,
+    rate: f64,
+    pattern: RatePattern,
+    /// 0 means single-sink replay; ≥ 1 switches to the load front.
+    clients: usize,
     loop_model: LoopModel,
+    /// `;`-separated chaos schedule.
+    chaos: Option<String>,
+    /// `;`-separated netem schedule; valid on both fronts.
+    netem: Option<String>,
+    /// Seeds the load plan's partitioning and arrival schedules, and the
+    /// single-sink pacer's (pareto) pattern.
     load_seed: u64,
+    /// Seeds the chaos and netem schedules (and `--faults`).
+    fault_seed: u64,
+}
+
+struct Args {
+    spec: RunSpec,
+    faults: Option<String>,
     scale: Option<(Vec<usize>, Vec<f64>)>,
     assert_achieved: Option<f64>,
     shards: Option<Vec<usize>>,
     differential: Option<usize>,
-    pattern: RatePattern,
 }
 
 /// The serial base name of a platform: `tide-store-sharded` → `tide-store`.
@@ -123,6 +137,48 @@ fn builtin_registry() -> SutRegistry {
     registry
 }
 
+/// The watchdog guarding runs with faults injected, so a killed worker
+/// or a blackholed connection can never hang the invocation.
+fn fault_guard() -> WatchdogConfig {
+    WatchdogConfig::stall_after(Duration::from_secs(30)).with_deadline(Duration::from_secs(600))
+}
+
+/// Lowers a spec onto the harness's run plan: source, front (direct,
+/// load, netem) and the observers each front gets. On the load front the
+/// clients pace their own arrival schedules, so the rate pattern shapes
+/// the arrival intensity there; single-sink, the pacer itself follows it.
+fn lower(spec: &RunSpec) -> Result<RunPlan, String> {
+    let mut plan = RunPlan::new(&spec.stream, spec.rate);
+    if spec.clients > 0 {
+        let load = LoadPlan::single(spec.clients, spec.rate, spec.loop_model, spec.load_seed);
+        plan = plan
+            .at_level(EvaluationLevel::Level1)
+            .with_load(load.with_pattern(spec.pattern.clone()));
+    } else {
+        plan = plan.at_level(EvaluationLevel::Level2);
+        plan.session.replayer.pattern = spec.pattern.clone();
+        plan.session.replayer.pattern_seed = spec.load_seed;
+    }
+    if let Some(chaos) = &spec.chaos {
+        let schedule = FaultSchedule::parse(chaos, spec.fault_seed)
+            .map_err(|e| format!("bad chaos schedule: {e}"))?;
+        plan = plan
+            .with_chaos(ChaosPlan::new(schedule))
+            .with_watchdog(fault_guard());
+    }
+    if let Some(netem) = &spec.netem {
+        let schedule = NetemSchedule::parse(netem, spec.fault_seed)
+            .map_err(|e| format!("bad netem schedule: {e}"))?;
+        plan = plan.with_netem(NetemPlan::new(schedule));
+    }
+    Ok(plan)
+}
+
+/// Runs `plan`, lowered from `spec`, against the spec's platform.
+fn run_plan(plan: RunPlan, spec: &RunSpec, registry: &SutRegistry) -> Result<RunOutcome, String> {
+    run(plan, Target::Sut(registry, &spec.sut, &spec.options)).map_err(|e| e.to_string())
+}
+
 fn usage() -> String {
     let names = builtin_registry().names().join("|");
     format!(
@@ -138,27 +194,31 @@ fn usage() -> String {
     )
 }
 
+/// Parses `text` as a `what`, naming both in the error.
+fn parsed<T: FromStr>(text: &str, what: &str) -> Result<T, String>
+where
+    T::Err: Display,
+{
+    let text = text.trim();
+    text.parse()
+        .map_err(|e| format!("bad {what} `{text}`: {e}"))
+}
+
+/// Parses a comma-separated list of `what`s.
+fn parsed_list<T: FromStr>(list: &str, what: &str) -> Result<Vec<T>, String>
+where
+    T::Err: Display,
+{
+    list.split(',').map(|item| parsed(item, what)).collect()
+}
+
 /// Parses the `--scale` grid: `1,4,16x10000,40000` → connections × rates.
 fn parse_scale(spec: &str) -> Result<(Vec<usize>, Vec<f64>), String> {
     let (conns, rates) = spec
         .split_once('x')
         .ok_or_else(|| format!("bad scale grid `{spec}`: expected C1,C2,..xR1,R2,.."))?;
-    let connections: Vec<usize> = conns
-        .split(',')
-        .map(|c| {
-            c.trim()
-                .parse::<usize>()
-                .map_err(|e| format!("bad connection count `{c}`: {e}"))
-        })
-        .collect::<Result<_, _>>()?;
-    let rates: Vec<f64> = rates
-        .split(',')
-        .map(|r| {
-            r.trim()
-                .parse::<f64>()
-                .map_err(|e| format!("bad rate `{r}`: {e}"))
-        })
-        .collect::<Result<_, _>>()?;
+    let connections: Vec<usize> = parsed_list(conns, "connection count")?;
+    let rates: Vec<f64> = parsed_list(rates, "rate")?;
     if connections.is_empty() || connections.contains(&0) {
         return Err("scale grid needs positive connection counts".into());
     }
@@ -168,109 +228,93 @@ fn parse_scale(spec: &str) -> Result<(Vec<usize>, Vec<f64>), String> {
     Ok((connections, rates))
 }
 
+/// The value after a flag, parsed; each flag keeps its own wording.
+fn value<T: FromStr>(
+    args: &mut impl Iterator<Item = String>,
+    missing: &str,
+    bad: &str,
+) -> Result<T, String>
+where
+    T::Err: Display,
+{
+    let text = args.next().ok_or(missing)?;
+    text.parse().map_err(|e| format!("{bad}: {e}"))
+}
+
 fn parse_args() -> Result<Args, String> {
     let mut args = std::env::args().skip(1);
     let mut path = None;
     let mut sut = None;
-    let mut rate: f64 = 10_000.0;
-    let mut options = SutOptions::new();
+    let mut spec = RunSpec {
+        stream: String::new(),
+        sut: String::new(),
+        options: SutOptions::new(),
+        rate: 10_000.0,
+        pattern: RatePattern::Uniform,
+        clients: 0,
+        loop_model: LoopModel::Open,
+        chaos: None,
+        netem: None,
+        load_seed: 1,
+        fault_seed: 0,
+    };
     let mut faults = None;
-    let mut chaos = None;
-    let mut netem = None;
-    let mut fault_seed: u64 = 0;
-    let mut clients = None;
-    let mut loop_model = LoopModel::Open;
-    let mut load_seed: u64 = 1;
     let mut scale = None;
     let mut assert_achieved = None;
     let mut shards = None;
     let mut differential = None;
-    let mut pattern = RatePattern::Uniform;
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--sut" => sut = Some(args.next().ok_or("--sut needs a value")?),
             "--faults" => faults = Some(args.next().ok_or("--faults needs a spec")?),
-            "--chaos" => chaos = Some(args.next().ok_or("--chaos needs a spec")?),
-            "--netem" => netem = Some(args.next().ok_or("--netem needs a spec")?),
+            "--chaos" => spec.chaos = Some(args.next().ok_or("--chaos needs a spec")?),
+            "--netem" => spec.netem = Some(args.next().ok_or("--netem needs a spec")?),
             "--clients" => {
-                let n: usize = args
-                    .next()
-                    .ok_or("--clients needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad client count: {e}"))?;
-                if n == 0 {
+                spec.clients = value(&mut args, "--clients needs a value", "bad client count")?;
+                if spec.clients == 0 {
                     return Err("--clients must be at least 1".into());
                 }
-                clients = Some(n);
             }
             "--loop-model" => {
-                loop_model = args
-                    .next()
-                    .ok_or("--loop-model needs open|closed|partial:W")?
-                    .parse()
-                    .map_err(|e| format!("bad loop model: {e}"))?;
+                let missing = "--loop-model needs open|closed|partial:W";
+                spec.loop_model = value(&mut args, missing, "bad loop model")?;
             }
             "--load-seed" => {
-                load_seed = args
-                    .next()
-                    .ok_or("--load-seed needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad load seed: {e}"))?;
+                spec.load_seed = value(&mut args, "--load-seed needs a value", "bad load seed")?;
             }
             "--scale" => {
                 scale = Some(parse_scale(&args.next().ok_or("--scale needs a grid")?)?);
             }
             "--shards" => {
-                let spec = args.next().ok_or("--shards needs N or N1,N2,..")?;
-                let list: Vec<usize> = spec
-                    .split(',')
-                    .map(|s| {
-                        s.trim()
-                            .parse::<usize>()
-                            .map_err(|e| format!("bad shard count `{s}`: {e}"))
-                    })
-                    .collect::<Result<_, _>>()?;
+                let list = args.next().ok_or("--shards needs N or N1,N2,..")?;
+                let list: Vec<usize> = parsed_list(&list, "shard count")?;
                 if list.is_empty() || list.contains(&0) {
                     return Err("--shards needs positive shard counts".into());
                 }
                 shards = Some(list);
             }
             "--differential" => {
-                let n: usize = args
-                    .next()
-                    .ok_or("--differential needs a shard count")?
-                    .parse()
-                    .map_err(|e| format!("bad shard count: {e}"))?;
+                let missing = "--differential needs a shard count";
+                let n: usize = value(&mut args, missing, "bad shard count")?;
                 if n == 0 {
                     return Err("--differential shard count must be at least 1".into());
                 }
                 differential = Some(n);
             }
             "--assert-achieved" => {
-                let f: f64 = args
-                    .next()
-                    .ok_or("--assert-achieved needs a fraction")?
-                    .parse()
-                    .map_err(|e| format!("bad fraction: {e}"))?;
+                let missing = "--assert-achieved needs a fraction";
+                let f: f64 = value(&mut args, missing, "bad fraction")?;
                 if !(0.0..=1.0).contains(&f) {
                     return Err("--assert-achieved fraction must be in [0, 1]".into());
                 }
                 assert_achieved = Some(f);
             }
             "--fault-seed" => {
-                fault_seed = args
-                    .next()
-                    .ok_or("--fault-seed needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad fault seed: {e}"))?;
+                spec.fault_seed = value(&mut args, "--fault-seed needs a value", "bad fault seed")?;
             }
             "--rate" => {
-                rate = args
-                    .next()
-                    .ok_or("--rate needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad rate: {e}"))?;
-                if !rate.is_finite() || rate <= 0.0 {
+                spec.rate = value(&mut args, "--rate needs a value", "bad rate")?;
+                if !spec.rate.is_finite() || spec.rate <= 0.0 {
                     return Err("rate must be positive".into());
                 }
             }
@@ -279,61 +323,51 @@ fn parse_args() -> Result<Args, String> {
                 let (key, value) = pair
                     .split_once('=')
                     .ok_or_else(|| format!("bad option `{pair}`: expected key=value"))?;
-                options.insert(key, value);
+                spec.options.insert(key, value);
             }
             "--pattern" => {
-                let spec = args.next().ok_or("--pattern needs a spec")?;
-                pattern = spec
-                    .parse()
-                    .map_err(|e| format!("bad pattern `{spec}`: {e}"))?;
+                spec.pattern = parsed(&args.next().ok_or("--pattern needs a spec")?, "pattern")?;
             }
             "--help" | "-h" => return Err(usage()),
             other if !other.starts_with('-') && path.is_none() => path = Some(other.to_owned()),
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
-    if (clients.is_some() || scale.is_some()) && chaos.is_some() {
+    let load_mode = spec.clients > 0 || scale.is_some();
+    if load_mode && spec.chaos.is_some() {
         return Err("--chaos applies to single-sink replay; drop it for load mode".into());
     }
-    if differential.is_some() && (clients.is_some() || scale.is_some() || chaos.is_some()) {
+    if differential.is_some() && (load_mode || spec.chaos.is_some()) {
         return Err(
             "--differential is single-connector A/B replay; drop --clients/--scale/--chaos".into(),
         );
     }
-    if differential.is_some() && netem.is_some() {
+    if differential.is_some() && spec.netem.is_some() {
         return Err("--differential compares bit-exact replays; drop --netem".into());
     }
     if differential.is_some() && shards.is_some() {
         return Err("--differential already names the candidate shard count".into());
     }
-    if differential.is_some() && pattern != RatePattern::Uniform {
+    if differential.is_some() && spec.pattern != RatePattern::Uniform {
         return Err(
             "--differential compares serial vs sharded under uniform pacing; drop --pattern".into(),
         );
     }
-    if shards.as_ref().is_some_and(|list| list.len() > 1) && clients.is_none() {
+    if shards.as_ref().is_some_and(|list| list.len() > 1) && spec.clients == 0 {
         return Err("--shards with multiple counts is the scaling curve; add --clients N".into());
     }
     if shards.as_ref().is_some_and(|list| list.len() > 1) && scale.is_some() {
         return Err("--shards with multiple counts replaces --scale; use one of them".into());
     }
+    spec.stream = path.ok_or_else(usage)?;
+    spec.sut = sut.ok_or_else(usage)?;
     Ok(Args {
-        path: path.ok_or_else(usage)?,
-        sut: sut.ok_or_else(usage)?,
-        rate,
-        options,
+        spec,
         faults,
-        chaos,
-        netem,
-        fault_seed,
-        clients,
-        loop_model,
-        load_seed,
         scale,
         assert_achieved,
         shards,
         differential,
-        pattern,
     })
 }
 
@@ -351,28 +385,19 @@ fn materialize_faults(path: &str, spec: &str, seed: u64) -> Result<(String, Stri
     Ok((out.to_string_lossy().into_owned(), pipeline.describe()))
 }
 
-/// Runs one load cell and prints its per-class summary. Returns the
-/// outcome for the scaling table / assertion.
+/// Runs one load cell: `spec` with these clients at this offered rate.
 fn run_load_cell(
-    path: &str,
-    registry: &SutRegistry,
-    args: &Args,
-    sut: &str,
-    options: &SutOptions,
-    connections: usize,
+    spec: &RunSpec,
+    clients: usize,
     rate: f64,
-) -> Result<LoadSutRunOutcome, String> {
-    let mut plan = FileRunPlan::new(path, rate).at_level(EvaluationLevel::Level1);
-    plan.load = Some(
-        LoadPlan::single(connections, rate, args.loop_model, args.load_seed)
-            .with_pattern(args.pattern.clone()),
-    );
-    if let Some(spec) = &args.netem {
-        let schedule =
-            NetemSchedule::parse(spec, args.fault_seed).map_err(|e| format!("--netem {e}"))?;
-        plan = plan.with_netem(NetemPlan::new(schedule));
-    }
-    run_load_file_sut_experiment(plan, registry, sut, options).map_err(|e| e.to_string())
+    registry: &SutRegistry,
+) -> Result<RunOutcome, String> {
+    let cell = RunSpec {
+        clients,
+        rate,
+        ..spec.clone()
+    };
+    run_plan(lower(&cell)?, &cell, registry)
 }
 
 /// Prints the netem recovery table: one row per journaled network fault,
@@ -410,12 +435,12 @@ fn print_netem_recovery(windows: &[RecoveryWindow], rate_series: &str) {
 
 /// Checks the CI gate: achieved/offered at or above the threshold and
 /// zero marker-ordering violations. Prints the verdict on failure.
-fn gate_holds(outcome: &LoadSutRunOutcome, threshold: Option<f64>) -> bool {
+fn gate_holds(outcome: &RunOutcome, threshold: Option<f64>) -> bool {
     let Some(threshold) = threshold else {
         return true;
     };
-    let ratio = outcome.load.achieved_ratio();
-    let violations = outcome.load.listener.marker_violations;
+    let ratio = outcome.load().achieved_ratio();
+    let violations = outcome.load().listener.marker_violations;
     let mut ok = true;
     if ratio < threshold {
         eprintln!("gt-run: achieved/offered {ratio:.3} below threshold {threshold:.3}");
@@ -428,13 +453,22 @@ fn gate_holds(outcome: &LoadSutRunOutcome, threshold: Option<f64>) -> bool {
     ok
 }
 
+fn exit_code(ok: bool) -> ExitCode {
+    if ok {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
+}
+
 /// The multi-client path: a single load run, or the connections × rate
 /// scaling grid when `--scale` is given.
-fn run_load_mode(args: &Args, path: &str, registry: &SutRegistry) -> ExitCode {
+fn run_load_mode(args: &Args, registry: &SutRegistry) -> ExitCode {
+    let spec = &args.spec;
     if let Some((connections_grid, rates)) = &args.scale {
         println!(
             "# gt-run ingress scaling curve: {} {} loop, seed {}",
-            args.sut, args.loop_model, args.load_seed
+            spec.sut, spec.loop_model, spec.load_seed
         );
         println!(
             "{:>8} {:>12} {:>12} {:>12} {:>8} {:>10} {:>10} {:>6}",
@@ -450,15 +484,7 @@ fn run_load_mode(args: &Args, path: &str, registry: &SutRegistry) -> ExitCode {
         let mut gate_ok = true;
         for &connections in connections_grid {
             for &rate in rates {
-                let outcome = match run_load_cell(
-                    path,
-                    registry,
-                    args,
-                    &args.sut,
-                    &args.options,
-                    connections,
-                    rate,
-                ) {
+                let outcome = match run_load_cell(spec, connections, rate, registry) {
                     Ok(outcome) => outcome,
                     Err(error) => {
                         eprintln!("gt-run: {connections} clients @ {rate:.0} e/s: {error}");
@@ -467,82 +493,59 @@ fn run_load_mode(args: &Args, path: &str, registry: &SutRegistry) -> ExitCode {
                 };
                 let tail = gt_analysis::sojourn_quantiles(&outcome.log, "main");
                 let (p99, p999) = tail.map_or((f64::NAN, f64::NAN), |t| (t.p99, t.p999));
+                let load = outcome.load();
                 println!(
                     "{:>8} {:>12.0} {:>12.0} {:>12.0} {:>8.3} {:>10.0} {:>10.0} {:>6}",
                     connections,
                     rate,
-                    outcome.load.offered_rate(),
-                    outcome.load.achieved_rate(),
-                    outcome.load.achieved_ratio(),
+                    load.offered_rate(),
+                    load.achieved_rate(),
+                    load.achieved_ratio(),
                     p99,
                     p999,
-                    outcome.load.listener.marker_violations
+                    load.listener.marker_violations
                 );
                 gate_ok &= gate_holds(&outcome, args.assert_achieved);
             }
         }
-        return if gate_ok {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
+        return exit_code(gate_ok);
     }
 
-    let connections = args.clients.unwrap_or(1);
-    let outcome = match run_load_cell(
-        path,
-        registry,
-        args,
-        &args.sut,
-        &args.options,
-        connections,
-        args.rate,
-    ) {
+    let connections = spec.clients.max(1);
+    let outcome = match run_load_cell(spec, connections, spec.rate, registry) {
         Ok(outcome) => outcome,
         Err(error) => {
             eprintln!("gt-run: {error}");
             return ExitCode::FAILURE;
         }
     };
+    let (load, report) = (outcome.load(), outcome.sut_report());
     println!(
         "# gt-run load: {} with {connections} clients, {} loop @ {:.0} e/s offered (seed {})",
-        args.sut, args.loop_model, args.rate, args.load_seed
+        spec.sut, spec.loop_model, spec.rate, spec.load_seed
     );
-    if let Some(spec) = &args.netem {
-        println!("# netem schedule: {spec} (seed {})", args.fault_seed);
+    if let Some(netem) = &spec.netem {
+        println!("# netem schedule: {netem} (seed {})", spec.fault_seed);
     }
     // A run that lost connections or clients still completes (the
     // barrier excuses dead connections) — surface the degradation.
-    let degraded =
-        outcome.load.listener.connections_lost > 0 || !outcome.load.client_failures.is_empty();
+    let degraded = load.listener.connections_lost > 0 || !load.client_failures.is_empty();
     println!(
         "run status          {:>12}",
         if degraded { "degraded" } else { "completed" }
     );
-    println!("offered events      {:>12}", outcome.load.offered());
-    println!("sent events         {:>12}", outcome.load.sent());
-    println!("offered rate [e/s]  {:>12.0}", outcome.load.offered_rate());
-    println!("achieved rate [e/s] {:>12.0}", outcome.load.achieved_rate());
-    println!(
-        "achieved/offered    {:>12.3}",
-        outcome.load.achieved_ratio()
-    );
+    println!("offered events      {:>12}", load.offered());
+    println!("sent events         {:>12}", load.sent());
+    println!("offered rate [e/s]  {:>12.0}", load.offered_rate());
+    println!("achieved rate [e/s] {:>12.0}", load.achieved_rate());
+    println!("achieved/offered    {:>12.3}", load.achieved_ratio());
     println!(
         "marker violations   {:>12}",
-        outcome.load.listener.marker_violations
+        load.listener.marker_violations
     );
-    println!(
-        "parse errors        {:>12}",
-        outcome.load.listener.parse_errors
-    );
-    println!(
-        "connections lost    {:>12}",
-        outcome.load.listener.connections_lost
-    );
-    println!(
-        "clients failed      {:>12}",
-        outcome.load.client_failures.len()
-    );
+    println!("parse errors        {:>12}", load.listener.parse_errors);
+    println!("connections lost    {:>12}", load.listener.connections_lost);
+    println!("clients failed      {:>12}", load.client_failures.len());
     println!("quiesced            {:>12}", outcome.quiesced);
     println!("\n# sojourn latency [us] per class (completion - scheduled arrival)");
     println!(
@@ -559,13 +562,13 @@ fn run_load_mode(args: &Args, path: &str, registry: &SutRegistry) -> ExitCode {
             println!("{class:<10} insufficient samples");
         }
     }
-    println!("\n# {} final report", outcome.report.name);
-    for (metric, value) in &outcome.report.summary {
+    println!("\n# {} final report", report.name);
+    for (metric, value) in &report.summary {
         println!("{metric:<19} {value:>12.0}");
     }
     // Netem recovery: network faults correlated against the main class's
     // completion-rate series.
-    if args.netem.is_some() {
+    if spec.netem.is_some() {
         let windows = recovery_windows_from(
             &outcome.log,
             NETEM_SOURCE,
@@ -579,40 +582,31 @@ fn run_load_mode(args: &Args, path: &str, registry: &SutRegistry) -> ExitCode {
         "\n# merged result log: {} records",
         outcome.log.records().len()
     );
-    if gate_holds(&outcome, args.assert_achieved) {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    exit_code(gate_holds(&outcome, args.assert_achieved))
 }
 
 /// The throughput-vs-shards scaling curve: one load cell per shard count
 /// against the sharded variant, normalized by `gt_analysis::shard_scaling`.
-fn run_shard_scaling_mode(
-    args: &Args,
-    path: &str,
-    registry: &SutRegistry,
-    counts: &[usize],
-) -> ExitCode {
-    let sut = sharded_name(&args.sut);
-    let connections = args.clients.unwrap_or(1);
+fn run_shard_scaling_mode(args: &Args, registry: &SutRegistry, counts: &[usize]) -> ExitCode {
+    let mut spec = args.spec.clone();
+    spec.sut = sharded_name(&spec.sut);
+    let connections = spec.clients.max(1);
     println!(
-        "# gt-run throughput-vs-shards: {sut}, {connections} clients, {} loop @ {:.0} e/s, seed {}",
-        args.loop_model, args.rate, args.load_seed
+        "# gt-run throughput-vs-shards: {}, {connections} clients, {} loop @ {:.0} e/s, seed {}",
+        spec.sut, spec.loop_model, spec.rate, spec.load_seed
     );
     let mut samples: Vec<(usize, f64)> = Vec::new();
     let mut gate_ok = true;
     for &shards in counts {
-        let options = args.options.clone().set("shards", shards);
-        let outcome =
-            match run_load_cell(path, registry, args, &sut, &options, connections, args.rate) {
-                Ok(outcome) => outcome,
-                Err(error) => {
-                    eprintln!("gt-run: shards={shards}: {error}");
-                    return ExitCode::FAILURE;
-                }
-            };
-        samples.push((shards, outcome.load.achieved_rate()));
+        spec.options = args.spec.options.clone().set("shards", shards);
+        let outcome = match run_load_cell(&spec, connections, spec.rate, registry) {
+            Ok(outcome) => outcome,
+            Err(error) => {
+                eprintln!("gt-run: shards={shards}: {error}");
+                return ExitCode::FAILURE;
+            }
+        };
+        samples.push((shards, outcome.load().achieved_rate()));
         gate_ok &= gate_holds(&outcome, args.assert_achieved);
     }
     println!(
@@ -625,22 +619,14 @@ fn run_shard_scaling_mode(
             row.shards, row.achieved, row.speedup, row.efficiency
         );
     }
-    if gate_ok {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    exit_code(gate_ok)
 }
 
 /// The differential mode: the same stream through the serial platform at
 /// `shards=1` and the sharded variant at `shards=N`, single connector
 /// each; nonzero exit on any digest or computation divergence.
-fn run_differential_mode(
-    args: &Args,
-    path: &str,
-    registry: &SutRegistry,
-    shards: usize,
-) -> ExitCode {
+fn run_differential_mode(spec: &RunSpec, registry: &SutRegistry, shards: usize) -> ExitCode {
+    let path = &spec.stream;
     let stream = match gt_core::GraphStream::read_from_file(path) {
         Ok(stream) => stream,
         Err(error) => {
@@ -648,13 +634,13 @@ fn run_differential_mode(
             return ExitCode::FAILURE;
         }
     };
-    let baseline = serial_name(&args.sut).to_owned();
-    let candidate = sharded_name(&args.sut);
-    let baseline_options = args.options.clone().set("shards", 1);
-    let candidate_options = args.options.clone().set("shards", shards);
+    let baseline = serial_name(&spec.sut).to_owned();
+    let candidate = sharded_name(&spec.sut);
+    let baseline_options = spec.options.clone().set("shards", 1);
+    let candidate_options = spec.options.clone().set("shards", shards);
     let outcome = match run_differential(
         &stream,
-        args.rate,
+        spec.rate,
         registry,
         (&baseline, &baseline_options),
         (&candidate, &candidate_options),
@@ -667,7 +653,7 @@ fn run_differential_mode(
     };
     println!(
         "# gt-run differential: {baseline} (shards=1) vs {candidate} (shards={shards}) @ {:.0} e/s",
-        args.rate
+        spec.rate
     );
     println!(
         "baseline events     {:>12.0}",
@@ -703,26 +689,6 @@ fn run_differential_mode(
     }
 }
 
-/// What one matrix cell's factor assignment resolves to: a fully
-/// validated run configuration. Built once per cell for fail-fast
-/// validation, then again in the runner (cheap, pure string parsing).
-struct CellPlan {
-    stream: String,
-    rate: f64,
-    pattern: RatePattern,
-    sut: String,
-    options: SutOptions,
-    /// 0 means single-sink replay; ≥ 1 switches to the load layer.
-    clients: usize,
-    loop_model: LoopModel,
-    /// `;`-separated chaos schedule (matrix levels use `+` between
-    /// clauses since `;` is reserved by the cell-id encoding).
-    chaos: Option<String>,
-    /// `;`-separated netem schedule, same `+` encoding as `chaos`.
-    /// Valid for both single-sink and load cells.
-    netem: Option<String>,
-}
-
 fn matrix_usage() -> String {
     format!(
         "usage: gt-run matrix <matrix.spec> [--stream <stream.csv>] [--journal <path>]\n\
@@ -737,71 +703,55 @@ fn matrix_usage() -> String {
     )
 }
 
-/// Resolves one cell's factor assignment into a [`CellPlan`], rejecting
-/// unknown factor names and unparsable levels.
+/// Resolves one cell's factor assignment into a [`RunSpec`] seeded with
+/// `seed`, rejecting unknown factor names, unparsable levels and — by
+/// lowering it and asking the harness — combinations that cannot run.
+/// Chaos and netem levels join their clauses with `+`, since `;` is
+/// reserved by the cell-id encoding. Built once per cell for fail-fast
+/// validation, then again per repetition (cheap, pure string parsing).
 fn plan_cell(
     cell: &Assignment,
     default_stream: Option<&str>,
+    seed: u64,
     registry: &SutRegistry,
-) -> Result<CellPlan, String> {
-    let mut plan = CellPlan {
+) -> Result<(RunSpec, RunPlan), String> {
+    let mut spec = RunSpec {
         stream: default_stream.unwrap_or_default().to_owned(),
-        rate: 10_000.0,
-        pattern: RatePattern::Uniform,
         sut: String::new(),
         options: SutOptions::new(),
+        rate: 10_000.0,
+        pattern: RatePattern::Uniform,
         clients: 0,
         loop_model: LoopModel::Open,
         chaos: None,
         netem: None,
+        load_seed: seed,
+        fault_seed: seed,
     };
+    let clauses = |value: &str| (value != "none").then(|| value.replace('+', ";"));
     let mut shards = None;
     for (name, value) in cell {
         match name.as_str() {
-            "sut" => plan.sut = value.clone(),
-            "stream" => plan.stream = value.clone(),
+            "sut" => spec.sut = value.clone(),
+            "stream" => spec.stream = value.clone(),
             "rate" => {
-                plan.rate = value
-                    .parse()
-                    .map_err(|e| format!("bad rate `{value}`: {e}"))?;
-                if !plan.rate.is_finite() || plan.rate <= 0.0 {
+                spec.rate = parsed(value, "rate")?;
+                if !spec.rate.is_finite() || spec.rate <= 0.0 {
                     return Err(format!("rate `{value}` must be positive"));
                 }
             }
-            "pattern" => {
-                plan.pattern = value
-                    .parse()
-                    .map_err(|e| format!("bad pattern `{value}`: {e}"))?;
-            }
+            "pattern" => spec.pattern = parsed(value, "pattern")?,
             "shards" => {
-                let n: usize = value
-                    .parse()
-                    .map_err(|e| format!("bad shard count `{value}`: {e}"))?;
+                let n: usize = parsed(value, "shard count")?;
                 if n == 0 {
                     return Err("shards must be at least 1".into());
                 }
                 shards = Some(n);
             }
-            "clients" => {
-                plan.clients = value
-                    .parse()
-                    .map_err(|e| format!("bad client count `{value}`: {e}"))?;
-            }
-            "loop" => {
-                plan.loop_model = value
-                    .parse()
-                    .map_err(|e| format!("bad loop model `{value}`: {e}"))?;
-            }
-            "chaos" => {
-                if value != "none" {
-                    plan.chaos = Some(value.replace('+', ";"));
-                }
-            }
-            "netem" => {
-                if value != "none" {
-                    plan.netem = Some(value.replace('+', ";"));
-                }
-            }
+            "clients" => spec.clients = parsed(value, "client count")?,
+            "loop" => spec.loop_model = parsed(value, "loop model")?,
+            "chaos" => spec.chaos = clauses(value),
+            "netem" => spec.netem = clauses(value),
             other => {
                 return Err(format!(
                     "unknown factor `{other}` (known: sut, stream, rate, pattern, shards, \
@@ -810,121 +760,83 @@ fn plan_cell(
             }
         }
     }
-    if plan.sut.is_empty() {
+    if spec.sut.is_empty() {
         return Err("the matrix needs a `sut` factor".into());
     }
     if let Some(n) = shards {
-        plan.sut = sharded_name(&plan.sut);
-        plan.options = plan.options.set("shards", n);
+        spec.sut = sharded_name(&spec.sut);
+        spec.options = spec.options.set("shards", n);
     }
-    if !registry.names().contains(&plan.sut.as_str()) {
+    if !registry.names().contains(&spec.sut.as_str()) {
         return Err(format!(
             "unknown platform `{}` (known: {})",
-            plan.sut,
+            spec.sut,
             registry.names().join(", ")
         ));
     }
-    if plan.stream.is_empty() {
+    if spec.stream.is_empty() {
         return Err("no stream for this cell: pass --stream or add a `stream` factor".into());
     }
-    if plan.chaos.is_some() && plan.clients > 0 {
-        return Err("chaos applies to single-sink cells; set clients to 0".into());
+    // Schedule parse errors and combinations the run path refuses should
+    // surface during validation, not after hours of completed cells (the
+    // seed only offsets jitter).
+    let mut plan = lower(&spec)?;
+    plan.check(&Target::Sut(registry, &spec.sut, &spec.options))
+        .map_err(|e| e.to_string())?;
+    if spec.clients == 0 {
+        // Unattended single-sink cells trace only when chaos needs the
+        // stage latencies, and guard network faults like chaos ones.
+        if spec.chaos.is_none() {
+            plan.level = EvaluationLevel::Level1;
+        }
+        if spec.netem.is_some() {
+            plan = plan.with_watchdog(fault_guard());
+        }
     }
-    // Chaos/netem parse errors should surface during validation, not
-    // after hours of completed cells (the seed only offsets jitter).
-    if let Some(spec) = &plan.chaos {
-        FaultSchedule::parse(spec, 0).map_err(|e| format!("bad chaos schedule: {e}"))?;
-    }
-    if let Some(spec) = &plan.netem {
-        NetemSchedule::parse(spec, 0).map_err(|e| format!("bad netem schedule: {e}"))?;
-    }
-    Ok(plan)
+    Ok((spec, plan))
 }
 
 /// Executes one cell-repetition and maps the outcome onto the journal's
 /// `(status, headline metrics)` shape.
 fn run_matrix_cell(
-    plan: &CellPlan,
-    seed: u64,
+    spec: &RunSpec,
+    plan: RunPlan,
     registry: &SutRegistry,
 ) -> Result<CellRunResult, String> {
-    if plan.clients > 0 {
-        // Load mode: the load layer paces per-client arrival schedules,
-        // so the rate pattern shapes the arrival intensity there.
-        let mut file_plan =
-            FileRunPlan::new(&plan.stream, plan.rate).at_level(EvaluationLevel::Level1);
-        file_plan.load = Some(
-            LoadPlan::single(plan.clients, plan.rate, plan.loop_model, seed)
-                .with_pattern(plan.pattern.clone()),
-        );
-        let netem_cell = plan.netem.is_some();
-        if let Some(spec) = &plan.netem {
-            let schedule = NetemSchedule::parse(spec, seed).map_err(|e| format!("netem: {e}"))?;
-            file_plan = file_plan.with_netem(NetemPlan::new(schedule));
-        }
-        let outcome = run_load_file_sut_experiment(file_plan, registry, &plan.sut, &plan.options)
-            .map_err(|e| e.to_string())?;
-        let mut metrics = vec![
-            ("offered_rate".to_owned(), outcome.load.offered_rate()),
-            ("achieved_rate".to_owned(), outcome.load.achieved_rate()),
-            ("achieved_ratio".to_owned(), outcome.load.achieved_ratio()),
-            (
-                "marker_violations".to_owned(),
-                outcome.load.listener.marker_violations as f64,
-            ),
-        ];
-        if let Some(tail) = gt_analysis::sojourn_quantiles(&outcome.log, "main") {
-            metrics.push(("p99_sojourn_us".to_owned(), tail.p99));
-        }
-        if netem_cell {
-            metrics.push((
-                "connections_lost".to_owned(),
-                outcome.load.listener.connections_lost as f64,
-            ));
-        }
+    let outcome = run_plan(plan, spec, registry)?;
+    if spec.clients == 0 {
+        let replay = outcome.replay();
         return Ok(CellRunResult {
-            status: RunStatus::Completed,
-            metrics,
+            status: outcome.status.clone(),
+            metrics: vec![
+                ("achieved_rate".to_owned(), replay.achieved_rate),
+                ("events".to_owned(), replay.graph_events as f64),
+                ("duration_s".to_owned(), replay.duration_micros as f64 / 1e6),
+            ],
         });
     }
-
-    // Single-sink replay: the pacer itself follows the rate pattern.
-    let level = if plan.chaos.is_some() {
-        EvaluationLevel::Level2
-    } else {
-        EvaluationLevel::Level1
-    };
-    let mut file_plan = FileRunPlan::new(&plan.stream, plan.rate).at_level(level);
-    file_plan.session.replayer.pattern = plan.pattern.clone();
-    file_plan.session.replayer.pattern_seed = seed;
-    if let Some(spec) = &plan.chaos {
-        let schedule = FaultSchedule::parse(spec, seed).map_err(|e| format!("chaos: {e}"))?;
-        file_plan = file_plan
-            .with_chaos(ChaosPlan::new(schedule))
-            .with_watchdog(
-                WatchdogConfig::stall_after(Duration::from_secs(30))
-                    .with_deadline(Duration::from_secs(600)),
-            );
+    let load = outcome.load();
+    let mut metrics = vec![
+        ("offered_rate".to_owned(), load.offered_rate()),
+        ("achieved_rate".to_owned(), load.achieved_rate()),
+        ("achieved_ratio".to_owned(), load.achieved_ratio()),
+        (
+            "marker_violations".to_owned(),
+            load.listener.marker_violations as f64,
+        ),
+    ];
+    if let Some(tail) = gt_analysis::sojourn_quantiles(&outcome.log, "main") {
+        metrics.push(("p99_sojourn_us".to_owned(), tail.p99));
     }
-    if let Some(spec) = &plan.netem {
-        let schedule = NetemSchedule::parse(spec, seed).map_err(|e| format!("netem: {e}"))?;
-        file_plan = file_plan
-            .with_netem(NetemPlan::new(schedule))
-            .with_watchdog(
-                WatchdogConfig::stall_after(Duration::from_secs(30))
-                    .with_deadline(Duration::from_secs(600)),
-            );
+    if spec.netem.is_some() {
+        metrics.push((
+            "connections_lost".to_owned(),
+            load.listener.connections_lost as f64,
+        ));
     }
-    let outcome = run_file_sut_experiment(file_plan, registry, &plan.sut, &plan.options)
-        .map_err(|e| e.to_string())?;
-    let replay = &outcome.run.report.replay;
     Ok(CellRunResult {
-        status: outcome.run.status.clone(),
-        metrics: vec![
-            ("achieved_rate".to_owned(), replay.achieved_rate),
-            ("events".to_owned(), replay.graph_events as f64),
-            ("duration_s".to_owned(), replay.duration_micros as f64 / 1e6),
-        ],
+        status: RunStatus::Completed,
+        metrics,
     })
 }
 
@@ -957,15 +869,16 @@ fn run_matrix_cli(argv: &[String]) -> Result<ExitCode, String> {
         return Err("the matrix has no cells; add `factor` lines".into());
     }
     for cell in &cells {
-        plan_cell(cell, stream.as_deref(), &registry)
+        plan_cell(cell, stream.as_deref(), 0, &registry)
             .map_err(|e| format!("cell {}: {e}", cell_id(cell)))?;
     }
 
     print!("{matrix}");
     println!("journal: {journal}");
     let mut runner = |cell: &Assignment, _rep: u32, seed: u64| -> CellRunResult {
-        let plan = plan_cell(cell, stream.as_deref(), &registry).expect("cells validated above");
-        match run_matrix_cell(&plan, seed, &registry) {
+        let (spec, plan) =
+            plan_cell(cell, stream.as_deref(), seed, &registry).expect("cells validated above");
+        match run_matrix_cell(&spec, plan, &registry) {
             Ok(result) => result,
             Err(error) => {
                 // The journal holds every finished repetition (flushed
@@ -996,153 +909,56 @@ fn run_matrix_cli(argv: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn main() -> ExitCode {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.first().is_some_and(|a| a == "matrix") {
-        return match run_matrix_cli(&argv[1..]) {
-            Ok(code) => code,
-            Err(message) => {
-                eprintln!("{message}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-
-    let mut args = match parse_args() {
-        Ok(args) => args,
-        Err(message) => {
-            eprintln!("{message}");
+/// The single-sink path: one replay through the file pipeline at Level 2,
+/// with the replay report, the platform's final report, the sampled
+/// stage latencies and a recovery table per injected fault layer.
+fn run_single_mode(
+    spec: &RunSpec,
+    fault_description: Option<&str>,
+    registry: &SutRegistry,
+) -> ExitCode {
+    let plan = match lower(spec) {
+        Ok(plan) => plan,
+        Err(error) => {
+            eprintln!("gt-run: {error}");
             return ExitCode::FAILURE;
         }
     };
-    let registry = builtin_registry();
-
-    // A single `--shards N` simply reroutes to the sharded variant with
-    // that worker count; a list becomes the scaling-curve mode below.
-    let shard_curve = match args.shards.take() {
-        Some(list) if list.len() == 1 => {
-            args.sut = sharded_name(&args.sut);
-            args.options = args.options.clone().set("shards", list[0]);
-            None
-        }
-        other => other,
-    };
-
-    // A-priori stream faults: derive the weaker stream before replay.
-    let (path, fault_description, scratch) = match &args.faults {
-        Some(spec) => match materialize_faults(&args.path, spec, args.fault_seed) {
-            Ok((path, description)) => (path.clone(), Some(description), Some(path)),
-            Err(error) => {
-                eprintln!("gt-run: --faults {error}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => (args.path.clone(), None, None),
-    };
-
-    // Differential mode replaces the normal replay entirely: two
-    // single-connector runs and a bit-exact comparison.
-    if let Some(shards) = args.differential {
-        let code = run_differential_mode(&args, &path, &registry, shards);
-        if let Some(scratch) = scratch {
-            let _ = std::fs::remove_file(scratch);
-        }
-        return code;
-    }
-
-    // The throughput-vs-shards curve: one load cell per shard count.
-    if let Some(counts) = &shard_curve {
-        let code = run_shard_scaling_mode(&args, &path, &registry, counts);
-        if let Some(scratch) = scratch {
-            let _ = std::fs::remove_file(scratch);
-        }
-        return code;
-    }
-
-    // Multi-client load mode bypasses the single-sink replay path
-    // entirely: the load layer paces per-client arrival schedules.
-    if args.clients.is_some() || args.scale.is_some() {
-        let code = run_load_mode(&args, &path, &registry);
-        if let Some(scratch) = scratch {
-            let _ = std::fs::remove_file(scratch);
-        }
-        return code;
-    }
-
-    // Live chaos: parse the schedule, keep the journal for the summary,
-    // and guard the run with the watchdog so a killed worker can never
-    // hang the invocation.
-    let mut plan = FileRunPlan::new(&path, args.rate).at_level(EvaluationLevel::Level2);
-    // The pacer itself follows the rate pattern on the single-sink path;
-    // the (pareto) pattern seed rides on --load-seed like the load path's.
-    plan.session.replayer.pattern = args.pattern.clone();
-    plan.session.replayer.pattern_seed = args.load_seed;
-    let chaos_description = match &args.chaos {
-        Some(spec) => match FaultSchedule::parse(spec, args.fault_seed) {
-            Ok(schedule) => {
-                let description = schedule.describe();
-                plan = plan.with_chaos(ChaosPlan::new(schedule)).with_watchdog(
-                    WatchdogConfig::stall_after(Duration::from_secs(30))
-                        .with_deadline(Duration::from_secs(600)),
-                );
-                Some(description)
-            }
-            Err(error) => {
-                eprintln!("gt-run: --chaos {error}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => None,
-    };
-    // Network faults ride the same seed; the proxy front is started by
-    // the SUT runner when the plan carries a netem schedule.
-    if let Some(spec) = &args.netem {
-        match NetemSchedule::parse(spec, args.fault_seed) {
-            Ok(schedule) => plan = plan.with_netem(NetemPlan::new(schedule)),
-            Err(error) => {
-                eprintln!("gt-run: --netem {error}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
-    let outcome = match run_file_sut_experiment(plan, &registry, &args.sut, &args.options) {
+    let chaos_description = plan.chaos.as_ref().map(|chaos| chaos.schedule.describe());
+    let outcome = match run_plan(plan, spec, registry) {
         Ok(outcome) => outcome,
         Err(error) => {
             eprintln!("gt-run: {error}");
             return ExitCode::FAILURE;
         }
     };
-    if let Some(scratch) = scratch {
-        let _ = std::fs::remove_file(scratch);
-    }
 
-    let replay = &outcome.run.report;
-    println!("# gt-run: {} @ {} events/s", args.sut, args.rate);
-    if let Some(faults) = &fault_description {
-        println!("# stream faults: {faults} (seed {})", args.fault_seed);
+    let (session, report) = (outcome.session(), outcome.sut_report());
+    println!("# gt-run: {} @ {} events/s", spec.sut, spec.rate);
+    if let Some(faults) = fault_description {
+        println!("# stream faults: {faults} (seed {})", spec.fault_seed);
     }
     if let Some(chaos) = &chaos_description {
-        println!("# chaos schedule: {chaos} (seed {})", args.fault_seed);
+        println!("# chaos schedule: {chaos} (seed {})", spec.fault_seed);
     }
-    if let Some(spec) = &args.netem {
-        println!("# netem schedule: {spec} (seed {})", args.fault_seed);
+    if let Some(netem) = &spec.netem {
+        println!("# netem schedule: {netem} (seed {})", spec.fault_seed);
     }
-    println!("run status          {:>12}", outcome.run.status.to_string());
-    println!("entries read        {:>12}", replay.entries_read);
-    println!("graph events        {:>12}", replay.replay.graph_events);
+    println!("run status          {:>12}", outcome.status.to_string());
+    println!("entries read        {:>12}", session.entries_read);
+    println!("graph events        {:>12}", session.replay.graph_events);
     println!(
         "replay duration [s] {:>12.2}",
-        replay.replay.duration_micros as f64 / 1e6
+        session.replay.duration_micros as f64 / 1e6
     );
-    println!("achieved rate [e/s] {:>12.0}", replay.replay.achieved_rate);
+    println!("achieved rate [e/s] {:>12.0}", session.replay.achieved_rate);
     println!(
         "emit latency p99 [us] {:>10}",
-        replay.emit_latency.quantile_upper_bound(0.99)
+        session.emit_latency.quantile_upper_bound(0.99)
     );
     println!("quiesced            {:>12}", outcome.quiesced);
-    println!("\n# {} final report", outcome.report.name);
-    for (metric, value) in &outcome.report.summary {
+    println!("\n# {} final report", report.name);
+    for (metric, value) in &report.summary {
         println!("{metric:<19} {value:>12.0}");
     }
     // Level-2 stage-pair latencies of the 1-in-N sampled events, when the
@@ -1150,7 +966,6 @@ fn main() -> ExitCode {
     let mut traced = false;
     for metric in TRACE_STAGE_METRICS {
         let values: Vec<f64> = outcome
-            .run
             .log
             .series(TRACE_SOURCE, metric)
             .into_iter()
@@ -1172,7 +987,7 @@ fn main() -> ExitCode {
     // Chaos recovery summary: one row per injected fault, correlated
     // against the ingress-rate series.
     if chaos_description.is_some() {
-        let windows = recovery_windows(&outcome.run.log, RECOVERY_FRACTION);
+        let windows = recovery_windows(&outcome.log, RECOVERY_FRACTION);
         if windows.is_empty() {
             println!("\n# chaos recovery: no faults fired");
         } else {
@@ -1205,9 +1020,9 @@ fn main() -> ExitCode {
     }
     // Netem recovery: network faults correlated against the replayer's
     // ingress-rate series.
-    if args.netem.is_some() {
+    if spec.netem.is_some() {
         let windows = recovery_windows_from(
-            &outcome.run.log,
+            &outcome.log,
             NETEM_SOURCE,
             "replayer",
             "ingress_rate",
@@ -1217,11 +1032,75 @@ fn main() -> ExitCode {
     }
     println!(
         "\n# merged result log: {} records",
-        outcome.run.log.records().len()
+        outcome.log.records().len()
     );
-    if outcome.run.status.is_aborted() {
-        eprintln!("gt-run: run aborted by watchdog: {}", outcome.run.status);
+    if outcome.status.is_aborted() {
+        eprintln!("gt-run: run aborted by watchdog: {}", outcome.status);
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
+}
+
+fn main() -> ExitCode {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    if argv.first().is_some_and(|a| a == "matrix") {
+        return match run_matrix_cli(&argv[1..]) {
+            Ok(code) => code,
+            Err(message) => {
+                eprintln!("{message}");
+                ExitCode::FAILURE
+            }
+        };
+    }
+
+    let mut args = match parse_args() {
+        Ok(args) => args,
+        Err(message) => {
+            eprintln!("{message}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let registry = builtin_registry();
+
+    // A single `--shards N` simply reroutes to the sharded variant with
+    // that worker count; a list becomes the scaling-curve mode below.
+    let shard_curve = match args.shards.take() {
+        Some(list) if list.len() == 1 => {
+            args.spec.sut = sharded_name(&args.spec.sut);
+            args.spec.options = args.spec.options.clone().set("shards", list[0]);
+            None
+        }
+        other => other,
+    };
+
+    // A-priori stream faults: derive the weaker stream before replay.
+    let mut fault_description = None;
+    if let Some(faults) = &args.faults {
+        match materialize_faults(&args.spec.stream, faults, args.spec.fault_seed) {
+            Ok((scratch, description)) => {
+                args.spec.stream = scratch;
+                fault_description = Some(description);
+            }
+            Err(error) => {
+                eprintln!("gt-run: --faults {error}");
+                return ExitCode::FAILURE;
+            }
+        }
+    }
+
+    let code = if let Some(shards) = args.differential {
+        // Replaces the normal replay entirely: two single-connector runs
+        // and a bit-exact comparison.
+        run_differential_mode(&args.spec, &registry, shards)
+    } else if let Some(counts) = &shard_curve {
+        run_shard_scaling_mode(&args, &registry, counts)
+    } else if args.spec.clients > 0 || args.scale.is_some() {
+        run_load_mode(&args, &registry)
+    } else {
+        run_single_mode(&args.spec, fault_description.as_deref(), &registry)
+    };
+    if fault_description.is_some() {
+        let _ = std::fs::remove_file(&args.spec.stream);
+    }
+    code
 }

@@ -12,7 +12,7 @@ use std::time::Duration;
 use graphtides::engine::{EngineConfig, EngineConnector, TideGraph};
 use graphtides::generator::{EventMix, MixModel, StreamComposer, StreamGenerator};
 use graphtides::graph::builders::BarabasiAlbert;
-use graphtides::harness::{run_experiment, RunPlan};
+use graphtides::harness::{run, RunPlan, Target};
 use graphtides::metrics::{GaugeSampler, MetricsHub, WallClock};
 use graphtides::prelude::*;
 
@@ -56,15 +56,15 @@ fn main() {
         ..RunPlan::new(stream, 20_000.0)
     }
     .with_logger(Box::new(backlog_probe));
-    let outcome = run_experiment(plan, &mut connector).expect("replay succeeds");
+    let outcome = run(plan, Target::Sink(&mut connector)).expect("replay succeeds");
 
     println!(
         "replayed {} events in {:.2}s (achieved {:.0} events/s)",
-        outcome.report.graph_events,
-        outcome.report.duration_micros as f64 / 1e6,
-        outcome.report.achieved_rate,
+        outcome.replay().graph_events,
+        outcome.replay().duration_micros as f64 / 1e6,
+        outcome.replay().achieved_rate,
     );
-    for (name, t) in &outcome.report.markers {
+    for (name, t) in &outcome.replay().markers {
         println!("marker `{name}` at t = {:.3}s", *t as f64 / 1e6);
     }
 

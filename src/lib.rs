@@ -76,7 +76,7 @@ pub fn builtin_registry() -> gt_sut::SutRegistry {
 pub mod prelude {
     pub use gt_core::prelude::*;
     pub use gt_graph::{CsrSnapshot, EvolvingGraph};
-    pub use gt_harness::{run_experiment, run_sut_experiment, ExperimentSpec, RunOutcome, RunPlan};
+    pub use gt_harness::{run, ExperimentSpec, RunOutcome, RunPlan, Target};
     pub use gt_metrics::{MetricsHub, ResultLog};
     pub use gt_replayer::{ChannelSink, CollectSink, EventSink, Replayer, ReplayerConfig};
     pub use gt_sut::{SutOptions, SutRegistry, SystemUnderTest};

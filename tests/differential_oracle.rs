@@ -26,8 +26,8 @@
 
 use graphtides::faults::{parse_pipeline, FaultInjector};
 use graphtides::harness::{
-    run_differential, run_sut_experiment_with_timeout, window_computations, ChaosPlan,
-    EvaluationLevel, FaultSchedule, RunPlan, StateDigest, DEFAULT_QUIESCE_TIMEOUT,
+    run, run_differential, window_computations, ChaosPlan, EvaluationLevel, FaultSchedule, RunPlan,
+    StateDigest, Target,
 };
 use graphtides::prelude::*;
 
@@ -140,18 +140,12 @@ fn digest_run(
     if let Some(spec) = chaos {
         plan = plan.with_chaos(ChaosPlan::new(FaultSchedule::parse(spec, 5).unwrap()));
     }
-    let outcome = run_sut_experiment_with_timeout(
-        plan,
-        &registry,
-        sut,
-        &options.set("digest", 1),
-        DEFAULT_QUIESCE_TIMEOUT,
-    )
-    .unwrap();
+    let options = options.set("digest", 1);
+    let outcome = run(plan, Target::Sut(&registry, sut, &options)).unwrap();
     assert!(outcome.quiesced, "{sut} failed to quiesce");
     (
         outcome.digest.expect("digest=1 returns a digest"),
-        outcome.report,
+        outcome.report.expect("a registry target reports"),
     )
 }
 

@@ -18,9 +18,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use graphtides::analysis::TailQuantiles;
-use graphtides::harness::{
-    run_load_sut_experiment, EvaluationLevel, LoadPlan, LoopModel, RunPlan, SutOptions,
-};
+use graphtides::harness::{run, EvaluationLevel, LoadPlan, LoopModel, RunPlan, SutOptions, Target};
 use graphtides::load::{run_client, ClientConfig};
 use graphtides::metrics::{Clock, WallClock};
 use graphtides::prelude::*;
@@ -146,16 +144,19 @@ fn marker_order_holds_on(sut: &str, options: SutOptions) {
         .at_level(EvaluationLevel::Level1)
         .with_load(LoadPlan::single(9, 300_000.0, LoopModel::Open, 42));
     plan.sysmon = None;
-    let outcome =
-        run_load_sut_experiment(plan, &graphtides::builtin_registry(), sut, &options).unwrap();
+    let outcome = run(
+        plan,
+        Target::Sut(&graphtides::builtin_registry(), sut, &options),
+    )
+    .unwrap();
 
     // Every event arrived exactly once across the 9 connections...
-    assert_eq!(outcome.report.get("events"), Some(900.0), "{sut}");
+    assert_eq!(outcome.sut_report().get("events"), Some(900.0), "{sut}");
     // ...and both markers crossed the multi-connection boundary exactly
     // once, in stream order, with no ordering violation on any reader.
-    assert_eq!(outcome.load.listener.marker_violations, 0, "{sut}");
+    assert_eq!(outcome.load().listener.marker_violations, 0, "{sut}");
     let names: Vec<&str> = outcome
-        .load
+        .load()
         .listener
         .markers
         .iter()

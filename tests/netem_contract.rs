@@ -14,8 +14,8 @@
 //!   marker barrier or failing the run, on both platforms.
 
 use graphtides::harness::{
-    run_load_sut_experiment, EvaluationLevel, LoadPlan, LoadSutRunOutcome, LoopModel, NetemPlan,
-    NetemSchedule, RunPlan, SutOptions,
+    run, EvaluationLevel, LoadPlan, LoopModel, NetemPlan, NetemSchedule, RunOutcome, RunPlan,
+    SutOptions, Target,
 };
 use graphtides::prelude::*;
 
@@ -45,15 +45,18 @@ fn run_with_netem(
     clients: usize,
     events: u64,
     rate: f64,
-) -> (LoadSutRunOutcome, Vec<(u64, String)>) {
+) -> (RunOutcome, Vec<(u64, String)>) {
     let netem = NetemPlan::new(NetemSchedule::parse(spec, seed).unwrap());
     let journal = netem.journal.clone();
     let mut plan = RunPlan::new(marked_stream(events), 0.0)
         .at_level(EvaluationLevel::Level1)
         .with_load(LoadPlan::single(clients, rate, LoopModel::Open, 42).with_netem(netem));
     plan.sysmon = None;
-    let outcome =
-        run_load_sut_experiment(plan, &graphtides::builtin_registry(), sut, options).unwrap();
+    let outcome = run(
+        plan,
+        Target::Sut(&graphtides::builtin_registry(), sut, options),
+    )
+    .unwrap();
     (outcome, journal.signature())
 }
 
@@ -92,11 +95,15 @@ fn partition_mid_stream_completes_on(sut: &str, options: SutOptions) {
     );
     // Every event rode through the blackhole-and-heal: the partitioned
     // connections' writes buffer in the proxy and drain on heal.
-    assert_eq!(outcome.report.get("events"), Some(EVENTS as f64), "{sut}");
-    assert!(outcome.load.client_failures.is_empty(), "{sut}");
-    assert_eq!(outcome.load.listener.marker_violations, 0, "{sut}");
+    assert_eq!(
+        outcome.sut_report().get("events"),
+        Some(EVENTS as f64),
+        "{sut}"
+    );
+    assert!(outcome.load().client_failures.is_empty(), "{sut}");
+    assert_eq!(outcome.load().listener.marker_violations, 0, "{sut}");
     let names: Vec<&str> = outcome
-        .load
+        .load()
         .listener
         .markers
         .iter()
@@ -130,9 +137,9 @@ fn kill_one_of_four_degrades_typed_on(sut: &str, options: SutOptions) {
         3200.0,
     );
     // Exactly one client died to the RST; the run still completed.
-    assert_eq!(outcome.load.client_failures.len(), 1, "{sut}");
-    assert!(outcome.load.listener.connections_lost >= 1, "{sut}");
-    assert_eq!(outcome.load.netem.as_ref().unwrap().kills_rst, 1, "{sut}");
+    assert_eq!(outcome.load().client_failures.len(), 1, "{sut}");
+    assert!(outcome.load().listener.connections_lost >= 1, "{sut}");
+    assert_eq!(outcome.load().netem.as_ref().unwrap().kills_rst, 1, "{sut}");
     // The loss is typed into the merged log as degradation records, not
     // swallowed: the listener's excusal plus the client's failure.
     let degradations: Vec<&str> = outcome
@@ -154,14 +161,14 @@ fn kill_one_of_four_degrades_typed_on(sut: &str, options: SutOptions) {
     );
     // The surviving quorum still carried both markers through, in order.
     let names: Vec<&str> = outcome
-        .load
+        .load()
         .listener
         .markers
         .iter()
         .map(|(name, _)| name.as_str())
         .collect();
     assert_eq!(names, ["mid", "end"], "{sut}");
-    assert_eq!(outcome.load.listener.marker_violations, 0, "{sut}");
+    assert_eq!(outcome.load().listener.marker_violations, 0, "{sut}");
     assert_eq!(signature.len(), 1, "{sut}: {signature:?}");
     assert!(signature[0].1.starts_with("kill(mode=rst"), "{sut}");
 }

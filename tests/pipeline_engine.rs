@@ -117,12 +117,13 @@ fn marker_correlation_measures_ingestion_latency() {
     let engine = Arc::new(TideGraph::start(EngineConfig::default(), &hub));
     let mut connector = EngineConnector::new(Arc::clone(&engine));
     let plan = graphtides::harness::RunPlan::new(stream, 100_000.0);
-    let outcome = graphtides::harness::run_experiment(plan, &mut connector).unwrap();
+    let outcome =
+        graphtides::harness::run(plan, graphtides::harness::Target::Sink(&mut connector)).unwrap();
 
     // Two watermarks expected (1000 events / 500).
-    assert_eq!(outcome.report.markers.len(), 2);
+    assert_eq!(outcome.replay().markers.len(), 2);
     let names: Vec<&str> = outcome
-        .report
+        .replay()
         .markers
         .iter()
         .map(|(n, _)| n.as_str())

@@ -150,7 +150,8 @@ fn level0_process_sampler_observes_the_run() {
     }
     .with_logger(Box::new(ProcessSampler::new(clock, "store-process")));
 
-    let outcome = graphtides::harness::run_experiment(plan, &mut connector).unwrap();
+    let outcome =
+        graphtides::harness::run(plan, graphtides::harness::Target::Sink(&mut connector)).unwrap();
     store.shutdown();
 
     let rss = outcome.log.series("store-process", "rss_bytes");
@@ -182,7 +183,8 @@ fn harness_collects_store_metrics_during_run() {
     }
     .with_logger(Box::new(HubSampler::new(hub.clone(), clock, "store")));
 
-    let outcome = graphtides::harness::run_experiment(plan, &mut connector).unwrap();
+    let outcome =
+        graphtides::harness::run(plan, graphtides::harness::Target::Sink(&mut connector)).unwrap();
     store.shutdown();
 
     // The log holds a growing store.events series.
