@@ -12,13 +12,15 @@
 //! run (allocation counters only warn — they are exact, but machine-
 //! independent thresholds for them are not meaningful).
 //!
-//! The JSON is hand-written and hand-parsed (the workspace deliberately
-//! vendors no `serde_json`): one suite per line, fixed key order, flat
-//! numeric fields. See [`BenchRecord`].
+//! The JSON is hand-written (the workspace deliberately vendors no
+//! `serde_json`) and read back through `gt_core::json`: one suite per
+//! line, fixed key order, flat numeric fields. See [`BenchRecord`].
 
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
+
+use gt_core::json::{extract_num, extract_str};
 
 /// A global allocator wrapper that counts allocations, for measuring the
 /// allocation rate of the hot paths. Install it in a binary with:
@@ -140,46 +142,24 @@ pub fn to_json(area: &str, records: &[BenchRecord]) -> String {
     out
 }
 
-/// Parses the format written by [`to_json`]. Tolerant of whitespace and
-/// field reordering, but not a general JSON parser — it only needs to
-/// read files this module wrote.
+/// Parses the format written by [`to_json`], one suite per line, through
+/// the shared flat-JSON field reader ([`gt_core::json`]).
 pub fn from_json(text: &str) -> Vec<BenchRecord> {
     let mut records = Vec::new();
     for line in text.lines() {
-        let line = line.trim().trim_end_matches(',');
-        if !(line.starts_with('{') && line.contains("\"name\"")) {
-            continue;
-        }
-        let Some(name) = extract_str(line, "name") else {
+        let Ok(name) = extract_str(line, "name") else {
             continue;
         };
         records.push(BenchRecord {
-            name,
+            name: name.to_owned(),
             median_ns_per_event: extract_num(line, "median_ns_per_event").unwrap_or(0.0),
             events_per_sec: extract_num(line, "events_per_sec").unwrap_or(0.0),
             allocs_per_event: extract_num(line, "allocs_per_event").unwrap_or(0.0),
-            events: extract_num(line, "events").unwrap_or(0.0) as u64,
-            rounds: extract_num(line, "rounds").unwrap_or(0.0) as u32,
+            events: extract_num(line, "events").unwrap_or(0),
+            rounds: extract_num(line, "rounds").unwrap_or(0),
         });
     }
     records
-}
-
-fn extract_str(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":");
-    let rest = &line[line.find(&pat)? + pat.len()..];
-    let rest = rest.trim_start();
-    let rest = rest.strip_prefix('"')?;
-    Some(rest[..rest.find('"')?].to_owned())
-}
-
-fn extract_num(line: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let rest = line[line.find(&pat)? + pat.len()..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == '+' || c == 'e'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 /// Outcome of comparing a fresh run against the committed numbers.

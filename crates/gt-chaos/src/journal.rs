@@ -74,17 +74,11 @@ impl ChaosJournal {
             .collect()
     }
 
-    /// Renders the journal as metric records under [`CHAOS_SOURCE`]: a
-    /// text record per entry (`fault` / `recovery` metric, the description
-    /// as value) plus an `events_lost` int record for lossy faults.
-    pub fn records(&self) -> Vec<MetricRecord> {
-        self.records_with_source(CHAOS_SOURCE)
-    }
-
-    /// Like [`ChaosJournal::records`] but folded under an arbitrary source
-    /// label, so other fault layers (gt-netem) can reuse the journal
-    /// machinery without colliding with the chaos source.
-    pub fn records_with_source(&self, source: &str) -> Vec<MetricRecord> {
+    /// Renders the journal as metric records under `source` — a text
+    /// record per entry (`fault` / `recovery` metric, the description as
+    /// value) plus an `events_lost` int record for lossy faults. Chaos
+    /// folds under [`CHAOS_SOURCE`], gt-netem under its own label.
+    pub fn records(&self, source: &str) -> Vec<MetricRecord> {
         let mut out = Vec::new();
         for event in self.events() {
             let metric = match event.kind {
@@ -145,7 +139,7 @@ mod tests {
         let journal = ChaosJournal::new();
         journal.push(entry(5, ChaosEventKind::Fault, "disconnect(lose=2)", 2));
         journal.push(entry(7, ChaosEventKind::Recovery, "reconnected", 0));
-        let records = journal.records();
+        let records = journal.records(CHAOS_SOURCE);
         assert_eq!(records.len(), 3);
         assert_eq!(records[0].source, CHAOS_SOURCE);
         assert_eq!(records[0].metric, "fault");

@@ -9,6 +9,8 @@
 //! when faults strike **during** the run?"* — transport resets, consumer
 //! stalls, truncated writes, and crashed platform workers.
 //!
+//! * [`clause`] — the `kind@trigger,key=value; …` clause grammar every
+//!   runtime fault layer parses its spec with (this crate and `gt-netem`).
 //! * [`schedule`] — [`FaultSchedule`]: faults pinned to stream positions
 //!   (graph-event sequence numbers or marker labels), never wall-clock
 //!   time, so identical `(schedule, seed)` yields an identical fault event
@@ -21,6 +23,7 @@
 //!   recovery, folded into the harness `ResultLog` under the
 //!   [`CHAOS_SOURCE`] label for `gt_analysis::recovery_windows`.
 
+pub mod clause;
 pub mod journal;
 pub mod schedule;
 pub mod sink;

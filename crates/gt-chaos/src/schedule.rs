@@ -10,6 +10,8 @@
 
 use std::time::Duration;
 
+use crate::clause::parse_clauses;
+
 /// Where in the stream a fault fires.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FaultTrigger {
@@ -144,9 +146,9 @@ impl FaultSchedule {
         parts.join("; ")
     }
 
-    /// Parses the `gt-run --chaos` spec syntax: semicolon-separated
-    /// clauses of the form `kind@trigger[,key=value…]`, where `trigger` is
-    /// a graph-event sequence number or `marker:NAME`.
+    /// Parses the `gt-run --chaos` spec syntax: the shared clause grammar
+    /// ([`crate::clause`]) with a graph-event sequence number or
+    /// `marker:NAME` as the trigger.
     ///
     /// ```text
     /// crash@5000,worker=1,restart=2000
@@ -156,91 +158,44 @@ impl FaultSchedule {
     /// partial@6000,keep=10
     /// ```
     pub fn parse(spec: &str, seed: u64) -> Result<Self, String> {
-        let mut schedule = FaultSchedule::new(seed);
-        for clause in spec.split(';') {
-            let clause = clause.trim();
-            if clause.is_empty() {
-                continue;
-            }
-            schedule.faults.push(parse_clause(clause)?);
-        }
-        if schedule.is_empty() {
-            return Err("empty chaos spec".into());
-        }
-        Ok(schedule)
+        let faults = parse_clauses(spec, |clause| {
+            let trigger = match (
+                clause.trigger.strip_prefix("marker:"),
+                clause.trigger.parse(),
+            ) {
+                (Some(name), _) if !name.is_empty() => FaultTrigger::AtMarker(name.to_owned()),
+                (None, Ok(seq)) => FaultTrigger::AtSeq(seq),
+                _ => {
+                    return Err(format!(
+                        "bad chaos trigger `{}`: expected N or marker:NAME",
+                        clause.trigger
+                    ))
+                }
+            };
+            let kind = match clause.kind {
+                "disconnect" => FaultKind::Disconnect {
+                    lose: clause.require("lose")?,
+                },
+                "stall" => FaultKind::Stall {
+                    duration: Duration::from_millis(clause.require("ms")?),
+                },
+                "partial" => FaultKind::PartialBatch {
+                    keep: clause.require("keep")?,
+                },
+                "crash" => FaultKind::CrashWorker {
+                    worker: clause.require("worker")?,
+                    restart_after: clause.take("restart")?,
+                },
+                other => {
+                    return Err(format!(
+                        "unknown chaos kind `{other}` (expected disconnect|stall|partial|crash)"
+                    ))
+                }
+            };
+            Ok(ScheduledFault { trigger, kind })
+        })?;
+        Ok(FaultSchedule { faults, seed })
     }
-}
-
-fn parse_clause(clause: &str) -> Result<ScheduledFault, String> {
-    let mut parts = clause.split(',').map(str::trim);
-    let head = parts.next().expect("split yields at least one part");
-    let (kind_name, trigger) = head
-        .split_once('@')
-        .ok_or_else(|| format!("bad chaos clause `{clause}`: expected kind@trigger"))?;
-    let trigger = if let Some(name) = trigger.strip_prefix("marker:") {
-        if name.is_empty() {
-            return Err(format!("bad chaos clause `{clause}`: empty marker name"));
-        }
-        FaultTrigger::AtMarker(name.to_owned())
-    } else {
-        FaultTrigger::AtSeq(
-            trigger
-                .parse()
-                .map_err(|_| format!("bad chaos trigger `{trigger}`: expected N or marker:NAME"))?,
-        )
-    };
-
-    let mut params = std::collections::BTreeMap::new();
-    for part in parts {
-        let (key, value) = part
-            .split_once('=')
-            .ok_or_else(|| format!("bad chaos parameter `{part}`: expected key=value"))?;
-        if params.insert(key, value).is_some() {
-            return Err(format!("duplicate chaos parameter `{key}` in `{clause}`"));
-        }
-    }
-    let take_u64 = |params: &mut std::collections::BTreeMap<&str, &str>, key: &str| {
-        params
-            .remove(key)
-            .map(|v| {
-                v.parse::<u64>()
-                    .map_err(|_| format!("bad chaos parameter `{key}={v}`: expected integer"))
-            })
-            .transpose()
-    };
-
-    let kind = match kind_name {
-        "disconnect" => FaultKind::Disconnect {
-            lose: take_u64(&mut params, "lose")?
-                .ok_or_else(|| format!("`{clause}`: disconnect needs lose=N"))?,
-        },
-        "stall" => FaultKind::Stall {
-            duration: Duration::from_millis(
-                take_u64(&mut params, "ms")?
-                    .ok_or_else(|| format!("`{clause}`: stall needs ms=N"))?,
-            ),
-        },
-        "partial" => FaultKind::PartialBatch {
-            keep: take_u64(&mut params, "keep")?
-                .ok_or_else(|| format!("`{clause}`: partial needs keep=N"))?
-                as usize,
-        },
-        "crash" => FaultKind::CrashWorker {
-            worker: take_u64(&mut params, "worker")?
-                .ok_or_else(|| format!("`{clause}`: crash needs worker=N"))?
-                as usize,
-            restart_after: take_u64(&mut params, "restart")?,
-        },
-        other => {
-            return Err(format!(
-                "unknown chaos kind `{other}` (expected disconnect|stall|partial|crash)"
-            ))
-        }
-    };
-    if let Some(key) = params.keys().next() {
-        return Err(format!("unknown chaos parameter `{key}` in `{clause}`"));
-    }
-    Ok(ScheduledFault { trigger, kind })
 }
 
 #[cfg(test)]
@@ -325,6 +280,13 @@ mod tests {
                 "`{bad}` should be rejected"
             );
         }
+    }
+
+    #[test]
+    fn whitespace_and_empty_parts_read_as_the_clean_spec() {
+        let clean = FaultSchedule::parse("crash@100,worker=0; stall@marker:mid,ms=5", 0);
+        let loose = FaultSchedule::parse("crash @ 100,,worker = 0, ; stall@ marker:mid ,ms= 5", 0);
+        assert_eq!(loose, clean);
     }
 
     #[test]

@@ -39,6 +39,7 @@ pub mod format;
 pub mod hash;
 pub mod ids;
 pub mod intern;
+pub mod json;
 pub mod state;
 pub mod stream;
 

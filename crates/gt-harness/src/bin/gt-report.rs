@@ -137,11 +137,8 @@ fn print_matrix_report(path: &str) -> Result<(), String> {
     let header = lines
         .next()
         .ok_or_else(|| format!("{path}: empty journal"))?;
-    let fingerprint = header
-        .trim()
-        .strip_prefix("{\"matrix\":\"")
-        .and_then(|rest| rest.strip_suffix("\"}"))
-        .ok_or_else(|| format!("{path}: not a matrix journal (bad header line)"))?;
+    let fingerprint = gt_core::json::extract_str(header, "matrix")
+        .map_err(|e| format!("{path}: not a matrix journal (bad header line: {e})"))?;
     let mut records = Vec::new();
     let mut skipped = 0usize;
     for line in lines {

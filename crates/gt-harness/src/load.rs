@@ -165,7 +165,7 @@ pub fn load_records(load: &LoadOutcome, plan: &LoadPlan, t_end: u64) -> Vec<Metr
     // analysis can correlate faults against rate dips) plus the proxy's
     // traffic counters.
     if let Some(netem) = &plan.netem {
-        records.extend(netem.journal.records_with_source(NETEM_SOURCE));
+        records.extend(netem.journal.records(NETEM_SOURCE));
     }
     if let Some(report) = &load.netem {
         for (metric, value) in [

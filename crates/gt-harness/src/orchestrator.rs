@@ -32,6 +32,7 @@ use std::path::Path;
 use std::time::Duration;
 
 use gt_analysis::{ConfidenceInterval, Summary};
+use gt_core::json::{extract_num, extract_pairs, extract_str};
 
 use crate::spec::ExperimentSpec;
 use crate::sweep::{Assignment, FactorSpace};
@@ -331,17 +332,12 @@ impl JournalRecord {
         if !line.starts_with('{') || !line.ends_with('}') {
             return Err("not a JSON object".into());
         }
-        let cell = extract_str(line, "cell")?;
-        let rep = extract_num(line, "rep")? as u32;
-        let seed = extract_num(line, "seed")? as u64;
-        let status = decode_status(&extract_str(line, "status")?)?;
-        let metrics = extract_metric_pairs(line)?;
         Ok(JournalRecord {
-            cell,
-            rep,
-            seed,
-            status,
-            metrics,
+            cell: extract_str(line, "cell")?.to_owned(),
+            rep: extract_num(line, "rep")?,
+            seed: extract_num(line, "seed")?,
+            status: decode_status(extract_str(line, "status")?)?,
+            metrics: extract_pairs(line, "metrics")?,
         })
     }
 }
@@ -403,69 +399,6 @@ fn decode_status(text: &str) -> Result<RunStatus, String> {
         })),
         other => Err(format!("unknown status `{other}`")),
     }
-}
-
-/// Extracts `"key":"VALUE"` (values never contain `"` — enforced at spec
-/// parse time).
-fn extract_str(line: &str, key: &str) -> Result<String, String> {
-    let marker = format!("\"{key}\":\"");
-    let start = line
-        .find(&marker)
-        .ok_or_else(|| format!("missing string field `{key}`"))?
-        + marker.len();
-    let end = line[start..]
-        .find('"')
-        .ok_or_else(|| format!("unterminated string field `{key}`"))?;
-    Ok(line[start..start + end].to_owned())
-}
-
-/// Extracts `"key":NUMBER`.
-fn extract_num(line: &str, key: &str) -> Result<f64, String> {
-    let marker = format!("\"{key}\":");
-    let start = line
-        .find(&marker)
-        .ok_or_else(|| format!("missing numeric field `{key}`"))?
-        + marker.len();
-    let rest = &line[start..];
-    let end = rest
-        .find([',', '}'])
-        .ok_or_else(|| format!("unterminated numeric field `{key}`"))?;
-    rest[..end]
-        .trim()
-        .parse()
-        .map_err(|e| format!("bad number in `{key}`: {e}"))
-}
-
-/// Extracts the `"metrics":[["name",1.5],...]` pair array.
-fn extract_metric_pairs(line: &str) -> Result<Vec<(String, f64)>, String> {
-    let marker = "\"metrics\":[";
-    let start = line.find(marker).ok_or("missing `metrics` field")? + marker.len();
-    let end = line[start..]
-        .rfind(']')
-        .ok_or("unterminated `metrics` array")?;
-    let body = &line[start..start + end];
-    let mut metrics = Vec::new();
-    let mut rest = body;
-    while let Some(open) = rest.find("[\"") {
-        let name_start = open + 2;
-        let name_end = rest[name_start..]
-            .find('"')
-            .ok_or("unterminated metric name")?
-            + name_start;
-        let name = rest[name_start..name_end].to_owned();
-        let value_start = name_end + 2; // skip `",`
-        let value_end = rest[value_start..]
-            .find(']')
-            .ok_or("unterminated metric value")?
-            + value_start;
-        let value: f64 = rest[value_start..value_end]
-            .trim()
-            .parse()
-            .map_err(|e| format!("bad metric value for `{name}`: {e}"))?;
-        metrics.push((name, value));
-        rest = &rest[value_end + 1..];
-    }
-    Ok(metrics)
 }
 
 /// The file-backed matrix journal: header line + one JSON line per
@@ -840,7 +773,8 @@ factor pattern = uniform | flash:1:4:2
         let record = JournalRecord {
             cell: "sut=tide-store;pattern=flash:1:4:2".into(),
             rep: 2,
-            seed: 12345,
+            // Cell seeds use all 64 bits; one read through `f64` would not.
+            seed: u64::MAX - 1,
             status: RunStatus::Completed,
             metrics: vec![
                 ("achieved_rate".into(), 19876.54321),

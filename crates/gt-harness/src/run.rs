@@ -28,7 +28,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use gt_chaos::{ChaosJournal, ChaosSink, FaultSchedule};
+use gt_chaos::{ChaosJournal, ChaosSink, FaultSchedule, CHAOS_SOURCE};
 use gt_core::prelude::*;
 use gt_load::{LoadOutcome, LoadPlan};
 use gt_metrics::{
@@ -645,7 +645,7 @@ impl Front<'_> {
         // connection drains to EOF before the front honors its stop flag.
         drop(sink);
         records.extend(front.finish()?.records(clock.now_micros()));
-        records.extend(journal.records_with_source(NETEM_SOURCE));
+        records.extend(journal.records(NETEM_SOURCE));
         Ok(records)
     }
 }
@@ -818,7 +818,7 @@ pub fn run(plan: RunPlan, target: Target<'_>) -> Result<RunOutcome, RunError> {
         .add_records(driver_records(&driver, load.as_ref(), clock.now_micros()))
         .add_records(abort_records);
     if let Some(chaos) = &chaos {
-        collector.add_records(chaos.journal.records());
+        collector.add_records(chaos.journal.records(CHAOS_SOURCE));
     }
     if let Some(report) = &report {
         collector.add_records(report_records(report, t_closed));

@@ -552,7 +552,9 @@ mod tests {
     use gt_metrics::WallClock;
     use std::io::{BufRead, BufReader};
 
-    /// A line-echo upstream: accepts connections and records received lines.
+    /// A line-echo upstream: accepts connections and records received
+    /// lines. It reads bytes, not UTF-8: a corrupted byte must not end the
+    /// reader, or the proxy's later writes fail and go uncounted.
     fn upstream_server() -> (SocketAddr, Arc<Mutex<Vec<String>>>, Arc<AtomicBool>) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
@@ -570,7 +572,8 @@ mod tests {
                             let lines = Arc::clone(&lines);
                             readers.push(thread::spawn(move || {
                                 let reader = BufReader::new(stream);
-                                for line in reader.lines().map_while(Result::ok) {
+                                for line in reader.split(b'\n').map_while(Result::ok) {
+                                    let line = String::from_utf8_lossy(&line).into_owned();
                                     lines.lock().unwrap().push(line);
                                 }
                             }));

@@ -23,8 +23,9 @@
 //! before replay; `--chaos` injects live faults mid-run through the
 //! chaos sink and prints a per-fault recovery summary (time-to-recover,
 //! throughput-dip depth, events lost). Both are seeded by `--fault-seed`
-//! and fully deterministic. Chaos runs are guarded by the experiment
-//! watchdog so a killed worker can never hang the invocation.
+//! and fully deterministic. Single-sink runs with chaos or netem are
+//! guarded by the experiment watchdog so a killed worker or a blackholed
+//! connection can never hang the invocation.
 //!
 //! `--netem` interposes the seeded network-fault proxy between the
 //! clients (or the single-sink replayer) and the SUT listener: timed
@@ -45,8 +46,9 @@
 //!
 //! `gt-run matrix` switches to the scenario-matrix orchestrator: a
 //! declarative spec file names factors (`sut`, `rate`, `pattern`,
-//! `shards`, `clients`, `loop`, `chaos`, `stream`) whose cross-product is
-//! executed cell by cell with n repetitions each, journaled to
+//! `shards`, `clients`, `loop`, `chaos`, `netem`, `stream`) whose
+//! cross-product is executed cell by cell with n repetitions each —
+//! lowered exactly as the same flags would be — journaled to
 //! `<spec>.journal.jsonl` (one JSON line per finished cell-repetition),
 //! and aggregated into per-cell CI95 summaries. A killed matrix resumes
 //! from the journal without re-running completed cell-repetitions and
@@ -147,6 +149,10 @@ fn fault_guard() -> WatchdogConfig {
 /// load, netem) and the observers each front gets. On the load front the
 /// clients pace their own arrival schedules, so the rate pattern shapes
 /// the arrival intensity there; single-sink, the pacer itself follows it.
+/// Flags and matrix cells both come through here, so two rules hold on
+/// both paths: a single-sink run is Level 2 (its stage latencies are
+/// sampled), and a single-sink run with a fault layer (chaos or netem)
+/// is watchdog-guarded.
 fn lower(spec: &RunSpec) -> Result<RunPlan, String> {
     let mut plan = RunPlan::new(&spec.stream, spec.rate);
     if spec.clients > 0 {
@@ -162,14 +168,15 @@ fn lower(spec: &RunSpec) -> Result<RunPlan, String> {
     if let Some(chaos) = &spec.chaos {
         let schedule = FaultSchedule::parse(chaos, spec.fault_seed)
             .map_err(|e| format!("bad chaos schedule: {e}"))?;
-        plan = plan
-            .with_chaos(ChaosPlan::new(schedule))
-            .with_watchdog(fault_guard());
+        plan = plan.with_chaos(ChaosPlan::new(schedule));
     }
     if let Some(netem) = &spec.netem {
         let schedule = NetemSchedule::parse(netem, spec.fault_seed)
             .map_err(|e| format!("bad netem schedule: {e}"))?;
         plan = plan.with_netem(NetemPlan::new(schedule));
+    }
+    if spec.clients == 0 && (spec.chaos.is_some() || spec.netem.is_some()) {
+        plan = plan.with_watchdog(fault_guard());
     }
     Ok(plan)
 }
@@ -241,8 +248,7 @@ where
     text.parse().map_err(|e| format!("{bad}: {e}"))
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut args = std::env::args().skip(1);
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut path = None;
     let mut sut = None;
     let mut spec = RunSpec {
@@ -780,19 +786,9 @@ fn plan_cell(
     // Schedule parse errors and combinations the run path refuses should
     // surface during validation, not after hours of completed cells (the
     // seed only offsets jitter).
-    let mut plan = lower(&spec)?;
+    let plan = lower(&spec)?;
     plan.check(&Target::Sut(registry, &spec.sut, &spec.options))
         .map_err(|e| e.to_string())?;
-    if spec.clients == 0 {
-        // Unattended single-sink cells trace only when chaos needs the
-        // stage latencies, and guard network faults like chaos ones.
-        if spec.chaos.is_none() {
-            plan.level = EvaluationLevel::Level1;
-        }
-        if spec.netem.is_some() {
-            plan = plan.with_watchdog(fault_guard());
-        }
-    }
     Ok((spec, plan))
 }
 
@@ -1053,7 +1049,7 @@ fn main() -> ExitCode {
         };
     }
 
-    let mut args = match parse_args() {
+    let mut args = match parse_args(argv.into_iter()) {
         Ok(args) => args,
         Err(message) => {
             eprintln!("{message}");
@@ -1103,4 +1099,40 @@ fn main() -> ExitCode {
         let _ = std::fs::remove_file(&args.spec.stream);
     }
     code
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const NETEM: &str = "kill@60ms,mode=fin";
+
+    /// The single-sink plan a matrix cell with these factors lowers to.
+    fn cell_plan(factors: &[(&str, &str)]) -> RunPlan {
+        let cell: Assignment = factors
+            .iter()
+            .map(|(name, level)| (name.to_string(), level.to_string()))
+            .collect();
+        plan_cell(&cell, Some("s.csv"), 0, &builtin_registry())
+            .unwrap()
+            .1
+    }
+
+    #[test]
+    fn flags_and_matrix_cells_lower_a_netem_run_the_same_way() {
+        let flags = ["s.csv", "--sut", "tide-store", "--netem", NETEM].map(String::from);
+        let from_flags = lower(&parse_args(flags.into_iter()).unwrap().spec).unwrap();
+        let from_cell = cell_plan(&[("sut", "tide-store"), ("netem", NETEM)]);
+        assert_eq!(from_flags.level, EvaluationLevel::Level2);
+        assert_eq!(from_cell.level, from_flags.level);
+        assert_eq!(from_flags.watchdog, Some(fault_guard()));
+        assert_eq!(from_cell.watchdog, from_flags.watchdog);
+    }
+
+    #[test]
+    fn a_clean_single_sink_cell_is_not_downgraded_to_level_1() {
+        let plan = cell_plan(&[("sut", "tide-store"), ("clients", "0")]);
+        assert_eq!(plan.level, EvaluationLevel::Level2);
+        assert_eq!(plan.watchdog, None);
+    }
 }
