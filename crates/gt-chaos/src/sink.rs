@@ -25,7 +25,8 @@ use crate::schedule::{FaultKind, FaultSchedule, FaultTrigger};
 /// a fault at `AtSeq(n)` fires when event `n` arrives and applies to that
 /// event onward. Markers and control entries are never dropped (phase
 /// structure survives, as with `gt-faults`), and marker-triggered faults
-/// fire after the marker itself has been delivered.
+/// fire after the marker itself has been delivered. A stall waits on, and
+/// every journal entry is stamped with, the sink's clock.
 pub struct ChaosSink<S> {
     inner: S,
     pending: Vec<Option<crate::schedule::ScheduledFault>>,
@@ -107,7 +108,8 @@ impl<S: EventSink> ChaosSink<S> {
             }
             FaultKind::Stall { duration } => {
                 self.note(ChaosEventKind::Fault, fault.kind.describe(), 0);
-                std::thread::sleep(duration);
+                self.clock
+                    .wait_until(self.clock.now_micros() + duration.as_micros() as u64);
                 self.note(
                     ChaosEventKind::Recovery,
                     format!("stall ended after {} ms", duration.as_millis()),

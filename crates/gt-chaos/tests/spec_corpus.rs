@@ -17,6 +17,7 @@ const ACCEPTED: &[(&str, &str, &str)] = &[
     ("crash@100,worker=0", "FaultSchedule { faults: [ScheduledFault { trigger: AtSeq(100), kind: CrashWorker { worker: 0, restart_after: None } }], seed: 7 }", "crash(worker=0)@100"),
     ("crash@600,worker=0,restart=400; stall@1500,ms=20", "FaultSchedule { faults: [ScheduledFault { trigger: AtSeq(600), kind: CrashWorker { worker: 0, restart_after: Some(400) } }, ScheduledFault { trigger: AtSeq(1500), kind: Stall { duration: 20ms } }], seed: 7 }", "crash(worker=0, restart=+400)@600; stall(ms=20)@1500"),
     ("stall@10,ms=1", "FaultSchedule { faults: [ScheduledFault { trigger: AtSeq(10), kind: Stall { duration: 1ms } }], seed: 7 }", "stall(ms=1)@10"),
+    ("stall@40,ms=50", "FaultSchedule { faults: [ScheduledFault { trigger: AtSeq(40), kind: Stall { duration: 50ms } }], seed: 7 }", "stall(ms=50)@40"),
     ("crash@300,worker=1,restart=400", "FaultSchedule { faults: [ScheduledFault { trigger: AtSeq(300), kind: CrashWorker { worker: 1, restart_after: Some(400) } }], seed: 7 }", "crash(worker=1, restart=+400)@300"),
     ("crash@1000,worker=0,restart=800; stall@3000,ms=100", "FaultSchedule { faults: [ScheduledFault { trigger: AtSeq(1000), kind: CrashWorker { worker: 0, restart_after: Some(800) } }, ScheduledFault { trigger: AtSeq(3000), kind: Stall { duration: 100ms } }], seed: 7 }", "crash(worker=0, restart=+800)@1000; stall(ms=100)@3000"),
     ("crash@1000,worker=0,restart=800", "FaultSchedule { faults: [ScheduledFault { trigger: AtSeq(1000), kind: CrashWorker { worker: 0, restart_after: Some(800) } }], seed: 7 }", "crash(worker=0, restart=+800)@1000"),

@@ -1,12 +1,10 @@
 //! The SUT-side multi-connection listener.
 //!
-//! Replaces the single-accept TCP front-end
-//! ([`gt_replayer::spawn_tcp_source`]) for load runs: a nonblocking
-//! accept loop admits N client connections, one reader thread per
-//! connection parses the line protocol and feeds a *per-connection*
-//! platform connector through the batched [`EventSink`] path, and a
-//! marker barrier re-establishes the total marker order the single
-//! connection used to provide for free.
+//! The TCP front-end of load runs: a nonblocking accept loop admits N
+//! client connections, one reader thread per connection parses the line
+//! protocol and feeds a *per-connection* platform connector through the
+//! batched [`EventSink`] path, and a marker barrier re-establishes the
+//! total marker order the single connection used to provide for free.
 //!
 //! # Marker ordering
 //!

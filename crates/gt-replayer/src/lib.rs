@@ -7,15 +7,16 @@
 //! emitting with a multi-threaded design, using high-precision timestamps
 //! and busy-waiting for timeliness.
 //!
-//! * [`sink`] — where events go: an in-process channel, any
-//!   [`std::io::Write`] (pipes, files, stdout), or a TCP connection; all
-//!   platform-specific connectors implement one trait, keeping the harness
-//!   platform-agnostic (§3.3).
-//! * [`pacing`] — the deadline-based rate controller with hybrid
-//!   sleep/busy-wait.
-//! * [`replayer`] — the driver: honours in-stream `SPEED` and `PAUSE`
-//!   control events, timestamps `MARKER` events against the run clock, and
-//!   reports achieved ingress rates (§4.3 "Streaming Metrics").
+//! * [`sink`] — where events go: any [`std::io::Write`] (pipes, files,
+//!   stdout) or a TCP connection; all platform-specific connectors
+//!   implement one trait, keeping the harness platform-agnostic (§3.3).
+//! * [`pacing`] — the deadline arithmetic of the rate controller, pure
+//!   over replay-relative nanoseconds.
+//! * [`replayer`] — the driver: paces, pauses and timestamps on the run's
+//!   [`gt_metrics::Clock`] (one time base and one sleep-then-spin wait,
+//!   `Clock::wait_until`, for the whole instrument), honours in-stream
+//!   `SPEED` and `PAUSE` control events, and reports achieved ingress
+//!   rates (§4.3 "Streaming Metrics").
 //! * [`reader`] — the decoupled file-reader thread feeding the replayer
 //!   through a bounded channel, a chunk of entries at a time.
 //! * [`mmap`] — the memory-mapped twin of the reader thread: borrowed
@@ -35,17 +36,13 @@ pub mod reconnect;
 pub mod replayer;
 pub mod session;
 pub mod sink;
-pub mod source;
 
 pub use errors::ReplayError;
 pub use mmap::{spawn_mmap_reader, MmapFile};
-pub use pacing::{Pacer, PacerCore, Schedule};
+pub use pacing::{PacerCore, Schedule};
 pub use pattern::{CompiledPattern, RatePattern};
 pub use reader::{spawn_file_reader, EntryReceiver};
 pub use reconnect::{ReconnectPolicy, ReconnectingTcpSink};
 pub use replayer::{ReplayReport, Replayer, ReplayerConfig};
 pub use session::{ReplaySession, ReplaySessionConfig, SessionReport};
-pub use sink::{
-    ChannelSink, CollectSink, EventSink, SinkEvent, SinkEventKind, TcpSink, WriterSink,
-};
-pub use source::spawn_tcp_source;
+pub use sink::{CollectSink, EventSink, SinkEvent, SinkEventKind, TcpSink, WriterSink};

@@ -1,24 +1,20 @@
-//! Deadline-based rate control with hybrid sleep / busy-wait.
+//! Deadline-based rate control.
 //!
 //! "Emitting stream events is handled by a dedicated thread that uses high
 //! precision timestamps and busy-waiting for timeliness" (§5.1). A plain
 //! `sleep` per event caps out far below the paper's 320k events/s targets
-//! (timer granularity) and drifts; [`Pacer`] instead tracks an absolute
-//! next-emission deadline, sleeps only while the remaining wait is
-//! comfortably above timer granularity, and spins for the final stretch.
+//! (timer granularity) and drifts; [`PacerCore`] instead tracks an
+//! absolute next-emission deadline, so a late wake-up shortens the next
+//! wait instead of shifting every later event.
 //!
-//! The deadline arithmetic lives in [`PacerCore`], which is pure over
-//! run-relative nanoseconds — no clock reads, no sleeping — so SPEED /
-//! PAUSE / stall scenarios are testable deterministically. [`Pacer`] is
-//! the thin wall-clock shell that feeds it `Instant`s and actually blocks.
-
-use std::time::{Duration, Instant};
+//! [`PacerCore`] is pure over replay-relative nanoseconds — no clock
+//! reads, no sleeping — so SPEED / PAUSE / stall scenarios are testable
+//! deterministically. The [`crate::Replayer`] reads "now" from the run's
+//! [`gt_metrics::Clock`] and blocks with [`gt_metrics::Clock::wait_until`]
+//! (sleep, then spin for the last stretch): one time base and one wait
+//! for the whole instrument, and virtual time on a `ManualClock`.
 
 use crate::pattern::CompiledPattern;
-
-/// The remaining-wait threshold below which the pacer spins instead of
-/// sleeping. Chosen well above typical Linux timer slack.
-const SPIN_THRESHOLD: Duration = Duration::from_micros(200);
 
 /// How far behind schedule the pacer may fall before it re-anchors the
 /// deadline to "now" instead of bursting to catch up.
@@ -34,7 +30,7 @@ pub struct Schedule {
     pub lateness_nanos: u64,
 }
 
-/// Pure deadline arithmetic over run-relative nanoseconds.
+/// Pure deadline arithmetic over replay-relative nanoseconds.
 ///
 /// Holds the base interval, the current `SPEED` factor, and the absolute
 /// next-emission deadline; [`Self::schedule`] takes "now" as a plain
@@ -164,118 +160,6 @@ impl PacerCore {
     }
 }
 
-/// A deadline-based event pacer: [`PacerCore`] driven by the wall clock.
-#[derive(Debug, Clone)]
-pub struct Pacer {
-    core: PacerCore,
-    origin: Instant,
-}
-
-impl Pacer {
-    /// A pacer targeting `rate` events per second.
-    ///
-    /// # Panics
-    /// If `rate` is not positive and finite.
-    pub fn new(rate: f64) -> Self {
-        Pacer {
-            core: PacerCore::new(rate),
-            origin: Instant::now(),
-        }
-    }
-
-    /// A pacer targeting `rate` events per second, shaped by a compiled
-    /// rate pattern (see [`crate::pattern::RatePattern`]).
-    ///
-    /// # Panics
-    /// If `rate` is not positive and finite.
-    pub fn with_pattern(rate: f64, pattern: CompiledPattern) -> Self {
-        Pacer {
-            core: PacerCore::new(rate).with_pattern(pattern),
-            origin: Instant::now(),
-        }
-    }
-
-    /// Applies a `SPEED` control factor (1.0 restores the base rate).
-    /// Invalid factors (zero, negative, NaN, infinite) are ignored — see
-    /// [`PacerCore::set_speed`].
-    pub fn set_speed(&mut self, factor: f64) {
-        self.core.set_speed(factor);
-    }
-
-    /// Current speed factor.
-    pub fn speed(&self) -> f64 {
-        self.core.speed()
-    }
-
-    /// The effective target rate in events/s.
-    pub fn effective_rate(&self) -> f64 {
-        self.core.effective_rate()
-    }
-
-    /// Nanoseconds since this pacer's origin.
-    fn now_nanos(&self) -> u64 {
-        self.origin.elapsed().as_nanos() as u64
-    }
-
-    /// Non-blocking scheduling decision: advances the deadline and returns
-    /// the [`Schedule`] together with the run-relative "now" (nanoseconds
-    /// since the pacer's origin) it was taken at.
-    ///
-    /// `wait_nanos > 0` means the emission is early — block until
-    /// `now + wait_nanos` (see [`Self::block_until`]) to stay on schedule.
-    /// `wait_nanos == 0` means the emission is already due; the replayer
-    /// uses this to coalesce behind-schedule events into one batch instead
-    /// of blocking per event.
-    pub fn poll(&mut self) -> (Schedule, u64) {
-        let now = self.now_nanos();
-        (self.core.schedule(now), now)
-    }
-
-    /// Hybrid sleep/spin until the given run-relative nanosecond instant.
-    pub fn block_until(&self, target_nanos: u64) {
-        Self::wait_until(self.origin + Duration::from_nanos(target_nanos));
-    }
-
-    /// Blocks until the next emission deadline, then advances it. When the
-    /// pacer has fallen behind (deadline in the past), it returns
-    /// immediately, letting the replayer catch up in a bounded burst.
-    ///
-    /// Returns how late the emission is relative to its deadline — zero
-    /// when the pacer woke on time, positive when the previous emission
-    /// (slow sink, pause, starved reader) pushed this one past its slot.
-    pub fn wait(&mut self) -> Duration {
-        let (schedule, now) = self.poll();
-        if schedule.wait_nanos > 0 {
-            self.block_until(now + schedule.wait_nanos);
-        }
-        Duration::from_nanos(schedule.lateness_nanos)
-    }
-
-    /// Re-anchors the deadline to now + one interval (used after `PAUSE`).
-    pub fn reset(&mut self) {
-        let now = self.now_nanos();
-        self.core.reset(now);
-    }
-
-    /// Hybrid sleep/spin until the target instant.
-    fn wait_until(deadline: Instant) {
-        loop {
-            let now = Instant::now();
-            let Some(remaining) = deadline.checked_duration_since(now) else {
-                return;
-            };
-            if remaining > SPIN_THRESHOLD {
-                std::thread::sleep(remaining - SPIN_THRESHOLD);
-            } else {
-                while Instant::now() < deadline {
-                    std::hint::spin_loop();
-                }
-                return;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -333,7 +217,7 @@ mod tests {
 
     #[test]
     fn pause_resets_instead_of_bursting() {
-        // PAUSE,,20000 semantics: the replayer sleeps, then calls reset.
+        // PAUSE,,20000 semantics: the replayer waits, then calls reset.
         // The next deadline is one interval after the pause end — no
         // catch-up burst for the paused span.
         let mut core = PacerCore::new(1_000.0);
@@ -427,7 +311,7 @@ mod tests {
 
     #[test]
     fn speed_factor_scales_rate() {
-        let mut pacer = Pacer::new(1_000.0);
+        let mut pacer = PacerCore::new(1_000.0);
         assert_eq!(pacer.effective_rate(), 1_000.0);
         pacer.set_speed(2.0);
         assert_eq!(pacer.effective_rate(), 2_000.0);
@@ -439,7 +323,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "rate must be positive")]
     fn rejects_zero_rate() {
-        Pacer::new(0.0);
+        PacerCore::new(0.0);
     }
 
     #[test]
@@ -538,83 +422,5 @@ mod tests {
         assert_eq!(core.interval_nanos(), 1);
         core.speed = -1.0; // quotient negative
         assert_eq!(core.interval_nanos(), 1);
-    }
-
-    // ---- Wall-clock timing tests: `#[ignore]` by default, run by the
-    // dedicated CI timing job (`cargo test --release -- --ignored`);
-    // they sleep and measure real elapsed time, so they are too flaky
-    // for the default suite on loaded machines. ----
-
-    #[test]
-    #[ignore = "wall-clock timing; run via the CI timing job"]
-    fn paces_to_target_rate() {
-        let mut pacer = Pacer::new(2_000.0);
-        pacer.reset();
-        let start = Instant::now();
-        for _ in 0..200 {
-            pacer.wait();
-        }
-        let elapsed = start.elapsed().as_secs_f64();
-        let rate = 200.0 / elapsed;
-        // Within 25% of the 2k target on a loaded CI machine.
-        assert!(
-            (1_500.0..2_600.0).contains(&rate),
-            "achieved rate {rate} events/s"
-        );
-    }
-
-    #[test]
-    #[ignore = "wall-clock timing; run via the CI timing job"]
-    fn doubled_speed_halves_duration() {
-        let mut slow = Pacer::new(4_000.0);
-        slow.reset();
-        let start = Instant::now();
-        for _ in 0..100 {
-            slow.wait();
-        }
-        let slow_elapsed = start.elapsed();
-
-        let mut fast = Pacer::new(4_000.0);
-        fast.set_speed(2.0);
-        fast.reset();
-        let start = Instant::now();
-        for _ in 0..100 {
-            fast.wait();
-        }
-        let fast_elapsed = start.elapsed();
-        assert!(
-            fast_elapsed.as_secs_f64() < slow_elapsed.as_secs_f64() * 0.8,
-            "fast {fast_elapsed:?} vs slow {slow_elapsed:?}"
-        );
-    }
-
-    #[test]
-    #[ignore = "wall-clock timing; run via the CI timing job"]
-    fn recovers_after_stall_without_unbounded_burst() {
-        let mut pacer = Pacer::new(1_000_000.0);
-        pacer.reset();
-        std::thread::sleep(Duration::from_millis(150));
-        // The pacer re-anchors rather than firing hundreds of thousands of
-        // catch-up events instantly; the next waits still pace.
-        let start = Instant::now();
-        for _ in 0..1_000 {
-            pacer.wait();
-        }
-        let elapsed = start.elapsed();
-        assert!(elapsed >= Duration::from_micros(500), "elapsed {elapsed:?}");
-    }
-
-    #[test]
-    #[ignore = "wall-clock timing; run via the CI timing job"]
-    fn reports_lateness_when_behind() {
-        let mut pacer = Pacer::new(1_000.0);
-        pacer.reset();
-        // First wait lands on (or after) its deadline normally.
-        let on_time = pacer.wait();
-        assert!(on_time < Duration::from_millis(5), "late {on_time:?}");
-        // Simulate a stalled sink: the next deadline is long past.
-        std::thread::sleep(Duration::from_millis(20));
-        let late = pacer.wait();
-        assert!(late >= Duration::from_millis(15), "lateness {late:?}");
     }
 }

@@ -182,7 +182,7 @@ impl ReconnectingTcpSink {
     }
 
     /// Uses a shared run clock so sink events line up with replay marker
-    /// timestamps.
+    /// timestamps. Backoff waits run on it too.
     #[must_use]
     pub fn with_clock(mut self, clock: Arc<dyn Clock>) -> Self {
         self.clock = clock;
@@ -313,7 +313,8 @@ impl ReconnectingTcpSink {
         self.disconnects += 1;
         let mut last = io::Error::new(io::ErrorKind::NotConnected, trigger.to_string());
         for (i, backoff) in schedule.iter().enumerate() {
-            std::thread::sleep(*backoff);
+            self.clock
+                .wait_until(self.clock.now_micros() + backoff.as_micros() as u64);
             match self.try_dial() {
                 Ok(()) => {
                     self.reconnects += 1;

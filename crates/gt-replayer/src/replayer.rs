@@ -10,9 +10,13 @@ use gt_metrics::{Clock, Histogram, WallClock};
 use gt_trace::Probe;
 
 use crate::errors::ReplayError;
-use crate::pacing::Pacer;
+use crate::pacing::PacerCore;
 use crate::pattern::RatePattern;
 use crate::sink::EventSink;
+
+/// Longest single wait inside a `PAUSE`: how long a watchdog abort can go
+/// unnoticed.
+const PAUSE_SLICE_MICROS: u64 = 20_000;
 
 /// Replayer configuration.
 #[derive(Debug, Clone)]
@@ -21,7 +25,7 @@ pub struct ReplayerConfig {
     pub target_rate: f64,
     /// Width of the ingress-rate buckets in the report, seconds.
     pub rate_bucket_secs: f64,
-    /// Whether `PAUSE` control events actually sleep. Disable for
+    /// Whether `PAUSE` control events actually wait. Disable for
     /// maximum-throughput benchmarking of the replayer itself.
     pub honor_pauses: bool,
     /// Upper bound on how many behind-schedule events are coalesced into a
@@ -59,10 +63,10 @@ pub struct ReplayReport {
     /// Marker events emitted, with their run-clock timestamps in
     /// microseconds — the watermark correlation data of §4.5.
     pub markers: Vec<(String, u64)>,
-    /// Total wall time of the replay in microseconds.
+    /// Total time of the replay on the replayer's clock, microseconds.
     pub duration_micros: u64,
-    /// Wall time spent sleeping in honored `PAUSE` control events,
-    /// microseconds. Always `<= duration_micros`.
+    /// Time spent in honored `PAUSE` control events, microseconds. Always
+    /// `<= duration_micros`.
     pub paused_micros: u64,
     /// Events per second, bucketed over the run.
     pub rate_series: Vec<(f64, f64)>,
@@ -109,7 +113,7 @@ impl Replayer {
     }
 
     /// Uses a shared run clock (so marker timestamps align with metric
-    /// logger timestamps).
+    /// logger timestamps). The replayer also paces and pauses on it.
     pub fn with_clock(mut self, clock: Arc<dyn Clock>) -> Self {
         self.clock = clock;
         self
@@ -199,20 +203,28 @@ impl Replayer {
     /// [`EventSink::send_batch`] bursts of at most
     /// [`ReplayerConfig::max_batch`] entries. The pending batch is always
     /// flushed before a marker or pause, so a marker is only delivered
-    /// after every graph event streamed before it.
+    /// after every graph event streamed before it — and before pulling
+    /// from a source whose [`Iterator::size_hint`] lower bound is zero (it
+    /// has nothing ready, so the pull may block), so due events never wait
+    /// on the source.
+    ///
+    /// Pacing deadlines, waits, pauses and every timestamp in the report
+    /// are on the replayer's [`Clock`]; on a `ManualClock` a replay runs in
+    /// virtual time.
     pub fn replay<I, S>(&self, entries: I, sink: &mut S) -> io::Result<ReplayReport>
     where
         I: IntoIterator,
         I::Item: Into<SharedEntry>,
         S: EventSink + ?Sized,
     {
-        let mut pacer = Pacer::with_pattern(
-            self.config.target_rate,
-            self.config.pattern.compile(self.config.pattern_seed),
-        );
-        pacer.reset();
+        let clock = &*self.clock;
+        let mut pacer = PacerCore::new(self.config.target_rate)
+            .with_pattern(self.config.pattern.compile(self.config.pattern_seed));
         sink.open()?;
-        let started = self.clock.now_micros();
+        // Deadlines, the rate pattern and the rate buckets count from here.
+        let started = clock.now_micros();
+        let nanos_since_start = |now: u64| now.saturating_sub(started) * 1_000;
+        pacer.reset(0);
         let mut graph_events = 0u64;
         let mut paused_micros = 0u64;
         let mut markers = Vec::new();
@@ -234,8 +246,17 @@ impl Replayer {
             };
         }
 
+        let mut entries = entries.into_iter();
         let mut aborted = false;
-        for entry in entries {
+        loop {
+            // Nothing ready at the source: what is due goes out before a
+            // pull that may block.
+            if !batch.is_empty() && entries.size_hint().0 == 0 {
+                flush_pending!();
+            }
+            let Some(entry) = entries.next() else {
+                break;
+            };
             if self.abort_requested() {
                 aborted = true;
                 break;
@@ -243,16 +264,21 @@ impl Replayer {
             let entry: SharedEntry = entry.into();
             match entry.as_ref() {
                 StreamEntry::Graph(_) => {
-                    let (schedule, now) = pacer.poll();
+                    let now = clock.now_micros();
+                    let schedule = pacer.schedule(nanos_since_start(now));
                     if let Some(h) = &self.emit_latency {
                         h.record(schedule.lateness_nanos / 1_000);
                     }
-                    if schedule.wait_nanos > 0 {
+                    // The clock reads whole microseconds: a deadline less
+                    // than one away is due now, so an unpaced replay never
+                    // waits.
+                    let wait_micros = schedule.wait_nanos / 1_000;
+                    if wait_micros > 0 {
                         // On schedule: deliver whatever coalesced while
-                        // catching up, sleep out the slot, then deliver
+                        // catching up, wait out the slot, then deliver
                         // this event in it.
                         flush_pending!();
-                        pacer.block_until(now + schedule.wait_nanos);
+                        clock.wait_until(now + wait_micros);
                         batch.push(entry);
                         flush_pending!();
                     } else {
@@ -273,7 +299,7 @@ impl Replayer {
                     flush_pending!();
                     sink.send(&entry)?;
                     sink.flush()?;
-                    markers.push((name.clone(), self.clock.now_micros()));
+                    markers.push((name.clone(), clock.now_micros()));
                 }
                 StreamEntry::Control(ControlEvent::SetSpeed(factor)) => {
                     // The file parser rejects bad SPEED payloads at parse
@@ -294,33 +320,34 @@ impl Replayer {
                     flush_pending!();
                     sink.flush()?;
                     if self.config.honor_pauses {
-                        let pause_start = self.clock.now_micros();
-                        // Sleep in slices so a watchdog abort does not
+                        let pause_start = clock.now_micros();
+                        let pause_end = pause_start + duration.as_micros() as u64;
+                        // Wait in slices so a watchdog abort does not
                         // have to wait out a long scripted pause.
-                        let mut remaining = *duration;
-                        let slice = std::time::Duration::from_millis(20);
-                        while !remaining.is_zero() {
+                        loop {
+                            let now = clock.now_micros();
+                            if now >= pause_end {
+                                break;
+                            }
                             if self.abort_requested() {
                                 aborted = true;
                                 break;
                             }
-                            let step = remaining.min(slice);
-                            std::thread::sleep(step);
-                            remaining -= step;
+                            clock.wait_until(pause_end.min(now + PAUSE_SLICE_MICROS));
                         }
-                        paused_micros += self.clock.now_micros().saturating_sub(pause_start);
+                        paused_micros += clock.now_micros().saturating_sub(pause_start);
                         if aborted {
                             break;
                         }
                     }
-                    pacer.reset();
+                    pacer.reset(nanos_since_start(clock.now_micros()));
                 }
             }
         }
         flush_pending!();
         sink.close()?;
 
-        let duration_micros = self.clock.now_micros().saturating_sub(started).max(1);
+        let duration_micros = clock.now_micros().saturating_sub(started).max(1);
         let last = buckets.len().saturating_sub(1);
         let rate_series: Vec<(f64, f64)> = buckets
             .iter()
@@ -365,6 +392,9 @@ impl Replayer {
 mod tests {
     use super::*;
     use crate::sink::CollectSink;
+    use gt_metrics::ManualClock;
+    use std::cell::Cell;
+    use std::rc::Rc;
     use std::time::Duration;
 
     fn vertices(n: u64) -> GraphStream {
@@ -376,6 +406,12 @@ mod tests {
                 })
             })
             .collect()
+    }
+
+    /// A replayer on a fresh [`ManualClock`]: every wait jumps the clock,
+    /// so a run's times are exact functions of the stream and the rate.
+    fn virtual_replayer(config: ReplayerConfig) -> Replayer {
+        Replayer::new(config).with_clock(Arc::new(ManualClock::new()))
     }
 
     #[test]
@@ -396,18 +432,15 @@ mod tests {
 
     #[test]
     fn achieves_target_rate_approximately() {
-        let stream = vertices(500);
-        let replayer = Replayer::new(ReplayerConfig {
+        // 500 events, one every 200 µs: the last slot is at 100 ms.
+        let replayer = virtual_replayer(ReplayerConfig {
             target_rate: 5_000.0,
             ..Default::default()
         });
         let mut sink = CollectSink::new();
-        let report = replayer.replay_stream(&stream, &mut sink).unwrap();
-        assert!(
-            (3_500.0..6_500.0).contains(&report.achieved_rate),
-            "achieved {}",
-            report.achieved_rate
-        );
+        let report = replayer.replay_stream(&vertices(500), &mut sink).unwrap();
+        assert_eq!(report.duration_micros, 100_000);
+        assert_eq!(report.achieved_rate, 5_000.0);
     }
 
     #[test]
@@ -417,18 +450,18 @@ mod tests {
         let mut stream = vertices(200);
         stream.push(StreamEntry::speed(4.0));
         stream.extend(vertices(200));
-        let replayer = Replayer::new(ReplayerConfig {
+        let replayer = virtual_replayer(ReplayerConfig {
             target_rate: 4_000.0,
             ..Default::default()
         });
-        let started = std::time::Instant::now();
         let mut sink = CollectSink::new();
         let report = replayer.replay_stream(&stream, &mut sink).unwrap();
-        let elapsed = started.elapsed().as_secs_f64();
         assert_eq!(report.graph_events, 400);
-        // Naive all-base-rate duration would be 0.1s; with the second half
-        // at 4x it should be ~0.0625s. Assert it clearly beats base-rate.
-        assert!(elapsed < 0.095, "elapsed {elapsed}");
+        // 200 slots of 250 µs end at 50 ms; slot 201 was issued before
+        // the change (50.25 ms), the other 199 come every 62.5 µs — the
+        // last at 62 687.5 µs, which the whole-microsecond clock reaches
+        // at 62 687. All at base rate would have taken 100 ms.
+        assert_eq!(report.duration_micros, 62_687);
     }
 
     #[test]
@@ -442,19 +475,18 @@ mod tests {
             let mut stream = vertices(3);
             stream.push(StreamEntry::speed(bad));
             stream.extend(vertices(3));
+            let clock = Arc::new(ManualClock::new());
             let replayer = Replayer::new(ReplayerConfig {
                 target_rate: 1e6,
                 ..Default::default()
-            });
+            })
+            .with_clock(clock.clone());
             let mut sink = CollectSink::new();
-            let started = std::time::Instant::now();
             let err = replayer
                 .replay_stream(&stream, &mut sink)
                 .expect_err("bad factor must fail the replay");
-            assert!(
-                started.elapsed() < Duration::from_secs(5),
-                "replay with factor {bad} stalled instead of failing"
-            );
+            // Three 1 µs slots, not a stall of any length.
+            assert_eq!(clock.now_micros(), 3, "factor {bad}");
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "factor {bad}");
             match ReplayError::from_sink_error(err) {
                 ReplayError::InvalidControl { control, reason } => {
@@ -474,14 +506,16 @@ mod tests {
         let mut stream = vertices(5);
         stream.push(StreamEntry::pause(Duration::from_millis(80)));
         stream.extend(vertices(5));
-        let replayer = Replayer::new(ReplayerConfig {
+        let replayer = virtual_replayer(ReplayerConfig {
             target_rate: 1e5,
             ..Default::default()
         });
-        let started = std::time::Instant::now();
         let mut sink = CollectSink::new();
-        replayer.replay_stream(&stream, &mut sink).unwrap();
-        assert!(started.elapsed() >= Duration::from_millis(80));
+        let report = replayer.replay_stream(&stream, &mut sink).unwrap();
+        // Five 10 µs slots, the 80 ms pause, then five slots counted
+        // afresh from its end.
+        assert_eq!(report.paused_micros, 80_000);
+        assert_eq!(report.duration_micros, 50 + 80_000 + 50);
     }
 
     #[test]
@@ -489,15 +523,15 @@ mod tests {
         let mut stream = vertices(2);
         stream.push(StreamEntry::pause(Duration::from_secs(5)));
         stream.extend(vertices(2));
-        let replayer = Replayer::new(ReplayerConfig {
+        let replayer = virtual_replayer(ReplayerConfig {
             target_rate: 1e6,
             honor_pauses: false,
             ..Default::default()
         });
-        let started = std::time::Instant::now();
         let mut sink = CollectSink::new();
-        replayer.replay_stream(&stream, &mut sink).unwrap();
-        assert!(started.elapsed() < Duration::from_secs(1));
+        let report = replayer.replay_stream(&stream, &mut sink).unwrap();
+        // Four 1 µs slots; the 5 s pause costs nothing.
+        assert_eq!(report.duration_micros, 4);
     }
 
     #[test]
@@ -544,20 +578,24 @@ mod tests {
         // 1 900 events at 20 000/s end mid-bucket (95 ms into 50 ms
         // buckets); the boundary case has its own test below.
         let stream = vertices(1_900);
-        let replayer = Replayer::new(ReplayerConfig {
+        let replayer = virtual_replayer(ReplayerConfig {
             target_rate: 20_000.0,
             rate_bucket_secs: 0.05,
             ..Default::default()
         });
         let mut sink = CollectSink::new();
         let report = replayer.replay_stream(&stream, &mut sink).unwrap();
+        assert_eq!(report.duration_micros, 95_000);
+        // Slot k is at k × 50 µs: 999 slots before 50 ms, 901 from it on.
+        assert_eq!(report.rate_series.len(), 2);
+        assert_eq!(report.rate_series[0], (0.0, 999.0 / 0.05));
         let total = series_total(&report, 0.05);
         assert!((total - 1_900.0).abs() < 1e-3, "series total {total}");
     }
 
     /// A sink on whose clock every event costs a fixed time.
     struct TickingSink {
-        clock: Arc<gt_metrics::ManualClock>,
+        clock: Arc<ManualClock>,
         micros_per_event: u64,
     }
 
@@ -575,7 +613,7 @@ mod tests {
         // bucket 2 of 50 ms, however the events were batched. That bucket
         // has no width of its own; the report gives it its 1 µs floor
         // rather than dropping what was booked there.
-        let clock = Arc::new(gt_metrics::ManualClock::new());
+        let clock = Arc::new(ManualClock::new());
         let replayer = Replayer::new(ReplayerConfig {
             target_rate: 1e9,
             rate_bucket_secs: 0.05,
@@ -604,46 +642,36 @@ mod tests {
         // 1s buckets with a run lasting well under a second: the old
         // full-width division reported ~1/20th of the true rate.
         let stream = vertices(500);
-        let replayer = Replayer::new(ReplayerConfig {
+        let replayer = virtual_replayer(ReplayerConfig {
             target_rate: 10_000.0,
             rate_bucket_secs: 1.0,
             ..Default::default()
         });
         let mut sink = CollectSink::new();
         let report = replayer.replay_stream(&stream, &mut sink).unwrap();
+        assert_eq!(report.duration_micros, 50_000);
         assert_eq!(report.rate_series.len(), 1);
         let (_, rate) = report.rate_series[0];
-        assert!(
-            (6_000.0..14_000.0).contains(&rate),
-            "tail bucket rate {rate} not near target"
-        );
+        assert!((rate - 10_000.0).abs() < 1e-6, "tail bucket rate {rate}");
     }
 
     #[test]
     fn achieved_rate_excludes_honored_pauses() {
-        // 200 events at 10k/s (~20ms active) around a 100ms pause. Over
-        // wall time the rate would be under 2k/s; over active time it must
-        // stay near the target.
+        // 200 events at 10k/s (20 ms active) around a 100 ms pause. Over
+        // the whole run the rate is 200 / 0.12 s; over active time it is
+        // the target.
         let mut stream = vertices(100);
         stream.push(StreamEntry::pause(Duration::from_millis(100)));
         stream.extend(vertices(100));
-        let replayer = Replayer::new(ReplayerConfig {
+        let replayer = virtual_replayer(ReplayerConfig {
             target_rate: 10_000.0,
             ..Default::default()
         });
         let mut sink = CollectSink::new();
         let report = replayer.replay_stream(&stream, &mut sink).unwrap();
-        assert!(
-            report.paused_micros >= 100_000,
-            "paused {} < pause duration",
-            report.paused_micros
-        );
-        assert!(report.paused_micros < report.duration_micros);
-        assert!(
-            (6_000.0..14_000.0).contains(&report.achieved_rate),
-            "active-time rate {} should be near target",
-            report.achieved_rate
-        );
+        assert_eq!(report.paused_micros, 100_000);
+        assert_eq!(report.duration_micros, 120_000);
+        assert!((report.achieved_rate - 10_000.0).abs() < 1e-6);
     }
 
     /// Records the delivery pattern: which entries arrived singly vs.
@@ -802,5 +830,95 @@ mod tests {
         let mut sink = CollectSink::new();
         let report = replayer.replay_stream(&stream, &mut sink).unwrap();
         assert_eq!(report.paused_micros, 0);
+    }
+
+    /// Has `ready` entries on hand and would block for the rest: the pull
+    /// that would block records how many graph events the sink had by
+    /// then.
+    struct StallingSource {
+        entries: std::vec::IntoIter<StreamEntry>,
+        ready: usize,
+        delivered: Rc<Cell<u64>>,
+        delivered_at_block: Option<u64>,
+    }
+
+    impl Iterator for StallingSource {
+        type Item = StreamEntry;
+
+        fn next(&mut self) -> Option<StreamEntry> {
+            if self.ready == 0 && self.delivered_at_block.is_none() {
+                self.delivered_at_block = Some(self.delivered.get());
+            }
+            self.ready = self.ready.saturating_sub(1);
+            self.entries.next()
+        }
+
+        fn size_hint(&self) -> (usize, Option<usize>) {
+            (self.ready, None)
+        }
+    }
+
+    /// Counts the graph events that reach it.
+    struct CountingSink(Rc<Cell<u64>>);
+
+    impl EventSink for CountingSink {
+        fn send(&mut self, entry: &StreamEntry) -> io::Result<()> {
+            if entry.is_graph() {
+                self.0.set(self.0.get() + 1);
+            }
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn due_events_reach_the_sink_before_the_source_blocks() {
+        // Regression: late events waited in the pending batch for
+        // `max_batch`, a marker, an on-time event or the stream's end —
+        // behind a trickling source, for as long as it blocked.
+        let delivered = Rc::new(Cell::new(0));
+        let mut source = StallingSource {
+            entries: vertices(5).into_entries().into_iter(),
+            ready: 3,
+            delivered: Rc::clone(&delivered),
+            delivered_at_block: None,
+        };
+        let replayer = virtual_replayer(ReplayerConfig {
+            target_rate: 1e9,
+            ..Default::default()
+        });
+        let report = replayer
+            .replay(&mut source, &mut CountingSink(delivered))
+            .unwrap();
+        assert_eq!(source.delivered_at_block, Some(3));
+        assert_eq!(report.graph_events, 5);
+    }
+
+    #[test]
+    #[ignore = "wall-clock pacing accuracy; run via the CI timing job"]
+    fn paces_to_target_on_the_wall_clock() {
+        // The replayer on its default `WallClock`: 400 events at 4k/s take
+        // 0.1 s, and SPEED,,2 from the start halves that.
+        let run = |speed: f64| {
+            let mut stream: GraphStream = std::iter::once(StreamEntry::speed(speed)).collect();
+            stream.extend(vertices(400));
+            let replayer = Replayer::new(ReplayerConfig {
+                target_rate: 4_000.0,
+                ..Default::default()
+            });
+            let report = replayer
+                .replay_stream(&stream, &mut CollectSink::new())
+                .unwrap();
+            report.duration_micros as f64
+        };
+        let base = run(1.0);
+        assert!(
+            (75_000.0..125_000.0).contains(&base),
+            "400 events at 4k/s took {base} µs"
+        );
+        let doubled = run(2.0);
+        assert!(
+            (0.4..0.6).contains(&(doubled / base)),
+            "SPEED,,2 took {doubled} µs against {base} µs"
+        );
     }
 }

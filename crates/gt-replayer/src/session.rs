@@ -21,14 +21,15 @@
 //! | `sink_stall_micros` | counter | emitter time blocked in `send`/`flush` (consumer too slow) |
 //! | `emit_latency_micros` | histogram | per-event deadline miss |
 //!
-//! Passing a shared hub (and clock) lets harness logger threads sample
-//! the pipeline live; the final values are also folded into the returned
-//! [`SessionReport`].
+//! Both stall counters are differences of two readings of the session's
+//! [`Clock`] around the blocking call — on a `ManualClock` they are exact
+//! virtual times. Passing a shared hub (and clock) lets harness logger
+//! threads sample the pipeline live; the final values are also folded
+//! into the returned [`SessionReport`].
 
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use gt_core::prelude::*;
 use gt_metrics::hub::{Counter, Gauge};
@@ -173,10 +174,12 @@ impl ReplaySession {
             reader_stall: self.hub.counter("reader_stall_micros"),
             max_depth: Arc::clone(&max_queue_depth),
             trace_probe: self.tracer.as_ref().map(|t| t.probe(Stage::ReaderDequeue)),
+            clock: &*self.clock,
         };
         let mut instrumented_sink = InstrumentedSink {
             inner: sink,
             sink_stall: self.hub.counter("sink_stall_micros"),
+            clock: &*self.clock,
             trace_probe: self.tracer.as_ref().map(|t| t.probe(Stage::SinkWrite)),
         };
 
@@ -220,17 +223,20 @@ impl ReplaySession {
 /// The reader→emitter channel, instrumented. Per chunk: time blocked on
 /// the channel is reader stall, and the entries queued before and after
 /// the take feed the queue-depth gauge and its maximum. Per event: the
-/// trace stamp.
-struct InstrumentedRx {
+/// trace stamp. What it can yield without blocking — the rest of its chunk,
+/// or else what is queued — is its `size_hint`, so the emitter delivers
+/// its pending batch before a pull that would wait on the reader.
+struct InstrumentedRx<'a> {
     rx: EntryReceiver,
     chunk: std::vec::IntoIter<SharedEntry>,
     queue_depth: Gauge,
     reader_stall: Counter,
     max_depth: Arc<AtomicI64>,
     trace_probe: Option<Probe>,
+    clock: &'a dyn Clock,
 }
 
-impl InstrumentedRx {
+impl InstrumentedRx<'_> {
     fn next_chunk(&mut self) -> Option<Vec<SharedEntry>> {
         // Sample occupancy before taking as well as after: a reader parked
         // on a full channel refills the freed slot only after the take, so
@@ -238,9 +244,10 @@ impl InstrumentedRx {
         // state.
         self.max_depth
             .fetch_max(self.rx.queued() as i64, Ordering::Relaxed);
-        let start = Instant::now();
+        let start = self.clock.now_micros();
         let chunk = self.rx.recv_chunk();
-        self.reader_stall.add(start.elapsed().as_micros() as u64);
+        self.reader_stall
+            .add(self.clock.now_micros().saturating_sub(start));
         let depth = self.rx.queued() as i64;
         self.queue_depth.set(depth);
         self.max_depth.fetch_max(depth, Ordering::Relaxed);
@@ -248,8 +255,15 @@ impl InstrumentedRx {
     }
 }
 
-impl Iterator for InstrumentedRx {
+impl Iterator for InstrumentedRx<'_> {
     type Item = SharedEntry;
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match self.chunk.len() {
+            0 => (self.rx.queued(), None),
+            ready => (ready, None),
+        }
+    }
 
     fn next(&mut self) -> Option<SharedEntry> {
         let entry = match self.chunk.next() {
@@ -270,11 +284,23 @@ impl Iterator for InstrumentedRx {
     }
 }
 
-/// Times every `send`/`flush`, accumulating sink stall.
+/// Times every sink call on the session's clock, accumulating sink stall.
 struct InstrumentedSink<'a, S: ?Sized> {
     inner: &'a mut S,
     sink_stall: Counter,
     trace_probe: Option<Probe>,
+    clock: &'a dyn Clock,
+}
+
+impl<S: ?Sized> InstrumentedSink<'_, S> {
+    /// Makes one call into the sink, booking its clock time as sink stall.
+    fn timed<T>(&mut self, call: impl FnOnce(&mut S) -> T) -> T {
+        let start = self.clock.now_micros();
+        let result = call(self.inner);
+        self.sink_stall
+            .add(self.clock.now_micros().saturating_sub(start));
+        result
+    }
 }
 
 impl<S: EventSink + ?Sized> EventSink for InstrumentedSink<'_, S> {
@@ -291,10 +317,7 @@ impl<S: EventSink + ?Sized> EventSink for InstrumentedSink<'_, S> {
                 probe.stamp();
             }
         }
-        let start = Instant::now();
-        let result = self.inner.send(entry);
-        self.sink_stall.add(start.elapsed().as_micros() as u64);
-        result
+        self.timed(|sink| sink.send(entry))
     }
 
     fn send_batch(&mut self, batch: &[SharedEntry]) -> std::io::Result<()> {
@@ -303,24 +326,15 @@ impl<S: EventSink + ?Sized> EventSink for InstrumentedSink<'_, S> {
         if let Some(probe) = &self.trace_probe {
             probe.stamp_n(batch.len() as u64);
         }
-        let start = Instant::now();
-        let result = self.inner.send_batch(batch);
-        self.sink_stall.add(start.elapsed().as_micros() as u64);
-        result
+        self.timed(|sink| sink.send_batch(batch))
     }
 
     fn flush(&mut self) -> std::io::Result<()> {
-        let start = Instant::now();
-        let result = self.inner.flush();
-        self.sink_stall.add(start.elapsed().as_micros() as u64);
-        result
+        self.timed(|sink| sink.flush())
     }
 
     fn close(&mut self) -> std::io::Result<()> {
-        let start = Instant::now();
-        let result = self.inner.close();
-        self.sink_stall.add(start.elapsed().as_micros() as u64);
-        result
+        self.timed(|sink| sink.close())
     }
 
     fn drain_events(&mut self) -> Vec<SinkEvent> {

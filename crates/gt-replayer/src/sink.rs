@@ -3,14 +3,12 @@
 //! The paper requires "a generic streaming interface supporting different
 //! modes of operation … adapted by platform-specific connectors" (§3.3).
 //! [`EventSink`] is that interface. Built-in connectors cover the paper's
-//! evaluation setups: process pipes / stdout ([`WriterSink`]), local or
-//! remote TCP sockets ([`TcpSink`]), and in-process channels
-//! ([`ChannelSink`]) for systems embedded in the harness.
+//! evaluation setups: process pipes / stdout ([`WriterSink`]) and local or
+//! remote TCP sockets ([`TcpSink`]).
 
 use std::io::{self, BufWriter, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
-use crossbeam::channel::Sender;
 use gt_core::format::entry_to_line;
 use gt_core::prelude::*;
 
@@ -305,43 +303,6 @@ impl EventSink for TcpSink {
     }
 }
 
-/// Sends entries into a crossbeam channel — the in-process connector used
-/// by the embedded systems under test.
-///
-/// The channel carries [`SharedEntry`] handles: batched delivery clones the
-/// `Arc` per entry, never the payload.
-pub struct ChannelSink {
-    tx: Sender<SharedEntry>,
-}
-
-impl ChannelSink {
-    /// Wraps a sender.
-    pub fn new(tx: Sender<SharedEntry>) -> Self {
-        ChannelSink { tx }
-    }
-}
-
-fn channel_gone() -> io::Error {
-    io::Error::new(io::ErrorKind::BrokenPipe, "receiver disconnected")
-}
-
-impl EventSink for ChannelSink {
-    fn send(&mut self, entry: &StreamEntry) -> io::Result<()> {
-        self.tx
-            .send(SharedEntry::new(entry.clone()))
-            .map_err(|_| channel_gone())
-    }
-
-    fn send_batch(&mut self, batch: &[SharedEntry]) -> io::Result<()> {
-        for entry in batch {
-            self.tx
-                .send(SharedEntry::clone(entry))
-                .map_err(|_| channel_gone())?;
-        }
-        Ok(())
-    }
-}
-
 /// Collects entries in memory — test and measurement helper.
 #[derive(Debug, Default)]
 pub struct CollectSink {
@@ -394,44 +355,6 @@ mod tests {
         sink.flush().unwrap();
         let text = String::from_utf8(sink.into_inner()).unwrap();
         assert_eq!(text, "ADD_VERTEX,1,a\nMARKER,m,\nSPEED,,2\n");
-    }
-
-    #[test]
-    fn channel_sink_delivers() {
-        let (tx, rx) = crossbeam::channel::unbounded();
-        let mut sink = ChannelSink::new(tx);
-        for e in sample_entries() {
-            sink.send(&e).unwrap();
-        }
-        drop(sink);
-        let received: Vec<StreamEntry> = rx.iter().map(|e| e.as_ref().clone()).collect();
-        assert_eq!(received, sample_entries());
-    }
-
-    #[test]
-    fn channel_sink_batch_shares_entries() {
-        let (tx, rx) = crossbeam::channel::unbounded();
-        let mut sink = ChannelSink::new(tx);
-        let batch: Vec<SharedEntry> = sample_entries().into_iter().map(SharedEntry::new).collect();
-        sink.send_batch(&batch).unwrap();
-        drop(sink);
-        let received: Vec<SharedEntry> = rx.iter().collect();
-        assert_eq!(received.len(), batch.len());
-        // Batched delivery clones the Arc, not the payload.
-        for (sent, got) in batch.iter().zip(&received) {
-            assert!(SharedEntry::ptr_eq(sent, got));
-        }
-    }
-
-    #[test]
-    fn channel_sink_errors_when_receiver_gone() {
-        let (tx, rx) = crossbeam::channel::unbounded::<SharedEntry>();
-        drop(rx);
-        let mut sink = ChannelSink::new(tx);
-        assert!(sink.send(&StreamEntry::marker("x")).is_err());
-        assert!(sink
-            .send_batch(&[SharedEntry::new(StreamEntry::marker("y"))])
-            .is_err());
     }
 
     #[test]

@@ -78,6 +78,6 @@ pub mod prelude {
     pub use gt_graph::{CsrSnapshot, EvolvingGraph};
     pub use gt_harness::{run, ExperimentSpec, RunOutcome, RunPlan, Target};
     pub use gt_metrics::{MetricsHub, ResultLog};
-    pub use gt_replayer::{ChannelSink, CollectSink, EventSink, Replayer, ReplayerConfig};
+    pub use gt_replayer::{CollectSink, EventSink, Replayer, ReplayerConfig};
     pub use gt_sut::{SutOptions, SutRegistry, SystemUnderTest};
 }
