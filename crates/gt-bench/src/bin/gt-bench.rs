@@ -7,7 +7,8 @@
 //! Measures the §4.2 parse path (borrowed vs owned), the graph-event
 //! ingest path (the reference `EvolvingGraph` and the store's
 //! `PartitionState`, each also under the paper's Table 3 mix with its
-//! vertex removals; plus the rank engine's result-board publish) and
+//! vertex removals; plus the rank engine's result-board publish and its
+//! share transport) and
 //! the load layer's client side (one open-loop
 //! client at an unbounded rate into a counting sink, the stream
 //! partitioner, the replayer's whole file → reader → emitter session
@@ -25,7 +26,9 @@
 use std::io;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use gt_bench::trajectory::{self, measure, BenchRecord, CountingAlloc};
 use gt_core::format::{entry_to_line, parse_line, parse_line_ref};
@@ -37,13 +40,13 @@ use gt_load::{
     run_client, ClientConfig, ClientReport, ListenerReport, LoadOutcome, LoopModel,
     SeededPartitioner,
 };
-use gt_metrics::{Clock, LogCollector, WallClock};
+use gt_metrics::{Clock, LogCollector, MetricsHub, WallClock};
 use gt_replayer::{EventSink, ReplaySession, ReplaySessionConfig, ReplayerConfig};
 use gt_workloads::{SnbWorkload, Table3Workload};
 use std::hint::black_box;
 use tide_graph::board::{ResultBoard, Snapshot};
-use tide_graph::rank::RankPartition;
-use tide_graph::Partition;
+use tide_graph::rank::{RankParams, RankPartition};
+use tide_graph::{Engine, EngineConfig, Partition};
 use tide_store::PartitionState;
 
 #[global_allocator]
@@ -214,6 +217,99 @@ fn board_publish_suite(rounds: u32) -> BenchRecord {
     })
 }
 
+/// A rank partition whose first event waits for `open`: the worker's
+/// mailbox then holds the whole stream before its first round, so the
+/// rounds — and the shares they push — are the same on every run.
+struct Gated {
+    rank: RankPartition,
+    open: Arc<AtomicBool>,
+}
+
+impl Partition for Gated {
+    type Msg = f64;
+
+    fn apply_event_deferred(&mut self, event: &GraphEvent, dirty: &mut Vec<VertexId>) {
+        while !self.open.load(Ordering::Acquire) {
+            std::thread::yield_now();
+        }
+        self.rank.apply_event_deferred(event, dirty);
+    }
+
+    fn receive_deferred(&mut self, target: VertexId, mass: f64, dirty: &mut Vec<VertexId>) {
+        self.rank.receive_deferred(target, mass, dirty);
+    }
+
+    fn flush_dirty(&mut self, dirty: &[VertexId], out: &mut Vec<(VertexId, f64)>) {
+        self.rank.flush_dirty(dirty, out);
+    }
+
+    fn purge(&mut self, removed: VertexId, out: &mut Vec<(VertexId, f64)>) {
+        self.rank.purge(removed, out);
+    }
+
+    fn summary_into(&self, out: &mut Vec<(VertexId, f64)>) {
+        self.rank.summary_into(out);
+    }
+}
+
+/// One `tide-graph` worker draining `stream` to quiescence, with the
+/// benchmark's rank parameters; returns the shares it processed. Every
+/// share goes through the worker's own mailbox. The events arrive as
+/// shared handles, as from the replayer: their allocation is not the
+/// engine's.
+fn drain_shares(stream: &[SharedGraphEvent]) -> u64 {
+    let open = Arc::new(AtomicBool::new(false));
+    let gate = Arc::clone(&open);
+    let rank = RankParams {
+        epsilon: 1e-2,
+        ..RankParams::default()
+    };
+    let config = EngineConfig {
+        workers: 1,
+        rank,
+        ..EngineConfig::default()
+    };
+    let engine = Engine::start_with(config, &MetricsHub::new(), move |_| Gated {
+        rank: RankPartition::new(rank),
+        open: Arc::clone(&gate),
+    });
+    for event in stream {
+        engine.ingest_shared(event.clone());
+    }
+    open.store(true, Ordering::Release);
+    assert!(
+        engine.quiesce(Duration::from_secs(120)),
+        "the drain never settled"
+    );
+    engine.shutdown().shares
+}
+
+/// `ingest/share-transport`: ns and allocations per *share* for one
+/// worker draining a fixed preferential-attachment stream (shaped like
+/// the benchmark's `graph-direct-rank` one) — mailbox posts, packing,
+/// block recycling and the rank program's receive side. Engine start-up
+/// and the graph's own growth are in it too, spread over ~10⁶ shares.
+fn share_transport_suite(rounds: u32) -> BenchRecord {
+    let stream: Vec<SharedGraphEvent> = gt_graph::builders::BarabasiAlbert {
+        n: 526,
+        m0: 18,
+        m: 18,
+        seed: 2018,
+    }
+    .generate()
+    .graph_events()
+    .map(|event| SharedGraphEvent::new(event.clone()))
+    .collect();
+    let shares = drain_shares(&stream);
+    measure("ingest/share-transport", shares, rounds, || {
+        assert_eq!(
+            drain_shares(&stream),
+            shares,
+            "the drain is not deterministic"
+        );
+    })
+}
+
 fn ingest_suites(events: &[GraphEvent], rounds: u32) -> Vec<BenchRecord> {
     let n = events.len() as u64;
     // The shared handles are built here, outside the timed closures: on
@@ -245,6 +341,7 @@ fn ingest_suites(events: &[GraphEvent], rounds: u32) -> Vec<BenchRecord> {
             apply_to_partition(&mixed_shared)
         }),
         board_publish_suite(rounds),
+        share_transport_suite(rounds),
     ]
 }
 

@@ -7,9 +7,11 @@
 //! `u64` sample distributions (e.g. emit latencies) in power-of-two
 //! buckets. All are lock-free on the hot path.
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use parking_lot::RwLock;
 
@@ -34,6 +36,36 @@ impl Counter {
     #[inline]
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
+    }
+}
+
+/// A microsecond [`Counter`] fed with [`Duration`]s by one thread. Each
+/// add carries its sub-microsecond remainder into the next, so intervals
+/// shorter than a microsecond still add up — truncating each one to whole
+/// microseconds would book a thousand 900 ns intervals as nothing.
+#[derive(Debug)]
+pub struct MicrosCounter {
+    micros: Counter,
+    /// Nanoseconds added but not yet booked, always below 1 000.
+    carry: Cell<u64>,
+}
+
+impl MicrosCounter {
+    /// Books durations on `micros`.
+    pub fn new(micros: Counter) -> Self {
+        MicrosCounter {
+            micros,
+            carry: Cell::new(0),
+        }
+    }
+
+    /// Adds `elapsed`, rounded down to whole microseconds together with
+    /// what earlier adds left over.
+    #[inline]
+    pub fn add(&self, elapsed: Duration) {
+        let nanos = self.carry.get() + elapsed.as_nanos() as u64;
+        self.micros.add(nanos / 1_000);
+        self.carry.set(nanos % 1_000);
     }
 }
 
@@ -295,6 +327,22 @@ mod tests {
         a.inc();
         b.add(2);
         assert_eq!(hub.counter("events").get(), 3);
+    }
+
+    #[test]
+    fn micros_counter_carries_the_sub_microsecond_rest() {
+        let hub = MetricsHub::new();
+        let busy = MicrosCounter::new(hub.counter("busy_micros"));
+        let mut truncated = 0;
+        for _ in 0..1_000 {
+            let round = Duration::from_nanos(900);
+            busy.add(round);
+            truncated += round.as_micros() as u64;
+        }
+        assert_eq!(hub.counter("busy_micros").get(), 900);
+        assert_eq!(truncated, 0, "what adding whole microseconds books");
+        busy.add(Duration::from_micros(3));
+        assert_eq!(hub.counter("busy_micros").get(), 903);
     }
 
     #[test]

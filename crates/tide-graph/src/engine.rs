@@ -22,14 +22,9 @@
 //!
 //! # Transport vs. scheduling
 //!
-//! Shares travel in *batches* — one `Msg::Shares` per round and
-//! destination worker — but are scheduled as *items*: a worker consumes a
-//! received batch in place, item by item, inside rounds of
-//! [`EngineConfig::drain_batch`] items, exactly as if every share were
-//! its own message. Because a batch hides its items from the channel's
-//! length, each worker slot keeps an item-exact `enqueued`/`processed`
-//! counter pair (`Slot`) from which the queue gauge, the backlog probe
-//! and [`Engine::quiesce`] are derived.
+//! Each worker has one [`Mailbox`]: shares travel packed in blocks but
+//! are scheduled and accounted as *items*, exactly as if every share were
+//! its own message (see [`crate::mailbox`]).
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -37,16 +32,17 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
+use crossbeam::channel::{bounded, Sender};
 use gt_core::prelude::*;
 use gt_core::VERTEX_HASH_MULTIPLIER;
-use gt_metrics::hub::{Counter, Gauge};
+use gt_metrics::hub::{Counter, Gauge, MicrosCounter};
 use gt_metrics::MetricsHub;
 use gt_sut::{Adjacency, StateDigest, WindowDigest, WorkerSupervisor};
 use gt_trace::{Probe, Stage, TracerCell};
 use parking_lot::{Mutex, RwLock};
 
 use crate::board::{ResultBoard, Snapshot};
+use crate::mailbox::{Batch, Mailbox, Msg};
 use crate::program::Partition;
 use crate::rank::{RankParams, RankPartition};
 
@@ -126,46 +122,6 @@ pub struct EngineStats {
     pub digest: Option<StateDigest>,
 }
 
-/// The shares one round produced for one destination worker, as
-/// `(receiving vertex, payload)` pairs in production order.
-type Batch<M> = Vec<(VertexId, M)>;
-
-enum Msg<M> {
-    /// A mutation event with its global ingest sequence number (stream
-    /// position), carried so out-of-order worker processing can still
-    /// stamp Level-2 tracepoints against the replayer-side stages.
-    Event(SharedGraphEvent, u64),
-    /// Broadcast half of vertex removal: strip edges pointing at the id.
-    Purge(VertexId),
-    /// One round's shares for this worker. The unit of *transport*; the
-    /// receiver still schedules its items one by one.
-    Shares(Batch<M>),
-    /// A watermark: queued behind everything already in the mailbox, so
-    /// its processing time measures the ingest-to-process latency of the
-    /// events streamed before it (§4.5's watermark pattern). The optional
-    /// channel acknowledges processing (the marker barrier). The name is
-    /// interned: the per-worker broadcast bumps a refcount instead of
-    /// cloning a `String` per mailbox.
-    Marker(Arc<str>, Option<Sender<()>>),
-    /// A simulated worker kill: the worker discards its partition state
-    /// and exits immediately, as if the process died. Queued like any
-    /// message, so the crash lands at a deterministic position in the
-    /// worker's message stream.
-    Crash,
-    Stop,
-}
-
-impl<M> Msg<M> {
-    /// Items this message adds to its mailbox's account: a batch counts
-    /// its shares, everything else counts one.
-    fn items(&self) -> u64 {
-        match self {
-            Msg::Shares(batch) => batch.len() as u64,
-            _ => 1,
-        }
-    }
-}
-
 /// Processed watermarks: `(marker name, worker id, micros since engine
 /// start)`. Names stay interned in the log; the public accessor converts.
 type MarkerLog = Arc<Mutex<Vec<(Arc<str>, usize, u64)>>>;
@@ -176,74 +132,19 @@ type MarkerLog = Arc<Mutex<Vec<(Arc<str>, usize, u64)>>>;
 /// at that marker's consistent cut.
 type SnapshotLog = Arc<Mutex<Vec<(Arc<str>, Adjacency)>>>;
 
-/// The mailbox fabric shared by the engine handle, the workers, and the
-/// supervisor: the current sender of every worker slot (swapped on
-/// restart, hence the lock) plus a liveness flag and an item account per
-/// slot.
-struct Mailboxes<M> {
-    /// Write-locked only while a crash or restart swaps a sender — which
-    /// also excludes ingest and routing, making the crash's loss count
-    /// exact and recovery exactly-once with respect to new events.
-    senders: RwLock<Vec<Sender<Msg<M>>>>,
-    slots: Vec<Slot>,
-}
+/// Every worker's current mailbox, shared by the engine handle, the
+/// workers and the supervisor. Write-locked only while a restart swaps a
+/// fresh mailbox in — which also excludes ingest and routing, so recovery
+/// is exactly-once with respect to new events.
+type Mailboxes<M> = RwLock<Vec<Arc<Mailbox<M>>>>;
 
-/// One worker slot's liveness and item account. `enqueued` is advanced by
-/// whoever posts to the slot, *before* the message is sent; `processed`
-/// by the worker, only after the round that consumed the items has sent
-/// its own output. Work a round spawns is therefore counted on its
-/// destination before the items that spawned it are marked done, so the
-/// engine-wide `enqueued − processed` never touches zero while anything
-/// is still queued, being processed, or about to be sent.
-#[derive(Default)]
-struct Slot {
-    alive: AtomicBool,
-    enqueued: AtomicU64,
-    processed: AtomicU64,
-}
-
-impl Slot {
-    fn is_alive(&self) -> bool {
-        self.alive.load(Ordering::SeqCst)
-    }
-
-    /// `(enqueued, processed)`. `processed` is read first: both only
-    /// grow, so the pair never shows more done than queued.
-    fn account(&self) -> (u64, u64) {
-        let processed = self.processed.load(Ordering::SeqCst);
-        (self.enqueued.load(Ordering::SeqCst), processed)
-    }
-
-    /// Items queued on or being processed by this slot.
-    fn backlog(&self) -> u64 {
-        let (enqueued, processed) = self.account();
-        enqueued.saturating_sub(processed)
-    }
-}
-
-impl<M> Mailboxes<M> {
-    /// Accounts `msg`'s items on `worker` and sends it through `senders`
-    /// (the caller's read guard, held across its whole routing step).
-    /// Returns the items lost: zero, or all of them if the worker is dead.
-    fn post(&self, senders: &[Sender<Msg<M>>], worker: usize, msg: Msg<M>) -> u64 {
-        let items = msg.items();
-        self.slots[worker]
-            .enqueued
-            .fetch_add(items, Ordering::SeqCst);
-        match senders[worker].send(msg) {
-            Ok(()) => 0,
-            Err(_) => items,
-        }
-    }
-
-    /// The live slots' accounts (`None` for a dead slot: its backlog is
-    /// lost, not pending).
-    fn accounts(&self) -> Vec<Option<(u64, u64)>> {
-        self.slots
-            .iter()
-            .map(|slot| slot.is_alive().then(|| slot.account()))
-            .collect()
-    }
+/// The live mailboxes' accounts (`None` for a dead one: its backlog is
+/// lost, not pending).
+fn accounts<M>(mailboxes: &[Arc<Mailbox<M>>]) -> Vec<Option<(u64, u64)>> {
+    mailboxes
+        .iter()
+        .map(|mailbox| mailbox.is_alive().then(|| mailbox.account()))
+        .collect()
 }
 
 /// Counters describing fault/recovery activity, registered on the
@@ -292,13 +193,17 @@ struct EngineCore<P: Partition> {
 }
 
 impl<P: Partition> EngineCore<P> {
-    /// Spawns (or respawns) the worker for a slot, consuming the receiver
-    /// side of its fresh mailbox. Hub metrics are looked up by name, so a
-    /// restarted worker keeps accumulating on the same series.
-    fn spawn_worker(&self, worker_id: usize, rx: Receiver<Msg<P::Msg>>) -> JoinHandle<Option<P>> {
+    /// Spawns (or respawns) the worker for a slot, as the receiver of its
+    /// fresh mailbox. Hub metrics are looked up by name, so a restarted
+    /// worker keeps accumulating on the same series.
+    fn spawn_worker(
+        &self,
+        worker_id: usize,
+        mailbox: Arc<Mailbox<P::Msg>>,
+    ) -> JoinHandle<Option<P>> {
         let ctx = WorkerCtx {
             worker_id,
-            rx,
+            mailbox,
             mailboxes: Arc::clone(&self.mailboxes),
             board: Arc::clone(&self.board),
             markers: Arc::clone(&self.markers),
@@ -310,7 +215,7 @@ impl<P: Partition> EngineCore<P> {
             ops: self.hub.counter(&format!("worker-{worker_id}.ops")),
             events: self.hub.counter(&format!("worker-{worker_id}.events")),
             shares: self.hub.counter(&format!("worker-{worker_id}.shares")),
-            busy: self.hub.counter(&format!("worker-{worker_id}.busy_micros")),
+            busy: MicrosCounter::new(self.hub.counter(&format!("worker-{worker_id}.busy_micros"))),
             crashes: self.counters.crashes.clone(),
             events_lost: self.counters.events_lost.clone(),
         };
@@ -319,6 +224,17 @@ impl<P: Partition> EngineCore<P> {
             .name(format!("tide-graph-worker-{worker_id}"))
             .spawn(move || worker_loop(ctx, partition))
             .expect("spawn worker")
+    }
+}
+
+/// The last handle to the engine is gone: close every mailbox, so workers
+/// still running — the engine was dropped without `shutdown` — wake up
+/// and exit instead of waiting for posts that cannot come.
+impl<P: Partition> Drop for EngineCore<P> {
+    fn drop(&mut self) {
+        for mailbox in self.mailboxes.read().iter() {
+            mailbox.close();
+        }
     }
 }
 
@@ -392,25 +308,10 @@ impl<P: Partition> Engine<P> {
     ) -> Self {
         assert!(config.workers >= 1, "at least one worker required");
         let workers = config.workers;
-        let mut senders = Vec::with_capacity(workers);
-        let mut receivers: Vec<Receiver<Msg<P::Msg>>> = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let (tx, rx) = unbounded();
-            senders.push(tx);
-            receivers.push(rx);
-        }
-        let mailboxes = Arc::new(Mailboxes {
-            senders: RwLock::new(senders),
-            slots: (0..workers)
-                .map(|_| Slot {
-                    alive: AtomicBool::new(true),
-                    ..Slot::default()
-                })
-                .collect(),
-        });
+        let mailboxes: Vec<Arc<Mailbox<P::Msg>>> = (0..workers).map(|_| Arc::default()).collect();
 
         let core = Arc::new(EngineCore {
-            mailboxes,
+            mailboxes: Arc::new(RwLock::new(mailboxes.clone())),
             handles: Mutex::new(Vec::with_capacity(workers)),
             retained: Mutex::new(Vec::new()),
             factory: Box::new(factory),
@@ -426,8 +327,8 @@ impl<P: Partition> Engine<P> {
         });
         {
             let mut handles = core.handles.lock();
-            for (worker_id, rx) in receivers.into_iter().enumerate() {
-                handles.push(core.spawn_worker(worker_id, rx));
+            for (worker_id, mailbox) in mailboxes.into_iter().enumerate() {
+                handles.push(core.spawn_worker(worker_id, mailbox));
             }
         }
 
@@ -480,12 +381,11 @@ impl<P: Partition> Engine<P> {
     pub fn ingest_shared(&self, event: SharedGraphEvent) {
         // Holding the read lock for the whole routing step means a
         // restart (write lock) can never interleave with one ingest.
-        let mailboxes = &self.core.mailboxes;
-        let senders = mailboxes.senders.read();
+        let mailboxes = self.core.mailboxes.read();
         let mut lost = 0;
         if let GraphEvent::RemoveVertex { id } = event.event() {
             for w in (0..self.workers).filter(|w| *w != owner(*id, self.workers)) {
-                lost += mailboxes.post(&senders, w, Msg::Purge(*id));
+                lost += mailboxes[w].post(Msg::Purge(*id));
             }
         }
         let target = route_target(event.event());
@@ -496,11 +396,7 @@ impl<P: Partition> Engine<P> {
         if self.core.config.supervised {
             self.core.retained.lock().push((seq, event.clone()));
         }
-        lost += mailboxes.post(
-            &senders,
-            owner(target, self.workers),
-            Msg::Event(event, seq),
-        );
+        lost += mailboxes[owner(target, self.workers)].post(Msg::Event(event, seq));
         if lost > 0 {
             self.core.counters.events_lost.add(lost);
         }
@@ -539,12 +435,10 @@ impl<P: Partition> Engine<P> {
         // Intern once; the fan-out below clones a refcount per worker
         // instead of allocating a String per mailbox.
         let name = gt_core::intern::intern(name);
-        let senders = self.core.mailboxes.senders.read();
-        (0..self.workers)
-            .filter(|&w| {
-                let marker = Msg::Marker(Arc::clone(&name), ack.clone());
-                self.core.mailboxes.post(&senders, w, marker) == 0
-            })
+        let mailboxes = self.core.mailboxes.read();
+        mailboxes
+            .iter()
+            .filter(|mailbox| mailbox.post(Msg::Marker(Arc::clone(&name), ack.clone())) == 0)
             .count()
     }
 
@@ -564,10 +458,11 @@ impl<P: Partition> Engine<P> {
     /// the items of rounds still running. Dead workers are skipped: what
     /// they left behind is lost, not pending.
     pub fn total_queue_len(&self) -> usize {
-        let slots = self.core.mailboxes.slots.iter();
-        slots
-            .filter(|slot| slot.is_alive())
-            .map(|slot| slot.backlog() as usize)
+        let mailboxes = self.core.mailboxes.read();
+        mailboxes
+            .iter()
+            .filter(|mailbox| mailbox.is_alive())
+            .map(|mailbox| mailbox.backlog() as usize)
             .sum()
     }
 
@@ -591,27 +486,28 @@ impl<P: Partition> Engine<P> {
     /// was reached. A crashed (un-restarted) worker does not prevent
     /// quiescence — its backlog is lost, not pending.
     ///
-    /// Exact, not a heuristic: the slots are read one after another, so
-    /// one pass alone could pair an early look at one worker with a late
-    /// look at another — but between restarts the counters only grow, so
-    /// two *identical* passes mean every pair held still from the end of
-    /// the first pass to the start of the second. At that instant every
-    /// live slot had `enqueued == processed`: no item queued, none in a
-    /// running round, none in a round's unsent output (see `Slot` in the
-    /// source) — nothing left that could produce work.
+    /// Exact, not a heuristic: the mailboxes are read one after another,
+    /// so one pass alone could pair an early look at one worker with a
+    /// late look at another — but between restarts the counters only
+    /// grow, so two *identical* passes mean every pair held still from the
+    /// end of the first pass to the start of the second. At that instant
+    /// every live mailbox had `enqueued == processed`: no item queued,
+    /// none in a running round, none in a round's unposted output (see
+    /// [`Mailbox`]) — nothing left that could produce work.
     ///
-    /// A supervised restart is the one place a slot's counters are
-    /// overwritten instead of advanced. It happens while the slot is
-    /// dead — `None` in a pass, from the crash (itself an enqueued item)
-    /// until the restart has replayed the slot's events into its fresh
-    /// account — so a pass taken before it and one taken after differ,
+    /// A supervised restart is the one place a worker's account starts
+    /// over instead of advancing. It happens while the worker is dead —
+    /// `None` in a pass, from the crash (itself an enqueued item) until
+    /// the restart has replayed the worker's events into its fresh
+    /// mailbox — so a pass taken before it and one taken after differ,
     /// and the loop retries.
     pub fn quiesce(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
+        let pass = || accounts(&self.core.mailboxes.read());
         loop {
-            let first = self.core.mailboxes.accounts();
+            let first = pass();
             let idle = first.iter().flatten().all(|(enq, done)| enq == done);
-            if idle && first == self.core.mailboxes.accounts() {
+            if idle && first == pass() {
                 return true;
             }
             if Instant::now() > deadline {
@@ -627,11 +523,8 @@ impl<P: Partition> Engine<P> {
     /// crash instead of poisoning the run.
     pub fn shutdown(self) -> EngineStats {
         self.core.stopping.store(true, Ordering::SeqCst);
-        {
-            let senders = self.core.mailboxes.senders.read();
-            for w in 0..self.workers {
-                self.core.mailboxes.post(&senders, w, Msg::Stop);
-            }
+        for mailbox in self.core.mailboxes.read().iter() {
+            mailbox.post(Msg::Stop);
         }
         let handles: Vec<JoinHandle<Option<P>>> = {
             let mut guard = self.core.handles.lock();
@@ -724,20 +617,16 @@ impl<P: Partition> WorkerSupervisor for EngineSupervisor<P> {
     /// the worker's current backlog — a deterministic position in its
     /// message stream — and the worker then discards its state and exits.
     fn inject_crash(&self, worker: usize) -> bool {
-        if worker >= self.core.config.workers
-            || self.core.stopping.load(Ordering::SeqCst)
-            || !self.core.mailboxes.slots[worker].is_alive()
-        {
+        if worker >= self.core.config.workers || self.core.stopping.load(Ordering::SeqCst) {
             return false;
         }
-        let senders = self.core.mailboxes.senders.read();
-        self.core.mailboxes.post(&senders, worker, Msg::Crash) == 0
+        self.core.mailboxes.read()[worker].post(Msg::Crash) == 0
     }
 
     /// Restarts a crashed worker (supervised mode only): waits briefly
     /// for the crash to land, then — with ingest write-locked out — spawns
     /// a fresh partition, replays the worker's share of the retained
-    /// event log into its new mailbox, and swaps the sender in.
+    /// event log into a fresh mailbox, and swaps that mailbox in.
     fn restart_worker(&self, worker: usize) -> bool {
         let config = &self.core.config;
         if worker >= config.workers || !config.supervised {
@@ -745,23 +634,23 @@ impl<P: Partition> WorkerSupervisor for EngineSupervisor<P> {
         }
         // The crash message travels through the worker's backlog; give it
         // time to land before declaring the restart impossible.
-        let slot = &self.core.mailboxes.slots[worker];
         let deadline = Instant::now() + Duration::from_secs(5);
-        while slot.is_alive() {
+        while self.core.mailboxes.read()[worker].is_alive() {
             if Instant::now() > deadline || self.core.stopping.load(Ordering::SeqCst) {
                 return false;
             }
             std::thread::sleep(Duration::from_millis(1));
         }
 
-        let mut senders = self.core.mailboxes.senders.write();
+        let mut mailboxes = self.core.mailboxes.write();
         if self.core.stopping.load(Ordering::SeqCst) {
             return false;
         }
-        let (tx, rx) = unbounded();
+        // A fresh mailbox starts a fresh account: what the dead worker
+        // left unprocessed was counted lost when it died.
+        let mailbox: Arc<Mailbox<P::Msg>> = Arc::default();
         let workers = config.workers;
         let mut replayed = 0u64;
-        let mut purges = 0u64;
         {
             let retained = self.core.retained.lock();
             for (seq, event) in retained.iter() {
@@ -769,25 +658,19 @@ impl<P: Partition> WorkerSupervisor for EngineSupervisor<P> {
                     // The broadcast half of remote removals, re-delivered
                     // so the fresh partition strips dangling references.
                     GraphEvent::RemoveVertex { id } if owner(*id, workers) != worker => {
-                        let _ = tx.send(Msg::Purge(*id));
-                        purges += 1;
+                        mailbox.post(Msg::Purge(*id));
                     }
                     e => {
                         if owner(route_target(e), workers) == worker {
-                            let _ = tx.send(Msg::Event(event.clone(), *seq));
+                            mailbox.post(Msg::Event(event.clone(), *seq));
                             replayed += 1;
                         }
                     }
                 }
             }
         }
-        // A fresh mailbox starts a fresh account: what the dead worker
-        // left unprocessed was counted lost when it died.
-        slot.processed.store(0, Ordering::SeqCst);
-        slot.enqueued.store(replayed + purges, Ordering::SeqCst);
-        let handle = self.core.spawn_worker(worker, rx);
-        senders[worker] = tx;
-        slot.alive.store(true, Ordering::SeqCst);
+        let handle = self.core.spawn_worker(worker, Arc::clone(&mailbox));
+        mailboxes[worker] = mailbox;
         self.core.handles.lock().push(handle);
         self.core.counters.restarts.inc();
         self.core.counters.events_replayed.add(replayed);
@@ -807,7 +690,8 @@ fn normalize(mut ranks: BTreeMap<VertexId, f64>) -> BTreeMap<VertexId, f64> {
 
 struct WorkerCtx<M> {
     worker_id: usize,
-    rx: Receiver<Msg<M>>,
+    /// The worker's own mailbox, which it receives from.
+    mailbox: Arc<Mailbox<M>>,
     mailboxes: Arc<Mailboxes<M>>,
     board: Arc<ResultBoard>,
     markers: MarkerLog,
@@ -819,75 +703,32 @@ struct WorkerCtx<M> {
     ops: Counter,
     events: Counter,
     shares: Counter,
-    busy: Counter,
+    busy: MicrosCounter,
     crashes: Counter,
     events_lost: Counter,
 }
 
-/// Most emptied batches a worker keeps for its own next sends.
-const SPARE_BATCHES: usize = 16;
-
-/// A buffer is kept for reuse only while its capacity is at most this
-/// many rounds' worth of items (`drain_batch` × this); a larger one —
-/// one hub's push — is dropped instead of pinning its memory for the
-/// rest of the run.
-const SPARE_CAPACITY_ROUNDS: usize = 64;
-
-/// A worker's free list: the emptied batches it received, which its own
-/// next sends draw on before they ask the allocator.
-struct SpareBatches<M> {
-    batches: Vec<Batch<M>>,
-    max_capacity: usize,
-}
-
-impl<M> SpareBatches<M> {
-    fn new(drain_batch: usize) -> Self {
-        SpareBatches {
-            batches: Vec::with_capacity(SPARE_BATCHES),
-            max_capacity: drain_batch.saturating_mul(SPARE_CAPACITY_ROUNDS),
-        }
-    }
-
-    /// An empty batch with room for `len` items and at most as much
-    /// again to spare (a queued batch's unused capacity is backlog
-    /// memory too): a recycled one that fits, else a fresh exact one.
-    fn take(&mut self, len: usize) -> Batch<M> {
-        let fits = |batch: &Batch<M>| (len..=2 * len).contains(&batch.capacity());
-        match self.batches.iter().position(fits) {
-            Some(i) => self.batches.swap_remove(i),
-            None => Vec::with_capacity(len),
-        }
-    }
-
-    /// Empties `batch` and keeps it, unless the list is full or the
-    /// buffer has outgrown [`SPARE_CAPACITY_ROUNDS`].
-    fn put(&mut self, mut batch: Batch<M>) {
-        batch.clear();
-        let keep = 1..=self.max_capacity;
-        if self.batches.len() < SPARE_BATCHES && keep.contains(&batch.capacity()) {
-            self.batches.push(batch);
-        }
-    }
-}
-
-/// Runs one worker until `Stop` (returns the final partition), channel
-/// disconnect (ditto), or `Crash` (marks the slot dead and returns `None`
-/// — the partition state is deliberately lost, like a killed process).
+/// Runs one worker until `Stop` (returns the final partition), its
+/// mailbox closing under it (ditto), or `Crash` (closes the mailbox and
+/// returns `None` — the partition state is deliberately lost, like a
+/// killed process).
 fn worker_loop<P: Partition>(ctx: WorkerCtx<P::Msg>, mut partition: P) -> Option<P> {
     let workers = ctx.config.workers;
     let drain_batch = ctx.config.drain_batch.max(1);
-    let slot = &ctx.mailboxes.slots[ctx.worker_id];
+    let mailbox = &*ctx.mailbox;
     let mut outbox: Batch<P::Msg> = Vec::new();
     let mut dirty: Vec<VertexId> = Vec::new();
-    // The received batch being consumed in place, and how far. A round
-    // that ends inside it leaves the rest to the next round.
+    // The received block being consumed in place, and how far. A round
+    // that ends inside it leaves the rest to the next round. A receive
+    // hands the spent block back to the mailbox and leaves it empty, so
+    // `cursor` may then be past its end: the block is spent while
+    // `cursor >= shares.len()`.
     let mut shares: Batch<P::Msg> = Vec::new();
     let mut cursor = 0usize;
     // Routing scratch, empty between rounds: the shares the round owes
-    // each destination worker, and the batch being filled for it.
-    let mut counts = vec![0usize; workers];
+    // each destination worker, copied into its mailbox's blocks. Like
+    // `outbox`, each keeps the capacity of the largest round it carried.
     let mut parts: Vec<Batch<P::Msg>> = (0..workers).map(|_| Vec::new()).collect();
-    let mut spare = SpareBatches::new(drain_batch);
     // The board buffer this worker fills next: after a publish, the one
     // its slot held before.
     let mut snapshot = Snapshot::new();
@@ -902,16 +743,16 @@ fn worker_loop<P: Partition>(ctx: WorkerCtx<P::Msg>, mut partition: P) -> Option
     let mut trace_probe: Option<Probe> = None;
 
     while running {
-        // Block for the next message only when no partly consumed batch
+        // Block for the next message only when no partly consumed block
         // is left over, then opportunistically drain more.
         let mut next = None;
-        if cursor == shares.len() {
-            match ctx.rx.recv() {
-                Ok(msg) => next = Some(msg),
-                Err(_) => break,
+        if cursor >= shares.len() {
+            match mailbox.recv(&mut shares) {
+                Some(msg) => next = Some(msg),
+                None => break,
             }
         }
-        ctx.queue_gauge.set(slot.backlog() as i64);
+        ctx.queue_gauge.set(mailbox.backlog() as i64);
         let started = Instant::now();
         let mut items = 0usize;
         while running && items < drain_batch {
@@ -926,14 +767,12 @@ fn worker_loop<P: Partition>(ctx: WorkerCtx<P::Msg>, mut partition: P) -> Option
                 cursor = end;
                 continue;
             }
-            let Some(msg) = next.take().or_else(|| ctx.rx.try_recv().ok()) else {
+            let Some(msg) = next.take().or_else(|| mailbox.try_recv(&mut shares)) else {
                 break;
             };
             match msg {
-                Msg::Shares(batch) => {
-                    // The batch before this one is spent: its buffer
-                    // carries one of this worker's next sends.
-                    spare.put(std::mem::replace(&mut shares, batch));
+                Msg::Shares(block) => {
+                    shares = block;
                     cursor = 0;
                     continue;
                 }
@@ -982,20 +821,17 @@ fn worker_loop<P: Partition>(ctx: WorkerCtx<P::Msg>, mut partition: P) -> Option
                 Msg::Crash => {
                     // Die like a killed process: no final board publish
                     // (the slot keeps the last snapshot), no summary,
-                    // queued messages abandoned. The alive
-                    // flag tells the rest of the engine (and a waiting
-                    // supervisor) that this slot is vacant. Swapping in a
-                    // sender whose receiver is already gone, under the
-                    // write lock, leaves no post in flight: what is
-                    // accounted but unprocessed right now — minus this
-                    // round and the crash itself — is exactly the
-                    // abandoned backlog, and every later post fails and
-                    // is counted lost by its sender.
-                    let mut senders = ctx.mailboxes.senders.write();
-                    senders[ctx.worker_id] = unbounded().0;
-                    let abandoned = slot.backlog().saturating_sub(items as u64 + 1);
-                    slot.alive.store(false, Ordering::SeqCst);
-                    drop(senders);
+                    // queued messages abandoned. The closed mailbox tells
+                    // the rest of the engine (and a waiting supervisor)
+                    // that this worker is gone. A post is accounted under
+                    // the mailbox's lock and only while it is open, so
+                    // after `close` the account is final: what is
+                    // enqueued but unprocessed — minus this round and the
+                    // crash itself — is exactly the abandoned backlog,
+                    // and every later post is refused and counted lost by
+                    // its poster.
+                    mailbox.close();
+                    let abandoned = mailbox.backlog().saturating_sub(items as u64 + 1);
                     ctx.events_lost.add(abandoned);
                     ctx.crashes.inc();
                     ctx.queue_gauge.set(0);
@@ -1009,41 +845,26 @@ fn worker_loop<P: Partition>(ctx: WorkerCtx<P::Msg>, mut partition: P) -> Option
         partition.flush_dirty(&dirty, &mut outbox);
         dirty.clear();
 
-        ctx.busy.add(started.elapsed().as_micros() as u64);
+        ctx.busy.add(started.elapsed());
         ctx.ops.add(items as u64);
 
-        // Route produced shares, one batch per destination; self-targets
+        // Route produced shares, one post per destination; self-targets
         // loop through the own mailbox too — computation and mutation
         // genuinely share the queue. Shares owed to a dead worker are
         // counted lost (they degrade result accuracy until a restart
         // replays the events that would regenerate them).
         if !outbox.is_empty() {
-            // Size each destination's batch first, so every share is
-            // copied once, into a buffer that fits it.
-            for (target, _) in &outbox {
-                counts[owner(*target, workers)] += 1;
-            }
-            for (part, len) in parts.iter_mut().zip(&mut counts) {
-                if *len > 0 {
-                    *part = spare.take(std::mem::take(len));
-                }
-            }
             for (target, payload) in outbox.drain(..) {
                 parts[owner(target, workers)].push((target, payload));
             }
-            let senders = ctx.mailboxes.senders.read();
+            let mailboxes = ctx.mailboxes.read();
             let mut lost = 0;
-            for (w, part) in parts.iter_mut().enumerate() {
+            for (destination, part) in mailboxes.iter().zip(&mut parts) {
                 if !part.is_empty() {
-                    let batch = std::mem::take(part);
-                    lost += ctx.mailboxes.post(&senders, w, Msg::Shares(batch));
+                    lost += destination.post_shares(part);
                 }
             }
-            drop(senders);
-            // The worker's own buffer obeys the free list's bound too.
-            if outbox.capacity() > spare.max_capacity {
-                outbox = Vec::new();
-            }
+            drop(mailboxes);
             if lost > 0 {
                 ctx.events_lost.add(lost);
             }
@@ -1051,16 +872,16 @@ fn worker_loop<P: Partition>(ctx: WorkerCtx<P::Msg>, mut partition: P) -> Option
         // A refresh this round makes due goes out before the round is
         // accounted, so whoever sees the account settled (`quiesce`) also
         // sees the board it implies. (Only this worker advances
-        // `processed`, so the load is what `fetch_add` will return.)
+        // `processed`, so the load is what `done` will make it.)
         let round = items as u64;
-        let processed = slot.processed.load(Ordering::SeqCst) + round;
+        let processed = mailbox.processed() + round;
         if processed % ctx.config.board_refresh_every.max(1) < round {
             publish(&partition);
         }
         // Only now is the round done: what it produced is already on its
-        // destinations' accounts (see `Slot`).
-        slot.processed.fetch_add(round, Ordering::SeqCst);
-        ctx.queue_gauge.set(slot.backlog() as i64);
+        // destinations' accounts (see `Mailbox`).
+        mailbox.done(round);
+        ctx.queue_gauge.set(mailbox.backlog() as i64);
     }
     // Final board publish so late readers see the end state.
     publish(&partition);
@@ -1083,28 +904,6 @@ mod tests {
             id: EdgeId::from((s, d)),
             state: State::empty(),
         }
-    }
-
-    #[test]
-    fn spare_batches_stay_bounded_and_fit_what_they_carry() {
-        let mut spare: SpareBatches<f64> = SpareBatches::new(64);
-        // One hub's push: too big to keep.
-        spare.put(Vec::with_capacity(64 * SPARE_CAPACITY_ROUNDS + 1));
-        // Never allocated: nothing to keep.
-        spare.put(Vec::new());
-        assert!(spare.batches.is_empty());
-        for _ in 0..2 * SPARE_BATCHES {
-            spare.put(vec![(VertexId(1), 0.5); 100]);
-        }
-        assert_eq!(spare.batches.len(), SPARE_BATCHES);
-        assert!(spare.batches.iter().all(Vec::is_empty));
-
-        // 100 slots carry 50..=100 items; anything else allocates exactly.
-        assert_eq!(spare.take(49).capacity(), 49);
-        assert_eq!(spare.take(101).capacity(), 101);
-        assert_eq!(spare.take(50).capacity(), 100);
-        assert_eq!(spare.take(100).capacity(), 100);
-        assert_eq!(spare.batches.len(), SPARE_BATCHES - 2);
     }
 
     #[test]

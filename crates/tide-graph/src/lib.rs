@@ -20,7 +20,8 @@
 //!
 //! * `W` worker threads, each owning a hash partition of the vertices,
 //! * one unbounded FIFO mailbox per worker carrying **both** mutation
-//!   events and computational messages (the shared resource),
+//!   events and computational messages (the shared resource; shares
+//!   packed into recycled blocks, accounted item by item),
 //! * an online influence rank implemented as residual forward-push — each
 //!   mutation seeds residual mass; pushes fan out as messages to neighbor
 //!   owners; the computation converges to (unnormalized) PageRank when the
@@ -40,6 +41,8 @@
 pub mod board;
 pub mod connector;
 pub mod engine;
+#[doc(hidden)]
+pub mod mailbox;
 pub mod program;
 pub mod rank;
 pub mod sssp;

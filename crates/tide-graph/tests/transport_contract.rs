@@ -1,13 +1,18 @@
-//! The share transport's contract: shares travel in per-round,
-//! per-destination batches, but everything observable — rank mass,
-//! marker barriers, loss counts, backlog probes, quiescence — is in
-//! *items*, as if every share were still its own mailbox message.
+//! The share transport's contract: shares travel packed into mailbox
+//! blocks, but everything observable — the item sequence a worker
+//! receives, rank mass, marker barriers, loss counts, backlog probes,
+//! quiescence — is in *items*, as if every share were still its own
+//! mailbox message.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use gt_core::prelude::*;
 use gt_metrics::MetricsHub;
-use tide_graph::{owner, EngineConfig, RankParams, TideGraph};
+use tide_graph::mailbox::{Batch, Mailbox, Msg, BLOCK_SHARES};
+use tide_graph::rank::RankPartition;
+use tide_graph::{owner, Engine, EngineConfig, Partition, RankParams, TideGraph};
 
 fn add_v(id: u64) -> GraphEvent {
     GraphEvent::AddVertex {
@@ -129,7 +134,7 @@ fn quiesce_waits_for_a_round_that_is_still_running() {
 }
 
 /// A marker is acknowledged only once every event ingested before it has
-/// been applied — on every worker, with share batches in flight between
+/// been applied — on every worker, with share blocks in flight between
 /// them.
 #[test]
 fn marker_barrier_covers_every_earlier_event() {
@@ -223,6 +228,60 @@ fn crash_with_queued_batches_loses_items_and_recovers() {
     assert_eq!(rebuilt, expected);
 }
 
+/// Packed blocks queued behind a crash are lost item by item: two centers
+/// on worker 1 each push once to more spokes on worker 0 than a block
+/// holds, so the two posts fill a block, pack the second into the first's
+/// tail block and spill into a third — all of it behind the crash (or
+/// refused, if the crash won).
+#[test]
+fn crash_with_packed_blocks_queued_loses_exactly_their_items() {
+    const SPOKES: usize = BLOCK_SHARES + 8;
+    const STALL: usize = 100;
+    let hub = MetricsHub::new();
+    let config = EngineConfig {
+        workers: 2,
+        rank: RankParams {
+            // Every topology change pushes, however little mass is left.
+            epsilon: 1e-9,
+            ..Default::default()
+        },
+        event_cost: Duration::from_millis(1),
+        ..Default::default()
+    };
+    let engine = TideGraph::start(config, &hub);
+    let supervisor = engine.supervisor();
+    let spokes = owned_by(0, 2, 0, SPOKES + 2 + STALL);
+    let centers = owned_by(1, 2, 100_000, 2);
+    for &id in centers.iter().chain(&spokes[..SPOKES + 2]) {
+        engine.ingest(add_v(id));
+    }
+    for &center in &centers {
+        for &id in &spokes[..SPOKES] {
+            engine.ingest(add_e(center, id));
+        }
+    }
+    assert!(engine.quiesce(Duration::from_secs(60)));
+    assert_eq!(hub.counter("engine.events_lost").get(), 0);
+
+    // Worker 0 is busy for ~100 ms; the crash queues behind that, and one
+    // more edge a center makes each push to SPOKES + 1 spokes.
+    for &id in &spokes[SPOKES + 2..] {
+        engine.ingest(add_v(id));
+    }
+    assert!(supervisor.inject_crash(0));
+    for (&center, &spoke) in centers.iter().zip(&spokes[SPOKES..]) {
+        engine.ingest(add_e(center, spoke));
+    }
+    assert!(engine.quiesce(Duration::from_secs(30)));
+    let stats = engine.shutdown();
+    assert_eq!(stats.crashes, 1);
+    assert_eq!(
+        stats.events_lost,
+        2 * (SPOKES as u64 + 1),
+        "exactly the shares of the two pushes, counted one by one"
+    );
+}
+
 /// Shares bound for a dead worker are lost by the item as well.
 #[test]
 fn shares_sent_to_a_dead_worker_are_lost_by_the_item() {
@@ -307,6 +366,279 @@ fn backlog_probe_and_queue_gauge_count_items() {
     assert_eq!(hub.gauge("worker-0.queue").get(), 0);
     let stats = engine.shutdown();
     assert_eq!(stats.shares, SPOKES as u64, "one push, one share a spoke");
+}
+
+// ---------------------------------------------------------------------
+// The mailbox itself: packing, order, accounting, wake-ups, exit.
+// ---------------------------------------------------------------------
+
+/// SplitMix64: the property cases are reproducible from their index.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+}
+
+/// One received item, comparable with the reference.
+#[derive(Debug, Clone, PartialEq)]
+enum Item {
+    Event(u64),
+    Purge(u64),
+    Marker(String),
+    Share(u64, u64),
+}
+
+/// A worker's receiving side, consuming its mailbox the way the engine's
+/// worker loop does: a round takes up to `n` items, a block is consumed
+/// in place across rounds, each spent block is handed back with the next
+/// receive, and the round is marked done at its end.
+#[derive(Default)]
+struct Receiver {
+    block: Batch<f64>,
+    cursor: usize,
+    seen: Vec<Item>,
+}
+
+impl Receiver {
+    fn round(&mut self, mailbox: &Mailbox<f64>, n: usize) {
+        let mut items = 0;
+        while items < n {
+            if self.cursor < self.block.len() {
+                let end = self.block.len().min(self.cursor + n - items);
+                let shares = &self.block[self.cursor..end];
+                let seen = shares.iter().map(|(v, p)| Item::Share(v.0, p.to_bits()));
+                self.seen.extend(seen);
+                items += end - self.cursor;
+                self.cursor = end;
+                continue;
+            }
+            let Some(msg) = mailbox.try_recv(&mut self.block) else {
+                break;
+            };
+            assert!(self.block.is_empty(), "the spent block was not emptied");
+            let item = match msg {
+                Msg::Shares(block) => {
+                    assert!(!block.is_empty() && block.len() <= BLOCK_SHARES);
+                    assert_eq!(block.capacity(), BLOCK_SHARES);
+                    self.block = block;
+                    self.cursor = 0;
+                    continue;
+                }
+                Msg::Event(_, seq) => Item::Event(seq),
+                Msg::Purge(id) => Item::Purge(id.0),
+                Msg::Marker(name, _) => Item::Marker(name.to_string()),
+                Msg::Crash | Msg::Stop => unreachable!("never posted here"),
+            };
+            self.seen.push(item);
+            items += 1;
+        }
+        mailbox.done(items as u64);
+    }
+}
+
+/// Random interleavings of posts — events, markers, purges, share posts
+/// of 0–2 000 items — and receiving rounds over 1–4 mailboxes: every
+/// mailbox yields exactly the item sequence posted to it (a plain
+/// message-per-item FIFO is the reference), and its backlog is always
+/// the number of items posted and not yet consumed.
+#[test]
+fn packed_mailboxes_deliver_the_reference_item_sequence() {
+    for case in 0..300u64 {
+        let mut rng = Rng(case);
+        let workers = 1 + rng.below(4) as usize;
+        let mailboxes: Vec<Mailbox<f64>> = (0..workers).map(|_| Mailbox::default()).collect();
+        let mut receivers: Vec<Receiver> = (0..workers).map(|_| Receiver::default()).collect();
+        let mut posted: Vec<Vec<Item>> = vec![Vec::new(); workers];
+        let mut serial = 0u64;
+        let mut part: Batch<f64> = Vec::new();
+        for _ in 0..200 {
+            serial += 1;
+            let w = rng.below(workers as u64) as usize;
+            let mailbox = &mailboxes[w];
+            let lost = match rng.below(10) {
+                0 | 1 => {
+                    posted[w].push(Item::Event(serial));
+                    mailbox.post(Msg::Event(SharedGraphEvent::new(add_v(serial)), serial))
+                }
+                2 => {
+                    posted[w].push(Item::Purge(serial));
+                    mailbox.post(Msg::Purge(VertexId(serial)))
+                }
+                3 => {
+                    let name = format!("m-{serial}");
+                    posted[w].push(Item::Marker(name.clone()));
+                    mailbox.post(Msg::Marker(Arc::from(name.as_str()), None))
+                }
+                4..=6 => {
+                    let n = match rng.below(3) {
+                        0 => rng.below(8),
+                        1 => rng.below(BLOCK_SHARES as u64 + 8),
+                        _ => rng.below(2_001),
+                    };
+                    for i in 0..n {
+                        let share = (VertexId(serial), (serial * 10_000 + i) as f64);
+                        posted[w].push(Item::Share(share.0 .0, share.1.to_bits()));
+                        part.push(share);
+                    }
+                    let lost = mailbox.post_shares(&mut part);
+                    assert!(part.is_empty(), "case {case}: shares left behind");
+                    lost
+                }
+                _ => {
+                    let n = 1 + rng.below(700) as usize;
+                    receivers[w].round(mailbox, n);
+                    0
+                }
+            };
+            assert_eq!(lost, 0, "case {case}: a live mailbox refused a post");
+            for (w, (mailbox, receiver)) in mailboxes.iter().zip(&receivers).enumerate() {
+                let pending = (posted[w].len() - receiver.seen.len()) as u64;
+                assert_eq!(mailbox.backlog(), pending, "case {case}, worker {w}");
+            }
+        }
+        for (w, (mailbox, receiver)) in mailboxes.iter().zip(&mut receivers).enumerate() {
+            receiver.round(mailbox, 1 << 30);
+            assert_eq!(receiver.seen, posted[w], "case {case}, worker {w}");
+            assert_eq!(mailbox.backlog(), 0, "case {case}, worker {w}");
+        }
+    }
+}
+
+/// A worker parks on an empty mailbox; every kind of post must wake it.
+/// Each round posts while the worker is at its most likely to be just
+/// going to sleep — right after it settled the previous round — so a
+/// wake-up lost between its last look at the queue and its wait shows up
+/// as a round that never settles.
+#[test]
+fn a_parked_worker_is_woken_by_every_kind_of_post() {
+    const ROUNDS: u64 = 10_000;
+    let hub = MetricsHub::new();
+    let config = EngineConfig {
+        workers: 2,
+        supervised: true,
+        ..Default::default()
+    };
+    let engine = TideGraph::start(config, &hub);
+    let supervisor = engine.supervisor();
+    let settle = |what: &str, round: u64| {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !engine.quiesce(Duration::ZERO) {
+            assert!(
+                Instant::now() < deadline,
+                "round {round} ({what}) never settled"
+            );
+            std::hint::spin_loop();
+        }
+    };
+    let on_0 = owned_by(0, 2, 0, ROUNDS as usize);
+    let on_1 = owned_by(1, 2, 0, ROUNDS as usize);
+    for round in 0..ROUNDS {
+        let (a, b) = (on_0[round as usize], on_1[round as usize]);
+        match round % 5 {
+            // An event, and the shares its push sends across.
+            0 => engine.ingest(add_v(a)),
+            1 => engine.ingest(add_v(b)),
+            2 => engine.ingest(add_e(on_0[round as usize - 2], on_1[round as usize - 1])),
+            // A purge on the other worker.
+            3 => engine.ingest(GraphEvent::RemoveVertex { id: VertexId(b) }),
+            // A marker on both.
+            _ => {
+                let acked = engine.ingest_marker_barrier("wake", Duration::from_secs(10));
+                assert_eq!(acked, 2, "round {round}: a parked worker missed the marker");
+            }
+        }
+        settle("post", round);
+        // A crash, and the fresh mailbox of the restart.
+        if round % 1_000 == 999 {
+            let worker = (round / 1_000 % 2) as usize;
+            assert!(supervisor.inject_crash(worker));
+            assert!(
+                supervisor.restart_worker(worker),
+                "round {round}: crash never landed"
+            );
+            settle("restart", round);
+        }
+    }
+    // And `Stop`: a lost wake-up here hangs the join.
+    let stats = engine.shutdown();
+    assert_eq!((stats.crashes, stats.restarts), (10, 10));
+    assert_eq!(stats.events_lost, 0);
+}
+
+/// A rank partition that counts how many of its kind are still alive.
+/// Its worker returns it on exit, so a count of zero means every worker
+/// thread has left its loop.
+struct Watched {
+    rank: RankPartition,
+    alive: Arc<AtomicUsize>,
+}
+
+impl Drop for Watched {
+    fn drop(&mut self) {
+        self.alive.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+impl Partition for Watched {
+    type Msg = f64;
+
+    fn apply_event_deferred(&mut self, event: &GraphEvent, dirty: &mut Vec<VertexId>) {
+        self.rank.apply_event_deferred(event, dirty);
+    }
+
+    fn receive_deferred(&mut self, target: VertexId, mass: f64, dirty: &mut Vec<VertexId>) {
+        self.rank.receive_deferred(target, mass, dirty);
+    }
+
+    fn flush_dirty(&mut self, dirty: &[VertexId], out: &mut Vec<(VertexId, f64)>) {
+        self.rank.flush_dirty(dirty, out);
+    }
+
+    fn purge(&mut self, removed: VertexId, out: &mut Vec<(VertexId, f64)>) {
+        self.rank.purge(removed, out);
+    }
+
+    fn summary_into(&self, out: &mut Vec<(VertexId, f64)>) {
+        self.rank.summary_into(out);
+    }
+}
+
+/// An engine dropped without `shutdown` — idle, or with a backlog — lets
+/// its workers exit instead of leaving them parked forever.
+#[test]
+fn dropping_an_engine_without_shutdown_lets_its_workers_exit() {
+    for backlog in [0u64, 2_000] {
+        let alive = Arc::new(AtomicUsize::new(0));
+        let counted = Arc::clone(&alive);
+        let config = EngineConfig {
+            workers: 3,
+            event_cost: Duration::from_micros(100),
+            ..Default::default()
+        };
+        let engine = Engine::start_with(config, &MetricsHub::new(), move |_| {
+            counted.fetch_add(1, Ordering::SeqCst);
+            Watched {
+                rank: RankPartition::default(),
+                alive: Arc::clone(&counted),
+            }
+        });
+        for i in 0..backlog {
+            engine.ingest(add_v(i));
+        }
+        assert_eq!(alive.load(Ordering::SeqCst), 3);
+        drop(engine);
+        eventually("every worker to exit", || alive.load(Ordering::SeqCst) == 0);
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -19,7 +19,7 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use gt_core::prelude::*;
 use gt_graph::{ApplyPolicy, EvolvingGraph};
-use gt_metrics::hub::Counter;
+use gt_metrics::hub::{Counter, MicrosCounter};
 use gt_metrics::MetricsHub;
 use gt_sut::WorkerSupervisor;
 use gt_trace::{Probe, Stage, TracerCell};
@@ -172,7 +172,7 @@ impl ShardPool {
             log: Vec::new(),
             batch_cost: self.batch_cost,
             event_cost: self.config.shard_cost_per_event,
-            busy: self.hub.counter(&format!("shard-{shard_id}.busy_micros")),
+            busy: MicrosCounter::new(self.hub.counter(&format!("shard-{shard_id}.busy_micros"))),
             applied: self.hub.counter(&format!("shard-{shard_id}.events")),
             trace_probe: None,
         };
@@ -292,7 +292,7 @@ struct ShardWriter {
     batch_cost: Duration,
     event_cost: Duration,
     /// `shard-N.busy_micros`.
-    busy: Counter,
+    busy: MicrosCounter,
     /// `shard-N.events`.
     applied: Counter,
     /// Lazily acquired: the thread outlives tracer installation, so it
@@ -325,7 +325,7 @@ impl ShardWriter {
         }
         self.applied.add(events);
         if let Some(started) = started {
-            self.busy.add(started.elapsed().as_micros() as u64);
+            self.busy.add(started.elapsed());
         }
     }
 }

@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use gt_core::prelude::*;
 use gt_graph::EvolvingGraph;
-use gt_metrics::hub::{Counter, Gauge};
+use gt_metrics::hub::{Counter, Gauge, MicrosCounter};
 use gt_metrics::MetricsHub;
 use gt_sut::WorkerSupervisor;
 use gt_trace::TracerCell;
@@ -273,7 +273,7 @@ impl TideStore {
             client_rx,
             pool: Arc::clone(&pool),
             cost: config.timestamper_cost_per_tx,
-            busy: hub.counter("timestamper.busy_micros"),
+            busy: MicrosCounter::new(hub.counter("timestamper.busy_micros")),
             queue: hub.gauge("timestamper.queue"),
             unsequenced: Arc::clone(&unsequenced),
             tx_counter: tx_counter.clone(),
@@ -382,7 +382,7 @@ struct Timestamper {
     client_rx: Receiver<ClientMsg>,
     pool: Arc<ShardPool>,
     cost: Duration,
-    busy: Counter,
+    busy: MicrosCounter,
     queue: Gauge,
     unsequenced: Arc<AtomicU64>,
     tx_counter: Counter,
@@ -396,7 +396,7 @@ impl Timestamper {
         if !self.cost.is_zero() {
             let start = Instant::now();
             busy_work(self.cost);
-            self.busy.add(start.elapsed().as_micros() as u64);
+            self.busy.add(start.elapsed());
         }
     }
 
