@@ -703,4 +703,72 @@ mod tests {
             .count();
         assert_eq!(sends, 3, "nothing is sent past the failure");
     }
+
+    /// CPU time the calling thread has used, nanoseconds.
+    #[cfg(target_os = "linux")]
+    fn thread_cpu_nanos() -> u64 {
+        #[repr(C)]
+        struct Timespec {
+            tv_sec: i64,
+            tv_nsec: i64,
+        }
+        const CLOCK_THREAD_CPUTIME_ID: i32 = 3;
+        extern "C" {
+            fn clock_gettime(clock_id: i32, tp: *mut Timespec) -> i32;
+        }
+        let mut ts = Timespec {
+            tv_sec: 0,
+            tv_nsec: 0,
+        };
+        // SAFETY: `ts` is a live, writable `struct timespec` (two 64-bit
+        // fields on 64-bit Linux) and the clock id is a kernel constant.
+        assert_eq!(
+            unsafe { clock_gettime(CLOCK_THREAD_CPUTIME_ID, &mut ts) },
+            0
+        );
+        ts.tv_sec as u64 * 1_000_000_000 + ts.tv_nsec as u64
+    }
+
+    /// One client of `store-tcp-150k` (75k events/s, open loop) on the
+    /// wall clock: its events must leave on schedule while the client
+    /// thread sleeps through part of each gap instead of spinning it.
+    #[cfg(target_os = "linux")]
+    #[test]
+    #[ignore = "wall-clock pacing precision and CPU; run via the CI timing job"]
+    fn open_loop_client_at_75k_is_on_time_without_a_core_of_spin() {
+        struct CountingSink(u64);
+        impl EventSink for CountingSink {
+            fn send(&mut self, _entry: &StreamEntry) -> io::Result<()> {
+                self.0 += 1;
+                Ok(())
+            }
+        }
+        const RATE: u64 = 75_000;
+        let clock: Arc<dyn Clock> = Arc::new(WallClock::start());
+        let config = ClientConfig::new("guard", LoopModel::Open, RATE as f64, 7);
+        let cpu_start = thread_cpu_nanos();
+        let report = run_client(
+            &graph_entries(RATE),
+            &config,
+            Box::new(CountingSink(0)),
+            clock,
+        )
+        .unwrap();
+        let cpu = thread_cpu_nanos() - cpu_start;
+        assert_eq!(report.sent, RATE);
+        let on_time = report.sojourn.iter().filter(|&&(_, s)| s <= 5_000).count();
+        let on_time_frac = on_time as f64 / report.sojourn.len() as f64;
+        let wall = (report.finished_micros - report.started_micros) * 1_000;
+        let cpu_frac = cpu as f64 / wall as f64;
+        println!(
+            "on time (<= 5 ms) {on_time_frac:.5}, client thread CPU {:.0} % of wall",
+            cpu_frac * 100.0
+        );
+        assert!(on_time_frac >= 0.999, "on-time fraction {on_time_frac}");
+        assert!(
+            cpu_frac < 0.9,
+            "client thread CPU {:.0} % of wall",
+            cpu_frac * 100.0
+        );
+    }
 }

@@ -5,7 +5,9 @@
 //! The graph stream replayer (paper §4.1, §5.1): emits a stream of events
 //! "with a uniform, yet tunable event rate", decoupling reading from
 //! emitting with a multi-threaded design, using high-precision timestamps
-//! and busy-waiting for timeliness.
+//! and busy-waiting for timeliness — here only for the last few
+//! microseconds of a wait, the timer's measured wake-up error, because the
+//! replayer shares its cores with the platform under test.
 //!
 //! * [`sink`] — where events go: any [`std::io::Write`] (pipes, files,
 //!   stdout) or a TCP connection; all platform-specific connectors
@@ -13,8 +15,9 @@
 //! * [`pacing`] — the deadline arithmetic of the rate controller, pure
 //!   over replay-relative nanoseconds.
 //! * [`replayer`] — the driver: paces, pauses and timestamps on the run's
-//!   [`gt_metrics::Clock`] (one time base and one sleep-then-spin wait,
-//!   `Clock::wait_until`, for the whole instrument), honours in-stream
+//!   [`gt_metrics::Clock`] (one time base and one wait for the whole
+//!   instrument, `Clock::wait_until`: sleep on a fine-grained timer, then
+//!   spin for the learned wake-up error only), honours in-stream
 //!   `SPEED` and `PAUSE` control events, and reports achieved ingress
 //!   rates (§4.3 "Streaming Metrics").
 //! * [`reader`] — the decoupled file-reader thread feeding the replayer

@@ -11,8 +11,10 @@
 //! reads, no sleeping — so SPEED / PAUSE / stall scenarios are testable
 //! deterministically. The [`crate::Replayer`] reads "now" from the run's
 //! [`gt_metrics::Clock`] and blocks with [`gt_metrics::Clock::wait_until`]
-//! (sleep, then spin for the last stretch): one time base and one wait
-//! for the whole instrument, and virtual time on a `ManualClock`.
+//! (sleep on a 1 ns-slack timer until the thread's learned spin margin —
+//! the timer's measured wake-up error — is left, then spin for that
+//! margin only): one time base and one wait for the whole instrument, and
+//! virtual time on a `ManualClock`.
 
 use crate::pattern::CompiledPattern;
 

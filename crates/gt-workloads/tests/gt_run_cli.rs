@@ -96,11 +96,12 @@ const REPLAY_LABELS: [&str; 7] = [
     "quiesced",
 ];
 
-const STORE_REPORT_LABELS: [&str; 8] = [
+const STORE_REPORT_LABELS: [&str; 9] = [
     "events",
     "transactions",
     "vertices",
     "edges",
+    "dangling_edges_dropped",
     "crashes",
     "restarts",
     "events_lost",

@@ -267,13 +267,19 @@ impl ShardPool {
         }
         log.sort_by_key(|(ts, _)| *ts);
         let mut graph = EvolvingGraph::new();
+        let mut dangling_edges_dropped = 0;
         for (_, event) in &log {
+            if let GraphEvent::AddEdge { id, .. } = event.event() {
+                let endpoints_exist = graph.has_vertex(id.src) && graph.has_vertex(id.dst);
+                dangling_edges_dropped += u64::from(!id.is_self_loop() && !endpoints_exist);
+            }
             let _ = graph.apply_with(event.event(), ApplyPolicy::Lenient);
         }
         StoreStats {
             transactions,
             events: log.len() as u64,
             graph,
+            dangling_edges_dropped,
             crashes: self.counters.crashes.get(),
             restarts: self.counters.restarts.get(),
             events_lost: self.counters.events_lost.get(),

@@ -219,6 +219,11 @@ pub struct StoreStats {
     pub events: u64,
     /// The reconstructed graph (all shard logs merged in timestamp order).
     pub graph: EvolvingGraph,
+    /// `AddEdge`s (not self-loops) the reconstruction dropped because an
+    /// endpoint did not exist at the edge's commit timestamp — an edge
+    /// that overtook its endpoint's `AddVertex`. Still counted in
+    /// `events`, absent from `graph`.
+    pub dangling_edges_dropped: u64,
     /// Shard deaths (injected crashes plus contained panics).
     pub crashes: u64,
     /// Supervised shard restarts.

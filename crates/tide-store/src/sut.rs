@@ -218,6 +218,10 @@ fn report_from_stats(name: &str, stats: &StoreStats) -> SutReport {
         .with("transactions", stats.transactions as f64)
         .with("vertices", stats.graph.vertex_count() as f64)
         .with("edges", stats.graph.edge_count() as f64)
+        .with(
+            "dangling_edges_dropped",
+            stats.dangling_edges_dropped as f64,
+        )
         .with("crashes", stats.crashes as f64)
         .with("restarts", stats.restarts as f64)
         .with("events_lost", stats.events_lost as f64)
@@ -567,6 +571,46 @@ mod tests {
         // The headline property: the sharded run's digest is bit-identical
         // to the serial run's — same windows, same final adjacency.
         assert_eq!(serial.diff(&sharded), None);
+    }
+
+    #[test]
+    fn an_edge_committed_before_its_endpoint_is_counted_dropped() {
+        let add_vertex = |i: u64| GraphEvent::AddVertex {
+            id: VertexId(i),
+            state: State::empty(),
+        };
+        let edge = GraphEvent::AddEdge {
+            id: EdgeId::from((0, 1)),
+            state: State::empty(),
+        };
+        let as_generated = [add_vertex(0), edge.clone(), add_vertex(1)];
+        let two_phase = [add_vertex(0), add_vertex(1), edge];
+        for name in [SUT_NAME, SHARDED_SUT_NAME] {
+            for (events, dropped, edges) in [(&as_generated, 1.0, 0.0), (&two_phase, 0.0, 1.0)] {
+                let mut registry = SutRegistry::new();
+                register(&mut registry);
+                let options = SutOptions::new()
+                    .set("timestamper_cost_us", 0)
+                    .set("shard_cost_us", 0);
+                let mut sut = registry.start(name, &options).unwrap();
+                let mut connector = sut.connector().unwrap();
+                for event in events {
+                    connector.send(&StreamEntry::graph(event.clone())).unwrap();
+                }
+                connector.close().unwrap();
+                drop(connector);
+                assert!(sut.quiesce(Duration::from_secs(5)));
+                let report = sut.shutdown();
+                assert_eq!(
+                    report.get("dangling_edges_dropped"),
+                    Some(dropped),
+                    "{name}"
+                );
+                assert_eq!(report.get("events"), Some(3.0), "{name}");
+                assert_eq!(report.get("vertices"), Some(2.0), "{name}");
+                assert_eq!(report.get("edges"), Some(edges), "{name}");
+            }
+        }
     }
 
     #[test]
