@@ -1,5 +1,14 @@
 //! The [`SystemUnderTest`] adapter for the engine — everything the harness
 //! needs to spawn, feed, observe, and stop a `tide-graph` by name.
+//!
+//! `tide-graph-sharded` is not a second engine: it is the same
+//! [`TideGraph`] registered under a second name ([`SHARDED_SUT_NAME`] and
+//! one `start_sharded` line), with no code path of its own — the engine's
+//! workers already are entity-affine shards, and the name changes nothing
+//! but the name the run reports. Unlike `tide-store-sharded` (a different
+//! sequencer) there is nothing to merge; the name stays because
+//! `gt-run --shards`, the CI differential job and matrix specs select the
+//! sharded variant of either platform by it.
 
 use std::any::Any;
 use std::io;

@@ -15,41 +15,7 @@ use gt_core::prelude::*;
 use gt_replayer::EventSink;
 use gt_trace::Probe;
 
-use crate::sharded::ShardedClient;
 use crate::store::{StoreClient, Transaction};
-
-/// The client surface a [`BatchingConnector`] writes into: both the serial
-/// store's [`StoreClient`] (one global timestamper) and the sharded
-/// runtime's [`ShardedClient`] (router + per-shard sequencers) implement
-/// it, so one connector serves the serial/sharded A/B without separate
-/// plumbing.
-pub trait StoreFrontend: Send {
-    /// Submits a transaction, blocking on backpressure; returns the
-    /// transaction back when the store has shut down.
-    fn submit(&self, transaction: Transaction) -> Result<(), Transaction>;
-    /// Submits a watermark so the store records the marker's cut.
-    fn marker(&self, name: &str);
-}
-
-impl StoreFrontend for StoreClient {
-    fn submit(&self, transaction: Transaction) -> Result<(), Transaction> {
-        StoreClient::submit(self, transaction)
-    }
-
-    fn marker(&self, name: &str) {
-        let _ = StoreClient::marker(self, name);
-    }
-}
-
-impl StoreFrontend for ShardedClient {
-    fn submit(&self, transaction: Transaction) -> Result<(), Transaction> {
-        ShardedClient::submit(self, transaction)
-    }
-
-    fn marker(&self, name: &str) {
-        let _ = ShardedClient::marker(self, name);
-    }
-}
 
 /// Batches replayed events into store transactions.
 ///
@@ -57,8 +23,8 @@ impl StoreFrontend for ShardedClient {
 /// event allocations into the transaction — only the `Arc` is cloned per
 /// event. The per-event [`EventSink::send`] fallback still accepts borrowed
 /// entries (and must copy them once into shared handles).
-pub struct BatchingConnector<C: StoreFrontend = StoreClient> {
-    client: C,
+pub struct BatchingConnector {
+    client: StoreClient,
     batch_size: usize,
     pending: Vec<SharedGraphEvent>,
     submitted_tx: u64,
@@ -66,12 +32,13 @@ pub struct BatchingConnector<C: StoreFrontend = StoreClient> {
     trace_probe: Option<Probe>,
 }
 
-impl<C: StoreFrontend> BatchingConnector<C> {
-    /// A connector committing `batch_size` events per transaction.
+impl BatchingConnector {
+    /// A connector committing `batch_size` events per transaction through
+    /// `client`, behind whichever sequencer its store was started with.
     ///
     /// # Panics
     /// If `batch_size` is zero.
-    pub fn new(client: C, batch_size: usize) -> Self {
+    pub fn new(client: StoreClient, batch_size: usize) -> Self {
         assert!(batch_size > 0, "batch size must be positive");
         BatchingConnector {
             client,
@@ -130,7 +97,7 @@ impl<C: StoreFrontend> BatchingConnector<C> {
         let count = events.len() as u64;
         self.client
             .submit(Transaction { events })
-            .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "store shut down"))?;
+            .map_err(store_shut_down)?;
         self.submitted_tx += 1;
         self.submitted_events += count;
         Ok(())
@@ -141,12 +108,15 @@ impl<C: StoreFrontend> BatchingConnector<C> {
     /// first.
     fn forward_marker(&mut self, name: &str) -> io::Result<()> {
         self.submit_pending()?;
-        self.client.marker(name);
-        Ok(())
+        self.client.marker(name).map_err(store_shut_down)
     }
 }
 
-impl<C: StoreFrontend> EventSink for BatchingConnector<C> {
+fn store_shut_down<E>(_: E) -> io::Error {
+    io::Error::new(io::ErrorKind::BrokenPipe, "store shut down")
+}
+
+impl EventSink for BatchingConnector {
     fn send(&mut self, entry: &StreamEntry) -> io::Result<()> {
         match entry {
             StreamEntry::Graph(event) => self.push(SharedGraphEvent::new(event.clone())),

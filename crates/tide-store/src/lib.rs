@@ -24,18 +24,23 @@
 //! of Figure 3b. Components account their busy time into a
 //! [`gt_metrics::MetricsHub`] so a Level-0 logger can chart per-component
 //! CPU utilization (Figure 3c).
+//!
+//! The same [`TideStore`] can instead be started behind a *router*
+//! ([`TideStore::start_sharded`], registered as `tide-store-sharded`):
+//! each client sequences its own transactions and every shard pays the
+//! ordering cost per batch it receives — the scaling counter-move. Only
+//! the sequencer differs; the client, the routing body, the shards and
+//! the statistics are one code path (see [`store`]).
 
 pub mod connector;
 pub mod partition;
 pub mod shard;
-pub mod sharded;
 pub mod store;
 pub mod sut;
 
-pub use connector::{BatchingConnector, StoreFrontend};
+pub use connector::BatchingConnector;
 pub use partition::PartitionState;
 pub use shard::StoreSupervisor;
-pub use sharded::{ShardedClient, ShardedStats, ShardedStore};
 pub use store::{
     shard_for, shard_for_key, StoreClient, StoreClosed, StoreConfig, StoreStats, TideStore,
     Transaction,

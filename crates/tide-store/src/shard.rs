@@ -1,14 +1,15 @@
-//! The shard pool both runtimes write into: the queue fabric with its
-//! per-slot event account, the shard threads, and their supervisor.
+//! The shard side of the store: the queue fabric with its per-slot event
+//! account, the shard threads, their supervisor, and the state both
+//! sequencers share (the commit-timestamp counter, marker cuts, counters).
 //!
-//! The serial store's timestamper and the sharded store's router differ
-//! only in *who sequences*; what happens to a sequenced event is the same
-//! — it travels, with the rest of its transaction's share for that shard,
-//! as one `ShardMsg::Batch`, is applied to the shard's
-//! [`PartitionState`] and appended to its log. A queue slot therefore
-//! holds a batch, not an event, and the channel's length says nothing
-//! about events: each slot keeps an item-exact `enqueued`/`applied` pair
-//! from which `quiesce` and a crash's loss count are derived.
+//! The timestamper and the router differ only in *who sequences*; what
+//! happens to a sequenced event is the same — it travels, with the rest of
+//! its transaction's share for that shard, as one `ShardMsg::Batch`, is
+//! applied to the shard's [`PartitionState`] and appended to its log. A
+//! queue slot therefore holds a batch, not an event, and the channel's
+//! length says nothing about events: each slot keeps an item-exact
+//! `enqueued`/`applied` pair from which `quiesce` and a crash's loss count
+//! are derived.
 
 use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -26,7 +27,7 @@ use gt_trace::{Probe, Stage, TracerCell};
 use parking_lot::{Mutex, RwLock};
 
 use crate::partition::PartitionState;
-use crate::store::{shard_for, StoreConfig, StoreStats};
+use crate::store::{shard_for, shard_for_key, StoreConfig, StoreStats};
 
 /// `(commit timestamp, event)` pairs: a shard's write log in apply order,
 /// and the payload of one queue message.
@@ -36,11 +37,9 @@ pub(crate) type ShardLog = Vec<(u64, SharedGraphEvent)>;
 pub(crate) enum ShardMsg {
     /// One transaction's share for this shard, timestamps assigned.
     Batch(ShardLog),
-    /// A broadcast watermark (sharded runtime); the optional channel
-    /// acknowledges receipt (the marker barrier). The name is interned:
-    /// the per-shard fan-out bumps a refcount instead of cloning a
-    /// `String` per queue.
-    Marker(Arc<str>, Option<Sender<()>>),
+    /// A broadcast watermark. The name is interned: the per-shard fan-out
+    /// bumps a refcount instead of cloning a `String` per queue.
+    Marker(Arc<str>),
     ReadVertex(VertexId, Sender<Option<State>>),
     ReadEdge(EdgeId, Sender<Option<State>>),
     /// A simulated shard kill: discard state and log and exit immediately,
@@ -73,18 +72,23 @@ impl Slot {
     }
 }
 
-/// Fault/recovery counters registered on the store's hub
-/// (`store.crashes`, `store.restarts`, `store.events_lost`,
-/// `store.events_replayed`).
-pub(crate) struct FaultCounters {
+/// The store's counters on its hub: `store.tx` / `store.events`
+/// (committed), `store.marker_skips`, and the fault/recovery counters
+/// `store.crashes`, `store.restarts`, `store.events_lost`,
+/// `store.events_replayed`.
+pub(crate) struct Counters {
+    pub(crate) tx: Counter,
+    pub(crate) events: Counter,
+    pub(crate) marker_skips: Counter,
     pub(crate) crashes: Counter,
     pub(crate) restarts: Counter,
     pub(crate) events_lost: Counter,
     pub(crate) events_replayed: Counter,
 }
 
-/// The running shards and everything needed to feed, kill and resurrect
-/// them; shared by the store handle, its clients and its supervisor.
+/// The running shards and everything needed to sequence into, kill and
+/// resurrect them; shared by the store handle, its clients, its
+/// timestamper and its supervisor.
 pub(crate) struct ShardPool {
     /// The current sender of every slot. Write-locked while a restart
     /// swaps a sender or a crash closes a slot's account — which excludes
@@ -93,21 +97,32 @@ pub(crate) struct ShardPool {
     txs: RwLock<Vec<Sender<ShardMsg>>>,
     slots: Vec<Slot>,
     handles: Mutex<Vec<JoinHandle<(usize, ShardLog)>>>,
-    /// Every sequenced `(timestamp, event)` pair, pushed by the router
-    /// under its [`Self::routes`] guard — in supervised mode only.
+    /// Every sequenced `(timestamp, event)` pair, pushed by the routing
+    /// body under its [`Self::routes`] guard — in supervised mode only.
     pub(crate) retained: Mutex<ShardLog>,
     /// Marker sightings `(interned name, shard)` in processing order.
-    pub(crate) shard_markers: Mutex<Vec<(Arc<str>, usize)>>,
+    shard_markers: Mutex<Vec<(Arc<str>, usize)>>,
+    /// The next commit timestamp: advanced by a transaction's length when
+    /// it is routed, so timestamps are stream positions.
+    pub(crate) next_ts: AtomicU64,
+    /// Transactions queued for the timestamper but not yet routed;
+    /// advanced before the client's send so [`Self::quiesce`] never sees
+    /// the ingestion stage idle with a transaction inside it. Always zero
+    /// behind the router, which has no ingestion stage.
+    pub(crate) unsequenced: AtomicU64,
+    /// Marker cuts in sequencing order: `(name, commit timestamp)`.
+    cuts: Mutex<Vec<(String, u64)>>,
     pub(crate) config: StoreConfig,
     /// The ordering cost a shard pays per received batch: zero behind the
-    /// serial timestamper (it already paid), the sequencing cost in the
-    /// sharded runtime.
+    /// timestamper (it already paid), the sequencing cost behind the
+    /// router.
     batch_cost: Duration,
     hub: MetricsHub,
     pub(crate) tracer_cell: TracerCell,
-    /// Set by shutdown; blocks further restarts and crashes.
+    /// Set by shutdown; blocks further restarts, crashes and routed
+    /// traffic.
     pub(crate) stopping: AtomicBool,
-    pub(crate) counters: FaultCounters,
+    pub(crate) counters: Counters,
 }
 
 /// How often [`ShardPool::quiesce`] re-reads the accounts: fine enough not
@@ -119,8 +134,8 @@ const REPLAY_BATCH: usize = 64;
 
 impl ShardPool {
     /// Starts `config.shards` shard threads behind bounded queues.
-    /// Registers `shard-N.busy_micros`, `shard-N.events` and the fault
-    /// counters on `hub`.
+    /// Registers `shard-N.busy_micros`, `shard-N.events` and the
+    /// [`Counters`] on `hub`.
     pub(crate) fn start(config: StoreConfig, batch_cost: Duration, hub: &MetricsHub) -> Arc<Self> {
         assert!(config.shards >= 1, "at least one shard required");
         let (txs, rxs): (Vec<_>, Vec<_>) = (0..config.shards)
@@ -138,12 +153,18 @@ impl ShardPool {
             handles: Mutex::new(Vec::with_capacity(config.shards)),
             retained: Mutex::new(Vec::new()),
             shard_markers: Mutex::new(Vec::new()),
+            next_ts: AtomicU64::new(0),
+            unsequenced: AtomicU64::new(0),
+            cuts: Mutex::new(Vec::new()),
             config,
             batch_cost,
             hub: hub.clone(),
             tracer_cell: TracerCell::new(),
             stopping: AtomicBool::new(false),
-            counters: FaultCounters {
+            counters: Counters {
+                tx: hub.counter("store.tx"),
+                events: hub.counter("store.events"),
+                marker_skips: hub.counter("store.marker_skips"),
                 crashes: hub.counter("store.crashes"),
                 restarts: hub.counter("store.restarts"),
                 events_lost: hub.counter("store.events_lost"),
@@ -183,19 +204,19 @@ impl ShardPool {
             .expect("spawn shard")
     }
 
-    /// The senders of every slot, read-locked. A router holds the guard
-    /// across sequencing, retaining and delivering one transaction, so a
-    /// restart (write lock) can never observe it half-routed or snapshot
-    /// the retained log with its delivery still in flight, which would
-    /// replay it twice.
+    /// The senders of every slot, read-locked. The routing body holds the
+    /// guard across stamping, retaining and delivering one transaction,
+    /// so a restart (write lock) can never observe it half-routed or
+    /// snapshot the retained log with its delivery still in flight, which
+    /// would replay it twice.
     pub(crate) fn routes(&self) -> impl Deref<Target = Vec<Sender<ShardMsg>>> + '_ {
         self.txs.read()
     }
 
     /// Accounts `batch` on `shard` and sends it. Blocks while the shard's
     /// queue is full — the backpressure that reaches clients through the
-    /// router — and fails fast on a dead shard. Returns whether the batch
-    /// was delivered.
+    /// sequencer — and fails fast on a dead shard. Returns whether the
+    /// batch was delivered.
     pub(crate) fn post(&self, routes: &[Sender<ShardMsg>], shard: usize, batch: ShardLog) -> bool {
         let events = batch.len() as u64;
         let enqueued = &self.slots[shard].enqueued;
@@ -207,23 +228,42 @@ impl ShardPool {
         delivered
     }
 
-    /// Asks every shard to stop behind its backlog.
-    pub(crate) fn stop_all(&self) {
+    /// Sends a read to the shard owning `key`. A dead shard's queue
+    /// rejects it; dropping the reply sender with it turns the reader's
+    /// wait into `StoreClosed` instead of a hang.
+    pub(crate) fn read(&self, key: u64, msg: ShardMsg) {
+        let routes = self.routes();
+        let _ = routes[shard_for_key(key, routes.len() as u64) as usize].send(msg);
+    }
+
+    /// Records a marker's cut — the commit timestamp every event sequenced
+    /// before it is below — and broadcasts the marker to every shard,
+    /// behind the batches already queued there. The cut lives here, not in
+    /// any shard, so it survives shard crashes; a dead shard is skipped and
+    /// counted (`store.marker_skips`), never waited for.
+    pub(crate) fn mark(&self, name: &str) {
+        let cut = self.next_ts.load(Ordering::SeqCst);
+        self.cuts.lock().push((name.to_owned(), cut));
+        // Intern once; the per-shard fan-out clones refcounts, not Strings.
+        let name = gt_core::intern::intern(name);
         for tx in self.routes().iter() {
-            let _ = tx.send(ShardMsg::Stop);
+            if tx.send(ShardMsg::Marker(Arc::clone(&name))).is_err() {
+                self.counters.marker_skips.inc();
+            }
         }
     }
 
-    /// Blocks until `ingest_idle` holds and every live shard has applied
-    /// every event enqueued to it, or the timeout elapses. A dead shard's
-    /// backlog is lost, not pending, so it does not hold the wait.
-    pub(crate) fn quiesce(&self, timeout: Duration, ingest_idle: impl Fn() -> bool) -> bool {
+    /// Blocks until no transaction waits for the timestamper and every
+    /// live shard has applied every event enqueued to it, or the timeout
+    /// elapses. A dead shard's backlog is lost, not pending, so it does
+    /// not hold the wait.
+    pub(crate) fn quiesce(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         let settled = |slot: &Slot| !slot.is_alive() || slot.backlog() == 0;
         loop {
             // Ingestion first: once it is idle every share of every
             // submitted transaction is on a slot's account.
-            if ingest_idle() && self.slots.iter().all(settled) {
+            if self.unsequenced.load(Ordering::SeqCst) == 0 && self.slots.iter().all(settled) {
                 return true;
             }
             if Instant::now() >= deadline {
@@ -240,7 +280,10 @@ impl ShardPool {
     /// poisoning the run.
     pub(crate) fn join(&self) -> Vec<(usize, ShardLog)> {
         self.stopping.store(true, Ordering::SeqCst);
-        self.stop_all();
+        // Every shard stops behind its backlog.
+        for tx in self.routes().iter() {
+            let _ = tx.send(ShardMsg::Stop);
+        }
         let handles = std::mem::take(&mut *self.handles.lock());
         let mut logs = Vec::with_capacity(handles.len());
         for handle in handles {
@@ -255,12 +298,18 @@ impl ShardPool {
     /// Merges the joined shard logs in timestamp order and reconstructs
     /// the committed graph from the merged log. Crashed shards' events
     /// are simply absent (unless a supervised restart replayed them).
-    pub(crate) fn stats(
-        &self,
-        transactions: u64,
-        markers: Vec<(String, u64)>,
-        logs: Vec<(usize, ShardLog)>,
-    ) -> StoreStats {
+    /// `per_shard` fills [`StoreStats::per_shard_seqs`] from the logs
+    /// before the merge: 8 bytes per event, live through the
+    /// reconstruction.
+    pub(crate) fn stats(&self, logs: Vec<(usize, ShardLog)>, per_shard: bool) -> StoreStats {
+        let mut per_shard_seqs = vec![Vec::new(); self.config.shards];
+        if per_shard {
+            // A restarted slot appends to its dead thread's (empty) list,
+            // which keeps the rebuilt order.
+            for (shard, log) in &logs {
+                per_shard_seqs[*shard].extend(log.iter().map(|(ts, _)| *ts));
+            }
+        }
         let mut log: ShardLog = Vec::with_capacity(logs.iter().map(|(_, l)| l.len()).sum());
         for (_, shard_log) in logs {
             log.extend(shard_log);
@@ -275,8 +324,9 @@ impl ShardPool {
             }
             let _ = graph.apply_with(event.event(), ApplyPolicy::Lenient);
         }
+        let shard_markers = self.shard_markers.lock();
         StoreStats {
-            transactions,
+            transactions: self.counters.tx.get(),
             events: log.len() as u64,
             graph,
             dangling_edges_dropped,
@@ -284,8 +334,14 @@ impl ShardPool {
             restarts: self.counters.restarts.get(),
             events_lost: self.counters.events_lost.get(),
             events_replayed: self.counters.events_replayed.get(),
-            markers,
+            markers: std::mem::take(&mut *self.cuts.lock()),
             log,
+            per_shard_seqs,
+            shard_markers: shard_markers
+                .iter()
+                .map(|(name, shard)| (name.to_string(), *shard))
+                .collect(),
+            marker_skips: self.counters.marker_skips.get(),
         }
     }
 }
@@ -365,12 +421,7 @@ fn shard_loop(
                 writer.apply_batch(batch, &pool.tracer_cell);
                 slot.applied.fetch_add(events, Ordering::SeqCst);
             }
-            ShardMsg::Marker(name, ack) => {
-                pool.shard_markers.lock().push((name, shard_id));
-                if let Some(ack) = ack {
-                    let _ = ack.send(());
-                }
-            }
+            ShardMsg::Marker(name) => pool.shard_markers.lock().push((name, shard_id)),
             ShardMsg::ReadVertex(id, reply) => {
                 let _ = reply.send(writer.state.read_vertex(id));
             }
@@ -403,7 +454,8 @@ fn shard_loop(
 }
 
 /// The store's [`WorkerSupervisor`]: kills and resurrects individual
-/// shards of either runtime. Obtained from `supervisor()` on the store.
+/// shards behind either sequencer. Obtained from `supervisor()` on the
+/// store.
 pub struct StoreSupervisor(pub(crate) Arc<ShardPool>);
 
 impl WorkerSupervisor for StoreSupervisor {
@@ -461,8 +513,8 @@ impl WorkerSupervisor for StoreSupervisor {
                 .cloned()
                 .collect()
         };
-        // Concurrent sharded clients retain in lock order, not in
-        // sequence order; the rebuilt shard log keeps the latter.
+        // Concurrent router clients retain in lock order, not in
+        // timestamp order; the rebuilt shard log keeps the latter.
         replay.sort_by_key(|(ts, _)| *ts);
         txs[worker] = tx;
         for chunk in replay.chunks(REPLAY_BATCH) {

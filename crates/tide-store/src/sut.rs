@@ -1,15 +1,16 @@
 //! The [`SystemUnderTest`] adapter for the store — everything the harness
 //! needs to spawn, feed, observe, and stop a `tide-store` by name.
 //!
-//! Two registry entries share this adapter:
+//! One adapter over one [`TideStore`], registered under two names that
+//! choose its sequencer:
 //!
-//! * **`tide-store`** — the serial runtime ([`TideStore`]): one global
-//!   timestamper, the paper's Weaver-style bottleneck.
-//! * **`tide-store-sharded`** — the sharded runtime
-//!   ([`ShardedStore`]): an entity-affine router feeding N batched
-//!   per-shard sequencers, the scaling counter-move. Same options, same
-//!   report shape, same digest semantics — so the harness can A/B the two
-//!   by name alone (the serial-vs-sharded differential).
+//! * **`tide-store`** — [`TideStore::start`]: one global timestamper, the
+//!   paper's Weaver-style bottleneck.
+//! * **`tide-store-sharded`** — [`TideStore::start_sharded`]: each client
+//!   routes on its own thread and every shard sequences its own batches,
+//!   the scaling counter-move. Same options, same digest semantics — so
+//!   the harness can A/B the two by name alone (the serial-vs-sharded
+//!   differential); its report adds `shards` and `marker_skips`.
 
 use std::any::Any;
 use std::io;
@@ -25,32 +26,24 @@ use gt_sut::{
 use gt_trace::{Stage, Tracer};
 
 use crate::connector::BatchingConnector;
-use crate::sharded::ShardedStore;
 use crate::store::{StoreConfig, StoreStats, TideStore};
 
-/// The registry name of the serial runtime.
+/// The registry name of the store behind the timestamper.
 pub const SUT_NAME: &str = "tide-store";
 
-/// The registry name of the sharded runtime.
+/// The registry name of the store behind the router.
 pub const SHARDED_SUT_NAME: &str = "tide-store-sharded";
-
-/// The running store behind the adapter: serial timestamper or sharded
-/// router, chosen at registry-start time.
-enum StoreRuntime {
-    Serial(TideStore),
-    Sharded(ShardedStore),
-}
 
 /// A running store behind the [`SystemUnderTest`] boundary.
 ///
-/// Recognized [`SutOptions`] (both runtimes):
+/// Recognized [`SutOptions`] (both names):
 ///
 /// | option | meaning | default |
 /// |---|---|---|
 /// | `shards` | shard worker threads (typed: 1..=[`gt_sut::MAX_SHARDS`]) | 2 serial / 4 sharded |
 /// | `timestamper_cost_us` | ordering cost per transaction (serial) or per shard batch (sharded), µs | 800 |
 /// | `shard_cost_us` | write cost per event, µs | 20 |
-/// | `queue_capacity` | bounded queue capacity: transactions on the ingestion queue, one transaction's share (serial) or one routed batch (sharded) per shard-queue slot | 256 |
+/// | `queue_capacity` | bounded queue capacity: transactions on the ingestion queue, one transaction's share per shard-queue slot | 256 |
 /// | `batch_size` | events per transaction in the connector | 10 |
 /// | `supervised` | retain commits so crashed shards can be restarted (`1` = on) | 0 |
 /// | `digest` | capture a [`StateDigest`] at shutdown (`1` = on) | 0 |
@@ -59,104 +52,76 @@ enum StoreRuntime {
 /// connector has been *applied* by its shard (or the timeout elapsed), not
 /// merely queued; what a crashed shard abandoned counts as lost instead.
 pub struct TideStoreSut {
-    runtime: Option<StoreRuntime>,
+    /// The registry name the store was started under.
+    name: &'static str,
+    store: Option<TideStore>,
     hub: MetricsHub,
     batch_size: usize,
     digest: bool,
     tracer: Option<Tracer>,
 }
 
-/// Options shared by the serial and sharded start paths.
-struct ParsedOptions {
-    config: StoreConfig,
-    batch_size: usize,
-    digest: bool,
-}
-
-fn parse_options(options: &SutOptions, default_shards: usize) -> io::Result<ParsedOptions> {
-    let defaults = StoreConfig::default();
-    let config = StoreConfig {
-        // The typed getter: rejects 0, non-numeric, and absurd counts
-        // with a structured ShardsError instead of a stringly parse.
-        shards: options.get_shards()?.unwrap_or(default_shards),
-        timestamper_cost_per_tx: options
-            .get_duration_micros("timestamper_cost_us")?
-            .unwrap_or(defaults.timestamper_cost_per_tx),
-        shard_cost_per_event: options
-            .get_duration_micros("shard_cost_us")?
-            .unwrap_or(defaults.shard_cost_per_event),
-        queue_capacity: options
-            .get_usize("queue_capacity")?
-            .unwrap_or(defaults.queue_capacity),
-        supervised: options.get_u64("supervised")?.unwrap_or(0) != 0,
-    };
-    let batch_size = options.get_usize("batch_size")?.unwrap_or(10);
-    if batch_size == 0 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "option `batch_size` must be positive",
-        ));
-    }
-    let digest = options.get_u64("digest")?.unwrap_or(0) != 0;
-    Ok(ParsedOptions {
-        config,
-        batch_size,
-        digest,
-    })
-}
-
 impl TideStoreSut {
-    /// Spawns a **serial** store from the option bag (unset options keep
-    /// the [`StoreConfig`] defaults).
+    /// Spawns a store behind the **timestamper** from the option bag
+    /// (unset options keep the [`StoreConfig`] defaults).
     pub fn start(options: &SutOptions) -> io::Result<Self> {
-        let parsed = parse_options(options, StoreConfig::default().shards)?;
-        let hub = MetricsHub::new();
-        let store = TideStore::start(parsed.config, &hub);
-        Ok(TideStoreSut {
-            runtime: Some(StoreRuntime::Serial(store)),
-            hub,
-            batch_size: parsed.batch_size,
-            digest: parsed.digest,
-            tracer: None,
-        })
+        Self::launch(
+            SUT_NAME,
+            options,
+            StoreConfig::default().shards,
+            TideStore::start,
+        )
     }
 
-    /// Spawns a **sharded** store: router + per-shard sequencers, shard
-    /// count from the `shards` option (default 4).
+    /// Spawns a store behind the **router**, shard count from the `shards`
+    /// option (default 4).
     pub fn start_sharded(options: &SutOptions) -> io::Result<Self> {
-        let parsed = parse_options(options, 4)?;
+        Self::launch(SHARDED_SUT_NAME, options, 4, TideStore::start_sharded)
+    }
+
+    fn launch(
+        name: &'static str,
+        options: &SutOptions,
+        default_shards: usize,
+        start: fn(StoreConfig, &MetricsHub) -> TideStore,
+    ) -> io::Result<Self> {
+        let defaults = StoreConfig::default();
+        let config = StoreConfig {
+            // The typed getter: rejects 0, non-numeric, and absurd counts
+            // with a structured ShardsError instead of a stringly parse.
+            shards: options.get_shards()?.unwrap_or(default_shards),
+            timestamper_cost_per_tx: options
+                .get_duration_micros("timestamper_cost_us")?
+                .unwrap_or(defaults.timestamper_cost_per_tx),
+            shard_cost_per_event: options
+                .get_duration_micros("shard_cost_us")?
+                .unwrap_or(defaults.shard_cost_per_event),
+            queue_capacity: options
+                .get_usize("queue_capacity")?
+                .unwrap_or(defaults.queue_capacity),
+            supervised: options.get_u64("supervised")?.unwrap_or(0) != 0,
+        };
+        let batch_size = options.get_usize("batch_size")?.unwrap_or(10);
+        if batch_size == 0 {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "option `batch_size` must be positive",
+            ));
+        }
+        let digest = options.get_u64("digest")?.unwrap_or(0) != 0;
         let hub = MetricsHub::new();
-        let store = ShardedStore::start(parsed.config, &hub);
         Ok(TideStoreSut {
-            runtime: Some(StoreRuntime::Sharded(store)),
+            name,
+            store: Some(start(config, &hub)),
             hub,
-            batch_size: parsed.batch_size,
-            digest: parsed.digest,
+            batch_size,
+            digest,
             tracer: None,
         })
     }
 
-    fn runtime(&self) -> &StoreRuntime {
-        self.runtime.as_ref().expect("store is running")
-    }
-
-    /// The running serial store (live counters, extra client handles).
-    ///
-    /// # Panics
-    /// If this adapter runs the sharded runtime.
-    pub fn store(&self) -> &TideStore {
-        match self.runtime() {
-            StoreRuntime::Serial(store) => store,
-            StoreRuntime::Sharded(_) => panic!("store(): sharded runtime"),
-        }
-    }
-
-    /// The running sharded store, when this adapter runs one.
-    pub fn sharded_store(&self) -> Option<&ShardedStore> {
-        match self.runtime() {
-            StoreRuntime::Serial(_) => None,
-            StoreRuntime::Sharded(store) => Some(store),
-        }
+    fn store(&self) -> &TideStore {
+        self.store.as_ref().expect("store is running")
     }
 }
 
@@ -229,36 +194,35 @@ fn report_from_stats(name: &str, stats: &StoreStats) -> SutReport {
 }
 
 impl TideStoreSut {
-    /// Shuts the runtime down and returns the report plus (in digest
-    /// mode) the state digest — shared by both shutdown entry points.
+    /// Shuts the store down and returns the report plus (in digest mode)
+    /// the state digest — shared by both shutdown entry points. The
+    /// sharded name adds `shards` and `marker_skips` to its report and
+    /// `marker_skips` to its digest's degradation counters; the serial
+    /// name keeps the keys it has always had.
     fn shutdown_inner(&mut self) -> (SutReport, Option<StateDigest>) {
-        let digest_on = self.digest;
-        match self.runtime.take().expect("store is running") {
-            StoreRuntime::Serial(store) => {
-                let stats = store.shutdown();
-                let digest = digest_on.then(|| digest_from_stats(&stats, &[]));
-                (report_from_stats(SUT_NAME, &stats), digest)
-            }
-            StoreRuntime::Sharded(store) => {
-                let stats = store.shutdown();
-                let digest = digest_on.then(|| {
-                    digest_from_stats(&stats.store, &[("marker_skips", stats.marker_skips)])
-                });
-                let report = report_from_stats(SHARDED_SUT_NAME, &stats.store)
-                    .with("shards", stats.per_shard_seqs.len() as f64)
-                    .with("marker_skips", stats.marker_skips as f64);
-                (report, digest)
-            }
+        let stats = self.store.take().expect("store is running").shutdown();
+        let sharded = self.name == SHARDED_SUT_NAME;
+        let extra_degradation: &[(&str, u64)] = if sharded {
+            &[("marker_skips", stats.marker_skips)]
+        } else {
+            &[]
+        };
+        let digest = self
+            .digest
+            .then(|| digest_from_stats(&stats, extra_degradation));
+        let mut report = report_from_stats(self.name, &stats);
+        if sharded {
+            report = report
+                .with("shards", stats.per_shard_seqs.len() as f64)
+                .with("marker_skips", stats.marker_skips as f64);
         }
+        (report, digest)
     }
 }
 
 impl SystemUnderTest for TideStoreSut {
     fn name(&self) -> &str {
-        match self.runtime() {
-            StoreRuntime::Serial(_) => SUT_NAME,
-            StoreRuntime::Sharded(_) => SHARDED_SUT_NAME,
-        }
+        self.name
     }
 
     fn level(&self) -> EvaluationLevel {
@@ -267,26 +231,11 @@ impl SystemUnderTest for TideStoreSut {
     }
 
     fn connector(&mut self) -> io::Result<Box<dyn EventSink + Send>> {
-        let probe = self
-            .tracer
-            .as_ref()
-            .map(|tracer| tracer.probe(Stage::ConnectorRecv));
-        match self.runtime() {
-            StoreRuntime::Serial(store) => {
-                let mut connector = BatchingConnector::new(store.client(), self.batch_size);
-                if let Some(probe) = probe {
-                    connector = connector.with_trace_probe(probe);
-                }
-                Ok(Box::new(connector))
-            }
-            StoreRuntime::Sharded(store) => {
-                let mut connector = BatchingConnector::new(store.client(), self.batch_size);
-                if let Some(probe) = probe {
-                    connector = connector.with_trace_probe(probe);
-                }
-                Ok(Box::new(connector))
-            }
+        let mut connector = BatchingConnector::new(self.store().client(), self.batch_size);
+        if let Some(tracer) = &self.tracer {
+            connector = connector.with_trace_probe(tracer.probe(Stage::ConnectorRecv));
         }
+        Ok(Box::new(connector))
     }
 
     fn hub(&self) -> Option<&MetricsHub> {
@@ -294,10 +243,7 @@ impl SystemUnderTest for TideStoreSut {
     }
 
     fn install_tracer(&mut self, tracer: &Tracer) {
-        match self.runtime() {
-            StoreRuntime::Serial(store) => store.tracer_cell().install(tracer),
-            StoreRuntime::Sharded(store) => store.tracer_cell().install(tracer),
-        }
+        self.store().tracer_cell().install(tracer);
         self.tracer = Some(tracer.clone());
     }
 
@@ -308,19 +254,13 @@ impl SystemUnderTest for TideStoreSut {
     fn supervisor(&self) -> Option<std::sync::Arc<dyn gt_sut::WorkerSupervisor>> {
         // Shares the store's internals, not the store handle, so
         // shutdown's ownership-taking path keeps working.
-        Some(match self.runtime() {
-            StoreRuntime::Serial(store) => store.supervisor(),
-            StoreRuntime::Sharded(store) => store.supervisor(),
-        })
+        Some(self.store().supervisor())
     }
 
     fn quiesce(&mut self, timeout: Duration) -> bool {
-        // "Quiesced" means applied, in both runtimes: a measurement
-        // window that closes here has nothing left in flight.
-        match self.runtime() {
-            StoreRuntime::Serial(store) => store.quiesce(timeout),
-            StoreRuntime::Sharded(store) => store.quiesce(timeout),
-        }
+        // "Quiesced" means applied, behind either sequencer: a
+        // measurement window that closes here has nothing left in flight.
+        self.store().quiesce(timeout)
     }
 
     fn shutdown(mut self: Box<Self>) -> SutReport {
@@ -340,8 +280,8 @@ impl SystemUnderTest for TideStoreSut {
     }
 }
 
-/// Registers the serial runtime under [`SUT_NAME`] and the sharded
-/// runtime under [`SHARDED_SUT_NAME`].
+/// Registers the store behind the timestamper under [`SUT_NAME`] and
+/// behind the router under [`SHARDED_SUT_NAME`].
 pub fn register(registry: &mut SutRegistry) {
     registry.register(SUT_NAME, |options| {
         Ok(Box::new(TideStoreSut::start(options)?) as Box<dyn SystemUnderTest>)
@@ -356,19 +296,18 @@ mod tests {
     use super::*;
     use gt_core::prelude::*;
 
-    #[test]
-    fn registry_run_commits_events() {
+    const NAMES: [&str; 2] = [SUT_NAME, SHARDED_SUT_NAME];
+
+    fn registry() -> SutRegistry {
         let mut registry = SutRegistry::new();
         register(&mut registry);
-        let options = SutOptions::new()
-            .set("timestamper_cost_us", 0)
-            .set("shard_cost_us", 0)
-            .set("batch_size", 5);
-        let mut sut = registry.start(SUT_NAME, &options).unwrap();
-        assert_eq!(sut.name(), SUT_NAME);
-        assert!(sut.level().includes(EvaluationLevel::Level1));
+        registry
+    }
+
+    /// Writes vertices `0..n` through one connector and closes it.
+    fn send_vertices(sut: &mut dyn SystemUnderTest, n: u64) {
         let mut connector = sut.connector().unwrap();
-        for i in 0..42u64 {
+        for i in 0..n {
             connector
                 .send(&StreamEntry::graph(GraphEvent::AddVertex {
                     id: VertexId(i),
@@ -377,69 +316,50 @@ mod tests {
                 .unwrap();
         }
         connector.close().unwrap();
-        drop(connector);
-        let report = sut.shutdown();
-        assert_eq!(report.get("events"), Some(42.0));
-        assert_eq!(report.get("vertices"), Some(42.0));
     }
 
     #[test]
-    fn sharded_registry_run_commits_events() {
-        let mut registry = SutRegistry::new();
-        register(&mut registry);
-        let options = SutOptions::new()
-            .set("timestamper_cost_us", 0)
-            .set("shard_cost_us", 0)
-            .set("shards", 4)
-            .set("batch_size", 5);
-        let mut sut = registry.start(SHARDED_SUT_NAME, &options).unwrap();
-        assert_eq!(sut.name(), SHARDED_SUT_NAME);
-        let mut connector = sut.connector().unwrap();
-        for i in 0..42u64 {
-            connector
-                .send(&StreamEntry::graph(GraphEvent::AddVertex {
-                    id: VertexId(i),
-                    state: State::empty(),
-                }))
-                .unwrap();
+    fn registry_run_commits_events() {
+        for name in NAMES {
+            let options = SutOptions::new()
+                .set("timestamper_cost_us", 0)
+                .set("shard_cost_us", 0)
+                .set("shards", 3)
+                .set("batch_size", 5);
+            let mut sut = registry().start(name, &options).unwrap();
+            assert_eq!(sut.name(), name);
+            assert!(sut.level().includes(EvaluationLevel::Level1));
+            send_vertices(sut.as_mut(), 42);
+            let report = sut.shutdown();
+            assert_eq!(report.get("events"), Some(42.0), "{name}");
+            assert_eq!(report.get("vertices"), Some(42.0), "{name}");
+            // Only the sharded name reports its shard count.
+            let shards = (name == SHARDED_SUT_NAME).then_some(3.0);
+            assert_eq!(report.get("shards"), shards, "{name}");
         }
-        connector.close().unwrap();
-        drop(connector);
-        assert!(sut.quiesce(Duration::from_secs(5)));
-        let report = sut.shutdown();
-        assert_eq!(report.get("events"), Some(42.0));
-        assert_eq!(report.get("vertices"), Some(42.0));
-        assert_eq!(report.get("shards"), Some(4.0));
     }
 
     /// `quiesce` must not return while the ingestion queue or a shard
     /// queue still holds events: the harness closes its measurement
     /// window on it.
     #[test]
-    fn serial_quiesce_means_applied_not_queued() {
-        let options = SutOptions::new()
-            .set("timestamper_cost_us", 0)
-            .set("shard_cost_us", 2_000)
-            .set("batch_size", 5);
-        let mut sut = TideStoreSut::start(&options).unwrap();
-        let mut connector = sut.connector().unwrap();
-        for i in 0..40u64 {
-            connector
-                .send(&StreamEntry::graph(GraphEvent::AddVertex {
-                    id: VertexId(i),
-                    state: State::empty(),
-                }))
-                .unwrap();
+    fn quiesce_means_applied_not_queued() {
+        for name in NAMES {
+            let options = SutOptions::new()
+                .set("timestamper_cost_us", 0)
+                .set("shard_cost_us", 2_000)
+                .set("shards", 2)
+                .set("batch_size", 5);
+            let mut sut = registry().start(name, &options).unwrap();
+            send_vertices(sut.as_mut(), 40);
+            // 40 events at 2 ms each over 2 shards: ~40 ms still queued here.
+            assert!(sut.quiesce(Duration::from_secs(10)), "{name}");
+            let hub = sut.hub().unwrap();
+            let applied = hub.counter("shard-0.events").get() + hub.counter("shard-1.events").get();
+            assert_eq!(applied, hub.counter("store.events").get(), "{name}");
+            assert_eq!(applied, 40, "{name}");
+            sut.shutdown();
         }
-        connector.close().unwrap();
-        drop(connector);
-        // 40 events at 2 ms each over 2 shards: ~40 ms still queued here.
-        assert!(sut.quiesce(Duration::from_secs(10)));
-        let hub = sut.hub().unwrap();
-        let applied = hub.counter("shard-0.events").get() + hub.counter("shard-1.events").get();
-        assert_eq!(applied, hub.counter("store.events").get());
-        assert_eq!(applied, 40);
-        Box::new(sut).shutdown();
     }
 
     #[test]
@@ -447,79 +367,32 @@ mod tests {
         use gt_trace::TraceConfig;
         use std::sync::Arc;
 
-        let options = SutOptions::new()
-            .set("timestamper_cost_us", 0)
-            .set("shard_cost_us", 0)
-            .set("batch_size", 5);
-        let sut = TideStoreSut::start(&options).unwrap();
-        let clock: Arc<dyn gt_metrics::Clock> = Arc::new(gt_metrics::WallClock::start());
-        let trace_hub = MetricsHub::new();
-        let tracer = Tracer::new(TraceConfig::default().sampling(1), clock, &trace_hub);
-        let mut boxed: Box<dyn SystemUnderTest> = Box::new(sut);
-        boxed.install_tracer(&tracer);
-        assert!(boxed.tracer().is_some());
-        let mut connector = boxed.connector().unwrap();
-        for i in 0..40u64 {
-            connector
-                .send(&StreamEntry::graph(GraphEvent::AddVertex {
-                    id: VertexId(i),
-                    state: State::empty(),
-                }))
-                .unwrap();
+        for name in NAMES {
+            let options = SutOptions::new()
+                .set("timestamper_cost_us", 0)
+                .set("shard_cost_us", 0)
+                .set("shards", 3)
+                .set("batch_size", 5);
+            let mut sut = registry().start(name, &options).unwrap();
+            let clock: Arc<dyn gt_metrics::Clock> = Arc::new(gt_metrics::WallClock::start());
+            let trace_hub = MetricsHub::new();
+            let tracer = Tracer::new(TraceConfig::default().sampling(1), clock, &trace_hub);
+            sut.install_tracer(&tracer);
+            assert!(sut.tracer().is_some());
+            send_vertices(sut.as_mut(), 40);
+            let report = sut.shutdown();
+            assert_eq!(report.get("events"), Some(40.0), "{name}");
+            // All apply stamps are in the rings once shutdown drained the
+            // shards; stop() does a final drain before matching.
+            let trace = tracer.stop();
+            let pairs = trace
+                .records
+                .iter()
+                .filter(|r| r.metric == "connector_to_apply_micros")
+                .count();
+            assert_eq!(pairs, 40, "{name}: matched {pairs} of 40 events");
+            assert_eq!(trace.dropped, 0, "{name}");
         }
-        connector.close().unwrap();
-        drop(connector);
-        let report = boxed.shutdown();
-        assert_eq!(report.get("events"), Some(40.0));
-        // All apply stamps are in the rings once shutdown drained the
-        // shards; stop() does a final drain before matching.
-        let trace = tracer.stop();
-        let pairs = trace
-            .records
-            .iter()
-            .filter(|r| r.metric == "connector_to_apply_micros")
-            .count();
-        assert_eq!(pairs, 40, "matched {} of 40 events", pairs);
-        assert_eq!(trace.dropped, 0);
-    }
-
-    #[test]
-    fn sharded_tracer_stamps_every_apply() {
-        use gt_trace::TraceConfig;
-        use std::sync::Arc;
-
-        let options = SutOptions::new()
-            .set("timestamper_cost_us", 0)
-            .set("shard_cost_us", 0)
-            .set("shards", 3)
-            .set("batch_size", 5);
-        let sut = TideStoreSut::start_sharded(&options).unwrap();
-        let clock: Arc<dyn gt_metrics::Clock> = Arc::new(gt_metrics::WallClock::start());
-        let trace_hub = MetricsHub::new();
-        let tracer = Tracer::new(TraceConfig::default().sampling(1), clock, &trace_hub);
-        let mut boxed: Box<dyn SystemUnderTest> = Box::new(sut);
-        boxed.install_tracer(&tracer);
-        let mut connector = boxed.connector().unwrap();
-        for i in 0..40u64 {
-            connector
-                .send(&StreamEntry::graph(GraphEvent::AddVertex {
-                    id: VertexId(i),
-                    state: State::empty(),
-                }))
-                .unwrap();
-        }
-        connector.close().unwrap();
-        drop(connector);
-        boxed.quiesce(Duration::from_secs(5));
-        let report = boxed.shutdown();
-        assert_eq!(report.get("events"), Some(40.0));
-        let trace = tracer.stop();
-        let pairs = trace
-            .records
-            .iter()
-            .filter(|r| r.metric == "connector_to_apply_micros")
-            .count();
-        assert_eq!(pairs, 40, "matched {} of 40 events", pairs);
     }
 
     #[test]

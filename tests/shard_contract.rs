@@ -20,7 +20,7 @@ use std::time::Duration;
 use graphtides::engine::{owner, route_target, EngineConfig, TideGraph};
 use graphtides::metrics::MetricsHub;
 use graphtides::prelude::*;
-use graphtides::store::{shard_for, shard_for_key, ShardedStore, StoreConfig, Transaction};
+use graphtides::store::{shard_for, shard_for_key, StoreConfig, TideStore, Transaction};
 use proptest::prelude::*;
 
 /// A mixed event from two raw bytes: vertex ops on id `a`, edge ops on
@@ -94,14 +94,14 @@ proptest! {
     ) {
         let events: Vec<GraphEvent> = raw.iter().map(|&(a, b)| event_from(a, b)).collect();
         let hub = MetricsHub::new();
-        let store = ShardedStore::start(fast_config(shards), &hub);
-        let client = store.client();
+        let store = TideStore::start_sharded(fast_config(shards), &hub);
+        let mut client = store.client();
         // Interleave markers at deterministic positions.
         let marker_every = events.len().div_ceil(markers);
         for (i, event) in events.iter().enumerate() {
             client.submit(Transaction::single(event.clone())).unwrap();
             if (i + 1) % marker_every == 0 {
-                client.marker(&format!("m{}", (i + 1) / marker_every - 1));
+                client.marker(&format!("m{}", (i + 1) / marker_every - 1)).unwrap();
             }
         }
         prop_assert!(store.quiesce(Duration::from_secs(30)));
@@ -109,7 +109,7 @@ proptest! {
             (0..events.len() / marker_every).map(|i| format!("m{i}")).collect();
         let stats = store.shutdown();
 
-        prop_assert_eq!(stats.store.events, events.len() as u64);
+        prop_assert_eq!(stats.events, events.len() as u64);
         prop_assert_eq!(stats.marker_skips, 0);
         // Broadcast: every marker hit every shard slot exactly once, and
         // per shard the markers appear in stream order.
