@@ -47,7 +47,6 @@ fn run(path: &PathBuf) -> Observed {
             ..Default::default()
         },
         buffer: 64,
-        mmap: false,
     })
     .with_clock(clock);
     let report = session.run(path, &mut sink).unwrap();

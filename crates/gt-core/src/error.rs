@@ -23,6 +23,8 @@ pub enum ParseErrorKind {
     InvalidEntity(String),
     /// Payload was malformed for the command (e.g. non-numeric speed factor).
     InvalidPayload(String),
+    /// The line's bytes are not UTF-8.
+    InvalidUtf8,
 }
 
 impl ParseError {
@@ -58,6 +60,14 @@ impl ParseError {
         }
     }
 
+    /// Builds an error for a line that is not UTF-8.
+    pub fn invalid_utf8() -> Self {
+        ParseError {
+            line: None,
+            kind: ParseErrorKind::InvalidUtf8,
+        }
+    }
+
     /// Attaches a 1-based line number to this error.
     #[must_use]
     pub fn at_line(mut self, line: usize) -> Self {
@@ -76,6 +86,7 @@ impl fmt::Display for ParseError {
             ParseErrorKind::MissingField(n) => write!(f, "missing field `{n}`"),
             ParseErrorKind::InvalidEntity(s) => write!(f, "invalid entity id `{s}`"),
             ParseErrorKind::InvalidPayload(m) => write!(f, "invalid payload: {m}"),
+            ParseErrorKind::InvalidUtf8 => write!(f, "not valid UTF-8"),
         }
     }
 }

@@ -286,11 +286,6 @@ impl SharedGraphEvent {
             _ => unreachable!("SharedGraphEvent wraps a non-graph entry"),
         }
     }
-
-    /// The underlying shared entry.
-    pub fn into_entry(self) -> SharedEntry {
-        self.0
-    }
 }
 
 impl std::ops::Deref for SharedGraphEvent {

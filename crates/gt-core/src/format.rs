@@ -21,9 +21,11 @@
 //! Parsing comes in two flavors: [`parse_line_ref`] borrows payloads and
 //! marker names straight from the input line (allocation-free — the form
 //! the replayer's hot path uses), and [`parse_line`] wraps it to produce
-//! owned [`StreamEntry`] values for everything else.
+//! owned [`StreamEntry`] values for everything else. [`LineReader`] is
+//! the one place bytes become lines, for files and sockets alike.
 
 use std::fmt::Write as _;
+use std::io::{self, BufRead};
 use std::time::Duration;
 
 use crate::error::ParseError;
@@ -280,6 +282,88 @@ pub fn parse_line(line: &str) -> Result<Option<StreamEntry>, ParseError> {
     Ok(parse_line_ref(line)?.map(|entry| entry.to_entry()))
 }
 
+/// The one reader of stream bytes: splits a [`BufRead`] source into lines
+/// and parses each in place, out of the source's own buffer.
+///
+/// Lines are numbered from 1 and end at `\n`; trailing `\r`s are dropped,
+/// a line that is not UTF-8 is a
+/// [`ParseErrorKind::InvalidUtf8`](crate::error::ParseErrorKind) error,
+/// and the last line needs no newline. A line that the end of the
+/// source's buffer cuts in two is kept until its tail arrives, across
+/// calls and read errors alike.
+pub struct LineReader<R> {
+    source: R,
+    /// The head of a line the end of the source's buffer cut in two.
+    cut: Vec<u8>,
+    line_no: usize,
+}
+
+impl<R: BufRead> LineReader<R> {
+    /// Reads lines from `source`.
+    pub fn new(source: R) -> Self {
+        LineReader {
+            source,
+            cut: Vec::new(),
+            line_no: 0,
+        }
+    }
+
+    /// Reads the source's next buffer and hands `each` the parse result of
+    /// every line it completes, in order; a parse error carries its line
+    /// number, and whether it ends the stream is the caller's choice.
+    ///
+    /// The caller's first error comes back as the outer `Err` and ends the
+    /// reading. Otherwise the inner result is the source's:
+    /// `Ok(true)` once the buffer is used up (the next call may block, so
+    /// what `each` collected should go on first), `Ok(false)` at the end of
+    /// input, or the read error — a timeout among them.
+    pub fn pump<E>(
+        &mut self,
+        mut each: impl FnMut(Result<Option<StreamEntryRef<'_>>, ParseError>) -> Result<(), E>,
+    ) -> Result<io::Result<bool>, E> {
+        let buf = loop {
+            match self.source.fill_buf() {
+                Ok(buf) => break buf,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Ok(Err(e)),
+            }
+        };
+        if buf.is_empty() {
+            if !self.cut.is_empty() {
+                self.line_no += 1;
+                let last = std::mem::take(&mut self.cut);
+                each(parse_bytes(&last, self.line_no))?;
+            }
+            return Ok(Ok(false));
+        }
+        let used = buf.len();
+        for piece in buf.split_inclusive(|&b| b == b'\n') {
+            let Some(line) = piece.strip_suffix(b"\n") else {
+                self.cut.extend_from_slice(piece); // the last piece
+                break;
+            };
+            self.line_no += 1;
+            if self.cut.is_empty() {
+                each(parse_bytes(line, self.line_no))?;
+            } else {
+                self.cut.extend_from_slice(line);
+                each(parse_bytes(&self.cut, self.line_no))?;
+                self.cut.clear();
+            }
+        }
+        self.source.consume(used);
+        Ok(Ok(true))
+    }
+}
+
+/// Parses one line without its `\n`.
+fn parse_bytes(line: &[u8], line_no: usize) -> Result<Option<StreamEntryRef<'_>>, ParseError> {
+    std::str::from_utf8(line)
+        .map_err(|_| ParseError::invalid_utf8())
+        .and_then(|text| parse_line_ref(text.trim_end_matches('\r')))
+        .map_err(|e| e.at_line(line_no))
+}
+
 fn parse_graph_command<'a>(
     command: &str,
     entity: &str,
@@ -322,6 +406,7 @@ fn parse_graph_command<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::ParseErrorKind;
     use crate::ids::{EdgeId, VertexId};
 
     fn roundtrip(entry: StreamEntry) {
@@ -471,5 +556,105 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    type Parsed = Result<Option<StreamEntry>, ParseError>;
+
+    /// Every parse result `source` yields, pumped to the end.
+    fn pump_all(source: impl BufRead) -> Vec<Parsed> {
+        let mut lines = LineReader::new(source);
+        let mut got = Vec::new();
+        while lines
+            .pump(|line| {
+                got.push(line.map(|entry| entry.map(|e| e.to_entry())));
+                Ok::<_, ()>(())
+            })
+            .unwrap()
+            .unwrap()
+        {}
+        got
+    }
+
+    #[test]
+    fn line_reader_agrees_with_itself_however_the_buffer_cuts() {
+        let text = "ADD_VERTEX,1,caf\u{e9}\r\n# note\n\nMARKER,m,\nNOPE\nPAUSE,,5";
+        let whole = pump_all(text.as_bytes());
+        assert_eq!(whole.len(), 6);
+        assert_eq!(whole[0], parse_line("ADD_VERTEX,1,caf\u{e9}"));
+        assert_eq!(whole[4].as_ref().unwrap_err().line, Some(5));
+        assert_eq!(whole[5], parse_line("PAUSE,,5"));
+        for cap in [1, 2, 3, 7] {
+            let cut = pump_all(io::BufReader::with_capacity(cap, text.as_bytes()));
+            assert_eq!(cut, whole, "buffer of {cap}");
+        }
+    }
+
+    #[test]
+    fn invalid_utf8_is_a_numbered_parse_error_and_the_caller_chooses() {
+        let bytes = b"ADD_VERTEX,1,\nADD_VERTEX,2,\xff\nADD_VERTEX,3,\n";
+        let got = pump_all(&bytes[..]);
+        let err = got[1].as_ref().unwrap_err();
+        assert_eq!(
+            (err.line, &err.kind),
+            (Some(2), &ParseErrorKind::InvalidUtf8)
+        );
+        assert!(
+            got[2].as_ref().unwrap().is_some(),
+            "a counting caller goes on"
+        );
+
+        // A stopping caller gets its error back, and no line after it.
+        let mut lines = LineReader::new(&bytes[..]);
+        let mut seen = 0;
+        let stopped = lines.pump(|line| {
+            seen += 1;
+            line.map(|_| ())
+        });
+        assert_eq!(stopped.unwrap_err().line, Some(2));
+        assert_eq!(seen, 2);
+    }
+
+    /// Hands out its chunks one `read` at a time, a timeout before each.
+    struct Trickle(std::collections::VecDeque<Option<&'static [u8]>>);
+
+    impl io::Read for Trickle {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            match self.0.pop_front() {
+                None => Ok(0),
+                Some(None) => Err(io::ErrorKind::WouldBlock.into()),
+                Some(Some(chunk)) => {
+                    out[..chunk.len()].copy_from_slice(chunk);
+                    Ok(chunk.len())
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_timeout_goes_back_to_the_caller_and_keeps_the_cut_line() {
+        let source = Trickle(
+            [Some(&b"MARKER,a,\nADD_VER"[..]), None, Some(b"TEX,7,\n")]
+                .into_iter()
+                .collect(),
+        );
+        let mut lines = LineReader::new(io::BufReader::new(source));
+        let mut got = Vec::new();
+        let mut each = |line: Result<Option<StreamEntryRef<'_>>, ParseError>| {
+            got.push(line.unwrap().unwrap().to_entry());
+            Ok::<_, ()>(())
+        };
+        // The whole line before the cut is handed on with its buffer.
+        assert!(lines.pump(&mut each).unwrap().unwrap());
+        let timeout = lines.pump(&mut each).unwrap().unwrap_err();
+        assert_eq!(timeout.kind(), io::ErrorKind::WouldBlock);
+        assert!(lines.pump(&mut each).unwrap().unwrap());
+        assert!(!lines.pump(&mut each).unwrap().unwrap());
+        assert_eq!(
+            got,
+            [
+                StreamEntry::marker("a"),
+                parse_line("ADD_VERTEX,7,").unwrap().unwrap()
+            ]
+        );
     }
 }

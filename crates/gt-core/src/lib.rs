@@ -13,7 +13,10 @@
 //! *control* events that steer the replayer (speed changes and pauses).
 //!
 //! The on-disk representation is a comma-separated value file with one event
-//! per line: `COMMAND, ENTITY_ID, PAYLOAD` (see [`mod@format`]).
+//! per line: `COMMAND, ENTITY_ID, PAYLOAD` (see [`mod@format`]). Files and
+//! sockets alike are split into lines by one reader, [`LineReader`]; what
+//! a bad line means — the end of a file, one counted error on a socket —
+//! is left to its caller.
 //!
 //! ```
 //! use gt_core::prelude::*;
@@ -45,12 +48,14 @@ pub mod stream;
 
 pub use error::{CoreError, ParseError};
 pub use event::{ControlEvent, EventKind, GraphEvent, SharedEntry, SharedGraphEvent, StreamEntry};
-pub use format::{parse_line, parse_line_ref, write_line, GraphEventRef, StreamEntryRef};
+pub use format::{
+    parse_line, parse_line_ref, write_line, GraphEventRef, LineReader, StreamEntryRef,
+};
 pub use hash::{VertexBuildHasher, VertexHasher, VertexMap, VERTEX_HASH_MULTIPLIER};
 pub use ids::{EdgeId, VertexId};
 pub use intern::Interner;
 pub use state::State;
-pub use stream::{GraphStream, StreamReader, StreamStats, StreamWriter};
+pub use stream::{GraphStream, StreamStats, StreamWriter};
 
 /// Convenient glob import for downstream crates.
 pub mod prelude {
@@ -58,8 +63,8 @@ pub mod prelude {
     pub use crate::event::{
         ControlEvent, EventKind, GraphEvent, SharedEntry, SharedGraphEvent, StreamEntry,
     };
-    pub use crate::format::{parse_line_ref, GraphEventRef, StreamEntryRef};
+    pub use crate::format::{parse_line_ref, GraphEventRef, LineReader, StreamEntryRef};
     pub use crate::ids::{EdgeId, VertexId};
     pub use crate::state::State;
-    pub use crate::stream::{GraphStream, StreamReader, StreamStats, StreamWriter};
+    pub use crate::stream::{GraphStream, StreamStats, StreamWriter};
 }

@@ -1,7 +1,7 @@
 //! Graph stream containers and streaming I/O.
 //!
 //! [`GraphStream`] is the in-memory representation of a graph stream file.
-//! [`StreamReader`] and [`StreamWriter`] process streams incrementally over
+//! [`LineReader`] and [`StreamWriter`] process streams incrementally over
 //! any [`std::io::BufRead`] / [`std::io::Write`], so replaying never needs
 //! the whole stream in memory (the paper decouples reading from emitting
 //! for exactly this reason).
@@ -13,7 +13,7 @@ use std::path::Path;
 
 use crate::error::CoreError;
 use crate::event::{EventKind, StreamEntry};
-use crate::format::{entry_to_line, parse_line, write_line};
+use crate::format::{write_line, LineReader};
 
 /// An in-memory graph stream: an ordered sequence of stream entries.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -35,11 +35,6 @@ impl GraphStream {
     /// The entries, in stream order.
     pub fn entries(&self) -> &[StreamEntry] {
         &self.entries
-    }
-
-    /// Mutable access for in-place transformations (fault injection).
-    pub fn entries_mut(&mut self) -> &mut Vec<StreamEntry> {
-        &mut self.entries
     }
 
     /// Consumes the stream, yielding its entries.
@@ -84,13 +79,7 @@ impl GraphStream {
 
     /// Parses a stream from CSV text.
     pub fn parse_csv(text: &str) -> Result<Self, CoreError> {
-        let mut entries = Vec::new();
-        for (i, line) in text.lines().enumerate() {
-            if let Some(entry) = parse_line(line).map_err(|e| e.at_line(i + 1))? {
-                entries.push(entry);
-            }
-        }
-        Ok(GraphStream { entries })
+        Self::read_from(text.as_bytes())
     }
 
     /// Writes the stream to a file.
@@ -107,8 +96,17 @@ impl GraphStream {
     /// Reads a stream from a file.
     pub fn read_from_file(path: impl AsRef<Path>) -> Result<Self, CoreError> {
         let file = File::open(path)?;
-        let reader = StreamReader::new(BufReader::new(file));
-        let entries = reader.collect::<Result<Vec<_>, _>>()?;
+        Self::read_from(BufReader::with_capacity(256 * 1024, file))
+    }
+
+    /// Reads every line of `source`, stopping at the first bad one.
+    fn read_from(source: impl BufRead) -> Result<Self, CoreError> {
+        let mut entries = Vec::new();
+        let mut lines = LineReader::new(source);
+        while lines.pump(|line| {
+            entries.extend(line?.map(|entry| entry.to_entry()));
+            Ok::<_, CoreError>(())
+        })?? {}
         Ok(GraphStream { entries })
     }
 
@@ -214,51 +212,6 @@ impl StreamStats {
     }
 }
 
-/// An incremental reader that yields entries from any buffered reader.
-///
-/// Blank lines and comments are skipped; parse errors carry line numbers.
-pub struct StreamReader<R> {
-    inner: R,
-    line: String,
-    line_no: usize,
-}
-
-impl<R: BufRead> StreamReader<R> {
-    /// Wraps a buffered reader.
-    pub fn new(inner: R) -> Self {
-        StreamReader {
-            inner,
-            line: String::new(),
-            line_no: 0,
-        }
-    }
-
-    /// Reads the next entry, skipping blanks/comments. `Ok(None)` at EOF.
-    pub fn read_entry(&mut self) -> Result<Option<StreamEntry>, CoreError> {
-        loop {
-            self.line.clear();
-            let n = self.inner.read_line(&mut self.line)?;
-            if n == 0 {
-                return Ok(None);
-            }
-            self.line_no += 1;
-            let trimmed = self.line.trim_end_matches(['\n', '\r']);
-            match parse_line(trimmed).map_err(|e| e.at_line(self.line_no))? {
-                Some(entry) => return Ok(Some(entry)),
-                None => continue,
-            }
-        }
-    }
-}
-
-impl<R: BufRead> Iterator for StreamReader<R> {
-    type Item = Result<StreamEntry, CoreError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.read_entry().transpose()
-    }
-}
-
 /// An incremental writer emitting one entry per line.
 pub struct StreamWriter<W> {
     inner: W,
@@ -293,18 +246,12 @@ impl<W: Write> StreamWriter<W> {
     }
 }
 
-/// Serializes one entry as a standalone line (re-export convenience).
-pub fn line_for(entry: &StreamEntry) -> String {
-    entry_to_line(entry)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::event::GraphEvent;
     use crate::ids::{EdgeId, VertexId};
     use crate::state::State;
-    use std::io::Cursor;
     use std::time::Duration;
 
     fn sample_stream() -> GraphStream {
@@ -353,20 +300,18 @@ mod tests {
     }
 
     #[test]
-    fn reader_skips_comments_and_blank_lines() {
+    fn parse_skips_comments_and_blank_lines() {
         let text = "# a stream\n\nADD_VERTEX,1,\n   \nMARKER,m,\n";
-        let reader = StreamReader::new(Cursor::new(text));
-        let entries: Vec<_> = reader.collect::<Result<_, _>>().unwrap();
+        let entries = GraphStream::parse_csv(text).unwrap().into_entries();
         assert_eq!(entries.len(), 2);
         assert!(entries[0].is_graph());
         assert!(entries[1].is_marker());
     }
 
     #[test]
-    fn reader_handles_crlf() {
+    fn parse_handles_crlf() {
         let text = "ADD_VERTEX,1,\r\nADD_VERTEX,2,hello\r\n";
-        let reader = StreamReader::new(Cursor::new(text));
-        let entries: Vec<_> = reader.collect::<Result<_, _>>().unwrap();
+        let entries = GraphStream::parse_csv(text).unwrap().into_entries();
         assert_eq!(entries.len(), 2);
         match &entries[1] {
             StreamEntry::Graph(GraphEvent::AddVertex { state, .. }) => {
@@ -377,16 +322,14 @@ mod tests {
     }
 
     #[test]
-    fn writer_reader_pipeline() {
+    fn writer_output_reads_back() {
         let stream = sample_stream();
         let mut writer = StreamWriter::new(Vec::new());
         for entry in stream.entries() {
             writer.write(entry).unwrap();
         }
         let bytes = writer.into_inner();
-        let reader = StreamReader::new(Cursor::new(bytes));
-        let entries: Vec<_> = reader.collect::<Result<_, _>>().unwrap();
-        assert_eq!(entries, stream.entries());
+        assert_eq!(GraphStream::read_from(&bytes[..]).unwrap(), stream);
     }
 
     #[test]

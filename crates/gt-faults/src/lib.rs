@@ -335,10 +335,9 @@ mod tests {
     }
 
     fn stream_with_marker(n: u64) -> GraphStream {
-        let mut s = vertex_stream(n);
-        s.entries_mut()
-            .insert(n as usize / 2, StreamEntry::marker("mid"));
-        s
+        let mut entries = vertex_stream(n).into_entries();
+        entries.insert(n as usize / 2, StreamEntry::marker("mid"));
+        GraphStream::from_entries(entries)
     }
 
     #[test]

@@ -17,18 +17,19 @@
 //! exercise the real reconnect/backoff path and every disconnect is
 //! classified by cause.
 //!
-//! Corruption faults can turn arbitrary bytes loose on the bridge, so its
-//! parse loop never trusts the wire: invalid UTF-8 and malformed lines are
-//! counted as `parse_errors` and skipped, never panicked on.
+//! Corruption faults can turn arbitrary bytes loose on the bridge, so it
+//! never trusts the wire: it reads through gt-core's one line reader
+//! ([`LineReader`], as the load listener does), and invalid UTF-8 and
+//! malformed lines are counted as `parse_errors` and skipped, never
+//! panicked on.
 
-use std::io::{self, BufRead, BufReader};
+use std::io::{self, BufReader};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use gt_core::format::parse_line_ref;
 use gt_core::prelude::*;
 use gt_metrics::{Clock, MetricRecord};
 use gt_netem::{NetemHandle, NetemPlan, NetemProxy, NetemReport, NETEM_SOURCE};
@@ -235,52 +236,235 @@ fn bridge_connection(
     lines: &AtomicU64,
     parse_errors: &AtomicU64,
 ) -> io::Result<()> {
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut reader = LineReader::new(BufReader::new(stream));
     loop {
-        match reader.read_line(&mut line) {
-            Ok(0) => break,
-            Ok(_) => {
-                match parse_line_ref(&line) {
-                    Ok(Some(entry_ref)) => {
-                        let entry = entry_ref.to_entry();
-                        let is_marker = matches!(entry, StreamEntry::Marker(_));
-                        connector.send(&entry)?;
-                        if is_marker {
-                            connector.flush()?;
-                        }
-                        lines.fetch_add(1, Ordering::Relaxed);
+        let pumped = reader.pump(|line| {
+            match line {
+                Ok(Some(entry)) => {
+                    connector.send(&entry.to_entry())?;
+                    if let StreamEntryRef::Marker(_) = entry {
+                        connector.flush()?;
                     }
-                    Ok(None) => {}
-                    Err(_) => {
-                        parse_errors.fetch_add(1, Ordering::Relaxed);
-                    }
+                    lines.fetch_add(1, Ordering::Relaxed);
                 }
-                line.clear();
+                Ok(None) => {}
+                Err(_) => {
+                    parse_errors.fetch_add(1, Ordering::Relaxed);
+                }
             }
+            Ok::<_, io::Error>(())
+        })?;
+        match pumped {
+            Ok(true) => {}
+            Ok(false) => break,
+            // A quiet connection: keep waiting unless the run is over.
             Err(e)
                 if matches!(
                     e.kind(),
                     io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
                 ) =>
             {
-                // A valid-UTF-8 partial read stays in `line`; give it a
-                // chance to complete unless the run is over.
                 if stop.load(Ordering::SeqCst) {
                     break;
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                // Corrupted to non-UTF-8: the delimiter was consumed and
-                // the bad bytes discarded — count and move on.
-                parse_errors.fetch_add(1, Ordering::Relaxed);
-                line.clear();
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             // Connection-level error (reset mid-fault): this connection is
             // done; the sink will reconnect and the next accept resumes.
             Err(_) => break,
         }
     }
     connector.flush()
+}
+
+#[cfg(test)]
+mod tests {
+    //! Reader agreement: one corpus through every reader of the stream
+    //! format — `parse_csv`, `read_from_file`, `spawn_file_reader`, a load
+    //! listener connection and this bridge (the one reader only its own
+    //! crate can reach).
+
+    use super::*;
+    use std::io::Write;
+    use std::net::SocketAddr;
+    use std::sync::Mutex;
+
+    use gt_load::{ListenerConfig, LoadListener};
+    use gt_metrics::WallClock;
+    use gt_replayer::spawn_file_reader;
+
+    /// CRLF, a two-byte character, a comment, blank lines, a marker and
+    /// both controls; [`BAD`] follows as line 11.
+    const HEAD: [&[u8]; 10] = [
+        b"ADD_VERTEX,1,caf\xc3\xa9\r\n",
+        b"# a comment\n",
+        b"\n",
+        b"  \r\n",
+        b"ADD_VERTEX,2,\n",
+        b"ADD_EDGE,1-2,w=1,x\n",
+        b"MARKER,m1,\n",
+        b"SPEED,,2\n",
+        b"PAUSE,,5\r\n",
+        b"UPDATE_VERTEX,1,{\"a\":1}\n",
+    ];
+    /// Not UTF-8 — and, decoded lossily, not a command either.
+    const BAD: &[u8] = b"\xffADD_VERTEX,3,\n";
+    /// Ends in a last line without a newline.
+    const TAIL: [&[u8]; 3] = [b"ADD_VERTEX,4,x\n", b"MARKER,m2,\n", b"REMOVE_EDGE,1-2,"];
+    /// Where the two-byte character of the first line starts.
+    const SPLIT: usize = b"ADD_VERTEX,1,caf".len();
+
+    fn corpus(bad: bool) -> Vec<u8> {
+        let bad: &[&[u8]] = if bad { &[BAD] } else { &[] };
+        [&HEAD[..], bad, &TAIL[..]].concat().concat()
+    }
+
+    /// The entries of `lines`, each parsed on its own.
+    fn entries_of(lines: &[&[u8]]) -> Vec<StreamEntry> {
+        lines
+            .iter()
+            .filter_map(|line| {
+                let text = std::str::from_utf8(line).unwrap();
+                gt_core::parse_line(text.trim_end_matches(['\r', '\n'])).unwrap()
+            })
+            .collect()
+    }
+
+    fn bad_line(err: &CoreError) -> Option<usize> {
+        match err {
+            CoreError::Parse(e) => e.line,
+            CoreError::Io(_) => None,
+        }
+    }
+
+    /// A connector logging into a log shared by all its clones.
+    #[derive(Clone, Default)]
+    struct Shared(Arc<Mutex<Vec<StreamEntry>>>);
+
+    impl EventSink for Shared {
+        fn send(&mut self, entry: &StreamEntry) -> io::Result<()> {
+            self.0.lock().unwrap().push(entry.clone());
+            Ok(())
+        }
+    }
+
+    /// Writes `corpus` to `addr` one byte per segment, resting past every
+    /// read timeout in the middle of the two-byte character.
+    fn trickle(addr: SocketAddr, corpus: Vec<u8>) -> std::thread::JoinHandle<()> {
+        std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            stream.set_nodelay(true).unwrap();
+            for (i, byte) in corpus.iter().enumerate() {
+                stream.write_all(std::slice::from_ref(byte)).unwrap();
+                let rest = if i == SPLIT { 150_000 } else { 200 };
+                std::thread::sleep(Duration::from_micros(rest));
+            }
+        })
+    }
+
+    /// Entries and parse errors through a load listener connection.
+    fn via_listener(corpus: Vec<u8>) -> (Vec<StreamEntry>, u64) {
+        let listener = LoadListener::bind().unwrap();
+        let writer = trickle(listener.local_addr().unwrap(), corpus);
+        let log = Shared::default();
+        let connector = log.clone();
+        let config = ListenerConfig {
+            read_timeout: Duration::from_millis(10),
+            ..ListenerConfig::default()
+        };
+        let report = listener
+            .start_with_config(
+                1,
+                Box::new(move || Ok(Box::new(connector.clone()) as Box<dyn EventSink + Send>)),
+                Arc::new(WallClock::start()),
+                config,
+            )
+            .unwrap()
+            .join()
+            .unwrap();
+        writer.join().unwrap();
+        let entries = log.0.lock().unwrap().clone();
+        (entries, report.parse_errors)
+    }
+
+    /// Entries and parse errors through the bridge.
+    fn via_bridge(corpus: Vec<u8>) -> (Vec<StreamEntry>, u64) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let writer = trickle(listener.local_addr().unwrap(), corpus);
+        let (stream, _) = listener.accept().unwrap();
+        stream.set_read_timeout(Some(BRIDGE_READ_TIMEOUT)).unwrap();
+        let mut log = Shared::default();
+        let (lines, parse_errors) = (AtomicU64::new(0), AtomicU64::new(0));
+        let stop = AtomicBool::new(false);
+        bridge_connection(stream, &mut log, &stop, &lines, &parse_errors).unwrap();
+        writer.join().unwrap();
+        let entries = log.0.lock().unwrap().clone();
+        assert_eq!(lines.into_inner(), entries.len() as u64);
+        (entries, parse_errors.into_inner())
+    }
+
+    /// Entries through the reader thread, and how it ended.
+    fn via_reader_thread(path: &std::path::Path) -> (Vec<StreamEntry>, Result<u64, CoreError>) {
+        let (rx, handle) = spawn_file_reader(path, 4);
+        let entries = rx.iter().map(|entry| (*entry).clone()).collect();
+        (entries, handle.join().unwrap())
+    }
+
+    fn temp_file(name: &str, bytes: &[u8]) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join("gt-harness-reader-agreement");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(name);
+        std::fs::write(&path, bytes).unwrap();
+        path
+    }
+
+    #[test]
+    fn every_reader_yields_the_same_entries() {
+        let corpus = corpus(false);
+        let want = entries_of(&[&HEAD[..], &TAIL[..]].concat());
+        let text = std::str::from_utf8(&corpus).unwrap();
+        assert_eq!(GraphStream::parse_csv(text).unwrap().entries(), want);
+        let path = temp_file("clean.csv", &corpus);
+        assert_eq!(GraphStream::read_from_file(&path).unwrap().entries(), want);
+        let (entries, ended) = via_reader_thread(&path);
+        assert_eq!((entries, ended.unwrap()), (want.clone(), want.len() as u64));
+        assert_eq!(via_listener(corpus.clone()), (want.clone(), 0));
+        assert_eq!(via_bridge(corpus.clone()), (want.clone(), 0));
+
+        // The line reader under all five, fed one byte per read.
+        let mut lines = LineReader::new(io::BufReader::with_capacity(1, &corpus[..]));
+        let mut entries = Vec::new();
+        while lines
+            .pump(|line| {
+                entries.extend(line?.map(|entry| entry.to_entry()));
+                Ok::<_, ParseError>(())
+            })
+            .unwrap()
+            .unwrap()
+        {}
+        assert_eq!(entries, want);
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn file_readers_stop_at_the_bad_line_and_socket_readers_count_it() {
+        let corpus = corpus(true);
+        let before = entries_of(&HEAD);
+        let all = entries_of(&[&HEAD[..], &TAIL[..]].concat());
+        let bad_line_no = Some(HEAD.len() + 1);
+
+        let lossy = String::from_utf8_lossy(&corpus);
+        let err = GraphStream::parse_csv(&lossy).unwrap_err();
+        assert_eq!(bad_line(&err), bad_line_no, "parse_csv: {err}");
+        let path = temp_file("bad.csv", &corpus);
+        let err = GraphStream::read_from_file(&path).unwrap_err();
+        assert_eq!(bad_line(&err), bad_line_no, "read_from_file: {err}");
+        let (entries, ended) = via_reader_thread(&path);
+        assert_eq!(entries, before, "the valid prefix is delivered");
+        let err = ended.unwrap_err();
+        assert_eq!(bad_line(&err), bad_line_no, "spawn_file_reader: {err}");
+
+        assert_eq!(via_listener(corpus.clone()), (all.clone(), 1));
+        assert_eq!(via_bridge(corpus), (all, 1));
+        std::fs::remove_file(path).ok();
+    }
 }

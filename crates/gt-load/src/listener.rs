@@ -22,14 +22,13 @@
 //! k-th marker name disagrees with the sequence is counted as a marker
 //! violation.
 
-use std::io::{self, BufRead, BufReader};
+use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::Duration;
 
-use gt_core::format::parse_line;
 use gt_core::prelude::*;
 use gt_metrics::Clock;
 use gt_replayer::EventSink;
@@ -544,43 +543,61 @@ fn read_connection(
     stream
         .set_read_timeout(Some(config.read_timeout))
         .map_err(ReadAbort::Stream)?;
-    let mut reader = BufReader::new(stream);
+    let mut lines = LineReader::new(BufReader::new(stream));
     let mut pending = Pending {
         batch: Vec::with_capacity(READER_BATCH),
         entries: 0,
     };
-    // One reused line buffer per connection instead of `BufRead::lines`'s
-    // fresh `String` per line — under `--clients M` the fan-in side would
-    // otherwise allocate per event per connection.
-    let mut line = String::with_capacity(128);
     // Continuous idle time; one stall episode is counted per continuous
     // stretch past `stall_warn`, and `stall_limit` gives the connection up.
     let mut idle = Duration::ZERO;
     let mut stall_counted = false;
     loop {
-        // Nothing buffered means the next read may block for as long as
-        // the client stays quiet: the platform gets what has arrived first.
-        // A buffer that ends mid-line is not caught here (`read_line` takes
-        // the head and blocks for the tail), so events ahead of a
-        // half-received line wait for the tail or, at most, one
-        // `read_timeout`: the timeout arm comes back here with the buffer
-        // drained. Scanning for a '\n' before every read would close that
-        // gap, at a measurable cost on the firehose, for a sender that stops
-        // mid-line — which `gt-load`'s clients, flushing whole lines, never do.
-        if reader.buffer().is_empty() {
-            pending.deliver(sink, totals)?;
-        }
-        match reader.read_line(&mut line) {
-            Ok(0) => break,
-            Ok(_) => {
+        let pumped = lines.pump(|line| {
+            let entry = match line {
+                Ok(Some(entry)) => entry,
+                Ok(None) => return Ok(()),
+                Err(_) => {
+                    totals.parse_errors.fetch_add(1, Ordering::Relaxed);
+                    return Ok(());
+                }
+            };
+            pending.entries += 1;
+            match entry {
+                StreamEntryRef::Graph(_) => {
+                    pending.batch.push(SharedEntry::new(entry.to_entry()));
+                    if pending.batch.len() >= READER_BATCH {
+                        pending.deliver(sink, totals)?;
+                    }
+                }
+                StreamEntryRef::Marker(name) => {
+                    pending.deliver(sink, totals)?;
+                    sink.flush().map_err(ReadAbort::Sink)?;
+                    barrier.arrive(conn, name).map_err(ReadAbort::Sink)?;
+                }
+                StreamEntryRef::Control(_) => {
+                    // Control events are per-connection pacing hints;
+                    // forward them in position on this connection's
+                    // connector.
+                    pending.deliver(sink, totals)?;
+                    sink.send(&entry.to_entry()).map_err(ReadAbort::Sink)?;
+                }
+            }
+            Ok(())
+        })?;
+        // The read buffer is used up, and the next read may block for as
+        // long as the client stays quiet: the platform gets what has
+        // arrived first, even when the buffer ended mid-line.
+        pending.deliver(sink, totals)?;
+        match pumped {
+            Ok(true) => {
                 idle = Duration::ZERO;
                 stall_counted = false;
             }
+            Ok(false) => break,
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
-                // Valid-UTF-8 partial bytes stay in `line` across timeouts;
-                // the next successful read completes the same line.
                 idle += config.read_timeout;
                 if !stall_counted && idle >= config.stall_warn {
                     totals.reader_stalls.fetch_add(1, Ordering::Relaxed);
@@ -592,59 +609,10 @@ fn read_connection(
                         format!("reader idle for {:.1}s, giving up", idle.as_secs_f64()),
                     )));
                 }
-                continue;
             }
-            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                // The whole physical line (delimiter included) was consumed
-                // and discarded by the UTF-8 check; drop any stale partial
-                // prefix of the same line and count one reject.
-                totals.parse_errors.fetch_add(1, Ordering::Relaxed);
-                line.clear();
-                continue;
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => {
-                // What was parsed before the connection broke still counts.
-                pending.deliver(sink, totals)?;
-                return Err(ReadAbort::Stream(e));
-            }
-        }
-        let trimmed = line.trim_end_matches(['\n', '\r']);
-        let entry = match parse_line(trimmed) {
-            Ok(Some(entry)) => entry,
-            Ok(None) => {
-                line.clear();
-                continue;
-            }
-            Err(_) => {
-                totals.parse_errors.fetch_add(1, Ordering::Relaxed);
-                line.clear();
-                continue;
-            }
-        };
-        line.clear();
-        pending.entries += 1;
-        match &entry {
-            StreamEntry::Graph(_) => {
-                pending.batch.push(SharedEntry::new(entry));
-                if pending.batch.len() >= READER_BATCH {
-                    pending.deliver(sink, totals)?;
-                }
-            }
-            StreamEntry::Marker(name) => {
-                pending.deliver(sink, totals)?;
-                sink.flush().map_err(ReadAbort::Sink)?;
-                barrier.arrive(conn, name).map_err(ReadAbort::Sink)?;
-            }
-            StreamEntry::Control(_) => {
-                // Control events are per-connection pacing hints; forward
-                // them in position on this connection's connector.
-                pending.deliver(sink, totals)?;
-                sink.send(&entry).map_err(ReadAbort::Sink)?;
-            }
+            Err(e) => return Err(ReadAbort::Stream(e)),
         }
     }
-    pending.deliver(sink, totals)?;
     sink.flush().map_err(ReadAbort::Sink)
 }
 
@@ -936,18 +904,18 @@ mod tests {
         assert_eq!(report.entries, 10);
     }
 
-    // The bound when the read buffer ends mid-line: a whole event followed
-    // by the head of the next one arrives in one segment and the sender
-    // goes quiet. The whole event is delivered by the timeout arm, one
-    // `read_timeout` later, without waiting for the tail.
+    // Regression: a read buffer that ended mid-line used to hold the whole
+    // events before the cut until the tail arrived or one `read_timeout`
+    // passed. They must reach the connector before the next blocking read,
+    // however long the read timeout.
     #[test]
-    fn a_half_received_line_holds_the_events_before_it_one_read_timeout_at_most() {
+    fn a_half_received_line_does_not_hold_the_events_before_it() {
         let (tx, rx) = std::sync::mpsc::channel();
         let listener = LoadListener::bind().unwrap();
         let addr = listener.local_addr().unwrap();
         let clock: Arc<dyn Clock> = Arc::new(WallClock::start());
         let config = ListenerConfig {
-            read_timeout: Duration::from_millis(20),
+            read_timeout: Duration::from_secs(10),
             ..ListenerConfig::default()
         };
         let handle = listener
@@ -975,7 +943,7 @@ mod tests {
             .unwrap();
         let delivered = rx
             .recv_timeout(Duration::from_secs(2))
-            .expect("the whole event is parked until the half-received one completes");
+            .expect("the whole event is parked behind the half-received one");
         assert_eq!(delivered, events[0]);
         stream.write_all(format!("{tail}\n").as_bytes()).unwrap();
         drop(stream);

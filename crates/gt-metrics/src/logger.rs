@@ -135,75 +135,6 @@ impl<F: FnMut() -> Option<f64> + Send> MetricsLogger for GaugeSampler<F> {
     }
 }
 
-/// The Level-0 black-box process sampler: reads CPU time and resident set
-/// size of the current process from `/proc/self/stat` (Linux). On other
-/// platforms or read failure it produces no records — Level-0 observation
-/// is inherently best-effort.
-pub struct ProcessSampler {
-    clock: Arc<dyn Clock>,
-    source: String,
-    last_cpu_ticks: Option<(u64, u64)>, // (ticks, t_micros)
-    ticks_per_sec: f64,
-}
-
-impl ProcessSampler {
-    /// Creates a process sampler.
-    pub fn new(clock: Arc<dyn Clock>, source: &str) -> Self {
-        ProcessSampler {
-            clock,
-            source: source.to_owned(),
-            last_cpu_ticks: None,
-            ticks_per_sec: 100.0, // Linux USER_HZ default
-        }
-    }
-
-    fn read_proc(&self) -> Option<(u64, u64)> {
-        let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
-        // Field 2 is `(comm)` and may contain spaces; skip past it.
-        let rest = stat.rsplit_once(')')?.1;
-        let fields: Vec<&str> = rest.split_whitespace().collect();
-        // After the comm field: state is index 0, utime is field 14 overall
-        // → index 11 here, stime index 12, rss pages index 21.
-        let utime: u64 = fields.get(11)?.parse().ok()?;
-        let stime: u64 = fields.get(12)?.parse().ok()?;
-        let rss_pages: u64 = fields.get(21)?.parse().ok()?;
-        Some((utime + stime, rss_pages * 4096))
-    }
-}
-
-impl MetricsLogger for ProcessSampler {
-    fn sample(&mut self) -> Vec<MetricRecord> {
-        let Some((cpu_ticks, rss_bytes)) = self.read_proc() else {
-            return Vec::new();
-        };
-        let now = self.clock.now_micros();
-        let mut records = vec![MetricRecord::int(
-            now,
-            &self.source,
-            "rss_bytes",
-            rss_bytes as i64,
-        )];
-        if let Some((prev_ticks, prev_t)) = self.last_cpu_ticks {
-            let dt_secs = (now.saturating_sub(prev_t)) as f64 / 1e6;
-            if dt_secs > 0.0 {
-                let cpu_secs = cpu_ticks.saturating_sub(prev_ticks) as f64 / self.ticks_per_sec;
-                records.push(MetricRecord::float(
-                    now,
-                    &self.source,
-                    "cpu_percent",
-                    100.0 * cpu_secs / dt_secs,
-                ));
-            }
-        }
-        self.last_cpu_ticks = Some((cpu_ticks, now));
-        records
-    }
-
-    fn source(&self) -> &str {
-        &self.source
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -265,26 +196,5 @@ mod tests {
         let (clock, _) = manual();
         let mut sampler = GaugeSampler::new(clock, "probe", "x", || None);
         assert!(sampler.sample().is_empty());
-    }
-
-    #[test]
-    fn process_sampler_reports_on_linux() {
-        let (clock, manual) = manual();
-        let mut sampler = ProcessSampler::new(clock, "self");
-        let first = sampler.sample();
-        if first.is_empty() {
-            // Not a Linux-like /proc environment; nothing to assert.
-            return;
-        }
-        assert!(first.iter().any(|r| r.metric == "rss_bytes"));
-        // Burn some CPU so the next delta is meaningful.
-        let mut acc = 0u64;
-        for i in 0..2_000_000u64 {
-            acc = acc.wrapping_add(i * i);
-        }
-        std::hint::black_box(acc);
-        manual.advance_secs(1.0);
-        let second = sampler.sample();
-        assert!(second.iter().any(|r| r.metric == "cpu_percent"));
     }
 }

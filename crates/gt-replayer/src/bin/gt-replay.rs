@@ -28,11 +28,10 @@ struct Args {
     honor_pauses: bool,
     buffer: usize,
     max_reconnects: u32,
-    mmap: bool,
 }
 
 const USAGE: &str = "usage: gt-replay <stream.csv> [--rate EVENTS_PER_S] [--tcp HOST:PORT] \
-                     [--no-pauses] [--buffer ENTRIES] [--max-reconnects N] [--mmap]";
+                     [--no-pauses] [--buffer ENTRIES] [--max-reconnects N]";
 
 fn parse_args() -> Result<Args, String> {
     let mut args = std::env::args().skip(1);
@@ -42,7 +41,6 @@ fn parse_args() -> Result<Args, String> {
     let mut honor_pauses = true;
     let mut buffer = 64 * 1024;
     let mut max_reconnects = 8u32;
-    let mut mmap = false;
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--rate" => {
@@ -57,7 +55,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--tcp" => tcp = Some(args.next().ok_or("--tcp needs HOST:PORT")?),
             "--no-pauses" => honor_pauses = false,
-            "--mmap" => mmap = true,
             "--buffer" => {
                 buffer = args
                     .next()
@@ -86,7 +83,6 @@ fn parse_args() -> Result<Args, String> {
         honor_pauses,
         buffer,
         max_reconnects,
-        mmap,
     })
 }
 
@@ -145,7 +141,6 @@ fn run(args: Args) -> Result<(), String> {
             ..Default::default()
         },
         buffer: args.buffer,
-        mmap: args.mmap,
     });
 
     let report = match &args.tcp {

@@ -21,9 +21,8 @@
 //!   `SPEED` and `PAUSE` control events, and reports achieved ingress
 //!   rates (§4.3 "Streaming Metrics").
 //! * [`reader`] — the decoupled file-reader thread feeding the replayer
-//!   through a bounded channel, a chunk of entries at a time.
-//! * [`mmap`] — the memory-mapped twin of the reader thread: borrowed
-//!   parsing straight out of the page cache, for multi-GB replays.
+//!   through a bounded channel, a chunk of entries at a time; its lines
+//!   come from gt-core's one line reader, [`gt_core::LineReader`].
 //! * [`session`] — the composed file→parse→pace→sink pipeline with
 //!   per-stage instrumentation.
 //! * [`reconnect`] — the fault-tolerant TCP connector (capped exponential
@@ -31,7 +30,6 @@
 //! * [`errors`] — the typed pipeline error.
 
 pub mod errors;
-pub mod mmap;
 pub mod pacing;
 pub mod pattern;
 pub mod reader;
@@ -41,7 +39,6 @@ pub mod session;
 pub mod sink;
 
 pub use errors::ReplayError;
-pub use mmap::{spawn_mmap_reader, MmapFile};
 pub use pacing::{PacerCore, Schedule};
 pub use pattern::{CompiledPattern, RatePattern};
 pub use reader::{spawn_file_reader, EntryReceiver};

@@ -3,8 +3,10 @@
 //! "Streaming is decoupled from reading the stream graph file. We use a
 //! multi-threaded design to decouple both tasks and to ensure high
 //! throughput" (§5.1). The reader parses the stream file on its own thread
-//! and feeds the emitter through a bounded channel, so disk latency never
-//! stalls emission as long as the buffer holds.
+//! — through [`LineReader`], gt-core's one line reader, which the load
+//! listener and the netem bridge share — and feeds the emitter through a
+//! bounded channel, so disk latency never stalls emission as long as the
+//! buffer holds.
 //!
 //! Entries cross that channel in **chunks**: the reader collects parsed
 //! entries into a `Vec` of at most `min(256, buffer)` and hands it over
@@ -91,11 +93,12 @@ pub(crate) fn entry_channel(buffer: usize) -> (ChunkSender, EntryReceiver) {
 }
 
 impl ChunkSender {
-    /// Adds one entry, handing the chunk over if that fills it. `false`
-    /// once the receiver is gone.
-    fn push(&mut self, entry: StreamEntry) -> bool {
+    /// Adds one entry, handing the chunk over if that fills it.
+    fn push(&mut self, entry: StreamEntry) {
         self.chunk.push(SharedEntry::new(entry));
-        self.chunk.len() < self.chunk_len || self.flush()
+        if self.chunk.len() == self.chunk_len {
+            self.flush();
+        }
     }
 
     /// Hands over whatever has collected. `false` once the receiver is
@@ -125,114 +128,46 @@ pub fn spawn_file_reader(
     buffer: usize,
 ) -> (EntryReceiver, JoinHandle<Result<u64, CoreError>>) {
     let path = path.into();
-    spawn_reader("gt-stream-reader", buffer, move |tx| {
-        let file = std::fs::File::open(&path)?;
-        read_entries(io::BufReader::with_capacity(256 * 1024, file), tx)
-    })
-}
-
-/// Runs `body` with the sending end of a fresh [`entry_channel`] on a new
-/// thread called `name`.
-pub(crate) fn spawn_reader(
-    name: &str,
-    buffer: usize,
-    body: impl FnOnce(ChunkSender) -> Result<u64, CoreError> + Send + 'static,
-) -> (EntryReceiver, JoinHandle<Result<u64, CoreError>>) {
     let (tx, rx) = entry_channel(buffer);
     let handle = std::thread::Builder::new()
-        .name(name.into())
-        .spawn(move || body(tx))
+        .name("gt-stream-reader".into())
+        .spawn(move || {
+            let file = std::fs::File::open(&path)?;
+            read_entries(io::BufReader::with_capacity(256 * 1024, file), tx)
+        })
         .expect("spawning reader thread");
     (rx, handle)
 }
 
-/// The reader body: parses `source` line by line into `tx` and returns the
-/// number of entries parsed. Lines are parsed in place, out of the
-/// source's own buffer; each time that buffer is used up the collected
-/// entries are handed over before the next (possibly blocking) read.
-/// ([`StreamReader`] goes through `read_line` and so cannot tell when that
-/// is; line rules — numbering, `\r`, blanks, comments — are the same.)
-pub(crate) fn read_entries(mut source: impl BufRead, tx: ChunkSender) -> Result<u64, CoreError> {
-    let mut lines = Lines {
-        tx,
-        line_no: 0,
-        entries: 0,
-    };
-    let result = lines.pump(&mut source);
-    // On an error too: the valid prefix is delivered before it is reported.
-    lines.tx.flush();
-    result.map(|()| lines.entries)
-}
-
-struct Lines {
-    tx: ChunkSender,
-    line_no: usize,
-    entries: u64,
-}
-
-impl Lines {
-    /// Feeds every line of `source`. Returns early, with `Ok`, when the
-    /// receiver is gone.
-    fn pump(&mut self, source: &mut impl BufRead) -> Result<(), CoreError> {
-        // A line the end of the source's buffer cut in two.
-        let mut cut: Vec<u8> = Vec::new();
-        loop {
-            let buf = match source.fill_buf() {
-                Ok(buf) => buf,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e.into()),
-            };
-            if buf.is_empty() {
-                break;
+/// The reader body: parses `source` line by line ([`LineReader`]) into
+/// `tx` and returns the number of entries parsed. Each time the source's
+/// buffer is used up the collected entries are handed over before the
+/// next (possibly blocking) read; a hung-up receiver is noticed there.
+pub(crate) fn read_entries(source: impl BufRead, mut tx: ChunkSender) -> Result<u64, CoreError> {
+    let mut lines = LineReader::new(source);
+    let mut entries = 0;
+    let result = loop {
+        let pumped = lines.pump(|line| {
+            if let Some(entry) = line? {
+                entries += 1;
+                tx.push(entry.to_entry());
             }
-            let used = buf.len();
-            for piece in buf.split_inclusive(|&b| b == b'\n') {
-                let Some(line) = piece.strip_suffix(b"\n") else {
-                    cut.extend_from_slice(piece); // the last piece
-                    continue;
-                };
-                let line = if cut.is_empty() {
-                    line
-                } else {
-                    cut.extend_from_slice(line);
-                    &cut
-                };
-                let more = self.line(line)?;
-                cut.clear();
-                if !more {
-                    return Ok(());
+            Ok::<_, CoreError>(())
+        });
+        match pumped {
+            Ok(Ok(true)) => {
+                if !tx.flush() {
+                    break Ok(entries); // the receiver is gone
                 }
             }
-            source.consume(used);
-            if !self.tx.flush() {
-                return Ok(());
-            }
+            Ok(Ok(false)) => break Ok(entries),
+            Ok(Err(e)) => break Err(e.into()),
+            Err(e) => break Err(e),
         }
-        if !cut.is_empty() {
-            self.line(&cut)?; // last line, no newline
-        }
-        Ok(())
-    }
-
-    /// Parses one line (without its `\n`). `Ok(false)` once the receiver
-    /// is gone.
-    fn line(&mut self, line: &[u8]) -> Result<bool, CoreError> {
-        self.line_no += 1;
-        let text = std::str::from_utf8(line).map_err(|e| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("line {} is not valid UTF-8: {e}", self.line_no),
-            )
-        })?;
-        let text = text.trim_end_matches('\r');
-        match parse_line_ref(text).map_err(|e| e.at_line(self.line_no))? {
-            Some(entry) => {
-                self.entries += 1;
-                Ok(self.tx.push(entry.to_entry()))
-            }
-            None => Ok(true),
-        }
-    }
+    };
+    // On an error too: the valid prefix is delivered before it is reported.
+    tx.flush();
+    result
 }
 
 #[cfg(test)]

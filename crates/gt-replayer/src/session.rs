@@ -53,11 +53,6 @@ pub struct ReplaySessionConfig {
     /// and besides what it holds only the one chunk in the reader's hand
     /// and the one in the emitter's exist.
     pub buffer: usize,
-    /// Read the stream file through a memory mapping
-    /// ([`crate::mmap::spawn_mmap_reader`]) instead of the buffered
-    /// reader: borrowed parsing straight out of the page cache, the
-    /// choice for multi-GB replays. Off by default.
-    pub mmap: bool,
 }
 
 impl Default for ReplaySessionConfig {
@@ -65,7 +60,6 @@ impl Default for ReplaySessionConfig {
         ReplaySessionConfig {
             replayer: ReplayerConfig::default(),
             buffer: DEFAULT_BUFFER,
-            mmap: false,
         }
     }
 }
@@ -160,11 +154,7 @@ impl ReplaySession {
         path: impl AsRef<Path>,
         sink: &mut S,
     ) -> Result<SessionReport, ReplayError> {
-        let (rx, reader_handle) = if self.config.mmap {
-            crate::mmap::spawn_mmap_reader(path.as_ref(), self.config.buffer)
-        } else {
-            spawn_file_reader(path.as_ref(), self.config.buffer)
-        };
+        let (rx, reader_handle) = spawn_file_reader(path.as_ref(), self.config.buffer);
 
         let max_queue_depth = Arc::new(AtomicI64::new(0));
         let entries = InstrumentedRx {
@@ -368,7 +358,6 @@ mod tests {
                 ..Default::default()
             },
             buffer,
-            mmap: false,
         }
     }
 

@@ -33,7 +33,6 @@ fn config(rate: f64, buffer: usize) -> ReplaySessionConfig {
             ..Default::default()
         },
         buffer,
-        mmap: false,
     }
 }
 

@@ -132,41 +132,6 @@ fn batching_multiplies_the_ceiling_end_to_end() {
 }
 
 #[test]
-fn level0_process_sampler_observes_the_run() {
-    use graphtides::metrics::{ProcessSampler, WallClock};
-    use std::sync::Arc;
-
-    // Level-0 evaluation (§4): black-box process observation only — the
-    // in-process analogue of pidstat. Skipped gracefully off-Linux.
-    let stream = table3_small(3, 2_000);
-    let hub = MetricsHub::new();
-    let store = zero_cost_store(&hub);
-    let mut connector = BatchingConnector::new(store.client(), 5);
-
-    let clock = Arc::new(WallClock::start());
-    let plan = graphtides::harness::RunPlan {
-        sampling_interval: Duration::from_millis(20),
-        ..graphtides::harness::RunPlan::new(stream, 20_000.0)
-    }
-    .with_logger(Box::new(ProcessSampler::new(clock, "store-process")));
-
-    let outcome =
-        graphtides::harness::run(plan, graphtides::harness::Target::Sink(&mut connector)).unwrap();
-    store.shutdown();
-
-    let rss = outcome.log.series("store-process", "rss_bytes");
-    if rss.is_empty() {
-        eprintln!("skipping Level-0 assertions: /proc/self not readable");
-        return;
-    }
-    assert!(rss.iter().all(|&(_, v)| v > 0.0));
-    // CPU% appears from the second sample onward.
-    let cpu = outcome.log.series("store-process", "cpu_percent");
-    assert!(!cpu.is_empty());
-    assert!(cpu.iter().all(|&(_, v)| v >= 0.0));
-}
-
-#[test]
 fn harness_collects_store_metrics_during_run() {
     use graphtides::metrics::{HubSampler, WallClock};
     use std::sync::Arc;
