@@ -68,11 +68,14 @@ fn main() {
         for _ in 0..REPETITIONS {
             let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
             let addr = listener.local_addr().expect("addr");
-            let drain = std::thread::spawn(move || {
-                let (socket, _) = listener.accept().expect("accept");
-                let reader = BufReader::with_capacity(1 << 20, socket);
-                reader.lines().count()
-            });
+            let drain = std::thread::Builder::new()
+                .name("fig3a-drain".into())
+                .spawn(move || {
+                    let (socket, _) = listener.accept().expect("accept");
+                    let reader = BufReader::with_capacity(1 << 20, socket);
+                    reader.lines().count()
+                })
+                .expect("spawn fig3a-drain thread");
             let mut sink = TcpSink::connect(addr).expect("connect");
             let achieved = measure(&stream, rate, &mut sink);
             sink.flush().expect("flush");

@@ -10,15 +10,21 @@
 //!
 //! Scaled-down reproduction: the same workload shape, a configurable run
 //! window per cell (default 4 s × GT_BENCH_SCALE), and a store whose
-//! timestamper costs 800 µs per transaction (ceiling ≈ 1.2k tx/s).
+//! timestamper costs 800 µs per transaction (ceiling ≈ 1.2k tx/s). Each
+//! cell is one [`gt_harness::run()`] at Level 1: the store's native
+//! `store.events` counter is sampled every 500 ms, and the watchdog's
+//! deadline closes the window.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use gt_bench::{header, scaled};
+use gt_bench::{counter_rates, header, scaled};
 use gt_core::prelude::*;
-use gt_harness::{SutOptions, SutRegistry};
-use gt_replayer::{Replayer, ReplayerConfig};
+use gt_harness::{run, EvaluationLevel, RunPlan, SutOptions, SutRegistry, Target, WatchdogConfig};
 use gt_workloads::Table3Workload;
+use tide_store::sut::SUT_NAME;
+
+/// How often the store's counters are sampled.
+const SAMPLING: Duration = Duration::from_millis(500);
 
 const RATES: [f64; 3] = [100.0, 1_000.0, 10_000.0];
 const BATCHES: [usize; 2] = [1, 10];
@@ -61,56 +67,16 @@ fn run_cell(registry: &SutRegistry, rate: f64, batch: usize, window: Duration) {
         .set("shard_cost_us", 20)
         .set("queue_capacity", 64)
         .set("batch_size", batch);
-    let mut sut = registry
-        .start(tide_store::sut::SUT_NAME, &options)
-        .expect("start store");
-    let hub = sut.hub().expect("store exposes native metrics").clone();
-    let mut connector = sut.connector().expect("store connector");
+    let mut plan = RunPlan::new(stream, rate)
+        .at_level(EvaluationLevel::Level1)
+        .with_watchdog(WatchdogConfig::default().with_deadline(window));
+    plan.sampling_interval = SAMPLING;
+    plan.sysmon = None;
+    let outcome = run(plan, Target::Sut(registry, SUT_NAME, &options)).expect("store run");
 
-    // Sample committed counts once a second on a background thread.
-    let committed = hub.counter("store.events");
-    let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let sampler = {
-        let committed = committed.clone();
-        let stop = std::sync::Arc::clone(&stop);
-        std::thread::spawn(move || {
-            let mut series = Vec::new();
-            let started = Instant::now();
-            let mut last = 0u64;
-            while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                std::thread::sleep(Duration::from_millis(500));
-                let now = committed.get();
-                series.push((started.elapsed().as_secs_f64(), (now - last) as f64 * 2.0));
-                last = now;
-            }
-            series
-        })
-    };
-
-    let replayer = Replayer::new(ReplayerConfig {
-        target_rate: rate,
-        ..Default::default()
-    });
-    let deadline = Instant::now() + window;
-    // Replay entries until the window closes.
-    let entries = stream
-        .into_entries()
-        .into_iter()
-        .take_while(|_| Instant::now() < deadline);
-    replayer
-        .replay(entries, &mut connector)
-        .expect("replay succeeds");
-
-    stop.store(true, std::sync::atomic::Ordering::Relaxed);
-    let series = sampler.join().expect("sampler");
-    drop(connector);
-    sut.shutdown();
-
-    for (t, committed_rate) in series {
-        println!(
-            "{:>10.0} {:>8} {:>6.1} {:>16.0} {:>16.0}",
-            rate, batch, t, committed_rate, rate
-        );
+    let committed = counter_rates(&outcome.log, SUT_NAME, "store.events", SAMPLING / 2);
+    for (t, committed) in committed {
+        println!("{rate:>10.0} {batch:>8} {t:>6.1} {committed:>16.0} {rate:>16.0}");
     }
 }
 

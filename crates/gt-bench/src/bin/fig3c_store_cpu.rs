@@ -6,17 +6,22 @@
 //! dominates, the shard processes stay comparatively idle. "This finding
 //! could represent an entry point for optimizations."
 //!
-//! The store accounts each component's busy time into hub counters;
-//! utilization is the per-interval busy-time delta over wall time — the
-//! same computation a Level-0 `pidstat` logger would do per process.
+//! The store accounts each component's busy time into hub counters; one
+//! [`gt_harness::run()`] at Level 1 samples them every 500 ms, and
+//! utilization is each interval's busy-time delta over its measured
+//! length — the same computation a Level-0 `pidstat` logger would do per
+//! process.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use gt_bench::{header, scaled};
+use gt_bench::{counter_rates, header, scaled};
 use gt_core::prelude::*;
-use gt_harness::{SutOptions, SutRegistry};
-use gt_replayer::{Replayer, ReplayerConfig};
+use gt_harness::{run, EvaluationLevel, RunPlan, SutOptions, SutRegistry, Target, WatchdogConfig};
 use gt_workloads::Table3Workload;
+use tide_store::sut::SUT_NAME;
+
+/// How often the store's counters are sampled.
+const SAMPLING: Duration = Duration::from_millis(500);
 
 fn main() {
     header("Figure 3c: store component CPU at 10k events/s, 10 events/tx");
@@ -39,57 +44,29 @@ fn main() {
         .set("shard_cost_us", 20)
         .set("queue_capacity", 64)
         .set("batch_size", 10);
-    let mut sut = registry
-        .start(tide_store::sut::SUT_NAME, &options)
-        .expect("start store");
-    let hub = sut.hub().expect("store exposes native metrics").clone();
-    let mut connector = sut.connector().expect("store connector");
+    let mut plan = RunPlan::new(stream, 10_000.0)
+        .at_level(EvaluationLevel::Level1)
+        .with_watchdog(WatchdogConfig::default().with_deadline(window));
+    plan.sampling_interval = SAMPLING;
+    plan.sysmon = None;
+    let outcome = run(plan, Target::Sut(&registry, SUT_NAME, &options)).expect("store run");
 
-    // Sample busy-time deltas once per 500 ms.
-    let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let sampler = {
-        let hub = hub.clone();
-        let stop = std::sync::Arc::clone(&stop);
-        std::thread::spawn(move || {
-            let mut rows = Vec::new();
-            let started = Instant::now();
-            let mut last: Vec<u64> = vec![0; shards + 1];
-            loop {
-                std::thread::sleep(Duration::from_millis(500));
-                let mut current = vec![hub.counter("timestamper.busy_micros").get()];
-                for s in 0..shards {
-                    current.push(hub.counter(&format!("shard-{s}.busy_micros")).get());
-                }
-                let t = started.elapsed().as_secs_f64();
-                let cpu: Vec<f64> = current
-                    .iter()
-                    .zip(&last)
-                    .map(|(now, prev)| (now - prev) as f64 / 500_000.0 * 100.0)
-                    .collect();
-                rows.push((t, cpu));
-                last = current;
-                if stop.load(std::sync::atomic::Ordering::Relaxed) {
-                    return rows;
-                }
-            }
-        })
+    // Busy microseconds per second of wall time, as a percentage.
+    let busy = |component: String| {
+        let counter = format!("{component}.busy_micros");
+        let rates = counter_rates(&outcome.log, SUT_NAME, &counter, SAMPLING / 2);
+        rates.into_iter().map(|(t, rate)| (t, rate / 1e4))
     };
-
-    let replayer = Replayer::new(ReplayerConfig {
-        target_rate: 10_000.0,
-        ..Default::default()
-    });
-    let deadline = Instant::now() + window;
-    let entries = stream
-        .into_entries()
-        .into_iter()
-        .take_while(|_| Instant::now() < deadline);
-    replayer.replay(entries, &mut connector).expect("replay");
-
-    stop.store(true, std::sync::atomic::Ordering::Relaxed);
-    let rows = sampler.join().expect("sampler");
-    drop(connector);
-    sut.shutdown();
+    let mut series: Vec<_> = std::iter::once("timestamper".to_owned())
+        .chain((0..shards).map(|s| format!("shard-{s}")))
+        .map(busy)
+        .collect();
+    // One row per sample time, while every component has a sample.
+    let rows: Vec<(f64, Vec<f64>)> = std::iter::from_fn(|| {
+        let row: Option<Vec<(f64, f64)>> = series.iter_mut().map(Iterator::next).collect();
+        row.map(|row| (row[0].0, row.iter().map(|&(_, cpu)| cpu).collect()))
+    })
+    .collect();
 
     print!("{:>6} {:>16}", "t[s]", "timestamper[%]");
     for s in 0..shards {

@@ -16,8 +16,9 @@
 //! ~15 s; set `GT_BENCH_SCALE=10` for the paper-sized stream.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use gt_algorithms::pagerank::{pagerank, PageRankConfig};
 use gt_analysis::{phase_summaries, window_correlation};
@@ -25,20 +26,41 @@ use gt_bench::{header, scale};
 use gt_core::prelude::*;
 use gt_generator::StreamComposer;
 use gt_graph::{CsrSnapshot, EvolvingGraph};
+use gt_harness::run::replay_records;
 use gt_harness::{SutOptions, SutRegistry};
-use gt_metrics::{Clock, MetricRecord, ResultLog, WallClock};
+use gt_metrics::{Clock, MetricRecord, MetricsHub, MetricsLogger, ResultLog, WallClock};
 use gt_replayer::{Replayer, ReplayerConfig};
-use gt_sysmon::SamplerConfig;
+use gt_sysmon::{SamplerConfig, SysmonSampler};
 use gt_workloads::SnbWorkload;
 use tide_graph::{TideGraph, TideGraphSut};
 
+/// How often the stack of series (and the Level-0 monitor) is sampled.
+const SAMPLING: Duration = Duration::from_millis(250);
+
+/// One row of the stacked plot: the replay rate and the mean worker's
+/// ops rate and CPU over the measured interval that ends at `t_micros`,
+/// plus the worker queues and the rank board at that instant.
 struct Samples {
-    t: f64,
+    t_micros: u64,
     replay_rate: f64,
-    ops_per_worker: Vec<f64>,
-    cpu_per_worker: Vec<f64>,
-    queue_per_worker: Vec<i64>,
+    ops_per_worker: f64,
+    cpu_per_worker: f64,
+    queues: Vec<i64>,
     board: BTreeMap<VertexId, f64>,
+}
+
+/// The run clock's time and the engine's cumulative counters: replayer
+/// ingress, and worker ops and busy microseconds summed over workers.
+fn totals(hub: &MetricsHub, clock: &dyn Clock, workers: usize) -> (u64, [u64; 3]) {
+    let sum = |counter: &str| {
+        let worker = |w| hub.counter(&format!("worker-{w}.{counter}")).get();
+        (0..workers).map(worker).sum()
+    };
+    let ingress = hub.counter("replayer.ingress").get();
+    (
+        clock.now_micros(),
+        [ingress, sum("ops"), sum("busy_micros")],
+    )
 }
 
 fn main() {
@@ -104,57 +126,52 @@ fn main() {
             .engine(),
     );
 
-    // Shared run clock: marker timestamps, the ingress-rate series, and
-    // the Level-0 resource series all live on the same time base.
+    // Shared run clock: sample times, marker timestamps, the ingress-rate
+    // series, and the Level-0 resource series all live on the same time
+    // base.
     let clock: Arc<dyn Clock> = Arc::new(WallClock::start());
-    let sysmon = gt_sysmon::spawn(
-        SamplerConfig::default().every(Duration::from_millis(100)),
-        Arc::clone(&clock),
-        Some(&hub),
-    );
+    let mut monitor =
+        SysmonSampler::new(SamplerConfig::default().every(SAMPLING), Arc::clone(&clock))
+            .with_hub(&hub);
 
-    // Background sampler: every 250 ms capture the full stack of series.
-    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    // Background sampler: every 250 ms capture the full stack of series,
+    // and sample the Level-0 monitor beside it.
+    let stop = Arc::new(AtomicBool::new(false));
     let sampler = {
         let hub = hub.clone();
         let engine = Arc::clone(&engine);
+        let clock = Arc::clone(&clock);
         let stop = Arc::clone(&stop);
-        std::thread::spawn(move || {
-            let started = Instant::now();
-            let mut out: Vec<Samples> = Vec::new();
-            let mut last_ingress = 0u64;
-            let mut last_ops = vec![0u64; workers];
-            let mut last_busy = vec![0u64; workers];
-            loop {
-                std::thread::sleep(Duration::from_millis(250));
-                let t = started.elapsed().as_secs_f64();
-                let ingress = hub.counter("replayer.ingress").get();
-                let mut ops = Vec::with_capacity(workers);
-                let mut cpu = Vec::with_capacity(workers);
-                let mut queue = Vec::with_capacity(workers);
-                for w in 0..workers {
-                    let o = hub.counter(&format!("worker-{w}.ops")).get();
-                    ops.push((o - last_ops[w]) as f64 * 4.0);
-                    last_ops[w] = o;
-                    let b = hub.counter(&format!("worker-{w}.busy_micros")).get();
-                    cpu.push((b - last_busy[w]) as f64 / 250_000.0 * 100.0);
-                    last_busy[w] = b;
-                    queue.push(hub.gauge(&format!("worker-{w}.queue")).get());
+        std::thread::Builder::new()
+            .name("fig3d-sampler".into())
+            .spawn(move || {
+                let mut stack: Vec<Samples> = Vec::new();
+                let mut resources = monitor.sample();
+                let (mut then, mut last) = totals(&hub, &*clock, workers);
+                loop {
+                    std::thread::sleep(SAMPLING);
+                    let (now, curr) = totals(&hub, &*clock, workers);
+                    // Counter deltas over the measured gap, per second (1e6
+                    // per microsecond) or in percent of it (100).
+                    let gap = now.saturating_sub(then).max(1) as f64;
+                    let rate = |i: usize, scale: f64| (curr[i] - last[i]) as f64 * scale / gap;
+                    let queue = |w| hub.gauge(&format!("worker-{w}.queue")).get();
+                    stack.push(Samples {
+                        t_micros: now,
+                        replay_rate: rate(0, 1e6),
+                        ops_per_worker: rate(1, 1e6) / workers as f64,
+                        cpu_per_worker: rate(2, 100.0) / workers as f64,
+                        queues: (0..workers).map(queue).collect(),
+                        board: engine.board_ranks(),
+                    });
+                    resources.extend(monitor.sample());
+                    (then, last) = (now, curr);
+                    if stop.load(Ordering::Relaxed) {
+                        return (stack, resources);
+                    }
                 }
-                out.push(Samples {
-                    t,
-                    replay_rate: (ingress - last_ingress) as f64 * 4.0,
-                    ops_per_worker: ops,
-                    cpu_per_worker: cpu,
-                    queue_per_worker: queue,
-                    board: engine.board_ranks(),
-                });
-                last_ingress = ingress;
-                if stop.load(std::sync::atomic::Ordering::Relaxed) {
-                    return out;
-                }
-            }
-        })
+            })
+            .expect("spawn fig3d-sampler thread")
     };
 
     // Replay at the Table 4 base rate.
@@ -168,14 +185,19 @@ fn main() {
     let report = replayer
         .replay_stream(&stream, &mut connector)
         .expect("replay succeeds");
-    let stream_end_t = report.duration_micros as f64 / 1e6;
+    let stream_end_micros = report
+        .markers
+        .iter()
+        .find(|(name, _)| name == "stream-end")
+        .map(|&(_, t)| t)
+        .expect("the composed stream ends with a stream-end marker");
+    let stream_end_t = stream_end_micros as f64 / 1e6;
 
     // Keep sampling until the backlog drains (the long tail of Fig. 3d).
     let drained = engine.quiesce(Duration::from_secs(600));
     let run_end_micros = clock.now_micros();
-    let resources = sysmon.stop();
-    stop.store(true, std::sync::atomic::Ordering::Relaxed);
-    let samples = sampler.join().expect("sampler");
+    stop.store(true, Ordering::Relaxed);
+    let (samples, resources) = sampler.join().expect("sampler");
     // All engine handles must be gone before the typed shutdown: the
     // connector's, the sampler's (already joined), and the local clone.
     drop(connector);
@@ -212,22 +234,20 @@ fn main() {
         "phase"
     );
     for s in &samples {
-        let ops_mean = s.ops_per_worker.iter().sum::<f64>() / workers as f64;
-        let cpu_mean = s.cpu_per_worker.iter().sum::<f64>() / workers as f64;
-        let queue_max = s.queue_per_worker.iter().copied().max().unwrap_or(0);
-        let queue_sum: i64 = s.queue_per_worker.iter().sum();
+        let queue_max = s.queues.iter().copied().max().unwrap_or(0);
+        let queue_sum: i64 = s.queues.iter().sum();
         let err = rank_error(&s.board, &exact_map, &watched);
-        let phase = if s.t < stream_end_t {
+        let phase = if s.t_micros < stream_end_micros {
             "stream"
         } else {
             "drain"
         };
         println!(
             "{:>7.2} {:>11.0} {:>10.0} {:>10.1} {:>10} {:>10} {:>11.2} {:>12}",
-            s.t,
+            s.t_micros as f64 / 1e6,
             s.replay_rate,
-            ops_mean,
-            cpu_mean,
+            s.ops_per_worker,
+            s.cpu_per_worker,
             queue_max,
             queue_sum,
             err * 100.0,
@@ -257,32 +277,20 @@ fn main() {
 /// phases, and correlate CPU against the ingress rate.
 fn print_resource_phases(
     report: &gt_replayer::ReplayReport,
-    resources: gt_sysmon::SysmonOutcome,
+    mut records: Vec<MetricRecord>,
     run_end_micros: u64,
 ) {
-    if let Some(err) = &resources.error {
-        println!("\nLevel-0 monitor unavailable on this host: {err}");
+    if let Some(error) = records.iter().find(|r| r.metric == "error") {
+        println!(
+            "\nLevel-0 monitor unavailable on this host: {}",
+            error.value
+        );
         return;
     }
-    let mut records = resources.records;
     records.push(MetricRecord::text(0, "replayer", "marker", "run-start"));
-    records.push(MetricRecord::text(
-        run_end_micros,
-        "replayer",
-        "marker",
-        "run-end",
-    ));
-    for (name, t) in &report.markers {
-        records.push(MetricRecord::text(*t, "replayer", "marker", name.clone()));
-    }
-    for (t, rate) in &report.rate_series {
-        records.push(MetricRecord::float(
-            (*t * 1e6) as u64,
-            "replayer",
-            "ingress_rate",
-            *rate,
-        ));
-    }
+    let run_end = MetricRecord::text(run_end_micros, "replayer", "marker", "run-end");
+    records.push(run_end);
+    records.extend(replay_records(report));
     let log = ResultLog::from_records(records);
 
     println!("\nLevel-0 resource phases (black-box /proc monitor):");

@@ -21,6 +21,8 @@
 
 use std::time::Duration;
 
+use gt_metrics::ResultLog;
+
 pub mod trajectory;
 
 /// Scale factor for experiment durations, settable via the
@@ -44,13 +46,33 @@ pub fn header(title: &str) {
     println!("\n=== {title} ===");
 }
 
-/// Formats a time series as aligned columns.
-pub fn print_series(label: &str, series: &[(f64, f64)]) {
-    println!("# {label}");
-    println!("{:>8}  {:>14}", "t[s]", "value");
-    for (t, v) in series {
-        println!("{t:>8.2}  {v:>14.2}");
+/// A hub counter's rate, per second, over each sampling interval of a
+/// run: the `{counter}.delta` records of `source` in the merged log, each
+/// divided by the measured gap since the sampler's previous sample, so a
+/// partial interval still reads right. An interval shorter than `min_gap`
+/// is folded into the next one; at the end — the sliver between the last
+/// periodic sample and the one taken when the run stops — it is dropped.
+/// Rows are `(t[s], rate[1/s])`.
+pub fn counter_rates(
+    log: &ResultLog,
+    source: &str,
+    counter: &str,
+    min_gap: Duration,
+) -> Vec<(f64, f64)> {
+    let mut rates = Vec::new();
+    // A counter's first sample has no delta; its later ones do.
+    let Some(&(mut since, _)) = log.series(source, counter).first() else {
+        return rates;
+    };
+    let mut sum = 0.0;
+    for (t, delta) in log.series(source, &format!("{counter}.delta")) {
+        sum += delta;
+        if t - since >= min_gap.as_secs_f64() {
+            rates.push((t, sum / (t - since)));
+            (since, sum) = (t, 0.0);
+        }
     }
+    rates
 }
 
 #[cfg(test)]
@@ -62,6 +84,32 @@ mod tests {
         // The env var is not set under `cargo test`.
         if std::env::var("GT_BENCH_SCALE").is_err() {
             assert_eq!(scale(), 1.0);
+        }
+    }
+
+    #[test]
+    fn counter_rates_divide_by_the_measured_gap() {
+        use gt_metrics::MetricRecord;
+        let record = |t, metric, value| MetricRecord::int(t, "sut", metric, value);
+        let log = ResultLog::from_records(vec![
+            record(0, "ops", 0),
+            record(500_000, "ops", 100),
+            record(500_000, "ops.delta", 100),
+            // A short interval, folded into the next one.
+            record(510_000, "ops", 110),
+            record(510_000, "ops.delta", 10),
+            record(800_000, "ops", 170),
+            record(800_000, "ops.delta", 60),
+            // The sliver before the stop sample, dropped.
+            record(801_000, "ops", 170),
+            record(801_000, "ops.delta", 0),
+        ]);
+        let rates = counter_rates(&log, "sut", "ops", Duration::from_millis(250));
+        assert_eq!(rates.len(), 2);
+        for ((t, rate), (want_t, want_rate)) in rates.into_iter().zip([(0.5, 200.0), (0.8, 233.3)])
+        {
+            assert_eq!(t, want_t);
+            assert!((rate - want_rate).abs() < 0.1, "{rate} != {want_rate}");
         }
     }
 

@@ -11,7 +11,7 @@
 //! graph stream file ──► Graph Stream Replayer ──► System under Test
 //!                            │  markers               │ hub metrics
 //!                            ▼                        ▼
-//!                      runtime metrics loggers (sampling thread)
+//!            observers: loggers, L0 monitor, watchdog (one thread)
 //!                            │
 //!                            ▼
 //!                       Log Collector ──► result log
@@ -24,8 +24,9 @@
 //!   metrics, L2 in-source instrumentation).
 //! * [`run`](mod@run) — the run path: one [`RunPlan`] (source, front,
 //!   observers) driven into one [`Target`] by one [`run()`], returning
-//!   one [`RunOutcome`]; replay on the driver thread, loggers sampled on
-//!   a background thread, every record collected once.
+//!   one [`RunOutcome`]; replay on the driver thread, every observer
+//!   (loggers, the Level-0 monitor, the watchdog) on one background
+//!   thread at its own period, every record collected once.
 //! * [`sut`] — what `run` does to a platform started from a registry:
 //!   level clamp, native-metrics and tracer wiring, the closing report.
 //! * [`load`] — the load front: the stream fanned across N concurrent
@@ -42,9 +43,9 @@
 //!   factor cross-products executed with per-cell repetition, journaled
 //!   to disk (one JSON line per finished cell-repetition), and resumable
 //!   after a kill without re-running completed cells.
-//! * [`watchdog`] — progress-stall and deadline detection: a broken
-//!   system under test aborts the run with a typed status instead of
-//!   hanging the harness.
+//! * [`watchdog`] — progress-stall and deadline detection on the run
+//!   clock: a broken system under test aborts the run with a typed status
+//!   instead of hanging the harness.
 
 pub mod differential;
 #[doc(hidden)]

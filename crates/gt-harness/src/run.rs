@@ -1,7 +1,7 @@
 //! The run path: one plan, one target, one [`run`].
 //!
-//! One run = one stream driven into one target, with metric loggers
-//! sampling concurrently on a background thread, and all outputs merged
+//! One run = one stream driven into one target, with every observer
+//! sampled on one background thread, and all outputs merged
 //! into a single chronologically sorted [`ResultLog`] (Figure 2's data
 //! path). A run is described along four independent axes:
 //!
@@ -22,6 +22,7 @@
 //! Combinations it cannot honour are rejected up front by
 //! [`RunPlan::check`] with [`RunError::InvalidInput`].
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -31,6 +32,7 @@ use std::time::Duration;
 use gt_chaos::{ChaosJournal, ChaosSink, FaultSchedule, CHAOS_SOURCE};
 use gt_core::prelude::*;
 use gt_load::{LoadOutcome, LoadPlan};
+use gt_metrics::hub::Counter;
 use gt_metrics::{
     Clock, HubSampler, LogCollector, MetricRecord, MetricsHub, MetricsLogger, ResultLog, WallClock,
 };
@@ -42,14 +44,14 @@ use gt_replayer::{
 use gt_sut::{
     StateDigest, SutError, SutOptions, SutRegistry, SutReport, SystemUnderTest, WorkerSupervisor,
 };
-use gt_sysmon::SamplerConfig;
+use gt_sysmon::{SamplerConfig, SysmonSampler};
 use gt_trace::{Stage, Tracer};
 
 use crate::levels::EvaluationLevel;
 use crate::load::{drive_clients, load_records};
 use crate::netem::{sink_records, start_netem_front, NetemFront};
 use crate::sut::{report_records, wire, DEFAULT_QUIESCE_TIMEOUT};
-use crate::watchdog::{spawn_watchdog, RunStatus, WatchdogConfig, WatchdogHandle};
+use crate::watchdog::{AbortReason, RunStatus, Watchdog, WatchdogConfig};
 
 /// Live chaos for one run: a deterministic fault schedule, the journal it
 /// writes to, and (optionally) the platform's crash/restart surface.
@@ -135,14 +137,17 @@ pub struct RunPlan {
     /// Metric loggers sampled during the run (a file source's pipeline
     /// stage metrics are sampled automatically, under `pipeline`).
     pub loggers: Vec<Box<dyn MetricsLogger>>,
-    /// Sampling interval for the logger thread.
+    /// How often the run's observer thread samples the loggers (the plan's
+    /// own, and the hub samplers the run adds).
     pub sampling_interval: Duration,
     /// The access level requested. Level-0 (black-box `/proc`
     /// observation) is included in every level, so the resource monitor
     /// runs unless [`Self::sysmon`] is `None`. A load front has no single
     /// replayer to trace: Level 2 there is clamped to Level 1.
     pub level: EvaluationLevel,
-    /// Level-0 resource monitor configuration; `None` disables it.
+    /// Level-0 resource monitor configuration, sampled every
+    /// [`SamplerConfig::cadence`] on the observer thread; `None` disables
+    /// it.
     pub sysmon: Option<SamplerConfig>,
     /// Level-2 event tracer for the replay side: sampled graph events are
     /// stamped at [`Stage::PacedEmit`] (and, from a file source, at the
@@ -450,113 +455,144 @@ impl RunOutcome {
     }
 }
 
-/// Spawns the Level-0 monitor when the plan's level grants black-box
-/// process access and a sampler is configured.
-fn spawn_sysmon(
-    level: EvaluationLevel,
-    config: &Option<SamplerConfig>,
-    clock: &Arc<dyn Clock>,
-    hub: Option<&MetricsHub>,
-) -> Option<gt_sysmon::SysmonHandle> {
-    if !level.includes(EvaluationLevel::Level0) {
-        return None;
-    }
-    let config = config.as_ref()?;
-    Some(gt_sysmon::spawn(config.clone(), Arc::clone(clock), hub))
+/// An observer's period and its next due time, run-clock microseconds.
+struct Every {
+    period: u64,
+    due: u64,
 }
 
-/// Stops the monitor and converts its outcome into records: the sampled
-/// resource series, plus one text record when observation failed (so a
-/// log from a non-Linux host says *why* the series is empty).
-fn sysmon_records(
-    handle: Option<gt_sysmon::SysmonHandle>,
-    config: &Option<SamplerConfig>,
-    clock: &Arc<dyn Clock>,
-) -> Vec<MetricRecord> {
-    let Some(handle) = handle else {
-        return Vec::new();
-    };
-    let outcome = handle.stop();
-    let mut records = outcome.records;
-    if let Some(error) = outcome.error {
-        let source = config
-            .as_ref()
-            .map_or_else(|| "sysmon".to_owned(), |c| c.source.clone());
-        records.push(MetricRecord::text(
-            clock.now_micros(),
-            &source,
-            "error",
-            error.to_string(),
-        ));
+impl Every {
+    /// Due at once, then every `period`.
+    fn new(period: Duration) -> Self {
+        Every {
+            period: period.as_micros().max(1) as u64,
+            due: 0,
+        }
     }
-    records
+
+    /// Whether the observer is due at `now`. If it is, its next due time
+    /// moves one period on, or one period past `now` when the loop fell a
+    /// whole period behind, so a late wake-up never samples twice in a row.
+    fn fire(&mut self, now: u64) -> bool {
+        if now < self.due {
+            return false;
+        }
+        self.due += self.period;
+        if self.due <= now {
+            self.due = now + self.period;
+        }
+        true
+    }
 }
 
-/// The running sampler thread and the flag that ends it.
-struct Sampler {
+/// The watchdog as the observer loop runs it: checked every poll interval
+/// against the replayer's ingress counter, raising the replay's abort flag
+/// when it fires.
+struct Guard {
+    every: Every,
+    watchdog: Watchdog,
+    progress: Counter,
+    abort: Arc<AtomicBool>,
+}
+
+impl Guard {
+    fn watch(&mut self, now: u64) -> Option<AbortReason> {
+        if !self.every.fire(now) {
+            return None;
+        }
+        let reason = self.watchdog.check(now, self.progress.get())?;
+        self.abort.store(true, Ordering::Relaxed);
+        Some(reason)
+    }
+}
+
+/// The run's one observer thread and the flag that ends it.
+struct Observers {
     stop: Arc<AtomicBool>,
-    thread: JoinHandle<Vec<MetricRecord>>,
+    thread: JoinHandle<(Vec<MetricRecord>, RunStatus)>,
 }
 
-/// Spawns the background thread that drives all loggers every `interval`
-/// until [`join_sampler`] stops it, finishing with one final sample so
-/// the log covers the run end.
-fn spawn_sampler(mut loggers: Vec<Box<dyn MetricsLogger>>, interval: Duration) -> Sampler {
-    let stop = Arc::new(AtomicBool::new(false));
-    let stopped = Arc::clone(&stop);
-    let thread = std::thread::Builder::new()
-        .name("gt-harness-sampler".into())
-        .spawn(move || {
-            let mut records = Vec::new();
-            while !stopped.load(Ordering::Acquire) {
-                for logger in &mut loggers {
-                    records.extend(logger.sample());
-                }
-                // Parked, not asleep: `join_sampler` ends the wait at
-                // once instead of after up to a whole interval, which
-                // every measured run window would otherwise include.
-                std::thread::park_timeout(interval);
+impl Observers {
+    /// Starts the thread that runs [`observe`].
+    fn start(
+        loggers: Vec<(Every, Box<dyn MetricsLogger>)>,
+        guard: Option<Guard>,
+        clock: Arc<dyn Clock>,
+    ) -> Self {
+        let stop = Arc::new(AtomicBool::new(false));
+        let stopped = Arc::clone(&stop);
+        let thread = std::thread::Builder::new()
+            .name("gt-observers".into())
+            .spawn(move || observe(loggers, guard, &*clock, &stopped))
+            .expect("spawn gt-observers thread");
+        Observers { stop, thread }
+    }
+
+    /// Ends the thread's wait at once, lets it take one final sample of
+    /// every logger so the log covers the run end, and returns everything
+    /// it recorded with the watchdog's verdict.
+    fn stop(self) -> (Vec<MetricRecord>, RunStatus) {
+        self.stop.store(true, Ordering::Release);
+        self.thread.thread().unpark();
+        let observed = self.thread.join();
+        observed.expect("the observer loop contains its loggers' panics")
+    }
+}
+
+/// The observer loop. On each wake-up it checks the watchdog first (until
+/// it fires; its abort becomes a `watchdog/abort` record), then samples
+/// every logger that is due, then parks until the earliest due time or
+/// until `stop`, after which it samples every logger once more and
+/// returns. A logger that panics is dropped with one `harness/degradation`
+/// record naming it; the others keep sampling.
+fn observe(
+    mut loggers: Vec<(Every, Box<dyn MetricsLogger>)>,
+    mut guard: Option<Guard>,
+    clock: &dyn Clock,
+    stop: &AtomicBool,
+) -> (Vec<MetricRecord>, RunStatus) {
+    let mut records = Vec::new();
+    let mut status = RunStatus::Completed;
+    // Read after each wait, so every logger is sampled at least twice:
+    // once at the start and once at the stop.
+    let mut stopping = false;
+    loop {
+        let now = clock.now_micros();
+        let watched = guard.as_mut().filter(|_| !stopping);
+        if let Some(reason) = watched.and_then(|guard| guard.watch(now)) {
+            let text = reason.to_string();
+            records.push(MetricRecord::text(now, "watchdog", "abort", text));
+            status = RunStatus::Aborted(reason);
+            guard = None;
+        }
+        loggers.retain_mut(|(every, logger)| {
+            if !stopping && !every.fire(now) {
+                return true;
             }
-            for logger in &mut loggers {
-                records.extend(logger.sample());
-            }
-            records
-        })
-        .expect("spawn sampler");
-    Sampler { stop, thread }
-}
-
-/// Stops and joins the sampler thread, degrading gracefully: a panicked
-/// logger must not poison the whole run, so the lost series is replaced
-/// by one typed degradation record (source `harness`) explaining the gap.
-fn join_sampler(sampler: Sampler, clock: &Arc<dyn Clock>) -> Vec<MetricRecord> {
-    sampler.stop.store(true, Ordering::Release);
-    sampler.thread.thread().unpark();
-    sampler.thread.join().unwrap_or_else(|_| {
-        vec![MetricRecord::text(
-            clock.now_micros(),
-            "harness",
-            "degradation",
-            "sampler thread panicked; sampled metric series truncated",
-        )]
-    })
-}
-
-/// Stops the watchdog (if armed) and converts its verdict into a run
-/// status plus the abort record for the merged log.
-fn finish_watchdog(
-    watchdog: Option<WatchdogHandle>,
-    clock: &Arc<dyn Clock>,
-) -> (RunStatus, Vec<MetricRecord>) {
-    let Some(reason) = watchdog.and_then(WatchdogHandle::finish) else {
-        return (RunStatus::Completed, Vec::new());
-    };
-    let record = MetricRecord::text(clock.now_micros(), "watchdog", "abort", reason.to_string());
-    (RunStatus::Aborted(reason), vec![record])
+            let Ok(sampled) = catch_unwind(AssertUnwindSafe(|| logger.sample())) else {
+                let source = logger.source();
+                let why = format!("observer `{source}` panicked; its series stops here");
+                let t = clock.now_micros();
+                records.push(MetricRecord::text(t, "harness", "degradation", why));
+                return false;
+            };
+            records.extend(sampled);
+            true
+        });
+        if stopping {
+            return (records, status);
+        }
+        // With nothing left to observe, the wait runs until `stop`.
+        let dues = loggers.iter().map(|(every, _)| every.due);
+        let due = dues.chain(guard.iter().map(|guard| guard.every.due)).min();
+        let wait = due.unwrap_or(u64::MAX).saturating_sub(clock.now_micros());
+        std::thread::park_timeout(Duration::from_micros(wait));
+        stopping = stop.load(Ordering::Acquire);
+    }
 }
 
 /// Replayer marker and ingress-rate records for the merged log.
-fn replay_records(report: &ReplayReport) -> Vec<MetricRecord> {
+pub fn replay_records(report: &ReplayReport) -> Vec<MetricRecord> {
     let mut records: Vec<MetricRecord> = report
         .markers
         .iter()
@@ -752,7 +788,7 @@ pub fn run(plan: RunPlan, target: Target<'_>) -> Result<RunOutcome, RunError> {
         Target::Sink(sink) => (None, Ok(Front::Sink(sink))),
         Target::Sut(registry, name, options) => {
             let mut sut = registry.start(name, options)?;
-            (level, own_tracer) = wire(sut.as_mut(), level, &mut loggers, &mut chaos, &clock);
+            own_tracer = wire(sut.as_mut(), level, &mut loggers, &mut chaos, &clock);
             tracer = own_tracer.clone().or(tracer);
             let front = match &load {
                 Some(_) => Ok(Front::Clients),
@@ -768,17 +804,33 @@ pub fn run(plan: RunPlan, target: Target<'_>) -> Result<RunOutcome, RunError> {
         let stages = HubSampler::new(hub.clone(), Arc::clone(&clock), "pipeline");
         loggers.push(Box::new(stages));
     }
-    let monitor = spawn_sysmon(level, &sysmon, &clock, pipeline.then_some(&hub));
-    let sampler = spawn_sampler(loggers, sampling_interval);
+    let mut observers: Vec<(Every, Box<dyn MetricsLogger>)> = loggers
+        .into_iter()
+        .map(|logger| (Every::new(sampling_interval), logger))
+        .collect();
+    if let Some(config) = sysmon {
+        let every = Every::new(config.cadence);
+        let mut monitor = SysmonSampler::new(config, Arc::clone(&clock));
+        if pipeline {
+            monitor = monitor.with_hub(&hub);
+        }
+        observers.push((every, Box::new(monitor)));
+    }
     let abort = Arc::new(AtomicBool::new(false));
-    let watchdog = watchdog
-        .map(|config| spawn_watchdog(config, hub.counter("ingress_events"), Arc::clone(&abort)));
+    let guard = watchdog.map(|config| Guard {
+        every: Every::new(config.poll_interval),
+        watchdog: Watchdog::new(config, clock.now_micros()),
+        progress: hub.counter("ingress_events"),
+        abort: Arc::clone(&abort),
+    });
+    let guarded = guard.is_some();
+    let observers = Observers::start(observers, guard, Arc::clone(&clock));
 
     let driven = front.map(|mut front| {
         let shared = Shared {
             clock: &clock,
             hub: &hub,
-            abort: watchdog.as_ref().map(|_| &abort),
+            abort: guarded.then_some(&abort),
             tracer: tracer.as_ref(),
         };
         let driven = match (front.sink(), &source, &load) {
@@ -791,9 +843,7 @@ pub fn run(plan: RunPlan, target: Target<'_>) -> Result<RunOutcome, RunError> {
         (driven, front)
     });
 
-    let sampled = join_sampler(sampler, &clock);
-    let resource = sysmon_records(monitor, &sysmon, &clock);
-    let (status, abort_records) = finish_watchdog(watchdog, &clock);
+    let (observed, status) = observers.stop();
     let driven = driven.and_then(|(driven, front)| {
         let closed = front.close(&clock);
         Ok((driven?, closed?))
@@ -811,12 +861,9 @@ pub fn run(plan: RunPlan, target: Target<'_>) -> Result<RunOutcome, RunError> {
     let traced = own_tracer.map_or_else(Vec::new, |tracer| tracer.stop().records);
     let (driver, front_records) = driven?;
 
+    let driven = driver_records(&driver, load.as_ref(), clock.now_micros());
     let mut collector = LogCollector::new();
-    collector
-        .add_records(sampled)
-        .add_records(resource)
-        .add_records(driver_records(&driver, load.as_ref(), clock.now_micros()))
-        .add_records(abort_records);
+    collector.add_records(observed).add_records(driven);
     if let Some(chaos) = &chaos {
         collector.add_records(chaos.journal.records(CHAOS_SOURCE));
     }
@@ -854,17 +901,37 @@ mod tests {
     }
 
     #[test]
-    fn sampler_stops_promptly_and_still_takes_the_final_sample() {
-        let clock: Arc<dyn Clock> = Arc::new(ManualClock::new());
+    fn observers_stop_promptly_and_still_take_the_final_sample() {
+        let clock: Arc<dyn Clock> = Arc::new(WallClock::start());
         let probe = GaugeSampler::new(Arc::clone(&clock), "probe", "answer", || Some(42.0));
-        let sampler = spawn_sampler(vec![Box::new(probe)], Duration::from_millis(500));
-        // Long enough for the first sample, far shorter than the interval.
+        let every = Every::new(Duration::from_millis(500));
+        let observers = Observers::start(vec![(every, Box::new(probe))], None, clock);
+        // Long enough for the first sample, far shorter than the period.
         std::thread::sleep(Duration::from_millis(50));
         let stopping = std::time::Instant::now();
-        let records = join_sampler(sampler, &clock);
+        let (records, status) = observers.stop();
         let took = stopping.elapsed();
         assert!(took < Duration::from_millis(50), "stop-to-joined {took:?}");
         assert_eq!(records.len(), 2, "the first and the final sample");
+        assert_eq!(status, RunStatus::Completed);
+    }
+
+    #[test]
+    fn each_observer_keeps_its_own_period() {
+        // The loop wakes at the earliest due time, here every 2 ms: the
+        // 20 ms observer fires on every tenth wake-up, not on each.
+        let wakes: Vec<u64> = (0..50).map(|i| i * 2_000).collect();
+        let fired = |mut every: Every| wakes.iter().filter(|&&now| every.fire(now)).count();
+        assert_eq!(fired(Every::new(Duration::from_millis(2))), 50);
+        assert_eq!(fired(Every::new(Duration::from_millis(20))), 5);
+        // A wake-up more than a period late fires once, and the next due
+        // time is a period after it, not a burst of catch-up samples.
+        let mut late = Every::new(Duration::from_millis(20));
+        let fires: Vec<bool> = [0, 65_000, 70_000, 84_999, 85_000]
+            .into_iter()
+            .map(|now| late.fire(now))
+            .collect();
+        assert_eq!(fires, [true, true, false, false, true]);
     }
 
     #[test]
@@ -1209,18 +1276,82 @@ mod tests {
 
     #[test]
     fn panicking_logger_degrades_instead_of_poisoning_the_run() {
-        let mut plan = RunPlan::new(stream(200), 200_000.0).with_logger(Box::new(PanickingLogger));
+        let clock: Arc<dyn Clock> = Arc::new(ManualClock::new());
+        let probe = GaugeSampler::new(clock, "probe", "answer", || Some(42.0));
+        let mut plan = RunPlan::new(stream(200), 200_000.0)
+            .with_logger(Box::new(PanickingLogger))
+            .with_logger(Box::new(probe));
         plan.sysmon = None;
         let mut sink = CollectSink::new();
         let outcome = run(plan, Target::Sink(&mut sink)).unwrap();
         // The run itself is unharmed...
         assert_eq!(outcome.replay().graph_events, 200);
         assert_eq!(outcome.status, crate::watchdog::RunStatus::Completed);
-        // ...and the lost series is explained by a typed degradation
-        // record instead of a harness panic.
+        // ...the lost series is explained by a typed degradation record
+        // naming the logger instead of a harness panic...
         assert!(outcome.log.records().iter().any(|r| r.source == "harness"
             && r.metric == "degradation"
-            && r.value.to_string().contains("sampler")));
+            && r.value.to_string().contains("`panicking`")));
+        // ...and only that series is lost: the logger beside it kept
+        // sampling, first sample and final one.
+        assert!(outcome.log.series("probe", "answer").len() >= 2);
+    }
+
+    /// A `/proc` that panics on every read.
+    struct PanickingProc;
+
+    impl gt_sysmon::ProcSource for PanickingProc {
+        fn read(&self, _file: gt_sysmon::ProcFile) -> std::io::Result<String> {
+            panic!("deliberate test panic in proc source");
+        }
+        fn describe(&self) -> String {
+            "panicking".to_owned()
+        }
+    }
+
+    #[test]
+    fn a_panicking_sysmon_source_loses_only_its_own_series() {
+        let clock: Arc<dyn Clock> = Arc::new(ManualClock::new());
+        let config = SamplerConfig {
+            source: "sysmon-panicking".to_owned(),
+            ..SamplerConfig::default()
+        };
+        let monitor =
+            SysmonSampler::with_source(config, Box::new(PanickingProc), Arc::clone(&clock));
+        let probe = GaugeSampler::new(clock, "probe", "answer", || Some(42.0));
+        let mut plan = RunPlan::new(stream(200), 200_000.0)
+            .with_logger(Box::new(monitor))
+            .with_logger(Box::new(probe));
+        plan.sysmon = None;
+        let mut sink = CollectSink::new();
+        let outcome = run(plan, Target::Sink(&mut sink)).unwrap();
+        assert_eq!(outcome.status, crate::watchdog::RunStatus::Completed);
+        let degraded: Vec<_> = outcome
+            .log
+            .records()
+            .iter()
+            .filter(|r| r.source == "harness" && r.metric == "degradation")
+            .collect();
+        assert_eq!(degraded.len(), 1, "one record for the one lost observer");
+        assert!(degraded[0].value.to_string().contains("`sysmon-panicking`"));
+        assert!(outcome.log.series("probe", "answer").len() >= 2);
+    }
+
+    #[test]
+    fn a_run_stops_its_observers_without_waiting_out_their_periods() {
+        // Every observer is armed with a 500 ms period; the 100-event run
+        // takes about 1 ms. Stopping must end their wait, not sit it out.
+        let mut plan = RunPlan::new(stream(100), 100_000.0)
+            .with_sysmon(SamplerConfig::default().every(Duration::from_millis(500)))
+            .with_watchdog(WatchdogConfig::default().polling_every(Duration::from_millis(500)));
+        plan.sampling_interval = Duration::from_millis(500);
+        let started = std::time::Instant::now();
+        let mut sink = CollectSink::new();
+        let outcome = run(plan, Target::Sink(&mut sink)).unwrap();
+        let took = started.elapsed();
+        assert!(took < Duration::from_millis(200), "the run took {took:?}");
+        assert_eq!(outcome.status, crate::watchdog::RunStatus::Completed);
+        assert_eq!(outcome.replay().graph_events, 100);
     }
 
     #[test]

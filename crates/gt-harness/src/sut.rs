@@ -38,8 +38,7 @@ use crate::run::ChaosPlan;
 pub const DEFAULT_QUIESCE_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Prepares a started platform for the run (see the module docs).
-/// Returns the effective level and the tracer it started, if any — the
-/// caller stops it.
+/// Returns the tracer it started, if any — the caller stops it.
 ///
 /// The tracer publishes its stage-pair latency histograms through a
 /// dedicated hub sampled under [`TRACE_SOURCE`], and is installed
@@ -52,7 +51,7 @@ pub(crate) fn wire(
     loggers: &mut Vec<Box<dyn MetricsLogger>>,
     chaos: &mut Option<ChaosPlan>,
     clock: &Arc<dyn Clock>,
-) -> (EvaluationLevel, Option<Tracer>) {
+) -> Option<Tracer> {
     let effective = requested.min(sut.level());
     let mut sample = |hub: MetricsHub, source: &str| {
         loggers.push(Box::new(HubSampler::new(hub, Arc::clone(clock), source)));
@@ -74,7 +73,7 @@ pub(crate) fn wire(
             chaos.supervisor = sut.supervisor();
         }
     }
-    (effective, tracer)
+    tracer
 }
 
 /// The platform's final report as `float` records under the platform's

@@ -1,10 +1,11 @@
 //! The experiment watchdog: stall detection and hard deadlines.
 //!
 //! A chaos experiment deliberately breaks the system mid-run — and a
-//! broken platform must not be able to hang the harness. The watchdog is
-//! a small background thread that watches *ingress progress* (graph
-//! events delivered by the replayer) and wall time, and raises a shared
-//! abort flag when either
+//! broken platform must not be able to hang the harness. The `Watchdog`
+//! watches *ingress progress* (graph events delivered by the replayer)
+//! and the run clock; the run's observer loop checks it every
+//! [`WatchdogConfig::poll_interval`] and raises a shared abort flag when
+//! either
 //!
 //! * no progress has been made for [`WatchdogConfig::stall_timeout`], or
 //! * the run has exceeded its hard [`WatchdogConfig::deadline`].
@@ -23,12 +24,7 @@
 //!
 //! [`ResultLog`]: gt_metrics::ResultLog
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
-
-use gt_metrics::hub::Counter;
+use std::time::Duration;
 
 /// When the watchdog pulls the plug.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -37,11 +33,11 @@ pub struct WatchdogConfig {
     /// Scripted pauses count as stalls too — raise this above the longest
     /// expected pause when replaying streams with `PAUSE` phases.
     pub stall_timeout: Duration,
-    /// Hard wall-clock bound on the whole replay; `None` means stall
-    /// detection only.
+    /// Hard bound on the whole replay, on the run clock; `None` means
+    /// stall detection only.
     pub deadline: Option<Duration>,
-    /// How often the watchdog wakes up to check. Detection latency is at
-    /// most one interval past the configured bounds.
+    /// How often the observer loop checks the watchdog. Detection latency
+    /// is at most one interval past the configured bounds.
     pub poll_interval: Duration,
 }
 
@@ -64,7 +60,7 @@ impl WatchdogConfig {
         }
     }
 
-    /// Adds a hard wall-clock deadline (builder style).
+    /// Adds a hard deadline (builder style).
     #[must_use]
     pub fn with_deadline(mut self, deadline: Duration) -> Self {
         self.deadline = Some(deadline);
@@ -89,7 +85,7 @@ pub enum AbortReason {
         /// Graph events delivered up to the stall.
         events_delivered: u64,
     },
-    /// The run exceeded its hard wall-clock deadline.
+    /// The run exceeded its hard deadline.
     DeadlineExceeded {
         /// The configured deadline.
         deadline: Duration,
@@ -149,142 +145,139 @@ impl std::fmt::Display for RunStatus {
     }
 }
 
-/// A running watchdog thread.
-pub(crate) struct WatchdogHandle {
-    stop: Arc<AtomicBool>,
-    join: JoinHandle<Option<AbortReason>>,
+/// The watchdog's state between checks: its bounds, when the run
+/// started, and the last ingress progress it saw. It owns no thread: the
+/// run's observer loop calls [`Watchdog::check`] every
+/// [`WatchdogConfig::poll_interval`] of the run clock.
+#[derive(Debug, Clone)]
+pub(crate) struct Watchdog {
+    config: WatchdogConfig,
+    started_micros: u64,
+    delivered: u64,
+    last_change_micros: u64,
 }
 
-impl WatchdogHandle {
-    /// Signals the thread and collects its verdict. `None` = the run
-    /// finished on its own (or the watchdog thread itself died — a dead
-    /// watchdog must not turn a healthy run into an aborted one).
-    pub(crate) fn finish(self) -> Option<AbortReason> {
-        self.stop.store(true, Ordering::Relaxed);
-        self.join.join().unwrap_or(None)
+impl Watchdog {
+    /// A watchdog over a run that started at `started_micros` with no
+    /// event delivered yet.
+    pub(crate) fn new(config: WatchdogConfig, started_micros: u64) -> Self {
+        Watchdog {
+            config,
+            started_micros,
+            delivered: 0,
+            last_change_micros: started_micros,
+        }
+    }
+
+    /// Looks at the run at `now_micros`, with `delivered` graph events
+    /// delivered so far. Returns why the run must stop — no progress for
+    /// [`WatchdogConfig::stall_timeout`], or the
+    /// [`WatchdogConfig::deadline`] reached — or `None` to let it go on.
+    pub(crate) fn check(&mut self, now_micros: u64, delivered: u64) -> Option<AbortReason> {
+        if delivered != self.delivered {
+            self.delivered = delivered;
+            self.last_change_micros = now_micros;
+        } else {
+            let stalled_for = micros_between(self.last_change_micros, now_micros);
+            if stalled_for >= self.config.stall_timeout {
+                return Some(AbortReason::Stalled {
+                    stalled_for,
+                    events_delivered: delivered,
+                });
+            }
+        }
+        let deadline = self.config.deadline?;
+        (micros_between(self.started_micros, now_micros) >= deadline).then_some(
+            AbortReason::DeadlineExceeded {
+                deadline,
+                events_delivered: delivered,
+            },
+        )
     }
 }
 
-/// Spawns the watchdog. It polls `progress` every
-/// [`WatchdogConfig::poll_interval`]; on a stall or a blown deadline it
-/// raises `abort` (observed by the replayer) and exits with the reason.
-///
-/// The watchdog measures real elapsed time with [`Instant`] rather than
-/// the run clock: a stall is a wall-clock phenomenon, and the run clock
-/// may itself be a frozen [`gt_metrics::ManualClock`] in tests.
-pub(crate) fn spawn_watchdog(
-    config: WatchdogConfig,
-    progress: Counter,
-    abort: Arc<AtomicBool>,
-) -> WatchdogHandle {
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop_flag = Arc::clone(&stop);
-    let join = std::thread::Builder::new()
-        .name("gt-harness-watchdog".into())
-        .spawn(move || {
-            let started = Instant::now();
-            let mut last_value = progress.get();
-            let mut last_change = Instant::now();
-            loop {
-                std::thread::sleep(config.poll_interval);
-                if stop_flag.load(Ordering::Relaxed) {
-                    return None;
-                }
-                let value = progress.get();
-                if value != last_value {
-                    last_value = value;
-                    last_change = Instant::now();
-                } else if last_change.elapsed() >= config.stall_timeout {
-                    abort.store(true, Ordering::Relaxed);
-                    return Some(AbortReason::Stalled {
-                        stalled_for: last_change.elapsed(),
-                        events_delivered: value,
-                    });
-                }
-                if let Some(deadline) = config.deadline {
-                    if started.elapsed() >= deadline {
-                        abort.store(true, Ordering::Relaxed);
-                        return Some(AbortReason::DeadlineExceeded {
-                            deadline,
-                            events_delivered: value,
-                        });
-                    }
-                }
-            }
-        })
-        .expect("spawn gt-harness-watchdog thread");
-    WatchdogHandle { stop, join }
+fn micros_between(from: u64, to: u64) -> Duration {
+    Duration::from_micros(to.saturating_sub(from))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gt_metrics::{Clock, ManualClock};
 
-    fn fast(stall_ms: u64) -> WatchdogConfig {
-        WatchdogConfig::stall_after(Duration::from_millis(stall_ms))
-            .polling_every(Duration::from_millis(2))
+    const POLL: Duration = Duration::from_millis(20);
+
+    /// Checks `watchdog` every poll interval of `clock` until it fires or
+    /// `until` passes, with `delivered(now)` events delivered at each
+    /// check. Returns the verdict and when it came.
+    fn poll(
+        watchdog: &mut Watchdog,
+        clock: &ManualClock,
+        until: Duration,
+        delivered: impl Fn(u64) -> u64,
+    ) -> Option<(u64, AbortReason)> {
+        while clock.now_micros() < until.as_micros() as u64 {
+            clock.advance_micros(POLL.as_micros() as u64);
+            let now = clock.now_micros();
+            if let Some(reason) = watchdog.check(now, delivered(now)) {
+                return Some((now, reason));
+            }
+        }
+        None
     }
 
     #[test]
-    fn quiet_watchdog_reports_nothing() {
-        let progress = Counter::default();
-        let abort = Arc::new(AtomicBool::new(false));
-        let handle = spawn_watchdog(fast(10_000), progress.clone(), Arc::clone(&abort));
-        progress.add(5);
-        std::thread::sleep(Duration::from_millis(10));
-        assert_eq!(handle.finish(), None);
-        assert!(!abort.load(Ordering::Relaxed));
+    fn a_stall_fires_at_exactly_the_stall_timeout() {
+        let clock = ManualClock::new();
+        let config = WatchdogConfig::stall_after(Duration::from_millis(200)).polling_every(POLL);
+        let mut watchdog = Watchdog::new(config, clock.now_micros());
+        // One event per check up to 100 ms, then nothing: the stall is
+        // counted from the last check that saw progress.
+        let fired = poll(&mut watchdog, &clock, Duration::from_secs(5), |now| {
+            (now / 20_000).min(5)
+        });
+        let (at, reason) = fired.expect("stall never detected");
+        assert_eq!(at, 300_000, "200 ms after the last progress, at 100 ms");
+        assert_eq!(
+            reason,
+            AbortReason::Stalled {
+                stalled_for: Duration::from_millis(200),
+                events_delivered: 5,
+            }
+        );
     }
 
     #[test]
-    fn stall_raises_the_abort_flag() {
-        let progress = Counter::default();
-        let abort = Arc::new(AtomicBool::new(false));
-        let handle = spawn_watchdog(fast(20), progress.clone(), Arc::clone(&abort));
-        progress.add(7);
-        // No further progress: the stall timeout must fire.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while !abort.load(Ordering::Relaxed) && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        assert!(abort.load(Ordering::Relaxed), "stall never detected");
-        match handle.finish() {
-            Some(AbortReason::Stalled {
-                events_delivered, ..
-            }) => assert_eq!(events_delivered, 7),
-            other => panic!("expected a stall, got {other:?}"),
-        }
+    fn the_deadline_fires_at_exactly_the_deadline_while_progress_continues() {
+        let clock = ManualClock::new();
+        let config = WatchdogConfig::stall_after(Duration::from_millis(40))
+            .with_deadline(Duration::from_millis(300))
+            .polling_every(POLL);
+        let mut watchdog = Watchdog::new(config, clock.now_micros());
+        let fired = poll(&mut watchdog, &clock, Duration::from_secs(5), |now| {
+            now / 1_000
+        });
+        let (at, reason) = fired.expect("deadline never fired");
+        assert_eq!(at, 300_000);
+        assert_eq!(
+            reason,
+            AbortReason::DeadlineExceeded {
+                deadline: Duration::from_millis(300),
+                events_delivered: 300,
+            }
+        );
     }
 
     #[test]
-    fn steady_progress_defeats_the_stall_timer() {
-        let progress = Counter::default();
-        let abort = Arc::new(AtomicBool::new(false));
-        let handle = spawn_watchdog(fast(40), progress.clone(), Arc::clone(&abort));
-        for _ in 0..10 {
-            progress.inc();
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert!(!abort.load(Ordering::Relaxed));
-        assert_eq!(handle.finish(), None);
-    }
-
-    #[test]
-    fn deadline_fires_even_while_progressing() {
-        let progress = Counter::default();
-        let abort = Arc::new(AtomicBool::new(false));
-        let config = fast(10_000).with_deadline(Duration::from_millis(20));
-        let handle = spawn_watchdog(config, progress.clone(), Arc::clone(&abort));
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while !abort.load(Ordering::Relaxed) && Instant::now() < deadline {
-            progress.inc();
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        assert!(abort.load(Ordering::Relaxed), "deadline never fired");
-        assert!(matches!(
-            handle.finish(),
-            Some(AbortReason::DeadlineExceeded { .. })
-        ));
+    fn steady_progress_never_fires() {
+        let clock = ManualClock::new();
+        let config = WatchdogConfig::stall_after(Duration::from_millis(40)).polling_every(POLL);
+        let mut watchdog = Watchdog::new(config, clock.now_micros());
+        // One event per check for a minute of run time.
+        let fired = poll(&mut watchdog, &clock, Duration::from_secs(60), |now| {
+            now / 20_000
+        });
+        assert_eq!(fired, None);
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! # gt-sysmon
 //!
 //! The **Level-0 black-box process monitor** (paper §4.3: "agnostic
-//! profiling tools"): a sampler on a dedicated thread that reads
-//! `/proc/<pid>/stat`, `/proc/<pid>/status`, `/proc/<pid>/io`, and the
-//! host-wide `/proc/stat` at a configurable cadence and converts raw
+//! profiling tools"): a [`MetricsLogger`](gt_metrics::MetricsLogger) that
+//! reads `/proc/<pid>/stat`, `/proc/<pid>/status`, `/proc/<pid>/io`, and
+//! the host-wide `/proc/stat` each time it is sampled and converts raw
 //! jiffies and pages into derived resource series —
 //!
 //! * `cpu_percent` (+ `cpu_user_percent` / `cpu_sys_percent` split),
@@ -15,27 +15,31 @@
 //! * `host_cpu_percent` (whole-machine utilization),
 //!
 //! timestamped against the shared run [`gt_metrics::Clock`] and mirrored
-//! into [`gt_metrics::MetricsHub`] gauges for live observation. Watching
-//! an external pid makes this the only instrumentation a Level-0 system
+//! into [`gt_metrics::MetricsHub`] gauges for live observation. It owns no
+//! thread: a run's observer loop samples it every
+//! [`SamplerConfig::cadence`], beside the run's other loggers. Watching an
+//! external pid makes this the only instrumentation a Level-0 system
 //! under test needs — stream in, results out, `/proc` alongside.
 //!
 //! The parsing layer ([`parse`]) is pure `&str -> value` functions and
 //! the reader ([`source::ProcSource`]) is injectable, so every format
 //! corner is unit-testable without a live `/proc`; on non-Linux hosts the
-//! monitor degrades to a typed [`SysmonError::Unavailable`] and an empty
-//! series, keeping runs portable.
+//! first sample is one `sysmon/error` record carrying the typed
+//! [`SysmonError::Unavailable`], and the series stays empty, keeping runs
+//! portable.
 //!
 //! ```
 //! use std::sync::Arc;
-//! use gt_metrics::{Clock, WallClock};
-//! use gt_sysmon::{spawn, SamplerConfig};
+//! use gt_metrics::{Clock, MetricsLogger, WallClock};
+//! use gt_sysmon::{SamplerConfig, SysmonSampler};
 //!
 //! let clock: Arc<dyn Clock> = Arc::new(WallClock::start());
-//! let monitor = spawn(SamplerConfig::default(), clock, None);
-//! // ... run the experiment ...
-//! let outcome = monitor.stop();
-//! // On Linux: cpu/rss series. Elsewhere: empty series + typed error.
-//! assert!(outcome.error.is_some() || outcome.ticks > 0);
+//! let mut monitor = SysmonSampler::new(SamplerConfig::default(), clock);
+//! // Sample it every `cadence` while the experiment runs:
+//! let records = monitor.sample();
+//! // On Linux: rss and threads now, CPU% from the second sample on.
+//! // Elsewhere: one `sysmon/error` record, then empty samples.
+//! assert!(!records.is_empty());
 //! ```
 
 use std::fmt;
@@ -45,9 +49,7 @@ pub mod sampler;
 pub mod source;
 
 pub use parse::{Derived, HostStat, PidIo, PidStat, PidStatus, Sample};
-pub use sampler::{
-    spawn, spawn_with_source, SamplerConfig, SysmonHandle, SysmonOutcome, SysmonSampler,
-};
+pub use sampler::{SamplerConfig, SysmonSampler};
 pub use source::{FakeProc, LiveProc, ProcFile, ProcSource};
 
 /// Why the monitor could not observe its target.

@@ -1,13 +1,11 @@
-//! The sampling engine: per-tick derivation and the dedicated monitor
-//! thread.
+//! The sampling engine: per-tick derivation, sampled as a
+//! [`MetricsLogger`] by whichever loop observes the run.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 use gt_metrics::hub::Gauge;
-use gt_metrics::{Clock, MetricRecord, MetricValue, MetricsHub, Name, NameTable};
+use gt_metrics::{Clock, MetricRecord, MetricValue, MetricsHub, MetricsLogger, Name, NameTable};
 
 use crate::parse::{
     derive, parse_host_stat, parse_pid_io, parse_pid_stat, parse_pid_status, Sample,
@@ -18,9 +16,10 @@ use crate::SysmonError;
 /// Configuration of the Level-0 monitor.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SamplerConfig {
-    /// Sampling cadence. The paper's "agnostic profiling tools" sampled
-    /// at 1 s; the default here is 50 ms so short scaled-down runs still
-    /// get a usable curve. See EXPERIMENTS.md for the overhead trade-off.
+    /// Sampling cadence: how often the observing loop samples the
+    /// monitor. The paper's "agnostic profiling tools" sampled at 1 s;
+    /// the default here is 50 ms so short scaled-down runs still get a
+    /// usable curve. See EXPERIMENTS.md for the overhead trade-off.
     pub cadence: Duration,
     /// Process to watch: `None` = this process (`/proc/self`), `Some` =
     /// an external system under test by pid.
@@ -64,7 +63,7 @@ impl SamplerConfig {
 }
 
 /// Hub gauges mirroring the latest derived values, for live observation
-/// by other logger threads. Gauges are integers, so CPU percentages are
+/// by other loggers. Gauges are integers, so CPU percentages are
 /// published rounded.
 struct HubGauges {
     cpu_percent: Gauge,
@@ -84,8 +83,9 @@ impl HubGauges {
 
 /// One-process sampling state machine: reads through a [`ProcSource`],
 /// keeps the previous raw sample, and turns each tick into metric
-/// records. Separate from the thread driver so tests can drive ticks with
-/// a manual clock and a fake `/proc`.
+/// records. It owns no thread: as a [`MetricsLogger`] it is sampled every
+/// [`SamplerConfig::cadence`] by the run's observer loop, and tests drive
+/// it with a manual clock and a fake `/proc`.
 pub struct SysmonSampler {
     config: SamplerConfig,
     series: Series,
@@ -93,6 +93,8 @@ pub struct SysmonSampler {
     clock: Arc<dyn Clock>,
     prev: Option<Sample>,
     gauges: Option<HubGauges>,
+    /// Set by the first failed tick: the target is unobservable.
+    failed: bool,
 }
 
 impl SysmonSampler {
@@ -121,6 +123,7 @@ impl SysmonSampler {
             clock,
             prev: None,
             gauges: None,
+            failed: false,
         }
     }
 
@@ -135,7 +138,7 @@ impl SysmonSampler {
 
     /// Takes one raw sample. `stat` is required — a failure there means
     /// the target is unobservable (non-Linux host, pid gone) and the
-    /// monitor should stop. `status`, `io`, and the host stat degrade
+    /// monitor stops. `status`, `io`, and the host stat degrade
     /// independently.
     fn read_sample(&self) -> Result<Sample, SysmonError> {
         let stat_text =
@@ -242,6 +245,29 @@ impl SysmonSampler {
     }
 }
 
+impl MetricsLogger for SysmonSampler {
+    /// One [`tick`](SysmonSampler::tick). The first tick that fails
+    /// yields one `{source}/error` text record saying why the target is
+    /// unobservable, so a log from a host without `/proc` explains its
+    /// empty series; every later sample is empty.
+    fn sample(&mut self) -> Vec<MetricRecord> {
+        if self.failed {
+            return Vec::new();
+        }
+        self.tick().unwrap_or_else(|error| {
+            self.failed = true;
+            let t = self.clock.now_micros();
+            vec![self
+                .series
+                .record(t, "error", MetricValue::Text(error.to_string()))]
+        })
+    }
+
+    fn source(&self) -> &str {
+        &self.config.source
+    }
+}
+
 /// The monitor's record builder: its source and one shared name per
 /// metric, so a tick allocates no names after the first.
 struct Series {
@@ -260,131 +286,6 @@ impl Series {
 
     fn int(&self, t: u64, metric: &str, value: u64) -> MetricRecord {
         self.record(t, metric, MetricValue::Int(value as i64))
-    }
-}
-
-/// What a finished monitor hands back.
-#[derive(Debug)]
-pub struct SysmonOutcome {
-    /// All records collected over the monitor's lifetime, in sample
-    /// order.
-    pub records: Vec<MetricRecord>,
-    /// The error that stopped sampling early, if any. A monitor on a
-    /// non-Linux host reports `Unavailable` here and an empty series —
-    /// the run itself is unaffected.
-    pub error: Option<SysmonError>,
-    /// Number of successful sampling ticks.
-    pub ticks: u64,
-}
-
-/// A running Level-0 monitor thread.
-pub struct SysmonHandle {
-    stop: Arc<AtomicBool>,
-    join: JoinHandle<SysmonOutcome>,
-}
-
-impl SysmonHandle {
-    /// Signals the thread and collects its outcome (takes one final
-    /// sample first so the series covers the run end).
-    pub fn stop(self) -> SysmonOutcome {
-        self.stop.store(true, Ordering::Relaxed);
-        self.join.join().unwrap_or(SysmonOutcome {
-            records: Vec::new(),
-            error: Some(SysmonError::parse("sysmon", "monitor thread panicked")),
-            ticks: 0,
-        })
-    }
-}
-
-/// Spawns the monitor on a dedicated thread sampling at
-/// `config.cadence`. `hub` (optional) receives live gauge mirrors.
-///
-/// On hosts without `/proc` the first tick fails, the thread parks until
-/// [`SysmonHandle::stop`], and the outcome carries the typed error with
-/// an empty series — runs stay portable.
-pub fn spawn(
-    config: SamplerConfig,
-    clock: Arc<dyn Clock>,
-    hub: Option<&MetricsHub>,
-) -> SysmonHandle {
-    let sampler = SysmonSampler::new(config.clone(), clock);
-    spawn_sampler(config, sampler, hub)
-}
-
-/// [`spawn`] reading through an injected [`ProcSource`] instead of the
-/// live `/proc` — the monitor-thread counterpart of
-/// [`SysmonSampler::with_source`], for tests and simulated targets.
-pub fn spawn_with_source(
-    config: SamplerConfig,
-    source: Box<dyn ProcSource>,
-    clock: Arc<dyn Clock>,
-    hub: Option<&MetricsHub>,
-) -> SysmonHandle {
-    let sampler = SysmonSampler::with_source(config.clone(), source, clock);
-    spawn_sampler(config, sampler, hub)
-}
-
-fn spawn_sampler(
-    config: SamplerConfig,
-    mut sampler: SysmonSampler,
-    hub: Option<&MetricsHub>,
-) -> SysmonHandle {
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop_flag = Arc::clone(&stop);
-    if let Some(hub) = hub {
-        sampler = sampler.with_hub(hub);
-    }
-    let join = std::thread::Builder::new()
-        .name("gt-sysmon".into())
-        .spawn(move || {
-            let mut outcome = SysmonOutcome {
-                records: Vec::new(),
-                error: None,
-                ticks: 0,
-            };
-            loop {
-                match sampler.tick() {
-                    Ok(records) => {
-                        outcome.records.extend(records);
-                        outcome.ticks += 1;
-                    }
-                    Err(e) => {
-                        outcome.error = Some(e);
-                        break;
-                    }
-                }
-                if stop_flag.load(Ordering::Relaxed) {
-                    return outcome;
-                }
-                sleep_interruptible(config.cadence, &stop_flag);
-                if stop_flag.load(Ordering::Relaxed) {
-                    // One final tick so the series covers the run end.
-                    if let Ok(records) = sampler.tick() {
-                        outcome.records.extend(records);
-                        outcome.ticks += 1;
-                    }
-                    return outcome;
-                }
-            }
-            // Sampling failed; stay parked so `stop` has a thread to join.
-            while !stop_flag.load(Ordering::Relaxed) {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            outcome
-        })
-        .expect("spawn gt-sysmon thread");
-    SysmonHandle { stop, join }
-}
-
-/// Sleeps `total` in short slices, returning early when `stop` is
-/// raised, so large cadences don't delay run teardown.
-fn sleep_interruptible(total: Duration, stop: &AtomicBool) {
-    let slice = Duration::from_millis(10);
-    let mut remaining = total;
-    while remaining > Duration::ZERO && !stop.load(Ordering::Relaxed) {
-        let step = remaining.min(slice);
-        std::thread::sleep(step);
-        remaining = remaining.saturating_sub(step);
     }
 }
 
@@ -581,110 +482,86 @@ mod tests {
         assert_eq!(hub.gauge("sysmon.rss_bytes").get(), 2000 * 4096);
     }
 
+    fn metrics(records: &[MetricRecord]) -> Vec<&str> {
+        records.iter().map(|r| r.metric.as_str()).collect()
+    }
+
     #[test]
-    fn spawned_monitor_collects_and_stops() {
+    fn as_a_logger_the_first_sample_is_instantaneous_only() {
         let (fake, clock) = fake_with_stat();
-        // Live thread, fake files: drive via a sampler-level spawn.
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
-        let mut sampler = SysmonSampler::with_source(
-            SamplerConfig::default().every(Duration::from_millis(5)),
+        let mut logger: Box<dyn MetricsLogger> = Box::new(SysmonSampler::with_source(
+            SamplerConfig::default(),
+            Box::new(fake.clone()),
+            Arc::clone(&clock) as Arc<dyn Clock>,
+        ));
+        assert_eq!(logger.source(), "sysmon");
+        assert_eq!(metrics(&logger.sample()), ["rss_bytes", "threads"]);
+        clock.advance_secs(0.05);
+        fake.set(ProcFile::PidStat, stat_line(2, 1, 4, 1000));
+        let second = logger.sample();
+        assert!(metrics(&second).contains(&"cpu_percent"));
+        assert!(second.iter().all(|r| r.t_micros == 50_000));
+    }
+
+    #[test]
+    fn as_a_logger_an_error_yields_one_record_and_then_silence() {
+        let fake = FakeProc::new();
+        let clock = Arc::new(ManualClock::new());
+        let mut logger = SysmonSampler::with_source(
+            SamplerConfig::default(),
             Box::new(fake.clone()),
             Arc::clone(&clock) as Arc<dyn Clock>,
         );
-        let join = std::thread::spawn(move || {
-            let mut records = Vec::new();
-            while !stop_flag.load(Ordering::Relaxed) {
-                records.extend(sampler.tick().unwrap());
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            records
-        });
-        for i in 1..=5u64 {
-            clock.advance_secs(0.01);
-            fake.set(ProcFile::PidStat, stat_line(i, i, 4, 1000 + i));
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        stop.store(true, Ordering::Relaxed);
-        let records = join.join().unwrap();
-        assert!(records.iter().any(|r| r.metric == "cpu_percent"));
-        assert!(records.iter().filter(|r| r.metric == "rss_bytes").count() >= 2);
-    }
-
-    /// A source that panics on every read — the monitor thread dies
-    /// mid-run, which must surface as a typed error, never as a
-    /// propagated panic in the harness that joins it.
-    #[derive(Clone)]
-    struct PanickingProc;
-
-    impl ProcSource for PanickingProc {
-        fn read(&self, _file: ProcFile) -> std::io::Result<String> {
-            panic!("deliberate test panic in proc source");
-        }
-        fn describe(&self) -> String {
-            "panicking".to_owned()
-        }
-    }
-
-    #[test]
-    fn panicking_source_degrades_to_a_typed_error() {
-        let clock: Arc<dyn Clock> = Arc::new(ManualClock::new());
-        let handle = spawn_with_source(
-            SamplerConfig::default().every(Duration::from_millis(5)),
-            Box::new(PanickingProc),
-            clock,
-            None,
+        clock.advance_micros(7);
+        let records = logger.sample();
+        assert_eq!(records.len(), 1);
+        let error = &records[0];
+        assert_eq!(
+            (error.t_micros, error.source.as_str(), error.metric.as_str()),
+            (7, "sysmon", "error")
         );
-        std::thread::sleep(Duration::from_millis(20));
-        let outcome = handle.stop();
-        assert!(outcome.records.is_empty());
-        assert_eq!(outcome.ticks, 0);
-        let error = outcome.error.expect("panic must become a typed error");
         assert!(
-            error.to_string().contains("panicked"),
-            "unexpected error: {error}"
+            error.value.to_string().contains("target fake unobservable"),
+            "unexpected error text: {}",
+            error.value
         );
+        // The target became readable, but the monitor has stopped.
+        fake.set(ProcFile::PidStat, stat_line(0, 0, 4, 1000));
+        assert!(logger.sample().is_empty());
+        assert!(logger.sample().is_empty());
     }
 
     #[test]
-    fn spawn_with_source_samples_injected_files() {
+    fn as_a_logger_it_mirrors_the_hub_gauges() {
         let (fake, clock) = fake_with_stat();
         let hub = MetricsHub::new();
-        let handle = spawn_with_source(
-            SamplerConfig::default().every(Duration::from_millis(2)),
+        let mut logger = SysmonSampler::with_source(
+            SamplerConfig::default(),
             Box::new(fake.clone()),
             Arc::clone(&clock) as Arc<dyn Clock>,
-            Some(&hub),
-        );
-        std::thread::sleep(Duration::from_millis(15));
+        )
+        .with_hub(&hub);
+        logger.sample();
+        assert_eq!(hub.gauge("sysmon.rss_bytes").get(), 1000 * 4096);
         clock.advance_secs(1.0);
         fake.set(ProcFile::PidStat, stat_line(25, 25, 4, 1500));
-        std::thread::sleep(Duration::from_millis(15));
-        let outcome = handle.stop();
-        assert!(outcome.error.is_none());
-        assert!(outcome.ticks >= 2);
-        assert!(outcome.records.iter().any(|r| r.metric == "cpu_percent"));
-        // The hub gauges mirror the injected values live.
+        assert!(metrics(&logger.sample()).contains(&"cpu_percent"));
+        assert_eq!(hub.gauge("sysmon.cpu_percent").get(), 50);
         assert_eq!(hub.gauge("sysmon.rss_bytes").get(), 1500 * 4096);
     }
 
     #[test]
-    fn spawn_degrades_gracefully_without_proc_stat() {
-        // The public spawn() path reads the live /proc; on Linux it
-        // samples, elsewhere it reports Unavailable with empty records.
+    fn the_live_proc_samples_or_degrades_to_one_error() {
+        // On Linux the live /proc samples; elsewhere the first sample is
+        // the one error record and the series stays empty.
         let clock: Arc<dyn Clock> = Arc::new(ManualClock::new());
-        let handle = spawn(
-            SamplerConfig::default().every(Duration::from_millis(5)),
-            clock,
-            None,
-        );
-        std::thread::sleep(Duration::from_millis(25));
-        let outcome = handle.stop();
-        if outcome.error.is_some() {
-            assert!(outcome.records.is_empty());
+        let mut logger = SysmonSampler::new(SamplerConfig::default(), clock);
+        let records = logger.sample();
+        if records.iter().any(|r| r.metric == "error") {
+            assert_eq!(records.len(), 1);
+            assert!(logger.sample().is_empty());
         } else {
-            assert!(outcome.ticks >= 1);
-            assert!(outcome.records.iter().any(|r| r.metric == "rss_bytes"));
+            assert_eq!(metrics(&records), ["rss_bytes", "threads"]);
         }
     }
 }
