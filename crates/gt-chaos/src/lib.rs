@@ -9,8 +9,9 @@
 //! when faults strike **during** the run?"* — transport resets, consumer
 //! stalls, truncated writes, and crashed platform workers.
 //!
-//! * [`clause`] — the `kind@trigger,key=value; …` clause grammar every
-//!   runtime fault layer parses its spec with (this crate and `gt-netem`).
+//! * [`clause`] — the `kind@trigger,key=value; …` clause form every
+//!   runtime fault layer parses its spec with (this crate and `gt-netem`):
+//!   `gt_core::spec`, the workspace's one spec tokenizer, re-exported.
 //! * [`schedule`] — [`FaultSchedule`]: faults pinned to stream positions
 //!   (graph-event sequence numbers or marker labels), never wall-clock
 //!   time, so identical `(schedule, seed)` yields an identical fault event
@@ -23,11 +24,11 @@
 //!   recovery, folded into the harness `ResultLog` under the
 //!   [`CHAOS_SOURCE`] label for `gt_analysis::recovery_windows`.
 
-pub mod clause;
 pub mod journal;
 pub mod schedule;
 pub mod sink;
 
+pub use gt_core::spec as clause;
 pub use journal::{ChaosEvent, ChaosEventKind, ChaosJournal, CHAOS_SOURCE};
 pub use schedule::{FaultKind, FaultSchedule, FaultTrigger, ScheduledFault};
 pub use sink::ChaosSink;

@@ -10,7 +10,7 @@
 
 use std::time::Duration;
 
-use crate::clause::parse_clauses;
+use gt_core::spec::{parse_clauses, SpecError};
 
 /// Where in the stream a fault fires.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -146,7 +146,7 @@ impl FaultSchedule {
         parts.join("; ")
     }
 
-    /// Parses the `gt-run --chaos` spec syntax: the shared clause grammar
+    /// Parses the `gt-run --chaos` spec syntax: the shared clause form
     /// ([`crate::clause`]) with a graph-event sequence number or
     /// `marker:NAME` as the trigger.
     ///
@@ -157,7 +157,7 @@ impl FaultSchedule {
     /// stall@4000,ms=50
     /// partial@6000,keep=10
     /// ```
-    pub fn parse(spec: &str, seed: u64) -> Result<Self, String> {
+    pub fn parse(spec: &str, seed: u64) -> Result<Self, SpecError> {
         let faults = parse_clauses(spec, |clause| {
             let trigger = match (
                 clause.trigger.strip_prefix("marker:"),
@@ -165,12 +165,7 @@ impl FaultSchedule {
             ) {
                 (Some(name), _) if !name.is_empty() => FaultTrigger::AtMarker(name.to_owned()),
                 (None, Ok(seq)) => FaultTrigger::AtSeq(seq),
-                _ => {
-                    return Err(format!(
-                        "bad chaos trigger `{}`: expected N or marker:NAME",
-                        clause.trigger
-                    ))
-                }
+                _ => return Err(clause.error("expected a trigger N or marker:NAME")),
             };
             let kind = match clause.kind {
                 "disconnect" => FaultKind::Disconnect {
@@ -186,10 +181,9 @@ impl FaultSchedule {
                     worker: clause.require("worker")?,
                     restart_after: clause.take("restart")?,
                 },
-                other => {
-                    return Err(format!(
-                        "unknown chaos kind `{other}` (expected disconnect|stall|partial|crash)"
-                    ))
+                _ => {
+                    return Err(clause
+                        .error("unknown chaos kind (expected disconnect|stall|partial|crash)"))
                 }
             };
             Ok(ScheduledFault { trigger, kind })

@@ -16,7 +16,10 @@
 //! per line: `COMMAND, ENTITY_ID, PAYLOAD` (see [`mod@format`]). Files and
 //! sockets alike are split into lines by one reader, [`LineReader`]; what
 //! a bad line means — the end of a file, one counted error on a socket —
-//! is left to its caller.
+//! is left to its caller. Every other textual spec — rate patterns, loop
+//! models, fault pipelines and schedules, matrix lines, `gt-run`'s flags —
+//! reads through one tokenizer, [`mod@spec`], with one error type,
+//! [`SpecError`].
 //!
 //! ```
 //! use gt_core::prelude::*;
@@ -43,6 +46,7 @@ pub mod hash;
 pub mod ids;
 pub mod intern;
 pub mod json;
+pub mod spec;
 pub mod state;
 pub mod stream;
 
@@ -54,6 +58,7 @@ pub use format::{
 pub use hash::{VertexBuildHasher, VertexHasher, VertexMap, VERTEX_HASH_MULTIPLIER};
 pub use ids::{EdgeId, VertexId};
 pub use intern::Interner;
+pub use spec::SpecError;
 pub use state::State;
 pub use stream::{GraphStream, StreamStats, StreamWriter};
 

@@ -36,6 +36,7 @@
 //! ```
 
 use gt_core::prelude::*;
+use gt_core::spec::{list, Positional, SpecError};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{RngExt, SeedableRng};
@@ -222,7 +223,8 @@ impl FaultPipeline {
 
 /// Parses a compact CLI fault-pipeline spec into a [`FaultPipeline`].
 ///
-/// The spec is a comma-separated list of stages applied left to right:
+/// The spec is a comma-separated list of positional stages (the
+/// `gt_core::spec` list and positional forms), applied left to right:
 ///
 /// * `drop:P` — [`DropFaults`] with probability `P`,
 /// * `dup:P` — [`DuplicateFaults`] with probability `P`,
@@ -232,72 +234,53 @@ impl FaultPipeline {
 ///
 /// `parse_pipeline("drop:0.01,dup:0.005,shuffle:64")` builds the §3.2
 /// "unreliable, unordered" derivation of a reliable stream. Whitespace
-/// around stages is ignored; an empty spec is an error (use no flag at
-/// all for the identity pipeline).
-pub fn parse_pipeline(spec: &str) -> Result<FaultPipeline, String> {
-    let mut pipeline = FaultPipeline::new();
-    for stage in spec.split(',') {
-        let stage = stage.trim();
-        if stage.is_empty() {
-            return Err(format!("empty stage in fault spec {spec:?}"));
-        }
-        let mut parts = stage.split(':');
-        let kind = parts.next().unwrap_or_default();
-        let args: Vec<&str> = parts.collect();
-        let prob = |s: &str| -> Result<f64, String> {
-            let p: f64 = s
-                .parse()
-                .map_err(|_| format!("{stage:?}: {s:?} is not a probability"))?;
-            if (0.0..=1.0).contains(&p) {
-                Ok(p)
-            } else {
-                Err(format!("{stage:?}: probability {p} outside [0, 1]"))
+/// around `,` and `:` and empty stages are ignored; a spec without a stage
+/// is an error (use no flag at all for the identity pipeline).
+pub fn parse_pipeline(spec: &str) -> Result<FaultPipeline, SpecError> {
+    let stages = list(spec, spec, ',', |stage| {
+        let mut stage = Positional::new(spec, stage);
+        let injector: Box<dyn FaultInjector> = match stage.kind {
+            "drop" => Box::new(DropFaults {
+                probability: probability(&mut stage)?,
+            }),
+            "dup" | "duplicate" => Box::new(DuplicateFaults {
+                probability: probability(&mut stage)?,
+            }),
+            "shuffle" => Box::new(ShuffleWindows {
+                window: at_least_one(&mut stage, "W")?,
+            }),
+            "delay" => Box::new(DelayFaults {
+                probability: probability(&mut stage)?,
+                max_displacement: at_least_one(&mut stage, "N")?,
+            }),
+            _ => {
+                return Err(stage.error(
+                    "unknown fault stage (expected drop:P, dup:P, shuffle:W, or delay:P:N)",
+                ))
             }
         };
-        match (kind, args.as_slice()) {
-            ("drop", [p]) => {
-                pipeline = pipeline.then(DropFaults {
-                    probability: prob(p)?,
-                });
-            }
-            ("dup", [p]) | ("duplicate", [p]) => {
-                pipeline = pipeline.then(DuplicateFaults {
-                    probability: prob(p)?,
-                });
-            }
-            ("shuffle", [w]) => {
-                let window: usize = w
-                    .parse()
-                    .map_err(|_| format!("{stage:?}: {w:?} is not a window size"))?;
-                if window < 1 {
-                    return Err(format!("{stage:?}: window must be at least 1"));
-                }
-                pipeline = pipeline.then(ShuffleWindows { window });
-            }
-            ("delay", [p, n]) => {
-                let max_displacement: usize = n
-                    .parse()
-                    .map_err(|_| format!("{stage:?}: {n:?} is not a displacement"))?;
-                if max_displacement < 1 {
-                    return Err(format!("{stage:?}: displacement must be at least 1"));
-                }
-                pipeline = pipeline.then(DelayFaults {
-                    probability: prob(p)?,
-                    max_displacement,
-                });
-            }
-            _ => {
-                return Err(format!(
-                    "unknown fault stage {stage:?} (expected drop:P, dup:P, \
-                     shuffle:W, or delay:P:N)"
-                ));
-            }
-        }
+        stage.finish()?;
+        Ok(injector)
+    })?;
+    Ok(FaultPipeline { stages })
+}
+
+/// The stage's next argument as a probability in `[0, 1]`.
+fn probability(stage: &mut Positional<'_>) -> Result<f64, SpecError> {
+    let p: f64 = stage.arg("P")?;
+    if (0.0..=1.0).contains(&p) {
+        Ok(p)
+    } else {
+        Err(stage.error(format!("probability {p} outside [0, 1]")))
     }
-    if pipeline.is_empty() {
-        return Err("fault spec has no stages".to_owned());
+}
+
+/// The stage's next argument as a count of at least 1.
+fn at_least_one(stage: &mut Positional<'_>, name: &str) -> Result<usize, SpecError> {
+    match stage.arg(name)? {
+        0 => Err(stage.error(format!("{name} must be at least 1"))),
+        n => Ok(n),
     }
-    Ok(pipeline)
 }
 
 impl FaultInjector for FaultPipeline {
@@ -485,7 +468,7 @@ mod tests {
             "delay:0.1",
             "delay:0.1:0",
             "teleport:0.5",
-            "drop:0.1,,dup:0.1",
+            " , ",
         ] {
             assert!(parse_pipeline(bad).is_err(), "accepted {bad:?}");
         }

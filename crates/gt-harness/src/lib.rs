@@ -17,9 +17,8 @@
 //!                       Log Collector ──► result log
 //! ```
 //!
-//! * [`spec`] — declarative experiment descriptions (goals, factors,
-//!   levels — Jain's methodology, §4.5) with deterministic seeds for
-//!   Popper-style re-execution.
+//! * [`sweep`] — the factors and levels of Jain's methodology (§2.3,
+//!   §4.5), enumerated full-factorial or one factor at a time.
 //! * [`levels`] — the three evaluation levels (L0 black box, L1 native
 //!   metrics, L2 in-source instrumentation).
 //! * [`run`](mod@run) — the run path: one [`RunPlan`] (source, front,
@@ -56,7 +55,6 @@ pub mod netem;
 pub mod orchestrator;
 pub mod repeat;
 pub mod run;
-pub mod spec;
 pub mod sut;
 pub mod sweep;
 pub mod watchdog;
@@ -77,7 +75,6 @@ pub use orchestrator::{
 };
 pub use repeat::{compare_metric, repeat_runs, repeat_status_runs, RepeatOutcome};
 pub use run::{run, ChaosPlan, Driver, RunError, RunOutcome, RunPlan, Source, Target};
-pub use spec::ExperimentSpec;
 pub use sut::DEFAULT_QUIESCE_TIMEOUT;
 pub use sweep::{Assignment, Factor, FactorSpace};
 pub use watchdog::{AbortReason, RunStatus, WatchdogConfig};

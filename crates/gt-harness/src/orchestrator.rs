@@ -33,8 +33,8 @@ use std::time::Duration;
 
 use gt_analysis::{ConfidenceInterval, Summary};
 use gt_core::json::{extract_num, extract_pairs, extract_str};
+use gt_core::spec::{self, SpecError};
 
-use crate::spec::ExperimentSpec;
 use crate::sweep::{Assignment, FactorSpace};
 use crate::watchdog::{AbortReason, RunStatus};
 
@@ -92,94 +92,67 @@ impl ScenarioMatrix {
     /// factor rate = 20000
     /// ```
     ///
-    /// Blank lines and `#` comments are ignored. Levels are separated by
-    /// `|` (rate-pattern and chaos specs use `:` and `,` internally).
-    pub fn parse(text: &str) -> Result<Self, String> {
+    /// Blank lines and `#` comments are ignored. Each line is one
+    /// `gt_core::spec` pair; a factor's levels are a `|`-separated list
+    /// (rate-pattern and chaos specs use `:` and `,` internally).
+    pub fn parse(text: &str) -> Result<Self, SpecError> {
         let mut name = None;
         let mut repetitions = None;
         let mut seed = 42u64;
         let mut design = Design::FullFactorial;
         let mut space = FactorSpace::new();
         let mut factor_names = HashSet::new();
-        for (lineno, raw) in text.lines().enumerate() {
+        for raw in text.lines() {
             let line = raw.split('#').next().unwrap_or("").trim();
             if line.is_empty() {
                 continue;
             }
-            let (key, value) = line
-                .split_once('=')
-                .ok_or_else(|| format!("line {}: expected `key = value`", lineno + 1))?;
-            let (key, value) = (key.trim(), value.trim());
+            let (key, value) = spec::key_value(line, line)?;
+            let bad = |reason: &str| SpecError::new(line, value, reason);
             match key {
-                "matrix" => name = Some(value.to_owned()),
-                "repetitions" => {
-                    let n: u32 = value
-                        .parse()
-                        .map_err(|e| format!("line {}: bad repetitions: {e}", lineno + 1))?;
-                    if n == 0 {
-                        return Err(format!("line {}: repetitions must be >= 1", lineno + 1));
-                    }
-                    repetitions = Some(n);
-                }
-                "seed" => {
-                    seed = value
-                        .parse()
-                        .map_err(|e| format!("line {}: bad seed: {e}", lineno + 1))?;
-                }
+                "matrix" => name = Some(check_token(line, value, "matrix name")?.to_owned()),
+                "repetitions" => match spec::value(line, value, "repetitions")? {
+                    0 => return Err(bad("repetitions must be >= 1")),
+                    n => repetitions = Some(n),
+                },
+                "seed" => seed = spec::value(line, value, "seed")?,
                 "design" => {
                     design = match value {
                         "full" => Design::FullFactorial,
                         "ofat" => Design::OneFactorAtATime,
-                        other => {
-                            return Err(format!(
-                                "line {}: unknown design `{other}` (expected full or ofat)",
-                                lineno + 1
-                            ))
-                        }
+                        _ => return Err(bad("unknown design (expected full or ofat)")),
                     };
                 }
                 _ => {
-                    let factor = key
-                        .strip_prefix("factor ")
-                        .map(str::trim)
-                        .filter(|f| !f.is_empty())
-                        .ok_or_else(|| format!("line {}: unknown key `{key}`", lineno + 1))?;
-                    check_token(factor, "factor name")
-                        .map_err(|e| format!("line {}: {e}", lineno + 1))?;
-                    if !factor_names.insert(factor.to_owned()) {
-                        return Err(format!("line {}: duplicate factor `{factor}`", lineno + 1));
+                    let factor = match key.split_once(char::is_whitespace) {
+                        Some(("factor", factor)) => {
+                            check_token(line, factor.trim(), "factor name")?
+                        }
+                        _ => return Err(SpecError::new(line, key, "unknown key")),
+                    };
+                    if !factor_names.insert(factor) {
+                        return Err(SpecError::new(line, factor, "duplicate factor"));
                     }
-                    let levels: Vec<String> = value
-                        .split('|')
-                        .map(|l| l.trim().to_owned())
-                        .filter(|l| !l.is_empty())
-                        .collect();
-                    if levels.is_empty() {
-                        return Err(format!(
-                            "line {}: factor `{factor}` has no levels",
-                            lineno + 1
-                        ));
-                    }
-                    for level in &levels {
-                        check_token(level, "level")
-                            .map_err(|e| format!("line {}: {e}", lineno + 1))?;
-                    }
+                    let levels = spec::list(line, value, '|', |level| {
+                        check_token(line, level, "level").map(str::to_owned)
+                    })?;
                     space = space.factor(factor, levels);
                 }
             }
         }
-        let matrix = ScenarioMatrix {
-            name: name.ok_or("missing `matrix = NAME`")?,
-            repetitions: repetitions.ok_or("missing `repetitions = N`")?,
+        let whole = |reason: &str| SpecError::new(text.trim(), "", reason);
+        let name = name.ok_or_else(|| whole("missing `matrix = NAME`"))?;
+        let repetitions = repetitions.ok_or_else(|| whole("missing `repetitions = N`"))?;
+        if space.factors().is_empty() {
+            return Err(whole("needs at least one `factor NAME = LEVELS` line"));
+        }
+        Ok(ScenarioMatrix {
+            name,
+            repetitions,
             seed,
             design,
             space,
-        };
-        check_token(&matrix.name, "matrix name")?;
-        if matrix.space.factors().is_empty() {
-            return Err("matrix needs at least one `factor NAME = LEVELS` line".into());
-        }
-        Ok(matrix)
+        })
     }
 
     /// The cells this matrix executes, in the stable enumeration order
@@ -194,23 +167,6 @@ impl ScenarioMatrix {
     /// Total cell-repetitions the matrix schedules.
     pub fn total_runs(&self) -> usize {
         self.cells().len() * self.repetitions as usize
-    }
-
-    /// The [`ExperimentSpec`] of one cell: factors stamped, repetitions
-    /// shared, and a seed base derived from the master seed and the cell
-    /// id — so repetition seeds come from the standard
-    /// [`ExperimentSpec::seed_for`] and never collide across cells.
-    pub fn cell_spec(&self, cell: &Assignment) -> ExperimentSpec {
-        let id = cell_id(cell);
-        let mut spec = ExperimentSpec::new(
-            &format!("{}/{id}", self.name),
-            "scenario-matrix cell",
-            "per-cell factors",
-        )
-        .with_repetitions(self.repetitions);
-        spec.factors = cell.clone();
-        spec.seed = self.seed.wrapping_add(fnv1a(&id));
-        spec
     }
 
     /// The spec fingerprint stored in the journal header; any change to
@@ -233,19 +189,21 @@ impl ScenarioMatrix {
     }
 }
 
-/// Rejects tokens containing characters the cell-id or journal encodings
-/// reserve.
-fn check_token(token: &str, what: &str) -> Result<(), String> {
+/// Returns `token` (part of `line`) unless it contains a character the
+/// cell-id or journal encodings reserve.
+fn check_token<'a>(line: &str, token: &'a str, what: &str) -> Result<&'a str, SpecError> {
     let name = what.ends_with("name");
-    if let Some(bad) = token
+    match token
         .chars()
         .find(|c| RESERVED_CHARS.contains(c) || (name && *c == '='))
     {
-        return Err(format!(
-            "{what} `{token}` contains reserved character `{bad}`"
-        ));
+        Some(bad) => Err(SpecError::new(
+            line,
+            token,
+            format!("{what} contains reserved character `{bad}`"),
+        )),
+        None => Ok(token),
     }
-    Ok(())
 }
 
 /// The stable identity of a cell: `factor=level;factor=level` in factor
@@ -611,13 +569,15 @@ pub fn run_matrix_with_progress(
     let mut executed = 0usize;
     for cell in matrix.cells() {
         let id = cell_id(&cell);
-        let spec = matrix.cell_spec(&cell);
+        // Each cell's seeds start at its own base, so they never collide
+        // across cells, and are recomputed from the spec alone on resume.
+        let cell_seed = matrix.seed.wrapping_add(fnv1a(&id));
         for rep in 0..matrix.repetitions {
             if done.contains(&(id.clone(), rep)) {
                 progress(&id, rep, true);
                 continue;
             }
-            let seed = spec.seed_for(rep);
+            let seed = cell_seed.wrapping_add(u64::from(rep));
             let result = runner.run(&cell, rep, seed);
             let record = JournalRecord {
                 cell: id.clone(),

@@ -4,10 +4,12 @@
 //! considered."
 //!
 //! [`FactorSpace`] enumerates configurations; each configuration is a set
-//! of `(factor, level)` assignments that can be stamped onto an
-//! [`crate::ExperimentSpec`].
+//! of `(factor, level)` assignments — a scenario-matrix cell, or one run of
+//! `gt-run`'s flags.
 
 use std::fmt;
+
+use gt_core::spec::{self, SpecError};
 
 /// A named factor with its levels.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -104,6 +106,19 @@ impl FactorSpace {
         out
     }
 
+    /// Reads a grid `A1,A2,..xB1,B2,..` (`gt-run --scale`) as two factors:
+    /// `row` over the levels before the `x`, `column` over those after
+    /// it, each a `,`-separated `gt_core::spec` list.
+    pub fn grid(text: &str, row: &str, column: &str) -> Result<Self, SpecError> {
+        let (rows, columns) = text
+            .split_once('x')
+            .ok_or_else(|| SpecError::new(text, text, "expected A1,A2,..xB1,B2,.."))?;
+        let levels = |part| spec::list(text, part, ',', |level| Ok(level.to_owned()));
+        Ok(FactorSpace::new()
+            .factor(row, levels(rows)?)
+            .factor(column, levels(columns)?))
+    }
+
     /// Number of configurations in the full factorial design.
     pub fn full_factorial_size(&self) -> usize {
         self.factors.iter().map(|f| f.levels.len()).product()
@@ -165,19 +180,20 @@ mod tests {
     }
 
     #[test]
-    fn assignments_stamp_onto_specs() {
-        use crate::ExperimentSpec;
-        let configs = space().full_factorial();
-        let specs: Vec<ExperimentSpec> = configs
-            .into_iter()
-            .map(|assignment| {
-                let mut spec = ExperimentSpec::new("sweep", "goal", "workload");
-                spec.factors = assignment;
-                spec
-            })
+    fn a_grid_is_two_factors_in_row_major_order() {
+        let grid = FactorSpace::grid(" 1, 8 x 10000,,40000", "clients", "rate").unwrap();
+        let cells: Vec<String> = grid
+            .full_factorial()
+            .iter()
+            .map(|cell| format!("{}@{}", cell[0].1, cell[1].1))
             .collect();
-        assert_eq!(specs.len(), 6);
-        assert!(specs[5].to_string().contains("batch = 10"));
+        assert_eq!(cells, ["1@10000", "1@40000", "8@10000", "8@40000"]);
+        for bad in ["", "100", "x", "1x", "x100", " ,x1"] {
+            assert!(
+                FactorSpace::grid(bad, "a", "b").is_err(),
+                "accepted {bad:?}"
+            );
+        }
     }
 
     #[test]

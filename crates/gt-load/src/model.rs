@@ -3,6 +3,8 @@
 use std::fmt;
 use std::str::FromStr;
 
+use gt_core::spec::{Positional, SpecError};
+
 /// How a client couples event arrivals to SUT progress.
 ///
 /// The distinction decides what a latency number means when the SUT
@@ -46,28 +48,27 @@ impl fmt::Display for LoopModel {
 }
 
 impl FromStr for LoopModel {
-    type Err = String;
+    type Err = SpecError;
 
-    /// Parses `open`, `closed`, or `partial:<window>`.
+    /// Parses `open`, `closed`, or `partial:<window>`, a positional
+    /// `gt_core::spec` form.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.trim() {
-            "open" => Ok(LoopModel::Open),
-            "closed" => Ok(LoopModel::Closed),
-            other => match other.strip_prefix("partial:") {
-                Some(window) => {
-                    let window: usize = window
-                        .parse()
-                        .map_err(|e| format!("bad partial-open window `{window}`: {e}"))?;
-                    if window == 0 {
-                        return Err("partial-open window must be positive".into());
-                    }
-                    Ok(LoopModel::PartialOpen { window })
-                }
-                None => Err(format!(
-                    "unknown loop model `{other}` (expected open, closed, or partial:<window>)"
-                )),
+        let mut spec = Positional::new(s, s);
+        let model = match spec.kind {
+            "open" => LoopModel::Open,
+            "closed" => LoopModel::Closed,
+            "partial" => match spec.arg("WINDOW")? {
+                0 => return Err(spec.error("partial-open window must be positive")),
+                window => LoopModel::PartialOpen { window },
             },
-        }
+            _ => {
+                return Err(
+                    spec.error("unknown loop model (expected open, closed, or partial:<window>)")
+                )
+            }
+        };
+        spec.finish()?;
+        Ok(model)
     }
 }
 

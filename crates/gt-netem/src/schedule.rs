@@ -1,8 +1,9 @@
 //! Network fault schedules.
 //!
-//! A schedule is written in the shared clause grammar
-//! ([`gt_chaos::clause`]): `;`-separated clauses, each naming a fault kind,
-//! an at-time trigger after `@`, and comma-separated parameters:
+//! A schedule is written in the shared clause form
+//! ([`gt_chaos::clause`], the workspace's one spec tokenizer):
+//! `;`-separated clauses, each naming a fault kind, an at-time trigger
+//! after `@`, and comma-separated parameters:
 //!
 //! ```text
 //! partition@2s,dur=500ms,conns=0-3; delay@4s,ms=20,jitter=5
@@ -16,7 +17,7 @@
 use std::fmt;
 use std::time::Duration;
 
-use gt_chaos::clause::parse_clauses;
+use gt_chaos::clause::{parse_clauses, SpecError};
 
 /// Which proxied connections a fault applies to, by accept order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -239,16 +240,11 @@ impl NetemSchedule {
 
     /// Parses a `;`-separated spec like
     /// `partition@2s,dur=500ms,conns=0-3; delay@4s,ms=20,jitter=5` — the
-    /// shared clause grammar ([`gt_chaos::clause`]) with an at-time
-    /// trigger.
-    pub fn parse(spec: &str, seed: u64) -> Result<Self, String> {
+    /// shared clause form ([`gt_chaos::clause`]) with an at-time trigger.
+    pub fn parse(spec: &str, seed: u64) -> Result<Self, SpecError> {
         let faults = parse_clauses(spec, |clause| {
-            let at = parse_duration(clause.trigger).ok_or_else(|| {
-                format!(
-                    "bad trigger {:?} in clause {:?}",
-                    clause.trigger, clause.text
-                )
-            })?;
+            let at = parse_duration(clause.trigger)
+                .ok_or_else(|| clause.error("expected a trigger Nms, Ns or N"))?;
             let conns = clause
                 .take_with("conns", parse_conns)?
                 .unwrap_or(ConnRange::All);
@@ -263,10 +259,9 @@ impl NetemSchedule {
                 },
                 "throttle" => match clause.require("kbps")? {
                     0 => {
-                        return Err(format!(
-                            "throttle clause {:?} needs kbps > 0 (use partition for a blackhole)",
-                            clause.text
-                        ))
+                        return Err(
+                            clause.error("throttle needs kbps > 0 (use partition for a blackhole)")
+                        )
                     }
                     kbps => NetemFaultKind::Throttle {
                         kbps,
@@ -286,10 +281,10 @@ impl NetemSchedule {
                 "truncate" => NetemFaultKind::Truncate {
                     bytes: clause.require("bytes")?,
                 },
-                other => {
-                    return Err(format!(
-                        "unknown netem fault kind {other:?} in clause {:?}",
-                        clause.text
+                _ => {
+                    return Err(clause.error(
+                        "unknown netem fault kind \
+                         (expected partition|delay|throttle|kill|corrupt|truncate)",
                     ))
                 }
             };

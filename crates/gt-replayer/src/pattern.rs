@@ -20,6 +20,7 @@
 use std::fmt;
 use std::str::FromStr;
 
+use gt_core::spec::{Positional, SpecError};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -223,49 +224,40 @@ impl fmt::Display for RatePattern {
 }
 
 impl FromStr for RatePattern {
-    type Err = String;
+    type Err = SpecError;
 
-    /// Parses the compact spec syntax used by matrix cells and the CLI:
-    /// `uniform`, `diurnal:PERIOD_S:AMPLITUDE`, `pareto:ALPHA:BURST_S:PEAK`,
+    /// Parses the compact spec syntax used by matrix cells and the CLI, a
+    /// positional `gt_core::spec` form: `uniform`,
+    /// `diurnal:PERIOD_S:AMPLITUDE`, `pareto:ALPHA:BURST_S:PEAK`,
     /// `flash:AT_S:FACTOR:HOLD_S`.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let mut parts = s.split(':');
-        let kind = parts.next().unwrap_or_default().trim();
-        let mut nums = parts.map(|p| {
-            p.trim()
-                .parse::<f64>()
-                .map_err(|e| format!("bad number `{p}` in rate pattern `{s}`: {e}"))
-        });
-        let mut next = |what: &str| {
-            nums.next()
-                .ok_or_else(|| format!("rate pattern `{s}` is missing {what}"))?
-        };
-        let pattern = match kind {
+        let mut spec = Positional::new(s, s);
+        let pattern = match spec.kind {
             "uniform" => RatePattern::Uniform,
             "diurnal" => RatePattern::Diurnal {
-                period_secs: next("PERIOD_S")?,
-                amplitude: next("AMPLITUDE")?,
+                period_secs: spec.arg("PERIOD_S")?,
+                amplitude: spec.arg("AMPLITUDE")?,
             },
             "pareto" => RatePattern::ParetoBursts {
-                alpha: next("ALPHA")?,
-                burst_secs: next("BURST_S")?,
-                peak: next("PEAK")?,
+                alpha: spec.arg("ALPHA")?,
+                burst_secs: spec.arg("BURST_S")?,
+                peak: spec.arg("PEAK")?,
             },
             "flash" => RatePattern::FlashCrowd {
-                at_secs: next("AT_S")?,
-                factor: next("FACTOR")?,
-                hold_secs: next("HOLD_S")?,
+                at_secs: spec.arg("AT_S")?,
+                factor: spec.arg("FACTOR")?,
+                hold_secs: spec.arg("HOLD_S")?,
             },
-            other => {
-                return Err(format!(
-                    "unknown rate pattern `{other}` (expected uniform, diurnal, pareto, flash)"
-                ))
+            _ => {
+                return Err(
+                    spec.error("unknown rate pattern (expected uniform, diurnal, pareto, flash)")
+                )
             }
         };
-        if nums.next().is_some() {
-            return Err(format!("rate pattern `{s}` has trailing parameters"));
-        }
-        pattern.validate()?;
+        spec.finish()?;
+        pattern
+            .validate()
+            .map_err(|reason| SpecError::new(s, s, reason))?;
         Ok(pattern)
     }
 }

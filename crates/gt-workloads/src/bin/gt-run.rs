@@ -19,6 +19,14 @@
 //! gt-run matrix <matrix.spec> [--stream <stream.csv>] [--journal <path>]
 //! ```
 //!
+//! Flags and matrix cells speak one vocabulary. `--sut`, `--rate`,
+//! `--pattern`, `--clients`, `--loop-model`, `--chaos`, `--netem` and
+//! `--shards` each set the matrix factor of the same name (`--loop-model`
+//! sets `loop`) through one table, [`set_factor`]; `--scale` and a
+//! `--shards` list give a factor several levels, enumerated like a
+//! matrix's cells; and every run, flag-made or cell-made, is planned by
+//! one [`plan_cell`] before anything starts.
+//!
 //! `--faults` derives an unreliable/unordered stream a priori (§3.2)
 //! before replay; `--chaos` injects live faults mid-run through the
 //! chaos sink and prints a per-fault recovery summary (time-to-recover,
@@ -66,22 +74,21 @@
 //! unless final graph state and per-marker-window computation results
 //! are bit-identical.
 
-use std::fmt::Display;
 use std::path::Path;
 use std::process::ExitCode;
-use std::str::FromStr;
 use std::time::Duration;
 
 use gt_analysis::{
     recovery_windows, recovery_windows_from, shard_scaling, Quantiles, RecoveryWindow,
     TRACE_SOURCE, TRACE_STAGE_METRICS,
 };
+use gt_core::spec::{self, SpecError};
 use gt_faults::{parse_pipeline, FaultInjector};
 use gt_harness::{
     cell_id, render_matrix_table, run, run_differential, run_matrix_with_progress, Assignment,
-    CellRunResult, ChaosPlan, EvaluationLevel, FaultSchedule, LoadPlan, LoopModel, NetemPlan,
-    NetemSchedule, RatePattern, RunOutcome, RunPlan, RunStatus, ScenarioMatrix, SutOptions,
-    SutRegistry, Target, WatchdogConfig, NETEM_SOURCE,
+    CellRunResult, ChaosPlan, EvaluationLevel, Factor, FactorSpace, FaultSchedule, LoadPlan,
+    LoopModel, NetemPlan, NetemSchedule, RatePattern, RunOutcome, RunPlan, RunStatus,
+    ScenarioMatrix, SutOptions, SutRegistry, Target, WatchdogConfig, NETEM_SOURCE,
 };
 
 /// Throughput fraction of the pre-fault baseline that counts as
@@ -89,8 +96,9 @@ use gt_harness::{
 const RECOVERY_FRACTION: f64 = 0.9;
 
 /// What one run is made of, whether flags or a matrix cell's factor
-/// assignment said so. [`lower`] turns it into the harness's plan.
-#[derive(Clone)]
+/// assignment said so: [`set_factor`] fills it in, [`lower`] turns it
+/// into the harness's plan.
+#[derive(Debug, Clone)]
 struct RunSpec {
     stream: String,
     sut: String,
@@ -104,6 +112,8 @@ struct RunSpec {
     chaos: Option<String>,
     /// `;`-separated netem schedule; valid on both fronts.
     netem: Option<String>,
+    /// Runs the platform's sharded variant with this many shards.
+    shards: Option<usize>,
     /// Seeds the load plan's partitioning and arrival schedules, and the
     /// single-sink pacer's (pareto) pattern.
     load_seed: u64,
@@ -111,13 +121,93 @@ struct RunSpec {
     fault_seed: u64,
 }
 
+impl RunSpec {
+    /// A run before any factor is set.
+    fn new(stream: &str, load_seed: u64, fault_seed: u64) -> Self {
+        RunSpec {
+            stream: stream.to_owned(),
+            sut: String::new(),
+            options: SutOptions::new(),
+            rate: 10_000.0,
+            pattern: RatePattern::Uniform,
+            clients: 0,
+            loop_model: LoopModel::Open,
+            chaos: None,
+            netem: None,
+            shards: None,
+            load_seed,
+            fault_seed,
+        }
+    }
+}
+
+/// The flags that set a run factor, and the factor each one sets.
+const FACTOR_FLAGS: [(&str, &str); 8] = [
+    ("--sut", "sut"),
+    ("--rate", "rate"),
+    ("--pattern", "pattern"),
+    ("--clients", "clients"),
+    ("--loop-model", "loop"),
+    ("--chaos", "chaos"),
+    ("--netem", "netem"),
+    ("--shards", "shards"),
+];
+
+/// Sets one factor of `spec` from its level as written: the one table
+/// behind a flag and a matrix cell. A chaos or netem level may join its
+/// clauses with `+` (a cell id reserves `;`), and `none` is no schedule.
+fn set_factor(spec: &mut RunSpec, name: &str, level: &str) -> Result<(), String> {
+    let bad = |error: SpecError| format!("factor `{name}`: {error}");
+    let schedule = || (level != "none").then(|| level.replace('+', ";"));
+    match name {
+        "sut" => spec.sut = level.to_owned(),
+        "stream" => spec.stream = level.to_owned(),
+        "rate" => {
+            spec.rate = spec::value(level, level, "rate").map_err(bad)?;
+            if !(spec.rate.is_finite() && spec.rate > 0.0) {
+                return Err(bad(SpecError::new(level, level, "must be positive")));
+            }
+        }
+        "pattern" => spec.pattern = level.parse().map_err(bad)?,
+        "shards" => match spec::value(level, level, "shard count").map_err(bad)? {
+            0 => return Err(bad(SpecError::new(level, level, "must be at least 1"))),
+            n => spec.shards = Some(n),
+        },
+        "clients" => spec.clients = spec::value(level, level, "client count").map_err(bad)?,
+        "loop" => spec.loop_model = level.parse().map_err(bad)?,
+        "chaos" => spec.chaos = schedule(),
+        "netem" => spec.netem = schedule(),
+        other => {
+            return Err(format!(
+                "unknown factor `{other}` (known: sut, stream, rate, pattern, shards, \
+                 clients, loop, chaos, netem)"
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Which curve a flag-made factor space with several cells prints.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Curve {
+    /// `--scale`: connections × rate.
+    Ingress,
+    /// `--shards N1,N2,..`: throughput against the shard count.
+    Shards,
+}
+
+/// What the command line asks for.
 struct Args {
-    spec: RunSpec,
+    /// Everything no factor sets: the stream, the `--opt`s and the seeds.
+    base: RunSpec,
+    /// One factor per factor flag; `--scale` and a `--shards` list give a
+    /// factor several levels.
+    space: FactorSpace,
+    curve: Option<Curve>,
+    /// `--differential`: its shard count is the `shards` factor.
+    differential: bool,
     faults: Option<String>,
-    scale: Option<(Vec<usize>, Vec<f64>)>,
     assert_achieved: Option<f64>,
-    shards: Option<Vec<usize>>,
-    differential: Option<usize>,
 }
 
 /// The serial base name of a platform: `tide-store-sharded` → `tide-store`.
@@ -181,6 +271,46 @@ fn lower(spec: &RunSpec) -> Result<RunPlan, String> {
     Ok(plan)
 }
 
+/// Resolves a factor assignment over `base` — a matrix cell, or the flags'
+/// factors — into a [`RunSpec`] and its plan, rejecting unknown factors,
+/// unparsable levels and, by lowering it and asking the harness,
+/// combinations that cannot run. Cheap (string parsing only), so a
+/// matrix plans each cell once to validate and again per repetition.
+fn plan_cell(
+    cell: &Assignment,
+    base: &RunSpec,
+    registry: &SutRegistry,
+) -> Result<(RunSpec, RunPlan), String> {
+    let mut spec = base.clone();
+    for (name, level) in cell {
+        set_factor(&mut spec, name, level)?;
+    }
+    if spec.sut.is_empty() {
+        return Err("the matrix needs a `sut` factor".into());
+    }
+    if let Some(n) = spec.shards {
+        spec.sut = sharded_name(&spec.sut);
+        spec.options.insert("shards", n.to_string());
+    }
+    if !registry.names().contains(&spec.sut.as_str()) {
+        return Err(format!(
+            "unknown platform `{}` (known: {})",
+            spec.sut,
+            registry.names().join(", ")
+        ));
+    }
+    if spec.stream.is_empty() {
+        return Err("no stream for this cell: pass --stream or add a `stream` factor".into());
+    }
+    // Schedule parse errors and combinations the run path refuses should
+    // surface during validation, not after hours of completed cells (the
+    // seed only offsets jitter).
+    let plan = lower(&spec)?;
+    plan.check(&Target::Sut(registry, &spec.sut, &spec.options))
+        .map_err(|e| e.to_string())?;
+    Ok((spec, plan))
+}
+
 /// Runs `plan`, lowered from `spec`, against the spec's platform.
 fn run_plan(plan: RunPlan, spec: &RunSpec, registry: &SutRegistry) -> Result<RunOutcome, String> {
     run(plan, Target::Sut(registry, &spec.sut, &spec.options)).map_err(|e| e.to_string())
@@ -201,180 +331,130 @@ fn usage() -> String {
     )
 }
 
-/// Parses `text` as a `what`, naming both in the error.
-fn parsed<T: FromStr>(text: &str, what: &str) -> Result<T, String>
-where
-    T::Err: Display,
-{
-    let text = text.trim();
-    text.parse()
-        .map_err(|e| format!("bad {what} `{text}`: {e}"))
-}
-
-/// Parses a comma-separated list of `what`s.
-fn parsed_list<T: FromStr>(list: &str, what: &str) -> Result<Vec<T>, String>
-where
-    T::Err: Display,
-{
-    list.split(',').map(|item| parsed(item, what)).collect()
-}
-
-/// Parses the `--scale` grid: `1,4,16x10000,40000` → connections × rates.
-fn parse_scale(spec: &str) -> Result<(Vec<usize>, Vec<f64>), String> {
-    let (conns, rates) = spec
-        .split_once('x')
-        .ok_or_else(|| format!("bad scale grid `{spec}`: expected C1,C2,..xR1,R2,.."))?;
-    let connections: Vec<usize> = parsed_list(conns, "connection count")?;
-    let rates: Vec<f64> = parsed_list(rates, "rate")?;
-    if connections.is_empty() || connections.contains(&0) {
-        return Err("scale grid needs positive connection counts".into());
-    }
-    if rates.is_empty() || rates.iter().any(|r| !r.is_finite() || *r <= 0.0) {
-        return Err("scale grid needs positive rates".into());
-    }
-    Ok((connections, rates))
-}
-
-/// The value after a flag, parsed; each flag keeps its own wording.
-fn value<T: FromStr>(
-    args: &mut impl Iterator<Item = String>,
-    missing: &str,
-    bad: &str,
-) -> Result<T, String>
-where
-    T::Err: Display,
-{
-    let text = args.next().ok_or(missing)?;
-    text.parse().map_err(|e| format!("{bad}: {e}"))
+/// Puts `factor` into `factors`, replacing a factor of the same name.
+fn put(factors: &mut Vec<Factor>, factor: Factor) {
+    factors.retain(|f| f.name != factor.name);
+    factors.push(factor);
 }
 
 fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
+    let mut base = RunSpec::new("", 1, 0);
     let mut path = None;
-    let mut sut = None;
-    let mut spec = RunSpec {
-        stream: String::new(),
-        sut: String::new(),
-        options: SutOptions::new(),
-        rate: 10_000.0,
-        pattern: RatePattern::Uniform,
-        clients: 0,
-        loop_model: LoopModel::Open,
-        chaos: None,
-        netem: None,
-        load_seed: 1,
-        fault_seed: 0,
-    };
-    let mut faults = None;
+    let mut factors = Vec::new();
     let mut scale = None;
-    let mut assert_achieved = None;
-    let mut shards = None;
     let mut differential = None;
+    let mut faults = None;
+    let mut assert_achieved = None;
     while let Some(arg) = args.next() {
+        let mut next = || args.next().ok_or_else(|| format!("{arg} needs a value"));
+        if let Some(&(_, name)) = FACTOR_FLAGS.iter().find(|(flag, _)| *flag == arg) {
+            let level = next()?;
+            let levels = match name {
+                "shards" => spec::list(&level, &level, ',', |n| Ok(n.to_owned()))?,
+                _ => vec![level],
+            };
+            put(&mut factors, Factor::new(name, levels));
+            continue;
+        }
         match arg.as_str() {
-            "--sut" => sut = Some(args.next().ok_or("--sut needs a value")?),
-            "--faults" => faults = Some(args.next().ok_or("--faults needs a spec")?),
-            "--chaos" => spec.chaos = Some(args.next().ok_or("--chaos needs a spec")?),
-            "--netem" => spec.netem = Some(args.next().ok_or("--netem needs a spec")?),
-            "--clients" => {
-                spec.clients = value(&mut args, "--clients needs a value", "bad client count")?;
-                if spec.clients == 0 {
-                    return Err("--clients must be at least 1".into());
-                }
+            "--opt" => {
+                let pair = next()?;
+                let (key, value) = spec::key_value(&pair, &pair)?;
+                base.options.insert(key, value);
             }
-            "--loop-model" => {
-                let missing = "--loop-model needs open|closed|partial:W";
-                spec.loop_model = value(&mut args, missing, "bad loop model")?;
-            }
+            "--faults" => faults = Some(next()?),
+            "--scale" => scale = Some(FactorSpace::grid(&next()?, "clients", "rate")?),
+            "--differential" => differential = Some(next()?),
             "--load-seed" => {
-                spec.load_seed = value(&mut args, "--load-seed needs a value", "bad load seed")?;
+                let seed = next()?;
+                base.load_seed = spec::value(&seed, &seed, "load seed")?;
             }
-            "--scale" => {
-                scale = Some(parse_scale(&args.next().ok_or("--scale needs a grid")?)?);
-            }
-            "--shards" => {
-                let list = args.next().ok_or("--shards needs N or N1,N2,..")?;
-                let list: Vec<usize> = parsed_list(&list, "shard count")?;
-                if list.is_empty() || list.contains(&0) {
-                    return Err("--shards needs positive shard counts".into());
-                }
-                shards = Some(list);
-            }
-            "--differential" => {
-                let missing = "--differential needs a shard count";
-                let n: usize = value(&mut args, missing, "bad shard count")?;
-                if n == 0 {
-                    return Err("--differential shard count must be at least 1".into());
-                }
-                differential = Some(n);
+            "--fault-seed" => {
+                let seed = next()?;
+                base.fault_seed = spec::value(&seed, &seed, "fault seed")?;
             }
             "--assert-achieved" => {
-                let missing = "--assert-achieved needs a fraction";
-                let f: f64 = value(&mut args, missing, "bad fraction")?;
+                let text = next()?;
+                let f: f64 = spec::value(&text, &text, "fraction")?;
                 if !(0.0..=1.0).contains(&f) {
                     return Err("--assert-achieved fraction must be in [0, 1]".into());
                 }
                 assert_achieved = Some(f);
-            }
-            "--fault-seed" => {
-                spec.fault_seed = value(&mut args, "--fault-seed needs a value", "bad fault seed")?;
-            }
-            "--rate" => {
-                spec.rate = value(&mut args, "--rate needs a value", "bad rate")?;
-                if !spec.rate.is_finite() || spec.rate <= 0.0 {
-                    return Err("rate must be positive".into());
-                }
-            }
-            "--opt" => {
-                let pair = args.next().ok_or("--opt needs key=value")?;
-                let (key, value) = pair
-                    .split_once('=')
-                    .ok_or_else(|| format!("bad option `{pair}`: expected key=value"))?;
-                spec.options.insert(key, value);
-            }
-            "--pattern" => {
-                spec.pattern = parsed(&args.next().ok_or("--pattern needs a spec")?, "pattern")?;
             }
             "--help" | "-h" => return Err(usage()),
             other if !other.starts_with('-') && path.is_none() => path = Some(other.to_owned()),
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
-    let load_mode = spec.clients > 0 || scale.is_some();
-    if load_mode && spec.chaos.is_some() {
-        return Err("--chaos applies to single-sink replay; drop it for load mode".into());
+    base.stream = path.ok_or_else(usage)?;
+    if !factors.iter().any(|f| f.name == "sut") {
+        return Err(usage());
     }
-    if differential.is_some() && (load_mode || spec.chaos.is_some()) {
-        return Err(
-            "--differential is single-connector A/B replay; drop --clients/--scale/--chaos".into(),
-        );
+    if let Some(n) = &differential {
+        if factors.iter().any(|f| f.name == "shards") {
+            return Err("--differential already names the candidate shard count".into());
+        }
+        put(&mut factors, Factor::new("shards", [n]));
     }
-    if differential.is_some() && spec.netem.is_some() {
-        return Err("--differential compares bit-exact replays; drop --netem".into());
-    }
-    if differential.is_some() && shards.is_some() {
-        return Err("--differential already names the candidate shard count".into());
-    }
-    if differential.is_some() && spec.pattern != RatePattern::Uniform {
-        return Err(
-            "--differential compares serial vs sharded under uniform pacing; drop --pattern".into(),
-        );
-    }
-    if shards.as_ref().is_some_and(|list| list.len() > 1) && spec.clients == 0 {
-        return Err("--shards with multiple counts is the scaling curve; add --clients N".into());
-    }
-    if shards.as_ref().is_some_and(|list| list.len() > 1) && scale.is_some() {
-        return Err("--shards with multiple counts replaces --scale; use one of them".into());
-    }
-    spec.stream = path.ok_or_else(usage)?;
-    spec.sut = sut.ok_or_else(usage)?;
+    let shard_list = factors
+        .iter()
+        .any(|f| f.name == "shards" && f.levels.len() > 1);
+    let curve = match (scale, shard_list) {
+        (Some(_), true) => {
+            return Err("--shards with multiple counts replaces --scale; use one of them".into())
+        }
+        (Some(grid), false) => {
+            for factor in grid.factors() {
+                put(&mut factors, factor.clone());
+            }
+            Some(Curve::Ingress)
+        }
+        (None, true) => Some(Curve::Shards),
+        (None, false) => None,
+    };
     Ok(Args {
-        spec,
+        base,
+        space: factors.iter().fold(FactorSpace::new(), |space, f| {
+            space.factor(&f.name, &f.levels)
+        }),
+        curve,
+        differential: differential.is_some(),
         faults,
-        scale,
         assert_achieved,
-        shards,
-        differential,
     })
+}
+
+/// Plans every cell the flags' factors enumerate, and refuses what no
+/// mode runs, before anything starts.
+fn plan_flags(args: &Args, registry: &SutRegistry) -> Result<Vec<(RunSpec, RunPlan)>, String> {
+    let cells = args
+        .space
+        .full_factorial()
+        .iter()
+        .map(|cell| plan_cell(cell, &args.base, registry))
+        .collect::<Result<Vec<_>, _>>()?;
+    if args.curve.is_some() && cells.iter().any(|(spec, _)| spec.clients == 0) {
+        return Err("a scaling curve runs on the load front; add --clients N".into());
+    }
+    let spec = &cells[0].0;
+    if args.differential {
+        if args.curve.is_some() || spec.clients > 0 || spec.chaos.is_some() {
+            return Err(
+                "--differential is single-connector A/B replay; drop --clients/--scale/--chaos"
+                    .into(),
+            );
+        }
+        if spec.netem.is_some() {
+            return Err("--differential compares bit-exact replays; drop --netem".into());
+        }
+        if spec.pattern != RatePattern::Uniform {
+            return Err(
+                "--differential compares serial vs sharded under uniform pacing; drop --pattern"
+                    .into(),
+            );
+        }
+    }
+    Ok(cells)
 }
 
 /// Applies an a-priori fault pipeline: reads the stream, injects, writes
@@ -389,21 +469,6 @@ fn materialize_faults(path: &str, spec: &str, seed: u64) -> Result<(String, Stri
         .write_to_file(&out)
         .map_err(|e| format!("writing {}: {e}", out.display()))?;
     Ok((out.to_string_lossy().into_owned(), pipeline.describe()))
-}
-
-/// Runs one load cell: `spec` with these clients at this offered rate.
-fn run_load_cell(
-    spec: &RunSpec,
-    clients: usize,
-    rate: f64,
-    registry: &SutRegistry,
-) -> Result<RunOutcome, String> {
-    let cell = RunSpec {
-        clients,
-        rate,
-        ..spec.clone()
-    };
-    run_plan(lower(&cell)?, &cell, registry)
 }
 
 /// Prints the netem recovery table: one row per journaled network fault,
@@ -467,58 +532,68 @@ fn exit_code(ok: bool) -> ExitCode {
     }
 }
 
-/// The multi-client path: a single load run, or the connections × rate
-/// scaling grid when `--scale` is given.
-fn run_load_mode(args: &Args, registry: &SutRegistry) -> ExitCode {
-    let spec = &args.spec;
-    if let Some((connections_grid, rates)) = &args.scale {
-        println!(
-            "# gt-run ingress scaling curve: {} {} loop, seed {}",
-            spec.sut, spec.loop_model, spec.load_seed
-        );
-        println!(
-            "{:>8} {:>12} {:>12} {:>12} {:>8} {:>10} {:>10} {:>6}",
-            "clients",
-            "target[e/s]",
-            "offered[e/s]",
-            "achieved",
-            "ratio",
-            "p99[us]",
-            "p999[us]",
-            "viol"
-        );
-        let mut gate_ok = true;
-        for &connections in connections_grid {
-            for &rate in rates {
-                let outcome = match run_load_cell(spec, connections, rate, registry) {
-                    Ok(outcome) => outcome,
-                    Err(error) => {
-                        eprintln!("gt-run: {connections} clients @ {rate:.0} e/s: {error}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                let tail = gt_analysis::sojourn_quantiles(&outcome.log, "main");
-                let (p99, p999) = tail.map_or((f64::NAN, f64::NAN), |t| (t.p99, t.p999));
-                let load = outcome.load();
-                println!(
-                    "{:>8} {:>12.0} {:>12.0} {:>12.0} {:>8.3} {:>10.0} {:>10.0} {:>6}",
-                    connections,
-                    rate,
-                    load.offered_rate(),
-                    load.achieved_rate(),
-                    load.achieved_ratio(),
-                    p99,
-                    p999,
-                    load.listener.marker_violations
+/// The connections × rate scaling curve: one load cell per `--scale`
+/// grid point.
+fn run_ingress_curve(
+    cells: Vec<(RunSpec, RunPlan)>,
+    assert_achieved: Option<f64>,
+    registry: &SutRegistry,
+) -> ExitCode {
+    let first = &cells[0].0;
+    println!(
+        "# gt-run ingress scaling curve: {} {} loop, seed {}",
+        first.sut, first.loop_model, first.load_seed
+    );
+    println!(
+        "{:>8} {:>12} {:>12} {:>12} {:>8} {:>10} {:>10} {:>6}",
+        "clients",
+        "target[e/s]",
+        "offered[e/s]",
+        "achieved",
+        "ratio",
+        "p99[us]",
+        "p999[us]",
+        "viol"
+    );
+    let mut gate_ok = true;
+    for (spec, plan) in cells {
+        let outcome = match run_plan(plan, &spec, registry) {
+            Ok(outcome) => outcome,
+            Err(error) => {
+                eprintln!(
+                    "gt-run: {} clients @ {:.0} e/s: {error}",
+                    spec.clients, spec.rate
                 );
-                gate_ok &= gate_holds(&outcome, args.assert_achieved);
+                return ExitCode::FAILURE;
             }
-        }
-        return exit_code(gate_ok);
+        };
+        let tail = gt_analysis::sojourn_quantiles(&outcome.log, "main");
+        let (p99, p999) = tail.map_or((f64::NAN, f64::NAN), |t| (t.p99, t.p999));
+        let load = outcome.load();
+        println!(
+            "{:>8} {:>12.0} {:>12.0} {:>12.0} {:>8.3} {:>10.0} {:>10.0} {:>6}",
+            spec.clients,
+            spec.rate,
+            load.offered_rate(),
+            load.achieved_rate(),
+            load.achieved_ratio(),
+            p99,
+            p999,
+            load.listener.marker_violations
+        );
+        gate_ok &= gate_holds(&outcome, assert_achieved);
     }
+    exit_code(gate_ok)
+}
 
-    let connections = spec.clients.max(1);
-    let outcome = match run_load_cell(spec, connections, spec.rate, registry) {
+/// The multi-client path: one load run.
+fn run_load_mode(
+    spec: &RunSpec,
+    plan: RunPlan,
+    assert_achieved: Option<f64>,
+    registry: &SutRegistry,
+) -> ExitCode {
+    let outcome = match run_plan(plan, spec, registry) {
         Ok(outcome) => outcome,
         Err(error) => {
             eprintln!("gt-run: {error}");
@@ -527,8 +602,8 @@ fn run_load_mode(args: &Args, registry: &SutRegistry) -> ExitCode {
     };
     let (load, report) = (outcome.load(), outcome.sut_report());
     println!(
-        "# gt-run load: {} with {connections} clients, {} loop @ {:.0} e/s offered (seed {})",
-        spec.sut, spec.loop_model, spec.rate, spec.load_seed
+        "# gt-run load: {} with {} clients, {} loop @ {:.0} e/s offered (seed {})",
+        spec.sut, spec.clients, spec.loop_model, spec.rate, spec.load_seed
     );
     if let Some(netem) = &spec.netem {
         println!("# netem schedule: {netem} (seed {})", spec.fault_seed);
@@ -588,24 +663,26 @@ fn run_load_mode(args: &Args, registry: &SutRegistry) -> ExitCode {
         "\n# merged result log: {} records",
         outcome.log.records().len()
     );
-    exit_code(gate_holds(&outcome, args.assert_achieved))
+    exit_code(gate_holds(&outcome, assert_achieved))
 }
 
 /// The throughput-vs-shards scaling curve: one load cell per shard count
 /// against the sharded variant, normalized by `gt_analysis::shard_scaling`.
-fn run_shard_scaling_mode(args: &Args, registry: &SutRegistry, counts: &[usize]) -> ExitCode {
-    let mut spec = args.spec.clone();
-    spec.sut = sharded_name(&spec.sut);
-    let connections = spec.clients.max(1);
+fn run_shard_curve(
+    cells: Vec<(RunSpec, RunPlan)>,
+    assert_achieved: Option<f64>,
+    registry: &SutRegistry,
+) -> ExitCode {
+    let first = &cells[0].0;
     println!(
-        "# gt-run throughput-vs-shards: {}, {connections} clients, {} loop @ {:.0} e/s, seed {}",
-        spec.sut, spec.loop_model, spec.rate, spec.load_seed
+        "# gt-run throughput-vs-shards: {}, {} clients, {} loop @ {:.0} e/s, seed {}",
+        first.sut, first.clients, first.loop_model, first.rate, first.load_seed
     );
     let mut samples: Vec<(usize, f64)> = Vec::new();
     let mut gate_ok = true;
-    for &shards in counts {
-        spec.options = args.spec.options.clone().set("shards", shards);
-        let outcome = match run_load_cell(&spec, connections, spec.rate, registry) {
+    for (spec, plan) in cells {
+        let shards = spec.shards.unwrap_or(1);
+        let outcome = match run_plan(plan, &spec, registry) {
             Ok(outcome) => outcome,
             Err(error) => {
                 eprintln!("gt-run: shards={shards}: {error}");
@@ -613,7 +690,7 @@ fn run_shard_scaling_mode(args: &Args, registry: &SutRegistry, counts: &[usize])
             }
         };
         samples.push((shards, outcome.load().achieved_rate()));
-        gate_ok &= gate_holds(&outcome, args.assert_achieved);
+        gate_ok &= gate_holds(&outcome, assert_achieved);
     }
     println!(
         "{:>8} {:>14} {:>10} {:>12}",
@@ -631,7 +708,7 @@ fn run_shard_scaling_mode(args: &Args, registry: &SutRegistry, counts: &[usize])
 /// The differential mode: the same stream through the serial platform at
 /// `shards=1` and the sharded variant at `shards=N`, single connector
 /// each; nonzero exit on any digest or computation divergence.
-fn run_differential_mode(spec: &RunSpec, registry: &SutRegistry, shards: usize) -> ExitCode {
+fn run_differential_mode(spec: &RunSpec, registry: &SutRegistry) -> ExitCode {
     let path = &spec.stream;
     let stream = match gt_core::GraphStream::read_from_file(path) {
         Ok(stream) => stream,
@@ -641,15 +718,14 @@ fn run_differential_mode(spec: &RunSpec, registry: &SutRegistry, shards: usize) 
         }
     };
     let baseline = serial_name(&spec.sut).to_owned();
-    let candidate = sharded_name(&spec.sut);
     let baseline_options = spec.options.clone().set("shards", 1);
-    let candidate_options = spec.options.clone().set("shards", shards);
+    let shards = spec.shards.unwrap_or(1);
     let outcome = match run_differential(
         &stream,
         spec.rate,
         registry,
         (&baseline, &baseline_options),
-        (&candidate, &candidate_options),
+        (&spec.sut, &spec.options),
     ) {
         Ok(outcome) => outcome,
         Err(error) => {
@@ -658,8 +734,8 @@ fn run_differential_mode(spec: &RunSpec, registry: &SutRegistry, shards: usize) 
         }
     };
     println!(
-        "# gt-run differential: {baseline} (shards=1) vs {candidate} (shards={shards}) @ {:.0} e/s",
-        spec.rate
+        "# gt-run differential: {baseline} (shards=1) vs {} (shards={shards}) @ {:.0} e/s",
+        spec.sut, spec.rate
     );
     println!(
         "baseline events     {:>12.0}",
@@ -707,89 +783,6 @@ fn matrix_usage() -> String {
          \x20          `+`; valid in both modes), stream (per-cell file override)",
         builtin_registry().names().join("|")
     )
-}
-
-/// Resolves one cell's factor assignment into a [`RunSpec`] seeded with
-/// `seed`, rejecting unknown factor names, unparsable levels and — by
-/// lowering it and asking the harness — combinations that cannot run.
-/// Chaos and netem levels join their clauses with `+`, since `;` is
-/// reserved by the cell-id encoding. Built once per cell for fail-fast
-/// validation, then again per repetition (cheap, pure string parsing).
-fn plan_cell(
-    cell: &Assignment,
-    default_stream: Option<&str>,
-    seed: u64,
-    registry: &SutRegistry,
-) -> Result<(RunSpec, RunPlan), String> {
-    let mut spec = RunSpec {
-        stream: default_stream.unwrap_or_default().to_owned(),
-        sut: String::new(),
-        options: SutOptions::new(),
-        rate: 10_000.0,
-        pattern: RatePattern::Uniform,
-        clients: 0,
-        loop_model: LoopModel::Open,
-        chaos: None,
-        netem: None,
-        load_seed: seed,
-        fault_seed: seed,
-    };
-    let clauses = |value: &str| (value != "none").then(|| value.replace('+', ";"));
-    let mut shards = None;
-    for (name, value) in cell {
-        match name.as_str() {
-            "sut" => spec.sut = value.clone(),
-            "stream" => spec.stream = value.clone(),
-            "rate" => {
-                spec.rate = parsed(value, "rate")?;
-                if !spec.rate.is_finite() || spec.rate <= 0.0 {
-                    return Err(format!("rate `{value}` must be positive"));
-                }
-            }
-            "pattern" => spec.pattern = parsed(value, "pattern")?,
-            "shards" => {
-                let n: usize = parsed(value, "shard count")?;
-                if n == 0 {
-                    return Err("shards must be at least 1".into());
-                }
-                shards = Some(n);
-            }
-            "clients" => spec.clients = parsed(value, "client count")?,
-            "loop" => spec.loop_model = parsed(value, "loop model")?,
-            "chaos" => spec.chaos = clauses(value),
-            "netem" => spec.netem = clauses(value),
-            other => {
-                return Err(format!(
-                    "unknown factor `{other}` (known: sut, stream, rate, pattern, shards, \
-                     clients, loop, chaos, netem)"
-                ));
-            }
-        }
-    }
-    if spec.sut.is_empty() {
-        return Err("the matrix needs a `sut` factor".into());
-    }
-    if let Some(n) = shards {
-        spec.sut = sharded_name(&spec.sut);
-        spec.options = spec.options.set("shards", n);
-    }
-    if !registry.names().contains(&spec.sut.as_str()) {
-        return Err(format!(
-            "unknown platform `{}` (known: {})",
-            spec.sut,
-            registry.names().join(", ")
-        ));
-    }
-    if spec.stream.is_empty() {
-        return Err("no stream for this cell: pass --stream or add a `stream` factor".into());
-    }
-    // Schedule parse errors and combinations the run path refuses should
-    // surface during validation, not after hours of completed cells (the
-    // seed only offsets jitter).
-    let plan = lower(&spec)?;
-    plan.check(&Target::Sut(registry, &spec.sut, &spec.options))
-        .map_err(|e| e.to_string())?;
-    Ok((spec, plan))
 }
 
 /// Executes one cell-repetition and maps the outcome onto the journal's
@@ -857,6 +850,7 @@ fn run_matrix_cli(argv: &[String]) -> Result<ExitCode, String> {
     let matrix = ScenarioMatrix::parse(&text).map_err(|e| format!("{spec_path}: {e}"))?;
     let journal = journal.unwrap_or_else(|| format!("{spec_path}.journal.jsonl"));
     let registry = builtin_registry();
+    let stream = stream.unwrap_or_default();
 
     // Fail fast: every cell must resolve to a runnable plan before the
     // first (possibly expensive) repetition starts.
@@ -865,15 +859,15 @@ fn run_matrix_cli(argv: &[String]) -> Result<ExitCode, String> {
         return Err("the matrix has no cells; add `factor` lines".into());
     }
     for cell in &cells {
-        plan_cell(cell, stream.as_deref(), 0, &registry)
+        plan_cell(cell, &RunSpec::new(&stream, 0, 0), &registry)
             .map_err(|e| format!("cell {}: {e}", cell_id(cell)))?;
     }
 
     print!("{matrix}");
     println!("journal: {journal}");
     let mut runner = |cell: &Assignment, _rep: u32, seed: u64| -> CellRunResult {
-        let (spec, plan) =
-            plan_cell(cell, stream.as_deref(), seed, &registry).expect("cells validated above");
+        let (spec, plan) = plan_cell(cell, &RunSpec::new(&stream, seed, seed), &registry)
+            .expect("cells validated above");
         match run_matrix_cell(&spec, plan, &registry) {
             Ok(result) => result,
             Err(error) => {
@@ -910,16 +904,10 @@ fn run_matrix_cli(argv: &[String]) -> Result<ExitCode, String> {
 /// stage latencies and a recovery table per injected fault layer.
 fn run_single_mode(
     spec: &RunSpec,
+    plan: RunPlan,
     fault_description: Option<&str>,
     registry: &SutRegistry,
 ) -> ExitCode {
-    let plan = match lower(spec) {
-        Ok(plan) => plan,
-        Err(error) => {
-            eprintln!("gt-run: {error}");
-            return ExitCode::FAILURE;
-        }
-    };
     let chaos_description = plan.chaos.as_ref().map(|chaos| chaos.schedule.describe());
     let outcome = match run_plan(plan, spec, registry) {
         Ok(outcome) => outcome,
@@ -1037,68 +1025,56 @@ fn run_single_mode(
     ExitCode::SUCCESS
 }
 
-fn main() -> ExitCode {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.first().is_some_and(|a| a == "matrix") {
-        return match run_matrix_cli(&argv[1..]) {
-            Ok(code) => code,
-            Err(message) => {
-                eprintln!("{message}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-
-    let mut args = match parse_args(argv.into_iter()) {
-        Ok(args) => args,
-        Err(message) => {
-            eprintln!("{message}");
-            return ExitCode::FAILURE;
-        }
-    };
+/// Runs what the flags name: plans every cell first (a bad level or
+/// combination fails before anything runs), then the differential, a
+/// curve of cells, or one replay or load run.
+fn run_flags(mut args: Args) -> Result<ExitCode, String> {
     let registry = builtin_registry();
-
-    // A single `--shards N` simply reroutes to the sharded variant with
-    // that worker count; a list becomes the scaling-curve mode below.
-    let shard_curve = match args.shards.take() {
-        Some(list) if list.len() == 1 => {
-            args.spec.sut = sharded_name(&args.spec.sut);
-            args.spec.options = args.spec.options.clone().set("shards", list[0]);
-            None
-        }
-        other => other,
-    };
-
     // A-priori stream faults: derive the weaker stream before replay.
-    let mut fault_description = None;
-    if let Some(faults) = &args.faults {
-        match materialize_faults(&args.spec.stream, faults, args.spec.fault_seed) {
-            Ok((scratch, description)) => {
-                args.spec.stream = scratch;
-                fault_description = Some(description);
-            }
-            Err(error) => {
-                eprintln!("gt-run: --faults {error}");
-                return ExitCode::FAILURE;
-            }
+    let fault_description = match &args.faults {
+        Some(faults) => {
+            let (scratch, description) =
+                materialize_faults(&args.base.stream, faults, args.base.fault_seed)
+                    .map_err(|e| format!("gt-run: --faults {e}"))?;
+            args.base.stream = scratch;
+            Some(description)
         }
-    }
-
-    let code = if let Some(shards) = args.differential {
-        // Replaces the normal replay entirely: two single-connector runs
-        // and a bit-exact comparison.
-        run_differential_mode(&args.spec, &registry, shards)
-    } else if let Some(counts) = &shard_curve {
-        run_shard_scaling_mode(&args, &registry, counts)
-    } else if args.spec.clients > 0 || args.scale.is_some() {
-        run_load_mode(&args, &registry)
-    } else {
-        run_single_mode(&args.spec, fault_description.as_deref(), &registry)
+        None => None,
     };
+    let code = plan_flags(&args, &registry)
+        .map_err(|e| format!("gt-run: {e}"))
+        .map(|mut cells| match (args.differential, args.curve) {
+            (true, _) => run_differential_mode(&cells[0].0, &registry),
+            (false, Some(Curve::Ingress)) => {
+                run_ingress_curve(cells, args.assert_achieved, &registry)
+            }
+            (false, Some(Curve::Shards)) => run_shard_curve(cells, args.assert_achieved, &registry),
+            (false, None) => {
+                let (spec, plan) = cells.swap_remove(0);
+                if spec.clients > 0 {
+                    run_load_mode(&spec, plan, args.assert_achieved, &registry)
+                } else {
+                    run_single_mode(&spec, plan, fault_description.as_deref(), &registry)
+                }
+            }
+        });
     if fault_description.is_some() {
-        let _ = std::fs::remove_file(&args.spec.stream);
+        let _ = std::fs::remove_file(&args.base.stream);
     }
     code
+}
+
+fn main() -> ExitCode {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let result = if argv.first().is_some_and(|a| a == "matrix") {
+        run_matrix_cli(&argv[1..])
+    } else {
+        parse_args(argv.into_iter()).and_then(run_flags)
+    };
+    result.unwrap_or_else(|message| {
+        eprintln!("{message}");
+        ExitCode::FAILURE
+    })
 }
 
 #[cfg(test)]
@@ -1107,22 +1083,30 @@ mod tests {
 
     const NETEM: &str = "kill@60ms,mode=fin";
 
+    fn flags(args: &[&str]) -> Result<Args, String> {
+        parse_args(args.iter().map(|arg| arg.to_string()))
+    }
+
+    /// What a run from these flags plans, cell by cell.
+    fn plan(args: &[&str]) -> Result<Vec<(RunSpec, RunPlan)>, String> {
+        plan_flags(&flags(args)?, &builtin_registry())
+    }
+
     /// The single-sink plan a matrix cell with these factors lowers to.
-    fn cell_plan(factors: &[(&str, &str)]) -> RunPlan {
+    fn cell_plan(factors: &[(&str, &str)]) -> (RunSpec, RunPlan) {
         let cell: Assignment = factors
             .iter()
             .map(|(name, level)| (name.to_string(), level.to_string()))
             .collect();
-        plan_cell(&cell, Some("s.csv"), 0, &builtin_registry())
-            .unwrap()
-            .1
+        plan_cell(&cell, &RunSpec::new("s.csv", 0, 0), &builtin_registry()).unwrap()
     }
 
     #[test]
     fn flags_and_matrix_cells_lower_a_netem_run_the_same_way() {
-        let flags = ["s.csv", "--sut", "tide-store", "--netem", NETEM].map(String::from);
-        let from_flags = lower(&parse_args(flags.into_iter()).unwrap().spec).unwrap();
-        let from_cell = cell_plan(&[("sut", "tide-store"), ("netem", NETEM)]);
+        let (_, from_flags) = plan(&["s.csv", "--sut", "tide-store", "--netem", NETEM])
+            .unwrap()
+            .remove(0);
+        let (_, from_cell) = cell_plan(&[("sut", "tide-store"), ("netem", NETEM)]);
         assert_eq!(from_flags.level, EvaluationLevel::Level2);
         assert_eq!(from_cell.level, from_flags.level);
         assert_eq!(from_flags.watchdog, Some(fault_guard()));
@@ -1131,8 +1115,109 @@ mod tests {
 
     #[test]
     fn a_clean_single_sink_cell_is_not_downgraded_to_level_1() {
-        let plan = cell_plan(&[("sut", "tide-store"), ("clients", "0")]);
+        let (_, plan) = cell_plan(&[("sut", "tide-store"), ("clients", "0")]);
         assert_eq!(plan.level, EvaluationLevel::Level2);
         assert_eq!(plan.watchdog, None);
+    }
+
+    #[test]
+    fn a_flag_sets_the_factor_a_cell_level_sets() {
+        let levels = [
+            ("--rate", "rate", " 25000 "),
+            ("--pattern", "pattern", "diurnal: 10: 0.4"),
+            ("--clients", "clients", "3"),
+            ("--loop-model", "loop", "partial: 5"),
+            ("--chaos", "chaos", "stall@1,ms=2+stall@3,ms=4"),
+            ("--netem", "netem", "none"),
+            ("--shards", "shards", "2"),
+        ];
+        for (flag, factor, level) in levels {
+            let (from_flag, _) = plan(&["s.csv", "--sut", "tide-graph", flag, level])
+                .unwrap()
+                .remove(0);
+            let cell = vec![
+                ("sut".to_owned(), "tide-graph".to_owned()),
+                (factor.to_owned(), level.to_owned()),
+            ];
+            let base = RunSpec::new("s.csv", 1, 0);
+            let (from_cell, _) = plan_cell(&cell, &base, &builtin_registry()).unwrap();
+            assert_eq!(format!("{from_flag:?}"), format!("{from_cell:?}"), "{flag}");
+        }
+    }
+
+    #[test]
+    fn an_option_needs_a_key() {
+        assert!(flags(&["s.csv", "--sut", "tide-store", "--opt", "=4"]).is_err());
+        let args = flags(&["s.csv", "--sut", "tide-store", "--opt", " workers = 2 "]).unwrap();
+        assert_eq!(args.base.options.get("workers"), Some("2"));
+    }
+
+    #[test]
+    fn lists_become_levels_of_one_factor_space() {
+        let cells = plan(&[
+            "s.csv",
+            "--sut",
+            "tide-store",
+            "--clients",
+            "2",
+            "--scale",
+            "1,2x5,6",
+        ])
+        .unwrap();
+        let grid: Vec<(usize, f64)> = cells.iter().map(|(s, _)| (s.clients, s.rate)).collect();
+        assert_eq!(grid, [(1, 5.0), (1, 6.0), (2, 5.0), (2, 6.0)]);
+        let cells = plan(&[
+            "s.csv",
+            "--sut",
+            "tide-store",
+            "--clients",
+            "2",
+            "--shards",
+            "1, ,4",
+        ])
+        .unwrap();
+        let shards: Vec<_> = cells
+            .iter()
+            .map(|(s, _)| (s.sut.as_str(), s.shards))
+            .collect();
+        assert_eq!(
+            shards,
+            [
+                ("tide-store-sharded", Some(1)),
+                ("tide-store-sharded", Some(4))
+            ]
+        );
+    }
+
+    #[test]
+    fn levels_and_modes_the_parent_refused_stay_refused() {
+        for args in [
+            &["--scale", "0,1x100"][..],
+            &["--scale", "1x0"],
+            &["--scale", "1x-5"],
+            &["--scale", "ax100"],
+            &["--scale", "1,2"],
+            &["--scale", "1x2x3"],
+            &["--shards", "0"],
+            &["--shards", "1,x"],
+            &["--shards", "1,2"],
+            &["--clients", "2", "--shards", "1,2", "--scale", "1x100"],
+            &["--rate", "-1"],
+            &["--rate", "inf"],
+            &["--clients", "-1"],
+            &["--differential", "0"],
+            &["--differential", "2", "--shards", "2"],
+            &["--differential", "2", "--clients", "2"],
+            &["--differential", "2", "--scale", "1x100"],
+            &["--differential", "2", "--netem", NETEM],
+            &["--differential", "2", "--pattern", "flash:1:4:2"],
+            &["--clients", "2", "--chaos", "stall@10,ms=1"],
+            &["--assert-achieved", "1.5"],
+            &["--loop-model", "partial:0"],
+        ] {
+            let mut all = vec!["s.csv", "--sut", "tide-store"];
+            all.extend(args);
+            assert!(plan(&all).is_err(), "accepted {args:?}");
+        }
     }
 }

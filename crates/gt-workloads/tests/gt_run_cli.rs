@@ -269,6 +269,39 @@ fn shards_n_reroutes_to_the_sharded_variant() {
 }
 
 #[test]
+fn scale_grid_runs_one_load_cell_per_clients_and_rate() {
+    let run = store_run("scale", &["--clients", "2", "--scale", "1,2x50000,100000"]);
+    expect(
+        &run,
+        &[&[
+            "# gt-run ingress scaling curve: tide-store open loop, seed N",
+            "clients",
+            "N",
+            "N",
+            "N",
+            "N",
+        ]],
+    );
+}
+
+#[test]
+fn shard_list_runs_the_throughput_vs_shards_curve() {
+    let run = store_run(
+        "shard-curve",
+        &["--rate", "50000", "--clients", "2", "--shards", "1,2"],
+    );
+    expect(
+        &run,
+        &[&[
+            "# gt-run throughput-vs-shards: tide-store-sharded, N clients, open loop @ N e/s, seed N",
+            "shards",
+            "N",
+            "N",
+        ]],
+    );
+}
+
+#[test]
 fn differential_run_prints_an_identical_verdict() {
     let run = store_run("differential", &["--rate", "100000", "--differential", "3"]);
     expect(

@@ -14,10 +14,16 @@
 use std::time::{Duration, Instant};
 
 use graphtides::analysis::summary::Comparison;
-use graphtides::harness::{compare_metric, repeat_runs, ExperimentSpec, FactorSpace};
+use graphtides::harness::{compare_metric, repeat_runs, FactorSpace};
 use graphtides::prelude::*;
 use graphtides::store::{BatchingConnector, StoreConfig, TideStore};
 use graphtides::workloads::Table3Workload;
+
+/// Repetitions per configuration: the paper's n >= 30.
+const REPETITIONS: u32 = 30;
+
+/// The offered rate, far above both configurations' ceilings.
+const RATE: f64 = 50_000.0;
 
 /// One measured run: committed events/s for a given batch size.
 fn measure_throughput(stream: &GraphStream, batch: usize) -> f64 {
@@ -34,7 +40,7 @@ fn measure_throughput(stream: &GraphStream, batch: usize) -> f64 {
     );
     let mut connector = BatchingConnector::new(store.client(), batch);
     let replayer = Replayer::new(ReplayerConfig {
-        target_rate: 50_000.0, // offered far above both ceilings
+        target_rate: RATE,
         honor_pauses: false,
         ..Default::default()
     });
@@ -49,16 +55,14 @@ fn measure_throughput(stream: &GraphStream, batch: usize) -> f64 {
 }
 
 fn main() {
-    // Declare the experiment before measuring (Jain's methodology).
+    // Declare the experiment before measuring (Jain's methodology): the
+    // goal, the workload, the metric's conditions and the factor varied.
     let space = FactorSpace::new().factor("events_per_tx", [1, 10]);
-    let spec = ExperimentSpec::new(
-        "store-batching-comparison",
-        "does transaction batching significantly raise write throughput?",
-        "Table 3 workload (small), 1,500 evolution events",
-    )
-    .with_rate(50_000.0)
-    .with_repetitions(30);
-    println!("{spec}");
+    println!("experiment: store-batching-comparison");
+    println!("  goal:      does transaction batching significantly raise write throughput?");
+    println!("  workload:  Table 3 workload (small), 1,500 evolution events");
+    println!("  rate:      {RATE} events/s");
+    println!("  reps:      {REPETITIONS}");
     println!(
         "configurations: {} (full factorial)\n",
         space.full_factorial_size()
@@ -70,8 +74,8 @@ fn main() {
     let mut outcomes = Vec::new();
     for assignment in space.full_factorial() {
         let batch: usize = assignment[0].1.parse().expect("numeric level");
-        let mut samples = Vec::with_capacity(spec.repetitions as usize);
-        let outcome = repeat_runs(spec.repetitions, |_rep| {
+        let mut samples = Vec::with_capacity(REPETITIONS as usize);
+        let outcome = repeat_runs(REPETITIONS, |_rep| {
             let v = measure_throughput(&stream, batch);
             samples.push(v);
             v

@@ -39,7 +39,7 @@ pub use gt_faults as faults;
 pub use gt_generator as generator;
 /// The evolving property graph, snapshots, and builders.
 pub use gt_graph as graph;
-/// The test harness: specs, run loop, repetition.
+/// The test harness: run path, factor spaces, scenario matrix, repetition.
 pub use gt_harness as harness;
 /// The multi-client open/closed/partial-open-loop traffic layer.
 pub use gt_load as load;
@@ -76,7 +76,7 @@ pub fn builtin_registry() -> gt_sut::SutRegistry {
 pub mod prelude {
     pub use gt_core::prelude::*;
     pub use gt_graph::{CsrSnapshot, EvolvingGraph};
-    pub use gt_harness::{run, ExperimentSpec, RunOutcome, RunPlan, Target};
+    pub use gt_harness::{run, RunOutcome, RunPlan, Target};
     pub use gt_metrics::{MetricsHub, ResultLog};
     pub use gt_replayer::{CollectSink, EventSink, Replayer, ReplayerConfig};
     pub use gt_sut::{SutOptions, SutRegistry, SystemUnderTest};
