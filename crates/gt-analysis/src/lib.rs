@@ -11,7 +11,7 @@
 //! * [`percentiles`] — medians, tail percentiles (99th-percentile latency,
 //!   5th-percentile-to-maximum throughput ranges as in Figure 3a),
 //! * [`timeseries`] — bucketed time series for the stacked runtime plots
-//!   (Figure 3d) and rate estimation from event timestamps,
+//!   (Figure 3d),
 //! * [`correlate`] — Pearson and lagged cross-correlation between metric
 //!   series,
 //! * [`markers`] — marker-window slicing of result logs: per-phase
@@ -56,6 +56,6 @@ pub use sharding::{shard_scaling, ShardScalingRow};
 pub use summary::{
     compare_ci95, critical_value_95, CiComparison, Comparison, ConfidenceInterval, Summary,
 };
-pub use timeseries::{RateSeries, TimeSeries};
+pub use timeseries::TimeSeries;
 pub use trend::{densification_exponent, linear_trend, Trend};
 pub use variability::{variability, Variability};

@@ -1,8 +1,9 @@
 //! Time-series utilities for runtime metric analysis.
 //!
 //! Metrics in GraphTides are timestamped samples; the standard assessments
-//! (stacked time-series plots, rate-over-time curves like Figures 3b–3d)
-//! need bucketing, rate estimation, and alignment.
+//! (stacked time-series plots like Figure 3d) need bucketing and
+//! alignment. Event rates are bucketed where the events are counted: by the
+//! replayer and by `gt_harness::load`.
 
 use serde::{Deserialize, Serialize};
 
@@ -76,87 +77,6 @@ impl TimeSeries {
             .map(|(s, c)| (c > 0).then(|| s / c as f64))
             .collect()
     }
-
-    /// Value range of the series, `None` when empty.
-    pub fn min_max(&self) -> Option<(f64, f64)> {
-        self.samples.iter().fold(None, |acc, &(_, v)| match acc {
-            None => Some((v, v)),
-            Some((lo, hi)) => Some((lo.min(v), hi.max(v))),
-        })
-    }
-}
-
-/// Converts raw event timestamps into an events-per-second series — the
-/// replayer-side ingress rate measurement (§4.3 "Streaming Metrics").
-#[derive(Debug, Clone, Default)]
-pub struct RateSeries {
-    timestamps: Vec<f64>,
-}
-
-impl RateSeries {
-    /// An empty collector.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one event at `t` seconds.
-    pub fn record(&mut self, t: f64) {
-        self.timestamps.push(t);
-    }
-
-    /// Number of recorded events.
-    pub fn len(&self) -> usize {
-        self.timestamps.len()
-    }
-
-    /// Whether no events were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.timestamps.is_empty()
-    }
-
-    /// Events per second in fixed-width buckets over `[start, end)`,
-    /// as a [`TimeSeries`] stamped at bucket starts.
-    pub fn rate(&self, start: f64, end: f64, width: f64) -> TimeSeries {
-        assert!(width > 0.0, "bucket width must be positive");
-        let buckets = ((end - start) / width).ceil().max(0.0) as usize;
-        let mut counts = vec![0u64; buckets];
-        for &t in &self.timestamps {
-            if t < start || t >= end {
-                continue;
-            }
-            let idx = ((t - start) / width) as usize;
-            if idx < buckets {
-                counts[idx] += 1;
-            }
-        }
-        TimeSeries::from_samples(
-            counts
-                .into_iter()
-                .enumerate()
-                .map(|(i, c)| (start + i as f64 * width, c as f64 / width))
-                .collect(),
-        )
-    }
-
-    /// Overall mean rate between first and last event (`None` if fewer
-    /// than 2 events or zero elapsed time).
-    pub fn mean_rate(&self) -> Option<f64> {
-        if self.timestamps.len() < 2 {
-            return None;
-        }
-        let lo = self
-            .timestamps
-            .iter()
-            .copied()
-            .fold(f64::INFINITY, f64::min);
-        let hi = self
-            .timestamps
-            .iter()
-            .copied()
-            .fold(f64::NEG_INFINITY, f64::max);
-        let elapsed = hi - lo;
-        (elapsed > 0.0).then(|| (self.timestamps.len() - 1) as f64 / elapsed)
-    }
 }
 
 #[cfg(test)]
@@ -197,37 +117,5 @@ mod tests {
         let ts = TimeSeries::from_samples(vec![(-1.0, 5.0), (10.0, 5.0), (0.5, 2.0)]);
         let buckets = ts.bucket_mean(0.0, 1.0, 1.0);
         assert_eq!(buckets, [Some(2.0)]);
-    }
-
-    #[test]
-    fn rate_estimation() {
-        let mut rs = RateSeries::new();
-        // 10 events in the first second, 5 in the second.
-        for i in 0..10 {
-            rs.record(i as f64 * 0.1);
-        }
-        for i in 0..5 {
-            rs.record(1.0 + i as f64 * 0.2);
-        }
-        let rate = rs.rate(0.0, 2.0, 1.0);
-        assert_eq!(rate.samples(), [(0.0, 10.0), (1.0, 5.0)]);
-    }
-
-    #[test]
-    fn mean_rate() {
-        let mut rs = RateSeries::new();
-        for i in 0..=100 {
-            rs.record(i as f64 * 0.01); // 100 events/s over 1 second
-        }
-        let rate = rs.mean_rate().unwrap();
-        assert!((rate - 100.0).abs() < 1e-9, "rate {rate}");
-        assert!(RateSeries::new().mean_rate().is_none());
-    }
-
-    #[test]
-    fn min_max() {
-        let ts = TimeSeries::from_samples(vec![(0.0, 3.0), (1.0, -1.0), (2.0, 9.0)]);
-        assert_eq!(ts.min_max(), Some((-1.0, 9.0)));
-        assert_eq!(TimeSeries::new().min_max(), None);
     }
 }

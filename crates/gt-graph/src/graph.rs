@@ -1,76 +1,52 @@
 //! The evolving property graph.
 //!
-//! Storage is split by what each access needs (DESIGN.md §12,
-//! "`EvolvingGraph`: slab, hash index, ordered ids"):
+//! Vertices, states and both adjacency directions live in the one
+//! [`AdjacencyStore`] (DESIGN.md §12): a slab of entries behind a hash
+//! index `VertexId → slot`, with O(degree) cascading vertex removal. What
+//! this type adds is the reference semantics — strict and lenient
+//! preconditions, the applied-event counter — and an **ordered index** of
+//! the live ids, touched only when a vertex is added or removed.
+//! `vertices()`, `vertices_with_state()` and `edges()` therefore run in
+//! ascending id order, and every downstream computation and simulated
+//! experiment stays deterministic for a given event sequence.
 //!
-//! * vertex payloads — state, out- and in-adjacency, ~430 bytes — live in
-//!   a dense **slab** (`Vec` of slots plus a free list), so a payload is
-//!   never moved by a neighbour's insert and growth is one `realloc`;
-//! * point lookups (`apply_with`, `has_edge`, `degree`, …) go through a
-//!   **hash index** `VertexId → slot` behind [`gt_core::VertexHasher`];
-//! * iteration goes through an **ordered index** of the live ids, touched
-//!   only when a vertex is added or removed. `vertices()`,
-//!   `vertices_with_state()` and `edges()` therefore run in ascending id
-//!   order exactly as before, and every downstream computation and
-//!   simulated experiment stays deterministic for a given event sequence.
-//!
-//! Per-vertex adjacency is a degree-adaptive [`HybridAdjacency`] (inline
-//! sorted array for the small-degree common case, map for hubs) that
-//! iterates ascending in both representations.
+//! Per-vertex adjacency is a degree-adaptive [`crate::HybridAdjacency`]
+//! (inline sorted array for the small-degree common case, map for hubs)
+//! that iterates ascending in both representations.
 
-use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 
 use gt_core::prelude::*;
-use gt_core::VertexMap;
 
 use crate::apply::{Applied, ApplyError, ApplyPolicy};
-use crate::hybrid::HybridAdjacency;
-
-#[derive(Debug, Clone, PartialEq, Default)]
-struct VertexData {
-    state: State,
-    /// Outgoing adjacency with per-edge state.
-    out: HybridAdjacency<State>,
-    /// Incoming adjacency (reverse index for O(deg) vertex removal and
-    /// in-degree queries).
-    inc: HybridAdjacency<()>,
-}
-
-/// Position of a vertex payload in the slab.
-type Slot = u32;
+use crate::store::{AdjacencyStore, Slot};
 
 /// A directed, stateful graph that evolves by applying stream events.
 ///
 /// Equality is structural: two graphs holding the same vertices, states,
 /// edges and counters are equal whatever slab slots their histories left
-/// the payloads in.
+/// the entries in.
 #[derive(Debug, Clone, Default)]
 pub struct EvolvingGraph {
-    /// Vertex payloads; `None` marks a slot on the free list.
-    slab: Vec<Option<VertexData>>,
-    /// Vacated slots, reused (last out first) before the slab grows.
-    free: Vec<Slot>,
-    /// Point lookups: one hash, no order.
-    index: VertexMap<Slot>,
+    /// Every vertex is an entry with a state: edges need both endpoints.
+    store: AdjacencyStore<State>,
     /// The live ids in ascending order with their slots, so iteration
     /// neither sorts nor hashes. Written on vertex add/remove only.
     ordered: BTreeMap<VertexId, Slot>,
-    edge_count: usize,
     /// Total graph events successfully applied (mutating or not).
     applied_events: u64,
 }
 
 impl PartialEq for EvolvingGraph {
     fn eq(&self, other: &Self) -> bool {
-        self.edge_count == other.edge_count
+        self.store.edge_count() == other.store.edge_count()
             && self.applied_events == other.applied_events
             && self.ordered.len() == other.ordered.len()
             && self
                 .ordered
                 .iter()
                 .zip(&other.ordered)
-                .all(|((a, &sa), (b, &sb))| a == b && self.at(sa) == other.at(sb))
+                .all(|((a, &sa), (b, &sb))| a == b && self.store.at(sa) == other.store.at(sb))
     }
 }
 
@@ -89,32 +65,14 @@ impl EvolvingGraph {
         Ok(g)
     }
 
-    /// The payload in a slot an index handed out.
-    fn at(&self, slot: Slot) -> &VertexData {
-        self.slab[slot as usize]
-            .as_ref()
-            .expect("an indexed slot is live")
-    }
-
-    fn at_mut(&mut self, slot: Slot) -> &mut VertexData {
-        self.slab[slot as usize]
-            .as_mut()
-            .expect("an indexed slot is live")
-    }
-
-    /// Point lookup: one hash, then the slab.
-    fn vertex(&self, id: VertexId) -> Option<&VertexData> {
-        self.index.get(&id).map(|&slot| self.at(slot))
-    }
-
     /// Number of vertices.
     pub fn vertex_count(&self) -> usize {
-        self.index.len()
+        self.store.vertex_count()
     }
 
     /// Number of directed edges.
     pub fn edge_count(&self) -> usize {
-        self.edge_count
+        self.store.edge_count()
     }
 
     /// Total graph events applied so far.
@@ -124,37 +82,37 @@ impl EvolvingGraph {
 
     /// Whether the vertex exists.
     pub fn has_vertex(&self, id: VertexId) -> bool {
-        self.index.contains_key(&id)
+        self.store.state(id).is_some()
     }
 
     /// Whether the directed edge exists.
     pub fn has_edge(&self, id: EdgeId) -> bool {
-        self.vertex(id.src).is_some_and(|v| v.out.contains(id.dst))
+        self.store.edge(id).is_some()
     }
 
     /// The state of a vertex, if it exists.
     pub fn vertex_state(&self, id: VertexId) -> Option<&State> {
-        self.vertex(id).map(|v| &v.state)
+        self.store.state(id)
     }
 
     /// The state of an edge, if it exists.
     pub fn edge_state(&self, id: EdgeId) -> Option<&State> {
-        self.vertex(id.src).and_then(|v| v.out.get(id.dst))
+        self.store.edge(id)
     }
 
     /// Out-degree of a vertex (`None` if it does not exist).
     pub fn out_degree(&self, id: VertexId) -> Option<usize> {
-        self.vertex(id).map(|v| v.out.len())
+        self.store.get(id).map(|v| v.out.len())
     }
 
     /// In-degree of a vertex (`None` if it does not exist).
     pub fn in_degree(&self, id: VertexId) -> Option<usize> {
-        self.vertex(id).map(|v| v.inc.len())
+        self.store.get(id).map(|v| v.inc.len())
     }
 
     /// Total degree (in + out), `None` if the vertex does not exist.
     pub fn degree(&self, id: VertexId) -> Option<usize> {
-        self.vertex(id).map(|v| v.out.len() + v.inc.len())
+        self.store.get(id).map(|v| v.out.len() + v.inc.len())
     }
 
     /// Iterates over all vertex ids in ascending order.
@@ -164,16 +122,24 @@ impl EvolvingGraph {
 
     /// Iterates over `(id, state)` for all vertices in ascending id order.
     pub fn vertices_with_state(&self) -> impl Iterator<Item = (VertexId, &State)> {
-        self.ordered
-            .iter()
-            .map(|(id, &slot)| (*id, &self.at(slot).state))
+        self.ordered.iter().map(|(id, &slot)| {
+            (
+                *id,
+                self.store
+                    .at(slot)
+                    .state
+                    .as_ref()
+                    .expect("a vertex has a state"),
+            )
+        })
     }
 
     /// Iterates over all directed edges `(edge, state)` in deterministic
     /// (src, dst) order.
     pub fn edges(&self) -> impl Iterator<Item = (EdgeId, &State)> {
         self.ordered.iter().flat_map(|(src, &slot)| {
-            self.at(slot)
+            self.store
+                .at(slot)
                 .out
                 .iter()
                 .map(move |(dst, s)| (EdgeId::new(*src, dst), s))
@@ -182,22 +148,22 @@ impl EvolvingGraph {
 
     /// Out-neighbors of a vertex in ascending order (empty if missing).
     pub fn out_neighbors(&self, id: VertexId) -> impl Iterator<Item = VertexId> + '_ {
-        self.vertex(id).into_iter().flat_map(|v| v.out.keys())
+        self.store.get(id).into_iter().flat_map(|v| v.out.keys())
     }
 
     /// Out-neighbors with edge state.
     pub fn out_edges(&self, id: VertexId) -> impl Iterator<Item = (VertexId, &State)> {
-        self.vertex(id).into_iter().flat_map(|v| v.out.iter())
+        self.store.get(id).into_iter().flat_map(|v| v.out.iter())
     }
 
     /// In-neighbors of a vertex in ascending order (empty if missing).
     pub fn in_neighbors(&self, id: VertexId) -> impl Iterator<Item = VertexId> + '_ {
-        self.vertex(id).into_iter().flat_map(|v| v.inc.keys())
+        self.store.get(id).into_iter().flat_map(|v| v.inc.keys())
     }
 
     /// All neighbors, ignoring direction, deduplicated, ascending.
     pub fn undirected_neighbors(&self, id: VertexId) -> Vec<VertexId> {
-        let Some(v) = self.vertex(id) else {
+        let Some(v) = self.store.get(id) else {
             return Vec::new();
         };
         let mut all: BTreeSet<VertexId> = v.out.keys().collect();
@@ -221,125 +187,56 @@ impl EvolvingGraph {
     ) -> Result<Applied, ApplyError> {
         let lenient = policy == ApplyPolicy::Lenient;
         // What a violated precondition comes to under the policy.
-        let violated = |error: ApplyError| {
+        let violated = |error| {
             if lenient {
                 Ok(Applied::noop())
             } else {
                 Err(error)
             }
         };
-        let outcome = match event {
-            GraphEvent::AddVertex { id, state } => match self.index.entry(*id) {
-                Entry::Occupied(_) => violated(ApplyError::VertexExists(*id))?,
-                Entry::Vacant(entry) => {
-                    let data = Some(VertexData {
-                        state: state.clone(),
-                        ..VertexData::default()
-                    });
-                    let slot = match self.free.pop() {
-                        Some(slot) => {
-                            self.slab[slot as usize] = data;
-                            slot
-                        }
-                        None => {
-                            let slot = Slot::try_from(self.slab.len())
-                                .expect("fewer than 2^32 vertices were ever live at once");
-                            self.slab.push(data);
-                            slot
-                        }
-                    };
-                    entry.insert(slot);
-                    self.ordered.insert(*id, slot);
-                    Applied::mutated()
+        let mutated = Applied::mutated();
+        let checked = match event {
+            GraphEvent::AddVertex { id, .. } if self.has_vertex(*id) => {
+                Err(ApplyError::VertexExists(*id))
+            }
+            GraphEvent::AddVertex { id, state } => {
+                let slot = self.store.upsert_state(*id, state.clone());
+                self.ordered.insert(*id, slot);
+                Ok(mutated)
+            }
+            GraphEvent::RemoveVertex { id } => match self.store.remove_vertex(*id) {
+                Some(cascaded_edge_removals) => {
+                    self.ordered.remove(id);
+                    Ok(Applied {
+                        mutated: true,
+                        cascaded_edge_removals,
+                    })
                 }
+                None => Err(ApplyError::MissingVertex(*id)),
             },
-            GraphEvent::RemoveVertex { id } => match self.index.remove(id) {
-                Some(slot) => Applied {
-                    mutated: true,
-                    cascaded_edge_removals: self.remove_vertex_cascading(*id, slot),
-                },
-                None => violated(ApplyError::MissingVertex(*id))?,
-            },
-            GraphEvent::UpdateVertex { id, state } => match self.index.get(id) {
-                Some(&slot) => {
-                    self.at_mut(slot).state = state.clone();
-                    Applied::mutated()
-                }
-                None => violated(ApplyError::MissingVertex(*id))?,
-            },
+            GraphEvent::UpdateVertex { id, state } => (self.store.state_mut(*id))
+                .map(|old| *old = state.clone())
+                .map_or(Err(ApplyError::MissingVertex(*id)), |()| Ok(mutated)),
+            GraphEvent::AddEdge { id, .. } if id.is_self_loop() => {
+                return Err(ApplyError::SelfLoop(id.src));
+            }
             GraphEvent::AddEdge { id, state } => {
-                if id.is_self_loop() {
-                    return Err(ApplyError::SelfLoop(id.src));
-                }
-                match (self.index.get(&id.src), self.index.get(&id.dst)) {
+                match self.store.insert_edge_if_absent(*id, || state.clone()) {
+                    Ok(added) => added.then_some(mutated).ok_or(ApplyError::EdgeExists(*id)),
                     // An edge dropped for a missing endpoint is the one
                     // lenient no-op that is not counted as applied.
-                    (None, _) => return violated(ApplyError::MissingVertex(id.src)),
-                    (_, None) => return violated(ApplyError::MissingVertex(id.dst)),
-                    (Some(&src), Some(&dst)) => {
-                        let out = &mut self.at_mut(src).out;
-                        if out.insert_if_absent(id.dst, || state.clone()) {
-                            self.at_mut(dst).inc.insert(id.src, ());
-                            self.edge_count += 1;
-                            Applied::mutated()
-                        } else {
-                            violated(ApplyError::EdgeExists(*id))?
-                        }
-                    }
+                    Err(missing) => return violated(ApplyError::MissingVertex(missing)),
                 }
             }
-            GraphEvent::RemoveEdge { id } => {
-                let removed = match self.index.get(&id.src) {
-                    Some(&src) => self.at_mut(src).out.remove(id.dst),
-                    None => None,
-                };
-                match removed {
-                    Some(_) => {
-                        let dst = self.index[&id.dst];
-                        self.at_mut(dst).inc.remove(id.src);
-                        self.edge_count -= 1;
-                        Applied::mutated()
-                    }
-                    None => violated(ApplyError::MissingEdge(*id))?,
-                }
-            }
-            GraphEvent::UpdateEdge { id, state } => {
-                let edge_state = match self.index.get(&id.src) {
-                    Some(&src) => self.at_mut(src).out.get_mut(id.dst),
-                    None => None,
-                };
-                match edge_state {
-                    Some(edge_state) => {
-                        *edge_state = state.clone();
-                        Applied::mutated()
-                    }
-                    None => violated(ApplyError::MissingEdge(*id))?,
-                }
-            }
+            GraphEvent::RemoveEdge { id } => (self.store.remove_edge(*id))
+                .map_or(Err(ApplyError::MissingEdge(*id)), |_| Ok(mutated)),
+            GraphEvent::UpdateEdge { id, state } => (self.store.edge_mut(*id))
+                .map(|old| *old = state.clone())
+                .map_or(Err(ApplyError::MissingEdge(*id)), |()| Ok(mutated)),
         };
+        let outcome = checked.or_else(violated)?;
         self.applied_events += 1;
         Ok(outcome)
-    }
-
-    /// Vacates the slot of a vertex already taken out of the hash index,
-    /// together with all incident edges; returns how many edges went.
-    fn remove_vertex_cascading(&mut self, id: VertexId, slot: Slot) -> usize {
-        let data = self.slab[slot as usize]
-            .take()
-            .expect("an indexed slot is live");
-        self.free.push(slot);
-        self.ordered.remove(&id);
-        for dst in data.out.keys() {
-            let dst = self.index[&dst];
-            self.at_mut(dst).inc.remove(id);
-        }
-        for src in data.inc.keys() {
-            let src = self.index[&src];
-            self.at_mut(src).out.remove(id);
-        }
-        let removed = data.out.len() + data.inc.len();
-        self.edge_count -= removed;
-        removed
     }
 
     /// A deep copy of the current graph (an "epoch snapshot" in
@@ -348,75 +245,21 @@ impl EvolvingGraph {
         self.clone()
     }
 
-    /// Checks internal consistency: hash index, ordered index, slab and
-    /// free list describe the same vertex set, the reverse index mirrors
-    /// the forward adjacency and the edge count matches. Intended for
-    /// tests and debugging; O(V + E).
+    /// Checks internal consistency: the store's own invariants (slab, free
+    /// list and hash index agree, the reverse index mirrors the forward
+    /// adjacency, the counts match), every entry is a vertex, and the
+    /// ordered index lists exactly the store's ids at their slots.
+    /// Intended for tests and debugging; O(V + E).
     pub fn check_invariants(&self) -> Result<(), String> {
-        if self.ordered.len() != self.index.len() {
-            return Err(format!(
-                "ordered index holds {} ids, hash index {}",
-                self.ordered.len(),
-                self.index.len()
-            ));
+        self.store.check_invariants()?;
+        let (ids, entries) = (self.ordered.len(), self.store.entry_count());
+        let agree = ids == entries
+            && self.store.vertex_count() == entries
+            && (self.ordered.iter()).all(|(&id, &slot)| self.store.slot(id) == Some(slot));
+        if agree {
+            return Ok(());
         }
-        // Every slot is claimed exactly once — a live payload by one id, a
-        // vacant slot by one free-list entry.
-        let mut claims = vec![0usize; self.slab.len()];
-        for &slot in self.ordered.values().chain(&self.free) {
-            match claims.get_mut(slot as usize) {
-                Some(count) => *count += 1,
-                None => return Err(format!("slot {slot} is past the slab's end")),
-            }
-        }
-        if let Some(slot) = claims.iter().position(|&count| count != 1) {
-            let count = claims[slot];
-            return Err(format!(
-                "slot {slot} is claimed {count} times by the ids and the free list"
-            ));
-        }
-        for (id, &slot) in &self.ordered {
-            if self.index.get(id) != Some(&slot) {
-                return Err(format!("vertex {id}: ordered and hash index disagree"));
-            }
-            if self.slab[slot as usize].is_none() {
-                return Err(format!("vertex {id} is indexed at vacant slot {slot}"));
-            }
-        }
-        for &slot in &self.free {
-            if self.slab[slot as usize].is_some() {
-                return Err(format!("free slot {slot} still holds a payload"));
-            }
-        }
-
-        let mut forward = 0usize;
-        for (src, &slot) in &self.ordered {
-            let v = self.at(slot);
-            for dst in v.out.keys() {
-                forward += 1;
-                let Some(d) = self.vertex(dst) else {
-                    return Err(format!("edge {src}-{dst} points at missing vertex"));
-                };
-                if !d.inc.contains(*src) {
-                    return Err(format!("edge {src}-{dst} missing from reverse index"));
-                }
-            }
-            for src2 in v.inc.keys() {
-                let Some(s) = self.vertex(src2) else {
-                    return Err(format!("reverse edge {src2}->{src} from missing vertex"));
-                };
-                if !s.out.contains(*src) {
-                    return Err(format!("reverse edge {src2}->{src} has no forward edge"));
-                }
-            }
-        }
-        if forward != self.edge_count {
-            return Err(format!(
-                "edge count {} does not match adjacency ({forward})",
-                self.edge_count
-            ));
-        }
-        Ok(())
+        Err(format!("ordered index ({ids} ids) and store disagree"))
     }
 }
 

@@ -6,7 +6,8 @@
 //! GraphTides system model, plus:
 //!
 //! * strict/lenient application of graph stream events ([`apply`]),
-//! * degree-adaptive per-vertex adjacency storage ([`hybrid`]),
+//! * degree-adaptive per-vertex adjacency storage ([`hybrid`]) and the
+//!   one slab-indexed store of vertices and edges built on it ([`store`]),
 //! * a compact read-only snapshot in CSR form for analytics ([`csr`]),
 //! * classic bootstrap-graph builders — Barabási–Albert, Erdős–Rényi, and
 //!   deterministic fixtures ([`builders`]),
@@ -39,6 +40,7 @@ pub mod graph;
 pub mod hybrid;
 pub mod properties;
 pub mod snapshots;
+pub mod store;
 
 pub use apply::{Applied, ApplyError, ApplyPolicy};
 pub use csr::CsrSnapshot;
@@ -46,3 +48,4 @@ pub use graph::EvolvingGraph;
 pub use hybrid::HybridAdjacency;
 pub use properties::{DegreeDistribution, GraphProperties};
 pub use snapshots::{Epoch, EpochDiff, SnapshotStore};
+pub use store::AdjacencyStore;

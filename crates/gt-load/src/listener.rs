@@ -322,13 +322,8 @@ pub struct LoadListener {
 impl LoadListener {
     /// Binds on an OS-assigned localhost port.
     pub fn bind() -> io::Result<Self> {
-        Self::bind_to("127.0.0.1:0")
-    }
-
-    /// Binds on an explicit address.
-    pub fn bind_to(addr: &str) -> io::Result<Self> {
         Ok(LoadListener {
-            listener: TcpListener::bind(addr)?,
+            listener: TcpListener::bind("127.0.0.1:0")?,
         })
     }
 

@@ -2,8 +2,6 @@
 //! collector script gathers the remote log files of all logger instances
 //! and merges them into a single, chronologically sorted result log file."
 
-use std::path::Path;
-
 use crate::record::{MetricRecord, ResultLog};
 
 /// Merges per-logger logs into one chronologically sorted result log.
@@ -30,13 +28,6 @@ impl LogCollector {
         self
     }
 
-    /// Reads and adds a log file.
-    pub fn add_file(&mut self, path: impl AsRef<Path>) -> std::io::Result<&mut Self> {
-        let log = ResultLog::read_from_file(path)?;
-        self.add_log(log);
-        Ok(self)
-    }
-
     /// Produces the merged, chronologically sorted result log.
     pub fn collect(self) -> ResultLog {
         ResultLog::from_records(self.merged)
@@ -60,29 +51,6 @@ mod tests {
         let ts: Vec<u64> = merged.records().iter().map(|r| r.t_micros).collect();
         assert_eq!(ts, [100, 200, 300]);
         assert_eq!(merged.sources(), ["w1", "w2"]);
-    }
-
-    #[test]
-    fn collects_files() {
-        let dir = std::env::temp_dir().join("gt-metrics-collector-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let p1 = dir.join("log1.csv");
-        let p2 = dir.join("log2.csv");
-        ResultLog::from_records(vec![MetricRecord::int(50, "a", "m", 1)])
-            .write_to_file(&p1)
-            .unwrap();
-        ResultLog::from_records(vec![MetricRecord::int(25, "b", "m", 2)])
-            .write_to_file(&p2)
-            .unwrap();
-
-        let mut collector = LogCollector::new();
-        collector.add_file(&p1).unwrap();
-        collector.add_file(&p2).unwrap();
-        let merged = collector.collect();
-        assert_eq!(merged.len(), 2);
-        assert_eq!(merged.records()[0].source, "b");
-        std::fs::remove_file(p1).ok();
-        std::fs::remove_file(p2).ok();
     }
 
     #[test]

@@ -236,25 +236,6 @@ impl ResultLog {
             .find(|r| r.metric == "marker" && matches!(&r.value, MetricValue::Text(t) if t == name))
     }
 
-    /// The records between two markers (exclusive of the marker records
-    /// themselves) — the per-phase slice the watermark pattern of §4.5
-    /// exists to enable. `None` if either marker is missing or they are
-    /// out of order.
-    pub fn between_markers(&self, start: &str, end: &str) -> Option<ResultLog> {
-        let t_start = self.marker(start)?.t_micros;
-        let t_end = self.marker(end)?.t_micros;
-        if t_end < t_start {
-            return None;
-        }
-        Some(ResultLog::from_records(
-            self.records
-                .iter()
-                .filter(|r| r.t_micros >= t_start && r.t_micros <= t_end && r.metric != "marker")
-                .cloned()
-                .collect(),
-        ))
-    }
-
     /// Serializes the log, one record per line.
     pub fn to_text(&self) -> String {
         let mut out = String::with_capacity(self.records.len() * 32);
@@ -359,23 +340,6 @@ mod tests {
         ]);
         assert_eq!(log.marker("stream-end").unwrap().t_micros, 9_000_000);
         assert!(log.marker("nope").is_none());
-    }
-
-    #[test]
-    fn phase_extraction_between_markers() {
-        let log = ResultLog::from_records(vec![
-            MetricRecord::float(1_000_000, "w", "q", 1.0),
-            MetricRecord::text(2_000_000, "replayer", "marker", "phase-a"),
-            MetricRecord::float(3_000_000, "w", "q", 2.0),
-            MetricRecord::float(4_000_000, "w", "q", 3.0),
-            MetricRecord::text(5_000_000, "replayer", "marker", "phase-b"),
-            MetricRecord::float(6_000_000, "w", "q", 4.0),
-        ]);
-        let phase = log.between_markers("phase-a", "phase-b").unwrap();
-        assert_eq!(phase.series("w", "q"), [(3.0, 2.0), (4.0, 3.0)]);
-        // Missing or reversed markers yield None.
-        assert!(log.between_markers("phase-b", "phase-a").is_none());
-        assert!(log.between_markers("phase-a", "nope").is_none());
     }
 
     #[test]

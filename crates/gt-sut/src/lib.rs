@@ -32,3 +32,18 @@ pub mod sut;
 pub use levels::EvaluationLevel;
 pub use registry::{ShardsError, SutError, SutOptions, SutRegistry, MAX_SHARDS};
 pub use sut::{Adjacency, StateDigest, SutReport, SystemUnderTest, WindowDigest, WorkerSupervisor};
+
+use std::time::{Duration, Instant};
+
+/// Burns CPU for `cost` — a stand-in platform's simulated component work.
+/// Spinning, not sleeping, so the busy time is real CPU time that a
+/// Level-0 process sampler can observe.
+pub fn busy_work(cost: Duration) {
+    if cost.is_zero() {
+        return;
+    }
+    let end = Instant::now() + cost;
+    while Instant::now() < end {
+        std::hint::spin_loop();
+    }
+}

@@ -96,7 +96,7 @@ const REPLAY_LABELS: [&str; 7] = [
     "quiesced",
 ];
 
-const STORE_REPORT_LABELS: [&str; 9] = [
+const STORE_REPORT_LABELS: [&str; 10] = [
     "events",
     "transactions",
     "vertices",
@@ -105,6 +105,7 @@ const STORE_REPORT_LABELS: [&str; 9] = [
     "crashes",
     "restarts",
     "events_lost",
+    "events_discarded",
     "events_replayed",
 ];
 

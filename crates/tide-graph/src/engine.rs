@@ -37,7 +37,7 @@ use gt_core::prelude::*;
 use gt_core::VERTEX_HASH_MULTIPLIER;
 use gt_metrics::hub::{Counter, Gauge, MicrosCounter};
 use gt_metrics::MetricsHub;
-use gt_sut::{Adjacency, StateDigest, WindowDigest, WorkerSupervisor};
+use gt_sut::{busy_work, Adjacency, StateDigest, WindowDigest, WorkerSupervisor};
 use gt_trace::{Probe, Stage, TracerCell};
 use parking_lot::{Mutex, RwLock};
 
@@ -250,16 +250,6 @@ pub struct Engine<P: Partition> {
 
 /// The influence-rank engine — the paper's Chronograph stand-in.
 pub type TideGraph = Engine<RankPartition>;
-
-fn busy_work(cost: Duration) {
-    if cost.is_zero() {
-        return;
-    }
-    let end = Instant::now() + cost;
-    while Instant::now() < end {
-        std::hint::spin_loop();
-    }
-}
 
 /// Owner worker of a vertex.
 ///

@@ -30,7 +30,9 @@
 //! each client sequences its own transactions and every shard pays the
 //! ordering cost per batch it receives — the scaling counter-move. Only
 //! the sequencer differs; the client, the routing body, the shards and
-//! the statistics are one code path (see [`store`]).
+//! the statistics are one code path (see [`store`]). Each shard's state
+//! is gt-graph's `AdjacencyStore`, the body the reference `EvolvingGraph`
+//! runs on too, written by upserts (see [`partition`]).
 
 pub mod connector;
 pub mod partition;

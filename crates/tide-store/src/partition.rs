@@ -1,4 +1,4 @@
-//! Shard-local graph state, shared by the serial and sharded stores.
+//! Shard-local graph state.
 //!
 //! Every shard worker keeps a partition-local view of the vertices and
 //! edges routed to it so reads can be answered without a global lock.
@@ -11,35 +11,25 @@
 //! the whole run anyway, so a handle retains nothing extra, costs no
 //! allocation per event, and keeps an inline adjacency slot at 16 bytes.
 //!
-//! Edges are held per source vertex in a degree-adaptive
-//! [`HybridAdjacency`] (gt-graph): the common small-degree case stays in
-//! an inline sorted array, hubs promote to a map. A reverse index of the
-//! same shape (destination → sources) makes removing a vertex cost its own
-//! degree instead of a walk over every adjacency list in the partition.
-//! The index is *partition-local*: edges are routed by source, so it lists
-//! only the sources this shard holds — an edge into the removed vertex
-//! from another shard's source survives here exactly as it did under the
-//! walk, and is dropped by the shutdown reconstruction.
-//!
-//! Both runtimes' shard threads (`shard.rs`) build on this type.
-
-use std::collections::HashMap;
+//! The body is gt-graph's [`AdjacencyStore`], the one the reference
+//! `EvolvingGraph` runs on: a slab of per-vertex entries behind a hash
+//! index, each with a degree-adaptive out-list and an in-list, so removing
+//! a vertex costs its own degree. Writes here are *upserts*: an edge
+//! creates its missing endpoints, and a vertex another shard owns becomes
+//! a stateless entry that lives as long as its edges here. The in-lists
+//! are therefore *partition-local*: edges are routed by source, so they
+//! list only the sources this shard holds — an edge into the removed
+//! vertex from another shard's source survives there, and is dropped by
+//! the shutdown reconstruction.
 
 use gt_core::prelude::*;
-use gt_graph::HybridAdjacency;
+use gt_graph::AdjacencyStore;
 
 /// The vertex and edge state held by one shard worker.
 #[derive(Debug, Default)]
 pub struct PartitionState {
-    /// The event that last set each vertex's state.
-    vertices: HashMap<VertexId, SharedGraphEvent>,
-    /// Outgoing adjacency keyed by source vertex; the payload is the event
-    /// that last set the edge's state.
-    out: HashMap<VertexId, HybridAdjacency<SharedGraphEvent>>,
-    /// Reverse index: destination → the sources in `out` with an edge to
-    /// it. `(src, dst) ∈ out ⇔ src ∈ incoming[dst]`; no empty lists.
-    incoming: HashMap<VertexId, HybridAdjacency<()>>,
-    edge_count: usize,
+    /// Each vertex's and edge's payload is the event that last set it.
+    store: AdjacencyStore<SharedGraphEvent>,
 }
 
 impl PartitionState {
@@ -50,12 +40,12 @@ impl PartitionState {
 
     /// Number of vertices with explicit state.
     pub fn vertex_count(&self) -> usize {
-        self.vertices.len()
+        self.store.vertex_count()
     }
 
     /// Number of edges held locally.
     pub fn edge_count(&self) -> usize {
-        self.edge_count
+        self.store.edge_count()
     }
 
     /// Applies one graph event leniently (unknown entities are upserted
@@ -64,70 +54,29 @@ impl PartitionState {
     pub fn apply(&mut self, event: &SharedGraphEvent) {
         match event.event() {
             GraphEvent::AddVertex { id, .. } | GraphEvent::UpdateVertex { id, .. } => {
-                self.vertices.insert(*id, event.clone());
+                self.store.upsert_state(*id, event.clone());
             }
             GraphEvent::RemoveVertex { id } => {
-                self.vertices.remove(id);
-                if let Some(adj) = self.out.remove(id) {
-                    self.edge_count -= adj.len();
-                    for dst in adj.keys() {
-                        unlink(&mut self.incoming, dst, *id);
-                    }
-                }
-                // A self-loop left with the out-list above, so every
-                // source still listed here has a live out-list.
-                if let Some(sources) = self.incoming.remove(id) {
-                    self.edge_count -= sources.len();
-                    for src in sources.keys() {
-                        unlink(&mut self.out, src, *id);
-                    }
-                }
+                self.store.remove_vertex(*id);
             }
             GraphEvent::AddEdge { id, .. } | GraphEvent::UpdateEdge { id, .. } => {
-                let adj = self.out.entry(id.src).or_default();
-                if adj.insert(id.dst, event.clone()).is_none() {
-                    self.edge_count += 1;
-                    self.incoming.entry(id.dst).or_default().insert(id.src, ());
-                }
+                self.store.upsert_edge(*id, event.clone());
             }
             GraphEvent::RemoveEdge { id } => {
-                if unlink(&mut self.out, id.src, id.dst) {
-                    self.edge_count -= 1;
-                    unlink(&mut self.incoming, id.dst, id.src);
-                }
+                self.store.remove_edge(*id);
             }
         }
     }
 
     /// The state of a vertex, cloned for a reply channel.
     pub fn read_vertex(&self, id: VertexId) -> Option<State> {
-        self.vertices.get(&id).and_then(carried_state)
+        self.store.state(id).and_then(carried_state)
     }
 
     /// The state of an edge, cloned for a reply channel.
     pub fn read_edge(&self, id: EdgeId) -> Option<State> {
-        self.out
-            .get(&id.src)
-            .and_then(|adj| adj.get(id.dst))
-            .and_then(carried_state)
+        self.store.edge(id).and_then(carried_state)
     }
-}
-
-/// Removes `neighbor` from `key`'s list, dropping the list once empty.
-/// Returns whether the entry existed.
-fn unlink<T>(
-    lists: &mut HashMap<VertexId, HybridAdjacency<T>>,
-    key: VertexId,
-    neighbor: VertexId,
-) -> bool {
-    let Some(adj) = lists.get_mut(&key) else {
-        return false;
-    };
-    let removed = adj.remove(neighbor).is_some();
-    if adj.is_empty() {
-        lists.remove(&key);
-    }
-    removed
 }
 
 /// The state a stored event set (only stateful events are stored).
@@ -143,6 +92,10 @@ fn carried_state(event: &SharedGraphEvent) -> Option<State> {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
+    use gt_graph::HybridAdjacency;
+
     use super::*;
 
     fn shared(event: GraphEvent) -> SharedGraphEvent {
@@ -218,13 +171,39 @@ mod tests {
         assert_eq!(p.edge_count(), 0);
     }
 
+    #[test]
+    fn an_entry_goes_with_its_last_state_and_last_edge() {
+        let mut p = PartitionState::new();
+        // Vertex 2 is another shard's: only the edges routed here name it.
+        add_edge(&mut p, 1, 2, "");
+        add_edge(&mut p, 3, 2, "");
+        p.apply(&shared(GraphEvent::AddVertex {
+            id: VertexId(3),
+            state: State::new("v"),
+        }));
+        assert_eq!((p.store.entry_count(), p.vertex_count()), (3, 1));
+        p.apply(&shared(GraphEvent::RemoveEdge {
+            id: EdgeId::from((1, 2)),
+        }));
+        assert!(p.store.get(VertexId(1)).is_none(), "no state, no edge");
+        assert!(p.store.get(VertexId(2)).is_some(), "3 -> 2 still names it");
+        p.apply(&shared(GraphEvent::RemoveEdge {
+            id: EdgeId::from((3, 2)),
+        }));
+        assert!(p.store.get(VertexId(2)).is_none());
+        assert_eq!(p.read_vertex(VertexId(3)).unwrap().as_str(), "v");
+        p.apply(&shared(GraphEvent::RemoveVertex { id: VertexId(3) }));
+        assert_eq!(p.store.entry_count(), 0);
+        p.store.check_invariants().unwrap();
+    }
+
     /// The reference the indexed state is compared against: cloned
     /// payloads, no reverse index, and a `RemoveVertex` that walks every
     /// adjacency list.
     #[derive(Default)]
     struct ScanState {
-        vertices: HashMap<VertexId, State>,
-        out: HashMap<VertexId, HybridAdjacency<State>>,
+        vertices: BTreeMap<VertexId, State>,
+        out: BTreeMap<VertexId, HybridAdjacency<State>>,
         edge_count: usize,
     }
 
@@ -266,27 +245,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// `(src, dst) ∈ out ⇔ src ∈ incoming[dst]`, `edge_count` is the
-    /// number of such pairs, and neither side keeps an empty list.
-    fn check_index(p: &PartitionState) {
-        let mut edges = 0;
-        for (src, adj) in &p.out {
-            assert!(!adj.is_empty(), "empty out-list left for {src:?}");
-            for dst in adj.keys() {
-                edges += 1;
-                let listed = p.incoming.get(&dst).is_some_and(|s| s.contains(*src));
-                assert!(listed, "{src:?} -> {dst:?} missing from the in-list");
-            }
-        }
-        assert_eq!(edges, p.edge_count);
-        let mut listed = 0;
-        for (dst, sources) in &p.incoming {
-            assert!(!sources.is_empty(), "empty in-list left for {dst:?}");
-            listed += sources.len();
-        }
-        assert_eq!(listed, edges, "in-lists hold an edge the out-lists lack");
     }
 
     /// A seeded mixed stream over `vertices` ids. Vertex 0 is pushed well
@@ -359,7 +317,7 @@ mod tests {
                 let at = format!("seed {seed}, event {i} ({event:?})");
                 assert_eq!(indexed.vertex_count(), reference.vertices.len(), "{at}");
                 assert_eq!(indexed.edge_count(), reference.edge_count, "{at}");
-                check_index(&indexed);
+                indexed.store.check_invariants().unwrap();
                 for v in (0..vertices).map(VertexId) {
                     assert_eq!(
                         indexed.read_vertex(v),
@@ -375,10 +333,10 @@ mod tests {
                         );
                     }
                 }
-                let hub_in = indexed.incoming.get(&VertexId(0));
-                let hub_out = indexed.out.get(&VertexId(0));
-                hub_promoted |= hub_in.is_some_and(|l| !l.is_inline())
-                    && hub_out.is_some_and(|l| !l.is_inline());
+                hub_promoted |= indexed
+                    .store
+                    .get(VertexId(0))
+                    .is_some_and(|hub| !hub.inc.is_inline() && !hub.out.is_inline());
             }
         }
         assert!(hub_promoted, "no stream pushed the hub past INLINE_CAP");

@@ -22,7 +22,7 @@ use gt_core::prelude::*;
 use gt_graph::{ApplyPolicy, EvolvingGraph};
 use gt_metrics::hub::{Counter, MicrosCounter};
 use gt_metrics::MetricsHub;
-use gt_sut::WorkerSupervisor;
+use gt_sut::{busy_work, WorkerSupervisor};
 use gt_trace::{Probe, Stage, TracerCell};
 use parking_lot::{Mutex, RwLock};
 
@@ -75,7 +75,7 @@ impl Slot {
 /// The store's counters on its hub: `store.tx` / `store.events`
 /// (committed), `store.marker_skips`, and the fault/recovery counters
 /// `store.crashes`, `store.restarts`, `store.events_lost`,
-/// `store.events_replayed`.
+/// `store.events_discarded`, `store.events_replayed`.
 pub(crate) struct Counters {
     pub(crate) tx: Counter,
     pub(crate) events: Counter,
@@ -83,6 +83,7 @@ pub(crate) struct Counters {
     pub(crate) crashes: Counter,
     pub(crate) restarts: Counter,
     pub(crate) events_lost: Counter,
+    pub(crate) events_discarded: Counter,
     pub(crate) events_replayed: Counter,
 }
 
@@ -168,6 +169,7 @@ impl ShardPool {
                 crashes: hub.counter("store.crashes"),
                 restarts: hub.counter("store.restarts"),
                 events_lost: hub.counter("store.events_lost"),
+                events_discarded: hub.counter("store.events_discarded"),
                 events_replayed: hub.counter("store.events_replayed"),
             },
         });
@@ -181,26 +183,16 @@ impl ShardPool {
     }
 
     /// Spawns (or respawns) the shard for a slot, consuming the receiver
-    /// side of its fresh queue. Hub metrics are looked up by name, so a
-    /// restarted shard keeps accumulating on the same series.
+    /// side of its fresh queue.
     fn spawn_shard(
         self: &Arc<Self>,
         shard_id: usize,
         rx: Receiver<ShardMsg>,
     ) -> JoinHandle<(usize, ShardLog)> {
-        let writer = ShardWriter {
-            state: PartitionState::new(),
-            log: Vec::new(),
-            batch_cost: self.batch_cost,
-            event_cost: self.config.shard_cost_per_event,
-            busy: MicrosCounter::new(self.hub.counter(&format!("shard-{shard_id}.busy_micros"))),
-            applied: self.hub.counter(&format!("shard-{shard_id}.events")),
-            trace_probe: None,
-        };
         let pool = Arc::clone(self);
         std::thread::Builder::new()
             .name(format!("tide-store-shard-{shard_id}"))
-            .spawn(move || shard_loop(shard_id, rx, writer, &pool))
+            .spawn(move || pool.run_shard(shard_id, rx))
             .expect("spawn shard")
     }
 
@@ -333,6 +325,7 @@ impl ShardPool {
             crashes: self.counters.crashes.get(),
             restarts: self.counters.restarts.get(),
             events_lost: self.counters.events_lost.get(),
+            events_discarded: self.counters.events_discarded.get(),
             events_replayed: self.counters.events_replayed.get(),
             markers: std::mem::take(&mut *self.cuts.lock()),
             log,
@@ -344,113 +337,85 @@ impl ShardPool {
             marker_skips: self.counters.marker_skips.get(),
         }
     }
-}
 
-/// One shard thread's write side: partition state, commit log, simulated
-/// costs, counters and apply tracepoint.
-struct ShardWriter {
-    state: PartitionState,
-    log: ShardLog,
-    batch_cost: Duration,
-    event_cost: Duration,
-    /// `shard-N.busy_micros`.
-    busy: MicrosCounter,
-    /// `shard-N.events`.
-    applied: Counter,
-    /// Lazily acquired: the thread outlives tracer installation, so it
-    /// polls the pool's cell (one atomic load per batch while empty).
-    trace_probe: Option<Probe>,
-}
-
-impl ShardWriter {
-    /// Applies one batch in order: pays the simulated costs, updates the
-    /// partition state, appends to the log and stamps each event at
-    /// [`Stage::EngineApply`] with its commit timestamp — the event's
-    /// global stream position, carried explicitly because shards apply
-    /// out of order. The clock is read only when there is simulated work
-    /// to account for.
-    fn apply_batch(&mut self, batch: ShardLog, tracer_cell: &TracerCell) {
-        let costed = !(self.batch_cost.is_zero() && self.event_cost.is_zero());
-        let started = costed.then(Instant::now);
-        busy_work(self.batch_cost);
-        if self.trace_probe.is_none() {
-            self.trace_probe = tracer_cell.probe(Stage::EngineApply);
-        }
-        let events = batch.len() as u64;
-        for (ts, event) in batch {
-            busy_work(self.event_cost);
-            self.state.apply(&event);
-            self.log.push((ts, event));
-            if let Some(probe) = &self.trace_probe {
-                probe.stamp_seq(ts);
+    /// Runs one shard until `Stop` or channel disconnect (returns its log)
+    /// or `Crash` (returns an empty one — the log dies with the state).
+    ///
+    /// A batch applies in order: the shard pays the simulated costs,
+    /// updates its partition state, appends to its log and stamps each
+    /// event at [`Stage::EngineApply`] with its commit timestamp — the
+    /// event's global stream position, carried explicitly because shards
+    /// apply out of order. The clock is read only when there is simulated
+    /// work to account for.
+    fn run_shard(&self, shard_id: usize, rx: Receiver<ShardMsg>) -> (usize, ShardLog) {
+        let slot = &self.slots[shard_id];
+        let (mut state, mut log) = (PartitionState::new(), ShardLog::new());
+        let event_cost = self.config.shard_cost_per_event;
+        let costed = !(self.batch_cost.is_zero() && event_cost.is_zero());
+        // Looked up by name, so a restarted shard keeps accumulating on the
+        // same series.
+        let busy = MicrosCounter::new(self.hub.counter(&format!("shard-{shard_id}.busy_micros")));
+        let applied = self.hub.counter(&format!("shard-{shard_id}.events"));
+        // Lazily acquired: the thread outlives tracer installation, so it
+        // polls the pool's cell (one atomic load per batch while empty).
+        let mut trace_probe: Option<Probe> = None;
+        while let Ok(msg) = rx.recv() {
+            match msg {
+                ShardMsg::Batch(batch) => {
+                    let started = costed.then(Instant::now);
+                    busy_work(self.batch_cost);
+                    if trace_probe.is_none() {
+                        trace_probe = self.tracer_cell.probe(Stage::EngineApply);
+                    }
+                    let events = batch.len() as u64;
+                    for (ts, event) in batch {
+                        busy_work(event_cost);
+                        state.apply(&event);
+                        log.push((ts, event));
+                        if let Some(probe) = &trace_probe {
+                            probe.stamp_seq(ts);
+                        }
+                    }
+                    applied.add(events);
+                    if let Some(started) = started {
+                        busy.add(started.elapsed());
+                    }
+                    slot.applied.fetch_add(events, Ordering::SeqCst);
+                }
+                ShardMsg::Marker(name) => self.shard_markers.lock().push((name, shard_id)),
+                ShardMsg::ReadVertex(id, reply) => {
+                    let _ = reply.send(state.read_vertex(id));
+                }
+                ShardMsg::ReadEdge(id, reply) => {
+                    let _ = reply.send(state.read_edge(id));
+                }
+                ShardMsg::Crash => {
+                    // Die like a killed process: state and log abandoned,
+                    // queued messages dropped with the receiver — dropped
+                    // first, so a router blocked on this queue under the
+                    // read lock fails out instead of deadlocking the write
+                    // lock below. With routing excluded no post is in
+                    // flight: what is enqueued but unapplied is exactly the
+                    // abandoned backlog, and every later post fails and is
+                    // counted lost by its sender. The applied events die
+                    // with the log and are counted discarded. The alive
+                    // flag tells routers (and a waiting supervisor) that
+                    // this partition is vacant.
+                    drop(rx);
+                    let _routing_excluded = self.txs.write();
+                    self.counters.events_lost.add(slot.backlog());
+                    self.counters.events_discarded.add(log.len() as u64);
+                    let applied = slot.applied.load(Ordering::SeqCst);
+                    slot.enqueued.store(applied, Ordering::SeqCst);
+                    slot.alive.store(false, Ordering::SeqCst);
+                    self.counters.crashes.inc();
+                    return (shard_id, Vec::new());
+                }
+                ShardMsg::Stop => break,
             }
         }
-        self.applied.add(events);
-        if let Some(started) = started {
-            self.busy.add(started.elapsed());
-        }
+        (shard_id, log)
     }
-}
-
-/// Burns CPU for the given duration (simulated component work). Spinning —
-/// not sleeping — so the busy time is real CPU time that a Level-0
-/// process sampler can observe.
-pub(crate) fn busy_work(cost: Duration) {
-    if cost.is_zero() {
-        return;
-    }
-    let end = Instant::now() + cost;
-    while Instant::now() < end {
-        std::hint::spin_loop();
-    }
-}
-
-/// Runs one shard until `Stop` or channel disconnect (returns its log) or
-/// `Crash` (returns an empty one — the log dies with the state).
-fn shard_loop(
-    shard_id: usize,
-    rx: Receiver<ShardMsg>,
-    mut writer: ShardWriter,
-    pool: &ShardPool,
-) -> (usize, ShardLog) {
-    let slot = &pool.slots[shard_id];
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            ShardMsg::Batch(batch) => {
-                let events = batch.len() as u64;
-                writer.apply_batch(batch, &pool.tracer_cell);
-                slot.applied.fetch_add(events, Ordering::SeqCst);
-            }
-            ShardMsg::Marker(name) => pool.shard_markers.lock().push((name, shard_id)),
-            ShardMsg::ReadVertex(id, reply) => {
-                let _ = reply.send(writer.state.read_vertex(id));
-            }
-            ShardMsg::ReadEdge(id, reply) => {
-                let _ = reply.send(writer.state.read_edge(id));
-            }
-            ShardMsg::Crash => {
-                // Die like a killed process: state and log abandoned,
-                // queued messages dropped with the receiver — dropped
-                // first, so a router blocked on this queue under the read
-                // lock fails out instead of deadlocking the write lock
-                // below. With routing excluded no post is in flight: what
-                // is enqueued but unapplied is exactly the abandoned
-                // backlog, and every later post fails and is counted lost
-                // by its sender. The alive flag tells routers (and a
-                // waiting supervisor) that this partition is vacant.
-                drop(rx);
-                let _routing_excluded = pool.txs.write();
-                pool.counters.events_lost.add(slot.backlog());
-                let applied = slot.applied.load(Ordering::SeqCst);
-                slot.enqueued.store(applied, Ordering::SeqCst);
-                slot.alive.store(false, Ordering::SeqCst);
-                pool.counters.crashes.inc();
-                return (shard_id, Vec::new());
-            }
-            ShardMsg::Stop => break,
-        }
-    }
-    (shard_id, writer.log)
 }
 
 /// The store's [`WorkerSupervisor`]: kills and resurrects individual

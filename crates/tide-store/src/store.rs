@@ -39,7 +39,8 @@
 //! makes the shard discard its state and log and exit, like a killed
 //! process. Sequencing continues — events routed to a dead shard, and the
 //! backlog a dying shard abandons, are counted as lost
-//! (`store.events_lost`, by event) instead of silently ending the run,
+//! (`store.events_lost`, by event), and the events it had applied as
+//! discarded (`store.events_discarded`), instead of silently ending the run,
 //! reads routed to a dead shard fail with [`StoreClosed`] rather than
 //! hanging, and shutdown joins dead shards tolerantly. In *supervised* mode
 //! ([`StoreConfig::supervised`]) the routing body additionally retains
@@ -57,10 +58,10 @@ use gt_core::prelude::*;
 use gt_graph::EvolvingGraph;
 use gt_metrics::hub::{Gauge, MicrosCounter};
 use gt_metrics::MetricsHub;
-use gt_sut::WorkerSupervisor;
+use gt_sut::{busy_work, WorkerSupervisor};
 use gt_trace::TracerCell;
 
-use crate::shard::{busy_work, ShardLog, ShardMsg, ShardPool, StoreSupervisor};
+use crate::shard::{ShardLog, ShardMsg, ShardPool, StoreSupervisor};
 
 /// Store configuration.
 ///
@@ -271,6 +272,11 @@ pub struct StoreStats {
     /// Events that could not be delivered because their shard was dead,
     /// plus those a crashing shard left unapplied on its queue.
     pub events_lost: u64,
+    /// Events a crashing shard had applied: its log died with it, so they
+    /// are in neither `events` nor `events_lost`. With `events_replayed`
+    /// the account closes: `events + events_lost + events_discarded`
+    /// equals the events submitted plus `events_replayed`.
+    pub events_discarded: u64,
     /// Events re-enqueued from the retained log on restarts.
     pub events_replayed: u64,
     /// Marker cuts, in sequencing order: `(marker name, commit timestamp
@@ -314,8 +320,8 @@ impl TideStore {
     ///   simulated CPU time,
     /// * `timestamper.queue` — ingestion queue length gauge,
     /// * `store.crashes` / `store.restarts` / `store.events_lost` /
-    ///   `store.events_replayed` / `store.marker_skips` — fault and
-    ///   recovery activity.
+    ///   `store.events_discarded` / `store.events_replayed` /
+    ///   `store.marker_skips` — fault and recovery activity.
     pub fn start(config: StoreConfig, hub: &MetricsHub) -> Self {
         let (queue, queue_rx) = bounded::<ClientMsg>(config.queue_capacity);
         let timestamper = Timestamper {
@@ -1010,9 +1016,55 @@ mod tests {
             assert!(owed_to_dead > 4, "second wave missed the dead shard");
             assert_eq!(stats.events_lost, owed_to_dead, "{name}");
             // The survivor applied its whole share; the dead shard's log
-            // (its share of the first wave) died with it.
+            // (its share of the first wave) died with it, and is counted.
             let survivor = (0..40u64).chain(100..140).filter(|&i| shard_of(i) == 1);
             assert_eq!(stats.events, survivor.count() as u64, "{name}");
+            let applied_by_dead = (0..40u64).filter(|&i| shard_of(i) == 0).count() as u64;
+            assert_eq!(stats.events_discarded, applied_by_dead, "{name}");
+        }
+    }
+
+    #[test]
+    fn every_submitted_event_is_applied_lost_or_discarded() {
+        for supervised in [false, true] {
+            for (name, start) in SEQUENCERS {
+                let hub = MetricsHub::new();
+                let store = start(
+                    StoreConfig {
+                        supervised,
+                        ..fast_config()
+                    },
+                    &hub,
+                );
+                let mut client = store.client();
+                let mut submit = |ids: std::ops::Range<u64>| {
+                    for chunk in vertex_events(ids).chunks(4) {
+                        client
+                            .submit(Transaction::from_events(chunk.iter().cloned()))
+                            .unwrap();
+                    }
+                };
+                submit(0..40);
+                // Applied before the kill, so the dead shard's log holds
+                // its whole share of the first wave.
+                assert!(store.quiesce(Duration::from_secs(10)), "{name}");
+                let supervisor = store.supervisor();
+                assert!(supervisor.inject_crash(0), "{name}");
+                submit(100..140);
+                wait_dead(&supervisor, 0);
+                assert_eq!(supervisor.restart_worker(0), supervised, "{name}");
+                submit(200..240);
+                let stats = store.shutdown();
+                let at = format!("{name}, supervised {supervised}");
+                let applied_by_dead = (0..40u64).filter(|&i| shard_of(i) == 0).count() as u64;
+                assert_eq!(stats.events_discarded, applied_by_dead, "{at}");
+                assert_eq!(
+                    stats.events + stats.events_lost + stats.events_discarded,
+                    120 + stats.events_replayed,
+                    "{at}"
+                );
+                assert_eq!(hub.counter("store.events_discarded").get(), applied_by_dead);
+            }
         }
     }
 

@@ -163,6 +163,7 @@ fn digest_from_stats(stats: &StoreStats, extra_degradation: &[(&str, u64)]) -> S
         ("crashes".into(), stats.crashes),
         ("restarts".into(), stats.restarts),
         ("events_lost".into(), stats.events_lost),
+        ("events_discarded".into(), stats.events_discarded),
         ("events_replayed".into(), stats.events_replayed),
     ];
     for (name, value) in extra_degradation {
@@ -190,6 +191,7 @@ fn report_from_stats(name: &str, stats: &StoreStats) -> SutReport {
         .with("crashes", stats.crashes as f64)
         .with("restarts", stats.restarts as f64)
         .with("events_lost", stats.events_lost as f64)
+        .with("events_discarded", stats.events_discarded as f64)
         .with("events_replayed", stats.events_replayed as f64)
 }
 
