@@ -6,8 +6,6 @@
 //! * [`approx_betweenness`] — the same accumulation from a deterministic
 //!   subset of pivots; the estimator used when the computation must fit a
 //!   streaming cadence (scale by `n / pivots` to compare with exact).
-//! * [`closeness_centrality`] — harmonic closeness (sums of reciprocal
-//!   distances), robust on disconnected graphs.
 
 use std::collections::VecDeque;
 
@@ -73,24 +71,6 @@ fn accumulate_from(csr: &CsrSnapshot, s: u32, centrality: &mut [f64]) {
             centrality[w as usize] += delta[w as usize];
         }
     }
-}
-
-/// Harmonic closeness centrality: `C(v) = Σ_{u≠v} 1 / d(v, u)` over
-/// out-edge distances, with unreachable vertices contributing zero.
-pub fn closeness_centrality(csr: &CsrSnapshot) -> Vec<f64> {
-    use crate::traversal::{bfs_distances, UNREACHABLE};
-    let n = csr.vertex_count();
-    let mut closeness = vec![0.0; n];
-    for v in 0..n as u32 {
-        let dist = bfs_distances(csr, v);
-        closeness[v as usize] = dist
-            .iter()
-            .enumerate()
-            .filter(|&(u, &d)| u as u32 != v && d != UNREACHABLE && d > 0)
-            .map(|(_, &d)| 1.0 / f64::from(d))
-            .sum();
-    }
-    closeness
 }
 
 #[cfg(test)]
@@ -204,20 +184,9 @@ mod tests {
     }
 
     #[test]
-    fn closeness_on_path() {
-        let csr = CsrSnapshot::from_graph(&builders::materialize(&builders::path(4)));
-        let cc = closeness_centrality(&csr);
-        // Vertex 0 reaches 1, 2, 3 at distances 1, 2, 3.
-        assert!((cc[0] - (1.0 + 0.5 + 1.0 / 3.0)).abs() < 1e-12);
-        // Last vertex reaches nothing.
-        assert_eq!(cc[3], 0.0);
-    }
-
-    #[test]
     fn empty_graph() {
         let csr = CsrSnapshot::from_graph(&EvolvingGraph::new());
         assert!(betweenness_centrality(&csr).is_empty());
-        assert!(closeness_centrality(&csr).is_empty());
         assert!(approx_betweenness(&csr, 5).is_empty());
     }
 }

@@ -5,7 +5,7 @@ use gt_graph::CsrSnapshot;
 /// A disjoint-set forest over dense indices with path halving and union by
 /// size. Shared by the batch WCC and the incremental online variant.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct UnionFind {
+pub(crate) struct UnionFind {
     parent: Vec<u32>,
     size: Vec<u32>,
     components: usize,
@@ -13,7 +13,7 @@ pub struct UnionFind {
 
 impl UnionFind {
     /// `n` singleton sets.
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         UnionFind {
             parent: (0..n as u32).collect(),
             size: vec![1; n],
@@ -21,18 +21,8 @@ impl UnionFind {
         }
     }
 
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.parent.len()
-    }
-
-    /// Whether the structure is empty.
-    pub fn is_empty(&self) -> bool {
-        self.parent.is_empty()
-    }
-
     /// Adds a new singleton, returning its index.
-    pub fn push(&mut self) -> u32 {
+    pub(crate) fn push(&mut self) -> u32 {
         let id = self.parent.len() as u32;
         self.parent.push(id);
         self.size.push(1);
@@ -41,7 +31,7 @@ impl UnionFind {
     }
 
     /// Representative of `x`, with path halving.
-    pub fn find(&mut self, mut x: u32) -> u32 {
+    pub(crate) fn find(&mut self, mut x: u32) -> u32 {
         while self.parent[x as usize] != x {
             let grand = self.parent[self.parent[x as usize] as usize];
             self.parent[x as usize] = grand;
@@ -51,7 +41,7 @@ impl UnionFind {
     }
 
     /// Unions the sets of `a` and `b`; returns true if they were distinct.
-    pub fn union(&mut self, a: u32, b: u32) -> bool {
+    pub(crate) fn union(&mut self, a: u32, b: u32) -> bool {
         let (mut ra, mut rb) = (self.find(a), self.find(b));
         if ra == rb {
             return false;
@@ -66,14 +56,8 @@ impl UnionFind {
     }
 
     /// Number of disjoint sets.
-    pub fn component_count(&self) -> usize {
+    pub(crate) fn component_count(&self) -> usize {
         self.components
-    }
-
-    /// Size of the set containing `x`.
-    pub fn component_size(&mut self, x: u32) -> usize {
-        let r = self.find(x);
-        self.size[r as usize] as usize
     }
 }
 
@@ -221,13 +205,11 @@ mod tests {
         assert!(!uf.union(1, 0));
         assert!(uf.union(2, 3));
         assert_eq!(uf.component_count(), 3);
-        assert_eq!(uf.component_size(0), 2);
         assert!(uf.union(0, 3));
-        assert_eq!(uf.component_size(2), 4);
         let id = uf.push();
         assert_eq!(id, 5);
         assert_eq!(uf.component_count(), 3);
-        assert_eq!(uf.len(), 6);
+        assert_eq!(uf.parent.len(), 6);
     }
 
     #[test]

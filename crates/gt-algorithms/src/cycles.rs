@@ -10,7 +10,7 @@ pub fn has_cycle(csr: &CsrSnapshot) -> bool {
 
 /// Finds one directed cycle as a sequence of dense indices
 /// `[v0, v1, ..., v0]`, or `None` if the graph is acyclic.
-pub fn find_cycle(csr: &CsrSnapshot) -> Option<Vec<u32>> {
+pub(crate) fn find_cycle(csr: &CsrSnapshot) -> Option<Vec<u32>> {
     let n = csr.vertex_count();
     #[derive(Clone, Copy, PartialEq)]
     enum Color {

@@ -13,16 +13,16 @@ use crate::OnlineComputation;
 mod rand_like {
     /// SplitMix64: the standard 64-bit mixing generator.
     #[derive(Debug, Clone)]
-    pub struct SplitMix64(u64);
+    pub(crate) struct SplitMix64(u64);
 
     impl SplitMix64 {
         /// Seeds the generator.
-        pub fn new(seed: u64) -> Self {
+        pub(crate) fn new(seed: u64) -> Self {
             SplitMix64(seed)
         }
 
         /// Next raw 64-bit value.
-        pub fn next_u64(&mut self) -> u64 {
+        pub(crate) fn next_u64(&mut self) -> u64 {
             self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
             let mut z = self.0;
             z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -31,7 +31,7 @@ mod rand_like {
         }
 
         /// Uniform value in `0..bound` (bound > 0).
-        pub fn below(&mut self, bound: u64) -> u64 {
+        pub(crate) fn below(&mut self, bound: u64) -> u64 {
             self.next_u64() % bound
         }
     }
@@ -59,11 +59,6 @@ impl ReservoirSampler {
             reservoir: Vec::with_capacity(capacity),
             rng: SplitMix64::new(seed),
         }
-    }
-
-    /// Events observed so far.
-    pub fn seen(&self) -> u64 {
-        self.seen
     }
 
     /// The current sample.
@@ -127,7 +122,7 @@ mod tests {
             s.apply_event(&ev(i));
         }
         assert_eq!(s.sample().len(), 10);
-        assert_eq!(s.seen(), 100);
+        assert_eq!(s.seen, 100);
     }
 
     #[test]

@@ -80,12 +80,6 @@ impl StreamingTriangles {
             self.triangles -= self.common_neighbors(e.src, e.dst);
         }
     }
-
-    /// Whether at least one direction of the pair `a`/`b` has been
-    /// ingested.
-    pub fn has_pair(&self, a: VertexId, b: VertexId) -> bool {
-        self.directed.contains(&EdgeId::new(a, b)) || self.directed.contains(&EdgeId::new(b, a))
-    }
 }
 
 impl OnlineComputation for StreamingTriangles {

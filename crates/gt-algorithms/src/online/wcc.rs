@@ -46,17 +46,6 @@ impl IncrementalWcc {
         }
     }
 
-    /// Whether the union–find is out of sync with the adjacency (a removal
-    /// happened since the last rebuild).
-    pub fn is_stale(&self) -> bool {
-        self.stale
-    }
-
-    /// How many full rebuilds removals have forced so far.
-    pub fn rebuilds(&self) -> u64 {
-        self.rebuilds
-    }
-
     /// The current component count, rebuilding first if stale.
     pub fn component_count(&mut self) -> usize {
         if self.stale {
@@ -69,7 +58,7 @@ impl IncrementalWcc {
     /// removals — this is the "fast, possibly stale" query). Saturating:
     /// removing several vertices of one merged component can push the
     /// abandoned-slot correction past the forest's count.
-    pub fn component_count_stale(&self) -> usize {
+    pub(crate) fn component_count_stale(&self) -> usize {
         self.uf.component_count().saturating_sub(self.abandoned)
     }
 
@@ -84,7 +73,7 @@ impl IncrementalWcc {
     }
 
     /// Rebuilds the union–find from the stored adjacency.
-    pub fn refresh(&mut self) {
+    pub(crate) fn refresh(&mut self) {
         self.slots.clear();
         self.uf = UnionFind::new(self.adj.len());
         for (i, v) in self.adj.keys().enumerate() {
@@ -220,8 +209,8 @@ mod tests {
         assert_eq!(online.component_count(), 4);
         online.apply_event(&ev_add_e(1, 2));
         assert_eq!(online.component_count(), 3);
-        assert!(!online.is_stale());
-        assert_eq!(online.rebuilds(), 0);
+        assert!(!online.stale);
+        assert_eq!(online.rebuilds, 0);
         assert_eq!(online.connected(VertexId(0), VertexId(3)), Some(true));
         assert_eq!(online.connected(VertexId(0), VertexId(5)), Some(false));
     }
@@ -238,13 +227,13 @@ mod tests {
         online.apply_event(&GraphEvent::RemoveEdge {
             id: EdgeId::from((0, 1)),
         });
-        assert!(online.is_stale());
+        assert!(online.stale);
         // Stale fast-path still reports the old merge.
         assert_eq!(online.result(), (1, false));
         // Exact query rebuilds.
         assert_eq!(online.component_count(), 2);
-        assert_eq!(online.rebuilds(), 1);
-        assert!(!online.is_stale());
+        assert_eq!(online.rebuilds, 1);
+        assert!(!online.stale);
     }
 
     #[test]
@@ -264,7 +253,7 @@ mod tests {
             online.apply_event(&e);
         }
         online.apply_event(&GraphEvent::RemoveVertex { id: VertexId(2) });
-        assert!(!online.is_stale());
+        assert!(!online.stale);
         assert_eq!(online.component_count(), 2);
     }
 
@@ -280,7 +269,7 @@ mod tests {
             id: EdgeId::from((0, 1)),
         });
         // 1 -> 0 remains; the undirected pair survives.
-        assert!(!online.is_stale());
+        assert!(!online.stale);
         assert_eq!(online.component_count(), 1);
     }
 

@@ -18,11 +18,6 @@ pub struct SccResult {
 }
 
 impl SccResult {
-    /// Whether two dense indices are strongly connected.
-    pub fn same_component(&self, a: u32, b: u32) -> bool {
-        self.labels[a as usize] == self.labels[b as usize]
-    }
-
     /// Size of the largest component (0 for an empty graph).
     pub fn largest(&self) -> usize {
         let mut sizes = std::collections::HashMap::new();
@@ -151,9 +146,9 @@ mod tests {
         let scc = strongly_connected_components(&csr);
         assert_eq!(scc.count, 2);
         let i = |v: u64| csr.index_of(VertexId(v)).unwrap();
-        assert!(scc.same_component(i(0), i(2)));
-        assert!(scc.same_component(i(3), i(4)));
-        assert!(!scc.same_component(i(0), i(3)));
+        assert_eq!(scc.labels[i(0) as usize], scc.labels[i(2) as usize]);
+        assert_eq!(scc.labels[i(3) as usize], scc.labels[i(4) as usize]);
+        assert_ne!(scc.labels[i(0) as usize], scc.labels[i(3) as usize]);
     }
 
     #[test]
@@ -185,7 +180,7 @@ mod tests {
         // Strongly connected pairs must be weakly connected.
         for a in csr.indices() {
             for b in csr.indices() {
-                if scc.same_component(a, b) {
+                if scc.labels[a as usize] == scc.labels[b as usize] {
                     assert!(wcc.same_component(a, b));
                 }
             }

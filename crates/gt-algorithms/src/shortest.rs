@@ -1,4 +1,4 @@
-//! Weighted shortest paths: Bellman–Ford and Floyd–Warshall (Table 1,
+//! Weighted single-source shortest paths: Bellman–Ford (Table 1,
 //! "Routing & traversals"). Edge weights come from edge state payloads
 //! (non-numeric payloads default to weight 1.0 — see
 //! [`gt_graph::CsrSnapshot`]).
@@ -84,46 +84,6 @@ pub fn bellman_ford(csr: &CsrSnapshot, source: u32) -> Option<ShortestPaths> {
     Some(ShortestPaths { dist, pred })
 }
 
-/// Floyd–Warshall all-pairs distances. O(n³); intended for small snapshots
-/// and as ground truth for other routing computations.
-///
-/// Returns a row-major `n * n` matrix; `result[u * n + v]` is the distance
-/// from `u` to `v` (`f64::INFINITY` if unreachable). Returns `None` when a
-/// negative cycle exists (some diagonal entry goes negative).
-pub fn floyd_warshall(csr: &CsrSnapshot) -> Option<Vec<f64>> {
-    let n = csr.vertex_count();
-    let mut d = vec![f64::INFINITY; n * n];
-    for u in 0..n {
-        d[u * n + u] = 0.0;
-    }
-    for u in csr.indices() {
-        for (&v, &w) in csr.out_neighbors(u).iter().zip(csr.out_weights(u)) {
-            let slot = &mut d[u as usize * n + v as usize];
-            if w < *slot {
-                *slot = w;
-            }
-        }
-    }
-    for k in 0..n {
-        for i in 0..n {
-            let dik = d[i * n + k];
-            if !dik.is_finite() {
-                continue;
-            }
-            for j in 0..n {
-                let alt = dik + d[k * n + j];
-                if alt < d[i * n + j] {
-                    d[i * n + j] = alt;
-                }
-            }
-        }
-    }
-    if (0..n).any(|u| d[u * n + u] < 0.0) {
-        return None;
-    }
-    Some(d)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,7 +143,7 @@ mod tests {
     }
 
     #[test]
-    fn floyd_warshall_matches_bellman_ford() {
+    fn bellman_ford_from_every_source() {
         let csr = weighted_graph(&[
             (0, 1, 3.0),
             (0, 2, 8.0),
@@ -192,25 +152,15 @@ mod tests {
             (2, 0, 4.0),
             (1, 2, 4.0),
         ]);
-        let n = csr.vertex_count();
-        let fw = floyd_warshall(&csr).unwrap();
+        let want = [
+            [0.0, 3.0, 6.0, 4.0],
+            [7.0, 0.0, 3.0, 1.0],
+            [4.0, 7.0, 0.0, 8.0],
+            [6.0, 9.0, 2.0, 0.0],
+        ];
         for src in csr.indices() {
-            let bf = bellman_ford(&csr, src).unwrap();
-            for v in 0..n {
-                let a = fw[src as usize * n + v];
-                let b = bf.dist[v];
-                assert!(
-                    (a - b).abs() < 1e-9 || (a.is_infinite() && b.is_infinite()),
-                    "src {src}, v {v}: fw {a}, bf {b}"
-                );
-            }
+            assert_eq!(bellman_ford(&csr, src).unwrap().dist, want[src as usize]);
         }
-    }
-
-    #[test]
-    fn floyd_warshall_detects_negative_cycle() {
-        let csr = weighted_graph(&[(0, 1, 1.0), (1, 0, -2.0)]);
-        assert!(floyd_warshall(&csr).is_none());
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Spanning tree / forest construction (Table 1, "Routing & traversals").
 //!
 //! Provides a minimum spanning forest on the undirected projection
-//! (Kruskal over union–find) and re-exports the BFS tree from
-//! [`crate::traversal::bfs_parents`] as the unweighted variant.
+//! (Kruskal over union–find).
 
 use crate::components::UnionFind;
 use gt_graph::CsrSnapshot;

@@ -16,7 +16,7 @@ pub fn bfs_distances(csr: &CsrSnapshot, source: u32) -> Vec<u32> {
 }
 
 /// BFS distances ignoring edge direction (treats the graph as undirected).
-pub fn bfs_distances_undirected(csr: &CsrSnapshot, source: u32) -> Vec<u32> {
+pub(crate) fn bfs_distances_undirected(csr: &CsrSnapshot, source: u32) -> Vec<u32> {
     bfs_distances_impl(csr, source, true)
 }
 
@@ -47,39 +47,6 @@ fn bfs_distances_impl(csr: &CsrSnapshot, source: u32, undirected: bool) -> Vec<u
         }
     }
     dist
-}
-
-/// BFS parents from `source` over out-edges: `parent[v]` is the vertex that
-/// discovered `v` (`None` for the source and unreachable vertices). This is
-/// the BFS spanning tree.
-pub fn bfs_parents(csr: &CsrSnapshot, source: u32) -> Vec<Option<u32>> {
-    let n = csr.vertex_count();
-    let mut parent: Vec<Option<u32>> = vec![None; n];
-    let mut seen = vec![false; n];
-    if (source as usize) >= n {
-        return parent;
-    }
-    let mut queue = VecDeque::new();
-    seen[source as usize] = true;
-    queue.push_back(source);
-    while let Some(u) = queue.pop_front() {
-        for &v in csr.out_neighbors(u) {
-            if !seen[v as usize] {
-                seen[v as usize] = true;
-                parent[v as usize] = Some(u);
-                queue.push_back(v);
-            }
-        }
-    }
-    parent
-}
-
-/// The number of vertices reachable from `source` (including itself).
-pub fn reachable_count(csr: &CsrSnapshot, source: u32) -> usize {
-    bfs_distances(csr, source)
-        .iter()
-        .filter(|&&d| d != UNREACHABLE)
-        .count()
 }
 
 #[cfg(test)]
@@ -115,30 +82,9 @@ mod tests {
     }
 
     #[test]
-    fn parents_form_tree() {
-        let csr = csr_of(&builders::grid(3, 3));
-        let parent = bfs_parents(&csr, 0);
-        assert_eq!(parent[0], None);
-        // Every non-root reachable vertex has a parent closer to the root.
-        let dist = bfs_distances(&csr, 0);
-        for v in 1..9usize {
-            let p = parent[v].expect("grid is fully reachable from 0") as usize;
-            assert_eq!(dist[p] + 1, dist[v]);
-        }
-    }
-
-    #[test]
-    fn reachability_counts() {
-        let csr = csr_of(&builders::path(10));
-        assert_eq!(reachable_count(&csr, 0), 10);
-        assert_eq!(reachable_count(&csr, 9), 1);
-    }
-
-    #[test]
     fn out_of_range_source() {
         let csr = csr_of(&builders::path(3));
         assert!(bfs_distances(&csr, 99).iter().all(|&d| d == UNREACHABLE));
-        assert!(bfs_parents(&csr, 99).iter().all(Option::is_none));
     }
 
     #[test]

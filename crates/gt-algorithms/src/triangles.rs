@@ -4,8 +4,6 @@
 //! (an edge in either direction connects two vertices), the standard
 //! convention for social-graph clustering metrics.
 
-use std::collections::HashSet;
-
 use gt_graph::CsrSnapshot;
 
 /// Counts triangles on the undirected projection.
@@ -64,32 +62,6 @@ pub fn triangle_count(csr: &CsrSnapshot) -> u64 {
     count
 }
 
-/// Global clustering coefficient: `3 * triangles / open-or-closed wedges`
-/// on the undirected projection. Returns 0 when there are no wedges.
-pub fn global_clustering_coefficient(csr: &CsrSnapshot) -> f64 {
-    let n = csr.vertex_count();
-    let mut neighbor_sets: Vec<HashSet<u32>> = vec![HashSet::new(); n];
-    for u in csr.indices() {
-        for &v in csr.out_neighbors(u) {
-            if u != v {
-                neighbor_sets[u as usize].insert(v);
-                neighbor_sets[v as usize].insert(u);
-            }
-        }
-    }
-    let wedges: u64 = neighbor_sets
-        .iter()
-        .map(|s| {
-            let d = s.len() as u64;
-            d * d.saturating_sub(1) / 2
-        })
-        .sum();
-    if wedges == 0 {
-        return 0.0;
-    }
-    3.0 * triangle_count(csr) as f64 / wedges as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,7 +91,6 @@ mod tests {
     fn single_triangle() {
         let csr = graph_of(&[(0, 1), (1, 2), (2, 0)], 3);
         assert_eq!(triangle_count(&csr), 1);
-        assert!((global_clustering_coefficient(&csr) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -133,7 +104,6 @@ mod tests {
     fn path_has_no_triangles() {
         let csr = CsrSnapshot::from_graph(&builders::materialize(&builders::path(10)));
         assert_eq!(triangle_count(&csr), 0);
-        assert_eq!(global_clustering_coefficient(&csr), 0.0);
     }
 
     #[test]
@@ -141,7 +111,6 @@ mod tests {
         // K5 has C(5,3) = 10 triangles.
         let csr = CsrSnapshot::from_graph(&builders::materialize(&builders::complete(5)));
         assert_eq!(triangle_count(&csr), 10);
-        assert!((global_clustering_coefficient(&csr) - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -60,16 +60,16 @@ pub fn cross_correlation(a: &[f64], b: &[f64], max_lag: usize) -> Vec<(isize, f6
     out
 }
 
-/// The lag with the strongest absolute correlation, if any.
-pub fn best_lag(a: &[f64], b: &[f64], max_lag: usize) -> Option<(isize, f64)> {
-    cross_correlation(a, b, max_lag)
-        .into_iter()
-        .max_by(|(_, x), (_, y)| x.abs().partial_cmp(&y.abs()).expect("finite"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The lag with the strongest absolute correlation.
+    fn best_lag(a: &[f64], b: &[f64], max_lag: usize) -> Option<(isize, f64)> {
+        cross_correlation(a, b, max_lag)
+            .into_iter()
+            .max_by(|(_, x), (_, y)| x.abs().partial_cmp(&y.abs()).expect("finite"))
+    }
 
     #[test]
     fn perfect_positive_and_negative() {

@@ -7,7 +7,7 @@ use std::collections::BTreeMap;
 
 /// Relative error `|approx - exact| / |exact|`; falls back to absolute
 /// error when `exact` is zero.
-pub fn relative_error(approx: f64, exact: f64) -> f64 {
+pub(crate) fn relative_error(approx: f64, exact: f64) -> f64 {
     if exact == 0.0 {
         approx.abs()
     } else {
@@ -17,7 +17,7 @@ pub fn relative_error(approx: f64, exact: f64) -> f64 {
 
 /// Per-key relative errors for all keys present in `exact`. Keys missing
 /// from `approx` count as error 1.0 (the result is entirely absent).
-pub fn relative_errors<K: Ord + Clone>(
+pub(crate) fn relative_errors<K: Ord + Clone>(
     approx: &BTreeMap<K, f64>,
     exact: &BTreeMap<K, f64>,
 ) -> BTreeMap<K, f64> {

@@ -10,8 +10,6 @@
 //!   two different systems are indeed significantly different"),
 //! * [`percentiles`] — medians, tail percentiles (99th-percentile latency,
 //!   5th-percentile-to-maximum throughput ranges as in Figure 3a),
-//! * [`timeseries`] — bucketed time series for the stacked runtime plots
-//!   (Figure 3d),
 //! * [`correlate`] — Pearson and lagged cross-correlation between metric
 //!   series,
 //! * [`markers`] — marker-window slicing of result logs: per-phase
@@ -23,8 +21,7 @@
 //!   time-to-recover, throughput-dip depth, and events lost per injected
 //!   fault,
 //! * [`load`] — load-run analysis: offered-vs-achieved rate and
-//!   per-client-class sojourn-latency tails (p99/p999) inside marker
-//!   windows,
+//!   per-client-class sojourn-latency tails (p99/p999) over the run,
 //! * [`sharding`] — throughput-vs-shards scaling curves (speedup and
 //!   parallel efficiency against the smallest configuration).
 
@@ -36,26 +33,18 @@ pub mod percentiles;
 pub mod recovery;
 pub mod sharding;
 pub mod summary;
-pub mod timeseries;
 pub mod trend;
 pub mod variability;
 
 pub use correlate::{cross_correlation, pearson};
-pub use error::{median_relative_error, relative_error, relative_errors, top_k_overlap};
-pub use load::{
-    offered_vs_achieved, sojourn_quantiles, window_offered_vs_achieved, window_sojourn_quantiles,
-    OfferedAchieved, LOAD_SOURCE,
-};
+pub use error::{median_relative_error, top_k_overlap};
+pub use load::{offered_vs_achieved, sojourn_quantiles, OfferedAchieved, LOAD_SOURCE};
 pub use markers::{
-    latency_breakdown, phase_summaries, window_correlation, window_series, window_summary,
-    PhaseStats, StageLatency, TRACE_SOURCE, TRACE_STAGE_METRICS,
+    phase_summaries, window_correlation, PhaseStats, TRACE_SOURCE, TRACE_STAGE_METRICS,
 };
 pub use percentiles::{percentile, CleanSeries, Quantiles, TailQuantiles};
 pub use recovery::{recovery_windows, recovery_windows_from, RecoveryWindow, CHAOS_SOURCE};
 pub use sharding::{shard_scaling, ShardScalingRow};
-pub use summary::{
-    compare_ci95, critical_value_95, CiComparison, Comparison, ConfidenceInterval, Summary,
-};
-pub use timeseries::TimeSeries;
+pub use summary::{compare_ci95, CiComparison, Comparison, ConfidenceInterval, Summary};
 pub use trend::{densification_exponent, linear_trend, Trend};
 pub use variability::{variability, Variability};

@@ -1,5 +1,5 @@
 //! Load-run analysis: offered-vs-achieved rate and per-client-class
-//! sojourn-latency tails, whole-run or inside marker windows.
+//! sojourn-latency tails over the whole run.
 //!
 //! The load layer (`gt-load`) folds its client reports into the merged
 //! [`ResultLog`] under the [`LOAD_SOURCE`] source:
@@ -18,7 +18,6 @@
 
 use gt_metrics::ResultLog;
 
-use crate::markers::window_series;
 use crate::percentiles::TailQuantiles;
 
 /// The result-log source under which the load layer files its records.
@@ -66,35 +65,6 @@ pub fn offered_vs_achieved(log: &ResultLog, class: &str) -> Option<OfferedAchiev
     })
 }
 
-/// Offered vs. achieved rate of `class` inside the `[start, end]` marker
-/// window. `None` when a marker is missing, out of order, or the window
-/// holds no usable samples.
-pub fn window_offered_vs_achieved(
-    log: &ResultLog,
-    class: &str,
-    start: &str,
-    end: &str,
-) -> Option<OfferedAchieved> {
-    let offered = mean(&window_series(
-        log,
-        start,
-        end,
-        LOAD_SOURCE,
-        &format!("offered_rate.{class}"),
-    )?)?;
-    let achieved = mean(&window_series(
-        log,
-        start,
-        end,
-        LOAD_SOURCE,
-        &format!("achieved_rate.{class}"),
-    )?)?;
-    Some(OfferedAchieved {
-        offered_rate: offered,
-        achieved_rate: achieved,
-    })
-}
-
 /// Whole-run sojourn-latency tail of `class`, microseconds. `None` when
 /// the log has no usable sojourn samples for the class.
 pub fn sojourn_quantiles(log: &ResultLog, class: &str) -> Option<TailQuantiles> {
@@ -103,24 +73,6 @@ pub fn sojourn_quantiles(log: &ResultLog, class: &str) -> Option<TailQuantiles> 
         .into_iter()
         .map(|(_, v)| v)
         .collect();
-    TailQuantiles::of(&values)
-}
-
-/// Sojourn-latency tail of `class` inside the `[start, end]` marker
-/// window, microseconds. `None` when a marker is missing, out of order,
-/// or the window holds no usable samples — the "insufficient samples"
-/// degradation, not a panic.
-pub fn window_sojourn_quantiles(
-    log: &ResultLog,
-    class: &str,
-    start: &str,
-    end: &str,
-) -> Option<TailQuantiles> {
-    let values: Vec<f64> =
-        window_series(log, start, end, LOAD_SOURCE, &format!("sojourn_us.{class}"))?
-            .into_iter()
-            .map(|(_, v)| v)
-            .collect();
     TailQuantiles::of(&values)
 }
 
@@ -177,25 +129,11 @@ mod tests {
     }
 
     #[test]
-    fn stall_window_shows_offered_unchanged_and_achieved_dipped() {
-        let log = sample_log();
-        let oa = window_offered_vs_achieved(&log, "main", "stall-start", "stall-end").unwrap();
-        assert!(
-            (oa.offered_rate - 1000.0).abs() < 1e-9,
-            "open-loop offered rate must not dip in the stall window"
-        );
-        assert!((oa.achieved_rate - 200.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn window_sojourn_catches_the_tail() {
+    fn whole_run_sojourn_catches_the_tail() {
         let log = sample_log();
         let whole = sojourn_quantiles(&log, "main").unwrap();
         assert_eq!(whole.n, 1000);
         assert!(whole.p50 < 1000.0);
         assert!(whole.p999 > 10_000.0, "p999 must see the spike");
-        let stall = window_sojourn_quantiles(&log, "main", "stall-start", "stall-end").unwrap();
-        assert!(stall.p95 >= 80_000.0 * 0.9, "stall window is all spike");
-        assert!(window_sojourn_quantiles(&log, "main", "nope", "end").is_none());
     }
 }

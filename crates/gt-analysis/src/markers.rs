@@ -13,9 +13,7 @@
 use gt_metrics::ResultLog;
 
 use crate::correlate::pearson;
-use crate::percentiles::Quantiles;
 use crate::summary::Summary;
-use crate::timeseries::TimeSeries;
 
 /// The result-log source under which the Level-2 event tracer
 /// (`gt-trace`) files its matched stage-pair latency records. Kept as a
@@ -54,31 +52,12 @@ impl PhaseStats {
     }
 }
 
-/// The `(source, metric)` samples falling inside the `[start, end]`
-/// marker window, as `(seconds, value)` pairs. `None` when either marker
-/// is missing or they are out of order.
-pub fn window_series(
-    log: &ResultLog,
-    start: &str,
-    end: &str,
-    source: &str,
-    metric: &str,
-) -> Option<Vec<(f64, f64)>> {
-    let (t0, t1) = window_bounds(log, start, end)?;
-    Some(
-        log.series(source, metric)
-            .into_iter()
-            .filter(|&(t, _)| t >= t0 && t <= t1)
-            .collect(),
-    )
-}
-
 /// Summarizes `(source, metric)` within the `[start, end]` marker window,
 /// labelled `phase`. `None` when either marker is missing or out of
 /// order; a window with no samples yields an empty [`Summary`]
 /// (count 0), which is itself informative — the metric was silent during
 /// the phase.
-pub fn window_summary(
+pub(crate) fn window_summary(
     log: &ResultLog,
     phase: &str,
     start: &str,
@@ -138,9 +117,7 @@ pub fn window_correlation(
         return None;
     }
     let width = (t1 - t0) / buckets as f64;
-    let grid = |source: &str, metric: &str| {
-        TimeSeries::from_samples(log.series(source, metric)).bucket_mean(t0, t1, width)
-    };
+    let grid = |source: &str, metric: &str| bucket_mean(&log.series(source, metric), t0, t1, width);
     let ga = grid(a.0, a.1);
     let gb = grid(b.0, b.1);
     let (xs, ys): (Vec<f64>, Vec<f64>) = ga
@@ -151,44 +128,24 @@ pub fn window_correlation(
     pearson(&xs, &ys)
 }
 
-/// Per-sample latency quantiles of one traced stage pair within one
-/// marker window.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StageLatency {
-    /// The stage-pair metric (one of [`TRACE_STAGE_METRICS`]).
-    pub metric: String,
-    /// Sampled events matched for this pair inside the window.
-    pub samples: u64,
-    /// Latency quantiles in microseconds.
-    pub quantiles: Quantiles,
-}
-
-/// Breaks the pipeline latency of sampled events down by stage within the
-/// `[start, end]` marker window: one [`StageLatency`] per
-/// [`TRACE_STAGE_METRICS`] entry that recorded samples there, in pipeline
-/// order. Stages that were dark during the phase (not instrumented, or no
-/// sample fell inside the window) are omitted. `None` when either marker
-/// is missing or they are out of order.
-pub fn latency_breakdown(log: &ResultLog, start: &str, end: &str) -> Option<Vec<StageLatency>> {
-    let (t0, t1) = window_bounds(log, start, end)?;
-    Some(
-        TRACE_STAGE_METRICS
-            .iter()
-            .filter_map(|metric| {
-                let values: Vec<f64> = log
-                    .series(TRACE_SOURCE, metric)
-                    .into_iter()
-                    .filter(|&(t, _)| t >= t0 && t <= t1)
-                    .map(|(_, v)| v)
-                    .collect();
-                Quantiles::of(&values).map(|quantiles| StageLatency {
-                    metric: (*metric).to_owned(),
-                    samples: values.len() as u64,
-                    quantiles,
-                })
-            })
-            .collect(),
-    )
+/// Mean value of `(seconds, value)` samples per fixed-width bucket over
+/// `[start, end)`. Buckets with no samples yield `None`.
+fn bucket_mean(samples: &[(f64, f64)], start: f64, end: f64, width: f64) -> Vec<Option<f64>> {
+    let buckets = ((end - start) / width).ceil().max(0.0) as usize;
+    let mut sums = vec![(0.0f64, 0u64); buckets];
+    for &(t, v) in samples {
+        if t < start || t >= end {
+            continue;
+        }
+        let idx = ((t - start) / width) as usize;
+        if idx < buckets {
+            sums[idx].0 += v;
+            sums[idx].1 += 1;
+        }
+    }
+    sums.into_iter()
+        .map(|(s, c)| (c > 0).then(|| s / c as f64))
+        .collect()
 }
 
 /// The `(start_secs, end_secs)` of a marker window; `None` when a marker
@@ -223,6 +180,19 @@ mod tests {
             ));
         }
         ResultLog::from_records(records)
+    }
+
+    #[test]
+    fn bucket_means() {
+        let samples = [(0.1, 1.0), (0.9, 3.0), (1.5, 10.0), (3.2, 7.0)];
+        let buckets = bucket_mean(&samples, 0.0, 4.0, 1.0);
+        assert_eq!(buckets, [Some(2.0), Some(10.0), None, Some(7.0)]);
+    }
+
+    #[test]
+    fn bucket_ignores_out_of_window() {
+        let samples = [(-1.0, 5.0), (10.0, 5.0), (0.5, 2.0)];
+        assert_eq!(bucket_mean(&samples, 0.0, 1.0, 1.0), [Some(2.0)]);
     }
 
     #[test]
@@ -267,14 +237,6 @@ mod tests {
     }
 
     #[test]
-    fn window_series_respects_bounds() {
-        let log = phased_log();
-        let series = window_series(&log, "phase-b", "phase-c", "sysmon", "cpu").unwrap();
-        assert!(series.iter().all(|&(t, _)| (3.0..=5.0).contains(&t)));
-        assert_eq!(series.len(), 21);
-    }
-
-    #[test]
     fn correlated_series_correlate_inside_the_window() {
         let log = phased_log();
         let r = window_correlation(
@@ -287,59 +249,6 @@ mod tests {
         )
         .unwrap();
         assert!(r > 0.99, "both ramp linearly, r = {r}");
-    }
-
-    #[test]
-    fn latency_breakdown_slices_trace_records_by_window() {
-        let mut records = vec![
-            MetricRecord::text(1_000_000, "replayer", "marker", "phase-a"),
-            MetricRecord::text(3_000_000, "replayer", "marker", "phase-b"),
-        ];
-        // connector→apply: 10 samples inside the window (latency ramps
-        // 10..=100 µs), one outlier before it that must be excluded.
-        records.push(MetricRecord::int(
-            500_000,
-            TRACE_SOURCE,
-            "connector_to_apply_micros",
-            9_999,
-        ));
-        for i in 1..=10i64 {
-            records.push(MetricRecord::int(
-                1_000_000 + i as u64 * 100_000,
-                TRACE_SOURCE,
-                "connector_to_apply_micros",
-                i * 10,
-            ));
-        }
-        // emit→connector: constant 5 µs inside the window.
-        for i in 1..=4u64 {
-            records.push(MetricRecord::int(
-                1_000_000 + i * 200_000,
-                TRACE_SOURCE,
-                "emit_to_connector_micros",
-                5,
-            ));
-        }
-        let log = ResultLog::from_records(records);
-
-        let breakdown = latency_breakdown(&log, "phase-a", "phase-b").unwrap();
-        // Pipeline order; dark stages (reader→emit, emit→sink) omitted.
-        let metrics: Vec<&str> = breakdown.iter().map(|s| s.metric.as_str()).collect();
-        assert_eq!(
-            metrics,
-            ["emit_to_connector_micros", "connector_to_apply_micros"]
-        );
-        let apply = &breakdown[1];
-        assert_eq!(apply.samples, 10);
-        assert_eq!(apply.quantiles.min, 10.0);
-        assert_eq!(apply.quantiles.max, 100.0, "outlier outside the window");
-        assert_eq!(apply.quantiles.median, 55.0);
-        assert_eq!(breakdown[0].quantiles.max, 5.0);
-
-        assert!(latency_breakdown(&log, "phase-a", "gone").is_none());
-        // A window with no trace records at all yields an empty breakdown.
-        let silent = latency_breakdown(&log, "phase-b", "phase-b").unwrap();
-        assert!(silent.is_empty());
     }
 
     #[test]

@@ -57,7 +57,7 @@ impl CleanSeries {
 ///
 /// The input need not be sorted; a sorted copy is made internally. For
 /// repeated queries over the same data, use [`CleanSeries::of`] once and
-/// query it, or sort and call [`percentile_sorted`].
+/// query it, or sort and call `percentile_sorted`.
 pub fn percentile(values: &[f64], p: f64) -> Option<f64> {
     CleanSeries::of(values).percentile(p)
 }
@@ -66,7 +66,7 @@ pub fn percentile(values: &[f64], p: f64) -> Option<f64> {
 ///
 /// # Panics
 /// If `sorted` is empty or `p` is outside `0.0..=100.0`.
-pub fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
+pub(crate) fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
     assert!(!sorted.is_empty(), "percentile of empty slice");
     assert!((0.0..=100.0).contains(&p), "percentile {p} out of range");
     if sorted.len() == 1 {

@@ -21,7 +21,7 @@ const T_CRITICAL_975: [f64; 29] = [
 /// The 97.5% critical value for a mean estimated from `n` observations:
 /// Student-t for small samples, z = 1.96 once the paper's n ≥ 30 rule
 /// licenses the normal approximation.
-pub fn critical_value_95(n: u64) -> f64 {
+pub(crate) fn critical_value_95(n: u64) -> f64 {
     if n >= 30 {
         1.96
     } else {
@@ -154,19 +154,14 @@ impl ConfidenceInterval {
     /// comparison false, so a degenerate interval silently reads as
     /// "disjoint" here — callers must check [`Self::is_degenerate`] first
     /// (as [`compare_ci95`] does) instead of trusting this answer.
-    pub fn overlaps(&self, other: &ConfidenceInterval) -> bool {
+    pub(crate) fn overlaps(&self, other: &ConfidenceInterval) -> bool {
         self.lo <= other.hi && other.lo <= self.hi
     }
 
     /// Whether any bound is non-finite (NaN-poisoned input, infinite
     /// variance). A degenerate interval supports no verdict.
-    pub fn is_degenerate(&self) -> bool {
+    pub(crate) fn is_degenerate(&self) -> bool {
         !(self.mean.is_finite() && self.lo.is_finite() && self.hi.is_finite())
-    }
-
-    /// Half-width of the interval.
-    pub fn half_width(&self) -> f64 {
-        (self.hi - self.lo) / 2.0
     }
 }
 
@@ -193,15 +188,6 @@ pub struct CiComparison {
     /// here means the verdict rests on small-sample t intervals and must
     /// be reported as provisional.
     pub meets_n30: bool,
-}
-
-impl CiComparison {
-    /// Whether this is a significant difference that also meets the
-    /// paper's n ≥ 30 repetition rule — the only verdict the orchestrator
-    /// reports as conclusive.
-    pub fn is_conclusive(&self) -> bool {
-        self.meets_n30 && self.verdict != Comparison::NotSignificant
-    }
 }
 
 /// Compares two samples via non-overlapping CI95 (§4.5). Returns `None`
@@ -278,12 +264,10 @@ mod tests {
         let ab = compare_ci95(&a, &b).unwrap();
         assert_eq!(ab.verdict, Comparison::AGreater);
         assert!(ab.meets_n30);
-        assert!(ab.is_conclusive());
         assert_eq!(compare_ci95(&b, &a).unwrap().verdict, Comparison::BGreater);
         let c = Summary::of(&(0..40).map(|i| 100.2 + (i % 3) as f64).collect::<Vec<_>>());
         let ac = compare_ci95(&a, &c).unwrap();
         assert_eq!(ac.verdict, Comparison::NotSignificant);
-        assert!(!ac.is_conclusive());
     }
 
     #[test]
@@ -296,7 +280,6 @@ mod tests {
         let cmp = compare_ci95(&a, &b).unwrap();
         assert_eq!(cmp.verdict, Comparison::AGreater);
         assert!(!cmp.meets_n30);
-        assert!(!cmp.is_conclusive());
         // One large side is not enough: both must meet n >= 30.
         let big = Summary::of(&(0..40).map(|i| (i % 3) as f64).collect::<Vec<_>>());
         assert!(!compare_ci95(&a, &big).unwrap().meets_n30);
@@ -307,25 +290,26 @@ mod tests {
         // Regression: ci95 used z = 1.96 regardless of n, understating
         // small-sample intervals. Pin the t-based half-widths at n = 3,
         // 10, 29 against the exact critical values, and z at n >= 30.
+        let half_width = |ci: ConfidenceInterval| (ci.hi - ci.lo) / 2.0;
         for (n, t) in [(3u64, 4.303), (10, 2.262), (29, 2.048)] {
             let values: Vec<f64> = (0..n).map(|i| 50.0 + (i % 2) as f64).collect();
             let s = Summary::of(&values);
             let expected = t * s.stddev() / (n as f64).sqrt();
             let ci = s.ci95().unwrap();
             assert!(
-                (ci.half_width() - expected).abs() < 1e-9,
+                (half_width(ci) - expected).abs() < 1e-9,
                 "n={n}: half width {} vs t-based {expected}",
-                ci.half_width()
+                half_width(ci)
             );
             // The z-based width would be narrower — the bug this guards.
             let z_width = 1.96 * s.stddev() / (n as f64).sqrt();
-            assert!(ci.half_width() > z_width);
+            assert!(half_width(ci) > z_width);
         }
         for n in [30u64, 50, 100] {
             let values: Vec<f64> = (0..n).map(|i| 50.0 + (i % 2) as f64).collect();
             let s = Summary::of(&values);
             let expected = 1.96 * s.stddev() / (n as f64).sqrt();
-            assert!((s.ci95().unwrap().half_width() - expected).abs() < 1e-9);
+            assert!((half_width(s.ci95().unwrap()) - expected).abs() < 1e-9);
         }
     }
 

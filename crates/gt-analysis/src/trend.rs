@@ -18,11 +18,6 @@ pub struct Trend {
 }
 
 impl Trend {
-    /// The fitted value at time `t`.
-    pub fn predict(&self, t: f64) -> f64 {
-        self.intercept + self.slope * t
-    }
-
     /// Whether the series grows over time with a decent fit.
     pub fn is_growing(&self, min_r_squared: f64) -> bool {
         self.slope > 0.0 && self.r_squared >= min_r_squared
@@ -91,7 +86,6 @@ mod tests {
         assert!((trend.slope - 2.0).abs() < 1e-12);
         assert!((trend.intercept - 3.0).abs() < 1e-12);
         assert!((trend.r_squared - 1.0).abs() < 1e-12);
-        assert!((trend.predict(20.0) - 43.0).abs() < 1e-12);
         assert!(trend.is_growing(0.9));
     }
 

@@ -25,14 +25,6 @@ pub struct Variability {
     pub n: usize,
 }
 
-impl Variability {
-    /// Whether the measurement is stable under the given CV threshold
-    /// (0.05 = 5% relative spread is a common bar for benchmark runs).
-    pub fn is_stable(&self, max_cv: f64) -> bool {
-        self.cv <= max_cv
-    }
-}
-
 /// Computes variability statistics; `None` for fewer than 2 samples.
 pub fn variability(values: &[f64]) -> Option<Variability> {
     if values.len() < 2 {
@@ -77,7 +69,6 @@ mod tests {
         let values: Vec<f64> = (0..50).map(|i| 100.0 + (i % 3) as f64 * 0.1).collect();
         let v = variability(&values).unwrap();
         assert!(v.cv < 0.01, "cv {}", v.cv);
-        assert!(v.is_stable(0.05));
         assert_eq!(v.outliers, 0);
         assert_eq!(v.n, 50);
     }
@@ -89,7 +80,6 @@ mod tests {
             .collect();
         let v = variability(&values).unwrap();
         assert!(v.cv > 0.3);
-        assert!(!v.is_stable(0.05));
     }
 
     #[test]

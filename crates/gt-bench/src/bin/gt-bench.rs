@@ -40,7 +40,7 @@ use gt_load::{
     run_client, ClientConfig, ClientReport, ListenerReport, LoadOutcome, LoopModel,
     SeededPartitioner,
 };
-use gt_metrics::{Clock, LogCollector, MetricsHub, WallClock};
+use gt_metrics::{Clock, MetricsHub, ResultLog, WallClock};
 use gt_replayer::{EventSink, ReplaySession, ReplaySessionConfig, ReplayerConfig};
 use gt_workloads::{SnbWorkload, Table3Workload};
 use std::hint::black_box;
@@ -427,11 +427,9 @@ fn fold_records_suite(n: u64, rounds: u32) -> BenchRecord {
         .with("vertices", 1.0)
         .with("edges", 2.0);
     measure("load/fold-records", 2 * per_client, rounds, || {
-        let mut collector = LogCollector::new();
-        collector
-            .add_records(load_records(&outcome, &plan, t_end))
-            .add_records(report_records(&report, t_end));
-        black_box(collector.collect());
+        let mut records = load_records(&outcome, &plan, t_end);
+        records.extend(report_records(&report, t_end));
+        black_box(ResultLog::from_records(records));
     })
 }
 

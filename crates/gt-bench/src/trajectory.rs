@@ -52,7 +52,7 @@ unsafe impl std::alloc::GlobalAlloc for CountingAlloc {
 
 /// Allocations observed so far in this process (0 until a binary installs
 /// [`CountingAlloc`] as its `#[global_allocator]`).
-pub fn alloc_count() -> u64 {
+pub(crate) fn alloc_count() -> u64 {
     ALLOC_COUNT.load(Ordering::Relaxed)
 }
 

@@ -97,34 +97,6 @@ pub struct FaultSchedule {
 }
 
 impl FaultSchedule {
-    /// An empty schedule (no faults).
-    pub fn new(seed: u64) -> Self {
-        FaultSchedule {
-            faults: Vec::new(),
-            seed,
-        }
-    }
-
-    /// Appends a fault at a graph-event sequence number (builder style).
-    #[must_use]
-    pub fn at_seq(mut self, seq: u64, kind: FaultKind) -> Self {
-        self.faults.push(ScheduledFault {
-            trigger: FaultTrigger::AtSeq(seq),
-            kind,
-        });
-        self
-    }
-
-    /// Appends a fault at a marker label (builder style).
-    #[must_use]
-    pub fn at_marker(mut self, marker: impl Into<String>, kind: FaultKind) -> Self {
-        self.faults.push(ScheduledFault {
-            trigger: FaultTrigger::AtMarker(marker.into()),
-            kind,
-        });
-        self
-    }
-
     /// Whether the schedule has no faults.
     pub fn is_empty(&self) -> bool {
         self.faults.is_empty()
@@ -281,14 +253,5 @@ mod tests {
         let clean = FaultSchedule::parse("crash@100,worker=0; stall@marker:mid,ms=5", 0);
         let loose = FaultSchedule::parse("crash @ 100,,worker = 0, ; stall@ marker:mid ,ms= 5", 0);
         assert_eq!(loose, clean);
-    }
-
-    #[test]
-    fn builder_matches_parser() {
-        let built = FaultSchedule::new(3)
-            .at_seq(10, FaultKind::Disconnect { lose: 5 })
-            .at_marker("mid", FaultKind::PartialBatch { keep: 2 });
-        let parsed = FaultSchedule::parse("disconnect@10,lose=5; partial@marker:mid,keep=2", 3);
-        assert_eq!(built, parsed.unwrap());
     }
 }

@@ -74,16 +74,6 @@ impl<S: EventSink> ChaosSink<S> {
         self
     }
 
-    /// The journal this sink writes to.
-    pub fn journal(&self) -> &ChaosJournal {
-        &self.journal
-    }
-
-    /// Graph events handed to this sink so far.
-    pub fn seq(&self) -> u64 {
-        self.seq
-    }
-
     fn note(&self, kind: ChaosEventKind, description: String, events_lost: u64) {
         self.journal.push(ChaosEvent {
             t_micros: self.clock.now_micros(),
@@ -314,7 +304,6 @@ impl<S: EventSink> EventSink for ChaosSink<S> {
 #[cfg(test)]
 mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::time::Duration;
 
     use gt_metrics::ManualClock;
     use gt_replayer::CollectSink;
@@ -326,6 +315,10 @@ mod tests {
             id: VertexId(i),
             state: State::empty(),
         })
+    }
+
+    fn schedule(spec: &str) -> FaultSchedule {
+        FaultSchedule::parse(spec, 0).unwrap()
     }
 
     fn chaos(schedule: FaultSchedule) -> (ChaosSink<CollectSink>, ChaosJournal) {
@@ -341,7 +334,7 @@ mod tests {
 
     #[test]
     fn disconnect_loses_exactly_lose_events() {
-        let schedule = FaultSchedule::new(0).at_seq(3, FaultKind::Disconnect { lose: 4 });
+        let schedule = schedule("disconnect@3,lose=4");
         let (mut sink, journal) = chaos(schedule);
         for i in 0..10 {
             sink.send(&vertex(i)).unwrap();
@@ -362,7 +355,7 @@ mod tests {
 
     #[test]
     fn disconnect_truncated_by_stream_end_still_reports_loss() {
-        let schedule = FaultSchedule::new(0).at_seq(4, FaultKind::Disconnect { lose: 100 });
+        let schedule = schedule("disconnect@4,lose=100");
         let (mut sink, journal) = chaos(schedule);
         for i in 0..6 {
             sink.send(&vertex(i)).unwrap();
@@ -375,14 +368,7 @@ mod tests {
 
     #[test]
     fn markers_survive_blackouts_and_trigger_faults() {
-        let schedule = FaultSchedule::new(0)
-            .at_seq(1, FaultKind::Disconnect { lose: 100 })
-            .at_marker(
-                "mid",
-                FaultKind::Stall {
-                    duration: Duration::from_millis(1),
-                },
-            );
+        let schedule = schedule("disconnect@1,lose=100; stall@marker:mid,ms=1");
         let (mut sink, journal) = chaos(schedule);
         sink.send(&vertex(0)).unwrap();
         sink.send(&StreamEntry::marker("mid")).unwrap();
@@ -402,7 +388,7 @@ mod tests {
 
     #[test]
     fn partial_batch_truncates_next_batch_only() {
-        let schedule = FaultSchedule::new(0).at_seq(2, FaultKind::PartialBatch { keep: 1 });
+        let schedule = schedule("partial@2,keep=1");
         let (mut sink, journal) = chaos(schedule);
         let batch: Vec<SharedEntry> = (0..4).map(|i| SharedEntry::new(vertex(i))).collect();
         sink.send_batch(&batch).unwrap();
@@ -417,13 +403,7 @@ mod tests {
 
     #[test]
     fn crash_without_supervisor_is_journaled_not_fatal() {
-        let schedule = FaultSchedule::new(0).at_seq(
-            2,
-            FaultKind::CrashWorker {
-                worker: 0,
-                restart_after: Some(1),
-            },
-        );
+        let schedule = schedule("crash@2,worker=0,restart=1");
         let (mut sink, journal) = chaos(schedule);
         for i in 0..5 {
             sink.send(&vertex(i)).unwrap();
@@ -461,13 +441,7 @@ mod tests {
             crashes: AtomicUsize::new(0),
             restarts: AtomicUsize::new(0),
         });
-        let schedule = FaultSchedule::new(0).at_seq(
-            2,
-            FaultKind::CrashWorker {
-                worker: 1,
-                restart_after: Some(3),
-            },
-        );
+        let schedule = schedule("crash@2,worker=1,restart=3");
         let journal = ChaosJournal::new();
         let mut sink = ChaosSink::new(
             CollectSink::new(),
@@ -514,7 +488,7 @@ mod tests {
 
     #[test]
     fn mixed_batch_counts_only_graph_events() {
-        let schedule = FaultSchedule::new(0).at_marker("mid", FaultKind::Disconnect { lose: 1 });
+        let schedule = schedule("disconnect@marker:mid,lose=1");
         let (mut sink, journal) = chaos(schedule);
         let batch: Vec<SharedEntry> = vec![
             SharedEntry::new(vertex(0)),

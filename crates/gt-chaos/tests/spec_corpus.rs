@@ -28,6 +28,14 @@ const ACCEPTED: &[(&str, &str, &str)] = &[
     ("stall@12000,ms=1500; crash@24000,worker=0,restart=4000", "FaultSchedule { faults: [ScheduledFault { trigger: AtSeq(12000), kind: Stall { duration: 1.5s } }, ScheduledFault { trigger: AtSeq(24000), kind: CrashWorker { worker: 0, restart_after: Some(4000) } }], seed: 7 }", "stall(ms=1500)@12000; crash(worker=0, restart=+4000)@24000"),
     ("crash@marker:phase-2,worker=0", "FaultSchedule { faults: [ScheduledFault { trigger: AtMarker(\"phase-2\"), kind: CrashWorker { worker: 0, restart_after: None } }], seed: 7 }", "crash(worker=0)@marker:phase-2"),
     ("partial@6000,keep=10", "FaultSchedule { faults: [ScheduledFault { trigger: AtSeq(6000), kind: PartialBatch { keep: 10 } }], seed: 7 }", "partial(keep=10)@6000"),
+    ("stall@990,ms=1050", "FaultSchedule { faults: [ScheduledFault { trigger: AtSeq(990), kind: Stall { duration: 1.05s } }], seed: 7 }", "stall(ms=1050)@990"),
+    ("disconnect@3,lose=4", "FaultSchedule { faults: [ScheduledFault { trigger: AtSeq(3), kind: Disconnect { lose: 4 } }], seed: 7 }", "disconnect(lose=4)@3"),
+    ("disconnect@4,lose=100", "FaultSchedule { faults: [ScheduledFault { trigger: AtSeq(4), kind: Disconnect { lose: 100 } }], seed: 7 }", "disconnect(lose=100)@4"),
+    ("disconnect@1,lose=100; stall@marker:mid,ms=1", "FaultSchedule { faults: [ScheduledFault { trigger: AtSeq(1), kind: Disconnect { lose: 100 } }, ScheduledFault { trigger: AtMarker(\"mid\"), kind: Stall { duration: 1ms } }], seed: 7 }", "disconnect(lose=100)@1; stall(ms=1)@marker:mid"),
+    ("partial@2,keep=1", "FaultSchedule { faults: [ScheduledFault { trigger: AtSeq(2), kind: PartialBatch { keep: 1 } }], seed: 7 }", "partial(keep=1)@2"),
+    ("crash@2,worker=0,restart=1", "FaultSchedule { faults: [ScheduledFault { trigger: AtSeq(2), kind: CrashWorker { worker: 0, restart_after: Some(1) } }], seed: 7 }", "crash(worker=0, restart=+1)@2"),
+    ("crash@2,worker=1,restart=3", "FaultSchedule { faults: [ScheduledFault { trigger: AtSeq(2), kind: CrashWorker { worker: 1, restart_after: Some(3) } }], seed: 7 }", "crash(worker=1, restart=+3)@2"),
+    ("disconnect@marker:mid,lose=1", "FaultSchedule { faults: [ScheduledFault { trigger: AtMarker(\"mid\"), kind: Disconnect { lose: 1 } }], seed: 7 }", "disconnect(lose=1)@marker:mid"),
     // Edges of the grammar the parent already accepted.
     (" crash@1,worker=0 ; ; stall@2,ms=3 ; ", "FaultSchedule { faults: [ScheduledFault { trigger: AtSeq(1), kind: CrashWorker { worker: 0, restart_after: None } }, ScheduledFault { trigger: AtSeq(2), kind: Stall { duration: 3ms } }], seed: 7 }", "crash(worker=0)@1; stall(ms=3)@2"),
     ("crash@marker: mid,worker=0", "FaultSchedule { faults: [ScheduledFault { trigger: AtMarker(\" mid\"), kind: CrashWorker { worker: 0, restart_after: None } }], seed: 7 }", "crash(worker=0)@marker: mid"),

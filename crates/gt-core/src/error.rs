@@ -29,7 +29,7 @@ pub enum ParseErrorKind {
 
 impl ParseError {
     /// Builds an error for an unparseable entity id.
-    pub fn invalid_entity(s: &str) -> Self {
+    pub(crate) fn invalid_entity(s: &str) -> Self {
         ParseError {
             line: None,
             kind: ParseErrorKind::InvalidEntity(s.trim().to_owned()),
@@ -37,7 +37,7 @@ impl ParseError {
     }
 
     /// Builds an error for a malformed payload.
-    pub fn invalid_payload(msg: impl Into<String>) -> Self {
+    pub(crate) fn invalid_payload(msg: impl Into<String>) -> Self {
         ParseError {
             line: None,
             kind: ParseErrorKind::InvalidPayload(msg.into()),
@@ -45,7 +45,7 @@ impl ParseError {
     }
 
     /// Builds an error for an unknown command token.
-    pub fn unknown_command(cmd: &str) -> Self {
+    pub(crate) fn unknown_command(cmd: &str) -> Self {
         ParseError {
             line: None,
             kind: ParseErrorKind::UnknownCommand(cmd.trim().to_owned()),
@@ -53,7 +53,7 @@ impl ParseError {
     }
 
     /// Builds an error for a missing field.
-    pub fn missing_field(name: &'static str) -> Self {
+    pub(crate) fn missing_field(name: &'static str) -> Self {
         ParseError {
             line: None,
             kind: ParseErrorKind::MissingField(name),
@@ -61,7 +61,7 @@ impl ParseError {
     }
 
     /// Builds an error for a line that is not UTF-8.
-    pub fn invalid_utf8() -> Self {
+    pub(crate) fn invalid_utf8() -> Self {
         ParseError {
             line: None,
             kind: ParseErrorKind::InvalidUtf8,
@@ -70,7 +70,7 @@ impl ParseError {
 
     /// Attaches a 1-based line number to this error.
     #[must_use]
-    pub fn at_line(mut self, line: usize) -> Self {
+    pub(crate) fn at_line(mut self, line: usize) -> Self {
         self.line = Some(line);
         self
     }

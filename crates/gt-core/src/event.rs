@@ -79,11 +79,6 @@ impl GraphEvent {
         self.kind().is_topology_change()
     }
 
-    /// Whether this event targets a vertex (as opposed to an edge).
-    pub fn is_vertex_event(&self) -> bool {
-        self.kind().is_vertex_event()
-    }
-
     /// The vertex this event targets, if it is a vertex event.
     pub fn vertex(&self) -> Option<VertexId> {
         match self {
@@ -134,26 +129,8 @@ impl EventKind {
     ];
 
     /// Whether the kind changes topology (add/remove) rather than state.
-    pub fn is_topology_change(self) -> bool {
+    pub(crate) fn is_topology_change(self) -> bool {
         !matches!(self, EventKind::UpdateVertex | EventKind::UpdateEdge)
-    }
-
-    /// Whether the kind targets a vertex.
-    pub fn is_vertex_event(self) -> bool {
-        matches!(
-            self,
-            EventKind::AddVertex | EventKind::RemoveVertex | EventKind::UpdateVertex
-        )
-    }
-
-    /// Whether the kind adds an entity.
-    pub fn is_addition(self) -> bool {
-        matches!(self, EventKind::AddVertex | EventKind::AddEdge)
-    }
-
-    /// Whether the kind removes an entity.
-    pub fn is_removal(self) -> bool {
-        matches!(self, EventKind::RemoveVertex | EventKind::RemoveEdge)
     }
 
     /// The stream-format command token for this kind.
@@ -332,7 +309,6 @@ mod tests {
         };
         assert_eq!(add_v.kind(), EventKind::AddVertex);
         assert!(add_v.is_topology_change());
-        assert!(add_v.is_vertex_event());
         assert_eq!(add_v.vertex(), Some(v(1)));
         assert_eq!(add_v.edge(), None);
 
@@ -341,24 +317,8 @@ mod tests {
             state: State::weight(2.0),
         };
         assert!(!upd_e.is_topology_change());
-        assert!(!upd_e.is_vertex_event());
         assert_eq!(upd_e.edge(), Some(EdgeId::from((1, 2))));
         assert_eq!(upd_e.vertex(), None);
-    }
-
-    #[test]
-    fn kind_predicates_are_consistent() {
-        for kind in EventKind::ALL {
-            assert_eq!(
-                kind.is_topology_change(),
-                kind.is_addition() || kind.is_removal(),
-                "{kind:?}"
-            );
-            assert!(
-                !(kind.is_addition() && kind.is_removal()),
-                "{kind:?} cannot be both"
-            );
-        }
     }
 
     #[test]

@@ -34,11 +34,11 @@ use crate::ids::{EdgeId, VertexId};
 use crate::state::State;
 
 /// Command token for marker entries.
-pub const MARKER_COMMAND: &str = "MARKER";
+pub(crate) const MARKER_COMMAND: &str = "MARKER";
 /// Command token for speed-change control entries.
-pub const SPEED_COMMAND: &str = "SPEED";
+pub(crate) const SPEED_COMMAND: &str = "SPEED";
 /// Command token for pause control entries.
-pub const PAUSE_COMMAND: &str = "PAUSE";
+pub(crate) const PAUSE_COMMAND: &str = "PAUSE";
 
 /// Serializes one stream entry as a line (without trailing newline).
 pub fn write_line(entry: &StreamEntry, out: &mut String) {
@@ -101,7 +101,7 @@ pub fn entry_to_line(entry: &StreamEntry) -> String {
 /// Mirror of [`GraphEvent`] produced by [`parse_line_ref`]: the shape and
 /// ids are fully parsed, but the user-defined state string is a `&str`
 /// slice of the line — nothing is copied until the entry crosses an
-/// ownership boundary via [`GraphEventRef::to_event`].
+/// ownership boundary via `GraphEventRef::to_event`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum GraphEventRef<'a> {
     /// `ADD_VERTEX` with a borrowed state payload.
@@ -159,8 +159,8 @@ impl GraphEventRef<'_> {
 
     /// Converts into an owned [`GraphEvent`]. Copies the state payload;
     /// allocates only when it is longer than [`State::INLINE_CAP`].
-    pub fn to_event(&self) -> GraphEvent {
-        match *self {
+    pub(crate) fn to_event(self) -> GraphEvent {
+        match self {
             GraphEventRef::AddVertex { id, state } => GraphEvent::AddVertex {
                 id,
                 state: State::new(state),

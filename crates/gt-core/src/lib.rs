@@ -60,7 +60,7 @@ pub use ids::{EdgeId, VertexId};
 pub use intern::Interner;
 pub use spec::SpecError;
 pub use state::State;
-pub use stream::{GraphStream, StreamStats, StreamWriter};
+pub use stream::{GraphStream, StreamStats};
 
 /// Convenient glob import for downstream crates.
 pub mod prelude {
@@ -71,5 +71,5 @@ pub mod prelude {
     pub use crate::format::{parse_line_ref, GraphEventRef, LineReader, StreamEntryRef};
     pub use crate::ids::{EdgeId, VertexId};
     pub use crate::state::State;
-    pub use crate::stream::{GraphStream, StreamStats, StreamWriter};
+    pub use crate::stream::{GraphStream, StreamStats};
 }

@@ -1,7 +1,7 @@
 //! Graph stream containers and streaming I/O.
 //!
 //! [`GraphStream`] is the in-memory representation of a graph stream file.
-//! [`LineReader`] and [`StreamWriter`] process streams incrementally over
+//! [`LineReader`] and `StreamWriter` process streams incrementally over
 //! any [`std::io::BufRead`] / [`std::io::Write`], so replaying never needs
 //! the whole stream in memory (the paper decouples reading from emitting
 //! for exactly this reason).
@@ -163,64 +163,17 @@ impl StreamStats {
     pub fn count(&self, kind: EventKind) -> usize {
         self.by_kind.get(&kind).copied().unwrap_or(0)
     }
-
-    /// Fraction of graph events that change topology.
-    pub fn topology_ratio(&self) -> f64 {
-        if self.graph_events == 0 {
-            return 0.0;
-        }
-        let topo: usize = EventKind::ALL
-            .into_iter()
-            .filter(|k| k.is_topology_change())
-            .map(|k| self.count(k))
-            .sum();
-        topo as f64 / self.graph_events as f64
-    }
-
-    /// Fraction of graph events that target vertices.
-    pub fn vertex_ratio(&self) -> f64 {
-        if self.graph_events == 0 {
-            return 0.0;
-        }
-        let vertex: usize = EventKind::ALL
-            .into_iter()
-            .filter(|k| k.is_vertex_event())
-            .map(|k| self.count(k))
-            .sum();
-        vertex as f64 / self.graph_events as f64
-    }
-
-    /// Of the topology-changing events, the fraction that *add* entities —
-    /// §4.4.1's "Direction: ratio of add vs remove operations". 0.0 when
-    /// the stream has no topology changes.
-    pub fn addition_ratio(&self) -> f64 {
-        let adds: usize = EventKind::ALL
-            .into_iter()
-            .filter(|k| k.is_addition())
-            .map(|k| self.count(k))
-            .sum();
-        let removes: usize = EventKind::ALL
-            .into_iter()
-            .filter(|k| k.is_removal())
-            .map(|k| self.count(k))
-            .sum();
-        let topo = adds + removes;
-        if topo == 0 {
-            return 0.0;
-        }
-        adds as f64 / topo as f64
-    }
 }
 
 /// An incremental writer emitting one entry per line.
-pub struct StreamWriter<W> {
+pub(crate) struct StreamWriter<W> {
     inner: W,
     buf: String,
 }
 
 impl<W: Write> StreamWriter<W> {
     /// Wraps a writer (use a [`BufWriter`] for files/sockets).
-    pub fn new(inner: W) -> Self {
+    pub(crate) fn new(inner: W) -> Self {
         StreamWriter {
             inner,
             buf: String::with_capacity(64),
@@ -228,7 +181,7 @@ impl<W: Write> StreamWriter<W> {
     }
 
     /// Writes one entry followed by a newline.
-    pub fn write(&mut self, entry: &StreamEntry) -> io::Result<()> {
+    pub(crate) fn write(&mut self, entry: &StreamEntry) -> io::Result<()> {
         self.buf.clear();
         write_line(entry, &mut self.buf);
         self.buf.push('\n');
@@ -236,13 +189,8 @@ impl<W: Write> StreamWriter<W> {
     }
 
     /// Flushes the underlying writer.
-    pub fn flush(&mut self) -> io::Result<()> {
+    pub(crate) fn flush(&mut self) -> io::Result<()> {
         self.inner.flush()
-    }
-
-    /// Unwraps the inner writer.
-    pub fn into_inner(self) -> W {
-        self.inner
     }
 }
 
@@ -324,11 +272,11 @@ mod tests {
     #[test]
     fn writer_output_reads_back() {
         let stream = sample_stream();
-        let mut writer = StreamWriter::new(Vec::new());
+        let mut bytes = Vec::new();
+        let mut writer = StreamWriter::new(&mut bytes);
         for entry in stream.entries() {
             writer.write(entry).unwrap();
         }
-        let bytes = writer.into_inner();
         assert_eq!(GraphStream::read_from(&bytes[..]).unwrap(), stream);
     }
 
@@ -355,31 +303,12 @@ mod tests {
         assert_eq!(stats.count(EventKind::UpdateVertex), 1);
         assert_eq!(stats.count(EventKind::RemoveEdge), 1);
         assert_eq!(stats.count(EventKind::RemoveVertex), 0);
-        // 4 of 5 graph events are topology changes.
-        assert!((stats.topology_ratio() - 0.8).abs() < 1e-12);
-        // 3 of 5 graph events are vertex events.
-        assert!((stats.vertex_ratio() - 0.6).abs() < 1e-12);
-        // 3 adds vs 1 remove among the topology changes.
-        assert!((stats.addition_ratio() - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn addition_ratio_without_topology_changes() {
-        let stream =
-            GraphStream::from_entries(vec![StreamEntry::graph(GraphEvent::UpdateVertex {
-                id: VertexId(1),
-                state: State::empty(),
-            })]);
-        // No adds/removes at all: defined as 0.
-        assert_eq!(stream.stats().addition_ratio(), 0.0);
     }
 
     #[test]
     fn stats_on_empty_stream() {
         let stats = GraphStream::new().stats();
         assert_eq!(stats.graph_events, 0);
-        assert_eq!(stats.topology_ratio(), 0.0);
-        assert_eq!(stats.vertex_ratio(), 0.0);
     }
 
     #[test]

@@ -140,7 +140,7 @@ impl GenContext {
     }
 
     /// The lowest-total-degree vertex among `k` uniform candidates.
-    pub fn low_degree_vertex(&mut self, k: usize) -> VertexId {
+    pub(crate) fn low_degree_vertex(&mut self, k: usize) -> VertexId {
         let mut best = self.uniform_vertex();
         let mut best_deg = self.graph.degree(best).unwrap_or(0);
         for _ in 1..k {

@@ -174,7 +174,7 @@ mod tests {
         let mut samples = Vec::new();
         for _ in 0..30 {
             generator.evolve(200);
-            let g = &generator.context().graph;
+            let g = &generator.ctx.graph;
             samples.push((g.vertex_count() as f64, g.edge_count() as f64));
         }
         // Log-log least squares.
@@ -205,13 +205,13 @@ mod tests {
             let mut gen = StreamGenerator::new(ForestFireModel::new(0.1, 0.05), 5);
             gen.bootstrap(&gt_graph::builders::ring(5)).unwrap();
             gen.evolve(2_000);
-            gen.context().graph.edge_count() as f64 / gen.context().graph.vertex_count() as f64
+            gen.ctx.graph.edge_count() as f64 / gen.ctx.graph.vertex_count() as f64
         };
         let fierce = {
             let mut gen = StreamGenerator::new(ForestFireModel::new(0.45, 0.3), 5);
             gen.bootstrap(&gt_graph::builders::ring(5)).unwrap();
             gen.evolve(2_000);
-            gen.context().graph.edge_count() as f64 / gen.context().graph.vertex_count() as f64
+            gen.ctx.graph.edge_count() as f64 / gen.ctx.graph.vertex_count() as f64
         };
         assert!(fierce > mild, "fierce {fierce} vs mild {mild}");
     }

@@ -38,7 +38,7 @@ pub struct GenReport {
 /// Drives an [`EvolutionModel`] over a shadow graph.
 pub struct StreamGenerator<M> {
     model: M,
-    ctx: GenContext,
+    pub(crate) ctx: GenContext,
     /// Fresh selections attempted per round before the round is skipped.
     pub max_retries_per_round: usize,
 }
@@ -60,16 +60,6 @@ impl<M: EvolutionModel> StreamGenerator<M> {
             self.ctx.apply(event)?;
         }
         Ok(())
-    }
-
-    /// Read access to the generation context (shadow graph and counters).
-    pub fn context(&self) -> &GenContext {
-        &self.ctx
-    }
-
-    /// Read access to the model.
-    pub fn model(&self) -> &M {
-        &self.model
     }
 
     /// Runs `rounds` evolution rounds, emitting at most one event each.
@@ -168,7 +158,7 @@ impl<M: EvolutionModel> StreamGenerator<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{EventMix, MixModel};
+    use crate::model::MixModel;
     use gt_graph::builders::BarabasiAlbert;
     use gt_graph::EvolvingGraph;
 
@@ -205,8 +195,8 @@ mod tests {
             g.apply(event).unwrap();
         }
         g.check_invariants().unwrap();
-        assert_eq!(g.vertex_count(), generator.context().graph.vertex_count());
-        assert_eq!(g.edge_count(), generator.context().graph.edge_count());
+        assert_eq!(g.vertex_count(), generator.ctx.graph.vertex_count());
+        assert_eq!(g.edge_count(), generator.ctx.graph.edge_count());
     }
 
     #[test]
@@ -246,14 +236,15 @@ mod tests {
 
     #[test]
     fn growth_only_never_shrinks() {
-        let mut generator = StreamGenerator::new(MixModel::new(EventMix::growth_only()), 5);
+        let mut generator =
+            StreamGenerator::new(MixModel::new(crate::model::tests::growth_only()), 5);
         generator.bootstrap(&gt_graph::builders::path(10)).unwrap();
-        let before_v = generator.context().graph.vertex_count();
+        let before_v = generator.ctx.graph.vertex_count();
         let result = generator.evolve(1_000);
         let stats = result.stream.stats();
         assert_eq!(stats.count(EventKind::RemoveVertex), 0);
         assert_eq!(stats.count(EventKind::RemoveEdge), 0);
-        assert!(generator.context().graph.vertex_count() >= before_v);
+        assert!(generator.ctx.graph.vertex_count() >= before_v);
     }
 
     #[test]
@@ -263,7 +254,7 @@ mod tests {
         let mut generator = StreamGenerator::new(MixModel::table3(), 8);
         let result = generator.evolve(50);
         assert_eq!(result.report.emitted, 50);
-        assert!(generator.context().graph.vertex_count() > 0);
+        assert!(generator.ctx.graph.vertex_count() > 0);
     }
 
     /// A constraint hook that forbids removing vertex 0.
@@ -289,13 +280,13 @@ mod tests {
         let mut generator = StreamGenerator::new(ProtectZero(MixModel::table3()), 21);
         generator.bootstrap(&gt_graph::builders::ring(30)).unwrap();
         generator.evolve(3_000);
-        assert!(generator.context().graph.has_vertex(VertexId(0)));
+        assert!(generator.ctx.graph.has_vertex(VertexId(0)));
     }
 
     #[test]
     fn context_index_invariants_hold_after_long_run() {
         let mut generator = generator_with_ba();
         generator.evolve(5_000);
-        generator.context().check_index_invariants().unwrap();
+        generator.ctx.check_index_invariants().unwrap();
     }
 }

@@ -44,4 +44,3 @@ pub use context::{GenContext, VertexSelector};
 pub use forest_fire::ForestFireModel;
 pub use generator::{EvolutionResult, GenReport, StreamGenerator};
 pub use model::{EventMix, EvolutionModel, MixModel};
-pub use zipf::ZipfSampler;

@@ -50,33 +50,8 @@ impl EventMix {
         }
     }
 
-    /// Pure growth: additions only (insert-only workloads such as the
-    /// paper's write-throughput test with a growing graph).
-    pub fn growth_only() -> Self {
-        EventMix {
-            add_vertex: 0.2,
-            remove_vertex: 0.0,
-            update_vertex: 0.0,
-            add_edge: 0.8,
-            remove_edge: 0.0,
-            update_edge: 0.0,
-        }
-    }
-
-    /// State churn: updates only, on a fixed topology.
-    pub fn updates_only() -> Self {
-        EventMix {
-            add_vertex: 0.0,
-            remove_vertex: 0.0,
-            update_vertex: 0.5,
-            add_edge: 0.0,
-            remove_edge: 0.0,
-            update_edge: 0.5,
-        }
-    }
-
     /// The weight of a kind.
-    pub fn weight(&self, kind: EventKind) -> f64 {
+    pub(crate) fn weight(&self, kind: EventKind) -> f64 {
         match kind {
             EventKind::AddVertex => self.add_vertex,
             EventKind::RemoveVertex => self.remove_vertex,
@@ -96,7 +71,7 @@ impl EventMix {
     ///
     /// # Panics
     /// If all weights are zero or any weight is negative.
-    pub fn draw(&self, ctx: &mut GenContext) -> EventKind {
+    pub(crate) fn draw(&self, ctx: &mut GenContext) -> EventKind {
         let total = self.total();
         assert!(total > 0.0, "event mix must have positive total weight");
         for kind in EventKind::ALL {
@@ -263,8 +238,21 @@ impl EvolutionModel for MixModel {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Pure growth: additions only (insert-only workloads such as the
+    /// paper's write-throughput test with a growing graph).
+    pub(crate) fn growth_only() -> EventMix {
+        EventMix {
+            add_vertex: 0.2,
+            remove_vertex: 0.0,
+            update_vertex: 0.0,
+            add_edge: 0.8,
+            remove_edge: 0.0,
+            update_edge: 0.0,
+        }
+    }
     use std::collections::BTreeMap;
 
     #[test]
@@ -310,7 +298,7 @@ mod tests {
 
     #[test]
     fn mix_model_emits_weighted_edges_when_configured() {
-        let mut model = MixModel::new(EventMix::growth_only());
+        let mut model = MixModel::new(growth_only());
         model.edge_weight_range = Some((1.0, 2.0));
         let mut ctx = GenContext::new(3);
         for event in gt_graph::builders::path(3).graph_events() {

@@ -20,7 +20,7 @@ use rand::RngExt;
 
 /// Samples ranks `1..=n` with Zipf(`s`) skew.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ZipfSampler {
+pub(crate) struct ZipfSampler {
     /// Skew exponent; larger means heavier bias toward rank 1. Must be > 0.
     pub exponent: f64,
 }
@@ -30,7 +30,7 @@ impl ZipfSampler {
     ///
     /// # Panics
     /// If `exponent` is not finite and positive.
-    pub fn new(exponent: f64) -> Self {
+    pub(crate) fn new(exponent: f64) -> Self {
         assert!(
             exponent.is_finite() && exponent > 0.0,
             "Zipf exponent must be positive and finite"
@@ -39,7 +39,7 @@ impl ZipfSampler {
     }
 
     /// Draws a rank in `1..=n`. Returns 1 when `n <= 1`.
-    pub fn sample(&self, n: usize, rng: &mut impl Rng) -> usize {
+    pub(crate) fn sample(&self, n: usize, rng: &mut impl Rng) -> usize {
         if n <= 1 {
             return 1;
         }

@@ -134,11 +134,6 @@ impl CsrSnapshot {
     pub fn indices(&self) -> impl Iterator<Item = u32> {
         0..self.vertex_count() as u32
     }
-
-    /// All original ids, ascending (parallel to dense indices).
-    pub fn ids(&self) -> &[VertexId] {
-        &self.ids
-    }
 }
 
 impl From<&EvolvingGraph> for CsrSnapshot {
@@ -196,7 +191,7 @@ mod tests {
     fn ids_are_ascending_and_indexable() {
         let g = diamond();
         let csr = CsrSnapshot::from_graph(&g);
-        for (i, id) in csr.ids().iter().enumerate() {
+        for (i, id) in csr.ids.iter().enumerate() {
             assert_eq!(csr.index_of(*id), Some(i as u32));
             assert_eq!(csr.id_of(i as u32), *id);
         }

@@ -14,7 +14,7 @@
 //! (inline sorted array for the small-degree common case, map for hubs)
 //! that iterates ascending in both representations.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use gt_core::prelude::*;
 
@@ -90,16 +90,6 @@ impl EvolvingGraph {
         self.store.edge(id).is_some()
     }
 
-    /// The state of a vertex, if it exists.
-    pub fn vertex_state(&self, id: VertexId) -> Option<&State> {
-        self.store.state(id)
-    }
-
-    /// The state of an edge, if it exists.
-    pub fn edge_state(&self, id: EdgeId) -> Option<&State> {
-        self.store.edge(id)
-    }
-
     /// Out-degree of a vertex (`None` if it does not exist).
     pub fn out_degree(&self, id: VertexId) -> Option<usize> {
         self.store.get(id).map(|v| v.out.len())
@@ -159,16 +149,6 @@ impl EvolvingGraph {
     /// In-neighbors of a vertex in ascending order (empty if missing).
     pub fn in_neighbors(&self, id: VertexId) -> impl Iterator<Item = VertexId> + '_ {
         self.store.get(id).into_iter().flat_map(|v| v.inc.keys())
-    }
-
-    /// All neighbors, ignoring direction, deduplicated, ascending.
-    pub fn undirected_neighbors(&self, id: VertexId) -> Vec<VertexId> {
-        let Some(v) = self.store.get(id) else {
-            return Vec::new();
-        };
-        let mut all: BTreeSet<VertexId> = v.out.keys().collect();
-        all.extend(v.inc.keys());
-        all.into_iter().collect()
     }
 
     /// Applies one event with [`ApplyPolicy::Strict`] semantics.
@@ -306,7 +286,7 @@ mod tests {
         let lenient = g.apply_with(&dup, ApplyPolicy::Lenient).unwrap();
         assert!(!lenient.mutated);
         // Lenient duplicate add must not clobber existing state.
-        assert_eq!(g.vertex_state(VertexId(1)).unwrap().as_str(), "");
+        assert_eq!(g.store.state(VertexId(1)).unwrap().as_str(), "");
     }
 
     #[test]
@@ -376,10 +356,6 @@ mod tests {
             g.in_neighbors(VertexId(1)).collect::<Vec<_>>(),
             [VertexId(4)]
         );
-        assert_eq!(
-            g.undirected_neighbors(VertexId(1)),
-            [VertexId(2), VertexId(3), VertexId(4)]
-        );
         assert_eq!(g.out_degree(VertexId(99)), None);
     }
 
@@ -419,9 +395,9 @@ mod tests {
             state: State::weight(9.0),
         })
         .unwrap();
-        assert_eq!(g.vertex_state(VertexId(1)).unwrap().as_str(), "v1");
+        assert_eq!(g.store.state(VertexId(1)).unwrap().as_str(), "v1");
         assert_eq!(
-            g.edge_state(EdgeId::from((1, 2))).unwrap().as_weight(),
+            g.store.edge(EdgeId::from((1, 2))).unwrap().as_weight(),
             Some(9.0)
         );
 

@@ -141,7 +141,7 @@ impl<T> HybridAdjacency<T> {
     /// Inserts `value()` for neighbor `id` only if `id` is absent, and
     /// says whether it did — one search where `contains` + `insert` takes
     /// two, and no payload is built for a neighbor that is already there.
-    pub fn insert_if_absent(&mut self, id: VertexId, value: impl FnOnce() -> T) -> bool {
+    pub(crate) fn insert_if_absent(&mut self, id: VertexId, value: impl FnOnce() -> T) -> bool {
         match &mut self.repr {
             Repr::Inline { len, slots } => match inline_position(&slots[..*len], id) {
                 Ok(_) => false,

@@ -47,5 +47,5 @@ pub use csr::CsrSnapshot;
 pub use graph::EvolvingGraph;
 pub use hybrid::HybridAdjacency;
 pub use properties::{DegreeDistribution, GraphProperties};
-pub use snapshots::{Epoch, EpochDiff, SnapshotStore};
+pub use snapshots::{Epoch, SnapshotStore};
 pub use store::AdjacencyStore;

@@ -27,11 +27,6 @@ impl DegreeDistribution {
         Self::build(graph, |g, v| g.out_degree(v).unwrap_or(0))
     }
 
-    /// Builds the in-degree distribution.
-    pub fn incoming(graph: &EvolvingGraph) -> Self {
-        Self::build(graph, |g, v| g.in_degree(v).unwrap_or(0))
-    }
-
     fn build(graph: &EvolvingGraph, f: impl Fn(&EvolvingGraph, VertexId) -> usize) -> Self {
         let mut counts: BTreeMap<usize, usize> = BTreeMap::new();
         for v in graph.vertices() {
@@ -51,11 +46,6 @@ impl DegreeDistribution {
     /// The largest observed degree (0 for an empty graph).
     pub fn max_degree(&self) -> usize {
         self.counts.keys().next_back().copied().unwrap_or(0)
-    }
-
-    /// The smallest observed degree (0 for an empty graph).
-    pub fn min_degree(&self) -> usize {
-        self.counts.keys().next().copied().unwrap_or(0)
     }
 
     /// Mean degree over all vertices.
@@ -132,15 +122,11 @@ mod tests {
         assert_eq!(dist.count(4), 1);
         assert_eq!(dist.count(1), 4);
         assert_eq!(dist.max_degree(), 4);
-        assert_eq!(dist.min_degree(), 1);
         assert!((dist.mean() - 8.0 / 5.0).abs() < 1e-12);
 
         let out = DegreeDistribution::out(&g);
         assert_eq!(out.count(4), 1);
         assert_eq!(out.count(0), 4);
-        let inc = DegreeDistribution::incoming(&g);
-        assert_eq!(inc.count(0), 1);
-        assert_eq!(inc.count(1), 4);
     }
 
     #[test]

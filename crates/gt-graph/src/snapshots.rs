@@ -12,7 +12,6 @@
 //! bounded history, and serves temporal queries: per-epoch property
 //! series and epoch-to-epoch entity diffs.
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use gt_core::prelude::*;
@@ -30,17 +29,6 @@ pub struct Epoch {
     pub events: u64,
     /// The frozen graph.
     pub snapshot: Arc<CsrSnapshot>,
-}
-
-/// The difference between two epochs' entity sets.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct EpochDiff {
-    /// Vertices present in the newer epoch only.
-    pub added_vertices: Vec<VertexId>,
-    /// Vertices present in the older epoch only.
-    pub removed_vertices: Vec<VertexId>,
-    /// Net edge-count change (newer − older).
-    pub edge_delta: i64,
 }
 
 /// Ingests events, cuts periodic snapshots, retains a bounded history.
@@ -86,7 +74,7 @@ impl SnapshotStore {
     }
 
     /// Forces an epoch cut now (e.g. at a stream marker).
-    pub fn cut(&mut self) -> &Epoch {
+    pub(crate) fn cut(&mut self) -> &Epoch {
         let epoch = Epoch {
             seq: self.next_seq,
             events: self.events,
@@ -124,25 +112,6 @@ impl SnapshotStore {
             .map(|e| (e.events as f64, f(&e.snapshot)))
             .collect()
     }
-
-    /// Entity diff between two retained epochs (by sequence number).
-    /// `None` if either epoch is no longer retained or the order is
-    /// reversed.
-    pub fn diff(&self, older: u64, newer: u64) -> Option<EpochDiff> {
-        if older > newer {
-            return None;
-        }
-        let find = |seq: u64| self.epochs.iter().find(|e| e.seq == seq);
-        let old = find(older)?;
-        let new = find(newer)?;
-        let old_ids: BTreeSet<VertexId> = old.snapshot.ids().iter().copied().collect();
-        let new_ids: BTreeSet<VertexId> = new.snapshot.ids().iter().copied().collect();
-        Some(EpochDiff {
-            added_vertices: new_ids.difference(&old_ids).copied().collect(),
-            removed_vertices: old_ids.difference(&new_ids).copied().collect(),
-            edge_delta: new.snapshot.edge_count() as i64 - old.snapshot.edge_count() as i64,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -152,13 +121,6 @@ mod tests {
     fn add_v(id: u64) -> GraphEvent {
         GraphEvent::AddVertex {
             id: VertexId(id),
-            state: State::empty(),
-        }
-    }
-
-    fn add_e(s: u64, d: u64) -> GraphEvent {
-        GraphEvent::AddEdge {
-            id: EdgeId::from((s, d)),
             state: State::empty(),
         }
     }
@@ -200,23 +162,6 @@ mod tests {
         assert_eq!(store.epochs().len(), 3);
         let seqs: Vec<u64> = store.epochs().iter().map(|e| e.seq).collect();
         assert_eq!(seqs, [7, 8, 9]);
-    }
-
-    #[test]
-    fn diff_between_epochs() {
-        let mut store = SnapshotStore::new(3, 10);
-        store.ingest(&add_v(1));
-        store.ingest(&add_v(2));
-        store.ingest(&add_e(1, 2)); // epoch 0: {1,2}, 1 edge
-        store.ingest(&add_v(3));
-        store.ingest(&GraphEvent::RemoveVertex { id: VertexId(1) });
-        store.ingest(&add_v(4)); // epoch 1: {2,3,4}, 0 edges
-        let diff = store.diff(0, 1).unwrap();
-        assert_eq!(diff.added_vertices, [VertexId(3), VertexId(4)]);
-        assert_eq!(diff.removed_vertices, [VertexId(1)]);
-        assert_eq!(diff.edge_delta, -1);
-        assert!(store.diff(1, 0).is_none());
-        assert!(store.diff(0, 9).is_none());
     }
 
     #[test]

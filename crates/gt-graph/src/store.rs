@@ -20,11 +20,11 @@
 //! the write that takes a stateless entry's last edge removes the entry.
 //!
 //! Edges are written two ways, because the two users mean two things by
-//! "add": [`AdjacencyStore::insert_edge_if_absent`] links two vertices
+//! "add": `AdjacencyStore::insert_edge_if_absent` links two vertices
 //! that both have a state and never replaces a payload;
 //! [`AdjacencyStore::upsert_edge`] creates missing endpoints and replaces.
 //! The store keeps no order; a user that iterates by id keeps its own
-//! ordered index of the [`Slot`]s it was handed.
+//! ordered index of the `Slot`s it was handed.
 
 use std::collections::hash_map::Entry as MapEntry;
 
@@ -34,7 +34,7 @@ use gt_core::VertexMap;
 use crate::hybrid::HybridAdjacency;
 
 /// Position of an entry in the slab; stable while the entry lives.
-pub type Slot = u32;
+pub(crate) type Slot = u32;
 
 /// One vertex: its state and both adjacency directions. The store hands
 /// out shared references only; every write goes through its operations.
@@ -108,7 +108,7 @@ impl<P> AdjacencyStore<P> {
     }
 
     /// The slot of `id`'s entry.
-    pub fn slot(&self, id: VertexId) -> Option<Slot> {
+    pub(crate) fn slot(&self, id: VertexId) -> Option<Slot> {
         self.index.get(&id).copied()
     }
 
@@ -137,13 +137,13 @@ impl<P> AdjacencyStore<P> {
     }
 
     /// `id`'s state, for an in-place update.
-    pub fn state_mut(&mut self, id: VertexId) -> Option<&mut P> {
+    pub(crate) fn state_mut(&mut self, id: VertexId) -> Option<&mut P> {
         let slot = self.slot(id)?;
         self.at_mut(slot).state.as_mut()
     }
 
     /// The payload of edge `id`, for an in-place update.
-    pub fn edge_mut(&mut self, id: EdgeId) -> Option<&mut P> {
+    pub(crate) fn edge_mut(&mut self, id: EdgeId) -> Option<&mut P> {
         let slot = self.slot(id.src)?;
         self.at_mut(slot).out.get_mut(id.dst)
     }
@@ -176,7 +176,7 @@ impl<P> AdjacencyStore<P> {
     /// exists; `Ok` says whether it was added. Both endpoints must have a
     /// state: `Err` names the first that has none, source first. One hash
     /// per endpoint and one search of the source's out-list.
-    pub fn insert_edge_if_absent(
+    pub(crate) fn insert_edge_if_absent(
         &mut self,
         id: EdgeId,
         make: impl FnOnce() -> P,

@@ -16,7 +16,7 @@
 use std::process::ExitCode;
 
 use gt_analysis::{cross_correlation, Quantiles, Summary};
-use gt_harness::{aggregate_records, render_matrix_table, JournalRecord};
+use gt_harness::{aggregate_records, read_journal, render_matrix_table};
 use gt_metrics::{Name, ResultLog};
 
 /// Human-readable byte count (binary units, matching `top`/`htop`).
@@ -130,43 +130,38 @@ fn print_series_summary(log: &ResultLog, source: &str, metric: &str) {
     );
 }
 
-/// Renders a scenario-matrix journal as the per-cell aggregate table.
+/// Renders a scenario-matrix journal as the per-cell aggregate table: the
+/// records a resume would keep ([`read_journal`]), nothing past them.
 fn print_matrix_report(path: &str) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let mut lines = text.lines();
-    let header = lines
-        .next()
-        .ok_or_else(|| format!("{path}: empty journal"))?;
-    let fingerprint = gt_core::json::extract_str(header, "matrix")
-        .map_err(|e| format!("{path}: not a matrix journal (bad header line: {e})"))?;
-    let mut records = Vec::new();
-    let mut skipped = 0usize;
-    for line in lines {
-        if line.trim().is_empty() {
-            continue;
-        }
-        match JournalRecord::parse_json_line(line) {
-            Ok(record) => records.push(record),
-            // A truncated trailing line (killed run) is expected; the
-            // orchestrator re-runs that repetition on resume.
-            Err(_) => skipped += 1,
-        }
+    if text.is_empty() {
+        return Err(format!("{path}: empty journal"));
     }
-    println!("matrix: {fingerprint}");
-    let aborted = records
+    let journal = read_journal(&text).map_err(|e| format!("{path}: {e}"))?;
+    println!("matrix: {}", journal.fingerprint);
+    let aborted = journal
+        .records
         .iter()
         .filter(|r| !matches!(r.status, gt_harness::RunStatus::Completed))
         .count();
     println!(
         "journal: {} cell-repetitions ({aborted} aborted{})",
-        records.len(),
-        if skipped > 0 {
-            format!(", {skipped} unparsable line(s) ignored")
+        journal.records.len(),
+        if journal.ignored_lines > 0 {
+            // A killed run's cut last line, or a corrupt line and all after
+            // it: a resume truncates them and re-runs those repetitions.
+            format!(
+                ", {} line(s) past the valid prefix ignored",
+                journal.ignored_lines
+            )
         } else {
             String::new()
         }
     );
-    print!("{}", render_matrix_table(&aggregate_records(&records)));
+    print!(
+        "{}",
+        render_matrix_table(&aggregate_records(&journal.records))
+    );
     Ok(())
 }
 

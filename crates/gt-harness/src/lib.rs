@@ -59,23 +59,18 @@ pub mod sut;
 pub mod sweep;
 pub mod watchdog;
 
-pub use differential::{
-    graph_from_adjacency, run_differential, window_computations, DifferentialOutcome,
-    WindowComputation,
-};
+pub use differential::{run_differential, DifferentialOutcome};
 #[doc(hidden)]
 pub use forward::{run_file_sut_experiment, run_load_file_sut_experiment, FileRunPlan};
 pub use levels::EvaluationLevel;
 pub use load::{load_records, LOAD_SOURCE};
-pub use netem::{sink_records, start_netem_front, NetemFront, NetemFrontReport};
 pub use orchestrator::{
-    aggregate_records, cell_id, render_matrix_table, run_matrix, run_matrix_with_progress,
-    CellAggregate, CellRunResult, CellRunner, Design, JournalRecord, MatrixJournal, MatrixOutcome,
-    MatrixProgress, MetricAggregate, ScenarioMatrix,
+    aggregate_records, cell_id, read_journal, render_matrix_table, run_matrix,
+    run_matrix_with_progress, CellAggregate, CellRunResult, CellRunner, Design, JournalContents,
+    JournalRecord, MatrixJournal, MatrixOutcome, MatrixProgress, MetricAggregate, ScenarioMatrix,
 };
-pub use repeat::{compare_metric, repeat_runs, repeat_status_runs, RepeatOutcome};
+pub use repeat::{compare_metric, repeat_runs, RepeatOutcome};
 pub use run::{run, ChaosPlan, Driver, RunError, RunOutcome, RunPlan, Source, Target};
-pub use sut::DEFAULT_QUIESCE_TIMEOUT;
 pub use sweep::{Assignment, Factor, FactorSpace};
 pub use watchdog::{AbortReason, RunStatus, WatchdogConfig};
 

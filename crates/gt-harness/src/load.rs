@@ -168,16 +168,7 @@ pub fn load_records(load: &LoadOutcome, plan: &LoadPlan, t_end: u64) -> Vec<Metr
         records.extend(netem.journal.records(NETEM_SOURCE));
     }
     if let Some(report) = &load.netem {
-        for (metric, value) in [
-            ("proxy_connections", report.connections),
-            ("kills_rst", report.kills_rst),
-            ("kills_fin", report.kills_fin),
-            ("bytes_corrupted", report.bytes_corrupted),
-            ("bytes_dropped", report.bytes_dropped),
-            ("dial_failures", report.dial_failures),
-        ] {
-            records.push(MetricRecord::int(t_end, NETEM_SOURCE, metric, value as i64));
-        }
+        records.extend(report.records(t_end));
     }
     records
 }
@@ -286,6 +277,53 @@ mod tests {
         assert!(records
             .iter()
             .any(|r| r.source == NETEM_SOURCE && r.metric == "recovery"));
+    }
+
+    // Both netem fronts log the proxy's counters through one function: a
+    // single-sink run and a load run carry the same eight names.
+    #[test]
+    fn single_sink_and_load_netem_runs_log_the_same_proxy_counters() {
+        let options = SutOptions::new()
+            .set("timestamper_cost_us", 0)
+            .set("shard_cost_us", 0);
+        let netem = || {
+            gt_netem::NetemPlan::new(gt_netem::NetemSchedule::parse("delay@10ms,ms=1", 3).unwrap())
+        };
+        let proxy_counters = |plan: RunPlan| {
+            let outcome = run(plan, Target::Sut(&registry(), "tide-store", &options)).unwrap();
+            let mut names: Vec<String> = outcome
+                .log
+                .records()
+                .iter()
+                .filter(|r| r.source == NETEM_SOURCE && matches!(r.value, MetricValue::Int(_)))
+                .map(|r| r.metric.to_string())
+                .filter(|m| {
+                    !m.starts_with("sink.")
+                        && !["bridge_connections", "lines_forwarded", "parse_errors"]
+                            .contains(&m.as_str())
+                })
+                .collect();
+            names.sort();
+            names
+        };
+        let mut single = RunPlan::new(stream(300), 30_000.0).with_netem(netem());
+        single.sysmon = None;
+        let mut load = RunPlan::new(stream(300), 0.0)
+            .with_load(LoadPlan::single(2, 30_000.0, LoopModel::Open, 3))
+            .with_netem(netem());
+        load.sysmon = None;
+        let want = [
+            "bytes_corrupted",
+            "bytes_dropped",
+            "bytes_in",
+            "bytes_out",
+            "dial_failures",
+            "kills_fin",
+            "kills_rst",
+            "proxy_connections",
+        ];
+        assert_eq!(proxy_counters(single), want);
+        assert_eq!(proxy_counters(load), want);
     }
 
     #[test]

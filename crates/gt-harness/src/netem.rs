@@ -49,7 +49,7 @@ const SINK_WRITE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Handles to a running netem front; [`NetemFront::finish`] after the
 /// replay to stop the proxy, join the bridge, and collect the report.
-pub struct NetemFront {
+pub(crate) struct NetemFront {
     proxy: NetemHandle,
     bridge: JoinHandle<io::Result<()>>,
     stop: Arc<AtomicBool>,
@@ -60,7 +60,7 @@ pub struct NetemFront {
 
 /// What the netem front saw over a whole run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct NetemFrontReport {
+pub(crate) struct NetemFrontReport {
     /// The fault proxy's traffic counters.
     pub proxy: NetemReport,
     /// Stream entries the bridge parsed and forwarded to the connector.
@@ -73,18 +73,14 @@ pub struct NetemFrontReport {
 
 impl NetemFrontReport {
     /// Renders the report as int records under [`NETEM_SOURCE`], ready to
-    /// fold into the merged result log.
-    pub fn records(&self, t_micros: u64) -> Vec<MetricRecord> {
-        let mut out = Vec::new();
+    /// fold into the merged result log: the proxy's counters
+    /// ([`NetemReport::records`]) and the bridge's own three.
+    pub(crate) fn records(&self, t_micros: u64) -> Vec<MetricRecord> {
+        let mut out = self.proxy.records(t_micros);
         for (metric, value) in [
-            ("proxy_connections", self.proxy.connections),
             ("bridge_connections", self.bridge_connections),
             ("lines_forwarded", self.lines_forwarded),
             ("parse_errors", self.parse_errors),
-            ("kills_rst", self.proxy.kills_rst),
-            ("kills_fin", self.proxy.kills_fin),
-            ("bytes_corrupted", self.proxy.bytes_corrupted),
-            ("bytes_dropped", self.proxy.bytes_dropped),
         ] {
             out.push(MetricRecord::int(
                 t_micros,
@@ -100,7 +96,7 @@ impl NetemFrontReport {
 /// Renders a sink's reconnect statistics as records under
 /// [`NETEM_SOURCE`] (`sink.reconnects`, `sink.disconnects.<cause>`), so
 /// the run log shows how the replayer experienced the injected faults.
-pub fn sink_records(sink: &ReconnectingTcpSink, t_micros: u64) -> Vec<MetricRecord> {
+pub(crate) fn sink_records(sink: &ReconnectingTcpSink, t_micros: u64) -> Vec<MetricRecord> {
     let mut out = vec![MetricRecord::int(
         t_micros,
         NETEM_SOURCE,
@@ -124,7 +120,7 @@ pub fn sink_records(sink: &ReconnectingTcpSink, t_micros: u64) -> Vec<MetricReco
 /// proxy, and a reconnecting sink dialing the proxy. The sink's reconnect
 /// policy is seeded from the schedule so backoff jitter is as
 /// deterministic as the faults themselves.
-pub fn start_netem_front(
+pub(crate) fn start_netem_front(
     netem: &NetemPlan,
     connector: Box<dyn EventSink + Send>,
     clock: Arc<dyn Clock>,
@@ -176,7 +172,7 @@ impl NetemFront {
     /// Call after the replay has finished and the sink has been dropped:
     /// the sink's close is what lets the in-flight connection drain to
     /// EOF before the stop flag is honored.
-    pub fn finish(self) -> io::Result<NetemFrontReport> {
+    pub(crate) fn finish(self) -> io::Result<NetemFrontReport> {
         self.proxy.stop();
         let proxy = self.proxy.join()?;
         self.stop.store(true, Ordering::SeqCst);

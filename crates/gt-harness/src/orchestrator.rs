@@ -359,6 +359,59 @@ fn decode_status(text: &str) -> Result<RunStatus, String> {
     }
 }
 
+/// A matrix journal as both its readers see it — the resume
+/// ([`MatrixJournal::open`]) and the offline render (`gt-report
+/// --matrix`): the header's fingerprint, then the longest prefix of valid,
+/// newline-terminated record lines. Nothing past that prefix is a record —
+/// not a last line cut by a kill, not a corrupt line, not what follows
+/// one: the resume truncates it and re-runs those repetitions.
+#[derive(Debug, Clone, PartialEq)]
+pub struct JournalContents {
+    /// The matrix fingerprint from the header line.
+    pub fingerprint: String,
+    /// The records of the valid prefix, in journal order.
+    pub records: Vec<JournalRecord>,
+    /// Bytes of the header line and the valid prefix.
+    pub(crate) valid_len: usize,
+    /// Lines past the valid prefix, a last line without newline included.
+    pub ignored_lines: usize,
+}
+
+/// Reads a journal's text (see [`JournalContents`]). Fails only when the
+/// header line is missing, incomplete or not a matrix header.
+pub fn read_journal(text: &str) -> io::Result<JournalContents> {
+    let invalid = |message: String| io::Error::new(io::ErrorKind::InvalidData, message);
+    let Some((header_line, body)) = text.split_once('\n') else {
+        return Err(invalid("journal header line is incomplete".to_owned()));
+    };
+    let fingerprint = extract_str(header_line, "matrix")
+        .map_err(|e| invalid(format!("not a matrix journal (bad header line: {e})")))?
+        .to_owned();
+    let mut records = Vec::new();
+    let mut valid_len = header_line.len() + 1;
+    let mut lines = body.split_inclusive('\n');
+    for line in lines.by_ref() {
+        match JournalRecord::parse_json_line(line) {
+            Ok(record) if line.ends_with('\n') => {
+                records.push(record);
+                valid_len += line.len();
+            }
+            _ => break,
+        }
+    }
+    let ignored_lines = if valid_len < text.len() {
+        1 + lines.count()
+    } else {
+        0
+    };
+    Ok(JournalContents {
+        fingerprint,
+        records,
+        valid_len,
+        ignored_lines,
+    })
+}
+
 /// The file-backed matrix journal: header line + one JSON line per
 /// finished cell-repetition, appended and flushed as runs finish.
 pub struct MatrixJournal {
@@ -367,13 +420,15 @@ pub struct MatrixJournal {
 
 impl MatrixJournal {
     /// Opens (or creates) the journal for `matrix` at `path`, returning
-    /// the journal and every valid record already present.
+    /// the journal and the records of its valid prefix ([`read_journal`]).
     ///
     /// * A fresh file gets the fingerprint header.
     /// * An existing file must carry the **same** fingerprint — resuming
     ///   a different matrix into the journal is an error, never silent.
-    /// * A trailing partial line (killed mid-write) is truncated away, so
-    ///   the append position is always a clean line boundary.
+    /// * Everything past the valid prefix (a partial line killed
+    ///   mid-write, a corrupt line and what follows) is truncated away, so
+    ///   the append position is always a clean line boundary and those
+    ///   repetitions simply re-run.
     pub fn open(path: &Path, matrix: &ScenarioMatrix) -> io::Result<(Self, Vec<JournalRecord>)> {
         let mut file = OpenOptions::new()
             .read(true)
@@ -391,50 +446,27 @@ impl MatrixJournal {
             return Ok((MatrixJournal { file }, Vec::new()));
         }
 
-        let Some((header_line, _)) = text.split_once('\n') else {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "journal header line is incomplete",
-            ));
-        };
-        let found = extract_str(header_line, "matrix")
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        if found != matrix.fingerprint() {
+        let contents = read_journal(&text)?;
+        if contents.fingerprint != matrix.fingerprint() {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!(
-                    "journal belongs to a different matrix:\n  journal: {found}\n  spec:    {}",
+                    "journal belongs to a different matrix:\n  journal: {}\n  spec:    {}",
+                    contents.fingerprint,
                     matrix.fingerprint()
                 ),
             ));
         }
-
-        // Replay the body, keeping the longest valid line prefix; a
-        // partial or corrupt tail is truncated so the next append starts
-        // on a clean boundary (its repetition simply re-runs).
-        let mut records = Vec::new();
-        let mut valid_len = header_line.len() + 1;
-        let body = &text[valid_len..];
-        for line in body.split_inclusive('\n') {
-            let complete = line.ends_with('\n');
-            match (complete, JournalRecord::parse_json_line(line)) {
-                (true, Ok(record)) => {
-                    records.push(record);
-                    valid_len += line.len();
-                }
-                _ => break,
-            }
+        if contents.valid_len < text.len() {
+            file.set_len(contents.valid_len as u64)?;
         }
-        if valid_len < text.len() {
-            file.set_len(valid_len as u64)?;
-        }
-        file.seek(io::SeekFrom::Start(valid_len as u64))?;
-        Ok((MatrixJournal { file }, records))
+        file.seek(io::SeekFrom::Start(contents.valid_len as u64))?;
+        Ok((MatrixJournal { file }, contents.records))
     }
 
     /// Appends one record and flushes it to disk before returning — a
     /// kill after `append` returns can never lose the repetition.
-    pub fn append(&mut self, record: &JournalRecord) -> io::Result<()> {
+    pub(crate) fn append(&mut self, record: &JournalRecord) -> io::Result<()> {
         let line = record.to_json_line();
         self.file.write_all(line.as_bytes())?;
         self.file.write_all(b"\n")?;

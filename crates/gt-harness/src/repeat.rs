@@ -21,8 +21,7 @@ pub struct RepeatOutcome {
 }
 
 /// Runs `reps` repetitions of a measurement closure (repetition index in,
-/// metric out) and aggregates. Every repetition counts as clean; use
-/// [`repeat_status_runs`] when a run can be aborted.
+/// metric out) and aggregates. Every repetition counts as clean.
 pub fn repeat_runs(reps: u32, mut run: impl FnMut(u32) -> f64) -> RepeatOutcome {
     repeat_status_runs(reps, |i| (run(i), RunStatus::Completed))
 }
@@ -33,7 +32,7 @@ pub fn repeat_runs(reps: u32, mut run: impl FnMut(u32) -> f64) -> RepeatOutcome 
 /// [`RepeatOutcome::excluded`] instead — a partial run's throughput is
 /// not a sample of the configuration's throughput, and averaging it in
 /// silently deflates the mean.
-pub fn repeat_status_runs(
+pub(crate) fn repeat_status_runs(
     reps: u32,
     mut run: impl FnMut(u32) -> (f64, RunStatus),
 ) -> RepeatOutcome {

@@ -34,7 +34,7 @@ use gt_core::prelude::*;
 use gt_load::{LoadOutcome, LoadPlan};
 use gt_metrics::hub::Counter;
 use gt_metrics::{
-    Clock, HubSampler, LogCollector, MetricRecord, MetricsHub, MetricsLogger, ResultLog, WallClock,
+    Clock, HubSampler, MetricRecord, MetricsHub, MetricsLogger, ResultLog, WallClock,
 };
 use gt_netem::{NetemPlan, NETEM_SOURCE};
 use gt_replayer::{
@@ -77,13 +77,6 @@ impl ChaosPlan {
             journal: ChaosJournal::new(),
             supervisor: None,
         }
-    }
-
-    /// Attaches a crash/restart surface (builder style).
-    #[must_use]
-    pub fn with_supervisor(mut self, supervisor: Arc<dyn WorkerSupervisor>) -> Self {
-        self.supervisor = Some(supervisor);
-        self
     }
 }
 
@@ -231,13 +224,6 @@ impl RunPlan {
     #[must_use]
     pub fn at_level(mut self, level: EvaluationLevel) -> Self {
         self.level = level;
-        self
-    }
-
-    /// Replaces the Level-0 monitor configuration (builder style).
-    #[must_use]
-    pub fn with_sysmon(mut self, config: SamplerConfig) -> Self {
-        self.sysmon = Some(config);
         self
     }
 
@@ -862,17 +848,18 @@ pub fn run(plan: RunPlan, target: Target<'_>) -> Result<RunOutcome, RunError> {
     let (driver, front_records) = driven?;
 
     let driven = driver_records(&driver, load.as_ref(), clock.now_micros());
-    let mut collector = LogCollector::new();
-    collector.add_records(observed).add_records(driven);
+    let mut records = observed;
+    records.extend(driven);
     if let Some(chaos) = &chaos {
-        collector.add_records(chaos.journal.records(CHAOS_SOURCE));
+        records.extend(chaos.journal.records(CHAOS_SOURCE));
     }
     if let Some(report) = &report {
-        collector.add_records(report_records(report, t_closed));
+        records.extend(report_records(report, t_closed));
     }
-    collector.add_records(traced).add_records(front_records);
+    records.extend(traced);
+    records.extend(front_records);
     Ok(RunOutcome {
-        log: collector.collect(),
+        log: ResultLog::from_records(records),
         status,
         driver,
         report,
@@ -1071,8 +1058,8 @@ mod tests {
 
     #[test]
     fn level0_run_produces_resource_series() {
-        let plan = RunPlan::new(stream(2_000), 50_000.0)
-            .with_sysmon(SamplerConfig::default().every(Duration::from_millis(5)));
+        let mut plan = RunPlan::new(stream(2_000), 50_000.0);
+        plan.sysmon = Some(SamplerConfig::default().every(Duration::from_millis(5)));
         assert_eq!(plan.level, EvaluationLevel::Level0);
         let mut sink = CollectSink::new();
         let outcome = run(plan, Target::Sink(&mut sink)).unwrap();
@@ -1103,9 +1090,8 @@ mod tests {
         }
         std::fs::write(&path, content).unwrap();
 
-        let plan = RunPlan::new(&path, 100_000.0)
-            .at_level(EvaluationLevel::Level0)
-            .with_sysmon(SamplerConfig::default().every(Duration::from_millis(5)));
+        let mut plan = RunPlan::new(&path, 100_000.0).at_level(EvaluationLevel::Level0);
+        plan.sysmon = Some(SamplerConfig::default().every(Duration::from_millis(5)));
         let mut sink = CollectSink::new();
         let outcome = run(plan, Target::Sink(&mut sink)).unwrap();
         if proc_available() {
@@ -1173,10 +1159,10 @@ mod tests {
                 state: State::empty(),
             }));
         }
-        let mut plan = RunPlan::new(s, 1_000_000.0).with_watchdog(
-            crate::watchdog::WatchdogConfig::stall_after(Duration::from_millis(100))
-                .polling_every(Duration::from_millis(5)),
-        );
+        let mut plan = RunPlan::new(s, 1_000_000.0).with_watchdog(WatchdogConfig {
+            poll_interval: Duration::from_millis(5),
+            ..WatchdogConfig::stall_after(Duration::from_millis(100))
+        });
         plan.sysmon = None;
 
         let started = std::time::Instant::now();
@@ -1208,11 +1194,11 @@ mod tests {
         use crate::watchdog::{AbortReason, RunStatus};
         // 10k events at 1k/s would take 10 s; the 150 ms deadline fires
         // even though ingress keeps progressing the whole time.
-        let mut plan = RunPlan::new(stream(10_000), 1_000.0).with_watchdog(
-            crate::watchdog::WatchdogConfig::stall_after(Duration::from_secs(60))
+        let mut plan = RunPlan::new(stream(10_000), 1_000.0).with_watchdog(WatchdogConfig {
+            poll_interval: Duration::from_millis(5),
+            ..WatchdogConfig::stall_after(Duration::from_secs(60))
                 .with_deadline(Duration::from_millis(150))
-                .polling_every(Duration::from_millis(5)),
-        );
+        });
         plan.sysmon = None;
         let started = std::time::Instant::now();
         let mut sink = CollectSink::new();
@@ -1341,9 +1327,11 @@ mod tests {
     fn a_run_stops_its_observers_without_waiting_out_their_periods() {
         // Every observer is armed with a 500 ms period; the 100-event run
         // takes about 1 ms. Stopping must end their wait, not sit it out.
-        let mut plan = RunPlan::new(stream(100), 100_000.0)
-            .with_sysmon(SamplerConfig::default().every(Duration::from_millis(500)))
-            .with_watchdog(WatchdogConfig::default().polling_every(Duration::from_millis(500)));
+        let mut plan = RunPlan::new(stream(100), 100_000.0).with_watchdog(WatchdogConfig {
+            poll_interval: Duration::from_millis(500),
+            ..WatchdogConfig::default()
+        });
+        plan.sysmon = Some(SamplerConfig::default().every(Duration::from_millis(500)));
         plan.sampling_interval = Duration::from_millis(500);
         let started = std::time::Instant::now();
         let mut sink = CollectSink::new();

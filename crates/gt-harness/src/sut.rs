@@ -35,7 +35,7 @@ use crate::run::ChaosPlan;
 /// How long a run waits, by default, for a platform to drain its backlog
 /// after the stream ends, before shutting it down
 /// ([`crate::RunPlan::quiesce_timeout`]).
-pub const DEFAULT_QUIESCE_TIMEOUT: Duration = Duration::from_secs(30);
+pub(crate) const DEFAULT_QUIESCE_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Prepares a started platform for the run (see the module docs).
 /// Returns the tracer it started, if any — the caller stops it.

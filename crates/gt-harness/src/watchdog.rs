@@ -66,13 +66,6 @@ impl WatchdogConfig {
         self.deadline = Some(deadline);
         self
     }
-
-    /// Sets the poll interval (builder style).
-    #[must_use]
-    pub fn polling_every(mut self, interval: Duration) -> Self {
-        self.poll_interval = interval;
-        self
-    }
 }
 
 /// Why the watchdog aborted a run.
@@ -229,7 +222,10 @@ mod tests {
     #[test]
     fn a_stall_fires_at_exactly_the_stall_timeout() {
         let clock = ManualClock::new();
-        let config = WatchdogConfig::stall_after(Duration::from_millis(200)).polling_every(POLL);
+        let config = WatchdogConfig {
+            poll_interval: POLL,
+            ..WatchdogConfig::stall_after(Duration::from_millis(200))
+        };
         let mut watchdog = Watchdog::new(config, clock.now_micros());
         // One event per check up to 100 ms, then nothing: the stall is
         // counted from the last check that saw progress.
@@ -250,9 +246,11 @@ mod tests {
     #[test]
     fn the_deadline_fires_at_exactly_the_deadline_while_progress_continues() {
         let clock = ManualClock::new();
-        let config = WatchdogConfig::stall_after(Duration::from_millis(40))
-            .with_deadline(Duration::from_millis(300))
-            .polling_every(POLL);
+        let config = WatchdogConfig {
+            poll_interval: POLL,
+            ..WatchdogConfig::stall_after(Duration::from_millis(40))
+                .with_deadline(Duration::from_millis(300))
+        };
         let mut watchdog = Watchdog::new(config, clock.now_micros());
         let fired = poll(&mut watchdog, &clock, Duration::from_secs(5), |now| {
             now / 1_000
@@ -271,7 +269,10 @@ mod tests {
     #[test]
     fn steady_progress_never_fires() {
         let clock = ManualClock::new();
-        let config = WatchdogConfig::stall_after(Duration::from_millis(40)).polling_every(POLL);
+        let config = WatchdogConfig {
+            poll_interval: POLL,
+            ..WatchdogConfig::stall_after(Duration::from_millis(40))
+        };
         let mut watchdog = Watchdog::new(config, clock.now_micros());
         // One event per check for a minute of run time.
         let fired = poll(&mut watchdog, &clock, Duration::from_secs(60), |now| {

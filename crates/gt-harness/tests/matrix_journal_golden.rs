@@ -6,7 +6,8 @@
 use std::time::Duration;
 
 use gt_harness::{
-    run_matrix, AbortReason, Assignment, CellRunResult, JournalRecord, RunStatus, ScenarioMatrix,
+    aggregate_records, render_matrix_table, run_matrix, AbortReason, Assignment, CellRunResult,
+    JournalRecord, MatrixJournal, RunStatus, ScenarioMatrix,
 };
 
 const SPEC: &str = "\
@@ -87,4 +88,49 @@ fn every_status_encoding_reads_back_to_its_own_bytes() {
         let record = JournalRecord::parse_json_line(line).unwrap();
         assert_eq!(record.to_json_line(), line);
     }
+}
+
+/// `gt-report --matrix` on a damaged journal renders exactly the records a
+/// resume keeps: a last record without its newline is cut, and so is
+/// everything from a corrupt line on.
+#[test]
+fn offline_render_reads_the_records_a_resume_keeps() {
+    let dir = std::env::temp_dir().join(format!("gt-matrix-render-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let matrix = ScenarioMatrix::parse(SPEC).unwrap();
+    let lines: Vec<&str> = GOLDEN.lines().collect();
+    let unterminated = GOLDEN.trim_end_matches('\n').to_owned();
+    let corrupt_middle = [&lines[..2], &["{\"cell\":garbage}"], &lines[3..]]
+        .concat()
+        .join("\n")
+        + "\n";
+    for (name, text, kept, ignored) in [
+        ("unterminated", unterminated, 5, 1),
+        ("corrupt-middle", corrupt_middle, 1, 5),
+    ] {
+        let path = dir.join(format!("{name}.jsonl"));
+        std::fs::write(&path, &text).unwrap();
+        let output = std::process::Command::new(env!("CARGO_BIN_EXE_gt-report"))
+            .arg("--matrix")
+            .arg(&path)
+            .output()
+            .unwrap();
+        assert!(output.status.success(), "{name}: {output:?}");
+        let rendered = String::from_utf8(output.stdout).unwrap();
+
+        let (_, records) = MatrixJournal::open(&path, &matrix).unwrap();
+        assert_eq!(records.len(), kept, "{name}");
+        let aborted = records
+            .iter()
+            .filter(|r| r.status != RunStatus::Completed)
+            .count();
+        let want = format!(
+            "matrix: {}\njournal: {kept} cell-repetitions ({aborted} aborted, \
+             {ignored} line(s) past the valid prefix ignored)\n{}",
+            matrix.fingerprint(),
+            render_matrix_table(&aggregate_records(&records))
+        );
+        assert_eq!(rendered, want, "{name}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -71,7 +71,7 @@ impl ClientConfig {
     /// Shapes this client's arrival intensity by a rate pattern
     /// (builder style).
     #[must_use]
-    pub fn with_pattern(mut self, pattern: RatePattern) -> Self {
+    pub(crate) fn with_pattern(mut self, pattern: RatePattern) -> Self {
         self.pattern = pattern;
         self
     }
@@ -132,15 +132,6 @@ impl ClientReport {
             return 0.0;
         }
         self.offered as f64 / (span as f64 / 1e6)
-    }
-
-    /// Achieved (written) rate over the client's lifetime, events per second.
-    pub fn achieved_rate(&self) -> f64 {
-        let span = self.finished_micros.saturating_sub(self.started_micros);
-        if span == 0 {
-            return 0.0;
-        }
-        self.sent as f64 / (span as f64 / 1e6)
     }
 }
 

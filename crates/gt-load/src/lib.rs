@@ -47,7 +47,7 @@ pub mod runner;
 pub mod schedule;
 
 pub use client::{run_client, ClientConfig, ClientReport};
-pub use listener::{ListenerConfig, ListenerHandle, ListenerReport, LoadListener};
+pub use listener::{ListenerConfig, ListenerReport, LoadListener};
 pub use model::LoopModel;
 pub use partition::SeededPartitioner;
 pub use plan::{ClientClass, LoadPlan};

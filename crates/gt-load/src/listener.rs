@@ -34,7 +34,7 @@ use gt_metrics::Clock;
 use gt_replayer::EventSink;
 
 /// How a listener builds one platform connector per accepted connection.
-pub type ConnectorFn = Box<dyn FnMut() -> io::Result<Box<dyn EventSink + Send>> + Send>;
+pub(crate) type ConnectorFn = Box<dyn FnMut() -> io::Result<Box<dyn EventSink + Send>> + Send>;
 
 /// Events per batch handed to a connector's [`EventSink::send_batch`].
 const READER_BATCH: usize = 64;

@@ -30,13 +30,6 @@ pub enum LoopModel {
     },
 }
 
-impl LoopModel {
-    /// Whether arrivals decouple from SUT progress (open and partial-open).
-    pub fn is_open(&self) -> bool {
-        !matches!(self, LoopModel::Closed)
-    }
-}
-
 impl fmt::Display for LoopModel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -102,12 +95,5 @@ mod tests {
         ] {
             assert_eq!(model.to_string().parse::<LoopModel>().unwrap(), model);
         }
-    }
-
-    #[test]
-    fn openness() {
-        assert!(LoopModel::Open.is_open());
-        assert!(LoopModel::PartialOpen { window: 1 }.is_open());
-        assert!(!LoopModel::Closed.is_open());
     }
 }

@@ -37,11 +37,6 @@ impl SeededPartitioner {
         SeededPartitioner { partitions, seed }
     }
 
-    /// Number of substreams this partitioner splits into.
-    pub fn partitions(&self) -> usize {
-        self.partitions
-    }
-
     /// The routing key of a graph event: its vertex, or an edge's source
     /// vertex (edge events co-locate with their source's vertex events).
     fn route_key(event: &GraphEvent) -> u64 {
@@ -56,17 +51,8 @@ impl SeededPartitioner {
     }
 
     /// The substream a graph event belongs to.
-    pub fn owner_of(&self, event: &GraphEvent) -> usize {
+    pub(crate) fn owner_of(&self, event: &GraphEvent) -> usize {
         (mix64(Self::route_key(event) ^ self.seed) % self.partitions as u64) as usize
-    }
-
-    /// Whether entry `entry` belongs on substream `partition` — markers
-    /// and control events belong to every substream (broadcast).
-    pub fn belongs_to(&self, entry: &StreamEntry, partition: usize) -> bool {
-        match entry {
-            StreamEntry::Graph(event) => self.owner_of(event) == partition,
-            StreamEntry::Marker(_) | StreamEntry::Control(_) => true,
-        }
     }
 
     /// Splits a stream into `partitions` substreams: graph events are

@@ -41,11 +41,6 @@ impl ClientClass {
             model,
         }
     }
-
-    /// The class's total offered rate, events per second.
-    pub fn total_rate(&self) -> f64 {
-        self.rate_per_connection * self.connections as f64
-    }
 }
 
 /// The traffic mix of a load run: one or more client classes plus the
@@ -77,13 +72,6 @@ impl LoadPlan {
         }
     }
 
-    /// Adds another client class (builder style).
-    #[must_use]
-    pub fn with_class(mut self, class: ClientClass) -> Self {
-        self.classes.push(class);
-        self
-    }
-
     /// Shapes every client's arrival intensity by a rate pattern
     /// (builder style).
     #[must_use]
@@ -101,13 +89,8 @@ impl LoadPlan {
     }
 
     /// Connections across all classes — the substream count.
-    pub fn total_connections(&self) -> usize {
+    pub(crate) fn total_connections(&self) -> usize {
         self.classes.iter().map(|c| c.connections).sum()
-    }
-
-    /// Offered rate across all classes, events per second.
-    pub fn total_rate(&self) -> f64 {
-        self.classes.iter().map(|c| c.total_rate()).sum()
     }
 
     /// The class labels, in declaration order.
@@ -148,20 +131,16 @@ mod tests {
         let plan = LoadPlan::single(8, 40_000.0, LoopModel::Open, 1);
         assert_eq!(plan.total_connections(), 8);
         assert_eq!(plan.classes[0].rate_per_connection, 5_000.0);
-        assert!((plan.total_rate() - 40_000.0).abs() < 1e-9);
     }
 
     #[test]
     fn class_mix_accumulates() {
-        let plan = LoadPlan::single(4, 20_000.0, LoopModel::Open, 1).with_class(ClientClass::new(
-            "probe",
-            2,
-            100.0,
-            LoopModel::Closed,
-        ));
+        let mut plan = LoadPlan::single(4, 20_000.0, LoopModel::Open, 1);
+        plan.classes
+            .push(ClientClass::new("probe", 2, 100.0, LoopModel::Closed));
         assert_eq!(plan.total_connections(), 6);
         assert_eq!(plan.class_names(), vec!["main", "probe"]);
-        assert!((plan.total_rate() - 20_100.0).abs() < 1e-9);
+        assert_eq!(plan.classes[1].rate_per_connection, 50.0);
     }
 
     #[test]

@@ -316,9 +316,13 @@ mod tests {
         let events = Arc::new(AtomicU64::new(0));
         let markers = Arc::new(Mutex::new(Vec::new()));
         let stream = sample_stream(300);
-        let plan = LoadPlan::single(3, 60_000.0, LoopModel::Open, 5).with_class(
-            crate::plan::ClientClass::new("probe", 1, 20_000.0, LoopModel::Closed),
-        );
+        let mut plan = LoadPlan::single(3, 60_000.0, LoopModel::Open, 5);
+        plan.classes.push(crate::plan::ClientClass::new(
+            "probe",
+            1,
+            20_000.0,
+            LoopModel::Closed,
+        ));
         let clock: Arc<dyn Clock> = Arc::new(WallClock::start());
         let factory_events = Arc::clone(&events);
         let factory_markers = Arc::clone(&markers);

@@ -55,7 +55,12 @@ impl ArrivalSchedule {
     ///
     /// # Panics
     /// If `rate` is not strictly positive and finite.
-    pub fn patterned(rate: f64, events: usize, seed: u64, pattern: &CompiledPattern) -> Self {
+    pub(crate) fn patterned(
+        rate: f64,
+        events: usize,
+        seed: u64,
+        pattern: &CompiledPattern,
+    ) -> Self {
         assert!(
             rate.is_finite() && rate > 0.0,
             "arrival rate must be positive"
@@ -77,7 +82,7 @@ impl ArrivalSchedule {
     ///
     /// # Panics
     /// If `rate` is not strictly positive and finite.
-    pub fn uniform(rate: f64, events: usize) -> Self {
+    pub(crate) fn uniform(rate: f64, events: usize) -> Self {
         assert!(
             rate.is_finite() && rate > 0.0,
             "arrival rate must be positive"
@@ -95,7 +100,7 @@ impl ArrivalSchedule {
     }
 
     /// Consumes the schedule, yielding its offsets without a copy.
-    pub fn into_offsets_micros(self) -> Vec<u64> {
+    pub(crate) fn into_offsets_micros(self) -> Vec<u64> {
         self.offsets
     }
 
@@ -107,11 +112,6 @@ impl ArrivalSchedule {
     /// Whether the schedule is empty.
     pub fn is_empty(&self) -> bool {
         self.offsets.is_empty()
-    }
-
-    /// The scheduled offset of the last arrival, if any.
-    pub fn last_micros(&self) -> Option<u64> {
-        self.offsets.last().copied()
     }
 }
 
@@ -132,7 +132,7 @@ mod tests {
     fn poisson_mean_rate_is_close() {
         let rate = 50_000.0;
         let schedule = ArrivalSchedule::poisson(rate, 20_000, 7);
-        let span_secs = schedule.last_micros().unwrap() as f64 / 1e6;
+        let span_secs = schedule.offsets.last().copied().unwrap() as f64 / 1e6;
         let achieved = schedule.len() as f64 / span_secs;
         let error = (achieved - rate).abs() / rate;
         assert!(error < 0.05, "mean rate off by {:.1}%", error * 100.0);
@@ -159,7 +159,7 @@ mod tests {
     fn empty_schedule() {
         let schedule = ArrivalSchedule::uniform(100.0, 0);
         assert!(schedule.is_empty());
-        assert_eq!(schedule.last_micros(), None);
+        assert_eq!(schedule.offsets.last().copied(), None);
     }
 
     #[test]
@@ -239,7 +239,7 @@ mod tests {
         .compile(0);
         let rate = 10_000.0;
         let schedule = ArrivalSchedule::patterned(rate, 50_000, 7, &pattern);
-        let span_secs = schedule.last_micros().unwrap() as f64 / 1e6;
+        let span_secs = schedule.offsets.last().copied().unwrap() as f64 / 1e6;
         let achieved = schedule.len() as f64 / span_secs;
         let error = (achieved - rate).abs() / rate;
         assert!(error < 0.05, "mean rate off by {:.1}%", error * 100.0);

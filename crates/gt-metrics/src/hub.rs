@@ -284,7 +284,7 @@ impl MetricsHub {
     }
 
     /// Snapshot of all counters, sorted by name.
-    pub fn counter_values(&self) -> Vec<(String, u64)> {
+    pub(crate) fn counter_values(&self) -> Vec<(String, u64)> {
         self.inner
             .read()
             .counters
@@ -294,7 +294,7 @@ impl MetricsHub {
     }
 
     /// Snapshot of all gauges, sorted by name.
-    pub fn gauge_values(&self) -> Vec<(String, i64)> {
+    pub(crate) fn gauge_values(&self) -> Vec<(String, i64)> {
         self.inner
             .read()
             .gauges

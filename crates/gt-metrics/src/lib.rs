@@ -4,15 +4,15 @@
 //!
 //! The measurement side of the GraphTides test harness (paper §4.3):
 //!
-//! * [`record`] — timestamped metric records and the line format of the
-//!   result log ([`name`]: the shared series names they carry),
+//! * [`record`] — timestamped metric records, the line format of the
+//!   result log, and the log collector's merge
+//!   ([`ResultLog::from_records`]; [`name`]: the shared series names they
+//!   carry),
 //! * [`hub`] — a shared registry of named counters and gauges; systems
 //!   under test expose Level-1/Level-2 internals through it, loggers
 //!   snapshot it,
 //! * [`logger`] — periodic samplers: the hub snapshotter and a
 //!   closure-based gauge probe,
-//! * [`collector`] — the log collector that merges per-logger logs into a
-//!   single, chronologically sorted result log,
 //! * [`clock`] — run-relative clocks, including a manual clock so
 //!   simulated experiments are fully deterministic.
 //!
@@ -23,14 +23,12 @@
 //! Level 2 systems are instrumented in-source and push arbitrary records.
 
 pub mod clock;
-pub mod collector;
 pub mod hub;
 pub mod logger;
 pub mod name;
 pub mod record;
 
 pub use clock::{Clock, ManualClock, WallClock};
-pub use collector::LogCollector;
 pub use hub::{Histogram, HistogramSnapshot, MetricsHub};
 pub use logger::{GaugeSampler, HubSampler, MetricsLogger};
 pub use name::{Name, NameTable};

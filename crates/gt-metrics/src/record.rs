@@ -107,7 +107,7 @@ impl MetricRecord {
     }
 
     /// Serializes as one log line (no newline).
-    pub fn to_line(&self) -> String {
+    pub(crate) fn to_line(&self) -> String {
         format!(
             "{},{},{},{}",
             self.t_micros, self.source, self.metric, self.value
@@ -161,7 +161,10 @@ impl ResultLog {
     }
 
     /// Builds a log, sorting by timestamp in place. Equal timestamps
-    /// keep their input order (see [`Self::sort`]).
+    /// keep their input order (see [`Self::sort`]). This is the log
+    /// collector of §4.1 and §5.1, which "gathers the remote log files of
+    /// all logger instances and merges them into a single, chronologically
+    /// sorted result log file".
     pub fn from_records(records: Vec<MetricRecord>) -> Self {
         let mut log = ResultLog { records };
         log.sort();
@@ -171,12 +174,6 @@ impl ResultLog {
     /// The records in chronological order.
     pub fn records(&self) -> &[MetricRecord] {
         &self.records
-    }
-
-    /// Gives the records up, in chronological order — how a log is merged
-    /// into another without copying a record.
-    pub fn into_records(self) -> Vec<MetricRecord> {
-        self.records
     }
 
     /// Number of records.
@@ -237,7 +234,7 @@ impl ResultLog {
     }
 
     /// Serializes the log, one record per line.
-    pub fn to_text(&self) -> String {
+    pub(crate) fn to_text(&self) -> String {
         let mut out = String::with_capacity(self.records.len() * 32);
         for r in &self.records {
             out.push_str(&r.to_line());

@@ -17,12 +17,12 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use gt_chaos::{ChaosEvent, ChaosEventKind, ChaosJournal};
-use gt_metrics::Clock;
+use gt_metrics::{Clock, MetricRecord};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use crate::schedule::{ConnRange, KillMode, NetemFault, NetemFaultKind, NetemSchedule};
-use crate::NetemPlan;
+use crate::{NetemPlan, NETEM_SOURCE};
 
 /// How long a forwarder blocks in one downstream read before re-checking
 /// fault state and the stop flag.
@@ -176,6 +176,27 @@ pub struct NetemReport {
     pub kills_fin: u64,
     /// Accepted client connections the proxy could not bridge upstream.
     pub dial_failures: u64,
+}
+
+impl NetemReport {
+    /// Renders all eight counters as int records under [`NETEM_SOURCE`]
+    /// (the accepted connections as `proxy_connections`), ready to fold
+    /// into the merged result log.
+    pub fn records(&self, t_micros: u64) -> Vec<MetricRecord> {
+        [
+            ("proxy_connections", self.connections),
+            ("bytes_in", self.bytes_in),
+            ("bytes_out", self.bytes_out),
+            ("bytes_corrupted", self.bytes_corrupted),
+            ("bytes_dropped", self.bytes_dropped),
+            ("kills_rst", self.kills_rst),
+            ("kills_fin", self.kills_fin),
+            ("dial_failures", self.dial_failures),
+        ]
+        .into_iter()
+        .map(|(metric, value)| MetricRecord::int(t_micros, NETEM_SOURCE, metric, value as i64))
+        .collect()
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]

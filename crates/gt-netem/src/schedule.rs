@@ -131,7 +131,7 @@ impl NetemFaultKind {
     }
 
     /// The window after which the fault clears, if it is a windowed kind.
-    pub fn clear_after(&self) -> Option<Duration> {
+    pub(crate) fn clear_after(&self) -> Option<Duration> {
         match self {
             NetemFaultKind::Partition { duration } => Some(*duration),
             NetemFaultKind::Delay { duration, .. } | NetemFaultKind::Throttle { duration, .. } => {
@@ -216,12 +216,6 @@ impl NetemSchedule {
             faults: Vec::new(),
             seed,
         }
-    }
-
-    /// Appends a fault (builder style).
-    pub fn fault(mut self, at: Duration, kind: NetemFaultKind, conns: ConnRange) -> Self {
-        self.faults.push(NetemFault { at, kind, conns });
-        self
     }
 
     /// Whether the schedule has no faults.
@@ -403,24 +397,28 @@ mod tests {
     }
 
     #[test]
-    fn builder_matches_parser() {
+    fn parser_builds_the_schedule() {
         let parsed =
             NetemSchedule::parse("partition@2s,dur=500ms,conns=0-3; kill@4s,mode=fin", 7).unwrap();
-        let built = NetemSchedule::new(7)
-            .fault(
-                Duration::from_secs(2),
-                NetemFaultKind::Partition {
-                    duration: Duration::from_millis(500),
+        let built = NetemSchedule {
+            faults: vec![
+                NetemFault {
+                    at: Duration::from_secs(2),
+                    kind: NetemFaultKind::Partition {
+                        duration: Duration::from_millis(500),
+                    },
+                    conns: ConnRange::Range { first: 0, last: 3 },
                 },
-                ConnRange::Range { first: 0, last: 3 },
-            )
-            .fault(
-                Duration::from_secs(4),
-                NetemFaultKind::Kill {
-                    mode: KillMode::Fin,
+                NetemFault {
+                    at: Duration::from_secs(4),
+                    kind: NetemFaultKind::Kill {
+                        mode: KillMode::Fin,
+                    },
+                    conns: ConnRange::All,
                 },
-                ConnRange::All,
-            );
+            ],
+            seed: 7,
+        };
         assert_eq!(parsed, built);
     }
 

@@ -60,7 +60,7 @@ impl ReplayError {
 
     /// Wraps this error in an `io::Error` so it can cross the
     /// [`crate::EventSink`] interface without widening the trait.
-    pub fn into_io(self) -> io::Error {
+    pub(crate) fn into_io(self) -> io::Error {
         let kind = match &self {
             ReplayError::Io(e) => e.kind(),
             ReplayError::SinkGaveUp { .. } => io::ErrorKind::ConnectionAborted,

@@ -12,7 +12,7 @@
 //! * [`sink`] — where events go: any [`std::io::Write`] (pipes, files,
 //!   stdout) or a TCP connection; all platform-specific connectors
 //!   implement one trait, keeping the harness platform-agnostic (§3.3).
-//! * [`pacing`] — the deadline arithmetic of the rate controller, pure
+//! * `pacing` — the deadline arithmetic of the rate controller, pure
 //!   over replay-relative nanoseconds.
 //! * [`replayer`] — the driver: paces, pauses and timestamps on the run's
 //!   [`gt_metrics::Clock`] (one time base and one wait for the whole
@@ -30,7 +30,7 @@
 //! * [`errors`] — the typed pipeline error.
 
 pub mod errors;
-pub mod pacing;
+mod pacing;
 pub mod pattern;
 pub mod reader;
 pub mod reconnect;
@@ -39,7 +39,6 @@ pub mod session;
 pub mod sink;
 
 pub use errors::ReplayError;
-pub use pacing::{PacerCore, Schedule};
 pub use pattern::{CompiledPattern, RatePattern};
 pub use reader::{spawn_file_reader, EntryReceiver};
 pub use reconnect::{ReconnectPolicy, ReconnectingTcpSink};

@@ -24,7 +24,7 @@ const RE_ANCHOR_NANOS: u64 = 100_000_000; // 100 ms
 
 /// One scheduling decision from [`PacerCore::schedule`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Schedule {
+pub(crate) struct Schedule {
     /// How long to wait before emitting (0 when already at/past the
     /// deadline).
     pub wait_nanos: u64,
@@ -40,7 +40,7 @@ pub struct Schedule {
 /// changes, bounded catch-up after a stall, `PAUSE` re-anchoring — is a
 /// deterministic function of its inputs.
 #[derive(Debug, Clone)]
-pub struct PacerCore {
+pub(crate) struct PacerCore {
     /// Nanoseconds between events at speed factor 1.
     base_interval_nanos: f64,
     /// Current speed multiplier (from `SPEED` control events).
@@ -56,7 +56,7 @@ impl PacerCore {
     ///
     /// # Panics
     /// If `rate` is not positive and finite.
-    pub fn new(rate: f64) -> Self {
+    pub(crate) fn new(rate: f64) -> Self {
         assert!(rate.is_finite() && rate > 0.0, "rate must be positive");
         PacerCore {
             base_interval_nanos: 1e9 / rate,
@@ -70,7 +70,7 @@ impl PacerCore {
     /// divided by the pattern's multiplier at the slot's deadline, so the
     /// emitted rate follows the shape (diurnal wave, burst train, flash
     /// crowd) while SPEED control events still scale on top.
-    pub fn with_pattern(mut self, pattern: CompiledPattern) -> Self {
+    pub(crate) fn with_pattern(mut self, pattern: CompiledPattern) -> Self {
         self.pattern = if pattern.is_uniform() {
             None
         } else {
@@ -86,20 +86,10 @@ impl PacerCore {
     /// behind parse-time and replay-time validation, and a bad factor
     /// must degrade to "unchanged", never to the `u64::MAX`-nanosecond
     /// interval the old saturating cast produced (a permanent stall).
-    pub fn set_speed(&mut self, factor: f64) {
+    pub(crate) fn set_speed(&mut self, factor: f64) {
         if factor.is_finite() && factor > 0.0 {
             self.speed = factor;
         }
-    }
-
-    /// Current speed factor.
-    pub fn speed(&self) -> f64 {
-        self.speed
-    }
-
-    /// The effective target rate in events/s.
-    pub fn effective_rate(&self) -> f64 {
-        1e9 / self.base_interval_nanos * self.speed
     }
 
     /// The current inter-event interval in nanoseconds, clamped to a
@@ -135,7 +125,7 @@ impl PacerCore {
     /// than `RE_ANCHOR_NANOS` (100 ms) behind, the deadline snaps to `now` so
     /// the burst stays bounded (a 20 s `PAUSE` must not be followed by
     /// 20 s × rate instantaneous events).
-    pub fn schedule(&mut self, now_nanos: u64) -> Schedule {
+    pub(crate) fn schedule(&mut self, now_nanos: u64) -> Schedule {
         let decision = if self.next_deadline_nanos > now_nanos {
             Schedule {
                 wait_nanos: self.next_deadline_nanos - now_nanos,
@@ -157,7 +147,7 @@ impl PacerCore {
 
     /// Re-anchors the deadline to `now` + one interval (used after
     /// `PAUSE`).
-    pub fn reset(&mut self, now_nanos: u64) {
+    pub(crate) fn reset(&mut self, now_nanos: u64) {
         self.next_deadline_nanos = now_nanos + self.interval_nanos_at(now_nanos);
     }
 }
@@ -200,7 +190,7 @@ mod tests {
         assert_eq!(s1.wait_nanos, 1_000_000);
 
         core.set_speed(2.0); // SPEED,,2 → 0.5 ms interval
-        assert_eq!(core.effective_rate(), 2_000.0);
+        assert_eq!(core.speed, 2.0);
         // The slot at 2 ms was issued before the speed change and keeps
         // its old spacing; the one scheduled now uses the new interval.
         let s2 = sched(&mut core, 1_000_000);
@@ -314,12 +304,11 @@ mod tests {
     #[test]
     fn speed_factor_scales_rate() {
         let mut pacer = PacerCore::new(1_000.0);
-        assert_eq!(pacer.effective_rate(), 1_000.0);
+        assert_eq!(pacer.speed, 1.0);
         pacer.set_speed(2.0);
-        assert_eq!(pacer.effective_rate(), 2_000.0);
+        assert_eq!(pacer.speed, 2.0);
         pacer.set_speed(0.5);
-        assert_eq!(pacer.effective_rate(), 500.0);
-        assert_eq!(pacer.speed(), 0.5);
+        assert_eq!(pacer.speed, 0.5);
     }
 
     #[test]
@@ -338,7 +327,7 @@ mod tests {
         core.set_speed(2.0);
         for bad in [0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             core.set_speed(bad);
-            assert_eq!(core.speed(), 2.0, "factor {bad} must be ignored");
+            assert_eq!(core.speed, 2.0, "factor {bad} must be ignored");
         }
         // The schedule keeps advancing at the last valid speed: the next
         // slot is half a base interval away, not u64::MAX nanoseconds.

@@ -7,7 +7,7 @@
 //! that compiles to a pure piecewise-constant multiplier over time
 //! ([`CompiledPattern`]). Two consumers share it:
 //!
-//! * [`PacerCore`](crate::pacing::PacerCore) scales its inter-event
+//! * `PacerCore` scales its inter-event
 //!   interval by the multiplier at each deadline, so the single-sink
 //!   replayer emits the shaped rate;
 //! * [`ArrivalSchedule`](../gt_load) draws inhomogeneous-Poisson arrival
@@ -149,7 +149,7 @@ impl RatePattern {
 
     /// Validates the pattern's parameters, returning a description of the
     /// first problem found.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         let positive = |v: f64, what: &str| {
             if v.is_finite() && v > 0.0 {
                 Ok(())
@@ -276,7 +276,7 @@ pub struct CompiledPattern {
 
 impl CompiledPattern {
     /// The multiplier in force at run-relative time `t_micros`.
-    pub fn multiplier_at_micros(&self, t_micros: u64) -> f64 {
+    pub(crate) fn multiplier_at_micros(&self, t_micros: u64) -> f64 {
         let t = match self.cycle_micros {
             Some(cycle) if cycle > 0 => t_micros % cycle,
             _ => t_micros,
@@ -288,18 +288,8 @@ impl CompiledPattern {
         }
     }
 
-    /// The largest multiplier anywhere in the pattern (the thinning bound
-    /// an inhomogeneous-Poisson sampler needs).
-    pub fn max_multiplier(&self) -> f64 {
-        self.segments
-            .iter()
-            .map(|&(_, m)| m)
-            .fold(f64::MIN, f64::max)
-            .max(0.0)
-    }
-
     /// Whether the pattern is the constant multiplier 1.0.
-    pub fn is_uniform(&self) -> bool {
+    pub(crate) fn is_uniform(&self) -> bool {
         self.segments.iter().all(|&(_, m)| m == 1.0)
     }
 
@@ -365,7 +355,6 @@ mod tests {
         for t in [0u64, 1, 1_000_000, u64::MAX / 2] {
             assert_eq!(p.multiplier_at_micros(t), 1.0);
         }
-        assert_eq!(p.max_multiplier(), 1.0);
     }
 
     #[test]
@@ -402,7 +391,6 @@ mod tests {
         let c = pattern.compile(8);
         assert_eq!(a, b, "same seed, same train");
         assert_ne!(a, c, "different seed, different gaps");
-        assert_eq!(a.max_multiplier(), 4.0);
         // The train alternates quiet (1.0) and burst (4.0) segments.
         let mut saw_quiet = false;
         let mut saw_burst = false;

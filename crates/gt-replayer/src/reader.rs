@@ -17,7 +17,7 @@
 //! than the work on either side of it. The channel has `buffer /
 //! chunk_len` slots, so `buffer` remains a bound in *entries*, and an
 //! entry-exact account of what is queued travels with the receiver
-//! ([`EntryReceiver::queued`]).
+//! (`EntryReceiver::queued`).
 
 use std::io::{self, BufRead};
 use std::path::PathBuf;
@@ -29,7 +29,7 @@ use crossbeam::channel::{bounded, Receiver, Sender};
 use gt_core::prelude::*;
 
 /// Default capacity, in entries, of the channel between reader and emitter.
-pub const DEFAULT_BUFFER: usize = 64 * 1024;
+pub(crate) const DEFAULT_BUFFER: usize = 64 * 1024;
 
 /// Most entries handed over in one channel operation.
 const MAX_CHUNK: usize = 256;
@@ -44,7 +44,7 @@ pub struct EntryReceiver {
 impl EntryReceiver {
     /// Blocks for the next chunk of entries (never empty); `None` once the
     /// reader is done and the channel is drained.
-    pub fn recv_chunk(&self) -> Option<Vec<SharedEntry>> {
+    pub(crate) fn recv_chunk(&self) -> Option<Vec<SharedEntry>> {
         let chunk = self.rx.recv().ok()?;
         self.queued.fetch_sub(chunk.len() as i64, Ordering::Relaxed);
         Some(chunk)
@@ -53,16 +53,16 @@ impl EntryReceiver {
     /// Entries sitting in the channel right now. (A chunk in the reader's
     /// or the consumer's hand is not queued.) Each end books its chunk
     /// after its channel operation, so to the thread that calls
-    /// [`EntryReceiver::recv_chunk`] this never exceeds the `buffer` the
+    /// `EntryReceiver::recv_chunk` this never exceeds the `buffer` the
     /// reader was spawned with — it can lag a chunk the reader has sent
     /// but not booked yet.
-    pub fn queued(&self) -> usize {
+    pub(crate) fn queued(&self) -> usize {
         // A take can be booked before the matching put.
         self.queued.load(Ordering::Relaxed).max(0) as usize
     }
 
     /// Iterates the entries in file order, blocking like
-    /// [`EntryReceiver::recv_chunk`], until the reader is done. The
+    /// `EntryReceiver::recv_chunk`, until the reader is done. The
     /// iterator holds the chunk it is working through: dropping it
     /// mid-chunk drops the rest of that chunk.
     pub fn iter(&self) -> impl Iterator<Item = SharedEntry> + '_ {

@@ -66,15 +66,6 @@ impl Default for ReconnectPolicy {
 }
 
 impl ReconnectPolicy {
-    /// A policy that never reconnects — first loss is fatal, matching
-    /// plain [`crate::TcpSink`] behavior but with the typed error.
-    pub fn give_up_immediately() -> Self {
-        ReconnectPolicy {
-            max_attempts: 0,
-            ..Default::default()
-        }
-    }
-
     /// Sets the jitter seed (builder style) — one distinct seed per
     /// client is what desynchronizes a reconnect herd.
     #[must_use]
@@ -90,7 +81,7 @@ impl ReconnectPolicy {
     /// socket involved, so tests can assert desynchronization without
     /// sleeping. Successive rounds draw different jitter (the round is
     /// folded into the seed) but remain reproducible run-to-run.
-    pub fn backoff_schedule(&self, round: u64) -> Vec<Duration> {
+    pub(crate) fn backoff_schedule(&self, round: u64) -> Vec<Duration> {
         assert!(
             (0.0..=1.0).contains(&self.jitter),
             "jitter {} outside [0, 1]",
@@ -121,8 +112,6 @@ pub struct ReconnectingTcpSink {
     writer: Option<BufWriter<TcpStream>>,
     policy: ReconnectPolicy,
     clock: Arc<dyn Clock>,
-    /// Lines confirmed flushed into the socket since connect.
-    emitted_lines: u64,
     /// Lines written since the last successful flush — replayed onto a
     /// fresh connection after a drop.
     pending: Vec<String>,
@@ -161,7 +150,6 @@ impl ReconnectingTcpSink {
             writer: Some(BufWriter::with_capacity(SOCKET_BUFFER, stream)),
             policy: ReconnectPolicy::default(),
             clock: Arc::new(WallClock::start()),
-            emitted_lines: 0,
             pending: Vec::new(),
             reconnects: 0,
             disconnects: 0,
@@ -208,23 +196,13 @@ impl ReconnectingTcpSink {
         self
     }
 
-    /// Disconnects observed for one specific cause.
-    pub fn disconnects_of(&self, cause: DisconnectCause) -> u64 {
-        self.disconnects_by_cause[cause.index()]
-    }
-
     /// Per-cause disconnect counters, as `(label, count)` pairs in
-    /// [`DisconnectCause::ALL`] order.
+    /// `DisconnectCause::ALL` order.
     pub fn disconnect_counts(&self) -> Vec<(&'static str, u64)> {
         DisconnectCause::ALL
             .iter()
             .map(|c| (c.label(), self.disconnects_by_cause[c.index()]))
             .collect()
-    }
-
-    /// Lines confirmed flushed to the socket.
-    pub fn emitted_lines(&self) -> u64 {
-        self.emitted_lines
     }
 
     /// Successful reconnects so far.
@@ -353,7 +331,6 @@ impl ReconnectingTcpSink {
             };
             match writer.flush() {
                 Ok(()) => {
-                    self.emitted_lines += self.pending.len() as u64;
                     self.pending.clear();
                     if self.writer.as_ref().is_some_and(Self::peer_sent_fin) {
                         let e = io::Error::new(
@@ -414,6 +391,14 @@ impl EventSink for ReconnectingTcpSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A policy that never reconnects: first loss is fatal.
+    fn give_up_immediately() -> ReconnectPolicy {
+        ReconnectPolicy {
+            max_attempts: 0,
+            ..Default::default()
+        }
+    }
     use std::io::{BufRead, BufReader};
     use std::net::TcpListener;
 
@@ -440,7 +425,7 @@ mod tests {
             sink.send(&vertex(i)).unwrap();
         }
         sink.flush().unwrap();
-        assert_eq!(sink.emitted_lines(), 10);
+        assert!(sink.pending.is_empty());
         assert_eq!(sink.reconnects(), 0);
         assert!(sink.drain_events().is_empty());
         drop(sink);
@@ -627,9 +612,9 @@ mod tests {
             sink.send(&vertex(i)).unwrap();
         }
         // Two auto-flushes (at 8 and 16) already confirmed 16 lines.
-        assert_eq!(sink.emitted_lines(), 16);
+        assert_eq!(sink.pending.len(), 4);
         sink.flush().unwrap();
-        assert_eq!(sink.emitted_lines(), 20);
+        assert!(sink.pending.is_empty());
         drop(sink);
         assert_eq!(reader.join().unwrap(), 20);
     }
@@ -671,7 +656,7 @@ mod tests {
         });
         let mut sink = ReconnectingTcpSink::connect(addr)
             .unwrap()
-            .with_policy(ReconnectPolicy::give_up_immediately());
+            .with_policy(give_up_immediately());
         for i in 0..8 {
             sink.send(&fat_vertex(i)).unwrap();
         }
@@ -686,8 +671,11 @@ mod tests {
             }
             other => panic!("expected SinkGaveUp, got {other:?}"),
         }
-        assert_eq!(sink.disconnects_of(DisconnectCause::Reset), 1);
-        assert_eq!(sink.disconnects_of(DisconnectCause::Stalled), 0);
+        assert_eq!(sink.disconnects_by_cause[DisconnectCause::Reset.index()], 1);
+        assert_eq!(
+            sink.disconnects_by_cause[DisconnectCause::Stalled.index()],
+            0
+        );
     }
 
     // Graceful kill: the peer sends a FIN (shutdown both directions) but
@@ -708,7 +696,7 @@ mod tests {
         });
         let mut sink = ReconnectingTcpSink::connect(addr)
             .unwrap()
-            .with_policy(ReconnectPolicy::give_up_immediately())
+            .with_policy(give_up_immediately())
             .with_write_timeout(Some(Duration::from_millis(100)));
 
         let err = drive_until_error(&mut sink, 100_000);
@@ -718,7 +706,10 @@ mod tests {
             }
             other => panic!("expected SinkGaveUp, got {other:?}"),
         }
-        assert_eq!(sink.disconnects_of(DisconnectCause::ClosedByPeer), 1);
+        assert_eq!(
+            sink.disconnects_by_cause[DisconnectCause::ClosedByPeer.index()],
+            1
+        );
         park_tx.send(()).ok();
         server.join().unwrap();
     }
@@ -739,7 +730,7 @@ mod tests {
         });
         let mut sink = ReconnectingTcpSink::connect(addr)
             .unwrap()
-            .with_policy(ReconnectPolicy::give_up_immediately())
+            .with_policy(give_up_immediately())
             .with_write_timeout(Some(Duration::from_millis(100)));
 
         let err = drive_until_error(&mut sink, 100_000);
@@ -749,7 +740,10 @@ mod tests {
             }
             other => panic!("expected SinkGaveUp, got {other:?}"),
         }
-        assert_eq!(sink.disconnects_of(DisconnectCause::Stalled), 1);
+        assert_eq!(
+            sink.disconnects_by_cause[DisconnectCause::Stalled.index()],
+            1
+        );
         assert_eq!(
             sink.disconnect_counts(),
             vec![

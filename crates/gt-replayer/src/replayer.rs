@@ -18,22 +18,24 @@ use crate::sink::EventSink;
 /// unnoticed.
 const PAUSE_SLICE_MICROS: u64 = 20_000;
 
+/// Width of the ingress-rate buckets in the report, microseconds.
+const RATE_BUCKET_MICROS: u64 = 1_000_000;
+
+/// Upper bound on how many behind-schedule events are coalesced into a
+/// single [`EventSink::send_batch`] call. Events that arrive on time are
+/// still delivered one per pacing slot; only events whose deadline has
+/// already passed (catch-up bursts, rates beyond the sink's ceiling) are
+/// batched.
+const MAX_BATCH: usize = 256;
+
 /// Replayer configuration.
 #[derive(Debug, Clone)]
 pub struct ReplayerConfig {
     /// Target emission rate in events per second (speed factor 1.0).
     pub target_rate: f64,
-    /// Width of the ingress-rate buckets in the report, seconds.
-    pub rate_bucket_secs: f64,
     /// Whether `PAUSE` control events actually wait. Disable for
     /// maximum-throughput benchmarking of the replayer itself.
     pub honor_pauses: bool,
-    /// Upper bound on how many behind-schedule events are coalesced into a
-    /// single [`EventSink::send_batch`] call. Events that arrive on time
-    /// are still delivered one per pacing slot; only events whose deadline
-    /// has already passed (catch-up bursts, rates beyond the sink's
-    /// ceiling) are batched.
-    pub max_batch: usize,
     /// Rate-variability shape (§4.4): how the offered rate varies over
     /// the run. [`RatePattern::Uniform`] is the paper's constant pacing.
     pub pattern: RatePattern,
@@ -46,9 +48,7 @@ impl Default for ReplayerConfig {
     fn default() -> Self {
         ReplayerConfig {
             target_rate: 1_000.0,
-            rate_bucket_secs: 1.0,
             honor_pauses: true,
-            max_batch: 256,
             pattern: RatePattern::Uniform,
             pattern_seed: 0,
         }
@@ -127,7 +127,7 @@ impl Replayer {
 
     /// Registers a histogram recording each graph event's deadline miss
     /// (microseconds late relative to the pacing schedule).
-    pub fn with_emit_latency(mut self, histogram: Histogram) -> Self {
+    pub(crate) fn with_emit_latency(mut self, histogram: Histogram) -> Self {
         self.emit_latency = Some(histogram);
         self
     }
@@ -163,7 +163,6 @@ impl Replayer {
         batch: &mut Vec<SharedEntry>,
         sink: &mut S,
         started: u64,
-        bucket_micros: u64,
         graph_events: &mut u64,
         buckets: &mut Vec<u64>,
     ) -> io::Result<()> {
@@ -185,7 +184,7 @@ impl Replayer {
             c.add(n);
         }
         let elapsed = self.clock.now_micros().saturating_sub(started);
-        let bucket = (elapsed / bucket_micros.max(1)) as usize;
+        let bucket = (elapsed / RATE_BUCKET_MICROS) as usize;
         if buckets.len() <= bucket {
             buckets.resize(bucket + 1, 0);
         }
@@ -201,7 +200,7 @@ impl Replayer {
     /// Events that are on schedule are delivered one per pacing slot; once
     /// the replayer falls behind, due events are coalesced into
     /// [`EventSink::send_batch`] bursts of at most
-    /// [`ReplayerConfig::max_batch`] entries. The pending batch is always
+    /// 256 entries. The pending batch is always
     /// flushed before a marker or pause, so a marker is only delivered
     /// after every graph event streamed before it — and before pulling
     /// from a source whose [`Iterator::size_hint`] lower bound is zero (it
@@ -228,21 +227,12 @@ impl Replayer {
         let mut graph_events = 0u64;
         let mut paused_micros = 0u64;
         let mut markers = Vec::new();
-        let bucket_micros = (self.config.rate_bucket_secs * 1e6) as u64;
         let mut buckets: Vec<u64> = Vec::new();
-        let max_batch = self.config.max_batch.max(1);
-        let mut batch: Vec<SharedEntry> = Vec::with_capacity(max_batch);
+        let mut batch: Vec<SharedEntry> = Vec::with_capacity(MAX_BATCH);
 
         macro_rules! flush_pending {
             () => {
-                self.flush_batch(
-                    &mut batch,
-                    sink,
-                    started,
-                    bucket_micros,
-                    &mut graph_events,
-                    &mut buckets,
-                )?
+                self.flush_batch(&mut batch, sink, started, &mut graph_events, &mut buckets)?
             };
         }
 
@@ -286,7 +276,7 @@ impl Replayer {
                         // that is already due — one batched dispatch per
                         // burst instead of one sink call per event.
                         batch.push(entry);
-                        if batch.len() >= max_batch {
+                        if batch.len() >= MAX_BATCH {
                             flush_pending!();
                         }
                     }
@@ -349,19 +339,19 @@ impl Replayer {
 
         let duration_micros = clock.now_micros().saturating_sub(started).max(1);
         let last = buckets.len().saturating_sub(1);
+        let bucket_secs = RATE_BUCKET_MICROS as f64 / 1e6;
         let rate_series: Vec<(f64, f64)> = buckets
             .iter()
             .enumerate()
             .map(|(i, &count)| {
-                let start_secs = i as f64 * self.config.rate_bucket_secs;
+                let start_secs = i as f64 * bucket_secs;
                 // The run usually ends partway through the final bucket;
                 // dividing by the full bucket width would understate the
                 // closing rate, so scale by the actual elapsed width.
                 let width = if i == last {
-                    (duration_micros as f64 / 1e6 - start_secs)
-                        .clamp(1e-6, self.config.rate_bucket_secs)
+                    (duration_micros as f64 / 1e6 - start_secs).clamp(1e-6, bucket_secs)
                 } else {
-                    self.config.rate_bucket_secs
+                    bucket_secs
                 };
                 (start_secs, count as f64 / width)
             })
@@ -552,7 +542,8 @@ mod tests {
     /// full buckets except the final one, which ends at the run's end but
     /// is never narrower than the report's 1 µs floor — after checking
     /// that no bucket starts past that end.
-    fn series_total(report: &ReplayReport, bucket_secs: f64) -> f64 {
+    fn series_total(report: &ReplayReport) -> f64 {
+        let bucket_secs = RATE_BUCKET_MICROS as f64 / 1e6;
         let end_secs = report.duration_micros as f64 / 1e6;
         let last = report.rate_series.len() - 1;
         let (last_start, _) = report.rate_series[last];
@@ -575,21 +566,20 @@ mod tests {
 
     #[test]
     fn rate_series_covers_run() {
-        // 1 900 events at 20 000/s end mid-bucket (95 ms into 50 ms
+        // 1 900 events at 1 000/s end mid-bucket (1.9 s into 1 s
         // buckets); the boundary case has its own test below.
         let stream = vertices(1_900);
         let replayer = virtual_replayer(ReplayerConfig {
-            target_rate: 20_000.0,
-            rate_bucket_secs: 0.05,
+            target_rate: 1_000.0,
             ..Default::default()
         });
         let mut sink = CollectSink::new();
         let report = replayer.replay_stream(&stream, &mut sink).unwrap();
-        assert_eq!(report.duration_micros, 95_000);
-        // Slot k is at k × 50 µs: 999 slots before 50 ms, 901 from it on.
+        assert_eq!(report.duration_micros, 1_900_000);
+        // Slot k is at k ms: 999 slots before 1 s, 901 from it on.
         assert_eq!(report.rate_series.len(), 2);
-        assert_eq!(report.rate_series[0], (0.0, 999.0 / 0.05));
-        let total = series_total(&report, 0.05);
+        assert_eq!(report.rate_series[0], (0.0, 999.0));
+        let total = series_total(&report);
         assert!((total - 1_900.0).abs() < 1e-3, "series total {total}");
     }
 
@@ -608,32 +598,31 @@ mod tests {
 
     #[test]
     fn a_run_ending_on_a_bucket_boundary_keeps_every_event_in_the_series() {
-        // 2 000 events × 50 µs end the run at exactly 100 000 µs: the last
-        // flush and `duration_micros` share the microsecond that opens
-        // bucket 2 of 50 ms, however the events were batched. That bucket
-        // has no width of its own; the report gives it its 1 µs floor
-        // rather than dropping what was booked there.
+        // 2 000 events × 1 ms end the run at exactly 2 s: the last flush
+        // and `duration_micros` share the microsecond that opens bucket 2
+        // of 1 s, however the events were batched. That bucket has no
+        // width of its own; the report gives it its 1 µs floor rather
+        // than dropping what was booked there.
         let clock = Arc::new(ManualClock::new());
         let replayer = Replayer::new(ReplayerConfig {
             target_rate: 1e9,
-            rate_bucket_secs: 0.05,
             ..Default::default()
         })
         .with_clock(clock.clone());
         let mut sink = TickingSink {
             clock,
-            micros_per_event: 50,
+            micros_per_event: 1_000,
         };
         let report = replayer.replay_stream(&vertices(2_000), &mut sink).unwrap();
         assert_eq!(report.graph_events, 2_000);
-        assert_eq!(report.duration_micros, 100_000);
+        assert_eq!(report.duration_micros, 2_000_000);
         let &(last_start, last_rate) = report.rate_series.last().unwrap();
-        assert_eq!((report.rate_series.len(), last_start), (3, 0.1));
+        assert_eq!((report.rate_series.len(), last_start), (3, 2.0));
         assert!(
             last_rate * 1e-6 >= 1.0,
             "final bucket holds {last_rate} × 1 µs"
         );
-        let total = series_total(&report, 0.05);
+        let total = series_total(&report);
         assert!((total - 2_000.0).abs() < 1e-3, "series total {total}");
     }
 
@@ -644,7 +633,6 @@ mod tests {
         let stream = vertices(500);
         let replayer = virtual_replayer(ReplayerConfig {
             target_rate: 10_000.0,
-            rate_bucket_secs: 1.0,
             ..Default::default()
         });
         let mut sink = CollectSink::new();
@@ -726,7 +714,7 @@ mod tests {
         );
         let largest = sink.deliveries.iter().map(Vec::len).max().unwrap();
         assert!(largest > 1, "no batching happened");
-        assert!(largest <= 256, "batch exceeded max_batch: {largest}");
+        assert!(largest <= MAX_BATCH, "batch exceeded MAX_BATCH: {largest}");
         assert_eq!(sink.opened, 1);
         assert_eq!(sink.closed, 1);
     }
@@ -749,18 +737,6 @@ mod tests {
         let marker_pos = flat.iter().position(|e| e.is_marker()).unwrap();
         assert_eq!(marker_pos, 100);
         assert_eq!(flat, stream.entries());
-    }
-
-    #[test]
-    fn batch_cap_is_respected() {
-        let replayer = Replayer::new(ReplayerConfig {
-            target_rate: 1e9,
-            max_batch: 16,
-            ..Default::default()
-        });
-        let mut sink = PatternSink::default();
-        replayer.replay_stream(&vertices(200), &mut sink).unwrap();
-        assert!(sink.deliveries.iter().all(|d| d.len() <= 16));
     }
 
     #[test]
@@ -873,7 +849,7 @@ mod tests {
     #[test]
     fn due_events_reach_the_sink_before_the_source_blocks() {
         // Regression: late events waited in the pending batch for
-        // `max_batch`, a marker, an on-time event or the stream's end —
+        // `MAX_BATCH`, a marker, an on-time event or the stream's end —
         // behind a trickling source, for as long as it blocked.
         let delivered = Rc::new(Cell::new(0));
         let mut source = StallingSource {

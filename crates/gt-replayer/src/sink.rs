@@ -62,7 +62,7 @@ pub enum DisconnectCause {
 impl DisconnectCause {
     /// Classifies an I/O error kind into a cause. A probe read can refine
     /// this further (see `ReconnectingTcpSink`).
-    pub fn classify(err: &io::Error) -> Self {
+    pub(crate) fn classify(err: &io::Error) -> Self {
         match err.kind() {
             io::ErrorKind::ConnectionReset | io::ErrorKind::ConnectionAborted => {
                 DisconnectCause::Reset
@@ -86,7 +86,7 @@ impl DisconnectCause {
     }
 
     /// All causes, in counter order.
-    pub const ALL: [DisconnectCause; 4] = [
+    pub(crate) const ALL: [DisconnectCause; 4] = [
         DisconnectCause::Reset,
         DisconnectCause::ClosedByPeer,
         DisconnectCause::Stalled,
@@ -230,11 +230,6 @@ impl<W: Write> WriterSink<W> {
             buf: String::with_capacity(64),
         }
     }
-
-    /// Unwraps the inner writer.
-    pub fn into_inner(self) -> W {
-        self.inner
-    }
 }
 
 impl<W: Write> EventSink for WriterSink<W> {
@@ -353,7 +348,7 @@ mod tests {
             sink.send(&e).unwrap();
         }
         sink.flush().unwrap();
-        let text = String::from_utf8(sink.into_inner()).unwrap();
+        let text = String::from_utf8(sink.inner).unwrap();
         assert_eq!(text, "ADD_VERTEX,1,a\nMARKER,m,\nSPEED,,2\n");
     }
 
@@ -366,7 +361,7 @@ mod tests {
         for e in &batch {
             single.send(e).unwrap();
         }
-        assert_eq!(batched.into_inner(), single.into_inner());
+        assert_eq!(batched.inner, single.inner);
     }
 
     #[test]

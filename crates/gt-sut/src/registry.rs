@@ -143,7 +143,7 @@ impl From<ShardsError> for io::Error {
 }
 
 /// A platform builder: spawns the platform from an option bag.
-pub type SutBuilder =
+pub(crate) type SutBuilder =
     Box<dyn Fn(&SutOptions) -> io::Result<Box<dyn SystemUnderTest>> + Send + Sync>;
 
 /// A string-keyed registry of platform builders.

@@ -21,11 +21,11 @@
 //! external pid makes this the only instrumentation a Level-0 system
 //! under test needs — stream in, results out, `/proc` alongside.
 //!
-//! The parsing layer ([`parse`]) is pure `&str -> value` functions and
+//! The parsing layer (`parse`) is pure `&str -> value` functions and
 //! the reader ([`source::ProcSource`]) is injectable, so every format
 //! corner is unit-testable without a live `/proc`; on non-Linux hosts the
 //! first sample is one `sysmon/error` record carrying the typed
-//! [`SysmonError::Unavailable`], and the series stays empty, keeping runs
+//! `SysmonError::Unavailable`, and the series stays empty, keeping runs
 //! portable.
 //!
 //! ```
@@ -44,17 +44,16 @@
 
 use std::fmt;
 
-pub mod parse;
+mod parse;
 pub mod sampler;
 pub mod source;
 
-pub use parse::{Derived, HostStat, PidIo, PidStat, PidStatus, Sample};
 pub use sampler::{SamplerConfig, SysmonSampler};
-pub use source::{FakeProc, LiveProc, ProcFile, ProcSource};
+pub use source::{ProcFile, ProcSource};
 
 /// Why the monitor could not observe its target.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SysmonError {
+pub(crate) enum SysmonError {
     /// The target's `/proc` entry cannot be read at all — non-Linux host,
     /// or the watched pid exited. Level-0 observation is best-effort by
     /// definition, so runs treat this as "no resource series", not a

@@ -14,7 +14,7 @@ use crate::SysmonError;
 /// counted from the *last* closing parenthesis, as every robust parser
 /// must.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PidStat {
+pub(crate) struct PidStat {
     /// CPU time spent in user mode, in clock ticks (field 14).
     pub utime_ticks: u64,
     /// CPU time spent in kernel mode, in clock ticks (field 15).
@@ -26,7 +26,7 @@ pub struct PidStat {
 }
 
 /// Parses the one-line `/proc/<pid>/stat` format.
-pub fn parse_pid_stat(text: &str) -> Result<PidStat, SysmonError> {
+pub(crate) fn parse_pid_stat(text: &str) -> Result<PidStat, SysmonError> {
     // comm is `(...)` and unescaped; split on the last ')'.
     let (_, rest) = text
         .rsplit_once(')')
@@ -51,7 +51,7 @@ pub fn parse_pid_stat(text: &str) -> Result<PidStat, SysmonError> {
 
 /// Parsed subset of `/proc/<pid>/status` (key-value lines).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PidStatus {
+pub(crate) struct PidStatus {
     /// `VmRSS` in bytes (the file reports kB).
     pub vm_rss_bytes: Option<u64>,
     /// `Threads` count.
@@ -64,7 +64,7 @@ pub struct PidStatus {
 
 /// Parses `/proc/<pid>/status`. Unknown keys are skipped; the listed keys
 /// are optional because kernels and sandboxes omit some of them.
-pub fn parse_pid_status(text: &str) -> Result<PidStatus, SysmonError> {
+pub(crate) fn parse_pid_status(text: &str) -> Result<PidStatus, SysmonError> {
     let mut out = PidStatus::default();
     for line in text.lines() {
         let Some((key, value)) = line.split_once(':') else {
@@ -87,7 +87,7 @@ pub fn parse_pid_status(text: &str) -> Result<PidStatus, SysmonError> {
 /// elevated permissions for a process' own entry, but may be absent for
 /// foreign pids).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PidIo {
+pub(crate) struct PidIo {
     /// Bytes actually fetched from the storage layer (`read_bytes`).
     pub read_bytes: u64,
     /// Bytes sent to the storage layer (`write_bytes`).
@@ -95,7 +95,7 @@ pub struct PidIo {
 }
 
 /// Parses `/proc/<pid>/io`.
-pub fn parse_pid_io(text: &str) -> Result<PidIo, SysmonError> {
+pub(crate) fn parse_pid_io(text: &str) -> Result<PidIo, SysmonError> {
     let mut out = PidIo::default();
     let mut seen = 0;
     for line in text.lines() {
@@ -131,7 +131,7 @@ pub fn parse_pid_io(text: &str) -> Result<PidIo, SysmonError> {
 /// Parsed subset of host-wide `/proc/stat`: the aggregate `cpu` line and
 /// the number of per-CPU lines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct HostStat {
+pub(crate) struct HostStat {
     /// Sum of all jiffies on the aggregate `cpu` line (all CPUs, all
     /// states, including idle).
     pub total_ticks: u64,
@@ -142,7 +142,7 @@ pub struct HostStat {
 }
 
 /// Parses host `/proc/stat`.
-pub fn parse_host_stat(text: &str) -> Result<HostStat, SysmonError> {
+pub(crate) fn parse_host_stat(text: &str) -> Result<HostStat, SysmonError> {
     let mut out = HostStat::default();
     let mut found_aggregate = false;
     for line in text.lines() {
@@ -172,7 +172,7 @@ pub fn parse_host_stat(text: &str) -> Result<HostStat, SysmonError> {
 /// unreadable for foreign pids without privileges, and `status` keys vary
 /// by kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct Sample {
+pub(crate) struct Sample {
     /// Run-relative timestamp, microseconds.
     pub t_micros: u64,
     /// Per-process scheduler stats (required).
@@ -189,7 +189,7 @@ pub struct Sample {
 /// [`Sample`]s. Instantaneous values (RSS, threads) come from the current
 /// sample; rates (CPU%) need the previous one.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Derived {
+pub(crate) struct Derived {
     /// Run-relative timestamp, microseconds.
     pub t_micros: u64,
     /// Process CPU utilization since the previous sample, percent of one
@@ -224,16 +224,23 @@ pub struct Derived {
     pub counter_reset: bool,
 }
 
+/// Clock ticks per second for jiffy→seconds conversion (`USER_HZ`, 100 on
+/// every mainstream Linux).
+const TICKS_PER_SEC: f64 = 100.0;
+
+/// Page size for the `stat` RSS fallback, bytes.
+pub(crate) const PAGE_SIZE: u64 = 4096;
+
 /// Converts a pair of consecutive samples into the derived series.
 ///
 /// Returns `None` when the samples are not strictly ordered in time
 /// (rates would divide by zero).
-pub fn derive(prev: &Sample, curr: &Sample, ticks_per_sec: f64, page_size: u64) -> Option<Derived> {
-    if curr.t_micros <= prev.t_micros || ticks_per_sec <= 0.0 {
+pub(crate) fn derive(prev: &Sample, curr: &Sample) -> Option<Derived> {
+    if curr.t_micros <= prev.t_micros {
         return None;
     }
     let dt_secs = (curr.t_micros - prev.t_micros) as f64 / 1e6;
-    let pct = |ticks: u64| 100.0 * (ticks as f64 / ticks_per_sec) / dt_secs;
+    let pct = |ticks: u64| 100.0 * (ticks as f64 / TICKS_PER_SEC) / dt_secs;
     // Cumulative counters only ever grow for a live process; a regression
     // means the pid was reused or the source restarted. The saturating
     // diffs clamp the rates to zero (instead of underflowing into
@@ -271,7 +278,7 @@ pub fn derive(prev: &Sample, curr: &Sample, ticks_per_sec: f64, page_size: u64) 
     let rss_bytes = curr
         .status
         .and_then(|s| s.vm_rss_bytes)
-        .unwrap_or(curr.stat.rss_pages * page_size);
+        .unwrap_or(curr.stat.rss_pages * PAGE_SIZE);
     let threads = curr
         .status
         .and_then(|s| s.threads)
@@ -381,7 +388,7 @@ mod tests {
         // 1 second apart at 100 ticks/s: 60 user + 20 sys ticks = 80% CPU.
         let a = sample(0, 100, 40, 1000);
         let b = sample(1_000_000, 160, 60, 1100);
-        let d = derive(&a, &b, 100.0, 4096).unwrap();
+        let d = derive(&a, &b).unwrap();
         assert!((d.cpu_user_percent - 60.0).abs() < 1e-9);
         assert!((d.cpu_sys_percent - 20.0).abs() < 1e-9);
         assert!((d.cpu_percent - 80.0).abs() < 1e-9);
@@ -405,7 +412,7 @@ mod tests {
             read_bytes: 42,
             write_bytes: 7,
         });
-        let d = derive(&a, &b, 100.0, 4096).unwrap();
+        let d = derive(&a, &b).unwrap();
         assert_eq!(d.rss_bytes, 7_000_000);
         assert_eq!(d.threads, 11);
         assert_eq!(d.read_bytes, Some(42));
@@ -430,7 +437,7 @@ mod tests {
             idle_ticks: 1050,
             cpus: 2,
         });
-        let d = derive(&a, &b, 100.0, 4096).unwrap();
+        let d = derive(&a, &b).unwrap();
         // 200 total ticks, 150 idle → 25% busy.
         assert_eq!(d.host_cpu_percent, Some(25.0));
     }
@@ -439,8 +446,8 @@ mod tests {
     fn derive_rejects_non_monotone_time() {
         let a = sample(1_000, 0, 0, 1);
         let b = sample(1_000, 1, 0, 1);
-        assert!(derive(&a, &b, 100.0, 4096).is_none());
-        assert!(derive(&b, &a, 100.0, 4096).is_none());
+        assert!(derive(&a, &b).is_none());
+        assert!(derive(&b, &a).is_none());
     }
 
     #[test]
@@ -448,14 +455,14 @@ mod tests {
         // A pid reuse or counter wobble must not produce negative rates.
         let a = sample(0, 100, 100, 1);
         let b = sample(1_000_000, 50, 50, 1);
-        let d = derive(&a, &b, 100.0, 4096).unwrap();
+        let d = derive(&a, &b).unwrap();
         assert_eq!(d.cpu_percent, 0.0);
         // Regression: the clamp used to be silent — the reset must be
         // flagged so consumers can discard the degraded instant.
         assert!(d.counter_reset);
         // A well-behaved pair stays unflagged.
         let c = sample(2_000_000, 60, 60, 1);
-        let d = derive(&b, &c, 100.0, 4096).unwrap();
+        let d = derive(&b, &c).unwrap();
         assert!(!d.counter_reset);
         assert!(d.cpu_percent > 0.0);
     }
@@ -476,7 +483,7 @@ mod tests {
             idle_ticks: 50,
             cpus: 2,
         });
-        let d = derive(&a, &b, 100.0, 4096).unwrap();
+        let d = derive(&a, &b).unwrap();
         assert!(d.counter_reset);
         assert_eq!(d.host_cpu_percent, None);
 
@@ -491,7 +498,7 @@ mod tests {
             read_bytes: 10,
             write_bytes: 10,
         });
-        let d = derive(&a, &b, 100.0, 4096).unwrap();
+        let d = derive(&a, &b).unwrap();
         assert!(d.counter_reset);
     }
 }

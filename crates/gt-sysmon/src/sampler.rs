@@ -8,7 +8,7 @@ use gt_metrics::hub::Gauge;
 use gt_metrics::{Clock, MetricRecord, MetricValue, MetricsHub, MetricsLogger, Name, NameTable};
 
 use crate::parse::{
-    derive, parse_host_stat, parse_pid_io, parse_pid_stat, parse_pid_status, Sample,
+    derive, parse_host_stat, parse_pid_io, parse_pid_stat, parse_pid_status, Sample, PAGE_SIZE,
 };
 use crate::source::{LiveProc, ProcFile, ProcSource};
 use crate::SysmonError;
@@ -26,11 +26,6 @@ pub struct SamplerConfig {
     pub pid: Option<u32>,
     /// Source label on the emitted records (`sysmon` by default).
     pub source: String,
-    /// Clock ticks per second for jiffy→seconds conversion (`USER_HZ`,
-    /// 100 on every mainstream Linux).
-    pub ticks_per_sec: f64,
-    /// Page size for the `stat` RSS fallback, bytes.
-    pub page_size: u64,
 }
 
 impl Default for SamplerConfig {
@@ -39,21 +34,11 @@ impl Default for SamplerConfig {
             cadence: Duration::from_millis(50),
             pid: None,
             source: "sysmon".to_owned(),
-            ticks_per_sec: 100.0,
-            page_size: 4096,
         }
     }
 }
 
 impl SamplerConfig {
-    /// Watches an external process instead of `/proc/self` (builder
-    /// style).
-    #[must_use]
-    pub fn watching_pid(mut self, pid: u32) -> Self {
-        self.pid = Some(pid);
-        self
-    }
-
     /// Sets the cadence (builder style).
     #[must_use]
     pub fn every(mut self, cadence: Duration) -> Self {
@@ -174,19 +159,14 @@ impl SysmonSampler {
     /// The first tick yields only instantaneous series (RSS, threads,
     /// cumulative counters); rate series (CPU%) start with the second
     /// tick, once a delta exists.
-    pub fn tick(&mut self) -> Result<Vec<MetricRecord>, SysmonError> {
+    pub(crate) fn tick(&mut self) -> Result<Vec<MetricRecord>, SysmonError> {
         let curr = self.read_sample()?;
         let series = &self.series;
         let mut records = Vec::with_capacity(10);
 
         match self.prev {
             Some(prev) => {
-                if let Some(d) = derive(
-                    &prev,
-                    &curr,
-                    self.config.ticks_per_sec,
-                    self.config.page_size,
-                ) {
+                if let Some(d) = derive(&prev, &curr) {
                     let t = d.t_micros;
                     if d.counter_reset {
                         // A cumulative counter went backwards (pid reuse,
@@ -223,11 +203,10 @@ impl SysmonSampler {
             }
             None => {
                 // No delta yet: emit what needs no previous sample.
-                let page = self.config.page_size;
                 let rss = curr
                     .status
                     .and_then(|s| s.vm_rss_bytes)
-                    .unwrap_or(curr.stat.rss_pages * page);
+                    .unwrap_or(curr.stat.rss_pages * PAGE_SIZE);
                 let threads = curr
                     .status
                     .and_then(|s| s.threads)
@@ -246,7 +225,7 @@ impl SysmonSampler {
 }
 
 impl MetricsLogger for SysmonSampler {
-    /// One [`tick`](SysmonSampler::tick). The first tick that fails
+    /// One `tick`. The first tick that fails
     /// yields one `{source}/error` text record saying why the target is
     /// unobservable, so a log from a host without `/proc` explains its
     /// empty series; every later sample is empty.
@@ -292,7 +271,7 @@ impl Series {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::FakeProc;
+    use crate::source::tests::FakeProc;
     use gt_metrics::ManualClock;
     use gt_metrics::MetricValue;
 

@@ -5,9 +5,7 @@
 //! live `/proc` (and CI stays green on non-Linux hosts, where the live
 //! source simply errors and the monitor degrades to an empty series).
 
-use std::collections::HashMap;
 use std::io;
-use std::sync::{Arc, Mutex};
 
 /// The four `/proc` files the Level-0 monitor reads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -34,18 +32,18 @@ pub trait ProcSource: Send {
 /// The live `/proc` filesystem, watching either the current process or an
 /// external pid (the black-box system under test).
 #[derive(Debug, Clone, Copy)]
-pub struct LiveProc {
+pub(crate) struct LiveProc {
     pid: Option<u32>,
 }
 
 impl LiveProc {
     /// Watches the current process via `/proc/self`.
-    pub fn current() -> Self {
+    pub(crate) fn current() -> Self {
         LiveProc { pid: None }
     }
 
     /// Watches an external process by pid.
-    pub fn pid(pid: u32) -> Self {
+    pub(crate) fn pid(pid: u32) -> Self {
         LiveProc { pid: Some(pid) }
     }
 
@@ -76,53 +74,55 @@ impl ProcSource for LiveProc {
     }
 }
 
-/// An in-memory `/proc` for tests and simulations. Cloning shares the
-/// underlying files, so a test can update counters while a sampler holds
-/// the other handle — exactly how the live `/proc` behaves.
-#[derive(Debug, Clone, Default)]
-pub struct FakeProc {
-    files: Arc<Mutex<HashMap<ProcFile, String>>>,
-}
-
-impl FakeProc {
-    /// An empty fake: every read fails with `NotFound` until `set`.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets (or replaces) the contents of one file.
-    pub fn set(&self, file: ProcFile, contents: impl Into<String>) {
-        self.files
-            .lock()
-            .expect("fake proc poisoned")
-            .insert(file, contents.into());
-    }
-
-    /// Removes a file, making subsequent reads fail (e.g. to simulate a
-    /// pid exiting mid-run or a permission-restricted `io` file).
-    pub fn remove(&self, file: ProcFile) {
-        self.files.lock().expect("fake proc poisoned").remove(&file);
-    }
-}
-
-impl ProcSource for FakeProc {
-    fn read(&self, file: ProcFile) -> io::Result<String> {
-        self.files
-            .lock()
-            .expect("fake proc poisoned")
-            .get(&file)
-            .cloned()
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, format!("{file:?} not set")))
-    }
-
-    fn describe(&self) -> String {
-        "fake".to_owned()
-    }
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use std::collections::HashMap;
+    use std::sync::{Arc, Mutex};
+
+    /// An in-memory `/proc` for tests and simulations. Cloning shares the
+    /// underlying files, so a test can update counters while a sampler holds
+    /// the other handle — exactly how the live `/proc` behaves.
+    #[derive(Debug, Clone, Default)]
+    pub(crate) struct FakeProc {
+        files: Arc<Mutex<HashMap<ProcFile, String>>>,
+    }
+
+    impl FakeProc {
+        /// An empty fake: every read fails with `NotFound` until `set`.
+        pub(crate) fn new() -> Self {
+            Self::default()
+        }
+
+        /// Sets (or replaces) the contents of one file.
+        pub(crate) fn set(&self, file: ProcFile, contents: impl Into<String>) {
+            self.files
+                .lock()
+                .expect("fake proc poisoned")
+                .insert(file, contents.into());
+        }
+
+        /// Removes a file, making subsequent reads fail (e.g. to simulate a
+        /// pid exiting mid-run or a permission-restricted `io` file).
+        pub(crate) fn remove(&self, file: ProcFile) {
+            self.files.lock().expect("fake proc poisoned").remove(&file);
+        }
+    }
+
+    impl ProcSource for FakeProc {
+        fn read(&self, file: ProcFile) -> io::Result<String> {
+            self.files
+                .lock()
+                .expect("fake proc poisoned")
+                .get(&file)
+                .cloned()
+                .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, format!("{file:?} not set")))
+        }
+
+        fn describe(&self) -> String {
+            "fake".to_owned()
+        }
+    }
 
     #[test]
     fn live_paths() {

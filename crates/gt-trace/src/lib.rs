@@ -43,5 +43,5 @@ mod ring;
 mod stage;
 mod tracer;
 
-pub use stage::{Stage, STAGE_COUNT};
-pub use tracer::{Probe, TraceConfig, TraceReport, Tracer, TracerCell, PAIR_METRICS, TRACE_SOURCE};
+pub use stage::Stage;
+pub use tracer::{Probe, TraceConfig, TraceReport, Tracer, TracerCell, TRACE_SOURCE};

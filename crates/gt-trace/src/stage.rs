@@ -1,7 +1,7 @@
 //! The pipeline stage taxonomy.
 
 /// Number of distinct tracepoint stages.
-pub const STAGE_COUNT: usize = 5;
+pub(crate) const STAGE_COUNT: usize = 5;
 
 /// Where in the pipeline a tracepoint sits, in stream order.
 ///
@@ -30,15 +30,6 @@ pub enum Stage {
 }
 
 impl Stage {
-    /// All stages, in pipeline order.
-    pub const ALL: [Stage; STAGE_COUNT] = [
-        Stage::ReaderDequeue,
-        Stage::PacedEmit,
-        Stage::SinkWrite,
-        Stage::ConnectorRecv,
-        Stage::EngineApply,
-    ];
-
     /// Stable dense index for per-stage arrays.
     #[inline]
     pub fn index(self) -> usize {
@@ -61,17 +52,26 @@ impl Stage {
 mod tests {
     use super::*;
 
+    /// All stages, in pipeline order.
+    const ALL: [Stage; STAGE_COUNT] = [
+        Stage::ReaderDequeue,
+        Stage::PacedEmit,
+        Stage::SinkWrite,
+        Stage::ConnectorRecv,
+        Stage::EngineApply,
+    ];
+
     #[test]
     fn indices_are_dense_and_ordered() {
-        for (i, stage) in Stage::ALL.iter().enumerate() {
+        for (i, stage) in ALL.iter().enumerate() {
             assert_eq!(stage.index(), i);
         }
-        assert_eq!(Stage::ALL.len(), STAGE_COUNT);
+        assert_eq!(ALL.len(), STAGE_COUNT);
     }
 
     #[test]
     fn names_are_unique() {
-        let names: std::collections::BTreeSet<&str> = Stage::ALL.iter().map(|s| s.name()).collect();
+        let names: std::collections::BTreeSet<&str> = ALL.iter().map(|s| s.name()).collect();
         assert_eq!(names.len(), STAGE_COUNT);
     }
 }

@@ -21,7 +21,7 @@ pub const TRACE_SOURCE: &str = "trace";
 /// hub histogram names under the `trace` source, so a Level-1
 /// `HubSampler` publishes `<name>.count` / `.mean` / `.p99` / `.max`
 /// series while the run is live.
-pub const PAIR_METRICS: [(Stage, Stage, &str); 4] = [
+pub(crate) const PAIR_METRICS: [(Stage, Stage, &str); 4] = [
     (
         Stage::ReaderDequeue,
         Stage::PacedEmit,
@@ -40,7 +40,22 @@ pub const PAIR_METRICS: [(Stage, Stage, &str); 4] = [
     ),
 ];
 
-/// Tracing parameters. The defaults bound overhead to well under the 5%
+/// Stamp slots per probe ring. A full ring drops stamps (counted) rather
+/// than blocking the pipeline.
+const RING_CAPACITY: usize = 4096;
+
+/// How often the collector thread drains the rings.
+const DRAIN_INTERVAL: Duration = Duration::from_millis(2);
+
+/// Cap on concurrently pending (partially matched) sequence numbers; the
+/// oldest are evicted beyond this.
+const MAX_PENDING: usize = 65_536;
+
+/// Cap on accumulated per-sample records (histograms keep counting past
+/// it).
+const MAX_RECORDS: usize = 100_000;
+
+/// Tracing parameters. The default bounds overhead to well under the 5%
 /// ingest budget (see the `ingest/tracing` bench rows): non-sampled
 /// events cost one counter increment and one modulo test.
 #[derive(Debug, Clone)]
@@ -48,28 +63,11 @@ pub struct TraceConfig {
     /// Sample 1-in-N graph events (by global stream position). 1 traces
     /// everything — useful in tests, too hot for production rates.
     pub sample_every: u64,
-    /// Stamp slots per probe ring. A full ring drops stamps (counted)
-    /// rather than blocking the pipeline.
-    pub ring_capacity: usize,
-    /// How often the collector thread drains the rings.
-    pub drain_interval: Duration,
-    /// Cap on concurrently pending (partially matched) sequence numbers;
-    /// the oldest are evicted beyond this.
-    pub max_pending: usize,
-    /// Cap on accumulated per-sample records (histograms keep counting
-    /// past it).
-    pub max_records: usize,
 }
 
 impl Default for TraceConfig {
     fn default() -> Self {
-        TraceConfig {
-            sample_every: 64,
-            ring_capacity: 4096,
-            drain_interval: Duration::from_millis(2),
-            max_pending: 65_536,
-            max_records: 100_000,
-        }
+        TraceConfig { sample_every: 64 }
     }
 }
 
@@ -92,7 +90,7 @@ struct Shared {
 #[derive(Debug, Clone, Default)]
 pub struct TraceReport {
     /// One record per matched stage pair of a sampled event (source
-    /// [`TRACE_SOURCE`], metric from [`PAIR_METRICS`], integer value =
+    /// [`TRACE_SOURCE`], metric from `PAIR_METRICS`, integer value =
     /// stage-to-stage latency in microseconds, timestamped at the later
     /// stage). Merge these into the run's `ResultLog` to slice latency
     /// by marker window.
@@ -103,8 +101,8 @@ pub struct TraceReport {
     pub dropped: u64,
     /// Partially matched sequences evicted by the pending cap.
     pub evicted: u64,
-    /// Matched pairs beyond [`TraceConfig::max_records`] that were
-    /// counted in the histograms but not kept as records.
+    /// Matched pairs beyond the record cap (100 000) that were counted in
+    /// the histograms but not kept as records.
     pub truncated: u64,
 }
 
@@ -211,7 +209,7 @@ impl fmt::Debug for Tracer {
 
 impl Tracer {
     /// Starts a tracer (and its collector thread). Stage-pair histograms
-    /// named per [`PAIR_METRICS`] are registered in `hub`; `clock` must
+    /// named per `PAIR_METRICS` are registered in `hub`; `clock` must
     /// be the run clock shared with the replayer so trace timestamps
     /// align with markers.
     pub fn new(config: TraceConfig, clock: Arc<dyn Clock>, hub: &MetricsHub) -> Self {
@@ -227,10 +225,9 @@ impl Tracer {
             .collect();
         let handle = {
             let shared = Arc::clone(&shared);
-            let config = config.clone();
             std::thread::Builder::new()
                 .name("gt-trace".into())
-                .spawn(move || collector_loop(&shared, &config, &hists))
+                .spawn(move || collector_loop(&shared, &hists))
                 .expect("spawn gt-trace collector thread")
         };
         Tracer {
@@ -241,17 +238,12 @@ impl Tracer {
         }
     }
 
-    /// The configured 1-in-N sampling rate.
-    pub fn sample_every(&self) -> u64 {
-        self.config.sample_every
-    }
-
     /// Creates a tracepoint for one (thread, stage). Probes may be
     /// created at any time — platform threads that outlive tracer
     /// installation register lazily — and their rings are picked up by
     /// the collector on its next drain.
     pub fn probe(&self, stage: Stage) -> Probe {
-        let ring = Arc::new(Ring::new(stage, self.config.ring_capacity));
+        let ring = Arc::new(Ring::new(stage, RING_CAPACITY));
         self.shared
             .rings
             .lock()
@@ -286,12 +278,12 @@ impl Tracer {
     }
 }
 
-/// The collector thread body: drain → match → publish, at
-/// `drain_interval`, with one final drain after stop.
-fn collector_loop(shared: &Shared, config: &TraceConfig, hists: &[Histogram]) -> TraceReport {
+/// The collector thread body: drain → match → publish, every
+/// [`DRAIN_INTERVAL`], with one final drain after stop.
+fn collector_loop(shared: &Shared, hists: &[Histogram]) -> TraceReport {
     let mut pending: BTreeMap<u64, SeqState> = BTreeMap::new();
     let mut report = TraceReport::default();
-    let mut buf: Vec<(u64, u64)> = Vec::with_capacity(config.ring_capacity);
+    let mut buf: Vec<(u64, u64)> = Vec::with_capacity(RING_CAPACITY);
     loop {
         let stopping = shared.stop.load(Ordering::Relaxed);
         // Re-read the registry every cycle: probes created after the
@@ -302,14 +294,14 @@ fn collector_loop(shared: &Shared, config: &TraceConfig, hists: &[Histogram]) ->
             ring.drain(&mut buf);
             let stage = ring.stage().index();
             for &(seq, t) in &buf {
-                ingest(&mut pending, &mut report, config, hists, stage, seq, t);
+                ingest(&mut pending, &mut report, hists, stage, seq, t);
             }
         }
         if stopping {
             report.dropped = rings.iter().map(|r| r.dropped()).sum();
             return report;
         }
-        sleep_interruptible(config.drain_interval, &shared.stop);
+        sleep_interruptible(DRAIN_INTERVAL, &shared.stop);
     }
 }
 
@@ -318,7 +310,6 @@ fn collector_loop(shared: &Shared, config: &TraceConfig, hists: &[Histogram]) ->
 fn ingest(
     pending: &mut BTreeMap<u64, SeqState>,
     report: &mut TraceReport,
-    config: &TraceConfig,
     hists: &[Histogram],
     stage: usize,
     seq: u64,
@@ -339,7 +330,7 @@ fn ingest(
             let delta = tb.saturating_sub(ta);
             hists[i].record(delta);
             report.matched += 1;
-            if report.records.len() < config.max_records {
+            if report.records.len() < MAX_RECORDS {
                 report
                     .records
                     .push(MetricRecord::int(tb, TRACE_SOURCE, name, delta as i64));
@@ -348,7 +339,7 @@ fn ingest(
             }
         }
     }
-    while pending.len() > config.max_pending {
+    while pending.len() > MAX_PENDING {
         pending.pop_first();
         report.evicted += 1;
     }
@@ -541,42 +532,58 @@ mod tests {
         assert_eq!(report.matched, 8);
     }
 
+    /// The collector's match state fed directly, stamp by stamp.
+    fn pair_histograms(hub: &MetricsHub) -> Vec<Histogram> {
+        PAIR_METRICS
+            .iter()
+            .map(|(_, _, name)| hub.histogram(name))
+            .collect()
+    }
+
     #[test]
     fn pending_cap_evicts_oldest() {
-        let (_, clock) = manual();
-        let hub = MetricsHub::new();
-        let mut config = TraceConfig::default().sampling(1);
-        config.max_pending = 16;
-        let tracer = Tracer::new(config, clock, &hub);
-        let emit = tracer.probe(Stage::PacedEmit);
-        // 1000 forever-unmatched stamps: the pending map must stay
-        // bounded.
-        emit.stamp_n(1_000);
-        let report = tracer.stop();
-        assert!(
-            report.evicted >= 1_000 - 16 - 1,
-            "evicted {}",
-            report.evicted
-        );
-        assert_eq!(report.matched, 0);
+        let hists = pair_histograms(&MetricsHub::new());
+        let (mut pending, mut report) = (BTreeMap::new(), TraceReport::default());
+        // Forever-unmatched stamps past the cap: the pending map must stay
+        // bounded, evicting the oldest.
+        let stage = Stage::PacedEmit.index();
+        let stamps = MAX_PENDING as u64 + 100;
+        for seq in 0..stamps {
+            ingest(&mut pending, &mut report, &hists, stage, seq, 0);
+        }
+        assert_eq!(pending.len(), MAX_PENDING);
+        assert_eq!(pending.first_key_value().map(|(seq, _)| *seq), Some(100));
+        assert_eq!((report.evicted, report.matched), (100, 0));
     }
 
     #[test]
     fn record_cap_truncates_but_histograms_keep_counting() {
-        let (_, clock) = manual();
         let hub = MetricsHub::new();
-        let mut config = TraceConfig::default().sampling(1);
-        config.max_records = 10;
-        let tracer = Tracer::new(config, clock, &hub);
-        let emit = tracer.probe(Stage::PacedEmit);
-        let conn = tracer.probe(Stage::ConnectorRecv);
-        emit.stamp_n(100);
-        conn.stamp_n(100);
-        let report = tracer.stop();
-        assert_eq!(report.matched, 100);
-        assert_eq!(report.records.len(), 10);
-        assert_eq!(report.truncated, 90);
-        assert_eq!(hub.histogram("emit_to_connector_micros").count(), 100);
+        let hists = pair_histograms(&hub);
+        let (mut pending, mut report) = (BTreeMap::new(), TraceReport::default());
+        let pairs = MAX_RECORDS as u64 + 10;
+        for seq in 0..pairs {
+            ingest(
+                &mut pending,
+                &mut report,
+                &hists,
+                Stage::PacedEmit.index(),
+                seq,
+                0,
+            );
+            ingest(
+                &mut pending,
+                &mut report,
+                &hists,
+                Stage::ConnectorRecv.index(),
+                seq,
+                1,
+            );
+        }
+        assert_eq!(report.matched, pairs);
+        assert_eq!(report.records.len(), MAX_RECORDS);
+        assert_eq!(report.truncated, 10);
+        assert_eq!(hub.histogram("emit_to_connector_micros").count(), pairs);
     }
 
     #[test]

@@ -753,11 +753,6 @@ fn run_differential_mode(spec: &RunSpec, registry: &SutRegistry) -> ExitCode {
         "final vertices      {:>12}",
         outcome.baseline_digest.final_adjacency.len()
     );
-    println!(
-        "computations        {:>12}",
-        // wcc + sssp + rank per window plus the final state
-        3 * outcome.baseline_computations.len()
-    );
     match &outcome.mismatch {
         None => {
             println!("verdict             {:>12}", "IDENTICAL");

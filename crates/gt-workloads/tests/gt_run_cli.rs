@@ -313,7 +313,6 @@ fn differential_run_prints_an_identical_verdict() {
             "candidate events",
             "marker windows",
             "final vertices",
-            "computations",
             "verdict",
         ]],
     );

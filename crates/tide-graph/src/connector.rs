@@ -21,7 +21,6 @@ use crate::rank::RankPartition;
 /// influence-rank engine, [`crate::TideGraph`]).
 pub struct EngineConnector<P: Partition = RankPartition> {
     engine: Arc<Engine<P>>,
-    events_sent: u64,
     trace_probe: Option<Probe>,
 }
 
@@ -30,7 +29,6 @@ impl<P: Partition> EngineConnector<P> {
     pub fn new(engine: Arc<Engine<P>>) -> Self {
         EngineConnector {
             engine,
-            events_sent: 0,
             trace_probe: None,
         }
     }
@@ -39,14 +37,9 @@ impl<P: Partition> EngineConnector<P> {
     /// [`gt_trace::Stage::ConnectorRecv`]) stamped once per received
     /// graph event, in stream order.
     #[must_use]
-    pub fn with_trace_probe(mut self, probe: Probe) -> Self {
+    pub(crate) fn with_trace_probe(mut self, probe: Probe) -> Self {
         self.trace_probe = Some(probe);
         self
-    }
-
-    /// Graph events forwarded so far.
-    pub fn events_sent(&self) -> u64 {
-        self.events_sent
     }
 
     #[inline]
@@ -63,7 +56,6 @@ impl<P: Partition> EventSink for EngineConnector<P> {
             StreamEntry::Graph(event) => {
                 self.stamp_recv();
                 self.engine.ingest(event.clone());
-                self.events_sent += 1;
             }
             // Watermarks flow into the worker mailboxes: their processing
             // time (engine marker log) vs. their emission time (replayer
@@ -84,7 +76,6 @@ impl<P: Partition> EventSink for EngineConnector<P> {
                 Some(event) => {
                     self.stamp_recv();
                     self.engine.ingest_shared(event);
-                    self.events_sent += 1;
                 }
                 None => {
                     if let StreamEntry::Marker(name) = entry.as_ref() {
@@ -119,7 +110,6 @@ mod tests {
         });
         let report = replayer.replay_stream(&stream, &mut connector).unwrap();
         assert_eq!(report.graph_events, 200);
-        assert_eq!(connector.events_sent(), 200);
 
         assert!(engine.quiesce(Duration::from_secs(10)));
         drop(connector);

@@ -3,12 +3,12 @@
 //! [`Engine`] is generic over the vertex program ([`Partition`]); the
 //! influence-rank instantiation is exported as [`TideGraph`], matching
 //! the paper's Chronograph experiment, and the online-SSSP instantiation
-//! as [`crate::sssp::SsspEngine`].
+//! as `crate::sssp::SsspEngine`.
 //!
 //! # Crash containment and supervised recovery
 //!
 //! Workers are *crash-containable*: a scheduled `Msg::Crash` (delivered
-//! through the [`EngineSupervisor`], the engine's
+//! through the `EngineSupervisor`, the engine's
 //! [`gt_sut::WorkerSupervisor`] surface) makes the worker discard its
 //! partition state and exit, exactly like a killed process. The rest of
 //! the engine keeps running — events routed to the dead worker are
@@ -334,19 +334,13 @@ impl<P: Partition> Engine<P> {
     /// [`gt_trace::Tracer`] here makes every worker stamp applied
     /// mutation events at [`Stage::EngineApply`], keyed by the global
     /// ingest sequence carried in their mailbox message.
-    pub fn tracer_cell(&self) -> &TracerCell {
+    pub(crate) fn tracer_cell(&self) -> &TracerCell {
         &self.core.tracer_cell
     }
 
     /// Number of workers.
     pub fn workers(&self) -> usize {
         self.workers
-    }
-
-    /// Microseconds since the engine started (the engine-side clock that
-    /// timestamps processed watermarks).
-    pub fn now_micros(&self) -> u64 {
-        self.core.started.elapsed().as_micros() as u64
     }
 
     /// The engine's crash/restart control surface, for chaos runs. The
@@ -397,7 +391,7 @@ impl<P: Partition> Engine<P> {
     /// `processed time − enqueue time` is the current ingestion latency.
     /// Dead workers miss the watermark (their marker-log entry is absent,
     /// which is itself a degradation signal).
-    pub fn ingest_marker(&self, name: &str) {
+    pub(crate) fn ingest_marker(&self, name: &str) {
         self.ingest_marker_with(name, None);
     }
 
@@ -594,7 +588,7 @@ impl<P: Partition> Engine<P> {
 
 /// The engine's [`WorkerSupervisor`]: kills and resurrects individual
 /// workers. Obtained from [`Engine::supervisor`].
-pub struct EngineSupervisor<P: Partition> {
+pub(crate) struct EngineSupervisor<P: Partition> {
     core: Arc<EngineCore<P>>,
 }
 
@@ -1178,7 +1172,7 @@ mod tests {
         for i in 0..20 {
             engine.ingest(add_v(i));
         }
-        let enqueued_at = engine.now_micros();
+        let enqueued_at = engine.core.started.elapsed().as_micros() as u64;
         engine.ingest_marker("wm-0");
         engine.quiesce(Duration::from_secs(10));
         let log = engine.marker_log();
@@ -1204,7 +1198,7 @@ mod tests {
             &hub,
         );
         // Marker on an idle engine: near-immediate.
-        let t0 = engine.now_micros();
+        let t0 = engine.core.started.elapsed().as_micros() as u64;
         engine.ingest_marker("idle");
         engine.quiesce(Duration::from_secs(10));
         let idle_latency = engine
@@ -1218,7 +1212,7 @@ mod tests {
         for i in 0..1_000 {
             engine.ingest(add_v(i));
         }
-        let t1 = engine.now_micros();
+        let t1 = engine.core.started.elapsed().as_micros() as u64;
         engine.ingest_marker("busy");
         engine.quiesce(Duration::from_secs(60));
         let busy_latency = engine

@@ -36,7 +36,7 @@
 //! ([`Engine`]) is generic over a vertex program ([`Partition`]). Two
 //! programs ship: the influence rank above ([`TideGraph`] =
 //! `Engine<RankPartition>`) and online single-source shortest distances
-//! ([`SsspEngine`]), Table 1's "distributed routing algorithms".
+//! ([`start_sssp`]), Table 1's "distributed routing algorithms".
 
 pub mod board;
 pub mod connector;
@@ -49,10 +49,8 @@ pub mod sssp;
 pub mod sut;
 
 pub use connector::EngineConnector;
-pub use engine::{
-    owner, route_target, Engine, EngineConfig, EngineStats, EngineSupervisor, TideGraph,
-};
+pub use engine::{owner, route_target, Engine, EngineConfig, EngineStats, TideGraph};
 pub use program::Partition;
 pub use rank::RankParams;
-pub use sssp::{start_sssp, DistancePartition, SsspEngine};
+pub use sssp::{start_sssp, DistancePartition};
 pub use sut::TideGraphSut;

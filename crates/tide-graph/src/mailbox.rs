@@ -13,7 +13,7 @@
 //! packing only ever extends a block no one has started, and every
 //! mailbox sees the same item sequence it would with one message per
 //! share. Spent blocks go back to the mailbox they came from, which
-//! keeps up to [`SPARE_BLOCKS`] of them for the next posts: in steady
+//! keeps up to `SPARE_BLOCKS` of them for the next posts: in steady
 //! state a share crosses a mailbox without an allocation.
 //!
 //! Because a block hides its items from the queue's length, each mailbox
@@ -37,7 +37,7 @@ use gt_core::prelude::*;
 pub const BLOCK_SHARES: usize = 512;
 
 /// Spent blocks a mailbox keeps for the shares posted to it next.
-pub const SPARE_BLOCKS: usize = 8;
+pub(crate) const SPARE_BLOCKS: usize = 8;
 
 /// Shares as `(receiving vertex, payload)` pairs in production order.
 pub type Batch<M> = Vec<(VertexId, M)>;
@@ -164,7 +164,7 @@ impl<M> Mailbox<M> {
     /// The next message, blocking while there is none; `None` once the
     /// mailbox is closed. `spent` — the receiver's consumed block — is
     /// emptied and handed back first (see [`try_recv`](Self::try_recv)).
-    pub fn recv(&self, spent: &mut Batch<M>) -> Option<Msg<M>> {
+    pub(crate) fn recv(&self, spent: &mut Batch<M>) -> Option<Msg<M>> {
         let mut queue = self.hand_back(spent);
         loop {
             if let Some(msg) = queue.msgs.pop_front() {
@@ -202,7 +202,7 @@ impl<M> Mailbox<M> {
     }
 
     /// Whether the mailbox still takes posts.
-    pub fn is_alive(&self) -> bool {
+    pub(crate) fn is_alive(&self) -> bool {
         self.alive.load(Ordering::SeqCst)
     }
 
@@ -213,13 +213,13 @@ impl<M> Mailbox<M> {
     }
 
     /// Items marked processed so far.
-    pub fn processed(&self) -> u64 {
+    pub(crate) fn processed(&self) -> u64 {
         self.processed.load(Ordering::SeqCst)
     }
 
     /// `(enqueued, processed)`. `processed` is read first: both only
     /// grow, so the pair never shows more done than queued.
-    pub fn account(&self) -> (u64, u64) {
+    pub(crate) fn account(&self) -> (u64, u64) {
         let processed = self.processed();
         (self.enqueued.load(Ordering::SeqCst), processed)
     }

@@ -112,11 +112,6 @@ impl RankPartition {
         let share = (1.0 - params.alpha) * res / state.out.len() as f64;
         out.extend(state.out.keys().map(|target| (target, share)));
     }
-
-    /// Total residual mass still parked locally (unconverged work).
-    pub fn residual_mass(&self) -> f64 {
-        self.vertices.values().map(|s| s.res).sum()
-    }
 }
 
 impl Partition for RankPartition {
@@ -276,7 +271,7 @@ mod tests {
         feed(&mut partition, &[add_v(1), add_v(2)]);
         let n = normalized(&partition);
         assert!((n[&VertexId(1)] - 0.5).abs() < 1e-9);
-        assert!(partition.residual_mass() < 1e-9);
+        assert!(partition.vertices.values().map(|s| s.res).sum::<f64>() < 1e-9);
     }
 
     #[test]
@@ -326,7 +321,7 @@ mod tests {
         // 0 re-seeded half its mass and settled only α of it back.
         let p0_after = partition.vertices[&VertexId(0)].p;
         assert!(p0_after < p0_before, "0 kept its mass: {p0_after}");
-        assert!(partition.residual_mass() < 1e-6);
+        assert!(partition.vertices.values().map(|s| s.res).sum::<f64>() < 1e-6);
     }
 
     #[test]

@@ -24,7 +24,7 @@ use gt_graph::HybridAdjacency;
 use crate::program::{Partition, VertexMap};
 
 /// A distance offer: the proposing path length.
-pub type DistanceOffer = f64;
+pub(crate) type DistanceOffer = f64;
 
 #[derive(Debug, Clone, Default)]
 struct VState {
@@ -59,11 +59,6 @@ impl DistancePartition {
     /// over-optimistic distances behind (restart to repair).
     pub fn stale_hazards(&self) -> u64 {
         self.stale_hazards
-    }
-
-    /// Current distance of a local vertex, if known and reached.
-    pub fn distance(&self, id: VertexId) -> Option<f64> {
-        self.vertices.get(&id).and_then(|s| s.dist)
     }
 
     fn edge_weight(state: &State) -> f64 {
@@ -193,7 +188,7 @@ impl Partition for DistancePartition {
 }
 
 /// An engine running the online SSSP program on every worker.
-pub type SsspEngine = crate::engine::Engine<DistancePartition>;
+pub(crate) type SsspEngine = crate::engine::Engine<DistancePartition>;
 
 /// Starts an online SSSP engine from `source`.
 pub fn start_sssp(
@@ -207,6 +202,11 @@ pub fn start_sssp(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Current distance of a local vertex, if known and reached.
+    fn distance(p: &DistancePartition, id: VertexId) -> Option<f64> {
+        p.vertices.get(&id).and_then(|s| s.dist)
+    }
     use crate::engine::EngineConfig;
     use gt_metrics::MetricsHub;
     use std::time::Duration;
@@ -260,10 +260,10 @@ mod tests {
                 add_we(1, 3, 1.0),
             ],
         );
-        assert_eq!(p.distance(VertexId(0)), Some(0.0));
-        assert_eq!(p.distance(VertexId(1)), Some(3.0)); // via 2
-        assert_eq!(p.distance(VertexId(2)), Some(1.0));
-        assert_eq!(p.distance(VertexId(3)), Some(4.0));
+        assert_eq!(distance(&p, VertexId(0)), Some(0.0));
+        assert_eq!(distance(&p, VertexId(1)), Some(3.0)); // via 2
+        assert_eq!(distance(&p, VertexId(2)), Some(1.0));
+        assert_eq!(distance(&p, VertexId(3)), Some(4.0));
         assert_eq!(p.stale_hazards(), 0);
     }
 
@@ -271,7 +271,7 @@ mod tests {
     fn unreached_vertices_have_no_distance() {
         let mut p = DistancePartition::new(VertexId(0));
         run_events(&mut p, &[add_v(0), add_v(9)]);
-        assert_eq!(p.distance(VertexId(9)), None);
+        assert_eq!(distance(&p, VertexId(9)), None);
         // Summary reports them as infinity.
         let mut summary = Vec::new();
         p.summary_into(&mut summary);
@@ -283,7 +283,7 @@ mod tests {
     fn weight_decrease_improves_distance_online() {
         let mut p = DistancePartition::new(VertexId(0));
         run_events(&mut p, &[add_v(0), add_v(1), add_we(0, 1, 10.0)]);
-        assert_eq!(p.distance(VertexId(1)), Some(10.0));
+        assert_eq!(distance(&p, VertexId(1)), Some(10.0));
         run_events(
             &mut p,
             &[GraphEvent::UpdateEdge {
@@ -291,7 +291,7 @@ mod tests {
                 state: State::weight(2.0),
             }],
         );
-        assert_eq!(p.distance(VertexId(1)), Some(2.0));
+        assert_eq!(distance(&p, VertexId(1)), Some(2.0));
         assert_eq!(p.stale_hazards(), 0);
     }
 
@@ -308,7 +308,7 @@ mod tests {
         );
         assert_eq!(p.stale_hazards(), 1);
         // Stale: still reports the old, now-optimistic distance.
-        assert_eq!(p.distance(VertexId(1)), Some(1.0));
+        assert_eq!(distance(&p, VertexId(1)), Some(1.0));
         run_events(
             &mut p,
             &[GraphEvent::RemoveEdge {

@@ -2,7 +2,7 @@
 //! needs to spawn, feed, observe, and stop a `tide-graph` by name.
 //!
 //! `tide-graph-sharded` is not a second engine: it is the same
-//! [`TideGraph`] registered under a second name ([`SHARDED_SUT_NAME`] and
+//! [`TideGraph`] registered under a second name (`SHARDED_SUT_NAME` and
 //! one `start_sharded` line), with no code path of its own — the engine's
 //! workers already are entity-affine shards, and the name changes nothing
 //! but the name the run reports. Unlike `tide-store-sharded` (a different
@@ -30,7 +30,7 @@ pub const SUT_NAME: &str = "tide-graph";
 /// The registry name of the explicitly-sharded variant: the same engine,
 /// but `shards` (default 4) names the worker count — the A/B counterpart
 /// of a `shards=1` serial baseline in the differential harness.
-pub const SHARDED_SUT_NAME: &str = "tide-graph-sharded";
+pub(crate) const SHARDED_SUT_NAME: &str = "tide-graph-sharded";
 
 /// A running engine behind the [`SystemUnderTest`] boundary.
 ///
@@ -65,7 +65,7 @@ impl TideGraphSut {
 
     /// Spawns the explicitly-sharded variant: identical engine, reported
     /// as [`SHARDED_SUT_NAME`], worker count from `shards` (default 4).
-    pub fn start_sharded(options: &SutOptions) -> io::Result<Self> {
+    pub(crate) fn start_sharded(options: &SutOptions) -> io::Result<Self> {
         Self::start_named(options, SHARDED_SUT_NAME)
     }
 
@@ -217,7 +217,7 @@ fn report_from_stats(name: &str, stats: &EngineStats) -> SutReport {
 }
 
 /// Registers this platform under [`SUT_NAME`] and its explicitly-sharded
-/// variant under [`SHARDED_SUT_NAME`].
+/// variant under `SHARDED_SUT_NAME`.
 pub fn register(registry: &mut SutRegistry) {
     registry.register(SUT_NAME, |options| {
         Ok(Box::new(TideGraphSut::start(options)?) as Box<dyn SystemUnderTest>)

@@ -27,7 +27,6 @@ pub struct BatchingConnector {
     client: StoreClient,
     batch_size: usize,
     pending: Vec<SharedGraphEvent>,
-    submitted_tx: u64,
     submitted_events: u64,
     trace_probe: Option<Probe>,
 }
@@ -44,7 +43,6 @@ impl BatchingConnector {
             client,
             batch_size,
             pending: Vec::with_capacity(batch_size),
-            submitted_tx: 0,
             submitted_events: 0,
             trace_probe: None,
         }
@@ -57,11 +55,6 @@ impl BatchingConnector {
     pub fn with_trace_probe(mut self, probe: Probe) -> Self {
         self.trace_probe = Some(probe);
         self
-    }
-
-    /// Transactions submitted so far.
-    pub fn submitted_transactions(&self) -> u64 {
-        self.submitted_tx
     }
 
     /// Events submitted so far (excludes events still pending).
@@ -98,7 +91,6 @@ impl BatchingConnector {
         self.client
             .submit(Transaction { events })
             .map_err(store_shut_down)?;
-        self.submitted_tx += 1;
         self.submitted_events += count;
         Ok(())
     }
@@ -190,7 +182,6 @@ mod tests {
         }
         connector.flush().unwrap();
         // 25 events: two full batches, marker flushes the remaining 5.
-        assert_eq!(connector.submitted_transactions(), 3);
         let stats = store.shutdown();
         assert_eq!(stats.events, 25);
         assert_eq!(stats.transactions, 3);
@@ -226,11 +217,11 @@ mod tests {
             .collect();
         connector.send_batch(&entries).unwrap();
         // 25 events: two full batches, the trailing marker flushes the 5.
-        assert_eq!(connector.submitted_transactions(), 3);
         assert_eq!(connector.submitted_events(), 25);
         assert_eq!(connector.pending_len(), 0);
         let stats = store.shutdown();
         assert_eq!(stats.events, 25);
+        assert_eq!(stats.transactions, 3);
         assert_eq!(stats.graph.vertex_count(), 25);
     }
 

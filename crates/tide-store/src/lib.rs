@@ -42,9 +42,7 @@ pub mod sut;
 
 pub use connector::BatchingConnector;
 pub use partition::PartitionState;
-pub use shard::StoreSupervisor;
 pub use store::{
     shard_for, shard_for_key, StoreClient, StoreClosed, StoreConfig, StoreStats, TideStore,
     Transaction,
 };
-pub use sut::TideStoreSut;

@@ -1,8 +1,8 @@
 //! Shard-local graph state.
 //!
 //! Every shard worker keeps a partition-local view of the vertices and
-//! edges routed to it so reads can be answered without a global lock.
-//! Events apply *leniently* — the cross-shard existence of edge endpoints
+//! edges routed to it: the per-event apply work of the store (a Weaver
+//! shard's, in the paper). Events apply *leniently* — the cross-shard existence of edge endpoints
 //! cannot be checked locally; the merged commit-log reconstruction at
 //! shutdown is authoritative for consistency.
 //!
@@ -67,27 +67,6 @@ impl PartitionState {
             }
         }
     }
-
-    /// The state of a vertex, cloned for a reply channel.
-    pub fn read_vertex(&self, id: VertexId) -> Option<State> {
-        self.store.state(id).and_then(carried_state)
-    }
-
-    /// The state of an edge, cloned for a reply channel.
-    pub fn read_edge(&self, id: EdgeId) -> Option<State> {
-        self.store.edge(id).and_then(carried_state)
-    }
-}
-
-/// The state a stored event set (only stateful events are stored).
-fn carried_state(event: &SharedGraphEvent) -> Option<State> {
-    match event.event() {
-        GraphEvent::AddVertex { state, .. }
-        | GraphEvent::UpdateVertex { state, .. }
-        | GraphEvent::AddEdge { state, .. }
-        | GraphEvent::UpdateEdge { state, .. } => Some(state.clone()),
-        GraphEvent::RemoveVertex { .. } | GraphEvent::RemoveEdge { .. } => None,
-    }
 }
 
 #[cfg(test)]
@@ -97,6 +76,27 @@ mod tests {
     use gt_graph::HybridAdjacency;
 
     use super::*;
+
+    /// The state a stored vertex's event set.
+    fn read_vertex(p: &PartitionState, id: VertexId) -> Option<State> {
+        p.store.state(id).and_then(carried_state)
+    }
+
+    /// The state a stored edge's event set.
+    fn read_edge(p: &PartitionState, id: EdgeId) -> Option<State> {
+        p.store.edge(id).and_then(carried_state)
+    }
+
+    /// The state a stored event set (only stateful events are stored).
+    fn carried_state(event: &SharedGraphEvent) -> Option<State> {
+        match event.event() {
+            GraphEvent::AddVertex { state, .. }
+            | GraphEvent::UpdateVertex { state, .. }
+            | GraphEvent::AddEdge { state, .. }
+            | GraphEvent::UpdateEdge { state, .. } => Some(state.clone()),
+            GraphEvent::RemoveVertex { .. } | GraphEvent::RemoveEdge { .. } => None,
+        }
+    }
 
     fn shared(event: GraphEvent) -> SharedGraphEvent {
         SharedGraphEvent::new(event)
@@ -118,16 +118,16 @@ mod tests {
             id: VertexId(1),
             state: State::new("v"),
         }));
-        assert_eq!(p.read_vertex(VertexId(1)).unwrap().as_str(), "v");
-        assert_eq!(p.read_edge(EdgeId::from((1, 2))).unwrap().as_str(), "w=1");
-        assert_eq!(p.read_edge(EdgeId::from((2, 1))), None);
+        assert_eq!(read_vertex(&p, VertexId(1)).unwrap().as_str(), "v");
+        assert_eq!(read_edge(&p, EdgeId::from((1, 2))).unwrap().as_str(), "w=1");
+        assert_eq!(read_edge(&p, EdgeId::from((2, 1))), None);
         assert_eq!(p.edge_count(), 1);
         // UpdateEdge overwrites in place without changing the count.
         p.apply(&shared(GraphEvent::UpdateEdge {
             id: EdgeId::from((1, 2)),
             state: State::new("w=2"),
         }));
-        assert_eq!(p.read_edge(EdgeId::from((1, 2))).unwrap().as_str(), "w=2");
+        assert_eq!(read_edge(&p, EdgeId::from((1, 2))).unwrap().as_str(), "w=2");
         assert_eq!(p.edge_count(), 1);
     }
 
@@ -138,9 +138,9 @@ mod tests {
         add_edge(&mut p, 2, 1, "");
         add_edge(&mut p, 2, 3, "");
         p.apply(&shared(GraphEvent::RemoveVertex { id: VertexId(1) }));
-        assert_eq!(p.read_edge(EdgeId::from((1, 2))), None);
-        assert_eq!(p.read_edge(EdgeId::from((2, 1))), None);
-        assert!(p.read_edge(EdgeId::from((2, 3))).is_some());
+        assert_eq!(read_edge(&p, EdgeId::from((1, 2))), None);
+        assert_eq!(read_edge(&p, EdgeId::from((2, 1))), None);
+        assert!(read_edge(&p, EdgeId::from((2, 3))).is_some());
         assert_eq!(p.edge_count(), 1);
     }
 
@@ -154,7 +154,7 @@ mod tests {
             }));
         }
         assert_eq!(p.edge_count(), 0);
-        assert_eq!(p.read_edge(EdgeId::from((1, 2))), None);
+        assert_eq!(read_edge(&p, EdgeId::from((1, 2))), None);
     }
 
     #[test]
@@ -166,7 +166,7 @@ mod tests {
             }
         }
         assert_eq!(p.edge_count(), 63);
-        assert_eq!(p.read_edge(EdgeId::from((7, 42))).unwrap().as_str(), "x");
+        assert_eq!(read_edge(&p, EdgeId::from((7, 42))).unwrap().as_str(), "x");
         p.apply(&shared(GraphEvent::RemoveVertex { id: VertexId(7) }));
         assert_eq!(p.edge_count(), 0);
     }
@@ -191,7 +191,7 @@ mod tests {
             id: EdgeId::from((3, 2)),
         }));
         assert!(p.store.get(VertexId(2)).is_none());
-        assert_eq!(p.read_vertex(VertexId(3)).unwrap().as_str(), "v");
+        assert_eq!(read_vertex(&p, VertexId(3)).unwrap().as_str(), "v");
         p.apply(&shared(GraphEvent::RemoveVertex { id: VertexId(3) }));
         assert_eq!(p.store.entry_count(), 0);
         p.store.check_invariants().unwrap();
@@ -320,14 +320,14 @@ mod tests {
                 indexed.store.check_invariants().unwrap();
                 for v in (0..vertices).map(VertexId) {
                     assert_eq!(
-                        indexed.read_vertex(v),
+                        read_vertex(&indexed, v),
                         reference.vertices.get(&v).cloned(),
                         "{at}"
                     );
                     for w in (0..vertices).map(VertexId) {
                         let expected = reference.out.get(&v).and_then(|adj| adj.get(w));
                         assert_eq!(
-                            indexed.read_edge(EdgeId::new(v, w)),
+                            read_edge(&indexed, EdgeId::new(v, w)),
                             expected.cloned(),
                             "{at}"
                         );

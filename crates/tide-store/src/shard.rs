@@ -27,7 +27,7 @@ use gt_trace::{Probe, Stage, TracerCell};
 use parking_lot::{Mutex, RwLock};
 
 use crate::partition::PartitionState;
-use crate::store::{shard_for, shard_for_key, StoreConfig, StoreStats};
+use crate::store::{shard_for, StoreConfig, StoreStats};
 
 /// `(commit timestamp, event)` pairs: a shard's write log in apply order,
 /// and the payload of one queue message.
@@ -40,8 +40,6 @@ pub(crate) enum ShardMsg {
     /// A broadcast watermark. The name is interned: the per-shard fan-out
     /// bumps a refcount instead of cloning a `String` per queue.
     Marker(Arc<str>),
-    ReadVertex(VertexId, Sender<Option<State>>),
-    ReadEdge(EdgeId, Sender<Option<State>>),
     /// A simulated shard kill: discard state and log and exit immediately,
     /// as if the process died. Queued like any message, so the crash lands
     /// at a deterministic position in the shard's message stream.
@@ -220,14 +218,6 @@ impl ShardPool {
         delivered
     }
 
-    /// Sends a read to the shard owning `key`. A dead shard's queue
-    /// rejects it; dropping the reply sender with it turns the reader's
-    /// wait into `StoreClosed` instead of a hang.
-    pub(crate) fn read(&self, key: u64, msg: ShardMsg) {
-        let routes = self.routes();
-        let _ = routes[shard_for_key(key, routes.len() as u64) as usize].send(msg);
-    }
-
     /// Records a marker's cut — the commit timestamp every event sequenced
     /// before it is below — and broadcasts the marker to every shard,
     /// behind the batches already queued there. The cut lives here, not in
@@ -383,12 +373,6 @@ impl ShardPool {
                     slot.applied.fetch_add(events, Ordering::SeqCst);
                 }
                 ShardMsg::Marker(name) => self.shard_markers.lock().push((name, shard_id)),
-                ShardMsg::ReadVertex(id, reply) => {
-                    let _ = reply.send(state.read_vertex(id));
-                }
-                ShardMsg::ReadEdge(id, reply) => {
-                    let _ = reply.send(state.read_edge(id));
-                }
                 ShardMsg::Crash => {
                     // Die like a killed process: state and log abandoned,
                     // queued messages dropped with the receiver — dropped
@@ -421,7 +405,7 @@ impl ShardPool {
 /// The store's [`WorkerSupervisor`]: kills and resurrects individual
 /// shards behind either sequencer. Obtained from `supervisor()` on the
 /// store.
-pub struct StoreSupervisor(pub(crate) Arc<ShardPool>);
+pub(crate) struct StoreSupervisor(pub(crate) Arc<ShardPool>);
 
 impl WorkerSupervisor for StoreSupervisor {
     fn worker_count(&self) -> usize {

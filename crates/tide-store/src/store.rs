@@ -61,7 +61,7 @@ use gt_metrics::MetricsHub;
 use gt_sut::{busy_work, WorkerSupervisor};
 use gt_trace::TracerCell;
 
-use crate::shard::{ShardLog, ShardMsg, ShardPool, StoreSupervisor};
+use crate::shard::{ShardLog, ShardPool, StoreSupervisor};
 
 /// Store configuration.
 ///
@@ -124,13 +124,6 @@ impl Transaction {
             events: vec![event.into()],
         }
     }
-
-    /// A transaction over owned events (wraps each in a shared handle).
-    pub fn from_events(events: impl IntoIterator<Item = GraphEvent>) -> Self {
-        Transaction {
-            events: events.into_iter().map(SharedGraphEvent::new).collect(),
-        }
-    }
 }
 
 /// Client traffic queued for the timestamper. The shutdown sentinel
@@ -138,10 +131,6 @@ impl Transaction {
 /// while client handles are still alive.
 enum ClientMsg {
     Tx(Transaction),
-    /// A read for the shard owning the key: sequenced like a transaction,
-    /// so reads are ordered against writes (the refinable-timestamp
-    /// discipline, simplified to a single global sequencer).
-    Read(u64, ShardMsg),
     Marker(String),
     Shutdown,
 }
@@ -185,39 +174,6 @@ impl StoreClient {
                 Ok(())
             }
         }
-    }
-
-    /// Reads a vertex's current state, ordered behind every write this
-    /// client submitted before it. `None` if the vertex does not exist;
-    /// `Err(StoreClosed)` if the store has shut down — or if the owning
-    /// shard has crashed (its partition is unavailable until a supervised
-    /// restart).
-    pub fn read_vertex(&self, id: VertexId) -> Result<Option<State>, StoreClosed> {
-        self.read(id.0, |reply| ShardMsg::ReadVertex(id, reply))
-    }
-
-    /// Reads an edge's current state from the shard owning its source;
-    /// same semantics as [`Self::read_vertex`].
-    pub fn read_edge(&self, id: EdgeId) -> Result<Option<State>, StoreClosed> {
-        self.read(id.src.0, |reply| ShardMsg::ReadEdge(id, reply))
-    }
-
-    /// Sends a read for the owner of `key` through the sequencer — behind
-    /// the timestamper at the ordering cost of a transaction — and waits
-    /// for the reply.
-    fn read(
-        &self,
-        key: u64,
-        msg: impl FnOnce(Sender<Option<State>>) -> ShardMsg,
-    ) -> Result<Option<State>, StoreClosed> {
-        let (reply_tx, reply_rx) = bounded(1);
-        match &self.sequencer {
-            Sequencer::Timestamper(queue) => queue
-                .send(ClientMsg::Read(key, msg(reply_tx)))
-                .map_err(|_| StoreClosed)?,
-            Sequencer::Router(_) => self.pool.read(key, msg(reply_tx)),
-        }
-        reply_rx.recv().map_err(|_| StoreClosed)
     }
 
     /// Submits a watermark: the store records its cut and broadcasts it to
@@ -391,11 +347,6 @@ impl TideStore {
         self.pool.counters.events.get()
     }
 
-    /// Transactions committed so far (live).
-    pub fn transactions_committed(&self) -> u64 {
-        self.pool.counters.tx.get()
-    }
-
     /// Blocks until every transaction submitted before the call has been
     /// *applied* — none waits for the timestamper, and every live shard
     /// has applied every event enqueued to it — or the timeout elapses. A
@@ -459,10 +410,6 @@ impl Timestamper {
                     self.order();
                     router.route(pool, transaction.events);
                     pool.unsequenced.fetch_sub(1, Ordering::SeqCst);
-                }
-                ClientMsg::Read(key, msg) => {
-                    self.order();
-                    pool.read(key, msg);
                 }
                 // Markers are control traffic: they pay no ordering cost.
                 ClientMsg::Marker(name) => pool.mark(&name),
@@ -565,6 +512,13 @@ pub fn shard_for_key(key: u64, shards: u64) -> u64 {
 mod tests {
     use super::*;
 
+    /// A transaction over owned events.
+    fn transaction(events: impl IntoIterator<Item = GraphEvent>) -> Transaction {
+        Transaction {
+            events: events.into_iter().map(SharedGraphEvent::new).collect(),
+        }
+    }
+
     type Start = fn(StoreConfig, &MetricsHub) -> TideStore;
 
     /// Both sequencers, for every behaviour that is not about the
@@ -631,9 +585,7 @@ mod tests {
             let store = start(fast_config(), &hub);
             let mut client = store.client();
             for chunk in vertex_events(0..100).chunks(10) {
-                client
-                    .submit(Transaction::from_events(chunk.iter().cloned()))
-                    .unwrap();
+                client.submit(transaction(chunk.iter().cloned())).unwrap();
             }
             let stats = store.shutdown();
             assert_eq!(stats.transactions, 10, "{name}");
@@ -746,7 +698,7 @@ mod tests {
             submitted += 1;
         }
         let elapsed = start.elapsed().as_secs_f64();
-        let committed_during = store.transactions_committed();
+        let committed_during = store.pool.counters.tx.get();
         let rate = committed_during as f64 / elapsed;
         assert!(
             rate < 750.0,
@@ -776,7 +728,7 @@ mod tests {
             while start.elapsed() < Duration::from_millis(250) {
                 let events = vertex_events(next_id..next_id + batch);
                 next_id += batch;
-                client.submit(Transaction::from_events(events)).unwrap();
+                client.submit(transaction(events)).unwrap();
             }
             let committed = store.events_committed();
             store.shutdown();
@@ -817,79 +769,14 @@ mod tests {
     }
 
     #[test]
-    fn reads_are_ordered_behind_writes() {
-        for (name, start) in SEQUENCERS {
-            let hub = MetricsHub::new();
-            let store = start(fast_config(), &hub);
-            let mut client = store.client();
-            client
-                .submit(Transaction::single(GraphEvent::AddVertex {
-                    id: VertexId(7),
-                    state: State::new("v1"),
-                }))
-                .unwrap();
-            // Read-your-writes: the read is sequenced behind the write above.
-            assert_eq!(
-                client.read_vertex(VertexId(7)).unwrap(),
-                Some(State::new("v1")),
-                "{name}"
-            );
-            assert_eq!(client.read_vertex(VertexId(8)).unwrap(), None, "{name}");
-
-            client
-                .submit(Transaction::single(GraphEvent::UpdateVertex {
-                    id: VertexId(7),
-                    state: State::new("v2"),
-                }))
-                .unwrap();
-            assert_eq!(
-                client.read_vertex(VertexId(7)).unwrap(),
-                Some(State::new("v2")),
-                "{name}"
-            );
-            store.shutdown();
-        }
-    }
-
-    #[test]
-    fn edge_reads() {
-        for (name, start) in SEQUENCERS {
-            let hub = MetricsHub::new();
-            let store = start(fast_config(), &hub);
-            let mut client = store.client();
-            for event in vertex_events(0..2) {
-                client.submit(Transaction::single(event)).unwrap();
-            }
-            let edge = EdgeId::from((0, 1));
-            client
-                .submit(Transaction::single(GraphEvent::AddEdge {
-                    id: edge,
-                    state: State::weight(2.5),
-                }))
-                .unwrap();
-            assert_eq!(
-                client.read_edge(edge).unwrap(),
-                Some(State::weight(2.5)),
-                "{name}"
-            );
-            client
-                .submit(Transaction::single(GraphEvent::RemoveEdge { id: edge }))
-                .unwrap();
-            assert_eq!(client.read_edge(edge).unwrap(), None, "{name}");
-            store.shutdown();
-        }
-    }
-
-    #[test]
     fn traffic_after_shutdown_errors() {
         for (name, start) in SEQUENCERS {
             let hub = MetricsHub::new();
             let store = start(fast_config(), &hub);
             let mut client = store.client();
             store.shutdown();
-            assert!(client.read_vertex(VertexId(0)).is_err(), "{name}");
             assert!(client.marker("late").is_err(), "{name}");
-            let late = Transaction::from_events(vertex_events(0..1));
+            let late = transaction(vertex_events(0..1));
             assert_eq!(client.submit(late.clone()), Err(late), "{name}");
         }
     }
@@ -941,17 +828,11 @@ mod tests {
             wait_dead(&supervisor, 0);
 
             // Sequencing continues: events to the dead shard are lost,
-            // events to the survivor commit, reads to the dead shard fail
-            // instead of hanging, and a marker skips the dead shard.
+            // events to the survivor commit, and a marker skips the dead
+            // shard.
             for event in vertex_events(100..150) {
                 client.submit(Transaction::single(event)).unwrap();
             }
-            let dead_vertex = (0..50u64).find(|&i| shard_of(i) == 0).unwrap();
-            assert_eq!(
-                client.read_vertex(VertexId(dead_vertex)),
-                Err(StoreClosed),
-                "{name}"
-            );
             client.marker("after-crash").unwrap();
 
             let stats = store.shutdown();
@@ -991,21 +872,17 @@ mod tests {
             // second wave queues up *behind* the crash and is abandoned
             // with it.
             for chunk in vertex_events(0..40).chunks(4) {
-                client
-                    .submit(Transaction::from_events(chunk.iter().cloned()))
-                    .unwrap();
+                client.submit(transaction(chunk.iter().cloned())).unwrap();
             }
             // Routed (microseconds), not yet applied (milliseconds): the
             // crash lands behind the whole first wave.
-            while store.transactions_committed() < 10 {
+            while store.pool.counters.tx.get() < 10 {
                 std::thread::yield_now();
             }
             let supervisor = store.supervisor();
             assert!(supervisor.inject_crash(0), "{name}");
             for chunk in vertex_events(100..140).chunks(4) {
-                client
-                    .submit(Transaction::from_events(chunk.iter().cloned()))
-                    .unwrap();
+                client.submit(transaction(chunk.iter().cloned())).unwrap();
             }
             wait_dead(&supervisor, 0);
             // The dead shard's backlog is lost, not pending: only the
@@ -1039,9 +916,7 @@ mod tests {
                 let mut client = store.client();
                 let mut submit = |ids: std::ops::Range<u64>| {
                     for chunk in vertex_events(ids).chunks(4) {
-                        client
-                            .submit(Transaction::from_events(chunk.iter().cloned()))
-                            .unwrap();
+                        client.submit(transaction(chunk.iter().cloned())).unwrap();
                     }
                 };
                 submit(0..40);
@@ -1081,9 +956,7 @@ mod tests {
             );
             let mut client = store.client();
             for chunk in vertex_events(0..40).chunks(5) {
-                client
-                    .submit(Transaction::from_events(chunk.iter().cloned()))
-                    .unwrap();
+                client.submit(transaction(chunk.iter().cloned())).unwrap();
             }
             let applied =
                 || hub.counter("shard-0.events").get() + hub.counter("shard-1.events").get();
@@ -1122,17 +995,10 @@ mod tests {
             assert!(supervisor.inject_crash(1), "{name}");
             assert!(supervisor.restart_worker(1), "{name}");
 
-            // Post-restart traffic lands normally again, including reads
-            // served from the replayed state.
+            // Post-restart traffic lands normally again.
             for event in vertex_events(60..80) {
                 client.submit(Transaction::single(event)).unwrap();
             }
-            let replayed_vertex = (0..60u64).find(|&i| shard_of(i) == 1).unwrap();
-            assert_eq!(
-                client.read_vertex(VertexId(replayed_vertex)).unwrap(),
-                Some(State::empty()),
-                "{name}"
-            );
 
             let stats = store.shutdown();
             assert_eq!(stats.crashes, 1, "{name}");

@@ -32,7 +32,7 @@ use crate::store::{StoreConfig, StoreStats, TideStore};
 pub const SUT_NAME: &str = "tide-store";
 
 /// The registry name of the store behind the router.
-pub const SHARDED_SUT_NAME: &str = "tide-store-sharded";
+pub(crate) const SHARDED_SUT_NAME: &str = "tide-store-sharded";
 
 /// A running store behind the [`SystemUnderTest`] boundary.
 ///
@@ -51,7 +51,7 @@ pub const SHARDED_SUT_NAME: &str = "tide-store-sharded";
 /// [`SystemUnderTest::quiesce`] returns once everything written to a
 /// connector has been *applied* by its shard (or the timeout elapsed), not
 /// merely queued; what a crashed shard abandoned counts as lost instead.
-pub struct TideStoreSut {
+pub(crate) struct TideStoreSut {
     /// The registry name the store was started under.
     name: &'static str,
     store: Option<TideStore>,
@@ -64,7 +64,7 @@ pub struct TideStoreSut {
 impl TideStoreSut {
     /// Spawns a store behind the **timestamper** from the option bag
     /// (unset options keep the [`StoreConfig`] defaults).
-    pub fn start(options: &SutOptions) -> io::Result<Self> {
+    pub(crate) fn start(options: &SutOptions) -> io::Result<Self> {
         Self::launch(
             SUT_NAME,
             options,
@@ -75,7 +75,7 @@ impl TideStoreSut {
 
     /// Spawns a store behind the **router**, shard count from the `shards`
     /// option (default 4).
-    pub fn start_sharded(options: &SutOptions) -> io::Result<Self> {
+    pub(crate) fn start_sharded(options: &SutOptions) -> io::Result<Self> {
         Self::launch(SHARDED_SUT_NAME, options, 4, TideStore::start_sharded)
     }
 
@@ -283,7 +283,7 @@ impl SystemUnderTest for TideStoreSut {
 }
 
 /// Registers the store behind the timestamper under [`SUT_NAME`] and
-/// behind the router under [`SHARDED_SUT_NAME`].
+/// behind the router under `SHARDED_SUT_NAME`.
 pub fn register(registry: &mut SutRegistry) {
     registry.register(SUT_NAME, |options| {
         Ok(Box::new(TideStoreSut::start(options)?) as Box<dyn SystemUnderTest>)

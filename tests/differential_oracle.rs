@@ -1,9 +1,8 @@
 //! The serial-vs-sharded differential oracle: the same seeded stream
 //! replayed through a `shards=1` serial baseline and a `shards=N`
 //! candidate must leave **bit-identical** observable state — the final
-//! adjacency, every per-marker-window adjacency, and the reference
-//! computations (WCC, SSSP, PageRank) derived from them — on *both*
-//! built-in platforms.
+//! adjacency and every per-marker-window adjacency — on *both* built-in
+//! platforms.
 //!
 //! The oracle is exercised three ways:
 //!
@@ -26,8 +25,7 @@
 
 use graphtides::faults::{parse_pipeline, FaultInjector};
 use graphtides::harness::{
-    run, run_differential, window_computations, ChaosPlan, EvaluationLevel, FaultSchedule, RunPlan,
-    StateDigest, Target,
+    run, run_differential, ChaosPlan, EvaluationLevel, FaultSchedule, RunPlan, StateDigest, Target,
 };
 use graphtides::prelude::*;
 
@@ -95,10 +93,9 @@ fn assert_clean_differential(stream: &GraphStream, serial: &str, base_options: S
         outcome.mismatch.as_deref().unwrap_or_default()
     );
     // The oracle actually looked at something: every marker window was
-    // digested and computed on both sides.
+    // digested on both sides.
     assert_eq!(outcome.baseline_digest.windows.len(), 3, "{serial}");
     assert_eq!(outcome.candidate_digest.windows.len(), 3, "{serial}");
-    assert_eq!(outcome.baseline_computations.len(), 4, "{serial}");
     assert!(
         !outcome.baseline_digest.final_adjacency.is_empty(),
         "{serial}"
@@ -169,7 +166,6 @@ fn store_differential_holds_under_single_shard_crash_and_restart() {
         Some("crash@300,worker=1,restart=400"),
     );
     assert_eq!(serial.diff(&sharded), None);
-    assert_eq!(window_computations(&serial), window_computations(&sharded));
     // The incident is on the record — as degradation, not as divergence.
     assert_eq!(report.get("crashes"), Some(1.0));
     assert_eq!(report.get("restarts"), Some(1.0));
@@ -196,7 +192,6 @@ fn engine_final_state_converges_after_single_worker_crash_and_restart() {
         Some("crash@300,worker=1,restart=400"),
     );
     assert_eq!(serial.diff(&sharded), None);
-    assert_eq!(window_computations(&serial), window_computations(&sharded));
     assert_eq!(report.get("crashes"), Some(1.0));
     assert_eq!(report.get("restarts"), Some(1.0));
 }
