@@ -310,6 +310,10 @@ fn share_transport_suite(rounds: u32) -> BenchRecord {
     })
 }
 
+/// Events of `ingest/evolving-graph-snb`'s stream (persons and "knows"
+/// edges in the generator's 1 : 18 ratio).
+const SNB_EVENTS: u64 = 500_000;
+
 fn ingest_suites(events: &[GraphEvent], rounds: u32) -> Vec<BenchRecord> {
     let n = events.len() as u64;
     // The shared handles are built here, outside the timed closures: on
@@ -327,12 +331,27 @@ fn ingest_suites(events: &[GraphEvent], rounds: u32) -> Vec<BenchRecord> {
         .collect();
     let mixed_shared: Vec<SharedGraphEvent> = mixed.iter().map(share).collect();
     let mixed_n = mixed.len() as u64;
+    // An SNB stream at `store-tcp-unpaced`'s size: out-lists at p50
+    // degree 17 sit in the adjacency's sorted tier and the largest
+    // in-lists (past 1 024) in its tree, where `sample_events`' lists
+    // (about 5 neighbours) mostly stay in the inline tier.
+    let persons = SNB_EVENTS / 19;
+    let snb_workload = SnbWorkload {
+        persons,
+        connections: SNB_EVENTS - persons,
+        seed: 7,
+    };
+    let snb: Vec<GraphEvent> = snb_workload.generate().graph_events().cloned().collect();
+    let snb_n = snb.len() as u64;
     vec![
         measure("ingest/evolving-graph", n, rounds, || {
             apply_to_graph(events)
         }),
         measure("ingest/evolving-graph-mixed", mixed_n, rounds, || {
             apply_to_graph(&mixed)
+        }),
+        measure("ingest/evolving-graph-snb", snb_n, rounds, || {
+            apply_to_graph(&snb)
         }),
         measure("ingest/partition-state", n, rounds, || {
             apply_to_partition(&shared)

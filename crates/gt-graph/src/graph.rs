@@ -11,8 +11,8 @@
 //! experiment stays deterministic for a given event sequence.
 //!
 //! Per-vertex adjacency is a degree-adaptive [`crate::HybridAdjacency`]
-//! (inline sorted array for the small-degree common case, map for hubs)
-//! that iterates ascending in both representations.
+//! in three tiers (up to 8 entries inline, a sorted array up to 1 024, a
+//! tree for the hubs above) that iterates ascending in every tier.
 
 use std::collections::BTreeMap;
 

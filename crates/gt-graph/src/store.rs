@@ -310,9 +310,19 @@ mod tests {
     #[test]
     fn a_vertex_slot_is_no_larger_than_the_graph_slot_it_replaced() {
         // `EvolvingGraph`'s slab slot measured 424 bytes before it moved
-        // onto this store; the slab's size is `store-direct-mixed`'s peak
-        // heap (DESIGN.md §12).
-        assert!(std::mem::size_of::<Entry<State>>() <= 424);
+        // onto this store, and 368 once the inline adjacency tier kept its
+        // ids in an array of their own; the slab's size is
+        // `store-direct-mixed`'s peak heap (DESIGN.md §12).
+        assert_eq!(std::mem::size_of::<Entry<State>>(), 368);
+    }
+
+    #[test]
+    fn an_in_list_and_a_shard_slot_carry_no_inline_tags() {
+        // 136 and 288 bytes while every inline slot was an
+        // `Option<(VertexId, P)>`, padded to 16 bytes for `P = ()`: the
+        // shards' slab is a large part of `store-tcp-unpaced`'s peak heap.
+        assert_eq!(std::mem::size_of::<HybridAdjacency<()>>(), 80);
+        assert_eq!(std::mem::size_of::<Entry<SharedGraphEvent>>(), 232);
     }
 
     #[test]

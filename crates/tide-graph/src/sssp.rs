@@ -104,8 +104,7 @@ impl Partition for DistancePartition {
                 let Some(vstate) = self.vertices.get_mut(&id.src) else {
                     return;
                 };
-                if !vstate.out.contains(id.dst) {
-                    vstate.out.insert(id.dst, weight);
+                if vstate.out.insert_if_absent(id.dst, || weight) {
                     dirty.push(id.src);
                 }
             }

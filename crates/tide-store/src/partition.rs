@@ -9,18 +9,20 @@
 //! State is held as the [`SharedGraphEvent`] that last set it, never as a
 //! copy of its payload: the shard log keeps every applied event alive for
 //! the whole run anyway, so a handle retains nothing extra, costs no
-//! allocation per event, and keeps an inline adjacency slot at 16 bytes.
+//! allocation per event, and keeps an inline adjacency slot at 16 bytes
+//! (an 8-byte id beside an 8-byte handle).
 //!
 //! The body is gt-graph's [`AdjacencyStore`], the one the reference
-//! `EvolvingGraph` runs on: a slab of per-vertex entries behind a hash
-//! index, each with a degree-adaptive out-list and an in-list, so removing
-//! a vertex costs its own degree. Writes here are *upserts*: an edge
-//! creates its missing endpoints, and a vertex another shard owns becomes
-//! a stateless entry that lives as long as its edges here. The in-lists
-//! are therefore *partition-local*: edges are routed by source, so they
-//! list only the sources this shard holds — an edge into the removed
-//! vertex from another shard's source survives there, and is dropped by
-//! the shutdown reconstruction.
+//! `EvolvingGraph` runs on: a slab of 232-byte per-vertex entries behind a
+//! hash index, each with an out-list and an in-list that move between
+//! three tiers by degree (up to 8 entries inline, a sorted array up to
+//! 1 024, a tree above), so removing a vertex costs its own degree.
+//! Writes here are *upserts*: an edge creates its missing endpoints, and a
+//! vertex another shard owns becomes a stateless entry that lives as long
+//! as its edges here. The in-lists are therefore *partition-local*: edges
+//! are routed by source, so they list only the sources this shard holds —
+//! an edge into the removed vertex from another shard's source survives
+//! there, and is dropped by the shutdown reconstruction.
 
 use gt_core::prelude::*;
 use gt_graph::AdjacencyStore;
@@ -73,6 +75,7 @@ impl PartitionState {
 mod tests {
     use std::collections::BTreeMap;
 
+    use gt_graph::hybrid::Tier;
     use gt_graph::HybridAdjacency;
 
     use super::*;
@@ -333,10 +336,9 @@ mod tests {
                         );
                     }
                 }
-                hub_promoted |= indexed
-                    .store
-                    .get(VertexId(0))
-                    .is_some_and(|hub| !hub.inc.is_inline() && !hub.out.is_inline());
+                hub_promoted |= indexed.store.get(VertexId(0)).is_some_and(|hub| {
+                    hub.inc.tier() != Tier::Inline && hub.out.tier() != Tier::Inline
+                });
             }
         }
         assert!(hub_promoted, "no stream pushed the hub past INLINE_CAP");

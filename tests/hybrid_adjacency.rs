@@ -4,26 +4,89 @@
 //! most: the serial-vs-sharded differential oracle stays bit-identical
 //! over the hybrid build with hub-heavy streams.
 //!
-//! The op generator is deliberately biased to hover around the
-//! promotion/demotion boundary (`INLINE_CAP` = 8, `DEMOTE_AT` = 4): keys
-//! are drawn from a small universe so lists repeatedly cross both
-//! thresholds in one run.
+//! The adjacency has three tiers: inline up to `INLINE_CAP` = 8 entries,
+//! a sorted array up to `SORTED_CAP` = 1 024, a tree above, demoting at
+//! `DEMOTE_AT` = 4 and `TREE_DEMOTE_AT` = 512. One op generator hovers
+//! around the inline boundary (keys from a small universe, so lists cross
+//! it in both directions many times in one run); another grows lists of a
+//! ~3 000-key universe into the tree and drains them back to inline.
+//! After every op, [`assert_tier_band`] checks the adjacency's tier
+//! against its length.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::collections::BTreeMap;
 
+use graphtides::graph::hybrid::Tier;
 use graphtides::graph::HybridAdjacency;
 use graphtides::harness::run_differential;
 use graphtides::prelude::*;
 use proptest::prelude::*;
 
+/// The system allocator, counting the bytes each thread holds, so a test
+/// can see what one structure keeps on the heap while other tests run.
+struct PerThreadBytes;
+
+thread_local! {
+    static LIVE_BYTES: Cell<isize> = const { Cell::new(0) };
+}
+
+fn track(delta: isize) {
+    // `try_with`: the allocator also runs while a thread is torn down.
+    let _ = LIVE_BYTES.try_with(|live| live.set(live.get() + delta));
+}
+
+fn live_bytes() -> isize {
+    LIVE_BYTES.with(Cell::get)
+}
+
+// SAFETY: defers entirely to `System`; the counter is a thread-local cell
+// that allocates nothing.
+unsafe impl GlobalAlloc for PerThreadBytes {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        track(layout.size() as isize);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        track(-(layout.size() as isize));
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        track(new_size as isize - layout.size() as isize);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOC: PerThreadBytes = PerThreadBytes;
+
+/// The tier probe: each tier holds only lengths inside its band (the
+/// hysteresis bands overlap, so a length alone does not fix the tier).
+fn assert_tier_band<T>(adj: &HybridAdjacency<T>) {
+    type H = HybridAdjacency<()>;
+    let len = adj.len();
+    let band = match adj.tier() {
+        Tier::Inline => 0..=H::INLINE_CAP,
+        Tier::Sorted => H::DEMOTE_AT + 1..=H::SORTED_CAP,
+        Tier::Tree => H::TREE_DEMOTE_AT + 1..=usize::MAX,
+    };
+    assert!(band.contains(&len), "{:?} holding {len}", adj.tier());
+}
+
 #[derive(Debug, Clone)]
 enum Op {
     Insert(u64, u32),
+    InsertIfAbsent(u64, u32),
     Remove(u64),
+    /// Removes the first present key at or after this one (wrapping), so
+    /// a drain hits on every op however wide the universe.
+    RemoveFrom(u64),
 }
 
 /// Ops over a key universe of `universe` vertex ids: small universes
-/// keep the list crossing the inline/hub boundary in both directions.
+/// keep the list crossing the inline/sorted boundary in both directions.
 fn ops(universe: u64, len: usize) -> impl Strategy<Value = Vec<Op>> {
     proptest::collection::vec(
         prop_oneof![
@@ -34,22 +97,98 @@ fn ops(universe: u64, len: usize) -> impl Strategy<Value = Vec<Op>> {
     )
 }
 
-fn apply_both(ops: &[Op]) -> (HybridAdjacency<u32>, BTreeMap<VertexId, u32>) {
+/// Keys of the universe [`tier_crossing_ops`] draws from.
+const WIDE_UNIVERSE: u64 = 3_000;
+
+/// Grow phases that push a list past `SORTED_CAP` into the tree (about
+/// 1 200 distinct keys after 2 000 mostly-insert ops), shrink phases of
+/// removals that hit, and a final drain to empty: every run crosses both
+/// tier boundaries in both directions.
+fn tier_crossing_ops() -> impl Strategy<Value = Vec<Op>> {
+    let key = || 0..WIDE_UNIVERSE;
+    let grow = proptest::collection::vec(
+        prop_oneof![
+            3 => (key(), any::<u32>()).prop_map(|(k, v)| Op::Insert(k, v)),
+            1 => (key(), any::<u32>()).prop_map(|(k, v)| Op::InsertIfAbsent(k, v)),
+            1 => key().prop_map(Op::Remove),
+        ],
+        2_000..2_600,
+    );
+    let shrink = proptest::collection::vec(
+        prop_oneof![
+            4 => key().prop_map(Op::RemoveFrom),
+            1 => (key(), any::<u32>()).prop_map(|(k, v)| Op::Insert(k, v)),
+        ],
+        0..2_500,
+    );
+    proptest::collection::vec((grow, shrink), 1..3).prop_map(|phases| {
+        let mut ops: Vec<Op> = phases
+            .into_iter()
+            .flat_map(|(g, s)| g.into_iter().chain(s))
+            .collect();
+        ops.extend((0..WIDE_UNIVERSE).map(Op::RemoveFrom));
+        ops
+    })
+}
+
+/// The tier changes a run of ops went through, as `(from, to)` pairs.
+type Crossings = Vec<(Tier, Tier)>;
+
+/// Applies `ops` to a hybrid adjacency and to the model, checking after
+/// every op the result, the touched key, the length and the tier band,
+/// and the whole contents whenever the tier changed. Returns both, and
+/// the tier changes seen as `(from, to)` pairs.
+fn apply_both(ops: &[Op]) -> (HybridAdjacency<u32>, BTreeMap<VertexId, u32>, Crossings) {
     let mut hybrid = HybridAdjacency::new();
     let mut reference = BTreeMap::new();
+    let mut crossings = Vec::new();
     for op in ops {
-        match *op {
+        let before = hybrid.tier();
+        let key = match *op {
             Op::Insert(k, v) => {
                 let expected = reference.insert(VertexId(k), v);
                 prop_assert_eq_unwrapped(hybrid.insert(VertexId(k), v), expected);
+                k
+            }
+            Op::InsertIfAbsent(k, v) => {
+                let absent = !reference.contains_key(&VertexId(k));
+                if absent {
+                    reference.insert(VertexId(k), v);
+                }
+                prop_assert_eq_unwrapped(hybrid.insert_if_absent(VertexId(k), || v), absent);
+                k
             }
             Op::Remove(k) => {
                 let expected = reference.remove(&VertexId(k));
                 prop_assert_eq_unwrapped(hybrid.remove(VertexId(k)), expected);
+                k
+            }
+            Op::RemoveFrom(from) => {
+                let present = reference
+                    .range(VertexId(from)..)
+                    .next()
+                    .or(reference.first_key_value());
+                let Some((&k, _)) = present else {
+                    prop_assert_eq_unwrapped(hybrid.len(), 0);
+                    continue;
+                };
+                let expected = reference.remove(&k);
+                prop_assert_eq_unwrapped(hybrid.remove(k), expected);
+                k.0
+            }
+        };
+        prop_assert_eq_unwrapped(hybrid.get(VertexId(key)), reference.get(&VertexId(key)));
+        prop_assert_eq_unwrapped(hybrid.len(), reference.len());
+        assert_tier_band(&hybrid);
+        let after = hybrid.tier();
+        if after != before {
+            assert!(hybrid.iter().eq(reference.iter().map(|(k, v)| (*k, v))));
+            if !crossings.contains(&(before, after)) {
+                crossings.push((before, after));
             }
         }
     }
-    (hybrid, reference)
+    (hybrid, reference, crossings)
 }
 
 // proptest's prop_assert_eq! only works inside the macro body; the
@@ -65,7 +204,7 @@ proptest! {
     /// that grow through INLINE_CAP and shrink back through DEMOTE_AT.
     #[test]
     fn matches_btreemap_reference_at_the_boundary(ops in ops(12, 120)) {
-        let (hybrid, reference) = apply_both(&ops);
+        let (hybrid, reference, _) = apply_both(&ops);
         prop_assert_eq!(hybrid.len(), reference.len());
         // Iteration: ascending id order, identical contents.
         let got: Vec<(VertexId, u32)> = hybrid.iter().map(|(k, v)| (k, *v)).collect();
@@ -77,22 +216,38 @@ proptest! {
             prop_assert_eq!(hybrid.contains(VertexId(k)), reference.contains_key(&VertexId(k)));
         }
         // Representation invariants: inline lists fit the inline array;
-        // hub lists only exist above the demotion threshold.
-        if hybrid.is_inline() {
-            prop_assert!(hybrid.len() <= HybridAdjacency::<u32>::INLINE_CAP);
-        } else {
-            prop_assert!(hybrid.len() > HybridAdjacency::<u32>::DEMOTE_AT);
-        }
+        // sorted lists only exist above the demotion threshold.
+        assert_tier_band(&hybrid);
     }
 
-    /// Far above the boundary: hub-only behaviour over a wide universe.
+    /// Far above the inline boundary: sorted-tier lists over a wide
+    /// universe.
     #[test]
     fn matches_btreemap_reference_for_hubs(ops in ops(400, 300)) {
-        let (hybrid, reference) = apply_both(&ops);
+        let (hybrid, reference, _) = apply_both(&ops);
         prop_assert_eq!(hybrid.len(), reference.len());
         let got: Vec<(VertexId, u32)> = hybrid.iter().map(|(k, v)| (k, *v)).collect();
         let want: Vec<(VertexId, u32)> = reference.iter().map(|(k, v)| (*k, *v)).collect();
         prop_assert_eq!(got, want);
+    }
+
+    /// Between the tiers: lists over a ~3 000-key universe grow through
+    /// `INLINE_CAP` and `SORTED_CAP` and shrink back through
+    /// `TREE_DEMOTE_AT` and `DEMOTE_AT`, and agree with the model all the
+    /// way.
+    #[test]
+    fn matches_btreemap_reference_across_all_three_tiers(ops in tier_crossing_ops()) {
+        let (hybrid, reference, crossings) = apply_both(&ops);
+        prop_assert!(hybrid.is_empty() && reference.is_empty());
+        prop_assert_eq!(hybrid.tier(), Tier::Inline);
+        for crossing in [
+            (Tier::Inline, Tier::Sorted),
+            (Tier::Sorted, Tier::Tree),
+            (Tier::Tree, Tier::Sorted),
+            (Tier::Sorted, Tier::Inline),
+        ] {
+            prop_assert!(crossings.contains(&crossing), "never crossed {:?}: {:?}", crossing, crossings);
+        }
     }
 
     /// Logical equality is representation-independent: the same contents
@@ -104,7 +259,7 @@ proptest! {
         // Path A: plain inserts — stays inline (<= 8 distinct keys).
         let direct: HybridAdjacency<u32> =
             keys.iter().map(|&k| (VertexId(k), k as u32)).collect();
-        prop_assert!(direct.is_inline());
+        prop_assert_eq!(direct.tier(), Tier::Inline);
 
         // Path B: overfill past INLINE_CAP to force promotion, then
         // remove the scaffolding again.
@@ -120,6 +275,29 @@ proptest! {
         }
 
         prop_assert_eq!(&direct, &via_hub);
+    }
+}
+
+/// A list grown into the tree and shrunk to empty, whatever the removal
+/// order, is back in the inline tier and holds no heap — what lets a
+/// spent store entry hold none either.
+#[test]
+fn an_adjacency_shrunk_to_empty_holds_no_heap() {
+    for stride in [1u64, 7, 2_999] {
+        let mut adj: HybridAdjacency<()> = HybridAdjacency::new();
+        let empty = live_bytes();
+        for k in 0..WIDE_UNIVERSE {
+            adj.insert(VertexId(k), ());
+        }
+        assert_eq!(adj.tier(), Tier::Tree);
+        assert!(live_bytes() > empty);
+        for i in 0..WIDE_UNIVERSE {
+            // `stride` is coprime to the universe: each key once.
+            assert_eq!(adj.remove(VertexId(i * stride % WIDE_UNIVERSE)), Some(()));
+        }
+        assert!(adj.is_empty());
+        assert_eq!(adj.tier(), Tier::Inline);
+        assert_eq!(live_bytes(), empty, "stride {stride}");
     }
 }
 
