@@ -4,7 +4,8 @@
 /// Pearson correlation coefficient of two equal-length series.
 ///
 /// Returns `None` when the series differ in length, are shorter than 2,
-/// or either has zero variance.
+/// either has zero variance, or a non-finite sample (a degraded
+/// sampler's NaN) leaves no finite correlation.
 pub fn pearson(a: &[f64], b: &[f64]) -> Option<f64> {
     if a.len() != b.len() || a.len() < 2 {
         return None;
@@ -22,10 +23,8 @@ pub fn pearson(a: &[f64], b: &[f64]) -> Option<f64> {
         var_a += dx * dx;
         var_b += dy * dy;
     }
-    if var_a == 0.0 || var_b == 0.0 {
-        return None;
-    }
-    Some(cov / (var_a.sqrt() * var_b.sqrt()))
+    let r = cov / (var_a.sqrt() * var_b.sqrt());
+    (var_a != 0.0 && var_b != 0.0 && r.is_finite()).then_some(r)
 }
 
 /// Pearson correlation of `a` against `b` shifted by each lag in
@@ -69,6 +68,17 @@ mod tests {
         cross_correlation(a, b, max_lag)
             .into_iter()
             .max_by(|(_, x), (_, y)| x.abs().partial_cmp(&y.abs()).expect("finite"))
+    }
+
+    #[test]
+    fn a_nan_sample_yields_no_correlation_instead_of_nan() {
+        let mut series: Vec<f64> = (1..=8).map(f64::from).collect();
+        series[1] = f64::NAN;
+        assert_eq!(pearson(&series, &series), None);
+        // Every one of the five lags overlaps the NaN on one side: none is
+        // a correlation, so none reaches a caller's `partial_cmp`.
+        assert_eq!(cross_correlation(&series, &series, 2), []);
+        assert_eq!(best_lag(&series, &series, 2), None);
     }
 
     #[test]

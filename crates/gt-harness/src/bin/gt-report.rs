@@ -9,14 +9,15 @@
 //! gt-report --matrix <journal.jsonl>
 //! ```
 //!
-//! `--matrix` re-renders a scenario-matrix journal (the resumable
-//! cell-repetition log `gt-run matrix` writes) as the per-cell CI95
-//! comparison table, without re-running anything.
+//! `--matrix` re-renders a journal `gt-run` wrote, without re-running
+//! anything: it prints what that invocation printed (the run report, the
+//! scaling curve, or a campaign's CI95 table), from the journal and the
+//! result logs beside it (`gt_harness::render`).
 
 use std::process::ExitCode;
 
 use gt_analysis::{cross_correlation, Quantiles, Summary};
-use gt_harness::{aggregate_records, read_journal, render_matrix_table};
+use gt_harness::render_journal;
 use gt_metrics::{Name, ResultLog};
 
 /// Human-readable byte count (binary units, matching `top`/`htop`).
@@ -130,39 +131,21 @@ fn print_series_summary(log: &ResultLog, source: &str, metric: &str) {
     );
 }
 
-/// Renders a scenario-matrix journal as the per-cell aggregate table: the
-/// records a resume would keep ([`read_journal`]), nothing past them.
-fn print_matrix_report(path: &str) -> Result<(), String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    if text.is_empty() {
-        return Err(format!("{path}: empty journal"));
-    }
-    let journal = read_journal(&text).map_err(|e| format!("{path}: {e}"))?;
-    println!("matrix: {}", journal.fingerprint);
-    let aborted = journal
-        .records
+/// The strongest lagged Pearson correlation between two series.
+fn print_correlation(log: &ResultLog, (s1, m1): (&str, &str), (s2, m2): (&str, &str)) {
+    let a: Vec<f64> = log.series(s1, m1).iter().map(|&(_, v)| v).collect();
+    let b: Vec<f64> = log.series(s2, m2).iter().map(|&(_, v)| v).collect();
+    let n = a.len().min(b.len());
+    let lags = cross_correlation(&a[..n], &b[..n], (n / 4).max(1));
+    let strongest = lags
         .iter()
-        .filter(|r| !matches!(r.status, gt_harness::RunStatus::Completed))
-        .count();
-    println!(
-        "journal: {} cell-repetitions ({aborted} aborted{})",
-        journal.records.len(),
-        if journal.ignored_lines > 0 {
-            // A killed run's cut last line, or a corrupt line and all after
-            // it: a resume truncates them and re-runs those repetitions.
-            format!(
-                ", {} line(s) past the valid prefix ignored",
-                journal.ignored_lines
-            )
-        } else {
-            String::new()
-        }
-    );
-    print!(
-        "{}",
-        render_matrix_table(&aggregate_records(&journal.records))
-    );
-    Ok(())
+        .max_by(|(_, x), (_, y)| x.abs().total_cmp(&y.abs()));
+    match strongest {
+        Some((lag, r)) => println!(
+            "cross-correlation {s1}/{m1} vs {s2}/{m2}: strongest r={r:.3} at lag {lag} samples"
+        ),
+        None => println!("cross-correlation: series too short"),
+    }
 }
 
 fn run() -> Result<(), String> {
@@ -176,7 +159,8 @@ fn run() -> Result<(), String> {
     }
     if args[0] == "--matrix" {
         let path = args.get(1).ok_or("--matrix needs a journal path")?;
-        return print_matrix_report(path);
+        print!("{}", render_journal(path, None, None)?.0);
+        return Ok(());
     }
     let log = ResultLog::read_from_file(&args[0]).map_err(|e| format!("{}: {e}", args[0]))?;
     println!(
@@ -196,25 +180,13 @@ fn run() -> Result<(), String> {
                 did_something = true;
             }
             "--correlate" => {
-                let (s1, m1, s2, m2) = (
-                    rest.next().ok_or("--correlate needs S1 M1 S2 M2")?,
-                    rest.next().ok_or("--correlate needs S1 M1 S2 M2")?,
-                    rest.next().ok_or("--correlate needs S1 M1 S2 M2")?,
-                    rest.next().ok_or("--correlate needs S1 M1 S2 M2")?,
-                );
-                let a: Vec<f64> = log.series(s1, m1).iter().map(|&(_, v)| v).collect();
-                let b: Vec<f64> = log.series(s2, m2).iter().map(|&(_, v)| v).collect();
-                let n = a.len().min(b.len());
-                let lags = cross_correlation(&a[..n], &b[..n], (n / 4).max(1));
-                match lags
-                    .iter()
-                    .max_by(|(_, x), (_, y)| x.abs().partial_cmp(&y.abs()).expect("finite"))
-                {
-                    Some((lag, r)) => println!(
-                        "cross-correlation {s1}/{m1} vs {s2}/{m2}: strongest r={r:.3} at lag {lag} samples"
-                    ),
-                    None => println!("cross-correlation: series too short"),
-                }
+                let mut next = || {
+                    rest.next()
+                        .map(String::as_str)
+                        .ok_or("--correlate needs S1 M1 S2 M2")
+                };
+                let (a, b) = ((next()?, next()?), (next()?, next()?));
+                print_correlation(&log, a, b);
                 did_something = true;
             }
             "--resources" => {
@@ -281,6 +253,18 @@ mod tests {
             log.push(MetricRecord::float(i * 1000, "sysmon", "cpu", f64::NAN));
         }
         print_series_summary(&log, "sysmon", "cpu");
+    }
+
+    // Regression: a NaN sample made every lag's r NaN, and picking the
+    // strongest lag panicked on the NaN comparison.
+    #[test]
+    fn a_nan_sample_in_a_correlated_series_does_not_panic() {
+        let mut log = ResultLog::new();
+        for i in 0..8u64 {
+            let value = if i == 1 { f64::NAN } else { (i + 1) as f64 };
+            log.push(MetricRecord::float(i * 1000, "sysmon", "cpu", value));
+        }
+        print_correlation(&log, ("sysmon", "cpu"), ("sysmon", "cpu"));
     }
 
     #[test]

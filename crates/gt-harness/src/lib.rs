@@ -17,8 +17,6 @@
 //!                       Log Collector ──► result log
 //! ```
 //!
-//! * [`sweep`] — the factors and levels of Jain's methodology (§2.3,
-//!   §4.5), enumerated full-factorial or one factor at a time.
 //! * [`levels`] — the three evaluation levels (L0 black box, L1 native
 //!   metrics, L2 in-source instrumentation).
 //! * [`run`](mod@run) — the run path: one [`RunPlan`] (source, front,
@@ -37,11 +35,18 @@
 //!   replay the same seeded stream through a `shards=1` baseline and a
 //!   `shards=N` candidate and assert bit-identical digests and
 //!   per-marker-window computation results.
-//! * [`repeat`] — n ≥ 30 repetition helper and CI95 system comparison.
-//! * [`orchestrator`] — the scenario-matrix orchestrator: declarative
-//!   factor cross-products executed with per-cell repetition, journaled
-//!   to disk (one JSON line per finished cell-repetition), and resumable
-//!   after a kill without re-running completed cells.
+//! * [`orchestrator`] — the scenario-matrix orchestrator: the factors
+//!   and levels of Jain's methodology (§2.3, §4.5), enumerated
+//!   full-factorial or one factor at a time, each cell repeated and
+//!   journaled to disk (one JSON line per finished cell-repetition),
+//!   resumable after a kill without re-running completed cells, and
+//!   aggregated into per-cell CI95 summaries (n ≥ 30 caveat included);
+//!   [`RunSpec`] is the built-in factor vocabulary a `gt-run` cell sets.
+//! * [`render`] — the one renderer: every table `gt-run` prints (run
+//!   report, load report, recovery tables, scaling curves, the
+//!   `--assert-achieved` gate, the matrix table), rebuilt from a journal
+//!   and the result log each cell-repetition writes beside it; `gt-report
+//!   --matrix` calls the same functions.
 //! * [`watchdog`] — progress-stall and deadline detection on the run
 //!   clock: a broken system under test aborts the run with a typed status
 //!   instead of hanging the harness.
@@ -53,10 +58,9 @@ pub mod levels;
 pub mod load;
 pub mod netem;
 pub mod orchestrator;
-pub mod repeat;
+pub mod render;
 pub mod run;
 pub mod sut;
-pub mod sweep;
 pub mod watchdog;
 
 pub use differential::{run_differential, DifferentialOutcome};
@@ -65,13 +69,15 @@ pub use forward::{run_file_sut_experiment, run_load_file_sut_experiment, FileRun
 pub use levels::EvaluationLevel;
 pub use load::{load_records, LOAD_SOURCE};
 pub use orchestrator::{
-    aggregate_records, cell_id, read_journal, render_matrix_table, run_matrix,
-    run_matrix_with_progress, CellAggregate, CellRunResult, CellRunner, Design, JournalContents,
-    JournalRecord, MatrixJournal, MatrixOutcome, MatrixProgress, MetricAggregate, ScenarioMatrix,
+    aggregate_records, cell_id, run_matrix, run_matrix_with_progress, Assignment, CellAggregate,
+    CellRunResult, Design, Factor, FactorSpace, JournalRecord, MatrixJournal, MatrixOutcome,
+    MatrixProgress, MetricAggregate, RunSpec, ScenarioMatrix,
 };
-pub use repeat::{compare_metric, repeat_runs, RepeatOutcome};
+pub use render::{
+    matrix_head, render_differential, render_journal, render_matrix_table, write_result_log,
+    FLAG_VIEWS,
+};
 pub use run::{run, ChaosPlan, Driver, RunError, RunOutcome, RunPlan, Source, Target};
-pub use sweep::{Assignment, Factor, FactorSpace};
 pub use watchdog::{AbortReason, RunStatus, WatchdogConfig};
 
 pub use gt_chaos::{ChaosJournal, FaultKind, FaultSchedule, FaultTrigger, CHAOS_SOURCE};

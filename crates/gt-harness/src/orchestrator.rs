@@ -18,11 +18,21 @@
 //! * a partial trailing line (the process died mid-write) is truncated
 //!   away on open, and the repetition it belonged to re-runs.
 //!
+//! * the header also records the *inputs* every cell shares besides its
+//!   factors (a stream path, options, seeds), when a caller names them, so
+//!   a journal never silently resumes under different inputs either.
+//!
 //! Aggregation is always computed from journal records — not from
 //! transient in-memory state — which is what makes "resume" and "ran in
 //! one piece" indistinguishable in the output. Floats are written in
 //! Rust's shortest round-trip decimal form, so parse(write(x)) == x
 //! bit-for-bit.
+//!
+//! The matrix's cells come from a [`FactorSpace`] (§2.3: "the analyst
+//! chooses a number of setups. This can range from variations of a single
+//! parameter, to full factorial designs where all levels of all factors
+//! are considered"): each cell is an [`Assignment`] of one level to every
+//! [`Factor`].
 
 use std::collections::HashSet;
 use std::fmt;
@@ -35,7 +45,9 @@ use gt_analysis::{ConfidenceInterval, Summary};
 use gt_core::json::{extract_num, extract_pairs, extract_str};
 use gt_core::spec::{self, SpecError};
 
-use crate::sweep::{Assignment, FactorSpace};
+use gt_load::{LoopModel, RatePattern};
+use gt_sut::SutOptions;
+
 use crate::watchdog::{AbortReason, RunStatus};
 
 /// Characters that cannot appear in factor levels: they would break the
@@ -43,6 +55,237 @@ use crate::watchdog::{AbortReason, RunStatus};
 /// (`"`, `\`). Factor names additionally reject `=` (the cell-id
 /// key/value separator); levels may contain it (chaos schedules do).
 const RESERVED_CHARS: [char; 4] = [';', '|', '"', '\\'];
+
+/// A named factor with its levels.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Factor {
+    /// Factor name (e.g. `target_rate`).
+    pub name: String,
+    /// The levels to evaluate, as display strings.
+    pub levels: Vec<String>,
+}
+
+impl Factor {
+    /// Builds a factor from displayable levels.
+    pub(crate) fn new<T: fmt::Display>(name: &str, levels: impl IntoIterator<Item = T>) -> Self {
+        Factor {
+            name: name.to_owned(),
+            levels: levels.into_iter().map(|l| l.to_string()).collect(),
+        }
+    }
+}
+
+/// One concrete configuration: an assignment of a level to every factor.
+pub type Assignment = Vec<(String, String)>;
+
+/// A factor space supporting the two designs the paper names.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct FactorSpace {
+    factors: Vec<Factor>,
+}
+
+impl FactorSpace {
+    /// An empty space (a single, empty configuration).
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Adds a factor last (builder style), replacing one of the same name.
+    #[must_use]
+    pub fn factor<T: fmt::Display>(
+        mut self,
+        name: &str,
+        levels: impl IntoIterator<Item = T>,
+    ) -> Self {
+        self.factors.retain(|factor| factor.name != name);
+        self.factors.push(Factor::new(name, levels));
+        self
+    }
+
+    /// The factors.
+    pub fn factors(&self) -> &[Factor] {
+        &self.factors
+    }
+
+    /// Full factorial design: the cartesian product of all levels.
+    pub fn full_factorial(&self) -> Vec<Assignment> {
+        let mut out: Vec<Assignment> = vec![Vec::new()];
+        for factor in &self.factors {
+            assert!(
+                !factor.levels.is_empty(),
+                "factor `{}` has no levels",
+                factor.name
+            );
+            let mut next = Vec::with_capacity(out.len() * factor.levels.len());
+            for assignment in &out {
+                for level in &factor.levels {
+                    let mut extended = assignment.clone();
+                    extended.push((factor.name.clone(), level.clone()));
+                    next.push(extended);
+                }
+            }
+            out = next;
+        }
+        out
+    }
+
+    /// One-factor-at-a-time design: every factor varied over its levels
+    /// while all others stay at their first (baseline) level. The
+    /// baseline configuration appears exactly once, first.
+    pub fn one_factor_at_a_time(&self) -> Vec<Assignment> {
+        let baseline: Assignment = self
+            .factors
+            .iter()
+            .map(|f| {
+                assert!(!f.levels.is_empty(), "factor `{}` has no levels", f.name);
+                (f.name.clone(), f.levels[0].clone())
+            })
+            .collect();
+        let mut out = vec![baseline.clone()];
+        for (i, factor) in self.factors.iter().enumerate() {
+            for level in factor.levels.iter().skip(1) {
+                let mut assignment = baseline.clone();
+                assignment[i].1 = level.clone();
+                out.push(assignment);
+            }
+        }
+        out
+    }
+
+    /// Reads a grid `A1,A2,..xB1,B2,..` (`gt-run --scale`) as two factors:
+    /// `row` over the levels before the `x`, `column` over those after
+    /// it, each a `,`-separated `gt_core::spec` list.
+    pub fn grid(text: &str, row: &str, column: &str) -> Result<Self, SpecError> {
+        let (rows, columns) = text
+            .split_once('x')
+            .ok_or_else(|| SpecError::new(text, text, "expected A1,A2,..xB1,B2,.."))?;
+        let levels = |part| spec::list(text, part, ',', |level| Ok(level.to_owned()));
+        Ok(FactorSpace::new()
+            .factor(row, levels(rows)?)
+            .factor(column, levels(columns)?))
+    }
+}
+
+/// What one run of a `gt-run` matrix is made of: the stream, options and
+/// seeds a cell starts from, plus the built-in factors its cell (or a flag)
+/// sets through [`RunSpec::resolve`] — `sut`, `stream`, `rate`, `pattern`,
+/// `shards`, `clients`, `loop`, `chaos` and `netem`.
+#[derive(Debug, Clone)]
+pub struct RunSpec {
+    /// The stream file replayed.
+    pub stream: String,
+    /// The platform's registry name: its sharded variant once resolved
+    /// with `shards` set.
+    pub sut: String,
+    /// The platform's start-up options.
+    pub options: SutOptions,
+    /// The target rate, events/s.
+    pub rate: f64,
+    /// The shape of the offered rate over time.
+    pub pattern: RatePattern,
+    /// 0 means single-sink replay; ≥ 1 switches to the load front.
+    pub clients: usize,
+    /// How the load front's clients pace themselves.
+    pub loop_model: LoopModel,
+    /// `;`-separated chaos schedule.
+    pub chaos: Option<String>,
+    /// `;`-separated netem schedule; valid on both fronts.
+    pub netem: Option<String>,
+    /// Runs the platform's sharded variant with this many shards.
+    pub shards: Option<usize>,
+    /// Seeds the load plan's partitioning and arrival schedules, and the
+    /// single-sink pacer's (pareto) pattern.
+    pub load_seed: u64,
+    /// Seeds the chaos and netem schedules (and the stream faults).
+    pub fault_seed: u64,
+    /// What an a-priori fault pipeline made of the stream, if one ran.
+    pub faults: Option<String>,
+}
+
+impl RunSpec {
+    /// A run before any factor is set.
+    pub fn new(stream: &str, load_seed: u64, fault_seed: u64) -> Self {
+        RunSpec {
+            stream: stream.to_owned(),
+            sut: String::new(),
+            options: SutOptions::new(),
+            rate: 10_000.0,
+            pattern: RatePattern::Uniform,
+            clients: 0,
+            loop_model: LoopModel::Open,
+            chaos: None,
+            netem: None,
+            shards: None,
+            load_seed,
+            fault_seed,
+            faults: None,
+        }
+    }
+
+    /// This spec with every factor of `cell` set, on the platform's
+    /// sharded variant (`tide-store` → `tide-store-sharded`) when `shards`
+    /// is set. Unknown factors and unparsable levels are refused.
+    pub fn resolve(&self, cell: &Assignment) -> Result<Self, String> {
+        let mut spec = self.clone();
+        for (name, level) in cell {
+            spec.set(name, level)?;
+        }
+        if let Some(n) = spec.shards {
+            let serial = spec.sut.strip_suffix("-sharded").unwrap_or(&spec.sut);
+            spec.sut = format!("{serial}-sharded");
+            spec.options.insert("shards", n.to_string());
+        }
+        Ok(spec)
+    }
+
+    /// Sets one factor from its level as written: the one table behind a
+    /// flag and a matrix cell. A chaos or netem level may join its clauses
+    /// with `+` (a cell id reserves `;`), and `none` is no schedule.
+    fn set(&mut self, name: &str, level: &str) -> Result<(), String> {
+        let bad = |error: SpecError| format!("factor `{name}`: {error}");
+        let schedule = || (level != "none").then(|| level.replace('+', ";"));
+        match name {
+            "sut" => self.sut = level.to_owned(),
+            "stream" => self.stream = level.to_owned(),
+            "rate" => {
+                self.rate = spec::value(level, level, "rate").map_err(bad)?;
+                if !(self.rate.is_finite() && self.rate > 0.0) {
+                    return Err(bad(SpecError::new(level, level, "must be positive")));
+                }
+            }
+            "pattern" => self.pattern = level.parse().map_err(bad)?,
+            "shards" => match spec::value(level, level, "shard count").map_err(bad)? {
+                0 => return Err(bad(SpecError::new(level, level, "must be at least 1"))),
+                n => self.shards = Some(n),
+            },
+            "clients" => self.clients = spec::value(level, level, "client count").map_err(bad)?,
+            "loop" => self.loop_model = level.parse().map_err(bad)?,
+            "chaos" => self.chaos = schedule(),
+            "netem" => self.netem = schedule(),
+            other => {
+                return Err(format!(
+                    "unknown factor `{other}` (known: sut, stream, rate, pattern, shards, \
+                     clients, loop, chaos, netem)"
+                ));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The inputs a base spec holds besides its factors, as a journal header
+/// records them: `stream=..;opt=..;load_seed=..;fault_seed=..;faults=..`.
+impl fmt::Display for RunSpec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (stream, options) = (&self.stream, &self.options);
+        let (load, fault) = (self.load_seed, self.fault_seed);
+        let faults = self.faults.as_deref().unwrap_or("none");
+        write!(
+            f,
+            "stream={stream};opt={options};load_seed={load};fault_seed={fault};faults={faults}"
+        )
+    }
+}
 
 /// Which §2.3 experimental design enumerates the matrix cells.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,6 +302,12 @@ impl Design {
             Design::FullFactorial => "full",
             Design::OneFactorAtATime => "ofat",
         }
+    }
+
+    /// The design a spec or fingerprint names by its [`Self::label`].
+    fn of_label(label: &str) -> Option<Self> {
+        let designs = [Design::FullFactorial, Design::OneFactorAtATime];
+        designs.into_iter().find(|design| design.label() == label)
     }
 }
 
@@ -117,11 +366,8 @@ impl ScenarioMatrix {
                 },
                 "seed" => seed = spec::value(line, value, "seed")?,
                 "design" => {
-                    design = match value {
-                        "full" => Design::FullFactorial,
-                        "ofat" => Design::OneFactorAtATime,
-                        _ => return Err(bad("unknown design (expected full or ofat)")),
-                    };
+                    let unknown = || bad("unknown design (expected full or ofat)");
+                    design = Design::of_label(value).ok_or_else(unknown)?;
                 }
                 _ => {
                     let factor = match key.split_once(char::is_whitespace) {
@@ -187,21 +433,41 @@ impl ScenarioMatrix {
             factors.join(";")
         )
     }
+
+    /// The matrix a journal header's [`Self::fingerprint`] was made from;
+    /// `None` when `text` is not one. Exact, because no token of the
+    /// fingerprint may contain `;` or `|`, nor a name `=`.
+    pub(crate) fn from_fingerprint(text: &str) -> Option<Self> {
+        let mut parts = text.split(';');
+        let name = parts.next()?.to_owned();
+        let mut field = |key: &str| parts.next()?.strip_prefix(key)?.strip_prefix('=');
+        let repetitions = field("reps")?.parse().ok()?;
+        let seed = field("seed")?.parse().ok()?;
+        let design = Design::of_label(field("design")?)?;
+        let space = parts.try_fold(FactorSpace::new(), |space, factor| {
+            let (name, levels) = factor.split_once('=')?;
+            Some(space.factor(name, levels.split('|')))
+        })?;
+        Some(ScenarioMatrix {
+            name,
+            repetitions,
+            seed,
+            design,
+            space,
+        })
+    }
 }
 
 /// Returns `token` (part of `line`) unless it contains a character the
 /// cell-id or journal encodings reserve.
 fn check_token<'a>(line: &str, token: &'a str, what: &str) -> Result<&'a str, SpecError> {
     let name = what.ends_with("name");
-    match token
-        .chars()
-        .find(|c| RESERVED_CHARS.contains(c) || (name && *c == '='))
-    {
-        Some(bad) => Err(SpecError::new(
-            line,
-            token,
-            format!("{what} contains reserved character `{bad}`"),
-        )),
+    let reserved = |c: &char| RESERVED_CHARS.contains(c) || (name && *c == '=');
+    match token.chars().find(reserved) {
+        Some(bad) => {
+            let why = format!("{what} contains reserved character `{bad}`");
+            Err(SpecError::new(line, token, why))
+        }
         None => Ok(token),
     }
 }
@@ -217,7 +483,7 @@ pub fn cell_id(cell: &Assignment) -> String {
 
 /// FNV-1a over the cell id: a stable, dependency-free 64-bit mix that
 /// spreads per-cell seed bases far apart.
-fn fnv1a(s: &str) -> u64 {
+pub(crate) fn fnv1a(s: &str) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for byte in s.bytes() {
         hash ^= u64::from(byte);
@@ -227,7 +493,9 @@ fn fnv1a(s: &str) -> u64 {
 }
 
 /// What one cell-repetition produced: how the run ended plus its
-/// headline metrics (name → value, report order preserved).
+/// headline metrics (name → value, report order preserved). A matrix's
+/// runner — `gt-run`'s real one, or a test's deterministic fake — returns
+/// one per `(cell, rep, seed)` it is handed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellRunResult {
     /// How the run ended; aborted runs are journaled but excluded from
@@ -235,19 +503,6 @@ pub struct CellRunResult {
     pub status: RunStatus,
     /// Headline metrics of the run.
     pub metrics: Vec<(String, f64)>,
-}
-
-/// Executes one cell-repetition. `gt-run matrix` wires the real SUT
-/// runner behind this; tests use deterministic fakes.
-pub trait CellRunner {
-    /// Runs repetition `rep` of `cell` with the derived `seed`.
-    fn run(&mut self, cell: &Assignment, rep: u32, seed: u64) -> CellRunResult;
-}
-
-impl<F: FnMut(&Assignment, u32, u64) -> CellRunResult> CellRunner for F {
-    fn run(&mut self, cell: &Assignment, rep: u32, seed: u64) -> CellRunResult {
-        self(cell, rep, seed)
-    }
 }
 
 /// One journal line: a completed (or aborted) cell-repetition.
@@ -311,25 +566,18 @@ fn fmt_f64(v: f64) -> String {
 }
 
 fn encode_status(status: &RunStatus) -> String {
-    match status {
-        RunStatus::Completed => "completed".to_owned(),
+    let (kind, millis, events) = match status {
+        RunStatus::Completed => return "completed".to_owned(),
         RunStatus::Aborted(AbortReason::Stalled {
             stalled_for,
             events_delivered,
-        }) => format!(
-            "aborted-stalled:{}:{}",
-            stalled_for.as_millis(),
-            events_delivered
-        ),
+        }) => ("stalled", stalled_for, events_delivered),
         RunStatus::Aborted(AbortReason::DeadlineExceeded {
             deadline,
             events_delivered,
-        }) => format!(
-            "aborted-deadline:{}:{}",
-            deadline.as_millis(),
-            events_delivered
-        ),
-    }
+        }) => ("deadline", deadline, events_delivered),
+    };
+    format!("aborted-{kind}:{}:{events}", millis.as_millis())
 }
 
 fn decode_status(text: &str) -> Result<RunStatus, String> {
@@ -338,22 +586,18 @@ fn decode_status(text: &str) -> Result<RunStatus, String> {
     }
     let mut parts = text.split(':');
     let kind = parts.next().unwrap_or_default();
-    let millis: u64 = parts
-        .next()
-        .and_then(|p| p.parse().ok())
-        .ok_or_else(|| format!("bad status `{text}`"))?;
-    let events: u64 = parts
-        .next()
-        .and_then(|p| p.parse().ok())
-        .ok_or_else(|| format!("bad status `{text}`"))?;
+    let mut number = || parts.next().and_then(|p| p.parse::<u64>().ok());
+    let bad = || format!("bad status `{text}`");
+    let millis = Duration::from_millis(number().ok_or_else(bad)?);
+    let events_delivered = number().ok_or_else(bad)?;
     match kind {
         "aborted-stalled" => Ok(RunStatus::Aborted(AbortReason::Stalled {
-            stalled_for: Duration::from_millis(millis),
-            events_delivered: events,
+            stalled_for: millis,
+            events_delivered,
         })),
         "aborted-deadline" => Ok(RunStatus::Aborted(AbortReason::DeadlineExceeded {
-            deadline: Duration::from_millis(millis),
-            events_delivered: events,
+            deadline: millis,
+            events_delivered,
         })),
         other => Err(format!("unknown status `{other}`")),
     }
@@ -366,9 +610,12 @@ fn decode_status(text: &str) -> Result<RunStatus, String> {
 /// not a last line cut by a kill, not a corrupt line, not what follows
 /// one: the resume truncates it and re-runs those repetitions.
 #[derive(Debug, Clone, PartialEq)]
-pub struct JournalContents {
+pub(crate) struct JournalContents {
     /// The matrix fingerprint from the header line.
     pub fingerprint: String,
+    /// The inputs the header records besides the matrix; empty for a bare
+    /// header.
+    pub inputs: String,
     /// The records of the valid prefix, in journal order.
     pub records: Vec<JournalRecord>,
     /// Bytes of the header line and the valid prefix.
@@ -379,7 +626,7 @@ pub struct JournalContents {
 
 /// Reads a journal's text (see [`JournalContents`]). Fails only when the
 /// header line is missing, incomplete or not a matrix header.
-pub fn read_journal(text: &str) -> io::Result<JournalContents> {
+pub(crate) fn read_journal(text: &str) -> io::Result<JournalContents> {
     let invalid = |message: String| io::Error::new(io::ErrorKind::InvalidData, message);
     let Some((header_line, body)) = text.split_once('\n') else {
         return Err(invalid("journal header line is incomplete".to_owned()));
@@ -387,6 +634,7 @@ pub fn read_journal(text: &str) -> io::Result<JournalContents> {
     let fingerprint = extract_str(header_line, "matrix")
         .map_err(|e| invalid(format!("not a matrix journal (bad header line: {e})")))?
         .to_owned();
+    let inputs = extract_str(header_line, "inputs").unwrap_or("").to_owned();
     let mut records = Vec::new();
     let mut valid_len = header_line.len() + 1;
     let mut lines = body.split_inclusive('\n');
@@ -399,13 +647,11 @@ pub fn read_journal(text: &str) -> io::Result<JournalContents> {
             _ => break,
         }
     }
-    let ignored_lines = if valid_len < text.len() {
-        1 + lines.count()
-    } else {
-        0
-    };
+    let ignored_lines = (valid_len < text.len()).then(|| 1 + lines.count());
+    let ignored_lines = ignored_lines.unwrap_or(0);
     Ok(JournalContents {
         fingerprint,
+        inputs,
         records,
         valid_len,
         ignored_lines,
@@ -420,7 +666,7 @@ pub struct MatrixJournal {
 
 impl MatrixJournal {
     /// Opens (or creates) the journal for `matrix` at `path`, returning
-    /// the journal and the records of its valid prefix ([`read_journal`]).
+    /// the journal and the records of its valid prefix (`read_journal`).
     ///
     /// * A fresh file gets the fingerprint header.
     /// * An existing file must carry the **same** fingerprint — resuming
@@ -430,6 +676,23 @@ impl MatrixJournal {
     ///   the append position is always a clean line boundary and those
     ///   repetitions simply re-run.
     pub fn open(path: &Path, matrix: &ScenarioMatrix) -> io::Result<(Self, Vec<JournalRecord>)> {
+        Self::open_with(path, matrix, "")
+    }
+
+    /// [`Self::open`] for a matrix whose cells share `inputs` besides their
+    /// factors: a fresh header records them after the fingerprint, and an
+    /// existing one must record the same.
+    fn open_with(
+        path: &Path,
+        matrix: &ScenarioMatrix,
+        inputs: &str,
+    ) -> io::Result<(Self, Vec<JournalRecord>)> {
+        let invalid = |message: String| io::Error::new(io::ErrorKind::InvalidData, message);
+        if inputs.contains('"') {
+            return Err(invalid(format!(
+                "journal inputs cannot hold `\"`: {inputs}"
+            )));
+        }
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
@@ -440,7 +703,11 @@ impl MatrixJournal {
         file.read_to_string(&mut text)?;
 
         if text.is_empty() {
-            let header = format!("{{\"matrix\":\"{}\"}}\n", matrix.fingerprint());
+            let inputs = match inputs {
+                "" => String::new(),
+                _ => format!(",\"inputs\":\"{inputs}\""),
+            };
+            let header = format!("{{\"matrix\":\"{}\"{inputs}}}\n", matrix.fingerprint());
             file.write_all(header.as_bytes())?;
             file.flush()?;
             return Ok((MatrixJournal { file }, Vec::new()));
@@ -448,14 +715,17 @@ impl MatrixJournal {
 
         let contents = read_journal(&text)?;
         if contents.fingerprint != matrix.fingerprint() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "journal belongs to a different matrix:\n  journal: {}\n  spec:    {}",
-                    contents.fingerprint,
-                    matrix.fingerprint()
-                ),
-            ));
+            return Err(invalid(format!(
+                "journal belongs to a different matrix:\n  journal: {}\n  spec:    {}",
+                contents.fingerprint,
+                matrix.fingerprint()
+            )));
+        }
+        if contents.inputs != inputs {
+            return Err(invalid(format!(
+                "journal was written under different inputs:\n  journal: {}\n  now:     {inputs}",
+                contents.inputs
+            )));
         }
         if contents.valid_len < text.len() {
             file.set_len(contents.valid_len as u64)?;
@@ -526,52 +796,46 @@ pub struct MatrixOutcome {
 /// same records always produce the same aggregates, which is what makes
 /// resumed matrices bit-identical to uninterrupted ones.
 pub fn aggregate_records(records: &[JournalRecord]) -> Vec<CellAggregate> {
-    let mut cells: Vec<(String, Vec<&JournalRecord>)> = Vec::new();
+    // Per cell, in first-seen order: its clean-repetition count and summaries.
+    let mut cells: Vec<(CellAggregate, u64)> = Vec::new();
     for record in records {
-        match cells.iter_mut().find(|(id, _)| *id == record.cell) {
-            Some((_, list)) => list.push(record),
-            None => cells.push((record.cell.clone(), vec![record])),
+        let at = cells.iter().position(|(c, _)| c.cell == record.cell);
+        let at = at.unwrap_or_else(|| {
+            let (cell, metrics) = (record.cell.clone(), Vec::new());
+            let aggregate = CellAggregate {
+                cell,
+                excluded: 0,
+                meets_n30: false,
+                metrics,
+            };
+            cells.push((aggregate, 0));
+            cells.len() - 1
+        });
+        let (cell, clean) = &mut cells[at];
+        if record.status.is_aborted() {
+            cell.excluded += 1;
+            continue;
+        }
+        *clean += 1;
+        for (name, value) in &record.metrics {
+            match cell.metrics.iter_mut().find(|m| m.name == *name) {
+                Some(metric) => metric.summary.add(*value),
+                None => cell.metrics.push(MetricAggregate {
+                    name: name.clone(),
+                    summary: Summary::of(&[*value]),
+                    ci95: None,
+                }),
+            }
         }
     }
-    cells
-        .into_iter()
-        .map(|(cell, records)| {
-            let mut excluded = 0u32;
-            let mut metrics: Vec<(String, Summary)> = Vec::new();
-            let mut clean = 0u64;
-            for record in records {
-                match record.status {
-                    RunStatus::Completed => {
-                        clean += 1;
-                        for (name, value) in &record.metrics {
-                            match metrics.iter_mut().find(|(n, _)| n == name) {
-                                Some((_, summary)) => summary.add(*value),
-                                None => {
-                                    let mut summary = Summary::new();
-                                    summary.add(*value);
-                                    metrics.push((name.clone(), summary));
-                                }
-                            }
-                        }
-                    }
-                    RunStatus::Aborted(_) => excluded += 1,
-                }
-            }
-            CellAggregate {
-                cell,
-                excluded,
-                meets_n30: clean >= 30,
-                metrics: metrics
-                    .into_iter()
-                    .map(|(name, summary)| MetricAggregate {
-                        name,
-                        ci95: summary.ci95(),
-                        summary,
-                    })
-                    .collect(),
-            }
-        })
-        .collect()
+    let finish = |(mut cell, clean): (CellAggregate, u64)| {
+        cell.meets_n30 = clean >= 30;
+        for metric in &mut cell.metrics {
+            metric.ci95 = metric.summary.ci95();
+        }
+        cell
+    };
+    cells.into_iter().map(finish).collect()
 }
 
 /// Executes (or resumes) a scenario matrix against `runner`, journaling
@@ -582,20 +846,26 @@ pub fn aggregate_records(records: &[JournalRecord]) -> Vec<CellAggregate> {
 pub fn run_matrix(
     matrix: &ScenarioMatrix,
     journal_path: &Path,
-    runner: &mut dyn CellRunner,
+    runner: &mut dyn FnMut(&Assignment, u32, u64) -> CellRunResult,
 ) -> io::Result<MatrixOutcome> {
-    run_matrix_with_progress(matrix, journal_path, runner, &mut |_, _, _| {})
+    run_matrix_with_progress(matrix, journal_path, "", None, runner, &mut |_, _, _| {})
 }
 
-/// [`run_matrix`] with a progress callback `(cell_id, rep, resumed)`
-/// invoked per cell-repetition (after skipping or running it).
+/// [`run_matrix`] for cells that share `inputs` besides their factors (the
+/// journal header records them; see [`MatrixJournal::open`]), with a
+/// progress callback `(cell_id, rep, resumed)` invoked per
+/// cell-repetition (after skipping or running it). A `pinned_seed` is the
+/// seed every repetition runs with, in place of the one each derives from
+/// the matrix seed — and so the one its journal line records.
 pub fn run_matrix_with_progress(
     matrix: &ScenarioMatrix,
     journal_path: &Path,
-    runner: &mut dyn CellRunner,
+    inputs: &str,
+    pinned_seed: Option<u64>,
+    runner: &mut dyn FnMut(&Assignment, u32, u64) -> CellRunResult,
     progress: &mut dyn FnMut(&str, u32, bool),
 ) -> io::Result<MatrixOutcome> {
-    let (mut journal, mut records) = MatrixJournal::open(journal_path, matrix)?;
+    let (mut journal, mut records) = MatrixJournal::open_with(journal_path, matrix, inputs)?;
     let done: HashSet<(String, u32)> = records.iter().map(|r| (r.cell.clone(), r.rep)).collect();
     let resumed = records.len();
     let mut executed = 0usize;
@@ -609,8 +879,8 @@ pub fn run_matrix_with_progress(
                 progress(&id, rep, true);
                 continue;
             }
-            let seed = cell_seed.wrapping_add(u64::from(rep));
-            let result = runner.run(&cell, rep, seed);
+            let seed = pinned_seed.unwrap_or(cell_seed.wrapping_add(u64::from(rep)));
+            let result = runner(&cell, rep, seed);
             let record = JournalRecord {
                 cell: id.clone(),
                 rep,
@@ -632,42 +902,6 @@ pub fn run_matrix_with_progress(
             executed,
         },
     })
-}
-
-/// Renders the comparative matrix table: one block per cell, one line per
-/// metric with mean, CI95, n, and the n ≥ 30 caveat.
-pub fn render_matrix_table(cells: &[CellAggregate]) -> String {
-    let mut out = String::new();
-    for aggregate in cells {
-        out.push_str(&format!(
-            "cell {} (n={}, excluded={}{})\n",
-            aggregate.cell,
-            aggregate.metrics.first().map_or(0, |m| m.summary.count()),
-            aggregate.excluded,
-            if aggregate.meets_n30 {
-                ""
-            } else {
-                ", below n>=30 — provisional"
-            },
-        ));
-        for metric in &aggregate.metrics {
-            match &metric.ci95 {
-                Some(ci) => out.push_str(&format!(
-                    "  {:<20} mean {:>12.2}  CI95 [{:>12.2}, {:>12.2}]\n",
-                    metric.name,
-                    metric.summary.mean(),
-                    ci.lo,
-                    ci.hi
-                )),
-                None => out.push_str(&format!(
-                    "  {:<20} mean {:>12.2}  (no CI: n < 2)\n",
-                    metric.name,
-                    metric.summary.mean()
-                )),
-            }
-        }
-    }
-    out
 }
 
 impl fmt::Display for ScenarioMatrix {
@@ -970,6 +1204,196 @@ factor pattern = uniform | flash:1:4:2
         std::fs::remove_file(&path).ok();
     }
 
+    fn space() -> FactorSpace {
+        FactorSpace::new()
+            .factor("rate", [100, 1_000, 10_000])
+            .factor("batch", [1, 10])
+    }
+
+    #[test]
+    fn full_factorial_enumerates_product() {
+        let configs = space().full_factorial();
+        assert_eq!(configs.len(), 6);
+        // First config pairs the first levels.
+        assert_eq!(
+            configs[0],
+            vec![
+                ("rate".to_owned(), "100".to_owned()),
+                ("batch".to_owned(), "1".to_owned()),
+            ]
+        );
+        // All configurations are distinct.
+        let mut sorted = configs.clone();
+        sorted.sort();
+        sorted.dedup();
+        assert_eq!(sorted.len(), 6);
+    }
+
+    #[test]
+    fn ofat_varies_one_factor_per_config() {
+        let configs = space().one_factor_at_a_time();
+        // Baseline + 2 extra rates + 1 extra batch.
+        assert_eq!(configs.len(), 4);
+        let baseline = &configs[0];
+        for config in &configs[1..] {
+            let differing = config
+                .iter()
+                .zip(baseline)
+                .filter(|(a, b)| a.1 != b.1)
+                .count();
+            assert_eq!(differing, 1, "{config:?}");
+        }
+    }
+
+    #[test]
+    fn empty_space_is_a_single_empty_config() {
+        let space = FactorSpace::new();
+        assert_eq!(space.full_factorial(), vec![Vec::new()]);
+        assert_eq!(space.one_factor_at_a_time(), vec![Vec::new()]);
+    }
+
+    #[test]
+    fn a_grid_is_two_factors_in_row_major_order() {
+        let grid = FactorSpace::grid(" 1, 8 x 10000,,40000", "clients", "rate").unwrap();
+        let cells: Vec<String> = grid
+            .full_factorial()
+            .iter()
+            .map(|cell| format!("{}@{}", cell[0].1, cell[1].1))
+            .collect();
+        assert_eq!(cells, ["1@10000", "1@40000", "8@10000", "8@40000"]);
+        for bad in ["", "100", "x", "1x", "x100", " ,x1"] {
+            assert!(
+                FactorSpace::grid(bad, "a", "b").is_err(),
+                "accepted {bad:?}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "has no levels")]
+    fn empty_levels_rejected() {
+        FactorSpace::new().factor::<u32>("x", []).full_factorial();
+    }
+
+    #[test]
+    fn a_fingerprint_reads_back_as_its_matrix() {
+        let mut matrix = ScenarioMatrix::parse(SPEC).unwrap();
+        assert_eq!(
+            ScenarioMatrix::from_fingerprint(&matrix.fingerprint()),
+            Some(matrix.clone())
+        );
+        matrix.design = Design::OneFactorAtATime;
+        let back = ScenarioMatrix::from_fingerprint(&matrix.fingerprint()).unwrap();
+        assert_eq!(back.to_string(), matrix.to_string());
+        for bad in [
+            "",
+            "m",
+            "m;reps=x;seed=1;design=full;a=b",
+            "m;reps=1;seed=1;design=x;a=b",
+        ] {
+            assert_eq!(ScenarioMatrix::from_fingerprint(bad), None, "{bad}");
+        }
+    }
+
+    fn aborted() -> RunStatus {
+        RunStatus::Aborted(AbortReason::Stalled {
+            stalled_for: Duration::from_secs(1),
+            events_delivered: 10,
+        })
+    }
+
+    fn record(cell: &str, rep: u32, status: RunStatus, rate: f64) -> JournalRecord {
+        JournalRecord {
+            cell: cell.into(),
+            rep,
+            seed: u64::from(rep),
+            status,
+            metrics: vec![("rate".into(), rate)],
+        }
+    }
+
+    #[test]
+    fn meets_n30_counts_clean_repetitions_only() {
+        // 30 repetitions launched, 5 aborted: only 25 clean samples, so
+        // the n >= 30 rule is NOT met even though reps == 30. A salvaged
+        // partial run's near-zero rate must not deflate the mean either.
+        let records: Vec<JournalRecord> = (0..30)
+            .map(|rep| match rep {
+                0..=4 => record("sut=a", rep, aborted(), 0.0),
+                _ => record("sut=a", rep, RunStatus::Completed, 50.0),
+            })
+            .collect();
+        let cell = &aggregate_records(&records)[0];
+        assert_eq!(cell.excluded, 5);
+        assert_eq!(cell.metrics[0].summary.count(), 25);
+        assert_eq!(cell.metrics[0].summary.min(), Some(50.0));
+        assert!(!cell.meets_n30);
+    }
+
+    #[test]
+    fn a_cell_with_every_repetition_aborted_has_no_rows_but_renders() {
+        let records: Vec<JournalRecord> = (0..3)
+            .map(|rep| record("sut=a", rep, aborted(), 42.0))
+            .collect();
+        let cells = aggregate_records(&records);
+        assert_eq!(cells[0].excluded, 3);
+        assert!(cells[0].metrics.is_empty());
+        let table = crate::render::render_matrix_table(&cells);
+        assert_eq!(
+            table,
+            "cell sut=a (n=0, excluded=3, below n>=30 — provisional)\n"
+        );
+    }
+
+    #[test]
+    fn journal_refuses_different_inputs() {
+        let dir = std::env::temp_dir().join("gt-matrix-inputs");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("journal.jsonl");
+        std::fs::remove_file(&path).ok();
+        let matrix = ScenarioMatrix::parse(SPEC).unwrap();
+        let mut calls = Vec::new();
+        let run = |inputs: &str, calls: &mut Vec<_>| {
+            let mut runner = runner(calls);
+            run_matrix_with_progress(&matrix, &path, inputs, None, &mut runner, &mut |_, _, _| {})
+        };
+        run("stream=a.csv", &mut calls).unwrap();
+        let header = std::fs::read_to_string(&path).unwrap();
+        assert!(header.starts_with(&format!(
+            "{{\"matrix\":\"{}\",\"inputs\":\"stream=a.csv\"}}\n",
+            matrix.fingerprint()
+        )));
+        for other in ["stream=b.csv", ""] {
+            let err = run(other, &mut calls).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{other}");
+            assert!(err.to_string().contains("different inputs"), "{err}");
+        }
+        assert_eq!(
+            run("stream=a.csv", &mut calls).unwrap().progress.resumed,
+            12
+        );
+        assert!(run("say \"hi\"", &mut calls).is_err());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_pinned_seed_is_the_seed_every_repetition_runs_and_records() {
+        let dir = std::env::temp_dir().join("gt-matrix-pinned");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("journal.jsonl");
+        std::fs::remove_file(&path).ok();
+        let matrix = ScenarioMatrix::parse(SPEC).unwrap();
+        let mut calls = Vec::new();
+        let mut runner = runner(&mut calls);
+        run_matrix_with_progress(&matrix, &path, "", Some(9), &mut runner, &mut |_, _, _| {})
+            .unwrap();
+        drop(runner);
+        let journal = read_journal(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        assert!(journal.records.iter().all(|r| r.seed == 9));
+        assert!(calls.iter().all(|&(_, _, seed)| seed == 9));
+        std::fs::remove_file(&path).ok();
+    }
+
     #[test]
     fn table_renders_means_and_caveats() {
         let records = vec![
@@ -988,7 +1412,7 @@ factor pattern = uniform | flash:1:4:2
                 metrics: vec![("rate".into(), 110.0)],
             },
         ];
-        let table = render_matrix_table(&aggregate_records(&records));
+        let table = crate::render::render_matrix_table(&aggregate_records(&records));
         assert!(table.contains("sut=a"), "{table}");
         assert!(table.contains("105.00"), "{table}");
         assert!(table.contains("provisional"), "{table}");

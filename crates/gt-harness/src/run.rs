@@ -53,6 +53,17 @@ use crate::netem::{sink_records, start_netem_front, NetemFront};
 use crate::sut::{report_records, wire, DEFAULT_QUIESCE_TIMEOUT};
 use crate::watchdog::{AbortReason, RunStatus, Watchdog, WatchdogConfig};
 
+/// The source of a run's own records in its log: how it ended
+/// (`status`, `quiesced`) and its driver's totals — `graph_events`,
+/// `duration_us` and `achieved_rate` of a replay, `offered_rate` and
+/// `achieved_rate` of a load front. A file pipeline's own totals
+/// (`entries_read`, `emit_latency_p99_us`) go under its `pipeline`
+/// source, beside its stage metrics.
+pub(crate) const RUN_SOURCE: &str = "run";
+
+/// The source a file pipeline's stage metrics are sampled under.
+pub(crate) const PIPELINE_SOURCE: &str = "pipeline";
+
 /// Live chaos for one run: a deterministic fault schedule, the journal it
 /// writes to, and (optionally) the platform's crash/restart surface.
 ///
@@ -612,6 +623,36 @@ fn driver_records(driver: &Driver, load: Option<&LoadPlan>, t_end: u64) -> Vec<M
     }
 }
 
+/// The run's own records under [`RUN_SOURCE`], a fixed handful per run.
+fn run_records(driver: &Driver, status: &RunStatus, drained: bool, t: u64) -> Vec<MetricRecord> {
+    let text = |metric, value: String| MetricRecord::text(t, RUN_SOURCE, metric, value);
+    let mut records = vec![
+        text("status", status.to_string()),
+        text("quiesced", drained.to_string()),
+    ];
+    let mut number = |source, metric, value: f64| {
+        records.push(MetricRecord::float(t, source, metric, value));
+    };
+    let replay = match driver {
+        Driver::Replay(replay) => replay,
+        Driver::Session(session) => {
+            number(PIPELINE_SOURCE, "entries_read", session.entries_read as f64);
+            let p99 = session.emit_latency.quantile_upper_bound(0.99);
+            number(PIPELINE_SOURCE, "emit_latency_p99_us", p99 as f64);
+            &session.replay
+        }
+        Driver::Load(load) => {
+            number(RUN_SOURCE, "offered_rate", load.offered_rate());
+            number(RUN_SOURCE, "achieved_rate", load.achieved_rate());
+            return records;
+        }
+    };
+    number(RUN_SOURCE, "graph_events", replay.graph_events as f64);
+    number(RUN_SOURCE, "duration_us", replay.duration_micros as f64);
+    number(RUN_SOURCE, "achieved_rate", replay.achieved_rate);
+    records
+}
+
 /// The open path from the driver to the target.
 #[allow(clippy::large_enum_variant)] // one per run, never stored in bulk
 enum Front<'a> {
@@ -787,7 +828,7 @@ pub fn run(plan: RunPlan, target: Target<'_>) -> Result<RunOutcome, RunError> {
     let hub = MetricsHub::new();
     let pipeline = matches!(source, Source::File(_));
     if pipeline {
-        let stages = HubSampler::new(hub.clone(), Arc::clone(&clock), "pipeline");
+        let stages = HubSampler::new(hub.clone(), Arc::clone(&clock), PIPELINE_SOURCE);
         loggers.push(Box::new(stages));
     }
     let mut observers: Vec<(Every, Box<dyn MetricsLogger>)> = loggers
@@ -858,6 +899,7 @@ pub fn run(plan: RunPlan, target: Target<'_>) -> Result<RunOutcome, RunError> {
     }
     records.extend(traced);
     records.extend(front_records);
+    records.extend(run_records(&driver, &status, quiesced, t_closed));
     Ok(RunOutcome {
         log: ResultLog::from_records(records),
         status,

@@ -16,6 +16,17 @@ pub struct SutOptions {
     params: BTreeMap<String, String>,
 }
 
+/// The options as `key=value` pairs in key order, joined by `,`.
+impl fmt::Display for SutOptions {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for (i, (key, value)) in self.params.iter().enumerate() {
+            let sep = if i == 0 { "" } else { "," };
+            write!(f, "{sep}{key}={value}")?;
+        }
+        Ok(())
+    }
+}
+
 impl SutOptions {
     /// An empty option bag.
     pub fn new() -> Self {

@@ -16,16 +16,27 @@
 //!        [--pattern uniform|diurnal:P:A|pareto:A:B:P|flash:AT:F:HOLD]
 //!        [--scale C1,C2,..xR1,R2,..] [--assert-achieved F]
 //!        [--shards N | --shards N1,N2,..] [--differential N]
+//!        [--journal <path>]
 //! gt-run matrix <matrix.spec> [--stream <stream.csv>] [--journal <path>]
 //! ```
 //!
 //! Flags and matrix cells speak one vocabulary. `--sut`, `--rate`,
 //! `--pattern`, `--clients`, `--loop-model`, `--chaos`, `--netem` and
 //! `--shards` each set the matrix factor of the same name (`--loop-model`
-//! sets `loop`) through one table, [`set_factor`]; `--scale` and a
+//! sets `loop`) through one table, `RunSpec::resolve`; `--scale` and a
 //! `--shards` list give a factor several levels, enumerated like a
 //! matrix's cells; and every run, flag-made or cell-made, is planned by
 //! one [`plan_cell`] before anything starts.
+//!
+//! Every invocation is a journaled matrix run. Flags make a
+//! one-repetition matrix of their factors, named after what it prints
+//! (`gt_harness::render`); it keeps the flags' seeds, and its journal goes
+//! to `--journal` or to a fresh file under the temp dir, named on stderr.
+//! Each cell-repetition writes one result log beside the journal before
+//! its journal line, and everything printed after the runs is rendered
+//! from those files by the functions `gt-report --matrix` calls:
+//! `gt-report --matrix <journal>` prints the same report, curve or table
+//! again.
 //!
 //! `--faults` derives an unreliable/unordered stream a priori (§3.2)
 //! before replay; `--chaos` injects live faults mid-run through the
@@ -50,7 +61,7 @@
 //! connections × rate grid (one SUT run per cell) and prints the
 //! ingress-scaling curve. `--assert-achieved F` fails the invocation
 //! when achieved/offered drops below F or any marker ordering violation
-//! is observed — the CI smoke hook.
+//! is observed — the CI smoke hook; it needs `--clients`.
 //!
 //! `gt-run matrix` switches to the scenario-matrix orchestrator: a
 //! declarative spec file names factors (`sut`, `rate`, `pattern`,
@@ -60,8 +71,9 @@
 //! `<spec>.journal.jsonl` (one JSON line per finished cell-repetition),
 //! and aggregated into per-cell CI95 summaries. A killed matrix resumes
 //! from the journal without re-running completed cell-repetitions and
-//! reproduces bit-identical aggregates; `gt-report --matrix <journal>`
-//! re-renders the comparative table offline.
+//! reproduces bit-identical aggregates. The journal header records the
+//! `--stream` (a flag run's: the stream, `--opt`s, seeds and `--faults`),
+//! and a rerun under other inputs is refused.
 //!
 //! `--shards N` selects the sharded variant of the named platform
 //! (`tide-store` → `tide-store-sharded`) with N hash-partitioned shard
@@ -72,74 +84,21 @@
 //! through the serial platform at `shards=1` and the sharded variant at
 //! `shards=N` over a single connector each, and fails the invocation
 //! unless final graph state and per-marker-window computation results
-//! are bit-identical.
+//! are bit-identical. It keeps both digests in memory and writes no
+//! journal.
 
 use std::path::Path;
 use std::process::ExitCode;
 use std::time::Duration;
 
-use gt_analysis::{
-    recovery_windows, recovery_windows_from, shard_scaling, Quantiles, RecoveryWindow,
-    TRACE_SOURCE, TRACE_STAGE_METRICS,
-};
-use gt_core::spec::{self, SpecError};
+use gt_core::spec;
 use gt_faults::{parse_pipeline, FaultInjector};
 use gt_harness::{
-    cell_id, render_matrix_table, run, run_differential, run_matrix_with_progress, Assignment,
-    CellRunResult, ChaosPlan, EvaluationLevel, Factor, FactorSpace, FaultSchedule, LoadPlan,
-    LoopModel, NetemPlan, NetemSchedule, RatePattern, RunOutcome, RunPlan, RunStatus,
-    ScenarioMatrix, SutOptions, SutRegistry, Target, WatchdogConfig, NETEM_SOURCE,
+    cell_id, matrix_head, render_differential, render_journal, run, run_differential,
+    run_matrix_with_progress, write_result_log, Assignment, CellRunResult, ChaosPlan, Design,
+    EvaluationLevel, FactorSpace, FaultSchedule, LoadPlan, NetemPlan, NetemSchedule, RatePattern,
+    RunPlan, RunSpec, ScenarioMatrix, SutRegistry, Target, WatchdogConfig, FLAG_VIEWS,
 };
-
-/// Throughput fraction of the pre-fault baseline that counts as
-/// "recovered" in the summary table.
-const RECOVERY_FRACTION: f64 = 0.9;
-
-/// What one run is made of, whether flags or a matrix cell's factor
-/// assignment said so: [`set_factor`] fills it in, [`lower`] turns it
-/// into the harness's plan.
-#[derive(Debug, Clone)]
-struct RunSpec {
-    stream: String,
-    sut: String,
-    options: SutOptions,
-    rate: f64,
-    pattern: RatePattern,
-    /// 0 means single-sink replay; ≥ 1 switches to the load front.
-    clients: usize,
-    loop_model: LoopModel,
-    /// `;`-separated chaos schedule.
-    chaos: Option<String>,
-    /// `;`-separated netem schedule; valid on both fronts.
-    netem: Option<String>,
-    /// Runs the platform's sharded variant with this many shards.
-    shards: Option<usize>,
-    /// Seeds the load plan's partitioning and arrival schedules, and the
-    /// single-sink pacer's (pareto) pattern.
-    load_seed: u64,
-    /// Seeds the chaos and netem schedules (and `--faults`).
-    fault_seed: u64,
-}
-
-impl RunSpec {
-    /// A run before any factor is set.
-    fn new(stream: &str, load_seed: u64, fault_seed: u64) -> Self {
-        RunSpec {
-            stream: stream.to_owned(),
-            sut: String::new(),
-            options: SutOptions::new(),
-            rate: 10_000.0,
-            pattern: RatePattern::Uniform,
-            clients: 0,
-            loop_model: LoopModel::Open,
-            chaos: None,
-            netem: None,
-            shards: None,
-            load_seed,
-            fault_seed,
-        }
-    }
-}
 
 /// The flags that set a run factor, and the factor each one sets.
 const FACTOR_FLAGS: [(&str, &str); 8] = [
@@ -153,49 +112,6 @@ const FACTOR_FLAGS: [(&str, &str); 8] = [
     ("--shards", "shards"),
 ];
 
-/// Sets one factor of `spec` from its level as written: the one table
-/// behind a flag and a matrix cell. A chaos or netem level may join its
-/// clauses with `+` (a cell id reserves `;`), and `none` is no schedule.
-fn set_factor(spec: &mut RunSpec, name: &str, level: &str) -> Result<(), String> {
-    let bad = |error: SpecError| format!("factor `{name}`: {error}");
-    let schedule = || (level != "none").then(|| level.replace('+', ";"));
-    match name {
-        "sut" => spec.sut = level.to_owned(),
-        "stream" => spec.stream = level.to_owned(),
-        "rate" => {
-            spec.rate = spec::value(level, level, "rate").map_err(bad)?;
-            if !(spec.rate.is_finite() && spec.rate > 0.0) {
-                return Err(bad(SpecError::new(level, level, "must be positive")));
-            }
-        }
-        "pattern" => spec.pattern = level.parse().map_err(bad)?,
-        "shards" => match spec::value(level, level, "shard count").map_err(bad)? {
-            0 => return Err(bad(SpecError::new(level, level, "must be at least 1"))),
-            n => spec.shards = Some(n),
-        },
-        "clients" => spec.clients = spec::value(level, level, "client count").map_err(bad)?,
-        "loop" => spec.loop_model = level.parse().map_err(bad)?,
-        "chaos" => spec.chaos = schedule(),
-        "netem" => spec.netem = schedule(),
-        other => {
-            return Err(format!(
-                "unknown factor `{other}` (known: sut, stream, rate, pattern, shards, \
-                 clients, loop, chaos, netem)"
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// Which curve a flag-made factor space with several cells prints.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Curve {
-    /// `--scale`: connections × rate.
-    Ingress,
-    /// `--shards N1,N2,..`: throughput against the shard count.
-    Shards,
-}
-
 /// What the command line asks for.
 struct Args {
     /// Everything no factor sets: the stream, the `--opt`s and the seeds.
@@ -203,22 +119,13 @@ struct Args {
     /// One factor per factor flag; `--scale` and a `--shards` list give a
     /// factor several levels.
     space: FactorSpace,
-    curve: Option<Curve>,
+    /// What the run prints: its matrix's name (`gt_harness::render`).
+    view: &'static str,
     /// `--differential`: its shard count is the `shards` factor.
     differential: bool,
     faults: Option<String>,
     assert_achieved: Option<f64>,
-}
-
-/// The serial base name of a platform: `tide-store-sharded` → `tide-store`.
-fn serial_name(sut: &str) -> &str {
-    sut.strip_suffix("-sharded").unwrap_or(sut)
-}
-
-/// The sharded variant name of a platform: `tide-store` →
-/// `tide-store-sharded` (idempotent on already-sharded names).
-fn sharded_name(sut: &str) -> String {
-    format!("{}-sharded", serial_name(sut))
+    journal: Option<String>,
 }
 
 /// The registry of built-in platforms.
@@ -281,23 +188,13 @@ fn plan_cell(
     base: &RunSpec,
     registry: &SutRegistry,
 ) -> Result<(RunSpec, RunPlan), String> {
-    let mut spec = base.clone();
-    for (name, level) in cell {
-        set_factor(&mut spec, name, level)?;
-    }
+    let spec = base.resolve(cell)?;
     if spec.sut.is_empty() {
         return Err("the matrix needs a `sut` factor".into());
     }
-    if let Some(n) = spec.shards {
-        spec.sut = sharded_name(&spec.sut);
-        spec.options.insert("shards", n.to_string());
-    }
     if !registry.names().contains(&spec.sut.as_str()) {
-        return Err(format!(
-            "unknown platform `{}` (known: {})",
-            spec.sut,
-            registry.names().join(", ")
-        ));
+        let known = registry.names().join(", ");
+        return Err(format!("unknown platform `{}` (known: {known})", spec.sut));
     }
     if spec.stream.is_empty() {
         return Err("no stream for this cell: pass --stream or add a `stream` factor".into());
@@ -311,11 +208,6 @@ fn plan_cell(
     Ok((spec, plan))
 }
 
-/// Runs `plan`, lowered from `spec`, against the spec's platform.
-fn run_plan(plan: RunPlan, spec: &RunSpec, registry: &SutRegistry) -> Result<RunOutcome, String> {
-    run(plan, Target::Sut(registry, &spec.sut, &spec.options)).map_err(|e| e.to_string())
-}
-
 fn usage() -> String {
     let names = builtin_registry().names().join("|");
     format!(
@@ -327,33 +219,34 @@ fn usage() -> String {
          \x20             [--pattern uniform|diurnal:P:A|pareto:A:B:P|flash:AT:F:HOLD]\n\
          \x20             [--scale C1,C2,..xR1,R2,..] [--assert-achieved F]\n\
          \x20             [--shards N | --shards N1,N2,..] [--differential N]\n\
-         \x20      gt-run matrix <matrix.spec> [--stream <stream.csv>] [--journal <path>]"
+         \x20             [--journal <path>]\n\
+         \x20      gt-run matrix <matrix.spec> [--stream <stream.csv>] [--journal <path>]\n\
+         \x20 spec lines: matrix = NAME / repetitions = N / seed = N / design = full|ofat\n\
+         \x20             factor NAME = LEVEL | LEVEL | ...\n\
+         \x20 factors: sut (required, one of {names}), rate, pattern\n\
+         \x20          (uniform|diurnal:P:A|pareto:ALPHA:BURST:PEAK|flash:AT:F:HOLD),\n\
+         \x20          shards, clients (0 = single-sink), loop, chaos (none or\n\
+         \x20          clauses joined by `+`), netem (none or clauses joined by\n\
+         \x20          `+`; valid in both modes), stream (per-cell file override)"
     )
-}
-
-/// Puts `factor` into `factors`, replacing a factor of the same name.
-fn put(factors: &mut Vec<Factor>, factor: Factor) {
-    factors.retain(|f| f.name != factor.name);
-    factors.push(factor);
 }
 
 fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut base = RunSpec::new("", 1, 0);
-    let mut path = None;
-    let mut factors = Vec::new();
-    let mut scale = None;
-    let mut differential = None;
-    let mut faults = None;
-    let mut assert_achieved = None;
+    let (mut path, mut space, mut scale) = (None, FactorSpace::new(), None);
+    let (mut differential, mut faults, mut assert_achieved, mut journal) = (None, None, None, None);
     while let Some(arg) = args.next() {
         let mut next = || args.next().ok_or_else(|| format!("{arg} needs a value"));
         if let Some(&(_, name)) = FACTOR_FLAGS.iter().find(|(flag, _)| *flag == arg) {
             let level = next()?;
             let levels = match name {
                 "shards" => spec::list(&level, &level, ',', |n| Ok(n.to_owned()))?,
+                // A cell id reserves `;`; a chaos or netem level reads `+`
+                // back as it.
+                "chaos" | "netem" => vec![level.replace(';', "+")],
                 _ => vec![level],
             };
-            put(&mut factors, Factor::new(name, levels));
+            space = space.factor(name, levels);
             continue;
         }
         match arg.as_str() {
@@ -381,80 +274,77 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
                 }
                 assert_achieved = Some(f);
             }
+            "--journal" => journal = Some(next()?),
             "--help" | "-h" => return Err(usage()),
             other if !other.starts_with('-') && path.is_none() => path = Some(other.to_owned()),
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
     base.stream = path.ok_or_else(usage)?;
-    if !factors.iter().any(|f| f.name == "sut") {
+    // How many levels the flags gave a factor, if any.
+    let levels = |space: &FactorSpace, name: &str| {
+        let factor = space.factors().iter().find(|f| f.name == name);
+        factor.map(|f| f.levels.len())
+    };
+    if levels(&space, "sut").is_none() {
         return Err(usage());
     }
     if let Some(n) = &differential {
-        if factors.iter().any(|f| f.name == "shards") {
+        if levels(&space, "shards").is_some() {
             return Err("--differential already names the candidate shard count".into());
         }
-        put(&mut factors, Factor::new("shards", [n]));
+        space = space.factor("shards", [n]);
     }
-    let shard_list = factors
-        .iter()
-        .any(|f| f.name == "shards" && f.levels.len() > 1);
-    let curve = match (scale, shard_list) {
+    let shard_list = levels(&space, "shards") > Some(1);
+    let [run_view, scale_view, shards_view] = FLAG_VIEWS;
+    let view = match (scale, shard_list) {
         (Some(_), true) => {
             return Err("--shards with multiple counts replaces --scale; use one of them".into())
         }
         (Some(grid), false) => {
-            for factor in grid.factors() {
-                put(&mut factors, factor.clone());
+            for f in grid.factors() {
+                space = space.factor(&f.name, &f.levels);
             }
-            Some(Curve::Ingress)
+            scale_view
         }
-        (None, true) => Some(Curve::Shards),
-        (None, false) => None,
+        (None, true) => shards_view,
+        (None, false) => run_view,
     };
     Ok(Args {
         base,
-        space: factors.iter().fold(FactorSpace::new(), |space, f| {
-            space.factor(&f.name, &f.levels)
-        }),
-        curve,
+        space,
+        view,
         differential: differential.is_some(),
         faults,
         assert_achieved,
+        journal,
     })
 }
 
 /// Plans every cell the flags' factors enumerate, and refuses what no
 /// mode runs, before anything starts.
 fn plan_flags(args: &Args, registry: &SutRegistry) -> Result<Vec<(RunSpec, RunPlan)>, String> {
-    let cells = args
-        .space
-        .full_factorial()
-        .iter()
-        .map(|cell| plan_cell(cell, &args.base, registry))
-        .collect::<Result<Vec<_>, _>>()?;
-    if args.curve.is_some() && cells.iter().any(|(spec, _)| spec.clients == 0) {
-        return Err("a scaling curve runs on the load front; add --clients N".into());
-    }
-    let spec = &cells[0].0;
-    if args.differential {
-        if args.curve.is_some() || spec.clients > 0 || spec.chaos.is_some() {
-            return Err(
-                "--differential is single-connector A/B replay; drop --clients/--scale/--chaos"
-                    .into(),
-            );
-        }
-        if spec.netem.is_some() {
-            return Err("--differential compares bit-exact replays; drop --netem".into());
-        }
-        if spec.pattern != RatePattern::Uniform {
-            return Err(
-                "--differential compares serial vs sharded under uniform pacing; drop --pattern"
-                    .into(),
-            );
-        }
-    }
-    Ok(cells)
+    let cells = args.space.full_factorial();
+    let plan = |cell| plan_cell(cell, &args.base, registry);
+    let cells = cells.iter().map(plan).collect::<Result<Vec<_>, _>>()?;
+    let single_sink = cells.iter().any(|(spec, _)| spec.clients == 0);
+    let (spec, curve) = (&cells[0].0, args.view != FLAG_VIEWS[0]);
+    let refused = if curve && single_sink {
+        "a scaling curve runs on the load front; add --clients N"
+    } else if args.assert_achieved.is_some() && single_sink {
+        "--assert-achieved gates a load run's achieved/offered; add --clients N"
+    } else if args.differential && (curve || spec.clients > 0 || spec.chaos.is_some()) {
+        "--differential is single-connector A/B replay; drop --clients/--scale/--chaos"
+    } else if args.differential && spec.netem.is_some() {
+        "--differential compares bit-exact replays; drop --netem"
+    } else if args.differential && spec.pattern != RatePattern::Uniform {
+        "--differential compares serial vs sharded under uniform pacing; drop --pattern"
+    } else if args.differential && args.journal.is_some() {
+        "--differential keeps both digests in memory and writes no journal; drop --journal"
+    } else {
+        return Ok(cells);
+    };
+    Err(refused.into())
 }
 
 /// Applies an a-priori fault pipeline: reads the stream, injects, writes
@@ -471,381 +361,116 @@ fn materialize_faults(path: &str, spec: &str, seed: u64) -> Result<(String, Stri
     Ok((out.to_string_lossy().into_owned(), pipeline.describe()))
 }
 
-/// Prints the netem recovery table: one row per journaled network fault,
-/// correlated against the chosen throughput series.
-fn print_netem_recovery(windows: &[RecoveryWindow], rate_series: &str) {
-    if windows.is_empty() {
-        println!("\n# netem recovery: no network faults fired");
-        return;
-    }
-    println!(
-        "\n# netem recovery vs {rate_series} (recovered = {:.0}% of pre-fault rate)",
-        RECOVERY_FRACTION * 100.0
-    );
-    println!(
-        "{:<44} {:>8} {:>10} {:>7} {:>9}",
-        "fault", "t[s]", "dip[e/s]", "depth", "ttr[s]"
-    );
-    for w in windows {
-        let ttr = w
-            .time_to_recover_secs
-            .map_or_else(|| "never".to_owned(), |t| format!("{t:.2}"));
-        println!(
-            "{:<44} {:>8.2} {:>10.0} {:>6.0}% {:>9}",
-            w.fault,
-            w.t_fault_secs,
-            w.dip_rate,
-            w.dip_depth * 100.0,
-            ttr
-        );
-        if let Some((action, t)) = &w.recovery {
-            println!("  └ {action} at t={t:.2}s");
-        }
-    }
-}
-
-/// Checks the CI gate: achieved/offered at or above the threshold and
-/// zero marker-ordering violations. Prints the verdict on failure.
-fn gate_holds(outcome: &RunOutcome, threshold: Option<f64>) -> bool {
-    let Some(threshold) = threshold else {
-        return true;
-    };
-    let ratio = outcome.load().achieved_ratio();
-    let violations = outcome.load().listener.marker_violations;
-    let mut ok = true;
-    if ratio < threshold {
-        eprintln!("gt-run: achieved/offered {ratio:.3} below threshold {threshold:.3}");
-        ok = false;
-    }
-    if violations > 0 {
-        eprintln!("gt-run: {violations} marker ordering violation(s)");
-        ok = false;
-    }
-    ok
-}
-
-fn exit_code(ok: bool) -> ExitCode {
-    if ok {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
-/// The connections × rate scaling curve: one load cell per `--scale`
-/// grid point.
-fn run_ingress_curve(
-    cells: Vec<(RunSpec, RunPlan)>,
-    assert_achieved: Option<f64>,
-    registry: &SutRegistry,
-) -> ExitCode {
-    let first = &cells[0].0;
-    println!(
-        "# gt-run ingress scaling curve: {} {} loop, seed {}",
-        first.sut, first.loop_model, first.load_seed
-    );
-    println!(
-        "{:>8} {:>12} {:>12} {:>12} {:>8} {:>10} {:>10} {:>6}",
-        "clients",
-        "target[e/s]",
-        "offered[e/s]",
-        "achieved",
-        "ratio",
-        "p99[us]",
-        "p999[us]",
-        "viol"
-    );
-    let mut gate_ok = true;
-    for (spec, plan) in cells {
-        let outcome = match run_plan(plan, &spec, registry) {
-            Ok(outcome) => outcome,
-            Err(error) => {
-                eprintln!(
-                    "gt-run: {} clients @ {:.0} e/s: {error}",
-                    spec.clients, spec.rate
-                );
-                return ExitCode::FAILURE;
-            }
-        };
-        let tail = gt_analysis::sojourn_quantiles(&outcome.log, "main");
-        let (p99, p999) = tail.map_or((f64::NAN, f64::NAN), |t| (t.p99, t.p999));
-        let load = outcome.load();
-        println!(
-            "{:>8} {:>12.0} {:>12.0} {:>12.0} {:>8.3} {:>10.0} {:>10.0} {:>6}",
-            spec.clients,
-            spec.rate,
-            load.offered_rate(),
-            load.achieved_rate(),
-            load.achieved_ratio(),
-            p99,
-            p999,
-            load.listener.marker_violations
-        );
-        gate_ok &= gate_holds(&outcome, assert_achieved);
-    }
-    exit_code(gate_ok)
-}
-
-/// The multi-client path: one load run.
-fn run_load_mode(
-    spec: &RunSpec,
-    plan: RunPlan,
-    assert_achieved: Option<f64>,
-    registry: &SutRegistry,
-) -> ExitCode {
-    let outcome = match run_plan(plan, spec, registry) {
-        Ok(outcome) => outcome,
-        Err(error) => {
-            eprintln!("gt-run: {error}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let (load, report) = (outcome.load(), outcome.sut_report());
-    println!(
-        "# gt-run load: {} with {} clients, {} loop @ {:.0} e/s offered (seed {})",
-        spec.sut, spec.clients, spec.loop_model, spec.rate, spec.load_seed
-    );
-    if let Some(netem) = &spec.netem {
-        println!("# netem schedule: {netem} (seed {})", spec.fault_seed);
-    }
-    // A run that lost connections or clients still completes (the
-    // barrier excuses dead connections) — surface the degradation.
-    let degraded = load.listener.connections_lost > 0 || !load.client_failures.is_empty();
-    println!(
-        "run status          {:>12}",
-        if degraded { "degraded" } else { "completed" }
-    );
-    println!("offered events      {:>12}", load.offered());
-    println!("sent events         {:>12}", load.sent());
-    println!("offered rate [e/s]  {:>12.0}", load.offered_rate());
-    println!("achieved rate [e/s] {:>12.0}", load.achieved_rate());
-    println!("achieved/offered    {:>12.3}", load.achieved_ratio());
-    println!(
-        "marker violations   {:>12}",
-        load.listener.marker_violations
-    );
-    println!("parse errors        {:>12}", load.listener.parse_errors);
-    println!("connections lost    {:>12}", load.listener.connections_lost);
-    println!("clients failed      {:>12}", load.client_failures.len());
-    println!("quiesced            {:>12}", outcome.quiesced);
-    println!("\n# sojourn latency [us] per class (completion - scheduled arrival)");
-    println!(
-        "{:<10} {:>8} {:>10} {:>10} {:>10} {:>10}",
-        "class", "n", "p50", "p99", "p999", "max"
-    );
-    for class in ["main"] {
-        if let Some(t) = gt_analysis::sojourn_quantiles(&outcome.log, class) {
-            println!(
-                "{class:<10} {:>8} {:>10.0} {:>10.0} {:>10.0} {:>10.0}",
-                t.n, t.p50, t.p99, t.p999, t.max
-            );
-        } else {
-            println!("{class:<10} insufficient samples");
-        }
-    }
-    println!("\n# {} final report", report.name);
-    for (metric, value) in &report.summary {
-        println!("{metric:<19} {value:>12.0}");
-    }
-    // Netem recovery: network faults correlated against the main class's
-    // completion-rate series.
-    if spec.netem.is_some() {
-        let windows = recovery_windows_from(
-            &outcome.log,
-            NETEM_SOURCE,
-            "load",
-            "achieved_rate.main",
-            RECOVERY_FRACTION,
-        );
-        print_netem_recovery(&windows, "achieved_rate.main");
-    }
-    println!(
-        "\n# merged result log: {} records",
-        outcome.log.records().len()
-    );
-    exit_code(gate_holds(&outcome, assert_achieved))
-}
-
-/// The throughput-vs-shards scaling curve: one load cell per shard count
-/// against the sharded variant, normalized by `gt_analysis::shard_scaling`.
-fn run_shard_curve(
-    cells: Vec<(RunSpec, RunPlan)>,
-    assert_achieved: Option<f64>,
-    registry: &SutRegistry,
-) -> ExitCode {
-    let first = &cells[0].0;
-    println!(
-        "# gt-run throughput-vs-shards: {}, {} clients, {} loop @ {:.0} e/s, seed {}",
-        first.sut, first.clients, first.loop_model, first.rate, first.load_seed
-    );
-    let mut samples: Vec<(usize, f64)> = Vec::new();
-    let mut gate_ok = true;
-    for (spec, plan) in cells {
-        let shards = spec.shards.unwrap_or(1);
-        let outcome = match run_plan(plan, &spec, registry) {
-            Ok(outcome) => outcome,
-            Err(error) => {
-                eprintln!("gt-run: shards={shards}: {error}");
-                return ExitCode::FAILURE;
-            }
-        };
-        samples.push((shards, outcome.load().achieved_rate()));
-        gate_ok &= gate_holds(&outcome, assert_achieved);
-    }
-    println!(
-        "{:>8} {:>14} {:>10} {:>12}",
-        "shards", "achieved[e/s]", "speedup", "efficiency"
-    );
-    for row in shard_scaling(&samples) {
-        println!(
-            "{:>8} {:>14.0} {:>10.2} {:>12.2}",
-            row.shards, row.achieved, row.speedup, row.efficiency
-        );
-    }
-    exit_code(gate_ok)
-}
-
 /// The differential mode: the same stream through the serial platform at
 /// `shards=1` and the sharded variant at `shards=N`, single connector
 /// each; nonzero exit on any digest or computation divergence.
-fn run_differential_mode(spec: &RunSpec, registry: &SutRegistry) -> ExitCode {
+fn run_differential_mode(spec: &RunSpec, registry: &SutRegistry) -> Result<ExitCode, String> {
     let path = &spec.stream;
-    let stream = match gt_core::GraphStream::read_from_file(path) {
-        Ok(stream) => stream,
-        Err(error) => {
-            eprintln!("gt-run: reading {path}: {error}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let baseline = serial_name(&spec.sut).to_owned();
-    let baseline_options = spec.options.clone().set("shards", 1);
-    let shards = spec.shards.unwrap_or(1);
-    let outcome = match run_differential(
-        &stream,
-        spec.rate,
-        registry,
-        (&baseline, &baseline_options),
-        (&spec.sut, &spec.options),
-    ) {
-        Ok(outcome) => outcome,
-        Err(error) => {
-            eprintln!("gt-run: differential: {error}");
-            return ExitCode::FAILURE;
-        }
-    };
-    println!(
-        "# gt-run differential: {baseline} (shards=1) vs {} (shards={shards}) @ {:.0} e/s",
-        spec.sut, spec.rate
-    );
-    println!(
-        "baseline events     {:>12.0}",
-        outcome.baseline_report.get("events").unwrap_or(f64::NAN)
-    );
-    println!(
-        "candidate events    {:>12.0}",
-        outcome.candidate_report.get("events").unwrap_or(f64::NAN)
-    );
-    println!(
-        "marker windows      {:>12}",
-        outcome.baseline_digest.windows.len()
-    );
-    println!(
-        "final vertices      {:>12}",
-        outcome.baseline_digest.final_adjacency.len()
-    );
-    match &outcome.mismatch {
-        None => {
-            println!("verdict             {:>12}", "IDENTICAL");
-            ExitCode::SUCCESS
-        }
-        Some(mismatch) => {
-            println!("verdict             {:>12}", "DIVERGED");
-            eprintln!("gt-run: differential mismatch: {mismatch}");
-            ExitCode::FAILURE
-        }
+    let stream = gt_core::GraphStream::read_from_file(path)
+        .map_err(|error| format!("gt-run: reading {path}: {error}"))?;
+    let serial = spec.sut.strip_suffix("-sharded").unwrap_or(&spec.sut);
+    let options = spec.options.clone().set("shards", 1);
+    let (baseline, candidate) = ((serial, &options), (spec.sut.as_str(), &spec.options));
+    let outcome = run_differential(&stream, spec.rate, registry, baseline, candidate)
+        .map_err(|error| format!("gt-run: differential: {error}"))?;
+    let (names, shards) = ((serial, candidate.0), spec.shards.unwrap_or(1));
+    let table = render_differential(&outcome, names, shards, spec.rate);
+    print!("{table}");
+    if let Some(mismatch) = &outcome.mismatch {
+        eprintln!("gt-run: differential mismatch: {mismatch}");
+        return Ok(ExitCode::FAILURE);
     }
+    Ok(ExitCode::SUCCESS)
 }
 
-fn matrix_usage() -> String {
-    format!(
-        "usage: gt-run matrix <matrix.spec> [--stream <stream.csv>] [--journal <path>]\n\
-         \x20 spec lines: matrix = NAME / repetitions = N / seed = N / design = full|ofat\n\
-         \x20             factor NAME = LEVEL | LEVEL | ...\n\
-         \x20 factors: sut (required, one of {}), rate, pattern\n\
-         \x20          (uniform|diurnal:P:A|pareto:ALPHA:BURST:PEAK|flash:AT:F:HOLD),\n\
-         \x20          shards, clients (0 = single-sink), loop, chaos (none or\n\
-         \x20          clauses joined by `+`), netem (none or clauses joined by\n\
-         \x20          `+`; valid in both modes), stream (per-cell file override)",
-        builtin_registry().names().join("|")
-    )
-}
-
-/// Executes one cell-repetition and maps the outcome onto the journal's
-/// `(status, headline metrics)` shape.
-fn run_matrix_cell(
-    spec: &RunSpec,
-    plan: RunPlan,
+/// Runs (or resumes) an invocation's matrix of cells over `base`, into
+/// `journal` under the `inputs` its cells share — each cell-repetition's
+/// result log written before its journal line — then prints what the
+/// journal renders as and fails on what it gates (`--assert-achieved`).
+fn execute(
+    matrix: &ScenarioMatrix,
+    journal: &str,
+    inputs: &str,
+    base: &RunSpec,
+    gate: Option<f64>,
     registry: &SutRegistry,
-) -> Result<CellRunResult, String> {
-    let outcome = run_plan(plan, spec, registry)?;
-    if spec.clients == 0 {
-        let replay = outcome.replay();
-        return Ok(CellRunResult {
-            status: outcome.status.clone(),
-            metrics: vec![
-                ("achieved_rate".to_owned(), replay.achieved_rate),
-                ("events".to_owned(), replay.graph_events as f64),
-                ("duration_s".to_owned(), replay.duration_micros as f64 / 1e6),
-            ],
+) -> Result<ExitCode, String> {
+    // A flag run keeps its seeds; a campaign's repetitions each take the
+    // seed the matrix derives for them, as load and fault seed.
+    let flags = FLAG_VIEWS.contains(&matrix.name.as_str());
+    let path = Path::new(journal);
+    let mut runner = |cell: &Assignment, rep: u32, seed: u64| -> CellRunResult {
+        let mut base = base.clone();
+        base.load_seed = seed;
+        if !flags {
+            base.fault_seed = seed;
+        }
+        let (spec, plan) = plan_cell(cell, &base, registry).expect("cells validated above");
+        let target = Target::Sut(registry, &spec.sut, &spec.options);
+        let ran = run(plan, target).map_err(|e| e.to_string());
+        let ran = ran.and_then(|outcome| {
+            let metrics = write_result_log(path, cell, rep, &outcome.log, &spec)?;
+            let status = outcome.status;
+            Ok(CellRunResult { status, metrics })
         });
+        ran.unwrap_or_else(|error| {
+            // The journal holds every finished repetition (flushed per
+            // line), so aborting here loses nothing: rerunning the same
+            // invocation resumes at this exact repetition.
+            eprintln!("gt-run: cell {} failed: {error}", cell_id(cell));
+            eprintln!("gt-run: completed runs are journaled in {journal}; rerun to resume");
+            if base.faults.is_some() {
+                let _ = std::fs::remove_file(&base.stream);
+            }
+            std::process::exit(1);
+        })
+    };
+    let mut progress = |cell: &str, rep: u32, resumed: bool| match (flags, resumed) {
+        (true, _) => {}
+        (false, true) => println!("  skip {cell} rep {rep} (journaled)"),
+        (false, false) => println!("  ran  {cell} rep {rep}"),
+    };
+    let pinned = flags.then_some(base.load_seed);
+    let ran = run_matrix_with_progress(matrix, path, inputs, pinned, &mut runner, &mut progress);
+    let outcome = ran.map_err(|e| format!("gt-run: {journal}: {e}"))?;
+    let (report, failures) = render_journal(journal, Some(outcome.progress), gate)?;
+    print!("{report}");
+    for failure in &failures {
+        eprintln!("gt-run: {failure}");
     }
-    let load = outcome.load();
-    let mut metrics = vec![
-        ("offered_rate".to_owned(), load.offered_rate()),
-        ("achieved_rate".to_owned(), load.achieved_rate()),
-        ("achieved_ratio".to_owned(), load.achieved_ratio()),
-        (
-            "marker_violations".to_owned(),
-            load.listener.marker_violations as f64,
-        ),
-    ];
-    if let Some(tail) = gt_analysis::sojourn_quantiles(&outcome.log, "main") {
-        metrics.push(("p99_sojourn_us".to_owned(), tail.p99));
-    }
-    if spec.netem.is_some() {
-        metrics.push((
-            "connections_lost".to_owned(),
-            load.listener.connections_lost as f64,
-        ));
-    }
-    Ok(CellRunResult {
-        status: RunStatus::Completed,
-        metrics,
+    Ok(match failures.is_empty() {
+        true => ExitCode::SUCCESS,
+        false => ExitCode::FAILURE,
     })
 }
 
 fn run_matrix_cli(argv: &[String]) -> Result<ExitCode, String> {
-    let mut spec_path = None;
-    let mut stream = None;
-    let mut journal = None;
+    let (mut spec_path, mut stream, mut journal) = (None, None, None);
     let mut it = argv.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--stream" => stream = Some(it.next().ok_or("--stream needs a path")?.clone()),
             "--journal" => journal = Some(it.next().ok_or("--journal needs a path")?.clone()),
-            "--help" | "-h" => return Err(matrix_usage()),
+            "--help" | "-h" => return Err(usage()),
             other if !other.starts_with('-') && spec_path.is_none() => {
                 spec_path = Some(other.to_owned())
             }
-            other => return Err(format!("unknown argument `{other}`\n{}", matrix_usage())),
+            other => return Err(format!("unknown argument `{other}`\n{}", usage())),
         }
     }
-    let spec_path = spec_path.ok_or_else(matrix_usage)?;
+    let spec_path = spec_path.ok_or_else(usage)?;
     let text = std::fs::read_to_string(&spec_path).map_err(|e| format!("{spec_path}: {e}"))?;
     let matrix = ScenarioMatrix::parse(&text).map_err(|e| format!("{spec_path}: {e}"))?;
+    if FLAG_VIEWS.contains(&matrix.name.as_str()) {
+        let name = &matrix.name;
+        return Err(format!(
+            "{spec_path}: matrix name `{name}` is reserved for flag runs"
+        ));
+    }
     let journal = journal.unwrap_or_else(|| format!("{spec_path}.journal.jsonl"));
     let registry = builtin_registry();
     let stream = stream.unwrap_or_default();
+    let base = RunSpec::new(&stream, 0, 0);
 
     // Fail fast: every cell must resolve to a runnable plan before the
     // first (possibly expensive) repetition starts.
@@ -854,207 +479,59 @@ fn run_matrix_cli(argv: &[String]) -> Result<ExitCode, String> {
         return Err("the matrix has no cells; add `factor` lines".into());
     }
     for cell in &cells {
-        plan_cell(cell, &RunSpec::new(&stream, 0, 0), &registry)
-            .map_err(|e| format!("cell {}: {e}", cell_id(cell)))?;
+        plan_cell(cell, &base, &registry).map_err(|e| format!("cell {}: {e}", cell_id(cell)))?;
     }
 
-    print!("{matrix}");
-    println!("journal: {journal}");
-    let mut runner = |cell: &Assignment, _rep: u32, seed: u64| -> CellRunResult {
-        let (spec, plan) = plan_cell(cell, &RunSpec::new(&stream, seed, seed), &registry)
-            .expect("cells validated above");
-        match run_matrix_cell(&spec, plan, &registry) {
-            Ok(result) => result,
-            Err(error) => {
-                // The journal holds every finished repetition (flushed
-                // per line), so aborting here loses nothing: rerunning
-                // the same invocation resumes at this exact repetition.
-                eprintln!("gt-run: cell {} failed: {error}", cell_id(cell));
-                eprintln!("gt-run: completed runs are journaled in {journal}; rerun to resume");
-                std::process::exit(1);
-            }
-        }
-    };
-    let mut progress = |cell: &str, rep: u32, resumed: bool| {
-        if resumed {
-            println!("  skip {cell} rep {rep} (journaled)");
-        } else {
-            println!("  ran  {cell} rep {rep}");
-        }
-    };
-    let outcome =
-        run_matrix_with_progress(&matrix, Path::new(&journal), &mut runner, &mut progress)
-            .map_err(|e| format!("{journal}: {e}"))?;
-    println!();
-    print!("{}", render_matrix_table(&outcome.cells));
-    println!(
-        "matrix complete: {} runs total, {} executed, {} resumed from journal",
-        outcome.progress.total, outcome.progress.executed, outcome.progress.resumed
-    );
-    Ok(ExitCode::SUCCESS)
-}
-
-/// The single-sink path: one replay through the file pipeline at Level 2,
-/// with the replay report, the platform's final report, the sampled
-/// stage latencies and a recovery table per injected fault layer.
-fn run_single_mode(
-    spec: &RunSpec,
-    plan: RunPlan,
-    fault_description: Option<&str>,
-    registry: &SutRegistry,
-) -> ExitCode {
-    let chaos_description = plan.chaos.as_ref().map(|chaos| chaos.schedule.describe());
-    let outcome = match run_plan(plan, spec, registry) {
-        Ok(outcome) => outcome,
-        Err(error) => {
-            eprintln!("gt-run: {error}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    let (session, report) = (outcome.session(), outcome.sut_report());
-    println!("# gt-run: {} @ {} events/s", spec.sut, spec.rate);
-    if let Some(faults) = fault_description {
-        println!("# stream faults: {faults} (seed {})", spec.fault_seed);
-    }
-    if let Some(chaos) = &chaos_description {
-        println!("# chaos schedule: {chaos} (seed {})", spec.fault_seed);
-    }
-    if let Some(netem) = &spec.netem {
-        println!("# netem schedule: {netem} (seed {})", spec.fault_seed);
-    }
-    println!("run status          {:>12}", outcome.status.to_string());
-    println!("entries read        {:>12}", session.entries_read);
-    println!("graph events        {:>12}", session.replay.graph_events);
-    println!(
-        "replay duration [s] {:>12.2}",
-        session.replay.duration_micros as f64 / 1e6
-    );
-    println!("achieved rate [e/s] {:>12.0}", session.replay.achieved_rate);
-    println!(
-        "emit latency p99 [us] {:>10}",
-        session.emit_latency.quantile_upper_bound(0.99)
-    );
-    println!("quiesced            {:>12}", outcome.quiesced);
-    println!("\n# {} final report", report.name);
-    for (metric, value) in &report.summary {
-        println!("{metric:<19} {value:>12.0}");
-    }
-    // Level-2 stage-pair latencies of the 1-in-N sampled events, when the
-    // platform granted in-source tracing.
-    let mut traced = false;
-    for metric in TRACE_STAGE_METRICS {
-        let values: Vec<f64> = outcome
-            .log
-            .series(TRACE_SOURCE, metric)
-            .into_iter()
-            .map(|(_, v)| v)
-            .collect();
-        if let Some(q) = Quantiles::of(&values) {
-            if !traced {
-                println!("\n# sampled stage latencies [us] (median / p99, n)");
-                traced = true;
-            }
-            println!(
-                "{metric:<26} {:>8.0} / {:>8.0}  n={}",
-                q.median,
-                q.p99,
-                values.len()
-            );
-        }
-    }
-    // Chaos recovery summary: one row per injected fault, correlated
-    // against the ingress-rate series.
-    if chaos_description.is_some() {
-        let windows = recovery_windows(&outcome.log, RECOVERY_FRACTION);
-        if windows.is_empty() {
-            println!("\n# chaos recovery: no faults fired");
-        } else {
-            println!(
-                "\n# chaos recovery (recovered = {:.0}% of pre-fault rate)",
-                RECOVERY_FRACTION * 100.0
-            );
-            println!(
-                "{:<40} {:>8} {:>10} {:>7} {:>9} {:>6}",
-                "fault", "t[s]", "dip[e/s]", "depth", "ttr[s]", "lost"
-            );
-            for w in &windows {
-                let ttr = w
-                    .time_to_recover_secs
-                    .map_or_else(|| "never".to_owned(), |t| format!("{t:.2}"));
-                println!(
-                    "{:<40} {:>8.2} {:>10.0} {:>6.0}% {:>9} {:>6}",
-                    w.fault,
-                    w.t_fault_secs,
-                    w.dip_rate,
-                    w.dip_depth * 100.0,
-                    ttr,
-                    w.events_lost
-                );
-                if let Some((action, t)) = &w.recovery {
-                    println!("  └ {action} at t={t:.2}s");
-                }
-            }
-        }
-    }
-    // Netem recovery: network faults correlated against the replayer's
-    // ingress-rate series.
-    if spec.netem.is_some() {
-        let windows = recovery_windows_from(
-            &outcome.log,
-            NETEM_SOURCE,
-            "replayer",
-            "ingress_rate",
-            RECOVERY_FRACTION,
-        );
-        print_netem_recovery(&windows, "ingress_rate");
-    }
-    println!(
-        "\n# merged result log: {} records",
-        outcome.log.records().len()
-    );
-    if outcome.status.is_aborted() {
-        eprintln!("gt-run: run aborted by watchdog: {}", outcome.status);
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+    print!("{}", matrix_head(&matrix, &journal));
+    let inputs = format!("stream={stream}");
+    execute(&matrix, &journal, &inputs, &base, None, &registry)
 }
 
 /// Runs what the flags name: plans every cell first (a bad level or
-/// combination fails before anything runs), then the differential, a
-/// curve of cells, or one replay or load run.
-fn run_flags(mut args: Args) -> Result<ExitCode, String> {
+/// combination fails before anything runs), then the differential, or the
+/// one-repetition matrix of the flags' factors.
+fn run_flags(args: Args) -> Result<ExitCode, String> {
     let registry = builtin_registry();
-    // A-priori stream faults: derive the weaker stream before replay.
-    let fault_description = match &args.faults {
+    let cells = plan_flags(&args, &registry).map_err(|e| format!("gt-run: {e}"))?;
+    if args.differential {
+        return run_differential_mode(&cells[0].0, &registry);
+    }
+    let journal = args.journal.unwrap_or_else(|| {
+        let since = std::time::UNIX_EPOCH.elapsed().unwrap_or_default();
+        let name = format!(
+            "gt-run-{}-{}.journal.jsonl",
+            std::process::id(),
+            since.as_nanos()
+        );
+        let path = std::env::temp_dir().join(name).display().to_string();
+        eprintln!("gt-run: journal {path}");
+        path
+    });
+    // A-priori stream faults: derive the weaker stream before replay. The
+    // journal records the stream the flags name.
+    let mut base = args.base;
+    let scratch = match &args.faults {
         Some(faults) => {
-            let (scratch, description) =
-                materialize_faults(&args.base.stream, faults, args.base.fault_seed)
-                    .map_err(|e| format!("gt-run: --faults {e}"))?;
-            args.base.stream = scratch;
-            Some(description)
+            let (scratch, description) = materialize_faults(&base.stream, faults, base.fault_seed)
+                .map_err(|e| format!("gt-run: --faults {e}"))?;
+            base.faults = Some(description);
+            Some(scratch)
         }
         None => None,
     };
-    let code = plan_flags(&args, &registry)
-        .map_err(|e| format!("gt-run: {e}"))
-        .map(|mut cells| match (args.differential, args.curve) {
-            (true, _) => run_differential_mode(&cells[0].0, &registry),
-            (false, Some(Curve::Ingress)) => {
-                run_ingress_curve(cells, args.assert_achieved, &registry)
-            }
-            (false, Some(Curve::Shards)) => run_shard_curve(cells, args.assert_achieved, &registry),
-            (false, None) => {
-                let (spec, plan) = cells.swap_remove(0);
-                if spec.clients > 0 {
-                    run_load_mode(&spec, plan, args.assert_achieved, &registry)
-                } else {
-                    run_single_mode(&spec, plan, fault_description.as_deref(), &registry)
-                }
-            }
-        });
-    if fault_description.is_some() {
-        let _ = std::fs::remove_file(&args.base.stream);
+    let inputs = base.to_string();
+    base.stream = scratch.clone().unwrap_or(base.stream);
+    let matrix = ScenarioMatrix {
+        name: args.view.to_owned(),
+        repetitions: 1,
+        seed: base.load_seed,
+        design: Design::FullFactorial,
+        space: args.space,
+    };
+    let gate = args.assert_achieved;
+    let code = execute(&matrix, &journal, &inputs, &base, gate, &registry);
+    if let Some(scratch) = scratch {
+        let _ = std::fs::remove_file(scratch);
     }
     code
 }
@@ -1214,5 +691,25 @@ mod tests {
             all.extend(args);
             assert!(plan(&all).is_err(), "accepted {args:?}");
         }
+    }
+
+    #[test]
+    fn refused_flags_name_the_flag_they_need() {
+        for (args, names) in [
+            (&["--assert-achieved", "0.99"][..], "--clients"),
+            (
+                &["--differential", "2", "--assert-achieved", "0.99"],
+                "--clients",
+            ),
+            (&["--shards", "1,2"], "--clients"),
+            (&["--differential", "2", "--journal", "j"], "--journal"),
+        ] {
+            let mut all = vec!["s.csv", "--sut", "tide-store"];
+            all.extend(args);
+            let error = plan(&all).err().unwrap_or_default();
+            assert!(error.contains(names), "{args:?}: {error:?}");
+        }
+        let gated = ["s.csv", "--sut", "tide-store", "--clients", "2"];
+        assert!(plan(&[&gated[..], &["--assert-achieved", "0.99"]].concat()).is_ok());
     }
 }

@@ -3,7 +3,7 @@
 //! The CI smoke jobs only look at the exit status; this fences the
 //! printed report against changes to the run path underneath it.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::time::Duration;
 
@@ -60,6 +60,7 @@ fn labels(stdout: &str) -> Vec<String> {
 struct Run {
     code: Option<i32>,
     labels: Vec<String>,
+    stdout: String,
     stderr: String,
 }
 
@@ -68,10 +69,19 @@ fn gt_run(args: &[&str]) -> Run {
         .args(args)
         .output()
         .expect("spawn gt-run");
+    let stdout = String::from_utf8_lossy(&output.stdout).into_owned();
+    let stderr = String::from_utf8_lossy(&output.stderr).into_owned();
+    // A run without `--journal` names the fresh journal it wrote.
+    for line in stderr.lines() {
+        if let Some(journal) = line.strip_prefix("gt-run: journal ") {
+            remove_artifacts(Path::new(journal));
+        }
+    }
     Run {
         code: output.status.code(),
-        labels: labels(&String::from_utf8_lossy(&output.stdout)),
-        stderr: String::from_utf8_lossy(&output.stderr).into_owned(),
+        labels: labels(&stdout),
+        stdout,
+        stderr,
     }
 }
 
@@ -408,6 +418,207 @@ fn chaos_on_a_load_front_is_refused_before_anything_runs() {
     assert!(run.labels.is_empty(), "{:?}", run.labels);
     assert!(run.stderr.contains("chaos"), "{}", run.stderr);
     for path in [stream, spec] {
+        std::fs::remove_file(path).ok();
+    }
+}
+
+/// What `gt-report --matrix <journal>` prints: the text
+/// `gt_harness::render_journal` rebuilds from the journal and the result
+/// logs beside it.
+fn report(journal: &Path) -> String {
+    let journal = journal.to_str().unwrap();
+    gt_harness::render_journal(journal, None, None).unwrap().0
+}
+
+/// A journal path of its own for `test`, with nothing at it yet.
+fn journal_file(test: &str) -> PathBuf {
+    let path = stream_file(test).with_extension("journal.jsonl");
+    remove_artifacts(&path);
+    path
+}
+
+/// Removes a journal and the result logs beside it.
+fn remove_artifacts(journal: &Path) {
+    let name = journal.file_name().unwrap().to_str().unwrap();
+    for entry in std::fs::read_dir(journal.parent().unwrap()).unwrap() {
+        let path = entry.unwrap().path();
+        if path
+            .file_name()
+            .unwrap()
+            .to_str()
+            .unwrap()
+            .starts_with(name)
+        {
+            std::fs::remove_file(path).ok();
+        }
+    }
+}
+
+/// Runs `store_run(test, extra)` into a journal, and checks that the
+/// journal renders as exactly what `gt-run` printed.
+fn renders_as_printed(test: &str, extra: &[&str]) -> Run {
+    let journal = journal_file(test);
+    let mut args = extra.to_vec();
+    args.extend(["--journal", journal.to_str().unwrap()]);
+    let run = store_run(test, &args);
+    assert_eq!(run.code, Some(0), "stderr: {}", run.stderr);
+    assert!(!run.stdout.is_empty());
+    assert_eq!(report(&journal), run.stdout);
+    remove_artifacts(&journal);
+    run
+}
+
+#[test]
+fn a_single_sink_journal_renders_as_printed_and_reruns_as_printed() {
+    let journal = journal_file("single-journal");
+    let args = ["--rate", "100000", "--journal", journal.to_str().unwrap()];
+    let first = store_run("single-journal", &args);
+    assert_eq!(first.code, Some(0), "stderr: {}", first.stderr);
+    assert_eq!(report(&journal), first.stdout);
+    // The same flags into the same journal resume it: nothing runs again,
+    // and the same report comes back from the files.
+    let again = store_run("single-journal", &args);
+    assert_eq!(again.stdout, first.stdout);
+    remove_artifacts(&journal);
+}
+
+#[test]
+fn a_clients_journal_renders_as_printed() {
+    let args = [
+        "--rate",
+        "50000",
+        "--clients",
+        "4",
+        "--assert-achieved",
+        "0.5",
+    ];
+    renders_as_printed("clients-journal", &args);
+}
+
+#[test]
+fn a_chaos_journal_renders_as_printed() {
+    let chaos = "crash@600,worker=0,restart=400; stall@1500,ms=20";
+    let args = [
+        "--rate",
+        "100000",
+        "--opt",
+        "supervised=1",
+        "--chaos",
+        chaos,
+    ];
+    renders_as_printed(
+        "chaos-journal",
+        &[&args[..], &["--fault-seed", "7"]].concat(),
+    );
+}
+
+#[test]
+fn a_netem_journal_renders_as_printed() {
+    let args = ["--rate", "10000", "--netem", "kill@60ms,mode=fin"];
+    renders_as_printed(
+        "netem-journal",
+        &[&args[..], &["--fault-seed", "9"]].concat(),
+    );
+}
+
+#[test]
+fn a_shards_journal_renders_as_printed() {
+    renders_as_printed("shards-journal", &["--rate", "100000", "--shards", "2"]);
+}
+
+#[test]
+fn a_scale_journal_renders_as_printed() {
+    let args = ["--clients", "2", "--scale", "1,2x50000,100000"];
+    renders_as_printed("scale-journal", &args);
+}
+
+#[test]
+fn a_shard_list_journal_renders_as_printed() {
+    let args = ["--rate", "50000", "--clients", "2", "--shards", "1,2"];
+    renders_as_printed("shard-curve-journal", &args);
+}
+
+/// Writes a one-cell campaign spec beside `stream`.
+fn one_cell_spec(stream: &Path) -> PathBuf {
+    let spec = stream.with_extension("spec");
+    std::fs::write(
+        &spec,
+        "matrix = cli-one\nrepetitions = 2\nseed = 3\n\
+         factor sut = tide-store\nfactor rate = 100000 | 200000\n",
+    )
+    .unwrap();
+    spec
+}
+
+#[test]
+fn a_matrix_journal_renders_as_printed_but_for_its_progress_lines() {
+    let stream = stream_file("matrix-journal");
+    let spec = one_cell_spec(&stream);
+    let journal = journal_file("matrix-journal");
+    let run = gt_run(&[
+        "matrix",
+        spec.to_str().unwrap(),
+        "--stream",
+        stream.to_str().unwrap(),
+        "--journal",
+        journal.to_str().unwrap(),
+    ]);
+    assert_eq!(run.code, Some(0), "stderr: {}", run.stderr);
+    let printed: String = run
+        .stdout
+        .lines()
+        .filter(|line| !line.starts_with("  ran ") && !line.starts_with("  skip "))
+        .map(|line| format!("{line}\n"))
+        .collect();
+    assert_eq!(report(&journal), printed);
+    remove_artifacts(&journal);
+    for path in [stream, spec] {
+        std::fs::remove_file(path).ok();
+    }
+}
+
+#[test]
+fn a_journal_is_not_resumed_under_another_stream() {
+    let (stream, other) = (stream_file("inputs-a"), stream_file("inputs-b"));
+    let spec = one_cell_spec(&stream);
+    let journal = journal_file("inputs");
+    let matrix = |stream: &Path| {
+        gt_run(&[
+            "matrix",
+            spec.to_str().unwrap(),
+            "--stream",
+            stream.to_str().unwrap(),
+            "--journal",
+            journal.to_str().unwrap(),
+        ])
+    };
+    assert_eq!(matrix(&stream).code, Some(0));
+    let refused = matrix(&other);
+    assert_eq!(refused.code, Some(1));
+    assert!(
+        refused.stderr.contains("different inputs"),
+        "{}",
+        refused.stderr
+    );
+    // A flag run records its options, seeds and `--faults` as well.
+    let flags = |seed: &str| {
+        let args = ["--rate", "100000", "--fault-seed", seed];
+        store_run(
+            "inputs-flags",
+            &[&args[..], &["--journal", journal.to_str().unwrap()]].concat(),
+        )
+    };
+    remove_artifacts(&journal);
+    assert_eq!(flags("1").code, Some(0));
+    let refused = flags("2");
+    assert_eq!(refused.code, Some(1));
+    assert!(
+        refused.stderr.contains("different inputs"),
+        "{}",
+        refused.stderr
+    );
+    remove_artifacts(&journal);
+    for path in [stream, other, spec] {
         std::fs::remove_file(path).ok();
     }
 }

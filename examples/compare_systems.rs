@@ -13,8 +13,10 @@
 
 use std::time::{Duration, Instant};
 
-use graphtides::analysis::summary::Comparison;
-use graphtides::harness::{compare_metric, repeat_runs, FactorSpace};
+use graphtides::analysis::summary::{compare_ci95, Comparison};
+use graphtides::harness::{
+    run_matrix, Assignment, CellRunResult, Design, FactorSpace, RunStatus, ScenarioMatrix,
+};
 use graphtides::prelude::*;
 use graphtides::store::{BatchingConnector, StoreConfig, TideStore};
 use graphtides::workloads::Table3Workload;
@@ -57,47 +59,64 @@ fn measure_throughput(stream: &GraphStream, batch: usize) -> f64 {
 fn main() {
     // Declare the experiment before measuring (Jain's methodology): the
     // goal, the workload, the metric's conditions and the factor varied.
-    let space = FactorSpace::new().factor("events_per_tx", [1, 10]);
-    println!("experiment: store-batching-comparison");
+    let matrix = ScenarioMatrix {
+        name: "store-batching-comparison".into(),
+        repetitions: REPETITIONS,
+        seed: 7,
+        design: Design::FullFactorial,
+        space: FactorSpace::new().factor("events_per_tx", [1, 10]),
+    };
+    println!("experiment: {}", matrix.name);
     println!("  goal:      does transaction batching significantly raise write throughput?");
     println!("  workload:  Table 3 workload (small), 1,500 evolution events");
     println!("  rate:      {RATE} events/s");
     println!("  reps:      {REPETITIONS}");
     println!(
-        "configurations: {} (full factorial)\n",
-        space.full_factorial_size()
+        "configurations: {} (full factorial), {} runs\n",
+        matrix.cells().len(),
+        matrix.total_runs()
     );
 
-    // One fixed workload for every run: same stream, same seed.
+    // One fixed workload for every run: same stream, same seed. Each run
+    // is journaled, so an interrupted comparison resumes where it stopped.
     let stream = Table3Workload::small(1_500, 7).generate();
+    let journal = std::env::temp_dir().join("compare_systems.journal.jsonl");
+    std::fs::remove_file(&journal).ok();
+    let mut samples: Vec<(usize, Vec<f64>)> = Vec::new();
+    let outcome = run_matrix(&matrix, &journal, &mut |cell: &Assignment, _, _| {
+        let batch: usize = cell[0].1.parse().expect("numeric level");
+        let v = measure_throughput(&stream, batch);
+        match samples.iter_mut().find(|(b, _)| *b == batch) {
+            Some((_, values)) => values.push(v),
+            None => samples.push((batch, vec![v])),
+        }
+        CellRunResult {
+            status: RunStatus::Completed,
+            metrics: vec![("events_per_s".to_owned(), v)],
+        }
+    })
+    .expect("the journal is writable");
+    std::fs::remove_file(&journal).ok();
 
-    let mut outcomes = Vec::new();
-    for assignment in space.full_factorial() {
-        let batch: usize = assignment[0].1.parse().expect("numeric level");
-        let mut samples = Vec::with_capacity(REPETITIONS as usize);
-        let outcome = repeat_runs(REPETITIONS, |_rep| {
-            let v = measure_throughput(&stream, batch);
-            samples.push(v);
-            v
-        });
-        let ci = outcome.ci95.expect("n >= 2");
-        let variability = graphtides::analysis::variability(&samples).expect("enough samples");
+    for (cell, (batch, samples)) in outcome.cells.iter().zip(&samples) {
+        let metric = &cell.metrics[0];
+        let ci = metric.ci95.as_ref().expect("n >= 2");
+        let variability = graphtides::analysis::variability(samples).expect("enough samples");
         println!(
             "events_per_tx = {batch:>2}: mean {:>8.0} events/s, CI95 [{:>8.0}, {:>8.0}] over {} runs (n>=30: {}, cv {:.1}%, outlier runs {})",
-            outcome.summary.mean(),
+            metric.summary.mean(),
             ci.lo,
             ci.hi,
-            outcome.summary.count(),
-            outcome.meets_n30,
+            metric.summary.count(),
+            cell.meets_n30,
             variability.cv * 100.0,
             variability.outliers,
         );
-        outcomes.push((batch, outcome));
     }
 
-    let (batch_a, a) = &outcomes[0];
-    let (batch_b, b) = &outcomes[1];
-    let comparison = compare_metric(a, b).expect("both sides have intervals");
+    let (batch_a, batch_b) = (samples[0].0, samples[1].0);
+    let (a, b) = (&outcome.cells[0].metrics[0], &outcome.cells[1].metrics[0]);
+    let comparison = compare_ci95(&a.summary, &b.summary).expect("both sides have intervals");
     println!();
     match comparison.verdict {
         Comparison::AGreater => println!(

@@ -1,11 +1,12 @@
 //! Cross-crate tests of the fault-injection path (§3.2) and the
 //! statistical methodology (§4.5).
 
+use graphtides::analysis::summary::compare_ci95;
 use graphtides::faults::{
     DropFaults, DuplicateFaults, FaultInjector, FaultPipeline, ShuffleWindows,
 };
 use graphtides::graph::ApplyPolicy;
-use graphtides::harness::{compare_metric, repeat_runs};
+use graphtides::harness::{aggregate_records, JournalRecord, RunStatus};
 use graphtides::prelude::*;
 use graphtides::workloads::SnbWorkload;
 
@@ -77,23 +78,34 @@ fn ci95_comparison_separates_configurations() {
         })
         .collect();
 
-    let measure = |rate: f64| {
-        let stream = stream.clone();
-        move |_rep: u32| -> f64 {
-            let replayer = Replayer::new(ReplayerConfig {
-                target_rate: rate,
-                ..Default::default()
-            });
-            let mut sink = CollectSink::new();
-            let report = replayer.replay_stream(&stream, &mut sink).unwrap();
-            report.achieved_rate
-        }
+    // One journal record per repetition, aggregated per configuration
+    // exactly as a scenario matrix aggregates its cells.
+    let measure = |cell: &str, rate: f64| -> Vec<JournalRecord> {
+        (0..30)
+            .map(|rep| {
+                let replayer = Replayer::new(ReplayerConfig {
+                    target_rate: rate,
+                    ..Default::default()
+                });
+                let mut sink = CollectSink::new();
+                let report = replayer.replay_stream(&stream, &mut sink).unwrap();
+                JournalRecord {
+                    cell: cell.to_owned(),
+                    rep,
+                    seed: 0,
+                    status: RunStatus::Completed,
+                    metrics: vec![("achieved_rate".to_owned(), report.achieved_rate)],
+                }
+            })
+            .collect()
     };
 
-    let fast = repeat_runs(30, measure(50_000.0));
-    let slow = repeat_runs(30, measure(10_000.0));
+    let records = [measure("fast", 50_000.0), measure("slow", 10_000.0)].concat();
+    let cells = aggregate_records(&records);
+    let (fast, slow) = (&cells[0], &cells[1]);
     assert!(fast.meets_n30 && slow.meets_n30);
-    let verdict = compare_metric(&fast, &slow).expect("both sides have intervals");
+    let verdict = compare_ci95(&fast.metrics[0].summary, &slow.metrics[0].summary)
+        .expect("both sides have intervals");
     assert_eq!(
         verdict.verdict,
         graphtides::analysis::summary::Comparison::AGreater
