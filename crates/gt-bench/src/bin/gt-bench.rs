@@ -12,7 +12,8 @@
 //! the load layer's client side (one open-loop
 //! client at an unbounded rate into a counting sink, the stream
 //! partitioner, the replayer's whole file → reader → emitter session
-//! at an unbounded rate, and the fold of a finished load run into its
+//! at an unbounded rate, the load front's routing pass from a file into
+//! two drained queues, and the fold of a finished load run into its
 //! result log) with a counting global allocator, then writes
 //! `BENCH_parse.json`, `BENCH_ingest.json` and `BENCH_load.json` into
 //! `--out` (default: the current directory — run from the repo root so
@@ -37,8 +38,8 @@ use gt_graph::EvolvingGraph;
 use gt_harness::sut::report_records;
 use gt_harness::{load_records, LoadPlan, SutReport};
 use gt_load::{
-    run_client, ClientConfig, ClientReport, ListenerReport, LoadOutcome, LoopModel,
-    SeededPartitioner,
+    run_client, ClientConfig, ClientReport, ListenerReport, LoadOutcome, LoadSource, LoopModel,
+    Router, SeededPartitioner,
 };
 use gt_metrics::{Clock, MetricsHub, ResultLog, WallClock};
 use gt_replayer::{EventSink, ReplaySession, ReplaySessionConfig, ReplayerConfig};
@@ -388,7 +389,8 @@ fn load_suites(events: &[GraphEvent], rounds: u32) -> Vec<BenchRecord> {
     let stream = GraphStream::from_entries(events.iter().map(graph).collect());
     let config = ClientConfig::new("bench", LoopModel::Open, UNPACED_RATE, 7);
     let clock: Arc<dyn Clock> = Arc::new(WallClock::start());
-    vec![
+    let snb_file = snb_file(n);
+    let suites = vec![
         // Schedule, burst loop, per-event `send`, sojourn stamps: the
         // whole of `run_client` short of the socket.
         measure("load/client-open-unpaced", n, rounds, || {
@@ -402,9 +404,64 @@ fn load_suites(events: &[GraphEvent], rounds: u32) -> Vec<BenchRecord> {
             let parts = SeededPartitioner::new(SPLIT_PARTITIONS, 7).split(black_box(&stream));
             black_box(parts);
         }),
-        session_suite(n, rounds),
+        session_suite(&snb_file, n, rounds),
+        feed_suite(&snb_file, n, rounds),
         fold_records_suite(n, rounds),
-    ]
+    ];
+    std::fs::remove_file(&snb_file).ok();
+    suites
+}
+
+/// An SNB stream file of `n` entries: persons and `knows` edges at Table
+/// 4's ratio, no markers — event = entry.
+fn snb_file(n: u64) -> PathBuf {
+    let persons = n / 19;
+    let workload = SnbWorkload {
+        persons,
+        connections: n - persons,
+        seed: 7,
+    };
+    let path = std::env::temp_dir().join(format!("gt-bench-snb-{}.csv", std::process::id()));
+    workload
+        .generate()
+        .write_to_file(&path)
+        .expect("writing the load suites' stream file");
+    path
+}
+
+/// Queues `load/feed-file` routes to.
+const FEED_QUEUES: usize = 2;
+
+/// The load front's routing pass: the SNB stream file read once and
+/// routed to [`FEED_QUEUES`] bounded queues, each drained by a consumer
+/// thread that counts entries. What is left is read + parse + route + the
+/// chunk hand-off; chunks go back to the router, so the allocations are
+/// the run's fixed set (threads, channels, the chunks themselves), not
+/// one per entry.
+fn feed_suite(path: &Path, n: u64, rounds: u32) -> BenchRecord {
+    measure("load/feed-file", n, rounds, || {
+        let (router, queues) = Router::new(SeededPartitioner::new(FEED_QUEUES, 7));
+        let counted = std::thread::scope(|scope| {
+            let drains: Vec<_> = queues
+                .into_iter()
+                .map(|mut queue| {
+                    scope.spawn(move || {
+                        let mut count = 0;
+                        while queue.refill(|| {}) {
+                            count += black_box(queue.chunk()).len() as u64;
+                        }
+                        count
+                    })
+                })
+                .collect();
+            let routed = router
+                .route(LoadSource::File(path))
+                .expect("the suite's own file parses");
+            assert_eq!(routed, n);
+            drains.into_iter().map(|d| d.join().unwrap()).sum::<u64>()
+        });
+        assert_eq!(counted, n);
+    })
 }
 
 /// What the harness does with a finished load run after `quiesce`: `n`
@@ -424,6 +481,7 @@ fn fold_records_suite(n: u64, rounds: u32) -> BenchRecord {
         sojourn: (0..per_client)
             .map(|i| (i * SPACING_MICROS + 7 * index + 3, 3 + i % 97))
             .collect(),
+        feed_stall_micros: 0,
         started_micros: 0,
         finished_micros: per_client * SPACING_MICROS,
     };
@@ -452,23 +510,11 @@ fn fold_records_suite(n: u64, rounds: u32) -> BenchRecord {
     })
 }
 
-/// The replayer's ceiling: an SNB stream file of `n` entries (persons and
-/// `knows` edges at Table 4's ratio, no markers — event = entry) through
+/// The replayer's ceiling: the SNB stream file of `n` entries through
 /// `ReplaySession` at its default `buffer`, never waiting on the pacer,
 /// into a counting sink. What is left is read + parse + the
 /// reader→emitter hand-off + the emit loop.
-fn session_suite(n: u64, rounds: u32) -> BenchRecord {
-    let persons = n / 19;
-    let workload = SnbWorkload {
-        persons,
-        connections: n - persons,
-        seed: 7,
-    };
-    let path = std::env::temp_dir().join(format!("gt-bench-session-{}.csv", std::process::id()));
-    workload
-        .generate()
-        .write_to_file(&path)
-        .expect("writing the session suite's stream file");
+fn session_suite(path: &Path, n: u64, rounds: u32) -> BenchRecord {
     let config = ReplaySessionConfig {
         replayer: ReplayerConfig {
             target_rate: UNPACED_RATE,
@@ -476,16 +522,14 @@ fn session_suite(n: u64, rounds: u32) -> BenchRecord {
         },
         ..ReplaySessionConfig::default()
     };
-    let record = measure("load/session-unpaced", n, rounds, || {
+    measure("load/session-unpaced", n, rounds, || {
         let mut sink = CountingSink(0);
         let report = ReplaySession::new(config.clone())
-            .run(&path, &mut sink)
+            .run(path, &mut sink)
             .expect("a counting sink cannot fail");
         assert_eq!((report.entries_read, sink.0), (n, n));
         black_box(report);
-    });
-    std::fs::remove_file(&path).ok();
-    record
+    })
 }
 
 fn load_previous(path: &Path) -> Vec<BenchRecord> {

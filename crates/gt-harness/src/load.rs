@@ -3,11 +3,13 @@
 //!
 //! Where a direct run replays the stream through a *single* platform
 //! connector, a plan with a [`LoadPlan`] hands the stream to the `gt-load`
-//! layer: a seeded partitioner splits it into one substream per
-//! connection, hundreds of concurrent TCP clients pace their own arrival
-//! schedules (open, closed, or partial-open loop per class), and the
-//! multi-connection listener feeds one platform connector per accepted
-//! connection — markers stay totally ordered across all of them.
+//! layer: one routing pass reads it (a stream file is parsed as it is
+//! routed, never materialised) and sends each graph event to one
+//! connection's bounded queue by seeded entity hash, hundreds of
+//! concurrent TCP clients pace their own arrival schedules (open, closed,
+//! or partial-open loop per class), and the multi-connection listener
+//! feeds one platform connector per accepted connection — markers stay
+//! totally ordered across all of them.
 //!
 //! The client reports are folded into the merged result log under the
 //! [`LOAD_SOURCE`] source using the conventions `gt-analysis::load`
@@ -21,7 +23,10 @@
 //!   bucketed rate series (zero-filled inside the span, so a stall shows
 //!   as an achieved-rate dip rather than a gap);
 //! * run summary floats (`offered_total`, `sent_total`, `achieved_ratio`,
-//!   `marker_violations`, `parse_errors`, `connections`).
+//!   `marker_violations`, `parse_errors`, `connections`, and
+//!   `feed_stall_us`: the clients' summed waits on their queues while an
+//!   arrival was due — the routing pass falling behind, 0 when it keeps
+//!   up).
 //!
 //! A load front runs at up to Level 1 (native hub sampling; a Level 2
 //! request is clamped). Chaos, the watchdog and a replay tracer act on a
@@ -30,13 +35,13 @@
 
 use std::sync::{Arc, Mutex};
 
-use gt_core::GraphStream;
-use gt_load::{run_load, ConnectorFactory, LoadOutcome, LoadPlan};
+use gt_load::{run_load, source_error, ConnectorFactory, LoadOutcome, LoadPlan, LoadSource};
 use gt_metrics::{Clock, MetricRecord, MetricValue, Name};
 use gt_netem::NETEM_SOURCE;
+use gt_replayer::ReplayError;
 use gt_sut::SystemUnderTest;
 
-use crate::run::RunError;
+use crate::run::{RunError, Source};
 
 /// The result-log source under which load records are filed. Matches
 /// `gt_analysis::LOAD_SOURCE`.
@@ -49,9 +54,10 @@ pub const LOAD_SOURCE: &str = "load";
 /// The connector factory runs on the listener's accept thread, so the
 /// platform moves into a shared cell for the duration and is put back
 /// once all connections are joined (`run_load` joins the listener before
-/// returning).
+/// returning). A bad line in a stream file is the run's
+/// [`ReplayError::Source`], as in a replay.
 pub(crate) fn drive_clients(
-    stream: &GraphStream,
+    source: &Source,
     plan: &LoadPlan,
     sut: &mut Option<Box<dyn SystemUnderTest>>,
     clock: &Arc<dyn Clock>,
@@ -66,9 +72,16 @@ pub(crate) fn drive_clients(
             .expect("platform present during run")
             .connector()
     });
-    let result = run_load(stream, plan, factory, Arc::clone(clock));
+    let source = match source {
+        Source::Memory(stream) => LoadSource::Stream(stream),
+        Source::File(path) => LoadSource::File(path),
+    };
+    let result = run_load(source, plan, factory, Arc::clone(clock));
     *sut = sut_cell.lock().expect("sut cell lock").take();
-    Ok(result?)
+    result.map_err(|e| match source_error(e) {
+        Ok(e) => ReplayError::Source(e).into(),
+        Err(e) => e.into(),
+    })
 }
 
 /// One-second rate buckets over `times`, zero-filled across the span so
@@ -139,6 +152,7 @@ pub fn load_records(load: &LoadOutcome, plan: &LoadPlan, t_end: u64) -> Vec<Metr
         ("parse_errors", load.listener.parse_errors as f64),
         ("connections_lost", load.listener.connections_lost as f64),
         ("reader_stalls", load.listener.reader_stalls as f64),
+        ("feed_stall_us", load.feed_stall_micros() as f64),
         ("clients_failed", load.client_failures.len() as f64),
     ] {
         records.push(MetricRecord::float(t_end, LOAD_SOURCE, metric, value));
@@ -180,6 +194,7 @@ mod tests {
     use gt_core::prelude::*;
     use gt_load::LoopModel;
     use gt_sut::{SutOptions, SutRegistry};
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
     fn registry() -> SutRegistry {
         let mut registry = SutRegistry::new();
@@ -339,8 +354,91 @@ mod tests {
         assert!(err.to_string().contains("no load layer"));
     }
 
+    /// A platform whose connectors count graph events, and which notes
+    /// its shutdown.
+    struct Counting {
+        events: Arc<AtomicU64>,
+        shut_down: Arc<AtomicBool>,
+    }
+
+    struct CountingConnector(Arc<AtomicU64>);
+
+    impl gt_replayer::EventSink for CountingConnector {
+        fn send(&mut self, entry: &StreamEntry) -> std::io::Result<()> {
+            if entry.is_graph() {
+                self.0.fetch_add(1, Ordering::SeqCst);
+            }
+            Ok(())
+        }
+    }
+
+    impl SystemUnderTest for Counting {
+        fn name(&self) -> &str {
+            "counting"
+        }
+        fn level(&self) -> gt_sut::EvaluationLevel {
+            gt_sut::EvaluationLevel::Level0
+        }
+        fn connector(&mut self) -> std::io::Result<Box<dyn gt_replayer::EventSink + Send>> {
+            Ok(Box::new(CountingConnector(Arc::clone(&self.events))))
+        }
+        fn shutdown(self: Box<Self>) -> gt_sut::SutReport {
+            self.shut_down.store(true, Ordering::SeqCst);
+            gt_sut::SutReport::new("counting")
+        }
+        fn as_any(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+        fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
+            self
+        }
+    }
+
+    // The routing pass reads the file inside the run: a bad last line
+    // still ends the run with the error `read_from_file` gives, after the
+    // valid prefix reached the platform and the platform shut down.
     #[test]
-    fn file_load_run_materializes_the_stream() {
+    fn a_bad_last_line_fails_a_file_load_run_after_shutdown() {
+        let dir = std::env::temp_dir().join("gt-harness-load-run-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("bad-last-line.csv");
+        let mut content: String = (0..400).map(|i| format!("ADD_VERTEX,{i},\n")).collect();
+        content.push_str("MARKER,m,\nNOPE\n");
+        std::fs::write(&path, content).unwrap();
+        let events = Arc::new(AtomicU64::new(0));
+        let shut_down = Arc::new(AtomicBool::new(false));
+        let mut registry = SutRegistry::new();
+        let (counted, down) = (Arc::clone(&events), Arc::clone(&shut_down));
+        registry.register("counting", move |_options| {
+            Ok(Box::new(Counting {
+                events: Arc::clone(&counted),
+                shut_down: Arc::clone(&down),
+            }) as Box<dyn SystemUnderTest>)
+        });
+
+        let mut plan = RunPlan::new(&path, 0.0);
+        plan.load = Some(LoadPlan::single(4, 80_000.0, LoopModel::Open, 7));
+        plan.sysmon = None;
+        let error = run(plan, Target::Sut(&registry, "counting", &SutOptions::new())).unwrap_err();
+
+        let read = GraphStream::read_from_file(&path).unwrap_err();
+        let want = RunError::from(gt_replayer::ReplayError::Source(read));
+        assert_eq!(error.to_string(), want.to_string());
+        assert!(
+            matches!(
+                &error,
+                RunError::Replay(gt_replayer::ReplayError::Source(CoreError::Parse(e)))
+                    if e.line == Some(402)
+            ),
+            "{error:?}"
+        );
+        assert!(shut_down.load(Ordering::SeqCst));
+        assert_eq!(events.load(Ordering::SeqCst), 400);
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn file_load_run_routes_the_file() {
         let dir = std::env::temp_dir().join("gt-harness-load-run-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("stream.csv");

@@ -275,16 +275,16 @@ fn bridge_connection(
 #[cfg(test)]
 mod tests {
     //! Reader agreement: one corpus through every reader of the stream
-    //! format — `parse_csv`, `read_from_file`, `spawn_file_reader`, a load
-    //! listener connection and this bridge (the one reader only its own
-    //! crate can reach).
+    //! format — `parse_csv`, `read_from_file`, `spawn_file_reader`, the
+    //! load front's routing pass, a load listener connection and this
+    //! bridge (the one reader only its own crate can reach).
 
     use super::*;
     use std::io::Write;
     use std::net::SocketAddr;
     use std::sync::Mutex;
 
-    use gt_load::{ListenerConfig, LoadListener};
+    use gt_load::{ListenerConfig, LoadListener, Router, SeededPartitioner};
     use gt_metrics::WallClock;
     use gt_replayer::spawn_file_reader;
 
@@ -405,6 +405,39 @@ mod tests {
         (entries, handle.join().unwrap())
     }
 
+    /// Queues the routing pass routes to.
+    const QUEUES: usize = 3;
+
+    fn partitioner() -> SeededPartitioner {
+        SeededPartitioner::new(QUEUES, 9)
+    }
+
+    /// Each queue's entries through the routing pass, and how it ended.
+    fn via_router(path: &std::path::Path) -> (Vec<Vec<StreamEntry>>, Result<u64, CoreError>) {
+        let (router, queues) = Router::new(partitioner());
+        let drains: Vec<_> = queues
+            .into_iter()
+            .map(|mut queue| {
+                std::thread::spawn(move || {
+                    let mut entries = Vec::new();
+                    while queue.refill(|| {}) {
+                        entries.extend_from_slice(queue.chunk());
+                    }
+                    entries
+                })
+            })
+            .collect();
+        let ended = router.route(path.into());
+        let queues = drains.into_iter().map(|d| d.join().unwrap()).collect();
+        (queues, ended)
+    }
+
+    /// What `SeededPartitioner::split` makes of `stream`.
+    fn split_of(stream: &GraphStream) -> Vec<Vec<StreamEntry>> {
+        let parts = partitioner().split(stream);
+        parts.iter().map(|part| part.entries().to_vec()).collect()
+    }
+
     fn temp_file(name: &str, bytes: &[u8]) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join("gt-harness-reader-agreement");
         std::fs::create_dir_all(&dir).unwrap();
@@ -423,6 +456,10 @@ mod tests {
         assert_eq!(GraphStream::read_from_file(&path).unwrap().entries(), want);
         let (entries, ended) = via_reader_thread(&path);
         assert_eq!((entries, ended.unwrap()), (want.clone(), want.len() as u64));
+        let (queues, ended) = via_router(&path);
+        let read = GraphStream::read_from_file(&path).unwrap();
+        assert_eq!(queues, split_of(&read), "each queue, in order");
+        assert_eq!(ended.unwrap(), want.len() as u64);
         assert_eq!(via_listener(corpus.clone()), (want.clone(), 0));
         assert_eq!(via_bridge(corpus.clone()), (want.clone(), 0));
 
@@ -458,6 +495,12 @@ mod tests {
         assert_eq!(entries, before, "the valid prefix is delivered");
         let err = ended.unwrap_err();
         assert_eq!(bad_line(&err), bad_line_no, "spawn_file_reader: {err}");
+        let (queues, ended) = via_router(&path);
+        let prefix = GraphStream::from_entries(before.clone());
+        assert_eq!(queues, split_of(&prefix), "the valid prefix is routed");
+        let err = ended.unwrap_err();
+        assert_eq!(bad_line(&err), bad_line_no, "the routing pass: {err}");
+        assert_eq!(bad_line_no, Some(11));
 
         assert_eq!(via_listener(corpus.clone()), (all.clone(), 1));
         assert_eq!(via_bridge(corpus), (all, 1));

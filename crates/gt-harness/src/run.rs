@@ -96,10 +96,9 @@ impl ChaosPlan {
 pub enum Source {
     /// An in-memory stream, paced by [`Replayer::replay_stream`].
     Memory(GraphStream),
-    /// A stream file, parsed on a dedicated reader thread and never fully
-    /// materialised ([`ReplaySession`]). A load front is the exception:
-    /// partitioning needs the whole stream, so [`run`] reads the file
-    /// once before the platform starts.
+    /// A stream file, parsed as it is driven and never materialised: on a
+    /// dedicated reader thread ([`ReplaySession`]), or by a load front's
+    /// routing pass ([`gt_load::Router`]).
     File(PathBuf),
 }
 
@@ -785,7 +784,7 @@ fn replay(
 pub fn run(plan: RunPlan, target: Target<'_>) -> Result<RunOutcome, RunError> {
     plan.check(&target)?;
     let RunPlan {
-        mut source,
+        source,
         session,
         mut loggers,
         sampling_interval,
@@ -803,10 +802,6 @@ pub fn run(plan: RunPlan, target: Target<'_>) -> Result<RunOutcome, RunError> {
         // stands it up.
         load.netem = load.netem.take().or(netem.take());
         level = level.min(EvaluationLevel::Level1);
-        if let Source::File(path) = &source {
-            let stream = GraphStream::read_from_file(path).map_err(ReplayError::Source)?;
-            source = Source::Memory(stream);
-        }
     }
 
     let clock: Arc<dyn Clock> = Arc::new(WallClock::start());
@@ -826,7 +821,8 @@ pub fn run(plan: RunPlan, target: Target<'_>) -> Result<RunOutcome, RunError> {
     };
 
     let hub = MetricsHub::new();
-    let pipeline = matches!(source, Source::File(_));
+    // A load front routes a file itself: no replay pipeline, no stages.
+    let pipeline = matches!(source, Source::File(_)) && load.is_none();
     if pipeline {
         let stages = HubSampler::new(hub.clone(), Arc::clone(&clock), PIPELINE_SOURCE);
         loggers.push(Box::new(stages));
@@ -862,10 +858,10 @@ pub fn run(plan: RunPlan, target: Target<'_>) -> Result<RunOutcome, RunError> {
         };
         let driven = match (front.sink(), &source, &load) {
             (Some(sink), source, _) => replay(source, session, sink, chaos.as_ref(), &shared),
-            (None, Source::Memory(stream), Some(load)) => {
-                drive_clients(stream, load, &mut sut, &clock).map(Driver::Load)
+            (None, source, Some(load)) => {
+                drive_clients(source, load, &mut sut, &clock).map(Driver::Load)
             }
-            (None, ..) => unreachable!("a load front has a load plan and a stream in memory"),
+            (None, _, None) => unreachable!("a load front has a load plan"),
         };
         (driven, front)
     });

@@ -1,11 +1,14 @@
 //! One load client driving one connection under an explicit loop model.
 //!
-//! A client owns a substream and an [`EventSink`] (normally a
+//! A client paces a substream into an [`EventSink`] (normally a
 //! [`gt_replayer::TcpSink`] into the SUT-side listener) and runs on the
-//! thread that calls [`run_client`] — it starts none of its own. How it
-//! couples arrivals to sink progress is the [`LoopModel`]:
+//! thread that calls it — it starts none of its own. Its entries come
+//! from a slice ([`run_client`]) or, in a load run, from its queue of the
+//! routing pass ([`crate::feed`]), a chunk at a time; its arrivals are
+//! drawn as events are routed to it. How it couples arrivals to sink
+//! progress is the [`LoopModel`]:
 //!
-//! * **open**: arrivals are the precomputed [`ArrivalSchedule`], a pure
+//! * **open**: arrivals are the seeded [`ArrivalSchedule`], a pure
 //!   function of the plan, so nothing has to "generate" them: the loop
 //!   reads the clock, writes every event whose arrival has passed (in
 //!   bursts), flushes, and charges each event `completion − scheduled
@@ -19,6 +22,10 @@
 //! * **partial open**: open loop until `window` events are outstanding;
 //!   event `i` then arrives at `max(target_i, done_{i−window})`, so the
 //!   schedule slips to the completion of its window predecessor.
+//!
+//! A client's schedule starts when its first entries are in hand. A wait
+//! for entries after that, while an arrival is due, is the feed's fault,
+//! not the sink's: it is counted apart ([`ClientReport::feed_stall_micros`]).
 
 use std::io;
 use std::sync::Arc;
@@ -28,8 +35,9 @@ use gt_metrics::Clock;
 use gt_replayer::pattern::RatePattern;
 use gt_replayer::EventSink;
 
+use crate::feed::FeedQueue;
 use crate::model::LoopModel;
-use crate::schedule::ArrivalSchedule;
+use crate::schedule::{ArrivalSchedule, Arrivals};
 
 /// Maximum events one burst writes before flushing and stamping
 /// completions — bounds both syscall rate and ack granularity.
@@ -76,22 +84,21 @@ impl ClientConfig {
         self
     }
 
+    /// This client's arrival process, drawn lazily.
+    fn arrivals(&self) -> Arrivals {
+        if !self.poisson {
+            return Arrivals::uniform(self.rate);
+        }
+        match self.pattern {
+            RatePattern::Uniform => Arrivals::poisson(self.rate, self.seed),
+            ref shaped => Arrivals::patterned(self.rate, self.seed, shaped.compile(self.seed)),
+        }
+    }
+
     /// The arrival schedule this client will emit for `events` graph
     /// events — a pure function of the config, never of the SUT.
     pub fn schedule(&self, events: usize) -> ArrivalSchedule {
-        if self.poisson {
-            match self.pattern {
-                RatePattern::Uniform => ArrivalSchedule::poisson(self.rate, events, self.seed),
-                ref shaped => ArrivalSchedule::patterned(
-                    self.rate,
-                    events,
-                    self.seed,
-                    &shaped.compile(self.seed),
-                ),
-            }
-        } else {
-            ArrivalSchedule::uniform(self.rate, events)
-        }
+        ArrivalSchedule::first(self.arrivals(), events)
     }
 }
 
@@ -107,10 +114,10 @@ pub struct ClientReport {
     /// Graph events whose write into the sink completed.
     pub sent: u64,
     /// Largest number of arrived-but-unwritten events seen at a clock
-    /// reading.
+    /// reading, among the events routed to the client so far.
     pub backlog_peak: u64,
     /// The arrivals the client offered, microsecond offsets from client
-    /// start: in open loop the precomputed schedule itself, whatever the
+    /// start: in open loop the seeded schedule itself, whatever the
     /// sink did (the coordinated-omission guard compares this across sink
     /// behaviours); slipped arrivals in partial-open, send times in
     /// closed loop.
@@ -118,6 +125,10 @@ pub struct ClientReport {
     /// Per-event `(completion t_micros on the run clock, sojourn_micros)`
     /// samples; sojourn is write completion minus scheduled arrival.
     pub sojourn: Vec<(u64, u64)>,
+    /// Time the client waited for entries while an arrival was due,
+    /// microseconds: the routing pass fell behind this client (0 for a
+    /// client paced from a slice).
+    pub feed_stall_micros: u64,
     /// Run-clock time the client started, microseconds.
     pub started_micros: u64,
     /// Run-clock time the client finished, microseconds.
@@ -135,6 +146,57 @@ impl ClientReport {
     }
 }
 
+/// Where a client's entries come from, a chunk at a time.
+pub(crate) trait Feed {
+    /// The current chunk.
+    fn chunk(&self) -> &[StreamEntry];
+
+    /// Graph events routed to the feed so far: handed out, in hand or
+    /// queued. Never below the events handed out, so every event in hand
+    /// has its arrival drawn.
+    fn events(&self) -> usize;
+
+    /// Moves to the next chunk; `false` at the end of the stream.
+    /// `before_wait` runs if the call is about to block for it.
+    fn refill(&mut self, before_wait: impl FnOnce()) -> bool;
+}
+
+/// A whole slice as one chunk.
+struct Whole<'a> {
+    rest: Option<&'a [StreamEntry]>,
+    chunk: &'a [StreamEntry],
+    events: usize,
+}
+
+impl Feed for Whole<'_> {
+    fn chunk(&self) -> &[StreamEntry] {
+        self.chunk
+    }
+
+    fn events(&self) -> usize {
+        self.events
+    }
+
+    fn refill(&mut self, _before_wait: impl FnOnce()) -> bool {
+        self.chunk = self.rest.take().unwrap_or_default();
+        !self.chunk.is_empty()
+    }
+}
+
+impl Feed for FeedQueue {
+    fn chunk(&self) -> &[StreamEntry] {
+        FeedQueue::chunk(self)
+    }
+
+    fn events(&self) -> usize {
+        self.routed_events() as usize
+    }
+
+    fn refill(&mut self, before_wait: impl FnOnce()) -> bool {
+        FeedQueue::refill(self, before_wait)
+    }
+}
+
 /// Runs one client to completion: emits `entries` into `sink` under the
 /// configured loop model, measuring against `clock`.
 ///
@@ -148,15 +210,107 @@ pub fn run_client(
     sink: Box<dyn EventSink + Send>,
     clock: Arc<dyn Clock>,
 ) -> io::Result<ClientReport> {
-    let events = entries.iter().filter(|e| e.is_graph()).count();
-    let schedule = config.schedule(events);
+    let feed = Whole {
+        rest: Some(entries),
+        chunk: &[],
+        events: entries.iter().filter(|e| e.is_graph()).count(),
+    };
+    drive(feed, config, sink, clock)
+}
+
+/// Runs one client to completion over the entries of `feed`.
+pub(crate) fn drive(
+    feed: impl Feed,
+    config: &ClientConfig,
+    sink: Box<dyn EventSink + Send>,
+    clock: Arc<dyn Clock>,
+) -> io::Result<ClientReport> {
     match config.model {
-        LoopModel::Open => run_scheduled(entries, config, schedule, None, sink, clock),
+        LoopModel::Open => run_scheduled(feed, config, None, sink, clock),
         // A zero window could never admit an event; treat it as one.
         LoopModel::PartialOpen { window } => {
-            run_scheduled(entries, config, schedule, Some(window.max(1)), sink, clock)
+            run_scheduled(feed, config, Some(window.max(1)), sink, clock)
         }
-        LoopModel::Closed => run_closed(entries, config, &schedule, sink, clock),
+        LoopModel::Closed => run_closed(feed, config, sink, clock),
+    }
+}
+
+/// A client's per-event record: its arrivals or send times, its sojourn
+/// samples, and its wait on the feed.
+struct Ledger {
+    draws: Arrivals,
+    schedule: Vec<u64>,
+    sojourn: Vec<(u64, u64)>,
+    feed_stall: u64,
+}
+
+impl Ledger {
+    fn new(config: &ClientConfig) -> Self {
+        Ledger {
+            draws: config.arrivals(),
+            schedule: Vec::new(),
+            sojourn: Vec::new(),
+            feed_stall: 0,
+        }
+    }
+
+    /// Makes room in both vectors for `events` events in all. A full
+    /// vector grows by an eighth, not twice over: these are the client's
+    /// only per-event memory. A slice, whose count is known at the start,
+    /// sizes them exactly.
+    fn make_room(&mut self, events: usize) {
+        fn grow<T>(v: &mut Vec<T>, to: usize) {
+            if v.capacity() < to {
+                v.reserve_exact((to - v.len()).max(v.len() / 8));
+            }
+        }
+        grow(&mut self.schedule, events);
+        grow(&mut self.sojourn, events);
+    }
+
+    /// Draws the arrivals of the events routed to `feed`.
+    fn draw(&mut self, feed: &impl Feed) {
+        let events = feed.events();
+        if let Some(more) = events.checked_sub(self.schedule.len()).filter(|&n| n > 0) {
+            self.make_room(events);
+            self.draws.draw_into(&mut self.schedule, more);
+        }
+    }
+
+    /// The target offset of the next event to write, drawn ahead when its
+    /// event has not been routed yet.
+    fn next_arrival(&mut self) -> u64 {
+        match self.schedule.get(self.sojourn.len()) {
+            Some(&offset) => offset,
+            None => self.draws.peek(),
+        }
+    }
+
+    /// Moves `feed` to its next chunk; `false` at the end of the stream. A
+    /// wait for the chunk past `due_micros` (an arrival that fell due) is
+    /// feed stall.
+    fn refill(&mut self, feed: &mut impl Feed, clock: &dyn Clock, due_micros: u64) -> bool {
+        let mut waited_from = None;
+        let more = feed.refill(|| waited_from = Some(clock.now_micros()));
+        if let Some(from) = waited_from {
+            self.feed_stall += clock.now_micros().saturating_sub(from.max(due_micros));
+        }
+        more
+    }
+
+    fn report(self, config: &ClientConfig, backlog_peak: usize, t0: u64, t1: u64) -> ClientReport {
+        ClientReport {
+            class: config.class.clone(),
+            model: config.model,
+            offered: self.schedule.len() as u64,
+            sent: self.sojourn.len() as u64,
+            backlog_peak: backlog_peak as u64,
+            schedule_micros: self.schedule,
+            sojourn: self.sojourn,
+            feed_stall_micros: self.feed_stall,
+            started_micros: t0,
+            finished_micros: t1,
+        }
     }
 }
 
@@ -166,27 +320,33 @@ pub fn run_client(
 /// next arrival. Markers and control entries go out in stream position,
 /// alone between two flushes.
 fn run_scheduled(
-    entries: &[StreamEntry],
+    mut feed: impl Feed,
     config: &ClientConfig,
-    schedule: ArrivalSchedule,
     window: Option<usize>,
     mut sink: Box<dyn EventSink + Send>,
     clock: Arc<dyn Clock>,
 ) -> io::Result<ClientReport> {
     sink.open()?;
+    // `ledger.schedule` holds the arrival offsets from `t0` of the events
+    // the feed has had so far, by event index: those written, those in
+    // hand and those still queued. Open loop only reads them;
+    // partial-open raises an entry when its window predecessor completed
+    // after the event's target. `ledger.sojourn` holds one `(completion,
+    // sojourn)` per written event, so its length is also the index of
+    // the next event to write.
+    let mut ledger = Ledger::new(config);
+    let mut live = ledger.refill(&mut feed, &*clock, u64::MAX);
     let t0 = clock.now_micros();
-    // Arrival offsets from `t0`, by event index. Open loop only reads
-    // them; partial-open raises an entry when its window predecessor
-    // completed after the event's target.
-    let mut arrivals = schedule.into_offsets_micros();
-    let events = arrivals.len();
-    // One `(completion, sojourn)` per written event, so its length is
-    // also the index of the next event to write.
-    let mut sojourn: Vec<(u64, u64)> = Vec::with_capacity(events);
-    let mut pos = 0; // next entry of the substream
+    let mut pos = 0; // next entry of the chunk
     let mut due = 0; // events whose target has passed
     let mut backlog_peak = 0;
-    while let Some(entry) = entries.get(pos) {
+    while live {
+        let Some(entry) = feed.chunk().get(pos) else {
+            let next = t0 + ledger.next_arrival();
+            live = ledger.refill(&mut feed, &*clock, next);
+            pos = 0;
+            continue;
+        };
         if !entry.is_graph() {
             sink.flush()?;
             sink.send(entry)?;
@@ -194,6 +354,12 @@ fn run_scheduled(
             pos += 1;
             continue;
         }
+        ledger.draw(&feed);
+        let Ledger {
+            schedule: arrivals,
+            sojourn,
+            ..
+        } = &mut ledger;
         let first = sojourn.len();
         let now = clock.now_micros();
         due += arrivals[due..].partition_point(|&offset| t0 + offset <= now);
@@ -208,7 +374,7 @@ fn run_scheduled(
         let burst_end = arrived.min(first + WRITE_BURST);
         let mut next = first;
         while next < burst_end {
-            match entries.get(pos) {
+            match feed.chunk().get(pos) {
                 Some(entry) if entry.is_graph() => sink.send(entry)?,
                 _ => break,
             }
@@ -227,80 +393,53 @@ fn run_scheduled(
     }
     sink.close()?;
     let finished = clock.now_micros();
-    Ok(ClientReport {
-        class: config.class.clone(),
-        model: config.model,
-        offered: events as u64,
-        sent: sojourn.len() as u64,
-        backlog_peak: backlog_peak as u64,
-        schedule_micros: arrivals,
-        sojourn,
-        started_micros: t0,
-        finished_micros: finished,
-    })
+    Ok(ledger.report(config, backlog_peak, t0, finished))
 }
 
 fn run_closed(
-    entries: &[StreamEntry],
+    mut feed: impl Feed,
     config: &ClientConfig,
-    schedule: &ArrivalSchedule,
     mut sink: Box<dyn EventSink + Send>,
     clock: Arc<dyn Clock>,
 ) -> io::Result<ClientReport> {
     sink.open()?;
+    let mut ledger = Ledger::new(config);
+    let mut live = ledger.refill(&mut feed, &*clock, u64::MAX);
+    ledger.make_room(feed.events());
     let t0 = clock.now_micros();
-    let mut offered = 0u64;
-    let mut sojourn = Vec::new();
-    let mut emitted_schedule = Vec::with_capacity(schedule.len());
-    let mut next_event = 0usize;
+    let mut pos = 0;
     let mut earliest_send = t0;
-    for entry in entries {
-        match entry {
-            StreamEntry::Graph(_) => {
-                // Think time: the schedule's inter-arrival gap, measured
-                // from the previous completion (send-after-ack).
-                clock.wait_until(earliest_send);
-                let sent_at = clock.now_micros();
-                emitted_schedule.push(sent_at - t0);
-                sink.send(entry)?;
-                sink.flush()?;
-                let done = clock.now_micros();
-                offered += 1;
-                sojourn.push((done, done.saturating_sub(sent_at)));
-                let gap = gap_micros(schedule, next_event);
-                next_event += 1;
-                earliest_send = done + gap;
-            }
-            _ => {
-                sink.flush()?;
-                sink.send(entry)?;
-                sink.flush()?;
-            }
+    let mut previous = 0; // the schedule's last offset
+    while live {
+        let Some(entry) = feed.chunk().get(pos) else {
+            live = ledger.refill(&mut feed, &*clock, earliest_send);
+            ledger.make_room(feed.events());
+            pos = 0;
+            continue;
+        };
+        pos += 1;
+        if !entry.is_graph() {
+            sink.flush()?;
+            sink.send(entry)?;
+            sink.flush()?;
+            continue;
         }
+        // Think time: the schedule's inter-arrival gap, measured from the
+        // previous completion (send-after-ack).
+        clock.wait_until(earliest_send);
+        let sent_at = clock.now_micros();
+        ledger.schedule.push(sent_at - t0);
+        sink.send(entry)?;
+        sink.flush()?;
+        let done = clock.now_micros();
+        ledger.sojourn.push((done, done.saturating_sub(sent_at)));
+        let offset = ledger.draws.next().expect("arrivals never end");
+        earliest_send = done + (offset - previous);
+        previous = offset;
     }
     sink.close()?;
     let finished = clock.now_micros();
-    Ok(ClientReport {
-        class: config.class.clone(),
-        model: config.model,
-        offered,
-        sent: offered,
-        backlog_peak: 0,
-        schedule_micros: emitted_schedule,
-        sojourn,
-        started_micros: t0,
-        finished_micros: finished,
-    })
-}
-
-/// The schedule's inter-arrival gap after event `index`.
-fn gap_micros(schedule: &ArrivalSchedule, index: usize) -> u64 {
-    let offsets = schedule.offsets_micros();
-    match index {
-        0 => offsets.first().copied().unwrap_or(0),
-        i if i < offsets.len() => offsets[i] - offsets[i - 1],
-        _ => 0,
-    }
+    Ok(ledger.report(config, 0, t0, finished))
 }
 
 #[cfg(test)]
@@ -621,6 +760,44 @@ mod tests {
         // and the tail is back on the precomputed schedule.
         assert!((90..=110).contains(&slipped), "{slipped} arrivals slipped");
         assert_eq!(report.schedule_micros[199], targets[199]);
+    }
+
+    // A client paced from its routing-pass queue is the client paced from
+    // a slice, in every model: same schedule, sojourn samples and backlog
+    // under a scripted stall, and no feed stall (the whole stream is
+    // queued before the client starts).
+    #[test]
+    fn virtual_queue_fed_client_equals_the_slice_fed_client() {
+        let mut entries = graph_entries(300);
+        entries.insert(120, StreamEntry::marker("mid"));
+        let source = GraphStream::from_entries(entries.clone());
+        let run = |model: LoopModel, queued: bool| {
+            let manual = ManualClock::new();
+            let mut sink = ScriptedSink::new(&manual, 10);
+            sink.stall_at = 50;
+            sink.stall_micros = 200_000;
+            let config = uniform_config(model);
+            let (sink, clock) = (Box::new(sink), Arc::new(manual));
+            if !queued {
+                return run_client(&entries, &config, sink, clock).unwrap();
+            }
+            let (router, mut queues) = crate::Router::new(crate::SeededPartitioner::new(1, 0));
+            router.route((&source).into()).unwrap();
+            drive(queues.remove(0), &config, sink, clock).unwrap()
+        };
+        for model in [
+            LoopModel::Open,
+            LoopModel::PartialOpen { window: 8 },
+            LoopModel::Closed,
+        ] {
+            let (slice, queue) = (run(model, false), run(model, true));
+            assert_eq!(queue.schedule_micros, slice.schedule_micros, "{model}");
+            assert_eq!(queue.sojourn, slice.sojourn, "{model}");
+            assert_eq!(queue.backlog_peak, slice.backlog_peak, "{model}");
+            assert_eq!(queue.feed_stall_micros, 0, "{model}");
+            assert_eq!(queue.finished_micros, slice.finished_micros, "{model}");
+        }
+        assert_eq!(run(LoopModel::Open, true).backlog_peak, 200);
     }
 
     #[test]

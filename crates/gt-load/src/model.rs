@@ -14,7 +14,7 @@ use gt_core::spec::{Positional, SpecError};
 /// service time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LoopModel {
-    /// Arrivals follow the precomputed schedule regardless of SUT
+    /// Arrivals follow the seeded schedule regardless of SUT
     /// progress; events that fell due but are not yet written are the
     /// counted backlog.
     Open,

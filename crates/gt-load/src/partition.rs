@@ -8,7 +8,10 @@
 //! per-entity causality (an `ADD_VERTEX` arriving after its
 //! `UPDATE_VERTEX`). Markers and control events are broadcast to every
 //! substream: the listener's barrier needs to see each marker on each
-//! connection to re-establish a total order.
+//! connection to re-establish a total order. A load run applies the
+//! partitioner entry by entry as its routing pass reads the stream
+//! ([`crate::feed`]); [`SeededPartitioner::split`] applies it to a whole
+//! stream in memory.
 
 use gt_core::prelude::*;
 
@@ -48,6 +51,11 @@ impl SeededPartitioner {
             | GraphEvent::RemoveEdge { id }
             | GraphEvent::UpdateEdge { id, .. } => id.src.raw(),
         }
+    }
+
+    /// The number of substreams.
+    pub(crate) fn partitions(&self) -> usize {
+        self.partitions
     }
 
     /// The substream a graph event belongs to.

@@ -1,5 +1,5 @@
-//! The composed fan-out: partition the stream, start the listener, drive
-//! all clients, and collect both sides' reports.
+//! The composed fan-out: start the listener and all clients, route the
+//! stream to them, and collect both sides' reports.
 
 use std::io;
 use std::net::SocketAddr;
@@ -12,7 +12,8 @@ use gt_metrics::Clock;
 use gt_netem::{NetemProxy, NetemReport};
 use gt_replayer::TcpSink;
 
-use crate::client::{run_client, ClientConfig, ClientReport};
+use crate::client::{drive, ClientConfig, ClientReport};
+use crate::feed::{LoadSource, Router};
 use crate::listener::{ListenerReport, LoadListener};
 use crate::partition::SeededPartitioner;
 use crate::plan::LoadPlan;
@@ -71,6 +72,12 @@ impl LoadOutcome {
         self.aggregate_rate(|c| c.sent)
     }
 
+    /// Time the clients waited on their queues while an arrival was due,
+    /// summed, microseconds.
+    pub fn feed_stall_micros(&self) -> u64 {
+        self.clients.iter().map(|c| c.feed_stall_micros).sum()
+    }
+
     /// Achieved/offered ratio in [0, 1]; 1.0 when nothing was offered.
     pub fn achieved_ratio(&self) -> f64 {
         let offered = self.offered();
@@ -113,17 +120,23 @@ fn connect_with_retry(addr: SocketAddr, write_timeout: Option<Duration>) -> io::
     Err(last.unwrap_or_else(|| io::Error::other("listener unreachable")))
 }
 
-/// Runs a full load experiment: splits `stream` into one substream per
-/// connection (markers broadcast), starts the multi-connection listener
-/// with one platform connector per connection from `connect`, drives
-/// every client of every class concurrently over TCP, and returns both
-/// sides' reports.
+/// Runs a full load experiment: starts the multi-connection listener with
+/// one platform connector per connection from `connect`, starts every
+/// client of every class, and routes `source` to them on this thread
+/// ([`Router::route`]: each graph event to one client, markers to all)
+/// while they drive their connections concurrently over TCP; returns
+/// both sides' reports.
 ///
 /// Client `i` gets arrival-schedule seed `plan.seed + i`, so schedules
 /// are distinct but the whole run is a deterministic function of the
 /// plan (modulo wall-clock scheduling).
-pub fn run_load(
-    stream: &GraphStream,
+///
+/// A bad line in a stream file ends the routing pass: the entries before
+/// it are delivered, the run winds down, and the error comes back as an
+/// [`io::Error`] whose inner error is the line-numbered [`CoreError`]
+/// `GraphStream::read_from_file` gives ([`source_error`] takes it out).
+pub fn run_load<'a>(
+    source: impl Into<LoadSource<'a>>,
     plan: &LoadPlan,
     connect: ConnectorFactory,
     clock: Arc<dyn Clock>,
@@ -135,9 +148,8 @@ pub fn run_load(
             "load plan has no connections",
         ));
     }
-    let mut substreams = SeededPartitioner::new(total, plan.seed)
-        .split(stream)
-        .into_iter();
+    let (router, queues) = Router::new(SeededPartitioner::new(total, plan.seed));
+    let mut queues = queues.into_iter();
     let listener = LoadListener::bind()?;
     let addr = listener.local_addr()?;
     let handle = listener.start(total, connect, Arc::clone(&clock))?;
@@ -158,10 +170,11 @@ pub fn run_load(
     let mut conn = 0usize;
     for class in &plan.classes {
         for _ in 0..class.connections {
-            // Each client thread owns its substream: moved, not copied.
-            let substream = substreams
+            // Each client thread owns its queue; a client that ends, in
+            // error too, drops it and so closes it to the router.
+            let queue = queues
                 .next()
-                .expect("the partitioner yields one substream per connection");
+                .expect("the router makes one queue per connection");
             let config = ClientConfig::new(
                 class.name.clone(),
                 class.model,
@@ -176,12 +189,13 @@ pub fn run_load(
                     .name(format!("gt-load-client-{conn}"))
                     .spawn(move || -> io::Result<ClientReport> {
                         let sink = connect_with_retry(dial_addr, write_timeout)?;
-                        run_client(substream.entries(), &config, Box::new(sink), clock)
+                        drive(queue, &config, Box::new(sink), clock)
                     })?,
             ));
             conn += 1;
         }
     }
+    let routed = router.route(source.into());
 
     let mut clients = Vec::with_capacity(total);
     let mut client_failures = Vec::new();
@@ -206,6 +220,13 @@ pub fn run_load(
     handle.stop();
     let listener_report = handle.join()?;
 
+    if let Err(e) = routed {
+        let kind = match &e {
+            CoreError::Io(e) => e.kind(),
+            CoreError::Parse(_) => io::ErrorKind::InvalidData,
+        };
+        return Err(io::Error::new(kind, e));
+    }
     // Failed clients degrade the outcome (typed, alongside the listener's
     // `connections_lost`); only a fully failed fleet fails the run.
     if clients.is_empty() {
@@ -221,6 +242,16 @@ pub fn run_load(
         listener: listener_report,
         netem: netem_report,
     })
+}
+
+/// The stream source's error inside an error of [`run_load`], if that is
+/// what ended the run.
+pub fn source_error(error: io::Error) -> Result<CoreError, io::Error> {
+    if !error.get_ref().is_some_and(|inner| inner.is::<CoreError>()) {
+        return Err(error);
+    }
+    let inner = error.into_inner().expect("checked above");
+    Ok(*inner.downcast::<CoreError>().expect("checked above"))
 }
 
 #[cfg(test)]

@@ -18,6 +18,7 @@ const ACCEPTED: &[(&str, &str, &str)] = &[
     ("kill@300ms,mode=rst,conns=0", "NetemSchedule { faults: [NetemFault { at: 300ms, kind: Kill { mode: Rst }, conns: Range { first: 0, last: 0 } }], seed: 7 }", "kill(mode=rst, conns=0)@300ms"),
     ("partition@150ms,dur=200ms,conns=0-1; delay@100ms,ms=3,jitter=2; kill@400ms,mode=rst,conns=2", "NetemSchedule { faults: [NetemFault { at: 150ms, kind: Partition { duration: 200ms }, conns: Range { first: 0, last: 1 } }, NetemFault { at: 100ms, kind: Delay { delay: 3ms, jitter: 2ms, duration: None }, conns: All }, NetemFault { at: 400ms, kind: Kill { mode: Rst }, conns: Range { first: 2, last: 2 } }], seed: 7 }", "partition(dur=200ms, conns=0-1)@150ms; delay(ms=3, jitter=2)@100ms; kill(mode=rst, conns=2)@400ms"),
     ("kill@250ms,mode=rst,conns=0", "NetemSchedule { faults: [NetemFault { at: 250ms, kind: Kill { mode: Rst }, conns: Range { first: 0, last: 0 } }], seed: 7 }", "kill(mode=rst, conns=0)@250ms"),
+    ("kill@100ms,mode=rst,conns=0", "NetemSchedule { faults: [NetemFault { at: 100ms, kind: Kill { mode: Rst }, conns: Range { first: 0, last: 0 } }], seed: 7 }", "kill(mode=rst, conns=0)@100ms"),
     ("kill@60ms,mode=fin", "NetemSchedule { faults: [NetemFault { at: 60ms, kind: Kill { mode: Fin }, conns: All }], seed: 7 }", "kill(mode=fin)@60ms"),
     ("partition@500ms,dur=400ms,conns=0-1", "NetemSchedule { faults: [NetemFault { at: 500ms, kind: Partition { duration: 400ms }, conns: Range { first: 0, last: 1 } }], seed: 7 }", "partition(dur=400ms, conns=0-1)@500ms"),
     ("kill@300ms,mode=fin", "NetemSchedule { faults: [NetemFault { at: 300ms, kind: Kill { mode: Fin }, conns: All }], seed: 7 }", "kill(mode=fin)@300ms"),

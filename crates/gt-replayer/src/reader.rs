@@ -18,9 +18,14 @@
 //! chunk_len` slots, so `buffer` remains a bound in *entries*, and an
 //! entry-exact account of what is queued travels with the receiver
 //! (`EntryReceiver::queued`).
+//!
+//! The parsing loop itself (`read_entries`; [`read_file_entries`] for a
+//! file) writes to any [`EntryOut`]: this module's chunked channel, or
+//! `gt-load`'s router, which reads a stream file once and routes each
+//! entry to one load client's queue.
 
 use std::io::{self, BufRead};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -28,8 +33,10 @@ use std::thread::JoinHandle;
 use crossbeam::channel::{bounded, Receiver, Sender};
 use gt_core::prelude::*;
 
-/// Default capacity, in entries, of the channel between reader and emitter.
-pub(crate) const DEFAULT_BUFFER: usize = 64 * 1024;
+/// Default capacity, in entries, of the channel between reader and
+/// emitter; also the bound of the load front's client queues, all of them
+/// together.
+pub const DEFAULT_BUFFER: usize = 64 * 1024;
 
 /// Most entries handed over in one channel operation.
 const MAX_CHUNK: usize = 256;
@@ -92,7 +99,28 @@ pub(crate) fn entry_channel(buffer: usize) -> (ChunkSender, EntryReceiver) {
     (sender, EntryReceiver { rx, queued })
 }
 
-impl ChunkSender {
+/// Where [`read_file_entries`] puts the entries it parses.
+pub trait EntryOut {
+    /// Takes one entry, in file order.
+    fn push(&mut self, entry: StreamEntry);
+
+    /// Hands over whatever has collected; called before every read that
+    /// may block, at the end and on an error. `false` once nobody takes
+    /// entries any more, which ends the reading.
+    fn flush(&mut self) -> bool;
+}
+
+impl<T: EntryOut + ?Sized> EntryOut for &mut T {
+    fn push(&mut self, entry: StreamEntry) {
+        (**self).push(entry);
+    }
+
+    fn flush(&mut self) -> bool {
+        (**self).flush()
+    }
+}
+
+impl EntryOut for ChunkSender {
     /// Adds one entry, handing the chunk over if that fills it.
     fn push(&mut self, entry: StreamEntry) {
         self.chunk.push(SharedEntry::new(entry));
@@ -131,32 +159,37 @@ pub fn spawn_file_reader(
     let (tx, rx) = entry_channel(buffer);
     let handle = std::thread::Builder::new()
         .name("gt-stream-reader".into())
-        .spawn(move || {
-            let file = std::fs::File::open(&path)?;
-            read_entries(io::BufReader::with_capacity(256 * 1024, file), tx)
-        })
+        .spawn(move || read_file_entries(&path, tx))
         .expect("spawning reader thread");
     (rx, handle)
 }
 
+/// Parses the stream file at `path` into `out` (`read_entries`); a file
+/// that cannot be opened is a [`CoreError::Io`], as in
+/// `GraphStream::read_from_file`.
+pub fn read_file_entries(path: &Path, out: impl EntryOut) -> Result<u64, CoreError> {
+    let file = std::fs::File::open(path)?;
+    read_entries(io::BufReader::with_capacity(256 * 1024, file), out)
+}
+
 /// The reader body: parses `source` line by line ([`LineReader`]) into
-/// `tx` and returns the number of entries parsed. Each time the source's
+/// `out` and returns the number of entries parsed. Each time the source's
 /// buffer is used up the collected entries are handed over before the
 /// next (possibly blocking) read; a hung-up receiver is noticed there.
-pub(crate) fn read_entries(source: impl BufRead, mut tx: ChunkSender) -> Result<u64, CoreError> {
+pub(crate) fn read_entries(source: impl BufRead, mut out: impl EntryOut) -> Result<u64, CoreError> {
     let mut lines = LineReader::new(source);
     let mut entries = 0;
     let result = loop {
         let pumped = lines.pump(|line| {
             if let Some(entry) = line? {
                 entries += 1;
-                tx.push(entry.to_entry());
+                out.push(entry.to_entry());
             }
             Ok::<_, CoreError>(())
         });
         match pumped {
             Ok(Ok(true)) => {
-                if !tx.flush() {
+                if !out.flush() {
                     break Ok(entries); // the receiver is gone
                 }
             }
@@ -166,7 +199,7 @@ pub(crate) fn read_entries(source: impl BufRead, mut tx: ChunkSender) -> Result<
         }
     };
     // On an error too: the valid prefix is delivered before it is reported.
-    tx.flush();
+    out.flush();
     result
 }
 

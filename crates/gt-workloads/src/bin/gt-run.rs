@@ -55,7 +55,8 @@
 //! (single-sink) or achieved-rate (load) series.
 //!
 //! `--clients` switches to the multi-client load layer: the stream is
-//! split into one seeded substream per connection and offered over N
+//! routed, as it is read, to one seeded substream per connection and
+//! offered over N
 //! concurrent TCP clients under the chosen loop model; the report shows
 //! offered-vs-achieved rate and sojourn-latency tails. `--scale` runs a
 //! connections × rate grid (one SUT run per cell) and prints the
