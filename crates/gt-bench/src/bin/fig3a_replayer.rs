@@ -8,7 +8,9 @@
 //!
 //! Here "pipe" is a byte sink through the same line serialization the
 //! paper's pipe used, and "TCP" is a real local socket drained by a
-//! reader thread. Each cell replays ~0.5 s worth of events, repeated 7×.
+//! reader thread. The replayer is the whole `ReplaySession`, its reader
+//! thread included, as in the paper's decoupled design. Each cell
+//! replays ~0.5 s worth of events, repeated 7×.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpListener;
@@ -16,19 +18,24 @@ use std::net::TcpListener;
 use gt_analysis::Quantiles;
 use gt_bench::{header, scale};
 use gt_core::prelude::*;
-use gt_replayer::{EventSink, Replayer, ReplayerConfig, TcpSink, WriterSink};
+use gt_replayer::{
+    EventSink, ReplaySession, ReplaySessionConfig, ReplayerConfig, TcpSink, WriterSink,
+};
 use gt_workloads::SnbWorkload;
 
 const TARGET_RATES: [f64; 6] = [10_000.0, 20_000.0, 40_000.0, 80_000.0, 160_000.0, 320_000.0];
 const REPETITIONS: usize = 7;
 
 fn measure<S: EventSink>(stream: &GraphStream, rate: f64, sink: &mut S) -> f64 {
-    let replayer = Replayer::new(ReplayerConfig {
-        target_rate: rate,
+    let session = ReplaySession::new(ReplaySessionConfig {
+        replayer: ReplayerConfig {
+            target_rate: rate,
+            ..Default::default()
+        },
         ..Default::default()
     });
-    let report = replayer.replay_stream(stream, sink).expect("replay");
-    report.achieved_rate
+    let report = session.run(stream, sink).expect("replay");
+    report.replay.achieved_rate
 }
 
 fn stream_for(rate: f64) -> GraphStream {

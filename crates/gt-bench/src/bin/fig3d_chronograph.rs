@@ -29,7 +29,7 @@ use gt_graph::{CsrSnapshot, EvolvingGraph};
 use gt_harness::run::replay_records;
 use gt_harness::{SutOptions, SutRegistry};
 use gt_metrics::{Clock, MetricRecord, MetricsHub, MetricsLogger, ResultLog, WallClock};
-use gt_replayer::{Replayer, ReplayerConfig};
+use gt_replayer::{ReplaySession, ReplaySessionConfig, ReplayerConfig};
 use gt_sysmon::{SamplerConfig, SysmonSampler};
 use gt_workloads::SnbWorkload;
 use tide_graph::{TideGraph, TideGraphSut};
@@ -50,13 +50,14 @@ struct Samples {
 }
 
 /// The run clock's time and the engine's cumulative counters: replayer
-/// ingress, and worker ops and busy microseconds summed over workers.
+/// ingress (the replay session publishes into the engine's hub), and
+/// worker ops and busy microseconds summed over workers.
 fn totals(hub: &MetricsHub, clock: &dyn Clock, workers: usize) -> (u64, [u64; 3]) {
     let sum = |counter: &str| {
         let worker = |w| hub.counter(&format!("worker-{w}.{counter}")).get();
         (0..workers).map(worker).sum()
     };
-    let ingress = hub.counter("replayer.ingress").get();
+    let ingress = hub.counter("ingress_events").get();
     (
         clock.now_micros(),
         [ingress, sum("ops"), sum("busy_micros")],
@@ -133,6 +134,16 @@ fn main() {
     let mut monitor =
         SysmonSampler::new(SamplerConfig::default().every(SAMPLING), Arc::clone(&clock))
             .with_hub(&hub);
+    // The replay, at the Table 4 base rate.
+    let session = ReplaySession::new(ReplaySessionConfig {
+        replayer: ReplayerConfig {
+            target_rate: 2_000.0,
+            ..Default::default()
+        },
+        ..Default::default()
+    })
+    .with_clock(Arc::clone(&clock))
+    .with_hub(hub.clone());
 
     // Background sampler: every 250 ms capture the full stack of series,
     // and sample the Level-0 monitor beside it.
@@ -174,17 +185,11 @@ fn main() {
             .expect("spawn fig3d-sampler thread")
     };
 
-    // Replay at the Table 4 base rate.
-    let replayer = Replayer::new(ReplayerConfig {
-        target_rate: 2_000.0,
-        ..Default::default()
-    })
-    .with_clock(Arc::clone(&clock))
-    .with_ingress_counter(hub.counter("replayer.ingress"));
     let mut connector = sut.connector().expect("engine connector");
-    let report = replayer
-        .replay_stream(&stream, &mut connector)
-        .expect("replay succeeds");
+    let report = session
+        .run(&stream, &mut connector)
+        .expect("replay succeeds")
+        .replay;
     let stream_end_micros = report
         .markers
         .iter()

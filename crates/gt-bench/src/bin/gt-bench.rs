@@ -38,8 +38,8 @@ use gt_graph::EvolvingGraph;
 use gt_harness::sut::report_records;
 use gt_harness::{load_records, LoadPlan, SutReport};
 use gt_load::{
-    run_client, ClientConfig, ClientReport, ListenerReport, LoadOutcome, LoadSource, LoopModel,
-    Router, SeededPartitioner,
+    run_client, ClientConfig, ClientReport, ListenerReport, LoadOutcome, LoopModel, Router,
+    SeededPartitioner,
 };
 use gt_metrics::{Clock, MetricsHub, ResultLog, WallClock};
 use gt_replayer::{EventSink, ReplaySession, ReplaySessionConfig, ReplayerConfig};
@@ -455,7 +455,7 @@ fn feed_suite(path: &Path, n: u64, rounds: u32) -> BenchRecord {
                 })
                 .collect();
             let routed = router
-                .route(LoadSource::File(path))
+                .route(path.into())
                 .expect("the suite's own file parses");
             assert_eq!(routed, n);
             drains.into_iter().map(|d| d.join().unwrap()).sum::<u64>()

@@ -24,9 +24,8 @@
 //! [`SystemUnderTest::shutdown_digest`]: gt_sut::SystemUnderTest::shutdown_digest
 
 use gt_core::prelude::*;
-use gt_sut::{StateDigest, SutOptions, SutRegistry, SutReport};
+use gt_sut::{EvaluationLevel, StateDigest, SutOptions, SutRegistry, SutReport};
 
-use crate::levels::EvaluationLevel;
 use crate::run::{run, RunError, RunPlan, Target};
 
 /// The outputs of one differential run.

@@ -17,8 +17,9 @@
 //!                       Log Collector ──► result log
 //! ```
 //!
-//! * [`levels`] — the three evaluation levels (L0 black box, L1 native
-//!   metrics, L2 in-source instrumentation).
+//! * [`EvaluationLevel`] — the three evaluation levels (L0 black box, L1
+//!   native metrics, L2 in-source instrumentation), declared by each
+//!   platform next to the [`SystemUnderTest`] trait.
 //! * [`run`](mod@run) — the run path: one [`RunPlan`] (source, front,
 //!   observers) driven into one [`Target`] by one [`run()`], returning
 //!   one [`RunOutcome`]; replay on the driver thread, every observer
@@ -54,7 +55,6 @@
 pub mod differential;
 #[doc(hidden)]
 pub mod forward;
-pub mod levels;
 pub mod load;
 pub mod netem;
 pub mod orchestrator;
@@ -66,7 +66,6 @@ pub mod watchdog;
 pub use differential::{run_differential, DifferentialOutcome};
 #[doc(hidden)]
 pub use forward::{run_file_sut_experiment, run_load_file_sut_experiment, FileRunPlan};
-pub use levels::EvaluationLevel;
 pub use load::{load_records, LOAD_SOURCE};
 pub use orchestrator::{
     aggregate_records, cell_id, run_matrix, run_matrix_with_progress, Assignment, CellAggregate,
@@ -87,8 +86,8 @@ pub use gt_netem::{
     NETEM_SOURCE,
 };
 pub use gt_sut::{
-    Adjacency, StateDigest, SutOptions, SutRegistry, SutReport, SystemUnderTest, WindowDigest,
-    WorkerSupervisor,
+    Adjacency, EvaluationLevel, StateDigest, SutOptions, SutRegistry, SutReport, SystemUnderTest,
+    WindowDigest, WorkerSupervisor,
 };
 pub use gt_sysmon::SamplerConfig;
 pub use gt_trace::{TraceConfig, Tracer, TRACE_SOURCE};

@@ -35,7 +35,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use gt_load::{run_load, source_error, ConnectorFactory, LoadOutcome, LoadPlan, LoadSource};
+use gt_load::{run_load, source_error, ConnectorFactory, LoadOutcome, LoadPlan};
 use gt_metrics::{Clock, MetricRecord, MetricValue, Name};
 use gt_netem::NETEM_SOURCE;
 use gt_replayer::ReplayError;
@@ -72,10 +72,6 @@ pub(crate) fn drive_clients(
             .expect("platform present during run")
             .connector()
     });
-    let source = match source {
-        Source::Memory(stream) => LoadSource::Stream(stream),
-        Source::File(path) => LoadSource::File(path),
-    };
     let result = run_load(source, plan, factory, Arc::clone(clock));
     *sut = sut_cell.lock().expect("sut cell lock").take();
     result.map_err(|e| match source_error(e) {

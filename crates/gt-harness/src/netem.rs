@@ -275,7 +275,7 @@ fn bridge_connection(
 #[cfg(test)]
 mod tests {
     //! Reader agreement: one corpus through every reader of the stream
-    //! format — `parse_csv`, `read_from_file`, `spawn_file_reader`, the
+    //! format — `parse_csv`, `read_from_file`, the replay session, the
     //! load front's routing pass, a load listener connection and this
     //! bridge (the one reader only its own crate can reach).
 
@@ -286,7 +286,9 @@ mod tests {
 
     use gt_load::{ListenerConfig, LoadListener, Router, SeededPartitioner};
     use gt_metrics::WallClock;
-    use gt_replayer::spawn_file_reader;
+    use gt_replayer::{
+        CollectSink, ReplayError, ReplaySession, ReplaySessionConfig, ReplayerConfig,
+    };
 
     /// CRLF, a two-byte character, a comment, blank lines, a marker and
     /// both controls; [`BAD`] follows as line 11.
@@ -398,11 +400,30 @@ mod tests {
         (entries, parse_errors.into_inner())
     }
 
-    /// Entries through the reader thread, and how it ended.
-    fn via_reader_thread(path: &std::path::Path) -> (Vec<StreamEntry>, Result<u64, CoreError>) {
-        let (rx, handle) = spawn_file_reader(path, 4);
-        let entries = rx.iter().map(|entry| (*entry).clone()).collect();
-        (entries, handle.join().unwrap())
+    /// What a replay session delivers to its sink — every entry but the
+    /// controls, which steer its pacer — and how its reading ended.
+    fn via_session(path: &std::path::Path) -> (Vec<StreamEntry>, Result<u64, CoreError>) {
+        let config = ReplaySessionConfig {
+            replayer: ReplayerConfig {
+                target_rate: 1e9,
+                honor_pauses: false,
+                ..ReplayerConfig::default()
+            },
+            buffer: 4,
+        };
+        let mut sink = CollectSink::new();
+        let ended = match ReplaySession::new(config).run(path, &mut sink) {
+            Ok(report) => Ok(report.entries_read),
+            Err(ReplayError::Source(e)) => Err(e),
+            Err(e) => panic!("the replay failed: {e}"),
+        };
+        (sink.entries, ended)
+    }
+
+    /// `entries` without the controls.
+    fn delivered(entries: &[StreamEntry]) -> Vec<StreamEntry> {
+        let steers = |entry: &&StreamEntry| matches!(entry, StreamEntry::Control(_));
+        entries.iter().filter(|e| !steers(e)).cloned().collect()
     }
 
     /// Queues the routing pass routes to.
@@ -454,8 +475,11 @@ mod tests {
         assert_eq!(GraphStream::parse_csv(text).unwrap().entries(), want);
         let path = temp_file("clean.csv", &corpus);
         assert_eq!(GraphStream::read_from_file(&path).unwrap().entries(), want);
-        let (entries, ended) = via_reader_thread(&path);
-        assert_eq!((entries, ended.unwrap()), (want.clone(), want.len() as u64));
+        let (entries, ended) = via_session(&path);
+        assert_eq!(
+            (entries, ended.unwrap()),
+            (delivered(&want), want.len() as u64)
+        );
         let (queues, ended) = via_router(&path);
         let read = GraphStream::read_from_file(&path).unwrap();
         assert_eq!(queues, split_of(&read), "each queue, in order");
@@ -491,10 +515,10 @@ mod tests {
         let path = temp_file("bad.csv", &corpus);
         let err = GraphStream::read_from_file(&path).unwrap_err();
         assert_eq!(bad_line(&err), bad_line_no, "read_from_file: {err}");
-        let (entries, ended) = via_reader_thread(&path);
-        assert_eq!(entries, before, "the valid prefix is delivered");
+        let (entries, ended) = via_session(&path);
+        assert_eq!(entries, delivered(&before), "the valid prefix is delivered");
         let err = ended.unwrap_err();
-        assert_eq!(bad_line(&err), bad_line_no, "spawn_file_reader: {err}");
+        assert_eq!(bad_line(&err), bad_line_no, "the replay session: {err}");
         let (queues, ended) = via_router(&path);
         let prefix = GraphStream::from_entries(before.clone());
         assert_eq!(queues, split_of(&prefix), "the valid prefix is routed");

@@ -39,15 +39,15 @@ use gt_metrics::{
 use gt_netem::{NetemPlan, NETEM_SOURCE};
 use gt_replayer::{
     EventSink, ReconnectingTcpSink, ReplayError, ReplayReport, ReplaySession, ReplaySessionConfig,
-    Replayer, ReplayerConfig, SessionReport, SinkEventKind,
+    ReplayerConfig, SessionReport, SinkEventKind, StreamSource,
 };
 use gt_sut::{
-    StateDigest, SutError, SutOptions, SutRegistry, SutReport, SystemUnderTest, WorkerSupervisor,
+    EvaluationLevel, StateDigest, SutError, SutOptions, SutRegistry, SutReport, SystemUnderTest,
+    WorkerSupervisor,
 };
 use gt_sysmon::{SamplerConfig, SysmonSampler};
-use gt_trace::{Stage, Tracer};
+use gt_trace::Tracer;
 
-use crate::levels::EvaluationLevel;
 use crate::load::{drive_clients, load_records};
 use crate::netem::{sink_records, start_netem_front, NetemFront};
 use crate::sut::{report_records, wire, DEFAULT_QUIESCE_TIMEOUT};
@@ -56,12 +56,12 @@ use crate::watchdog::{AbortReason, RunStatus, Watchdog, WatchdogConfig};
 /// The source of a run's own records in its log: how it ended
 /// (`status`, `quiesced`) and its driver's totals — `graph_events`,
 /// `duration_us` and `achieved_rate` of a replay, `offered_rate` and
-/// `achieved_rate` of a load front. A file pipeline's own totals
+/// `achieved_rate` of a load front. A replay pipeline's own totals
 /// (`entries_read`, `emit_latency_p99_us`) go under its `pipeline`
 /// source, beside its stage metrics.
 pub(crate) const RUN_SOURCE: &str = "run";
 
-/// The source a file pipeline's stage metrics are sampled under.
+/// The source a replay pipeline's stage metrics are sampled under.
 pub(crate) const PIPELINE_SOURCE: &str = "pipeline";
 
 /// Live chaos for one run: a deterministic fault schedule, the journal it
@@ -91,15 +91,25 @@ impl ChaosPlan {
     }
 }
 
-/// Where a run's stream comes from.
+/// Where a run's stream comes from: the run owns it, and both fronts read
+/// it through the borrowed [`StreamSource`] it lends them — on the
+/// replay session's reader thread ([`ReplaySession`]), or in a load
+/// front's routing pass ([`gt_load::Router`]).
 #[derive(Debug)]
 pub enum Source {
-    /// An in-memory stream, paced by [`Replayer::replay_stream`].
+    /// An in-memory stream.
     Memory(GraphStream),
-    /// A stream file, parsed as it is driven and never materialised: on a
-    /// dedicated reader thread ([`ReplaySession`]), or by a load front's
-    /// routing pass ([`gt_load::Router`]).
+    /// A stream file, parsed as it is driven and never materialised.
     File(PathBuf),
+}
+
+impl<'a> From<&'a Source> for StreamSource<'a> {
+    fn from(source: &'a Source) -> Self {
+        match source {
+            Source::Memory(stream) => StreamSource::Stream(stream),
+            Source::File(path) => StreamSource::File(path),
+        }
+    }
 }
 
 impl From<GraphStream> for Source {
@@ -133,12 +143,13 @@ pub enum Target<'a> {
 pub struct RunPlan {
     /// The stream to drive.
     pub source: Source,
-    /// Replay configuration: pacing (`session.replayer`) for both
-    /// sources, reader buffering for a file source. A load front ignores
-    /// the pacing — each client paces its own arrival schedule.
+    /// Replay configuration: pacing (`session.replayer`) and reader
+    /// buffering. A load front ignores it — each client paces its own
+    /// arrival schedule, and the routing pass has its own bound.
     pub session: ReplaySessionConfig,
-    /// Metric loggers sampled during the run (a file source's pipeline
-    /// stage metrics are sampled automatically, under `pipeline`).
+    /// Metric loggers sampled during the run (a single-sink run's
+    /// pipeline stage metrics are sampled automatically, under
+    /// `pipeline`).
     pub loggers: Vec<Box<dyn MetricsLogger>>,
     /// How often the run's observer thread samples the loggers (the plan's
     /// own, and the hub samplers the run adds).
@@ -153,8 +164,8 @@ pub struct RunPlan {
     /// it.
     pub sysmon: Option<SamplerConfig>,
     /// Level-2 event tracer for the replay side: sampled graph events are
-    /// stamped at [`Stage::PacedEmit`] (and, from a file source, at the
-    /// reader and sink stages too). The caller keeps a clone and calls
+    /// stamped at the reader, paced-emit and sink stages
+    /// ([`ReplaySession::with_tracer`]). The caller keeps a clone and calls
     /// [`Tracer::stop`] after the run. A registry target at Level 2
     /// starts, installs and stops its own tracer instead.
     pub tracer: Option<Tracer>,
@@ -222,7 +233,7 @@ impl RunPlan {
         self
     }
 
-    /// Sets the reader→emitter channel capacity of a file source
+    /// Sets the reader→emitter queue capacity of a single-sink run
     /// (builder style).
     #[must_use]
     pub fn with_buffer(mut self, entries: usize) -> Self {
@@ -366,9 +377,7 @@ impl From<std::io::Error> for RunError {
 #[derive(Debug)]
 #[allow(clippy::large_enum_variant)] // one per run, never stored in bulk
 pub enum Driver {
-    /// The in-memory replayer.
-    Replay(ReplayReport),
-    /// The file pipeline: the replayer's report plus per-stage health.
+    /// The replay pipeline: the replayer's report plus per-stage health.
     Session(SessionReport),
     /// The client fleet: per-client counts and sojourns, and the
     /// listener's marker log.
@@ -406,26 +415,22 @@ pub struct RunOutcome {
 }
 
 impl RunOutcome {
-    /// The replayer's streaming metrics, from either source.
+    /// The replayer's streaming metrics.
     ///
     /// # Panics
     /// When a load front drove the run: there was no replayer.
     pub fn replay(&self) -> &ReplayReport {
-        match &self.driver {
-            Driver::Replay(report) => report,
-            Driver::Session(report) => &report.replay,
-            Driver::Load(_) => panic!("a load front has no replay report"),
-        }
+        &self.session().replay
     }
 
-    /// The file pipeline's report.
+    /// The replay pipeline's report.
     ///
     /// # Panics
-    /// When the source was not a file replayed through one sink.
+    /// When a load front drove the run: there was no replayer.
     pub fn session(&self) -> &SessionReport {
         match &self.driver {
             Driver::Session(report) => report,
-            _ => panic!("only a file source replayed into one sink has a session report"),
+            Driver::Load(_) => panic!("a load front has no replay report"),
         }
     }
 
@@ -601,11 +606,10 @@ pub fn replay_records(report: &ReplayReport) -> Vec<MetricRecord> {
 }
 
 /// The driver's own records: replayer markers and ingress rate, plus the
-/// file pipeline's sink disconnect/reconnect events under `sink`, or the
+/// pipeline's sink disconnect/reconnect events under `sink`, or the
 /// client fleet's records (see [`crate::load`]).
 fn driver_records(driver: &Driver, load: Option<&LoadPlan>, t_end: u64) -> Vec<MetricRecord> {
     match (driver, load) {
-        (Driver::Replay(report), _) => replay_records(report),
         (Driver::Session(report), _) => {
             let mut records = replay_records(&report.replay);
             records.extend(report.sink_events.iter().map(|e| {
@@ -633,7 +637,6 @@ fn run_records(driver: &Driver, status: &RunStatus, drained: bool, t: u64) -> Ve
         records.push(MetricRecord::float(t, source, metric, value));
     };
     let replay = match driver {
-        Driver::Replay(replay) => replay,
         Driver::Session(session) => {
             number(PIPELINE_SOURCE, "entries_read", session.entries_read as f64);
             let p99 = session.emit_latency.quantile_upper_bound(0.99);
@@ -712,31 +715,19 @@ impl Front<'_> {
     }
 }
 
-/// What the replay side of a run shares with the run's observers.
-struct Shared<'a> {
-    clock: &'a Arc<dyn Clock>,
-    /// Where a file pipeline publishes its stage metrics, and where the
-    /// replayer keeps the ingress counter the watchdog watches.
-    hub: &'a MetricsHub,
-    /// The watchdog's abort flag, when one is armed.
-    abort: Option<&'a Arc<AtomicBool>>,
-    tracer: Option<&'a Tracer>,
-}
-
-/// Paces `source` into `sink` — through the chaos sink when the plan
-/// injects live faults. This `match` is the whole source axis.
+/// Paces `source` into `sink` through the run's session — through the
+/// chaos sink when the plan injects live faults.
 fn replay(
+    session: &ReplaySession,
     source: &Source,
-    session: ReplaySessionConfig,
     sink: &mut dyn EventSink,
     chaos: Option<&ChaosPlan>,
-    shared: &Shared<'_>,
+    clock: Arc<dyn Clock>,
 ) -> Result<Driver, RunError> {
-    let clock = || Arc::clone(shared.clock);
     let mut chaos_sink;
     let sink: &mut dyn EventSink = match chaos {
         Some(chaos) => {
-            chaos_sink = ChaosSink::new(sink, &chaos.schedule, chaos.journal.clone(), clock());
+            chaos_sink = ChaosSink::new(sink, &chaos.schedule, chaos.journal.clone(), clock);
             if let Some(supervisor) = &chaos.supervisor {
                 chaos_sink = chaos_sink.with_supervisor(Arc::clone(supervisor));
             }
@@ -744,32 +735,7 @@ fn replay(
         }
         None => sink,
     };
-    match source {
-        Source::Memory(stream) => {
-            let mut replayer = Replayer::new(session.replayer).with_clock(clock());
-            if let Some(abort) = shared.abort {
-                replayer = replayer
-                    .with_abort_flag(Arc::clone(abort))
-                    .with_ingress_counter(shared.hub.counter("ingress_events"));
-            }
-            if let Some(tracer) = shared.tracer {
-                replayer = replayer.with_trace_probe(tracer.probe(Stage::PacedEmit));
-            }
-            Ok(Driver::Replay(replayer.replay_stream(stream, sink)?))
-        }
-        Source::File(path) => {
-            let mut session = ReplaySession::new(session)
-                .with_clock(clock())
-                .with_hub(shared.hub.clone());
-            if let Some(abort) = shared.abort {
-                session = session.with_abort_flag(Arc::clone(abort));
-            }
-            if let Some(tracer) = shared.tracer {
-                session = session.with_tracer(tracer);
-            }
-            Ok(Driver::Session(session.run(path, sink)?))
-        }
-    }
+    Ok(Driver::Session(session.run(source, sink)?))
 }
 
 /// Executes one run: drives `plan.source` into `target` through the
@@ -821,8 +787,20 @@ pub fn run(plan: RunPlan, target: Target<'_>) -> Result<RunOutcome, RunError> {
     };
 
     let hub = MetricsHub::new();
-    // A load front routes a file itself: no replay pipeline, no stages.
-    let pipeline = matches!(source, Source::File(_)) && load.is_none();
+    let abort = Arc::new(AtomicBool::new(false));
+    // Built before the observers start, so their first sample already
+    // lists every pipeline series.
+    let mut session = ReplaySession::new(session)
+        .with_clock(Arc::clone(&clock))
+        .with_hub(hub.clone());
+    if watchdog.is_some() {
+        session = session.with_abort_flag(Arc::clone(&abort));
+    }
+    if let Some(tracer) = &tracer {
+        session = session.with_tracer(tracer);
+    }
+    // A load front routes the stream itself: no replay pipeline, no stages.
+    let pipeline = load.is_none();
     if pipeline {
         let stages = HubSampler::new(hub.clone(), Arc::clone(&clock), PIPELINE_SOURCE);
         loggers.push(Box::new(stages));
@@ -839,29 +817,19 @@ pub fn run(plan: RunPlan, target: Target<'_>) -> Result<RunOutcome, RunError> {
         }
         observers.push((every, Box::new(monitor)));
     }
-    let abort = Arc::new(AtomicBool::new(false));
     let guard = watchdog.map(|config| Guard {
         every: Every::new(config.poll_interval),
         watchdog: Watchdog::new(config, clock.now_micros()),
         progress: hub.counter("ingress_events"),
         abort: Arc::clone(&abort),
     });
-    let guarded = guard.is_some();
     let observers = Observers::start(observers, guard, Arc::clone(&clock));
 
     let driven = front.map(|mut front| {
-        let shared = Shared {
-            clock: &clock,
-            hub: &hub,
-            abort: guarded.then_some(&abort),
-            tracer: tracer.as_ref(),
-        };
-        let driven = match (front.sink(), &source, &load) {
-            (Some(sink), source, _) => replay(source, session, sink, chaos.as_ref(), &shared),
-            (None, source, Some(load)) => {
-                drive_clients(source, load, &mut sut, &clock).map(Driver::Load)
-            }
-            (None, _, None) => unreachable!("a load front has a load plan"),
+        let driven = match (front.sink(), &load) {
+            (Some(sink), _) => replay(&session, &source, sink, chaos.as_ref(), Arc::clone(&clock)),
+            (None, Some(load)) => drive_clients(&source, load, &mut sut, &clock).map(Driver::Load),
+            (None, None) => unreachable!("a load front has a load plan"),
         };
         (driven, front)
     });

@@ -26,10 +26,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use gt_metrics::{Clock, HubSampler, MetricRecord, MetricValue, MetricsHub, MetricsLogger, Name};
-use gt_sut::{SutReport, SystemUnderTest};
+use gt_sut::{EvaluationLevel, SutReport, SystemUnderTest};
 use gt_trace::{TraceConfig, Tracer, TRACE_SOURCE};
 
-use crate::levels::EvaluationLevel;
 use crate::run::ChaosPlan;
 
 /// How long a run waits, by default, for a platform to drain its backlog
@@ -90,7 +89,7 @@ pub fn report_records(report: &SutReport, t_micros: u64) -> Vec<MetricRecord> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run::{run, RunError, RunPlan, Target};
+    use crate::run::{run, RunError, RunPlan, Source, Target};
     use gt_core::prelude::*;
     use gt_netem::{NetemPlan, NETEM_SOURCE};
     use gt_sut::{SutError, SutOptions, SutRegistry};
@@ -115,36 +114,56 @@ mod tests {
         s
     }
 
+    /// `stream(n)` in memory and in a file named `name`: the two sources
+    /// a run can drive, and the file's path.
+    fn sources(n: u64, name: &str) -> ([Source; 2], std::path::PathBuf) {
+        let dir = std::env::temp_dir().join("gt-harness-sut-run-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("{name}-{}.csv", std::process::id()));
+        stream(n).write_to_file(&path).unwrap();
+        let sources = [Source::Memory(stream(n)), Source::File(path.clone())];
+        (sources, path)
+    }
+
     #[test]
-    fn store_runs_through_registry() {
+    fn store_runs_through_registry_from_either_source() {
         let options = SutOptions::new()
             .set("timestamper_cost_us", 0)
             .set("shard_cost_us", 0)
             .set("batch_size", 10);
-        let plan = RunPlan::new(stream(500), 200_000.0).at_level(EvaluationLevel::Level2);
-        let outcome = run(plan, Target::Sut(&registry(), "tide-store", &options)).unwrap();
+        let (sources, path) = sources(2_000, "store-run");
+        for source in sources {
+            let plan = RunPlan::new(source, 400_000.0).at_level(EvaluationLevel::Level2);
+            let outcome = run(plan, Target::Sut(&registry(), "tide-store", &options)).unwrap();
 
-        assert!(outcome.quiesced);
-        assert_eq!(outcome.replay().graph_events, 500);
-        assert_eq!(outcome.sut_report().get("events"), Some(500.0));
-        assert_eq!(outcome.sut_report().get("vertices"), Some(500.0));
-        // The final report is folded into the merged log...
-        assert!(!outcome.log.series("tide-store", "events").is_empty());
-        // ...and the L1 hub sampler captured the store's native counters.
-        assert!(!outcome.log.series("tide-store", "store.events").is_empty());
-        assert!(outcome.log.marker("stream-end").is_some());
-        // Level 2 granted: the tracer broke the pipeline latency down by
-        // stage — sampled events carry emit→connector and connector→apply
-        // records in the merged log (sampling is 1-in-64, so 500 events
-        // yield a handful, and event #0 is always sampled).
-        assert!(!outcome
-            .log
-            .series(TRACE_SOURCE, "emit_to_connector_micros")
-            .is_empty());
-        assert!(!outcome
-            .log
-            .series(TRACE_SOURCE, "connector_to_apply_micros")
-            .is_empty());
+            assert!(outcome.quiesced);
+            assert_eq!(outcome.replay().graph_events, 2_000);
+            assert_eq!(outcome.sut_report().get("events"), Some(2_000.0));
+            assert_eq!(outcome.sut_report().get("vertices"), Some(2_000.0));
+            // The final report is folded into the merged log...
+            assert!(!outcome.log.series("tide-store", "events").is_empty());
+            // ...the L1 hub sampler captured the store's native counters...
+            assert!(!outcome.log.series("tide-store", "store.events").is_empty());
+            // ...and the pipeline's own stage metrics.
+            assert!(!outcome.log.series("pipeline", "ingress_events").is_empty());
+            assert!(outcome.log.marker("stream-end").is_some());
+            // Level 2 granted: the full pipeline is traced end to end —
+            // reader → paced emit → sink write on the replay side, plus
+            // connector → apply inside the platform (sampling is 1-in-64,
+            // and event #0 is always sampled).
+            for metric in [
+                "reader_to_emit_micros",
+                "emit_to_sink_micros",
+                "emit_to_connector_micros",
+                "connector_to_apply_micros",
+            ] {
+                assert!(
+                    !outcome.log.series(TRACE_SOURCE, metric).is_empty(),
+                    "missing trace series {metric}"
+                );
+            }
+        }
+        std::fs::remove_file(path).ok();
     }
 
     #[test]
@@ -366,38 +385,51 @@ mod tests {
 
     // A graceful FIN kill mid-run: the reconnecting sink classifies the
     // drop, dials again, and the bridge picks the fresh connection up —
-    // the run completes with the reconnect visible in the log.
+    // the run completes with the disconnect and the reconnect visible in
+    // the log, from either source.
     #[test]
     fn netem_fin_kill_reconnects_and_completes() {
         let options = SutOptions::new()
             .set("timestamper_cost_us", 0)
             .set("shard_cost_us", 0);
-        let netem =
-            NetemPlan::new(gt_netem::NetemSchedule::parse("kill@150ms,mode=fin", 9).unwrap());
-        let journal = netem.journal.clone();
-        let plan = RunPlan::new(stream(3_000), 6_000.0).with_netem(netem);
-        let outcome = run(plan, Target::Sut(&registry(), "tide-store", &options)).unwrap();
+        let (sources, path) = sources(3_000, "fin-kill");
+        for source in sources {
+            let schedule = gt_netem::NetemSchedule::parse("kill@150ms,mode=fin", 9).unwrap();
+            let netem = NetemPlan::new(schedule);
+            let journal = netem.journal.clone();
+            let plan = RunPlan::new(source, 6_000.0).with_netem(netem);
+            let outcome = run(plan, Target::Sut(&registry(), "tide-store", &options)).unwrap();
 
-        // The replayer offered everything; the kill may cost in-flight
-        // lines (at-least-once replays the unflushed tail), so the
-        // platform sees most-but-possibly-not-all, never zero.
-        assert_eq!(outcome.replay().graph_events, 3_000);
-        assert!(outcome.sut_report().get("events").unwrap() > 1_000.0);
-        assert_eq!(journal.signature().len(), 1);
-        assert!(journal.signature()[0].1.contains("kill(mode=fin)"));
-        let records = outcome.log.records();
-        let reconnects = records
-            .iter()
-            .find(|r| r.source == NETEM_SOURCE && r.metric == "sink.reconnects")
-            .and_then(|r| r.value.as_f64())
-            .unwrap();
-        assert!(reconnects >= 1.0, "sink reconnected after the kill");
-        let bridge_conns = records
-            .iter()
-            .find(|r| r.source == NETEM_SOURCE && r.metric == "bridge_connections")
-            .and_then(|r| r.value.as_f64())
-            .unwrap();
-        assert!(bridge_conns >= 2.0, "bridge saw the replacement connection");
+            // The replayer offered everything; the kill may cost in-flight
+            // lines (at-least-once replays the unflushed tail), so the
+            // platform sees most-but-possibly-not-all, never zero.
+            assert_eq!(outcome.replay().graph_events, 3_000);
+            assert!(outcome.sut_report().get("events").unwrap() > 1_000.0);
+            assert_eq!(journal.signature().len(), 1);
+            assert!(journal.signature()[0].1.contains("kill(mode=fin)"));
+            let records = outcome.log.records();
+            let reconnects = records
+                .iter()
+                .find(|r| r.source == NETEM_SOURCE && r.metric == "sink.reconnects")
+                .and_then(|r| r.value.as_f64())
+                .unwrap();
+            assert!(reconnects >= 1.0, "sink reconnected after the kill");
+            let bridge_conns = records
+                .iter()
+                .find(|r| r.source == NETEM_SOURCE && r.metric == "bridge_connections")
+                .and_then(|r| r.value.as_f64())
+                .unwrap();
+            assert!(bridge_conns >= 2.0, "bridge saw the replacement connection");
+            for metric in ["disconnect", "reconnect"] {
+                assert!(
+                    records
+                        .iter()
+                        .any(|r| r.source == "sink" && r.metric == metric),
+                    "no sink/{metric} record"
+                );
+            }
+        }
+        std::fs::remove_file(path).ok();
     }
 
     #[test]
@@ -407,45 +439,5 @@ mod tests {
         let err = run(plan, target).unwrap_err();
         assert!(matches!(err, RunError::Sut(SutError::Unknown { .. })));
         assert!(err.to_string().contains("no-such-platform"));
-    }
-
-    #[test]
-    fn file_plan_runs_through_registry() {
-        let dir = std::env::temp_dir().join("gt-harness-sut-run-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("stream.csv");
-        let mut content = String::new();
-        for i in 0..2_000 {
-            content.push_str(&format!("ADD_VERTEX,{i},\n"));
-        }
-        content.push_str("MARKER,stream-end,\n");
-        std::fs::write(&path, content).unwrap();
-
-        let options = SutOptions::new()
-            .set("timestamper_cost_us", 0)
-            .set("shard_cost_us", 0);
-        let plan = RunPlan::new(&path, 400_000.0).at_level(EvaluationLevel::Level2);
-        let outcome = run(plan, Target::Sut(&registry(), "tide-store", &options)).unwrap();
-
-        assert!(outcome.quiesced);
-        assert_eq!(outcome.replay().graph_events, 2_000);
-        assert_eq!(outcome.sut_report().get("events"), Some(2_000.0));
-        assert!(!outcome.log.series("tide-store", "events").is_empty());
-        assert!(!outcome.log.series("pipeline", "ingress_events").is_empty());
-        // The full pipeline is traced end to end on the file path:
-        // reader → paced emit → sink write on the replay side, plus
-        // connector → apply inside the platform.
-        for metric in [
-            "reader_to_emit_micros",
-            "emit_to_sink_micros",
-            "emit_to_connector_micros",
-            "connector_to_apply_micros",
-        ] {
-            assert!(
-                !outcome.log.series(TRACE_SOURCE, metric).is_empty(),
-                "missing trace series {metric}"
-            );
-        }
-        std::fs::remove_file(path).ok();
     }
 }

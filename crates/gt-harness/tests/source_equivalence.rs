@@ -1,7 +1,8 @@
-//! The source axis changes how entries reach the sink, not what reaches
-//! it: one seeded stream, replayed from memory and from its file, must
-//! deliver the same entries and log the same series — apart from the
-//! file pipeline's own stage metrics — in one sorted log.
+//! The source axis changes where entries come from, not what reaches the
+//! sink or what the run observes: one seeded stream, replayed from memory
+//! and from its file through the same session, must deliver the same
+//! entries and log the same series — the pipeline's stage metrics
+//! included — in one sorted log, and the same series on every run.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -16,12 +17,10 @@ fn probe() -> Box<dyn MetricsLogger> {
     Box::new(GaugeSampler::new(clock, "probe", "answer", || Some(42.0)))
 }
 
-/// The `(source, metric)` pairs a log carries, without the series only
-/// the file pipeline produces (its stage hub and its sink events).
+/// The `(source, metric)` pairs a log carries.
 fn series(log: &ResultLog) -> BTreeSet<(String, String)> {
     log.records()
         .iter()
-        .filter(|r| r.source != "pipeline" && r.source != "sink")
         .map(|r| (r.source.to_string(), r.metric.to_string()))
         .collect()
 }
@@ -54,9 +53,48 @@ fn memory_and_file_sources_deliver_the_same_entries_and_series() {
     assert_eq!(memory.replay().markers.len(), file.replay().markers.len());
 
     assert_eq!(series(&memory.log), series(&file.log));
-    assert!(series(&memory.log).contains(&("replayer".to_owned(), "marker".to_owned())));
-    assert!(file.log.records().iter().any(|r| r.source == "pipeline"));
-    assert!(memory.log.records().iter().all(|r| r.source != "pipeline"));
+    let logged = series(&memory.log);
+    for (source, metric) in [
+        ("replayer", "marker"),
+        ("pipeline", "ingress_events"),
+        ("pipeline", "entries_read"),
+    ] {
+        assert!(
+            logged.contains(&(source.to_owned(), metric.to_owned())),
+            "{source}/{metric}"
+        );
+    }
+    assert_eq!(memory.session().entries_read, file.session().entries_read);
     assert_sorted(&memory.log);
     assert_sorted(&file.log);
+}
+
+// The pipeline's counters are registered before the observer thread
+// takes its first sample, so whether a `.delta` series shows up does not
+// depend on which thread got there first.
+#[test]
+fn every_run_of_one_plan_logs_the_same_series() {
+    let stream = Table3Workload::small(300, 5).generate();
+    let path = std::env::temp_dir().join(format!("gt-source-runs-{}.csv", std::process::id()));
+    stream.write_to_file(&path).unwrap();
+    let mut seen = BTreeSet::new();
+    for from_file in [false, true] {
+        for _ in 0..10 {
+            let plan = match from_file {
+                false => RunPlan::new(stream.clone(), 1e6),
+                true => RunPlan::new(&path, 1e6),
+            };
+            let outcome = run(plan, Target::Sink(&mut CollectSink::new())).unwrap();
+            seen.insert(series(&outcome.log));
+        }
+    }
+    std::fs::remove_file(&path).ok();
+    assert_eq!(seen.len(), 1, "{} different series sets", seen.len());
+    let logged = seen.pop_first().unwrap();
+    for delta in ["ingress_events.delta", "sink_stall_micros.delta"] {
+        assert!(
+            logged.contains(&("pipeline".to_owned(), delta.to_owned())),
+            "{delta}"
+        );
+    }
 }

@@ -2,21 +2,22 @@
 //! one bounded queue per load client.
 //!
 //! [`Router::route`] runs on the thread that calls [`crate::run_load`]. It
-//! reads entries from a [`LoadSource`] — a stream file through the
-//! replayer's own parsing loop
-//! ([`gt_replayer::reader::read_file_entries`]), or an in-memory stream
-//! entry by entry — and sends each one on: a graph
+//! reads a [`StreamSource`] — a stream file or an in-memory stream —
+//! through the replayer's one reading function
+//! ([`gt_replayer::reader::read_source`]), the one the replay session's
+//! reader thread uses, and sends each entry on: a graph
 //! event to the client the [`SeededPartitioner`] assigns it, a marker or
 //! control entry to every client. Neither the stream nor its split is
 //! ever materialised.
 //!
-//! * **Bounded.** Entries travel in chunks, and a client's [`FeedQueue`]
-//!   holds a fixed number of them. Counting the chunk the router is
-//!   filling and the one the client is working through, all queues
-//!   together hold at most [`DEFAULT_BUFFER`] entries (64 Ki, 3 MiB of
-//!   entries; up to 21 845 clients). A client hands each chunk it has
-//!   used up back to the router, so a routed event costs no allocation
-//!   once every chunk has been made.
+//! * **Bounded.** Entries travel in chunks, through the replayer's one
+//!   chunk queue ([`gt_replayer::reader::chunk_queue`]), and a client's
+//!   [`FeedQueue`] holds a fixed number of them. Counting the chunk the
+//!   router is filling and the one the client is working through, all
+//!   queues together hold at most [`DEFAULT_BUFFER`] entries (64 Ki,
+//!   3 MiB of entries; up to 21 845 clients). A client hands each chunk
+//!   it has used up back to the router, so a routed event costs no
+//!   allocation once every chunk has been made.
 //! * **In order, markers first.** A marker or control entry is pushed to
 //!   every queue and then every queue's chunk is handed over, before the
 //!   router reads on: the listener's marker barrier waits for each marker
@@ -32,39 +33,16 @@
 //!   an arrival was due ([`crate::ClientReport::feed_stall_micros`]).
 
 use std::mem;
-use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, SyncSender, TryRecvError};
 use std::sync::Arc;
 
 use gt_core::prelude::*;
-use gt_replayer::reader::{read_file_entries, EntryOut, DEFAULT_BUFFER};
+use gt_replayer::reader::{
+    chunk_queue, read_source, ChunkReceiver, ChunkSender, EntryOut, StreamSource, DEFAULT_BUFFER,
+    MAX_CHUNK,
+};
 
 use crate::partition::SeededPartitioner;
-
-/// Most entries in one chunk.
-const MAX_CHUNK: usize = 256;
-
-/// Where a load run's stream comes from.
-#[derive(Debug, Clone, Copy)]
-pub enum LoadSource<'a> {
-    /// A stream file, parsed as it is routed.
-    File(&'a Path),
-    /// An in-memory stream, cloned entry by entry as it is routed.
-    Stream(&'a GraphStream),
-}
-
-impl<'a> From<&'a GraphStream> for LoadSource<'a> {
-    fn from(stream: &'a GraphStream) -> Self {
-        LoadSource::Stream(stream)
-    }
-}
-
-impl<'a> From<&'a Path> for LoadSource<'a> {
-    fn from(path: &'a Path) -> Self {
-        LoadSource::File(path)
-    }
-}
 
 /// Chunk length and queue depth, in chunks, for `lanes` queues: per lane,
 /// `depth` queued chunks, one being filled and one in the client's hand
@@ -78,29 +56,35 @@ fn queue_shape(lanes: usize) -> (usize, usize) {
 
 /// The router's end of one client's queue.
 struct Lane {
-    /// `None` once the client is gone.
-    tx: Option<SyncSender<Vec<StreamEntry>>>,
-    /// The chunk being filled.
-    chunk: Vec<StreamEntry>,
-    /// Graph events in `chunk`.
+    tx: ChunkSender<StreamEntry>,
+    /// Graph events in the chunk being filled.
     events: u64,
     /// Graph events handed over so far, shared with the queue.
     handed: Arc<AtomicU64>,
+}
+
+impl Lane {
+    /// Sends the chunk being filled (see [`ChunkSender::send`]).
+    fn hand_over(&mut self) {
+        // Counted before the send, so a client never holds an event its
+        // count does not include.
+        if self.events > 0 {
+            self.handed
+                .fetch_add(mem::take(&mut self.events), Ordering::Release);
+        }
+        self.tx.send();
+    }
 }
 
 /// The routing pass's sending end (see the module docs).
 pub struct Router {
     partitioner: SeededPartitioner,
     lanes: Vec<Lane>,
-    /// Used-up chunks the clients hand back.
-    spent: Receiver<Vec<StreamEntry>>,
-    chunk_len: usize,
 }
 
 /// One client's end: its entries in stream order, a chunk at a time.
 pub struct FeedQueue {
-    rx: Receiver<Vec<StreamEntry>>,
-    spent: SyncSender<Vec<StreamEntry>>,
+    rx: ChunkReceiver<StreamEntry>,
     chunk: Vec<StreamEntry>,
     handed: Arc<AtomicU64>,
 }
@@ -109,123 +93,67 @@ impl Router {
     /// A router over the partitioner's partitions, and one queue per
     /// partition, in partition order.
     pub fn new(partitioner: SeededPartitioner) -> (Router, Vec<FeedQueue>) {
-        let lanes = partitioner.partitions();
-        let (chunk_len, depth) = queue_shape(lanes);
-        // Room for every chunk there can be, so handing one back never
-        // blocks.
-        let (spent_tx, spent) = mpsc::sync_channel(lanes * (depth + 2));
-        let (lanes, queues) = (0..lanes)
+        let (chunk_len, depth) = queue_shape(partitioner.partitions());
+        let (lanes, queues) = (0..partitioner.partitions())
             .map(|_| {
-                let (tx, rx) = mpsc::sync_channel(depth);
+                let (tx, rx) = chunk_queue(chunk_len, depth);
                 let handed = Arc::new(AtomicU64::new(0));
                 let lane = Lane {
-                    tx: Some(tx),
-                    chunk: Vec::with_capacity(chunk_len),
+                    tx,
                     events: 0,
                     handed: Arc::clone(&handed),
                 };
                 let queue = FeedQueue {
                     rx,
-                    spent: spent_tx.clone(),
                     chunk: Vec::new(),
                     handed,
                 };
                 (lane, queue)
             })
             .unzip();
-        let router = Router {
-            partitioner,
-            lanes,
-            spent,
-            chunk_len,
-        };
-        (router, queues)
+        (Router { partitioner, lanes }, queues)
     }
 
     /// Routes every entry of `source`, then closes every queue, and
     /// returns the number of entries read. A bad line ends the pass with
     /// the line-numbered error `GraphStream::read_from_file` gives; every
     /// entry before it has been routed.
-    pub fn route(mut self, source: LoadSource<'_>) -> Result<u64, CoreError> {
-        match source {
-            LoadSource::File(path) => read_file_entries(path, &mut self),
-            LoadSource::Stream(stream) => {
-                let mut read = 0;
-                for entry in stream.entries() {
-                    if self.lanes.iter().all(|lane| lane.tx.is_none()) {
-                        break;
-                    }
-                    self.push(entry.clone());
-                    read += 1;
-                }
-                self.flush();
-                Ok(read)
-            }
-        }
+    pub fn route(self, source: StreamSource<'_>) -> Result<u64, CoreError> {
+        read_source(source, self)
+    }
+
+    /// Whether any client still takes entries.
+    fn is_open(&self) -> bool {
+        self.lanes.iter().any(|lane| lane.tx.is_open())
     }
 
     /// Adds `entry` to lane `lane`'s chunk, handing the chunk over if that
     /// fills it.
     fn put(&mut self, lane: usize, entry: StreamEntry) {
-        let Lane {
-            tx, chunk, events, ..
-        } = &mut self.lanes[lane];
-        if tx.is_none() {
-            return;
-        }
-        *events += u64::from(entry.is_graph());
-        chunk.push(entry);
-        if chunk.len() == self.chunk_len {
-            self.hand_over(lane);
-        }
-    }
-
-    /// Sends lane `lane`'s chunk, waiting while its queue is full, and
-    /// starts a new one from a chunk handed back (a fresh one only when
-    /// none is).
-    fn hand_over(&mut self, lane: usize) {
-        let Lane {
-            tx,
-            chunk,
-            events,
-            handed,
-        } = &mut self.lanes[lane];
-        let Some(sender) = tx else { return };
-        if chunk.is_empty() {
-            return;
-        }
-        let fresh = self
-            .spent
-            .try_recv()
-            .unwrap_or_else(|_| Vec::with_capacity(self.chunk_len));
-        // Counted before the send, so a client never holds an event its
-        // count does not include.
-        handed.fetch_add(mem::take(events), Ordering::Release);
-        if sender.send(mem::replace(chunk, fresh)).is_err() {
-            // The client is gone: its queue is closed for good.
-            *tx = None;
-            *chunk = Vec::new();
+        let lane = &mut self.lanes[lane];
+        lane.events += u64::from(entry.is_graph());
+        if lane.tx.put(entry) {
+            lane.hand_over();
         }
     }
 }
 
 impl EntryOut for Router {
-    fn push(&mut self, entry: StreamEntry) {
+    fn push(&mut self, entry: StreamEntry) -> bool {
         if let StreamEntry::Graph(event) = &entry {
             let lane = self.partitioner.owner_of(event);
-            return self.put(lane, entry);
+            self.put(lane, entry);
+            return self.is_open();
         }
         for lane in 0..self.lanes.len() {
             self.put(lane, entry.clone());
         }
-        self.flush();
+        self.flush()
     }
 
     fn flush(&mut self) -> bool {
-        for lane in 0..self.lanes.len() {
-            self.hand_over(lane);
-        }
-        self.lanes.iter().any(|lane| lane.tx.is_some())
+        self.lanes.iter_mut().for_each(Lane::hand_over);
+        self.is_open()
     }
 }
 
@@ -245,33 +173,16 @@ impl FeedQueue {
     /// once the router is done and the queue is drained. When no chunk is
     /// ready, `before_wait` runs and then the call blocks for one.
     pub fn refill(&mut self, before_wait: impl FnOnce()) -> bool {
-        let mut spent = mem::take(&mut self.chunk);
-        if spent.capacity() > 0 {
-            spent.clear();
-            // Fails only once the router is gone; the chunk is freed then.
-            let _ = self.spent.try_send(spent);
-        }
-        let next = match self.rx.try_recv() {
-            Ok(chunk) => Ok(chunk),
-            Err(TryRecvError::Disconnected) => return false,
-            Err(TryRecvError::Empty) => {
-                before_wait();
-                self.rx.recv()
-            }
-        };
-        match next {
-            Ok(chunk) => {
-                self.chunk = chunk;
-                true
-            }
-            Err(_) => false,
-        }
+        let spent = mem::take(&mut self.chunk);
+        let next = self.rx.recv(spent, before_wait);
+        next.map(|chunk| self.chunk = chunk).is_some()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
     use std::thread;
 
     fn stream(n: u64, marker_every: u64) -> GraphStream {

@@ -52,7 +52,7 @@ pub mod runner;
 pub mod schedule;
 
 pub use client::{run_client, ClientConfig, ClientReport};
-pub use feed::{FeedQueue, LoadSource, Router};
+pub use feed::{FeedQueue, Router};
 pub use listener::{ListenerConfig, ListenerReport, LoadListener};
 pub use model::LoopModel;
 pub use partition::SeededPartitioner;

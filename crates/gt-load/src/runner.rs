@@ -10,10 +10,10 @@ use std::time::Duration;
 use gt_core::prelude::*;
 use gt_metrics::Clock;
 use gt_netem::{NetemProxy, NetemReport};
-use gt_replayer::TcpSink;
+use gt_replayer::{StreamSource, TcpSink};
 
 use crate::client::{drive, ClientConfig, ClientReport};
-use crate::feed::{LoadSource, Router};
+use crate::feed::Router;
 use crate::listener::{ListenerReport, LoadListener};
 use crate::partition::SeededPartitioner;
 use crate::plan::LoadPlan;
@@ -136,7 +136,7 @@ fn connect_with_retry(addr: SocketAddr, write_timeout: Option<Duration>) -> io::
 /// [`io::Error`] whose inner error is the line-numbered [`CoreError`]
 /// `GraphStream::read_from_file` gives ([`source_error`] takes it out).
 pub fn run_load<'a>(
-    source: impl Into<LoadSource<'a>>,
+    source: impl Into<StreamSource<'a>>,
     plan: &LoadPlan,
     connect: ConnectorFactory,
     clock: Arc<dyn Clock>,

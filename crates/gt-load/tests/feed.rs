@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use gt_core::prelude::*;
-use gt_load::{run_load, ConnectorFactory, LoadOutcome, LoadPlan, LoadSource, LoopModel};
+use gt_load::{run_load, ConnectorFactory, LoadOutcome, LoadPlan, LoopModel};
 use gt_metrics::{Clock, WallClock};
 use gt_netem::{NetemPlan, NetemSchedule};
 use gt_replayer::reader::DEFAULT_BUFFER;
@@ -125,13 +125,7 @@ fn run(path: &Path, plan: &LoadPlan) -> (LoadOutcome, u64, Vec<String>) {
         Arc::new(Mutex::new(Vec::new())),
     );
     let clock: Arc<dyn Clock> = Arc::new(WallClock::start());
-    let outcome = run_load(
-        LoadSource::File(path),
-        plan,
-        counting(&events, &markers),
-        clock,
-    )
-    .unwrap();
+    let outcome = run_load(path, plan, counting(&events, &markers), clock).unwrap();
     let markers = markers.lock().unwrap().clone();
     (outcome, events.load(Ordering::Relaxed), markers)
 }

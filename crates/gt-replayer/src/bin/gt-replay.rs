@@ -14,6 +14,7 @@
 //! ```
 
 use std::io::Write;
+use std::path::Path;
 use std::process::ExitCode;
 
 use gt_replayer::{
@@ -152,7 +153,7 @@ fn run(args: Args) -> Result<(), String> {
                     ..Default::default()
                 });
             let report = session
-                .run(&args.stream_file, &mut sink)
+                .run(Path::new(&args.stream_file), &mut sink)
                 .map_err(|e| format!("replay: {e}"))?;
             sink.flush().map_err(|e| format!("flush: {e}"))?;
             report
@@ -161,7 +162,7 @@ fn run(args: Args) -> Result<(), String> {
             let stdout = std::io::stdout();
             let mut sink = WriterSink::new(std::io::BufWriter::new(stdout.lock()));
             let report = session
-                .run(&args.stream_file, &mut sink)
+                .run(Path::new(&args.stream_file), &mut sink)
                 .map_err(|e| format!("replay: {e}"))?;
             sink.flush().map_err(|e| format!("flush: {e}"))?;
             report

@@ -1,108 +1,84 @@
-//! The decoupled reader thread.
+//! The one stream reader and the one chunk queue.
 //!
 //! "Streaming is decoupled from reading the stream graph file. We use a
 //! multi-threaded design to decouple both tasks and to ensure high
-//! throughput" (§5.1). The reader parses the stream file on its own thread
-//! — through [`LineReader`], gt-core's one line reader, which the load
-//! listener and the netem bridge share — and feeds the emitter through a
-//! bounded channel, so disk latency never stalls emission as long as the
-//! buffer holds.
+//! throughput" (§5.1). Every run reads its stream the same way, whatever
+//! the stream is and whoever takes the entries:
 //!
-//! Entries cross that channel in **chunks**: the reader collects parsed
-//! entries into a `Vec` of at most `min(256, buffer)` and hands it over
-//! when it is full, at end of input or on an error, and whenever it has
-//! parsed everything its source has delivered so far — so a source that
-//! trickles never parks an event behind an unfilled chunk. One channel
-//! operation per chunk, not per entry, is what keeps the hand-off cheaper
-//! than the work on either side of it. The channel has `buffer /
-//! chunk_len` slots, so `buffer` remains a bound in *entries*, and an
-//! entry-exact account of what is queued travels with the receiver
-//! (`EntryReceiver::queued`).
+//! * **One source type.** A [`StreamSource`] borrows a stream file's path
+//!   or an in-memory [`GraphStream`].
+//! * **One reading function.** [`read_source`] parses a file line by line
+//!   — through [`LineReader`], gt-core's one line reader, which the load
+//!   listener and the netem bridge share — or walks an in-memory stream,
+//!   and writes every entry to an [`EntryOut`]: the session's reader
+//!   thread ([`crate::ReplaySession`]) or `gt-load`'s router, which sends
+//!   each entry to one load client's queue.
+//! * **One chunk queue.** Entries cross from the reading thread to the
+//!   thread that uses them through a [`chunk_queue`]: a bounded queue of
+//!   chunks, generic over the entry handle ([`SharedEntry`] for the
+//!   session, [`StreamEntry`] for the load clients).
 //!
-//! The parsing loop itself (`read_entries`; [`read_file_entries`] for a
-//! file) writes to any [`EntryOut`]: this module's chunked channel, or
-//! `gt-load`'s router, which reads a stream file once and routes each
-//! entry to one load client's queue.
+//! Entries travel in **chunks**: the reading side collects them into a
+//! `Vec` of at most [`MAX_CHUNK`] and hands it over when it is full, at
+//! the end, on an error, and whenever it has parsed everything its file
+//! has delivered so far — so a source that trickles never parks an event
+//! behind an unfilled chunk. One queue operation per chunk, not per
+//! entry, is what keeps the hand-off cheaper than the work on either
+//! side of it. The receiving side hands each chunk it has used up back
+//! with its next take, so once every chunk has been made a hand-off
+//! allocates nothing. A queue of `depth` chunks of `chunk_len` entries
+//! holds at most `depth * chunk_len` entries, and it keeps an
+//! entry-exact account of what it holds ([`ChunkReceiver::queued`]).
 
+use std::collections::VecDeque;
 use std::io::{self, BufRead};
+use std::mem;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicI64, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
-use crossbeam::channel::{bounded, Receiver, Sender};
 use gt_core::prelude::*;
 
-/// Default capacity, in entries, of the channel between reader and
+/// Default capacity, in entries, of the queue between reader and
 /// emitter; also the bound of the load front's client queues, all of them
 /// together.
 pub const DEFAULT_BUFFER: usize = 64 * 1024;
 
-/// Most entries handed over in one channel operation.
-const MAX_CHUNK: usize = 256;
+/// Most entries in one chunk.
+pub const MAX_CHUNK: usize = 256;
 
-/// The receiving end of a reader thread: entries in file order, received a
-/// chunk at a time.
-pub struct EntryReceiver {
-    rx: Receiver<Vec<SharedEntry>>,
-    queued: Arc<AtomicI64>,
+/// Where a stream comes from.
+#[derive(Debug, Clone, Copy)]
+pub enum StreamSource<'a> {
+    /// A stream file, parsed as it is read.
+    File(&'a Path),
+    /// An in-memory stream, cloned entry by entry as it is read.
+    Stream(&'a GraphStream),
 }
 
-impl EntryReceiver {
-    /// Blocks for the next chunk of entries (never empty); `None` once the
-    /// reader is done and the channel is drained.
-    pub(crate) fn recv_chunk(&self) -> Option<Vec<SharedEntry>> {
-        let chunk = self.rx.recv().ok()?;
-        self.queued.fetch_sub(chunk.len() as i64, Ordering::Relaxed);
-        Some(chunk)
-    }
-
-    /// Entries sitting in the channel right now. (A chunk in the reader's
-    /// or the consumer's hand is not queued.) Each end books its chunk
-    /// after its channel operation, so to the thread that calls
-    /// `EntryReceiver::recv_chunk` this never exceeds the `buffer` the
-    /// reader was spawned with — it can lag a chunk the reader has sent
-    /// but not booked yet.
-    pub(crate) fn queued(&self) -> usize {
-        // A take can be booked before the matching put.
-        self.queued.load(Ordering::Relaxed).max(0) as usize
-    }
-
-    /// Iterates the entries in file order, blocking like
-    /// `EntryReceiver::recv_chunk`, until the reader is done. The
-    /// iterator holds the chunk it is working through: dropping it
-    /// mid-chunk drops the rest of that chunk.
-    pub fn iter(&self) -> impl Iterator<Item = SharedEntry> + '_ {
-        std::iter::from_fn(|| self.recv_chunk()).flatten()
+impl<'a> From<&'a GraphStream> for StreamSource<'a> {
+    fn from(stream: &'a GraphStream) -> Self {
+        StreamSource::Stream(stream)
     }
 }
 
-/// The reader's end: collects entries and sends them a chunk at a time.
-pub(crate) struct ChunkSender {
-    tx: Sender<Vec<SharedEntry>>,
-    queued: Arc<AtomicI64>,
-    chunk: Vec<SharedEntry>,
-    chunk_len: usize,
+impl<'a> From<&'a Path> for StreamSource<'a> {
+    fn from(path: &'a Path) -> Self {
+        StreamSource::File(path)
+    }
 }
 
-/// A reader→emitter channel that holds at most `buffer` entries.
-pub(crate) fn entry_channel(buffer: usize) -> (ChunkSender, EntryReceiver) {
-    let chunk_len = buffer.clamp(1, MAX_CHUNK);
-    let (tx, rx) = bounded((buffer / chunk_len).max(1));
-    let queued = Arc::new(AtomicI64::new(0));
-    let sender = ChunkSender {
-        tx,
-        queued: Arc::clone(&queued),
-        chunk: Vec::with_capacity(chunk_len),
-        chunk_len,
-    };
-    (sender, EntryReceiver { rx, queued })
+impl<'a> From<&'a PathBuf> for StreamSource<'a> {
+    fn from(path: &'a PathBuf) -> Self {
+        StreamSource::File(path)
+    }
 }
 
-/// Where [`read_file_entries`] puts the entries it parses.
+/// Where [`read_source`] puts the entries it reads.
 pub trait EntryOut {
-    /// Takes one entry, in file order.
-    fn push(&mut self, entry: StreamEntry);
+    /// Takes one entry, in stream order. `false` once nobody takes
+    /// entries any more, which ends the reading of an in-memory stream
+    /// (a file's, at the end of the read buffer).
+    fn push(&mut self, entry: StreamEntry) -> bool;
 
     /// Hands over whatever has collected; called before every read that
     /// may block, at the end and on an error. `false` once nobody takes
@@ -110,73 +86,36 @@ pub trait EntryOut {
     fn flush(&mut self) -> bool;
 }
 
-impl<T: EntryOut + ?Sized> EntryOut for &mut T {
-    fn push(&mut self, entry: StreamEntry) {
-        (**self).push(entry);
-    }
-
-    fn flush(&mut self) -> bool {
-        (**self).flush()
-    }
-}
-
-impl EntryOut for ChunkSender {
-    /// Adds one entry, handing the chunk over if that fills it.
-    fn push(&mut self, entry: StreamEntry) {
-        self.chunk.push(SharedEntry::new(entry));
-        if self.chunk.len() == self.chunk_len {
-            self.flush();
+/// The reading function: writes every entry of `source` to `out` and
+/// returns the number of entries read. A file that cannot be opened is a
+/// [`CoreError::Io`], as in `GraphStream::read_from_file`; a bad line
+/// ends the reading with the line-numbered error `read_from_file` gives,
+/// after every entry before it has been handed over.
+pub fn read_source(source: StreamSource<'_>, mut out: impl EntryOut) -> Result<u64, CoreError> {
+    match source {
+        StreamSource::File(path) => {
+            let file = std::fs::File::open(path)?;
+            read_lines(io::BufReader::with_capacity(256 * 1024, file), out)
+        }
+        StreamSource::Stream(stream) => {
+            let mut read = 0;
+            for entry in stream.entries() {
+                read += 1;
+                if !out.push(entry.clone()) {
+                    break; // the receiver is gone
+                }
+            }
+            out.flush();
+            Ok(read)
         }
     }
-
-    /// Hands over whatever has collected. `false` once the receiver is
-    /// gone.
-    fn flush(&mut self) -> bool {
-        if self.chunk.is_empty() {
-            return true;
-        }
-        let len = self.chunk.len() as i64;
-        let chunk = std::mem::replace(&mut self.chunk, Vec::with_capacity(self.chunk_len));
-        let sent = self.tx.send(chunk).is_ok();
-        if sent {
-            self.queued.fetch_add(len, Ordering::Relaxed);
-        }
-        sent
-    }
 }
 
-/// Spawns a reader thread over a stream file. Entries arrive through the
-/// returned receiver as [`SharedEntry`] handles — allocated once on the
-/// reader thread, then only `Arc`-cloned along the batched ingest path.
-/// The thread ends at EOF, on the first bad line (the entries before it
-/// are still delivered; the error is the thread's result), or when the
-/// receiver is dropped.
-pub fn spawn_file_reader(
-    path: impl Into<PathBuf>,
-    buffer: usize,
-) -> (EntryReceiver, JoinHandle<Result<u64, CoreError>>) {
-    let path = path.into();
-    let (tx, rx) = entry_channel(buffer);
-    let handle = std::thread::Builder::new()
-        .name("gt-stream-reader".into())
-        .spawn(move || read_file_entries(&path, tx))
-        .expect("spawning reader thread");
-    (rx, handle)
-}
-
-/// Parses the stream file at `path` into `out` (`read_entries`); a file
-/// that cannot be opened is a [`CoreError::Io`], as in
-/// `GraphStream::read_from_file`.
-pub fn read_file_entries(path: &Path, out: impl EntryOut) -> Result<u64, CoreError> {
-    let file = std::fs::File::open(path)?;
-    read_entries(io::BufReader::with_capacity(256 * 1024, file), out)
-}
-
-/// The reader body: parses `source` line by line ([`LineReader`]) into
-/// `out` and returns the number of entries parsed. Each time the source's
-/// buffer is used up the collected entries are handed over before the
-/// next (possibly blocking) read; a hung-up receiver is noticed there.
-pub(crate) fn read_entries(source: impl BufRead, mut out: impl EntryOut) -> Result<u64, CoreError> {
+/// Parses `source` line by line ([`LineReader`]) into `out`. Each time the
+/// source's buffer is used up the collected entries are handed over
+/// before the next (possibly blocking) read; a hung-up receiver is
+/// noticed there.
+fn read_lines(source: impl BufRead, mut out: impl EntryOut) -> Result<u64, CoreError> {
     let mut lines = LineReader::new(source);
     let mut entries = 0;
     let result = loop {
@@ -203,9 +142,232 @@ pub(crate) fn read_entries(source: impl BufRead, mut out: impl EntryOut) -> Resu
     result
 }
 
+/// A bounded queue of chunks from one sending to one receiving thread
+/// (see the module docs).
+pub fn chunk_queue<T>(chunk_len: usize, depth: usize) -> (ChunkSender<T>, ChunkReceiver<T>) {
+    let queue = Arc::new(Queue {
+        state: Mutex::new(State {
+            full: VecDeque::with_capacity(depth),
+            spent: Vec::new(),
+            queued: 0,
+            hung_up: false,
+            parked: false,
+        }),
+        changed: Condvar::new(),
+        depth: depth.max(1),
+    });
+    let sender = ChunkSender {
+        queue: Arc::clone(&queue),
+        chunk: Vec::with_capacity(chunk_len),
+        chunk_len: chunk_len.max(1),
+        closed: false,
+    };
+    (sender, ChunkReceiver { queue })
+}
+
+/// The session's reader→emitter queue: at most `buffer` entries, in
+/// chunks of `min(256, buffer)`.
+pub(crate) fn entry_queue(buffer: usize) -> (ChunkSender<SharedEntry>, ChunkReceiver<SharedEntry>) {
+    let chunk_len = buffer.clamp(1, MAX_CHUNK);
+    chunk_queue(chunk_len, buffer / chunk_len)
+}
+
+struct Queue<T> {
+    state: Mutex<State<T>>,
+    /// Signalled, only when a side is parked on it, after every change
+    /// that side waits for.
+    changed: Condvar,
+    /// Most chunks queued at once.
+    depth: usize,
+}
+
+struct State<T> {
+    /// Chunks handed over and not yet taken, in order.
+    full: VecDeque<Vec<T>>,
+    /// Used-up chunks the receiver handed back, empty.
+    spent: Vec<Vec<T>>,
+    /// Entries in `full`.
+    queued: usize,
+    /// One side is gone. (It is always the other side that finds out.)
+    hung_up: bool,
+    /// One side waits on `changed`. (Only one can: the sender waits on a
+    /// full queue, the receiver on an empty one.)
+    parked: bool,
+}
+
+impl<T> Queue<T> {
+    fn lock(&self) -> MutexGuard<'_, State<T>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Wakes the other side if it is parked, after a change it waits for.
+    fn wake(&self, mut state: MutexGuard<'_, State<T>>) {
+        let parked = mem::take(&mut state.parked);
+        drop(state);
+        if parked {
+            self.changed.notify_one();
+        }
+    }
+
+    fn park<'a>(&self, mut state: MutexGuard<'a, State<T>>) -> MutexGuard<'a, State<T>> {
+        state.parked = true;
+        self.changed
+            .wait(state)
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// The sending end of a [`chunk_queue`]: fills one chunk at a time.
+pub struct ChunkSender<T> {
+    queue: Arc<Queue<T>>,
+    /// The chunk being filled.
+    chunk: Vec<T>,
+    chunk_len: usize,
+    /// A send found the receiver gone.
+    closed: bool,
+}
+
+impl<T> ChunkSender<T> {
+    /// Adds `entry` to the chunk being filled; `true` once that fills it,
+    /// and it is time to [`ChunkSender::send`]. Once the queue is closed
+    /// the entry is dropped.
+    pub fn put(&mut self, entry: T) -> bool {
+        if self.closed {
+            return false;
+        }
+        self.chunk.push(entry);
+        self.chunk.len() == self.chunk_len
+    }
+
+    /// Hands the chunk over, waiting while the queue is full, and starts
+    /// a new one from a chunk handed back (a fresh one only when none
+    /// is). `false` once the receiver is gone: the queue is then closed
+    /// for good, and a send already waiting fails at once.
+    pub fn send(&mut self) -> bool {
+        if self.closed {
+            return false;
+        }
+        if self.chunk.is_empty() {
+            return true;
+        }
+        let mut state = self.queue.lock();
+        while state.full.len() >= self.queue.depth && !state.hung_up {
+            state = self.queue.park(state);
+        }
+        if state.hung_up {
+            drop(state);
+            self.closed = true;
+            self.chunk = Vec::new();
+            return false;
+        }
+        state.queued += self.chunk.len();
+        state.full.push_back(mem::take(&mut self.chunk));
+        let spent = state.spent.pop();
+        self.queue.wake(state);
+        self.chunk = spent.unwrap_or_else(|| Vec::with_capacity(self.chunk_len));
+        true
+    }
+
+    /// Whether the receiver may still take entries (no send has found it
+    /// gone).
+    pub fn is_open(&self) -> bool {
+        !self.closed
+    }
+}
+
+impl<T> Drop for ChunkSender<T> {
+    fn drop(&mut self) {
+        let mut state = self.queue.lock();
+        state.hung_up = true;
+        self.queue.wake(state);
+    }
+}
+
+/// The receiving end of a [`chunk_queue`]: takes one chunk at a time, in
+/// order.
+pub struct ChunkReceiver<T> {
+    queue: Arc<Queue<T>>,
+}
+
+impl<T> ChunkReceiver<T> {
+    /// Hands `spent` back (emptied, for the sender to fill again) and
+    /// takes the next chunk, which is never empty; `None` once the sender
+    /// is gone and the queue is drained. When no chunk is ready,
+    /// `before_wait` runs and then the call blocks for one.
+    pub fn recv(&mut self, mut spent: Vec<T>, before_wait: impl FnOnce()) -> Option<Vec<T>> {
+        spent.clear();
+        let mut state = self.queue.lock();
+        if spent.capacity() > 0 && !state.hung_up {
+            state.spent.push(spent);
+        }
+        if state.full.is_empty() && !state.hung_up {
+            drop(state);
+            before_wait();
+            state = self.queue.lock();
+        }
+        while state.full.is_empty() && !state.hung_up {
+            state = self.queue.park(state);
+        }
+        let chunk = state.full.pop_front()?; // the sender is gone
+        state.queued -= chunk.len();
+        self.queue.wake(state);
+        Some(chunk)
+    }
+
+    /// Entries sitting in the queue right now. (A chunk in the sender's
+    /// or the receiver's hand is not queued.)
+    pub fn queued(&self) -> usize {
+        self.queue.lock().queued
+    }
+}
+
+impl<T> Drop for ChunkReceiver<T> {
+    fn drop(&mut self) {
+        let mut state = self.queue.lock();
+        state.hung_up = true;
+        // What is queued is nobody's any more.
+        let full = mem::take(&mut state.full);
+        state.queued = 0;
+        self.queue.wake(state);
+        drop(full);
+    }
+}
+
+impl EntryOut for ChunkSender<SharedEntry> {
+    /// Adds one entry, handing the chunk over if that fills it.
+    fn push(&mut self, entry: StreamEntry) -> bool {
+        !self.put(SharedEntry::new(entry)) || self.send()
+    }
+
+    fn flush(&mut self) -> bool {
+        self.send()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc::{sync_channel, Receiver};
+    use std::time::Duration;
+
+    /// Every entry `read` writes to a session queue of `buffer`, taken
+    /// on this thread, and how the reading ended.
+    fn through_queue(
+        buffer: usize,
+        read: impl FnOnce(ChunkSender<SharedEntry>) -> Result<u64, CoreError> + Send,
+    ) -> (Vec<StreamEntry>, Result<u64, CoreError>) {
+        let (tx, mut rx) = entry_queue(buffer);
+        std::thread::scope(|scope| {
+            let reader = scope.spawn(move || read(tx));
+            let mut got = Vec::new();
+            let mut chunk = Vec::new();
+            while let Some(next) = rx.recv(chunk, || {}) {
+                got.extend(next.iter().map(|entry| (**entry).clone()));
+                chunk = next;
+            }
+            (got, reader.join().unwrap())
+        })
+    }
 
     fn temp_stream_file(content: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("gt-replayer-reader-test");
@@ -221,44 +383,52 @@ mod tests {
     }
 
     #[test]
-    fn reads_all_entries() {
+    fn reads_all_entries_from_either_source() {
         let path = temp_stream_file("ADD_VERTEX,1,\nADD_VERTEX,2,\nMARKER,end,\n");
-        let (rx, handle) = spawn_file_reader(&path, 16);
-        let entries: Vec<SharedEntry> = rx.iter().collect();
-        assert_eq!(entries.len(), 3);
-        assert!(entries[2].is_marker());
-        assert_eq!(handle.join().unwrap().unwrap(), 3);
+        let stream = GraphStream::read_from_file(&path).unwrap();
+        for source in [StreamSource::File(&path), StreamSource::Stream(&stream)] {
+            let (entries, read) = through_queue(16, |tx| read_source(source, tx));
+            assert_eq!(entries, stream.entries());
+            assert!(entries[2].is_marker());
+            assert_eq!(read.unwrap(), 3);
+        }
         std::fs::remove_file(path).ok();
     }
 
     #[test]
     fn reports_parse_errors() {
         let path = temp_stream_file("ADD_VERTEX,1,\nGARBAGE\n");
-        let (rx, handle) = spawn_file_reader(&path, 16);
-        let entries: Vec<SharedEntry> = rx.iter().collect();
+        let (entries, read) = through_queue(16, |tx| read_source((&path).into(), tx));
         assert_eq!(entries.len(), 1);
-        assert!(handle.join().unwrap().is_err());
+        assert!(read.is_err());
         std::fs::remove_file(path).ok();
     }
 
     #[test]
     fn missing_file_errors() {
-        let (rx, handle) = spawn_file_reader("/nonexistent/gt-stream.csv", 4);
-        assert!(rx.iter().next().is_none());
-        assert!(handle.join().unwrap().is_err());
+        let path = Path::new("/nonexistent/gt-stream.csv");
+        let (entries, read) = through_queue(4, |tx| read_source(path.into(), tx));
+        assert!(entries.is_empty());
+        assert!(matches!(read, Err(CoreError::Io(_))));
     }
 
     #[test]
-    fn dropping_receiver_stops_reader() {
+    fn dropping_the_receiver_stops_the_reader() {
         let content: String = (0..100_000).map(|i| format!("ADD_VERTEX,{i},\n")).collect();
         let path = temp_stream_file(&content);
-        let (rx, handle) = spawn_file_reader(&path, 4);
-        // Take a few entries, then hang up.
-        let taken: Vec<SharedEntry> = rx.iter().take(5).collect();
-        assert_eq!(taken.len(), 5);
-        drop(rx);
-        // The reader notices the closed channel and exits cleanly.
-        assert!(handle.join().unwrap().is_ok());
+        let stream = GraphStream::read_from_file(&path).unwrap();
+        for source in [StreamSource::File(&path), StreamSource::Stream(&stream)] {
+            let (tx, mut rx) = entry_queue(4);
+            std::thread::scope(|scope| {
+                let reader = scope.spawn(move || read_source(source, tx));
+                // Take a chunk, then hang up.
+                assert_eq!(rx.recv(Vec::new(), || {}).unwrap().len(), 4);
+                drop(rx);
+                // The reader notices the closed queue and exits cleanly,
+                // long before the end of the stream.
+                assert!(reader.join().unwrap().unwrap() < 100_000);
+            });
+        }
         std::fs::remove_file(path).ok();
     }
 
@@ -267,13 +437,61 @@ mod tests {
         // A 16-byte buffer cuts nearly every line; CRLF, a comment, a blank
         // line and a last line without newline ride along.
         let text = "ADD_VERTEX,1,state=one\r\n# note\n\nADD_EDGE,1-2,w\nMARKER,end,";
-        let (tx, rx) = entry_channel(4);
         let source = io::BufReader::with_capacity(16, text.as_bytes());
-        let reader = std::thread::spawn(move || read_entries(source, tx));
-        let got: Vec<StreamEntry> = rx.iter().map(|e| (*e).clone()).collect();
-        assert_eq!(reader.join().unwrap().unwrap(), 3);
+        let (got, read) = through_queue(4, |tx| read_lines(source, tx));
+        assert_eq!(read.unwrap(), 3);
         let want = GraphStream::parse_csv(text).unwrap();
         assert_eq!(got, want.entries());
+    }
+
+    #[test]
+    fn the_queue_holds_at_most_depth_chunks_and_recycles_them() {
+        let (mut tx, mut rx) = chunk_queue::<u32>(4, 2);
+        for i in 0..8 {
+            if tx.put(i) {
+                assert!(tx.send());
+            }
+        }
+        assert_eq!(rx.queued(), 8);
+        let first = rx.recv(Vec::new(), || {}).unwrap();
+        assert_eq!(first, [0, 1, 2, 3]);
+        let address = first.as_ptr();
+        // The used-up chunk goes back; the sender fills it after the one
+        // it holds now.
+        let second = rx.recv(first, || {}).unwrap();
+        assert_eq!(second, [4, 5, 6, 7]);
+        for i in 8..16 {
+            if tx.put(i) {
+                assert!(tx.send());
+            }
+        }
+        drop(tx);
+        let third = rx.recv(second, || panic!("a chunk is ready")).unwrap();
+        assert_eq!(third, [8, 9, 10, 11]);
+        let fourth = rx.recv(third, || panic!("a chunk is ready")).unwrap();
+        assert_eq!(
+            (fourth.as_slice(), fourth.as_ptr()),
+            (&[12, 13, 14, 15][..], address)
+        );
+        assert_eq!(rx.recv(fourth, || {}), None);
+    }
+
+    #[test]
+    fn a_waiting_send_fails_once_the_receiver_is_gone() {
+        let (mut tx, rx) = chunk_queue::<u32>(1, 1);
+        tx.put(0);
+        assert!(tx.send());
+        std::thread::scope(|scope| {
+            let sender = scope.spawn(move || {
+                tx.put(1);
+                // The queue is full: this waits until the receiver drops.
+                let sent = tx.send();
+                (sent, tx.is_open(), tx.put(2))
+            });
+            std::thread::sleep(Duration::from_millis(20));
+            drop(rx);
+            assert_eq!(sender.join().unwrap(), (false, false, false));
+        });
     }
 
     /// Yields one scripted line per `read` call, and only once the test
@@ -299,20 +517,20 @@ mod tests {
     #[test]
     fn slow_source_is_not_parked_behind_an_unfilled_chunk() {
         let lines: Vec<String> = (0..20).map(|i| format!("ADD_VERTEX,{i},\n")).collect();
-        let (release, gate) = bounded(0);
+        let (release, gate) = sync_channel(0);
         let source = ScriptedSource {
             lines: lines.clone().into_iter(),
             release: gate,
         };
         // Room for a whole 256-entry chunk: only the drained-buffer rule
         // can hand these over one by one.
-        let (tx, rx) = entry_channel(DEFAULT_BUFFER);
-        let reader = std::thread::spawn(move || read_entries(io::BufReader::new(source), tx));
+        let (tx, mut rx) = entry_queue(DEFAULT_BUFFER);
+        let reader = std::thread::spawn(move || read_lines(io::BufReader::new(source), tx));
         // Forwarded through a channel with a timed receive, so that an
         // entry held back fails the test instead of hanging it.
-        let (forward, arrivals) = bounded(0);
+        let (forward, arrivals) = sync_channel(0);
         let forwarder = std::thread::spawn(move || {
-            while let Some(chunk) = rx.recv_chunk() {
+            while let Some(chunk) = rx.recv(Vec::new(), || {}) {
                 forward.send(chunk).unwrap();
             }
         });
@@ -320,7 +538,7 @@ mod tests {
             release.send(()).unwrap();
             // The next line is not released before this one has arrived.
             let chunk = arrivals
-                .recv_timeout(std::time::Duration::from_secs(10))
+                .recv_timeout(Duration::from_secs(10))
                 .expect("entry parked behind an unfilled chunk");
             assert_eq!(chunk.len(), 1);
             assert_eq!(gt_core::format::entry_to_line(&chunk[0]) + "\n", *line);

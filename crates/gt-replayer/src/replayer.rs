@@ -1,4 +1,5 @@
-//! The replay driver.
+//! The replay emitter: paces, pauses and timestamps the entries a
+//! [`crate::ReplaySession`] reads.
 
 use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -6,7 +7,7 @@ use std::sync::Arc;
 
 use gt_core::prelude::*;
 use gt_metrics::hub::Counter;
-use gt_metrics::{Clock, Histogram, WallClock};
+use gt_metrics::{Clock, Histogram};
 use gt_trace::Probe;
 
 use crate::errors::ReplayError;
@@ -80,76 +81,29 @@ pub struct ReplayReport {
     pub aborted: bool,
 }
 
-/// The rate-controlled replayer.
-pub struct Replayer {
-    config: ReplayerConfig,
-    clock: Arc<dyn Clock>,
-    /// Optional shared ingress counter (events emitted), for live
-    /// observation by metric loggers while the replay runs.
-    ingress_counter: Option<Counter>,
-    /// Optional emit-latency histogram: per graph event, how far past its
-    /// pacing deadline the emission happened, in microseconds.
-    emit_latency: Option<Histogram>,
-    /// Optional Level-2 tracepoint at the paced-emit stage: stamps sampled
-    /// graph events just before they are handed to the sink.
-    trace_probe: Option<Probe>,
-    /// Optional shared abort flag (set by an experiment watchdog): checked
-    /// between entries and during pauses; when raised, the replay stops
-    /// early, flushes what it has, and reports `aborted = true`.
-    abort: Option<Arc<AtomicBool>>,
+/// The rate-controlled replayer: the emitter stage of a
+/// [`crate::ReplaySession`], which builds it.
+pub(crate) struct Replayer {
+    pub(crate) config: ReplayerConfig,
+    /// The run clock: the replayer paces and pauses on it, and stamps
+    /// markers and rate buckets with it.
+    pub(crate) clock: Arc<dyn Clock>,
+    /// Graph events emitted, for live observation while the replay runs.
+    pub(crate) ingress: Counter,
+    /// Per graph event, how far past its pacing deadline the emission
+    /// happened, in microseconds.
+    pub(crate) emit_latency: Histogram,
+    /// Level-2 tracepoint at [`gt_trace::Stage::PacedEmit`]: stamps
+    /// sampled graph events just before they are handed to the sink.
+    pub(crate) trace_probe: Option<Probe>,
+    /// Shared abort flag (set by an experiment watchdog): checked between
+    /// entries and during pauses; when raised, the replay stops early,
+    /// delivers the pending batch, closes the sink, and reports
+    /// `aborted = true`.
+    pub(crate) abort: Option<Arc<AtomicBool>>,
 }
 
 impl Replayer {
-    /// A replayer with its own wall clock.
-    pub fn new(config: ReplayerConfig) -> Self {
-        Replayer {
-            config,
-            clock: Arc::new(WallClock::start()),
-            ingress_counter: None,
-            emit_latency: None,
-            trace_probe: None,
-            abort: None,
-        }
-    }
-
-    /// Uses a shared run clock (so marker timestamps align with metric
-    /// logger timestamps). The replayer also paces and pauses on it.
-    pub fn with_clock(mut self, clock: Arc<dyn Clock>) -> Self {
-        self.clock = clock;
-        self
-    }
-
-    /// Registers a counter incremented per emitted graph event.
-    pub fn with_ingress_counter(mut self, counter: Counter) -> Self {
-        self.ingress_counter = Some(counter);
-        self
-    }
-
-    /// Registers a histogram recording each graph event's deadline miss
-    /// (microseconds late relative to the pacing schedule).
-    pub(crate) fn with_emit_latency(mut self, histogram: Histogram) -> Self {
-        self.emit_latency = Some(histogram);
-        self
-    }
-
-    /// Registers a Level-2 tracepoint probe (normally
-    /// [`gt_trace::Stage::PacedEmit`]) stamped once per graph event just
-    /// before delivery to the sink. Sampling happens inside the probe.
-    pub fn with_trace_probe(mut self, probe: Probe) -> Self {
-        self.trace_probe = Some(probe);
-        self
-    }
-
-    /// Registers a shared abort flag. When another thread (normally the
-    /// experiment watchdog) sets it, the replay stops at the next entry
-    /// boundary — or mid-pause — delivers the pending batch, closes the
-    /// sink, and returns a report with `aborted = true` instead of
-    /// running the stream to its end.
-    pub fn with_abort_flag(mut self, flag: Arc<AtomicBool>) -> Self {
-        self.abort = Some(flag);
-        self
-    }
-
     fn abort_requested(&self) -> bool {
         self.abort
             .as_ref()
@@ -180,9 +134,7 @@ impl Replayer {
         let n = batch.len() as u64;
         batch.clear();
         *graph_events += n;
-        if let Some(c) = &self.ingress_counter {
-            c.add(n);
-        }
+        self.ingress.add(n);
         let elapsed = self.clock.now_micros().saturating_sub(started);
         let bucket = (elapsed / RATE_BUCKET_MICROS) as usize;
         if buckets.len() <= bucket {
@@ -196,7 +148,7 @@ impl Replayer {
     /// control events. Returns the streaming metrics report.
     ///
     /// Accepts owned [`StreamEntry`] items or pre-shared [`SharedEntry`]
-    /// handles (the file pipeline allocates once on the reader thread).
+    /// handles (the session allocates once on the reader thread).
     /// Events that are on schedule are delivered one per pacing slot; once
     /// the replayer falls behind, due events are coalesced into
     /// [`EventSink::send_batch`] bursts of at most
@@ -210,7 +162,7 @@ impl Replayer {
     /// Pacing deadlines, waits, pauses and every timestamp in the report
     /// are on the replayer's [`Clock`]; on a `ManualClock` a replay runs in
     /// virtual time.
-    pub fn replay<I, S>(&self, entries: I, sink: &mut S) -> io::Result<ReplayReport>
+    pub(crate) fn replay<I, S>(&self, entries: I, sink: &mut S) -> io::Result<ReplayReport>
     where
         I: IntoIterator,
         I::Item: Into<SharedEntry>,
@@ -256,9 +208,7 @@ impl Replayer {
                 StreamEntry::Graph(_) => {
                     let now = clock.now_micros();
                     let schedule = pacer.schedule(nanos_since_start(now));
-                    if let Some(h) = &self.emit_latency {
-                        h.record(schedule.lateness_nanos / 1_000);
-                    }
+                    self.emit_latency.record(schedule.lateness_nanos / 1_000);
                     // The clock reads whole microseconds: a deadline less
                     // than one away is due now, so an unpaced replay never
                     // waits.
@@ -367,15 +317,6 @@ impl Replayer {
             aborted,
         })
     }
-
-    /// Replays a whole in-memory stream.
-    pub fn replay_stream<S: EventSink + ?Sized>(
-        &self,
-        stream: &GraphStream,
-        sink: &mut S,
-    ) -> io::Result<ReplayReport> {
-        self.replay(stream.entries().iter().cloned(), sink)
-    }
 }
 
 #[cfg(test)]
@@ -386,6 +327,15 @@ mod tests {
     use std::cell::Cell;
     use std::rc::Rc;
     use std::time::Duration;
+
+    /// Replays a whole in-memory stream.
+    fn replay_all<S: EventSink + ?Sized>(
+        replayer: &Replayer,
+        stream: &GraphStream,
+        sink: &mut S,
+    ) -> io::Result<ReplayReport> {
+        replayer.replay(stream.entries().iter().cloned(), sink)
+    }
 
     fn vertices(n: u64) -> GraphStream {
         (0..n)
@@ -401,19 +351,37 @@ mod tests {
     /// A replayer on a fresh [`ManualClock`]: every wait jumps the clock,
     /// so a run's times are exact functions of the stream and the rate.
     fn virtual_replayer(config: ReplayerConfig) -> Replayer {
-        Replayer::new(config).with_clock(Arc::new(ManualClock::new()))
+        replayer_on(config, Arc::new(ManualClock::new()))
+    }
+
+    /// A replayer on `clock`, its metrics in a hub of its own.
+    fn replayer_on(config: ReplayerConfig, clock: Arc<dyn Clock>) -> Replayer {
+        let hub = gt_metrics::MetricsHub::new();
+        Replayer {
+            config,
+            clock,
+            ingress: hub.counter("ingress_events"),
+            emit_latency: hub.histogram("emit_latency_micros"),
+            trace_probe: None,
+            abort: None,
+        }
+    }
+
+    /// A replayer on the wall clock.
+    fn wall_replayer(config: ReplayerConfig) -> Replayer {
+        replayer_on(config, Arc::new(gt_metrics::WallClock::start()))
     }
 
     #[test]
     fn replays_everything_in_order() {
         let mut stream = vertices(50);
         stream.push(StreamEntry::marker("end"));
-        let replayer = Replayer::new(ReplayerConfig {
+        let replayer = wall_replayer(ReplayerConfig {
             target_rate: 1e6,
             ..Default::default()
         });
         let mut sink = CollectSink::new();
-        let report = replayer.replay_stream(&stream, &mut sink).unwrap();
+        let report = replay_all(&replayer, &stream, &mut sink).unwrap();
         assert_eq!(report.graph_events, 50);
         assert_eq!(sink.entries.len(), 51);
         assert_eq!(report.markers.len(), 1);
@@ -428,7 +396,7 @@ mod tests {
             ..Default::default()
         });
         let mut sink = CollectSink::new();
-        let report = replayer.replay_stream(&vertices(500), &mut sink).unwrap();
+        let report = replay_all(&replayer, &vertices(500), &mut sink).unwrap();
         assert_eq!(report.duration_micros, 100_000);
         assert_eq!(report.achieved_rate, 5_000.0);
     }
@@ -445,7 +413,7 @@ mod tests {
             ..Default::default()
         });
         let mut sink = CollectSink::new();
-        let report = replayer.replay_stream(&stream, &mut sink).unwrap();
+        let report = replay_all(&replayer, &stream, &mut sink).unwrap();
         assert_eq!(report.graph_events, 400);
         // 200 slots of 250 µs end at 50 ms; slot 201 was issued before
         // the change (50.25 ms), the other 199 come every 62.5 µs — the
@@ -466,14 +434,15 @@ mod tests {
             stream.push(StreamEntry::speed(bad));
             stream.extend(vertices(3));
             let clock = Arc::new(ManualClock::new());
-            let replayer = Replayer::new(ReplayerConfig {
-                target_rate: 1e6,
-                ..Default::default()
-            })
-            .with_clock(clock.clone());
+            let replayer = replayer_on(
+                ReplayerConfig {
+                    target_rate: 1e6,
+                    ..Default::default()
+                },
+                clock.clone(),
+            );
             let mut sink = CollectSink::new();
-            let err = replayer
-                .replay_stream(&stream, &mut sink)
+            let err = replay_all(&replayer, &stream, &mut sink)
                 .expect_err("bad factor must fail the replay");
             // Three 1 µs slots, not a stall of any length.
             assert_eq!(clock.now_micros(), 3, "factor {bad}");
@@ -501,7 +470,7 @@ mod tests {
             ..Default::default()
         });
         let mut sink = CollectSink::new();
-        let report = replayer.replay_stream(&stream, &mut sink).unwrap();
+        let report = replay_all(&replayer, &stream, &mut sink).unwrap();
         // Five 10 µs slots, the 80 ms pause, then five slots counted
         // afresh from its end.
         assert_eq!(report.paused_micros, 80_000);
@@ -519,7 +488,7 @@ mod tests {
             ..Default::default()
         });
         let mut sink = CollectSink::new();
-        let report = replayer.replay_stream(&stream, &mut sink).unwrap();
+        let report = replay_all(&replayer, &stream, &mut sink).unwrap();
         // Four 1 µs slots; the 5 s pause costs nothing.
         assert_eq!(report.duration_micros, 4);
     }
@@ -528,13 +497,15 @@ mod tests {
     fn ingress_counter_tracks_events() {
         let hub = gt_metrics::MetricsHub::new();
         let counter = hub.counter("ingress");
-        let replayer = Replayer::new(ReplayerConfig {
-            target_rate: 1e6,
-            ..Default::default()
-        })
-        .with_ingress_counter(counter.clone());
+        let replayer = Replayer {
+            ingress: counter.clone(),
+            ..wall_replayer(ReplayerConfig {
+                target_rate: 1e6,
+                ..Default::default()
+            })
+        };
         let mut sink = CollectSink::new();
-        replayer.replay_stream(&vertices(30), &mut sink).unwrap();
+        replay_all(&replayer, &vertices(30), &mut sink).unwrap();
         assert_eq!(counter.get(), 30);
     }
 
@@ -574,7 +545,7 @@ mod tests {
             ..Default::default()
         });
         let mut sink = CollectSink::new();
-        let report = replayer.replay_stream(&stream, &mut sink).unwrap();
+        let report = replay_all(&replayer, &stream, &mut sink).unwrap();
         assert_eq!(report.duration_micros, 1_900_000);
         // Slot k is at k ms: 999 slots before 1 s, 901 from it on.
         assert_eq!(report.rate_series.len(), 2);
@@ -604,16 +575,18 @@ mod tests {
         // width of its own; the report gives it its 1 µs floor rather
         // than dropping what was booked there.
         let clock = Arc::new(ManualClock::new());
-        let replayer = Replayer::new(ReplayerConfig {
-            target_rate: 1e9,
-            ..Default::default()
-        })
-        .with_clock(clock.clone());
+        let replayer = replayer_on(
+            ReplayerConfig {
+                target_rate: 1e9,
+                ..Default::default()
+            },
+            clock.clone(),
+        );
         let mut sink = TickingSink {
             clock,
             micros_per_event: 1_000,
         };
-        let report = replayer.replay_stream(&vertices(2_000), &mut sink).unwrap();
+        let report = replay_all(&replayer, &vertices(2_000), &mut sink).unwrap();
         assert_eq!(report.graph_events, 2_000);
         assert_eq!(report.duration_micros, 2_000_000);
         let &(last_start, last_rate) = report.rate_series.last().unwrap();
@@ -636,7 +609,7 @@ mod tests {
             ..Default::default()
         });
         let mut sink = CollectSink::new();
-        let report = replayer.replay_stream(&stream, &mut sink).unwrap();
+        let report = replay_all(&replayer, &stream, &mut sink).unwrap();
         assert_eq!(report.duration_micros, 50_000);
         assert_eq!(report.rate_series.len(), 1);
         let (_, rate) = report.rate_series[0];
@@ -656,7 +629,7 @@ mod tests {
             ..Default::default()
         });
         let mut sink = CollectSink::new();
-        let report = replayer.replay_stream(&stream, &mut sink).unwrap();
+        let report = replay_all(&replayer, &stream, &mut sink).unwrap();
         assert_eq!(report.paused_micros, 100_000);
         assert_eq!(report.duration_micros, 120_000);
         assert!((report.achieved_rate - 10_000.0).abs() < 1e-6);
@@ -698,12 +671,12 @@ mod tests {
     fn behind_schedule_events_coalesce_into_batches() {
         // Pacing effectively disabled: every event is due immediately, so
         // the emitter should deliver large bursts, not per-event calls.
-        let replayer = Replayer::new(ReplayerConfig {
+        let replayer = wall_replayer(ReplayerConfig {
             target_rate: 1e9,
             ..Default::default()
         });
         let mut sink = PatternSink::default();
-        let report = replayer.replay_stream(&vertices(1_000), &mut sink).unwrap();
+        let report = replay_all(&replayer, &vertices(1_000), &mut sink).unwrap();
         assert_eq!(report.graph_events, 1_000);
         let total: usize = sink.deliveries.iter().map(Vec::len).sum();
         assert_eq!(total, 1_000);
@@ -724,12 +697,12 @@ mod tests {
         let mut stream = vertices(100);
         stream.push(StreamEntry::marker("mid"));
         stream.extend(vertices(100));
-        let replayer = Replayer::new(ReplayerConfig {
+        let replayer = wall_replayer(ReplayerConfig {
             target_rate: 1e9,
             ..Default::default()
         });
         let mut sink = PatternSink::default();
-        replayer.replay_stream(&stream, &mut sink).unwrap();
+        replay_all(&replayer, &stream, &mut sink).unwrap();
         let flat: Vec<StreamEntry> = sink.deliveries.into_iter().flatten().collect();
         assert_eq!(flat.len(), 201);
         // Every graph event streamed before the marker is delivered before
@@ -744,13 +717,15 @@ mod tests {
         // The flag is pre-set: the replay must stop at the first entry
         // boundary, deliver nothing further, and still close the sink.
         let flag = Arc::new(AtomicBool::new(true));
-        let replayer = Replayer::new(ReplayerConfig {
-            target_rate: 1e6,
-            ..Default::default()
-        })
-        .with_abort_flag(Arc::clone(&flag));
+        let replayer = Replayer {
+            abort: Some(Arc::clone(&flag)),
+            ..wall_replayer(ReplayerConfig {
+                target_rate: 1e6,
+                ..Default::default()
+            })
+        };
         let mut sink = PatternSink::default();
-        let report = replayer.replay_stream(&vertices(100), &mut sink).unwrap();
+        let report = replay_all(&replayer, &vertices(100), &mut sink).unwrap();
         assert!(report.aborted);
         assert_eq!(report.graph_events, 0);
         assert_eq!(sink.closed, 1, "abort must still close the sink");
@@ -758,7 +733,7 @@ mod tests {
         // And an unset flag changes nothing.
         flag.store(false, Ordering::Relaxed);
         let mut sink = CollectSink::new();
-        let report = replayer.replay_stream(&vertices(100), &mut sink).unwrap();
+        let report = replay_all(&replayer, &vertices(100), &mut sink).unwrap();
         assert!(!report.aborted);
         assert_eq!(report.graph_events, 100);
     }
@@ -769,11 +744,13 @@ mod tests {
         let mut stream = vertices(2);
         stream.push(StreamEntry::pause(Duration::from_secs(30)));
         stream.extend(vertices(2));
-        let replayer = Replayer::new(ReplayerConfig {
-            target_rate: 1e6,
-            ..Default::default()
-        })
-        .with_abort_flag(Arc::clone(&flag));
+        let replayer = Replayer {
+            abort: Some(Arc::clone(&flag)),
+            ..wall_replayer(ReplayerConfig {
+                target_rate: 1e6,
+                ..Default::default()
+            })
+        };
         let setter = {
             let flag = Arc::clone(&flag);
             std::thread::spawn(move || {
@@ -783,7 +760,7 @@ mod tests {
         };
         let started = std::time::Instant::now();
         let mut sink = CollectSink::new();
-        let report = replayer.replay_stream(&stream, &mut sink).unwrap();
+        let report = replay_all(&replayer, &stream, &mut sink).unwrap();
         setter.join().unwrap();
         assert!(report.aborted);
         assert_eq!(report.graph_events, 2, "pre-pause events delivered");
@@ -798,13 +775,13 @@ mod tests {
         let mut stream = vertices(2);
         stream.push(StreamEntry::pause(Duration::from_secs(5)));
         stream.extend(vertices(2));
-        let replayer = Replayer::new(ReplayerConfig {
+        let replayer = wall_replayer(ReplayerConfig {
             target_rate: 1e6,
             honor_pauses: false,
             ..Default::default()
         });
         let mut sink = CollectSink::new();
-        let report = replayer.replay_stream(&stream, &mut sink).unwrap();
+        let report = replay_all(&replayer, &stream, &mut sink).unwrap();
         assert_eq!(report.paused_micros, 0);
     }
 
@@ -877,13 +854,11 @@ mod tests {
         let run = |speed: f64| {
             let mut stream: GraphStream = std::iter::once(StreamEntry::speed(speed)).collect();
             stream.extend(vertices(400));
-            let replayer = Replayer::new(ReplayerConfig {
+            let replayer = wall_replayer(ReplayerConfig {
                 target_rate: 4_000.0,
                 ..Default::default()
             });
-            let report = replayer
-                .replay_stream(&stream, &mut CollectSink::new())
-                .unwrap();
+            let report = replay_all(&replayer, &stream, &mut CollectSink::new()).unwrap();
             report.duration_micros as f64
         };
         let base = run(1.0);

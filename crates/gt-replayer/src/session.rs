@@ -1,43 +1,45 @@
-//! The end-to-end replay pipeline: file → parse → pace → sink.
+//! The end-to-end replay pipeline: source → read → pace → sink.
 //!
-//! [`ReplaySession`] composes the decoupled reader thread
-//! ([`crate::reader::spawn_file_reader`]), the bounded hand-off channel,
-//! and the pacing [`crate::Replayer`] into the multi-threaded design of
-//! §5.1 — the stream is parsed on one thread and emitted on another, so
-//! a stream of any length replays in bounded memory (the channel holds at
-//! most `buffer` entries; the file is never materialized). Entries cross
-//! the channel a chunk at a time ([`crate::reader`]): the emitter pays
-//! one channel operation, one stall measurement and one queue-depth
-//! sample per chunk, and the trace stamp, abort check, pacer poll and
-//! deadline-miss sample per event.
+//! [`ReplaySession`] is the one single-sink driver, for a stream file and
+//! an in-memory stream alike. It composes the decoupled reader
+//! ([`crate::reader::read_source`] on a scoped thread, so it can borrow
+//! an in-memory stream as well as open a file), the bounded chunk queue
+//! ([`crate::reader::chunk_queue`]) and the pacing emitter into the
+//! multi-threaded design of §5.1 — the stream is read on one thread and
+//! emitted on another, so a stream file of any length replays in bounded
+//! memory (the queue holds at most `buffer` entries; the file is never
+//! materialized). The emitter pays one queue operation, one stall
+//! measurement and one queue-depth sample per chunk, and the trace stamp,
+//! abort check, pacer poll and deadline-miss sample per event.
 //!
 //! Every stage is instrumented through a [`MetricsHub`]:
 //!
 //! | metric | type | meaning |
 //! |---|---|---|
 //! | `ingress_events` | counter | graph events emitted |
-//! | `queue_depth` | gauge | entries in the reader→emitter channel, sampled at each chunk taken |
-//! | `reader_stall_micros` | counter | emitter time blocked on an empty channel (reader too slow) |
+//! | `queue_depth` | gauge | entries in the reader→emitter queue, sampled at each chunk taken |
+//! | `reader_stall_micros` | counter | emitter time blocked on an empty queue (reader too slow) |
 //! | `sink_stall_micros` | counter | emitter time blocked in `send`/`flush` (consumer too slow) |
 //! | `emit_latency_micros` | histogram | per-event deadline miss |
 //!
 //! Both stall counters are differences of two readings of the session's
 //! [`Clock`] around the blocking call — on a `ManualClock` they are exact
 //! virtual times. Passing a shared hub (and clock) lets harness logger
-//! threads sample the pipeline live; the final values are also folded
-//! into the returned [`SessionReport`].
+//! threads sample the pipeline live; the hub has every series from
+//! [`ReplaySession::with_hub`] on, so a sample taken before the run
+//! starts already lists them all. The final values are also folded into
+//! the returned [`SessionReport`].
 
-use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 use gt_core::prelude::*;
 use gt_metrics::hub::{Counter, Gauge};
-use gt_metrics::{Clock, HistogramSnapshot, MetricsHub, WallClock};
+use gt_metrics::{Clock, Histogram, HistogramSnapshot, MetricsHub, WallClock};
 use gt_trace::{Probe, Stage, Tracer};
 
 use crate::errors::ReplayError;
-use crate::reader::{spawn_file_reader, EntryReceiver, DEFAULT_BUFFER};
+use crate::reader::{entry_queue, read_source, ChunkReceiver, StreamSource, DEFAULT_BUFFER};
 use crate::replayer::{ReplayReport, Replayer, ReplayerConfig};
 use crate::sink::{EventSink, SinkEvent};
 
@@ -46,10 +48,10 @@ use crate::sink::{EventSink, SinkEvent};
 pub struct ReplaySessionConfig {
     /// Pacing and reporting configuration for the emitter stage.
     pub replayer: ReplayerConfig,
-    /// Capacity of the reader→emitter channel, in entries. This is the
+    /// Capacity of the reader→emitter queue, in entries. This is the
     /// pipeline's only buffering — it bounds both memory use and how far
     /// the reader can run ahead. The bound is met in chunks of
-    /// `min(256, buffer)` entries: the channel has `buffer / chunk` slots,
+    /// `min(256, buffer)` entries: the queue has `buffer / chunk` slots,
     /// and besides what it holds only the one chunk in the reader's hand
     /// and the one in the emitter's exist.
     pub buffer: usize,
@@ -70,13 +72,13 @@ impl Default for ReplaySessionConfig {
 pub struct SessionReport {
     /// The emitter's streaming metrics (rates, markers, pauses).
     pub replay: ReplayReport,
-    /// Entries the reader parsed from the file.
+    /// Entries the reader read from the source.
     pub entries_read: u64,
-    /// Cumulative time the emitter spent waiting on an empty channel.
+    /// Cumulative time the emitter spent waiting on an empty queue.
     pub reader_stall_micros: u64,
     /// Cumulative time the emitter spent inside sink `send`/`flush`.
     pub sink_stall_micros: u64,
-    /// Highest observed reader→emitter channel occupancy.
+    /// Highest observed reader→emitter queue occupancy.
     pub max_queue_depth: i64,
     /// Distribution of per-event deadline misses, microseconds.
     pub emit_latency: HistogramSnapshot,
@@ -85,11 +87,34 @@ pub struct SessionReport {
     pub sink_events: Vec<SinkEvent>,
 }
 
-/// The file-backed, fault-tolerant replay pipeline driver.
+/// The pipeline's series in its hub.
+struct Series {
+    ingress: Counter,
+    queue_depth: Gauge,
+    reader_stall: Counter,
+    sink_stall: Counter,
+    emit_latency: Histogram,
+}
+
+impl Series {
+    /// Registers every series in `hub`.
+    fn register(hub: &MetricsHub) -> Self {
+        Series {
+            ingress: hub.counter("ingress_events"),
+            queue_depth: hub.gauge("queue_depth"),
+            reader_stall: hub.counter("reader_stall_micros"),
+            sink_stall: hub.counter("sink_stall_micros"),
+            emit_latency: hub.histogram("emit_latency_micros"),
+        }
+    }
+}
+
+/// The replay pipeline driver, for a stream file and an in-memory stream
+/// alike.
 pub struct ReplaySession {
     config: ReplaySessionConfig,
     clock: Arc<dyn Clock>,
-    hub: MetricsHub,
+    series: Series,
     tracer: Option<Tracer>,
     abort: Option<Arc<AtomicBool>>,
 }
@@ -100,7 +125,7 @@ impl ReplaySession {
         ReplaySession {
             config,
             clock: Arc::new(WallClock::start()),
-            hub: MetricsHub::new(),
+            series: Series::register(&MetricsHub::new()),
             tracer: None,
             abort: None,
         }
@@ -115,16 +140,12 @@ impl ReplaySession {
     }
 
     /// Uses a shared metrics hub so logger threads can sample the
-    /// pipeline while it runs.
+    /// pipeline while it runs. Every pipeline series is registered in it
+    /// here, before the run: a logger's first sample lists them all.
     #[must_use]
     pub fn with_hub(mut self, hub: MetricsHub) -> Self {
-        self.hub = hub;
+        self.series = Series::register(&hub);
         self
-    }
-
-    /// The hub carrying the pipeline's live metrics.
-    pub fn hub(&self) -> &MetricsHub {
-        &self.hub
     }
 
     /// Attaches a Level-2 [`Tracer`]: the pipeline stamps sampled graph
@@ -140,58 +161,65 @@ impl ReplaySession {
     /// Attaches a shared abort flag, forwarded to the emitter stage: when
     /// set (normally by an experiment watchdog), the replay stops early
     /// and the report's `replay.aborted` is true. The reader thread winds
-    /// down on its own once the emitter drops the channel.
+    /// down on its own once the emitter drops the queue.
     #[must_use]
     pub fn with_abort_flag(mut self, flag: Arc<AtomicBool>) -> Self {
         self.abort = Some(flag);
         self
     }
 
-    /// Streams `path` through the pipeline into `sink`. The file is read
-    /// and parsed on a dedicated thread; this thread paces and emits.
-    pub fn run<S: EventSink + ?Sized>(
+    /// Streams `source` — a stream file's path or an in-memory
+    /// [`GraphStream`] — through the pipeline into `sink`. The source is
+    /// read on a dedicated thread; this thread paces and emits.
+    pub fn run<'a, S: EventSink + ?Sized>(
         &self,
-        path: impl AsRef<Path>,
+        source: impl Into<StreamSource<'a>>,
         sink: &mut S,
     ) -> Result<SessionReport, ReplayError> {
-        let (rx, reader_handle) = spawn_file_reader(path.as_ref(), self.config.buffer);
-
-        let max_queue_depth = Arc::new(AtomicI64::new(0));
-        let entries = InstrumentedRx {
+        let source = source.into();
+        let (tx, rx) = entry_queue(self.config.buffer);
+        let series = &self.series;
+        let mut entries = InstrumentedRx {
             rx,
-            chunk: Vec::new().into_iter(),
-            queue_depth: self.hub.gauge("queue_depth"),
-            reader_stall: self.hub.counter("reader_stall_micros"),
-            max_depth: Arc::clone(&max_queue_depth),
+            chunk: Vec::new(),
+            queue_depth: &series.queue_depth,
+            reader_stall: &series.reader_stall,
+            max_depth: 0,
             trace_probe: self.tracer.as_ref().map(|t| t.probe(Stage::ReaderDequeue)),
             clock: &*self.clock,
         };
         let mut instrumented_sink = InstrumentedSink {
             inner: sink,
-            sink_stall: self.hub.counter("sink_stall_micros"),
+            sink_stall: &series.sink_stall,
             clock: &*self.clock,
             trace_probe: self.tracer.as_ref().map(|t| t.probe(Stage::SinkWrite)),
         };
 
-        let emit_latency = self.hub.histogram("emit_latency_micros");
-        let mut replayer = Replayer::new(self.config.replayer.clone())
-            .with_clock(Arc::clone(&self.clock))
-            .with_ingress_counter(self.hub.counter("ingress_events"))
-            .with_emit_latency(emit_latency.clone());
-        if let Some(tracer) = &self.tracer {
-            replayer = replayer.with_trace_probe(tracer.probe(Stage::PacedEmit));
-        }
-        if let Some(flag) = &self.abort {
-            replayer = replayer.with_abort_flag(Arc::clone(flag));
-        }
+        let replayer = Replayer {
+            config: self.config.replayer.clone(),
+            clock: Arc::clone(&self.clock),
+            ingress: series.ingress.clone(),
+            emit_latency: series.emit_latency.clone(),
+            trace_probe: self.tracer.as_ref().map(|t| t.probe(Stage::PacedEmit)),
+            abort: self.abort.clone(),
+        };
 
-        // `replay` consumes the entry iterator, so by the time it returns
-        // the receiver is dropped and the reader thread is unblocked and
-        // winding down — joining it cannot deadlock, on either path.
-        let replay_result = replayer.replay(entries, &mut instrumented_sink);
-        let reader_result = reader_handle.join();
+        // Everything the emitter holds moves into the scope: should it
+        // panic, unwinding drops the queue, which frees the reader for the
+        // scope's join.
+        let (replayed, reader_result, max_queue_depth) = std::thread::scope(move |scope| {
+            let reader = std::thread::Builder::new()
+                .name("gt-stream-reader".into())
+                .spawn_scoped(scope, move || read_source(source, tx))
+                .expect("spawning reader thread");
+            let replayed = replayer.replay(&mut entries, &mut instrumented_sink);
+            // Hanging up unblocks the reader, so the join cannot deadlock.
+            let max_depth = entries.max_depth;
+            drop(entries);
+            (replayed, reader.join(), max_depth)
+        });
 
-        let replay = replay_result.map_err(ReplayError::from_sink_error)?;
+        let replay = replayed.map_err(ReplayError::from_sink_error)?;
         let entries_read = match reader_result {
             Ok(Ok(n)) => n,
             Ok(Err(e)) => return Err(ReplayError::Source(e)),
@@ -201,47 +229,54 @@ impl ReplaySession {
         Ok(SessionReport {
             replay,
             entries_read,
-            reader_stall_micros: self.hub.counter("reader_stall_micros").get(),
-            sink_stall_micros: self.hub.counter("sink_stall_micros").get(),
-            max_queue_depth: max_queue_depth.load(Ordering::Relaxed),
-            emit_latency: emit_latency.snapshot(),
+            reader_stall_micros: series.reader_stall.get(),
+            sink_stall_micros: series.sink_stall.get(),
+            max_queue_depth,
+            emit_latency: series.emit_latency.snapshot(),
             sink_events: sink.drain_events(),
         })
     }
 }
 
-/// The reader→emitter channel, instrumented. Per chunk: time blocked on
-/// the channel is reader stall, and the entries queued before and after
+/// The reader→emitter queue, instrumented. Per chunk: time blocked on
+/// the queue is reader stall, and the entries queued before and after
 /// the take feed the queue-depth gauge and its maximum. Per event: the
 /// trace stamp. What it can yield without blocking — the rest of its chunk,
 /// or else what is queued — is its `size_hint`, so the emitter delivers
 /// its pending batch before a pull that would wait on the reader.
 struct InstrumentedRx<'a> {
-    rx: EntryReceiver,
-    chunk: std::vec::IntoIter<SharedEntry>,
-    queue_depth: Gauge,
-    reader_stall: Counter,
-    max_depth: Arc<AtomicI64>,
+    rx: ChunkReceiver<SharedEntry>,
+    /// The rest of the current chunk, last entry first.
+    chunk: Vec<SharedEntry>,
+    queue_depth: &'a Gauge,
+    reader_stall: &'a Counter,
+    max_depth: i64,
     trace_probe: Option<Probe>,
     clock: &'a dyn Clock,
 }
 
 impl InstrumentedRx<'_> {
-    fn next_chunk(&mut self) -> Option<Vec<SharedEntry>> {
+    /// Hands the used-up chunk back and takes the next; `false` once the
+    /// reader is done.
+    fn next_chunk(&mut self) -> bool {
         // Sample occupancy before taking as well as after: a reader parked
-        // on a full channel refills the freed slot only after the take, so
+        // on a full queue refills the freed slot only after the take, so
         // the post-take depth alone never observes the capacity-pinned
         // state.
-        self.max_depth
-            .fetch_max(self.rx.queued() as i64, Ordering::Relaxed);
+        self.max_depth = self.max_depth.max(self.rx.queued() as i64);
         let start = self.clock.now_micros();
-        let chunk = self.rx.recv_chunk();
+        let next = self.rx.recv(std::mem::take(&mut self.chunk), || {});
         self.reader_stall
             .add(self.clock.now_micros().saturating_sub(start));
         let depth = self.rx.queued() as i64;
         self.queue_depth.set(depth);
-        self.max_depth.fetch_max(depth, Ordering::Relaxed);
-        chunk
+        self.max_depth = self.max_depth.max(depth);
+        let Some(mut chunk) = next else {
+            return false;
+        };
+        chunk.reverse();
+        self.chunk = chunk;
+        true
     }
 }
 
@@ -256,12 +291,10 @@ impl Iterator for InstrumentedRx<'_> {
     }
 
     fn next(&mut self) -> Option<SharedEntry> {
-        let entry = match self.chunk.next() {
+        let entry = match self.chunk.pop() {
             Some(entry) => entry,
-            None => {
-                self.chunk = self.next_chunk()?.into_iter();
-                self.chunk.next()? // chunks are never empty
-            }
+            None if self.next_chunk() => self.chunk.pop()?, // chunks are never empty
+            None => return None,
         };
         // Only graph events advance the trace sequence — every stage must
         // count the same stream positions for seq-based matching to hold.
@@ -277,7 +310,7 @@ impl Iterator for InstrumentedRx<'_> {
 /// Times every sink call on the session's clock, accumulating sink stall.
 struct InstrumentedSink<'a, S: ?Sized> {
     inner: &'a mut S,
-    sink_stall: Counter,
+    sink_stall: &'a Counter,
     trace_probe: Option<Probe>,
     clock: &'a dyn Clock,
 }
@@ -336,7 +369,7 @@ impl<S: EventSink + ?Sized> EventSink for InstrumentedSink<'_, S> {
 mod tests {
     use super::*;
     use crate::sink::CollectSink;
-    use std::path::PathBuf;
+    use std::path::{Path, PathBuf};
 
     fn temp_stream_file(name: &str, lines: usize) -> PathBuf {
         let dir = std::env::temp_dir().join("gt-replayer-session-test");
@@ -400,7 +433,7 @@ mod tests {
     fn missing_file_surfaces_as_source_error() {
         let session = ReplaySession::new(fast_config(16));
         let mut sink = CollectSink::new();
-        match session.run("/nonexistent/stream.csv", &mut sink) {
+        match session.run(Path::new("/nonexistent/stream.csv"), &mut sink) {
             Err(ReplayError::Source(CoreError::Io(_))) => {}
             other => panic!("expected Source(Io) error, got {other:?}"),
         }
@@ -463,22 +496,26 @@ mod tests {
     #[test]
     fn buffer_is_an_entry_bound_at_every_size() {
         // In order, exactly once, and never more than `buffer` entries
-        // queued — whether `buffer` is below, at or above the chunk size.
+        // queued — whether `buffer` is below, at or above the chunk size,
+        // and whether the stream comes from its file or from memory.
         // (`slow_consumer_backpressure_fills_queue` pins the other side:
         // a slow sink finds exactly `buffer` queued.)
         let path = temp_stream_file("entry-bound", 5_000);
         let want = GraphStream::read_from_file(&path).unwrap();
-        for buffer in [1, 7, 64, 1_000] {
-            let session = ReplaySession::new(fast_config(buffer));
-            let mut sink = CollectSink::new();
-            let report = session.run(&path, &mut sink).unwrap();
-            assert_eq!(report.entries_read, 5_001);
-            assert_eq!(sink.entries, want.entries(), "buffer {buffer}");
-            assert!(
-                report.max_queue_depth <= buffer as i64,
-                "buffer {buffer}: {} queued",
-                report.max_queue_depth
-            );
+        for source in [StreamSource::File(&path), StreamSource::Stream(&want)] {
+            for buffer in [1, 7, 64, 1_000] {
+                let session = ReplaySession::new(fast_config(buffer));
+                let mut sink = CollectSink::new();
+                let report = session.run(source, &mut sink).unwrap();
+                assert_eq!(report.entries_read, 5_001);
+                assert_eq!(report.emit_latency.count, 5_000);
+                assert_eq!(sink.entries, want.entries(), "buffer {buffer}");
+                assert!(
+                    report.max_queue_depth <= buffer as i64,
+                    "buffer {buffer}: {} queued",
+                    report.max_queue_depth
+                );
+            }
         }
         std::fs::remove_file(path).ok();
     }

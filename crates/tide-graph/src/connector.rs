@@ -93,7 +93,7 @@ mod tests {
     use super::*;
     use crate::engine::{EngineConfig, TideGraph};
     use gt_metrics::MetricsHub;
-    use gt_replayer::{Replayer, ReplayerConfig};
+    use gt_replayer::{ReplaySession, ReplaySessionConfig, ReplayerConfig};
     use std::time::Duration;
 
     #[test]
@@ -104,11 +104,14 @@ mod tests {
 
         let mut stream = gt_graph::builders::ring(100);
         stream.push(StreamEntry::marker("end"));
-        let replayer = Replayer::new(ReplayerConfig {
-            target_rate: 50_000.0,
+        let session = ReplaySession::new(ReplaySessionConfig {
+            replayer: ReplayerConfig {
+                target_rate: 50_000.0,
+                ..Default::default()
+            },
             ..Default::default()
         });
-        let report = replayer.replay_stream(&stream, &mut connector).unwrap();
+        let report = session.run(&stream, &mut connector).unwrap().replay;
         assert_eq!(report.graph_events, 200);
 
         assert!(engine.quiesce(Duration::from_secs(10)));

@@ -143,7 +143,7 @@ mod tests {
     use super::*;
     use crate::store::{StoreConfig, TideStore};
     use gt_metrics::MetricsHub;
-    use gt_replayer::{Replayer, ReplayerConfig};
+    use gt_replayer::{ReplaySession, ReplaySessionConfig, ReplayerConfig};
     use std::time::Duration;
 
     fn fast_store(hub: &MetricsHub) -> TideStore {
@@ -192,13 +192,14 @@ mod tests {
         let hub = MetricsHub::new();
         let store = fast_store(&hub);
         let mut connector = BatchingConnector::new(store.client(), 1);
-        let replayer = Replayer::new(ReplayerConfig {
-            target_rate: 1e6,
+        let session = ReplaySession::new(ReplaySessionConfig {
+            replayer: ReplayerConfig {
+                target_rate: 1e6,
+                ..Default::default()
+            },
             ..Default::default()
         });
-        let report = replayer
-            .replay_stream(&stream(200), &mut connector)
-            .unwrap();
+        let report = session.run(&stream(200), &mut connector).unwrap().replay;
         assert_eq!(report.graph_events, 200);
         let stats = store.shutdown();
         assert_eq!(stats.events, 200);

@@ -41,14 +41,17 @@ fn measure_throughput(stream: &GraphStream, batch: usize) -> f64 {
         &hub,
     );
     let mut connector = BatchingConnector::new(store.client(), batch);
-    let replayer = Replayer::new(ReplayerConfig {
-        target_rate: RATE,
-        honor_pauses: false,
+    let session = ReplaySession::new(ReplaySessionConfig {
+        replayer: ReplayerConfig {
+            target_rate: RATE,
+            honor_pauses: false,
+            ..Default::default()
+        },
         ..Default::default()
     });
     let started = Instant::now();
-    replayer
-        .replay_stream(stream, &mut connector)
+    session
+        .run(stream, &mut connector)
         .expect("replay succeeds");
     let elapsed = started.elapsed().as_secs_f64();
     let committed = store.events_committed() as f64;

@@ -30,13 +30,17 @@ fn main() {
     let engine = Arc::new(TideGraph::start(EngineConfig::default(), &hub));
     let mut connector = EngineConnector::new(Arc::clone(&engine));
 
-    let replayer = Replayer::new(ReplayerConfig {
-        target_rate: 50_000.0,
+    let session = ReplaySession::new(ReplaySessionConfig {
+        replayer: ReplayerConfig {
+            target_rate: 50_000.0,
+            ..Default::default()
+        },
         ..Default::default()
     });
-    let report = replayer
-        .replay_stream(&stream, &mut connector)
-        .expect("replay succeeds");
+    let report = session
+        .run(&stream, &mut connector)
+        .expect("replay succeeds")
+        .replay;
     println!(
         "streamed {} events at {:.0} events/s",
         report.graph_events, report.achieved_rate

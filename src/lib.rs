@@ -18,10 +18,11 @@
 //! // inspect the streaming metrics.
 //! let workload = graphtides::workloads::SnbWorkload::scaled(0.005, 7);
 //! let stream = workload.generate();
-//! let replayer = Replayer::new(ReplayerConfig { target_rate: 1e6, ..Default::default() });
+//! let replayer = ReplayerConfig { target_rate: 1e6, ..Default::default() };
+//! let session = ReplaySession::new(ReplaySessionConfig { replayer, ..Default::default() });
 //! let mut sink = CollectSink::new();
-//! let report = replayer.replay_stream(&stream, &mut sink).unwrap();
-//! assert_eq!(report.graph_events as u64, workload.total_events());
+//! let report = session.run(&stream, &mut sink).unwrap();
+//! assert_eq!(report.replay.graph_events as u64, workload.total_events());
 //! ```
 
 /// Reference (batch) and online graph computations.
@@ -78,6 +79,8 @@ pub mod prelude {
     pub use gt_graph::{CsrSnapshot, EvolvingGraph};
     pub use gt_harness::{run, RunOutcome, RunPlan, Target};
     pub use gt_metrics::{MetricsHub, ResultLog};
-    pub use gt_replayer::{CollectSink, EventSink, Replayer, ReplayerConfig};
+    pub use gt_replayer::{
+        CollectSink, EventSink, ReplaySession, ReplaySessionConfig, ReplayerConfig,
+    };
     pub use gt_sut::{SutOptions, SutRegistry, SystemUnderTest};
 }

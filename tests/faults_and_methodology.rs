@@ -83,12 +83,15 @@ fn ci95_comparison_separates_configurations() {
     let measure = |cell: &str, rate: f64| -> Vec<JournalRecord> {
         (0..30)
             .map(|rep| {
-                let replayer = Replayer::new(ReplayerConfig {
-                    target_rate: rate,
+                let session = ReplaySession::new(ReplaySessionConfig {
+                    replayer: ReplayerConfig {
+                        target_rate: rate,
+                        ..Default::default()
+                    },
                     ..Default::default()
                 });
                 let mut sink = CollectSink::new();
-                let report = replayer.replay_stream(&stream, &mut sink).unwrap();
+                let report = session.run(&stream, &mut sink).unwrap().replay;
                 JournalRecord {
                     cell: cell.to_owned(),
                     rep,
@@ -115,8 +118,9 @@ fn ci95_comparison_separates_configurations() {
 
 #[test]
 fn stream_file_roundtrip_through_replayer() {
-    // Write a workload to disk, stream it through the decoupled file
-    // reader into the replayer, and verify nothing is lost or reordered.
+    // Write a workload to disk, stream it through the replay session's
+    // decoupled reader into its emitter, and verify nothing is lost or
+    // reordered.
     let stream = SnbWorkload {
         persons: 80,
         connections: 400,
@@ -128,15 +132,20 @@ fn stream_file_roundtrip_through_replayer() {
     let path = dir.join("snb.csv");
     stream.write_to_file(&path).unwrap();
 
-    let (rx, reader) = graphtides::replayer::spawn_file_reader(&path, 1024);
-    let replayer = Replayer::new(ReplayerConfig {
-        target_rate: 1e6,
-        ..Default::default()
+    let session = ReplaySession::new(ReplaySessionConfig {
+        replayer: ReplayerConfig {
+            target_rate: 1e6,
+            ..Default::default()
+        },
+        buffer: 1024,
     });
     let mut sink = CollectSink::new();
-    let report = replayer.replay(rx.iter(), &mut sink).unwrap();
-    assert_eq!(reader.join().unwrap().unwrap(), stream.len() as u64);
-    assert_eq!(report.graph_events as usize, stream.stats().graph_events);
+    let report = session.run(&path, &mut sink).unwrap();
+    assert_eq!(report.entries_read, stream.len() as u64);
+    assert_eq!(
+        report.replay.graph_events as usize,
+        stream.stats().graph_events
+    );
     assert_eq!(sink.entries, stream.entries());
     std::fs::remove_file(path).ok();
 }

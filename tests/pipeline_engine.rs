@@ -35,11 +35,14 @@ fn engine_converges_toward_batch_reference() {
     // volume; see DESIGN.md ("Queue discipline" and epsilon ablation).
     let engine = Arc::new(TideGraph::start(EngineConfig::default(), &hub));
     let mut connector = EngineConnector::new(Arc::clone(&engine));
-    let replayer = Replayer::new(ReplayerConfig {
-        target_rate: 1e6,
+    let session = ReplaySession::new(ReplaySessionConfig {
+        replayer: ReplayerConfig {
+            target_rate: 1e6,
+            ..Default::default()
+        },
         ..Default::default()
     });
-    replayer.replay_stream(&stream, &mut connector).unwrap();
+    session.run(&stream, &mut connector).unwrap();
     assert!(engine.quiesce(Duration::from_secs(60)));
     drop(connector);
     let engine = Arc::try_unwrap(engine).ok().expect("sole owner");
@@ -80,11 +83,14 @@ fn backlog_grows_under_burst_and_fully_drains() {
     ));
     let mut connector = EngineConnector::new(Arc::clone(&engine));
     // Unthrottled burst: workers cannot keep up.
-    let replayer = Replayer::new(ReplayerConfig {
-        target_rate: 1e6,
+    let session = ReplaySession::new(ReplaySessionConfig {
+        replayer: ReplayerConfig {
+            target_rate: 1e6,
+            ..Default::default()
+        },
         ..Default::default()
     });
-    replayer.replay_stream(&stream, &mut connector).unwrap();
+    session.run(&stream, &mut connector).unwrap();
     let backlog = engine.total_queue_len();
     assert!(backlog > 50, "expected a backlog, got {backlog}");
 

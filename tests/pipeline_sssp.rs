@@ -26,11 +26,14 @@ fn online_sssp_tracks_batch_oracle_on_growing_graph() {
     let hub = MetricsHub::new();
     let engine = Arc::new(start_sssp(EngineConfig::default(), &hub, VertexId(0)));
     let mut connector = EngineConnector::new(Arc::clone(&engine));
-    let replayer = Replayer::new(ReplayerConfig {
-        target_rate: 1e6,
+    let session = ReplaySession::new(ReplaySessionConfig {
+        replayer: ReplayerConfig {
+            target_rate: 1e6,
+            ..Default::default()
+        },
         ..Default::default()
     });
-    replayer.replay_stream(&stream, &mut connector).unwrap();
+    session.run(&stream, &mut connector).unwrap();
     assert!(engine.quiesce(Duration::from_secs(30)));
     drop(connector);
     let engine = Arc::try_unwrap(engine).ok().expect("sole owner");

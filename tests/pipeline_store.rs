@@ -45,11 +45,14 @@ fn store_reconstructs_exactly_the_streamed_graph() {
     let hub = MetricsHub::new();
     let store = zero_cost_store(&hub);
     let mut connector = BatchingConnector::new(store.client(), 10);
-    let replayer = Replayer::new(ReplayerConfig {
-        target_rate: 1e6,
+    let session = ReplaySession::new(ReplaySessionConfig {
+        replayer: ReplayerConfig {
+            target_rate: 1e6,
+            ..Default::default()
+        },
         ..Default::default()
     });
-    let report = replayer.replay_stream(&stream, &mut connector).unwrap();
+    let report = session.run(&stream, &mut connector).unwrap().replay;
     connector.flush().unwrap();
     let stats = store.shutdown();
 
@@ -80,12 +83,15 @@ fn store_backpressure_caps_achieved_rate() {
         &hub,
     );
     let mut connector = BatchingConnector::new(store.client(), 1);
-    let replayer = Replayer::new(ReplayerConfig {
-        target_rate: 50_000.0,
+    let session = ReplaySession::new(ReplaySessionConfig {
+        replayer: ReplayerConfig {
+            target_rate: 50_000.0,
+            ..Default::default()
+        },
         ..Default::default()
     });
     let started = Instant::now();
-    let report = replayer.replay_stream(&stream, &mut connector).unwrap();
+    let report = session.run(&stream, &mut connector).unwrap().replay;
     let elapsed = started.elapsed().as_secs_f64();
     store.shutdown();
 
@@ -112,12 +118,15 @@ fn batching_multiplies_the_ceiling_end_to_end() {
             &hub,
         );
         let mut connector = BatchingConnector::new(store.client(), batch);
-        let replayer = Replayer::new(ReplayerConfig {
-            target_rate: 1e6,
+        let session = ReplaySession::new(ReplaySessionConfig {
+            replayer: ReplayerConfig {
+                target_rate: 1e6,
+                ..Default::default()
+            },
             ..Default::default()
         });
         let started = Instant::now();
-        let report = replayer.replay_stream(&stream, &mut connector).unwrap();
+        let report = session.run(&stream, &mut connector).unwrap().replay;
         connector.flush().unwrap();
         let elapsed = started.elapsed().as_secs_f64();
         store.shutdown();
