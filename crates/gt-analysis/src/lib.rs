@@ -38,7 +38,9 @@ pub mod variability;
 
 pub use correlate::{cross_correlation, pearson};
 pub use error::{median_relative_error, top_k_overlap};
-pub use load::{offered_vs_achieved, sojourn_quantiles, OfferedAchieved, LOAD_SOURCE};
+pub use load::{
+    offered_vs_achieved, sojourn_quantiles, sojourn_tail_records, OfferedAchieved, LOAD_SOURCE,
+};
 pub use markers::{
     phase_summaries, window_correlation, PhaseStats, TRACE_SOURCE, TRACE_STAGE_METRICS,
 };

@@ -7,8 +7,14 @@
 //! * `offered_rate.<class>` / `achieved_rate.<class>` — per-second
 //!   bucketed rate series (what the class scheduled vs. what its writes
 //!   completed);
-//! * `sojourn_us.<class>` — one float record per graph event, stamped at
-//!   write completion, valued at completion minus *scheduled* arrival.
+//! * `sojourn_us.<class>.<field>` — the class's whole-run sojourn tail,
+//!   one float record per [`TailQuantiles`] field (`n`, `nan_count`,
+//!   `p50`, `p95`, `p99`, `p999`, `max`) stamped at run end, where a
+//!   sample is completion minus *scheduled* arrival. The tail is exact:
+//!   it is computed from every sample before the samples are dropped
+//!   ([`sojourn_tail_records`]), so the log carries a handful of records
+//!   per class instead of one per event. A log written with one
+//!   `sojourn_us.<class>` record per event has no tail to read.
 //!
 //! Sojourn — not service time — is the open-loop quantity: it charges
 //! the SUT for queueing delay accumulated while it stalled, which is
@@ -16,7 +22,7 @@
 //! [`TailQuantiles`] (p50/p95/p99/p999 plus sample count), NaN-safe like
 //! the rest of the percentile toolbox.
 
-use gt_metrics::ResultLog;
+use gt_metrics::{MetricRecord, MetricValue, Name, ResultLog};
 
 use crate::percentiles::TailQuantiles;
 
@@ -65,15 +71,53 @@ pub fn offered_vs_achieved(log: &ResultLog, class: &str) -> Option<OfferedAchiev
     })
 }
 
-/// Whole-run sojourn-latency tail of `class`, microseconds. `None` when
-/// the log has no usable sojourn samples for the class.
+fn tail_metric(class: &str, field: &str) -> String {
+    format!("sojourn_us.{class}.{field}")
+}
+
+/// `tail` — the whole-run sojourn tail of `class`, microseconds — as the
+/// `sojourn_us.<class>.<field>` records [`sojourn_quantiles`] reads back,
+/// stamped at `t_micros`.
+pub fn sojourn_tail_records<'a>(
+    class: &'a str,
+    tail: &TailQuantiles,
+    t_micros: u64,
+) -> impl Iterator<Item = MetricRecord> + 'a {
+    let source = Name::from(LOAD_SOURCE);
+    [
+        ("n", tail.n as f64),
+        ("nan_count", tail.nan_count as f64),
+        ("p50", tail.p50),
+        ("p95", tail.p95),
+        ("p99", tail.p99),
+        ("p999", tail.p999),
+        ("max", tail.max),
+    ]
+    .into_iter()
+    .map(move |(field, value)| {
+        let metric = Name::from(tail_metric(class, field));
+        MetricRecord::new(t_micros, source.clone(), metric, MetricValue::Float(value))
+    })
+}
+
+/// Whole-run sojourn-latency tail of `class`, microseconds, as the run
+/// folded it (see the module docs). `None` when the log carries no
+/// complete tail for the class: the class had no samples, or the log
+/// predates the folded convention.
 pub fn sojourn_quantiles(log: &ResultLog, class: &str) -> Option<TailQuantiles> {
-    let values: Vec<f64> = log
-        .series(LOAD_SOURCE, &format!("sojourn_us.{class}"))
-        .into_iter()
-        .map(|(_, v)| v)
-        .collect();
-    TailQuantiles::of(&values)
+    let field = |field: &str| {
+        let series = log.series(LOAD_SOURCE, &tail_metric(class, field));
+        series.last().map(|&(_, value)| value)
+    };
+    Some(TailQuantiles {
+        n: field("n")? as usize,
+        nan_count: field("nan_count")? as usize,
+        p50: field("p50")?,
+        p95: field("p95")?,
+        p99: field("p99")?,
+        p999: field("p999")?,
+        max: field("max")?,
+    })
 }
 
 #[cfg(test)]
@@ -83,6 +127,18 @@ mod tests {
 
     fn marker(t: u64, name: &str) -> MetricRecord {
         MetricRecord::text(t, "load", "marker", name)
+    }
+
+    fn sojourns() -> Vec<f64> {
+        (0..1000)
+            .map(|i| {
+                if (400..420).contains(&i) {
+                    80_000.0
+                } else {
+                    100.0
+                }
+            })
+            .collect()
     }
 
     fn sample_log() -> ResultLog {
@@ -102,14 +158,9 @@ mod tests {
             ));
         }
         // Sojourns: mostly 100us, a burst of 80ms during the stall.
-        for i in 0..1000u64 {
-            let t = i * 10_000;
-            let sojourn = if (400..420).contains(&i) {
-                80_000.0
-            } else {
-                100.0
-            };
-            log.push(MetricRecord::float(t, "load", "sojourn_us.main", sojourn));
+        let tail = TailQuantiles::of(&sojourns()).unwrap();
+        for record in sojourn_tail_records("main", &tail, 10_000_000) {
+            log.push(record);
         }
         log.push(marker(4_000_000, "stall-start"));
         log.push(marker(6_000_000, "stall-end"));
@@ -135,5 +186,35 @@ mod tests {
         assert_eq!(whole.n, 1000);
         assert!(whole.p50 < 1000.0);
         assert!(whole.p999 > 10_000.0, "p999 must see the spike");
+    }
+
+    #[test]
+    fn the_folded_tail_reads_back_field_for_field() {
+        let log = sample_log();
+        let want = TailQuantiles::of(&sojourns()).unwrap();
+        assert_eq!(sojourn_quantiles(&log, "main"), Some(want));
+        assert_eq!(sojourn_quantiles(&log, "ghost"), None);
+        // Through the log file's text form too: the floats round-trip.
+        let path = std::env::temp_dir().join(format!("gt-tail-{}.log", std::process::id()));
+        log.write_to_file(&path).unwrap();
+        let read = ResultLog::read_from_file(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(sojourn_quantiles(&read, "main"), Some(want));
+    }
+
+    // One record per event was the convention before the tail was folded
+    // at run end; such a log has no tail to read.
+    #[test]
+    fn a_log_of_per_event_sojourn_records_has_no_tail() {
+        let mut log = ResultLog::new();
+        for (i, sojourn) in sojourns().into_iter().enumerate() {
+            log.push(MetricRecord::float(
+                i as u64,
+                "load",
+                "sojourn_us.main",
+                sojourn,
+            ));
+        }
+        assert_eq!(sojourn_quantiles(&log, "main"), None);
     }
 }

@@ -24,8 +24,10 @@ impl CleanSeries {
     /// Filters NaNs out of `values` and sorts the remainder ascending
     /// (total order, so signed infinities and zeros sort deterministically).
     pub fn of(values: &[f64]) -> CleanSeries {
-        let mut clean: Vec<f64> = values.iter().copied().filter(|v| !v.is_nan()).collect();
-        clean.sort_by(f64::total_cmp);
+        let mut clean = Vec::with_capacity(values.len());
+        clean.extend(values.iter().copied().filter(|v| !v.is_nan()));
+        // Total order: equal means bit-identical, so no stable sort needed.
+        clean.sort_unstable_by(f64::total_cmp);
         CleanSeries {
             nan_count: values.len() - clean.len(),
             values: clean,

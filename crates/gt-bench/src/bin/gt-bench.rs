@@ -465,9 +465,10 @@ fn feed_suite(path: &Path, n: u64, rounds: u32) -> BenchRecord {
 }
 
 /// What the harness does with a finished load run after `quiesce`: `n`
-/// sojourn samples from two clients (interleaved in time, so the sort
-/// has merging to do) become records, join the platform's report in the
-/// collector, and come out as one sorted result log. Event = sample.
+/// sojourn samples from two clients (interleaved in time) are folded into
+/// their class's exact tail (one sort of the samples) and two one-second
+/// rate series; those records join the platform's report in the
+/// collector and come out as one sorted result log. Event = sample.
 fn fold_records_suite(n: u64, rounds: u32) -> BenchRecord {
     const SPACING_MICROS: u64 = 20;
     let per_client = n / 2;

@@ -16,12 +16,16 @@
 //! consumes:
 //!
 //! * `marker` text records — the listener's totally-ordered marker log;
-//! * `sojourn_us.<class>` — one float record per graph event, stamped at
-//!   write completion, valued at completion minus *scheduled* arrival
-//!   (the coordinated-omission-free latency);
+//! * `sojourn_us.<class>.<field>` — the class's exact whole-run sojourn
+//!   tail (`n`, `nan_count`, `p50`, `p95`, `p99`, `p999`, `max`), a
+//!   sample being completion minus *scheduled* arrival (the
+//!   coordinated-omission-free latency), computed from every sample in
+//!   the client reports and stamped at run end: a handful of records per
+//!   class, not one per event ([`gt_analysis::sojourn_tail_records`]);
 //! * `offered_rate.<class>` / `achieved_rate.<class>` — per-second
-//!   bucketed rate series (zero-filled inside the span, so a stall shows
-//!   as an achieved-rate dip rather than a gap);
+//!   bucketed rate series counted straight from the client reports
+//!   (zero-filled inside the span, so a stall shows as an achieved-rate
+//!   dip rather than a gap);
 //! * run summary floats (`offered_total`, `sent_total`, `achieved_ratio`,
 //!   `marker_violations`, `parse_errors`, `connections`, and
 //!   `feed_stall_us`: the clients' summed waits on their queues while an
@@ -33,8 +37,10 @@
 //! single replayer and its single sink, which this front does not have:
 //! [`crate::RunPlan::check`] refuses them here.
 
+use std::borrow::Borrow;
 use std::sync::{Arc, Mutex};
 
+use gt_analysis::{sojourn_tail_records, TailQuantiles};
 use gt_load::{run_load, source_error, ConnectorFactory, LoadOutcome, LoadPlan};
 use gt_metrics::{Clock, MetricRecord, MetricValue, Name};
 use gt_netem::NETEM_SOURCE;
@@ -82,15 +88,24 @@ pub(crate) fn drive_clients(
 
 /// One-second rate buckets over `times`, zero-filled across the span so
 /// stall windows read as dips rather than gaps. Records land at bucket
-/// midpoints.
-fn rate_records(times: &[u64], source: &Name, metric: &str) -> Vec<MetricRecord> {
-    let (Some(&min), Some(&max)) = (times.iter().min(), times.iter().max()) else {
+/// midpoints. `times` is walked twice (span, then counts), so a caller
+/// passes the client reports' own iterator instead of a copy.
+fn rate_records<T: Borrow<u64>>(
+    times: impl IntoIterator<Item = T> + Clone,
+    source: &Name,
+    metric: &str,
+) -> Vec<MetricRecord> {
+    let seconds = || times.clone().into_iter().map(|t| *t.borrow() / 1_000_000);
+    let span = seconds().fold(None, |span, s| match span {
+        None => Some((s, s)),
+        Some((first, last)) => Some((s.min(first), s.max(last))),
+    });
+    let Some((first, last)) = span else {
         return Vec::new();
     };
-    let (first, last) = (min / 1_000_000, max / 1_000_000);
     let mut counts = vec![0u64; (last - first + 1) as usize];
-    for &t in times {
-        counts[(t / 1_000_000 - first) as usize] += 1;
+    for s in seconds() {
+        counts[(s - first) as usize] += 1;
     }
     let metric = Name::from(metric);
     counts
@@ -105,39 +120,44 @@ fn rate_records(times: &[u64], source: &Name, metric: &str) -> Vec<MetricRecord>
 }
 
 /// Folds a finished load run into result-log records (see module docs
-/// for the conventions). Per-event series carry one shared [`Name`] pair,
-/// so a sample costs its 72-byte record and no allocation.
+/// for the conventions). The per-event samples stay in the client
+/// reports: what the log gets from them is a fixed handful of tail
+/// records per class plus one record per second of rate.
 pub fn load_records(load: &LoadOutcome, plan: &LoadPlan, t_end: u64) -> Vec<MetricRecord> {
     let source = Name::from(LOAD_SOURCE);
+    let marker = Name::from("marker");
     let mut records: Vec<MetricRecord> = load
         .listener
         .markers
         .iter()
-        .map(|(name, t)| MetricRecord::text(*t, LOAD_SOURCE, "marker", name.clone()))
+        .map(|(name, t)| {
+            let value = MetricValue::Text(name.clone());
+            MetricRecord::new(*t, source.clone(), marker.clone(), value)
+        })
         .collect();
     for class in plan.class_names() {
-        let sojourn_metric = Name::from(format!("sojourn_us.{class}"));
-        let mut arrivals: Vec<u64> = Vec::new();
-        let mut completions: Vec<u64> = Vec::new();
-        for client in load.class_reports(class) {
-            arrivals.extend(
-                client
-                    .schedule_micros
-                    .iter()
-                    .map(|&offset| client.started_micros + offset),
-            );
-            completions.extend(client.sojourn.iter().map(|&(t, _)| t));
-            records.extend(client.sojourn.iter().map(|&(t, sojourn)| {
-                let value = MetricValue::Float(sojourn as f64);
-                MetricRecord::new(t, source.clone(), sojourn_metric.clone(), value)
-            }));
+        let clients = load.class_reports(class);
+        let mut sojourns = Vec::with_capacity(clients.clone().map(|c| c.sojourn.len()).sum());
+        for client in clients.clone() {
+            sojourns.extend(client.sojourn.iter().map(|&(_, us)| us as f64));
         }
+        if let Some(tail) = TailQuantiles::of(&sojourns) {
+            records.extend(sojourn_tail_records(class, &tail, t_end));
+        }
+        let arrivals = clients.clone().flat_map(|client| {
+            let started = client.started_micros;
+            client
+                .schedule_micros
+                .iter()
+                .map(move |&offset| started + offset)
+        });
+        let completions = clients.flat_map(|client| client.sojourn.iter().map(|&(t, _)| t));
         let (offered, achieved) = (
             format!("offered_rate.{class}"),
             format!("achieved_rate.{class}"),
         );
-        records.extend(rate_records(&arrivals, &source, &offered));
-        records.extend(rate_records(&completions, &source, &achieved));
+        records.extend(rate_records(arrivals, &source, &offered));
+        records.extend(rate_records(completions, &source, &achieved));
     }
     for (metric, value) in [
         ("offered_total", load.offered() as f64),
@@ -151,7 +171,13 @@ pub fn load_records(load: &LoadOutcome, plan: &LoadPlan, t_end: u64) -> Vec<Metr
         ("feed_stall_us", load.feed_stall_micros() as f64),
         ("clients_failed", load.client_failures.len() as f64),
     ] {
-        records.push(MetricRecord::float(t_end, LOAD_SOURCE, metric, value));
+        let value = MetricValue::Float(value);
+        records.push(MetricRecord::new(
+            t_end,
+            source.clone(),
+            metric.into(),
+            value,
+        ));
     }
     // Typed degradations — barrier excusals, stalled readers, killed
     // clients — as text records at the time they were observed.
@@ -189,6 +215,7 @@ mod tests {
     use crate::run::{run, RunPlan, Target};
     use gt_core::prelude::*;
     use gt_load::LoopModel;
+    use gt_metrics::ResultLog;
     use gt_sut::{SutOptions, SutRegistry};
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -240,6 +267,7 @@ mod tests {
         assert!(oa.ratio() > 0.5, "achieved/offered = {}", oa.ratio());
         let tail = gt_analysis::sojourn_quantiles(&outcome.log, "main").unwrap();
         assert_eq!(tail.n, 800);
+        assert_eq!(Some(tail), TailQuantiles::of(&samples(outcome.load())));
         // The platform's final report is folded in too.
         assert!(!outcome.log.series("tide-store", "events").is_empty());
         // Summary floats give CI something cheap to assert on.
@@ -454,6 +482,65 @@ mod tests {
         assert_eq!(outcome.load().listener.connections, 4);
         assert!(outcome.log.marker("stream-end").is_some());
         std::fs::remove_file(path).ok();
+    }
+
+    /// Every sojourn sample of a load run, microseconds.
+    fn samples(load: &LoadOutcome) -> Vec<f64> {
+        let clients = load.clients.iter();
+        let sojourns = clients.flat_map(|client| client.sojourn.iter());
+        sojourns.map(|&(_, us)| us as f64).collect()
+    }
+
+    /// A finished two-client run of `n` events, 20 µs apart per client
+    /// with the two interleaved, over `n / 100_000` seconds.
+    fn two_clients(n: u64) -> LoadOutcome {
+        let per_client = n / 2;
+        let client = |index: u64| gt_load::ClientReport {
+            class: "main".to_owned(),
+            model: LoopModel::Open,
+            offered: per_client,
+            sent: per_client,
+            backlog_peak: 0,
+            schedule_micros: (0..per_client).map(|i| i * 20).collect(),
+            sojourn: (0..per_client)
+                .map(|i| (i * 20 + 7 * index + 3, 3 + (i * 31 + index) % 997))
+                .collect(),
+            feed_stall_micros: 0,
+            started_micros: 5 * index,
+            finished_micros: per_client * 20,
+        };
+        LoadOutcome {
+            clients: vec![client(0), client(1)],
+            client_failures: Vec::new(),
+            listener: gt_load::ListenerReport::default(),
+            netem: None,
+        }
+    }
+
+    // The fold keeps no record per event: 100 000 samples over two
+    // seconds become the class's tail, two rate series of one record a
+    // second, and the summary floats. The tail read back from the log is
+    // the one computed from the raw samples, field for field.
+    #[test]
+    fn folding_a_run_writes_its_exact_tail_not_its_samples() {
+        let load = two_clients(100_000);
+        let plan = LoadPlan::single(2, 100_000.0, LoopModel::Open, 7);
+        let records = load_records(&load, &plan, 1_000_000);
+        // Seven tail fields, a record a second per rate series (the run
+        // spans one second, two buckets at most) and ten summary floats.
+        assert!(records.len() <= 7 + 2 * 2 + 10, "{}", records.len());
+        let log = ResultLog::from_records(records);
+        let want = TailQuantiles::of(&samples(&load)).unwrap();
+        assert_eq!(want.n, 100_000);
+        assert_eq!(gt_analysis::sojourn_quantiles(&log, "main"), Some(want));
+        for metric in ["offered_rate.main", "achieved_rate.main"] {
+            let counted: f64 = log
+                .series(LOAD_SOURCE, metric)
+                .iter()
+                .map(|&(_, n)| n)
+                .sum();
+            assert_eq!(counted, 100_000.0, "{metric}");
+        }
     }
 
     #[test]

@@ -28,7 +28,7 @@ use std::path::{Path, PathBuf};
 
 use gt_analysis::{
     recovery_windows, recovery_windows_from, shard_scaling, sojourn_quantiles, Quantiles,
-    RecoveryWindow, TRACE_SOURCE, TRACE_STAGE_METRICS,
+    RecoveryWindow, TailQuantiles, TRACE_SOURCE, TRACE_STAGE_METRICS,
 };
 use gt_chaos::FaultSchedule;
 use gt_metrics::{MetricValue, ResultLog};
@@ -379,16 +379,17 @@ fn load_report(out: &mut String, log: &ResultLog, quiesced: &str, rates: [f64; 2
     row(out, "quiesced", quiesced);
     out.push_str(SOJOURN_HEADER);
     for class in ["main"] {
-        let Some(t) = sojourn_quantiles(log, class) else {
-            put!(out, "{class:<10} insufficient samples");
-            continue;
-        };
-        let (n, p50, p99, p999, max) = (t.n, t.p50, t.p99, t.p999, t.max);
-        put!(
-            out,
-            "{class:<10} {n:>8} {p50:>10.0} {p99:>10.0} {p999:>10.0} {max:>10.0}"
-        );
+        match sojourn_quantiles(log, class) {
+            Some(tail) => put!(out, "{}", sojourn_row(class, &tail)),
+            None => put!(out, "{class:<10} insufficient samples"),
+        }
     }
+}
+
+/// One class's row of the sojourn-tail table.
+fn sojourn_row(class: &str, tail: &TailQuantiles) -> String {
+    let (n, p50, p99, p999, max) = (tail.n, tail.p50, tail.p99, tail.p999, tail.max);
+    format!("{class:<10} {n:>8} {p50:>10.0} {p99:>10.0} {p999:>10.0} {max:>10.0}")
 }
 
 /// Level-2 stage-pair latencies of the 1-in-N sampled events, when the
@@ -533,4 +534,43 @@ pub fn render_differential(
     };
     row(&mut out, "verdict", verdict);
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::run::{run, RunPlan, Target};
+    use gt_load::{LoadPlan, LoopModel};
+    use gt_sut::{SutOptions, SutRegistry};
+
+    // The sojourn row a `--clients` run prints is rendered from the log
+    // file the run leaves: it is the tail of the run's raw samples.
+    #[test]
+    fn a_load_runs_sojourn_row_is_the_tail_of_its_samples() {
+        let mut registry = SutRegistry::new();
+        tide_store::sut::register(&mut registry);
+        let options = SutOptions::new()
+            .set("timestamper_cost_us", 0)
+            .set("shard_cost_us", 0);
+        let stream = gt_workloads::Table3Workload::small(1_000, 3).generate();
+        let load = LoadPlan::single(4, 40_000.0, LoopModel::Open, 1);
+        let mut plan = RunPlan::new(stream, 0.0).with_load(load);
+        plan.sysmon = None;
+        let outcome = run(plan, Target::Sut(&registry, "tide-store", &options)).unwrap();
+        let clients = outcome.load().clients.iter();
+        let samples: Vec<f64> = clients
+            .flat_map(|client| client.sojourn.iter().map(|&(_, us)| us as f64))
+            .collect();
+        let want = TailQuantiles::of(&samples).unwrap();
+
+        let path = std::env::temp_dir().join(format!("gt-render-{}.log", std::process::id()));
+        outcome.log.write_to_file(&path).unwrap();
+        let log = ResultLog::read_from_file(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(sojourn_quantiles(&log, "main"), Some(want));
+        let mut report = String::new();
+        load_report(&mut report, &log, "true", [0.0; 2]);
+        let row = sojourn_row("main", &want);
+        assert!(report.lines().any(|line| line == row), "{report}");
+    }
 }

@@ -18,7 +18,9 @@
 //! [`run`] fixes the order every combination goes through: start and wire
 //! the platform, open the front, start the observers, drive, stop the
 //! observers, close the front, wait for the platform to drain, release
-//! the stream, shut the platform down, and collect every record once.
+//! the stream, shut the platform down, stop the tracer (its summaries
+//! sampled once more, so they cover the drain), and collect every record
+//! once.
 //! Combinations it cannot honour are rejected up front by
 //! [`RunPlan::check`] with [`RunError::InvalidInput`].
 
@@ -777,7 +779,7 @@ pub fn run(plan: RunPlan, target: Target<'_>) -> Result<RunOutcome, RunError> {
         Target::Sut(registry, name, options) => {
             let mut sut = registry.start(name, options)?;
             own_tracer = wire(sut.as_mut(), level, &mut loggers, &mut chaos, &clock);
-            tracer = own_tracer.clone().or(tracer);
+            tracer = own_tracer.as_ref().map(|own| own.tracer.clone()).or(tracer);
             let front = match &load {
                 Some(_) => Ok(Front::Clients),
                 None => Front::connect(sut.as_mut(), netem, &clock),
@@ -849,7 +851,7 @@ pub fn run(plan: RunPlan, target: Target<'_>) -> Result<RunOutcome, RunError> {
         None => (None, None),
     };
     let t_closed = clock.now_micros();
-    let traced = own_tracer.map_or_else(Vec::new, |tracer| tracer.stop().records);
+    let traced = own_tracer.map_or_else(Vec::new, |own| own.stop(&clock));
     let (driver, front_records) = driven?;
 
     let driven = driver_records(&driver, load.as_ref(), clock.now_micros());

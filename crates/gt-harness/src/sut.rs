@@ -19,8 +19,8 @@
 //! After the stream, `run` drops the connector, waits for the platform to
 //! drain ([`SystemUnderTest::quiesce`]), shuts it down, and adds the final
 //! [`SutReport`] ([`report_records`]) plus the tracer's stage-pair latency
-//! records to the merged log (source = the platform name / `trace`,
-//! timestamped at run end / emit time).
+//! records and its final summaries to the merged log (source = the
+//! platform name / `trace`, timestamped at run end / emit time).
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -36,6 +36,29 @@ use crate::run::ChaosPlan;
 /// ([`crate::RunPlan::quiesce_timeout`]).
 pub(crate) const DEFAULT_QUIESCE_TIMEOUT: Duration = Duration::from_secs(30);
 
+/// The Level-2 tracer a run started, with the hub its stage-pair
+/// summaries publish into.
+pub(crate) struct RunTracer {
+    pub(crate) tracer: Tracer,
+    hub: MetricsHub,
+}
+
+impl RunTracer {
+    /// Stops the tracer after a final drain and returns one record per
+    /// matched pair, then one last sample of the `<pair>.count|mean|p99|max`
+    /// summaries. The run's observers take their final sample before the
+    /// platform drains, so the pairs matched after it would reach the
+    /// records but not the sampled summaries; this sample, taken once the
+    /// collector has stopped, makes the summaries' last value the whole
+    /// run's.
+    pub(crate) fn stop(self, clock: &Arc<dyn Clock>) -> Vec<MetricRecord> {
+        let mut records = self.tracer.stop().records;
+        let mut summaries = HubSampler::new(self.hub, Arc::clone(clock), TRACE_SOURCE);
+        records.extend(summaries.sample());
+        records
+    }
+}
+
 /// Prepares a started platform for the run (see the module docs).
 /// Returns the tracer it started, if any — the caller stops it.
 ///
@@ -50,7 +73,7 @@ pub(crate) fn wire(
     loggers: &mut Vec<Box<dyn MetricsLogger>>,
     chaos: &mut Option<ChaosPlan>,
     clock: &Arc<dyn Clock>,
-) -> Option<Tracer> {
+) -> Option<RunTracer> {
     let effective = requested.min(sut.level());
     let mut sample = |hub: MetricsHub, source: &str| {
         loggers.push(Box::new(HubSampler::new(hub, Arc::clone(clock), source)));
@@ -61,11 +84,11 @@ pub(crate) fn wire(
         }
     }
     let tracer = effective.includes(EvaluationLevel::Level2).then(|| {
-        let trace_hub = MetricsHub::new();
-        let tracer = Tracer::new(TraceConfig::default(), Arc::clone(clock), &trace_hub);
-        sample(trace_hub, TRACE_SOURCE);
+        let hub = MetricsHub::new();
+        let tracer = Tracer::new(TraceConfig::default(), Arc::clone(clock), &hub);
+        sample(hub.clone(), TRACE_SOURCE);
         sut.install_tracer(&tracer);
-        tracer
+        RunTracer { tracer, hub }
     });
     if let Some(chaos) = chaos {
         if chaos.supervisor.is_none() {

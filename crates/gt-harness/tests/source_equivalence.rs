@@ -2,14 +2,17 @@
 //! sink or what the run observes: one seeded stream, replayed from memory
 //! and from its file through the same session, must deliver the same
 //! entries and log the same series — the pipeline's stage metrics
-//! included — in one sorted log, and the same series on every run.
+//! included — in one sorted log, and the same series on every run, at
+//! Level 0 and at Level 2 (the tracer's stage-pair summaries included).
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use gt_harness::{run, RunPlan, Target};
+use gt_analysis::{TRACE_SOURCE, TRACE_STAGE_METRICS};
+use gt_harness::{run, EvaluationLevel, RunPlan, Target};
 use gt_metrics::{Clock, GaugeSampler, ManualClock, MetricsLogger, ResultLog};
 use gt_replayer::CollectSink;
+use gt_sut::{SutOptions, SutRegistry};
 use gt_workloads::Table3Workload;
 
 fn probe() -> Box<dyn MetricsLogger> {
@@ -97,4 +100,33 @@ fn every_run_of_one_plan_logs_the_same_series() {
             "{delta}"
         );
     }
+}
+
+// At Level 2 the tracer publishes its stage-pair summaries
+// (`<pair>.count|mean|p99|max`) into a hub the observers sample, and it
+// keeps matching pairs while the platform drains, after the observers'
+// final sample. The run folds the summaries in once more when it stops
+// the tracer, so every run carries every pair's summary, and its last
+// count is the number of that pair's records.
+#[test]
+fn every_level_2_run_of_one_plan_logs_the_same_series() {
+    let stream = Table3Workload::small(300, 5).generate();
+    let mut registry = SutRegistry::new();
+    tide_store::sut::register(&mut registry);
+    let options = SutOptions::new()
+        .set("timestamper_cost_us", 0)
+        .set("shard_cost_us", 0);
+    let mut seen = BTreeSet::new();
+    for _ in 0..10 {
+        let plan = RunPlan::new(stream.clone(), 1e6).at_level(EvaluationLevel::Level2);
+        let outcome = run(plan, Target::Sut(&registry, "tide-store", &options)).unwrap();
+        for pair in TRACE_STAGE_METRICS {
+            let matched = outcome.log.series(TRACE_SOURCE, pair).len();
+            let counts = outcome.log.series(TRACE_SOURCE, &format!("{pair}.count"));
+            let last = counts.last().map(|&(_, count)| count as usize);
+            assert_eq!(last, Some(matched), "{pair}");
+        }
+        seen.insert(series(&outcome.log));
+    }
+    assert_eq!(seen.len(), 1, "{} different series sets", seen.len());
 }

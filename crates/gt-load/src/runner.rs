@@ -100,7 +100,10 @@ impl LoadOutcome {
     }
 
     /// The reports of one client class.
-    pub fn class_reports<'a>(&'a self, class: &'a str) -> impl Iterator<Item = &'a ClientReport> {
+    pub fn class_reports<'a>(
+        &'a self,
+        class: &'a str,
+    ) -> impl Iterator<Item = &'a ClientReport> + Clone {
         self.clients.iter().filter(move |c| c.class == class)
     }
 }

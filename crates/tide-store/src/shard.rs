@@ -181,16 +181,21 @@ impl ShardPool {
     }
 
     /// Spawns (or respawns) the shard for a slot, consuming the receiver
-    /// side of its fresh queue.
+    /// side of its fresh queue. Its two counters are looked up by name
+    /// here, before the thread runs: a sampler started after the store
+    /// lists them from its first sample, and a restarted shard keeps
+    /// accumulating on the same series.
     fn spawn_shard(
         self: &Arc<Self>,
         shard_id: usize,
         rx: Receiver<ShardMsg>,
     ) -> JoinHandle<(usize, ShardLog)> {
         let pool = Arc::clone(self);
+        let busy = MicrosCounter::new(self.hub.counter(&format!("shard-{shard_id}.busy_micros")));
+        let applied = self.hub.counter(&format!("shard-{shard_id}.events"));
         std::thread::Builder::new()
             .name(format!("tide-store-shard-{shard_id}"))
-            .spawn(move || pool.run_shard(shard_id, rx))
+            .spawn(move || pool.run_shard(shard_id, rx, busy, applied))
             .expect("spawn shard")
     }
 
@@ -277,13 +282,20 @@ impl ShardPool {
         logs
     }
 
-    /// Merges the joined shard logs in timestamp order and reconstructs
-    /// the committed graph from the merged log. Crashed shards' events
-    /// are simply absent (unless a supervised restart replayed them).
-    /// `per_shard` fills [`StoreStats::per_shard_seqs`] from the logs
-    /// before the merge: 8 bytes per event, live through the
-    /// reconstruction.
-    pub(crate) fn stats(&self, logs: Vec<(usize, ShardLog)>, per_shard: bool) -> StoreStats {
+    /// Merges the joined shard logs in timestamp order and rebuilds the
+    /// committed graph from them in one consuming pass, so each event is
+    /// freed once it is applied. Crashed shards' events are simply absent
+    /// (unless a supervised restart replayed them). `at_cut` is handed
+    /// the graph at each marker cut, in sequencing order, holding exactly
+    /// the events below the cut. `per_shard` fills
+    /// [`StoreStats::per_shard_seqs`] from the logs before the merge: 8
+    /// bytes per event, live through the rebuild.
+    pub(crate) fn stats(
+        &self,
+        logs: Vec<(usize, ShardLog)>,
+        per_shard: bool,
+        at_cut: &mut dyn FnMut(&str, &EvolvingGraph),
+    ) -> StoreStats {
         let mut per_shard_seqs = vec![Vec::new(); self.config.shards];
         if per_shard {
             // A restarted slot appends to its dead thread's (empty) list,
@@ -297,19 +309,26 @@ impl ShardPool {
             log.extend(shard_log);
         }
         log.sort_by_key(|(ts, _)| *ts);
+        let events = log.len() as u64;
+        let markers = std::mem::take(&mut *self.cuts.lock());
         let mut graph = EvolvingGraph::new();
         let mut dangling_edges_dropped = 0;
-        for (_, event) in &log {
-            if let GraphEvent::AddEdge { id, .. } = event.event() {
-                let endpoints_exist = graph.has_vertex(id.src) && graph.has_vertex(id.dst);
-                dangling_edges_dropped += u64::from(!id.is_self_loop() && !endpoints_exist);
+        let mut log = log.into_iter().peekable();
+        // Cuts are read in sequencing order; one below an earlier cut
+        // sees the graph as the earlier one left it.
+        for (name, cut) in &markers {
+            while let Some((_, event)) = log.next_if(|(ts, _)| ts < cut) {
+                dangling_edges_dropped += rebuild(&mut graph, event);
             }
-            let _ = graph.apply_with(event.event(), ApplyPolicy::Lenient);
+            at_cut(name, &graph);
+        }
+        for (_, event) in log {
+            dangling_edges_dropped += rebuild(&mut graph, event);
         }
         let shard_markers = self.shard_markers.lock();
         StoreStats {
             transactions: self.counters.tx.get(),
-            events: log.len() as u64,
+            events,
             graph,
             dangling_edges_dropped,
             crashes: self.counters.crashes.get(),
@@ -317,8 +336,7 @@ impl ShardPool {
             events_lost: self.counters.events_lost.get(),
             events_discarded: self.counters.events_discarded.get(),
             events_replayed: self.counters.events_replayed.get(),
-            markers: std::mem::take(&mut *self.cuts.lock()),
-            log,
+            markers,
             per_shard_seqs,
             shard_markers: shard_markers
                 .iter()
@@ -337,15 +355,17 @@ impl ShardPool {
     /// event's global stream position, carried explicitly because shards
     /// apply out of order. The clock is read only when there is simulated
     /// work to account for.
-    fn run_shard(&self, shard_id: usize, rx: Receiver<ShardMsg>) -> (usize, ShardLog) {
+    fn run_shard(
+        &self,
+        shard_id: usize,
+        rx: Receiver<ShardMsg>,
+        busy: MicrosCounter,
+        applied: Counter,
+    ) -> (usize, ShardLog) {
         let slot = &self.slots[shard_id];
         let (mut state, mut log) = (PartitionState::new(), ShardLog::new());
         let event_cost = self.config.shard_cost_per_event;
         let costed = !(self.batch_cost.is_zero() && event_cost.is_zero());
-        // Looked up by name, so a restarted shard keeps accumulating on the
-        // same series.
-        let busy = MicrosCounter::new(self.hub.counter(&format!("shard-{shard_id}.busy_micros")));
-        let applied = self.hub.counter(&format!("shard-{shard_id}.events"));
         // Lazily acquired: the thread outlives tracer installation, so it
         // polls the pool's cell (one atomic load per batch while empty).
         let mut trace_probe: Option<Probe> = None;
@@ -400,6 +420,19 @@ impl ShardPool {
         }
         (shard_id, log)
     }
+}
+
+/// Applies one committed event to the rebuilt graph, leniently, and
+/// consumes it. Returns 1 for an `AddEdge` (not a self-loop) dropped
+/// because an endpoint did not exist at its commit timestamp, else 0.
+fn rebuild(graph: &mut EvolvingGraph, event: SharedGraphEvent) -> u64 {
+    let mut dangling = 0;
+    if let GraphEvent::AddEdge { id, .. } = event.event() {
+        let endpoints_exist = graph.has_vertex(id.src) && graph.has_vertex(id.dst);
+        dangling = u64::from(!id.is_self_loop() && !endpoints_exist);
+    }
+    let _ = graph.apply_with(event.event(), ApplyPolicy::Lenient);
+    dangling
 }
 
 /// The store's [`WorkerSupervisor`]: kills and resurrects individual

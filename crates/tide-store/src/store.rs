@@ -236,13 +236,10 @@ pub struct StoreStats {
     /// Events re-enqueued from the retained log on restarts.
     pub events_replayed: u64,
     /// Marker cuts, in sequencing order: `(marker name, commit timestamp
-    /// at the cut)`. Log entries with a smaller timestamp belong to the
-    /// window the marker closes.
+    /// at the cut)`. Events with a smaller timestamp belong to the window
+    /// the marker closes ([`TideStore::shutdown_at_cuts`] hands over the
+    /// graph at each cut).
     pub markers: Vec<(String, u64)>,
-    /// The merged commit log the graph was reconstructed from, in
-    /// timestamp order. Slicing it at a marker cut reproduces that
-    /// window's graph state (the digest/differential path).
-    pub log: Vec<(u64, SharedGraphEvent)>,
     /// Commit timestamps per shard slot, in apply order. With a single
     /// client and no faults each list is strictly increasing and equals
     /// the input positions routed to that shard. Recorded behind the
@@ -366,15 +363,31 @@ impl TideStore {
     /// and a shard that *panicked* is contained and counted as a crash
     /// instead of poisoning the run.
     pub fn shutdown(self) -> StoreStats {
-        self.pool.stopping.store(true, Ordering::SeqCst);
+        self.shutdown_at_cuts(|_, _| {})
+    }
+
+    /// [`Self::shutdown`], handing `at_cut` the reconstructed graph at
+    /// each marker cut (name, graph) as the one rebuild pass reaches it:
+    /// the graph then holds exactly the committed events below the cut,
+    /// which is the window's state the digest snapshots.
+    pub fn shutdown_at_cuts(self, mut at_cut: impl FnMut(&str, &EvolvingGraph)) -> StoreStats {
         let routed = self.timestamper.is_none();
+        let (pool, logs) = self.join();
+        pool.stats(logs, routed, &mut at_cut)
+    }
+
+    /// Stops ingestion and joins the timestamper (if any) and every
+    /// shard: the pool and the shard logs.
+    fn join(self) -> (Arc<ShardPool>, Vec<(usize, ShardLog)>) {
+        self.pool.stopping.store(true, Ordering::SeqCst);
         if let Some((queue, thread)) = self.timestamper {
             let _ = queue.send(ClientMsg::Shutdown);
             // A panicked timestamper is contained: the join below still
             // stops the shards, and the counters stand in for it.
             let _ = thread.join();
         }
-        self.pool.stats(self.pool.join(), routed)
+        let logs = self.pool.join();
+        (self.pool, logs)
     }
 }
 
@@ -564,16 +577,22 @@ mod tests {
                     }))
                     .unwrap();
             }
-            let stats = store.shutdown();
+            // Timestamps cover the stream positions exactly once, read off
+            // the joined shard logs the shutdown rebuilds the graph from.
+            let (pool, logs) = store.join();
+            let mut timestamps: Vec<u64> = logs
+                .iter()
+                .flat_map(|(_, log)| log.iter().map(|(ts, _)| *ts))
+                .collect();
+            timestamps.sort_unstable();
+            assert_eq!(timestamps, (0..199).collect::<Vec<_>>(), "{name}");
+            let stats = pool.stats(logs, false, &mut |_, _| {});
             assert_eq!(stats.transactions, 199, "{name}");
             assert_eq!(stats.events, 199, "{name}");
             assert_eq!(stats.graph.vertex_count(), 100, "{name}");
             assert_eq!(stats.graph.edge_count(), 99, "{name}");
             assert_eq!(stats.crashes, 0, "{name}");
             assert_eq!(stats.events_lost, 0, "{name}");
-            // Timestamps cover the stream positions exactly once.
-            let timestamps: Vec<u64> = stats.log.iter().map(|(ts, _)| *ts).collect();
-            assert_eq!(timestamps, (0..199).collect::<Vec<_>>(), "{name}");
             stats.graph.check_invariants().unwrap();
         }
     }

@@ -16,7 +16,7 @@ use std::any::Any;
 use std::io;
 use std::time::Duration;
 
-use gt_graph::{ApplyPolicy, EvolvingGraph};
+use gt_graph::EvolvingGraph;
 use gt_metrics::MetricsHub;
 use gt_replayer::EventSink;
 use gt_sut::{
@@ -141,24 +141,14 @@ fn adjacency_of(graph: &EvolvingGraph) -> Adjacency {
         .collect()
 }
 
-/// Builds the digest from the merged commit log: one adjacency snapshot
-/// per marker cut (replaying the log prefix below the cut) plus the final
-/// graph. Marker cuts are nondecreasing (they were recorded in sequencing
-/// order), so the prefixes are built incrementally in one pass.
-fn digest_from_stats(stats: &StoreStats, extra_degradation: &[(&str, u64)]) -> StateDigest {
-    let mut windows = Vec::new();
-    let mut prefix = EvolvingGraph::new();
-    let mut applied = 0usize;
-    for (name, cut) in &stats.markers {
-        while applied < stats.log.len() && stats.log[applied].0 < *cut {
-            let _ = prefix.apply_with(stats.log[applied].1.event(), ApplyPolicy::Lenient);
-            applied += 1;
-        }
-        windows.push(WindowDigest {
-            marker: name.clone(),
-            adjacency: adjacency_of(&prefix),
-        });
-    }
+/// Builds the digest from the stats of a store shut down with
+/// [`TideStore::shutdown_at_cuts`]: `windows` holds its adjacency at each
+/// marker cut, `stats.graph` the final one.
+fn digest_from_stats(
+    stats: &StoreStats,
+    windows: Vec<WindowDigest>,
+    extra_degradation: &[(&str, u64)],
+) -> StateDigest {
     let mut degradation: Vec<(String, u64)> = vec![
         ("crashes".into(), stats.crashes),
         ("restarts".into(), stats.restarts),
@@ -202,7 +192,17 @@ impl TideStoreSut {
     /// `marker_skips` to its digest's degradation counters; the serial
     /// name keeps the keys it has always had.
     fn shutdown_inner(&mut self) -> (SutReport, Option<StateDigest>) {
-        let stats = self.store.take().expect("store is running").shutdown();
+        let store = self.store.take().expect("store is running");
+        // In digest mode the one rebuild pass also snapshots each window.
+        let mut windows = Vec::new();
+        let stats = match self.digest {
+            true => store.shutdown_at_cuts(|marker, graph| {
+                let adjacency = adjacency_of(graph);
+                let marker = marker.to_owned();
+                windows.push(WindowDigest { marker, adjacency });
+            }),
+            false => store.shutdown(),
+        };
         let sharded = self.name == SHARDED_SUT_NAME;
         let extra_degradation: &[(&str, u64)] = if sharded {
             &[("marker_skips", stats.marker_skips)]
@@ -211,7 +211,7 @@ impl TideStoreSut {
         };
         let digest = self
             .digest
-            .then(|| digest_from_stats(&stats, extra_degradation));
+            .then(|| digest_from_stats(&stats, windows, extra_degradation));
         let mut report = report_from_stats(self.name, &stats);
         if sharded {
             report = report
