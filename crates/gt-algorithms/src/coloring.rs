@@ -3,6 +3,8 @@
 
 use gt_graph::CsrSnapshot;
 
+use crate::traversal::undirected_adjacency;
+
 /// The coloring produced by [`greedy_coloring`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Coloring {
@@ -27,20 +29,7 @@ impl Coloring {
 /// heuristic, which uses at most `max_degree + 1` colors.
 pub fn greedy_coloring(csr: &CsrSnapshot) -> Coloring {
     let n = csr.vertex_count();
-    // Undirected adjacency.
-    let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for u in csr.indices() {
-        for &v in csr.out_neighbors(u) {
-            if u != v {
-                adj[u as usize].push(v);
-                adj[v as usize].push(u);
-            }
-        }
-    }
-    for list in &mut adj {
-        list.sort_unstable();
-        list.dedup();
-    }
+    let adj = undirected_adjacency(csr);
 
     let mut order: Vec<u32> = (0..n as u32).collect();
     order.sort_by_key(|&v| (std::cmp::Reverse(adj[v as usize].len()), v));

@@ -5,6 +5,8 @@
 
 use gt_graph::CsrSnapshot;
 
+use crate::traversal::undirected_adjacency;
+
 /// Result of label propagation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Communities {
@@ -21,19 +23,7 @@ pub struct Communities {
 /// `max_iterations` sweeps.
 pub fn label_propagation(csr: &CsrSnapshot, max_iterations: usize) -> Communities {
     let n = csr.vertex_count();
-    let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for u in csr.indices() {
-        for &v in csr.out_neighbors(u) {
-            if u != v {
-                adj[u as usize].push(v);
-                adj[v as usize].push(u);
-            }
-        }
-    }
-    for list in &mut adj {
-        list.sort_unstable();
-        list.dedup();
-    }
+    let adj = undirected_adjacency(csr);
 
     let mut labels: Vec<u32> = (0..n as u32).collect();
     let mut iterations = 0;

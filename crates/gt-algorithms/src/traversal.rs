@@ -15,6 +15,25 @@ pub fn bfs_distances(csr: &CsrSnapshot, source: u32) -> Vec<u32> {
     bfs_distances_impl(csr, source, false)
 }
 
+/// The undirected projection: each vertex's neighbors over edges of
+/// either direction, sorted, without self-loops or repeats.
+pub(crate) fn undirected_adjacency(csr: &CsrSnapshot) -> Vec<Vec<u32>> {
+    let mut adj: Vec<Vec<u32>> = vec![Vec::new(); csr.vertex_count()];
+    for u in csr.indices() {
+        for &v in csr.out_neighbors(u) {
+            if u != v {
+                adj[u as usize].push(v);
+                adj[v as usize].push(u);
+            }
+        }
+    }
+    for list in &mut adj {
+        list.sort_unstable();
+        list.dedup();
+    }
+    adj
+}
+
 /// BFS distances ignoring edge direction (treats the graph as undirected).
 pub(crate) fn bfs_distances_undirected(csr: &CsrSnapshot, source: u32) -> Vec<u32> {
     bfs_distances_impl(csr, source, true)

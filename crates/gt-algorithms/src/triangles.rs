@@ -6,6 +6,8 @@
 
 use gt_graph::CsrSnapshot;
 
+use crate::traversal::undirected_adjacency;
+
 /// Counts triangles on the undirected projection.
 ///
 /// Uses the degree-ordered neighbor-intersection method: each triangle is
@@ -16,20 +18,7 @@ pub fn triangle_count(csr: &CsrSnapshot) -> u64 {
         return 0;
     }
 
-    // Undirected adjacency (deduplicated), as sorted vectors.
-    let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for u in csr.indices() {
-        for &v in csr.out_neighbors(u) {
-            if u != v {
-                adj[u as usize].push(v);
-                adj[v as usize].push(u);
-            }
-        }
-    }
-    for list in &mut adj {
-        list.sort_unstable();
-        list.dedup();
-    }
+    let adj = undirected_adjacency(csr);
 
     // Rank by (degree, index): orient each undirected edge from lower to
     // higher rank and intersect forward neighborhoods.

@@ -5,8 +5,6 @@
 //! compared via 95% confidence intervals of aggregated metrics:
 //! non-overlapping intervals are significantly different.
 
-use serde::{Deserialize, Serialize};
-
 /// Two-sided 97.5% Student-t critical values for degrees of freedom
 /// 1..=29, indexed by `df - 1`. Below the paper's n ≥ 30 rule the normal
 /// z = 1.96 understates interval widths badly (df = 2 needs 4.30, more
@@ -31,7 +29,7 @@ pub(crate) fn critical_value_95(n: u64) -> f64 {
 }
 
 /// Streaming mean/variance accumulator (Welford's algorithm).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Summary {
     n: u64,
     mean: f64,
@@ -135,7 +133,7 @@ impl Summary {
 }
 
 /// A confidence interval of a mean.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConfidenceInterval {
     /// Point estimate.
     pub mean: f64,

@@ -2,10 +2,8 @@
 //! graph properties" and §3.2's temporal graph properties (densification
 //! laws, growth rates).
 
-use serde::{Deserialize, Serialize};
-
 /// An ordinary-least-squares line fit over `(t, value)` samples.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Trend {
     /// Slope: value change per unit time.
     pub slope: f64,

@@ -12,15 +12,14 @@
 //! run (allocation counters only warn — they are exact, but machine-
 //! independent thresholds for them are not meaningful).
 //!
-//! The JSON is hand-written (the workspace deliberately vendors no
-//! `serde_json`) and read back through `gt_core::json`: one suite per
-//! line, fixed key order, flat numeric fields. See [`BenchRecord`].
+//! The JSON is written and read back through `gt_core::json`: one suite
+//! per line, fixed key order, flat numeric fields. See [`BenchRecord`].
 
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use gt_core::json::{extract_num, extract_str};
+use gt_core::json::{extract_num, extract_str, quote, ObjectWriter};
 
 /// A global allocator wrapper that counts allocations, for measuring the
 /// allocation rate of the hot paths. Install it in a binary with:
@@ -121,21 +120,29 @@ fn median(samples: &mut [f64]) -> f64 {
 
 /// Serializes one trajectory area (`parse`, `ingest`, `load`) to the
 /// committed JSON format: one suite object per line, fixed key order.
+///
+/// Panics if the area or a suite name holds `"` or `\`
+/// ([`gt_core::json::quote`]).
 pub fn to_json(area: &str, records: &[BenchRecord]) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "{{");
     let _ = writeln!(out, "  \"schema\": 1,");
-    let _ = writeln!(out, "  \"area\": \"{area}\",");
+    let area = quote(area).expect("area names hold no quote or backslash");
+    let _ = writeln!(out, "  \"area\": {area},");
     let _ = writeln!(out, "  \"suites\": [");
     for (i, r) in records.iter().enumerate() {
         let comma = if i + 1 < records.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"name\": \"{}\", \"median_ns_per_event\": {:.2}, \
-             \"events_per_sec\": {:.0}, \"allocs_per_event\": {:.3}, \
-             \"events\": {}, \"rounds\": {}}}{comma}",
-            r.name, r.median_ns_per_event, r.events_per_sec, r.allocs_per_event, r.events, r.rounds,
-        );
+        let (ns, rate, allocs) = (r.median_ns_per_event, r.events_per_sec, r.allocs_per_event);
+        let suite = ObjectWriter::new(true)
+            .str("name", &r.name)
+            .num("median_ns_per_event", format!("{ns:.2}"))
+            .num("events_per_sec", format!("{rate:.0}"))
+            .num("allocs_per_event", format!("{allocs:.3}"))
+            .num("events", r.events)
+            .num("rounds", r.rounds)
+            .finish()
+            .expect("suite names hold no quote or backslash");
+        let _ = writeln!(out, "    {suite}{comma}");
     }
     let _ = writeln!(out, "  ]");
     let _ = writeln!(out, "}}");

@@ -11,13 +11,11 @@
 
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::{EdgeId, VertexId};
 use crate::state::State;
 
 /// One of the six graph-changing operations.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum GraphEvent {
     /// Adds a vertex with an initial state.
     AddVertex {
@@ -101,7 +99,7 @@ impl GraphEvent {
 }
 
 /// The six event kinds, used for event-mix configuration and statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum EventKind {
     /// `ADD_VERTEX`
     AddVertex,
@@ -147,7 +145,7 @@ impl EventKind {
 }
 
 /// Events that steer the graph stream replayer at runtime (paper §4.2).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ControlEvent {
     /// Changes the replay speed by a factor relative to the configured base
     /// rate. `1.0` restores the initially defined rate; `2.0` doubles it.
@@ -157,7 +155,7 @@ pub enum ControlEvent {
 }
 
 /// One entry of a graph stream file.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum StreamEntry {
     /// A graph-changing event.
     Graph(GraphEvent),

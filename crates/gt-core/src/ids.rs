@@ -9,15 +9,10 @@
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::ParseError;
 
 /// A unique vertex identifier.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct VertexId(pub u64);
 
 impl VertexId {
@@ -54,9 +49,7 @@ impl FromStr for VertexId {
 /// A directed edge identifier: the pair of source and destination vertex.
 ///
 /// Serialized as `src-dst` in the stream format.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct EdgeId {
     /// Source vertex of the directed edge.
     pub src: VertexId,

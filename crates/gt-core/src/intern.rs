@@ -15,6 +15,8 @@
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex, OnceLock};
 
+use crate::sync::lock;
+
 /// A deduplicating table of shared strings.
 #[derive(Debug, Default)]
 pub struct Interner {
@@ -30,7 +32,7 @@ impl Interner {
     /// Returns the shared handle for `name`, allocating only on first
     /// sight of a given string.
     pub fn intern(&self, name: &str) -> Arc<str> {
-        let mut table = self.table.lock().unwrap_or_else(|e| e.into_inner());
+        let mut table = lock(&self.table);
         if let Some(existing) = table.get(name) {
             return Arc::clone(existing);
         }
@@ -41,7 +43,7 @@ impl Interner {
 
     /// Number of distinct strings interned so far.
     pub fn len(&self) -> usize {
-        self.table.lock().unwrap_or_else(|e| e.into_inner()).len()
+        lock(&self.table).len()
     }
 
     /// Whether nothing has been interned yet.

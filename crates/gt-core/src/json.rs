@@ -1,11 +1,13 @@
-//! The one reader for the flat JSON lines this workspace writes by hand —
-//! the matrix journal and the `BENCH_*.json` trajectory files. It finds a
-//! field by key in one object line and reads a string, a number or a
-//! `[["name", number], …]` pair array. Whitespace after `:` and `,` is
-//! allowed and field order is free. It is not a general JSON parser:
-//! string values never contain `"` (their writers guarantee it) and
-//! objects are flat.
+//! The one reader and the one writer for the flat JSON lines this
+//! workspace writes by hand — the matrix journal and the `BENCH_*.json`
+//! trajectory files. The reader finds a field by key in one object line
+//! and reads a string, a number or a `[["name", number], …]` pair array.
+//! Whitespace after `:` and `,` is allowed and field order is free. It is
+//! not a general JSON parser: objects are flat and a string ends at the
+//! next `"`, so the writer ([`ObjectWriter`], [`quote`]) refuses a string
+//! value holding `"` or `\`.
 
+use std::fmt::{Display, Write as _};
 use std::str::FromStr;
 
 /// The text after `"key":`, leading whitespace skipped.
@@ -62,6 +64,80 @@ pub fn extract_pairs(line: &str, key: &str) -> Result<Vec<(String, f64)>, String
     rest.starts_with(']').then_some(pairs).ok_or_else(bad)
 }
 
+/// `value` as a JSON string, refused if it holds `"` or `\` (the reader
+/// reads no escapes).
+pub fn quote(value: &str) -> Result<String, String> {
+    match value.contains(['"', '\\']) {
+        true => Err(format!("a JSON string cannot hold `\"` or `\\`: {value}")),
+        false => Ok(format!("\"{value}\"")),
+    }
+}
+
+/// Writes one flat JSON object line, fields in call order: compact, or
+/// `spaced` with a space after each `,` and `:`. A string [`quote`]
+/// refuses fails [`Self::finish`].
+#[derive(Debug, Default)]
+pub struct ObjectWriter {
+    fields: String,
+    separators: [&'static str; 2],
+    refused: Option<String>,
+}
+
+impl ObjectWriter {
+    /// An empty object.
+    pub fn new(spaced: bool) -> Self {
+        let separators = if spaced { [", ", ": "] } else { [",", ":"] };
+        ObjectWriter {
+            separators,
+            ..Self::default()
+        }
+    }
+
+    /// `"key":value`, the value written as it displays (a number).
+    pub fn num(mut self, key: &str, value: impl Display) -> Self {
+        let [comma, colon] = self.separators;
+        let comma = if self.fields.is_empty() { "" } else { comma };
+        let _ = write!(self.fields, "{comma}\"{key}\"{colon}{value}");
+        self
+    }
+
+    /// `"key":"value"`.
+    pub fn str(mut self, key: &str, value: &str) -> Self {
+        let value = self.quote(value);
+        self.num(key, value)
+    }
+
+    /// `"key":[["name",value],…]`. A value keeps its shortest round-trip
+    /// form, with a `.0` when integral so that it reads as a float.
+    pub fn pairs(mut self, key: &str, pairs: &[(String, f64)]) -> Self {
+        let comma = self.separators[0];
+        let mut array = Vec::with_capacity(pairs.len());
+        for (name, v) in pairs {
+            let integral = v.is_finite() && v.fract() == 0.0 && v.abs() < 1e15;
+            let v = if integral {
+                format!("{v:.1}")
+            } else {
+                v.to_string()
+            };
+            array.push(format!("[{}{comma}{v}]", self.quote(name)));
+        }
+        self.num(key, format_args!("[{}]", array.join(comma)))
+    }
+
+    fn quote(&mut self, value: &str) -> String {
+        quote(value).unwrap_or_else(|refused| {
+            self.refused.get_or_insert(refused);
+            String::new()
+        })
+    }
+
+    /// The object's line (no newline), or the first string refused.
+    pub fn finish(self) -> Result<String, String> {
+        self.refused
+            .map_or_else(|| Ok(format!("{{{}}}", self.fields)), Err)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -93,6 +169,41 @@ mod tests {
         let pairs = vec![("a".into(), 1.0), ("b".into(), 2.0)];
         assert_eq!(extract_pairs(line, "m"), Ok(pairs));
         assert_eq!(extract_pairs(line, "e"), Ok(vec![]));
+    }
+
+    #[test]
+    fn the_writer_writes_what_the_reader_reads() {
+        let line = ObjectWriter::new(false)
+            .str("cell", "a=b;c=d@1")
+            .num("seed", u64::MAX)
+            .pairs(
+                "metrics",
+                &[("events".into(), 500.0), ("p99".into(), 0.1 + 0.2)],
+            )
+            .finish()
+            .unwrap();
+        let expected = r#"{"cell":"a=b;c=d@1","seed":18446744073709551615,"metrics":[["events",500.0],["p99",0.30000000000000004]]}"#;
+        assert_eq!(line, expected);
+        assert_eq!(extract_num(&line, "seed"), Ok(u64::MAX));
+        assert_eq!(
+            extract_pairs(&line, "metrics"),
+            Ok(vec![("events".into(), 500.0), ("p99".into(), 0.1 + 0.2)])
+        );
+        let spaced = ObjectWriter::new(true)
+            .str("name", "parse/owned")
+            .num("rounds", 9)
+            .pairs("e", &[("a".into(), 1e15)])
+            .finish();
+        let expected = r#"{"name": "parse/owned", "rounds": 9, "e": [["a", 1000000000000000]]}"#;
+        assert_eq!(spaced.as_deref(), Ok(expected));
+        for bad in ["say \"hi\"", "C:\\dir"] {
+            let refused = ObjectWriter::new(false).str("a", bad).num("b", 1).finish();
+            assert!(refused.unwrap_err().contains(bad), "{bad}");
+            let refused = ObjectWriter::new(false)
+                .pairs("m", &[(bad.into(), 1.0)])
+                .finish();
+            assert!(refused.is_err(), "{bad}");
+        }
     }
 
     #[test]

@@ -49,6 +49,7 @@ pub mod json;
 pub mod spec;
 pub mod state;
 pub mod stream;
+pub mod sync;
 
 pub use error::{CoreError, ParseError};
 pub use event::{ControlEvent, EventKind, GraphEvent, SharedEntry, SharedGraphEvent, StreamEntry};

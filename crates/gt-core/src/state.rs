@@ -19,8 +19,7 @@ use std::hash::{Hash, Hasher};
 ///
 /// Equality, ordering, hashing and both formatting traits are those of
 /// [`State::as_str`]; which representation holds the bytes is not
-/// observable. (Under the real `serde` this type needs a hand-written
-/// string impl; the vendored stand-in's blanket impls cover it.)
+/// observable.
 #[derive(Clone)]
 pub struct State(Repr);
 

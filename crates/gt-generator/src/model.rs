@@ -11,7 +11,6 @@
 
 use gt_core::prelude::*;
 use rand::RngExt;
-use serde::{Deserialize, Serialize};
 
 use crate::context::{GenContext, VertexSelector};
 
@@ -19,7 +18,7 @@ use crate::context::{GenContext, VertexSelector};
 ///
 /// Values are weights; they need not sum to 1. Drawing normalizes on the
 /// fly.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EventMix {
     /// Weight of `ADD_VERTEX`.
     pub add_vertex: f64,

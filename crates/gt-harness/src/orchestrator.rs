@@ -42,7 +42,7 @@ use std::path::Path;
 use std::time::Duration;
 
 use gt_analysis::{ConfidenceInterval, Summary};
-use gt_core::json::{extract_num, extract_pairs, extract_str};
+use gt_core::json::{extract_num, extract_pairs, extract_str, ObjectWriter};
 use gt_core::spec::{self, SpecError};
 
 use gt_load::{LoopModel, RatePattern};
@@ -523,20 +523,19 @@ pub struct JournalRecord {
 impl JournalRecord {
     /// Serializes to one JSON line (no trailing newline). Floats use
     /// Rust's shortest round-trip form, so parsing recovers them exactly.
+    ///
+    /// Panics if the cell id or a metric name holds `"` or `\`
+    /// ([`gt_core::json::quote`]); a journal refuses such a matrix at its
+    /// header, which holds every factor level.
     pub fn to_json_line(&self) -> String {
-        let metrics: Vec<String> = self
-            .metrics
-            .iter()
-            .map(|(k, v)| format!("[\"{k}\",{}]", fmt_f64(*v)))
-            .collect();
-        format!(
-            "{{\"cell\":\"{}\",\"rep\":{},\"seed\":{},\"status\":\"{}\",\"metrics\":[{}]}}",
-            self.cell,
-            self.rep,
-            self.seed,
-            encode_status(&self.status),
-            metrics.join(",")
-        )
+        ObjectWriter::new(false)
+            .str("cell", &self.cell)
+            .num("rep", self.rep)
+            .num("seed", self.seed)
+            .str("status", &encode_status(&self.status))
+            .pairs("metrics", &self.metrics)
+            .finish()
+            .expect("cell ids and metric names hold no quote or backslash")
     }
 
     /// Parses one JSON line written by [`Self::to_json_line`].
@@ -552,16 +551,6 @@ impl JournalRecord {
             status: decode_status(extract_str(line, "status")?)?,
             metrics: extract_pairs(line, "metrics")?,
         })
-    }
-}
-
-/// `{:?}`-free float formatting that always round-trips: integral values
-/// keep a `.0` suffix so the JSON stays visibly a float.
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() && v == v.trunc() && v.abs() < 1e15 {
-        format!("{v:.1}")
-    } else {
-        format!("{v}")
     }
 }
 
@@ -688,11 +677,11 @@ impl MatrixJournal {
         inputs: &str,
     ) -> io::Result<(Self, Vec<JournalRecord>)> {
         let invalid = |message: String| io::Error::new(io::ErrorKind::InvalidData, message);
-        if inputs.contains('"') {
-            return Err(invalid(format!(
-                "journal inputs cannot hold `\"`: {inputs}"
-            )));
+        let mut header = ObjectWriter::new(false).str("matrix", &matrix.fingerprint());
+        if !inputs.is_empty() {
+            header = header.str("inputs", inputs);
         }
+        let header = header.finish().map_err(invalid)?;
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
@@ -703,12 +692,7 @@ impl MatrixJournal {
         file.read_to_string(&mut text)?;
 
         if text.is_empty() {
-            let inputs = match inputs {
-                "" => String::new(),
-                _ => format!(",\"inputs\":\"{inputs}\""),
-            };
-            let header = format!("{{\"matrix\":\"{}\"{inputs}}}\n", matrix.fingerprint());
-            file.write_all(header.as_bytes())?;
+            file.write_all(format!("{header}\n").as_bytes())?;
             file.flush()?;
             return Ok((MatrixJournal { file }, Vec::new()));
         }

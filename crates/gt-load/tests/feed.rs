@@ -132,7 +132,7 @@ fn run(path: &Path, plan: &LoadPlan) -> (LoadOutcome, u64, Vec<String>) {
 
 #[test]
 fn a_client_killed_at_the_start_leaves_the_rest_of_the_run_whole() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let _serial = gt_core::sync::lock(&SERIAL);
     let path = stream_file("killed.csv", 100_000, 1_000);
     // About a second of traffic; the kill lands in its first tenth.
     let netem = NetemPlan::new(NetemSchedule::parse("kill@100ms,mode=rst,conns=0", 3).unwrap());
@@ -182,7 +182,7 @@ fn queued_bytes(entries: u64) -> u64 {
 
 #[test]
 fn the_heap_grows_with_the_stream_only_by_the_client_reports() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let _serial = gt_core::sync::lock(&SERIAL);
     let (small, large) = (20_000, 200_000);
     let small_path = stream_file("small.csv", small, 10_000);
     let large_path = stream_file("large.csv", large, 10_000);

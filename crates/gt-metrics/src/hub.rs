@@ -10,10 +10,10 @@
 use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 use std::time::Duration;
 
-use parking_lot::RwLock;
+use gt_core::sync::{read, write};
 
 /// A monotone counter handle. Cloning shares the underlying value.
 #[derive(Debug, Clone, Default)]
@@ -246,72 +246,48 @@ impl MetricsHub {
 
     /// Registers (or retrieves) a counter by name.
     pub fn counter(&self, name: &str) -> Counter {
-        if let Some(c) = self.inner.read().counters.get(name) {
-            return c.clone();
-        }
-        self.inner
-            .write()
-            .counters
-            .entry(name.to_owned())
-            .or_default()
-            .clone()
+        let known = read(&self.inner).counters.get(name).cloned();
+        known.unwrap_or_else(|| registered(&mut write(&self.inner).counters, name))
     }
 
     /// Registers (or retrieves) a gauge by name.
     pub fn gauge(&self, name: &str) -> Gauge {
-        if let Some(g) = self.inner.read().gauges.get(name) {
-            return g.clone();
-        }
-        self.inner
-            .write()
-            .gauges
-            .entry(name.to_owned())
-            .or_default()
-            .clone()
+        let known = read(&self.inner).gauges.get(name).cloned();
+        known.unwrap_or_else(|| registered(&mut write(&self.inner).gauges, name))
     }
 
     /// Registers (or retrieves) a histogram by name.
     pub fn histogram(&self, name: &str) -> Histogram {
-        if let Some(h) = self.inner.read().histograms.get(name) {
-            return h.clone();
-        }
-        self.inner
-            .write()
-            .histograms
-            .entry(name.to_owned())
-            .or_default()
-            .clone()
+        let known = read(&self.inner).histograms.get(name).cloned();
+        known.unwrap_or_else(|| registered(&mut write(&self.inner).histograms, name))
     }
 
     /// Snapshot of all counters, sorted by name.
     pub(crate) fn counter_values(&self) -> Vec<(String, u64)> {
-        self.inner
-            .read()
-            .counters
-            .iter()
-            .map(|(k, v)| (k.clone(), v.get()))
-            .collect()
+        values(&read(&self.inner).counters, Counter::get)
     }
 
     /// Snapshot of all gauges, sorted by name.
     pub(crate) fn gauge_values(&self) -> Vec<(String, i64)> {
-        self.inner
-            .read()
-            .gauges
-            .iter()
-            .map(|(k, v)| (k.clone(), v.get()))
-            .collect()
+        values(&read(&self.inner).gauges, Gauge::get)
     }
 
     /// Snapshot of all histograms, sorted by name.
     pub fn histogram_values(&self) -> Vec<(String, HistogramSnapshot)> {
-        self.inner
-            .read()
-            .histograms
-            .iter()
-            .map(|(k, v)| (k.clone(), v.snapshot()))
-            .collect()
+        values(&read(&self.inner).histograms, Histogram::snapshot)
     }
+}
+
+/// The metric under `name` in `map`, registered first if new.
+fn registered<T: Clone + Default>(map: &mut BTreeMap<String, T>, name: &str) -> T {
+    map.entry(name.to_owned()).or_default().clone()
+}
+
+/// `(name, value)` of every metric in `map`, sorted by name.
+fn values<T, V>(map: &BTreeMap<String, T>, value: impl Fn(&T) -> V) -> Vec<(String, V)> {
+    map.iter()
+        .map(|(name, m)| (name.clone(), value(m)))
+        .collect()
 }
 
 #[cfg(test)]

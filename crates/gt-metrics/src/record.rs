@@ -9,12 +9,10 @@ use std::collections::BTreeSet;
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 use crate::name::{Name, NameTable};
 
 /// A metric value: numeric or free text (e.g. a marker name).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum MetricValue {
     /// A floating-point measurement.
     Float(f64),
@@ -46,7 +44,7 @@ impl fmt::Display for MetricValue {
 }
 
 /// One timestamped measurement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MetricRecord {
     /// Microseconds since run start.
     pub t_micros: u64,
@@ -149,7 +147,7 @@ fn parse_record(line: &str, names: &NameTable) -> Result<MetricRecord, String> {
 
 /// A chronologically sorted sequence of metric records — the output of an
 /// experiment run.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ResultLog {
     records: Vec<MetricRecord>,
 }

@@ -34,9 +34,10 @@ use std::collections::VecDeque;
 use std::io::{self, BufRead};
 use std::mem;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use gt_core::prelude::*;
+use gt_core::sync::{lock, wait};
 
 /// Default capacity, in entries, of the queue between reader and
 /// emitter; also the bound of the load front's client queues, all of them
@@ -196,10 +197,6 @@ struct State<T> {
 }
 
 impl<T> Queue<T> {
-    fn lock(&self) -> MutexGuard<'_, State<T>> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// Wakes the other side if it is parked, after a change it waits for.
     fn wake(&self, mut state: MutexGuard<'_, State<T>>) {
         let parked = mem::take(&mut state.parked);
@@ -211,9 +208,7 @@ impl<T> Queue<T> {
 
     fn park<'a>(&self, mut state: MutexGuard<'a, State<T>>) -> MutexGuard<'a, State<T>> {
         state.parked = true;
-        self.changed
-            .wait(state)
-            .unwrap_or_else(PoisonError::into_inner)
+        wait(&self.changed, state)
     }
 }
 
@@ -250,7 +245,7 @@ impl<T> ChunkSender<T> {
         if self.chunk.is_empty() {
             return true;
         }
-        let mut state = self.queue.lock();
+        let mut state = lock(&self.queue.state);
         while state.full.len() >= self.queue.depth && !state.hung_up {
             state = self.queue.park(state);
         }
@@ -277,7 +272,7 @@ impl<T> ChunkSender<T> {
 
 impl<T> Drop for ChunkSender<T> {
     fn drop(&mut self) {
-        let mut state = self.queue.lock();
+        let mut state = lock(&self.queue.state);
         state.hung_up = true;
         self.queue.wake(state);
     }
@@ -296,14 +291,14 @@ impl<T> ChunkReceiver<T> {
     /// `before_wait` runs and then the call blocks for one.
     pub fn recv(&mut self, mut spent: Vec<T>, before_wait: impl FnOnce()) -> Option<Vec<T>> {
         spent.clear();
-        let mut state = self.queue.lock();
+        let mut state = lock(&self.queue.state);
         if spent.capacity() > 0 && !state.hung_up {
             state.spent.push(spent);
         }
         if state.full.is_empty() && !state.hung_up {
             drop(state);
             before_wait();
-            state = self.queue.lock();
+            state = lock(&self.queue.state);
         }
         while state.full.is_empty() && !state.hung_up {
             state = self.queue.park(state);
@@ -317,13 +312,13 @@ impl<T> ChunkReceiver<T> {
     /// Entries sitting in the queue right now. (A chunk in the sender's
     /// or the receiver's hand is not queued.)
     pub fn queued(&self) -> usize {
-        self.queue.lock().queued
+        lock(&self.queue.state).queued
     }
 }
 
 impl<T> Drop for ChunkReceiver<T> {
     fn drop(&mut self) {
-        let mut state = self.queue.lock();
+        let mut state = lock(&self.queue.state);
         state.hung_up = true;
         // What is queued is nobody's any more.
         let full = mem::take(&mut state.full);

@@ -1,9 +1,7 @@
 //! Evaluation levels (paper §4).
 
-use serde::{Deserialize, Serialize};
-
 /// How much internal access the analyst has to the system under test.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum EvaluationLevel {
     /// Black box: stream in, results out, external process observation
     /// only ("agnostic profiling tools").

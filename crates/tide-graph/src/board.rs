@@ -16,9 +16,10 @@
 //! different instants.
 
 use std::collections::BTreeMap;
+use std::sync::Mutex;
 
 use gt_core::prelude::*;
-use parking_lot::Mutex;
+use gt_core::sync::lock;
 
 /// One worker's published summary: `(vertex, value)` in partition order.
 pub type Snapshot = Vec<(VertexId, f64)>;
@@ -40,13 +41,13 @@ impl ResultBoard {
     /// Makes `snapshot` the worker's published summary and hands the
     /// previous one back in its place — stale content, reusable capacity.
     pub fn publish(&self, worker: usize, snapshot: &mut Snapshot) {
-        std::mem::swap(&mut *self.slots[worker].lock(), snapshot);
+        std::mem::swap(&mut *lock(&self.slots[worker]), snapshot);
     }
 
     /// Appends the worker's published summary to `out`, holding the slot
     /// for the copy only.
     pub fn read_slot(&self, worker: usize, out: &mut Snapshot) {
-        out.extend_from_slice(&self.slots[worker].lock());
+        out.extend_from_slice(&lock(&self.slots[worker]));
     }
 
     /// Every worker's published summary, merged. The map is built here,

@@ -28,18 +28,18 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{sync_channel, SyncSender};
+use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, Sender};
 use gt_core::prelude::*;
+use gt_core::sync::{lock, read, write};
 use gt_core::VERTEX_HASH_MULTIPLIER;
 use gt_metrics::hub::{Counter, Gauge, MicrosCounter};
 use gt_metrics::MetricsHub;
 use gt_sut::{busy_work, Adjacency, StateDigest, WindowDigest, WorkerSupervisor};
 use gt_trace::{Probe, Stage, TracerCell};
-use parking_lot::{Mutex, RwLock};
 
 use crate::board::{ResultBoard, Snapshot};
 use crate::mailbox::{Batch, Mailbox, Msg};
@@ -232,7 +232,7 @@ impl<P: Partition> EngineCore<P> {
 /// and exit instead of waiting for posts that cannot come.
 impl<P: Partition> Drop for EngineCore<P> {
     fn drop(&mut self) {
-        for mailbox in self.mailboxes.read().iter() {
+        for mailbox in read(&self.mailboxes).iter() {
             mailbox.close();
         }
     }
@@ -316,7 +316,7 @@ impl<P: Partition> Engine<P> {
             counters: FaultCounters::register(hub),
         });
         {
-            let mut handles = core.handles.lock();
+            let mut handles = lock(&core.handles);
             for (worker_id, mailbox) in mailboxes.into_iter().enumerate() {
                 handles.push(core.spawn_worker(worker_id, mailbox));
             }
@@ -365,7 +365,7 @@ impl<P: Partition> Engine<P> {
     pub fn ingest_shared(&self, event: SharedGraphEvent) {
         // Holding the read lock for the whole routing step means a
         // restart (write lock) can never interleave with one ingest.
-        let mailboxes = self.core.mailboxes.read();
+        let mailboxes = read(&self.core.mailboxes);
         let mut lost = 0;
         if let GraphEvent::RemoveVertex { id } = event.event() {
             for w in (0..self.workers).filter(|w| *w != owner(*id, self.workers)) {
@@ -378,7 +378,7 @@ impl<P: Partition> Engine<P> {
         // matches what the replayer-side tracepoints counted.
         let seq = self.ingest_seq.fetch_add(1, Ordering::Relaxed);
         if self.core.config.supervised {
-            self.core.retained.lock().push((seq, event.clone()));
+            lock(&self.core.retained).push((seq, event.clone()));
         }
         lost += mailboxes[owner(target, self.workers)].post(Msg::Event(event, seq));
         if lost > 0 {
@@ -401,7 +401,7 @@ impl<P: Partition> Engine<P> {
     /// reports a smaller count instead of hanging. Returns the number of
     /// acknowledgements received.
     pub fn ingest_marker_barrier(&self, name: &str, timeout: Duration) -> usize {
-        let (ack_tx, ack_rx) = bounded::<()>(self.workers);
+        let (ack_tx, ack_rx) = sync_channel::<()>(self.workers);
         let sent = self.ingest_marker_with(name, Some(ack_tx));
         let deadline = Instant::now() + timeout;
         let mut acked = 0usize;
@@ -415,11 +415,11 @@ impl<P: Partition> Engine<P> {
         acked
     }
 
-    fn ingest_marker_with(&self, name: &str, ack: Option<Sender<()>>) -> usize {
+    fn ingest_marker_with(&self, name: &str, ack: Option<SyncSender<()>>) -> usize {
         // Intern once; the fan-out below clones a refcount per worker
         // instead of allocating a String per mailbox.
         let name = gt_core::intern::intern(name);
-        let mailboxes = self.core.mailboxes.read();
+        let mailboxes = read(&self.core.mailboxes);
         mailboxes
             .iter()
             .filter(|mailbox| mailbox.post(Msg::Marker(Arc::clone(&name), ack.clone())) == 0)
@@ -429,9 +429,7 @@ impl<P: Partition> Engine<P> {
     /// Processed watermarks so far: `(name, worker, micros since engine
     /// start)`.
     pub fn marker_log(&self) -> Vec<(String, usize, u64)> {
-        self.core
-            .markers
-            .lock()
+        lock(&self.core.markers)
             .iter()
             .map(|(name, worker, t)| (name.to_string(), *worker, *t))
             .collect()
@@ -442,7 +440,7 @@ impl<P: Partition> Engine<P> {
     /// the items of rounds still running. Dead workers are skipped: what
     /// they left behind is lost, not pending.
     pub fn total_queue_len(&self) -> usize {
-        let mailboxes = self.core.mailboxes.read();
+        let mailboxes = read(&self.core.mailboxes);
         mailboxes
             .iter()
             .filter(|mailbox| mailbox.is_alive())
@@ -487,7 +485,7 @@ impl<P: Partition> Engine<P> {
     /// and the loop retries.
     pub fn quiesce(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
-        let pass = || accounts(&self.core.mailboxes.read());
+        let pass = || accounts(&read(&self.core.mailboxes));
         loop {
             let first = pass();
             let idle = first.iter().flatten().all(|(enq, done)| enq == done);
@@ -507,11 +505,11 @@ impl<P: Partition> Engine<P> {
     /// crash instead of poisoning the run.
     pub fn shutdown(self) -> EngineStats {
         self.core.stopping.store(true, Ordering::SeqCst);
-        for mailbox in self.core.mailboxes.read().iter() {
+        for mailbox in read(&self.core.mailboxes).iter() {
             mailbox.post(Msg::Stop);
         }
         let handles: Vec<JoinHandle<Option<P>>> = {
-            let mut guard = self.core.handles.lock();
+            let mut guard = lock(&self.core.handles);
             guard.drain(..).collect()
         };
         let mut ranks = Snapshot::new();
@@ -542,7 +540,7 @@ impl<P: Partition> Engine<P> {
             // first-sighting order; the per-worker adjacencies of one
             // marker are disjoint, so concatenation is the union.
             let mut windows: Vec<WindowDigest> = Vec::new();
-            for (name, adjacency) in self.core.snapshots.lock().drain(..) {
+            for (name, adjacency) in lock(&self.core.snapshots).drain(..) {
                 match windows.iter_mut().find(|w| w.marker.as_str() == &*name) {
                     Some(window) => window.adjacency.extend(adjacency),
                     None => windows.push(WindowDigest {
@@ -604,7 +602,7 @@ impl<P: Partition> WorkerSupervisor for EngineSupervisor<P> {
         if worker >= self.core.config.workers || self.core.stopping.load(Ordering::SeqCst) {
             return false;
         }
-        self.core.mailboxes.read()[worker].post(Msg::Crash) == 0
+        read(&self.core.mailboxes)[worker].post(Msg::Crash) == 0
     }
 
     /// Restarts a crashed worker (supervised mode only): waits briefly
@@ -619,14 +617,14 @@ impl<P: Partition> WorkerSupervisor for EngineSupervisor<P> {
         // The crash message travels through the worker's backlog; give it
         // time to land before declaring the restart impossible.
         let deadline = Instant::now() + Duration::from_secs(5);
-        while self.core.mailboxes.read()[worker].is_alive() {
+        while read(&self.core.mailboxes)[worker].is_alive() {
             if Instant::now() > deadline || self.core.stopping.load(Ordering::SeqCst) {
                 return false;
             }
             std::thread::sleep(Duration::from_millis(1));
         }
 
-        let mut mailboxes = self.core.mailboxes.write();
+        let mut mailboxes = write(&self.core.mailboxes);
         if self.core.stopping.load(Ordering::SeqCst) {
             return false;
         }
@@ -636,7 +634,7 @@ impl<P: Partition> WorkerSupervisor for EngineSupervisor<P> {
         let workers = config.workers;
         let mut replayed = 0u64;
         {
-            let retained = self.core.retained.lock();
+            let retained = lock(&self.core.retained);
             for (seq, event) in retained.iter() {
                 match event.event() {
                     // The broadcast half of remote removals, re-delivered
@@ -655,7 +653,7 @@ impl<P: Partition> WorkerSupervisor for EngineSupervisor<P> {
         }
         let handle = self.core.spawn_worker(worker, Arc::clone(&mailbox));
         mailboxes[worker] = mailbox;
-        self.core.handles.lock().push(handle);
+        lock(&self.core.handles).push(handle);
         self.core.counters.restarts.inc();
         self.core.counters.events_replayed.add(replayed);
         true
@@ -793,11 +791,9 @@ fn worker_loop<P: Partition>(ctx: WorkerCtx<P::Msg>, mut partition: P) -> Option
                         // exactly the pre-marker events routed here, so
                         // the snapshot is this worker's share of the
                         // marker's consistent cut.
-                        ctx.snapshots
-                            .lock()
-                            .push((name.clone(), partition.structure()));
+                        lock(&ctx.snapshots).push((name.clone(), partition.structure()));
                     }
-                    ctx.markers.lock().push((name, ctx.worker_id, t));
+                    lock(&ctx.markers).push((name, ctx.worker_id, t));
                     if let Some(ack) = ack {
                         let _ = ack.send(());
                     }
@@ -841,7 +837,7 @@ fn worker_loop<P: Partition>(ctx: WorkerCtx<P::Msg>, mut partition: P) -> Option
             for (target, payload) in outbox.drain(..) {
                 parts[owner(target, workers)].push((target, payload));
             }
-            let mailboxes = ctx.mailboxes.read();
+            let mailboxes = read(&ctx.mailboxes);
             let mut lost = 0;
             for (destination, part) in mailboxes.iter().zip(&mut parts) {
                 if !part.is_empty() {

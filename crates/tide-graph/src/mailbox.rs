@@ -28,10 +28,11 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::mpsc::SyncSender;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
-use crossbeam::channel::Sender;
 use gt_core::prelude::*;
+use gt_core::sync::{lock, wait};
 
 /// Shares one mailbox block holds.
 pub const BLOCK_SHARES: usize = 512;
@@ -61,7 +62,7 @@ pub enum Msg<M> {
     /// channel acknowledges processing (the marker barrier). The name is
     /// interned: the per-worker broadcast bumps a refcount instead of
     /// cloning a `String` per mailbox.
-    Marker(Arc<str>, Option<Sender<()>>),
+    Marker(Arc<str>, Option<SyncSender<()>>),
     /// A simulated worker kill: the worker discards its partition state
     /// and exits immediately, as if the process died. Queued like any
     /// message, so the crash lands at a deterministic position in the
@@ -81,6 +82,10 @@ pub enum Msg<M> {
 /// `enqueued − processed` never touches zero while anything is still
 /// queued, being processed, or about to be posted.
 pub struct Mailbox<M> {
+    /// Locked through `gt_core::sync`, which ignores poison: no program
+    /// code runs under this lock and every update (a push, a pop, a block
+    /// extended by moves) leaves the queue whole, so a panic elsewhere
+    /// never leaves it half-changed.
     queue: Mutex<Queue<M>>,
     posted: Condvar,
     alive: AtomicBool,
@@ -174,10 +179,7 @@ impl<M> Mailbox<M> {
                 return None;
             }
             queue.parked = true;
-            queue = self
-                .posted
-                .wait(queue)
-                .unwrap_or_else(PoisonError::into_inner);
+            queue = wait(&self.posted, queue);
             queue.parked = false;
         }
     }
@@ -194,7 +196,7 @@ impl<M> Mailbox<M> {
     /// wakes to find it closed. The account stops moving except for
     /// `processed`.
     pub fn close(&self) {
-        let mut queue = self.lock();
+        let mut queue = lock(&self.queue);
         self.alive.store(false, Ordering::SeqCst);
         let abandoned = std::mem::take(&mut queue.msgs);
         self.wake(queue);
@@ -230,23 +232,16 @@ impl<M> Mailbox<M> {
         enqueued.saturating_sub(processed)
     }
 
-    /// The queue. Poison is ignored: no program code runs under this lock
-    /// and every update (a push, a pop, a block extended by moves) leaves
-    /// the queue whole, so a panic elsewhere never leaves it half-changed.
-    fn lock(&self) -> MutexGuard<'_, Queue<M>> {
-        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// The queue, unless the mailbox is closed. `alive` only changes
     /// under this lock, so a post that got it is on the account.
     fn lock_alive(&self) -> Option<MutexGuard<'_, Queue<M>>> {
-        let queue = self.lock();
+        let queue = lock(&self.queue);
         self.is_alive().then_some(queue)
     }
 
     fn hand_back(&self, spent: &mut Batch<M>) -> MutexGuard<'_, Queue<M>> {
         spent.clear();
-        let mut queue = self.lock();
+        let mut queue = lock(&self.queue);
         if spent.capacity() == BLOCK_SHARES && queue.spare.len() < SPARE_BLOCKS {
             queue.spare.push(std::mem::take(spent));
         }
@@ -288,7 +283,7 @@ mod tests {
             assert!(mailbox.try_recv(&mut spent).is_none());
             assert!(spent.is_empty());
         }
-        assert_eq!(mailbox.lock().spare.len(), SPARE_BLOCKS);
+        assert_eq!(lock(&mailbox.queue).spare.len(), SPARE_BLOCKS);
 
         // The next posts fill the spare blocks before asking for new ones.
         mailbox.post_shares(&mut shares(SPARE_BLOCKS * BLOCK_SHARES));
@@ -297,7 +292,7 @@ mod tests {
             assert!(addresses.contains(&block.as_ptr()), "a fresh block");
             assert_eq!(block.len(), BLOCK_SHARES);
         }
-        assert!(mailbox.lock().spare.is_empty());
+        assert!(lock(&mailbox.queue).spare.is_empty());
     }
 
     #[test]

@@ -13,18 +13,18 @@
 
 use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, Receiver, Sender};
 use gt_core::prelude::*;
+use gt_core::sync::{lock, read, write};
 use gt_graph::{ApplyPolicy, EvolvingGraph};
 use gt_metrics::hub::{Counter, MicrosCounter};
 use gt_metrics::MetricsHub;
 use gt_sut::{busy_work, WorkerSupervisor};
 use gt_trace::{Probe, Stage, TracerCell};
-use parking_lot::{Mutex, RwLock};
 
 use crate::partition::PartitionState;
 use crate::store::{shard_for, StoreConfig, StoreStats};
@@ -32,6 +32,9 @@ use crate::store::{shard_for, StoreConfig, StoreStats};
 /// `(commit timestamp, event)` pairs: a shard's write log in apply order,
 /// and the payload of one queue message.
 pub(crate) type ShardLog = Vec<(u64, SharedGraphEvent)>;
+
+/// The sending end of a shard's queue.
+pub(crate) type Route = SyncSender<ShardMsg>;
 
 /// Work delivered to a shard's queue.
 pub(crate) enum ShardMsg {
@@ -93,7 +96,7 @@ pub(crate) struct ShardPool {
     /// swaps a sender or a crash closes a slot's account — which excludes
     /// routing, so recovery never interleaves with the commit order and a
     /// crash's loss count is exact.
-    txs: RwLock<Vec<Sender<ShardMsg>>>,
+    txs: RwLock<Vec<Route>>,
     slots: Vec<Slot>,
     handles: Mutex<Vec<JoinHandle<(usize, ShardLog)>>>,
     /// Every sequenced `(timestamp, event)` pair, pushed by the routing
@@ -137,8 +140,9 @@ impl ShardPool {
     /// [`Counters`] on `hub`.
     pub(crate) fn start(config: StoreConfig, batch_cost: Duration, hub: &MetricsHub) -> Arc<Self> {
         assert!(config.shards >= 1, "at least one shard required");
+        assert!(config.queue_capacity > 0, "queue capacity must be > 0");
         let (txs, rxs): (Vec<_>, Vec<_>) = (0..config.shards)
-            .map(|_| bounded::<ShardMsg>(config.queue_capacity))
+            .map(|_| sync_channel::<ShardMsg>(config.queue_capacity))
             .unzip();
         let pool = Arc::new(ShardPool {
             txs: RwLock::new(txs),
@@ -176,7 +180,7 @@ impl ShardPool {
             .enumerate()
             .map(|(shard_id, rx)| pool.spawn_shard(shard_id, rx))
             .collect();
-        *pool.handles.lock() = handles;
+        *lock(&pool.handles) = handles;
         pool
     }
 
@@ -204,15 +208,15 @@ impl ShardPool {
     /// so a restart (write lock) can never observe it half-routed or
     /// snapshot the retained log with its delivery still in flight, which
     /// would replay it twice.
-    pub(crate) fn routes(&self) -> impl Deref<Target = Vec<Sender<ShardMsg>>> + '_ {
-        self.txs.read()
+    pub(crate) fn routes(&self) -> impl Deref<Target = Vec<Route>> + '_ {
+        read(&self.txs)
     }
 
     /// Accounts `batch` on `shard` and sends it. Blocks while the shard's
     /// queue is full — the backpressure that reaches clients through the
     /// sequencer — and fails fast on a dead shard. Returns whether the
     /// batch was delivered.
-    pub(crate) fn post(&self, routes: &[Sender<ShardMsg>], shard: usize, batch: ShardLog) -> bool {
+    pub(crate) fn post(&self, routes: &[Route], shard: usize, batch: ShardLog) -> bool {
         let events = batch.len() as u64;
         let enqueued = &self.slots[shard].enqueued;
         enqueued.fetch_add(events, Ordering::SeqCst);
@@ -230,7 +234,7 @@ impl ShardPool {
     /// counted (`store.marker_skips`), never waited for.
     pub(crate) fn mark(&self, name: &str) {
         let cut = self.next_ts.load(Ordering::SeqCst);
-        self.cuts.lock().push((name.to_owned(), cut));
+        lock(&self.cuts).push((name.to_owned(), cut));
         // Intern once; the per-shard fan-out clones refcounts, not Strings.
         let name = gt_core::intern::intern(name);
         for tx in self.routes().iter() {
@@ -271,7 +275,7 @@ impl ShardPool {
         for tx in self.routes().iter() {
             let _ = tx.send(ShardMsg::Stop);
         }
-        let handles = std::mem::take(&mut *self.handles.lock());
+        let handles = std::mem::take(&mut *lock(&self.handles));
         let mut logs = Vec::with_capacity(handles.len());
         for handle in handles {
             match handle.join() {
@@ -310,7 +314,7 @@ impl ShardPool {
         }
         log.sort_by_key(|(ts, _)| *ts);
         let events = log.len() as u64;
-        let markers = std::mem::take(&mut *self.cuts.lock());
+        let markers = std::mem::take(&mut *lock(&self.cuts));
         let mut graph = EvolvingGraph::new();
         let mut dangling_edges_dropped = 0;
         let mut log = log.into_iter().peekable();
@@ -325,7 +329,7 @@ impl ShardPool {
         for (_, event) in log {
             dangling_edges_dropped += rebuild(&mut graph, event);
         }
-        let shard_markers = self.shard_markers.lock();
+        let shard_markers = lock(&self.shard_markers);
         StoreStats {
             transactions: self.counters.tx.get(),
             events,
@@ -392,7 +396,7 @@ impl ShardPool {
                     }
                     slot.applied.fetch_add(events, Ordering::SeqCst);
                 }
-                ShardMsg::Marker(name) => self.shard_markers.lock().push((name, shard_id)),
+                ShardMsg::Marker(name) => lock(&self.shard_markers).push((name, shard_id)),
                 ShardMsg::Crash => {
                     // Die like a killed process: state and log abandoned,
                     // queued messages dropped with the receiver — dropped
@@ -406,7 +410,7 @@ impl ShardPool {
                     // flag tells routers (and a waiting supervisor) that
                     // this partition is vacant.
                     drop(rx);
-                    let _routing_excluded = self.txs.write();
+                    let _routing_excluded = write(&self.txs);
                     self.counters.events_lost.add(slot.backlog());
                     self.counters.events_discarded.add(log.len() as u64);
                     let applied = slot.applied.load(Ordering::SeqCst);
@@ -479,16 +483,16 @@ impl WorkerSupervisor for StoreSupervisor {
             std::thread::sleep(Duration::from_millis(1));
         }
 
-        let mut txs = pool.txs.write();
+        let mut txs = write(&pool.txs);
         if pool.stopping.load(Ordering::SeqCst) {
             return false;
         }
-        let (tx, rx) = bounded::<ShardMsg>(config.queue_capacity);
+        let (tx, rx) = sync_channel::<ShardMsg>(config.queue_capacity);
         // Spawn first so the bounded queue drains while replay fills it.
         let handle = pool.spawn_shard(worker, rx);
         let shards = config.shards as u64;
         let mut replay: ShardLog = {
-            let retained = pool.retained.lock();
+            let retained = lock(&pool.retained);
             retained
                 .iter()
                 .filter(|(_, event)| shard_for(event.event(), shards) == worker as u64)
@@ -503,7 +507,7 @@ impl WorkerSupervisor for StoreSupervisor {
             pool.post(&txs, worker, chunk.to_vec());
         }
         pool.slots[worker].alive.store(true, Ordering::SeqCst);
-        pool.handles.lock().push(handle);
+        lock(&pool.handles).push(handle);
         pool.counters.restarts.inc();
         pool.counters.events_replayed.add(replay.len() as u64);
         true

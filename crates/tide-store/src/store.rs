@@ -49,12 +49,13 @@
 //! the original timestamps.
 
 use std::sync::atomic::Ordering;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, Receiver, Sender};
 use gt_core::prelude::*;
+use gt_core::sync::lock;
 use gt_graph::EvolvingGraph;
 use gt_metrics::hub::{Gauge, MicrosCounter};
 use gt_metrics::MetricsHub;
@@ -83,7 +84,7 @@ pub struct StoreConfig {
     /// Capacity of the client→timestamper queue (in transactions) and of
     /// each shard queue (in transaction shares: one slot holds the events
     /// of one transaction owed to that shard); full queues backpressure
-    /// the sender (the paper's "backthrottling").
+    /// the sender (the paper's "backthrottling"). Must be positive.
     pub queue_capacity: usize,
     /// Retain every committed `(timestamp, event)` pair so crashed shards
     /// can be restarted with their state rebuilt by replay (the
@@ -139,7 +140,7 @@ enum ClientMsg {
 #[derive(Clone)]
 enum Sequencer {
     /// Queued for the timestamper thread.
-    Timestamper(Sender<ClientMsg>),
+    Timestamper(SyncSender<ClientMsg>),
     /// Routed on the submitting thread, through this client's own scratch.
     Router(Router),
 }
@@ -260,7 +261,7 @@ pub struct TideStore {
     pool: Arc<ShardPool>,
     /// The timestamper's ingestion queue and thread; `None` behind the
     /// router.
-    timestamper: Option<(Sender<ClientMsg>, JoinHandle<()>)>,
+    timestamper: Option<(SyncSender<ClientMsg>, JoinHandle<()>)>,
 }
 
 impl TideStore {
@@ -271,12 +272,13 @@ impl TideStore {
     /// * `store.tx` / `store.events` — committed counts,
     /// * `timestamper.busy_micros`, `shard-N.busy_micros` — per-component
     ///   simulated CPU time,
-    /// * `timestamper.queue` — ingestion queue length gauge,
+    /// * `timestamper.queue` — transactions waiting for the timestamper,
+    ///   read each time it has routed one,
     /// * `store.crashes` / `store.restarts` / `store.events_lost` /
     ///   `store.events_discarded` / `store.events_replayed` /
     ///   `store.marker_skips` — fault and recovery activity.
     pub fn start(config: StoreConfig, hub: &MetricsHub) -> Self {
-        let (queue, queue_rx) = bounded::<ClientMsg>(config.queue_capacity);
+        let (queue, queue_rx) = sync_channel::<ClientMsg>(config.queue_capacity);
         let timestamper = Timestamper {
             cost: config.timestamper_cost_per_tx,
             // The timestamper pays for ordering; its shards pay per event
@@ -418,11 +420,11 @@ impl Timestamper {
         while let Ok(msg) = self.queue.recv() {
             match msg {
                 ClientMsg::Tx(transaction) => {
-                    self.queue_len.set(self.queue.len() as i64);
                     // Global ordering: the serial, per-transaction cost.
                     self.order();
                     router.route(pool, transaction.events);
-                    pool.unsequenced.fetch_sub(1, Ordering::SeqCst);
+                    let waiting = pool.unsequenced.fetch_sub(1, Ordering::SeqCst) - 1;
+                    self.queue_len.set(waiting as i64);
                 }
                 // Markers are control traffic: they pay no ordering cost.
                 ClientMsg::Marker(name) => pool.mark(&name),
@@ -471,7 +473,7 @@ impl Router {
         let first = pool
             .next_ts
             .fetch_add(events.len() as u64, Ordering::SeqCst);
-        let mut retained = pool.config.supervised.then(|| pool.retained.lock());
+        let mut retained = pool.config.supervised.then(|| lock(&pool.retained));
         for (ts, (event, &shard)) in (first..).zip(events.into_iter().zip(&self.owners)) {
             if let Some(retained) = &mut retained {
                 retained.push((ts, event.clone()));
@@ -785,6 +787,36 @@ mod tests {
             ts_busy > shard_busy * 5,
             "timestamper {ts_busy}µs vs shards {shard_busy}µs"
         );
+    }
+
+    #[test]
+    fn queue_gauge_counts_transactions_waiting_for_the_timestamper() {
+        let hub = MetricsHub::new();
+        let store = TideStore::start(
+            StoreConfig {
+                timestamper_cost_per_tx: Duration::from_millis(5),
+                queue_capacity: 16,
+                ..fast_config()
+            },
+            &hub,
+        );
+        let mut client = store.client();
+        for event in vertex_events(0..10) {
+            client.submit(Transaction::single(event)).unwrap();
+        }
+        let gauge = hub.gauge("timestamper.queue");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while gauge.get() == 0 {
+            assert!(Instant::now() < deadline, "the gauge never rose");
+            std::thread::sleep(Duration::from_micros(200));
+        }
+        assert!(
+            gauge.get() < 10,
+            "the transaction being ordered is not waiting"
+        );
+        assert!(store.quiesce(Duration::from_secs(10)));
+        assert_eq!(gauge.get(), 0);
+        store.shutdown();
     }
 
     #[test]

@@ -96,18 +96,10 @@ impl TideStoreSut {
             shard_cost_per_event: options
                 .get_duration_micros("shard_cost_us")?
                 .unwrap_or(defaults.shard_cost_per_event),
-            queue_capacity: options
-                .get_usize("queue_capacity")?
-                .unwrap_or(defaults.queue_capacity),
+            queue_capacity: positive(options, "queue_capacity", defaults.queue_capacity)?,
             supervised: options.get_u64("supervised")?.unwrap_or(0) != 0,
         };
-        let batch_size = options.get_usize("batch_size")?.unwrap_or(10);
-        if batch_size == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "option `batch_size` must be positive",
-            ));
-        }
+        let batch_size = positive(options, "batch_size", 10)?;
         let digest = options.get_u64("digest")?.unwrap_or(0) != 0;
         let hub = MetricsHub::new();
         Ok(TideStoreSut {
@@ -128,6 +120,18 @@ impl TideStoreSut {
 /// The out-adjacency of a reconstructed graph, weights captured as
 /// `f64::to_bits` so the digest comparison is bit-exact. Unweighted edges
 /// digest as weight 1.0.
+/// A size option that must be positive (a zero-capacity queue would be a
+/// rendezvous, not a queue), or `default` when unset.
+fn positive(options: &SutOptions, key: &str, default: usize) -> io::Result<usize> {
+    match options.get_usize(key)?.unwrap_or(default) {
+        0 => Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("option `{key}` must be positive"),
+        )),
+        n => Ok(n),
+    }
+}
+
 fn adjacency_of(graph: &EvolvingGraph) -> Adjacency {
     graph
         .vertices()
@@ -490,8 +494,14 @@ mod tests {
 
     #[test]
     fn malformed_batch_size_rejected() {
-        let options = SutOptions::new().set("batch_size", 0);
-        assert!(TideStoreSut::start(&options).is_err());
+        for key in ["batch_size", "queue_capacity"] {
+            let options = SutOptions::new().set(key, 0);
+            for start in [TideStoreSut::start, TideStoreSut::start_sharded] {
+                let refused = start(&options).err().expect("zero accepted");
+                assert_eq!(refused.kind(), io::ErrorKind::InvalidInput, "{key}");
+                assert!(refused.to_string().contains(key), "{refused}");
+            }
+        }
     }
 
     #[test]
