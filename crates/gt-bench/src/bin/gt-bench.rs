@@ -160,9 +160,10 @@ fn parse_suites(lines: &[String], rounds: u32) -> Vec<BenchRecord> {
     ]
 }
 
-/// One round of the store's shard apply: a fresh partition fed shared
-/// handles, as the shard threads receive them.
-fn apply_to_partition(events: &[SharedGraphEvent]) {
+/// One round of the store's shard apply: a fresh partition fed events by
+/// value, as the shard threads receive them. With no sequencer in front,
+/// every `AddEdge` is taken to have a live destination.
+fn apply_to_partition(events: &[GraphEvent]) {
     let mut state = PartitionState::new();
     for event in events {
         state.apply(black_box(event));
@@ -171,8 +172,8 @@ fn apply_to_partition(events: &[SharedGraphEvent]) {
 }
 
 /// One round of the reference graph: strict apply, endpoints checked and
-/// states cloned — what the generator's shadow graph, the store's
-/// commit-log reconstruction and the differential oracle run per event.
+/// states cloned — what the generator's shadow graph and the oracles run
+/// per event.
 fn apply_to_graph(events: &[GraphEvent]) {
     let mut graph = EvolvingGraph::new();
     for event in events {
@@ -317,10 +318,6 @@ const SNB_EVENTS: u64 = 500_000;
 
 fn ingest_suites(events: &[GraphEvent], rounds: u32) -> Vec<BenchRecord> {
     let n = events.len() as u64;
-    // The shared handles are built here, outside the timed closures: on
-    // the real path the replayer allocates them, not the shard.
-    let share = |event: &GraphEvent| SharedGraphEvent::new(event.clone());
-    let shared: Vec<SharedGraphEvent> = events.iter().map(share).collect();
     // The paper's Table 3 mix (35 % update-vertex, 35 % add-edge, 15 %
     // remove-edge, 10 % add-vertex, 5 % remove-vertex) over a hub-forming
     // bootstrap: the stream shape whose vertex removals `sample_events`
@@ -330,7 +327,6 @@ fn ingest_suites(events: &[GraphEvent], rounds: u32) -> Vec<BenchRecord> {
         .graph_events()
         .cloned()
         .collect();
-    let mixed_shared: Vec<SharedGraphEvent> = mixed.iter().map(share).collect();
     let mixed_n = mixed.len() as u64;
     // An SNB stream at `store-tcp-unpaced`'s size: out-lists at p50
     // degree 17 sit in the adjacency's sorted tier and the largest
@@ -355,10 +351,10 @@ fn ingest_suites(events: &[GraphEvent], rounds: u32) -> Vec<BenchRecord> {
             apply_to_graph(&snb)
         }),
         measure("ingest/partition-state", n, rounds, || {
-            apply_to_partition(&shared)
+            apply_to_partition(events)
         }),
         measure("ingest/partition-state-mixed", mixed_n, rounds, || {
-            apply_to_partition(&mixed_shared)
+            apply_to_partition(&mixed)
         }),
         board_publish_suite(rounds),
         share_transport_suite(rounds),

@@ -1,10 +1,10 @@
 //! The one adjacency store under every event-applying graph body.
 //!
 //! "Apply a graph event to per-vertex adjacency plus a reverse index"
-//! exists once, here: [`crate::EvolvingGraph`] stores `P = State`, and the
-//! store shards' partition state in `tide-store` stores the
-//! `SharedGraphEvent` that last set each state. Storage is split by what
-//! each access needs (DESIGN.md §12, GraphTango's layout in PAPERS.md):
+//! exists once, here: [`crate::EvolvingGraph`] and the store shards'
+//! partition state in `tide-store` both store `P = State`. Storage is
+//! split by what each access needs (DESIGN.md §12, GraphTango's layout in
+//! PAPERS.md):
 //!
 //! * entries — a state, an out-adjacency with a per-edge `P` and an
 //!   in-adjacency (the reverse index, which makes a vertex removal cost its
@@ -16,15 +16,18 @@
 //!
 //! One rule decides an entry's lifetime: it lives while it has a state or
 //! an edge. A vertex with a state is an entry, and so is an endpoint that
-//! only an upserted edge named (in a shard, a vertex another shard owns);
+//! only a linked edge named (in a shard, a vertex another shard owns);
 //! the write that takes a stateless entry's last edge removes the entry.
 //!
-//! Edges are written two ways, because the two users mean two things by
-//! "add": `AdjacencyStore::insert_edge_if_absent` links two vertices
-//! that both have a state and never replaces a payload;
-//! [`AdjacencyStore::upsert_edge`] creates missing endpoints and replaces.
+//! Edges are added two ways, because the two users know two different
+//! things about the endpoints: `AdjacencyStore::insert_edge_if_absent`
+//! links two vertices that both have a state here, and
+//! [`AdjacencyStore::link_if_absent`] trusts its caller that both exist
+//! and makes a stateless entry for an endpoint held elsewhere (in a
+//! shard, a vertex another shard owns). Neither replaces a payload.
 //! The store keeps no order; a user that iterates by id keeps its own
-//! ordered index of the `Slot`s it was handed.
+//! ordered index of the `Slot`s it was handed, or sorts what
+//! [`AdjacencyStore::iter`] yields.
 
 use std::collections::hash_map::Entry as MapEntry;
 
@@ -136,14 +139,19 @@ impl<P> AdjacencyStore<P> {
         self.get(id.src).and_then(|src| src.out.get(id.dst))
     }
 
+    /// Every entry with its id, in no particular order.
+    pub fn iter(&self) -> impl Iterator<Item = (VertexId, &Entry<P>)> {
+        self.index.iter().map(|(&id, &slot)| (id, self.at(slot)))
+    }
+
     /// `id`'s state, for an in-place update.
-    pub(crate) fn state_mut(&mut self, id: VertexId) -> Option<&mut P> {
+    pub fn state_mut(&mut self, id: VertexId) -> Option<&mut P> {
         let slot = self.slot(id)?;
         self.at_mut(slot).state.as_mut()
     }
 
     /// The payload of edge `id`, for an in-place update.
-    pub(crate) fn edge_mut(&mut self, id: EdgeId) -> Option<&mut P> {
+    pub fn edge_mut(&mut self, id: EdgeId) -> Option<&mut P> {
         let slot = self.slot(id.src)?;
         self.at_mut(slot).out.get_mut(id.dst)
     }
@@ -196,13 +204,15 @@ impl<P> AdjacencyStore<P> {
         Ok(true)
     }
 
-    /// Sets edge `id`'s payload, adding the edge — and stateless entries
-    /// for endpoints that have none — if absent. Returns whether the edge
-    /// is new.
-    pub fn upsert_edge(&mut self, id: EdgeId, payload: P) -> bool {
+    /// Links `id.src → id.dst` with payload `make()` unless the edge
+    /// exists, making a stateless entry for an endpoint that has none
+    /// here; returns whether it was added. The caller vouches that both
+    /// endpoints exist somewhere. One hash per endpoint and one search of
+    /// the source's out-list.
+    pub fn link_if_absent(&mut self, id: EdgeId, make: impl FnOnce() -> P) -> bool {
         let src = self.slot_or_insert(id.src);
         let dst = self.slot_or_insert(id.dst);
-        if self.at_mut(src).out.insert(id.dst, payload).is_some() {
+        if !self.at_mut(src).out.insert_if_absent(id.dst, make) {
             return false;
         }
         self.at_mut(dst).inc.insert(id.src, ());
@@ -319,8 +329,9 @@ mod tests {
     #[test]
     fn an_in_list_and_a_shard_slot_carry_no_inline_tags() {
         // 136 and 288 bytes while every inline slot was an
-        // `Option<(VertexId, P)>`, padded to 16 bytes for `P = ()`: the
-        // shards' slab is a large part of `store-tcp-unpaced`'s peak heap.
+        // `Option<(VertexId, P)>`, padded to 16 bytes for `P = ()`. An
+        // 8-byte payload (the handle the store shards held until they
+        // stored states by value) still fills a 232-byte slot.
         assert_eq!(std::mem::size_of::<HybridAdjacency<()>>(), 80);
         assert_eq!(std::mem::size_of::<Entry<SharedGraphEvent>>(), 232);
     }
@@ -329,13 +340,13 @@ mod tests {
     fn a_self_loop_is_one_edge_and_the_cascade_skips_it() {
         // Every entry here is stateless: each goes with its last edge.
         let mut store = AdjacencyStore::default();
-        store.upsert_edge(e(1, 1), ());
-        store.upsert_edge(e(1, 2), ());
-        store.upsert_edge(e(3, 1), ());
+        store.link_if_absent(e(1, 1), || ());
+        store.link_if_absent(e(1, 2), || ());
+        store.link_if_absent(e(3, 1), || ());
         assert_eq!(store.edge_count(), 3);
         assert_eq!(store.remove_vertex(VertexId(1)), Some(3));
         assert_eq!((store.edge_count(), store.entry_count()), (0, 0));
-        store.upsert_edge(e(4, 4), ());
+        store.link_if_absent(e(4, 4), || ());
         assert_eq!(store.remove_edge(e(4, 4)), Some(()));
         assert_eq!(store.entry_count(), 0);
         store.check_invariants().unwrap();
@@ -348,9 +359,9 @@ mod tests {
         assert_eq!(store.upsert_state(VertexId(1), 10), 0);
         assert_eq!(store.insert_edge_if_absent(e(2, 1), || 0), Err(VertexId(2)));
         assert_eq!(store.insert_edge_if_absent(e(1, 2), || 0), Err(VertexId(2)));
-        // An entry an upsert left stateless is not a vertex until it gets
-        // a state.
-        store.upsert_edge(e(3, 2), 0);
+        // An entry a link left stateless is not a vertex until it gets a
+        // state.
+        store.link_if_absent(e(3, 2), || 0);
         assert_eq!(store.insert_edge_if_absent(e(1, 2), || 0), Err(VertexId(2)));
         store.upsert_state(VertexId(2), 20);
         assert_eq!(store.insert_edge_if_absent(e(1, 2), || 7), Ok(true));

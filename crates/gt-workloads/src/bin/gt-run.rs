@@ -362,13 +362,22 @@ fn materialize_faults(path: &str, spec: &str, seed: u64) -> Result<(String, Stri
     Ok((out.to_string_lossy().into_owned(), pipeline.describe()))
 }
 
-/// The differential mode: the same stream through the serial platform at
-/// `shards=1` and the sharded variant at `shards=N`, single connector
-/// each; nonzero exit on any digest or computation divergence.
-fn run_differential_mode(spec: &RunSpec, registry: &SutRegistry) -> Result<ExitCode, String> {
+/// The differential mode: the same stream — derived through `faults`
+/// first, if given — through the serial platform at `shards=1` and the
+/// sharded variant at `shards=N`, single connector each; nonzero exit on
+/// any digest or computation divergence.
+fn run_differential_mode(
+    spec: &RunSpec,
+    faults: Option<&str>,
+    registry: &SutRegistry,
+) -> Result<ExitCode, String> {
     let path = &spec.stream;
-    let stream = gt_core::GraphStream::read_from_file(path)
+    let mut stream = gt_core::GraphStream::read_from_file(path)
         .map_err(|error| format!("gt-run: reading {path}: {error}"))?;
+    if let Some(faults) = faults {
+        let pipeline = parse_pipeline(faults).map_err(|e| format!("gt-run: --faults {e}"))?;
+        stream = pipeline.inject(stream, spec.fault_seed);
+    }
     let serial = spec.sut.strip_suffix("-sharded").unwrap_or(&spec.sut);
     let options = spec.options.clone().set("shards", 1);
     let (baseline, candidate) = ((serial, &options), (spec.sut.as_str(), &spec.options));
@@ -495,7 +504,7 @@ fn run_flags(args: Args) -> Result<ExitCode, String> {
     let registry = builtin_registry();
     let cells = plan_flags(&args, &registry).map_err(|e| format!("gt-run: {e}"))?;
     if args.differential {
-        return run_differential_mode(&cells[0].0, &registry);
+        return run_differential_mode(&cells[0].0, args.faults.as_deref(), &registry);
     }
     let journal = args.journal.unwrap_or_else(|| {
         let since = std::time::UNIX_EPOCH.elapsed().unwrap_or_default();

@@ -19,14 +19,15 @@ use crate::store::{StoreClient, Transaction};
 
 /// Batches replayed events into store transactions.
 ///
-/// The batched sink path ([`EventSink::send_batch`]) shares the replayer's
-/// event allocations into the transaction — only the `Arc` is cloned per
-/// event. The per-event [`EventSink::send`] fallback still accepts borrowed
-/// entries (and must copy them once into shared handles).
+/// Both sink paths copy each event into the transaction by value (a short
+/// `State` is inline, so the copy allocates nothing) and keep no handle to
+/// the replayer's shared entries, which the replayer frees once it is done
+/// with a chunk. Transactions are filled into buffers the store hands
+/// back after routing them.
 pub struct BatchingConnector {
     client: StoreClient,
     batch_size: usize,
-    pending: Vec<SharedGraphEvent>,
+    pending: Vec<GraphEvent>,
     submitted_events: u64,
     trace_probe: Option<Probe>,
 }
@@ -67,7 +68,7 @@ impl BatchingConnector {
         self.pending.len()
     }
 
-    fn push(&mut self, event: SharedGraphEvent) -> io::Result<()> {
+    fn push(&mut self, event: GraphEvent) -> io::Result<()> {
         // Every graph event passes through here exactly once, in stream
         // order — the connector-receive tracepoint.
         if let Some(probe) = &self.trace_probe {
@@ -84,9 +85,9 @@ impl BatchingConnector {
         if self.pending.is_empty() {
             return Ok(());
         }
-        // Drain rather than take: the transaction gets an exactly-sized
-        // allocation while `pending` keeps its capacity for the next batch.
-        let events: Vec<SharedGraphEvent> = self.pending.drain(..).collect();
+        // The next batch fills a buffer the store has routed before.
+        let events = std::mem::replace(&mut self.pending, self.client.spare_events());
+        self.pending.reserve(self.batch_size);
         let count = events.len() as u64;
         self.client
             .submit(Transaction { events })
@@ -111,7 +112,7 @@ fn store_shut_down<E>(_: E) -> io::Error {
 impl EventSink for BatchingConnector {
     fn send(&mut self, entry: &StreamEntry) -> io::Result<()> {
         match entry {
-            StreamEntry::Graph(event) => self.push(SharedGraphEvent::new(event.clone())),
+            StreamEntry::Graph(event) => self.push(event.clone()),
             // Markers flush so that everything streamed before the marker
             // is committed when the marker's timestamp is taken.
             StreamEntry::Marker(name) => self.forward_marker(name),
@@ -121,13 +122,10 @@ impl EventSink for BatchingConnector {
 
     fn send_batch(&mut self, batch: &[SharedEntry]) -> io::Result<()> {
         for entry in batch {
-            match SharedGraphEvent::from_entry(entry) {
-                Some(event) => self.push(event)?,
-                None => {
-                    if let StreamEntry::Marker(name) = &**entry {
-                        self.forward_marker(name)?;
-                    }
-                }
+            match &**entry {
+                StreamEntry::Graph(event) => self.push(event.clone())?,
+                StreamEntry::Marker(name) => self.forward_marker(name)?,
+                StreamEntry::Control(_) => {}
             }
         }
         Ok(())

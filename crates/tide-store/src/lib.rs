@@ -32,7 +32,11 @@
 //! the sequencer differs; the client, the routing body, the shards and
 //! the statistics are one code path (see [`store`]). Each shard's state
 //! is gt-graph's `AdjacencyStore`, the body the reference `EvolvingGraph`
-//! runs on too, written by upserts (see [`partition`]).
+//! runs on too, and it is exact: the sequencer decides what a shard
+//! cannot see locally (whether an edge's endpoints are live, which
+//! foreign vertices were removed), so the final graph, its counts and
+//! the digest are read off the shards at shutdown, and the store keeps no
+//! record per event (see [`partition`]).
 
 pub mod connector;
 pub mod partition;
@@ -41,7 +45,7 @@ pub mod store;
 pub mod sut;
 
 pub use connector::BatchingConnector;
-pub use partition::PartitionState;
+pub use partition::{PartitionState, ShardedGraph};
 pub use store::{
     shard_for, shard_for_key, StoreClient, StoreClosed, StoreConfig, StoreStats, TideStore,
     Transaction,

@@ -12,42 +12,49 @@
 //!   ordering cost once per batch it receives, concurrently with its
 //!   peers — the scaling counter-move.
 //!
-//! Both run one routing body: stamp each event with the next commit
-//! timestamp, split the transaction per owner shard ([`shard_for`]),
-//! retain it in supervised mode, post one batch per shard and book each
-//! share delivered or lost (see [`crate::shard`] for the shard side).
-//! Events travel as [`SharedGraphEvent`] handles from the connector into
-//! the shard logs *and* the shard state — no per-event payload copies
-//! anywhere on the path. One entity's events always meet the same shard in
-//! submission order, and with a single client the commit timestamps are
-//! the stream positions behind either sequencer, so both reconstruct a
-//! bit-identical graph (the differential oracle pins it).
+//! Both run one routing body under one lock ([`crate::shard`]'s pool
+//! holds it): stamp each event with the next commit timestamp, decide
+//! what its shard cannot see — whether an `AddEdge`'s endpoints are live,
+//! which foreign vertices a removal purges — from the set of live vertex
+//! ids the sequencer keeps, split the transaction per owner shard
+//! ([`shard_for`]), retain it in supervised mode, post one batch per shard
+//! and book each share delivered or lost. Holding the lock throughout
+//! makes routing exclusive, so every shard applies in commit order and
+//! each shard's state is exact: together the shards hold what a serial
+//! lenient replay of the commit order builds, and the final statistics
+//! are read off them (see [`crate::partition`]). With a single client the
+//! commit timestamps are the stream positions behind either sequencer, so
+//! both end in a bit-identical graph (the differential oracle pins it).
 //!
 //! # Markers
 //!
 //! A marker records its *cut* — the commit timestamp current when it is
-//! sequenced, so log entries below the cut are exactly the events
-//! sequenced before it — and is then broadcast to every shard behind the
-//! batches already queued there. The cut is recorded by the sequencer,
-//! not inside any shard, so it survives shard crashes; a dead shard is
-//! skipped and counted (`store.marker_skips`).
+//! sequenced, so exactly the events sequenced before it are below it —
+//! and is then broadcast to every shard behind the batches already queued
+//! there, under the routing lock: a shard sees it after exactly its events
+//! below the cut. The cut is recorded by the sequencer, not inside any
+//! shard, so it survives shard crashes; a dead shard is skipped and
+//! counted (`store.marker_skips`). When windows are recorded
+//! ([`TideStore::record_windows`], the digest mode), each shard dumps its
+//! adjacency as the marker passes.
 //!
 //! # Crash containment and supervised recovery
 //!
 //! Shards are *crash-containable*: a crash message delivered through
 //! the store's [`gt_sut::WorkerSupervisor`] (see [`TideStore::supervisor`])
-//! makes the shard discard its state and log and exit, like a killed
-//! process. Sequencing continues — events routed to a dead shard, and the
-//! backlog a dying shard abandons, are counted as lost
-//! (`store.events_lost`, by event), and the events it had applied as
-//! discarded (`store.events_discarded`), instead of silently ending the run,
-//! reads routed to a dead shard fail with [`StoreClosed`] rather than
-//! hanging, and shutdown joins dead shards tolerantly. In *supervised* mode
+//! makes the shard discard its state and exit, like a killed process.
+//! Sequencing continues — events routed to a dead shard, and the backlog a
+//! dying shard abandons, are counted as lost (`store.events_lost`, by
+//! event), and the events it had applied as discarded
+//! (`store.events_discarded`), instead of silently ending the run; shutdown
+//! joins dead shards tolerantly, and a dead incarnation contributes
+//! nothing to the final state. In *supervised* mode
 //! ([`StoreConfig::supervised`]) the routing body additionally retains
-//! every committed `(timestamp, event)` pair, so a crashed shard can be
-//! restarted and rebuilt by replaying its share of the retained log with
-//! the original timestamps.
+//! every entry it routes — the sequencer's decisions included — so a crashed
+//! shard can be restarted and rebuilt by replaying its share with the
+//! original timestamps and the marker cuts in between.
 
+use std::collections::HashSet;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
@@ -56,13 +63,14 @@ use std::time::{Duration, Instant};
 
 use gt_core::prelude::*;
 use gt_core::sync::lock;
-use gt_graph::EvolvingGraph;
+use gt_core::VertexBuildHasher;
 use gt_metrics::hub::{Gauge, MicrosCounter};
 use gt_metrics::MetricsHub;
-use gt_sut::{busy_work, WorkerSupervisor};
+use gt_sut::{busy_work, WindowDigest, WorkerSupervisor};
 use gt_trace::TracerCell;
 
-use crate::shard::{ShardLog, ShardPool, StoreSupervisor};
+use crate::partition::ShardedGraph;
+use crate::shard::{Batch, Route, ShardEnd, ShardMsg, ShardPool, StoreSupervisor};
 
 /// Store configuration.
 ///
@@ -86,10 +94,11 @@ pub struct StoreConfig {
     /// of one transaction owed to that shard); full queues backpressure
     /// the sender (the paper's "backthrottling"). Must be positive.
     pub queue_capacity: usize,
-    /// Retain every committed `(timestamp, event)` pair so crashed shards
-    /// can be restarted with their state rebuilt by replay (the
-    /// single-process stand-in for a durable write-ahead log). Costs
-    /// memory proportional to the stream length; off by default.
+    /// Retain every routed entry — each event with its commit timestamp and
+    /// the sequencer's decisions — so crashed shards can be restarted with
+    /// their state rebuilt by replay (the single-process stand-in for a
+    /// durable write-ahead log). Costs memory proportional to the stream
+    /// length; off by default.
     pub supervised: bool,
 }
 
@@ -108,19 +117,20 @@ impl Default for StoreConfig {
 /// A write transaction: a batch of graph events committed atomically under
 /// consecutive commit timestamps.
 ///
-/// Events are carried as [`SharedGraphEvent`] handles: a transaction built
-/// from the batched connector path shares the replayer's allocations all
-/// the way into the shard logs and the shard state — no per-event payload
-/// copies.
+/// Events are carried by value (a short `State` is inline, so a copy
+/// allocates nothing). No handle to the replayer's shared entries reaches
+/// the store, so none is kept alive by it: the replayer frees each entry
+/// once it is done with the chunk, and the store's memory follows the
+/// live graph alone.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Transaction {
     /// The events of the transaction, applied in order.
-    pub events: Vec<SharedGraphEvent>,
+    pub events: Vec<GraphEvent>,
 }
 
 impl Transaction {
     /// A single-event transaction.
-    pub fn single(event: impl Into<SharedGraphEvent>) -> Self {
+    pub fn single(event: impl Into<GraphEvent>) -> Self {
         Transaction {
             events: vec![event.into()],
         }
@@ -141,8 +151,8 @@ enum ClientMsg {
 enum Sequencer {
     /// Queued for the timestamper thread.
     Timestamper(SyncSender<ClientMsg>),
-    /// Routed on the submitting thread, through this client's own scratch.
-    Router(Router),
+    /// Routed on the submitting thread.
+    Router,
 }
 
 /// A client handle; cloneable, blocking on backpressure.
@@ -158,7 +168,7 @@ impl StoreClient {
     /// router. Returns the transaction back when the store has shut down.
     pub fn submit(&mut self, transaction: Transaction) -> Result<(), Transaction> {
         let pool = &self.pool;
-        match &mut self.sequencer {
+        match &self.sequencer {
             Sequencer::Timestamper(queue) => {
                 pool.unsequenced.fetch_add(1, Ordering::SeqCst);
                 queue.send(ClientMsg::Tx(transaction)).map_err(|refused| {
@@ -169,12 +179,21 @@ impl StoreClient {
                     }
                 })
             }
-            Sequencer::Router(_) if pool.stopping.load(Ordering::SeqCst) => Err(transaction),
-            Sequencer::Router(router) => {
-                router.route(pool, transaction.events);
+            Sequencer::Router if pool.stopping.load(Ordering::SeqCst) => Err(transaction),
+            Sequencer::Router => {
+                let mut events = transaction.events;
+                lock(&pool.router).route(pool, &mut events);
+                pool.recycle_events(events);
                 Ok(())
             }
         }
+    }
+
+    /// An empty buffer for the next transaction's events: one a routed
+    /// transaction left behind when there is one, so a buffer is freed,
+    /// if ever, by the thread that allocated it.
+    pub(crate) fn spare_events(&self) -> Vec<GraphEvent> {
+        self.pool.spare_events()
     }
 
     /// Submits a watermark: the store records its cut and broadcasts it to
@@ -184,9 +203,9 @@ impl StoreClient {
             Sequencer::Timestamper(queue) => queue
                 .send(ClientMsg::Marker(name.to_owned()))
                 .map_err(|_| StoreClosed),
-            Sequencer::Router(_) if self.pool.stopping.load(Ordering::SeqCst) => Err(StoreClosed),
-            Sequencer::Router(_) => {
-                self.pool.mark(name);
+            Sequencer::Router if self.pool.stopping.load(Ordering::SeqCst) => Err(StoreClosed),
+            Sequencer::Router => {
+                lock(&self.pool.router).mark(&self.pool, name);
                 Ok(())
             }
         }
@@ -205,22 +224,22 @@ impl std::fmt::Display for StoreClosed {
 
 impl std::error::Error for StoreClosed {}
 
-/// Final statistics and state after shutdown.
+/// Final statistics and state after shutdown, read off the shards.
 #[derive(Debug)]
 pub struct StoreStats {
     /// Transactions committed.
     pub transactions: u64,
-    /// Events applied across all shards (merged log entries; a crashed,
+    /// Events the shards applied or counted dangling (a crashed,
     /// un-restarted shard's events are missing here). Counted by event:
     /// a transaction's share that a dead shard refused or abandoned adds
     /// its length to `events_lost`, not one per queue message.
     pub events: u64,
-    /// The reconstructed graph (all shard logs merged in timestamp order).
-    pub graph: EvolvingGraph,
-    /// `AddEdge`s (not self-loops) the reconstruction dropped because an
-    /// endpoint did not exist at the edge's commit timestamp — an edge
-    /// that overtook its endpoint's `AddVertex`. Still counted in
-    /// `events`, absent from `graph`.
+    /// The committed graph: the shards' final states, joined.
+    pub graph: ShardedGraph,
+    /// `AddEdge`s (not self-loops) dropped because an endpoint was not
+    /// live at the edge's commit timestamp — an edge that overtook its
+    /// endpoint's `AddVertex` — plus edges into a vertex a dead shard
+    /// took with it. Still counted in `events`, absent from `graph`.
     pub dangling_edges_dropped: u64,
     /// Shard deaths (injected crashes plus contained panics).
     pub crashes: u64,
@@ -229,25 +248,28 @@ pub struct StoreStats {
     /// Events that could not be delivered because their shard was dead,
     /// plus those a crashing shard left unapplied on its queue.
     pub events_lost: u64,
-    /// Events a crashing shard had applied: its log died with it, so they
-    /// are in neither `events` nor `events_lost`. With `events_replayed`
-    /// the account closes: `events + events_lost + events_discarded`
-    /// equals the events submitted plus `events_replayed`.
+    /// Events a crashing shard had applied: they died with its state, so
+    /// they are in neither `events` nor `events_lost`. With
+    /// `events_replayed` the account closes: `events + events_lost +
+    /// events_discarded` equals the events submitted plus
+    /// `events_replayed`.
     pub events_discarded: u64,
-    /// Events re-enqueued from the retained log on restarts.
+    /// Events re-enqueued from the retained entries on restarts.
     pub events_replayed: u64,
     /// Marker cuts, in sequencing order: `(marker name, commit timestamp
     /// at the cut)`. Events with a smaller timestamp belong to the window
-    /// the marker closes ([`TideStore::shutdown_at_cuts`] hands over the
-    /// graph at each cut).
+    /// the marker closes.
     pub markers: Vec<(String, u64)>,
+    /// The graph's adjacency at each marker cut, in sequencing order:
+    /// the shards' dumps as the marker passed them, united. Empty unless
+    /// [`TideStore::record_windows`] was called.
+    pub windows: Vec<WindowDigest>,
     /// Commit timestamps per shard slot, in apply order. With a single
     /// client and no faults each list is strictly increasing and equals
     /// the input positions routed to that shard. Recorded behind the
-    /// router only, where that order is the clients' doing; behind the
-    /// timestamper it holds by construction (one thread posts every
-    /// share in commit order), and the lists stay empty rather than add
-    /// 8 bytes per event to the shutdown's peak.
+    /// router only, where the clients race for the routing lock; behind
+    /// the timestamper one thread posts every share in commit order, and
+    /// the lists stay empty rather than cost 8 bytes per event.
     pub per_shard_seqs: Vec<Vec<u64>>,
     /// Marker sightings `(name, shard)` in processing order: each marker
     /// appears once per shard that was alive to receive it.
@@ -283,7 +305,7 @@ impl TideStore {
             cost: config.timestamper_cost_per_tx,
             // The timestamper pays for ordering; its shards pay per event
             // only.
-            pool: ShardPool::start(config, Duration::ZERO, hub),
+            pool: ShardPool::start(config, false, hub),
             queue: queue_rx,
             busy: MicrosCounter::new(hub.counter("timestamper.busy_micros")),
             queue_len: hub.gauge("timestamper.queue"),
@@ -305,11 +327,17 @@ impl TideStore {
     /// once per batch it receives. The metrics of [`Self::start`] without
     /// the two `timestamper.*` ones.
     pub fn start_sharded(config: StoreConfig, hub: &MetricsHub) -> Self {
-        let batch_cost = config.timestamper_cost_per_tx;
         TideStore {
-            pool: ShardPool::start(config, batch_cost, hub),
+            pool: ShardPool::start(config, true, hub),
             timestamper: None,
         }
+    }
+
+    /// Makes every shard dump its adjacency as each marker passes, for
+    /// [`StoreStats::windows`] (the digest mode). Call it before the first
+    /// marker; the dumps cost memory per marker, not per event.
+    pub fn record_windows(&self) {
+        self.pool.record_windows();
     }
 
     /// The tracer slot shared with the shard threads. Installing a
@@ -333,7 +361,7 @@ impl TideStore {
     pub fn client(&self) -> StoreClient {
         let sequencer = match &self.timestamper {
             Some((queue, _)) => Sequencer::Timestamper(queue.clone()),
-            None => Sequencer::Router(Router::new(self.pool.config.shards)),
+            None => Sequencer::Router,
         };
         StoreClient {
             pool: Arc::clone(&self.pool),
@@ -355,32 +383,23 @@ impl TideStore {
         self.pool.quiesce(timeout)
     }
 
-    /// Stops ingestion, drains all queues, joins all threads, and
-    /// reconstructs the committed graph from the shard logs.
+    /// Stops ingestion, drains all queues, joins all threads, and reads
+    /// the committed graph and the statistics off the shards.
     ///
     /// Everything sequenced before this call commits; client handles that
     /// outlive the store receive errors on subsequent submits. Crashed
-    /// shards are joined tolerantly — their events are simply absent from
-    /// the reconstruction (unless a supervised restart replayed them) —
-    /// and a shard that *panicked* is contained and counted as a crash
-    /// instead of poisoning the run.
+    /// shards are joined tolerantly — their state is simply absent
+    /// (unless a supervised restart replayed it) — and a shard that
+    /// *panicked* is contained and counted as a crash instead of
+    /// poisoning the run.
     pub fn shutdown(self) -> StoreStats {
-        self.shutdown_at_cuts(|_, _| {})
-    }
-
-    /// [`Self::shutdown`], handing `at_cut` the reconstructed graph at
-    /// each marker cut (name, graph) as the one rebuild pass reaches it:
-    /// the graph then holds exactly the committed events below the cut,
-    /// which is the window's state the digest snapshots.
-    pub fn shutdown_at_cuts(self, mut at_cut: impl FnMut(&str, &EvolvingGraph)) -> StoreStats {
-        let routed = self.timestamper.is_none();
-        let (pool, logs) = self.join();
-        pool.stats(logs, routed, &mut at_cut)
+        let (pool, ends) = self.join();
+        pool.finish(ends)
     }
 
     /// Stops ingestion and joins the timestamper (if any) and every
-    /// shard: the pool and the shard logs.
-    fn join(self) -> (Arc<ShardPool>, Vec<(usize, ShardLog)>) {
+    /// shard: the pool and what the shards left behind.
+    fn join(self) -> (Arc<ShardPool>, Vec<ShardEnd>) {
         self.pool.stopping.store(true, Ordering::SeqCst);
         if let Some((queue, thread)) = self.timestamper {
             let _ = queue.send(ClientMsg::Shutdown);
@@ -388,8 +407,8 @@ impl TideStore {
             // stops the shards, and the counters stand in for it.
             let _ = thread.join();
         }
-        let logs = self.pool.join();
-        (self.pool, logs)
+        let ends = self.pool.join();
+        (self.pool, ends)
     }
 }
 
@@ -416,86 +435,176 @@ impl Timestamper {
     /// Sequences client traffic until the shutdown sentinel.
     fn run(self) {
         let pool = &*self.pool;
-        let mut router = Router::new(pool.config.shards);
         while let Ok(msg) = self.queue.recv() {
             match msg {
                 ClientMsg::Tx(transaction) => {
                     // Global ordering: the serial, per-transaction cost.
                     self.order();
-                    router.route(pool, transaction.events);
+                    let mut events = transaction.events;
+                    lock(&pool.router).route(pool, &mut events);
+                    pool.recycle_events(events);
                     let waiting = pool.unsequenced.fetch_sub(1, Ordering::SeqCst) - 1;
                     self.queue_len.set(waiting as i64);
                 }
                 // Markers are control traffic: they pay no ordering cost.
-                ClientMsg::Marker(name) => pool.mark(&name),
+                ClientMsg::Marker(name) => lock(&pool.router).mark(pool, &name),
                 ClientMsg::Shutdown => break,
             }
         }
     }
 }
 
-/// The routing body both sequencers run, and its scratch, reused across
-/// transactions: each event's owner shard, the events owed to each shard,
-/// and the batch being filled for it (taken by the post, so empty between
-/// transactions).
-#[derive(Clone)]
-struct Router {
-    owners: Vec<usize>,
+/// What the sequencer decided for one event.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Verdict {
+    Apply,
+    /// An `AddEdge` (not a self-loop) whose destination is not live. The
+    /// source is the shard's own vertex: the shard checks it.
+    Dangling,
+    /// The removal of a live vertex: every other shard purges it.
+    Purge,
+}
+
+/// The sequencer's state, behind the pool's routing lock: the shard
+/// routes, the commit-timestamp counter, the live vertex ids, the marker
+/// cuts, the retained entries, the batches the shards handed back, and
+/// the routing body's scratch, reused across transactions — each event's
+/// owner and verdict, the entries owed to each shard, and the batch being
+/// filled for it (taken by the post, so empty between transactions).
+pub(crate) struct Router {
+    /// The current sender of every slot; a restart swaps one.
+    pub(crate) routes: Vec<Route>,
+    /// The next commit timestamp: advanced by a transaction's length when
+    /// it is routed, so timestamps are stream positions.
+    next_ts: u64,
+    /// Vertex ids live at `next_ts` under the serial lenient semantics:
+    /// O(live vertices).
+    live: HashSet<VertexId, VertexBuildHasher>,
+    /// Marker cuts in sequencing order: `(name, commit timestamp)`.
+    pub(crate) cuts: Vec<(String, u64)>,
+    /// Per shard, every entry routed to it in commit order — in supervised
+    /// mode only.
+    pub(crate) retained: Vec<Batch>,
+    /// Batches the shards emptied and handed back, for reuse: a batch is
+    /// allocated and freed by the routing thread, never by a shard.
+    spare_batches: Receiver<Batch>,
+    verdicts: Vec<(usize, Verdict)>,
     counts: Vec<usize>,
-    parts: Vec<ShardLog>,
+    parts: Vec<Batch>,
 }
 
 impl Router {
-    fn new(shards: usize) -> Self {
+    pub(crate) fn new(routes: Vec<Route>, spare_batches: Receiver<Batch>) -> Self {
+        let shards = routes.len();
         Router {
-            owners: Vec::new(),
+            routes,
+            next_ts: 0,
+            live: HashSet::default(),
+            cuts: Vec::new(),
+            retained: vec![Vec::new(); shards],
+            spare_batches,
+            verdicts: Vec::new(),
             counts: vec![0; shards],
             parts: vec![Vec::new(); shards],
         }
     }
 
+    /// The sequencer's decision for the next event, which it also applies
+    /// to the live set.
+    fn decide(&mut self, event: &GraphEvent) -> Verdict {
+        match event {
+            GraphEvent::AddVertex { id, .. } => {
+                self.live.insert(*id);
+            }
+            GraphEvent::RemoveVertex { id } if self.live.remove(id) => return Verdict::Purge,
+            GraphEvent::AddEdge { id, .. }
+                if !id.is_self_loop() && !self.live.contains(&id.dst) =>
+            {
+                return Verdict::Dangling;
+            }
+            _ => {}
+        }
+        Verdict::Apply
+    }
+
     /// Stamps a transaction's events with consecutive commit timestamps,
-    /// retains them in supervised mode, posts one exactly-sized batch per
-    /// owner shard and books each share delivered or lost.
-    fn route(&mut self, pool: &ShardPool, events: Vec<SharedGraphEvent>) {
-        let shards = self.parts.len() as u64;
-        // Count, then fit: one exactly-sized batch per owner shard.
-        self.owners.clear();
-        for event in &events {
-            let shard = shard_for(event.event(), shards) as usize;
-            self.owners.push(shard);
+    /// decides each one, posts one batch per shard it touches (retained in
+    /// supervised mode) and books each share delivered or lost. Leaves
+    /// `events` empty, its buffer kept for reuse.
+    pub(crate) fn route(&mut self, pool: &ShardPool, events: &mut Vec<GraphEvent>) {
+        let shards = self.parts.len();
+        // Decide and count in commit order, then fit one batch per shard,
+        // into a buffer a shard handed back when there is one.
+        self.verdicts.clear();
+        for event in events.iter() {
+            let shard = shard_for(event, shards as u64) as usize;
+            let verdict = self.decide(event);
             self.counts[shard] += 1;
+            if verdict == Verdict::Purge {
+                for count in &mut self.counts {
+                    *count += 1;
+                }
+                self.counts[shard] -= 1;
+            }
+            self.verdicts.push((shard, verdict));
         }
         for (part, count) in self.parts.iter_mut().zip(&mut self.counts) {
-            part.reserve_exact(std::mem::take(count));
-        }
-        let routes = pool.routes();
-        let first = pool
-            .next_ts
-            .fetch_add(events.len() as u64, Ordering::SeqCst);
-        let mut retained = pool.config.supervised.then(|| lock(&pool.retained));
-        for (ts, (event, &shard)) in (first..).zip(events.into_iter().zip(&self.owners)) {
-            if let Some(retained) = &mut retained {
-                retained.push((ts, event.clone()));
+            let count = std::mem::take(count);
+            if count > 0 && part.capacity() == 0 {
+                *part = self.spare_batches.try_recv().unwrap_or_default();
             }
-            self.parts[shard].push((ts, event));
+            part.reserve(count);
         }
-        drop(retained);
+        let first = self.next_ts;
+        self.next_ts += events.len() as u64;
+        for (ts, (event, &(shard, verdict))) in (first..).zip(events.drain(..).zip(&self.verdicts))
+        {
+            let entry = match verdict {
+                Verdict::Apply => Some(event),
+                Verdict::Dangling => None,
+                Verdict::Purge => {
+                    for (_, part) in
+                        (self.parts.iter_mut().enumerate()).filter(|&(s, _)| s != shard)
+                    {
+                        part.push((ts, Some(event.clone())));
+                    }
+                    Some(event)
+                }
+            };
+            self.parts[shard].push((ts, entry));
+        }
         for (shard, part) in self.parts.iter_mut().enumerate() {
             if part.is_empty() {
                 continue;
             }
+            if pool.config.supervised {
+                self.retained[shard].extend(part.iter().cloned());
+            }
             // A dead shard fails fast — its share is counted lost and
             // sequencing continues (a dead partition must not end the
             // whole store).
-            let events = part.len() as u64;
-            if pool.post(&routes, shard, std::mem::take(part)) {
-                pool.counters.events.add(events);
-            } else {
-                pool.counters.events_lost.add(events);
+            match pool.post(&self.routes, shard, std::mem::take(part)) {
+                Ok(events) => pool.counters.events.add(events),
+                Err(events) => pool.counters.events_lost.add(events),
             }
         }
         pool.counters.tx.inc();
+    }
+
+    /// Records a marker's cut — the commit timestamp every event sequenced
+    /// before it is below — and broadcasts the marker to every shard,
+    /// behind the batches already queued there. The cut lives here, not in
+    /// any shard, so it survives shard crashes; a dead shard is skipped and
+    /// counted (`store.marker_skips`), never waited for.
+    pub(crate) fn mark(&mut self, pool: &ShardPool, name: &str) {
+        self.cuts.push((name.to_owned(), self.next_ts));
+        // Intern once; the per-shard fan-out clones refcounts, not Strings.
+        let name = gt_core::intern::intern(name);
+        for tx in &self.routes {
+            if tx.send(ShardMsg::Marker(Arc::clone(&name))).is_err() {
+                pool.counters.marker_skips.inc();
+            }
+        }
     }
 }
 
@@ -530,7 +639,7 @@ mod tests {
     /// A transaction over owned events.
     fn transaction(events: impl IntoIterator<Item = GraphEvent>) -> Transaction {
         Transaction {
-            events: events.into_iter().map(SharedGraphEvent::new).collect(),
+            events: events.into_iter().collect(),
         }
     }
 
@@ -579,16 +688,13 @@ mod tests {
                     }))
                     .unwrap();
             }
-            // Timestamps cover the stream positions exactly once, read off
-            // the joined shard logs the shutdown rebuilds the graph from.
-            let (pool, logs) = store.join();
-            let mut timestamps: Vec<u64> = logs
-                .iter()
-                .flat_map(|(_, log)| log.iter().map(|(ts, _)| *ts))
-                .collect();
+            let stats = store.shutdown();
+            // Behind the router the shards report the timestamps they
+            // applied: the stream positions, exactly once.
+            let mut timestamps = stats.per_shard_seqs.concat();
             timestamps.sort_unstable();
-            assert_eq!(timestamps, (0..199).collect::<Vec<_>>(), "{name}");
-            let stats = pool.stats(logs, false, &mut |_, _| {});
+            let routed = (name == "router").then(|| (0..199).collect::<Vec<u64>>());
+            assert_eq!(timestamps, routed.unwrap_or_default(), "{name}");
             assert_eq!(stats.transactions, 199, "{name}");
             assert_eq!(stats.events, 199, "{name}");
             assert_eq!(stats.graph.vertex_count(), 100, "{name}");
@@ -690,6 +796,55 @@ mod tests {
             sightings.sort_unstable();
             assert_eq!(sightings, vec![0, 1, 2, 3], "{name}: once per shard");
             assert_eq!(stats.marker_skips, 0, "{name}");
+        }
+    }
+
+    #[test]
+    fn a_marker_reaches_each_shard_behind_exactly_its_events_below_the_cut() {
+        // Two router clients race a third that marks: every shard must see
+        // each marker after exactly its events below the marker's cut —
+        // none posted late below it, none early above it.
+        for round in 0..20u64 {
+            let hub = MetricsHub::new();
+            let config = StoreConfig {
+                shards: 3,
+                ..fast_config()
+            };
+            let store = TideStore::start_sharded(config, &hub);
+            let pool = Arc::clone(&store.pool);
+            std::thread::scope(|scope| {
+                for writer in 0..2u64 {
+                    let mut client = store.client();
+                    scope.spawn(move || {
+                        let first = writer * 1_000_000;
+                        for chunk in vertex_events(first..first + 2_000).chunks(3) {
+                            client.submit(transaction(chunk.iter().cloned())).unwrap();
+                        }
+                    });
+                }
+                let client = store.client();
+                scope.spawn(move || {
+                    for m in 0..200 {
+                        client.marker(&format!("m{m}")).unwrap();
+                        std::thread::yield_now();
+                    }
+                });
+            });
+            let stats = store.shutdown();
+            let sightings = lock(&pool.shard_markers);
+            assert_eq!(sightings.len(), 200 * 3);
+            for (marker, shard, applied) in sightings.iter() {
+                let (_, cut) = (stats.markers.iter())
+                    .find(|(name, _)| **name == **marker)
+                    .unwrap();
+                let seqs = &stats.per_shard_seqs[*shard];
+                let below = seqs.iter().filter(|&ts| ts < cut).count() as u64;
+                assert_eq!(
+                    *applied, below,
+                    "round {round}: {marker} (cut {cut}) reached shard {shard} after \
+                     {applied} of its events, {below} of them below the cut"
+                );
+            }
         }
     }
 
@@ -896,7 +1051,7 @@ mod tests {
             // The survivor's share of the second wave made it in.
             let survivor_second_wave = (100..150u64).filter(|&i| shard_of(i) == 1).count();
             assert!(stats.graph.vertex_count() >= survivor_second_wave, "{name}");
-            // And the dead shard's state is gone from the reconstruction.
+            // And the dead shard's state is gone from the final graph.
             assert!(stats.graph.vertex_count() < 100, "{name}");
             assert_eq!(stats.marker_skips, 1, "{name}");
             assert_eq!(
@@ -943,7 +1098,7 @@ mod tests {
             let owed_to_dead = (100..140u64).filter(|&i| shard_of(i) == 0).count() as u64;
             assert!(owed_to_dead > 4, "second wave missed the dead shard");
             assert_eq!(stats.events_lost, owed_to_dead, "{name}");
-            // The survivor applied its whole share; the dead shard's log
+            // The survivor applied its whole share; the dead shard's state
             // (its share of the first wave) died with it, and is counted.
             let survivor = (0..40u64).chain(100..140).filter(|&i| shard_of(i) == 1);
             assert_eq!(stats.events, survivor.count() as u64, "{name}");
@@ -971,7 +1126,7 @@ mod tests {
                     }
                 };
                 submit(0..40);
-                // Applied before the kill, so the dead shard's log holds
+                // Applied before the kill, so the dead shard's state holds
                 // its whole share of the first wave.
                 assert!(store.quiesce(Duration::from_secs(10)), "{name}");
                 let supervisor = store.supervisor();
@@ -1057,8 +1212,8 @@ mod tests {
             assert_eq!(stats.events_lost, 0, "{name}");
             let owed_to_crashed = (0..60u64).filter(|&i| shard_of(i) == 1).count() as u64;
             assert_eq!(stats.events_replayed, owed_to_crashed, "{name}");
-            // Replay rebuilt the crashed shard's log: the reconstruction
-            // is complete.
+            // Replay rebuilt the crashed shard's state: the final graph is
+            // complete.
             assert_eq!(stats.graph.vertex_count(), 80, "{name}");
         }
     }

@@ -16,13 +16,9 @@ use std::any::Any;
 use std::io;
 use std::time::Duration;
 
-use gt_graph::EvolvingGraph;
 use gt_metrics::MetricsHub;
 use gt_replayer::EventSink;
-use gt_sut::{
-    Adjacency, EvaluationLevel, StateDigest, SutOptions, SutRegistry, SutReport, SystemUnderTest,
-    WindowDigest,
-};
+use gt_sut::{EvaluationLevel, StateDigest, SutOptions, SutRegistry, SutReport, SystemUnderTest};
 use gt_trace::{Stage, Tracer};
 
 use crate::connector::BatchingConnector;
@@ -102,9 +98,13 @@ impl TideStoreSut {
         let batch_size = positive(options, "batch_size", 10)?;
         let digest = options.get_u64("digest")?.unwrap_or(0) != 0;
         let hub = MetricsHub::new();
+        let store = start(config, &hub);
+        if digest {
+            store.record_windows();
+        }
         Ok(TideStoreSut {
             name,
-            store: Some(start(config, &hub)),
+            store: Some(store),
             hub,
             batch_size,
             digest,
@@ -117,9 +117,6 @@ impl TideStoreSut {
     }
 }
 
-/// The out-adjacency of a reconstructed graph, weights captured as
-/// `f64::to_bits` so the digest comparison is bit-exact. Unweighted edges
-/// digest as weight 1.0.
 /// A size option that must be positive (a zero-capacity queue would be a
 /// rendezvous, not a queue), or `default` when unset.
 fn positive(options: &SutOptions, key: &str, default: usize) -> io::Result<usize> {
@@ -132,27 +129,10 @@ fn positive(options: &SutOptions, key: &str, default: usize) -> io::Result<usize
     }
 }
 
-fn adjacency_of(graph: &EvolvingGraph) -> Adjacency {
-    graph
-        .vertices()
-        .map(|v| {
-            let out = graph
-                .out_edges(v)
-                .map(|(dst, state)| (dst.0, state.as_weight().unwrap_or(1.0).to_bits()))
-                .collect();
-            (v.0, out)
-        })
-        .collect()
-}
-
-/// Builds the digest from the stats of a store shut down with
-/// [`TideStore::shutdown_at_cuts`]: `windows` holds its adjacency at each
-/// marker cut, `stats.graph` the final one.
-fn digest_from_stats(
-    stats: &StoreStats,
-    windows: Vec<WindowDigest>,
-    extra_degradation: &[(&str, u64)],
-) -> StateDigest {
+/// Builds the digest from the stats of a store that recorded its windows:
+/// the windows the shards dumped at each marker, and the final adjacency
+/// read off the joined shards.
+fn digest_from_stats(stats: &mut StoreStats, extra_degradation: &[(&str, u64)]) -> StateDigest {
     let mut degradation: Vec<(String, u64)> = vec![
         ("crashes".into(), stats.crashes),
         ("restarts".into(), stats.restarts),
@@ -164,8 +144,8 @@ fn digest_from_stats(
         degradation.push(((*name).to_owned(), *value));
     }
     let mut digest = StateDigest {
-        final_adjacency: adjacency_of(&stats.graph),
-        windows,
+        final_adjacency: stats.graph.adjacency(),
+        windows: std::mem::take(&mut stats.windows),
         degradation,
     };
     digest.canonicalize();
@@ -197,16 +177,7 @@ impl TideStoreSut {
     /// name keeps the keys it has always had.
     fn shutdown_inner(&mut self) -> (SutReport, Option<StateDigest>) {
         let store = self.store.take().expect("store is running");
-        // In digest mode the one rebuild pass also snapshots each window.
-        let mut windows = Vec::new();
-        let stats = match self.digest {
-            true => store.shutdown_at_cuts(|marker, graph| {
-                let adjacency = adjacency_of(graph);
-                let marker = marker.to_owned();
-                windows.push(WindowDigest { marker, adjacency });
-            }),
-            false => store.shutdown(),
-        };
+        let mut stats = store.shutdown();
         let sharded = self.name == SHARDED_SUT_NAME;
         let extra_degradation: &[(&str, u64)] = if sharded {
             &[("marker_skips", stats.marker_skips)]
@@ -215,7 +186,7 @@ impl TideStoreSut {
         };
         let digest = self
             .digest
-            .then(|| digest_from_stats(&stats, windows, extra_degradation));
+            .then(|| digest_from_stats(&mut stats, extra_degradation));
         let mut report = report_from_stats(self.name, &stats);
         if sharded {
             report = report

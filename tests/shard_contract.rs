@@ -14,13 +14,19 @@
 //!   by shard `s` is exactly the sequence shard `s` processes, in input
 //!   order (the global sequence numbers in each shard's log are the
 //!   stream positions of precisely its own events, strictly increasing).
+//! * **Exact shards**: the store's shards together hold what a lenient
+//!   `EvolvingGraph` replay of the input holds — final state, every
+//!   marker window, the event count and the dangling-edge count — behind
+//!   either sequencer, whatever the stream throws at them.
 
 use std::time::Duration;
 
 use graphtides::engine::{owner, route_target, EngineConfig, TideGraph};
+use graphtides::graph::ApplyPolicy;
 use graphtides::metrics::MetricsHub;
 use graphtides::prelude::*;
 use graphtides::store::{shard_for, shard_for_key, StoreConfig, TideStore, Transaction};
+use graphtides::sut::Adjacency;
 use proptest::prelude::*;
 
 /// A mixed event from two raw bytes: vertex ops on id `a`, edge ops on
@@ -184,4 +190,105 @@ proptest! {
             }
         }
     }
+
+    // Exactness: removes, duplicate adds, self-loops, edges with a missing
+    // endpoint, updates of missing entities, at every shard count and
+    // behind both sequencers, with digest windows at the markers.
+    #[test]
+    fn store_shards_hold_exactly_what_a_lenient_replay_holds(
+        raw in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 1..160),
+        shards in 1usize..=8,
+        markers in 0usize..4,
+    ) {
+        let events: Vec<GraphEvent> =
+            raw.iter().map(|&(a, b, c)| lenient_event(a, b, c)).collect();
+        let marker_after = |i: usize| {
+            let every = events.len().div_ceil(markers.max(1));
+            (markers > 0 && (i + 1) % every == 0).then(|| format!("m{}", (i + 1) / every))
+        };
+        // The oracle: one lenient replay, snapshotted at each marker.
+        let mut graph = EvolvingGraph::new();
+        let (mut dangling, mut windows) = (0u64, Vec::new());
+        for (i, event) in events.iter().enumerate() {
+            if let GraphEvent::AddEdge { id, .. } = event {
+                let endpoints = graph.has_vertex(id.src) && graph.has_vertex(id.dst);
+                dangling += u64::from(!id.is_self_loop() && !endpoints);
+            }
+            let _ = graph.apply_with(event, ApplyPolicy::Lenient);
+            if let Some(marker) = marker_after(i) {
+                windows.push((marker, adjacency(&graph)));
+            }
+        }
+        let mut registry = SutRegistry::new();
+        graphtides::store::sut::register(&mut registry);
+        for name in ["tide-store", "tide-store-sharded"] {
+            let options = SutOptions::new()
+                .set("timestamper_cost_us", 0)
+                .set("shard_cost_us", 0)
+                .set("shards", shards)
+                .set("batch_size", 4)
+                .set("digest", 1);
+            let mut sut = registry.start(name, &options).unwrap();
+            let mut connector = sut.connector().unwrap();
+            for (i, event) in events.iter().enumerate() {
+                connector.send(&StreamEntry::graph(event.clone())).unwrap();
+                if let Some(marker) = marker_after(i) {
+                    connector.send(&StreamEntry::marker(marker)).unwrap();
+                }
+            }
+            connector.close().unwrap();
+            drop(connector);
+            prop_assert!(sut.quiesce(Duration::from_secs(30)), "{}", name);
+            let (report, digest) = sut.shutdown_digest();
+            let digest = digest.expect("digest mode");
+            prop_assert_eq!(report.get("events"), Some(events.len() as f64), "{}", name);
+            prop_assert_eq!(report.get("dangling_edges_dropped"), Some(dangling as f64), "{}", name);
+            prop_assert_eq!(&digest.final_adjacency, &adjacency(&graph), "{}", name);
+            prop_assert_eq!(digest.windows.len(), windows.len(), "{}", name);
+            for (got, (marker, want)) in digest.windows.iter().zip(&windows) {
+                prop_assert_eq!(&got.marker, marker, "{}", name);
+                prop_assert_eq!(&got.adjacency, want, "{} at {}", name, marker);
+            }
+        }
+    }
+}
+
+/// A mixed event from three raw bytes over 16 vertex ids: adds (of
+/// present vertices too), updates and removals of vertices and edges, and
+/// edges whose endpoint is missing or which are self-loops.
+fn lenient_event(a: u8, b: u8, c: u8) -> GraphEvent {
+    let (src, dst) = (VertexId(a as u64 % 16), VertexId(b as u64 % 16));
+    let state = State::weight((c % 7 + 1) as f64);
+    match c % 8 {
+        0 | 1 => GraphEvent::AddVertex { id: src, state },
+        2 | 3 => GraphEvent::AddEdge {
+            id: EdgeId::new(src, dst),
+            state,
+        },
+        4 => GraphEvent::UpdateEdge {
+            id: EdgeId::new(src, dst),
+            state,
+        },
+        5 => GraphEvent::RemoveEdge {
+            id: EdgeId::new(src, dst),
+        },
+        6 => GraphEvent::RemoveVertex { id: src },
+        _ => GraphEvent::UpdateVertex { id: src, state },
+    }
+}
+
+/// `graph`'s out-adjacency in the digest's canonical form: vertices
+/// ascending, each out-list ascending, weights as `f64` bits (an
+/// unweighted edge weighs 1.0).
+fn adjacency(graph: &EvolvingGraph) -> Adjacency {
+    graph
+        .vertices()
+        .map(|v| {
+            let out = graph
+                .out_edges(v)
+                .map(|(dst, state)| (dst.0, state.as_weight().unwrap_or(1.0).to_bits()))
+                .collect();
+            (v.0, out)
+        })
+        .collect()
 }
