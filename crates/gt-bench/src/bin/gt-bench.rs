@@ -42,6 +42,7 @@ use gt_load::{
     SeededPartitioner,
 };
 use gt_metrics::{Clock, MetricsHub, ResultLog, WallClock};
+use gt_replayer::reader::MAX_CHUNK;
 use gt_replayer::{EventSink, ReplaySession, ReplaySessionConfig, ReplayerConfig};
 use gt_workloads::{SnbWorkload, Table3Workload};
 use std::hint::black_box;
@@ -508,16 +509,26 @@ fn fold_records_suite(n: u64, rounds: u32) -> BenchRecord {
 }
 
 /// The replayer's ceiling: the SNB stream file of `n` entries through
-/// `ReplaySession` at its default `buffer`, never waiting on the pacer,
-/// into a counting sink. What is left is read + parse + the
-/// reader→emitter hand-off + the emit loop.
+/// `ReplaySession`, never waiting on the pacer, into a counting sink.
+/// What is left is read + parse + the reader→emitter hand-off + the emit
+/// loop.
+///
+/// The queue holds one chunk (`buffer` = [`MAX_CHUNK`]). The reader
+/// mints a chunk of entries only when none has come back, so a session
+/// makes at most its queue's depth + 2 chunks, and how many of those a
+/// round makes depends on how far a preempted emitter lets the reader
+/// run ahead — at the default 256-chunk depth the chunks alone add
+/// anywhere from 0.005 to 0.66 allocations per event. At depth 1 a round
+/// makes two or three chunks, 257 allocations apart (0.003 per event),
+/// inside the gate's 0.005: the row's count is the per-event work plus a
+/// bounded constant.
 fn session_suite(path: &Path, n: u64, rounds: u32) -> BenchRecord {
     let config = ReplaySessionConfig {
         replayer: ReplayerConfig {
             target_rate: UNPACED_RATE,
             ..ReplayerConfig::default()
         },
-        ..ReplaySessionConfig::default()
+        buffer: MAX_CHUNK,
     };
     measure("load/session-unpaced", n, rounds, || {
         let mut sink = CountingSink(0);

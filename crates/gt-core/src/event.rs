@@ -219,13 +219,27 @@ impl From<GraphEvent> for StreamEntry {
 /// A stream entry with shared ownership.
 ///
 /// This is the unit of the batched ingest path (replayer → connector →
-/// platform): the replayer's reader allocates the `Arc` once per entry —
-/// and nothing else, unless a state payload exceeds
-/// [`State::INLINE_CAP`](crate::State::INLINE_CAP) — hands entries to the
+/// platform): the replayer's reader mints the `Arc`s, hands entries to the
 /// emitter a chunk at a time, and every hand-off downstream — batch
 /// dispatch, shard routing, worker mailboxes — clones the `Arc`, never the
-/// payload.
+/// payload. A used-up chunk comes back to the reader, which [`refill`]s
+/// each `Arc` in place that no sink still holds, so a replay allocates
+/// only for the entries a sink keeps (and for a state payload beyond
+/// [`State::INLINE_CAP`](crate::State::INLINE_CAP)).
 pub type SharedEntry = std::sync::Arc<StreamEntry>;
+
+/// Writes `entry` over the shared entry in `slot`: in its own allocation
+/// when no other handle to it is left; otherwise the holder keeps the old
+/// value, `slot` drops its reference and gets a fresh allocation. So a
+/// buffer of shared entries that goes back to the thread that filled it
+/// is refilled there without allocating, and a handle a consumer kept
+/// never changes under it.
+pub fn refill(slot: &mut SharedEntry, entry: StreamEntry) {
+    match SharedEntry::get_mut(slot) {
+        Some(old) => *old = entry,
+        None => *slot = SharedEntry::new(entry),
+    }
+}
 
 /// A shared-ownership handle that is guaranteed to wrap a
 /// [`StreamEntry::Graph`] entry.
@@ -328,6 +342,34 @@ mod tests {
         assert!(g.is_graph());
         assert!(g.as_graph().is_some());
         assert!(StreamEntry::marker("m").as_graph().is_none());
+    }
+
+    #[test]
+    fn refill_reuses_only_what_nobody_holds() {
+        let mut slots = [
+            SharedEntry::new(StreamEntry::marker("a")),
+            SharedEntry::new(StreamEntry::marker("b")),
+        ];
+        let (first, second) = (
+            SharedEntry::as_ptr(&slots[0]),
+            SharedEntry::as_ptr(&slots[1]),
+        );
+        let kept = SharedEntry::clone(&slots[1]);
+        refill(&mut slots[0], StreamEntry::marker("c"));
+        refill(&mut slots[1], StreamEntry::marker("d"));
+        // Nobody held the first: same allocation, new value.
+        assert_eq!(
+            (SharedEntry::as_ptr(&slots[0]), &*slots[0]),
+            (first, &StreamEntry::marker("c"))
+        );
+        // The kept handle still reads what it was given.
+        assert_ne!(SharedEntry::as_ptr(&slots[1]), second);
+        assert_eq!(*slots[1], StreamEntry::marker("d"));
+        assert_eq!(
+            (SharedEntry::as_ptr(&kept), &*kept),
+            (second, &StreamEntry::marker("b"))
+        );
+        assert_eq!(SharedEntry::strong_count(&kept), 1);
     }
 
     #[test]

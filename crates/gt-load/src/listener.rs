@@ -23,12 +23,14 @@
 //! violation.
 
 use std::io::{self, BufReader};
+use std::mem;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::Duration;
 
+use gt_core::event::refill;
 use gt_core::prelude::*;
 use gt_metrics::Clock;
 use gt_replayer::EventSink;
@@ -498,7 +500,10 @@ fn reader_loop(
 /// waiting for the connector, and the entries not yet added to the shared
 /// totals (one atomic add per delivery instead of one per event).
 struct Pending {
+    /// The waiting graph events are `batch[..events]`. Past them lie
+    /// events delivered before, for the next ones to [`refill`] in place.
     batch: Vec<SharedEntry>,
+    events: usize,
     entries: u64,
 }
 
@@ -514,15 +519,15 @@ impl Pending {
         }
         totals.entries.fetch_add(self.entries, Ordering::Relaxed);
         self.entries = 0;
-        if self.batch.is_empty() {
+        let events = mem::take(&mut self.events);
+        if events == 0 {
             return Ok(());
         }
         totals
             .graph_events
-            .fetch_add(self.batch.len() as u64, Ordering::Relaxed);
-        let sent = sink.send_batch(&self.batch).map_err(ReadAbort::Sink);
-        self.batch.clear();
-        sent
+            .fetch_add(events as u64, Ordering::Relaxed);
+        sink.send_batch(&self.batch[..events])
+            .map_err(ReadAbort::Sink)
     }
 }
 
@@ -541,6 +546,7 @@ fn read_connection(
     let mut lines = LineReader::new(BufReader::new(stream));
     let mut pending = Pending {
         batch: Vec::with_capacity(READER_BATCH),
+        events: 0,
         entries: 0,
     };
     // Continuous idle time; one stall episode is counted per continuous
@@ -560,8 +566,13 @@ fn read_connection(
             pending.entries += 1;
             match entry {
                 StreamEntryRef::Graph(_) => {
-                    pending.batch.push(SharedEntry::new(entry.to_entry()));
-                    if pending.batch.len() >= READER_BATCH {
+                    let entry = entry.to_entry();
+                    match pending.batch.get_mut(pending.events) {
+                        Some(slot) => refill(slot, entry),
+                        None => pending.batch.push(SharedEntry::new(entry)),
+                    }
+                    pending.events += 1;
+                    if pending.events >= READER_BATCH {
                         pending.deliver(sink, totals)?;
                     }
                 }

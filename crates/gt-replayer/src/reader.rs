@@ -25,10 +25,26 @@
 //! behind an unfilled chunk. One queue operation per chunk, not per
 //! entry, is what keeps the hand-off cheaper than the work on either
 //! side of it. The receiving side hands each chunk it has used up back
-//! with its next take, so once every chunk has been made a hand-off
-//! allocates nothing. A queue of `depth` chunks of `chunk_len` entries
-//! holds at most `depth * chunk_len` entries, and it keeps an
-//! entry-exact account of what it holds ([`ChunkReceiver::queued`]).
+//! with its next take, as it is: the entries in it are the sending
+//! side's to drop or to reuse. Handed-back chunks wait in a pool, and
+//! each send takes the one handed back last and fills it in place, slot
+//! by slot from the first — an entry overwritten is dropped on the
+//! sending thread, and what a partly filled chunk does not overwrite is
+//! dropped there when it is sent. The sender makes a new chunk only when
+//! the pool is empty, so a queue of `depth` chunks makes at most
+//! `depth + 2` over its life (the one being filled, the queued ones, the
+//! one being used up), and how many it makes depends on how far the
+//! sending side ever runs ahead. Once they are made a hand-off allocates
+//! nothing, and an entry is freed by the thread that made it. A chunk
+//! further down the pool keeps its used-up entries, and with them a
+//! reference to any a sink kept, until a send takes it or the queue is
+//! gone: at most the queue's own bound of entries. The session's
+//! [`SharedEntry`] queue goes one step further: [`refill`] overwrites
+//! each `Arc` no sink still holds in its own allocation, so the reader
+//! allocates only for the entries a sink keeps. A queue of `depth` chunks
+//! of `chunk_len` entries holds at most `depth * chunk_len` entries, and
+//! it keeps an entry-exact account of what it holds
+//! ([`ChunkReceiver::queued`]).
 
 use std::collections::VecDeque;
 use std::io::{self, BufRead};
@@ -36,6 +52,7 @@ use std::mem;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
+use gt_core::event::refill;
 use gt_core::prelude::*;
 use gt_core::sync::{lock, wait};
 
@@ -160,6 +177,7 @@ pub fn chunk_queue<T>(chunk_len: usize, depth: usize) -> (ChunkSender<T>, ChunkR
     let sender = ChunkSender {
         queue: Arc::clone(&queue),
         chunk: Vec::with_capacity(chunk_len),
+        filled: 0,
         chunk_len: chunk_len.max(1),
         closed: false,
     };
@@ -185,7 +203,8 @@ struct Queue<T> {
 struct State<T> {
     /// Chunks handed over and not yet taken, in order.
     full: VecDeque<Vec<T>>,
-    /// Used-up chunks the receiver handed back, empty.
+    /// Used-up chunks the receiver handed back, entries and all; a send
+    /// takes the last one.
     spent: Vec<Vec<T>>,
     /// Entries in `full`.
     queued: usize,
@@ -215,36 +234,53 @@ impl<T> Queue<T> {
 /// The sending end of a [`chunk_queue`]: fills one chunk at a time.
 pub struct ChunkSender<T> {
     queue: Arc<Queue<T>>,
-    /// The chunk being filled.
+    /// The chunk being filled: `filled` new entries, then what is left of
+    /// the used-up entries it came back with, to be overwritten in order.
     chunk: Vec<T>,
+    filled: usize,
     chunk_len: usize,
     /// A send found the receiver gone.
     closed: bool,
 }
 
 impl<T> ChunkSender<T> {
-    /// Adds `entry` to the chunk being filled; `true` once that fills it,
-    /// and it is time to [`ChunkSender::send`]. Once the queue is closed
-    /// the entry is dropped.
+    /// Adds `entry` to the chunk being filled, dropping the used-up entry
+    /// in its slot; `true` once that fills the chunk, and it is time to
+    /// [`ChunkSender::send`]. Once the queue is closed the entry is
+    /// dropped.
     pub fn put(&mut self, entry: T) -> bool {
+        self.put_with(entry, |slot, entry| *slot = entry)
+    }
+
+    /// [`ChunkSender::put`], with `overwrite` writing `entry` over the
+    /// used-up entry in the next slot; past the chunk's end, `entry` is
+    /// pushed.
+    fn put_with<E: Into<T>>(&mut self, entry: E, overwrite: impl FnOnce(&mut T, E)) -> bool {
         if self.closed {
             return false;
         }
-        self.chunk.push(entry);
-        self.chunk.len() == self.chunk_len
+        match self.chunk.get_mut(self.filled) {
+            Some(slot) => overwrite(slot, entry),
+            None => self.chunk.push(entry.into()),
+        }
+        self.filled += 1;
+        self.filled == self.chunk_len
     }
 
     /// Hands the chunk over, waiting while the queue is full, and starts
-    /// a new one from a chunk handed back (a fresh one only when none
-    /// is). `false` once the receiver is gone: the queue is then closed
-    /// for good, and a send already waiting fails at once.
+    /// a new one in the chunk handed back last (a fresh one only when
+    /// the pool is empty). `false` once the receiver is gone: the queue
+    /// is then closed for good, and a send already waiting fails at once.
     pub fn send(&mut self) -> bool {
         if self.closed {
             return false;
         }
-        if self.chunk.is_empty() {
+        if self.filled == 0 {
             return true;
         }
+        // Used-up entries the new ones did not overwrite go here, on the
+        // thread that made them.
+        self.chunk.truncate(mem::take(&mut self.filled));
         let mut state = lock(&self.queue.state);
         while state.full.len() >= self.queue.depth && !state.hung_up {
             state = self.queue.park(state);
@@ -285,12 +321,12 @@ pub struct ChunkReceiver<T> {
 }
 
 impl<T> ChunkReceiver<T> {
-    /// Hands `spent` back (emptied, for the sender to fill again) and
-    /// takes the next chunk, which is never empty; `None` once the sender
-    /// is gone and the queue is drained. When no chunk is ready,
-    /// `before_wait` runs and then the call blocks for one.
-    pub fn recv(&mut self, mut spent: Vec<T>, before_wait: impl FnOnce()) -> Option<Vec<T>> {
-        spent.clear();
+    /// Hands `spent` back as it is — the sender drops or reuses its
+    /// entries as it fills it again — and takes the next chunk, which is
+    /// never empty; `None` once the sender is gone and the queue is
+    /// drained. When no chunk is ready, `before_wait` runs and then the
+    /// call blocks for one.
+    pub fn recv(&mut self, spent: Vec<T>, before_wait: impl FnOnce()) -> Option<Vec<T>> {
         let mut state = lock(&self.queue.state);
         if spent.capacity() > 0 && !state.hung_up {
             state.spent.push(spent);
@@ -329,9 +365,11 @@ impl<T> Drop for ChunkReceiver<T> {
 }
 
 impl EntryOut for ChunkSender<SharedEntry> {
-    /// Adds one entry, handing the chunk over if that fills it.
+    /// Adds one entry, in the allocation of the used-up entry in its slot
+    /// if no sink still holds that one ([`refill`]), handing the chunk
+    /// over if that fills it.
     fn push(&mut self, entry: StreamEntry) -> bool {
-        !self.put(SharedEntry::new(entry)) || self.send()
+        !self.put_with(entry, refill) || self.send()
     }
 
     fn flush(&mut self) -> bool {

@@ -148,7 +148,7 @@ impl Replayer {
     /// control events. Returns the streaming metrics report.
     ///
     /// Accepts owned [`StreamEntry`] items or pre-shared [`SharedEntry`]
-    /// handles (the session allocates once on the reader thread).
+    /// handles (the session's, which its reader thread owns and reuses).
     /// Events that are on schedule are delivered one per pacing slot; once
     /// the replayer falls behind, due events are coalesced into
     /// [`EventSink::send_batch`] bursts of at most

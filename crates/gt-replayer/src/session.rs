@@ -182,6 +182,7 @@ impl ReplaySession {
         let mut entries = InstrumentedRx {
             rx,
             chunk: Vec::new(),
+            next: 0,
             queue_depth: &series.queue_depth,
             reader_stall: &series.reader_stall,
             max_depth: 0,
@@ -241,13 +242,18 @@ impl ReplaySession {
 /// The reader→emitter queue, instrumented. Per chunk: time blocked on
 /// the queue is reader stall, and the entries queued before and after
 /// the take feed the queue-depth gauge and its maximum. Per event: the
-/// trace stamp. What it can yield without blocking — the rest of its chunk,
-/// or else what is queued — is its `size_hint`, so the emitter delivers
-/// its pending batch before a pull that would wait on the reader.
+/// trace stamp. The chunk keeps its entries; what the emitter gets is a
+/// clone of the handle. Its `size_hint` is the rest of the current chunk,
+/// so the emitter delivers its pending batch — and drops its clones —
+/// at every chunk end, before a pull that hands the chunk back to the
+/// reader (which then reuses every entry no sink kept) and may wait on
+/// it.
 struct InstrumentedRx<'a> {
     rx: ChunkReceiver<SharedEntry>,
-    /// The rest of the current chunk, last entry first.
+    /// The current chunk.
     chunk: Vec<SharedEntry>,
+    /// Index in `chunk` of the next entry to yield.
+    next: usize,
     queue_depth: &'a Gauge,
     reader_stall: &'a Counter,
     max_depth: i64,
@@ -265,16 +271,16 @@ impl InstrumentedRx<'_> {
         // state.
         self.max_depth = self.max_depth.max(self.rx.queued() as i64);
         let start = self.clock.now_micros();
+        self.next = 0;
         let next = self.rx.recv(std::mem::take(&mut self.chunk), || {});
         self.reader_stall
             .add(self.clock.now_micros().saturating_sub(start));
         let depth = self.rx.queued() as i64;
         self.queue_depth.set(depth);
         self.max_depth = self.max_depth.max(depth);
-        let Some(mut chunk) = next else {
+        let Some(chunk) = next else {
             return false;
         };
-        chunk.reverse();
         self.chunk = chunk;
         true
     }
@@ -284,18 +290,16 @@ impl Iterator for InstrumentedRx<'_> {
     type Item = SharedEntry;
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        match self.chunk.len() {
-            0 => (self.rx.queued(), None),
-            ready => (ready, None),
-        }
+        (self.chunk.len() - self.next, None)
     }
 
     fn next(&mut self) -> Option<SharedEntry> {
-        let entry = match self.chunk.pop() {
-            Some(entry) => entry,
-            None if self.next_chunk() => self.chunk.pop()?, // chunks are never empty
-            None => return None,
-        };
+        if self.next == self.chunk.len() && !self.next_chunk() {
+            return None;
+        }
+        // Chunks are never empty.
+        let entry = SharedEntry::clone(&self.chunk[self.next]);
+        self.next += 1;
         // Only graph events advance the trace sequence — every stage must
         // count the same stream positions for seq-based matching to hold.
         if let Some(probe) = &self.trace_probe {

@@ -1,16 +1,19 @@
 //! Integration tests for the file→parse→pace→sink pipeline: backpressure
-//! under a slow consumer, TCP reconnection mid-replay, and bounded-memory
-//! replay of a large stream.
+//! under a slow consumer, TCP reconnection mid-replay, bounded-memory
+//! replay of a large stream, and handles a sink keeps surviving the
+//! reader's reuse of the entries.
 
 use std::io::{self, BufRead, BufReader};
 use std::net::TcpListener;
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::Duration;
 
 use gt_core::prelude::*;
+use gt_metrics::ManualClock;
 use gt_replayer::{
-    EventSink, ReconnectPolicy, ReconnectingTcpSink, ReplaySession, ReplaySessionConfig,
-    ReplayerConfig, SinkEventKind,
+    CollectSink, EventSink, ReconnectPolicy, ReconnectingTcpSink, ReplaySession,
+    ReplaySessionConfig, ReplayerConfig, SinkEventKind, StreamSource,
 };
 
 fn temp_stream_file(name: &str, events: usize) -> PathBuf {
@@ -213,7 +216,9 @@ fn million_event_stream_replays_in_bounded_memory() {
 #[test]
 fn honors_controls_through_the_pipeline() {
     // PAUSE and SPEED lines flow file → reader → pacer: the pause must
-    // register as paused time in the report, not as rate loss.
+    // register as paused time in the report, not as rate loss. On a
+    // ManualClock every wait jumps it, so the times are exact whatever
+    // the host is doing.
     let dir = std::env::temp_dir().join("gt-session-pipeline-test");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("controls.csv");
@@ -228,22 +233,116 @@ fn honors_controls_through_the_pipeline() {
     }
     std::fs::write(&path, content).unwrap();
 
-    let session = ReplaySession::new(config(50_000.0, 64));
+    let session = ReplaySession::new(config(50_000.0, 64)).with_clock(Arc::new(ManualClock::new()));
     let mut sink = CountingSink {
         graph_events: 0,
         markers: 0,
     };
     let report = session.run(&path, &mut sink).unwrap();
     assert_eq!(report.replay.graph_events, 200);
-    assert!(
-        report.replay.paused_micros >= 50_000,
-        "paused {}us",
-        report.replay.paused_micros
-    );
-    assert!(
-        report.replay.achieved_rate > 20_000.0,
-        "pause leaked into achieved rate: {}",
-        report.replay.achieved_rate
-    );
+    assert_eq!(report.replay.paused_micros, 50_000);
+    // 100 slots of 20 µs, the pause, then one slot issued before the
+    // SPEED line at the old interval and 99 of 10 µs.
+    assert_eq!(report.replay.duration_micros, 2_000 + 50_000 + 20 + 99 * 10);
+    // The pause did not leak into the rate: 200 events in 3 010 active µs.
+    assert_eq!(report.replay.achieved_rate, 200.0 / (3_010.0 / 1e6));
+    std::fs::remove_file(path).ok();
+}
+
+/// Keeps every `every`-th graph event handle it is given past the call —
+/// as a platform's mailboxes or a delay buffer do — and forwards
+/// everything to a [`CollectSink`], which keeps no handle (it copies).
+struct KeepingSink {
+    every: usize,
+    /// Stream positions delivered so far.
+    position: usize,
+    /// Each kept handle with its stream position.
+    kept: Vec<(usize, SharedEntry)>,
+    inner: CollectSink,
+}
+
+impl KeepingSink {
+    fn new(every: usize) -> Self {
+        KeepingSink {
+            every,
+            position: 0,
+            kept: Vec::new(),
+            inner: CollectSink::new(),
+        }
+    }
+}
+
+impl EventSink for KeepingSink {
+    fn send(&mut self, entry: &StreamEntry) -> io::Result<()> {
+        self.position += 1;
+        self.inner.send(entry)
+    }
+
+    fn send_batch(&mut self, batch: &[SharedEntry]) -> io::Result<()> {
+        for entry in batch {
+            if self.position % self.every == 0 {
+                self.kept.push((self.position, SharedEntry::clone(entry)));
+            }
+            self.position += 1;
+        }
+        self.inner.send_batch(batch)
+    }
+}
+
+/// A stream file of distinct vertices with a marker every 997 of them.
+fn marked_stream_file(name: &str, events: usize) -> PathBuf {
+    let dir = std::env::temp_dir().join("gt-session-pipeline-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("{name}.csv"));
+    let mut content = String::with_capacity(events * 24);
+    for i in 0..events {
+        if i % 997 == 0 {
+            content.push_str(&format!("MARKER,m{i},\n"));
+        }
+        content.push_str(&format!("ADD_VERTEX,{i},s{i}\n"));
+    }
+    std::fs::write(&path, content).unwrap();
+    path
+}
+
+#[test]
+fn handles_a_sink_keeps_never_change_under_it() {
+    // The reader reuses the allocation of every entry no sink still
+    // holds. A handle a sink kept must keep reading the entry it was
+    // given — whatever the source and the chunk size, and whether the
+    // sink keeps every handle or only some of each chunk's.
+    let path = marked_stream_file("aliasing", 20_000);
+    let want = GraphStream::read_from_file(&path).unwrap();
+    let graph_events = want.entries().iter().filter(|e| e.is_graph()).count();
+    for source in [StreamSource::File(&path), StreamSource::Stream(&want)] {
+        for buffer in [1, 7, 256, 65_536] {
+            for every in [1, 3] {
+                let session = ReplaySession::new(config(1e7, buffer));
+                let mut sink = KeepingSink::new(every);
+                let report = session.run(source, &mut sink).unwrap();
+                let case = format!("{source:?}, buffer {buffer}, every {every}");
+                assert_eq!(report.replay.graph_events, graph_events as u64, "{case}");
+                assert_eq!(sink.inner.entries, want.entries(), "{case}");
+                let kept: Vec<(usize, &StreamEntry)> = sink
+                    .kept
+                    .iter()
+                    .map(|(at, entry)| (*at, &**entry))
+                    .collect();
+                let expected: Vec<(usize, &StreamEntry)> = want
+                    .entries()
+                    .iter()
+                    .enumerate()
+                    .filter(|(at, entry)| entry.is_graph() && at % every == 0)
+                    .collect();
+                assert_eq!(kept, expected, "{case}");
+            }
+            // A sink that keeps nothing gets the stream too, with every
+            // entry reused.
+            let session = ReplaySession::new(config(1e7, buffer));
+            let mut sink = CollectSink::new();
+            session.run(source, &mut sink).unwrap();
+            assert_eq!(sink.entries, want.entries(), "{source:?}, buffer {buffer}");
+        }
+    }
     std::fs::remove_file(path).ok();
 }
