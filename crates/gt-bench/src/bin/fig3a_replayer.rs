@@ -11,9 +11,13 @@
 //! reader thread. The replayer is the whole `ReplaySession`, its reader
 //! thread included, as in the paper's decoupled design. Each cell
 //! replays ~0.5 s worth of events, repeated 7×.
+//!
+//! The shape is a gate: the run exits non-zero when any median, pipe or
+//! TCP, is more than [`MEDIAN_SLACK`] below its target.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpListener;
+use std::process::ExitCode;
 
 use gt_analysis::Quantiles;
 use gt_bench::{header, scale};
@@ -25,6 +29,8 @@ use gt_workloads::SnbWorkload;
 
 const TARGET_RATES: [f64; 6] = [10_000.0, 20_000.0, 40_000.0, 80_000.0, 160_000.0, 320_000.0];
 const REPETITIONS: usize = 7;
+/// How far below its target a cell's median may fall.
+const MEDIAN_SLACK: f64 = 0.02;
 
 fn measure<S: EventSink>(stream: &GraphStream, rate: f64, sink: &mut S) -> f64 {
     let session = ReplaySession::new(ReplaySessionConfig {
@@ -51,13 +57,14 @@ fn stream_for(rate: f64) -> GraphStream {
     .generate()
 }
 
-fn main() {
+fn main() -> ExitCode {
     header("Figure 3a: graph stream replayer throughput (pipe vs TCP)");
     println!("# Table 2 setup: generated social network workload, single instance");
     println!(
         "{:>12} {:>10} {:>12} {:>12} {:>12}",
         "target[e/s]", "transport", "median[e/s]", "p5[e/s]", "max[e/s]"
     );
+    let mut short = Vec::new();
 
     for &rate in &TARGET_RATES {
         let stream = stream_for(rate);
@@ -68,7 +75,7 @@ fn main() {
             let mut sink = WriterSink::new(std::io::sink());
             pipe_rates.push(measure(&stream, rate, &mut sink));
         }
-        print_row(rate, "pipe", &pipe_rates);
+        short.extend(print_row(rate, "pipe", &pipe_rates));
 
         // TCP: real local socket, reader thread drains and counts lines.
         let mut tcp_rates = Vec::with_capacity(REPETITIONS);
@@ -91,7 +98,7 @@ fn main() {
             assert_eq!(received, stream.len(), "TCP receiver lost lines");
             tcp_rates.push(achieved);
         }
-        print_row(rate, "tcp", &tcp_rates);
+        short.extend(print_row(rate, "tcp", &tcp_rates));
     }
 
     println!(
@@ -99,22 +106,41 @@ fn main() {
          rates; beyond ~100k events/s the measured range (p5..max) widens while\n\
          the median stays roughly on target."
     );
+    if short.is_empty() {
+        return ExitCode::SUCCESS;
+    }
+    eprintln!(
+        "fig3a: median more than {:.0} % below target in: {}",
+        MEDIAN_SLACK * 100.0,
+        short.join(", ")
+    );
+    ExitCode::FAILURE
 }
 
-fn print_row(rate: f64, transport: &str, rates: &[f64]) {
+/// Prints one cell's row; names the cell if its median is more than
+/// [`MEDIAN_SLACK`] below `rate`, or missing.
+fn print_row(rate: f64, transport: &str, rates: &[f64]) -> Option<String> {
     // Degrade rather than abort: a repeat set can come back empty or
     // all-NaN if every attempt was salvaged away.
-    match Quantiles::of(rates) {
-        Some(q) => println!(
-            "{:>12.0} {:>10} {:>12.0} {:>12.0} {:>12.0}",
-            rate, transport, q.median, q.p5, q.max
-        ),
-        None => println!(
-            "{rate:>12.0} {transport:>10} {:>38}",
-            "insufficient samples"
-        ),
-    }
+    let median = match Quantiles::of(rates) {
+        Some(q) => {
+            println!(
+                "{:>12.0} {:>10} {:>12.0} {:>12.0} {:>12.0}",
+                rate, transport, q.median, q.p5, q.max
+            );
+            Some(q.median)
+        }
+        None => {
+            println!(
+                "{rate:>12.0} {transport:>10} {:>38}",
+                "insufficient samples"
+            );
+            None
+        }
+    };
     let _ = std::io::stdout().flush();
+    let on_target = median.is_some_and(|m| m >= rate * (1.0 - MEDIAN_SLACK));
+    (!on_target).then(|| format!("{rate:.0} {transport}"))
 }
 
 #[cfg(test)]
@@ -122,11 +148,21 @@ mod tests {
     use super::*;
 
     // Regression: an empty or all-NaN repeat set used to panic
-    // `expect("non-empty")`; the row must degrade instead.
+    // `expect("non-empty")`; the row must degrade instead, and fail the
+    // gate.
     #[test]
     fn empty_and_nan_rows_degrade_instead_of_panicking() {
-        print_row(1000.0, "tcp", &[]);
-        print_row(1000.0, "tcp", &[f64::NAN, f64::NAN]);
-        print_row(1000.0, "tcp", &[900.0, 1000.0, 1100.0]);
+        assert!(print_row(1000.0, "tcp", &[]).is_some());
+        assert!(print_row(1000.0, "tcp", &[f64::NAN, f64::NAN]).is_some());
+        assert_eq!(print_row(1000.0, "tcp", &[900.0, 1000.0, 1100.0]), None);
+    }
+
+    #[test]
+    fn a_median_more_than_the_slack_below_target_is_named() {
+        assert_eq!(print_row(10_000.0, "pipe", &[9_800.0; 3]), None);
+        assert_eq!(
+            print_row(10_000.0, "tcp", &[9_790.0; 3]),
+            Some("10000 tcp".to_owned())
+        );
     }
 }

@@ -257,10 +257,10 @@ impl Partition for Gated {
 
 /// One `tide-graph` worker draining `stream` to quiescence, with the
 /// benchmark's rank parameters; returns the shares it processed. Every
-/// share goes through the worker's own mailbox. The events arrive as
-/// shared handles, as from the replayer: their allocation is not the
-/// engine's.
-fn drain_shares(stream: &[SharedGraphEvent]) -> u64 {
+/// share goes through the worker's own mailbox. The events are copied
+/// in by value, as the engine's connector copies them from a replayer
+/// batch.
+fn drain_shares(stream: &[GraphEvent]) -> u64 {
     let open = Arc::new(AtomicBool::new(false));
     let gate = Arc::clone(&open);
     let rank = RankParams {
@@ -277,7 +277,7 @@ fn drain_shares(stream: &[SharedGraphEvent]) -> u64 {
         open: Arc::clone(&gate),
     });
     for event in stream {
-        engine.ingest_shared(event.clone());
+        engine.ingest(event.clone());
     }
     open.store(true, Ordering::Release);
     assert!(
@@ -293,7 +293,7 @@ fn drain_shares(stream: &[SharedGraphEvent]) -> u64 {
 /// block recycling and the rank program's receive side. Engine start-up
 /// and the graph's own growth are in it too, spread over ~10⁶ shares.
 fn share_transport_suite(rounds: u32) -> BenchRecord {
-    let stream: Vec<SharedGraphEvent> = gt_graph::builders::BarabasiAlbert {
+    let stream: Vec<GraphEvent> = gt_graph::builders::BarabasiAlbert {
         n: 526,
         m0: 18,
         m: 18,
@@ -301,7 +301,7 @@ fn share_transport_suite(rounds: u32) -> BenchRecord {
     }
     .generate()
     .graph_events()
-    .map(|event| SharedGraphEvent::new(event.clone()))
+    .cloned()
     .collect();
     let shares = drain_shares(&stream);
     measure("ingest/share-transport", shares, rounds, || {
@@ -517,11 +517,12 @@ fn fold_records_suite(n: u64, rounds: u32) -> BenchRecord {
 /// mints a chunk of entries only when none has come back, so a session
 /// makes at most its queue's depth + 2 chunks, and how many of those a
 /// round makes depends on how far a preempted emitter lets the reader
-/// run ahead — at the default 256-chunk depth the chunks alone add
-/// anywhere from 0.005 to 0.66 allocations per event. At depth 1 a round
-/// makes two or three chunks, 257 allocations apart (0.003 per event),
-/// inside the gate's 0.005: the row's count is the per-event work plus a
-/// bounded constant.
+/// run ahead. At the default 16-chunk depth that is anywhere from 3 to
+/// 18 chunks of 257 allocations a session — up to 0.046 per event here,
+/// past the gate. At depth 1 a round makes two or three chunks, 257
+/// allocations apart (0.003 per event), inside the gate's 0.005: the
+/// row's count is the per-event work plus a bounded constant, and the
+/// committed row keeps it.
 fn session_suite(path: &Path, n: u64, rounds: u32) -> BenchRecord {
     let config = ReplaySessionConfig {
         replayer: ReplayerConfig {

@@ -220,12 +220,13 @@ impl From<GraphEvent> for StreamEntry {
 ///
 /// This is the unit of the batched ingest path (replayer → connector →
 /// platform): the replayer's reader mints the `Arc`s, hands entries to the
-/// emitter a chunk at a time, and every hand-off downstream — batch
-/// dispatch, shard routing, worker mailboxes — clones the `Arc`, never the
-/// payload. A used-up chunk comes back to the reader, which [`refill`]s
-/// each `Arc` in place that no sink still holds, so a replay allocates
-/// only for the entries a sink keeps (and for a state payload beyond
-/// [`State::INLINE_CAP`](crate::State::INLINE_CAP)).
+/// emitter a chunk at a time, and the emitter lends them to a sink's
+/// batch. The built-in platforms copy each event into storage of their
+/// own, so no handle outlives the batch unless a sink clones it (a
+/// delaying fault sink does). A used-up chunk comes back to the reader,
+/// which [`refill`]s each `Arc` in place that no sink still holds, so a
+/// replay allocates only for the entries a sink keeps (and for a state
+/// payload beyond [`State::INLINE_CAP`](crate::State::INLINE_CAP)).
 pub type SharedEntry = std::sync::Arc<StreamEntry>;
 
 /// Writes `entry` over the shared entry in `slot`: in its own allocation
@@ -240,70 +241,6 @@ pub fn refill(slot: &mut SharedEntry, entry: StreamEntry) {
         None => *slot = SharedEntry::new(entry),
     }
 }
-
-/// A shared-ownership handle that is guaranteed to wrap a
-/// [`StreamEntry::Graph`] entry.
-///
-/// Connectors and platform internals route graph events through channels and
-/// transaction batches; carrying them as `SharedGraphEvent` keeps the
-/// zero-copy guarantee of [`SharedEntry`] while statically ruling out marker
-/// and control entries, so consumers can access the event without matching.
-#[derive(Clone)]
-pub struct SharedGraphEvent(SharedEntry);
-
-impl SharedGraphEvent {
-    /// Wraps an owned graph event (allocates the shared entry).
-    pub fn new(event: GraphEvent) -> Self {
-        SharedGraphEvent(SharedEntry::new(StreamEntry::Graph(event)))
-    }
-
-    /// Shares the graph event inside `entry`, or `None` if the entry is a
-    /// marker or control instruction. Never copies the event payload.
-    pub fn from_entry(entry: &SharedEntry) -> Option<Self> {
-        match entry.as_ref() {
-            StreamEntry::Graph(_) => Some(SharedGraphEvent(SharedEntry::clone(entry))),
-            _ => None,
-        }
-    }
-
-    /// The wrapped graph event.
-    pub fn event(&self) -> &GraphEvent {
-        match self.0.as_ref() {
-            StreamEntry::Graph(event) => event,
-            // Unreachable by construction: both constructors only admit the
-            // Graph variant.
-            _ => unreachable!("SharedGraphEvent wraps a non-graph entry"),
-        }
-    }
-}
-
-impl std::ops::Deref for SharedGraphEvent {
-    type Target = GraphEvent;
-
-    fn deref(&self) -> &GraphEvent {
-        self.event()
-    }
-}
-
-impl From<GraphEvent> for SharedGraphEvent {
-    fn from(event: GraphEvent) -> Self {
-        SharedGraphEvent::new(event)
-    }
-}
-
-impl std::fmt::Debug for SharedGraphEvent {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.event().fmt(f)
-    }
-}
-
-impl PartialEq for SharedGraphEvent {
-    fn eq(&self, other: &Self) -> bool {
-        self.event() == other.event()
-    }
-}
-
-impl Eq for SharedGraphEvent {}
 
 #[cfg(test)]
 mod tests {

@@ -52,7 +52,7 @@ pub mod stream;
 pub mod sync;
 
 pub use error::{CoreError, ParseError};
-pub use event::{ControlEvent, EventKind, GraphEvent, SharedEntry, SharedGraphEvent, StreamEntry};
+pub use event::{ControlEvent, EventKind, GraphEvent, SharedEntry, StreamEntry};
 pub use format::{
     parse_line, parse_line_ref, write_line, GraphEventRef, LineReader, StreamEntryRef,
 };
@@ -66,9 +66,7 @@ pub use stream::{GraphStream, StreamStats};
 /// Convenient glob import for downstream crates.
 pub mod prelude {
     pub use crate::error::{CoreError, ParseError};
-    pub use crate::event::{
-        ControlEvent, EventKind, GraphEvent, SharedEntry, SharedGraphEvent, StreamEntry,
-    };
+    pub use crate::event::{ControlEvent, EventKind, GraphEvent, SharedEntry, StreamEntry};
     pub use crate::format::{parse_line_ref, GraphEventRef, LineReader, StreamEntryRef};
     pub use crate::ids::{EdgeId, VertexId};
     pub use crate::state::State;

@@ -330,10 +330,11 @@ mod tests {
     fn an_in_list_and_a_shard_slot_carry_no_inline_tags() {
         // 136 and 288 bytes while every inline slot was an
         // `Option<(VertexId, P)>`, padded to 16 bytes for `P = ()`. An
-        // 8-byte payload (the handle the store shards held until they
-        // stored states by value) still fills a 232-byte slot.
+        // 8-byte pointer payload (like the shared event handle the store
+        // shards held until they stored states by value) still fills a
+        // 232-byte slot.
         assert_eq!(std::mem::size_of::<HybridAdjacency<()>>(), 80);
-        assert_eq!(std::mem::size_of::<Entry<SharedGraphEvent>>(), 232);
+        assert_eq!(std::mem::size_of::<Entry<Box<u64>>>(), 232);
     }
 
     #[test]

@@ -31,8 +31,13 @@ struct Args {
     max_reconnects: u32,
 }
 
-const USAGE: &str = "usage: gt-replay <stream.csv> [--rate EVENTS_PER_S] [--tcp HOST:PORT] \
-                     [--no-pauses] [--buffer ENTRIES] [--max-reconnects N]";
+fn usage() -> String {
+    format!(
+        "usage: gt-replay <stream.csv> [--rate EVENTS_PER_S] [--tcp HOST:PORT] [--no-pauses] \
+         [--buffer ENTRIES (default {})] [--max-reconnects N]",
+        ReplaySessionConfig::default().buffer
+    )
+}
 
 fn parse_args() -> Result<Args, String> {
     let mut args = std::env::args().skip(1);
@@ -40,7 +45,7 @@ fn parse_args() -> Result<Args, String> {
     let mut rate: f64 = 1_000.0;
     let mut tcp = None;
     let mut honor_pauses = true;
-    let mut buffer = 64 * 1024;
+    let mut buffer = ReplaySessionConfig::default().buffer;
     let mut max_reconnects = 8u32;
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -70,7 +75,7 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("bad max-reconnects: {e}"))?;
             }
-            "--help" | "-h" => return Err(USAGE.into()),
+            "--help" | "-h" => return Err(usage()),
             other if stream_file.is_none() && !other.starts_with('-') => {
                 stream_file = Some(other.to_owned());
             }

@@ -30,8 +30,9 @@
 //! each send takes the one handed back last and fills it in place, slot
 //! by slot from the first — an entry overwritten is dropped on the
 //! sending thread, and what a partly filled chunk does not overwrite is
-//! dropped there when it is sent. The sender makes a new chunk only when
-//! the pool is empty, so a queue of `depth` chunks makes at most
+//! kept there, when it is sent, to fill the tail of the next chunk that
+//! comes back short. The sender makes a new chunk only when the pool is
+//! empty, so a queue of `depth` chunks makes at most
 //! `depth + 2` over its life (the one being filled, the queued ones, the
 //! one being used up), and how many it makes depends on how far the
 //! sending side ever runs ahead. Once they are made a hand-off allocates
@@ -44,7 +45,9 @@
 //! allocates only for the entries a sink keeps. A queue of `depth` chunks
 //! of `chunk_len` entries holds at most `depth * chunk_len` entries, and
 //! it keeps an entry-exact account of what it holds
-//! ([`ChunkReceiver::queued`]).
+//! ([`ChunkReceiver::queued`]). The load front's queues are bounded by
+//! [`DEFAULT_BUFFER`] together; the session's by its `buffer`, 16 chunks
+//! by default.
 
 use std::collections::VecDeque;
 use std::io::{self, BufRead};
@@ -56,9 +59,10 @@ use gt_core::event::refill;
 use gt_core::prelude::*;
 use gt_core::sync::{lock, wait};
 
-/// Default capacity, in entries, of the queue between reader and
-/// emitter; also the bound of the load front's client queues, all of them
-/// together.
+/// The bound of the load front's client queues, in entries, all of them
+/// together. Its open-loop clients need the lead, and their queues hold
+/// [`StreamEntry`] by value, one allocation per chunk. (The single-sink
+/// session's queue is far smaller: see `ReplaySessionConfig::buffer`.)
 pub const DEFAULT_BUFFER: usize = 64 * 1024;
 
 /// Most entries in one chunk.
@@ -178,6 +182,7 @@ pub fn chunk_queue<T>(chunk_len: usize, depth: usize) -> (ChunkSender<T>, ChunkR
         queue: Arc::clone(&queue),
         chunk: Vec::with_capacity(chunk_len),
         filled: 0,
+        cut: Vec::new(),
         chunk_len: chunk_len.max(1),
         closed: false,
     };
@@ -238,6 +243,9 @@ pub struct ChunkSender<T> {
     /// the used-up entries it came back with, to be overwritten in order.
     chunk: Vec<T>,
     filled: usize,
+    /// Used-up entries a partly filled chunk did not overwrite, to be
+    /// overwritten past the end of a chunk that came back short.
+    cut: Vec<T>,
     chunk_len: usize,
     /// A send found the receiver gone.
     closed: bool,
@@ -253,15 +261,21 @@ impl<T> ChunkSender<T> {
     }
 
     /// [`ChunkSender::put`], with `overwrite` writing `entry` over the
-    /// used-up entry in the next slot; past the chunk's end, `entry` is
-    /// pushed.
+    /// used-up entry in the next slot, or past the chunk's end over one a
+    /// partly filled chunk left; with none left, `entry` is pushed.
     fn put_with<E: Into<T>>(&mut self, entry: E, overwrite: impl FnOnce(&mut T, E)) -> bool {
         if self.closed {
             return false;
         }
         match self.chunk.get_mut(self.filled) {
             Some(slot) => overwrite(slot, entry),
-            None => self.chunk.push(entry.into()),
+            None => match self.cut.pop() {
+                Some(mut slot) => {
+                    overwrite(&mut slot, entry);
+                    self.chunk.push(slot);
+                }
+                None => self.chunk.push(entry.into()),
+            },
         }
         self.filled += 1;
         self.filled == self.chunk_len
@@ -278,9 +292,10 @@ impl<T> ChunkSender<T> {
         if self.filled == 0 {
             return true;
         }
-        // Used-up entries the new ones did not overwrite go here, on the
+        // Used-up entries the new ones did not overwrite stay on the
         // thread that made them.
-        self.chunk.truncate(mem::take(&mut self.filled));
+        let filled = mem::take(&mut self.filled);
+        self.cut.extend(self.chunk.drain(filled..));
         let mut state = lock(&self.queue.state);
         while state.full.len() >= self.queue.depth && !state.hung_up {
             state = self.queue.park(state);

@@ -19,6 +19,10 @@ use crate::rank::RankPartition;
 
 /// An [`EventSink`] feeding a running [`Engine`] (defaults to the
 /// influence-rank engine, [`crate::TideGraph`]).
+///
+/// Each graph event is copied into its owner's mailbox, singly or in a
+/// batch (the trait's per-entry `send_batch`): the engine keeps no
+/// replayer handle, so the session's reader refills every entry in place.
 pub struct EngineConnector<P: Partition = RankPartition> {
     engine: Arc<Engine<P>>,
     trace_probe: Option<Probe>,
@@ -67,25 +71,6 @@ impl<P: Partition> EventSink for EngineConnector<P> {
         }
         Ok(())
     }
-
-    fn send_batch(&mut self, batch: &[SharedEntry]) -> io::Result<()> {
-        for entry in batch {
-            match SharedGraphEvent::from_entry(entry) {
-                // The shared handle moves into the owner's mailbox: no
-                // per-event payload clone on the batched ingest path.
-                Some(event) => {
-                    self.stamp_recv();
-                    self.engine.ingest_shared(event);
-                }
-                None => {
-                    if let StreamEntry::Marker(name) = entry.as_ref() {
-                        self.engine.ingest_marker(name);
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -120,5 +105,29 @@ mod tests {
         let stats = engine.shutdown();
         assert_eq!(stats.events, 200);
         assert_eq!(stats.ranks.len(), 100);
+    }
+
+    #[test]
+    fn a_batch_leaves_no_handle_behind() {
+        let hub = MetricsHub::new();
+        let engine = Arc::new(TideGraph::start(EngineConfig::default(), &hub));
+        let mut connector = EngineConnector::new(Arc::clone(&engine));
+        let mut batch: Vec<SharedEntry> = gt_graph::builders::ring(50)
+            .entries()
+            .iter()
+            .cloned()
+            .map(SharedEntry::new)
+            .collect();
+        batch.push(SharedEntry::new(StreamEntry::marker("end")));
+        connector.send_batch(&batch).unwrap();
+        // The engine copied what it needs: the reader may refill every
+        // entry in place.
+        for entry in &batch {
+            assert_eq!(SharedEntry::strong_count(entry), 1, "{entry:?} kept");
+        }
+        assert!(engine.quiesce(Duration::from_secs(10)));
+        drop(connector);
+        let engine = Arc::try_unwrap(engine).ok().expect("sole owner");
+        assert_eq!(engine.shutdown().events, 100);
     }
 }

@@ -178,7 +178,7 @@ struct EngineCore<P: Partition> {
     mailboxes: Arc<Mailboxes<P::Msg>>,
     handles: Mutex<Vec<JoinHandle<Option<P>>>>,
     /// `(ingest seq, event)` — populated only in supervised mode.
-    retained: Mutex<Vec<(u64, SharedGraphEvent)>>,
+    retained: Mutex<Vec<(u64, GraphEvent)>>,
     factory: Box<dyn Fn(usize) -> P + Send + Sync>,
     board: Arc<ResultBoard>,
     markers: MarkerLog,
@@ -356,23 +356,16 @@ impl<P: Partition> Engine<P> {
     /// Routes one mutation event to its owner worker. Vertex removals are
     /// additionally broadcast so every worker strips dangling references.
     pub fn ingest(&self, event: GraphEvent) {
-        self.ingest_shared(SharedGraphEvent::new(event));
-    }
-
-    /// Routes an already-shared mutation event — the batched connector
-    /// path, which moves the replayer's `Arc` handle straight into the
-    /// owner's mailbox without copying the event payload.
-    pub fn ingest_shared(&self, event: SharedGraphEvent) {
         // Holding the read lock for the whole routing step means a
         // restart (write lock) can never interleave with one ingest.
         let mailboxes = read(&self.core.mailboxes);
         let mut lost = 0;
-        if let GraphEvent::RemoveVertex { id } = event.event() {
+        if let GraphEvent::RemoveVertex { id } = &event {
             for w in (0..self.workers).filter(|w| *w != owner(*id, self.workers)) {
                 lost += mailboxes[w].post(Msg::Purge(*id));
             }
         }
-        let target = route_target(event.event());
+        let target = route_target(&event);
         // The ingest counter assigns each graph event its global stream
         // position; connectors call in stream order, so the sequence
         // matches what the replayer-side tracepoints counted.
@@ -636,7 +629,7 @@ impl<P: Partition> WorkerSupervisor for EngineSupervisor<P> {
         {
             let retained = lock(&self.core.retained);
             for (seq, event) in retained.iter() {
-                match event.event() {
+                match event {
                     // The broadcast half of remote removals, re-delivered
                     // so the fresh partition strips dangling references.
                     GraphEvent::RemoveVertex { id } if owner(*id, workers) != worker => {
@@ -760,7 +753,7 @@ fn worker_loop<P: Partition>(ctx: WorkerCtx<P::Msg>, mut partition: P) -> Option
                 }
                 Msg::Event(event, seq) => {
                     busy_work(ctx.config.event_cost);
-                    partition.apply_event_deferred(event.event(), &mut dirty);
+                    partition.apply_event_deferred(&event, &mut dirty);
                     // The owner-side half of vertex removal: strip the
                     // removed id from co-located out-lists too. Ingest
                     // only broadcasts Purge to *other* workers, so
@@ -768,8 +761,8 @@ fn worker_loop<P: Partition>(ctx: WorkerCtx<P::Msg>, mut partition: P) -> Option
                     // on the worker count (and workers=1 would never
                     // purge at all) — breaking the serial-vs-sharded
                     // differential.
-                    if let GraphEvent::RemoveVertex { id } = event.event() {
-                        partition.purge(*id, &mut outbox);
+                    if let GraphEvent::RemoveVertex { id } = event {
+                        partition.purge(id, &mut outbox);
                     }
                     ctx.events.inc();
                     if trace_probe.is_none() {

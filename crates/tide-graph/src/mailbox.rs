@@ -49,7 +49,7 @@ pub enum Msg<M> {
     /// A mutation event with its global ingest sequence number (stream
     /// position), carried so out-of-order worker processing can still
     /// stamp Level-2 tracepoints against the replayer-side stages.
-    Event(SharedGraphEvent, u64),
+    Event(GraphEvent, u64),
     /// Broadcast half of vertex removal: strip edges pointing at the id.
     Purge(VertexId),
     /// A block of shares for this worker, at most [`BLOCK_SHARES`] of

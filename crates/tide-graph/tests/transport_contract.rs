@@ -468,7 +468,7 @@ fn packed_mailboxes_deliver_the_reference_item_sequence() {
             let lost = match rng.below(10) {
                 0 | 1 => {
                     posted[w].push(Item::Event(serial));
-                    mailbox.post(Msg::Event(SharedGraphEvent::new(add_v(serial)), serial))
+                    mailbox.post(Msg::Event(add_v(serial), serial))
                 }
                 2 => {
                     posted[w].push(Item::Purge(serial));
