@@ -231,11 +231,11 @@ struct Gated {
 impl Partition for Gated {
     type Msg = f64;
 
-    fn apply_event_deferred(&mut self, event: &GraphEvent, dirty: &mut Vec<VertexId>) {
+    fn apply_event_deferred(&mut self, event: &GraphEvent, dirty: &mut Vec<VertexId>) -> bool {
         while !self.open.load(Ordering::Acquire) {
             std::thread::yield_now();
         }
-        self.rank.apply_event_deferred(event, dirty);
+        self.rank.apply_event_deferred(event, dirty)
     }
 
     fn receive_deferred(&mut self, target: VertexId, mass: f64, dirty: &mut Vec<VertexId>) {

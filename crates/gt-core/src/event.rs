@@ -87,13 +87,17 @@ impl GraphEvent {
         }
     }
 
-    /// The edge this event targets, if it is an edge event.
-    pub fn edge(&self) -> Option<EdgeId> {
+    /// The vertex the event belongs to, and is routed by: a vertex
+    /// event's own, an edge event's source (an edge lives with its
+    /// source's out-list).
+    pub fn home(&self) -> VertexId {
         match self {
+            GraphEvent::AddVertex { id, .. }
+            | GraphEvent::RemoveVertex { id }
+            | GraphEvent::UpdateVertex { id, .. } => *id,
             GraphEvent::AddEdge { id, .. }
             | GraphEvent::RemoveEdge { id }
-            | GraphEvent::UpdateEdge { id, .. } => Some(*id),
-            _ => None,
+            | GraphEvent::UpdateEdge { id, .. } => id.src,
         }
     }
 }
@@ -132,7 +136,7 @@ impl EventKind {
     }
 
     /// The stream-format command token for this kind.
-    pub fn command(self) -> &'static str {
+    pub(crate) fn command(self) -> &'static str {
         match self {
             EventKind::AddVertex => "ADD_VERTEX",
             EventKind::RemoveVertex => "REMOVE_VERTEX",
@@ -259,15 +263,16 @@ mod tests {
         assert_eq!(add_v.kind(), EventKind::AddVertex);
         assert!(add_v.is_topology_change());
         assert_eq!(add_v.vertex(), Some(v(1)));
-        assert_eq!(add_v.edge(), None);
+        assert_eq!(add_v.home(), v(1));
 
         let upd_e = GraphEvent::UpdateEdge {
             id: EdgeId::from((1, 2)),
             state: State::weight(2.0),
         };
         assert!(!upd_e.is_topology_change());
-        assert_eq!(upd_e.edge(), Some(EdgeId::from((1, 2))));
         assert_eq!(upd_e.vertex(), None);
+        // An edge event lives with its source.
+        assert_eq!(upd_e.home(), v(1));
     }
 
     #[test]

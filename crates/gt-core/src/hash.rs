@@ -3,9 +3,10 @@
 //! Vertex ids come out of the workload generator, not off an untrusted
 //! wire, so maps keyed by them need spreading, not DoS resistance:
 //! [`VertexHasher`] replaces SipHash with one multiply and a fold.
-//! `tide-graph`'s `owner()` routing shares [`VERTEX_HASH_MULTIPLIER`], so
-//! the function must not change — partition assignment (and with it
-//! floating-point summation order in the rank engine) depends on it.
+//! Both platforms' partition assignment, [`shard_of`], shares the
+//! multiplier, so neither function may change — partition
+//! assignment (and with it floating-point summation order in the rank
+//! engine) depends on it.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -13,7 +14,17 @@ use std::hash::{BuildHasherDefault, Hasher};
 use crate::ids::VertexId;
 
 /// The multiplier (2^64 / φ) that spreads vertex ids.
-pub const VERTEX_HASH_MULTIPLIER: u64 = 0x9E37_79B9_7F4A_7C15;
+const VERTEX_HASH_MULTIPLIER: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The shard, of `shards`, that owns vertex `id`: the high half of its
+/// Fibonacci product, modulo `shards` — an even spread of sequential ids.
+/// Both platforms place each event on the shard of its
+/// [`GraphEvent::home`](crate::GraphEvent::home) vertex with it: a pure
+/// function of the entity, the same on either, which is what lets the
+/// differential harness compare them shard for shard.
+pub fn shard_of(id: VertexId, shards: usize) -> usize {
+    ((id.0.wrapping_mul(VERTEX_HASH_MULTIPLIER) >> 32) % shards as u64) as usize
+}
 
 /// `BuildHasher` for maps keyed by [`VertexId`] or [`crate::EdgeId`].
 pub type VertexBuildHasher = BuildHasherDefault<VertexHasher>;
@@ -66,6 +77,14 @@ mod tests {
             assert_eq!(hash(id), expect(id));
         }
         assert_eq!(hash(1), 0x9E37_79B9_E17D_05AC);
+    }
+
+    /// Partition assignment orders the rank engine's summation: pin it.
+    #[test]
+    fn shard_assignment_is_pinned() {
+        let shards: Vec<usize> = (0..12).map(|id| shard_of(VertexId(id), 4)).collect();
+        assert_eq!(shards, [0, 1, 2, 0, 1, 3, 0, 2, 3, 1, 2, 0]);
+        assert_eq!(shard_of(VertexId(u64::MAX), 7), 0x61C8_8646 % 7);
     }
 
     #[test]

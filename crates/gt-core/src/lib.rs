@@ -19,7 +19,9 @@
 //! is left to its caller. Every other textual spec — rate patterns, loop
 //! models, fault pipelines and schedules, matrix lines, `gt-run`'s flags —
 //! reads through one tokenizer, [`mod@spec`], with one error type,
-//! [`SpecError`].
+//! [`SpecError`]. Every message that crosses from one thread to another —
+//! in the replayer, the load front and both platforms — goes through one
+//! hand-off queue, [`mod@queue`].
 //!
 //! ```
 //! use gt_core::prelude::*;
@@ -46,6 +48,7 @@ pub mod hash;
 pub mod ids;
 pub mod intern;
 pub mod json;
+pub mod queue;
 pub mod spec;
 pub mod state;
 pub mod stream;
@@ -56,7 +59,7 @@ pub use event::{ControlEvent, EventKind, GraphEvent, SharedEntry, StreamEntry};
 pub use format::{
     parse_line, parse_line_ref, write_line, GraphEventRef, LineReader, StreamEntryRef,
 };
-pub use hash::{VertexBuildHasher, VertexHasher, VertexMap, VERTEX_HASH_MULTIPLIER};
+pub use hash::{VertexBuildHasher, VertexHasher, VertexMap};
 pub use ids::{EdgeId, VertexId};
 pub use intern::Interner;
 pub use spec::SpecError;

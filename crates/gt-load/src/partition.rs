@@ -40,19 +40,6 @@ impl SeededPartitioner {
         SeededPartitioner { partitions, seed }
     }
 
-    /// The routing key of a graph event: its vertex, or an edge's source
-    /// vertex (edge events co-locate with their source's vertex events).
-    fn route_key(event: &GraphEvent) -> u64 {
-        match event {
-            GraphEvent::AddVertex { id, .. }
-            | GraphEvent::RemoveVertex { id }
-            | GraphEvent::UpdateVertex { id, .. } => id.raw(),
-            GraphEvent::AddEdge { id, .. }
-            | GraphEvent::RemoveEdge { id }
-            | GraphEvent::UpdateEdge { id, .. } => id.src.raw(),
-        }
-    }
-
     /// The number of substreams.
     pub(crate) fn partitions(&self) -> usize {
         self.partitions
@@ -60,7 +47,7 @@ impl SeededPartitioner {
 
     /// The substream a graph event belongs to.
     pub(crate) fn owner_of(&self, event: &GraphEvent) -> usize {
-        (mix64(Self::route_key(event) ^ self.seed) % self.partitions as u64) as usize
+        (mix64(event.home().raw() ^ self.seed) % self.partitions as u64) as usize
     }
 
     /// Splits a stream into `partitions` substreams: graph events are

@@ -16,7 +16,9 @@
 //! * **One chunk queue.** Entries cross from the reading thread to the
 //!   thread that uses them through a [`chunk_queue`]: a bounded queue of
 //!   chunks, generic over the entry handle ([`SharedEntry`] for the
-//!   session, [`StreamEntry`] for the load clients).
+//!   session, [`StreamEntry`] for the load clients). It is `gt_core`'s
+//!   one hand-off queue ([`gt_core::queue`]) with chunks for both its
+//!   messages and its buffers; what is here is the filling in place.
 //!
 //! Entries travel in **chunks**: the reading side collects them into a
 //! `Vec` of at most [`MAX_CHUNK`] and hands it over when it is full, at
@@ -26,8 +28,8 @@
 //! entry, is what keeps the hand-off cheaper than the work on either
 //! side of it. The receiving side hands each chunk it has used up back
 //! with its next take, as it is: the entries in it are the sending
-//! side's to drop or to reuse. Handed-back chunks wait in a pool, and
-//! each send takes the one handed back last and fills it in place, slot
+//! side's to drop or to reuse. Handed-back chunks wait in the queue's
+//! pool, and each send takes the one handed back last and fills it in place, slot
 //! by slot from the first — an entry overwritten is dropped on the
 //! sending thread, and what a partly filled chunk does not overwrite is
 //! kept there, when it is sent, to fill the tail of the next chunk that
@@ -43,21 +45,21 @@
 //! [`SharedEntry`] queue goes one step further: [`refill`] overwrites
 //! each `Arc` no sink still holds in its own allocation, so the reader
 //! allocates only for the entries a sink keeps. A queue of `depth` chunks
-//! of `chunk_len` entries holds at most `depth * chunk_len` entries, and
-//! it keeps an entry-exact account of what it holds
-//! ([`ChunkReceiver::queued`]). The load front's queues are bounded by
+//! of `chunk_len` entries holds at most `depth * chunk_len` entries;
+//! each send is weighted by its entries, and a take marks them done at
+//! once, so the queue's account is what it holds. Dropping the sender
+//! finishes the queue, dropping the receiver closes it. The load front's queues are bounded by
 //! [`DEFAULT_BUFFER`] together; the session's by its `buffer`, 16 chunks
 //! by default.
 
-use std::collections::VecDeque;
 use std::io::{self, BufRead};
 use std::mem;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::Arc;
 
 use gt_core::event::refill;
 use gt_core::prelude::*;
-use gt_core::sync::{lock, wait};
+use gt_core::queue::{Consumer, Queue};
 
 /// The bound of the load front's client queues, in entries, all of them
 /// together. Its open-loop clients need the lead, and their queues hold
@@ -165,28 +167,18 @@ fn read_lines(source: impl BufRead, mut out: impl EntryOut) -> Result<u64, CoreE
 }
 
 /// A bounded queue of chunks from one sending to one receiving thread
-/// (see the module docs).
+/// (see the module docs): `gt_core`'s one [`Queue`], whose pool holds the
+/// used-up chunks and whose account counts entries.
 pub fn chunk_queue<T>(chunk_len: usize, depth: usize) -> (ChunkSender<T>, ChunkReceiver<T>) {
-    let queue = Arc::new(Queue {
-        state: Mutex::new(State {
-            full: VecDeque::with_capacity(depth),
-            spent: Vec::new(),
-            queued: 0,
-            hung_up: false,
-            parked: false,
-        }),
-        changed: Condvar::new(),
-        depth: depth.max(1),
-    });
+    let queue = Arc::new(Queue::new(depth, usize::MAX));
     let sender = ChunkSender {
         queue: Arc::clone(&queue),
         chunk: Vec::with_capacity(chunk_len),
         filled: 0,
         cut: Vec::new(),
         chunk_len: chunk_len.max(1),
-        closed: false,
     };
-    (sender, ChunkReceiver { queue })
+    (sender, ChunkReceiver(Consumer(queue)))
 }
 
 /// The session's reader→emitter queue: at most `buffer` entries, in
@@ -196,49 +188,10 @@ pub(crate) fn entry_queue(buffer: usize) -> (ChunkSender<SharedEntry>, ChunkRece
     chunk_queue(chunk_len, buffer / chunk_len)
 }
 
-struct Queue<T> {
-    state: Mutex<State<T>>,
-    /// Signalled, only when a side is parked on it, after every change
-    /// that side waits for.
-    changed: Condvar,
-    /// Most chunks queued at once.
-    depth: usize,
-}
-
-struct State<T> {
-    /// Chunks handed over and not yet taken, in order.
-    full: VecDeque<Vec<T>>,
-    /// Used-up chunks the receiver handed back, entries and all; a send
-    /// takes the last one.
-    spent: Vec<Vec<T>>,
-    /// Entries in `full`.
-    queued: usize,
-    /// One side is gone. (It is always the other side that finds out.)
-    hung_up: bool,
-    /// One side waits on `changed`. (Only one can: the sender waits on a
-    /// full queue, the receiver on an empty one.)
-    parked: bool,
-}
-
-impl<T> Queue<T> {
-    /// Wakes the other side if it is parked, after a change it waits for.
-    fn wake(&self, mut state: MutexGuard<'_, State<T>>) {
-        let parked = mem::take(&mut state.parked);
-        drop(state);
-        if parked {
-            self.changed.notify_one();
-        }
-    }
-
-    fn park<'a>(&self, mut state: MutexGuard<'a, State<T>>) -> MutexGuard<'a, State<T>> {
-        state.parked = true;
-        wait(&self.changed, state)
-    }
-}
-
 /// The sending end of a [`chunk_queue`]: fills one chunk at a time.
+/// Dropping it finishes the queue.
 pub struct ChunkSender<T> {
-    queue: Arc<Queue<T>>,
+    queue: Arc<Queue<Vec<T>, Vec<T>>>,
     /// The chunk being filled: `filled` new entries, then what is left of
     /// the used-up entries it came back with, to be overwritten in order.
     chunk: Vec<T>,
@@ -247,8 +200,6 @@ pub struct ChunkSender<T> {
     /// overwritten past the end of a chunk that came back short.
     cut: Vec<T>,
     chunk_len: usize,
-    /// A send found the receiver gone.
-    closed: bool,
 }
 
 impl<T> ChunkSender<T> {
@@ -264,7 +215,7 @@ impl<T> ChunkSender<T> {
     /// used-up entry in the next slot, or past the chunk's end over one a
     /// partly filled chunk left; with none left, `entry` is pushed.
     fn put_with<E: Into<T>>(&mut self, entry: E, overwrite: impl FnOnce(&mut T, E)) -> bool {
-        if self.closed {
+        if !self.is_open() {
             return false;
         }
         match self.chunk.get_mut(self.filled) {
@@ -286,7 +237,7 @@ impl<T> ChunkSender<T> {
     /// the pool is empty). `false` once the receiver is gone: the queue
     /// is then closed for good, and a send already waiting fails at once.
     pub fn send(&mut self) -> bool {
-        if self.closed {
+        if !self.is_open() {
             return false;
         }
         if self.filled == 0 {
@@ -296,44 +247,30 @@ impl<T> ChunkSender<T> {
         // thread that made them.
         let filled = mem::take(&mut self.filled);
         self.cut.extend(self.chunk.drain(filled..));
-        let mut state = lock(&self.queue.state);
-        while state.full.len() >= self.queue.depth && !state.hung_up {
-            state = self.queue.park(state);
-        }
-        if state.hung_up {
-            drop(state);
-            self.closed = true;
-            self.chunk = Vec::new();
+        let chunk = mem::take(&mut self.chunk);
+        let entries = chunk.len() as u64;
+        let Ok(spent) = self.queue.exchange(chunk, entries) else {
             return false;
-        }
-        state.queued += self.chunk.len();
-        state.full.push_back(mem::take(&mut self.chunk));
-        let spent = state.spent.pop();
-        self.queue.wake(state);
+        };
         self.chunk = spent.unwrap_or_else(|| Vec::with_capacity(self.chunk_len));
         true
     }
 
-    /// Whether the receiver may still take entries (no send has found it
-    /// gone).
+    /// Whether the receiver may still take entries.
     pub fn is_open(&self) -> bool {
-        !self.closed
+        self.queue.is_open()
     }
 }
 
 impl<T> Drop for ChunkSender<T> {
     fn drop(&mut self) {
-        let mut state = lock(&self.queue.state);
-        state.hung_up = true;
-        self.queue.wake(state);
+        self.queue.finish();
     }
 }
 
 /// The receiving end of a [`chunk_queue`]: takes one chunk at a time, in
-/// order.
-pub struct ChunkReceiver<T> {
-    queue: Arc<Queue<T>>,
-}
+/// order. Dropping it closes the queue.
+pub struct ChunkReceiver<T>(Consumer<Vec<T>, Vec<T>>);
 
 impl<T> ChunkReceiver<T> {
     /// Hands `spent` back as it is — the sender drops or reuses its
@@ -342,40 +279,20 @@ impl<T> ChunkReceiver<T> {
     /// drained. When no chunk is ready, `before_wait` runs and then the
     /// call blocks for one.
     pub fn recv(&mut self, spent: Vec<T>, before_wait: impl FnOnce()) -> Option<Vec<T>> {
-        let mut state = lock(&self.queue.state);
-        if spent.capacity() > 0 && !state.hung_up {
-            state.spent.push(spent);
-        }
-        if state.full.is_empty() && !state.hung_up {
-            drop(state);
+        let spent = (spent.capacity() > 0).then_some(spent);
+        let chunk = self.0.take(spent, || {
             before_wait();
-            state = lock(&self.queue.state);
-        }
-        while state.full.is_empty() && !state.hung_up {
-            state = self.queue.park(state);
-        }
-        let chunk = state.full.pop_front()?; // the sender is gone
-        state.queued -= chunk.len();
-        self.queue.wake(state);
+            true
+        })?;
+        // Taken is done: the account counts what is queued.
+        self.0.done(chunk.len() as u64);
         Some(chunk)
     }
 
     /// Entries sitting in the queue right now. (A chunk in the sender's
     /// or the receiver's hand is not queued.)
-    pub fn queued(&self) -> usize {
-        lock(&self.queue.state).queued
-    }
-}
-
-impl<T> Drop for ChunkReceiver<T> {
-    fn drop(&mut self) {
-        let mut state = lock(&self.queue.state);
-        state.hung_up = true;
-        // What is queued is nobody's any more.
-        let full = mem::take(&mut state.full);
-        state.queued = 0;
-        self.queue.wake(state);
-        drop(full);
+    pub(crate) fn queued(&self) -> usize {
+        self.0.backlog() as usize
     }
 }
 
@@ -522,24 +439,6 @@ mod tests {
             (&[12, 13, 14, 15][..], address)
         );
         assert_eq!(rx.recv(fourth, || {}), None);
-    }
-
-    #[test]
-    fn a_waiting_send_fails_once_the_receiver_is_gone() {
-        let (mut tx, rx) = chunk_queue::<u32>(1, 1);
-        tx.put(0);
-        assert!(tx.send());
-        std::thread::scope(|scope| {
-            let sender = scope.spawn(move || {
-                tx.put(1);
-                // The queue is full: this waits until the receiver drops.
-                let sent = tx.send();
-                (sent, tx.is_open(), tx.put(2))
-            });
-            std::thread::sleep(Duration::from_millis(20));
-            drop(rx);
-            assert_eq!(sender.join().unwrap(), (false, false, false));
-        });
     }
 
     /// Yields one scripted line per `read` call, and only once the test

@@ -52,7 +52,7 @@ impl ResultBoard {
 
     /// Every worker's published summary, merged. The map is built here,
     /// on the reader's thread, after the slots are released.
-    pub fn values(&self) -> BTreeMap<VertexId, f64> {
+    pub(crate) fn values(&self) -> BTreeMap<VertexId, f64> {
         let mut entries = Snapshot::new();
         for worker in 0..self.slots.len() {
             self.read_slot(worker, &mut entries);

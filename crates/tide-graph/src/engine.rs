@@ -33,9 +33,9 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use gt_core::hash::shard_of;
 use gt_core::prelude::*;
 use gt_core::sync::{lock, read, write};
-use gt_core::VERTEX_HASH_MULTIPLIER;
 use gt_metrics::hub::{Counter, Gauge, MicrosCounter};
 use gt_metrics::MetricsHub;
 use gt_sut::{busy_work, Adjacency, StateDigest, WindowDigest, WorkerSupervisor};
@@ -117,6 +117,10 @@ pub struct EngineStats {
     pub events_lost: u64,
     /// Mutation events re-enqueued from the retained log on restarts.
     pub events_replayed: u64,
+    /// `AddEdge`s (not self-loops) dropped because their source was not
+    /// live on its owner worker when they arrived — an edge that
+    /// overtook its source's `AddVertex`. Counted in `events`.
+    pub dangling_edges_dropped: u64,
     /// Topology digest (final adjacency + per-marker windows), present
     /// when the engine ran with [`EngineConfig::digest`] on.
     pub digest: Option<StateDigest>,
@@ -137,15 +141,6 @@ type SnapshotLog = Arc<Mutex<Vec<(Arc<str>, Adjacency)>>>;
 /// fresh mailbox in — which also excludes ingest and routing, so recovery
 /// is exactly-once with respect to new events.
 type Mailboxes<M> = RwLock<Vec<Arc<Mailbox<M>>>>;
-
-/// The live mailboxes' accounts (`None` for a dead one: its backlog is
-/// lost, not pending).
-fn accounts<M>(mailboxes: &[Arc<Mailbox<M>>]) -> Vec<Option<(u64, u64)>> {
-    mailboxes
-        .iter()
-        .map(|mailbox| mailbox.is_alive().then(|| mailbox.account()))
-        .collect()
-}
 
 /// Counters describing fault/recovery activity, registered on the
 /// engine's hub (`engine.crashes`, `engine.restarts`,
@@ -190,6 +185,8 @@ struct EngineCore<P: Partition> {
     /// Set by shutdown; blocks further restarts.
     stopping: AtomicBool,
     counters: FaultCounters,
+    /// Edges the workers dropped ([`EngineStats::dangling_edges_dropped`]).
+    edges_dropped: Counter,
 }
 
 impl<P: Partition> EngineCore<P> {
@@ -218,6 +215,7 @@ impl<P: Partition> EngineCore<P> {
             busy: MicrosCounter::new(self.hub.counter(&format!("worker-{worker_id}.busy_micros"))),
             crashes: self.counters.crashes.clone(),
             events_lost: self.counters.events_lost.clone(),
+            edges_dropped: self.edges_dropped.clone(),
         };
         let partition = (self.factory)(worker_id);
         std::thread::Builder::new()
@@ -250,29 +248,6 @@ pub struct Engine<P: Partition> {
 
 /// The influence-rank engine — the paper's Chronograph stand-in.
 pub type TideGraph = Engine<RankPartition>;
-
-/// Owner worker of a vertex.
-///
-/// Public because the routing function is part of the engine's sharding
-/// *contract*: a pure function of the vertex id (the shard contract tests
-/// pin this), identical to tide-store's `shard_for_key` hashing so both
-/// platforms partition entities the same way.
-pub fn owner(v: VertexId, workers: usize) -> usize {
-    ((v.0.wrapping_mul(VERTEX_HASH_MULTIPLIER) >> 32) % workers as u64) as usize
-}
-
-/// The vertex whose owner a mutation event is routed to: vertex events by
-/// the vertex itself, edge events by the edge's source.
-pub fn route_target(event: &GraphEvent) -> VertexId {
-    match event {
-        GraphEvent::AddVertex { id, .. }
-        | GraphEvent::RemoveVertex { id }
-        | GraphEvent::UpdateVertex { id, .. } => *id,
-        GraphEvent::AddEdge { id, .. }
-        | GraphEvent::RemoveEdge { id }
-        | GraphEvent::UpdateEdge { id, .. } => id.src,
-    }
-}
 
 impl Engine<RankPartition> {
     /// Starts the influence-rank engine. Per-worker metrics registered on
@@ -314,6 +289,7 @@ impl<P: Partition> Engine<P> {
             tracer_cell: TracerCell::new(),
             stopping: AtomicBool::new(false),
             counters: FaultCounters::register(hub),
+            edges_dropped: Counter::default(),
         });
         {
             let mut handles = lock(&core.handles);
@@ -361,11 +337,11 @@ impl<P: Partition> Engine<P> {
         let mailboxes = read(&self.core.mailboxes);
         let mut lost = 0;
         if let GraphEvent::RemoveVertex { id } = &event {
-            for w in (0..self.workers).filter(|w| *w != owner(*id, self.workers)) {
+            for w in (0..self.workers).filter(|w| *w != shard_of(*id, self.workers)) {
                 lost += mailboxes[w].post(Msg::Purge(*id));
             }
         }
-        let target = route_target(&event);
+        let owner = shard_of(event.home(), self.workers);
         // The ingest counter assigns each graph event its global stream
         // position; connectors call in stream order, so the sequence
         // matches what the replayer-side tracepoints counted.
@@ -373,7 +349,7 @@ impl<P: Partition> Engine<P> {
         if self.core.config.supervised {
             lock(&self.core.retained).push((seq, event.clone()));
         }
-        lost += mailboxes[owner(target, self.workers)].post(Msg::Event(event, seq));
+        lost += mailboxes[owner].post(Msg::Event(event, seq));
         if lost > 0 {
             self.core.counters.events_lost.add(lost);
         }
@@ -436,7 +412,7 @@ impl<P: Partition> Engine<P> {
         let mailboxes = read(&self.core.mailboxes);
         mailboxes
             .iter()
-            .filter(|mailbox| mailbox.is_alive())
+            .filter(|mailbox| mailbox.is_open())
             .map(|mailbox| mailbox.backlog() as usize)
             .sum()
     }
@@ -478,7 +454,14 @@ impl<P: Partition> Engine<P> {
     /// and the loop retries.
     pub fn quiesce(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
-        let pass = || accounts(&read(&self.core.mailboxes));
+        // The live mailboxes' accounts (`None` for a dead one: its backlog
+        // is lost, not pending).
+        let pass = || -> Vec<_> {
+            let mailboxes = read(&self.core.mailboxes);
+            (mailboxes.iter())
+                .map(|mailbox| mailbox.is_open().then(|| mailbox.account()))
+                .collect()
+        };
         loop {
             let first = pass();
             let idle = first.iter().flatten().all(|(enq, done)| enq == done);
@@ -566,6 +549,7 @@ impl<P: Partition> Engine<P> {
             restarts: self.core.counters.restarts.get(),
             events_lost: self.core.counters.events_lost.get(),
             events_replayed: self.core.counters.events_replayed.get(),
+            dangling_edges_dropped: self.core.edges_dropped.get(),
             digest,
         }
     }
@@ -610,7 +594,7 @@ impl<P: Partition> WorkerSupervisor for EngineSupervisor<P> {
         // The crash message travels through the worker's backlog; give it
         // time to land before declaring the restart impossible.
         let deadline = Instant::now() + Duration::from_secs(5);
-        while read(&self.core.mailboxes)[worker].is_alive() {
+        while read(&self.core.mailboxes)[worker].is_open() {
             if Instant::now() > deadline || self.core.stopping.load(Ordering::SeqCst) {
                 return false;
             }
@@ -632,11 +616,11 @@ impl<P: Partition> WorkerSupervisor for EngineSupervisor<P> {
                 match event {
                     // The broadcast half of remote removals, re-delivered
                     // so the fresh partition strips dangling references.
-                    GraphEvent::RemoveVertex { id } if owner(*id, workers) != worker => {
+                    GraphEvent::RemoveVertex { id } if shard_of(*id, workers) != worker => {
                         mailbox.post(Msg::Purge(*id));
                     }
                     e => {
-                        if owner(route_target(e), workers) == worker {
+                        if shard_of(e.home(), workers) == worker {
                             mailbox.post(Msg::Event(event.clone(), *seq));
                             replayed += 1;
                         }
@@ -681,6 +665,7 @@ struct WorkerCtx<M> {
     busy: MicrosCounter,
     crashes: Counter,
     events_lost: Counter,
+    edges_dropped: Counter,
 }
 
 /// Runs one worker until `Stop` (returns the final partition), its
@@ -753,7 +738,9 @@ fn worker_loop<P: Partition>(ctx: WorkerCtx<P::Msg>, mut partition: P) -> Option
                 }
                 Msg::Event(event, seq) => {
                     busy_work(ctx.config.event_cost);
-                    partition.apply_event_deferred(&event, &mut dirty);
+                    if !partition.apply_event_deferred(&event, &mut dirty) {
+                        ctx.edges_dropped.inc();
+                    }
                     // The owner-side half of vertex removal: strip the
                     // removed id from co-located out-lists too. Ingest
                     // only broadcasts Purge to *other* workers, so
@@ -828,7 +815,7 @@ fn worker_loop<P: Partition>(ctx: WorkerCtx<P::Msg>, mut partition: P) -> Option
         // replays the events that would regenerate them).
         if !outbox.is_empty() {
             for (target, payload) in outbox.drain(..) {
-                parts[owner(target, workers)].push((target, payload));
+                parts[shard_of(target, workers)].push((target, payload));
             }
             let mailboxes = read(&ctx.mailboxes);
             let mut lost = 0;
@@ -847,7 +834,7 @@ fn worker_loop<P: Partition>(ctx: WorkerCtx<P::Msg>, mut partition: P) -> Option
         // sees the board it implies. (Only this worker advances
         // `processed`, so the load is what `done` will make it.)
         let round = items as u64;
-        let processed = mailbox.processed() + round;
+        let processed = mailbox.account().1 + round;
         if processed % ctx.config.board_refresh_every.max(1) < round {
             publish(&partition);
         }
@@ -1068,7 +1055,7 @@ mod tests {
                             part.iter().map(|(id, _)| *id).collect();
                         assert_eq!(ids.len(), part.len(), "a vertex twice in one slot");
                         for (id, p) in &part {
-                            assert_eq!(owner(*id, WORKERS), worker, "{id} in a foreign slot");
+                            assert_eq!(shard_of(*id, WORKERS), worker, "{id} in a foreign slot");
                             assert!(p.is_finite() && *p >= 0.0, "{id}: {p}");
                         }
                         total += part.iter().map(|(_, p)| p).sum::<f64>();
@@ -1146,6 +1133,18 @@ mod tests {
         let stats = engine.shutdown();
         assert!(!stats.ranks.contains_key(&VertexId(0)));
         assert_eq!(stats.ranks.len(), 9);
+    }
+
+    #[test]
+    fn an_edge_before_its_source_is_counted_dropped() {
+        let engine = TideGraph::start(EngineConfig::default(), &MetricsHub::new());
+        engine.ingest(add_e(1, 2));
+        for event in [add_v(1), add_v(2), add_e(1, 2), add_e(2, 2)] {
+            engine.ingest(event);
+        }
+        let stats = engine.shutdown();
+        // The self-loop is skipped by design, not dropped.
+        assert_eq!((stats.events, stats.dangling_edges_dropped), (5, 1));
     }
 
     #[test]
@@ -1242,7 +1241,7 @@ mod tests {
     /// Which worker owns a vertex id — helper for crash tests that need
     /// to know where events land.
     fn owner_of(id: u64, workers: usize) -> usize {
-        owner(VertexId(id), workers)
+        shard_of(VertexId(id), workers)
     }
 
     #[test]

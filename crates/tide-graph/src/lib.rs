@@ -49,7 +49,7 @@ pub mod sssp;
 pub mod sut;
 
 pub use connector::EngineConnector;
-pub use engine::{owner, route_target, Engine, EngineConfig, EngineStats, TideGraph};
+pub use engine::{Engine, EngineConfig, EngineStats, TideGraph};
 pub use program::Partition;
 pub use rank::RankParams;
 pub use sssp::{start_sssp, DistancePartition};

@@ -1,6 +1,9 @@
 //! Worker mailboxes: one FIFO per worker carrying mutation events,
 //! watermarks *and* shares — the shared resource of the Chronograph
-//! experiment — with an item-exact account beside it.
+//! experiment — with an item-exact account beside it. Each is `gt_core`'s
+//! one hand-off queue ([`gt_core::queue`]), unbounded: the replayer never
+//! blocks on a worker's backlog, which is what fig 3d's drain tail
+//! measures.
 //!
 //! # Transport vs. scheduling
 //!
@@ -12,27 +15,27 @@
 //! own message — a block already popped belongs to its receiver, so
 //! packing only ever extends a block no one has started, and every
 //! mailbox sees the same item sequence it would with one message per
-//! share. Spent blocks go back to the mailbox they came from, which
-//! keeps up to `SPARE_BLOCKS` of them for the next posts: in steady
-//! state a share crosses a mailbox without an allocation.
+//! share. The packing runs as a fill under the queue's lock
+//! (`Queue::push_with`). Spent blocks go back to the mailbox they came
+//! from, whose pool keeps up to `SPARE_BLOCKS` of them for the next
+//! posts: in steady state a share crosses a mailbox without an
+//! allocation.
 //!
-//! Because a block hides its items from the queue's length, each mailbox
-//! keeps an `enqueued`/`processed` item counter pair from which the
-//! queue gauge, the backlog probe and `Engine::quiesce` are derived.
-//!
-//! A post signals the receiver only when it is parked waiting for one, so
-//! a busy worker's mailbox costs no wake-up call per post.
+//! Because a block hides its items from the queue's length, each post is
+//! weighted by its items, and the queue's `enqueued`/`processed` account
+//! is what the queue gauge, the backlog probe and `Engine::quiesce` read.
+//! The queue signals the receiver only when it is parked waiting, so a
+//! busy worker's mailbox costs no wake-up call per post.
 //!
 //! Public only for the transport contract tests; the engine is the one
 //! user.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::ops::Deref;
 use std::sync::mpsc::SyncSender;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::Arc;
 
 use gt_core::prelude::*;
-use gt_core::sync::{lock, wait};
+use gt_core::queue::Queue;
 
 /// Shares one mailbox block holds.
 pub const BLOCK_SHARES: usize = 512;
@@ -72,49 +75,33 @@ pub enum Msg<M> {
     Stop,
 }
 
-/// One worker's mailbox and item account.
+/// One worker's mailbox and item account: `gt_core`'s one [`Queue`],
+/// unbounded — the replayer never blocks on a backlog, which is fig 3d's
+/// point — with spent blocks in its pool.
 ///
-/// `enqueued` is advanced by whoever posts, under the queue's lock and
-/// only if the mailbox is alive; `processed` by the receiver, only after
-/// the round that consumed the items has posted its own output. Work a
-/// round spawns is therefore counted on its destination before the items
-/// that spawned it are marked done, so the engine-wide
-/// `enqueued − processed` never touches zero while anything is still
-/// queued, being processed, or about to be posted.
-pub struct Mailbox<M> {
-    /// Locked through `gt_core::sync`, which ignores poison: no program
-    /// code runs under this lock and every update (a push, a pop, a block
-    /// extended by moves) leaves the queue whole, so a panic elsewhere
-    /// never leaves it half-changed.
-    queue: Mutex<Queue<M>>,
-    posted: Condvar,
-    alive: AtomicBool,
-    enqueued: AtomicU64,
-    processed: AtomicU64,
-}
-
-struct Queue<M> {
-    msgs: VecDeque<Msg<M>>,
-    /// Emptied blocks, each of capacity [`BLOCK_SHARES`].
-    spare: Vec<Batch<M>>,
-    /// The receiver is blocked in [`Mailbox::recv`]; the next post
-    /// clears the flag and signals it.
-    parked: bool,
-}
+/// A post books its items only while the mailbox is open; `processed`
+/// advances by the receiver, only after the round that consumed the items
+/// has posted its own output. Work a round spawns is therefore counted on
+/// its destination before the items that spawned it are marked done, so
+/// the engine-wide `enqueued − processed` never touches zero while
+/// anything is still queued, being processed, or about to be posted.
+///
+/// The queue's own surface — `done`, `account`, `backlog`, `is_open`,
+/// `close` — is the mailbox's; posts and receives go through the methods
+/// below, which keep the share packing and the block pool.
+pub struct Mailbox<M>(Queue<Msg<M>, Batch<M>>);
 
 impl<M> Default for Mailbox<M> {
     fn default() -> Self {
-        Mailbox {
-            queue: Mutex::new(Queue {
-                msgs: VecDeque::new(),
-                spare: Vec::new(),
-                parked: false,
-            }),
-            posted: Condvar::new(),
-            alive: AtomicBool::new(true),
-            enqueued: AtomicU64::new(0),
-            processed: AtomicU64::new(0),
-        }
+        Mailbox(Queue::new(usize::MAX, SPARE_BLOCKS))
+    }
+}
+
+impl<M> Deref for Mailbox<M> {
+    type Target = Queue<Msg<M>, Batch<M>>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.0
     }
 }
 
@@ -126,13 +113,7 @@ impl<M> Mailbox<M> {
             !matches!(msg, Msg::Shares(_)),
             "shares go through post_shares"
         );
-        let Some(mut queue) = self.lock_alive() else {
-            return 1;
-        };
-        self.enqueued.fetch_add(1, Ordering::SeqCst);
-        queue.msgs.push_back(msg);
-        self.wake(queue);
-        0
+        u64::from(self.push(msg, 1).is_err())
     }
 
     /// Moves every share of `shares` into the queue, in order: into the
@@ -142,119 +123,48 @@ impl<M> Mailbox<M> {
     /// closed.
     pub fn post_shares(&self, shares: &mut Batch<M>) -> u64 {
         let items = shares.len() as u64;
-        let Some(mut guard) = self.lock_alive() else {
-            shares.clear();
-            return items;
-        };
-        self.enqueued.fetch_add(items, Ordering::SeqCst);
-        let queue = &mut *guard;
-        let mut rest = shares.drain(..);
-        if let Some(Msg::Shares(tail)) = queue.msgs.back_mut() {
-            let room = BLOCK_SHARES.saturating_sub(tail.len());
-            tail.extend(rest.by_ref().take(room));
+        let packed = self.push_with(&mut *shares, items, |shares, msgs, spare| {
+            let mut rest = shares.drain(..);
+            if let Some(Msg::Shares(tail)) = msgs.back_mut() {
+                let room = BLOCK_SHARES.saturating_sub(tail.len());
+                tail.extend(rest.by_ref().take(room));
+            }
+            while rest.len() > 0 {
+                let mut block = spare
+                    .pop()
+                    .unwrap_or_else(|| Vec::with_capacity(BLOCK_SHARES));
+                block.extend(rest.by_ref().take(BLOCK_SHARES));
+                msgs.push_back(Msg::Shares(block));
+            }
+        });
+        match packed {
+            Ok(()) => 0,
+            Err(shares) => {
+                shares.clear();
+                items
+            }
         }
-        while rest.len() > 0 {
-            let mut block = queue
-                .spare
-                .pop()
-                .unwrap_or_else(|| Vec::with_capacity(BLOCK_SHARES));
-            block.extend(rest.by_ref().take(BLOCK_SHARES));
-            queue.msgs.push_back(Msg::Shares(block));
-        }
-        drop(rest);
-        self.wake(guard);
-        0
     }
 
     /// The next message, blocking while there is none; `None` once the
     /// mailbox is closed. `spent` — the receiver's consumed block — is
-    /// emptied and handed back first (see [`try_recv`](Self::try_recv)).
+    /// handed back first (see [`try_recv`](Self::try_recv)).
     pub(crate) fn recv(&self, spent: &mut Batch<M>) -> Option<Msg<M>> {
-        let mut queue = self.hand_back(spent);
-        loop {
-            if let Some(msg) = queue.msgs.pop_front() {
-                return Some(msg);
-            }
-            if !self.is_alive() {
-                return None;
-            }
-            queue.parked = true;
-            queue = wait(&self.posted, queue);
-            queue.parked = false;
-        }
+        self.take(Self::spent(spent), || true)
     }
 
     /// The next message if one is queued. `spent` — the receiver's
-    /// consumed block — is emptied first and, while the spare list has
+    /// consumed block — is emptied first and, while the spare pool has
     /// room, kept for the next shares posted here.
     pub fn try_recv(&self, spent: &mut Batch<M>) -> Option<Msg<M>> {
-        self.hand_back(spent).msgs.pop_front()
+        self.take(Self::spent(spent), || false)
     }
 
-    /// Closes the mailbox: what is queued is dropped, later posts are
-    /// refused (and counted lost by their posters), and a parked receiver
-    /// wakes to find it closed. The account stops moving except for
-    /// `processed`.
-    pub fn close(&self) {
-        let mut queue = lock(&self.queue);
-        self.alive.store(false, Ordering::SeqCst);
-        let abandoned = std::mem::take(&mut queue.msgs);
-        self.wake(queue);
-        drop(abandoned);
-    }
-
-    /// Whether the mailbox still takes posts.
-    pub(crate) fn is_alive(&self) -> bool {
-        self.alive.load(Ordering::SeqCst)
-    }
-
-    /// Marks `items` processed: the receiver's call, once the round that
-    /// consumed them has posted what it produced.
-    pub fn done(&self, items: u64) {
-        self.processed.fetch_add(items, Ordering::SeqCst);
-    }
-
-    /// Items marked processed so far.
-    pub(crate) fn processed(&self) -> u64 {
-        self.processed.load(Ordering::SeqCst)
-    }
-
-    /// `(enqueued, processed)`. `processed` is read first: both only
-    /// grow, so the pair never shows more done than queued.
-    pub(crate) fn account(&self) -> (u64, u64) {
-        let processed = self.processed();
-        (self.enqueued.load(Ordering::SeqCst), processed)
-    }
-
-    /// Items queued here or in a round still running.
-    pub fn backlog(&self) -> u64 {
-        let (enqueued, processed) = self.account();
-        enqueued.saturating_sub(processed)
-    }
-
-    /// The queue, unless the mailbox is closed. `alive` only changes
-    /// under this lock, so a post that got it is on the account.
-    fn lock_alive(&self) -> Option<MutexGuard<'_, Queue<M>>> {
-        let queue = lock(&self.queue);
-        self.is_alive().then_some(queue)
-    }
-
-    fn hand_back(&self, spent: &mut Batch<M>) -> MutexGuard<'_, Queue<M>> {
+    /// A consumed block, emptied, to hand back: a block is worth keeping
+    /// only at full capacity.
+    fn spent(spent: &mut Batch<M>) -> Option<Batch<M>> {
         spent.clear();
-        let mut queue = lock(&self.queue);
-        if spent.capacity() == BLOCK_SHARES && queue.spare.len() < SPARE_BLOCKS {
-            queue.spare.push(std::mem::take(spent));
-        }
-        queue
-    }
-
-    /// Releases the queue, signalling the receiver if it is parked.
-    fn wake(&self, mut queue: MutexGuard<'_, Queue<M>>) {
-        let parked = std::mem::take(&mut queue.parked);
-        drop(queue);
-        if parked {
-            self.posted.notify_one();
-        }
+        (spent.capacity() == BLOCK_SHARES).then(|| std::mem::take(spent))
     }
 }
 
@@ -262,12 +172,19 @@ impl<M> Mailbox<M> {
 mod tests {
     use super::*;
 
+    /// A mailbox slot's size is paid per queued message: moving the queue
+    /// onto `gt_core::queue` adds no byte to it (56 before the move).
+    #[test]
+    fn a_message_is_at_most_seven_words() {
+        assert!(std::mem::size_of::<Msg<f64>>() <= 56);
+    }
+
     fn shares(n: usize) -> Batch<f64> {
         (0..n).map(|i| (VertexId(i as u64), i as f64)).collect()
     }
 
     #[test]
-    fn spent_blocks_are_reused_and_the_spare_list_stays_bounded() {
+    fn spent_blocks_are_reused() {
         let mailbox = Mailbox::<f64>::default();
         mailbox.post_shares(&mut shares(3 * BLOCK_SHARES * SPARE_BLOCKS));
         let mut blocks = Vec::new();
@@ -283,7 +200,6 @@ mod tests {
             assert!(mailbox.try_recv(&mut spent).is_none());
             assert!(spent.is_empty());
         }
-        assert_eq!(lock(&mailbox.queue).spare.len(), SPARE_BLOCKS);
 
         // The next posts fill the spare blocks before asking for new ones.
         mailbox.post_shares(&mut shares(SPARE_BLOCKS * BLOCK_SHARES));
@@ -292,7 +208,6 @@ mod tests {
             assert!(addresses.contains(&block.as_ptr()), "a fresh block");
             assert_eq!(block.len(), BLOCK_SHARES);
         }
-        assert!(lock(&mailbox.queue).spare.is_empty());
     }
 
     #[test]
@@ -320,7 +235,7 @@ mod tests {
         let mailbox = Mailbox::<f64>::default();
         assert_eq!(mailbox.post_shares(&mut shares(3)), 0);
         mailbox.close();
-        assert!(!mailbox.is_alive());
+        assert!(!mailbox.is_open());
         let mut rest = shares(700);
         assert_eq!(mailbox.post_shares(&mut rest), 700);
         assert!(rest.is_empty());

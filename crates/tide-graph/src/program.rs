@@ -18,7 +18,7 @@ use gt_core::prelude::*;
 
 /// A partition's vertex map and its hasher (every share delivery is a
 /// lookup here). They live in `gt-core` so `gt-graph` and the generator
-/// hash ids the same way; `owner()` shares the multiplier.
+/// hash ids the same way; `gt_core::hash::shard_of` shares the multiplier.
 pub use gt_core::{VertexHasher, VertexMap};
 
 /// One worker's share of a vertex-centric computation.
@@ -34,7 +34,10 @@ pub trait Partition: Send + 'static {
 
     /// Ingests a locally-owned graph mutation; appends affected vertices
     /// to `dirty`. Must tolerate events referencing unknown vertices.
-    fn apply_event_deferred(&mut self, event: &GraphEvent, dirty: &mut Vec<VertexId>);
+    /// `false` when the event is dropped: an `AddEdge` whose source is not
+    /// live here (the engine counts it, as `tide-store` counts its
+    /// dangling edges).
+    fn apply_event_deferred(&mut self, event: &GraphEvent, dirty: &mut Vec<VertexId>) -> bool;
 
     /// Ingests one computational message addressed to `target`.
     fn receive_deferred(&mut self, target: VertexId, msg: Self::Msg, dirty: &mut Vec<VertexId>);

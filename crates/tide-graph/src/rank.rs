@@ -122,7 +122,7 @@ impl Partition for RankPartition {
     /// coalesce the pushes of a whole round — fan-in at hubs then
     /// triggers one push instead of one per message. Events referencing
     /// unknown local vertices are ignored (lenient).
-    fn apply_event_deferred(&mut self, event: &GraphEvent, dirty: &mut Vec<VertexId>) {
+    fn apply_event_deferred(&mut self, event: &GraphEvent, dirty: &mut Vec<VertexId>) -> bool {
         let reseed = self.params.reseed;
         match event {
             GraphEvent::AddVertex { id, .. } => {
@@ -136,12 +136,11 @@ impl Partition for RankPartition {
             GraphEvent::RemoveVertex { id } => {
                 self.vertices.remove(id);
             }
+            // A self-loop carries no influence: skipped, not dropped.
+            GraphEvent::AddEdge { id, .. } if id.is_self_loop() => {}
             GraphEvent::AddEdge { id, .. } => {
-                if id.is_self_loop() {
-                    return;
-                }
                 let Some(state) = self.vertices.get_mut(&id.src) else {
-                    return;
+                    return false;
                 };
                 if state.out.insert(id.dst, ()).is_none() {
                     Self::reseed(state, reseed);
@@ -149,16 +148,16 @@ impl Partition for RankPartition {
                 }
             }
             GraphEvent::RemoveEdge { id } => {
-                let Some(state) = self.vertices.get_mut(&id.src) else {
-                    return;
-                };
-                if state.out.remove(id.dst).is_some() {
-                    Self::reseed(state, reseed);
-                    dirty.push(id.src);
+                if let Some(state) = self.vertices.get_mut(&id.src) {
+                    if state.out.remove(id.dst).is_some() {
+                        Self::reseed(state, reseed);
+                        dirty.push(id.src);
+                    }
                 }
             }
             GraphEvent::UpdateVertex { .. } | GraphEvent::UpdateEdge { .. } => {}
         }
+        true
     }
 
     fn receive_deferred(&mut self, target: VertexId, mass: f64, dirty: &mut Vec<VertexId>) {

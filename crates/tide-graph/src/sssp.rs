@@ -50,11 +50,6 @@ impl DistancePartition {
         }
     }
 
-    /// The configured source vertex.
-    pub fn source(&self) -> VertexId {
-        self.source
-    }
-
     /// Edge removals / weight increases seen so far — each may have left
     /// over-optimistic distances behind (restart to repair).
     pub fn stale_hazards(&self) -> u64 {
@@ -81,7 +76,7 @@ impl DistancePartition {
 impl Partition for DistancePartition {
     type Msg = DistanceOffer;
 
-    fn apply_event_deferred(&mut self, event: &GraphEvent, dirty: &mut Vec<VertexId>) {
+    fn apply_event_deferred(&mut self, event: &GraphEvent, dirty: &mut Vec<VertexId>) -> bool {
         match event {
             GraphEvent::AddVertex { id, .. } => {
                 let source = self.source;
@@ -96,13 +91,12 @@ impl Partition for DistancePartition {
                     self.stale_hazards += 1;
                 }
             }
+            // A self-loop never shortens a path: skipped, not dropped.
+            GraphEvent::AddEdge { id, .. } if id.is_self_loop() => {}
             GraphEvent::AddEdge { id, state } => {
-                if id.is_self_loop() {
-                    return;
-                }
                 let weight = Self::edge_weight(state);
                 let Some(vstate) = self.vertices.get_mut(&id.src) else {
-                    return;
+                    return false;
                 };
                 if vstate.out.insert_if_absent(id.dst, || weight) {
                     dirty.push(id.src);
@@ -110,31 +104,25 @@ impl Partition for DistancePartition {
             }
             GraphEvent::UpdateEdge { id, state } => {
                 let weight = Self::edge_weight(state);
-                let Some(vstate) = self.vertices.get_mut(&id.src) else {
-                    return;
-                };
-                let mut hazard = false;
-                if let Some(slot) = vstate.out.get_mut(id.dst) {
+                if let Some(slot) =
+                    (self.vertices.get_mut(&id.src)).and_then(|v| v.out.get_mut(id.dst))
+                {
                     if weight > *slot {
-                        hazard = true;
+                        self.stale_hazards += 1;
                     }
                     *slot = weight;
                     dirty.push(id.src);
                 }
-                if hazard {
-                    self.stale_hazards += 1;
-                }
             }
             GraphEvent::RemoveEdge { id } => {
-                let Some(vstate) = self.vertices.get_mut(&id.src) else {
-                    return;
-                };
-                if vstate.out.remove(id.dst).is_some() {
+                let removed = (self.vertices.get_mut(&id.src)).and_then(|v| v.out.remove(id.dst));
+                if removed.is_some() {
                     self.stale_hazards += 1;
                 }
             }
             GraphEvent::UpdateVertex { .. } => {}
         }
+        true
     }
 
     fn receive_deferred(

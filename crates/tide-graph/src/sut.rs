@@ -214,6 +214,10 @@ fn report_from_stats(name: &str, stats: &EngineStats) -> SutReport {
         .with("restarts", stats.restarts as f64)
         .with("events_lost", stats.events_lost as f64)
         .with("events_replayed", stats.events_replayed as f64)
+        .with(
+            "dangling_edges_dropped",
+            stats.dangling_edges_dropped as f64,
+        )
 }
 
 /// Registers this platform under [`SUT_NAME`] and its explicitly-sharded

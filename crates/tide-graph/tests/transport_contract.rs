@@ -8,11 +8,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use gt_core::hash::shard_of;
 use gt_core::prelude::*;
 use gt_metrics::MetricsHub;
 use tide_graph::mailbox::{Batch, Mailbox, Msg, BLOCK_SHARES};
 use tide_graph::rank::RankPartition;
-use tide_graph::{owner, Engine, EngineConfig, Partition, RankParams, TideGraph};
+use tide_graph::{Engine, EngineConfig, Partition, RankParams, TideGraph};
 
 fn add_v(id: u64) -> GraphEvent {
     GraphEvent::AddVertex {
@@ -31,7 +32,7 @@ fn add_e(s: u64, d: u64) -> GraphEvent {
 /// The first `n` vertex ids at or above `from` that `worker` owns.
 fn owned_by(worker: usize, workers: usize, from: u64, n: usize) -> Vec<u64> {
     (from..)
-        .filter(|id| owner(VertexId(*id), workers) == worker)
+        .filter(|id| shard_of(VertexId(*id), workers) == worker)
         .take(n)
         .collect()
 }
@@ -592,8 +593,8 @@ impl Drop for Watched {
 impl Partition for Watched {
     type Msg = f64;
 
-    fn apply_event_deferred(&mut self, event: &GraphEvent, dirty: &mut Vec<VertexId>) {
-        self.rank.apply_event_deferred(event, dirty);
+    fn apply_event_deferred(&mut self, event: &GraphEvent, dirty: &mut Vec<VertexId>) -> bool {
+        self.rank.apply_event_deferred(event, dirty)
     }
 
     fn receive_deferred(&mut self, target: VertexId, mass: f64, dirty: &mut Vec<VertexId>) {

@@ -86,7 +86,7 @@ impl BatchingConnector {
             return Ok(());
         }
         // The next batch fills a buffer the store has routed before.
-        let events = std::mem::replace(&mut self.pending, self.client.spare_events());
+        let events = std::mem::replace(&mut self.pending, std::mem::take(&mut self.client.spare));
         self.pending.reserve(self.batch_size);
         let count = events.len() as u64;
         self.client

@@ -46,7 +46,4 @@ pub mod sut;
 
 pub use connector::BatchingConnector;
 pub use partition::{PartitionState, ShardedGraph};
-pub use store::{
-    shard_for, shard_for_key, StoreClient, StoreClosed, StoreConfig, StoreStats, TideStore,
-    Transaction,
-};
+pub use store::{StoreClient, StoreClosed, StoreConfig, StoreStats, TideStore, Transaction};

@@ -37,7 +37,7 @@ use gt_graph::store::Entry;
 use gt_graph::AdjacencyStore;
 use gt_sut::Adjacency;
 
-use crate::store::shard_for_key;
+use gt_core::hash::shard_of;
 
 /// The vertex and edge state held by one shard worker.
 #[derive(Debug, Default)]
@@ -185,13 +185,13 @@ impl ShardedGraph {
     /// edge ends at a vertex some shard holds. For tests and debugging;
     /// O(V + E).
     pub fn check_invariants(&self) -> Result<(), String> {
-        let shards = self.parts.len() as u64;
+        let shards = self.parts.len();
         for (slot, part) in self.parts.iter().enumerate() {
             part.store
                 .check_invariants()
                 .map_err(|e| format!("shard {slot}: {e}"))?;
             for (id, entry) in part.store.iter() {
-                let owner = shard_for_key(id.0, shards) as usize;
+                let owner = shard_of(id, shards);
                 if entry.state.is_some() && owner != slot {
                     return Err(format!("vertex {id} is on shard {slot}, owner {owner}"));
                 }
@@ -206,7 +206,7 @@ impl ShardedGraph {
 
 /// Whether `id`'s owner among `parts` holds it as a vertex.
 fn held(parts: &[PartitionState], id: VertexId) -> bool {
-    let owner = shard_for_key(id.0, parts.len() as u64) as usize;
+    let owner = shard_of(id, parts.len());
     parts[owner].store.state(id).is_some()
 }
 
@@ -368,8 +368,8 @@ mod tests {
     /// among `parts`, holding back an edge whose endpoint is not live and
     /// purging a removed live vertex from every other part.
     fn route(parts: &mut [PartitionState], live: &mut HashSet<VertexId>, event: &GraphEvent) {
-        let shards = parts.len() as u64;
-        let owner = |v: VertexId| shard_for_key(v.0, shards) as usize;
+        let shards = parts.len();
+        let owner = |v: VertexId| shard_of(v, shards);
         match event {
             GraphEvent::AddVertex { id, .. } => {
                 live.insert(*id);
@@ -441,7 +441,7 @@ mod tests {
         let shards = 2;
         let (mine, theirs) = (0..100u64)
             .map(VertexId)
-            .partition::<Vec<_>, _>(|v| shard_for_key(v.0, shards) == 0);
+            .partition::<Vec<_>, _>(|v| shard_of(*v, shards) == 0);
         let mut part = PartitionState::new();
         part.apply(&GraphEvent::AddVertex {
             id: mine[0],

@@ -1,18 +1,23 @@
-//! The shard side of the store: the queue fabric with its per-slot event
-//! account, the shard threads, their supervisor, the state both
-//! sequencers share, and the final statistics read off the shards.
+//! The shard side of the store: one queue per shard, the shard threads,
+//! their supervisor, the state both sequencers share, and the final
+//! statistics read off the shards.
 //!
 //! The timestamper and the router differ only in *who sequences*; what
 //! happens to a sequenced event is the same — it travels, with the rest of
 //! its transaction's share for that shard, as one `ShardMsg::Batch`, and
 //! is applied to the shard's [`PartitionState`], exactly: the
 //! sequencer has already decided what the shard cannot see (whether an
-//! edge's endpoints are live, which foreign vertices were removed). A
-//! queue slot therefore holds a batch, not an event, and the channel's
-//! length says nothing about events: each slot keeps an item-exact
-//! `enqueued`/`applied` pair of *events* from which `quiesce` and a
-//! crash's loss count are derived. Purges and markers are control traffic
-//! outside that account.
+//! edge's endpoints are live, which foreign vertices were removed). Each
+//! shard's queue is `gt_core`'s one [`Queue`]: a slot holds a batch, not
+//! an event, so each push is weighted by the batch's *events*, and the
+//! queue's item-exact account is what `quiesce` and a crash's loss count
+//! read. Purges and markers are control traffic outside that account. The
+//! queue's pool carries each emptied batch back to the routing thread
+//! that allocated it. The timestamper's ingestion queue is the same type:
+//! transactions weighted 1, its pool carrying each routed transaction's
+//! emptied event buffer back to the clients. A shutdown finishes every
+//! queue (each shard stops behind its backlog); a crash closes its
+//! shard's.
 //!
 //! No shard keeps a record per event: at shutdown each one hands over its
 //! state, its event and dangling counts, and (only when windows are
@@ -20,13 +25,14 @@
 //! over the commit timestamps they applied (`per_shard_seqs`).
 
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use gt_core::hash::shard_of;
 use gt_core::prelude::*;
+use gt_core::queue::{Consumer, Queue};
 use gt_core::sync::lock;
 use gt_metrics::hub::{Counter, MicrosCounter};
 use gt_metrics::MetricsHub;
@@ -34,7 +40,7 @@ use gt_sut::{busy_work, Adjacency, WindowDigest, WorkerSupervisor};
 use gt_trace::{Probe, Stage, TracerCell};
 
 use crate::partition::{PartitionState, ShardedGraph};
-use crate::store::{shard_for, Router, StoreConfig, StoreStats};
+use crate::store::{ClientMsg, Router, StoreConfig, StoreStats};
 
 /// `(commit timestamp, entry)` pairs in commit order: the payload of one
 /// queue message, and a shard's retained share in supervised mode. An
@@ -47,12 +53,24 @@ pub(crate) type Batch = Vec<(u64, Option<GraphEvent>)>;
 
 /// Whether `event`, on `shard`'s queue, is a purge rather than one of the
 /// shard's events (see [`Batch`]).
-fn is_purge(event: &GraphEvent, shard: usize, shards: u64) -> bool {
-    matches!(event, GraphEvent::RemoveVertex { .. }) && shard_for(event, shards) != shard as u64
+fn is_purge(event: &GraphEvent, shard: usize, shards: usize) -> bool {
+    matches!(event, GraphEvent::RemoveVertex { .. }) && shard_of(event.home(), shards) != shard
 }
 
-/// The sending end of a shard's queue.
-pub(crate) type Route = SyncSender<ShardMsg>;
+/// A shard's queue: batches weighted by their events, emptied batches
+/// going back to the router.
+pub(crate) type Route = Arc<Queue<ShardMsg, Batch>>;
+
+/// The timestamper's ingestion queue: transactions weighted 1, emptied
+/// event buffers going back to the clients.
+pub(crate) type Ingest = Queue<ClientMsg, Vec<GraphEvent>>;
+
+/// A fresh shard queue of `queue_capacity` batches. Its pool, like the
+/// ingestion queue's, has room for every buffer the queue can hold and
+/// the one being emptied.
+fn shard_queue(config: &StoreConfig) -> Route {
+    Arc::new(Queue::new(config.queue_capacity, config.queue_capacity + 1))
+}
 
 /// Work delivered to a shard's queue.
 pub(crate) enum ShardMsg {
@@ -68,30 +86,6 @@ pub(crate) enum ShardMsg {
     /// the process died. Queued like any message, so the crash lands at a
     /// deterministic position in the shard's message stream.
     Crash,
-    Stop,
-}
-
-/// One shard slot's liveness and event account: `enqueued` advances by a
-/// batch's event count before it is sent (and steps back if the send
-/// fails), `applied` once the shard has applied it.
-struct Slot {
-    alive: AtomicBool,
-    enqueued: AtomicU64,
-    applied: AtomicU64,
-}
-
-impl Slot {
-    fn is_alive(&self) -> bool {
-        self.alive.load(Ordering::SeqCst)
-    }
-
-    /// Events queued on or being applied by this slot. `applied` is read
-    /// first: both only grow between crashes, so a zero means every event
-    /// enqueued before the call has been applied.
-    fn backlog(&self) -> u64 {
-        let applied = self.applied.load(Ordering::SeqCst);
-        self.enqueued.load(Ordering::SeqCst).saturating_sub(applied)
-    }
 }
 
 /// The store's counters on its hub: `store.tx` / `store.events`
@@ -127,35 +121,20 @@ pub(crate) struct ShardEnd {
 /// resurrect them; shared by the store handle, its clients, its
 /// timestamper and its supervisor.
 pub(crate) struct ShardPool {
-    /// The sequencer's state. Routing a transaction, marking, a restart
-    /// and a crash's accounting each hold it throughout, so they never
-    /// interleave: every shard applies in commit order, a marker reaches
-    /// each shard behind exactly the events below its cut, and a crash's
-    /// loss count is exact.
+    /// The sequencer's state. Routing a transaction, marking and a
+    /// restart each hold it throughout, so they never interleave: every
+    /// shard applies in commit order, and a marker reaches each shard
+    /// behind exactly the events below its cut. (A crash's loss count
+    /// needs no lock: its queue books a post only while open.)
     pub(crate) router: Mutex<Router>,
-    /// Where shards hand emptied batches back to the router, and routed
-    /// transactions' emptied event buffers wait for the clients. Each
-    /// buffer goes back to the thread that allocated it: the allocator
-    /// returns a chunk freed on another thread to the allocating thread's
-    /// arena, under the lock that thread takes on its own allocations, and
-    /// on the store's hot path that contention cost more than the apply.
-    spare_batches: SyncSender<Batch>,
-    spare_events: SyncSender<Vec<GraphEvent>>,
-    spare_events_rx: Mutex<Receiver<Vec<GraphEvent>>>,
-    slots: Vec<Slot>,
+    /// The timestamper's ingestion queue; `None` behind the router, which
+    /// has no ingestion stage.
+    pub(crate) ingest: Option<Arc<Ingest>>,
     handles: Mutex<Vec<JoinHandle<Option<ShardEnd>>>>,
     /// Marker sightings `(interned name, shard, events the shard had
     /// applied)` in processing order.
     pub(crate) shard_markers: Mutex<Vec<(Arc<str>, usize, u64)>>,
-    /// Transactions queued for the timestamper but not yet routed;
-    /// advanced before the client's send so [`Self::quiesce`] never sees
-    /// the ingestion stage idle with a transaction inside it. Always zero
-    /// behind the router, which has no ingestion stage.
-    pub(crate) unsequenced: AtomicU64,
     pub(crate) config: StoreConfig,
-    /// Behind the router: each shard pays the ordering cost per received
-    /// batch and records the commit timestamps it applies.
-    routed: bool,
     /// Whether shards dump their adjacency at each marker.
     windows: AtomicBool,
     hub: MetricsHub,
@@ -175,36 +154,21 @@ const REPLAY_BATCH: usize = 64;
 
 impl ShardPool {
     /// Starts `config.shards` shard threads behind bounded queues, behind
-    /// the router if `routed`, else behind the timestamper. Registers
-    /// `shard-N.busy_micros`, `shard-N.events` and the [`Counters`] on
-    /// `hub`.
+    /// the router if `routed`, else behind the timestamper's ingestion
+    /// queue. Registers `shard-N.busy_micros`, `shard-N.events` and the
+    /// [`Counters`] on `hub`.
     pub(crate) fn start(config: StoreConfig, routed: bool, hub: &MetricsHub) -> Arc<Self> {
         assert!(config.shards >= 1, "at least one shard required");
         assert!(config.queue_capacity > 0, "queue capacity must be > 0");
-        let (txs, rxs): (Vec<_>, Vec<_>) = (0..config.shards)
-            .map(|_| sync_channel::<ShardMsg>(config.queue_capacity))
-            .unzip();
-        // Room for every batch that can be in flight, and for every
-        // transaction the ingestion queue can hold.
-        let (spare_batches, spare_rx) = sync_channel(config.shards * (config.queue_capacity + 1));
-        let (spare_events, spare_events_rx) = sync_channel(config.queue_capacity + 1);
+        let routes: Vec<Route> = (0..config.shards).map(|_| shard_queue(&config)).collect();
         let pool = Arc::new(ShardPool {
-            router: Mutex::new(Router::new(txs, spare_rx)),
-            spare_batches,
-            spare_events,
-            spare_events_rx: Mutex::new(spare_events_rx),
-            slots: (0..config.shards)
-                .map(|_| Slot {
-                    alive: AtomicBool::new(true),
-                    enqueued: AtomicU64::new(0),
-                    applied: AtomicU64::new(0),
-                })
-                .collect(),
+            router: Mutex::new(Router::new(routes.clone())),
+            // Transactions weighted 1; its pool sized like a shard queue's.
+            ingest: (!routed)
+                .then(|| Arc::new(Queue::new(config.queue_capacity, config.queue_capacity + 1))),
             handles: Mutex::new(Vec::with_capacity(config.shards)),
             shard_markers: Mutex::new(Vec::new()),
-            unsequenced: AtomicU64::new(0),
             config,
-            routed,
             windows: AtomicBool::new(false),
             hub: hub.clone(),
             tracer_cell: TracerCell::new(),
@@ -220,31 +184,31 @@ impl ShardPool {
                 events_replayed: hub.counter("store.events_replayed"),
             },
         });
-        let handles = rxs
+        let handles = routes
             .into_iter()
             .enumerate()
-            .map(|(shard_id, rx)| pool.spawn_shard(shard_id, rx))
+            .map(|(shard_id, route)| pool.spawn_shard(shard_id, route))
             .collect();
         *lock(&pool.handles) = handles;
         pool
     }
 
-    /// Spawns (or respawns) the shard for a slot, consuming the receiver
-    /// side of its fresh queue. Its two counters are looked up by name
+    /// Spawns (or respawns) the shard for a slot, as the consumer of its
+    /// fresh queue. Its two counters are looked up by name
     /// here, before the thread runs: a sampler started after the store
     /// lists them from its first sample, and a restarted shard keeps
     /// accumulating on the same series.
     fn spawn_shard(
         self: &Arc<Self>,
         shard_id: usize,
-        rx: Receiver<ShardMsg>,
+        route: Route,
     ) -> JoinHandle<Option<ShardEnd>> {
         let pool = Arc::clone(self);
         let busy = MicrosCounter::new(self.hub.counter(&format!("shard-{shard_id}.busy_micros")));
         let applied = self.hub.counter(&format!("shard-{shard_id}.events"));
         std::thread::Builder::new()
             .name(format!("tide-store-shard-{shard_id}"))
-            .spawn(move || pool.run_shard(shard_id, rx, busy, applied))
+            .spawn(move || pool.run_shard(shard_id, Consumer(route), busy, applied))
             .expect("spawn shard")
     }
 
@@ -254,48 +218,42 @@ impl ShardPool {
         self.windows.store(true, Ordering::SeqCst);
     }
 
-    /// An emptied event buffer a routed transaction left behind, or a new
-    /// one.
-    pub(crate) fn spare_events(&self) -> Vec<GraphEvent> {
-        let spares = self.spare_events_rx.try_lock().ok();
-        spares.and_then(|rx| rx.try_recv().ok()).unwrap_or_default()
-    }
-
-    /// Keeps a routed transaction's emptied buffer for a client's next
-    /// transaction, if there is room.
-    pub(crate) fn recycle_events(&self, events: Vec<GraphEvent>) {
-        let _ = self.spare_events.try_send(events);
-    }
-
-    /// Accounts `batch`'s events on `shard` and sends it. Blocks while the
-    /// shard's queue is full — the backpressure that reaches clients
-    /// through the sequencer — and fails fast on a dead shard. Returns the
-    /// batch's event count, `Err` if it was not delivered.
-    pub(crate) fn post(&self, routes: &[Route], shard: usize, batch: Batch) -> Result<u64, u64> {
-        let shards = self.config.shards as u64;
-        let purges = (batch.iter().flat_map(|(_, entry)| entry))
+    /// Sends `part`, weighted by its events, to `shard`'s queue, and
+    /// leaves in `part` the emptied batch the shard handed back last (or
+    /// an empty one). Blocks while the shard's queue is full — the
+    /// backpressure that reaches clients through the sequencer — and fails
+    /// fast on a dead shard. Returns the batch's event count, `Err` if it
+    /// was not delivered.
+    pub(crate) fn post(&self, route: &Route, shard: usize, part: &mut Batch) -> Result<u64, u64> {
+        let shards = self.config.shards;
+        let purges = (part.iter().flat_map(|(_, entry)| entry))
             .filter(|event| is_purge(event, shard, shards));
-        let events = (batch.len() - purges.count()) as u64;
-        let enqueued = &self.slots[shard].enqueued;
-        enqueued.fetch_add(events, Ordering::SeqCst);
-        if routes[shard].send(ShardMsg::Batch(batch)).is_ok() {
-            return Ok(events);
+        let events = (part.len() - purges.count()) as u64;
+        match route.exchange(ShardMsg::Batch(std::mem::take(part)), events) {
+            Ok(spare) => {
+                *part = spare.unwrap_or_default();
+                Ok(events)
+            }
+            Err(_) => Err(events),
         }
-        enqueued.fetch_sub(events, Ordering::SeqCst);
-        Err(events)
     }
 
     /// Blocks until no transaction waits for the timestamper and every
-    /// live shard has applied every event enqueued to it, or the timeout
-    /// elapses. A dead shard's backlog is lost, not pending, so it does
-    /// not hold the wait.
+    /// shard has applied every event enqueued to it, or the timeout
+    /// elapses. A crashed shard's backlog is written off as lost when it
+    /// dies, so it does not hold the wait; a shard that panicked does.
     pub(crate) fn quiesce(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
-        let settled = |slot: &Slot| !slot.is_alive() || slot.backlog() == 0;
         loop {
             // Ingestion first: once it is idle every share of every
-            // submitted transaction is on a slot's account.
-            if self.unsequenced.load(Ordering::SeqCst) == 0 && self.slots.iter().all(settled) {
+            // submitted transaction is on a shard's account.
+            let ingested = (self.ingest.as_ref()).is_none_or(|queue| queue.backlog() == 0);
+            if ingested
+                && lock(&self.router)
+                    .routes
+                    .iter()
+                    .all(|route| route.backlog() == 0)
+            {
                 return true;
             }
             if Instant::now() >= deadline {
@@ -305,40 +263,32 @@ impl ShardPool {
         }
     }
 
-    /// Stops all shards and joins them tolerantly: what each shard thread
-    /// that stopped left behind. A crashed shard leaves nothing (a
-    /// restarted slot joins twice, dead thread first); a shard that
-    /// *panicked* is contained and counted as a crash instead of
-    /// poisoning the run.
-    pub(crate) fn join(&self) -> Vec<ShardEnd> {
-        self.stopping.store(true, Ordering::SeqCst);
-        // Every shard stops behind its backlog.
-        for tx in &lock(&self.router).routes {
-            let _ = tx.send(ShardMsg::Stop);
-        }
-        let handles = std::mem::take(&mut *lock(&self.handles));
-        let mut ends = Vec::with_capacity(handles.len());
-        for handle in handles {
-            match handle.join() {
-                Ok(end) => ends.extend(end),
-                Err(_) => self.counters.crashes.inc(),
-            }
-        }
-        ends
-    }
-
-    /// The final statistics, read off what the joined shards left behind:
-    /// their states joined into the graph, their counts summed, their
-    /// window dumps united per marker. A slot whose shard died for good
-    /// contributes nothing, and an edge into one of its vertices is
-    /// dropped and counted dangling (see [`ShardedGraph`]).
-    pub(crate) fn finish(&self, ends: Vec<ShardEnd>) -> StoreStats {
+    /// Stops all shards behind their backlogs, joins them tolerantly, and
+    /// reads the final statistics off what they left behind: their states
+    /// joined into the graph, their counts summed, their window dumps
+    /// united per marker. A crashed shard leaves nothing (a restarted slot
+    /// joins twice, dead thread first), and a shard that *panicked* is
+    /// contained and counted as a crash instead of poisoning the run. A
+    /// slot whose shard died for good contributes nothing, and an edge
+    /// into one of its vertices is dropped and counted dangling (see
+    /// [`ShardedGraph`]).
+    pub(crate) fn finish(&self) -> StoreStats {
+        (lock(&self.router).routes.iter()).for_each(|route| route.finish());
         let shards = self.config.shards;
         let mut parts: Vec<PartitionState> = (0..shards).map(|_| PartitionState::new()).collect();
         let mut per_shard_seqs = vec![Vec::new(); shards];
         let mut dumps = Vec::with_capacity(shards);
         let (mut events, mut dangling) = (0, 0);
-        for end in ends {
+        let handles = std::mem::take(&mut *lock(&self.handles));
+        for handle in handles {
+            let end = match handle.join() {
+                Ok(Some(end)) => end,
+                Ok(None) => continue,
+                Err(_) => {
+                    self.counters.crashes.inc();
+                    continue;
+                }
+            };
             events += end.events;
             dangling += end.dangling;
             parts[end.slot] = end.state;
@@ -378,8 +328,9 @@ impl ShardPool {
         }
     }
 
-    /// Runs one shard until `Stop` or channel disconnect (returns what it
-    /// built) or `Crash` (returns nothing — the state dies with it).
+    /// Runs one shard until its queue is finished and drained (returns
+    /// what it built) or `Crash` (returns nothing — the state dies with
+    /// it).
     ///
     /// A batch applies in order: the shard pays the simulated costs,
     /// applies, counts or purges each entry, and stamps each event at
@@ -390,11 +341,10 @@ impl ShardPool {
     fn run_shard(
         &self,
         shard_id: usize,
-        rx: Receiver<ShardMsg>,
+        queue: Consumer<ShardMsg, Batch>,
         busy: MicrosCounter,
         applied: Counter,
     ) -> Option<ShardEnd> {
-        let slot = &self.slots[shard_id];
         let mut end = ShardEnd {
             slot: shard_id,
             state: PartitionState::new(),
@@ -403,17 +353,23 @@ impl ShardPool {
             dangling: 0,
             seqs: Vec::new(),
         };
-        let batch_cost = match self.routed {
+        // Behind the router (no ingestion queue) the shard pays the ordering
+        // cost per received batch and records the commit timestamps it
+        // applies.
+        let routed = self.ingest.is_none();
+        let batch_cost = match routed {
             true => self.config.timestamper_cost_per_tx,
             false => Duration::ZERO,
         };
         let event_cost = self.config.shard_cost_per_event;
-        let shards = self.config.shards as u64;
+        let shards = self.config.shards;
         let costed = !(batch_cost.is_zero() && event_cost.is_zero());
         // Lazily acquired: the thread outlives tracer installation, so it
         // polls the pool's cell (one atomic load per batch while empty).
         let mut trace_probe: Option<Probe> = None;
-        while let Ok(msg) = rx.recv() {
+        // The batch last emptied, handed back with the next take.
+        let mut spent = None;
+        while let Some(msg) = queue.take(spent.take(), || true) {
             match msg {
                 ShardMsg::Batch(mut batch) => {
                     let started = costed.then(Instant::now);
@@ -440,50 +396,47 @@ impl ShardPool {
                             }
                         }
                         events += 1;
-                        if self.routed {
+                        if routed {
                             end.seqs.push(ts);
                         }
                         if let Some(probe) = &trace_probe {
                             probe.stamp_seq(ts);
                         }
                     }
-                    let _ = self.spare_batches.try_send(batch);
+                    spent = Some(batch);
                     end.events += events;
                     applied.add(events);
                     if let Some(started) = started {
                         busy.add(started.elapsed());
                     }
-                    slot.applied.fetch_add(events, Ordering::SeqCst);
+                    queue.done(events);
                 }
                 ShardMsg::Marker(name) => {
-                    let position = slot.applied.load(Ordering::SeqCst);
+                    let (_, position) = queue.account();
                     lock(&self.shard_markers).push((name, shard_id, position));
                     self.dump(&mut end);
                 }
                 ShardMsg::Cut => self.dump(&mut end),
                 ShardMsg::Crash => {
                     // Die like a killed process: state abandoned, queued
-                    // messages dropped with the receiver — dropped first,
-                    // so a sequencer blocked on this queue under the router
-                    // lock fails out instead of deadlocking the lock below.
-                    // With routing excluded no post is in flight: what is
-                    // enqueued but unapplied is exactly the abandoned
-                    // backlog, and every later post fails and is counted
-                    // lost by its sender. The applied events die with the
-                    // state and are counted discarded. The alive flag tells
-                    // routers (and a waiting supervisor) that this
-                    // partition is vacant.
-                    drop(rx);
-                    let _routing_excluded = lock(&self.router);
-                    self.counters.events_lost.add(slot.backlog());
+                    // messages dropped with the closed queue, so a
+                    // sequencer waiting on it fails out. A post is booked
+                    // only while the queue is open, so after `close` what
+                    // is enqueued but unapplied is exactly the abandoned
+                    // backlog — written off as lost, so `quiesce` does not
+                    // wait for it — and every later post fails and is
+                    // counted lost by its sender. The applied events die
+                    // with the state and are counted discarded. The closed
+                    // queue tells routers (and a waiting supervisor) that
+                    // this partition is vacant.
+                    queue.close();
+                    let abandoned = queue.backlog();
+                    queue.done(abandoned);
+                    self.counters.events_lost.add(abandoned);
                     self.counters.events_discarded.add(end.events);
-                    let applied = slot.applied.load(Ordering::SeqCst);
-                    slot.enqueued.store(applied, Ordering::SeqCst);
-                    slot.alive.store(false, Ordering::SeqCst);
                     self.counters.crashes.inc();
                     return None;
                 }
-                ShardMsg::Stop => break,
             }
         }
         Some(end)
@@ -526,14 +479,11 @@ impl WorkerSupervisor for StoreSupervisor {
     /// stream — and the shard then discards its state and exits.
     fn inject_crash(&self, worker: usize) -> bool {
         let pool = &self.0;
-        if worker >= pool.config.shards
-            || pool.stopping.load(Ordering::SeqCst)
-            || !pool.slots[worker].is_alive()
-        {
+        if worker >= pool.config.shards || pool.stopping.load(Ordering::SeqCst) {
             return false;
         }
         lock(&pool.router).routes[worker]
-            .send(ShardMsg::Crash)
+            .push(ShardMsg::Crash, 0)
             .is_ok()
     }
 
@@ -551,7 +501,7 @@ impl WorkerSupervisor for StoreSupervisor {
         // The crash message travels through the shard's backlog; give it
         // time to land before declaring the restart impossible.
         let deadline = Instant::now() + Duration::from_secs(5);
-        while pool.slots[worker].is_alive() {
+        while lock(&pool.router).routes[worker].is_open() {
             if Instant::now() > deadline || pool.stopping.load(Ordering::SeqCst) {
                 return false;
             }
@@ -562,23 +512,25 @@ impl WorkerSupervisor for StoreSupervisor {
         if pool.stopping.load(Ordering::SeqCst) {
             return false;
         }
-        let (tx, rx) = sync_channel::<ShardMsg>(config.queue_capacity);
-        // Spawn first so the bounded queue drains while replay fills it.
-        let handle = pool.spawn_shard(worker, rx);
-        router.routes[worker] = tx;
+        // A fresh queue starts a fresh account: what the dead shard left
+        // unapplied was written off when it died. Spawn first so the
+        // bounded queue drains while replay fills it.
+        let route = shard_queue(config);
+        let handle = pool.spawn_shard(worker, Arc::clone(&route));
+        router.routes[worker] = Arc::clone(&route);
         let router = &*router;
         let mut cuts = router.cuts.iter().map(|&(_, cut)| cut).peekable();
         let (mut batch, mut replayed) = (Batch::with_capacity(REPLAY_BATCH), 0);
         let mut flush = |batch: &mut Batch| {
             if !batch.is_empty() {
-                let posted = pool.post(&router.routes, worker, std::mem::take(batch));
+                let posted = pool.post(&route, worker, batch);
                 replayed += posted.unwrap_or_else(|lost| lost);
             }
         };
         for (ts, entry) in &router.retained[worker] {
             while cuts.next_if(|&cut| cut <= *ts).is_some() {
                 flush(&mut batch);
-                let _ = router.routes[worker].send(ShardMsg::Cut);
+                let _ = route.push(ShardMsg::Cut, 0);
             }
             batch.push((*ts, entry.clone()));
             if batch.len() == REPLAY_BATCH {
@@ -587,12 +539,23 @@ impl WorkerSupervisor for StoreSupervisor {
         }
         flush(&mut batch);
         for _ in cuts {
-            let _ = router.routes[worker].send(ShardMsg::Cut);
+            let _ = route.push(ShardMsg::Cut, 0);
         }
-        pool.slots[worker].alive.store(true, Ordering::SeqCst);
         lock(&pool.handles).push(handle);
         pool.counters.restarts.inc();
         pool.counters.events_replayed.add(replayed);
         true
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A message is the hop's per-slot cost: moving the queue onto
+    /// `gt_core::queue` adds no byte to it (24 before the move).
+    #[test]
+    fn a_shard_message_is_three_words() {
+        assert!(std::mem::size_of::<ShardMsg>() <= 24);
     }
 }

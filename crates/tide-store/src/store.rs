@@ -17,8 +17,9 @@
 //! what its shard cannot see — whether an `AddEdge`'s endpoints are live,
 //! which foreign vertices a removal purges — from the set of live vertex
 //! ids the sequencer keeps, split the transaction per owner shard
-//! ([`shard_for`]), retain it in supervised mode, post one batch per shard
-//! and book each share delivered or lost. Holding the lock throughout
+//! (`gt_core::hash::shard_of` of each event's home vertex), retain it in
+//! supervised mode, post one batch per shard's queue and book each share
+//! delivered or lost. Holding the lock throughout
 //! makes routing exclusive, so every shard applies in commit order and
 //! each shard's state is exact: together the shards hold what a serial
 //! lenient replay of the commit order builds, and the final statistics
@@ -56,12 +57,13 @@
 
 use std::collections::HashSet;
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use gt_core::hash::shard_of;
 use gt_core::prelude::*;
+use gt_core::queue::Consumer;
 use gt_core::sync::lock;
 use gt_core::VertexBuildHasher;
 use gt_metrics::hub::{Gauge, MicrosCounter};
@@ -70,7 +72,7 @@ use gt_sut::{busy_work, WindowDigest, WorkerSupervisor};
 use gt_trace::TracerCell;
 
 use crate::partition::ShardedGraph;
-use crate::shard::{Batch, Route, ShardEnd, ShardMsg, ShardPool, StoreSupervisor};
+use crate::shard::{Batch, Route, ShardMsg, ShardPool, StoreSupervisor};
 
 /// Store configuration.
 ///
@@ -137,29 +139,22 @@ impl Transaction {
     }
 }
 
-/// Client traffic queued for the timestamper. The shutdown sentinel
-/// (rather than channel disconnect) ends it, so shutdown completes even
-/// while client handles are still alive.
-enum ClientMsg {
+/// Client traffic queued for the timestamper. Shutdown finishes the
+/// queue (rather than waiting for every client to hang up), so it
+/// completes even while client handles are still alive.
+pub(crate) enum ClientMsg {
     Tx(Transaction),
     Marker(String),
-    Shutdown,
-}
-
-/// Where a client's traffic is sequenced.
-#[derive(Clone)]
-enum Sequencer {
-    /// Queued for the timestamper thread.
-    Timestamper(SyncSender<ClientMsg>),
-    /// Routed on the submitting thread.
-    Router,
 }
 
 /// A client handle; cloneable, blocking on backpressure.
 #[derive(Clone)]
 pub struct StoreClient {
     pool: Arc<ShardPool>,
-    sequencer: Sequencer,
+    /// An emptied event buffer the last transaction left behind, for the
+    /// next one's events: a buffer is freed, if ever, by the thread that
+    /// allocated it.
+    pub(crate) spare: Vec<GraphEvent>,
 }
 
 impl StoreClient {
@@ -168,43 +163,34 @@ impl StoreClient {
     /// router. Returns the transaction back when the store has shut down.
     pub fn submit(&mut self, transaction: Transaction) -> Result<(), Transaction> {
         let pool = &self.pool;
-        match &self.sequencer {
-            Sequencer::Timestamper(queue) => {
-                pool.unsequenced.fetch_add(1, Ordering::SeqCst);
-                queue.send(ClientMsg::Tx(transaction)).map_err(|refused| {
-                    pool.unsequenced.fetch_sub(1, Ordering::SeqCst);
-                    match refused.0 {
-                        ClientMsg::Tx(transaction) => transaction,
-                        _ => unreachable!("a transaction was sent"),
-                    }
-                })
-            }
-            Sequencer::Router if pool.stopping.load(Ordering::SeqCst) => Err(transaction),
-            Sequencer::Router => {
+        match &pool.ingest {
+            Some(queue) => match queue.exchange(ClientMsg::Tx(transaction), 1) {
+                Ok(spare) => {
+                    self.spare = spare.unwrap_or_default();
+                    Ok(())
+                }
+                Err(ClientMsg::Tx(transaction)) => Err(transaction),
+                Err(ClientMsg::Marker(_)) => unreachable!("a transaction was sent"),
+            },
+            None if pool.stopping.load(Ordering::SeqCst) => Err(transaction),
+            None => {
                 let mut events = transaction.events;
                 lock(&pool.router).route(pool, &mut events);
-                pool.recycle_events(events);
+                self.spare = events;
                 Ok(())
             }
         }
     }
 
-    /// An empty buffer for the next transaction's events: one a routed
-    /// transaction left behind when there is one, so a buffer is freed,
-    /// if ever, by the thread that allocated it.
-    pub(crate) fn spare_events(&self) -> Vec<GraphEvent> {
-        self.pool.spare_events()
-    }
-
     /// Submits a watermark: the store records its cut and broadcasts it to
     /// every shard (see [`StoreStats::markers`]).
     pub fn marker(&self, name: &str) -> Result<(), StoreClosed> {
-        match &self.sequencer {
-            Sequencer::Timestamper(queue) => queue
-                .send(ClientMsg::Marker(name.to_owned()))
+        match &self.pool.ingest {
+            Some(queue) => queue
+                .push(ClientMsg::Marker(name.to_owned()), 0)
                 .map_err(|_| StoreClosed),
-            Sequencer::Router if self.pool.stopping.load(Ordering::SeqCst) => Err(StoreClosed),
-            Sequencer::Router => {
+            None if self.pool.stopping.load(Ordering::SeqCst) => Err(StoreClosed),
+            None => {
                 lock(&self.pool.router).mark(&self.pool, name);
                 Ok(())
             }
@@ -281,9 +267,8 @@ pub struct StoreStats {
 /// The running store.
 pub struct TideStore {
     pool: Arc<ShardPool>,
-    /// The timestamper's ingestion queue and thread; `None` behind the
-    /// router.
-    timestamper: Option<(SyncSender<ClientMsg>, JoinHandle<()>)>,
+    /// The timestamper thread; `None` behind the router.
+    timestamper: Option<JoinHandle<()>>,
 }
 
 impl TideStore {
@@ -300,24 +285,24 @@ impl TideStore {
     ///   `store.events_discarded` / `store.events_replayed` /
     ///   `store.marker_skips` — fault and recovery activity.
     pub fn start(config: StoreConfig, hub: &MetricsHub) -> Self {
-        let (queue, queue_rx) = sync_channel::<ClientMsg>(config.queue_capacity);
+        // The timestamper pays for ordering; its shards pay per event
+        // only.
+        let pool = ShardPool::start(config, false, hub);
         let timestamper = Timestamper {
-            cost: config.timestamper_cost_per_tx,
-            // The timestamper pays for ordering; its shards pay per event
-            // only.
-            pool: ShardPool::start(config, false, hub),
-            queue: queue_rx,
+            queue: Consumer(Arc::clone(
+                pool.ingest.as_ref().expect("an ingestion queue"),
+            )),
+            pool: Arc::clone(&pool),
             busy: MicrosCounter::new(hub.counter("timestamper.busy_micros")),
             queue_len: hub.gauge("timestamper.queue"),
         };
-        let pool = Arc::clone(&timestamper.pool);
         let thread = std::thread::Builder::new()
             .name("tide-store-timestamper".into())
             .spawn(move || timestamper.run())
             .expect("spawn timestamper");
         TideStore {
             pool,
-            timestamper: Some((queue, thread)),
+            timestamper: Some(thread),
         }
     }
 
@@ -336,7 +321,7 @@ impl TideStore {
     /// Makes every shard dump its adjacency as each marker passes, for
     /// [`StoreStats::windows`] (the digest mode). Call it before the first
     /// marker; the dumps cost memory per marker, not per event.
-    pub fn record_windows(&self) {
+    pub(crate) fn record_windows(&self) {
         self.pool.record_windows();
     }
 
@@ -359,13 +344,9 @@ impl TideStore {
 
     /// A new client handle.
     pub fn client(&self) -> StoreClient {
-        let sequencer = match &self.timestamper {
-            Some((queue, _)) => Sequencer::Timestamper(queue.clone()),
-            None => Sequencer::Router,
-        };
         StoreClient {
             pool: Arc::clone(&self.pool),
-            sequencer,
+            spare: Vec::new(),
         }
     }
 
@@ -393,31 +374,23 @@ impl TideStore {
     /// *panicked* is contained and counted as a crash instead of
     /// poisoning the run.
     pub fn shutdown(self) -> StoreStats {
-        let (pool, ends) = self.join();
-        pool.finish(ends)
-    }
-
-    /// Stops ingestion and joins the timestamper (if any) and every
-    /// shard: the pool and what the shards left behind.
-    fn join(self) -> (Arc<ShardPool>, Vec<ShardEnd>) {
         self.pool.stopping.store(true, Ordering::SeqCst);
-        if let Some((queue, thread)) = self.timestamper {
-            let _ = queue.send(ClientMsg::Shutdown);
+        if let Some(thread) = self.timestamper {
+            // The timestamper routes what is queued, then ends.
+            self.pool.ingest.iter().for_each(|queue| queue.finish());
             // A panicked timestamper is contained: the join below still
             // stops the shards, and the counters stand in for it.
             let _ = thread.join();
         }
-        let ends = self.pool.join();
-        (self.pool, ends)
+        self.pool.finish()
     }
 }
 
 /// The timestamper thread: the ingestion queue, and the ordering cost it
 /// pays per transaction and per read.
 struct Timestamper {
-    queue: Receiver<ClientMsg>,
+    queue: Consumer<ClientMsg, Vec<GraphEvent>>,
     pool: Arc<ShardPool>,
-    cost: Duration,
     busy: MicrosCounter,
     queue_len: Gauge,
 }
@@ -425,30 +398,33 @@ struct Timestamper {
 impl Timestamper {
     /// Pays the serial ordering cost of one transaction (or read).
     fn order(&self) {
-        if !self.cost.is_zero() {
+        let cost = self.pool.config.timestamper_cost_per_tx;
+        if !cost.is_zero() {
             let start = Instant::now();
-            busy_work(self.cost);
+            busy_work(cost);
             self.busy.add(start.elapsed());
         }
     }
 
-    /// Sequences client traffic until the shutdown sentinel.
+    /// Sequences client traffic until shutdown finishes the queue. Each
+    /// transaction's emptied event buffer goes back to the clients with
+    /// the next take.
     fn run(self) {
         let pool = &*self.pool;
-        while let Ok(msg) = self.queue.recv() {
+        let mut spent = None;
+        while let Some(msg) = self.queue.take(spent.take(), || true) {
             match msg {
                 ClientMsg::Tx(transaction) => {
                     // Global ordering: the serial, per-transaction cost.
                     self.order();
                     let mut events = transaction.events;
                     lock(&pool.router).route(pool, &mut events);
-                    pool.recycle_events(events);
-                    let waiting = pool.unsequenced.fetch_sub(1, Ordering::SeqCst) - 1;
-                    self.queue_len.set(waiting as i64);
+                    spent = Some(events);
+                    self.queue.done(1);
+                    self.queue_len.set(self.queue.backlog() as i64);
                 }
                 // Markers are control traffic: they pay no ordering cost.
                 ClientMsg::Marker(name) => lock(&pool.router).mark(pool, &name),
-                ClientMsg::Shutdown => break,
             }
         }
     }
@@ -466,13 +442,13 @@ enum Verdict {
 }
 
 /// The sequencer's state, behind the pool's routing lock: the shard
-/// routes, the commit-timestamp counter, the live vertex ids, the marker
-/// cuts, the retained entries, the batches the shards handed back, and
-/// the routing body's scratch, reused across transactions — each event's
-/// owner and verdict, the entries owed to each shard, and the batch being
-/// filled for it (taken by the post, so empty between transactions).
+/// queues, the commit-timestamp counter, the live vertex ids, the marker
+/// cuts, the retained entries, and the routing body's scratch, reused
+/// across transactions — each event's owner and verdict, the entries owed
+/// to each shard, and the batch being filled for it (between transactions
+/// the emptied batch the shard's queue handed back on the last post).
 pub(crate) struct Router {
-    /// The current sender of every slot; a restart swaps one.
+    /// The current queue of every slot; a restart swaps one.
     pub(crate) routes: Vec<Route>,
     /// The next commit timestamp: advanced by a transaction's length when
     /// it is routed, so timestamps are stream positions.
@@ -485,16 +461,13 @@ pub(crate) struct Router {
     /// Per shard, every entry routed to it in commit order — in supervised
     /// mode only.
     pub(crate) retained: Vec<Batch>,
-    /// Batches the shards emptied and handed back, for reuse: a batch is
-    /// allocated and freed by the routing thread, never by a shard.
-    spare_batches: Receiver<Batch>,
     verdicts: Vec<(usize, Verdict)>,
     counts: Vec<usize>,
     parts: Vec<Batch>,
 }
 
 impl Router {
-    pub(crate) fn new(routes: Vec<Route>, spare_batches: Receiver<Batch>) -> Self {
+    pub(crate) fn new(routes: Vec<Route>) -> Self {
         let shards = routes.len();
         Router {
             routes,
@@ -502,7 +475,6 @@ impl Router {
             live: HashSet::default(),
             cuts: Vec::new(),
             retained: vec![Vec::new(); shards],
-            spare_batches,
             verdicts: Vec::new(),
             counts: vec![0; shards],
             parts: vec![Vec::new(); shards],
@@ -534,10 +506,10 @@ impl Router {
     pub(crate) fn route(&mut self, pool: &ShardPool, events: &mut Vec<GraphEvent>) {
         let shards = self.parts.len();
         // Decide and count in commit order, then fit one batch per shard,
-        // into a buffer a shard handed back when there is one.
+        // into the buffer its queue handed back when there is one.
         self.verdicts.clear();
         for event in events.iter() {
-            let shard = shard_for(event, shards as u64) as usize;
+            let shard = shard_of(event.home(), shards);
             let verdict = self.decide(event);
             self.counts[shard] += 1;
             if verdict == Verdict::Purge {
@@ -549,11 +521,7 @@ impl Router {
             self.verdicts.push((shard, verdict));
         }
         for (part, count) in self.parts.iter_mut().zip(&mut self.counts) {
-            let count = std::mem::take(count);
-            if count > 0 && part.capacity() == 0 {
-                *part = self.spare_batches.try_recv().unwrap_or_default();
-            }
-            part.reserve(count);
+            part.reserve(std::mem::take(count));
         }
         let first = self.next_ts;
         self.next_ts += events.len() as u64;
@@ -583,7 +551,7 @@ impl Router {
             // A dead shard fails fast — its share is counted lost and
             // sequencing continues (a dead partition must not end the
             // whole store).
-            match pool.post(&self.routes, shard, std::mem::take(part)) {
+            match pool.post(&self.routes[shard], shard, part) {
                 Ok(events) => pool.counters.events.add(events),
                 Err(events) => pool.counters.events_lost.add(events),
             }
@@ -600,36 +568,12 @@ impl Router {
         self.cuts.push((name.to_owned(), self.next_ts));
         // Intern once; the per-shard fan-out clones refcounts, not Strings.
         let name = gt_core::intern::intern(name);
-        for tx in &self.routes {
-            if tx.send(ShardMsg::Marker(Arc::clone(&name))).is_err() {
+        for route in &self.routes {
+            if route.push(ShardMsg::Marker(Arc::clone(&name)), 0).is_err() {
                 pool.counters.marker_skips.inc();
             }
         }
     }
-}
-
-/// Routing: vertex events go to the owner of the vertex, edge events to
-/// the owner of the source vertex.
-///
-/// Public because the routing function is part of the store's sharding
-/// *contract*: it must be a pure function of the entity id (the shard
-/// contract tests pin this), and the supervisor's replay must agree with
-/// the routing body exactly.
-pub fn shard_for(event: &GraphEvent, shards: u64) -> u64 {
-    let key = match event {
-        GraphEvent::AddVertex { id, .. }
-        | GraphEvent::RemoveVertex { id }
-        | GraphEvent::UpdateVertex { id, .. } => id.0,
-        GraphEvent::AddEdge { id, .. }
-        | GraphEvent::RemoveEdge { id }
-        | GraphEvent::UpdateEdge { id, .. } => id.src.0,
-    };
-    shard_for_key(key, shards)
-}
-
-/// Fibonacci hashing for an even spread of sequential ids.
-pub fn shard_for_key(key: u64, shards: u64) -> u64 {
-    (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) % shards
 }
 
 #[cfg(test)]
@@ -760,7 +704,7 @@ mod tests {
         assert_eq!(stats.per_shard_seqs.len(), 3);
         for (shard, seqs) in stats.per_shard_seqs.iter().enumerate() {
             let expected: Vec<u64> = (0..200u64)
-                .filter(|i| shard_for(&events[*i as usize], 3) == shard as u64)
+                .filter(|i| super::shard_of(events[*i as usize].home(), 3) == shard)
                 .collect();
             assert_eq!(seqs, &expected, "shard {shard}");
         }
@@ -1001,8 +945,8 @@ mod tests {
 
     /// Which shard owns a vertex id — helper for crash tests that need to
     /// know where events land.
-    fn shard_of(id: u64) -> u64 {
-        shard_for_key(id, 2)
+    fn shard_of(id: u64) -> usize {
+        super::shard_of(VertexId(id), 2)
     }
 
     /// Waits for an injected crash to land (the kill travels through the

@@ -4,9 +4,9 @@
 //! * **Routing purity**: the shard an event lands on is a pure function
 //!   of its entity key — vertex events by vertex id, edge events by the
 //!   edge's *source* — identical across calls, bounded by the shard
-//!   count, and *identical between the two platforms* (both use the same
-//!   Fibonacci hash), which is what lets the differential harness compare
-//!   their behavior shard-for-shard.
+//!   count, and *identical between the two platforms* (both call the one
+//!   function, `gt_core::hash::shard_of`), which is what lets the
+//!   differential harness compare their behavior shard-for-shard.
 //! * **Marker broadcast**: every marker reaches every shard exactly once
 //!   — the store counts arrivals per shard slot, the engine logs one
 //!   marker processing per worker — and in stream order per shard.
@@ -18,15 +18,20 @@
 //!   `EvolvingGraph` replay of the input holds — final state, every
 //!   marker window, the event count and the dangling-edge count — behind
 //!   either sequencer, whatever the stream throws at them.
+//! * **No drop in order**: an in-order single-sink stream loses no edge on
+//!   either platform (`dangling_edges_dropped` reads 0).
 
 use std::time::Duration;
 
-use graphtides::engine::{owner, route_target, EngineConfig, TideGraph};
+use graphtides::core::hash::shard_of;
+use graphtides::engine::{EngineConfig, TideGraph};
 use graphtides::graph::ApplyPolicy;
+use graphtides::harness::{EvaluationLevel, Target};
 use graphtides::metrics::MetricsHub;
 use graphtides::prelude::*;
-use graphtides::store::{shard_for, shard_for_key, StoreConfig, TideStore, Transaction};
+use graphtides::store::{StoreConfig, TideStore, Transaction};
 use graphtides::sut::Adjacency;
+use graphtides::workloads::SnbWorkload;
 use proptest::prelude::*;
 
 /// A mixed event from two raw bytes: vertex ops on id `a`, edge ops on
@@ -73,19 +78,19 @@ proptest! {
     ) {
         for &(a, b) in &raw {
             let event = event_from(a, b);
-            let s1 = shard_for(&event, shards as u64);
+            let s1 = shard_of(event.home(), shards);
             // Pure: same event, same answer.
-            prop_assert_eq!(s1, shard_for(&event, shards as u64));
+            prop_assert_eq!(s1, shard_of(event.home(), shards));
             // In range, and degenerate at one shard.
-            prop_assert!(s1 < shards as u64);
-            prop_assert_eq!(shard_for(&event, 1), 0);
+            prop_assert!(s1 < shards);
+            prop_assert_eq!(shard_of(event.home(), 1), 0);
             // Keyed by the entity: vertex events by the vertex id, edge
             // events by the source vertex id.
-            let key = route_target(&event).0;
-            prop_assert_eq!(s1, shard_for_key(key, shards as u64));
-            // Cross-platform agreement: the engine's owner() places the
-            // same event on the same worker index.
-            prop_assert_eq!(owner(route_target(&event), shards) as u64, s1);
+            let key = match &event {
+                GraphEvent::AddEdge { id, .. } => id.src,
+                _ => event.vertex().unwrap(),
+            };
+            prop_assert_eq!(event.home(), key);
         }
     }
 
@@ -137,7 +142,7 @@ proptest! {
             let owned: Vec<u64> = events
                 .iter()
                 .enumerate()
-                .filter(|(_, e)| shard_for(e, shards as u64) == slot as u64)
+                .filter(|(_, e)| shard_of(e.home(), shards) == slot)
                 .map(|(i, _)| i as u64)
                 .collect();
             prop_assert_eq!(seqs, &owned, "shard {} log != owned subsequence", slot);
@@ -291,4 +296,30 @@ fn adjacency(graph: &EvolvingGraph) -> Adjacency {
             (v.0, out)
         })
         .collect()
+}
+
+/// An in-order single-sink SNB stream drops no edge on either platform:
+/// every edge arrives after both its endpoints.
+#[test]
+fn an_in_order_stream_drops_no_edge_on_either_platform() {
+    let stream = SnbWorkload {
+        persons: 150,
+        connections: 1_500,
+        seed: 3,
+    }
+    .generate();
+    let registry = graphtides::builtin_registry();
+    let options = SutOptions::new()
+        .set("timestamper_cost_us", 0)
+        .set("shard_cost_us", 0)
+        .set("shards", 3);
+    for name in ["tide-store", "tide-store-sharded", "tide-graph"] {
+        let mut plan = RunPlan::new(stream.clone(), 400_000.0).at_level(EvaluationLevel::Level0);
+        plan.sysmon = None;
+        let outcome = run(plan, Target::Sut(&registry, name, &options)).unwrap();
+        assert!(outcome.quiesced, "{name}");
+        let report = outcome.sut_report();
+        assert_eq!(report.get("events"), Some(stream.len() as f64), "{name}");
+        assert_eq!(report.get("dangling_edges_dropped"), Some(0.0), "{name}");
+    }
 }
