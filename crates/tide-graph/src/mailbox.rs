@@ -30,7 +30,6 @@
 //! Public only for the transport contract tests; the engine is the one
 //! user.
 
-use std::ops::Deref;
 use std::sync::mpsc::SyncSender;
 use std::sync::Arc;
 
@@ -86,22 +85,14 @@ pub enum Msg<M> {
 /// the engine-wide `enqueued − processed` never touches zero while
 /// anything is still queued, being processed, or about to be posted.
 ///
-/// The queue's own surface — `done`, `account`, `backlog`, `is_open`,
-/// `close` — is the mailbox's; posts and receives go through the methods
-/// below, which keep the share packing and the block pool.
+/// Posts and receives go through the methods below, which keep the share
+/// packing and the block pool; of the queue's own surface only the
+/// account and the ends are forwarded.
 pub struct Mailbox<M>(Queue<Msg<M>, Batch<M>>);
 
 impl<M> Default for Mailbox<M> {
     fn default() -> Self {
         Mailbox(Queue::new(usize::MAX, SPARE_BLOCKS))
-    }
-}
-
-impl<M> Deref for Mailbox<M> {
-    type Target = Queue<Msg<M>, Batch<M>>;
-
-    fn deref(&self) -> &Self::Target {
-        &self.0
     }
 }
 
@@ -113,7 +104,7 @@ impl<M> Mailbox<M> {
             !matches!(msg, Msg::Shares(_)),
             "shares go through post_shares"
         );
-        u64::from(self.push(msg, 1).is_err())
+        u64::from(self.0.push(msg, 1).is_err())
     }
 
     /// Moves every share of `shares` into the queue, in order: into the
@@ -123,7 +114,7 @@ impl<M> Mailbox<M> {
     /// closed.
     pub fn post_shares(&self, shares: &mut Batch<M>) -> u64 {
         let items = shares.len() as u64;
-        let packed = self.push_with(&mut *shares, items, |shares, msgs, spare| {
+        let packed = self.0.push_with(shares, items, |shares, msgs, spare| {
             let mut rest = shares.drain(..);
             if let Some(Msg::Shares(tail)) = msgs.back_mut() {
                 let room = BLOCK_SHARES.saturating_sub(tail.len());
@@ -150,14 +141,41 @@ impl<M> Mailbox<M> {
     /// mailbox is closed. `spent` — the receiver's consumed block — is
     /// handed back first (see [`try_recv`](Self::try_recv)).
     pub(crate) fn recv(&self, spent: &mut Batch<M>) -> Option<Msg<M>> {
-        self.take(Self::spent(spent), || true)
+        self.0.take(Self::spent(spent), || true)
     }
 
     /// The next message if one is queued. `spent` — the receiver's
     /// consumed block — is emptied first and, while the spare pool has
     /// room, kept for the next shares posted here.
     pub fn try_recv(&self, spent: &mut Batch<M>) -> Option<Msg<M>> {
-        self.take(Self::spent(spent), || false)
+        self.0.take(Self::spent(spent), || false)
+    }
+
+    /// Marks `items` received and processed: the receiver's call, once the
+    /// round that consumed them has posted its output.
+    pub fn done(&self, items: u64) {
+        self.0.done(items)
+    }
+
+    /// `(enqueued, processed)` items; see [`Queue::account`].
+    pub(crate) fn account(&self) -> (u64, u64) {
+        self.0.account()
+    }
+
+    /// Items queued, or received and not yet done.
+    pub fn backlog(&self) -> u64 {
+        self.0.backlog()
+    }
+
+    /// Whether posts are still accepted: `false` once the worker is gone.
+    pub(crate) fn is_open(&self) -> bool {
+        self.0.is_open()
+    }
+
+    /// The worker is gone: what is queued is dropped, and later posts are
+    /// refused and counted lost by their posters.
+    pub(crate) fn close(&self) {
+        self.0.close()
     }
 
     /// A consumed block, emptied, to hand back: a block is worth keeping
@@ -184,7 +202,7 @@ mod tests {
     }
 
     #[test]
-    fn spent_blocks_are_reused() {
+    fn spent_blocks_are_reused_and_the_spare_list_stays_bounded() {
         let mailbox = Mailbox::<f64>::default();
         mailbox.post_shares(&mut shares(3 * BLOCK_SHARES * SPARE_BLOCKS));
         let mut blocks = Vec::new();
@@ -194,20 +212,33 @@ mod tests {
             blocks.push(block);
         }
         assert_eq!(blocks.len(), 3 * SPARE_BLOCKS);
-        let addresses: Vec<_> = blocks.iter().map(|block| block.as_ptr()).collect();
+        // Handed back in this order, the pool keeps the first
+        // `SPARE_BLOCKS` and frees the rest.
+        let kept: Vec<_> = (blocks.iter().take(SPARE_BLOCKS))
+            .map(|block| block.as_ptr())
+            .collect();
         for block in blocks {
             spent = block;
             assert!(mailbox.try_recv(&mut spent).is_none());
             assert!(spent.is_empty());
         }
 
-        // The next posts fill the spare blocks before asking for new ones.
-        mailbox.post_shares(&mut shares(SPARE_BLOCKS * BLOCK_SHARES));
-        let mut spent = Vec::new();
-        while let Some(Msg::Shares(block)) = mailbox.try_recv(&mut spent) {
-            assert!(addresses.contains(&block.as_ptr()), "a fresh block");
+        // The next posts take every kept block, the last handed back
+        // first, and only then a new one: one block more than the cap
+        // shows both the cap and the pool emptied.
+        mailbox.post_shares(&mut shares((SPARE_BLOCKS + 1) * BLOCK_SHARES));
+        let mut received = Vec::new();
+        while let Some(Msg::Shares(block)) = mailbox.try_recv(&mut Vec::new()) {
             assert_eq!(block.len(), BLOCK_SHARES);
+            received.push(block.as_ptr());
         }
+        let reused: Vec<_> = kept.into_iter().rev().collect();
+        assert_eq!(received.len(), SPARE_BLOCKS + 1);
+        assert_eq!(received[..SPARE_BLOCKS], reused[..]);
+        assert!(
+            !reused.contains(&received[SPARE_BLOCKS]),
+            "a kept block twice"
+        );
     }
 
     #[test]

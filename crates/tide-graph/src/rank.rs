@@ -136,9 +136,11 @@ impl Partition for RankPartition {
             GraphEvent::RemoveVertex { id } => {
                 self.vertices.remove(id);
             }
-            // A self-loop carries no influence: skipped, not dropped.
-            GraphEvent::AddEdge { id, .. } if id.is_self_loop() => {}
             GraphEvent::AddEdge { id, .. } => {
+                // A self-loop carries no influence: skipped, not dropped.
+                if id.is_self_loop() {
+                    return true;
+                }
                 let Some(state) = self.vertices.get_mut(&id.src) else {
                     return false;
                 };
@@ -148,11 +150,12 @@ impl Partition for RankPartition {
                 }
             }
             GraphEvent::RemoveEdge { id } => {
-                if let Some(state) = self.vertices.get_mut(&id.src) {
-                    if state.out.remove(id.dst).is_some() {
-                        Self::reseed(state, reseed);
-                        dirty.push(id.src);
-                    }
+                let Some(state) = self.vertices.get_mut(&id.src) else {
+                    return true;
+                };
+                if state.out.remove(id.dst).is_some() {
+                    Self::reseed(state, reseed);
+                    dirty.push(id.src);
                 }
             }
             GraphEvent::UpdateVertex { .. } | GraphEvent::UpdateEdge { .. } => {}

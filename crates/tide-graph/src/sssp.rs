@@ -91,9 +91,11 @@ impl Partition for DistancePartition {
                     self.stale_hazards += 1;
                 }
             }
-            // A self-loop never shortens a path: skipped, not dropped.
-            GraphEvent::AddEdge { id, .. } if id.is_self_loop() => {}
             GraphEvent::AddEdge { id, state } => {
+                // A self-loop never shortens a path: skipped, not dropped.
+                if id.is_self_loop() {
+                    return true;
+                }
                 let weight = Self::edge_weight(state);
                 let Some(vstate) = self.vertices.get_mut(&id.src) else {
                     return false;
@@ -104,19 +106,26 @@ impl Partition for DistancePartition {
             }
             GraphEvent::UpdateEdge { id, state } => {
                 let weight = Self::edge_weight(state);
-                if let Some(slot) =
-                    (self.vertices.get_mut(&id.src)).and_then(|v| v.out.get_mut(id.dst))
-                {
+                let Some(vstate) = self.vertices.get_mut(&id.src) else {
+                    return true;
+                };
+                let mut hazard = false;
+                if let Some(slot) = vstate.out.get_mut(id.dst) {
                     if weight > *slot {
-                        self.stale_hazards += 1;
+                        hazard = true;
                     }
                     *slot = weight;
                     dirty.push(id.src);
                 }
+                if hazard {
+                    self.stale_hazards += 1;
+                }
             }
             GraphEvent::RemoveEdge { id } => {
-                let removed = (self.vertices.get_mut(&id.src)).and_then(|v| v.out.remove(id.dst));
-                if removed.is_some() {
+                let Some(vstate) = self.vertices.get_mut(&id.src) else {
+                    return true;
+                };
+                if vstate.out.remove(id.dst).is_some() {
                     self.stale_hazards += 1;
                 }
             }

@@ -26,14 +26,14 @@
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use gt_core::hash::shard_of;
 use gt_core::prelude::*;
 use gt_core::queue::{Consumer, Queue};
-use gt_core::sync::lock;
+use gt_core::sync::{lock, read, write};
 use gt_metrics::hub::{Counter, MicrosCounter};
 use gt_metrics::MetricsHub;
 use gt_sut::{busy_work, Adjacency, WindowDigest, WorkerSupervisor};
@@ -65,10 +65,10 @@ pub(crate) type Route = Arc<Queue<ShardMsg, Batch>>;
 /// event buffers going back to the clients.
 pub(crate) type Ingest = Queue<ClientMsg, Vec<GraphEvent>>;
 
-/// A fresh shard queue of `queue_capacity` batches. Its pool, like the
-/// ingestion queue's, has room for every buffer the queue can hold and
-/// the one being emptied.
-fn shard_queue(config: &StoreConfig) -> Route {
+/// A fresh shard or ingestion queue of `queue_capacity` messages. Its
+/// pool has room for every buffer the queue can hold and the one being
+/// emptied.
+fn bounded<M, B>(config: &StoreConfig) -> Arc<Queue<M, B>> {
     Arc::new(Queue::new(config.queue_capacity, config.queue_capacity + 1))
 }
 
@@ -127,6 +127,10 @@ pub(crate) struct ShardPool {
     /// behind exactly the events below its cut. (A crash's loss count
     /// needs no lock: its queue books a post only while open.)
     pub(crate) router: Mutex<Router>,
+    /// Every slot's current queue. A restart swaps one, holding the
+    /// router lock too; the sequencers read them under the router lock,
+    /// `quiesce` and `finish` without it.
+    pub(crate) routes: RwLock<Vec<Route>>,
     /// The timestamper's ingestion queue; `None` behind the router, which
     /// has no ingestion stage.
     pub(crate) ingest: Option<Arc<Ingest>>,
@@ -160,12 +164,11 @@ impl ShardPool {
     pub(crate) fn start(config: StoreConfig, routed: bool, hub: &MetricsHub) -> Arc<Self> {
         assert!(config.shards >= 1, "at least one shard required");
         assert!(config.queue_capacity > 0, "queue capacity must be > 0");
-        let routes: Vec<Route> = (0..config.shards).map(|_| shard_queue(&config)).collect();
+        let routes: Vec<Route> = (0..config.shards).map(|_| bounded(&config)).collect();
         let pool = Arc::new(ShardPool {
-            router: Mutex::new(Router::new(routes.clone())),
-            // Transactions weighted 1; its pool sized like a shard queue's.
-            ingest: (!routed)
-                .then(|| Arc::new(Queue::new(config.queue_capacity, config.queue_capacity + 1))),
+            router: Mutex::new(Router::new(config.shards)),
+            routes: RwLock::new(routes.clone()),
+            ingest: (!routed).then(|| bounded(&config)),
             handles: Mutex::new(Vec::with_capacity(config.shards)),
             shard_markers: Mutex::new(Vec::new()),
             config,
@@ -242,18 +245,16 @@ impl ShardPool {
     /// shard has applied every event enqueued to it, or the timeout
     /// elapses. A crashed shard's backlog is written off as lost when it
     /// dies, so it does not hold the wait; a shard that panicked does.
+    ///
+    /// A poll reads the queues without the router lock, so it never waits
+    /// behind a sequencer that is blocked on a full shard queue.
     pub(crate) fn quiesce(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         loop {
             // Ingestion first: once it is idle every share of every
             // submitted transaction is on a shard's account.
             let ingested = (self.ingest.as_ref()).is_none_or(|queue| queue.backlog() == 0);
-            if ingested
-                && lock(&self.router)
-                    .routes
-                    .iter()
-                    .all(|route| route.backlog() == 0)
-            {
+            if ingested && read(&self.routes).iter().all(|route| route.backlog() == 0) {
                 return true;
             }
             if Instant::now() >= deadline {
@@ -273,7 +274,7 @@ impl ShardPool {
     /// into one of its vertices is dropped and counted dangling (see
     /// [`ShardedGraph`]).
     pub(crate) fn finish(&self) -> StoreStats {
-        (lock(&self.router).routes.iter()).for_each(|route| route.finish());
+        read(&self.routes).iter().for_each(|route| route.finish());
         let shards = self.config.shards;
         let mut parts: Vec<PartitionState> = (0..shards).map(|_| PartitionState::new()).collect();
         let mut per_shard_seqs = vec![Vec::new(); shards];
@@ -482,9 +483,8 @@ impl WorkerSupervisor for StoreSupervisor {
         if worker >= pool.config.shards || pool.stopping.load(Ordering::SeqCst) {
             return false;
         }
-        lock(&pool.router).routes[worker]
-            .push(ShardMsg::Crash, 0)
-            .is_ok()
+        let _routing = lock(&pool.router);
+        read(&pool.routes)[worker].push(ShardMsg::Crash, 0).is_ok()
     }
 
     /// Restarts a crashed shard (supervised mode only): waits briefly for
@@ -501,24 +501,23 @@ impl WorkerSupervisor for StoreSupervisor {
         // The crash message travels through the shard's backlog; give it
         // time to land before declaring the restart impossible.
         let deadline = Instant::now() + Duration::from_secs(5);
-        while lock(&pool.router).routes[worker].is_open() {
+        while read(&pool.routes)[worker].is_open() {
             if Instant::now() > deadline || pool.stopping.load(Ordering::SeqCst) {
                 return false;
             }
             std::thread::sleep(Duration::from_millis(1));
         }
 
-        let mut router = lock(&pool.router);
+        let router = lock(&pool.router);
         if pool.stopping.load(Ordering::SeqCst) {
             return false;
         }
         // A fresh queue starts a fresh account: what the dead shard left
         // unapplied was written off when it died. Spawn first so the
         // bounded queue drains while replay fills it.
-        let route = shard_queue(config);
+        let route = bounded(config);
         let handle = pool.spawn_shard(worker, Arc::clone(&route));
-        router.routes[worker] = Arc::clone(&route);
-        let router = &*router;
+        write(&pool.routes)[worker] = Arc::clone(&route);
         let mut cuts = router.cuts.iter().map(|&(_, cut)| cut).peekable();
         let (mut batch, mut replayed) = (Batch::with_capacity(REPLAY_BATCH), 0);
         let mut flush = |batch: &mut Batch| {

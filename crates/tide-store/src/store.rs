@@ -64,7 +64,7 @@ use std::time::{Duration, Instant};
 use gt_core::hash::shard_of;
 use gt_core::prelude::*;
 use gt_core::queue::Consumer;
-use gt_core::sync::lock;
+use gt_core::sync::{lock, read};
 use gt_core::VertexBuildHasher;
 use gt_metrics::hub::{Gauge, MicrosCounter};
 use gt_metrics::MetricsHub;
@@ -72,7 +72,7 @@ use gt_sut::{busy_work, WindowDigest, WorkerSupervisor};
 use gt_trace::TracerCell;
 
 use crate::partition::ShardedGraph;
-use crate::shard::{Batch, Route, ShardMsg, ShardPool, StoreSupervisor};
+use crate::shard::{Batch, ShardMsg, ShardPool, StoreSupervisor};
 
 /// Store configuration.
 ///
@@ -441,15 +441,13 @@ enum Verdict {
     Purge,
 }
 
-/// The sequencer's state, behind the pool's routing lock: the shard
-/// queues, the commit-timestamp counter, the live vertex ids, the marker
+/// The sequencer's state, behind the pool's routing lock: the
+/// commit-timestamp counter, the live vertex ids, the marker
 /// cuts, the retained entries, and the routing body's scratch, reused
 /// across transactions — each event's owner and verdict, the entries owed
 /// to each shard, and the batch being filled for it (between transactions
 /// the emptied batch the shard's queue handed back on the last post).
 pub(crate) struct Router {
-    /// The current queue of every slot; a restart swaps one.
-    pub(crate) routes: Vec<Route>,
     /// The next commit timestamp: advanced by a transaction's length when
     /// it is routed, so timestamps are stream positions.
     next_ts: u64,
@@ -467,10 +465,8 @@ pub(crate) struct Router {
 }
 
 impl Router {
-    pub(crate) fn new(routes: Vec<Route>) -> Self {
-        let shards = routes.len();
+    pub(crate) fn new(shards: usize) -> Self {
         Router {
-            routes,
             next_ts: 0,
             live: HashSet::default(),
             cuts: Vec::new(),
@@ -541,6 +537,7 @@ impl Router {
             };
             self.parts[shard].push((ts, entry));
         }
+        let routes = read(&pool.routes);
         for (shard, part) in self.parts.iter_mut().enumerate() {
             if part.is_empty() {
                 continue;
@@ -551,7 +548,7 @@ impl Router {
             // A dead shard fails fast — its share is counted lost and
             // sequencing continues (a dead partition must not end the
             // whole store).
-            match pool.post(&self.routes[shard], shard, part) {
+            match pool.post(&routes[shard], shard, part) {
                 Ok(events) => pool.counters.events.add(events),
                 Err(events) => pool.counters.events_lost.add(events),
             }
@@ -568,7 +565,7 @@ impl Router {
         self.cuts.push((name.to_owned(), self.next_ts));
         // Intern once; the per-shard fan-out clones refcounts, not Strings.
         let name = gt_core::intern::intern(name);
-        for route in &self.routes {
+        for route in read(&pool.routes).iter() {
             if route.push(ShardMsg::Marker(Arc::clone(&name)), 0).is_err() {
                 pool.counters.marker_skips.inc();
             }
