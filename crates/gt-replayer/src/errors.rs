@@ -64,7 +64,6 @@ impl ReplayError {
         let kind = match &self {
             ReplayError::Io(e) => e.kind(),
             ReplayError::SinkGaveUp { .. } => io::ErrorKind::ConnectionAborted,
-            ReplayError::InvalidControl { .. } => io::ErrorKind::InvalidData,
             _ => io::ErrorKind::Other,
         };
         io::Error::new(kind, self)

@@ -9,8 +9,9 @@
 //!
 //! [`PacerCore`] is pure over replay-relative nanoseconds — no clock
 //! reads, no sleeping — so SPEED / PAUSE / stall scenarios are testable
-//! deterministically. The [`crate::Replayer`] reads "now" from the run's
-//! [`gt_metrics::Clock`] and blocks with [`gt_metrics::Clock::wait_until`]
+//! deterministically. The emitter of a [`crate::ReplaySession`] reads
+//! "now" from the run's [`gt_metrics::Clock`] and blocks with
+//! [`gt_metrics::Clock::wait_until`]
 //! (sleep on a 1 ns-slack timer until the thread's learned spin margin —
 //! the timer's measured wake-up error — is left, then spin for that
 //! margin only): one time base and one wait for the whole instrument, and

@@ -112,9 +112,11 @@ pub struct ReconnectingTcpSink {
     writer: Option<BufWriter<TcpStream>>,
     policy: ReconnectPolicy,
     clock: Arc<dyn Clock>,
-    /// Lines written since the last successful flush — replayed onto a
-    /// fresh connection after a drop.
-    pending: Vec<String>,
+    /// Lines written since the last successful flush, each ending in a
+    /// newline — replayed onto a fresh connection after a drop.
+    pending: String,
+    /// Lines in `pending`.
+    pending_lines: usize,
     /// Successful reconnects so far.
     reconnects: u64,
     /// Disconnects so far — the jitter round, so successive outages draw
@@ -132,7 +134,6 @@ pub struct ReconnectingTcpSink {
     /// The most recent disconnect's cause, carried into a final give-up.
     last_cause: DisconnectCause,
     events: Vec<SinkEvent>,
-    buf: String,
 }
 
 const SOCKET_BUFFER: usize = 64 * 1024;
@@ -150,7 +151,8 @@ impl ReconnectingTcpSink {
             writer: Some(BufWriter::with_capacity(SOCKET_BUFFER, stream)),
             policy: ReconnectPolicy::default(),
             clock: Arc::new(WallClock::start()),
-            pending: Vec::new(),
+            pending: String::new(),
+            pending_lines: 0,
             reconnects: 0,
             disconnects: 0,
             flush_every: 256,
@@ -158,7 +160,6 @@ impl ReconnectingTcpSink {
             disconnects_by_cause: [0; 4],
             last_cause: DisconnectCause::Other,
             events: Vec::new(),
-            buf: String::with_capacity(64),
         })
     }
 
@@ -218,15 +219,14 @@ impl ReconnectingTcpSink {
         });
     }
 
-    /// One dial attempt: connect and replay all pending lines.
+    /// One dial attempt: connect and replay the pending window in one
+    /// write.
     fn try_dial(&mut self) -> io::Result<()> {
         let stream = TcpStream::connect(&self.addr)?;
         stream.set_nodelay(true)?;
         stream.set_write_timeout(self.write_timeout)?;
         let mut writer = BufWriter::with_capacity(SOCKET_BUFFER, stream);
-        for line in &self.pending {
-            writer.write_all(line.as_bytes())?;
-        }
+        writer.write_all(self.pending.as_bytes())?;
         self.writer = Some(writer);
         Ok(())
     }
@@ -300,7 +300,7 @@ impl ReconnectingTcpSink {
                         SinkEventKind::Reconnected {
                             attempt: i as u32 + 1,
                         },
-                        format!("replayed {} pending lines", self.pending.len()),
+                        format!("replayed {} pending lines", self.pending_lines),
                     );
                     return Ok(());
                 }
@@ -332,6 +332,7 @@ impl ReconnectingTcpSink {
             match writer.flush() {
                 Ok(()) => {
                     self.pending.clear();
+                    self.pending_lines = 0;
                     if self.writer.as_ref().is_some_and(Self::peer_sent_fin) {
                         let e = io::Error::new(
                             io::ErrorKind::UnexpectedEof,
@@ -358,22 +359,21 @@ impl ReconnectingTcpSink {
 
 impl EventSink for ReconnectingTcpSink {
     fn send(&mut self, entry: &StreamEntry) -> io::Result<()> {
-        self.buf.clear();
-        gt_core::format::write_line(entry, &mut self.buf);
-        self.buf.push('\n');
-        let line = std::mem::take(&mut self.buf);
         // The line joins the replay window first so a failed write (or a
         // reconnect triggered by it) re-sends it too.
-        self.pending.push(line);
+        let start = self.pending.len();
+        gt_core::format::write_line(entry, &mut self.pending);
+        self.pending.push('\n');
+        self.pending_lines += 1;
         let result = match self.writer.as_mut() {
-            Some(w) => w.write_all(self.pending.last().expect("just pushed").as_bytes()),
+            Some(w) => w.write_all(&self.pending.as_bytes()[start..]),
             None => Err(io::Error::new(io::ErrorKind::NotConnected, "no connection")),
         };
         if let Err(e) = result {
             // reconnect() replays all pending lines, including this one.
             self.reconnect(&e)?;
         }
-        if self.pending.len() >= self.flush_every {
+        if self.pending_lines >= self.flush_every {
             self.flush_inner()?;
         }
         Ok(())
@@ -425,7 +425,7 @@ mod tests {
             sink.send(&vertex(i)).unwrap();
         }
         sink.flush().unwrap();
-        assert!(sink.pending.is_empty());
+        assert_eq!((sink.pending.as_str(), sink.pending_lines), ("", 0));
         assert_eq!(sink.reconnects(), 0);
         assert!(sink.drain_events().is_empty());
         drop(sink);
@@ -611,10 +611,15 @@ mod tests {
         for i in 0..20 {
             sink.send(&vertex(i)).unwrap();
         }
-        // Two auto-flushes (at 8 and 16) already confirmed 16 lines.
-        assert_eq!(sink.pending.len(), 4);
+        // Two auto-flushes (at 8 and 16) already confirmed 16 lines; the
+        // window holds the last four, whole.
+        let window: String = (16..20).map(|i| format!("ADD_VERTEX,{i},\n")).collect();
+        assert_eq!(
+            (sink.pending.as_str(), sink.pending_lines),
+            (window.as_str(), 4)
+        );
         sink.flush().unwrap();
-        assert!(sink.pending.is_empty());
+        assert_eq!((sink.pending.as_str(), sink.pending_lines), ("", 0));
         drop(sink);
         assert_eq!(reader.join().unwrap(), 20);
     }

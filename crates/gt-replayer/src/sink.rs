@@ -135,9 +135,10 @@ pub trait EventSink {
     /// Delivers one entry.
     fn send(&mut self, entry: &StreamEntry) -> io::Result<()>;
 
-    /// Delivers a batch of entries that became due together (the replayer
-    /// coalesces events sharing a pacing deadline). Default: per-entry
-    /// [`send`](EventSink::send) fallback.
+    /// Delivers a batch of entries that became due together (the session's
+    /// emitter sends each run of due graph events as one slice of the
+    /// chunk it holds). Default: per-entry [`send`](EventSink::send)
+    /// fallback.
     fn send_batch(&mut self, batch: &[SharedEntry]) -> io::Result<()> {
         for entry in batch {
             self.send(entry)?;
