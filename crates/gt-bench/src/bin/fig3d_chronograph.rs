@@ -13,9 +13,17 @@
 //!
 //! Scaled-down by default to 1/10 of the paper's stream (≈19k events,
 //! pause after 10k, doubled rate for the next 5k) so the run finishes in
-//! ~15 s; set `GT_BENCH_SCALE=10` for the paper-sized stream.
+//! ~25 s; set `GT_BENCH_SCALE=10` for the paper-sized stream.
+//!
+//! The shape is a gate: the run exits non-zero, naming the predicate,
+//! when the engine does not drain, when its drain tail is shorter than
+//! [`MIN_DRAIN_SHARE`] of the stream's duration, or when the summed
+//! worker queues peak before the stream ends ([`shape_failures`]). The
+//! thresholds hold at the default scale; at a tenth of it the engine
+//! keeps up and the tail all but vanishes.
 
 use std::collections::BTreeMap;
+use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -36,6 +44,12 @@ use tide_graph::{TideGraph, TideGraphSut};
 
 /// How often the stack of series (and the Level-0 monitor) is sampled.
 const SAMPLING: Duration = Duration::from_millis(250);
+
+/// The shortest drain tail the gate accepts, as a share of the stream's
+/// duration. Three default-scale runs on a 2-core host read tails of
+/// 1.13–1.38 streams (2.37–2.73 before shares were combined per target),
+/// a margin of more than 2×; draining everything per round read 0.01.
+const MIN_DRAIN_SHARE: f64 = 0.5;
 
 /// One row of the stacked plot: the replay rate and the mean worker's
 /// ops rate and CPU over the measured interval that ends at `t_micros`,
@@ -64,7 +78,7 @@ fn totals(hub: &MetricsHub, clock: &dyn Clock, workers: usize) -> (u64, [u64; 3]
     )
 }
 
-fn main() {
+fn main() -> ExitCode {
     header("Figure 3d: Chronograph-class engine under a varying-rate social stream");
     let workers = 4usize;
     let fraction = (scale() / 10.0).min(1.0);
@@ -275,6 +289,44 @@ fn main() {
     );
 
     print_resource_phases(&report, resources, run_end_micros);
+
+    let drain_s = (run_end_micros - stream_end_micros) as f64 / 1e6;
+    let peak = samples
+        .iter()
+        .max_by_key(|s| s.queues.iter().sum::<i64>())
+        .map(|s| s.t_micros as f64 / 1e6);
+    println!("\ndrain tail {drain_s:.2}s after a {stream_end_t:.2}s stream");
+    let failures = shape_failures(drained, stream_end_t, drain_s, peak);
+    if failures.is_empty() {
+        return ExitCode::SUCCESS;
+    }
+    eprintln!("fig3d: shape check failed: {}", failures.join("; "));
+    ExitCode::FAILURE
+}
+
+/// The paper's fig 3d claim — the queues build while the stream runs and
+/// the engine keeps computing long after it ends — as predicates over one
+/// run: whether the engine drained, the stream's and the drain tail's
+/// length, and when the summed queues peaked (seconds on the run clock;
+/// `None` without samples). Returns the predicates that failed.
+fn shape_failures(drained: bool, stream_s: f64, drain_s: f64, peak_s: Option<f64>) -> Vec<String> {
+    let mut failures = Vec::new();
+    if !drained {
+        failures.push("the engine did not drain".to_owned());
+    }
+    if drain_s < MIN_DRAIN_SHARE * stream_s {
+        failures.push(format!(
+            "drain tail {drain_s:.2}s is shorter than {MIN_DRAIN_SHARE} of the {stream_s:.2}s stream"
+        ));
+    }
+    match peak_s {
+        Some(peak) if peak >= stream_s => {}
+        Some(peak) => failures.push(format!(
+            "queue-sum peaks at {peak:.2}s, before the stream ends at {stream_s:.2}s"
+        )),
+        None => failures.push("no queue samples".to_owned()),
+    }
+    failures
 }
 
 /// The Level-0 view of the same run: merge the monitor's resource series
@@ -355,4 +407,24 @@ fn rank_error(
         .collect();
     errors.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
     errors[errors.len() / 2]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_long_drain_after_a_late_peak_passes() {
+        assert!(shape_failures(true, 10.3, 11.2, Some(10.5)).is_empty());
+    }
+
+    #[test]
+    fn each_failed_predicate_is_named() {
+        let failed = shape_failures(false, 10.0, 4.9, Some(9.9));
+        assert_eq!(failed.len(), 3, "{failed:?}");
+        assert!(failed[0].contains("did not drain"));
+        assert!(failed[1].contains("drain tail 4.90s"));
+        assert!(failed[2].contains("peaks at 9.90s"));
+        assert_eq!(shape_failures(true, 10.0, 5.0, None), ["no queue samples"]);
+    }
 }

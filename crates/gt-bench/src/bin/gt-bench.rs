@@ -7,8 +7,8 @@
 //! Measures the §4.2 parse path (borrowed vs owned), the graph-event
 //! ingest path (the reference `EvolvingGraph` and the store's
 //! `PartitionState`, each also under the paper's Table 3 mix with its
-//! vertex removals; plus the rank engine's result-board publish and its
-//! share transport) and
+//! vertex removals; plus the rank engine's result-board publish and one
+//! worker's drain, per share and per event) and
 //! the load layer's client side (one open-loop
 //! client at an unbounded rate into a counting sink, the stream
 //! partitioner, the replayer's whole file → reader → emitter session
@@ -231,6 +231,10 @@ struct Gated {
 impl Partition for Gated {
     type Msg = f64;
 
+    fn combine(into: &mut f64, mass: f64) {
+        RankPartition::combine(into, mass);
+    }
+
     fn apply_event_deferred(&mut self, event: &GraphEvent, dirty: &mut Vec<VertexId>) -> bool {
         while !self.open.load(Ordering::Acquire) {
             std::thread::yield_now();
@@ -287,12 +291,18 @@ fn drain_shares(stream: &[GraphEvent]) -> u64 {
     engine.shutdown().shares
 }
 
-/// `ingest/share-transport`: ns and allocations per *share* for one
-/// worker draining a fixed preferential-attachment stream (shaped like
-/// the benchmark's `graph-direct-rank` one) — mailbox posts, packing,
-/// block recycling and the rank program's receive side. Engine start-up
-/// and the graph's own growth are in it too, spread over ~10⁶ shares.
-fn share_transport_suite(rounds: u32) -> BenchRecord {
+/// One worker draining a fixed preferential-attachment stream (shaped
+/// like the benchmark's `graph-direct-rank` one), measured twice:
+///
+/// * `ingest/share-transport`, ns and allocations per *share* — mailbox
+///   posts, the per-target combine, packing, block recycling and the rank
+///   program's receive side;
+/// * `ingest/rank-round`, the same drain per *stream event* — the whole
+///   rank computation's cost, so a change that sends fewer shares for the
+///   same stream reads as a gain here.
+///
+/// Engine start-up and the graph's own growth are in both.
+fn rank_drain_suites(rounds: u32) -> [BenchRecord; 2] {
     let stream: Vec<GraphEvent> = gt_graph::builders::BarabasiAlbert {
         n: 526,
         m0: 18,
@@ -304,13 +314,17 @@ fn share_transport_suite(rounds: u32) -> BenchRecord {
     .cloned()
     .collect();
     let shares = drain_shares(&stream);
-    measure("ingest/share-transport", shares, rounds, || {
+    let drain = || {
         assert_eq!(
             drain_shares(&stream),
             shares,
             "the drain is not deterministic"
         );
-    })
+    };
+    [
+        measure("ingest/share-transport", shares, rounds, drain),
+        measure("ingest/rank-round", stream.len() as u64, rounds, drain),
+    ]
 }
 
 /// Events of `ingest/evolving-graph-snb`'s stream (persons and "knows"
@@ -341,7 +355,7 @@ fn ingest_suites(events: &[GraphEvent], rounds: u32) -> Vec<BenchRecord> {
     };
     let snb: Vec<GraphEvent> = snb_workload.generate().graph_events().cloned().collect();
     let snb_n = snb.len() as u64;
-    vec![
+    let mut suites = vec![
         measure("ingest/evolving-graph", n, rounds, || {
             apply_to_graph(events)
         }),
@@ -358,8 +372,9 @@ fn ingest_suites(events: &[GraphEvent], rounds: u32) -> Vec<BenchRecord> {
             apply_to_partition(&mixed)
         }),
         board_publish_suite(rounds),
-        share_transport_suite(rounds),
-    ]
+    ];
+    suites.extend(rank_drain_suites(rounds));
+    suites
 }
 
 /// A sink that only counts: what is left is the client's own cost.

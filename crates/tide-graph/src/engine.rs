@@ -24,8 +24,11 @@
 //!
 //! Each worker has one [`Mailbox`]: shares travel packed in blocks but
 //! are scheduled and accounted as *items*, exactly as if every share were
-//! its own message (see [`crate::mailbox`]).
+//! its own message (see [`crate::mailbox`]). What a round sends is one
+//! share per target: the shares it owes a target are folded into one
+//! with [`Partition::combine`] before they are posted.
 
+use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, SyncSender};
@@ -43,7 +46,7 @@ use gt_trace::{Probe, Stage, TracerCell};
 
 use crate::board::{ResultBoard, Snapshot};
 use crate::mailbox::{Batch, Mailbox, Msg};
-use crate::program::Partition;
+use crate::program::{Partition, VertexMap};
 use crate::rank::{RankParams, RankPartition};
 
 /// Engine configuration.
@@ -65,8 +68,9 @@ pub struct EngineConfig {
     pub board_refresh_every: u64,
     /// Items a worker processes per round — every event, purge, marker
     /// and *each share of a received batch* counts one. Pushes of a whole
-    /// round coalesce, so larger rounds cut share traffic at fan-in hubs;
-    /// `1` disables coalescing (the naive per-message engine).
+    /// round coalesce, and the shares a round sends combine per target,
+    /// so larger rounds cut share traffic at fan-in hubs; `1` disables
+    /// coalescing (the naive per-message engine).
     pub drain_batch: usize,
     /// Retain every ingested event so crashed workers can be restarted
     /// with their state rebuilt by replay (the single-process stand-in
@@ -686,9 +690,11 @@ fn worker_loop<P: Partition>(ctx: WorkerCtx<P::Msg>, mut partition: P) -> Option
     let mut shares: Batch<P::Msg> = Vec::new();
     let mut cursor = 0usize;
     // Routing scratch, empty between rounds: the shares the round owes
-    // each destination worker, copied into its mailbox's blocks. Like
-    // `outbox`, each keeps the capacity of the largest round it carried.
+    // each destination worker, copied into its mailbox's blocks, and
+    // where in them each target's share sits. Like `outbox`, each keeps
+    // the capacity of the largest round it carried.
     let mut parts: Vec<Batch<P::Msg>> = (0..workers).map(|_| Vec::new()).collect();
+    let mut slots: VertexMap<usize> = VertexMap::default();
     // The board buffer this worker fills next: after a publish, the one
     // its slot held before.
     let mut snapshot = Snapshot::new();
@@ -808,15 +814,13 @@ fn worker_loop<P: Partition>(ctx: WorkerCtx<P::Msg>, mut partition: P) -> Option
         ctx.busy.add(started.elapsed());
         ctx.ops.add(items as u64);
 
-        // Route produced shares, one post per destination; self-targets
-        // loop through the own mailbox too — computation and mutation
-        // genuinely share the queue. Shares owed to a dead worker are
-        // counted lost (they degrade result accuracy until a restart
-        // replays the events that would regenerate them).
+        // Route produced shares, one share per target and one post per
+        // destination; self-targets loop through the own mailbox too —
+        // computation and mutation genuinely share the queue. Shares owed
+        // to a dead worker are counted lost (they degrade result accuracy
+        // until a restart replays the events that would regenerate them).
         if !outbox.is_empty() {
-            for (target, payload) in outbox.drain(..) {
-                parts[shard_of(target, workers)].push((target, payload));
-            }
+            combine_into_parts::<P>(&mut outbox, &mut parts, &mut slots);
             let mailboxes = read(&ctx.mailboxes);
             let mut lost = 0;
             for (destination, part) in mailboxes.iter().zip(&mut parts) {
@@ -846,6 +850,31 @@ fn worker_loop<P: Partition>(ctx: WorkerCtx<P::Msg>, mut partition: P) -> Option
     // Final board publish so late readers see the end state.
     publish(&partition);
     Some(partition)
+}
+
+/// Moves a round's shares from `outbox` into `parts`, one part per
+/// destination worker (`shard_of` the target), folding every later share
+/// for a target into its first with [`Partition::combine`]: each target
+/// gets one share per round, in first-occurrence order. `slots` maps the
+/// targets seen so far to their share's index in its part; it is left
+/// empty, its capacity kept.
+fn combine_into_parts<P: Partition>(
+    outbox: &mut Batch<P::Msg>,
+    parts: &mut [Batch<P::Msg>],
+    slots: &mut VertexMap<usize>,
+) {
+    let workers = parts.len();
+    for (target, msg) in outbox.drain(..) {
+        let part = &mut parts[shard_of(target, workers)];
+        match slots.entry(target) {
+            Entry::Occupied(slot) => P::combine(&mut part[*slot.get()].1, msg),
+            Entry::Vacant(slot) => {
+                slot.insert(part.len());
+                part.push((target, msg));
+            }
+        }
+    }
+    slots.clear();
 }
 
 #[cfg(test)]
@@ -1358,6 +1387,79 @@ mod tests {
         assert_eq!(stats.crashes, 1);
         assert_eq!(stats.restarts, 1);
         assert_eq!(stats.ranks.len(), 2_000);
+    }
+
+    /// Two vertices worker 1 pushes in one round both send to one target
+    /// on worker 0: one share leaves, carrying the summed mass.
+    #[test]
+    fn a_round_sends_one_share_per_target_with_the_summed_mass() {
+        let hub = MetricsHub::new();
+        let config = EngineConfig {
+            workers: 2,
+            supervised: true,
+            ..Default::default()
+        };
+        let engine = TideGraph::start(config, &hub);
+        let target = (0..).find(|&id| owner_of(id, 2) == 0).unwrap();
+        let on_1: Vec<u64> = (0..).filter(|&id| owner_of(id, 2) == 1).take(2).collect();
+        engine.ingest(add_v(target));
+        assert!(engine.quiesce(Duration::from_secs(10)));
+
+        // Ingested behind a crash, the events are replayed into the fresh
+        // mailbox before the restarted worker starts: one round.
+        let supervisor = engine.supervisor();
+        assert!(supervisor.inject_crash(1));
+        for &id in &on_1 {
+            engine.ingest(add_v(id));
+            engine.ingest(add_e(id, target));
+        }
+        assert!(supervisor.restart_worker(1));
+        assert!(engine.quiesce(Duration::from_secs(10)));
+        let stats = engine.shutdown();
+        assert_eq!(stats.shares, 1, "two pushes to one target, one share");
+        // Each sender keeps α of its seed; the dangling target absorbs its
+        // own seed and both sends.
+        let alpha = RankParams::default().alpha;
+        let expected = 1.0 + 2.0 * (1.0 - alpha);
+        assert!((stats.ranks[&VertexId(target)] - expected).abs() < 1e-12);
+    }
+
+    /// Random outboxes over one to four workers, their targets drawn from
+    /// 40 ids so that they repeat, through scratch reused round after
+    /// round: each destination receives every target once, in the order
+    /// of the target's first share, carrying the sum of its shares.
+    #[test]
+    fn combined_parts_hold_each_target_once_in_first_occurrence_order() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |n: u64| {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (x >> 33) % n
+        };
+        for workers in 1..=4 {
+            let mut parts: Vec<Batch<f64>> = vec![Vec::new(); workers];
+            let mut slots = VertexMap::default();
+            for _round in 0..50 {
+                let len = next(300);
+                let mut outbox: Batch<f64> = (0..len)
+                    .map(|mass| (VertexId(next(40)), mass as f64))
+                    .collect();
+                let mut expected: Vec<Batch<f64>> = vec![Vec::new(); workers];
+                for &(target, mass) in &outbox {
+                    let part = &mut expected[shard_of(target, workers)];
+                    match part.iter_mut().find(|(seen, _)| *seen == target) {
+                        Some((_, sum)) => *sum += mass,
+                        None => part.push((target, mass)),
+                    }
+                }
+                combine_into_parts::<RankPartition>(&mut outbox, &mut parts, &mut slots);
+                assert!(outbox.is_empty() && slots.is_empty());
+                assert_eq!(parts, expected, "workers={workers}");
+                // What posting leaves behind.
+                parts.iter_mut().for_each(Vec::clear);
+            }
+        }
     }
 
     #[test]

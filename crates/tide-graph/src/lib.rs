@@ -21,7 +21,8 @@
 //! * `W` worker threads, each owning a hash partition of the vertices,
 //! * one unbounded FIFO mailbox per worker carrying **both** mutation
 //!   events and computational messages (the shared resource; shares
-//!   packed into recycled blocks, accounted item by item),
+//!   combined per target per round, packed into recycled blocks and
+//!   accounted item by item),
 //! * an online influence rank implemented as residual forward-push — each
 //!   mutation seeds residual mass; pushes fan out as messages to neighbor
 //!   owners; the computation converges to (unnormalized) PageRank when the

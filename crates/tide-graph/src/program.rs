@@ -27,10 +27,18 @@ pub use gt_core::{VertexHasher, VertexMap};
 /// then [`flush_dirty`](Partition::flush_dirty) once — so programs can
 /// coalesce work across a round (see `EngineConfig::drain_batch`). `out`
 /// is the engine's own outbox: what a program pushes there is what the
-/// engine ships, with no copy in between.
+/// engine ships, with no copy in between — except that the shares a
+/// round owes one target are first folded into one with
+/// [`combine`](Partition::combine), so a target receives at most one
+/// share per round of each sending worker.
 pub trait Partition: Send + 'static {
     /// The computational message the program exchanges between vertices.
     type Msg: Send + Clone;
+
+    /// Folds `msg` into `into`, both owed the same target by one round:
+    /// receiving the result must leave the target as receiving both
+    /// would (the combiner of Pregel-style systems).
+    fn combine(into: &mut Self::Msg, msg: Self::Msg);
 
     /// Ingests a locally-owned graph mutation; appends affected vertices
     /// to `dirty`. Must tolerate events referencing unknown vertices.

@@ -21,6 +21,11 @@
 //! Dangling vertices absorb their own push mass (no out-neighbors to send
 //! to). Comparisons against exact PageRank therefore normalize both
 //! vectors first.
+//!
+//! Shares combine per target per round: when vertices a worker pushes in
+//! one round send to a common neighbour, the neighbour receives one share
+//! carrying the summed mass ([`Partition::combine`]) — the same residual
+//! for one receive and one dirty entry instead of several.
 
 use gt_core::prelude::*;
 use gt_graph::HybridAdjacency;
@@ -117,6 +122,11 @@ impl RankPartition {
 impl Partition for RankPartition {
     /// The transferred rank mass.
     type Msg = f64;
+
+    /// Mass owed one target adds up.
+    fn combine(into: &mut f64, mass: f64) {
+        *into += mass;
+    }
 
     /// Handles a locally-owned graph event, deferring the pushes: workers
     /// coalesce the pushes of a whole round — fan-in at hubs then

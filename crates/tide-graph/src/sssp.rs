@@ -76,6 +76,11 @@ impl DistancePartition {
 impl Partition for DistancePartition {
     type Msg = DistanceOffer;
 
+    /// Of two offers to one target only the shorter can be accepted.
+    fn combine(into: &mut DistanceOffer, offer: DistanceOffer) {
+        *into = into.min(offer);
+    }
+
     fn apply_event_deferred(&mut self, event: &GraphEvent, dirty: &mut Vec<VertexId>) -> bool {
         match event {
             GraphEvent::AddVertex { id, .. } => {
@@ -204,6 +209,7 @@ mod tests {
         p.vertices.get(&id).and_then(|s| s.dist)
     }
     use crate::engine::EngineConfig;
+    use gt_core::hash::shard_of;
     use gt_metrics::MetricsHub;
     use std::time::Duration;
 
@@ -312,6 +318,54 @@ mod tests {
             }],
         );
         assert_eq!(p.stale_hazards(), 2);
+    }
+
+    /// Two vertices worker 1 relaxes in one round both offer to one
+    /// target: one offer leaves, the shorter.
+    #[test]
+    fn a_round_sends_one_offer_per_target_the_shorter() {
+        let owned = |worker| (0u64..).filter(move |&id| shard_of(VertexId(id), 2) == worker);
+        let source = owned(0).next().unwrap();
+        let on_1: Vec<u64> = owned(1).take(3).collect();
+        let (a, b, target) = (on_1[0], on_1[1], on_1[2]);
+        let config = EngineConfig {
+            workers: 2,
+            supervised: true,
+            ..Default::default()
+        };
+        let hub = MetricsHub::new();
+        let engine = start_sssp(config, &hub, VertexId(source));
+        for event in [
+            add_v(a),
+            add_v(b),
+            add_v(target),
+            add_we(a, target, 5.0),
+            add_we(b, target, 1.0),
+        ] {
+            engine.ingest(event);
+        }
+        assert!(engine.quiesce(Duration::from_secs(10)));
+
+        // Ingested behind a crash, the source's events are replayed into
+        // the fresh mailbox before the restarted worker starts: one round,
+        // whose offers to a and b reach worker 1 as one block.
+        let supervisor = engine.supervisor();
+        assert!(supervisor.inject_crash(0));
+        for event in [
+            add_v(source),
+            add_we(source, a, 1.0),
+            add_we(source, b, 4.0),
+        ] {
+            engine.ingest(event);
+        }
+        assert!(supervisor.restart_worker(0));
+        assert!(engine.quiesce(Duration::from_secs(10)));
+        let stats = engine.shutdown();
+        // The source is dirty three times in its round, and offers each
+        // time: still one offer to a and one to b. Then a at 1 offers 6
+        // and b at 4 offers 5.
+        assert_eq!(stats.shares, 3, "one offer to a, to b and to the target");
+        assert_eq!(stats.ranks[&VertexId(target)], 5.0);
     }
 
     #[test]

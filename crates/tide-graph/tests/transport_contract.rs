@@ -229,9 +229,10 @@ fn crash_with_queued_batches_loses_items_and_recovers() {
     assert_eq!(rebuilt, expected);
 }
 
-/// Packed blocks queued behind a crash are lost item by item: two centers
-/// on worker 1 each push once to more spokes on worker 0 than a block
-/// holds, so the two posts fill a block, pack the second into the first's
+/// Packed blocks queued behind a crash are lost item by item: two centers,
+/// on workers 1 and 2, each push once to more spokes on worker 0 than a
+/// block holds. A worker combines only its own round's shares, so the two
+/// posts stay two: they fill a block, pack the second into the first's
 /// tail block and spill into a third — all of it behind the crash (or
 /// refused, if the crash won).
 #[test]
@@ -240,7 +241,7 @@ fn crash_with_packed_blocks_queued_loses_exactly_their_items() {
     const STALL: usize = 100;
     let hub = MetricsHub::new();
     let config = EngineConfig {
-        workers: 2,
+        workers: 3,
         rank: RankParams {
             // Every topology change pushes, however little mass is left.
             epsilon: 1e-9,
@@ -251,8 +252,8 @@ fn crash_with_packed_blocks_queued_loses_exactly_their_items() {
     };
     let engine = TideGraph::start(config, &hub);
     let supervisor = engine.supervisor();
-    let spokes = owned_by(0, 2, 0, SPOKES + 2 + STALL);
-    let centers = owned_by(1, 2, 100_000, 2);
+    let spokes = owned_by(0, 3, 0, SPOKES + 2 + STALL);
+    let centers = [1, 2].map(|worker| owned_by(worker, 3, 100_000, 1)[0]);
     for &id in centers.iter().chain(&spokes[..SPOKES + 2]) {
         engine.ingest(add_v(id));
     }
@@ -592,6 +593,10 @@ impl Drop for Watched {
 
 impl Partition for Watched {
     type Msg = f64;
+
+    fn combine(into: &mut f64, mass: f64) {
+        RankPartition::combine(into, mass);
+    }
 
     fn apply_event_deferred(&mut self, event: &GraphEvent, dirty: &mut Vec<VertexId>) -> bool {
         self.rank.apply_event_deferred(event, dirty)
