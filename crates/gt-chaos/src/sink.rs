@@ -422,9 +422,6 @@ mod tests {
     }
 
     impl WorkerSupervisor for FakeSupervisor {
-        fn worker_count(&self) -> usize {
-            2
-        }
         fn inject_crash(&self, worker: usize) -> bool {
             self.crashes.fetch_add(1, Ordering::SeqCst);
             worker < 2

@@ -21,7 +21,8 @@
 //! reads through one tokenizer, [`mod@spec`], with one error type,
 //! [`SpecError`]. Every message that crosses from one thread to another —
 //! in the replayer, the load front and both platforms — goes through one
-//! hand-off queue, [`mod@queue`].
+//! hand-off queue, [`mod@queue`], and both platforms run their threads,
+//! crash, restart and stop them through one worker set, [`mod@workers`].
 //!
 //! ```
 //! use gt_core::prelude::*;
@@ -53,6 +54,7 @@ pub mod spec;
 pub mod state;
 pub mod stream;
 pub mod sync;
+pub mod workers;
 
 pub use error::{CoreError, ParseError};
 pub use event::{ControlEvent, EventKind, GraphEvent, SharedEntry, StreamEntry};

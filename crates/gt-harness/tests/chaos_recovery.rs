@@ -33,39 +33,69 @@ fn stream(n: u64) -> GraphStream {
     s
 }
 
-/// The tentpole acceptance shape: kill a worker of each registry platform
-/// mid-stream under a watchdog. The run must terminate well within the
+/// `n` graph events, each vertex after the first followed by an edge to
+/// its predecessor, then a closing marker.
+fn graph_stream(n: u64) -> GraphStream {
+    let mut s: GraphStream = (0..n)
+        .map(|i| match i % 2 {
+            0 => GraphEvent::AddVertex {
+                id: VertexId(i / 2),
+                state: State::empty(),
+            },
+            _ => GraphEvent::AddEdge {
+                id: EdgeId::from((i / 2 + 1, i / 2)),
+                state: State::empty(),
+            },
+        })
+        .map(StreamEntry::graph)
+        .collect();
+    s.push(StreamEntry::marker("stream-end"));
+    s
+}
+
+/// Kill a worker of each registry platform mid-stream under a watchdog,
+/// behind both names of each. The run must terminate well within the
 /// deadline with a typed outcome and both fault and recovery markers in
-/// the merged log.
+/// the merged log, and the supervised restart must be exactly-once: the
+/// run ends with the graph of the same run without a schedule.
 #[test]
 fn killing_a_worker_mid_stream_never_hangs_either_platform() {
+    let store = || {
+        SutOptions::new()
+            .set("timestamper_cost_us", 0)
+            .set("shard_cost_us", 0)
+            .set("supervised", 1)
+    };
     for (name, options) in [
-        (
-            "tide-store",
-            SutOptions::new()
-                .set("timestamper_cost_us", 0)
-                .set("shard_cost_us", 0)
-                .set("supervised", 1),
-        ),
+        ("tide-store", store()),
+        ("tide-store-sharded", store().set("shards", 2)),
         (
             "tide-graph",
             SutOptions::new().set("workers", 2).set("supervised", 1),
         ),
+        (
+            "tide-graph-sharded",
+            SutOptions::new().set("shards", 2).set("supervised", 1),
+        ),
     ] {
+        let plan = || {
+            RunPlan::new(graph_stream(1_000), 400_000.0)
+                .at_level(EvaluationLevel::Level1)
+                .with_watchdog(
+                    WatchdogConfig::stall_after(Duration::from_secs(20))
+                        .with_deadline(Duration::from_secs(60)),
+                )
+        };
         let chaos =
             ChaosPlan::new(FaultSchedule::parse("crash@200,worker=0,restart=300", 5).unwrap());
         let journal = chaos.journal.clone();
-        let plan = RunPlan::new(stream(1_000), 400_000.0)
-            .at_level(EvaluationLevel::Level1)
-            .with_chaos(chaos)
-            .with_watchdog(
-                WatchdogConfig::stall_after(Duration::from_secs(20))
-                    .with_deadline(Duration::from_secs(60)),
-            );
 
         let started = Instant::now();
-        let outcome = run(plan, Target::Sut(&registry(), name, &options))
-            .unwrap_or_else(|e| panic!("{name}: chaos run failed: {e}"));
+        let outcome = run(
+            plan().with_chaos(chaos),
+            Target::Sut(&registry(), name, &options),
+        )
+        .unwrap_or_else(|e| panic!("{name}: chaos run failed: {e}"));
         assert!(
             started.elapsed() < Duration::from_secs(60),
             "{name}: run exceeded the watchdog deadline"
@@ -93,9 +123,18 @@ fn killing_a_worker_mid_stream_never_hangs_either_platform() {
             ],
             "{name}"
         );
-        assert_eq!(outcome.sut_report().get("crashes"), Some(1.0), "{name}");
-        assert_eq!(outcome.sut_report().get("restarts"), Some(1.0), "{name}");
+        let report = outcome.sut_report();
+        assert_eq!(report.get("crashes"), Some(1.0), "{name}");
+        assert_eq!(report.get("restarts"), Some(1.0), "{name}");
         assert!(log.marker("stream-end").is_some(), "{name}");
+
+        let clean = run(plan(), Target::Sut(&registry(), name, &options))
+            .unwrap_or_else(|e| panic!("{name}: clean run failed: {e}"));
+        let clean = clean.sut_report();
+        assert_eq!(clean.get("vertices"), Some(500.0), "{name}");
+        for metric in ["vertices", "edges"] {
+            assert_eq!(report.get(metric), clean.get(metric), "{name}: {metric}");
+        }
     }
 }
 

@@ -114,23 +114,19 @@ pub trait SystemUnderTest: Send {
 
 /// A platform's crash/restart control surface for supervised chaos runs.
 ///
-/// Implementations hold *shared internals* of a running platform (channel
-/// senders, worker handles) — never the platform's own top-level handle,
+/// Implementations hold *shared internals* of a running platform (its
+/// worker set) — never the platform's own top-level handle,
 /// so normal shutdown paths that require sole ownership keep working.
 /// All methods must be safe to call from any thread at any point of a run,
 /// including on workers that are already dead.
 pub trait WorkerSupervisor: Send + Sync {
-    /// How many crash-injectable workers the platform currently runs
-    /// (engine workers, store shards).
-    fn worker_count(&self) -> usize;
-
     /// Kills the given worker as if it had failed (its in-memory state is
     /// lost). Returns whether a crash was actually delivered — `false` for
     /// out-of-range indices or workers that are already dead.
     fn inject_crash(&self, worker: usize) -> bool;
 
     /// Restarts a previously crashed worker, rebuilding its state by
-    /// replaying the platform's retained event log (supervised mode only).
+    /// replaying what the platform logged for it (supervised mode only).
     /// Returns whether the worker came back.
     fn restart_worker(&self, worker: usize) -> bool;
 }

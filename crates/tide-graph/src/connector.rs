@@ -65,7 +65,7 @@ impl<P: Partition> EventSink for EngineConnector<P> {
             // time (engine marker log) vs. their emission time (replayer
             // report) measures ingestion latency under the current
             // backlog.
-            StreamEntry::Marker(name) => self.engine.ingest_marker(name),
+            StreamEntry::Marker(name) => _ = self.engine.ingest_marker(name),
             // Control events are handled by the replayer itself.
             StreamEntry::Control(_) => {}
         }

@@ -7,22 +7,19 @@
 //!
 //! # Crash containment and supervised recovery
 //!
-//! Workers are *crash-containable*: a scheduled `Msg::Crash` (delivered
-//! through the `EngineSupervisor`, the engine's
-//! [`gt_sut::WorkerSupervisor`] surface) makes the worker discard its
-//! partition state and exit, exactly like a killed process. The rest of
-//! the engine keeps running — events routed to the dead worker are
-//! counted as lost (`engine.events_lost`), never deadlocked on, and
-//! shutdown joins dead workers tolerantly instead of poisoning the run.
-//! In *supervised* mode ([`EngineConfig::supervised`]) the engine
-//! additionally retains every ingested event, so a crashed worker can be
-//! restarted and rebuilt by replaying its share of the retained log
-//! (replay-from-last-applied-sequence, with ingest excluded during the
-//! swap so recovery is exactly-once with respect to new events).
+//! The workers are one `gt_core::workers::WorkerSet`: crash, restart and
+//! shutdown work as for `tide-store`'s shards (DESIGN.md §9, "One worker
+//! set"), driven through the engine's [`gt_sut::WorkerSupervisor`]
+//! surface ([`Engine::supervisor`]). The rest of the engine keeps
+//! running past a crash — messages routed to the dead worker are counted
+//! as lost (`engine.events_lost`), never deadlocked on. In *supervised*
+//! mode ([`EngineConfig::supervised`]) each worker's log keeps the events
+//! and purges ingest posted to it, and a restart replays them into a fresh
+//! mailbox while the slot table's write lock keeps ingest out.
 //!
 //! # Transport vs. scheduling
 //!
-//! Each worker has one [`Mailbox`]: shares travel packed in blocks but
+//! Each worker has one [`Mailbox`](crate::mailbox::Mailbox): shares travel packed in blocks but
 //! are scheduled and accounted as *items*, exactly as if every share were
 //! its own message (see [`crate::mailbox`]). What a round sends is one
 //! share per target: the shares it owes a target are folded into one
@@ -30,22 +27,22 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, SyncSender};
-use std::sync::{Arc, Mutex, RwLock};
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use gt_core::hash::shard_of;
 use gt_core::prelude::*;
-use gt_core::sync::{lock, read, write};
+use gt_core::queue::Consumer;
+use gt_core::sync::{lock, read};
+use gt_core::workers::{abandon, Run, Slots, WorkerSet};
 use gt_metrics::hub::{Counter, Gauge, MicrosCounter};
 use gt_metrics::MetricsHub;
 use gt_sut::{busy_work, Adjacency, StateDigest, WindowDigest, WorkerSupervisor};
 use gt_trace::{Probe, Stage, TracerCell};
 
 use crate::board::{ResultBoard, Snapshot};
-use crate::mailbox::{Batch, Mailbox, Msg};
+use crate::mailbox::{mailbox, Batch, Msg, Transport};
 use crate::program::{Partition, VertexMap};
 use crate::rank::{RankParams, RankPartition};
 
@@ -72,7 +69,7 @@ pub struct EngineConfig {
     /// so larger rounds cut share traffic at fan-in hubs; `1` disables
     /// coalescing (the naive per-message engine).
     pub drain_batch: usize,
-    /// Retain every ingested event so crashed workers can be restarted
+    /// Log every ingested event so crashed workers can be restarted
     /// with their state rebuilt by replay (the single-process stand-in
     /// for a durable write-ahead log). Costs memory proportional to the
     /// stream length; off by default.
@@ -119,7 +116,7 @@ pub struct EngineStats {
     /// Messages (mutation events and shares) that could not be delivered
     /// because their owner worker was dead.
     pub events_lost: u64,
-    /// Mutation events re-enqueued from the retained log on restarts.
+    /// Mutation events re-enqueued from the workers' logs on restarts.
     pub events_replayed: u64,
     /// `AddEdge`s (not self-loops) dropped because their source was not
     /// live on its owner worker when they arrived — an edge that
@@ -130,84 +127,48 @@ pub struct EngineStats {
     pub digest: Option<StateDigest>,
 }
 
-/// Processed watermarks: `(marker name, worker id, micros since engine
-/// start)`. Names stay interned in the log; the public accessor converts.
-type MarkerLog = Arc<Mutex<Vec<(Arc<str>, usize, u64)>>>;
-
 /// Per-worker topology snapshots taken at marker processing time (digest
 /// mode): `(marker name, partition structure)`. Workers own disjoint
 /// vertices, so entries for one marker union into the engine's topology
 /// at that marker's consistent cut.
 type SnapshotLog = Arc<Mutex<Vec<(Arc<str>, Adjacency)>>>;
 
-/// Every worker's current mailbox, shared by the engine handle, the
-/// workers and the supervisor. Write-locked only while a restart swaps a
-/// fresh mailbox in — which also excludes ingest and routing, so recovery
-/// is exactly-once with respect to new events.
-type Mailboxes<M> = RwLock<Vec<Arc<Mailbox<M>>>>;
-
-/// Counters describing fault/recovery activity, registered on the
-/// engine's hub (`engine.crashes`, `engine.restarts`,
-/// `engine.events_lost`, `engine.events_replayed`) so Level-1 sampling
-/// sees them live.
-#[derive(Clone)]
-struct FaultCounters {
-    crashes: Counter,
-    restarts: Counter,
-    events_lost: Counter,
-    events_replayed: Counter,
-}
-
-impl FaultCounters {
-    fn register(hub: &MetricsHub) -> Self {
-        FaultCounters {
-            crashes: hub.counter("engine.crashes"),
-            restarts: hub.counter("engine.restarts"),
-            events_lost: hub.counter("engine.events_lost"),
-            events_replayed: hub.counter("engine.events_replayed"),
-        }
-    }
-}
-
 /// Everything a supervisor needs to kill and resurrect workers; shared
-/// between the [`Engine`] handle and [`EngineSupervisor`] clones, and
+/// between the [`Engine`] handle and its supervisor handles, and
 /// deliberately *not* holding the `Engine` itself so shutdown paths that
-/// need sole ownership of the engine keep working.
+/// need sole ownership of the engine keep working. The workers hold the
+/// slot table, never this: when the last handle goes, the worker set
+/// closes every mailbox, so workers still running — the engine was dropped
+/// without `shutdown` — exit instead of waiting for posts that cannot
+/// come.
 struct EngineCore<P: Partition> {
-    mailboxes: Arc<Mailboxes<P::Msg>>,
-    handles: Mutex<Vec<JoinHandle<Option<P>>>>,
-    /// `(ingest seq, event)` — populated only in supervised mode.
-    retained: Mutex<Vec<(u64, GraphEvent)>>,
+    workers: WorkerSet<Msg<P::Msg>, Batch<P::Msg>, P>,
     factory: Box<dyn Fn(usize) -> P + Send + Sync>,
     board: Arc<ResultBoard>,
-    markers: MarkerLog,
     snapshots: SnapshotLog,
     started: Instant,
     config: EngineConfig,
     hub: MetricsHub,
     tracer_cell: TracerCell,
-    /// Set by shutdown; blocks further restarts.
-    stopping: AtomicBool,
-    counters: FaultCounters,
+    /// Fault and recovery activity, registered on the engine's hub
+    /// (`engine.crashes`, …) so Level-1 sampling sees it live.
+    crashes: Counter,
+    restarts: Counter,
+    events_lost: Counter,
+    events_replayed: Counter,
     /// Edges the workers dropped ([`EngineStats::dangling_edges_dropped`]).
     edges_dropped: Counter,
 }
 
 impl<P: Partition> EngineCore<P> {
-    /// Spawns (or respawns) the worker for a slot, as the receiver of its
-    /// fresh mailbox. Hub metrics are looked up by name, so a restarted
-    /// worker keeps accumulating on the same series.
-    fn spawn_worker(
-        &self,
-        worker_id: usize,
-        mailbox: Arc<Mailbox<P::Msg>>,
-    ) -> JoinHandle<Option<P>> {
+    /// What the thread of a slot's (re)spawned worker runs, with a fresh
+    /// partition. Hub metrics are looked up by name, so a restarted worker
+    /// keeps accumulating on the same series.
+    fn worker(&self, worker_id: usize) -> Run<Msg<P::Msg>, Batch<P::Msg>, P> {
         let ctx = WorkerCtx {
             worker_id,
-            mailbox,
-            mailboxes: Arc::clone(&self.mailboxes),
+            mailboxes: Arc::clone(&self.workers.slots),
             board: Arc::clone(&self.board),
-            markers: Arc::clone(&self.markers),
             snapshots: Arc::clone(&self.snapshots),
             started: self.started,
             config: self.config.clone(),
@@ -217,34 +178,18 @@ impl<P: Partition> EngineCore<P> {
             events: self.hub.counter(&format!("worker-{worker_id}.events")),
             shares: self.hub.counter(&format!("worker-{worker_id}.shares")),
             busy: MicrosCounter::new(self.hub.counter(&format!("worker-{worker_id}.busy_micros"))),
-            crashes: self.counters.crashes.clone(),
-            events_lost: self.counters.events_lost.clone(),
+            crashes: self.crashes.clone(),
+            events_lost: self.events_lost.clone(),
             edges_dropped: self.edges_dropped.clone(),
         };
         let partition = (self.factory)(worker_id);
-        std::thread::Builder::new()
-            .name(format!("tide-graph-worker-{worker_id}"))
-            .spawn(move || worker_loop(ctx, partition))
-            .expect("spawn worker")
-    }
-}
-
-/// The last handle to the engine is gone: close every mailbox, so workers
-/// still running — the engine was dropped without `shutdown` — wake up
-/// and exit instead of waiting for posts that cannot come.
-impl<P: Partition> Drop for EngineCore<P> {
-    fn drop(&mut self) {
-        for mailbox in read(&self.mailboxes).iter() {
-            mailbox.close();
-        }
+        Box::new(move |mailbox| worker_loop(ctx, mailbox, partition))
     }
 }
 
 /// A running vertex-centric engine executing the program `P`.
 pub struct Engine<P: Partition> {
     core: Arc<EngineCore<P>>,
-    workers: usize,
-    hub: MetricsHub,
     /// Global ingest counter: each graph event's stream position, carried
     /// into the worker mailboxes for Level-2 trace stamping.
     ingest_seq: AtomicU64,
@@ -277,35 +222,25 @@ impl<P: Partition> Engine<P> {
     ) -> Self {
         assert!(config.workers >= 1, "at least one worker required");
         let workers = config.workers;
-        let mailboxes: Vec<Arc<Mailbox<P::Msg>>> = (0..workers).map(|_| Arc::default()).collect();
-
         let core = Arc::new(EngineCore {
-            mailboxes: Arc::new(RwLock::new(mailboxes.clone())),
-            handles: Mutex::new(Vec::with_capacity(workers)),
-            retained: Mutex::new(Vec::new()),
+            workers: WorkerSet::new("tide-graph-worker", workers, mailbox, config.supervised),
             factory: Box::new(factory),
             board: Arc::new(ResultBoard::new(workers)),
-            markers: Arc::new(Mutex::new(Vec::new())),
             snapshots: Arc::new(Mutex::new(Vec::new())),
             started: Instant::now(),
             config,
             hub: hub.clone(),
             tracer_cell: TracerCell::new(),
-            stopping: AtomicBool::new(false),
-            counters: FaultCounters::register(hub),
+            crashes: hub.counter("engine.crashes"),
+            restarts: hub.counter("engine.restarts"),
+            events_lost: hub.counter("engine.events_lost"),
+            events_replayed: hub.counter("engine.events_replayed"),
             edges_dropped: Counter::default(),
         });
-        {
-            let mut handles = lock(&core.handles);
-            for (worker_id, mailbox) in mailboxes.into_iter().enumerate() {
-                handles.push(core.spawn_worker(worker_id, mailbox));
-            }
-        }
+        core.workers.start(|worker_id| core.worker(worker_id));
 
         Engine {
             core,
-            workers,
-            hub: hub.clone(),
             ingest_seq: AtomicU64::new(0),
         }
     }
@@ -320,7 +255,7 @@ impl<P: Partition> Engine<P> {
 
     /// Number of workers.
     pub fn workers(&self) -> usize {
-        self.workers
+        self.core.config.workers
     }
 
     /// The engine's crash/restart control surface, for chaos runs. The
@@ -328,9 +263,7 @@ impl<P: Partition> Engine<P> {
     /// it stays valid until shutdown and never blocks an ownership-taking
     /// shutdown path.
     pub fn supervisor(&self) -> Arc<dyn WorkerSupervisor> {
-        Arc::new(EngineSupervisor {
-            core: Arc::clone(&self.core),
-        })
+        self.core.clone()
     }
 
     /// Routes one mutation event to its owner worker. Vertex removals are
@@ -338,71 +271,72 @@ impl<P: Partition> Engine<P> {
     pub fn ingest(&self, event: GraphEvent) {
         // Holding the read lock for the whole routing step means a
         // restart (write lock) can never interleave with one ingest.
-        let mailboxes = read(&self.core.mailboxes);
+        let (set, workers) = (&self.core.workers, self.core.config.workers);
+        let mailboxes = read(&set.slots.queues);
         let mut lost = 0;
+        let mut post = |worker: usize, msg: Msg<P::Msg>| {
+            set.log(worker, 1, || msg.clone());
+            lost += mailboxes[worker].post(msg);
+        };
         if let GraphEvent::RemoveVertex { id } = &event {
-            for w in (0..self.workers).filter(|w| *w != shard_of(*id, self.workers)) {
-                lost += mailboxes[w].post(Msg::Purge(*id));
+            for w in (0..workers).filter(|w| *w != shard_of(*id, workers)) {
+                post(w, Msg::Purge(*id));
             }
         }
-        let owner = shard_of(event.home(), self.workers);
+        let owner = shard_of(event.home(), workers);
         // The ingest counter assigns each graph event its global stream
         // position; connectors call in stream order, so the sequence
         // matches what the replayer-side tracepoints counted.
         let seq = self.ingest_seq.fetch_add(1, Ordering::Relaxed);
-        if self.core.config.supervised {
-            lock(&self.core.retained).push((seq, event.clone()));
-        }
-        lost += mailboxes[owner].post(Msg::Event(event, seq));
+        post(owner, Msg::Event(event, seq));
         if lost > 0 {
-            self.core.counters.events_lost.add(lost);
+            self.core.events_lost.add(lost);
         }
     }
 
-    /// Enqueues a watermark on every worker. Each worker timestamps it
-    /// when *processed* — behind everything already in its mailbox — so
-    /// `processed time − enqueue time` is the current ingestion latency.
-    /// Dead workers miss the watermark (their marker-log entry is absent,
-    /// which is itself a degradation signal).
-    pub(crate) fn ingest_marker(&self, name: &str) {
-        self.ingest_marker_with(name, None);
+    /// Enqueues a watermark on every worker and returns how many live
+    /// workers received it. Each worker timestamps it when *processed* —
+    /// behind everything already in its mailbox — so `processed time −
+    /// enqueue time` is the current ingestion latency. Dead workers miss
+    /// the watermark (their marker-log entry is absent, which is itself a
+    /// degradation signal).
+    pub(crate) fn ingest_marker(&self, name: &str) -> usize {
+        // Intern once; the fan-out below clones a refcount per worker
+        // instead of allocating a String per mailbox.
+        let name = gt_core::intern::intern(name);
+        let mailboxes = read(&self.core.workers.slots.queues);
+        (mailboxes.iter())
+            .filter(|mailbox| mailbox.post(Msg::Marker(Arc::clone(&name))) == 0)
+            .count()
     }
 
     /// Enqueues a watermark on every worker and waits (up to `timeout`)
     /// until every worker that received it has *processed* it — the
     /// marker barrier. Dead workers are skipped, so a degraded engine
     /// reports a smaller count instead of hanging. Returns the number of
-    /// acknowledgements received.
+    /// workers seen processing it: sightings of `name` booked after the
+    /// post, as names repeat.
     pub fn ingest_marker_barrier(&self, name: &str, timeout: Duration) -> usize {
-        let (ack_tx, ack_rx) = sync_channel::<()>(self.workers);
-        let sent = self.ingest_marker_with(name, Some(ack_tx));
+        let sightings = &self.core.workers.slots.sightings;
+        let before = lock(sightings).len();
+        let sent = self.ingest_marker(name);
         let deadline = Instant::now() + timeout;
-        let mut acked = 0usize;
-        while acked < sent {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() || ack_rx.recv_timeout(left).is_err() {
-                break;
+        loop {
+            let booked = lock(sightings)[before..]
+                .iter()
+                .filter(|(seen, ..)| **seen == *name)
+                .count();
+            if booked >= sent || Instant::now() >= deadline {
+                return booked.min(sent);
             }
-            acked += 1;
+            std::thread::sleep(Duration::from_micros(50));
         }
-        acked
-    }
-
-    fn ingest_marker_with(&self, name: &str, ack: Option<SyncSender<()>>) -> usize {
-        // Intern once; the fan-out below clones a refcount per worker
-        // instead of allocating a String per mailbox.
-        let name = gt_core::intern::intern(name);
-        let mailboxes = read(&self.core.mailboxes);
-        mailboxes
-            .iter()
-            .filter(|mailbox| mailbox.post(Msg::Marker(Arc::clone(&name), ack.clone())) == 0)
-            .count()
     }
 
     /// Processed watermarks so far: `(name, worker, micros since engine
     /// start)`.
     pub fn marker_log(&self) -> Vec<(String, usize, u64)> {
-        lock(&self.core.markers)
+        lock(&self.core.workers.slots.sightings)
             .iter()
             .map(|(name, worker, t)| (name.to_string(), *worker, *t))
             .collect()
@@ -413,9 +347,7 @@ impl<P: Partition> Engine<P> {
     /// the items of rounds still running. Dead workers are skipped: what
     /// they left behind is lost, not pending.
     pub fn total_queue_len(&self) -> usize {
-        let mailboxes = read(&self.core.mailboxes);
-        mailboxes
-            .iter()
+        (read(&self.core.workers.slots.queues).iter())
             .filter(|mailbox| mailbox.is_open())
             .map(|mailbox| mailbox.backlog() as usize)
             .sum()
@@ -448,7 +380,7 @@ impl<P: Partition> Engine<P> {
     /// end of the first pass to the start of the second. At that instant
     /// every live mailbox had `enqueued == processed`: no item queued,
     /// none in a running round, none in a round's unposted output (see
-    /// [`Mailbox`]) — nothing left that could produce work.
+    /// [`Mailbox`](crate::mailbox::Mailbox)) — nothing left that could produce work.
     ///
     /// A supervised restart is the one place a worker's account starts
     /// over instead of advancing. It happens while the worker is dead —
@@ -461,7 +393,7 @@ impl<P: Partition> Engine<P> {
         // The live mailboxes' accounts (`None` for a dead one: its backlog
         // is lost, not pending).
         let pass = || -> Vec<_> {
-            let mailboxes = read(&self.core.mailboxes);
+            let mailboxes = read(&self.core.workers.slots.queues);
             (mailboxes.iter())
                 .map(|mailbox| mailbox.is_open().then(|| mailbox.account()))
                 .collect()
@@ -479,42 +411,31 @@ impl<P: Partition> Engine<P> {
         }
     }
 
-    /// Stops the workers, joins them tolerantly, and merges final
-    /// results. Crashed workers contribute no summary (their state died
-    /// with them); a worker that *panicked* is contained and counted as a
-    /// crash instead of poisoning the run.
+    /// Stops the workers behind their backlogs, joins them tolerantly, and
+    /// merges final results. Crashed workers contribute no summary (their
+    /// state died with them); a worker that *panicked* is contained and
+    /// counted as a crash instead of poisoning the run. After a successful
+    /// [`quiesce`](Engine::quiesce) no worker has work left, so none posts
+    /// to a finished mailbox and nothing is lost.
     pub fn shutdown(self) -> EngineStats {
-        self.core.stopping.store(true, Ordering::SeqCst);
-        for mailbox in read(&self.core.mailboxes).iter() {
-            mailbox.post(Msg::Stop);
-        }
-        let handles: Vec<JoinHandle<Option<P>>> = {
-            let mut guard = lock(&self.core.handles);
-            guard.drain(..).collect()
-        };
+        let (partitions, panicked) = self.core.workers.shutdown();
+        self.core.crashes.add(panicked);
         let mut ranks = Snapshot::new();
         let mut final_adjacency: Adjacency = Vec::new();
         let digest_on = self.core.config.digest;
-        for handle in handles {
-            match handle.join() {
-                Ok(Some(partition)) => {
-                    partition.summary_into(&mut ranks);
-                    if digest_on {
-                        final_adjacency.extend(partition.structure());
-                    }
-                }
-                // Injected crash: state discarded by design.
-                Ok(None) => {}
-                // Contained panic: the run survives, the death is counted.
-                Err(_) => self.core.counters.crashes.inc(),
+        for partition in partitions {
+            partition.summary_into(&mut ranks);
+            if digest_on {
+                final_adjacency.extend(partition.structure());
             }
         }
-        let events: u64 = (0..self.workers)
-            .map(|w| self.hub.counter(&format!("worker-{w}.events")).get())
-            .sum();
-        let shares: u64 = (0..self.workers)
-            .map(|w| self.hub.counter(&format!("worker-{w}.shares")).get())
-            .sum();
+        let sum = |metric: &str| -> u64 {
+            let hub = &self.core.hub;
+            (0..self.workers())
+                .map(|w| hub.counter(&format!("worker-{w}.{metric}")).get())
+                .sum()
+        };
+        let (events, shares) = (sum("events"), sum("shares"));
         let digest = digest_on.then(|| {
             // Group the per-worker marker snapshots into windows, in
             // first-sighting order; the per-worker adjacencies of one
@@ -533,13 +454,10 @@ impl<P: Partition> Engine<P> {
                 final_adjacency,
                 windows,
                 degradation: vec![
-                    ("crashes".into(), self.core.counters.crashes.get()),
-                    ("restarts".into(), self.core.counters.restarts.get()),
-                    ("events_lost".into(), self.core.counters.events_lost.get()),
-                    (
-                        "events_replayed".into(),
-                        self.core.counters.events_replayed.get(),
-                    ),
+                    ("crashes".into(), self.core.crashes.get()),
+                    ("restarts".into(), self.core.restarts.get()),
+                    ("events_lost".into(), self.core.events_lost.get()),
+                    ("events_replayed".into(), self.core.events_replayed.get()),
                 ],
             };
             digest.canonicalize();
@@ -549,10 +467,10 @@ impl<P: Partition> Engine<P> {
             events,
             shares,
             ranks: ranks.into_iter().collect(),
-            crashes: self.core.counters.crashes.get(),
-            restarts: self.core.counters.restarts.get(),
-            events_lost: self.core.counters.events_lost.get(),
-            events_replayed: self.core.counters.events_replayed.get(),
+            crashes: self.core.crashes.get(),
+            restarts: self.core.restarts.get(),
+            events_lost: self.core.events_lost.get(),
+            events_replayed: self.core.events_replayed.get(),
             dangling_edges_dropped: self.core.edges_dropped.get(),
             digest,
         }
@@ -567,76 +485,26 @@ impl<P: Partition> Engine<P> {
 
 /// The engine's [`WorkerSupervisor`]: kills and resurrects individual
 /// workers. Obtained from [`Engine::supervisor`].
-pub(crate) struct EngineSupervisor<P: Partition> {
-    core: Arc<EngineCore<P>>,
-}
-
-impl<P: Partition> WorkerSupervisor for EngineSupervisor<P> {
-    fn worker_count(&self) -> usize {
-        self.core.config.workers
-    }
-
-    /// Enqueues a crash on the worker's mailbox. The kill lands behind
-    /// the worker's current backlog — a deterministic position in its
-    /// message stream — and the worker then discards its state and exits.
+impl<P: Partition> WorkerSupervisor for EngineCore<P> {
+    /// Enqueues a crash, one item, on the worker's mailbox. The kill lands
+    /// behind the worker's current backlog — a deterministic position in
+    /// its message stream — and the worker then discards its state and
+    /// exits.
     fn inject_crash(&self, worker: usize) -> bool {
-        if worker >= self.core.config.workers || self.core.stopping.load(Ordering::SeqCst) {
-            return false;
-        }
-        read(&self.core.mailboxes)[worker].post(Msg::Crash) == 0
+        self.workers.inject(worker, Msg::Crash, 1)
     }
 
-    /// Restarts a crashed worker (supervised mode only): waits briefly
-    /// for the crash to land, then — with ingest write-locked out — spawns
-    /// a fresh partition, replays the worker's share of the retained
-    /// event log into a fresh mailbox, and swaps that mailbox in.
+    /// Restarts a crashed worker (supervised mode only): a fresh partition
+    /// on a fresh mailbox that replays the events and purges posted to the
+    /// worker, with ingest write-locked out.
     fn restart_worker(&self, worker: usize) -> bool {
-        let config = &self.core.config;
-        if worker >= config.workers || !config.supervised {
+        let events = |msg: &Msg<P::Msg>, _| u64::from(matches!(msg, Msg::Event(..)));
+        let restart = (self.workers).restart(worker, || (), |w| self.worker(w), events);
+        let Some(replayed) = restart else {
             return false;
-        }
-        // The crash message travels through the worker's backlog; give it
-        // time to land before declaring the restart impossible.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while read(&self.core.mailboxes)[worker].is_open() {
-            if Instant::now() > deadline || self.core.stopping.load(Ordering::SeqCst) {
-                return false;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-
-        let mut mailboxes = write(&self.core.mailboxes);
-        if self.core.stopping.load(Ordering::SeqCst) {
-            return false;
-        }
-        // A fresh mailbox starts a fresh account: what the dead worker
-        // left unprocessed was counted lost when it died.
-        let mailbox: Arc<Mailbox<P::Msg>> = Arc::default();
-        let workers = config.workers;
-        let mut replayed = 0u64;
-        {
-            let retained = lock(&self.core.retained);
-            for (seq, event) in retained.iter() {
-                match event {
-                    // The broadcast half of remote removals, re-delivered
-                    // so the fresh partition strips dangling references.
-                    GraphEvent::RemoveVertex { id } if shard_of(*id, workers) != worker => {
-                        mailbox.post(Msg::Purge(*id));
-                    }
-                    e => {
-                        if shard_of(e.home(), workers) == worker {
-                            mailbox.post(Msg::Event(event.clone(), *seq));
-                            replayed += 1;
-                        }
-                    }
-                }
-            }
-        }
-        let handle = self.core.spawn_worker(worker, Arc::clone(&mailbox));
-        mailboxes[worker] = mailbox;
-        lock(&self.core.handles).push(handle);
-        self.core.counters.restarts.inc();
-        self.core.counters.events_replayed.add(replayed);
+        };
+        self.restarts.inc();
+        self.events_replayed.add(replayed);
         true
     }
 }
@@ -653,11 +521,10 @@ fn normalize(mut ranks: BTreeMap<VertexId, f64>) -> BTreeMap<VertexId, f64> {
 
 struct WorkerCtx<M> {
     worker_id: usize,
-    /// The worker's own mailbox, which it receives from.
-    mailbox: Arc<Mailbox<M>>,
-    mailboxes: Arc<Mailboxes<M>>,
+    /// The slot table: every worker's current mailbox, and the processed
+    /// watermarks `(marker name, worker id, micros since engine start)`.
+    mailboxes: Arc<Slots<Msg<M>, Batch<M>>>,
     board: Arc<ResultBoard>,
-    markers: MarkerLog,
     snapshots: SnapshotLog,
     started: Instant,
     config: EngineConfig,
@@ -672,14 +539,17 @@ struct WorkerCtx<M> {
     edges_dropped: Counter,
 }
 
-/// Runs one worker until `Stop` (returns the final partition), its
-/// mailbox closing under it (ditto), or `Crash` (closes the mailbox and
-/// returns `None` — the partition state is deliberately lost, like a
+/// Runs one worker until its mailbox is finished and drained, or closed
+/// under it (returns the final partition), or `Crash` (closes the mailbox
+/// and returns `None` — the partition state is deliberately lost, like a
 /// killed process).
-fn worker_loop<P: Partition>(ctx: WorkerCtx<P::Msg>, mut partition: P) -> Option<P> {
+fn worker_loop<P: Partition>(
+    ctx: WorkerCtx<P::Msg>,
+    mailbox: Consumer<Msg<P::Msg>, Batch<P::Msg>>,
+    mut partition: P,
+) -> Option<P> {
     let workers = ctx.config.workers;
     let drain_batch = ctx.config.drain_batch.max(1);
-    let mailbox = &*ctx.mailbox;
     let mut outbox: Batch<P::Msg> = Vec::new();
     let mut dirty: Vec<VertexId> = Vec::new();
     // The received block being consumed in place, and how far. A round
@@ -703,12 +573,11 @@ fn worker_loop<P: Partition>(ctx: WorkerCtx<P::Msg>, mut partition: P) -> Option
         partition.summary_into(&mut snapshot);
         ctx.board.publish(ctx.worker_id, &mut snapshot);
     };
-    let mut running = true;
     // Lazily acquired apply tracepoint: the thread outlives tracer
     // installation, so it polls the cell (one atomic load while empty).
     let mut trace_probe: Option<Probe> = None;
 
-    while running {
+    loop {
         // Block for the next message only when no partly consumed block
         // is left over, then opportunistically drain more.
         let mut next = None;
@@ -721,7 +590,7 @@ fn worker_loop<P: Partition>(ctx: WorkerCtx<P::Msg>, mut partition: P) -> Option
         ctx.queue_gauge.set(mailbox.backlog() as i64);
         let started = Instant::now();
         let mut items = 0usize;
-        while running && items < drain_batch {
+        while items < drain_batch {
             if cursor < shares.len() {
                 let end = shares.len().min(cursor + drain_batch - items);
                 for (target, payload) in &shares[cursor..end] {
@@ -770,7 +639,7 @@ fn worker_loop<P: Partition>(ctx: WorkerCtx<P::Msg>, mut partition: P) -> Option
                 Msg::Purge(id) => {
                     partition.purge(id, &mut outbox);
                 }
-                Msg::Marker(name, ack) => {
+                Msg::Marker(name) => {
                     let t = ctx.started.elapsed().as_micros() as u64;
                     if ctx.config.digest {
                         // The mailbox FIFO-orders this marker behind
@@ -779,31 +648,18 @@ fn worker_loop<P: Partition>(ctx: WorkerCtx<P::Msg>, mut partition: P) -> Option
                         // marker's consistent cut.
                         lock(&ctx.snapshots).push((name.clone(), partition.structure()));
                     }
-                    lock(&ctx.markers).push((name, ctx.worker_id, t));
-                    if let Some(ack) = ack {
-                        let _ = ack.send(());
-                    }
+                    lock(&ctx.mailboxes.sightings).push((name, ctx.worker_id, t));
                 }
                 Msg::Crash => {
                     // Die like a killed process: no final board publish
                     // (the slot keeps the last snapshot), no summary,
-                    // queued messages abandoned. The closed mailbox tells
-                    // the rest of the engine (and a waiting supervisor)
-                    // that this worker is gone. A post is accounted under
-                    // the mailbox's lock and only while it is open, so
-                    // after `close` the account is final: what is
-                    // enqueued but unprocessed — minus this round and the
-                    // crash itself — is exactly the abandoned backlog,
-                    // and every later post is refused and counted lost by
-                    // its poster.
-                    mailbox.close();
-                    let abandoned = mailbox.backlog().saturating_sub(items as u64 + 1);
-                    ctx.events_lost.add(abandoned);
+                    // queued messages abandoned — all but this round and
+                    // the crash itself, counted lost.
+                    ctx.events_lost.add(abandon(&mailbox, items as u64 + 1));
                     ctx.crashes.inc();
                     ctx.queue_gauge.set(0);
                     return None;
                 }
-                Msg::Stop => running = false,
             }
             items += 1;
         }
@@ -821,7 +677,7 @@ fn worker_loop<P: Partition>(ctx: WorkerCtx<P::Msg>, mut partition: P) -> Option
         // until a restart replays the events that would regenerate them).
         if !outbox.is_empty() {
             combine_into_parts::<P>(&mut outbox, &mut parts, &mut slots);
-            let mailboxes = read(&ctx.mailboxes);
+            let mailboxes = read(&ctx.mailboxes.queues);
             let mut lost = 0;
             for (destination, part) in mailboxes.iter().zip(&mut parts) {
                 if !part.is_empty() {
@@ -880,6 +736,7 @@ fn combine_into_parts<P: Partition>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
 
     fn add_v(id: u64) -> GraphEvent {
         GraphEvent::AddVertex {
@@ -1289,7 +1146,6 @@ mod tests {
         assert!(engine.quiesce(Duration::from_secs(10)));
 
         let supervisor = engine.supervisor();
-        assert_eq!(supervisor.worker_count(), 2);
         assert!(supervisor.inject_crash(0));
         // Unsupervised: restart must refuse.
         assert!(!supervisor.restart_worker(0));

@@ -3,7 +3,8 @@
 //! experiment — with an item-exact account beside it. Each is `gt_core`'s
 //! one hand-off queue ([`gt_core::queue`]), unbounded: the replayer never
 //! blocks on a worker's backlog, which is what fig 3d's drain tail
-//! measures.
+//! measures. Posts and receives go through [`Transport`], which keeps the
+//! share packing and the block pool.
 //!
 //! # Transport vs. scheduling
 //!
@@ -30,7 +31,6 @@
 //! Public only for the transport contract tests; the engine is the one
 //! user.
 
-use std::sync::mpsc::SyncSender;
 use std::sync::Arc;
 
 use gt_core::prelude::*;
@@ -40,13 +40,14 @@ use gt_core::queue::Queue;
 pub const BLOCK_SHARES: usize = 512;
 
 /// Spent blocks a mailbox keeps for the shares posted to it next.
-pub(crate) const SPARE_BLOCKS: usize = 8;
+const SPARE_BLOCKS: usize = 8;
 
 /// Shares as `(receiving vertex, payload)` pairs in production order.
 pub type Batch<M> = Vec<(VertexId, M)>;
 
 /// One mailbox message. Every variant is one item, except `Shares`,
 /// which is as many items as it holds shares.
+#[derive(Clone)]
 pub enum Msg<M> {
     /// A mutation event with its global ingest sequence number (stream
     /// position), carried so out-of-order worker processing can still
@@ -60,18 +61,15 @@ pub enum Msg<M> {
     Shares(Batch<M>),
     /// A watermark: queued behind everything already in the mailbox, so
     /// its processing time measures the ingest-to-process latency of the
-    /// events streamed before it (§4.5's watermark pattern). The optional
-    /// channel acknowledges processing (the marker barrier). The name is
+    /// events streamed before it (§4.5's watermark pattern). The name is
     /// interned: the per-worker broadcast bumps a refcount instead of
     /// cloning a `String` per mailbox.
-    Marker(Arc<str>, Option<SyncSender<()>>),
+    Marker(Arc<str>),
     /// A simulated worker kill: the worker discards its partition state
     /// and exits immediately, as if the process died. Queued like any
     /// message, so the crash lands at a deterministic position in the
     /// worker's message stream.
     Crash,
-    /// Ends the worker after everything queued before it.
-    Stop,
 }
 
 /// One worker's mailbox and item account: `gt_core`'s one [`Queue`],
@@ -84,37 +82,51 @@ pub enum Msg<M> {
 /// its destination before the items that spawned it are marked done, so
 /// the engine-wide `enqueued − processed` never touches zero while
 /// anything is still queued, being processed, or about to be posted.
-///
-/// Posts and receives go through the methods below, which keep the share
-/// packing and the block pool; of the queue's own surface only the
-/// account and the ends are forwarded.
-pub struct Mailbox<M>(Queue<Msg<M>, Batch<M>>);
+pub type Mailbox<M> = Queue<Msg<M>, Batch<M>>;
 
-impl<M> Default for Mailbox<M> {
-    fn default() -> Self {
-        Mailbox(Queue::new(usize::MAX, SPARE_BLOCKS))
-    }
+/// A fresh mailbox.
+pub fn mailbox<M>() -> Mailbox<M> {
+    Queue::new(usize::MAX, SPARE_BLOCKS)
 }
 
-impl<M> Mailbox<M> {
+/// How messages enter and leave a [`Mailbox`]: shares packed into blocks,
+/// spent blocks handed back.
+pub trait Transport<M> {
     /// Queues one message that is not a share (one item). Returns the
     /// items lost: 0, or 1 if the mailbox is closed.
-    pub fn post(&self, msg: Msg<M>) -> u64 {
-        debug_assert!(
-            !matches!(msg, Msg::Shares(_)),
-            "shares go through post_shares"
-        );
-        u64::from(self.0.push(msg, 1).is_err())
-    }
+    fn post(&self, msg: Msg<M>) -> u64;
 
     /// Moves every share of `shares` into the queue, in order: into the
     /// queued tail block while it has room, then into spare or new blocks
     /// of [`BLOCK_SHARES`]. `shares` is left empty, its buffer kept.
     /// Returns the items lost: 0, or all of them if the mailbox is
     /// closed.
-    pub fn post_shares(&self, shares: &mut Batch<M>) -> u64 {
+    fn post_shares(&self, shares: &mut Batch<M>) -> u64;
+
+    /// The next message, blocking while there is none; `None` once the
+    /// mailbox is finished and drained, or closed. `spent` — the
+    /// receiver's consumed block — is handed back first (see
+    /// [`try_recv`](Self::try_recv)).
+    fn recv(&self, spent: &mut Batch<M>) -> Option<Msg<M>>;
+
+    /// The next message if one is queued. `spent` — the receiver's
+    /// consumed block — is emptied first and, while the spare pool has
+    /// room, kept for the next shares posted here.
+    fn try_recv(&self, spent: &mut Batch<M>) -> Option<Msg<M>>;
+}
+
+impl<M> Transport<M> for Mailbox<M> {
+    fn post(&self, msg: Msg<M>) -> u64 {
+        debug_assert!(
+            !matches!(msg, Msg::Shares(_)),
+            "shares go through post_shares"
+        );
+        u64::from(self.push(msg, 1).is_err())
+    }
+
+    fn post_shares(&self, shares: &mut Batch<M>) -> u64 {
         let items = shares.len() as u64;
-        let packed = self.0.push_with(shares, items, |shares, msgs, spare| {
+        let packed = self.push_with(shares, items, |shares, msgs, spare| {
             let mut rest = shares.drain(..);
             if let Some(Msg::Shares(tail)) = msgs.back_mut() {
                 let room = BLOCK_SHARES.saturating_sub(tail.len());
@@ -137,53 +149,20 @@ impl<M> Mailbox<M> {
         }
     }
 
-    /// The next message, blocking while there is none; `None` once the
-    /// mailbox is closed. `spent` — the receiver's consumed block — is
-    /// handed back first (see [`try_recv`](Self::try_recv)).
-    pub(crate) fn recv(&self, spent: &mut Batch<M>) -> Option<Msg<M>> {
-        self.0.take(Self::spent(spent), || true)
+    fn recv(&self, spent: &mut Batch<M>) -> Option<Msg<M>> {
+        self.take(spent_block(spent), || true)
     }
 
-    /// The next message if one is queued. `spent` — the receiver's
-    /// consumed block — is emptied first and, while the spare pool has
-    /// room, kept for the next shares posted here.
-    pub fn try_recv(&self, spent: &mut Batch<M>) -> Option<Msg<M>> {
-        self.0.take(Self::spent(spent), || false)
+    fn try_recv(&self, spent: &mut Batch<M>) -> Option<Msg<M>> {
+        self.take(spent_block(spent), || false)
     }
+}
 
-    /// Marks `items` received and processed: the receiver's call, once the
-    /// round that consumed them has posted its output.
-    pub fn done(&self, items: u64) {
-        self.0.done(items)
-    }
-
-    /// `(enqueued, processed)` items; see [`Queue::account`].
-    pub(crate) fn account(&self) -> (u64, u64) {
-        self.0.account()
-    }
-
-    /// Items queued, or received and not yet done.
-    pub fn backlog(&self) -> u64 {
-        self.0.backlog()
-    }
-
-    /// Whether posts are still accepted: `false` once the worker is gone.
-    pub(crate) fn is_open(&self) -> bool {
-        self.0.is_open()
-    }
-
-    /// The worker is gone: what is queued is dropped, and later posts are
-    /// refused and counted lost by their posters.
-    pub(crate) fn close(&self) {
-        self.0.close()
-    }
-
-    /// A consumed block, emptied, to hand back: a block is worth keeping
-    /// only at full capacity.
-    fn spent(spent: &mut Batch<M>) -> Option<Batch<M>> {
-        spent.clear();
-        (spent.capacity() == BLOCK_SHARES).then(|| std::mem::take(spent))
-    }
+/// A consumed block, emptied, to hand back: a block is worth keeping only
+/// at full capacity.
+fn spent_block<M>(spent: &mut Batch<M>) -> Option<Batch<M>> {
+    spent.clear();
+    (spent.capacity() == BLOCK_SHARES).then(|| std::mem::take(spent))
 }
 
 #[cfg(test)]
@@ -203,7 +182,7 @@ mod tests {
 
     #[test]
     fn spent_blocks_are_reused_and_the_spare_list_stays_bounded() {
-        let mailbox = Mailbox::<f64>::default();
+        let mailbox = mailbox::<f64>();
         mailbox.post_shares(&mut shares(3 * BLOCK_SHARES * SPARE_BLOCKS));
         let mut blocks = Vec::new();
         let mut spent = Vec::new();
@@ -243,7 +222,7 @@ mod tests {
 
     #[test]
     fn shares_pack_into_the_tail_block_only() {
-        let mailbox = Mailbox::<f64>::default();
+        let mailbox = mailbox::<f64>();
         mailbox.post_shares(&mut shares(10));
         mailbox.post_shares(&mut shares(BLOCK_SHARES));
         mailbox.post(Msg::Purge(VertexId(7)));
@@ -263,14 +242,14 @@ mod tests {
 
     #[test]
     fn a_closed_mailbox_refuses_posts_item_by_item() {
-        let mailbox = Mailbox::<f64>::default();
+        let mailbox = mailbox::<f64>();
         assert_eq!(mailbox.post_shares(&mut shares(3)), 0);
         mailbox.close();
         assert!(!mailbox.is_open());
         let mut rest = shares(700);
         assert_eq!(mailbox.post_shares(&mut rest), 700);
         assert!(rest.is_empty());
-        assert_eq!(mailbox.post(Msg::Stop), 1);
+        assert_eq!(mailbox.post(Msg::Crash), 1);
         assert_eq!(mailbox.account(), (3, 0));
         assert!(mailbox.recv(&mut Vec::new()).is_none());
     }

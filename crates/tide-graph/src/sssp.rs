@@ -38,6 +38,9 @@ pub struct DistancePartition {
     source: VertexId,
     vertices: VertexMap<VState>,
     stale_hazards: u64,
+    /// Scratch of [`Partition::flush_dirty`], empty between calls: the
+    /// dirty vertices that have built their offers in this call.
+    offered: VertexMap<()>,
 }
 
 impl DistancePartition {
@@ -47,6 +50,7 @@ impl DistancePartition {
             source,
             vertices: VertexMap::default(),
             stale_hazards: 0,
+            offered: VertexMap::default(),
         }
     }
 
@@ -154,10 +158,15 @@ impl Partition for DistancePartition {
         }
     }
 
+    /// Each dirty vertex offers once, however often it is listed, in
+    /// the order of its first listing.
     fn flush_dirty(&mut self, dirty: &[VertexId], out: &mut Vec<(VertexId, DistanceOffer)>) {
         for &id in dirty {
-            self.offer_from(id, out);
+            if self.offered.insert(id, ()).is_none() {
+                self.offer_from(id, out);
+            }
         }
+        self.offered.clear();
     }
 
     fn purge(&mut self, removed: VertexId, out: &mut Vec<(VertexId, DistanceOffer)>) {
@@ -328,6 +337,23 @@ mod tests {
         let source = owned(0).next().unwrap();
         let on_1: Vec<u64> = owned(1).take(3).collect();
         let (a, b, target) = (on_1[0], on_1[1], on_1[2]);
+        let source_events = [
+            add_v(source),
+            add_we(source, a, 1.0),
+            add_we(source, b, 4.0),
+        ];
+        // In one round the source is dirty three times and builds its two
+        // offers once.
+        let mut partition = DistancePartition::new(VertexId(source));
+        let mut dirty = Vec::new();
+        for event in &source_events {
+            partition.apply_event_deferred(event, &mut dirty);
+        }
+        let mut offers = Vec::new();
+        partition.flush_dirty(&dirty, &mut offers);
+        assert_eq!(dirty.len(), 3);
+        assert_eq!(offers, [(VertexId(a), 1.0), (VertexId(b), 4.0)]);
+
         let config = EngineConfig {
             workers: 2,
             supervised: true,
@@ -351,11 +377,7 @@ mod tests {
         // whose offers to a and b reach worker 1 as one block.
         let supervisor = engine.supervisor();
         assert!(supervisor.inject_crash(0));
-        for event in [
-            add_v(source),
-            add_we(source, a, 1.0),
-            add_we(source, b, 4.0),
-        ] {
+        for event in source_events {
             engine.ingest(event);
         }
         assert!(supervisor.restart_worker(0));

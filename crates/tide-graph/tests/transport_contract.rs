@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 use gt_core::hash::shard_of;
 use gt_core::prelude::*;
 use gt_metrics::MetricsHub;
-use tide_graph::mailbox::{Batch, Mailbox, Msg, BLOCK_SHARES};
+use tide_graph::mailbox::{mailbox, Batch, Mailbox, Msg, Transport, BLOCK_SHARES};
 use tide_graph::rank::RankPartition;
 use tide_graph::{Engine, EngineConfig, Partition, RankParams, TideGraph};
 
@@ -55,7 +55,7 @@ fn eventually(what: &str, mut condition: impl FnMut() -> bool) {
 /// Every vertex seeds one unit of mass and an add-only stream destroys
 /// none, so once the engine is quiet all of it is settled except what is
 /// parked below ε — unless a share was lost in a batch, on a free list,
-/// or behind `Stop`.
+/// or behind the shutdown.
 #[test]
 fn no_share_is_lost_at_any_worker_count() {
     const V: u64 = 120;
@@ -95,15 +95,15 @@ fn no_share_is_lost_at_any_worker_count() {
         assert_eq!(stats.shares, counter_sum(&hub, workers, "shares"));
         assert_eq!(
             counter_sum(&hub, workers, "ops"),
-            stats.events + stats.shares + workers as u64, // + one Stop each
+            stats.events + stats.shares,
             "workers={workers}: ops count items"
         );
     }
 }
 
 /// `quiesce` used to return while a round longer than its poll gap was
-/// still running on an empty mailbox; `shutdown` then queued `Stop` ahead
-/// of the round's output and the mass in it was never delivered.
+/// still running on an empty mailbox; `shutdown` then ended the mailboxes
+/// ahead of the round's output and the mass in it was never delivered.
 #[test]
 fn quiesce_waits_for_a_round_that_is_still_running() {
     let epsilon = 1e-3;
@@ -438,8 +438,8 @@ impl Receiver {
                 }
                 Msg::Event(_, seq) => Item::Event(seq),
                 Msg::Purge(id) => Item::Purge(id.0),
-                Msg::Marker(name, _) => Item::Marker(name.to_string()),
-                Msg::Crash | Msg::Stop => unreachable!("never posted here"),
+                Msg::Marker(name) => Item::Marker(name.to_string()),
+                Msg::Crash => unreachable!("never posted here"),
             };
             self.seen.push(item);
             items += 1;
@@ -458,7 +458,7 @@ fn packed_mailboxes_deliver_the_reference_item_sequence() {
     for case in 0..300u64 {
         let mut rng = Rng(case);
         let workers = 1 + rng.below(4) as usize;
-        let mailboxes: Vec<Mailbox<f64>> = (0..workers).map(|_| Mailbox::default()).collect();
+        let mailboxes: Vec<Mailbox<f64>> = (0..workers).map(|_| mailbox()).collect();
         let mut receivers: Vec<Receiver> = (0..workers).map(|_| Receiver::default()).collect();
         let mut posted: Vec<Vec<Item>> = vec![Vec::new(); workers];
         let mut serial = 0u64;
@@ -479,7 +479,7 @@ fn packed_mailboxes_deliver_the_reference_item_sequence() {
                 3 => {
                     let name = format!("m-{serial}");
                     posted[w].push(Item::Marker(name.clone()));
-                    mailbox.post(Msg::Marker(Arc::from(name.as_str()), None))
+                    mailbox.post(Msg::Marker(Arc::from(name.as_str())))
                 }
                 4..=6 => {
                     let n = match rng.below(3) {
@@ -571,7 +571,7 @@ fn a_parked_worker_is_woken_by_every_kind_of_post() {
             settle("restart", round);
         }
     }
-    // And `Stop`: a lost wake-up here hangs the join.
+    // And the shutdown's finish: a lost wake-up here hangs the join.
     let stats = engine.shutdown();
     assert_eq!((stats.crashes, stats.restarts), (10, 10));
     assert_eq!(stats.events_lost, 0);
@@ -770,7 +770,7 @@ fn crashed_workers_slot_is_frozen_until_a_restart_replaces_it() {
 
     assert!(supervisor.inject_crash(0));
     eventually("the crash to land", || !supervisor.inject_crash(0));
-    // Lost on the dead worker, kept in the retained log: one of its
+    // Lost on the dead worker, kept in its log: one of its
     // vertices goes, two arrive.
     engine.ingest(GraphEvent::RemoveVertex {
         id: VertexId(dead[0]),

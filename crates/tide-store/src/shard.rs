@@ -15,9 +15,13 @@
 //! queue's pool carries each emptied batch back to the routing thread
 //! that allocated it. The timestamper's ingestion queue is the same type:
 //! transactions weighted 1, its pool carrying each routed transaction's
-//! emptied event buffer back to the clients. A shutdown finishes every
-//! queue (each shard stops behind its backlog); a crash closes its
-//! shard's.
+//! emptied event buffer back to the clients.
+//!
+//! The shards are one `gt_core` [`WorkerSet`], which crashes, restarts
+//! and stops them as it does `tide-graph`'s workers (DESIGN.md §9,
+//! "One worker set"). What is the store's own: each slot's log keeps the
+//! batches posted to it and a `Cut` for each marker, and a restart holds
+//! the routing lock.
 //!
 //! No shard keeps a record per event: at shutdown each one hands over its
 //! state, its event and dangling counts, and (only when windows are
@@ -26,14 +30,14 @@
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use gt_core::hash::shard_of;
 use gt_core::prelude::*;
 use gt_core::queue::{Consumer, Queue};
-use gt_core::sync::{lock, read, write};
+use gt_core::sync::{lock, read};
+use gt_core::workers::{abandon, Run, Slots, WorkerSet};
 use gt_metrics::hub::{Counter, MicrosCounter};
 use gt_metrics::MetricsHub;
 use gt_sut::{busy_work, Adjacency, WindowDigest, WorkerSupervisor};
@@ -43,7 +47,7 @@ use crate::partition::{PartitionState, ShardedGraph};
 use crate::store::{ClientMsg, Router, StoreConfig, StoreStats};
 
 /// `(commit timestamp, entry)` pairs in commit order: the payload of one
-/// queue message, and a shard's retained share in supervised mode. An
+/// queue message, which a shard's log keeps whole in supervised mode. An
 /// entry is one of the shard's events to apply; `None` for one of its
 /// `AddEdge`s whose destination was not live at that timestamp (counted,
 /// not applied); or, to a shard that does not own it, a `RemoveVertex` of a
@@ -59,20 +63,14 @@ fn is_purge(event: &GraphEvent, shard: usize, shards: usize) -> bool {
 
 /// A shard's queue: batches weighted by their events, emptied batches
 /// going back to the router.
-pub(crate) type Route = Arc<Queue<ShardMsg, Batch>>;
+pub(crate) type Route = Queue<ShardMsg, Batch>;
 
 /// The timestamper's ingestion queue: transactions weighted 1, emptied
 /// event buffers going back to the clients.
 pub(crate) type Ingest = Queue<ClientMsg, Vec<GraphEvent>>;
 
-/// A fresh shard or ingestion queue of `queue_capacity` messages. Its
-/// pool has room for every buffer the queue can hold and the one being
-/// emptied.
-fn bounded<M, B>(config: &StoreConfig) -> Arc<Queue<M, B>> {
-    Arc::new(Queue::new(config.queue_capacity, config.queue_capacity + 1))
-}
-
 /// Work delivered to a shard's queue.
+#[derive(Clone)]
 pub(crate) enum ShardMsg {
     /// One transaction's share for this shard, timestamps assigned.
     Batch(Batch),
@@ -92,6 +90,7 @@ pub(crate) enum ShardMsg {
 /// (committed), `store.marker_skips`, and the fault/recovery counters
 /// `store.crashes`, `store.restarts`, `store.events_lost`,
 /// `store.events_discarded`, `store.events_replayed`.
+#[derive(Clone)]
 pub(crate) struct Counters {
     pub(crate) tx: Counter,
     pub(crate) events: Counter,
@@ -104,6 +103,7 @@ pub(crate) struct Counters {
 }
 
 /// What a shard that stopped (rather than crashed) leaves behind.
+#[derive(Default)]
 pub(crate) struct ShardEnd {
     slot: usize,
     state: PartitionState,
@@ -119,42 +119,33 @@ pub(crate) struct ShardEnd {
 
 /// The running shards and everything needed to sequence into, kill and
 /// resurrect them; shared by the store handle, its clients, its
-/// timestamper and its supervisor.
+/// timestamper and its supervisor, never by a shard.
 pub(crate) struct ShardPool {
     /// The sequencer's state. Routing a transaction, marking and a
     /// restart each hold it throughout, so they never interleave: every
     /// shard applies in commit order, and a marker reaches each shard
     /// behind exactly the events below its cut. (A crash's loss count
-    /// needs no lock: its queue books a post only while open.)
+    /// needs no lock: its queue books a post only while open.) Taken
+    /// before the slot table's lock, never after it.
     pub(crate) router: Mutex<Router>,
-    /// Every slot's current queue. A restart swaps one, holding the
-    /// router lock too; the sequencers read them under the router lock,
-    /// `quiesce` and `finish` without it.
-    pub(crate) routes: RwLock<Vec<Route>>,
+    /// The shards. Their slot table is write-locked only while a restart
+    /// swaps a queue, holding the router lock too; the sequencers read it
+    /// under the router lock, `quiesce` and `finish` without it.
+    pub(crate) shards: WorkerSet<ShardMsg, Batch, ShardEnd>,
     /// The timestamper's ingestion queue; `None` behind the router, which
     /// has no ingestion stage.
     pub(crate) ingest: Option<Arc<Ingest>>,
-    handles: Mutex<Vec<JoinHandle<Option<ShardEnd>>>>,
-    /// Marker sightings `(interned name, shard, events the shard had
-    /// applied)` in processing order.
-    pub(crate) shard_markers: Mutex<Vec<(Arc<str>, usize, u64)>>,
     pub(crate) config: StoreConfig,
     /// Whether shards dump their adjacency at each marker.
-    windows: AtomicBool,
+    pub(crate) windows: Arc<AtomicBool>,
     hub: MetricsHub,
     pub(crate) tracer_cell: TracerCell,
-    /// Set by shutdown; blocks further restarts, crashes and routed
-    /// traffic.
-    pub(crate) stopping: AtomicBool,
     pub(crate) counters: Counters,
 }
 
 /// How often [`ShardPool::quiesce`] re-reads the accounts: fine enough not
 /// to quantise a sub-second measurement window.
 const QUIESCE_POLL: Duration = Duration::from_micros(50);
-
-/// Entries per queue message when a restart replays the retained ones.
-const REPLAY_BATCH: usize = 64;
 
 impl ShardPool {
     /// Starts `config.shards` shard threads behind bounded queues, behind
@@ -164,18 +155,18 @@ impl ShardPool {
     pub(crate) fn start(config: StoreConfig, routed: bool, hub: &MetricsHub) -> Arc<Self> {
         assert!(config.shards >= 1, "at least one shard required");
         assert!(config.queue_capacity > 0, "queue capacity must be > 0");
-        let routes: Vec<Route> = (0..config.shards).map(|_| bounded(&config)).collect();
+        // A queue's pool has room for every buffer the queue can hold and
+        // the one being emptied.
+        let capacity = config.queue_capacity;
+        let queue = move || Queue::new(capacity, capacity + 1);
         let pool = Arc::new(ShardPool {
             router: Mutex::new(Router::new(config.shards)),
-            routes: RwLock::new(routes.clone()),
-            ingest: (!routed).then(|| bounded(&config)),
-            handles: Mutex::new(Vec::with_capacity(config.shards)),
-            shard_markers: Mutex::new(Vec::new()),
+            shards: WorkerSet::new("tide-store-shard", config.shards, queue, config.supervised),
+            ingest: (!routed).then(|| Arc::new(Queue::new(capacity, capacity + 1))),
             config,
-            windows: AtomicBool::new(false),
+            windows: Arc::new(AtomicBool::new(false)),
             hub: hub.clone(),
             tracer_cell: TracerCell::new(),
-            stopping: AtomicBool::new(false),
             counters: Counters {
                 tx: hub.counter("store.tx"),
                 events: hub.counter("store.events"),
@@ -187,52 +178,43 @@ impl ShardPool {
                 events_replayed: hub.counter("store.events_replayed"),
             },
         });
-        let handles = routes
-            .into_iter()
-            .enumerate()
-            .map(|(shard_id, route)| pool.spawn_shard(shard_id, route))
-            .collect();
-        *lock(&pool.handles) = handles;
+        pool.shards.start(|slot| pool.shard(slot));
         pool
     }
 
-    /// Spawns (or respawns) the shard for a slot, as the consumer of its
-    /// fresh queue. Its two counters are looked up by name
-    /// here, before the thread runs: a sampler started after the store
-    /// lists them from its first sample, and a restarted shard keeps
-    /// accumulating on the same series.
-    fn spawn_shard(
-        self: &Arc<Self>,
-        shard_id: usize,
-        route: Route,
-    ) -> JoinHandle<Option<ShardEnd>> {
-        let pool = Arc::clone(self);
-        let busy = MicrosCounter::new(self.hub.counter(&format!("shard-{shard_id}.busy_micros")));
-        let applied = self.hub.counter(&format!("shard-{shard_id}.events"));
-        std::thread::Builder::new()
-            .name(format!("tide-store-shard-{shard_id}"))
-            .spawn(move || pool.run_shard(shard_id, Consumer(route), busy, applied))
-            .expect("spawn shard")
+    /// What the thread of a slot's (re)spawned shard runs. Its two
+    /// counters are looked up by name here, before the thread runs: a
+    /// sampler started after the store lists them from its first sample,
+    /// and a restarted shard keeps accumulating on the same series.
+    fn shard(&self, slot: usize) -> Run<ShardMsg, Batch, ShardEnd> {
+        let shard = Shard {
+            slot,
+            routed: self.ingest.is_none(),
+            config: self.config.clone(),
+            slots: Arc::clone(&self.shards.slots),
+            windows: Arc::clone(&self.windows),
+            tracer_cell: self.tracer_cell.clone(),
+            counters: self.counters.clone(),
+            busy: MicrosCounter::new(self.hub.counter(&format!("shard-{slot}.busy_micros"))),
+            applied: self.hub.counter(&format!("shard-{slot}.events")),
+        };
+        Box::new(move |queue| shard.run(queue))
     }
 
-    /// Makes every shard dump its adjacency at each marker from now on,
-    /// for [`StoreStats::windows`].
-    pub(crate) fn record_windows(&self) {
-        self.windows.store(true, Ordering::SeqCst);
-    }
-
-    /// Sends `part`, weighted by its events, to `shard`'s queue, and
-    /// leaves in `part` the emptied batch the shard handed back last (or
-    /// an empty one). Blocks while the shard's queue is full — the
-    /// backpressure that reaches clients through the sequencer — and fails
-    /// fast on a dead shard. Returns the batch's event count, `Err` if it
-    /// was not delivered.
-    pub(crate) fn post(&self, route: &Route, shard: usize, part: &mut Batch) -> Result<u64, u64> {
+    /// Logs `part` in supervised mode and sends it, weighted by its
+    /// events, to `shard`'s `queue`, leaving in `part` the emptied batch
+    /// the shard handed back last (or an empty one). Blocks while the
+    /// queue is full — the backpressure that reaches clients through the
+    /// sequencer — and fails fast on a dead shard. Returns the batch's
+    /// event count, `Err` if it was not delivered.
+    pub(crate) fn post(&self, queue: &Route, shard: usize, part: &mut Batch) -> Result<u64, u64> {
         let shards = self.config.shards;
         let purges = (part.iter().flat_map(|(_, entry)| entry))
             .filter(|event| is_purge(event, shard, shards));
         let events = (part.len() - purges.count()) as u64;
-        match route.exchange(ShardMsg::Batch(std::mem::take(part)), events) {
+        let batch = || ShardMsg::Batch(part.clone());
+        self.shards.log(shard, events, batch);
+        match queue.exchange(ShardMsg::Batch(std::mem::take(part)), events) {
             Ok(spare) => {
                 *part = spare.unwrap_or_default();
                 Ok(events)
@@ -254,7 +236,8 @@ impl ShardPool {
             // Ingestion first: once it is idle every share of every
             // submitted transaction is on a shard's account.
             let ingested = (self.ingest.as_ref()).is_none_or(|queue| queue.backlog() == 0);
-            if ingested && read(&self.routes).iter().all(|route| route.backlog() == 0) {
+            let idle = |queue: &Arc<Route>| queue.backlog() == 0;
+            if ingested && read(&self.shards.slots.queues).iter().all(idle) {
                 return true;
             }
             if Instant::now() >= deadline {
@@ -264,32 +247,22 @@ impl ShardPool {
         }
     }
 
-    /// Stops all shards behind their backlogs, joins them tolerantly, and
-    /// reads the final statistics off what they left behind: their states
-    /// joined into the graph, their counts summed, their window dumps
-    /// united per marker. A crashed shard leaves nothing (a restarted slot
-    /// joins twice, dead thread first), and a shard that *panicked* is
-    /// contained and counted as a crash instead of poisoning the run. A
-    /// slot whose shard died for good contributes nothing, and an edge
-    /// into one of its vertices is dropped and counted dangling (see
-    /// [`ShardedGraph`]).
+    /// Stops all shards behind their backlogs and reads the final
+    /// statistics off what they left behind: their states joined into the
+    /// graph, their counts summed, their window dumps united per marker. A
+    /// crashed shard leaves nothing, and one that *panicked* is counted as
+    /// a crash instead of poisoning the run. A slot whose shard died for
+    /// good contributes nothing, and an edge into one of its vertices is
+    /// dropped and counted dangling (see [`ShardedGraph`]).
     pub(crate) fn finish(&self) -> StoreStats {
-        read(&self.routes).iter().for_each(|route| route.finish());
+        let (ends, panicked) = self.shards.shutdown();
+        self.counters.crashes.add(panicked);
         let shards = self.config.shards;
         let mut parts: Vec<PartitionState> = (0..shards).map(|_| PartitionState::new()).collect();
         let mut per_shard_seqs = vec![Vec::new(); shards];
         let mut dumps = Vec::with_capacity(shards);
         let (mut events, mut dangling) = (0, 0);
-        let handles = std::mem::take(&mut *lock(&self.handles));
-        for handle in handles {
-            let end = match handle.join() {
-                Ok(Some(end)) => end,
-                Ok(None) => continue,
-                Err(_) => {
-                    self.counters.crashes.inc();
-                    continue;
-                }
-            };
+        for end in ends {
             events += end.events;
             dangling += end.dangling;
             parts[end.slot] = end.state;
@@ -307,7 +280,6 @@ impl ShardPool {
             false => Vec::new(),
         };
         let (graph, dropped) = ShardedGraph::join(parts);
-        let shard_markers = lock(&self.shard_markers);
         StoreStats {
             transactions: self.counters.tx.get(),
             events,
@@ -321,15 +293,35 @@ impl ShardPool {
             markers,
             windows,
             per_shard_seqs,
-            shard_markers: shard_markers
+            shard_markers: lock(&self.shards.slots.sightings)
                 .iter()
                 .map(|(name, shard, _)| (name.to_string(), *shard))
                 .collect(),
             marker_skips: self.counters.marker_skips.get(),
         }
     }
+}
 
-    /// Runs one shard until its queue is finished and drained (returns
+/// One shard thread's share of the pool. It holds the slot table, not the
+/// pool: a store dropped without a shutdown drops its pool, whose worker
+/// set then closes the shards' queues.
+struct Shard {
+    slot: usize,
+    /// Behind the router (no ingestion queue) the shard pays the ordering
+    /// cost per received batch and records the commit timestamps it
+    /// applies.
+    routed: bool,
+    config: StoreConfig,
+    slots: Arc<Slots<ShardMsg, Batch>>,
+    windows: Arc<AtomicBool>,
+    tracer_cell: TracerCell,
+    counters: Counters,
+    busy: MicrosCounter,
+    applied: Counter,
+}
+
+impl Shard {
+    /// Runs the shard until its queue is finished and drained (returns
     /// what it built) or `Crash` (returns nothing — the state dies with
     /// it).
     ///
@@ -339,26 +331,12 @@ impl ShardPool {
     /// global stream position, carried explicitly because shards apply out
     /// of order. The clock is read only when there is simulated work to
     /// account for.
-    fn run_shard(
-        &self,
-        shard_id: usize,
-        queue: Consumer<ShardMsg, Batch>,
-        busy: MicrosCounter,
-        applied: Counter,
-    ) -> Option<ShardEnd> {
+    fn run(self, queue: Consumer<ShardMsg, Batch>) -> Option<ShardEnd> {
         let mut end = ShardEnd {
-            slot: shard_id,
-            state: PartitionState::new(),
-            windows: Vec::new(),
-            events: 0,
-            dangling: 0,
-            seqs: Vec::new(),
+            slot: self.slot,
+            ..ShardEnd::default()
         };
-        // Behind the router (no ingestion queue) the shard pays the ordering
-        // cost per received batch and records the commit timestamps it
-        // applies.
-        let routed = self.ingest.is_none();
-        let batch_cost = match routed {
+        let batch_cost = match self.routed {
             true => self.config.timestamper_cost_per_tx,
             false => Duration::ZERO,
         };
@@ -383,7 +361,7 @@ impl ShardPool {
                         match entry {
                             // Another shard's removal: drop the edges into
                             // its vertex held here.
-                            Some(event) if is_purge(&event, shard_id, shards) => {
+                            Some(event) if is_purge(&event, self.slot, shards) => {
                                 end.state.apply(&event);
                                 continue;
                             }
@@ -397,7 +375,7 @@ impl ShardPool {
                             }
                         }
                         events += 1;
-                        if routed {
+                        if self.routed {
                             end.seqs.push(ts);
                         }
                         if let Some(probe) = &trace_probe {
@@ -406,34 +384,25 @@ impl ShardPool {
                     }
                     spent = Some(batch);
                     end.events += events;
-                    applied.add(events);
+                    self.applied.add(events);
                     if let Some(started) = started {
-                        busy.add(started.elapsed());
+                        self.busy.add(started.elapsed());
                     }
                     queue.done(events);
                 }
                 ShardMsg::Marker(name) => {
                     let (_, position) = queue.account();
-                    lock(&self.shard_markers).push((name, shard_id, position));
+                    lock(&self.slots.sightings).push((name, self.slot, position));
                     self.dump(&mut end);
                 }
                 ShardMsg::Cut => self.dump(&mut end),
                 ShardMsg::Crash => {
-                    // Die like a killed process: state abandoned, queued
-                    // messages dropped with the closed queue, so a
-                    // sequencer waiting on it fails out. A post is booked
-                    // only while the queue is open, so after `close` what
-                    // is enqueued but unapplied is exactly the abandoned
-                    // backlog — written off as lost, so `quiesce` does not
-                    // wait for it — and every later post fails and is
+                    // Die like a killed process: the backlog behind the
+                    // crash is written off as lost, so `quiesce` does not
+                    // wait for it, and every later post fails and is
                     // counted lost by its sender. The applied events die
-                    // with the state and are counted discarded. The closed
-                    // queue tells routers (and a waiting supervisor) that
-                    // this partition is vacant.
-                    queue.close();
-                    let abandoned = queue.backlog();
-                    queue.done(abandoned);
-                    self.counters.events_lost.add(abandoned);
+                    // with the state and are counted discarded.
+                    self.counters.events_lost.add(abandon(&queue, 0));
                     self.counters.events_discarded.add(end.events);
                     self.counters.crashes.inc();
                     return None;
@@ -468,81 +437,27 @@ fn union(dumps: impl Iterator<Item = Adjacency>) -> Adjacency {
 /// The store's [`WorkerSupervisor`]: kills and resurrects individual
 /// shards behind either sequencer. Obtained from `supervisor()` on the
 /// store.
-pub(crate) struct StoreSupervisor(pub(crate) Arc<ShardPool>);
-
-impl WorkerSupervisor for StoreSupervisor {
-    fn worker_count(&self) -> usize {
-        self.0.config.shards
-    }
-
-    /// Enqueues a crash on the shard's queue. The kill lands behind the
-    /// shard's current backlog — a deterministic position in its message
-    /// stream — and the shard then discards its state and exits.
+impl WorkerSupervisor for ShardPool {
+    /// Enqueues a crash on the shard's queue, behind every transaction
+    /// routed so far; the shard then discards its state and exits. Like a
+    /// marker, the crash is control traffic outside the event account.
     fn inject_crash(&self, worker: usize) -> bool {
-        let pool = &self.0;
-        if worker >= pool.config.shards || pool.stopping.load(Ordering::SeqCst) {
-            return false;
-        }
-        let _routing = lock(&pool.router);
-        read(&pool.routes)[worker].push(ShardMsg::Crash, 0).is_ok()
+        let _routing = lock(&self.router);
+        self.shards.inject(worker, ShardMsg::Crash, 0)
     }
 
-    /// Restarts a crashed shard (supervised mode only): waits briefly for
-    /// the crash to land, then — with routing locked out — spawns a fresh
-    /// shard and replays into its new queue, in commit order, every entry
-    /// retained for it with the marker cuts in between, so its state and
-    /// its window dumps are rebuilt.
+    /// Restarts a crashed shard (supervised mode only), with routing
+    /// locked out: the fresh shard's queue replays every batch and marker
+    /// cut posted to the slot, so its state and its window dumps are
+    /// rebuilt.
     fn restart_worker(&self, worker: usize) -> bool {
-        let pool = &self.0;
-        let config = &pool.config;
-        if worker >= config.shards || !config.supervised {
+        let (exclude, events) = (|| lock(&self.router), |_: &ShardMsg, events| events);
+        let restart = (self.shards).restart(worker, exclude, |slot| self.shard(slot), events);
+        let Some(replayed) = restart else {
             return false;
-        }
-        // The crash message travels through the shard's backlog; give it
-        // time to land before declaring the restart impossible.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while read(&pool.routes)[worker].is_open() {
-            if Instant::now() > deadline || pool.stopping.load(Ordering::SeqCst) {
-                return false;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-
-        let router = lock(&pool.router);
-        if pool.stopping.load(Ordering::SeqCst) {
-            return false;
-        }
-        // A fresh queue starts a fresh account: what the dead shard left
-        // unapplied was written off when it died. Spawn first so the
-        // bounded queue drains while replay fills it.
-        let route = bounded(config);
-        let handle = pool.spawn_shard(worker, Arc::clone(&route));
-        write(&pool.routes)[worker] = Arc::clone(&route);
-        let mut cuts = router.cuts.iter().map(|&(_, cut)| cut).peekable();
-        let (mut batch, mut replayed) = (Batch::with_capacity(REPLAY_BATCH), 0);
-        let mut flush = |batch: &mut Batch| {
-            if !batch.is_empty() {
-                let posted = pool.post(&route, worker, batch);
-                replayed += posted.unwrap_or_else(|lost| lost);
-            }
         };
-        for (ts, entry) in &router.retained[worker] {
-            while cuts.next_if(|&cut| cut <= *ts).is_some() {
-                flush(&mut batch);
-                let _ = route.push(ShardMsg::Cut, 0);
-            }
-            batch.push((*ts, entry.clone()));
-            if batch.len() == REPLAY_BATCH {
-                flush(&mut batch);
-            }
-        }
-        flush(&mut batch);
-        for _ in cuts {
-            let _ = route.push(ShardMsg::Cut, 0);
-        }
-        lock(&pool.handles).push(handle);
-        pool.counters.restarts.inc();
-        pool.counters.events_replayed.add(replayed);
+        self.counters.restarts.inc();
+        self.counters.events_replayed.add(replayed);
         true
     }
 }

@@ -17,8 +17,8 @@
 //! what its shard cannot see — whether an `AddEdge`'s endpoints are live,
 //! which foreign vertices a removal purges — from the set of live vertex
 //! ids the sequencer keeps, split the transaction per owner shard
-//! (`gt_core::hash::shard_of` of each event's home vertex), retain it in
-//! supervised mode, post one batch per shard's queue and book each share
+//! (`gt_core::hash::shard_of` of each event's home vertex), post one batch
+//! per shard's queue (logged in supervised mode) and book each share
 //! delivered or lost. Holding the lock throughout
 //! makes routing exclusive, so every shard applies in commit order and
 //! each shard's state is exact: together the shards hold what a serial
@@ -36,27 +36,24 @@
 //! below the cut. The cut is recorded by the sequencer, not inside any
 //! shard, so it survives shard crashes; a dead shard is skipped and
 //! counted (`store.marker_skips`). When windows are recorded
-//! ([`TideStore::record_windows`], the digest mode), each shard dumps its
+//! (`TideStore::record_windows`, the digest mode), each shard dumps its
 //! adjacency as the marker passes.
 //!
 //! # Crash containment and supervised recovery
 //!
-//! Shards are *crash-containable*: a crash message delivered through
-//! the store's [`gt_sut::WorkerSupervisor`] (see [`TideStore::supervisor`])
-//! makes the shard discard its state and exit, like a killed process.
-//! Sequencing continues — events routed to a dead shard, and the backlog a
-//! dying shard abandons, are counted as lost (`store.events_lost`, by
-//! event), and the events it had applied as discarded
-//! (`store.events_discarded`), instead of silently ending the run; shutdown
-//! joins dead shards tolerantly, and a dead incarnation contributes
-//! nothing to the final state. In *supervised* mode
-//! ([`StoreConfig::supervised`]) the routing body additionally retains
-//! every entry it routes — the sequencer's decisions included — so a crashed
-//! shard can be restarted and rebuilt by replaying its share with the
-//! original timestamps and the marker cuts in between.
+//! The shards are one `gt_core::workers::WorkerSet`: crash, restart and
+//! shutdown work as for `tide-graph`'s workers (DESIGN.md §9, "One worker
+//! set"), driven through the store's [`gt_sut::WorkerSupervisor`] (see
+//! [`TideStore::supervisor`]). Sequencing continues past a crash — events
+//! routed to a dead shard, and the backlog a dying shard abandons, are
+//! counted as lost (`store.events_lost`, by event), and the events it had
+//! applied as discarded (`store.events_discarded`). In *supervised* mode
+//! ([`StoreConfig::supervised`]) each shard's log keeps every batch routed
+//! to it — the sequencer's decisions included — and a `Cut` for each
+//! marker, so a restart rebuilds the shard's state and its window dumps
+//! with the original timestamps.
 
 use std::collections::HashSet;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -72,7 +69,7 @@ use gt_sut::{busy_work, WindowDigest, WorkerSupervisor};
 use gt_trace::TracerCell;
 
 use crate::partition::ShardedGraph;
-use crate::shard::{Batch, ShardMsg, ShardPool, StoreSupervisor};
+use crate::shard::{Batch, ShardMsg, ShardPool};
 
 /// Store configuration.
 ///
@@ -96,7 +93,7 @@ pub struct StoreConfig {
     /// of one transaction owed to that shard); full queues backpressure
     /// the sender (the paper's "backthrottling"). Must be positive.
     pub queue_capacity: usize,
-    /// Retain every routed entry — each event with its commit timestamp and
+    /// Log every routed batch — each event with its commit timestamp and
     /// the sequencer's decisions — so crashed shards can be restarted with
     /// their state rebuilt by replay (the single-process stand-in for a
     /// durable write-ahead log). Costs memory proportional to the stream
@@ -172,7 +169,7 @@ impl StoreClient {
                 Err(ClientMsg::Tx(transaction)) => Err(transaction),
                 Err(ClientMsg::Marker(_)) => unreachable!("a transaction was sent"),
             },
-            None if pool.stopping.load(Ordering::SeqCst) => Err(transaction),
+            None if pool.shards.is_stopping() => Err(transaction),
             None => {
                 let mut events = transaction.events;
                 lock(&pool.router).route(pool, &mut events);
@@ -189,7 +186,7 @@ impl StoreClient {
             Some(queue) => queue
                 .push(ClientMsg::Marker(name.to_owned()), 0)
                 .map_err(|_| StoreClosed),
-            None if self.pool.stopping.load(Ordering::SeqCst) => Err(StoreClosed),
+            None if self.pool.shards.is_stopping() => Err(StoreClosed),
             None => {
                 lock(&self.pool.router).mark(&self.pool, name);
                 Ok(())
@@ -240,7 +237,7 @@ pub struct StoreStats {
     /// events_discarded` equals the events submitted plus
     /// `events_replayed`.
     pub events_discarded: u64,
-    /// Events re-enqueued from the retained entries on restarts.
+    /// Events re-enqueued from the shards' logs on restarts.
     pub events_replayed: u64,
     /// Marker cuts, in sequencing order: `(marker name, commit timestamp
     /// at the cut)`. Events with a smaller timestamp belong to the window
@@ -248,7 +245,7 @@ pub struct StoreStats {
     pub markers: Vec<(String, u64)>,
     /// The graph's adjacency at each marker cut, in sequencing order:
     /// the shards' dumps as the marker passed them, united. Empty unless
-    /// [`TideStore::record_windows`] was called.
+    /// `TideStore::record_windows` was called.
     pub windows: Vec<WindowDigest>,
     /// Commit timestamps per shard slot, in apply order. With a single
     /// client and no faults each list is strictly increasing and equals
@@ -322,7 +319,9 @@ impl TideStore {
     /// [`StoreStats::windows`] (the digest mode). Call it before the first
     /// marker; the dumps cost memory per marker, not per event.
     pub(crate) fn record_windows(&self) {
-        self.pool.record_windows();
+        self.pool
+            .windows
+            .store(true, std::sync::atomic::Ordering::SeqCst);
     }
 
     /// The tracer slot shared with the shard threads. Installing a
@@ -339,7 +338,7 @@ impl TideStore {
     /// handle shares the store's internals (not the store itself), so it
     /// stays valid until shutdown.
     pub fn supervisor(&self) -> Arc<dyn WorkerSupervisor> {
-        Arc::new(StoreSupervisor(Arc::clone(&self.pool)))
+        self.pool.clone()
     }
 
     /// A new client handle.
@@ -373,9 +372,8 @@ impl TideStore {
     /// (unless a supervised restart replayed it) — and a shard that
     /// *panicked* is contained and counted as a crash instead of
     /// poisoning the run.
-    pub fn shutdown(self) -> StoreStats {
-        self.pool.stopping.store(true, Ordering::SeqCst);
-        if let Some(thread) = self.timestamper {
+    pub fn shutdown(mut self) -> StoreStats {
+        if let Some(thread) = self.timestamper.take() {
             // The timestamper routes what is queued, then ends.
             self.pool.ingest.iter().for_each(|queue| queue.finish());
             // A panicked timestamper is contained: the join below still
@@ -383,6 +381,15 @@ impl TideStore {
             let _ = thread.join();
         }
         self.pool.finish()
+    }
+}
+
+/// A store dropped without a shutdown closes the ingestion queue, so the
+/// timestamper exits and lets go of the pool; the last handle on the pool
+/// takes the shards' queues with it.
+impl Drop for TideStore {
+    fn drop(&mut self) {
+        self.pool.ingest.iter().for_each(|queue| queue.close());
     }
 }
 
@@ -443,7 +450,7 @@ enum Verdict {
 
 /// The sequencer's state, behind the pool's routing lock: the
 /// commit-timestamp counter, the live vertex ids, the marker
-/// cuts, the retained entries, and the routing body's scratch, reused
+/// cuts, and the routing body's scratch, reused
 /// across transactions — each event's owner and verdict, the entries owed
 /// to each shard, and the batch being filled for it (between transactions
 /// the emptied batch the shard's queue handed back on the last post).
@@ -456,9 +463,6 @@ pub(crate) struct Router {
     live: HashSet<VertexId, VertexBuildHasher>,
     /// Marker cuts in sequencing order: `(name, commit timestamp)`.
     pub(crate) cuts: Vec<(String, u64)>,
-    /// Per shard, every entry routed to it in commit order — in supervised
-    /// mode only.
-    pub(crate) retained: Vec<Batch>,
     verdicts: Vec<(usize, Verdict)>,
     counts: Vec<usize>,
     parts: Vec<Batch>,
@@ -470,7 +474,6 @@ impl Router {
             next_ts: 0,
             live: HashSet::default(),
             cuts: Vec::new(),
-            retained: vec![Vec::new(); shards],
             verdicts: Vec::new(),
             counts: vec![0; shards],
             parts: vec![Vec::new(); shards],
@@ -496,7 +499,7 @@ impl Router {
     }
 
     /// Stamps a transaction's events with consecutive commit timestamps,
-    /// decides each one, posts one batch per shard it touches (retained in
+    /// decides each one, posts one batch per shard it touches (logged in
     /// supervised mode) and books each share delivered or lost. Leaves
     /// `events` empty, its buffer kept for reuse.
     pub(crate) fn route(&mut self, pool: &ShardPool, events: &mut Vec<GraphEvent>) {
@@ -537,18 +540,15 @@ impl Router {
             };
             self.parts[shard].push((ts, entry));
         }
-        let routes = read(&pool.routes);
+        let queues = read(&pool.shards.slots.queues);
         for (shard, part) in self.parts.iter_mut().enumerate() {
             if part.is_empty() {
                 continue;
             }
-            if pool.config.supervised {
-                self.retained[shard].extend(part.iter().cloned());
-            }
             // A dead shard fails fast — its share is counted lost and
             // sequencing continues (a dead partition must not end the
             // whole store).
-            match pool.post(&routes[shard], shard, part) {
+            match pool.post(&queues[shard], shard, part) {
                 Ok(events) => pool.counters.events.add(events),
                 Err(events) => pool.counters.events_lost.add(events),
             }
@@ -560,13 +560,15 @@ impl Router {
     /// before it is below — and broadcasts the marker to every shard,
     /// behind the batches already queued there. The cut lives here, not in
     /// any shard, so it survives shard crashes; a dead shard is skipped and
-    /// counted (`store.marker_skips`), never waited for.
+    /// counted (`store.marker_skips`), never waited for. Each shard's log
+    /// keeps the cut, dead or not, for a restart to dump the window at.
     pub(crate) fn mark(&mut self, pool: &ShardPool, name: &str) {
         self.cuts.push((name.to_owned(), self.next_ts));
         // Intern once; the per-shard fan-out clones refcounts, not Strings.
         let name = gt_core::intern::intern(name);
-        for route in read(&pool.routes).iter() {
-            if route.push(ShardMsg::Marker(Arc::clone(&name)), 0).is_err() {
+        for (shard, queue) in read(&pool.shards.slots.queues).iter().enumerate() {
+            pool.shards.log(shard, 0, || ShardMsg::Cut);
+            if queue.push(ShardMsg::Marker(Arc::clone(&name)), 0).is_err() {
                 pool.counters.marker_skips.inc();
             }
         }
@@ -772,7 +774,7 @@ mod tests {
                 });
             });
             let stats = store.shutdown();
-            let sightings = lock(&pool.shard_markers);
+            let sightings = lock(&pool.shards.slots.sightings);
             assert_eq!(sightings.len(), 200 * 3);
             for (marker, shard, applied) in sightings.iter() {
                 let (_, cut) = (stats.markers.iter())
@@ -928,6 +930,32 @@ mod tests {
         }
     }
 
+    /// A store dropped without a shutdown, with a live backlog: its
+    /// threads exit. The timestamper holds the pool and each shard the
+    /// slot table, so both go with the last of them.
+    #[test]
+    fn a_dropped_store_lets_its_threads_exit() {
+        for (name, start) in SEQUENCERS {
+            let config = StoreConfig {
+                shard_cost_per_event: Duration::from_micros(100),
+                ..fast_config()
+            };
+            let store = start(config, &MetricsHub::new());
+            let mut client = store.client();
+            for chunk in vertex_events(0..400).chunks(4) {
+                client.submit(transaction(chunk.iter().cloned())).unwrap();
+            }
+            let pool = Arc::downgrade(&store.pool);
+            let slots = Arc::downgrade(&store.pool.shards.slots);
+            drop((client, store));
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while pool.strong_count() + slots.strong_count() > 0 {
+                assert!(Instant::now() < deadline, "{name}: a thread never exited");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+    }
+
     #[test]
     #[should_panic(expected = "at least one shard")]
     fn zero_shards_rejected() {
@@ -966,7 +994,6 @@ mod tests {
                 client.submit(Transaction::single(event)).unwrap();
             }
             let supervisor = store.supervisor();
-            assert_eq!(supervisor.worker_count(), 2);
             assert!(supervisor.inject_crash(0), "{name}");
             assert!(
                 !supervisor.restart_worker(0),
