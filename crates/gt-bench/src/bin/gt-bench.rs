@@ -4,8 +4,8 @@
 //! gt-bench trajectory [--smoke] [--check] [--out DIR]
 //! ```
 //!
-//! Measures the §4.2 parse path (borrowed vs owned), the graph-event
-//! ingest path (the reference `EvolvingGraph` and the store's
+//! Measures the §4.2 parse path (borrowed vs owned) and its writer, the
+//! graph-event ingest path (the reference `EvolvingGraph` and the store's
 //! `PartitionState`, each also under the paper's Table 3 mix with its
 //! vertex removals; plus the rank engine's result-board publish and one
 //! worker's drain, per share and per event) and
@@ -32,7 +32,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use gt_bench::trajectory::{self, measure, BenchRecord, CountingAlloc};
-use gt_core::format::{entry_to_line, parse_line, parse_line_ref};
+use gt_core::format::{entry_to_line, parse_line, parse_line_ref, write_line};
 use gt_core::prelude::*;
 use gt_graph::EvolvingGraph;
 use gt_harness::sut::report_records;
@@ -123,26 +123,29 @@ fn sample_events(n: u64) -> Vec<GraphEvent> {
     events
 }
 
-fn sample_lines(events: &[GraphEvent]) -> Vec<String> {
+/// The sample stream as entries: the events, with every 64th a marker.
+fn sample_entries(events: &[GraphEvent]) -> Vec<StreamEntry> {
     events
         .iter()
         .enumerate()
         .map(|(i, e)| {
             if i % 64 == 63 {
-                entry_to_line(&StreamEntry::marker(format!("w-{i}")))
+                StreamEntry::marker(format!("w-{i}"))
             } else {
-                entry_to_line(&StreamEntry::graph(e.clone()))
+                StreamEntry::graph(e.clone())
             }
         })
         .collect()
 }
 
-fn parse_suites(lines: &[String], rounds: u32) -> Vec<BenchRecord> {
+fn parse_suites(entries: &[StreamEntry], rounds: u32) -> Vec<BenchRecord> {
+    let lines: Vec<String> = entries.iter().map(entry_to_line).collect();
     let n = lines.len() as u64;
+    let mut line = String::with_capacity(128);
     vec![
         measure("parse/borrowed", n, rounds, || {
             let mut kept = 0usize;
-            for line in lines {
+            for line in &lines {
                 if parse_line_ref(black_box(line)).unwrap().is_some() {
                     kept += 1;
                 }
@@ -151,12 +154,23 @@ fn parse_suites(lines: &[String], rounds: u32) -> Vec<BenchRecord> {
         }),
         measure("parse/owned", n, rounds, || {
             let mut kept = 0usize;
-            for line in lines {
+            for line in &lines {
                 if parse_line(black_box(line)).unwrap().is_some() {
                     kept += 1;
                 }
             }
             black_box(kept);
+        }),
+        // The same lines written back, each into one reused buffer, as
+        // every sink and the stream writer do.
+        measure("format/line", n, rounds, || {
+            let mut bytes = 0usize;
+            for entry in entries {
+                line.clear();
+                write_line(black_box(entry), &mut line);
+                bytes += black_box(&line).len();
+            }
+            black_box(bytes);
         }),
     ]
 }
@@ -572,11 +586,11 @@ fn run(args: Args) -> Result<(), String> {
         (100_000, 9)
     };
     let events = sample_events(events_n);
-    let lines = sample_lines(&events);
+    let entries = sample_entries(&events);
 
     let mut failed = false;
     for (area, fresh) in [
-        ("parse", parse_suites(&lines, rounds)),
+        ("parse", parse_suites(&entries, rounds)),
         ("ingest", ingest_suites(&events, rounds)),
         ("load", load_suites(&events, rounds)),
     ] {
