@@ -48,7 +48,7 @@ use gt_workloads::{SnbWorkload, Table3Workload};
 use std::hint::black_box;
 use tide_graph::board::{ResultBoard, Snapshot};
 use tide_graph::rank::{RankParams, RankPartition};
-use tide_graph::{Engine, EngineConfig, Partition};
+use tide_graph::{Engine, EngineConfig, Outbox, Partition};
 use tide_store::PartitionState;
 
 #[global_allocator]
@@ -256,15 +256,15 @@ impl Partition for Gated {
         self.rank.apply_event_deferred(event, dirty)
     }
 
-    fn receive_deferred(&mut self, target: VertexId, mass: f64, dirty: &mut Vec<VertexId>) {
-        self.rank.receive_deferred(target, mass, dirty);
+    fn receive_deferred(&mut self, target: VertexId, mass: f64, dirty: &mut Vec<VertexId>) -> bool {
+        self.rank.receive_deferred(target, mass, dirty)
     }
 
-    fn flush_dirty(&mut self, dirty: &[VertexId], out: &mut Vec<(VertexId, f64)>) {
+    fn flush_dirty(&mut self, dirty: &[VertexId], out: &mut Outbox<f64>) {
         self.rank.flush_dirty(dirty, out);
     }
 
-    fn purge(&mut self, removed: VertexId, out: &mut Vec<(VertexId, f64)>) {
+    fn purge(&mut self, removed: VertexId, out: &mut Outbox<f64>) {
         self.rank.purge(removed, out);
     }
 

@@ -23,9 +23,8 @@
 //! are scheduled and accounted as *items*, exactly as if every share were
 //! its own message (see [`crate::mailbox`]). What a round sends is one
 //! share per target: the shares it owes a target are folded into one
-//! with [`Partition::combine`] before they are posted.
+//! with [`Partition::combine`] as they are pushed, in its [`Outbox`].
 
-use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -43,7 +42,7 @@ use gt_trace::{Probe, Stage, TracerCell};
 
 use crate::board::{ResultBoard, Snapshot};
 use crate::mailbox::{mailbox, Batch, Msg, Transport};
-use crate::program::{Partition, VertexMap};
+use crate::program::{Outbox, Partition};
 use crate::rank::{RankParams, RankPartition};
 
 /// Engine configuration.
@@ -122,6 +121,10 @@ pub struct EngineStats {
     /// live on its owner worker when they arrived — an edge that
     /// overtook its source's `AddVertex`. Counted in `events`.
     pub dangling_edges_dropped: u64,
+    /// Shares whose target was not live on its owner worker when they
+    /// arrived: sent along an edge to a vertex not added yet, or removed
+    /// since. Counted in `shares`, not in `events_lost`.
+    pub shares_dropped: u64,
     /// Topology digest (final adjacency + per-marker windows), present
     /// when the engine ran with [`EngineConfig::digest`] on.
     pub digest: Option<StateDigest>,
@@ -158,6 +161,8 @@ struct EngineCore<P: Partition> {
     events_replayed: Counter,
     /// Edges the workers dropped ([`EngineStats::dangling_edges_dropped`]).
     edges_dropped: Counter,
+    /// Shares the workers dropped ([`EngineStats::shares_dropped`]).
+    shares_dropped: Counter,
 }
 
 impl<P: Partition> EngineCore<P> {
@@ -181,6 +186,7 @@ impl<P: Partition> EngineCore<P> {
             crashes: self.crashes.clone(),
             events_lost: self.events_lost.clone(),
             edges_dropped: self.edges_dropped.clone(),
+            shares_dropped: self.shares_dropped.clone(),
         };
         let partition = (self.factory)(worker_id);
         Box::new(move |mailbox| worker_loop(ctx, mailbox, partition))
@@ -204,9 +210,13 @@ impl Engine<RankPartition> {
     /// (items processed), `worker-N.events`, `worker-N.shares`,
     /// `worker-N.busy_micros`; engine-wide fault counters
     /// `engine.crashes`, `engine.restarts`, `engine.events_lost`,
-    /// `engine.events_replayed`.
+    /// `engine.events_replayed`, and `engine.shares_dropped`.
     pub fn start(config: EngineConfig, hub: &MetricsHub) -> Self {
         let params = config.rank;
+        assert!(
+            params.epsilon > 0.0,
+            "the push threshold ε must be positive"
+        );
         Engine::start_with(config, hub, move |_worker| RankPartition::new(params))
     }
 }
@@ -236,6 +246,7 @@ impl<P: Partition> Engine<P> {
             events_lost: hub.counter("engine.events_lost"),
             events_replayed: hub.counter("engine.events_replayed"),
             edges_dropped: Counter::default(),
+            shares_dropped: hub.counter("engine.shares_dropped"),
         });
         core.workers.start(|worker_id| core.worker(worker_id));
 
@@ -472,6 +483,7 @@ impl<P: Partition> Engine<P> {
             events_lost: self.core.events_lost.get(),
             events_replayed: self.core.events_replayed.get(),
             dangling_edges_dropped: self.core.edges_dropped.get(),
+            shares_dropped: self.core.shares_dropped.get(),
             digest,
         }
     }
@@ -537,6 +549,7 @@ struct WorkerCtx<M> {
     crashes: Counter,
     events_lost: Counter,
     edges_dropped: Counter,
+    shares_dropped: Counter,
 }
 
 /// Runs one worker until its mailbox is finished and drained, or closed
@@ -550,7 +563,9 @@ fn worker_loop<P: Partition>(
 ) -> Option<P> {
     let workers = ctx.config.workers;
     let drain_batch = ctx.config.drain_batch.max(1);
-    let mut outbox: Batch<P::Msg> = Vec::new();
+    // The round's shares, folded per target as the program pushes them;
+    // it keeps its buffers from round to round.
+    let mut outbox = Outbox::new(workers);
     let mut dirty: Vec<VertexId> = Vec::new();
     // The received block being consumed in place, and how far. A round
     // that ends inside it leaves the rest to the next round. A receive
@@ -559,12 +574,6 @@ fn worker_loop<P: Partition>(
     // `cursor >= shares.len()`.
     let mut shares: Batch<P::Msg> = Vec::new();
     let mut cursor = 0usize;
-    // Routing scratch, empty between rounds: the shares the round owes
-    // each destination worker, copied into its mailbox's blocks, and
-    // where in them each target's share sits. Like `outbox`, each keeps
-    // the capacity of the largest round it carried.
-    let mut parts: Vec<Batch<P::Msg>> = (0..workers).map(|_| Vec::new()).collect();
-    let mut slots: VertexMap<usize> = VertexMap::default();
     // The board buffer this worker fills next: after a publish, the one
     // its slot held before.
     let mut snapshot = Snapshot::new();
@@ -593,11 +602,17 @@ fn worker_loop<P: Partition>(
         while items < drain_batch {
             if cursor < shares.len() {
                 let end = shares.len().min(cursor + drain_batch - items);
+                let mut dropped = 0;
                 for (target, payload) in &shares[cursor..end] {
                     busy_work(ctx.config.share_cost);
-                    partition.receive_deferred(*target, payload.clone(), &mut dirty);
+                    if !partition.receive_deferred(*target, payload.clone(), &mut dirty) {
+                        dropped += 1;
+                    }
                 }
                 ctx.shares.add((end - cursor) as u64);
+                if dropped > 0 {
+                    ctx.shares_dropped.add(dropped);
+                }
                 items += end - cursor;
                 cursor = end;
                 continue;
@@ -676,15 +691,15 @@ fn worker_loop<P: Partition>(
         // to a dead worker are counted lost (they degrade result accuracy
         // until a restart replays the events that would regenerate them).
         if !outbox.is_empty() {
-            combine_into_parts::<P>(&mut outbox, &mut parts, &mut slots);
             let mailboxes = read(&ctx.mailboxes.queues);
             let mut lost = 0;
-            for (destination, part) in mailboxes.iter().zip(&mut parts) {
+            for (destination, part) in mailboxes.iter().zip(outbox.parts_mut()) {
                 if !part.is_empty() {
                     lost += destination.post_shares(part);
                 }
             }
             drop(mailboxes);
+            outbox.reset();
             if lost > 0 {
                 ctx.events_lost.add(lost);
             }
@@ -706,31 +721,6 @@ fn worker_loop<P: Partition>(
     // Final board publish so late readers see the end state.
     publish(&partition);
     Some(partition)
-}
-
-/// Moves a round's shares from `outbox` into `parts`, one part per
-/// destination worker (`shard_of` the target), folding every later share
-/// for a target into its first with [`Partition::combine`]: each target
-/// gets one share per round, in first-occurrence order. `slots` maps the
-/// targets seen so far to their share's index in its part; it is left
-/// empty, its capacity kept.
-fn combine_into_parts<P: Partition>(
-    outbox: &mut Batch<P::Msg>,
-    parts: &mut [Batch<P::Msg>],
-    slots: &mut VertexMap<usize>,
-) {
-    let workers = parts.len();
-    for (target, msg) in outbox.drain(..) {
-        let part = &mut parts[shard_of(target, workers)];
-        match slots.entry(target) {
-            Entry::Occupied(slot) => P::combine(&mut part[*slot.get()].1, msg),
-            Entry::Vacant(slot) => {
-                slot.insert(part.len());
-                part.push((target, msg));
-            }
-        }
-    }
-    slots.clear();
 }
 
 #[cfg(test)]
@@ -1033,6 +1023,26 @@ mod tests {
         assert_eq!((stats.events, stats.dangling_edges_dropped), (5, 1));
     }
 
+    /// Vertex 1's edge to 2, which is never added: the share vertex 1
+    /// sends along it meets no target, and is counted dropped — not lost.
+    #[test]
+    fn a_share_to_a_missing_target_is_counted_dropped() {
+        let hub = MetricsHub::new();
+        let config = EngineConfig {
+            workers: 2,
+            ..Default::default()
+        };
+        let engine = TideGraph::start(config, &hub);
+        engine.ingest(add_v(1));
+        engine.ingest(add_e(1, 2));
+        assert!(engine.quiesce(Duration::from_secs(10)));
+        let stats = engine.shutdown();
+        assert_eq!((stats.shares, stats.shares_dropped), (1, 1));
+        assert_eq!((stats.events_lost, stats.dangling_edges_dropped), (0, 0));
+        assert_eq!(hub.counter("engine.shares_dropped").get(), 1);
+        assert_eq!(stats.ranks.len(), 1);
+    }
+
     #[test]
     fn markers_are_processed_by_every_worker() {
         let hub = MetricsHub::new();
@@ -1278,44 +1288,6 @@ mod tests {
         let alpha = RankParams::default().alpha;
         let expected = 1.0 + 2.0 * (1.0 - alpha);
         assert!((stats.ranks[&VertexId(target)] - expected).abs() < 1e-12);
-    }
-
-    /// Random outboxes over one to four workers, their targets drawn from
-    /// 40 ids so that they repeat, through scratch reused round after
-    /// round: each destination receives every target once, in the order
-    /// of the target's first share, carrying the sum of its shares.
-    #[test]
-    fn combined_parts_hold_each_target_once_in_first_occurrence_order() {
-        let mut x = 0x9E37_79B9_7F4A_7C15u64;
-        let mut next = move |n: u64| {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (x >> 33) % n
-        };
-        for workers in 1..=4 {
-            let mut parts: Vec<Batch<f64>> = vec![Vec::new(); workers];
-            let mut slots = VertexMap::default();
-            for _round in 0..50 {
-                let len = next(300);
-                let mut outbox: Batch<f64> = (0..len)
-                    .map(|mass| (VertexId(next(40)), mass as f64))
-                    .collect();
-                let mut expected: Vec<Batch<f64>> = vec![Vec::new(); workers];
-                for &(target, mass) in &outbox {
-                    let part = &mut expected[shard_of(target, workers)];
-                    match part.iter_mut().find(|(seen, _)| *seen == target) {
-                        Some((_, sum)) => *sum += mass,
-                        None => part.push((target, mass)),
-                    }
-                }
-                combine_into_parts::<RankPartition>(&mut outbox, &mut parts, &mut slots);
-                assert!(outbox.is_empty() && slots.is_empty());
-                assert_eq!(parts, expected, "workers={workers}");
-                // What posting leaves behind.
-                parts.iter_mut().for_each(Vec::clear);
-            }
-        }
     }
 
     #[test]

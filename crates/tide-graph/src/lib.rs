@@ -51,7 +51,7 @@ pub mod sut;
 
 pub use connector::EngineConnector;
 pub use engine::{Engine, EngineConfig, EngineStats, TideGraph};
-pub use program::Partition;
+pub use program::{Outbox, Partition};
 pub use rank::RankParams;
 pub use sssp::{start_sssp, DistancePartition};
 pub use sut::TideGraphSut;

@@ -25,12 +25,23 @@
 //! Shares combine per target per round: when vertices a worker pushes in
 //! one round send to a common neighbour, the neighbour receives one share
 //! carrying the summed mass ([`Partition::combine`]) — the same residual
-//! for one receive and one dirty entry instead of several.
+//! for one receive instead of several.
+//!
+//! **The ε invariant.** When a round starts, every live vertex's residual
+//! is below ε. Three rules keep it: [`Partition::flush_dirty`] pushes, and
+//! so zeroes, every dirty vertex at or above ε; an event lists its vertex
+//! as dirty unconditionally; and a purge pushes the vertices it reseeds
+//! at once. A received share therefore lists its target as dirty only on
+//! the receive that lifts the residual from below ε to ε or more: a
+//! target it leaves below ε cannot push, and one already at ε or more was
+//! listed by the receive or event that put it there. So a round pushes
+//! the same vertices with the same shares as listing every receive would;
+//! only the order `flush_dirty` visits them in is the order of crossing.
 
 use gt_core::prelude::*;
 use gt_graph::HybridAdjacency;
 
-use crate::program::{Partition, VertexMap};
+use crate::program::{Outbox, Partition, VertexMap};
 
 /// Per-vertex rank state plus local out-adjacency at the owning worker.
 #[derive(Debug, Clone, Default)]
@@ -49,7 +60,8 @@ pub struct VertexState {
 pub struct RankParams {
     /// Teleport probability α (damping is `1 − α`).
     pub alpha: f64,
-    /// Push threshold ε: residuals below it stay parked.
+    /// Push threshold ε: residuals below it stay parked. Positive: the
+    /// ε invariant (module doc) needs a residual to fit below it.
     pub epsilon: f64,
     /// Fraction of settled mass re-seeded into the residual when a
     /// vertex's out-topology changes.
@@ -97,12 +109,9 @@ impl RankPartition {
         state.res += moved;
     }
 
-    /// Pushes if the residual crosses ε; appends outbound shares.
-    fn maybe_push(&mut self, id: VertexId, out: &mut Vec<(VertexId, f64)>) {
-        let params = self.params;
-        let Some(state) = self.vertices.get_mut(&id) else {
-            return;
-        };
+    /// Pushes `state` if its residual is at or above ε, handing each share
+    /// to `send`.
+    fn push(state: &mut VertexState, params: RankParams, send: &mut impl FnMut(VertexId, f64)) {
         if state.res < params.epsilon {
             return;
         }
@@ -115,7 +124,32 @@ impl RankPartition {
         }
         state.p += params.alpha * res;
         let share = (1.0 - params.alpha) * res / state.out.len() as f64;
-        out.extend(state.out.keys().map(|target| (target, share)));
+        for target in state.out.keys() {
+            send(target, share);
+        }
+    }
+
+    /// Pushes every dirty vertex at or above ε, handing each share to
+    /// `send` before any fold.
+    fn push_dirty(&mut self, dirty: &[VertexId], mut send: impl FnMut(VertexId, f64)) {
+        let params = self.params;
+        for id in dirty {
+            if let Some(state) = self.vertices.get_mut(id) {
+                Self::push(state, params, &mut send);
+            }
+        }
+    }
+
+    /// Strips `removed` from every local out-list, reseeding and pushing
+    /// at once each vertex that lost the edge.
+    fn strip(&mut self, removed: VertexId, mut send: impl FnMut(VertexId, f64)) {
+        let params = self.params;
+        for state in self.vertices.values_mut() {
+            if state.out.remove(removed).is_some() {
+                Self::reseed(state, params.reseed);
+                Self::push(state, params, &mut send);
+            }
+        }
     }
 }
 
@@ -173,34 +207,31 @@ impl Partition for RankPartition {
         true
     }
 
-    fn receive_deferred(&mut self, target: VertexId, mass: f64, dirty: &mut Vec<VertexId>) {
+    /// Lists `target` as dirty only when this share lifts its residual
+    /// from below ε to ε or more (the ε invariant, module doc).
+    fn receive_deferred(&mut self, target: VertexId, mass: f64, dirty: &mut Vec<VertexId>) -> bool {
         let Some(state) = self.vertices.get_mut(&target) else {
-            return; // target vanished; drop the mass
+            return false; // target vanished; drop the mass
         };
+        let below = state.res < self.params.epsilon;
         state.res += mass;
-        dirty.push(target);
+        if below && state.res >= self.params.epsilon {
+            dirty.push(target);
+        }
+        true
     }
 
-    /// Pushes every dirty vertex whose residual crosses ε. Duplicates in
-    /// `dirty` are harmless (the second push sees a zero residual).
-    fn flush_dirty(&mut self, dirty: &[VertexId], out: &mut Vec<(VertexId, f64)>) {
-        for id in dirty {
-            self.maybe_push(*id, out);
-        }
+    /// Pushes every dirty vertex whose residual is at or above ε.
+    /// Duplicates in `dirty` are harmless (the second push sees a zero
+    /// residual).
+    fn flush_dirty(&mut self, dirty: &[VertexId], out: &mut Outbox<f64>) {
+        self.push_dirty(dirty, |target, share| out.push::<Self>(target, share));
     }
 
     /// Strips a removed (possibly remote) vertex from local out-lists —
     /// the broadcast half of vertex removal.
-    fn purge(&mut self, removed: VertexId, out: &mut Vec<(VertexId, f64)>) {
-        let reseed = self.params.reseed;
-        let mut affected = Vec::new();
-        for (id, state) in &mut self.vertices {
-            if state.out.remove(removed).is_some() {
-                Self::reseed(state, reseed);
-                affected.push(*id);
-            }
-        }
-        self.flush_dirty(&affected, out);
+    fn purge(&mut self, removed: VertexId, out: &mut Outbox<f64>) {
+        self.strip(removed, |target, share| out.push::<Self>(target, share));
     }
 
     /// The settled mass `p` of every vertex held here.
@@ -225,15 +256,19 @@ impl Partition for RankPartition {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     /// Single-partition harness mirroring the engine loop: routes shares
     /// back into the same partition until quiescent.
     fn run_to_fixpoint(partition: &mut RankPartition, mut pending: Vec<(VertexId, f64)>) {
         let mut dirty = Vec::new();
+        let mut out = Outbox::default();
         let mut budget = 1_000_000;
         while let Some((target, mass)) = pending.pop() {
             partition.receive_deferred(target, mass, &mut dirty);
-            partition.flush_dirty(&dirty, &mut pending);
+            partition.flush_dirty(&dirty, &mut out);
+            pending.extend(out.take());
             dirty.clear();
             budget -= 1;
             assert!(budget > 0, "push cascade did not terminate");
@@ -241,14 +276,14 @@ mod tests {
     }
 
     fn feed(partition: &mut RankPartition, events: &[GraphEvent]) {
-        let mut pending = Vec::new();
+        let mut out = Outbox::default();
         let mut dirty = Vec::new();
         for e in events {
             partition.apply_event_deferred(e, &mut dirty);
-            partition.flush_dirty(&dirty, &mut pending);
+            partition.flush_dirty(&dirty, &mut out);
             dirty.clear();
         }
-        run_to_fixpoint(partition, pending);
+        run_to_fixpoint(partition, out.take());
     }
 
     fn add_v(id: u64) -> GraphEvent {
@@ -344,9 +379,9 @@ mod tests {
             &mut partition,
             &[GraphEvent::RemoveVertex { id: VertexId(1) }],
         );
-        let mut out = Vec::new();
+        let mut out = Outbox::default();
         partition.purge(VertexId(1), &mut out);
-        run_to_fixpoint(&mut partition, out);
+        run_to_fixpoint(&mut partition, out.take());
         assert!(!partition.vertices.contains_key(&VertexId(1)));
         assert!(partition
             .vertices
@@ -358,9 +393,27 @@ mod tests {
     fn shares_to_unknown_targets_are_dropped() {
         let mut partition = RankPartition::new(RankParams::default());
         let mut dirty = Vec::new();
-        partition.receive_deferred(VertexId(99), 1.0, &mut dirty);
+        assert!(!partition.receive_deferred(VertexId(99), 1.0, &mut dirty));
         assert!(dirty.is_empty());
         assert!(ranks(&partition).is_empty());
+    }
+
+    #[test]
+    fn a_receive_lists_its_target_only_when_it_crosses_epsilon() {
+        let mut partition = RankPartition::new(RankParams::default());
+        feed(&mut partition, &[add_v(0)]);
+        let epsilon = RankParams::default().epsilon;
+        let mut dirty = Vec::new();
+        for _ in 0..2 {
+            assert!(partition.receive_deferred(VertexId(0), 0.4 * epsilon, &mut dirty));
+        }
+        assert!(dirty.is_empty(), "0.8 ε listed");
+        partition.receive_deferred(VertexId(0), 0.4 * epsilon, &mut dirty);
+        assert_eq!(dirty, [VertexId(0)], "1.2 ε must be listed once");
+        for _ in 0..3 {
+            partition.receive_deferred(VertexId(0), 0.4 * epsilon, &mut dirty);
+        }
+        assert_eq!(dirty, [VertexId(0)], "listed again above ε");
     }
 
     #[test]
@@ -378,5 +431,131 @@ mod tests {
         let mut partition = RankPartition::new(RankParams::default());
         feed(&mut partition, &[add_v(0), add_e(0, 0)]);
         assert!(partition.vertices[&VertexId(0)].out.is_empty());
+    }
+
+    /// The receive rule before dirty-on-crossing: every receive lists its
+    /// target.
+    fn receive_listing_every_target(
+        partition: &mut RankPartition,
+        target: VertexId,
+        mass: f64,
+        dirty: &mut Vec<VertexId>,
+    ) -> bool {
+        let Some(state) = partition.vertices.get_mut(&target) else {
+            return false;
+        };
+        state.res += mass;
+        dirty.push(target);
+        true
+    }
+
+    type Receive = fn(&mut RankPartition, VertexId, f64, &mut Vec<VertexId>) -> bool;
+
+    /// One item of a round: an event on the owner (a removal purges the
+    /// owner's out-lists too, as the engine does), a purge broadcast by
+    /// another worker, or a share.
+    #[derive(Debug, Clone)]
+    enum Step {
+        Event(GraphEvent),
+        Purge(VertexId),
+        Receive(VertexId, f64),
+    }
+
+    /// Ids 0..24, of which the graph starts with 0..20; masses from ε/100
+    /// to 6 ε, so that a share may cross ε alone or only with others.
+    fn step() -> impl Strategy<Value = Step> {
+        (0u8..16, 0u64..24, 0u64..24, 1u32..600).prop_map(|(kind, a, b, mass)| match kind {
+            0 => Step::Event(add_v(a)),
+            1 | 2 => Step::Event(add_e(a, b)),
+            3 => Step::Event(GraphEvent::RemoveEdge {
+                id: EdgeId::from((a, b)),
+            }),
+            4 => Step::Event(GraphEvent::RemoveVertex { id: VertexId(a) }),
+            5 => Step::Purge(VertexId(a)),
+            _ => Step::Receive(VertexId(a), f64::from(mass) * 1e-5),
+        })
+    }
+
+    /// Runs one round — `inbox`, then `steps` — under `receive`, and
+    /// returns every share pushed, before any fold, as `(target, mass
+    /// bits)` in push order.
+    fn round(
+        partition: &mut RankPartition,
+        receive: Receive,
+        inbox: &[(VertexId, f64)],
+        steps: &[Step],
+    ) -> Vec<(u64, u64)> {
+        let mut dirty = Vec::new();
+        let mut pushes = Vec::new();
+        let mut send = |target: VertexId, mass: f64| pushes.push((target.0, mass.to_bits()));
+        for &(target, mass) in inbox {
+            receive(partition, target, mass, &mut dirty);
+        }
+        for step in steps {
+            match step {
+                Step::Event(event) => {
+                    partition.apply_event_deferred(event, &mut dirty);
+                    if let GraphEvent::RemoveVertex { id } = event {
+                        partition.strip(*id, &mut send);
+                    }
+                }
+                Step::Purge(id) => partition.strip(*id, &mut send),
+                Step::Receive(target, mass) => {
+                    receive(partition, *target, *mass, &mut dirty);
+                }
+            }
+        }
+        partition.push_dirty(&dirty, &mut send);
+        pushes
+    }
+
+    /// Every vertex's `(id, p bits, res bits)`, sorted.
+    fn states(partition: &RankPartition) -> Vec<(u64, u64, u64)> {
+        let mut states: Vec<_> = (partition.vertices.iter())
+            .map(|(id, s)| (id.0, s.p.to_bits(), s.res.to_bits()))
+            .collect();
+        states.sort_unstable();
+        states
+    }
+
+    proptest! {
+        /// Over random graphs and rounds, listing a receive's target only
+        /// when it crosses ε pushes the same shares, bit for bit, as
+        /// listing every receive: only their order may differ. Each
+        /// round's pushes come back as the next round's inbox, and every
+        /// round leaves every residual below ε.
+        #[test]
+        fn listing_crossings_pushes_what_listing_every_receive_pushes(
+            edges in vec((0u64..24, 0u64..24), 0..80),
+            rounds in vec(vec(step(), 0..40), 1..8),
+        ) {
+            let params = RankParams::default();
+            let mut crossing = RankPartition::new(params);
+            let setup: Vec<Step> = ((0..20).map(add_v))
+                .chain(edges.iter().map(|&(a, b)| add_e(a, b)))
+                .map(Step::Event)
+                .collect();
+            let mut inbox = round(&mut crossing, RankPartition::receive_deferred, &[], &setup);
+            let mut every = RankPartition {
+                vertices: crossing.vertices.clone(),
+                params,
+            };
+            for steps in &rounds {
+                inbox.sort_unstable();
+                let shares: Vec<(VertexId, f64)> = (inbox.iter())
+                    .map(|&(target, bits)| (VertexId(target), f64::from_bits(bits)))
+                    .collect();
+                let receive: Receive = RankPartition::receive_deferred;
+                inbox = round(&mut crossing, receive, &shares, steps);
+                let mut pushed = round(&mut every, receive_listing_every_target, &shares, steps);
+                pushed.sort_unstable();
+                let mut pushes = inbox.clone();
+                pushes.sort_unstable();
+                prop_assert_eq!(pushes, pushed);
+                prop_assert_eq!(states(&crossing), states(&every));
+                let parked = crossing.vertices.values().all(|s| s.res < params.epsilon);
+                prop_assert!(parked, "a residual at or above ε after a round");
+            }
+        }
     }
 }

@@ -21,7 +21,7 @@
 use gt_core::prelude::*;
 use gt_graph::HybridAdjacency;
 
-use crate::program::{Partition, VertexMap};
+use crate::program::{Outbox, Partition, VertexMap};
 
 /// A distance offer: the proposing path length.
 pub(crate) type DistanceOffer = f64;
@@ -64,7 +64,7 @@ impl DistancePartition {
         state.as_weight().unwrap_or(1.0)
     }
 
-    fn offer_from(&self, id: VertexId, out: &mut Vec<(VertexId, DistanceOffer)>) {
+    fn offer_from(&self, id: VertexId, out: &mut Outbox<DistanceOffer>) {
         let Some(state) = self.vertices.get(&id) else {
             return;
         };
@@ -72,7 +72,7 @@ impl DistancePartition {
             return;
         };
         for (target, &weight) in state.out.iter() {
-            out.push((target, dist + weight));
+            out.push::<Self>(target, dist + weight);
         }
     }
 }
@@ -148,19 +148,20 @@ impl Partition for DistancePartition {
         target: VertexId,
         offer: DistanceOffer,
         dirty: &mut Vec<VertexId>,
-    ) {
+    ) -> bool {
         let Some(state) = self.vertices.get_mut(&target) else {
-            return; // vertex vanished; drop the offer
+            return false; // vertex vanished; drop the offer
         };
         if state.dist.is_none_or(|d| offer < d) {
             state.dist = Some(offer);
             dirty.push(target);
         }
+        true
     }
 
     /// Each dirty vertex offers once, however often it is listed, in
     /// the order of its first listing.
-    fn flush_dirty(&mut self, dirty: &[VertexId], out: &mut Vec<(VertexId, DistanceOffer)>) {
+    fn flush_dirty(&mut self, dirty: &[VertexId], out: &mut Outbox<DistanceOffer>) {
         for &id in dirty {
             if self.offered.insert(id, ()).is_none() {
                 self.offer_from(id, out);
@@ -169,7 +170,7 @@ impl Partition for DistancePartition {
         self.offered.clear();
     }
 
-    fn purge(&mut self, removed: VertexId, out: &mut Vec<(VertexId, DistanceOffer)>) {
+    fn purge(&mut self, removed: VertexId, out: &mut Outbox<DistanceOffer>) {
         let _ = out;
         for state in self.vertices.values_mut() {
             if state.out.remove(removed).is_some() {
@@ -238,17 +239,19 @@ mod tests {
 
     /// Single-partition harness mirroring the engine loop.
     fn run_events(partition: &mut DistancePartition, events: &[GraphEvent]) {
-        let mut pending: Vec<(VertexId, f64)> = Vec::new();
+        let mut out = Outbox::default();
         let mut dirty = Vec::new();
         for e in events {
             partition.apply_event_deferred(e, &mut dirty);
-            partition.flush_dirty(&dirty, &mut pending);
+            partition.flush_dirty(&dirty, &mut out);
             dirty.clear();
         }
+        let mut pending = out.take();
         let mut budget = 1_000_000;
         while let Some((target, offer)) = pending.pop() {
             partition.receive_deferred(target, offer, &mut dirty);
-            partition.flush_dirty(&dirty, &mut pending);
+            partition.flush_dirty(&dirty, &mut out);
+            pending.extend(out.take());
             dirty.clear();
             budget -= 1;
             assert!(budget > 0, "relaxation did not terminate");
@@ -349,10 +352,10 @@ mod tests {
         for event in &source_events {
             partition.apply_event_deferred(event, &mut dirty);
         }
-        let mut offers = Vec::new();
+        let mut offers = Outbox::default();
         partition.flush_dirty(&dirty, &mut offers);
         assert_eq!(dirty.len(), 3);
-        assert_eq!(offers, [(VertexId(a), 1.0), (VertexId(b), 4.0)]);
+        assert_eq!(offers.take(), [(VertexId(a), 1.0), (VertexId(b), 4.0)]);
 
         let config = EngineConfig {
             workers: 2,

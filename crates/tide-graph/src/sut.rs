@@ -41,7 +41,7 @@ pub(crate) const SHARDED_SUT_NAME: &str = "tide-graph-sharded";
 /// | `workers` | worker threads | 4 |
 /// | `shards` | alias for `workers` (typed: 1..=[`gt_sut::MAX_SHARDS`]); takes precedence | — |
 /// | `alpha` | teleport probability of the rank program | 0.15 |
-/// | `epsilon` | push threshold of the rank program | 1e-3 |
+/// | `epsilon` | push threshold of the rank program (positive) | 1e-3 |
 /// | `reseed` | re-seeded mass fraction on topology change | 0.5 |
 /// | `event_cost_us` | simulated cost per mutation event, µs | 0 |
 /// | `share_cost_us` | simulated cost per computational message (per share, not per batch), µs | 0 |
@@ -104,6 +104,14 @@ impl TideGraphSut {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
                 "option `workers` must be positive",
+            ));
+        }
+        // A residual must be able to park below ε (the rank module's ε
+        // invariant); at ε ≤ 0 no share would ever schedule its target.
+        if config.rank.epsilon.is_nan() || config.rank.epsilon <= 0.0 {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "option `epsilon` must be positive",
             ));
         }
         let hub = MetricsHub::new();
@@ -218,6 +226,7 @@ fn report_from_stats(name: &str, stats: &EngineStats) -> SutReport {
             "dangling_edges_dropped",
             stats.dangling_edges_dropped as f64,
         )
+        .with("shares_dropped", stats.shares_dropped as f64)
 }
 
 /// Registers this platform under [`SUT_NAME`] and its explicitly-sharded
@@ -260,6 +269,16 @@ mod tests {
         let report = sut.shutdown();
         assert_eq!(report.get("events"), Some(40.0));
         assert_eq!(report.get("vertices"), Some(40.0));
+        assert_eq!(report.get("shares_dropped"), Some(0.0));
+    }
+
+    #[test]
+    fn a_threshold_that_is_not_positive_is_refused() {
+        for epsilon in [0.0, -1e-3, f64::NAN] {
+            let options = SutOptions::new().set("epsilon", epsilon);
+            let refused = TideGraphSut::start(&options).err().map(|e| e.kind());
+            assert_eq!(refused, Some(io::ErrorKind::InvalidInput), "ε = {epsilon}");
+        }
     }
 
     #[test]

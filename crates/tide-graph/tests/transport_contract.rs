@@ -13,7 +13,7 @@ use gt_core::prelude::*;
 use gt_metrics::MetricsHub;
 use tide_graph::mailbox::{mailbox, Batch, Mailbox, Msg, Transport, BLOCK_SHARES};
 use tide_graph::rank::RankPartition;
-use tide_graph::{Engine, EngineConfig, Partition, RankParams, TideGraph};
+use tide_graph::{Engine, EngineConfig, Outbox, Partition, RankParams, TideGraph};
 
 fn add_v(id: u64) -> GraphEvent {
     GraphEvent::AddVertex {
@@ -602,15 +602,15 @@ impl Partition for Watched {
         self.rank.apply_event_deferred(event, dirty)
     }
 
-    fn receive_deferred(&mut self, target: VertexId, mass: f64, dirty: &mut Vec<VertexId>) {
-        self.rank.receive_deferred(target, mass, dirty);
+    fn receive_deferred(&mut self, target: VertexId, mass: f64, dirty: &mut Vec<VertexId>) -> bool {
+        self.rank.receive_deferred(target, mass, dirty)
     }
 
-    fn flush_dirty(&mut self, dirty: &[VertexId], out: &mut Vec<(VertexId, f64)>) {
+    fn flush_dirty(&mut self, dirty: &[VertexId], out: &mut Outbox<f64>) {
         self.rank.flush_dirty(dirty, out);
     }
 
-    fn purge(&mut self, removed: VertexId, out: &mut Vec<(VertexId, f64)>) {
+    fn purge(&mut self, removed: VertexId, out: &mut Outbox<f64>) {
         self.rank.purge(removed, out);
     }
 

@@ -55,7 +55,7 @@ fn online_sssp_tracks_batch_oracle_on_growing_graph() {
 
 #[test]
 fn churn_accumulates_stale_hazards() {
-    use graphtides::engine::{DistancePartition, Partition};
+    use graphtides::engine::{DistancePartition, Outbox, Partition};
 
     // Full traffic run: rush-hour weight *increases* and closures are the
     // non-monotone operations online relaxation cannot repair. The
@@ -72,12 +72,12 @@ fn churn_accumulates_stale_hazards() {
     let stream = workload.generate();
     let mut partition = DistancePartition::new(VertexId(0));
     let mut dirty = Vec::new();
-    let mut out = Vec::new();
+    // Offers fold per target, so the outbox stays one share per junction.
+    let mut out = Outbox::default();
     for event in stream.graph_events() {
         partition.apply_event_deferred(event, &mut dirty);
         partition.flush_dirty(&dirty, &mut out);
         dirty.clear();
-        out.clear();
     }
     assert!(
         partition.stale_hazards() > 0,
