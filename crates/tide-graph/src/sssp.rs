@@ -64,7 +64,8 @@ impl DistancePartition {
         state.as_weight().unwrap_or(1.0)
     }
 
-    fn offer_from(&self, id: VertexId, out: &mut Outbox<DistanceOffer>) {
+    /// Hands `send` the offer of each of `id`'s out-edges.
+    fn offer_from(&self, id: VertexId, send: &mut impl FnMut(VertexId, DistanceOffer)) {
         let Some(state) = self.vertices.get(&id) else {
             return;
         };
@@ -72,8 +73,20 @@ impl DistancePartition {
             return;
         };
         for (target, &weight) in state.out.iter() {
-            out.push::<Self>(target, dist + weight);
+            send(target, dist + weight);
         }
+    }
+
+    /// Each dirty vertex offers once, however often it is listed, in
+    /// the order of its first listing, handing each offer to `send`
+    /// before any fold.
+    fn offer_dirty(&mut self, dirty: &[VertexId], mut send: impl FnMut(VertexId, DistanceOffer)) {
+        for &id in dirty {
+            if self.offered.insert(id, ()).is_none() {
+                self.offer_from(id, &mut send);
+            }
+        }
+        self.offered.clear();
     }
 }
 
@@ -159,15 +172,9 @@ impl Partition for DistancePartition {
         true
     }
 
-    /// Each dirty vertex offers once, however often it is listed, in
-    /// the order of its first listing.
+    /// Each dirty vertex offers once, however often it is listed.
     fn flush_dirty(&mut self, dirty: &[VertexId], out: &mut Outbox<DistanceOffer>) {
-        for &id in dirty {
-            if self.offered.insert(id, ()).is_none() {
-                self.offer_from(id, out);
-            }
-        }
-        self.offered.clear();
+        self.offer_dirty(dirty, |target, offer| out.push::<Self>(target, offer));
     }
 
     fn purge(&mut self, removed: VertexId, out: &mut Outbox<DistanceOffer>) {
@@ -346,16 +353,16 @@ mod tests {
             add_we(source, b, 4.0),
         ];
         // In one round the source is dirty three times and builds its two
-        // offers once.
+        // offers once: counted as built, before the outbox folds them.
         let mut partition = DistancePartition::new(VertexId(source));
         let mut dirty = Vec::new();
         for event in &source_events {
             partition.apply_event_deferred(event, &mut dirty);
         }
-        let mut offers = Outbox::default();
-        partition.flush_dirty(&dirty, &mut offers);
+        let mut offers = Vec::new();
+        partition.offer_dirty(&dirty, |target, offer| offers.push((target, offer)));
         assert_eq!(dirty.len(), 3);
-        assert_eq!(offers.take(), [(VertexId(a), 1.0), (VertexId(b), 4.0)]);
+        assert_eq!(offers, [(VertexId(a), 1.0), (VertexId(b), 4.0)]);
 
         let config = EngineConfig {
             workers: 2,
