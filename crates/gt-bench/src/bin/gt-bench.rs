@@ -34,7 +34,7 @@ use std::time::Duration;
 use gt_bench::trajectory::{self, measure, BenchRecord, CountingAlloc};
 use gt_core::format::{entry_to_line, parse_line, parse_line_ref, write_line};
 use gt_core::prelude::*;
-use gt_graph::EvolvingGraph;
+use gt_graph::{EvolvingGraph, HybridAdjacency};
 use gt_harness::sut::report_records;
 use gt_harness::{load_records, LoadPlan, SutReport};
 use gt_load::{
@@ -47,8 +47,9 @@ use gt_replayer::{EventSink, ReplaySession, ReplaySessionConfig, ReplayerConfig}
 use gt_workloads::{SnbWorkload, Table3Workload};
 use std::hint::black_box;
 use tide_graph::board::{ResultBoard, Snapshot};
-use tide_graph::rank::{RankParams, RankPartition};
-use tide_graph::{Engine, EngineConfig, Outbox, Partition};
+use tide_graph::program::Change;
+use tide_graph::rank::{Mass, RankParams};
+use tide_graph::{Engine, EngineConfig, Program, VertexStore};
 use tide_store::PartitionState;
 
 #[global_allocator]
@@ -209,21 +210,20 @@ const BOARD_READ_EVERY: u64 = 1_000;
 /// summary, published over and over, with a reader copying the slot out
 /// now and then. Both buffers are recycled, so a round allocates nothing.
 fn board_publish_suite(rounds: u32) -> BenchRecord {
-    let mut partition = RankPartition::default();
-    let mut dirty = Vec::new();
+    let mut store = VertexStore::new(RankParams::default());
     for id in 0..BOARD_VERTICES {
         let vertex = GraphEvent::AddVertex {
             id: VertexId(id),
             state: State::empty(),
         };
-        partition.apply_event_deferred(&vertex, &mut dirty);
+        store.apply(&vertex);
     }
     let board = ResultBoard::new(1);
     let (mut scratch, mut copy) = (Snapshot::new(), Snapshot::new());
     measure("ingest/rank-board-publish", BOARD_PUBLISHES, rounds, || {
         for publish in 1..=BOARD_PUBLISHES {
             scratch.clear();
-            partition.summary_into(&mut scratch);
+            store.summary_into(&mut scratch);
             board.publish(0, &mut scratch);
             if publish % BOARD_READ_EVERY == 0 {
                 copy.clear();
@@ -234,42 +234,41 @@ fn board_publish_suite(rounds: u32) -> BenchRecord {
     })
 }
 
-/// A rank partition whose first event waits for `open`: the worker's
-/// mailbox then holds the whole stream before its first round, so the
-/// rounds — and the shares they push — are the same on every run.
+/// The rank program, whose first change waits for `open` (the stream's
+/// first event adds a vertex): the worker's mailbox then holds the whole
+/// stream before its first round, so the rounds — and the shares they
+/// push — are the same on every run.
 struct Gated {
-    rank: RankPartition,
+    rank: RankParams,
     open: Arc<AtomicBool>,
 }
 
-impl Partition for Gated {
+impl Program for Gated {
+    type Value = Mass;
+    type Weight = ();
     type Msg = f64;
 
     fn combine(into: &mut f64, mass: f64) {
-        RankPartition::combine(into, mass);
+        RankParams::combine(into, mass);
     }
 
-    fn apply_event_deferred(&mut self, event: &GraphEvent, dirty: &mut Vec<VertexId>) -> bool {
+    fn changed(&mut self, id: VertexId, mass: &mut Mass, change: Change) -> bool {
         while !self.open.load(Ordering::Acquire) {
             std::thread::yield_now();
         }
-        self.rank.apply_event_deferred(event, dirty)
+        self.rank.changed(id, mass, change)
     }
 
-    fn receive_deferred(&mut self, target: VertexId, mass: f64, dirty: &mut Vec<VertexId>) -> bool {
-        self.rank.receive_deferred(target, mass, dirty)
+    fn receive(&self, mass: &mut Mass, share: f64) -> bool {
+        self.rank.receive(mass, share)
     }
 
-    fn flush_dirty(&mut self, dirty: &[VertexId], out: &mut Outbox<f64>) {
-        self.rank.flush_dirty(dirty, out);
+    fn compute(&self, mass: &mut Mass, out: &HybridAdjacency<()>, send: impl FnMut(VertexId, f64)) {
+        self.rank.compute(mass, out, send);
     }
 
-    fn purge(&mut self, removed: VertexId, out: &mut Outbox<f64>) {
-        self.rank.purge(removed, out);
-    }
-
-    fn summary_into(&self, out: &mut Vec<(VertexId, f64)>) {
-        self.rank.summary_into(out);
+    fn result(mass: &Mass) -> f64 {
+        RankParams::result(mass)
     }
 }
 
@@ -291,7 +290,7 @@ fn drain_shares(stream: &[GraphEvent]) -> u64 {
         ..EngineConfig::default()
     };
     let engine = Engine::start_with(config, &MetricsHub::new(), move |_| Gated {
-        rank: RankPartition::new(rank),
+        rank,
         open: Arc::clone(&gate),
     });
     for event in stream {

@@ -14,8 +14,8 @@ use gt_replayer::EventSink;
 use gt_trace::Probe;
 
 use crate::engine::Engine;
-use crate::program::Partition;
-use crate::rank::RankPartition;
+use crate::program::Program;
+use crate::rank::RankParams;
 
 /// An [`EventSink`] feeding a running [`Engine`] (defaults to the
 /// influence-rank engine, [`crate::TideGraph`]).
@@ -23,12 +23,12 @@ use crate::rank::RankPartition;
 /// Each graph event is copied into its owner's mailbox, singly or in a
 /// batch (the trait's per-entry `send_batch`): the engine keeps no
 /// replayer handle, so the session's reader refills every entry in place.
-pub struct EngineConnector<P: Partition = RankPartition> {
+pub struct EngineConnector<P: Program = RankParams> {
     engine: Arc<Engine<P>>,
     trace_probe: Option<Probe>,
 }
 
-impl<P: Partition> EngineConnector<P> {
+impl<P: Program> EngineConnector<P> {
     /// Wraps a shared engine handle.
     pub fn new(engine: Arc<Engine<P>>) -> Self {
         EngineConnector {
@@ -54,7 +54,7 @@ impl<P: Partition> EngineConnector<P> {
     }
 }
 
-impl<P: Partition> EventSink for EngineConnector<P> {
+impl<P: Program> EventSink for EngineConnector<P> {
     fn send(&mut self, entry: &StreamEntry) -> io::Result<()> {
         match entry {
             StreamEntry::Graph(event) => {

@@ -1,9 +1,10 @@
 //! The worker runtime: mailboxes, routing, instrumentation, supervision.
 //!
-//! [`Engine`] is generic over the vertex program ([`Partition`]); the
+//! [`Engine`] is generic over the vertex program ([`Program`]); the
 //! influence-rank instantiation is exported as [`TideGraph`], matching
 //! the paper's Chronograph experiment, and the online-SSSP instantiation
-//! as `crate::sssp::SsspEngine`.
+//! as `crate::sssp::SsspEngine`. Each worker keeps its vertices in a
+//! [`VertexStore`], which applies the worker's events for any program.
 //!
 //! # Crash containment and supervised recovery
 //!
@@ -23,7 +24,8 @@
 //! are scheduled and accounted as *items*, exactly as if every share were
 //! its own message (see [`crate::mailbox`]). What a round sends is one
 //! share per target: the shares it owes a target are folded into one
-//! with [`Partition::combine`] as they are pushed, in its [`Outbox`].
+//! with [`Program::combine`] as they are pushed, in its
+//! [`Outbox`](crate::program::Outbox).
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -42,8 +44,9 @@ use gt_trace::{Probe, Stage, TracerCell};
 
 use crate::board::{ResultBoard, Snapshot};
 use crate::mailbox::{mailbox, Batch, Msg, Transport};
-use crate::program::{Outbox, Partition};
-use crate::rank::{RankParams, RankPartition};
+use crate::program::{Outbox, Program};
+use crate::rank::RankParams;
+use crate::store::VertexStore;
 
 /// Engine configuration.
 #[derive(Debug, Clone)]
@@ -125,6 +128,9 @@ pub struct EngineStats {
     /// arrived: sent along an edge to a vertex not added yet, or removed
     /// since. Counted in `shares`, not in `events_lost`.
     pub shares_dropped: u64,
+    /// Out-edges the live workers hold at shutdown (a crashed worker's
+    /// are gone with it). Self-loops are never held.
+    pub edges: u64,
     /// Topology digest (final adjacency + per-marker windows), present
     /// when the engine ran with [`EngineConfig::digest`] on.
     pub digest: Option<StateDigest>,
@@ -144,8 +150,8 @@ type SnapshotLog = Arc<Mutex<Vec<(Arc<str>, Adjacency)>>>;
 /// closes every mailbox, so workers still running — the engine was dropped
 /// without `shutdown` — exit instead of waiting for posts that cannot
 /// come.
-struct EngineCore<P: Partition> {
-    workers: WorkerSet<Msg<P::Msg>, Batch<P::Msg>, P>,
+struct EngineCore<P: Program> {
+    workers: WorkerSet<Msg<P::Msg>, Batch<P::Msg>, VertexStore<P>>,
     factory: Box<dyn Fn(usize) -> P + Send + Sync>,
     board: Arc<ResultBoard>,
     snapshots: SnapshotLog,
@@ -165,11 +171,11 @@ struct EngineCore<P: Partition> {
     shares_dropped: Counter,
 }
 
-impl<P: Partition> EngineCore<P> {
+impl<P: Program> EngineCore<P> {
     /// What the thread of a slot's (re)spawned worker runs, with a fresh
-    /// partition. Hub metrics are looked up by name, so a restarted worker
+    /// store. Hub metrics are looked up by name, so a restarted worker
     /// keeps accumulating on the same series.
-    fn worker(&self, worker_id: usize) -> Run<Msg<P::Msg>, Batch<P::Msg>, P> {
+    fn worker(&self, worker_id: usize) -> Run<Msg<P::Msg>, Batch<P::Msg>, VertexStore<P>> {
         let ctx = WorkerCtx {
             worker_id,
             mailboxes: Arc::clone(&self.workers.slots),
@@ -188,13 +194,13 @@ impl<P: Partition> EngineCore<P> {
             edges_dropped: self.edges_dropped.clone(),
             shares_dropped: self.shares_dropped.clone(),
         };
-        let partition = (self.factory)(worker_id);
-        Box::new(move |mailbox| worker_loop(ctx, mailbox, partition))
+        let store = VertexStore::new((self.factory)(worker_id));
+        Box::new(move |mailbox| worker_loop(ctx, mailbox, store))
     }
 }
 
 /// A running vertex-centric engine executing the program `P`.
-pub struct Engine<P: Partition> {
+pub struct Engine<P: Program> {
     core: Arc<EngineCore<P>>,
     /// Global ingest counter: each graph event's stream position, carried
     /// into the worker mailboxes for Level-2 trace stamping.
@@ -202,9 +208,9 @@ pub struct Engine<P: Partition> {
 }
 
 /// The influence-rank engine — the paper's Chronograph stand-in.
-pub type TideGraph = Engine<RankPartition>;
+pub type TideGraph = Engine<RankParams>;
 
-impl Engine<RankPartition> {
+impl Engine<RankParams> {
     /// Starts the influence-rank engine. Per-worker metrics registered on
     /// `hub`: `worker-N.queue` (backlog gauge, in items), `worker-N.ops`
     /// (items processed), `worker-N.events`, `worker-N.shares`,
@@ -217,14 +223,14 @@ impl Engine<RankPartition> {
             params.epsilon > 0.0,
             "the push threshold ε must be positive"
         );
-        Engine::start_with(config, hub, move |_worker| RankPartition::new(params))
+        Engine::start_with(config, hub, move |_worker| params)
     }
 }
 
-impl<P: Partition> Engine<P> {
-    /// Starts an engine whose workers each run the partition produced by
+impl<P: Program> Engine<P> {
+    /// Starts an engine whose workers each run the program produced by
     /// `factory(worker_id)`. The factory is retained: in supervised mode
-    /// it also builds the fresh partition of a restarted worker.
+    /// it also builds the program of a restarted worker.
     pub fn start_with(
         config: EngineConfig,
         hub: &MetricsHub,
@@ -423,21 +429,21 @@ impl<P: Partition> Engine<P> {
     }
 
     /// Stops the workers behind their backlogs, joins them tolerantly, and
-    /// merges final results. Crashed workers contribute no summary (their
-    /// state died with them); a worker that *panicked* is contained and
-    /// counted as a crash instead of poisoning the run. After a successful
+    /// merges final results. Crashed workers contribute no summary and no
+    /// edges (their state died with them); a worker that *panicked* is
+    /// contained and counted as a crash instead of poisoning the run. After a successful
     /// [`quiesce`](Engine::quiesce) no worker has work left, so none posts
     /// to a finished mailbox and nothing is lost.
     pub fn shutdown(self) -> EngineStats {
-        let (partitions, panicked) = self.core.workers.shutdown();
+        let (stores, panicked) = self.core.workers.shutdown();
         self.core.crashes.add(panicked);
         let mut ranks = Snapshot::new();
         let mut final_adjacency: Adjacency = Vec::new();
         let digest_on = self.core.config.digest;
-        for partition in partitions {
-            partition.summary_into(&mut ranks);
+        for store in &stores {
+            store.summary_into(&mut ranks);
             if digest_on {
-                final_adjacency.extend(partition.structure());
+                final_adjacency.extend(store.structure());
             }
         }
         let sum = |metric: &str| -> u64 {
@@ -484,6 +490,7 @@ impl<P: Partition> Engine<P> {
             events_replayed: self.core.events_replayed.get(),
             dangling_edges_dropped: self.core.edges_dropped.get(),
             shares_dropped: self.core.shares_dropped.get(),
+            edges: stores.iter().map(VertexStore::edges).sum(),
             digest,
         }
     }
@@ -497,7 +504,7 @@ impl<P: Partition> Engine<P> {
 
 /// The engine's [`WorkerSupervisor`]: kills and resurrects individual
 /// workers. Obtained from [`Engine::supervisor`].
-impl<P: Partition> WorkerSupervisor for EngineCore<P> {
+impl<P: Program> WorkerSupervisor for EngineCore<P> {
     /// Enqueues a crash, one item, on the worker's mailbox. The kill lands
     /// behind the worker's current backlog — a deterministic position in
     /// its message stream — and the worker then discards its state and
@@ -506,7 +513,7 @@ impl<P: Partition> WorkerSupervisor for EngineCore<P> {
         self.workers.inject(worker, Msg::Crash, 1)
     }
 
-    /// Restarts a crashed worker (supervised mode only): a fresh partition
+    /// Restarts a crashed worker (supervised mode only): a fresh store
     /// on a fresh mailbox that replays the events and purges posted to the
     /// worker, with ingest write-locked out.
     fn restart_worker(&self, worker: usize) -> bool {
@@ -553,20 +560,19 @@ struct WorkerCtx<M> {
 }
 
 /// Runs one worker until its mailbox is finished and drained, or closed
-/// under it (returns the final partition), or `Crash` (closes the mailbox
-/// and returns `None` — the partition state is deliberately lost, like a
+/// under it (returns the final store), or `Crash` (closes the mailbox
+/// and returns `None` — the store is deliberately lost, like a
 /// killed process).
-fn worker_loop<P: Partition>(
+fn worker_loop<P: Program>(
     ctx: WorkerCtx<P::Msg>,
     mailbox: Consumer<Msg<P::Msg>, Batch<P::Msg>>,
-    mut partition: P,
-) -> Option<P> {
+    mut store: VertexStore<P>,
+) -> Option<VertexStore<P>> {
     let workers = ctx.config.workers;
     let drain_batch = ctx.config.drain_batch.max(1);
-    // The round's shares, folded per target as the program pushes them;
+    // The round's shares, folded per target as the program sends them;
     // it keeps its buffers from round to round.
-    let mut outbox = Outbox::new(workers);
-    let mut dirty: Vec<VertexId> = Vec::new();
+    let mut outbox = Outbox::<P>::new(workers);
     // The received block being consumed in place, and how far. A round
     // that ends inside it leaves the rest to the next round. A receive
     // hands the spent block back to the mailbox and leaves it empty, so
@@ -577,9 +583,9 @@ fn worker_loop<P: Partition>(
     // The board buffer this worker fills next: after a publish, the one
     // its slot held before.
     let mut snapshot = Snapshot::new();
-    let mut publish = |partition: &P| {
+    let mut publish = |store: &VertexStore<P>| {
         snapshot.clear();
-        partition.summary_into(&mut snapshot);
+        store.summary_into(&mut snapshot);
         ctx.board.publish(ctx.worker_id, &mut snapshot);
     };
     // Lazily acquired apply tracepoint: the thread outlives tracer
@@ -605,7 +611,7 @@ fn worker_loop<P: Partition>(
                 let mut dropped = 0;
                 for (target, payload) in &shares[cursor..end] {
                     busy_work(ctx.config.share_cost);
-                    if !partition.receive_deferred(*target, payload.clone(), &mut dirty) {
+                    if !store.receive(*target, payload.clone()) {
                         dropped += 1;
                     }
                 }
@@ -628,18 +634,8 @@ fn worker_loop<P: Partition>(
                 }
                 Msg::Event(event, seq) => {
                     busy_work(ctx.config.event_cost);
-                    if !partition.apply_event_deferred(&event, &mut dirty) {
+                    if !store.apply(&event) {
                         ctx.edges_dropped.inc();
-                    }
-                    // The owner-side half of vertex removal: strip the
-                    // removed id from co-located out-lists too. Ingest
-                    // only broadcasts Purge to *other* workers, so
-                    // without this the surviving topology would depend
-                    // on the worker count (and workers=1 would never
-                    // purge at all) — breaking the serial-vs-sharded
-                    // differential.
-                    if let GraphEvent::RemoveVertex { id } = event {
-                        partition.purge(id, &mut outbox);
                     }
                     ctx.events.inc();
                     if trace_probe.is_none() {
@@ -651,9 +647,7 @@ fn worker_loop<P: Partition>(
                         probe.stamp_seq(seq);
                     }
                 }
-                Msg::Purge(id) => {
-                    partition.purge(id, &mut outbox);
-                }
+                Msg::Purge(id) => store.purge(id),
                 Msg::Marker(name) => {
                     let t = ctx.started.elapsed().as_micros() as u64;
                     if ctx.config.digest {
@@ -661,7 +655,7 @@ fn worker_loop<P: Partition>(
                         // exactly the pre-marker events routed here, so
                         // the snapshot is this worker's share of the
                         // marker's consistent cut.
-                        lock(&ctx.snapshots).push((name.clone(), partition.structure()));
+                        lock(&ctx.snapshots).push((name.clone(), store.structure()));
                     }
                     lock(&ctx.mailboxes.sightings).push((name, ctx.worker_id, t));
                 }
@@ -679,8 +673,7 @@ fn worker_loop<P: Partition>(
             items += 1;
         }
         // Coalesced program work for the whole round.
-        partition.flush_dirty(&dirty, &mut outbox);
-        dirty.clear();
+        store.flush(|target, msg| outbox.push(target, msg));
 
         ctx.busy.add(started.elapsed());
         ctx.ops.add(items as u64);
@@ -711,7 +704,7 @@ fn worker_loop<P: Partition>(
         let round = items as u64;
         let processed = mailbox.account().1 + round;
         if processed % ctx.config.board_refresh_every.max(1) < round {
-            publish(&partition);
+            publish(&store);
         }
         // Only now is the round done: what it produced is already on its
         // destinations' accounts (see `Mailbox`).
@@ -719,13 +712,15 @@ fn worker_loop<P: Partition>(
         ctx.queue_gauge.set(mailbox.backlog() as i64);
     }
     // Final board publish so late readers see the end state.
-    publish(&partition);
-    Some(partition)
+    publish(&store);
+    Some(store)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
     use std::sync::atomic::AtomicBool;
 
     fn add_v(id: u64) -> GraphEvent {
@@ -1009,6 +1004,97 @@ mod tests {
         let stats = engine.shutdown();
         assert!(!stats.ranks.contains_key(&VertexId(0)));
         assert_eq!(stats.ranks.len(), 9);
+    }
+
+    /// One event of a random stream over ids 0..12, of each of the six
+    /// kinds (edge additions more often), weighing 1 to 3 so that an
+    /// update may be lighter, equal or heavier.
+    fn any_event() -> impl Strategy<Value = GraphEvent> {
+        (0u8..9, 0u64..12, 0u64..12, 1u8..4).prop_map(|(kind, a, b, weight)| {
+            let (vertex, edge) = (VertexId(a), EdgeId::from((a, b)));
+            let state = State::weight(f64::from(weight));
+            match kind {
+                0 | 1 => GraphEvent::AddVertex {
+                    id: vertex,
+                    state: State::empty(),
+                },
+                2 => GraphEvent::RemoveVertex { id: vertex },
+                3..=5 => GraphEvent::AddEdge { id: edge, state },
+                6 => GraphEvent::RemoveEdge { id: edge },
+                7 => GraphEvent::UpdateEdge { id: edge, state },
+                _ => GraphEvent::UpdateVertex {
+                    id: vertex,
+                    state: State::empty(),
+                },
+            }
+        })
+    }
+
+    /// The store's rules over one ordered map of the whole graph: every
+    /// live vertex's out-list with its weight bits, and the `AddEdge`s
+    /// dropped. An edge exists while its source does; a self-loop is
+    /// skipped; a removed vertex leaves every out-list.
+    fn model(stream: &[GraphEvent]) -> (Adjacency, u64) {
+        let mut graph: BTreeMap<u64, BTreeMap<u64, u64>> = BTreeMap::new();
+        let mut dropped = 0;
+        let bits = |state: &State| state.as_weight().unwrap_or(1.0).to_bits();
+        for event in stream {
+            match event {
+                GraphEvent::AddVertex { id, .. } => _ = graph.entry(id.0).or_default(),
+                GraphEvent::RemoveVertex { id } => {
+                    graph.remove(&id.0);
+                    graph.values_mut().for_each(|out| _ = out.remove(&id.0));
+                }
+                GraphEvent::AddEdge { id, state } if !id.is_self_loop() => {
+                    match graph.get_mut(&id.src.0) {
+                        Some(out) => _ = out.entry(id.dst.0).or_insert(bits(state)),
+                        None => dropped += 1,
+                    }
+                }
+                GraphEvent::RemoveEdge { id } => {
+                    graph.get_mut(&id.src.0).map(|out| out.remove(&id.dst.0));
+                }
+                GraphEvent::UpdateEdge { id, state } => {
+                    let out = graph.get_mut(&id.src.0);
+                    if let Some(weight) = out.and_then(|out| out.get_mut(&id.dst.0)) {
+                        *weight = bits(state);
+                    }
+                }
+                _ => {}
+            }
+        }
+        let adjacency = graph.into_iter();
+        let adjacency = adjacency.map(|(id, out)| (id, out.into_iter().collect()));
+        (adjacency.collect(), dropped)
+    }
+
+    proptest! {
+        /// Random streams of all six kinds through one to four workers
+        /// (the SSSP program: its edges carry weights) leave the edges,
+        /// the dropped edges and the final adjacency the model leaves.
+        #[test]
+        fn edges_and_final_adjacency_follow_the_store_rules(
+            workers in 1usize..=4,
+            stream in vec(any_event(), 0..120),
+        ) {
+            let config = EngineConfig {
+                workers,
+                digest: true,
+                ..Default::default()
+            };
+            let engine = crate::sssp::start_sssp(config, &MetricsHub::new(), VertexId(0));
+            for event in &stream {
+                engine.ingest(event.clone());
+            }
+            prop_assert!(engine.quiesce(Duration::from_secs(30)));
+            let stats = engine.shutdown();
+            let (adjacency, dropped) = model(&stream);
+            let edges: usize = adjacency.iter().map(|(_, out)| out.len()).sum();
+            prop_assert_eq!(stats.edges, edges as u64, "workers={}", workers);
+            prop_assert_eq!(stats.dangling_edges_dropped, dropped, "workers={}", workers);
+            let digest = stats.digest.expect("the engine ran with digest on");
+            prop_assert_eq!(digest.final_adjacency, adjacency, "workers={}", workers);
+        }
     }
 
     #[test]

@@ -34,10 +34,12 @@
 //!   queueing behind the backlog.
 //!
 //! The engine is **programmable** like its archetype: the worker runtime
-//! ([`Engine`]) is generic over a vertex program ([`Partition`]). Two
-//! programs ship: the influence rank above ([`TideGraph`] =
-//! `Engine<RankPartition>`) and online single-source shortest distances
-//! ([`start_sssp`]), Table 1's "distributed routing algorithms".
+//! ([`Engine`]) is generic over a vertex program ([`Program`]). The engine
+//! owns each worker's vertices ([`store::VertexStore`]) and a program
+//! keeps only its math. Two programs ship: the influence rank above
+//! ([`TideGraph`] = `Engine<RankParams>`) and online single-source
+//! shortest distances ([`start_sssp`]), Table 1's "distributed routing
+//! algorithms".
 
 pub mod board;
 pub mod connector;
@@ -47,11 +49,13 @@ pub mod mailbox;
 pub mod program;
 pub mod rank;
 pub mod sssp;
+pub mod store;
 pub mod sut;
 
 pub use connector::EngineConnector;
 pub use engine::{Engine, EngineConfig, EngineStats, TideGraph};
-pub use program::{Outbox, Partition};
+pub use program::Program;
 pub use rank::RankParams;
-pub use sssp::{start_sssp, DistancePartition};
+pub use sssp::{start_sssp, DistanceProgram};
+pub use store::VertexStore;
 pub use sut::TideGraphSut;

@@ -1,42 +1,100 @@
 //! The vertex-program abstraction.
 //!
 //! Chronograph-class engines are *programmable*: the platform owns
-//! partitioning, mailboxes, and scheduling, while a vertex program
-//! defines how mutations seed computation and how computational messages
-//! update vertex state. [`Partition`] is that contract here — one
-//! instance per worker, driven by the engine's mailbox loop.
+//! partitioning, mailboxes, scheduling and the graph, while a vertex
+//! program defines how mutations seed computation and how computational
+//! messages update vertex state. [`Program`] is that contract here: a
+//! program keeps only its math. Each worker runs one instance inside its
+//! [`VertexStore`](crate::store::VertexStore), which holds the vertices,
+//! applies the events and calls the program back.
 //!
 //! Two programs ship with the engine:
 //!
-//! * [`crate::rank::RankPartition`] — the online influence rank of the
+//! * [`crate::rank::RankParams`] — the online influence rank of the
 //!   paper's Chronograph experiment (§5.3.2),
-//! * [`crate::sssp::DistancePartition`] — online single-source shortest
+//! * [`crate::sssp::DistanceProgram`] — online single-source shortest
 //!   distances, Table 1's "distributed routing algorithms" example of a
 //!   converging computation.
+//!
+//! **The ε invariant's purge rule.** A program whose `receive` lists a
+//! vertex only when it becomes worth computing (rank: when its residual
+//! crosses ε) relies on every round starting with nothing left to
+//! compute. So whatever an event or a purge changes, it lists: a purge
+//! that strips an out-edge reports `Unlinked`, and the round's flush
+//! computes the vertex like any other listed one.
 
 use gt_core::hash::shard_of;
 use gt_core::prelude::*;
+use gt_graph::HybridAdjacency;
 
 use crate::mailbox::Batch;
 
-/// A partition's vertex map and its hasher (every share delivery is a
-/// lookup here). They live in `gt-core` so `gt-graph` and the generator
-/// hash ids the same way; `gt_core::hash::shard_of` shares the multiplier.
-pub use gt_core::{VertexHasher, VertexMap};
+/// What the store did to a vertex, reported to its program through
+/// [`Program::changed`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Change {
+    /// An `AddVertex` for it: new, or already live.
+    Added,
+    /// It was removed: the store has taken it out, and drops its value
+    /// after this call.
+    Removed,
+    /// It gained an out-edge.
+    Linked,
+    /// It lost an out-edge, to a `RemoveEdge` or to a purge of the edge's
+    /// target.
+    Unlinked,
+    /// One of its out-edges changed weight.
+    Reweighted {
+        /// The new weight is larger than the old.
+        heavier: bool,
+    },
+}
 
-/// One worker's share of a vertex-centric computation.
+/// An out-edge's payload: what an `AddEdge` or `UpdateEdge` state gives,
+/// and its value as a weight (in the digest, and for
+/// [`Change::Reweighted`]).
+pub trait Weight: Copy + Default + Send + 'static {
+    /// The payload of an edge event carrying `state`.
+    fn of(state: &State) -> Self;
+    /// The weight it stands for.
+    fn value(self) -> f64;
+}
+
+/// Unweighted edges weigh 1.0.
+impl Weight for () {
+    fn of(_: &State) -> Self {}
+
+    fn value(self) -> f64 {
+        1.0
+    }
+}
+
+/// An edge's weight, 1.0 when its state carries none.
+impl Weight for f64 {
+    fn of(state: &State) -> Self {
+        state.as_weight().unwrap_or(1.0)
+    }
+
+    fn value(self) -> f64 {
+        self
+    }
+}
+
+/// A vertex program: its math, and nothing of the graph's bookkeeping.
 ///
-/// The engine calls the `*_deferred` hooks for every item of a round,
-/// then [`flush_dirty`](Partition::flush_dirty) once — so programs can
-/// coalesce work across a round (see `EngineConfig::drain_batch`).
-/// `dirty` lists the vertices a round may have to push; what goes on it
-/// is the program's own rule (rank: an event's vertex, and a receive's
-/// target only when its residual crosses ε). `out` is the engine's own
-/// [`Outbox`]: a share pushed there is folded into the round's share for
-/// its target with [`combine`](Partition::combine) on the spot, so a
-/// target receives at most one share per round of each sending worker,
-/// and the engine posts the outbox's parts as they stand.
-pub trait Partition: Send + 'static {
+/// The store calls [`changed`](Program::changed) for what an event or a
+/// purge does to a vertex, and [`receive`](Program::receive) for each
+/// share delivered to it; either lists the vertex by returning `true`.
+/// Once a round's items are in, the store calls
+/// [`compute`](Program::compute) once for every listed vertex, however
+/// often it was listed, in the order of its first listing. The engine
+/// folds what `compute` sends into one share per target per round with
+/// [`combine`](Program::combine).
+pub trait Program: Send + 'static {
+    /// A vertex's state; a new vertex starts at the default.
+    type Value: Default + Send;
+    /// An out-edge's payload.
+    type Weight: Weight;
     /// The computational message the program exchanges between vertices.
     type Msg: Send + Clone;
 
@@ -45,63 +103,38 @@ pub trait Partition: Send + 'static {
     /// would (the combiner of Pregel-style systems).
     fn combine(into: &mut Self::Msg, msg: Self::Msg);
 
-    /// Ingests a locally-owned graph mutation; appends affected vertices
-    /// to `dirty`. Must tolerate events referencing unknown vertices.
-    /// `false` when the event is dropped: an `AddEdge` whose source is not
-    /// live here (the engine counts it, as `tide-store` counts its
-    /// dangling edges).
-    fn apply_event_deferred(&mut self, event: &GraphEvent, dirty: &mut Vec<VertexId>) -> bool;
+    /// Reacts to `change` of vertex `id`; `true` lists it.
+    fn changed(&mut self, id: VertexId, value: &mut Self::Value, change: Change) -> bool;
 
-    /// Ingests one computational message addressed to `target`. `false`
-    /// when `target` is not live here and the message is dropped (the
-    /// engine counts it as `shares_dropped`).
-    fn receive_deferred(
-        &mut self,
-        target: VertexId,
-        msg: Self::Msg,
-        dirty: &mut Vec<VertexId>,
-    ) -> bool;
+    /// Takes one delivered message; `true` lists the vertex.
+    fn receive(&self, value: &mut Self::Value, msg: Self::Msg) -> bool;
 
-    /// Processes the batch's dirty vertices, pushing outbound messages
-    /// into `out` with [`Outbox::push`]. Duplicate dirty entries must be
-    /// harmless.
-    fn flush_dirty(&mut self, dirty: &[VertexId], out: &mut Outbox<Self::Msg>);
+    /// Computes a listed vertex, handing each message to `send`.
+    fn compute(
+        &self,
+        value: &mut Self::Value,
+        out: &HybridAdjacency<Self::Weight>,
+        send: impl FnMut(VertexId, Self::Msg),
+    );
 
-    /// Handles the broadcast half of a (possibly remote) vertex removal:
-    /// strip local references to `removed`, pushing repair messages.
-    fn purge(&mut self, removed: VertexId, out: &mut Outbox<Self::Msg>);
-
-    /// Appends the current result value of every vertex this partition
-    /// owns — what the engine publishes on the result board, into a
-    /// buffer the caller recycles from one publish to the next.
-    fn summary_into(&self, out: &mut Vec<(VertexId, f64)>);
-
-    /// The partition's current local out-topology, as `(vertex id,
-    /// [(target id, weight bits)])` — the raw material of a
-    /// [`gt_sut::StateDigest`]. Weights are captured as `f64::to_bits`
-    /// so digest comparison is bit-exact; unweighted programs digest
-    /// weight 1.0. Worker partitions own disjoint vertex sets, so the
-    /// union of all workers' structures is the engine's full topology.
-    /// The default (empty) opts a program out of digest capture.
-    fn structure(&self) -> Vec<(u64, Vec<(u64, u64)>)> {
-        Vec::new()
-    }
+    /// The vertex's result, as the board and the final report show it.
+    fn result(value: &Self::Value) -> f64;
 }
 
 /// A round's outgoing shares, folded per target as they are pushed: one
 /// part per destination worker (`shard_of` the target), each holding a
 /// target once, in the order of its first share this round. A later
 /// share for the same target folds into that first one with
-/// [`Partition::combine`], through an index private to the outbox, so a
+/// [`Program::combine`], through an index private to the outbox, so a
 /// push costs one probe and the round needs no pass of its own to
 /// combine. The engine posts each part and then starts the next round in
 /// O(1): the index keeps its slots, and so do the parts.
-pub struct Outbox<M> {
-    parts: Vec<Batch<M>>,
+pub(crate) struct Outbox<P: Program> {
+    parts: Vec<Batch<P::Msg>>,
     index: Index,
 }
 
-impl<M> Outbox<M> {
+impl<P: Program> Outbox<P> {
     /// An empty outbox for `workers` destinations.
     pub(crate) fn new(workers: usize) -> Self {
         Outbox {
@@ -124,7 +157,7 @@ impl<M> Outbox<M> {
     /// goes at the end of its destination's part, a later one folds into
     /// it with `P::combine`.
     #[inline]
-    pub fn push<P: Partition<Msg = M>>(&mut self, target: VertexId, msg: M) {
+    pub(crate) fn push(&mut self, target: VertexId, msg: P::Msg) {
         let parts = &mut self.parts;
         let (destination, at) = self.index.locate(target, || {
             let destination = shard_of(target, parts.len());
@@ -143,14 +176,14 @@ impl<M> Outbox<M> {
     }
 
     /// The round's shares, one part per destination worker.
-    pub(crate) fn parts_mut(&mut self) -> &mut [Batch<M>] {
+    pub(crate) fn parts_mut(&mut self) -> &mut [Batch<P::Msg>] {
         &mut self.parts
     }
 
     /// Every part's shares, in destination order, leaving the outbox
     /// reset.
     #[cfg(test)]
-    pub(crate) fn take(&mut self) -> Batch<M> {
+    pub(crate) fn take(&mut self) -> Batch<P::Msg> {
         let shares = self
             .parts
             .iter_mut()
@@ -165,13 +198,6 @@ impl<M> Outbox<M> {
     pub(crate) fn reset(&mut self) {
         self.parts.iter_mut().for_each(Vec::clear);
         self.index.reset();
-    }
-}
-
-/// One destination: what a program run outside the engine pushes into.
-impl<M> Default for Outbox<M> {
-    fn default() -> Self {
-        Outbox::new(1)
     }
 }
 
@@ -279,7 +305,7 @@ impl Index {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rank::RankPartition;
+    use crate::rank::RankParams;
     use proptest::collection::vec;
     use proptest::prelude::*;
 
@@ -299,9 +325,9 @@ mod tests {
     }
 
     /// Pushes one round's shares and checks the parts they leave.
-    fn push_round(outbox: &mut Outbox<f64>, shares: &[(VertexId, f64)]) -> Vec<Batch<f64>> {
+    fn push_round(outbox: &mut Outbox<RankParams>, shares: &[(VertexId, f64)]) -> Vec<Batch<f64>> {
         for &(target, mass) in shares {
-            outbox.push::<RankPartition>(target, mass);
+            outbox.push(target, mass);
         }
         let parts = outbox.parts.clone();
         outbox.reset();

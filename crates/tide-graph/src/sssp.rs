@@ -12,8 +12,8 @@
 //! **Monotonicity caveat** (the KickStarter problem the paper's
 //! introduction cites): relaxation only ever *lowers* distances, so edge
 //! removals and weight increases can leave stale, over-optimistic
-//! distances behind. The partition counts such hazards
-//! ([`DistancePartition::stale_hazards`]); an analyst triggers a restart
+//! distances behind. The program counts such hazards
+//! ([`DistanceProgram::stale_hazards`]); an analyst triggers a restart
 //! (re-relaxation from the source) when the count matters. This is the
 //! documented trade-off, not an oversight — trimming-based repair is the
 //! subject of dedicated systems (KickStarter).
@@ -21,36 +21,22 @@
 use gt_core::prelude::*;
 use gt_graph::HybridAdjacency;
 
-use crate::program::{Outbox, Partition, VertexMap};
+use crate::program::{Change, Program};
 
-/// A distance offer: the proposing path length.
-pub(crate) type DistanceOffer = f64;
-
-#[derive(Debug, Clone, Default)]
-struct VState {
-    dist: Option<f64>,
-    out: HybridAdjacency<f64>,
-}
-
-/// One worker's share of the online SSSP computation.
+/// One worker's share of the online SSSP computation: a vertex's value
+/// is its distance, `None` until it is reached.
 #[derive(Debug, Clone)]
-pub struct DistancePartition {
+pub struct DistanceProgram {
     source: VertexId,
-    vertices: VertexMap<VState>,
     stale_hazards: u64,
-    /// Scratch of [`Partition::flush_dirty`], empty between calls: the
-    /// dirty vertices that have built their offers in this call.
-    offered: VertexMap<()>,
 }
 
-impl DistancePartition {
-    /// A partition computing distances from `source`.
+impl DistanceProgram {
+    /// A program computing distances from `source`.
     pub fn new(source: VertexId) -> Self {
-        DistancePartition {
+        DistanceProgram {
             source,
-            vertices: VertexMap::default(),
             stale_hazards: 0,
-            offered: VertexMap::default(),
         }
     }
 
@@ -59,154 +45,65 @@ impl DistancePartition {
     pub fn stale_hazards(&self) -> u64 {
         self.stale_hazards
     }
+}
 
-    fn edge_weight(state: &State) -> f64 {
-        state.as_weight().unwrap_or(1.0)
+impl Program for DistanceProgram {
+    type Value = Option<f64>;
+    type Weight = f64;
+    /// A distance offer: the proposing path length.
+    type Msg = f64;
+
+    /// Of two offers to one target only the shorter can be accepted.
+    fn combine(into: &mut f64, offer: f64) {
+        *into = into.min(offer);
     }
 
-    /// Hands `send` the offer of each of `id`'s out-edges.
-    fn offer_from(&self, id: VertexId, send: &mut impl FnMut(VertexId, DistanceOffer)) {
-        let Some(state) = self.vertices.get(&id) else {
+    /// The source starts at distance 0. A removal, a lost edge or a
+    /// heavier one counts a stale hazard; a vertex added, linked or
+    /// reweighted offers again.
+    fn changed(&mut self, id: VertexId, dist: &mut Option<f64>, change: Change) -> bool {
+        match change {
+            Change::Added if id == self.source => *dist = Some(0.0),
+            Change::Removed | Change::Unlinked | Change::Reweighted { heavier: true } => {
+                self.stale_hazards += 1;
+            }
+            _ => {}
+        }
+        !matches!(change, Change::Removed | Change::Unlinked)
+    }
+
+    /// Accepts an offer that beats the current distance.
+    fn receive(&self, dist: &mut Option<f64>, offer: f64) -> bool {
+        let better = dist.is_none_or(|d| offer < d);
+        if better {
+            *dist = Some(offer);
+        }
+        better
+    }
+
+    /// Offers `distance + weight` along every out-edge of a reached vertex.
+    fn compute(
+        &self,
+        dist: &mut Option<f64>,
+        out: &HybridAdjacency<f64>,
+        mut send: impl FnMut(VertexId, f64),
+    ) {
+        let Some(dist) = *dist else {
             return;
         };
-        let Some(dist) = state.dist else {
-            return;
-        };
-        for (target, &weight) in state.out.iter() {
+        for (target, &weight) in out.iter() {
             send(target, dist + weight);
         }
     }
 
-    /// Each dirty vertex offers once, however often it is listed, in
-    /// the order of its first listing, handing each offer to `send`
-    /// before any fold.
-    fn offer_dirty(&mut self, dirty: &[VertexId], mut send: impl FnMut(VertexId, DistanceOffer)) {
-        for &id in dirty {
-            if self.offered.insert(id, ()).is_none() {
-                self.offer_from(id, &mut send);
-            }
-        }
-        self.offered.clear();
-    }
-}
-
-impl Partition for DistancePartition {
-    type Msg = DistanceOffer;
-
-    /// Of two offers to one target only the shorter can be accepted.
-    fn combine(into: &mut DistanceOffer, offer: DistanceOffer) {
-        *into = into.min(offer);
-    }
-
-    fn apply_event_deferred(&mut self, event: &GraphEvent, dirty: &mut Vec<VertexId>) -> bool {
-        match event {
-            GraphEvent::AddVertex { id, .. } => {
-                let source = self.source;
-                let entry = self.vertices.entry(*id).or_default();
-                if *id == source {
-                    entry.dist = Some(0.0);
-                }
-                dirty.push(*id);
-            }
-            GraphEvent::RemoveVertex { id } => {
-                if self.vertices.remove(id).is_some() {
-                    self.stale_hazards += 1;
-                }
-            }
-            GraphEvent::AddEdge { id, state } => {
-                // A self-loop never shortens a path: skipped, not dropped.
-                if id.is_self_loop() {
-                    return true;
-                }
-                let weight = Self::edge_weight(state);
-                let Some(vstate) = self.vertices.get_mut(&id.src) else {
-                    return false;
-                };
-                if vstate.out.insert_if_absent(id.dst, || weight) {
-                    dirty.push(id.src);
-                }
-            }
-            GraphEvent::UpdateEdge { id, state } => {
-                let weight = Self::edge_weight(state);
-                let Some(vstate) = self.vertices.get_mut(&id.src) else {
-                    return true;
-                };
-                let mut hazard = false;
-                if let Some(slot) = vstate.out.get_mut(id.dst) {
-                    if weight > *slot {
-                        hazard = true;
-                    }
-                    *slot = weight;
-                    dirty.push(id.src);
-                }
-                if hazard {
-                    self.stale_hazards += 1;
-                }
-            }
-            GraphEvent::RemoveEdge { id } => {
-                let Some(vstate) = self.vertices.get_mut(&id.src) else {
-                    return true;
-                };
-                if vstate.out.remove(id.dst).is_some() {
-                    self.stale_hazards += 1;
-                }
-            }
-            GraphEvent::UpdateVertex { .. } => {}
-        }
-        true
-    }
-
-    fn receive_deferred(
-        &mut self,
-        target: VertexId,
-        offer: DistanceOffer,
-        dirty: &mut Vec<VertexId>,
-    ) -> bool {
-        let Some(state) = self.vertices.get_mut(&target) else {
-            return false; // vertex vanished; drop the offer
-        };
-        if state.dist.is_none_or(|d| offer < d) {
-            state.dist = Some(offer);
-            dirty.push(target);
-        }
-        true
-    }
-
-    /// Each dirty vertex offers once, however often it is listed.
-    fn flush_dirty(&mut self, dirty: &[VertexId], out: &mut Outbox<DistanceOffer>) {
-        self.offer_dirty(dirty, |target, offer| out.push::<Self>(target, offer));
-    }
-
-    fn purge(&mut self, removed: VertexId, out: &mut Outbox<DistanceOffer>) {
-        let _ = out;
-        for state in self.vertices.values_mut() {
-            if state.out.remove(removed).is_some() {
-                self.stale_hazards += 1;
-            }
-        }
-    }
-
-    /// Distances as the board values; unreached vertices report infinity.
-    fn summary_into(&self, out: &mut Vec<(VertexId, f64)>) {
-        let states = self.vertices.iter();
-        out.extend(states.map(|(id, s)| (*id, s.dist.unwrap_or(f64::INFINITY))));
-    }
-
-    fn structure(&self) -> Vec<(u64, Vec<(u64, u64)>)> {
-        self.vertices
-            .iter()
-            .map(|(id, s)| {
-                (
-                    id.0,
-                    s.out.iter().map(|(t, w)| (t.0, w.to_bits())).collect(),
-                )
-            })
-            .collect()
+    /// Unreached vertices report infinity.
+    fn result(dist: &Option<f64>) -> f64 {
+        dist.unwrap_or(f64::INFINITY)
     }
 }
 
 /// An engine running the online SSSP program on every worker.
-pub(crate) type SsspEngine = crate::engine::Engine<DistancePartition>;
+pub(crate) type SsspEngine = crate::engine::Engine<DistanceProgram>;
 
 /// Starts an online SSSP engine from `source`.
 pub fn start_sssp(
@@ -214,18 +111,15 @@ pub fn start_sssp(
     hub: &gt_metrics::MetricsHub,
     source: VertexId,
 ) -> SsspEngine {
-    crate::engine::Engine::start_with(config, hub, move |_| DistancePartition::new(source))
+    crate::engine::Engine::start_with(config, hub, move |_| DistanceProgram::new(source))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Current distance of a local vertex, if known and reached.
-    fn distance(p: &DistancePartition, id: VertexId) -> Option<f64> {
-        p.vertices.get(&id).and_then(|s| s.dist)
-    }
     use crate::engine::EngineConfig;
+    use crate::program::Outbox;
+    use crate::store::VertexStore;
     use gt_core::hash::shard_of;
     use gt_metrics::MetricsHub;
     use std::time::Duration;
@@ -244,22 +138,34 @@ mod tests {
         }
     }
 
-    /// Single-partition harness mirroring the engine loop.
-    fn run_events(partition: &mut DistancePartition, events: &[GraphEvent]) {
-        let mut out = Outbox::default();
-        let mut dirty = Vec::new();
+    type Store = VertexStore<DistanceProgram>;
+
+    fn store(source: u64) -> Store {
+        VertexStore::new(DistanceProgram::new(VertexId(source)))
+    }
+
+    /// Current distance of a local vertex, if known and reached.
+    fn distance(store: &Store, id: VertexId) -> Option<f64> {
+        store.value(id).copied().flatten()
+    }
+
+    fn hazards(store: &Store) -> u64 {
+        store.program().stale_hazards()
+    }
+
+    /// Single-worker harness mirroring the engine loop.
+    fn run_events(store: &mut Store, events: &[GraphEvent]) {
+        let mut out = Outbox::<DistanceProgram>::new(1);
         for e in events {
-            partition.apply_event_deferred(e, &mut dirty);
-            partition.flush_dirty(&dirty, &mut out);
-            dirty.clear();
+            store.apply(e);
+            store.flush(|target, offer| out.push(target, offer));
         }
         let mut pending = out.take();
         let mut budget = 1_000_000;
         while let Some((target, offer)) = pending.pop() {
-            partition.receive_deferred(target, offer, &mut dirty);
-            partition.flush_dirty(&dirty, &mut out);
+            store.receive(target, offer);
+            store.flush(|target, offer| out.push(target, offer));
             pending.extend(out.take());
-            dirty.clear();
             budget -= 1;
             assert!(budget > 0, "relaxation did not terminate");
         }
@@ -267,7 +173,7 @@ mod tests {
 
     #[test]
     fn converges_to_exact_distances_on_weighted_dag() {
-        let mut p = DistancePartition::new(VertexId(0));
+        let mut p = store(0);
         run_events(
             &mut p,
             &[
@@ -285,12 +191,12 @@ mod tests {
         assert_eq!(distance(&p, VertexId(1)), Some(3.0)); // via 2
         assert_eq!(distance(&p, VertexId(2)), Some(1.0));
         assert_eq!(distance(&p, VertexId(3)), Some(4.0));
-        assert_eq!(p.stale_hazards(), 0);
+        assert_eq!(hazards(&p), 0);
     }
 
     #[test]
     fn unreached_vertices_have_no_distance() {
-        let mut p = DistancePartition::new(VertexId(0));
+        let mut p = store(0);
         run_events(&mut p, &[add_v(0), add_v(9)]);
         assert_eq!(distance(&p, VertexId(9)), None);
         // Summary reports them as infinity.
@@ -302,7 +208,7 @@ mod tests {
 
     #[test]
     fn weight_decrease_improves_distance_online() {
-        let mut p = DistancePartition::new(VertexId(0));
+        let mut p = store(0);
         run_events(&mut p, &[add_v(0), add_v(1), add_we(0, 1, 10.0)]);
         assert_eq!(distance(&p, VertexId(1)), Some(10.0));
         run_events(
@@ -313,12 +219,12 @@ mod tests {
             }],
         );
         assert_eq!(distance(&p, VertexId(1)), Some(2.0));
-        assert_eq!(p.stale_hazards(), 0);
+        assert_eq!(hazards(&p), 0);
     }
 
     #[test]
     fn hazards_counted_on_removal_and_increase() {
-        let mut p = DistancePartition::new(VertexId(0));
+        let mut p = store(0);
         run_events(&mut p, &[add_v(0), add_v(1), add_we(0, 1, 1.0)]);
         run_events(
             &mut p,
@@ -327,7 +233,7 @@ mod tests {
                 state: State::weight(5.0),
             }],
         );
-        assert_eq!(p.stale_hazards(), 1);
+        assert_eq!(hazards(&p), 1);
         // Stale: still reports the old, now-optimistic distance.
         assert_eq!(distance(&p, VertexId(1)), Some(1.0));
         run_events(
@@ -336,7 +242,7 @@ mod tests {
                 id: EdgeId::from((0, 1)),
             }],
         );
-        assert_eq!(p.stale_hazards(), 2);
+        assert_eq!(hazards(&p), 2);
     }
 
     /// Two vertices worker 1 relaxes in one round both offer to one
@@ -352,16 +258,16 @@ mod tests {
             add_we(source, a, 1.0),
             add_we(source, b, 4.0),
         ];
-        // In one round the source is dirty three times and builds its two
-        // offers once: counted as built, before the outbox folds them.
-        let mut partition = DistancePartition::new(VertexId(source));
-        let mut dirty = Vec::new();
+        // In one round the source is listed three times and `compute`
+        // builds its two offers once: counted as built, before the outbox
+        // folds them.
+        let mut store = store(source);
         for event in &source_events {
-            partition.apply_event_deferred(event, &mut dirty);
+            store.apply(event);
         }
+        assert_eq!(store.listings(), [VertexId(source); 3]);
         let mut offers = Vec::new();
-        partition.offer_dirty(&dirty, |target, offer| offers.push((target, offer)));
-        assert_eq!(dirty.len(), 3);
+        store.flush(|target, offer| offers.push((target, offer)));
         assert_eq!(offers, [(VertexId(a), 1.0), (VertexId(b), 4.0)]);
 
         let config = EngineConfig {

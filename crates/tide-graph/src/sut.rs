@@ -227,6 +227,7 @@ fn report_from_stats(name: &str, stats: &EngineStats) -> SutReport {
             stats.dangling_edges_dropped as f64,
         )
         .with("shares_dropped", stats.shares_dropped as f64)
+        .with("edges", stats.edges as f64)
 }
 
 /// Registers this platform under [`SUT_NAME`] and its explicitly-sharded
@@ -254,22 +255,28 @@ mod tests {
         assert_eq!(sut.name(), SUT_NAME);
         assert!(sut.level().includes(EvaluationLevel::Level2));
         let mut connector = sut.connector().unwrap();
-        let entries: Vec<SharedEntry> = (0..40u64)
-            .map(|i| {
-                SharedEntry::new(StreamEntry::graph(GraphEvent::AddVertex {
-                    id: VertexId(i),
-                    state: State::empty(),
-                }))
-            })
+        // A ring of 40, and one self-loop: held by no worker.
+        let vertices = (0..40u64).map(|i| GraphEvent::AddVertex {
+            id: VertexId(i),
+            state: State::empty(),
+        });
+        let edges = (0..40u64).map(|i| (i, (i + 1) % 40)).chain([(7, 7)]);
+        let edges = edges.map(|id| GraphEvent::AddEdge {
+            id: EdgeId::from(id),
+            state: State::empty(),
+        });
+        let entries: Vec<SharedEntry> = (vertices.chain(edges))
+            .map(|event| SharedEntry::new(StreamEntry::graph(event)))
             .collect();
         connector.send_batch(&entries).unwrap();
         connector.close().unwrap();
         assert!(sut.quiesce(Duration::from_secs(10)));
         drop(connector);
         let report = sut.shutdown();
-        assert_eq!(report.get("events"), Some(40.0));
+        assert_eq!(report.get("events"), Some(81.0));
         assert_eq!(report.get("vertices"), Some(40.0));
         assert_eq!(report.get("shares_dropped"), Some(0.0));
+        assert_eq!(report.get("edges"), Some(40.0));
     }
 
     #[test]

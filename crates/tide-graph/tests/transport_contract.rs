@@ -10,10 +10,12 @@ use std::time::{Duration, Instant};
 
 use gt_core::hash::shard_of;
 use gt_core::prelude::*;
+use gt_graph::HybridAdjacency;
 use gt_metrics::MetricsHub;
 use tide_graph::mailbox::{mailbox, Batch, Mailbox, Msg, Transport, BLOCK_SHARES};
-use tide_graph::rank::RankPartition;
-use tide_graph::{Engine, EngineConfig, Outbox, Partition, RankParams, TideGraph};
+use tide_graph::program::Change;
+use tide_graph::rank::Mass;
+use tide_graph::{Engine, EngineConfig, Program, RankParams, TideGraph};
 
 fn add_v(id: u64) -> GraphEvent {
     GraphEvent::AddVertex {
@@ -577,11 +579,11 @@ fn a_parked_worker_is_woken_by_every_kind_of_post() {
     assert_eq!(stats.events_lost, 0);
 }
 
-/// A rank partition that counts how many of its kind are still alive.
-/// Its worker returns it on exit, so a count of zero means every worker
+/// The rank program, counting how many of its kind are still alive. Its
+/// worker returns it on exit, so a count of zero means every worker
 /// thread has left its loop.
 struct Watched {
-    rank: RankPartition,
+    rank: RankParams,
     alive: Arc<AtomicUsize>,
 }
 
@@ -591,31 +593,29 @@ impl Drop for Watched {
     }
 }
 
-impl Partition for Watched {
+impl Program for Watched {
+    type Value = Mass;
+    type Weight = ();
     type Msg = f64;
 
     fn combine(into: &mut f64, mass: f64) {
-        RankPartition::combine(into, mass);
+        RankParams::combine(into, mass);
     }
 
-    fn apply_event_deferred(&mut self, event: &GraphEvent, dirty: &mut Vec<VertexId>) -> bool {
-        self.rank.apply_event_deferred(event, dirty)
+    fn changed(&mut self, id: VertexId, mass: &mut Mass, change: Change) -> bool {
+        self.rank.changed(id, mass, change)
     }
 
-    fn receive_deferred(&mut self, target: VertexId, mass: f64, dirty: &mut Vec<VertexId>) -> bool {
-        self.rank.receive_deferred(target, mass, dirty)
+    fn receive(&self, mass: &mut Mass, share: f64) -> bool {
+        self.rank.receive(mass, share)
     }
 
-    fn flush_dirty(&mut self, dirty: &[VertexId], out: &mut Outbox<f64>) {
-        self.rank.flush_dirty(dirty, out);
+    fn compute(&self, mass: &mut Mass, out: &HybridAdjacency<()>, send: impl FnMut(VertexId, f64)) {
+        self.rank.compute(mass, out, send);
     }
 
-    fn purge(&mut self, removed: VertexId, out: &mut Outbox<f64>) {
-        self.rank.purge(removed, out);
-    }
-
-    fn summary_into(&self, out: &mut Vec<(VertexId, f64)>) {
-        self.rank.summary_into(out);
+    fn result(mass: &Mass) -> f64 {
+        RankParams::result(mass)
     }
 }
 
@@ -634,7 +634,7 @@ fn dropping_an_engine_without_shutdown_lets_its_workers_exit() {
         let engine = Engine::start_with(config, &MetricsHub::new(), move |_| {
             counted.fetch_add(1, Ordering::SeqCst);
             Watched {
-                rank: RankPartition::default(),
+                rank: RankParams::default(),
                 alive: Arc::clone(&counted),
             }
         });

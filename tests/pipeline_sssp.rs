@@ -55,7 +55,7 @@ fn online_sssp_tracks_batch_oracle_on_growing_graph() {
 
 #[test]
 fn churn_accumulates_stale_hazards() {
-    use graphtides::engine::{DistancePartition, Outbox, Partition};
+    use graphtides::engine::{DistanceProgram, VertexStore};
 
     // Full traffic run: rush-hour weight *increases* and closures are the
     // non-monotone operations online relaxation cannot repair. The
@@ -70,17 +70,14 @@ fn churn_accumulates_stale_hazards() {
         ..Default::default()
     };
     let stream = workload.generate();
-    let mut partition = DistancePartition::new(VertexId(0));
-    let mut dirty = Vec::new();
-    // Offers fold per target, so the outbox stays one share per junction.
-    let mut out = Outbox::default();
+    // The store counts them as it applies the events: no round needs to
+    // be computed.
+    let mut store = VertexStore::new(DistanceProgram::new(VertexId(0)));
     for event in stream.graph_events() {
-        partition.apply_event_deferred(event, &mut dirty);
-        partition.flush_dirty(&dirty, &mut out);
-        dirty.clear();
+        store.apply(event);
     }
     assert!(
-        partition.stale_hazards() > 0,
+        store.program().stale_hazards() > 0,
         "rush hour must raise weights somewhere"
     );
 }
